@@ -13,7 +13,6 @@ from .harness import (
 from .metrics import Measurement, measure, measure_memory
 from .reporting import format_table, print_series, print_table
 from .suites import (
-    core_benchmark,
     e2e_benchmark,
     incremental_benchmark,
     make_disjoint_history,
@@ -26,7 +25,6 @@ __all__ = [
     "EndToEndResult",
     "GeneratedHistory",
     "Measurement",
-    "core_benchmark",
     "e2e_benchmark",
     "end_to_end",
     "format_table",

@@ -26,13 +26,12 @@ import gc
 import json
 import multiprocessing
 import os
-import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
+from .. import obs
 from ..core.checker import MTChecker
 from ..core.checkers import check_ser, check_si
-from ..core.graph import DependencyGraph, build_dependency
 from ..core.incremental import CheckerSession, stream_order
 from ..core.index import HistoryIndex
 from ..core.model import History, Session, Transaction, read, write
@@ -42,7 +41,6 @@ from .harness import generate_mt_history
 
 __all__ = [
     "make_disjoint_history",
-    "core_benchmark",
     "parallel_benchmark",
     "incremental_benchmark",
     "e2e_benchmark",
@@ -119,131 +117,6 @@ def make_disjoint_history(
     return history
 
 
-def _multigraph_nbytes(graph: DependencyGraph) -> int:
-    """Retained bytes of a legacy labeled multigraph (containers + tags)."""
-    total = sys.getsizeof(graph.nodes) + sys.getsizeof(graph._succ)
-    for targets in graph._succ.values():
-        total += sys.getsizeof(targets)
-        for labels in targets.values():
-            total += sys.getsizeof(labels)
-            for tag in labels:
-                total += sys.getsizeof(tag)
-    total += sys.getsizeof(graph._pred)
-    for sources in graph._pred.values():
-        total += sys.getsizeof(sources)
-    return total
-
-
-def core_benchmark(
-    *,
-    smoke: bool = False,
-    sizes: Optional[Sequence[int]] = None,
-) -> Dict[str, object]:
-    """Dense CSR kernel vs. legacy multigraph on the accept path.
-
-    For each history size, a healthy single-shard SER history is built once
-    (shared :class:`HistoryIndex`), then BUILDDEPENDENCY + the acyclicity
-    check run through both kernels:
-
-    * **legacy** — ``build_dependency`` (dict-of-dict-of-sets multigraph)
-      followed by ``find_cycle`` (and ``si_induced_graph`` for SI);
-    * **dense** — ``build_dependency(dense=True)`` (flat ``array('i')``
-      columns) followed by one Tarjan SCC pass (``CSRGraph.has_cycle``;
-      ``CSRGraph.si_induced`` composes the SI check graph at the CSR level).
-
-    Every row asserts the two kernels agree on the acyclicity verdict AND
-    runs the *full* checkers both ways, asserting verdict equality end to
-    end (untimed).  ``legacy_graph_mb`` / ``dense_graph_mb``
-    compare the retained graph representations; ``ru_maxrss_mb`` records
-    the process peak RSS at row end (monotonic, informational).
-    """
-    if sizes is None:
-        sizes = [1_000] if smoke else [5_000, 20_000, 50_000, 100_000]
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
-        resource = None
-
-    rows: List[Dict[str, object]] = []
-    for total_txns in sizes:
-        history = make_disjoint_history(
-            num_groups=1,
-            sessions_per_group=4,
-            txns_per_session=max(1, total_txns // 4),
-            keys_per_group=32,
-        )
-        index = HistoryIndex.build(history)
-        num_txns = history.num_transactions()
-        for level_name in ("ser", "si"):
-            started = time.perf_counter()
-            graph = build_dependency(history, index=index)
-            legacy_induced = None
-            if level_name == "si":
-                legacy_induced = graph.si_induced_graph()
-                legacy_cyclic = legacy_induced.find_cycle() is not None
-            else:
-                legacy_cyclic = graph.find_cycle() is not None
-            legacy_seconds = time.perf_counter() - started
-            legacy_bytes = _multigraph_nbytes(graph)
-            if legacy_induced is not None:
-                legacy_bytes += _multigraph_nbytes(legacy_induced)
-            # Release the (large) legacy structures so the dense timing is
-            # not taxed by GC pressure from the other kernel's allocations.
-            del graph, legacy_induced
-            gc.collect()
-
-            started = time.perf_counter()
-            csr = build_dependency(history, index=index, dense=True)
-            if level_name == "si":
-                induced = csr.si_induced()
-                dense_cyclic = induced.has_cycle() is not None
-                dense_bytes = csr.nbytes + induced.nbytes
-            else:
-                dense_cyclic = csr.has_cycle() is not None
-                dense_bytes = csr.nbytes
-            dense_seconds = time.perf_counter() - started
-
-            assert dense_cyclic == legacy_cyclic, (level_name, total_txns)
-            check = check_si if level_name == "si" else check_ser
-            dense_result = check(history, index=index, dense=True)
-            legacy_result = check(history, index=index, dense=False)
-            verdicts_equal = dense_result.satisfied == legacy_result.satisfied and [
-                v.kind for v in dense_result.violations
-            ] == [v.kind for v in legacy_result.violations]
-            assert verdicts_equal, (level_name, total_txns)
-            rows.append(
-                {
-                    "level": level_name.upper(),
-                    "txns": num_txns,
-                    "legacy_s": round(legacy_seconds, 4),
-                    "dense_s": round(dense_seconds, 4),
-                    "speedup": round(legacy_seconds / max(dense_seconds, 1e-9), 2),
-                    "legacy_graph_mb": round(legacy_bytes / (1024 * 1024), 3),
-                    "dense_graph_mb": round(dense_bytes / (1024 * 1024), 3),
-                    "mem_ratio": round(legacy_bytes / max(dense_bytes, 1), 2),
-                    "verdict": not dense_cyclic,
-                    "verdicts_equal": verdicts_equal,
-                    "ru_maxrss_mb": (
-                        # ru_maxrss is kilobytes on Linux but bytes on macOS.
-                        round(
-                            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                            / (1024 * 1024 if sys.platform == "darwin" else 1024),
-                            1,
-                        )
-                        if resource is not None
-                        else None
-                    ),
-                }
-            )
-    return {
-        "suite": "core",
-        "smoke": smoke,
-        "cpu_count": os.cpu_count(),
-        "sizes": list(sizes),
-        "rows": rows,
-    }
-
-
 def parallel_benchmark(
     *,
     smoke: bool = False,
@@ -317,8 +190,7 @@ def parallel_benchmark(
                 serial = MTChecker().verify(columns, level)
                 serial_seconds = time.perf_counter() - started
                 for count in size_workers:
-                    stats: Dict[str, object] = {}
-                    with _warnings.catch_warnings():
+                    with _warnings.catch_warnings(), obs.scoped() as reg:
                         _warnings.simplefilter("ignore", RuntimeWarning)
                         started = time.perf_counter()
                         result = check_parallel(
@@ -327,7 +199,6 @@ def parallel_benchmark(
                             workers=count,
                             columns=columns,
                             source_path=segment_path,
-                            stats=stats,
                         )
                         elapsed = time.perf_counter() - started
                     verdicts_equal = (
@@ -342,7 +213,7 @@ def parallel_benchmark(
                             "level": level_name.upper(),
                             "txns": num_txns,
                             "workers": count,
-                            "workers_effective": stats.get("workers_effective", count),
+                            "workers_effective": int(reg.value("repro_executor_workers_effective")),
                             "cpu_count": cpu_count,
                             "advisory": advisory,
                             **(
@@ -363,12 +234,17 @@ def parallel_benchmark(
                             "speedup": round(serial_seconds / max(elapsed, 1e-9), 2),
                             "verdict": result.satisfied,
                             "verdicts_equal": verdicts_equal,
-                            "shards": stats.get("shards", 1),
-                            "payload_bytes": stats.get("payload_bytes", 0),
-                            "index_build_s": round(
-                                float(stats.get("index_build_s", 0.0)), 4
+                            "shards": int(reg.value("repro_executor_shards")),
+                            # Recorded only on a multi-shard fan-out / an SSER merge.
+                            "payload_bytes": int(
+                                reg.value("repro_executor_payload_bytes") or 0
                             ),
-                            "merge_s": round(float(stats.get("merge_s", 0.0)), 4),
+                            "index_build_s": round(
+                                reg.value("repro_executor_index_build_seconds") or 0.0, 4
+                            ),
+                            "merge_s": round(
+                                reg.value("repro_executor_merge_seconds") or 0.0, 4
+                            ),
                         }
                     )
 
@@ -696,12 +572,10 @@ def io_benchmark(
             level = IsolationLevel.SERIALIZABILITY
             shards = partition_history(jsonl_history, index=jsonl_index)
             legacy_payload = sum(
-                len(pickle.dumps((s.index, s.history, level, False, True)))
+                len(pickle.dumps((s.index, s.history, level, False)))
                 for s in shards
             )
-            wire_blobs = [
-                pickle.dumps(make_payload(s, level, False, True)) for s in shards
-            ]
+            wire_blobs = [pickle.dumps(make_payload(s, level, False)) for s in shards]
             assert all(b"repro.core.model" not in blob for blob in wire_blobs)
             columnar_payload = sum(len(blob) for blob in wire_blobs)
 

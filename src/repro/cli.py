@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--suite",
-        choices=["core", "parallel", "incremental", "e2e", "io", "service", "collect", "all"],
+        choices=["parallel", "incremental", "e2e", "io", "service", "collect", "all"],
         default="all",
         help="which suite to run",
     )
@@ -1226,7 +1226,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench.reporting import format_table
     from .bench.suites import (
         collect_benchmark,
-        core_benchmark,
         e2e_benchmark,
         incremental_benchmark,
         io_benchmark,
@@ -1236,7 +1235,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
 
     suites = {
-        "core": core_benchmark,
         "parallel": parallel_benchmark,
         "incremental": incremental_benchmark,
         "e2e": e2e_benchmark,
@@ -1260,6 +1258,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 1:
+        print("error: --workers must be >= 1")
+        return 2
     trace_path = getattr(args, "trace", None)
     if trace_path:
         obs.start_trace(trace_path)

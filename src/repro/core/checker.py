@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .. import obs
 from ..obs.report import VerifyReport
-from .checkers import GRAPH_CHECKED_LEVELS, check_ser, check_si, check_sser
+from .checkers import check_level
 from .incremental import CheckerSession
 from .index import HistoryIndex
 from .lwt import LWTHistory, check_linearizability
@@ -53,11 +53,6 @@ class MTChecker:
             serial verdicts on every history, and ``workers=1`` vs
             ``workers=k`` produce *identical* results — only where the shard
             checks execute changes.
-        dense: run batch graph construction and acyclicity on the
-            array-native CSR kernel (:mod:`repro.core.csr`, the default).
-            ``dense=False`` selects the legacy labeled-multigraph path;
-            verdicts, anomaly kinds, and counterexample cycles are
-            identical either way (enforced by ``tests/test_csr.py``).
     """
 
     def __init__(
@@ -66,14 +61,12 @@ class MTChecker:
         strict_mt: bool = False,
         transitive_ww: bool = False,
         workers: Optional[int] = None,
-        dense: bool = True,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be a positive process count (or None)")
         self.strict_mt = strict_mt
         self.transitive_ww = transitive_ww
         self.workers = workers
-        self.dense = dense
 
     # ------------------------------------------------------------------
     # Verification
@@ -126,9 +119,6 @@ class MTChecker:
                 )
             return check_linearizability(history)
 
-        if level not in GRAPH_CHECKED_LEVELS:
-            raise ValueError(f"unsupported isolation level for MTC: {level}")
-
         from ..history.columnar import ColumnarHistory  # deferred: avoids cycle
 
         columns: Optional[ColumnarHistory] = None
@@ -152,32 +142,15 @@ class MTChecker:
                 strict_mt=self.strict_mt,
                 transitive_ww=self.transitive_ww,
                 index=index,
-                dense=self.dense,
                 columns=columns,
             )
 
-        if level is IsolationLevel.SERIALIZABILITY:
-            return check_ser(
-                plain_history,
-                transitive_ww=self.transitive_ww,
-                strict_mt=self.strict_mt,
-                index=index,
-                dense=self.dense,
-            )
-        if level is IsolationLevel.SNAPSHOT_ISOLATION:
-            return check_si(
-                plain_history,
-                transitive_ww=self.transitive_ww,
-                strict_mt=self.strict_mt,
-                index=index,
-                dense=self.dense,
-            )
-        return check_sser(
+        return check_level(
             plain_history,
+            level,
             transitive_ww=self.transitive_ww,
             strict_mt=self.strict_mt,
             index=index,
-            dense=self.dense,
         )
 
     # Convenience aliases matching the paper's component names.

@@ -22,9 +22,10 @@ known pattern.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .. import obs
+from .csr import CSRGraph
 from .divergence import find_divergence
 from .graph import DependencyGraph, Edge, EdgeType, build_dependency
 from .index import HistoryIndex
@@ -36,13 +37,15 @@ __all__ = [
     "check_sser",
     "check_ser",
     "check_si",
+    "check_level",
+    "cycle_verdict",
     "classify_cycle",
     "raise_if_not_mt",
     "MTHistoryError",
 ]
 
 #: Levels the graph-based MTC pipeline covers on plain histories (LIN is
-#: checked as SSER there).  Shared by the MTChecker facade and the sharded
+#: checked as SSER there).  Shared by :func:`check_level` and the sharded
 #: executor so the two never disagree on which levels are accepted.
 GRAPH_CHECKED_LEVELS = (
     IsolationLevel.SERIALIZABILITY,
@@ -76,7 +79,6 @@ def check_ser(
     transitive_ww: bool = False,
     strict_mt: bool = False,
     index: Optional[HistoryIndex] = None,
-    dense: bool = True,
 ) -> CheckResult:
     """CHECKSER: verify serializability of a mini-transaction history.
 
@@ -91,20 +93,13 @@ def check_ser(
         index: optional pre-built :class:`~repro.core.index.HistoryIndex`;
             :meth:`repro.core.checker.MTChecker.verify` builds it once and
             threads it through every stage, so the history is scanned once.
-        dense: run BUILDDEPENDENCY and the acyclicity check on the
-            array-native CSR kernel (:mod:`repro.core.csr`) — the default.
-            The legacy multigraph path (``dense=False``) exists for
-            cross-validation and ablation; both paths produce identical
-            verdicts, anomaly kinds, and labeled counterexample cycles.
     """
-    return _check_graph_level(
+    return check_level(
         history,
-        level=IsolationLevel.SERIALIZABILITY,
-        with_rt=False,
+        IsolationLevel.SERIALIZABILITY,
         transitive_ww=transitive_ww,
         strict_mt=strict_mt,
         index=index,
-        dense=dense,
     )
 
 
@@ -115,22 +110,19 @@ def check_sser(
     strict_mt: bool = False,
     reduced_rt: bool = True,
     index: Optional[HistoryIndex] = None,
-    dense: bool = True,
 ) -> CheckResult:
     """CHECKSSER: verify strict serializability of a mini-transaction history.
 
     Identical to :func:`check_ser` but additionally includes the real-time
     order edges, requiring transaction timestamps on the history.
     """
-    return _check_graph_level(
+    return check_level(
         history,
-        level=IsolationLevel.STRICT_SERIALIZABILITY,
-        with_rt=True,
+        IsolationLevel.STRICT_SERIALIZABILITY,
         transitive_ww=transitive_ww,
         strict_mt=strict_mt,
         reduced_rt=reduced_rt,
         index=index,
-        dense=dense,
     )
 
 
@@ -141,7 +133,6 @@ def check_si(
     strict_mt: bool = False,
     early_divergence_exit: bool = True,
     index: Optional[HistoryIndex] = None,
-    dense: bool = True,
 ) -> CheckResult:
     """CHECKSI: verify snapshot isolation of a mini-transaction history.
 
@@ -159,142 +150,65 @@ def check_si(
             ablation only measures its cost, and the checker re-enables it
             for the final verdict.
     """
-    started = time.perf_counter()
-    if index is None:
-        index = HistoryIndex.build(history)
-    num_txns = index.num_committed
-
-    with obs.phase("pre_checks"):
-        pre = _pre_checks(index, strict_mt=strict_mt)
-    if pre is not None:
-        pre.level = IsolationLevel.SNAPSHOT_ISOLATION
-        pre.num_transactions = num_txns
-        pre.elapsed_seconds = time.perf_counter() - started
-        return pre
-
-    with obs.phase("divergence"):
-        divergence = find_divergence(history, index=index)
-    if early_divergence_exit and divergence is not None:
-        result = CheckResult.violated(
-            IsolationLevel.SNAPSHOT_ISOLATION,
-            [divergence.to_violation()],
-            num_transactions=num_txns,
-        )
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
-
-    if dense:
-        # Accept path: array-native build + CSR-level composition + one
-        # Tarjan pass.  The legacy multigraph is only materialised when a
-        # counterexample must be labeled, keeping violation output
-        # byte-identical to the legacy pipeline.
-        with obs.phase("build_dependency"):
-            csr = build_dependency(
-                history,
-                with_rt=False,
-                transitive_ww=transitive_ww,
-                index=index,
-                dense=True,
-            )
-        obs.inc("repro_graph_builds_total")
-        obs.set_gauge("repro_graph_nodes", csr.num_nodes)
-        obs.set_gauge("repro_graph_edges", csr.num_edges)
-        with obs.phase("acyclicity"):
-            acyclic = csr.si_induced().has_cycle() is None
-        if acyclic:
-            cycle = None
-            graph = None
-        else:
-            graph = csr.to_multigraph()
-            cycle = graph.si_induced_graph().find_cycle()
-    else:
-        with obs.phase("build_dependency"):
-            graph = build_dependency(
-                history,
-                with_rt=False,
-                transitive_ww=transitive_ww,
-                index=index,
-            )
-        obs.inc("repro_graph_builds_total")
-        with obs.phase("acyclicity"):
-            cycle = graph.si_induced_graph().find_cycle()
-    if cycle is None and divergence is not None:
-        # The induced graph can be acyclic even though the history violates
-        # SI via DIVERGENCE (Example 3); completeness requires reporting it.
-        result = CheckResult.violated(
-            IsolationLevel.SNAPSHOT_ISOLATION,
-            [divergence.to_violation()],
-            num_transactions=num_txns,
-        )
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
-
-    if cycle is None:
-        result = CheckResult.ok(IsolationLevel.SNAPSHOT_ISOLATION, num_txns)
-    else:
-        violation = classify_cycle(cycle, graph, level=IsolationLevel.SNAPSHOT_ISOLATION)
-        result = CheckResult.violated(
-            IsolationLevel.SNAPSHOT_ISOLATION, [violation], num_transactions=num_txns
-        )
-    result.elapsed_seconds = time.perf_counter() - started
-    return result
+    return check_level(
+        history,
+        IsolationLevel.SNAPSHOT_ISOLATION,
+        transitive_ww=transitive_ww,
+        strict_mt=strict_mt,
+        early_divergence_exit=early_divergence_exit,
+        index=index,
+    )
 
 
-# ----------------------------------------------------------------------
-# Shared machinery
-# ----------------------------------------------------------------------
-def _pre_checks(index: HistoryIndex, *, strict_mt: bool) -> Optional[CheckResult]:
-    """Run MT-history validation and the INT pre-pass on the shared index.
-
-    Both verdicts are cached on the :class:`~repro.core.index.HistoryIndex`,
-    so a facade that validated the history up front (or a repeated check of
-    the same index) never re-scans it.  Returns a failing
-    :class:`CheckResult` (level filled in by the caller) when the pre-pass
-    finds violations, else ``None``.
-    """
-    if strict_mt:
-        raise_if_not_mt(index)
-    int_violations = index.int_violations()
-    if int_violations:
-        return CheckResult.violated(
-            IsolationLevel.SERIALIZABILITY, int_violations
-        )
-    return None
-
-
-def _check_graph_level(
-    history: History,
-    *,
+def check_level(
+    history: Optional[History],
     level: IsolationLevel,
-    with_rt: bool,
-    transitive_ww: bool,
-    strict_mt: bool,
+    *,
+    transitive_ww: bool = False,
+    strict_mt: bool = False,
     reduced_rt: bool = True,
+    early_divergence_exit: bool = True,
     index: Optional[HistoryIndex] = None,
-    dense: bool = True,
 ) -> CheckResult:
+    """Algorithm 1 for one level: the routine behind every batch verdict.
+
+    Pre-checks, then (SI only) the DIVERGENCE scan, then BUILDDEPENDENCY on
+    the array-native CSR kernel (:mod:`repro.core.csr`) and one acyclicity
+    check (:func:`cycle_verdict`).  :func:`check_ser` / :func:`check_si` /
+    :func:`check_sser`, the :class:`~repro.core.checker.MTChecker` facade
+    and the sharded executor all end up here.  ``history`` may be ``None``
+    when ``index`` carries it (columnar input, shard workers); LIN is
+    checked as SSER.
+    """
+    if level not in GRAPH_CHECKED_LEVELS:
+        raise ValueError(f"unsupported isolation level for MTC: {level}")
     started = time.perf_counter()
+    if level is IsolationLevel.LINEARIZABILITY:
+        level = IsolationLevel.STRICT_SERIALIZABILITY
     if index is None:
         index = HistoryIndex.build(history)
     num_txns = index.num_committed
 
+    # MT validation and the INT verdict are cached on the index, so a facade
+    # that validated up front (or a repeated check) never re-scans it.
     with obs.phase("pre_checks"):
-        pre = _pre_checks(index, strict_mt=strict_mt)
-    if pre is not None:
-        pre.level = level
-        pre.num_transactions = num_txns
-        pre.elapsed_seconds = time.perf_counter() - started
-        return pre
+        if strict_mt:
+            raise_if_not_mt(index)
+        violations: Sequence[Violation] = index.int_violations()
+    divergence = None
+    if not violations and level is IsolationLevel.SNAPSHOT_ISOLATION:
+        with obs.phase("divergence"):
+            divergence = find_divergence(history, index=index)
+        if divergence is not None and early_divergence_exit:
+            violations = [divergence.to_violation()]
 
-    if dense:
-        # Accept path: flat-array BUILDDEPENDENCY + one Tarjan SCC pass; no
-        # Edge objects, no per-root DFS re-densification.  Only a rejection
-        # materialises the legacy multigraph, whose find_cycle/label_cycle
-        # keep the counterexample byte-identical to the legacy pipeline.
+    if violations:
+        result = CheckResult.violated(level, violations, num_transactions=num_txns)
+    else:
         with obs.phase("build_dependency"):
             csr = build_dependency(
                 history,
-                with_rt=with_rt,
+                with_rt=level is IsolationLevel.STRICT_SERIALIZABILITY,
                 transitive_ww=transitive_ww,
                 reduced_rt=reduced_rt,
                 index=index,
@@ -304,31 +218,33 @@ def _check_graph_level(
         obs.set_gauge("repro_graph_nodes", csr.num_nodes)
         obs.set_gauge("repro_graph_edges", csr.num_edges)
         with obs.phase("acyclicity"):
-            acyclic = csr.has_cycle() is None
-        if acyclic:
-            result = CheckResult.ok(level, num_txns)
-            result.elapsed_seconds = time.perf_counter() - started
-            return result
-        graph = csr.to_multigraph()
-    else:
-        with obs.phase("build_dependency"):
-            graph = build_dependency(
-                history,
-                with_rt=with_rt,
-                transitive_ww=transitive_ww,
-                reduced_rt=reduced_rt,
-                index=index,
+            result = cycle_verdict(csr, level, num_txns)
+        if result.satisfied and divergence is not None:
+            # The induced graph can be acyclic even though the history
+            # violates SI via DIVERGENCE (Example 3); completeness requires
+            # reporting it.
+            result = CheckResult.violated(
+                level, [divergence.to_violation()], num_transactions=num_txns
             )
-        obs.inc("repro_graph_builds_total")
-    with obs.phase("acyclicity"):
-        cycle = graph.find_cycle()
-    if cycle is None:
-        result = CheckResult.ok(level, num_txns)
-    else:
-        violation = classify_cycle(cycle, graph, level=level)
-        result = CheckResult.violated(level, [violation], num_transactions=num_txns)
     result.elapsed_seconds = time.perf_counter() - started
     return result
+
+
+def cycle_verdict(csr: CSRGraph, level: IsolationLevel, num_transactions: int) -> CheckResult:
+    """Accept iff the level's edge combination of ``csr`` is acyclic.
+
+    The accept path is one Tarjan pass over flat arrays (for SI, over the
+    CSR-level composition ``(SO ∪ WR ∪ WW) ; RW?``).  Only a rejection
+    materialises the labeled multigraph, whose ``find_cycle`` and
+    :func:`classify_cycle` produce the counterexample.
+    """
+    induced = level is IsolationLevel.SNAPSHOT_ISOLATION
+    if (csr.si_induced() if induced else csr).has_cycle() is None:
+        return CheckResult.ok(level, num_transactions)
+    graph = csr.to_multigraph()
+    cycle = (graph.si_induced_graph() if induced else graph).find_cycle()
+    violation = classify_cycle(cycle, graph, level=level)
+    return CheckResult.violated(level, [violation], num_transactions=num_transactions)
 
 
 def classify_cycle(

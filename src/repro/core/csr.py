@@ -31,7 +31,7 @@ integer arrays; this module does the same for the MTC core:
 checkers (:mod:`repro.core.checkers`), the sharded executor/merger
 (:mod:`repro.parallel`), and the solver baselines' known-edge installation
 (:mod:`repro.baselines.solver`, via :func:`first_nontrivial_scc`) all run on
-this kernel by default.
+this kernel.
 """
 
 from __future__ import annotations

@@ -242,8 +242,8 @@ class DependencyGraph:
             if labels:
                 # Prefer the most informative label (anything but RT/SO);
                 # the key breaks ties so the choice never depends on set
-                # iteration order (the dense and legacy pipelines must label
-                # identically).
+                # iteration order (a multigraph converted from the CSR kernel
+                # and one built directly must label identically).
                 etype, key = min(
                     labels,
                     key=lambda tag: (
@@ -413,8 +413,9 @@ def build_dependency(
             allocates an :class:`Edge` on the accept path and converts to
             the legacy :class:`DependencyGraph` lazily
             (``CSRGraph.to_multigraph()``) when a cycle must be labeled or
-            a caller asks for the multigraph.  This is the default path of
-            the batch checkers.
+            a caller asks for the multigraph.  This is the path the batch
+            checkers run; the multigraph branch below is the reference
+            implementation the tests compare it against.
 
     Returns:
         The dependency graph over committed transactions (including ``⊥T``)

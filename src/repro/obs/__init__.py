@@ -35,7 +35,6 @@ from .metrics import (
     disable,
     enable,
     enabled,
-    maybe_scoped,
     merge_snapshots,
     registry,
     scoped,
@@ -57,7 +56,6 @@ __all__ = [
     "gauge_add",
     "inc",
     "iter_trace",
-    "maybe_scoped",
     "merge",
     "merge_snapshots",
     "observe",

@@ -47,7 +47,6 @@ __all__ = [
     "enabled",
     "registry",
     "scoped",
-    "maybe_scoped",
     "series_name",
 ]
 
@@ -443,13 +442,3 @@ def scoped() -> Iterator[MetricsRegistry]:
         swap_active(parent)
         if parent is not None:
             parent.merge(reg.snapshot())
-
-
-@contextmanager
-def maybe_scoped(active: bool) -> Iterator[Optional[MetricsRegistry]]:
-    """:func:`scoped` when ``active``, else a no-op yielding ``None``."""
-    if not active:
-        yield None
-        return
-    with scoped() as reg:
-        yield reg

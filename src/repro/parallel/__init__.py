@@ -10,7 +10,7 @@ verdicts equal serial verdicts on every history.  Reach it through
 """
 
 from .executor import check_parallel
-from .merge import ShardOutcome, merge_shard_results, merge_sser_graphs
+from .merge import ShardOutcome, merge_shard_results
 from .partition import DEFAULT_MAX_SHARDS, Shard, partition_columns, partition_history
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "ShardOutcome",
     "check_parallel",
     "merge_shard_results",
-    "merge_sser_graphs",
     "partition_columns",
     "partition_history",
 ]

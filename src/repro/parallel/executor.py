@@ -64,13 +64,7 @@ from ..obs import metrics as _obs_metrics
 from ..resilience import CircuitBreaker, Deadline, RetryPolicy
 from ..resilience import failpoints as _failpoints
 from ..resilience.failpoints import fail_point
-from ..core.checkers import (
-    GRAPH_CHECKED_LEVELS,
-    check_ser,
-    check_si,
-    check_sser,
-    raise_if_not_mt,
-)
+from ..core.checkers import GRAPH_CHECKED_LEVELS, check_level, raise_if_not_mt
 from ..core.csr import WireCSR
 from ..core.graph import build_dependency
 from ..core.index import HistoryIndex
@@ -82,9 +76,6 @@ from .merge import (
     finalize_sser_wires,
     merge_csr_wires,
     merge_shard_results,
-    merge_sser_csr,
-    merge_sser_graphs,
-    serialize_edges,
 )
 from .partition import DEFAULT_MAX_SHARDS, Shard, partition_columns, partition_history
 
@@ -100,11 +91,12 @@ _SegRef = Tuple[str, str, Sequence[int], List[str], Tuple[int, int]]
 
 #: One shard task shipped to a worker process: the shard's columnar wire
 #: buffers — or a :data:`_SegRef` into an mmap-able segment file — plus the
-#: check configuration.  Contains no ``Transaction``s either way.  An
-#: optional sixth element (``with_metrics``) asks the worker to record its
-#: shard work into a fresh telemetry registry and ship the snapshot back on
-#: the outcome; five-element payloads remain valid (telemetry off).
-_Payload = Tuple[int, Union[WireColumns, _SegRef], IsolationLevel, bool, bool]
+#: check configuration ``(level, transitive_ww)``.  Contains no
+#: ``Transaction``s either way.  An optional fifth element
+#: (``with_metrics``) asks the worker to record its shard work into a fresh
+#: telemetry registry and ship the snapshot back on the outcome;
+#: four-element payloads remain valid (telemetry off).
+_Payload = Tuple[int, Union[WireColumns, _SegRef], IsolationLevel, bool]
 
 #: Below this many committed transactions the pool is pure overhead
 #: (process dispatch + pickling dwarf the shard checks), so fan-out runs
@@ -209,12 +201,10 @@ def check_parallel(
     transitive_ww: bool = False,
     index: Optional[HistoryIndex] = None,
     max_shards: Optional[int] = DEFAULT_MAX_SHARDS,
-    dense: bool = True,
     columns: Optional[ColumnarHistory] = None,
     source_path: Optional[Union[str, Path]] = None,
     reuse_index: bool = False,
     task_timeout: Optional[float] = None,
-    stats: Optional[Dict[str, object]] = None,
 ) -> CheckResult:
     """Verify a history against ``level`` via the sharded pipeline.
 
@@ -235,11 +225,6 @@ def check_parallel(
         index: pre-built :class:`~repro.core.index.HistoryIndex` (built
             here when absent); also drives the partitioner.
         max_shards: cap on the shard fan-out (fixed, never worker-derived).
-        dense: run shard checks on the array-native CSR kernel (default);
-            SSER shard graphs then cross the process boundary back as
-            compact ``array('i')`` buffers instead of pickled edge-tuple
-            lists.  ``dense=False`` keeps the legacy multigraph path;
-            verdicts are identical either way.
         columns: the history as a
             :class:`~repro.history.columnar.ColumnarHistory` — shards are
             then sliced straight from the columns and the object history is
@@ -264,81 +249,12 @@ def check_parallel(
             falling back to inline execution.  ``None`` (default) waits
             indefinitely, as before.  Verdicts are identical on every
             recovery path (shard checks are pure).
-        stats: optional dict filled with scale-out metrics for this call:
-            ``workers_requested`` / ``workers_effective``, ``shards``,
-            ``inline``, ``index_build_s`` / ``index_reuse_s``,
-            ``payload_bytes`` (pickled shard payload total), and
-            ``merge_s`` (SSER merge wall-clock).  A compatibility shim over
-            the :mod:`repro.obs` registry — the executor records
-            ``repro_executor_*`` series and this dict is populated from
-            them on the way out; new code should read the registry
-            directly (``obs.scoped()`` / ``repro watch --metrics-file``).
+
+    Scale-out metrics for the call (``repro_executor_workers_effective``,
+    ``_shards``, ``_inline``, ``_payload_bytes``, ``_index_build_seconds`` /
+    ``_index_reuse_seconds``, ``_merge_seconds``) are recorded in the
+    :mod:`repro.obs` registry; read them under ``with obs.scoped() as reg``.
     """
-    with obs.maybe_scoped(stats is not None) as scoped_reg:
-        result = _check_parallel_impl(
-            history,
-            level,
-            workers=workers,
-            strict_mt=strict_mt,
-            transitive_ww=transitive_ww,
-            index=index,
-            max_shards=max_shards,
-            dense=dense,
-            columns=columns,
-            source_path=source_path,
-            reuse_index=reuse_index,
-            task_timeout=task_timeout,
-        )
-        if stats is not None:
-            reg = scoped_reg if scoped_reg is not None else obs.registry()
-            if reg is not None:
-                _fill_stats_from_registry(stats, reg)
-        return result
-
-
-#: Legacy ``stats=`` dict keys and the registry series each one mirrors.
-_STATS_SERIES = (
-    ("workers_requested", "repro_executor_workers_requested", int),
-    ("workers_effective", "repro_executor_workers_effective", int),
-    ("shards", "repro_executor_shards", int),
-    ("inline", "repro_executor_inline", bool),
-    ("payload_bytes", "repro_executor_payload_bytes", int),
-    ("index_build_s", "repro_executor_index_build_seconds", float),
-    ("index_reuse_s", "repro_executor_index_reuse_seconds", float),
-    ("merge_s", "repro_executor_merge_seconds", float),
-)
-
-
-def _fill_stats_from_registry(
-    stats: Dict[str, object], reg: "_obs_metrics.MetricsRegistry"
-) -> None:
-    """Populate the legacy ``stats=`` dict from executor registry gauges.
-
-    Key presence matches the historical behaviour: a key appears only when
-    the corresponding series was recorded for this call (``merge_s`` only
-    on an SSER merge, ``index_reuse_s`` only on a cache rehydration, …).
-    """
-    for key, series, cast in _STATS_SERIES:
-        value = reg.value(series)
-        if value is not None:
-            stats[key] = cast(value)
-
-
-def _check_parallel_impl(
-    history: Optional[History],
-    level: IsolationLevel,
-    *,
-    workers: int,
-    strict_mt: bool,
-    transitive_ww: bool,
-    index: Optional[HistoryIndex],
-    max_shards: Optional[int],
-    dense: bool,
-    columns: Optional[ColumnarHistory],
-    source_path: Optional[Union[str, Path]],
-    reuse_index: bool,
-    task_timeout: Optional[float] = None,
-) -> CheckResult:
     if level not in GRAPH_CHECKED_LEVELS:
         raise ValueError(f"unsupported isolation level for sharded checking: {level}")
     if workers < 1:
@@ -411,11 +327,7 @@ def _check_parallel_impl(
     if len(shards) == 1:
         # Fully connected history: the serial pipeline on the shared index
         # is already optimal (and strict validation has been done above).
-        if level is IsolationLevel.SNAPSHOT_ISOLATION:
-            return check_si(history, transitive_ww=transitive_ww, index=index, dense=dense)
-        if level is IsolationLevel.SERIALIZABILITY:
-            return check_ser(history, transitive_ww=transitive_ww, index=index, dense=dense)
-        return check_sser(history, transitive_ww=transitive_ww, index=index, dense=dense)
+        return check_level(history, level, transitive_ww=transitive_ww, index=index)
 
     with_metrics = obs.enabled()
     payloads: List[_Payload] = [
@@ -423,7 +335,6 @@ def _check_parallel_impl(
             shard,
             level,
             transitive_ww,
-            dense,
             source_path=source_path,
             with_metrics=with_metrics,
         )
@@ -450,17 +361,14 @@ def _check_parallel_impl(
             return pre
         merge_started = time.perf_counter()
         with obs.phase("merge"):
-            if dense:
-                wires = [o.csr for o in outcomes if o.csr is not None]
-                wires = _reduce_wires(wires, effective)
-                result = finalize_sser_wires(
-                    wires,
-                    index,
-                    num_transactions=sum(o.num_transactions for o in outcomes),
-                    elapsed_seconds=elapsed,
-                )
-            else:
-                result = merge_sser_graphs(outcomes, index, elapsed_seconds=elapsed)
+            wires = [o.csr for o in outcomes if o.csr is not None]
+            wires = _reduce_wires(wires, effective)
+            result = finalize_sser_wires(
+                wires,
+                index,
+                num_transactions=sum(o.num_transactions for o in outcomes),
+                elapsed_seconds=elapsed,
+            )
         obs.set_gauge(
             "repro_executor_merge_seconds", time.perf_counter() - merge_started
         )
@@ -474,7 +382,6 @@ def make_payload(
     shard: Shard,
     level: IsolationLevel,
     transitive_ww: bool,
-    dense: bool,
     *,
     source_path: Optional[Union[str, Path]] = None,
     with_metrics: bool = False,
@@ -489,10 +396,10 @@ def make_payload(
     reference: the worker memory-maps the segment and slices the rows
     itself, with ``token`` keying its warm segment/index caches.
 
-    ``with_metrics=True`` appends a sixth payload element asking the worker
+    ``with_metrics=True`` appends a fifth payload element asking the worker
     to record its shard work (txns checked, cache hits, index builds) into
     a fresh registry and attach the snapshot to the returned outcome; the
-    parent folds the snapshots into its own registry.  Five-element
+    parent folds the snapshots into its own registry.  Four-element
     payloads stay valid — telemetry stays off in the worker.
     """
     if source_path is not None and shard.rows is not None:
@@ -504,13 +411,13 @@ def make_payload(
             list(shard.keys),
             segment_token(source_path),
         )
-        body: Tuple = (shard.index, ref, level, transitive_ww, dense)
+        body: Tuple = (shard.index, ref, level, transitive_ww)
     else:
         columns = shard.columns
         if columns is None:
             assert shard.history is not None
             columns = ColumnarHistory.from_history(shard.history)
-        body = (shard.index, columns.to_wire(), level, transitive_ww, dense)
+        body = (shard.index, columns.to_wire(), level, transitive_ww)
     return body + (True,) if with_metrics else body
 
 
@@ -614,7 +521,7 @@ def _run_shard(payload: _Payload) -> ShardOutcome:
     double-count into the parent's — whose snapshot ships back on
     ``ShardOutcome.metrics`` for the parent to fold in.
     """
-    if len(payload) > 5 and payload[5]:
+    if len(payload) > 4 and payload[4]:
         reg = _obs_metrics.MetricsRegistry()
         parent = _obs_metrics.swap_active(reg)
         try:
@@ -631,7 +538,7 @@ def _run_shard(payload: _Payload) -> ShardOutcome:
 
 def _run_shard_body(payload: _Payload) -> ShardOutcome:
     fail_point("executor.shard.task")
-    shard_index, wire, level, transitive_ww, dense = payload[:5]
+    shard_index, wire, level, transitive_ww = payload[:4]
     _shard_columns, shard_idx_obj = _shard_columns_and_index(wire)
     obs.inc("repro_executor_shard_checks_total")
     obs.inc("repro_executor_shard_txns_total", shard_idx_obj.num_committed)
@@ -644,42 +551,22 @@ def _run_shard_body(payload: _Payload) -> ShardOutcome:
                 num_transactions=shard_idx_obj.num_committed,
                 violations=list(int_violations),
             )
-        if dense:
-            # Build array-native and ship the raw buffers: four bytes per
-            # edge column instead of a pickled list of labeled tuples.
-            csr = build_dependency(
-                None,
-                with_rt=False,
-                transitive_ww=transitive_ww,
-                index=shard_idx_obj,
-                dense=True,
-            )
-            return ShardOutcome(
-                shard_index=shard_index,
-                num_transactions=shard_idx_obj.num_committed,
-                csr=csr.to_wire(),
-            )
-        graph = build_dependency(
+        # The shard's RT-free graph, shipped as raw buffers: four bytes per
+        # edge column.  RT crosses shards, so the parent adds it at the merge.
+        csr = build_dependency(
             None,
             with_rt=False,
             transitive_ww=transitive_ww,
             index=shard_idx_obj,
+            dense=True,
         )
         return ShardOutcome(
             shard_index=shard_index,
             num_transactions=shard_idx_obj.num_committed,
-            nodes=sorted(shard_idx_obj.committed_ids),
-            edges=serialize_edges(graph),
+            csr=csr.to_wire(),
         )
 
-    if level is IsolationLevel.SNAPSHOT_ISOLATION:
-        result = check_si(
-            None, transitive_ww=transitive_ww, index=shard_idx_obj, dense=dense
-        )
-    else:
-        result = check_ser(
-            None, transitive_ww=transitive_ww, index=shard_idx_obj, dense=dense
-        )
+    result = check_level(None, level, transitive_ww=transitive_ww, index=shard_idx_obj)
     return ShardOutcome(
         shard_index=shard_index,
         num_transactions=result.num_transactions,

@@ -23,8 +23,6 @@ pairwise merge of *adjacent* shards preserves the overall edge
 concatenation order, :func:`finalize_sser_wires` produces byte-identical
 edge columns — and therefore identical verdicts and labeled cycles — for
 every reduction-tree shape, including the degenerate single-wire tree.
-The legacy (``dense=False``) edge-tuple path is routed through the same
-remap helpers via :func:`wire_from_edges`, so the two paths cannot drift.
 """
 
 from __future__ import annotations
@@ -33,24 +31,18 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.checkers import classify_cycle
+from ..core.checkers import cycle_verdict
 from ..core.csr import CSRGraph, EDGE_TYPE_CODES, WireCSR
-from ..core.graph import DependencyGraph, EdgeType
+from ..core.graph import EdgeType
 from ..core.index import HistoryIndex
 from ..core.result import CheckResult, IsolationLevel, Violation
 
 __all__ = [
     "ShardOutcome",
     "merge_shard_results",
-    "merge_sser_graphs",
-    "merge_sser_csr",
     "merge_csr_wires",
     "finalize_sser_wires",
-    "wire_from_edges",
 ]
-
-#: Wire format of one dependency edge: ``(source, target, type name, key)``.
-WireEdge = Tuple[int, int, str, Optional[str]]
 
 _RT_CODE = EDGE_TYPE_CODES[EdgeType.RT]
 
@@ -63,12 +55,8 @@ class ShardOutcome:
     num_transactions: int
     #: SER/SI: the shard's full verdict.  SSER: INT pre-pass violations only.
     violations: List[Violation] = field(default_factory=list)
-    #: SSER only: the shard's committed transaction ids (legacy wire path).
-    nodes: Optional[List[int]] = None
-    #: SSER only, legacy path: the shard's SO/WR/WW/RW edges, serialized.
-    edges: Optional[List[WireEdge]] = None
-    #: SSER only, dense path: the shard graph as compact CSR buffers — four
-    #: raw ``array('i')`` byte strings instead of a pickled dict multigraph.
+    #: SSER only: the shard graph as compact CSR buffers — four raw
+    #: ``array('i')`` byte strings instead of a pickled dict multigraph.
     csr: Optional[WireCSR] = None
     #: Telemetry snapshot recorded while checking the shard (JSON-safe
     #: numbers from ``MetricsRegistry.snapshot()``); ``None`` unless the
@@ -187,119 +175,6 @@ def finalize_sser_wires(
             et_append(_RT_CODE)
             kid_append(-1)
 
-    if merged.has_cycle() is None:
-        result = CheckResult.ok(level, num_transactions)
-    else:
-        graph = merged.to_multigraph()
-        cycle = graph.find_cycle()
-        violation = classify_cycle(cycle, graph, level=level)
-        result = CheckResult.violated(level, [violation], num_transactions=num_transactions)
+    result = cycle_verdict(merged, level, num_transactions)
     result.elapsed_seconds = elapsed_seconds
     return result
-
-
-def wire_from_edges(
-    nodes: Sequence[int], edges: Sequence[WireEdge]
-) -> WireCSR:
-    """Encode a legacy edge-tuple shard outcome as CSR wire buffers.
-
-    The bridge that routes the ``dense=False`` worker path through the
-    same remap helpers as the dense one: node interning follows the
-    outcome's (sorted) node list, keys are interned in first-appearance
-    order, and edge types map through :data:`~repro.core.csr.EDGE_TYPE_CODES`.
-    """
-    node_dense = {txn_id: i for i, txn_id in enumerate(nodes)}
-    key_names: List[str] = []
-    key_dense: Dict[str, int] = {}
-    graph = CSRGraph(nodes, key_names)
-    src_append = graph.src.append
-    dst_append = graph.dst.append
-    et_append = graph.etype.append
-    kid_append = graph.key_id.append
-    for source, target, type_name, key in edges:
-        if key is None:
-            kid = -1
-        else:
-            kid = key_dense.get(key, -1)
-            if kid < 0:
-                kid = len(key_names)
-                key_dense[key] = kid
-                key_names.append(key)
-        src_append(node_dense[source])
-        dst_append(node_dense[target])
-        et_append(EDGE_TYPE_CODES[EdgeType[type_name]])
-        kid_append(kid)
-    graph.key_names = key_names
-    return graph.to_wire()
-
-
-# ----------------------------------------------------------------------
-# Level mergers
-# ----------------------------------------------------------------------
-def merge_sser_graphs(
-    outcomes: List[ShardOutcome],
-    index: HistoryIndex,
-    *,
-    level: IsolationLevel = IsolationLevel.STRICT_SERIALIZABILITY,
-    reduced_rt: bool = True,
-    elapsed_seconds: float = 0.0,
-) -> CheckResult:
-    """Legacy-path SSER merge: edge tuples in, one global acyclicity check.
-
-    Each outcome's serialized edge list is first encoded as CSR wire
-    buffers (:func:`wire_from_edges`) and then merged through exactly the
-    remap/finalize helpers the dense path uses, so legacy and dense merged
-    verdicts are pinned to each other by construction
-    (``tests/test_scaleout.py`` asserts it end to end).
-    """
-    num_transactions = sum(o.num_transactions for o in outcomes)
-    wires = [
-        wire_from_edges(outcome.nodes or [], outcome.edges or [])
-        for outcome in outcomes
-    ]
-    return finalize_sser_wires(
-        wires,
-        index,
-        num_transactions=num_transactions,
-        level=level,
-        reduced_rt=reduced_rt,
-        elapsed_seconds=elapsed_seconds,
-    )
-
-
-def merge_sser_csr(
-    outcomes: List[ShardOutcome],
-    index: HistoryIndex,
-    *,
-    level: IsolationLevel = IsolationLevel.STRICT_SERIALIZABILITY,
-    reduced_rt: bool = True,
-    elapsed_seconds: float = 0.0,
-) -> CheckResult:
-    """Dense SSER merge: shard CSR wires in, one global acyclicity check.
-
-    Shard workers ship their dependency graphs as compact ``array('i')``
-    buffers (:meth:`~repro.core.csr.CSRGraph.to_wire`); this remaps each
-    shard's local node/key interning onto the parent index's global one,
-    appends the global (reduced) RT edges, and runs a single Tarjan pass.
-    The executor may first tree-reduce the wires pairwise in the pool
-    (:func:`merge_csr_wires`) and hand a single root wire here — the
-    result is byte-identical either way.
-    """
-    num_transactions = sum(o.num_transactions for o in outcomes)
-    wires = [outcome.csr for outcome in outcomes if outcome.csr is not None]
-    return finalize_sser_wires(
-        wires,
-        index,
-        num_transactions=num_transactions,
-        level=level,
-        reduced_rt=reduced_rt,
-        elapsed_seconds=elapsed_seconds,
-    )
-
-
-def serialize_edges(graph: DependencyGraph) -> List[WireEdge]:
-    """Flatten a dependency graph into picklable wire edges (sorted)."""
-    return sorted(
-        (edge.source, edge.target, edge.edge_type.name, edge.key)
-        for edge in graph.edges()
-    )

@@ -234,6 +234,13 @@ class TestSegmentAndConvertCommands:
         assert main(["check", "--stream", "--workers", "2", str(missing)]) == 2
         assert "--workers applies to batch" in capsys.readouterr().out
 
+    def test_non_positive_workers_rejected_in_cli_wording(self, tmp_path, capsys):
+        path = tmp_path / "history.json"
+        assert self._generate(path) == 0
+        capsys.readouterr()
+        assert main(["check", "--workers", "0", str(path)]) == 2
+        assert capsys.readouterr().out.strip() == "error: --workers must be >= 1"
+
     def test_convert_round_trip_preserves_stream(self, tmp_path, capsys):
         jsonl = tmp_path / "h.jsonl"
         assert self._generate(jsonl) == 0

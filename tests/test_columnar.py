@@ -396,9 +396,7 @@ class TestColumnarDispatch:
             assert len(shards) == 5
             for shard in shards:
                 blob = pickle.dumps(
-                    make_payload(
-                        shard, IsolationLevel.STRICT_SERIALIZABILITY, False, True
-                    )
+                    make_payload(shard, IsolationLevel.STRICT_SERIALIZABILITY, False)
                 )
                 # A pickled Transaction/Operation would name its module.
                 assert b"repro.core.model" not in blob
@@ -539,15 +537,12 @@ class TestMemoryMappedSegments:
         level = IsolationLevel.SERIALIZABILITY
         for shard in shards:
             assert shard.columns is None and shard.rows
-            payload = make_payload(shard, level, False, True, source_path=path)
+            payload = make_payload(shard, level, False, source_path=path)
             assert payload[1][0] == "segref"
             blob = pickle.dumps(payload)
             assert b"repro.core.model" not in blob
             # The reference is tiny compared to the sliced column bytes.
             wire = make_payload(
-                partition_columns(columns, index=index)[shard.index],
-                level,
-                False,
-                True,
+                partition_columns(columns, index=index)[shard.index], level, False
             )
             assert len(blob) < len(pickle.dumps(wire))

@@ -1,31 +1,22 @@
 """Tests for the dense CSR graph kernel (``repro.core.csr``).
 
-The central invariant: **the dense accept path and the legacy multigraph
-pipeline are interchangeable** — identical verdicts, identical anomaly
-kinds, and identical labeled counterexample cycles across SER/SI/SSER on
-healthy and faulty histories.  The randomized equivalence suite below
-enforces it over the same composite fault-plan histories the parallel
-pipeline is validated against (``tests/test_parallel.py``).
+The central invariant: **the kernel builds the graph the reference
+multigraph builder builds** — same edge set, same acyclicity answer, same
+SI-induced composition, and (through ``to_multigraph``) the same labeled
+counterexample cycle.  The randomized suite below pins it at the graph
+level over the composite fault-plan histories the parallel pipeline is
+validated against (``tests/test_parallel.py``).
 """
 
 import pytest
 
-from repro.core.checkers import check_ser, check_si, check_sser
 from repro.core.csr import CSRGraph, first_nontrivial_scc
 from repro.core.graph import DependencyGraph, EdgeType, build_dependency
 from repro.core.index import HistoryIndex
 from repro.core.model import History, Transaction, read, write
-from repro.core.result import IsolationLevel
 from repro.db import FaultPlan
 
 from test_parallel import composite_history
-
-CHECKERS = [
-    ("SER", check_ser),
-    ("SI", check_si),
-    ("SSER", check_sser),
-]
-
 
 def two_txn_history():
     t1 = Transaction(1, [read("x", 0), write("x", 1)])
@@ -39,19 +30,23 @@ def lost_update_history():
     return History.from_transactions([[t1], [t2]], initial_keys=["x"])
 
 
-def assert_dense_equivalent(history, *, transitive_ww=False):
-    """Dense and legacy paths agree byte-for-byte on every verdict field."""
-    for name, check in CHECKERS:
-        legacy = check(history, transitive_ww=transitive_ww, dense=False)
-        dense = check(history, transitive_ww=transitive_ww, dense=True)
-        assert legacy.satisfied == dense.satisfied, name
-        assert legacy.num_transactions == dense.num_transactions, name
-        assert [v.kind for v in legacy.violations] == [
-            v.kind for v in dense.violations
-        ], name
-        assert [(v.txn_ids, v.key, v.cycle) for v in legacy.violations] == [
-            (v.txn_ids, v.key, v.cycle) for v in dense.violations
-        ], name
+def assert_kernel_matches_reference(history, *, with_rt, transitive_ww):
+    """The CSR build equals ``build_dependency``'s multigraph, edge for edge."""
+    index = HistoryIndex.build(history)
+    options = dict(with_rt=with_rt, transitive_ww=transitive_ww, index=index)
+    reference = build_dependency(history, **options)
+    csr = build_dependency(history, dense=True, **options)
+
+    assert set(csr.iter_edges()) == set(reference.edges())
+    assert (csr.has_cycle() is None) == (reference.find_cycle() is None)
+    # Labeled counterexamples come from the materialised multigraph.
+    assert csr.to_multigraph().find_cycle() == reference.find_cycle()
+
+    if not with_rt:  # CHECKSI composes the RT-free graph only
+        induced = reference.si_induced_graph()
+        assert set(csr.si_induced().iter_edges()) == set(induced.edges())
+        assert (csr.si_induced().has_cycle() is None) == (induced.find_cycle() is None)
+        assert csr.to_multigraph().si_induced_graph().find_cycle() == induced.find_cycle()
 
 
 # ----------------------------------------------------------------------
@@ -139,111 +134,55 @@ class TestTarjan:
 
 
 # ----------------------------------------------------------------------
-# Randomized dense-vs-legacy equivalence suite
+# Randomized kernel-vs-reference suite
 # ----------------------------------------------------------------------
-class TestDenseEquivalence:
-    def test_healthy_histories_all_engines(self):
-        for isolation in ("serializable", "si", "s2pl"):
-            history = composite_history(
-                [(isolation, 71, None), (isolation, 72, None)]
-            )
-            assert_dense_equivalent(history)
+def _fault(name, rate, seed):
+    return FaultPlan.for_anomaly(name, rate=rate, seed=seed)
 
-    @pytest.mark.parametrize(
-        "fault",
-        ["lostupdate", "writeskew", "staleread", "abortedread"],
-    )
-    def test_faulty_histories(self, fault):
-        plan = FaultPlan.for_anomaly(fault, rate=0.5, seed=73)
-        history = composite_history([("si", 74, plan), ("si", 75, None)])
-        assert_dense_equivalent(history)
 
-    def test_seeded_random_sweep(self):
+#: Healthy and fault-injected composites (the ``test_parallel`` fault plans).
+HISTORY_SPECS = {
+    **{
+        f"healthy-{isolation}": [(isolation, 71, None), (isolation, 72, None)]
+        for isolation in ("serializable", "si", "s2pl")
+    },
+    **{
+        f"fault-{fault}": [("si", 74, _fault(fault, 0.5, 73)), ("si", 75, None)]
+        for fault in ("lostupdate", "writeskew", "staleread", "abortedread")
+    },
+    "faults-in-two-shards": [
+        ("si", 41, _fault("lostupdate", 0.5, 41)),
+        ("si", 42, _fault("writeskew", 0.5, 42)),
+    ],
+    "read-committed": [("read-committed", 93, None)],
+}
+
+
+@pytest.mark.parametrize("transitive_ww", [False, True], ids=["opt-ww", "transitive-ww"])
+@pytest.mark.parametrize("with_rt", [False, True], ids=["no-rt", "rt"])
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("name", sorted(HISTORY_SPECS))
+    def test_composite_histories(self, name, with_rt, transitive_ww):
+        assert_kernel_matches_reference(
+            composite_history(HISTORY_SPECS[name]),
+            with_rt=with_rt,
+            transitive_ww=transitive_ww,
+        )
+
+    def test_seeded_random_sweep(self, with_rt, transitive_ww):
         for seed in range(80, 90):
-            faults = (
-                FaultPlan.for_anomaly("lostupdate", rate=0.3, seed=seed)
-                if seed % 3 == 0
-                else None
+            faults = _fault("lostupdate", 0.3, seed) if seed % 3 == 0 else None
+            assert_kernel_matches_reference(
+                composite_history([("si", seed, faults)]),
+                with_rt=with_rt,
+                transitive_ww=transitive_ww,
             )
-            history = composite_history([("si", seed, faults)])
-            assert_dense_equivalent(history)
-
-    def test_transitive_ww_variant(self):
-        plan = FaultPlan.for_anomaly("writeskew", rate=0.5, seed=91)
-        history = composite_history([("si", 92, plan)])
-        assert_dense_equivalent(history, transitive_ww=True)
-
-    def test_read_committed_engine(self):
-        history = composite_history([("read-committed", 93, None)])
-        assert_dense_equivalent(history)
-
-    def test_facade_dense_flag(self):
-        from repro.core.checker import MTChecker
-
-        history = composite_history([("si", 94, None)])
-        for level in (
-            IsolationLevel.SERIALIZABILITY,
-            IsolationLevel.SNAPSHOT_ISOLATION,
-        ):
-            dense = MTChecker().verify(history, level)
-            legacy = MTChecker(dense=False).verify(history, level)
-            assert dense.satisfied == legacy.satisfied
-            assert [v.kind for v in dense.violations] == [
-                v.kind for v in legacy.violations
-            ]
-
-    def test_parallel_sser_dense_wire_equivalence(self):
-        from repro.parallel import check_parallel
-
-        history = composite_history([("si", 95, None), ("serializable", 96, None)])
-        level = IsolationLevel.STRICT_SERIALIZABILITY
-        dense = check_parallel(history, level, workers=1, dense=True)
-        legacy = check_parallel(history, level, workers=1, dense=False)
-        assert dense.satisfied == legacy.satisfied
-        assert [(v.kind, v.txn_ids, v.cycle) for v in dense.violations] == [
-            (v.kind, v.txn_ids, v.cycle) for v in legacy.violations
-        ]
-
-    def test_parallel_sser_dense_wire_catches_cross_shard_cycle(self):
-        from repro.parallel import check_parallel, partition_history
-
-        t1 = Transaction(1, [read("a", 2)], session_id=0, start_ts=0.0, finish_ts=1.0)
-        t2 = Transaction(
-            2, [read("a", 0), write("a", 2)], session_id=1, start_ts=4.0, finish_ts=5.0
-        )
-        t3 = Transaction(
-            3, [read("b", 0), write("b", 3)], session_id=2, start_ts=1.5, finish_ts=2.0
-        )
-        t4 = Transaction(4, [read("b", 3)], session_id=3, start_ts=2.5, finish_ts=3.5)
-        history = History.from_transactions(
-            [[t1], [t2], [t3], [t4]], initial_keys=["a", "b"]
-        )
-        assert len(partition_history(history)) == 2
-        dense = check_parallel(
-            history, IsolationLevel.STRICT_SERIALIZABILITY, workers=1, dense=True
-        )
-        legacy = check_parallel(
-            history, IsolationLevel.STRICT_SERIALIZABILITY, workers=1, dense=False
-        )
-        assert not dense.satisfied and not legacy.satisfied
-        assert [(v.kind, v.txn_ids, v.cycle) for v in dense.violations] == [
-            (v.kind, v.txn_ids, v.cycle) for v in legacy.violations
-        ]
 
 
 # ----------------------------------------------------------------------
 # Bench suite plumbing
 # ----------------------------------------------------------------------
-class TestCoreBenchmark:
-    def test_smoke_rows_assert_equality(self):
-        from repro.bench import core_benchmark
-
-        payload = core_benchmark(smoke=True, sizes=[200])
-        assert payload["suite"] == "core"
-        assert {row["level"] for row in payload["rows"]} == {"SER", "SI"}
-        assert all(row["verdicts_equal"] for row in payload["rows"])
-        assert all(row["verdict"] for row in payload["rows"])
-
+class TestParallelBenchmark:
     def test_parallel_rows_marked_advisory_beyond_cpu_count(self, monkeypatch):
         import repro.bench.suites as suites
 

@@ -3,10 +3,9 @@
 Covers the registry wire format (merge associativity, worker snapshot
 folding), the disabled-mode fast path (no allocation), the Prometheus
 textfile writer (atomic under a concurrent reader), the JSONL trace
-reader (torn-final-line tolerance), the ``stats=`` compatibility shim,
-``verify(report=True)``, and the CLI surfaces (``--metrics-file``,
-``--trace``, ``check -v``, and the checkpoint flush on an abnormal
-watch exit).
+reader (torn-final-line tolerance), ``verify(report=True)``, and the CLI
+surfaces (``--metrics-file``, ``--trace``, ``check -v``, and the
+checkpoint flush on an abnormal watch exit).
 """
 
 import json
@@ -261,14 +260,13 @@ class TestWorkerMetrics:
         history = self._disjoint_history(shards=2)
         shards = partition_history(history, index=HistoryIndex.build(history))
         plain = _run_shard(
-            make_payload(shards[0], IsolationLevel.SERIALIZABILITY, False, True)
+            make_payload(shards[0], IsolationLevel.SERIALIZABILITY, False)
         )
         assert plain.metrics is None
         shipped = [
             _run_shard(
                 make_payload(
-                    shard, IsolationLevel.SERIALIZABILITY, False, True,
-                    with_metrics=True,
+                    shard, IsolationLevel.SERIALIZABILITY, False, with_metrics=True
                 )
             )
             for shard in shards
@@ -280,27 +278,6 @@ class TestWorkerMetrics:
         assert merged.value("repro_executor_shard_checks_total") == len(shards)
         # Shipping metrics must not leave a registry active in the worker.
         assert not obs.enabled()
-
-    def test_stats_shim_matches_registry(self):
-        history = self._disjoint_history()
-        stats = {}
-        with obs.scoped() as reg:
-            check_parallel(
-                history, IsolationLevel.SERIALIZABILITY, workers=2, stats=stats
-            )
-        assert stats["workers_requested"] == 2
-        assert stats["shards"] == int(reg.value("repro_executor_shards"))
-        assert stats["inline"] == bool(reg.value("repro_executor_inline"))
-        assert stats["payload_bytes"] == int(reg.value("repro_executor_payload_bytes"))
-        assert stats["index_build_s"] == reg.value("repro_executor_index_build_seconds")
-
-    def test_stats_shim_works_without_active_registry(self):
-        history = self._disjoint_history(shards=2)
-        stats = {}
-        check_parallel(history, IsolationLevel.SERIALIZABILITY, workers=1, stats=stats)
-        assert not obs.enabled()
-        assert stats["workers_effective"] == 1
-        assert "merge_s" not in stats  # SER: no SSER merge ran
 
 
 class TestVerifyReport:

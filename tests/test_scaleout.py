@@ -16,9 +16,6 @@ Covers the three scale-out mechanisms end to end:
   warning, small histories fall back inline, and the persistent pool path
   (exercised by monkeypatching the clamp/threshold) returns identical
   results to inline execution.
-
-The legacy ``dense=False`` merge path is pinned to the dense one here as
-well, since both now route through the same remap helpers.
 """
 
 import warnings
@@ -27,6 +24,7 @@ import pytest
 
 from test_parallel import assert_equivalent, composite_history
 
+from repro import obs
 from repro.bench import make_disjoint_history
 from repro.cli import main as repro_main
 from repro.core.checker import MTChecker
@@ -45,13 +43,7 @@ from repro.history.epochlog import EpochLog, EpochLogWriter
 from repro.parallel import check_parallel, partition_history
 from repro.parallel import executor as executor_module
 from repro.parallel.executor import make_payload, shutdown_pool
-from repro.parallel.merge import (
-    finalize_sser_wires,
-    merge_csr_wires,
-    merge_sser_csr,
-    merge_sser_graphs,
-    wire_from_edges,
-)
+from repro.parallel.merge import finalize_sser_wires, merge_csr_wires
 
 SSER = IsolationLevel.STRICT_SERIALIZABILITY
 
@@ -103,7 +95,7 @@ def shard_wires(history):
     index = HistoryIndex.build(history)
     shards = partition_history(history, index=index)
     outcomes = [
-        executor_module._run_shard(make_payload(shard, SSER, False, True))
+        executor_module._run_shard(make_payload(shard, SSER, False))
         for shard in shards
     ]
     outcomes.sort(key=lambda o: o.shard_index)
@@ -297,55 +289,18 @@ class TestRandomizedEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Legacy (dense=False) merge pinned to the dense path
-# ----------------------------------------------------------------------
-class TestLegacyDensePin:
-    @pytest.mark.parametrize("extra_groups", [0, 3])
-    def test_legacy_equals_dense_on_violation(self, extra_groups):
-        history = rt_cycle_history(extra_groups)
-        index = HistoryIndex.build(history)
-        shards = partition_history(history, index=index)
-        dense_outcomes = [
-            executor_module._run_shard(make_payload(s, SSER, False, True)) for s in shards
-        ]
-        legacy_outcomes = [
-            executor_module._run_shard(make_payload(s, SSER, False, False)) for s in shards
-        ]
-        dense = merge_sser_csr(dense_outcomes, index)
-        legacy = merge_sser_graphs(legacy_outcomes, index)
-        assert dense.satisfied == legacy.satisfied == False  # noqa: E712
-        assert [(v.kind, v.txn_ids) for v in dense.violations] == [
-            (v.kind, v.txn_ids) for v in legacy.violations
-        ]
-
-    def test_legacy_equals_dense_on_accept(self):
-        history = make_disjoint_history(
-            num_groups=4, sessions_per_group=2, txns_per_session=5, timestamps=True
-        )
-        dense = check_parallel(history, SSER, workers=1, dense=True)
-        legacy = check_parallel(history, SSER, workers=1, dense=False)
-        assert dense.satisfied and legacy.satisfied
-        assert dense.num_transactions == legacy.num_transactions
-
-    def test_wire_from_edges_round_trips_labels(self):
-        edges = [(1, 2, "WR", "a"), (2, 3, "WW", "a"), (3, 1, "RT", None)]
-        wire = wire_from_edges([1, 2, 3], edges)
-        node_ids, key_names = wire[0], wire[1]
-        assert list(node_ids) == [1, 2, 3]
-        assert key_names == ["a"]
-
-
-# ----------------------------------------------------------------------
 # Worker governance: clamp, inline threshold, persistent pool
 # ----------------------------------------------------------------------
 class TestWorkerGovernance:
     def test_workers_clamped_to_cpu_count_with_warning(self, monkeypatch):
         monkeypatch.setattr(executor_module, "_cpu_count", lambda: 2)
         history = composite_history([("ser", 30, None), ("si", 31, None)])
-        stats = {}
-        with pytest.warns(RuntimeWarning, match="clamping to 2"):
-            result = check_parallel(history, SSER, workers=8, stats=stats)
-        assert stats["workers_requested"] == 8
+        with obs.scoped() as reg:
+            with pytest.warns(RuntimeWarning, match="clamping to 2") as caught:
+                result = check_parallel(history, SSER, workers=8)
+        # Attributed to the caller of check_parallel, not to executor internals.
+        assert [w.filename for w in caught] == [__file__]
+        assert reg.value("repro_executor_workers_requested") == 8
         assert result.satisfied == MTChecker().verify(history, SSER).satisfied
 
     def test_no_warning_within_cpu_budget(self, monkeypatch):
@@ -358,11 +313,11 @@ class TestWorkerGovernance:
     def test_small_history_falls_back_inline(self, monkeypatch):
         monkeypatch.setattr(executor_module, "_cpu_count", lambda: 4)
         history = composite_history([("ser", 33, None), ("ser", 34, None)])
-        stats = {}
-        check_parallel(history, SSER, workers=4, stats=stats)
-        assert stats["inline"] is True
-        assert stats["workers_effective"] == 1
-        assert stats["shards"] == 2
+        with obs.scoped() as reg:
+            check_parallel(history, SSER, workers=4)
+        assert reg.value("repro_executor_inline") == 1
+        assert reg.value("repro_executor_workers_effective") == 1
+        assert reg.value("repro_executor_shards") == 2
 
     def test_pool_path_matches_inline(self, monkeypatch):
         # Force the real pool on a small history: drop the inline threshold
@@ -371,10 +326,10 @@ class TestWorkerGovernance:
         monkeypatch.setattr(executor_module, "_MIN_POOL_TXNS", 0)
         history = rt_cycle_history(2)
         try:
-            stats = {}
-            fanned = check_parallel(history, SSER, workers=2, stats=stats)
+            with obs.scoped() as reg:
+                fanned = check_parallel(history, SSER, workers=2)
             inline = check_parallel(history, SSER, workers=1)
-            assert stats["workers_effective"] == 2
+            assert reg.value("repro_executor_workers_effective") == 2
             assert fanned.format() == inline.format()
             # Second call reuses the persistent pool (warm worker caches).
             again = check_parallel(history, SSER, workers=2)
@@ -397,23 +352,21 @@ class TestIndexReuse:
 
     def test_reuse_index_sidecar_skips_rebuild(self, tmp_path):
         path, columns = self._segment(tmp_path)
-        cold_stats = {}
-        cold = check_parallel(
-            None, SSER, columns=columns, source_path=path,
-            reuse_index=True, stats=cold_stats,
-        )
+        with obs.scoped() as cold_reg:
+            cold = check_parallel(
+                None, SSER, columns=columns, source_path=path, reuse_index=True
+            )
         sidecar = tmp_path / "history.seg.idx"
         assert sidecar.exists()
-        assert "index_build_s" in cold_stats
+        assert cold_reg.value("repro_executor_index_build_seconds") is not None
 
         builds = HistoryIndex.builds
-        warm_stats = {}
-        warm = check_parallel(
-            None, SSER, columns=columns, source_path=path,
-            reuse_index=True, stats=warm_stats,
-        )
+        with obs.scoped() as warm_reg:
+            warm = check_parallel(
+                None, SSER, columns=columns, source_path=path, reuse_index=True
+            )
         assert HistoryIndex.builds == builds  # rehydrated, not rebuilt
-        assert "index_reuse_s" in warm_stats
+        assert warm_reg.value("repro_executor_index_reuse_seconds") is not None
         assert warm.format() == cold.format()
 
     def test_sidecar_invalidated_when_segment_changes(self, tmp_path):
