@@ -23,10 +23,18 @@ Run with:  python examples/parallel_checking.py
 
 import time
 
-from repro import History, IsolationLevel, MTChecker, Transaction, read, write
+from repro import (
+    ColumnarHistory,
+    History,
+    IsolationLevel,
+    MTChecker,
+    Transaction,
+    read,
+    write,
+)
 from repro.bench import make_disjoint_history
 from repro.core.model import Session
-from repro.parallel import partition_history
+from repro.parallel import partition_columns
 
 
 def timed_verify(checker: MTChecker, history, level):
@@ -39,7 +47,7 @@ def main() -> None:
     history = make_disjoint_history(
         num_groups=4, sessions_per_group=3, txns_per_session=150, keys_per_group=8
     )
-    shards = partition_history(history)
+    shards = partition_columns(ColumnarHistory.from_history(history))
     print(f"history: {history.num_transactions()} transactions, "
           f"{len(shards)} key-connected shards")
     for shard in shards:

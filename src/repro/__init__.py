@@ -71,7 +71,7 @@ from .history import (
     load_history_segment,
     write_history_segment,
 )
-from .parallel import Shard, check_parallel, partition_columns, partition_history
+from .parallel import Shard, check_parallel, partition_columns
 from .workloads import (
     GTWorkloadGenerator,
     LWTHistoryGenerator,
@@ -141,7 +141,6 @@ __all__ = [
     "make_adapter",
     "make_async_adapter",
     "partition_columns",
-    "partition_history",
     "read",
     "run_workload",
     "stream_order",

@@ -31,9 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import obs
 from ..core.checker import MTChecker
-from ..core.checkers import check_ser, check_si
 from ..core.incremental import CheckerSession, stream_order
-from ..core.index import HistoryIndex
 from ..core.model import History, Session, Transaction, read, write
 from ..core.result import IsolationLevel
 from .env import environment_metadata
@@ -44,7 +42,6 @@ __all__ = [
     "parallel_benchmark",
     "incremental_benchmark",
     "e2e_benchmark",
-    "io_benchmark",
     "service_benchmark",
     "collect_benchmark",
     "write_benchmark_json",
@@ -194,10 +191,9 @@ def parallel_benchmark(
                         _warnings.simplefilter("ignore", RuntimeWarning)
                         started = time.perf_counter()
                         result = check_parallel(
-                            None,
+                            columns,
                             level,
                             workers=count,
-                            columns=columns,
                             source_path=segment_path,
                         )
                         elapsed = time.perf_counter() - started
@@ -483,128 +479,6 @@ def e2e_benchmark(
         "cpu_count": os.cpu_count(),
         "sessions": sessions,
         "txns_per_session": txns_per_session,
-        "rows": rows,
-    }
-
-
-def io_benchmark(
-    *,
-    smoke: bool = False,
-    sizes: Optional[Sequence[int]] = None,
-) -> Dict[str, object]:
-    """Columnar data plane vs JSONL object pipeline: load, build, dispatch.
-
-    For each history size, one timestamped disjoint-key history is written
-    both ways — as a JSONL stream and as a binary columnar segment — and the
-    two cold paths into the checker are timed:
-
-    * **jsonl** — ``load_history_jsonl`` (parse every line into
-      ``Transaction``/``Operation`` objects) followed by
-      ``HistoryIndex.build`` (object scan);
-    * **columnar** — ``ColumnarHistory.load`` (read raw columns) followed by
-      ``HistoryIndex.from_columns`` (flat scan, zero object churn).
-
-    Every row asserts SER and SI verdicts are identical through both
-    indexes before timings are trusted, measures the on-disk footprint of
-    each format (gzip variants included), and compares the bytes the
-    parallel executor would ship per shard: pickled ``Transaction`` shard
-    histories (the pre-columnar payload) vs columnar wire buffers — the
-    latter are additionally asserted to contain no pickled ``Transaction``.
-    """
-    import pickle
-    import tempfile
-    from pathlib import Path
-
-    from ..history.columnar import ColumnarHistory, write_history_segment
-    from ..history.serialization import load_history_jsonl, write_history_jsonl
-    from ..parallel.executor import make_payload
-    from ..parallel.partition import partition_history
-
-    if sizes is None:
-        sizes = [2_000] if smoke else [20_000, 100_000]
-
-    rows: List[Dict[str, object]] = []
-    with tempfile.TemporaryDirectory(prefix="repro-bench-io-") as tmp:
-        tmp_path = Path(tmp)
-        for total_txns in sizes:
-            history = make_disjoint_history(
-                num_groups=8,
-                sessions_per_group=4,
-                txns_per_session=max(1, total_txns // 32),
-                keys_per_group=16,
-                timestamps=True,
-            )
-            num_txns = history.num_transactions()
-            jsonl = tmp_path / f"history-{total_txns}.jsonl"
-            jsonl_gz = tmp_path / f"history-{total_txns}.jsonl.gz"
-            segment = tmp_path / f"history-{total_txns}.seg"
-            segment_gz = tmp_path / f"history-{total_txns}.seg.gz"
-            write_history_jsonl(history, jsonl)
-            write_history_jsonl(history, jsonl_gz)
-            write_history_segment(history, segment)
-            write_history_segment(history, segment_gz)
-
-            gc.collect()
-            started = time.perf_counter()
-            jsonl_history = load_history_jsonl(jsonl)
-            jsonl_index = HistoryIndex.build(jsonl_history)
-            jsonl_seconds = time.perf_counter() - started
-
-            gc.collect()
-            started = time.perf_counter()
-            columns = ColumnarHistory.load(segment)
-            columnar_index = HistoryIndex.from_columns(columns)
-            columnar_seconds = time.perf_counter() - started
-
-            # Verdict equality end to end through both indexes (untimed).
-            verdicts_equal = True
-            for check in (check_ser, check_si):
-                via_objects = check(jsonl_history, index=jsonl_index)
-                via_columns = check(None, index=columnar_index)
-                verdicts_equal = verdicts_equal and (
-                    via_objects.satisfied == via_columns.satisfied
-                    and [v.kind for v in via_objects.violations]
-                    == [v.kind for v in via_columns.violations]
-                )
-            assert verdicts_equal, total_txns
-
-            # Process-boundary payloads: what the executor would ship.
-            level = IsolationLevel.SERIALIZABILITY
-            shards = partition_history(jsonl_history, index=jsonl_index)
-            legacy_payload = sum(
-                len(pickle.dumps((s.index, s.history, level, False)))
-                for s in shards
-            )
-            wire_blobs = [pickle.dumps(make_payload(s, level, False)) for s in shards]
-            assert all(b"repro.core.model" not in blob for blob in wire_blobs)
-            columnar_payload = sum(len(blob) for blob in wire_blobs)
-
-            rows.append(
-                {
-                    "txns": num_txns,
-                    "jsonl_load_s": round(jsonl_seconds, 4),
-                    "columnar_load_s": round(columnar_seconds, 4),
-                    "load_speedup": round(
-                        jsonl_seconds / max(columnar_seconds, 1e-9), 2
-                    ),
-                    "jsonl_bytes": jsonl.stat().st_size,
-                    "jsonl_gz_bytes": jsonl_gz.stat().st_size,
-                    "segment_bytes": segment.stat().st_size,
-                    "segment_gz_bytes": segment_gz.stat().st_size,
-                    "shards": len(shards),
-                    "legacy_payload_bytes": legacy_payload,
-                    "columnar_payload_bytes": columnar_payload,
-                    "payload_ratio": round(
-                        legacy_payload / max(columnar_payload, 1), 2
-                    ),
-                    "verdicts_equal": verdicts_equal,
-                }
-            )
-    return {
-        "suite": "io",
-        "smoke": smoke,
-        "cpu_count": os.cpu_count(),
-        "sizes": list(sizes),
         "rows": rows,
     }
 

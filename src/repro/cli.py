@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--suite",
-        choices=["parallel", "incremental", "e2e", "io", "service", "collect", "all"],
+        choices=["parallel", "incremental", "e2e", "service", "collect", "all"],
         default="all",
         help="which suite to run",
     )
@@ -445,11 +445,10 @@ def _check_segment(args: argparse.Namespace) -> int:
 
             result = _maybe_report(
                 lambda: check_parallel(
-                    None,
+                    columns,
                     _LEVELS[args.level],
                     workers=args.workers,
                     strict_mt=args.strict_mt,
-                    columns=columns,
                     source_path=args.history,
                 ),
                 args.verbose,
@@ -504,12 +503,11 @@ def _check_epochlog(args: argparse.Namespace) -> int:
 
         result = _maybe_report(
             lambda: check_parallel(
-                None,
+                columns,
                 _LEVELS[args.level],
                 workers=args.workers or 1,
                 strict_mt=args.strict_mt,
                 index=index,
-                columns=columns,
             ),
             args.verbose,
         )
@@ -1228,7 +1226,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         collect_benchmark,
         e2e_benchmark,
         incremental_benchmark,
-        io_benchmark,
         parallel_benchmark,
         service_benchmark,
         write_benchmark_json,
@@ -1238,7 +1235,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "parallel": parallel_benchmark,
         "incremental": incremental_benchmark,
         "e2e": e2e_benchmark,
-        "io": io_benchmark,
         "service": service_benchmark,
         "collect": collect_benchmark,
     }

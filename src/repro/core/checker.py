@@ -81,15 +81,15 @@ class MTChecker:
         """Verify ``history`` against ``level`` and return a :class:`CheckResult`.
 
         For plain histories the shared :class:`HistoryIndex` is built exactly
-        once here and threaded through every stage of the chosen checker —
-        MT validation, the INT pre-pass, the DIVERGENCE scan, and
-        BUILDDEPENDENCY all consume the same index.
+        once here (:meth:`HistoryIndex.build`) and threaded through every
+        stage of the chosen checker — MT validation, the INT pre-pass, the
+        DIVERGENCE scan, and BUILDDEPENDENCY all consume the same index.
 
         A :class:`~repro.history.columnar.ColumnarHistory` segment is
-        accepted in place of an object history: the index is then built
-        column-natively (:meth:`HistoryIndex.from_columns`) and the accept
-        path — pre-passes, BUILDDEPENDENCY, acyclicity, and parallel shard
-        dispatch — runs without materialising ``Transaction`` objects.
+        accepted in place of an object history and takes the same path
+        minus the column encoding: the accept path — pre-passes,
+        BUILDDEPENDENCY, acyclicity, and parallel shard dispatch — runs
+        without materialising ``Transaction`` objects.
 
         With ``report=True`` the check runs under a scoped telemetry
         registry and returns a :class:`~repro.obs.report.VerifyReport` —
@@ -119,34 +119,22 @@ class MTChecker:
                 )
             return check_linearizability(history)
 
-        from ..history.columnar import ColumnarHistory  # deferred: avoids cycle
-
-        columns: Optional[ColumnarHistory] = None
-        plain_history: Optional[History]
-        if isinstance(history, ColumnarHistory):
-            columns = history
-            plain_history = None
-            with obs.phase("index_build"):
-                index = HistoryIndex.from_columns(columns)
-        else:
-            plain_history = history
-            with obs.phase("index_build"):
-                index = HistoryIndex.build(history)
+        with obs.phase("index_build"):
+            index = HistoryIndex.build(history)
         if self.workers is not None:
             from ..parallel import check_parallel  # deferred: parallel builds on core
 
             return check_parallel(
-                plain_history,
+                history,
                 level,
                 workers=self.workers,
                 strict_mt=self.strict_mt,
                 transitive_ww=self.transitive_ww,
                 index=index,
-                columns=columns,
             )
 
         return check_level(
-            plain_history,
+            history,
             level,
             transitive_ww=self.transitive_ww,
             strict_mt=self.strict_mt,

@@ -83,7 +83,9 @@ def check_ser(
     """CHECKSER: verify serializability of a mini-transaction history.
 
     Args:
-        history: the MT history to verify.
+        history: the MT history to verify — a :class:`History` or a
+            :class:`~repro.history.columnar.ColumnarHistory` segment (here
+            and in :func:`check_si` / :func:`check_sser`).
         transitive_ww: use the unoptimized BUILDDEPENDENCY that materialises
             the per-object transitive closure of ``WW`` (for cross-validation
             and the ablation benchmarks); the default is the optimized
@@ -176,9 +178,10 @@ def check_level(
     the array-native CSR kernel (:mod:`repro.core.csr`) and one acyclicity
     check (:func:`cycle_verdict`).  :func:`check_ser` / :func:`check_si` /
     :func:`check_sser`, the :class:`~repro.core.checker.MTChecker` facade
-    and the sharded executor all end up here.  ``history`` may be ``None``
-    when ``index`` carries it (columnar input, shard workers); LIN is
-    checked as SSER.
+    and the sharded executor all end up here.  ``history`` is a
+    :class:`History` or a columnar segment — both enter through
+    :meth:`HistoryIndex.build` — and may be ``None`` when ``index`` carries
+    it (shard workers); LIN is checked as SSER.
     """
     if level not in GRAPH_CHECKED_LEVELS:
         raise ValueError(f"unsupported isolation level for MTC: {level}")

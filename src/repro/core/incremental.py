@@ -460,29 +460,15 @@ class IncrementalChecker:
         """
         started = time.perf_counter()
         before = len(self._violations)
-        if txn.is_initial:
-            self._ingest_initial(txn)
-        else:
-            if self.strict_mt:
-                self._strict_check(txn)
-            if txn.committed:
-                self._num_committed += 1
-                self._add_node(txn.txn_id)
-                self._violations.extend(transaction_int_violations(txn))
-                self._session_edge(txn.session_id, txn.txn_id)
-            self._register_writes(txn)
-            if txn.committed:
-                self._resolve_reads(txn)
-                if (
-                    self.level is IsolationLevel.STRICT_SERIALIZABILITY
-                    and txn.start_ts is not None
-                    and txn.finish_ts is not None
-                ):
-                    self._real_time_edges(txn.txn_id, txn.start_ts, txn.finish_ts)
-                if self.window is not None:
-                    self._arrivals.append(txn.txn_id)
-                    while len(self._arrivals) > self.window:
-                        self._evict(self._arrivals.popleft())
+        key_ids: Dict[str, int] = {}
+        intern = key_ids.setdefault
+        ops = [
+            (1 if op.is_write else 0, intern(op.key, len(key_ids)), op.value)
+            for op in txn.operations
+        ]
+        self._ingest_ops(
+            txn.txn_id, txn.session_id, txn.status, ops, list(key_ids), txn, None, 0
+        )
         self._elapsed += time.perf_counter() - started
         return self._violations[before:]
 
@@ -508,12 +494,13 @@ class IncrementalChecker:
         tag stream output with the offending transaction, without giving up
         the bulk column scan.
 
-        The columnar counterpart of :meth:`ingest_round`: edge derivation
-        (write registration, read resolution, SO/RT stitching) runs straight
-        off the segment's flat columns, and only the resulting dependency
-        *deltas* are handed to the Pearce–Kelly structure — per transaction,
-        in the segment's arrival order, so violations surface at the exact
-        offending transaction exactly as with one-at-a-time :meth:`ingest`.
+        The columnar counterpart of :meth:`ingest_round`, over the same
+        per-transaction routine: edge derivation (write registration, read
+        resolution, SO/RT stitching) runs straight off the segment's flat
+        columns, and only the resulting dependency *deltas* are handed to
+        the Pearce–Kelly structure — per transaction, in the segment's
+        arrival order, so violations surface at the exact offending
+        transaction exactly as with one-at-a-time :meth:`ingest`.
         ``Transaction`` objects are materialised only for rows that actually
         contain an intra-transactional INT candidate (or under
         ``strict_mt``), keeping the accept path allocation-free.
@@ -534,36 +521,66 @@ class IncrementalChecker:
         return self._violations[before:]
 
     def _ingest_row(self, segment: "ColumnarHistory", row: int) -> None:
-        """Column-native mirror of :meth:`ingest` for one segment row."""
-        txn_id = segment.txn_ids[row]
-        status = STATUS_FROM_CODE[segment.statuses[row]]
-        committed = status is TransactionStatus.COMMITTED
-        key_names = segment.key_names
-        ops = list(segment.row_ops(row))
+        """Feed one segment row to :meth:`_ingest_ops` (no object built here)."""
+        self._ingest_ops(
+            segment.txn_ids[row],
+            segment.session_ids[row],
+            STATUS_FROM_CODE[segment.statuses[row]],
+            list(segment.row_ops(row)),
+            segment.key_names,
+            None,
+            segment,
+            row,
+        )
 
+    def _ingest_ops(
+        self,
+        txn_id: int,
+        session_id: int,
+        status: TransactionStatus,
+        ops: List[Tuple[int, int, Optional[int]]],
+        key_names: List[str],
+        txn: Optional[Transaction],
+        segment: Optional["ColumnarHistory"],
+        row: int,
+    ) -> None:
+        """The per-transaction routine behind :meth:`ingest` and segment rows.
+
+        ``ops`` are ``(kind, key_id, value)`` tuples with ``key_names``
+        resolving the ids.  ``txn`` is the transaction as an object when the
+        feeder already holds one; a row feeder passes ``None`` plus its
+        ``segment``/``row``, and the object is materialised only where an
+        object-level check needs it (``strict_mt``, INT candidates), as are
+        the timestamps (SSER).
+        """
         if txn_id == INITIAL_TXN_ID:
             self._has_initial = True
             self._add_node(txn_id)
             self._register_ops_writes(ops, key_names, txn_id, status)
             return
+        committed = status is TransactionStatus.COMMITTED
         if self.strict_mt:
-            self._strict_check(segment.transaction_at(row))
+            if txn is None:
+                txn = segment.transaction_at(row)
+            self._strict_check(txn)
         if committed:
             self._num_committed += 1
             self._add_node(txn_id)
             if ops_int_candidate(ops):
                 # Rare path: the row provably contains an intra-transactional
-                # anomaly candidate; materialise it once for the identical
-                # object-level classification.
-                self._violations.extend(
-                    transaction_int_violations(segment.transaction_at(row))
-                )
-            self._session_edge(segment.session_ids[row], txn_id)
+                # anomaly candidate; classify it at the object level.
+                if txn is None:
+                    txn = segment.transaction_at(row)
+                self._violations.extend(transaction_int_violations(txn))
+            self._session_edge(session_id, txn_id)
         self._register_ops_writes(ops, key_names, txn_id, status)
         if committed:
             self._resolve_ops_reads(ops, key_names, txn_id)
             if self.level is IsolationLevel.STRICT_SERIALIZABILITY:
-                start, finish = segment.timestamps_at(row)
+                if txn is not None:
+                    start, finish = txn.start_ts, txn.finish_ts
+                else:
+                    start, finish = segment.timestamps_at(row)
                 if start is not None and finish is not None:
                     self._real_time_edges(txn_id, start, finish)
             if self.window is not None:
@@ -578,7 +595,7 @@ class IncrementalChecker:
         txn_id: int,
         status: TransactionStatus,
     ) -> None:
-        """Mirror :meth:`_register_writes` over ``(kind, key_id, value)`` rows."""
+        """Mirror ``WriteIndex.add_transaction`` onto the slot table."""
         finals: Dict[int, Optional[int]] = {}
         for kind, kid, value in ops:
             if not kind:
@@ -595,7 +612,7 @@ class IncrementalChecker:
         key_names: List[str],
         txn_id: int,
     ) -> None:
-        """Mirror :meth:`_resolve_reads` over ``(kind, key_id, value)`` rows."""
+        """Resolve the transaction's external reads against the slot table."""
         own_writes: Set[Tuple[int, Optional[int]]] = set()
         written: Set[int] = set()
         last_write: Dict[int, Optional[int]] = {}
@@ -610,7 +627,8 @@ class IncrementalChecker:
         for kid, value in external.items():
             if (kid, value) in own_writes:
                 # FutureRead: already reported by the intra-transactional INT
-                # pass (see _resolve_reads).
+                # pass; attributing provenance to the reader itself (or
+                # leaving it pending) would fabricate a second anomaly.
                 continue
             writes_key = kid in written
             self._resolve_one_read(
@@ -855,11 +873,6 @@ class IncrementalChecker:
     # ------------------------------------------------------------------
     # Per-transaction machinery
     # ------------------------------------------------------------------
-    def _ingest_initial(self, txn: Transaction) -> None:
-        self._has_initial = True
-        self._add_node(txn.txn_id)
-        self._register_writes(txn)
-
     def _add_node(self, txn_id: int) -> None:
         self.graph.add_node(txn_id)
         if self._induced is not None:
@@ -901,18 +914,6 @@ class IncrementalChecker:
         assert isinstance(slot, _Slot)
         return slot
 
-    def _register_writes(self, txn: Transaction) -> None:
-        """Mirror ``WriteIndex.add_transaction`` onto the slot table."""
-        finals: Dict[str, Optional[int]] = {}
-        for op in txn.operations:
-            if not op.is_write:
-                continue
-            if op.key in finals:
-                self._register_intermediate(op.key, finals[op.key], txn.txn_id)
-            finals[op.key] = op.value
-        for key, value in finals.items():
-            self._register_final(key, value, txn.txn_id, txn.status)
-
     def _register_final(
         self, key: str, value: Optional[int], txn_id: int, status: TransactionStatus
     ) -> None:
@@ -953,25 +954,6 @@ class IncrementalChecker:
             key=key,
         )
 
-    def _resolve_reads(self, txn: Transaction) -> None:
-        own_writes = {
-            (op.key, op.value) for op in txn.operations if op.is_write
-        }
-        for key, value in txn.external_reads().items():
-            if (key, value) in own_writes:
-                # FutureRead: already reported by the intra-transactional INT
-                # pass; attributing provenance to the reader itself (or
-                # leaving it pending) would fabricate a second anomaly.
-                continue
-            writes_key = txn.writes_to(key)
-            self._resolve_one_read(
-                txn.txn_id,
-                key,
-                value,
-                writes_key,
-                txn.final_write(key) if writes_key else None,
-            )
-
     def _resolve_one_read(
         self,
         txn_id: int,
@@ -980,7 +962,7 @@ class IncrementalChecker:
         writes_key: bool,
         written_value: Optional[int],
     ) -> None:
-        """Resolve one external read against the slot table (shared core)."""
+        """Resolve one external read against the slot table."""
         slot = self._slot(key, value)
         if slot is None:
             self.stale_reads += 1
@@ -1383,6 +1365,13 @@ def stream_order(history: History, *, index=None) -> Iterator[Transaction]:
     interleaving.  Per-session order is always preserved, which is the one
     ordering requirement of :class:`IncrementalChecker`.
 
+    This is the door every route takes from a :class:`History` to a verdict
+    (``ColumnarHistory.from_history``, ``HistoryIndex.build``,
+    ``ingest_history``), and past it a session *is* its id: a history whose
+    ``sessions`` list repeats a session id, or lists a transaction under a
+    session whose id differs from the transaction's own ``session_id``,
+    raises ``ValueError`` instead of meaning different things downstream.
+
     A pre-built :class:`~repro.core.index.HistoryIndex` for the same history
     short-circuits the merge with its cached order.
     """
@@ -1391,12 +1380,32 @@ def stream_order(history: History, *, index=None) -> Iterator[Transaction]:
             raise ValueError("index was built for a different history")
         yield from index.stream_order()
         return
+    # One pass: validate the sessions, snapshot their queues, and learn
+    # whether a timestamp merge is possible — all before the first yield, so
+    # a malformed history raises before any consumer has ingested a row.
+    queues: List[List[Transaction]] = []
+    seen_sessions: Set[int] = set()
+    timestamped = True
+    for session in history.sessions:
+        sid = session.session_id
+        if sid in seen_sessions:
+            raise ValueError(
+                f"malformed history: session id {sid} is listed more than once "
+                f"(a session is identified by its id)"
+            )
+        seen_sessions.add(sid)
+        queue = list(session.transactions)
+        for txn in queue:
+            if txn.session_id != sid:
+                raise ValueError(
+                    f"malformed history: session {sid} lists transaction "
+                    f"T{txn.txn_id}, which carries session id {txn.session_id}"
+                )
+            if txn.finish_ts is None:
+                timestamped = False
+        queues.append(queue)
     if history.initial_transaction is not None:
         yield history.initial_transaction
-    queues = [list(session.transactions) for session in history.sessions]
-    timestamped = all(
-        txn.finish_ts is not None for queue in queues for txn in queue
-    )
     if timestamped:
         heap = [
             (queue[0].finish_ts, sid, 0)

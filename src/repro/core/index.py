@@ -23,30 +23,29 @@ history-scanning entry point for the batch pipeline:
 * session order, real-time order, per-key version chains, the INT verdict,
   and the MT-validation verdict are computed once and cached.
 
-Since the columnar refactor the index has **two construction paths over one
-dense core**:
+There is **one construction path**: :meth:`build` is the door.  A
+:class:`~repro.history.columnar.ColumnarHistory` segment goes straight to
+the flat column scan (:meth:`from_columns`); a
+:class:`~repro.core.model.History` is column-encoded in canonical stream
+order first and then takes the same scan, with the object layer seeded
+from the caller's own ``Transaction`` objects so ``index.history is
+history`` and labelled counterexamples keep object identity.
 
-* :meth:`build` scans a :class:`~repro.core.model.History` of
-  ``Transaction`` objects (the legacy object pipeline);
-* :meth:`from_columns` scans a
-  :class:`~repro.history.columnar.ColumnarHistory` segment directly —
-  no ``Transaction`` or ``Operation`` is materialised on the accept path.
-
-Either way the index stores its resolved structures *densely* (integer
-transaction positions, interned key ids, flat read tuples).  The
-object-facing API — ``committed``, ``iter_read_records``, ``history``,
-``final_writer`` returning a ``Transaction`` — materialises lazily and is
-only paid for by consumers that actually need objects (the legacy
-multigraph path, cycle labeling on the reject path, the solver baselines).
-The dense kernel (:mod:`repro.core.csr`) consumes the integer accessors
+The index stores its resolved structures *densely* (integer transaction
+positions, interned key ids, flat read tuples).  The object-facing API —
+``committed``, ``iter_read_records``, ``history``, ``final_writer``
+returning a ``Transaction`` — materialises lazily and is only paid for by
+consumers that actually need objects (the reference multigraph builder,
+cycle labeling on the reject path, the solver baselines).  The dense kernel
+(:mod:`repro.core.csr`) consumes the integer accessors
 (:meth:`committed_txn_ids <HistoryIndex>`, :meth:`iter_read_edges`,
 :meth:`session_order_id_pairs`, :meth:`real_time_id_pairs`) exclusively.
 
-The intended usage is one :meth:`build` (or :meth:`from_columns`) per
-``MTChecker.verify`` call, threaded down through
-:func:`~repro.core.checkers.check_ser` / ``check_si`` / ``check_sser`` via
-their ``index=`` parameter; every checker also accepts a bare history and
-builds the index itself, so standalone use keeps working.
+The intended usage is one :meth:`build` per ``MTChecker.verify`` call,
+threaded down through :func:`~repro.core.checkers.check_ser` / ``check_si``
+/ ``check_sser`` via their ``index=`` parameter; every checker also accepts
+a bare history (or segment) and builds the index itself, so standalone use
+keeps working.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ __all__ = [
 
 #: Version tag of the dense-index wire format (bumped on layout changes;
 #: mismatching cache files are silently rebuilt, never misread).
-INDEX_WIRE_FORMAT = "repro-history-index-v1"
+INDEX_WIRE_FORMAT = "repro-history-index-v2"
 
 #: File magic of the CRC-framed on-disk index cache.
 INDEX_CACHE_MAGIC = b"REPROIDX1\n"
@@ -172,9 +171,9 @@ class VersionEntry(NamedTuple):
 class HistoryIndex:
     """Per-history shared index: dense interning + resolved provenance.
 
-    Build with :meth:`build` (object histories) or :meth:`from_columns`
-    (columnar segments); the class-level :attr:`builds` counter exists so
-    tests can assert the "one construction per verify call" invariant.
+    Build with :meth:`build` (histories and columnar segments alike); the
+    class-level :attr:`builds` counter exists so tests can assert the "one
+    construction per verify call" invariant.
 
     Example:
         >>> from repro.core.model import History, Transaction, read, write
@@ -194,50 +193,55 @@ class HistoryIndex:
     #: skipped the construction scan entirely).
     wire_loads = 0
 
-    def __init__(self, history: History) -> None:
-        type(self).builds += 1
-        started = time.perf_counter()
-        self._history: Optional[History] = history
-        self._columns: Optional["ColumnarHistory"] = None
-        self._transactions: Optional[List[Transaction]] = history.transactions(
-            include_initial=True
-        )
-        self._init_core()
-        self._has_initial = history.initial_transaction is not None
-        self._scan_objects()
-        obs.inc("repro_index_builds_total", source="objects")
-        obs.observe("repro_index_build_seconds", time.perf_counter() - started)
-
     @classmethod
-    def build(cls, history: History) -> "HistoryIndex":
-        """Construct the index for ``history`` (one linear scan)."""
-        return cls(history)
+    def build(cls, source: Union[History, "ColumnarHistory"]) -> "HistoryIndex":
+        """Construct the index for a history or a columnar segment.
+
+        The one entry point: a :class:`History` is column-encoded in
+        canonical stream order (what :meth:`ColumnarHistory.from_history`
+        does) and scanned by :meth:`from_columns`; the caller's own
+        ``Transaction`` objects then back the lazy object layer, so
+        ``index.history is source`` and no transaction is ever materialised
+        a second time.  A segment goes straight to the scan.
+        """
+        if not isinstance(source, History):
+            return cls.from_columns(source)
+        from ..history.columnar import ColumnarHistory  # deferred: avoid cycle
+        from .incremental import stream_order  # deferred: avoid cycle
+
+        stream = list(stream_order(source))
+        self = cls.from_columns(ColumnarHistory.from_transactions(stream))
+        self._history = source
+        self._stream = stream
+        self._transactions = [stream[row] for row in self._row_order]
+        return self
 
     @classmethod
     def from_columns(cls, columns: "ColumnarHistory") -> "HistoryIndex":
         """Construct the index straight from a columnar segment.
 
         One linear pass over the flat columns — no ``Transaction`` or
-        ``Operation`` object is created.  The resulting index is
-        structurally identical to ``HistoryIndex.build(columns.to_history())``
-        (rows are scanned ``⊥T`` first, then grouped by ascending session
-        id, matching :meth:`ColumnarHistory.to_history`); consumers that ask
-        for objects (``committed``, ``history``, ``iter_read_records``)
-        trigger lazy materialisation from the columns instead.
+        ``Operation`` object is created.  Rows are scanned ``⊥T`` first,
+        then grouped by ascending session id (the order of
+        :meth:`ColumnarHistory.to_history`); consumers that ask for objects
+        (``committed``, ``history``, ``iter_read_records``) trigger lazy
+        materialisation from the columns instead.
         """
-        self = cls.__new__(cls)
+        self = cls(columns)
         type(self).builds += 1
         started = time.perf_counter()
-        self._history = None
-        self._columns = columns
-        self._transactions = None
-        self._init_core()
         self._scan_columns()
-        obs.inc("repro_index_builds_total", source="columns")
+        obs.inc("repro_index_builds_total")
         obs.observe("repro_index_build_seconds", time.perf_counter() - started)
         return self
 
-    def _init_core(self) -> None:
+    def __init__(self, columns: Optional["ColumnarHistory"]) -> None:
+        """An empty core over ``columns`` — filled by :meth:`from_columns`'s
+        scan or the wire decoder; use :meth:`build`, not this."""
+        self._history: Optional[History] = None
+        self._columns = columns
+        self._transactions: Optional[List[Transaction]] = None
+
         #: Dense id per transaction position: ``txn_ids[dense] == txn_id``.
         self.txn_ids: List[int] = []
         self.txn_dense: Dict[int, int] = {}
@@ -268,7 +272,8 @@ class HistoryIndex:
         self._has_initial = False
 
         # Columnar backend state (lazy object materialisation).
-        self._row_order: Optional[List[int]] = None
+        #: dense position -> backing column row.
+        self._row_order: List[int] = []
         self._txn_cache: Dict[int, Transaction] = {}
 
         # Lazy caches.
@@ -284,63 +289,6 @@ class HistoryIndex:
         self._mt_problems: Optional[list] = None
         self._versions: Optional[Dict[str, List[VersionEntry]]] = None
         self._stream: Optional[List[Transaction]] = None
-
-    # ------------------------------------------------------------------
-    # Construction: object scan
-    # ------------------------------------------------------------------
-    def _scan_objects(self) -> None:
-        """Single pass: intern ids/keys, index writes, collect raw reads."""
-        assert self._transactions is not None
-        final_writes: Dict[int, Dict[str, int]] = {}
-        raw: Dict[int, List[Tuple[int, Optional[int], bool, Optional[int]]]] = {}
-        key_dense = self.key_dense
-        key_names = self.key_names
-        for txn in self._transactions:
-            pos = self._intern_txn(
-                txn.txn_id, txn.committed, txn.is_initial, txn.session_id,
-                STATUS_CODES[txn.status],
-            )
-
-            keys_here: Set[int] = set()
-            finals: Dict[str, int] = {}
-            last_write: Dict[int, Optional[int]] = {}
-            written: Set[int] = set()
-            reads: List[Tuple[int, Optional[int]]] = []
-            read_keys: Set[int] = set()
-            for op in txn.operations:
-                kid = key_dense.get(op.key)
-                if kid is None:
-                    kid = len(key_names)
-                    key_dense[op.key] = kid
-                    key_names.append(op.key)
-                keys_here.add(kid)
-                if op.is_write:
-                    if kid in last_write:
-                        self._intermediate_pos[(kid, last_write[kid])] = pos
-                    last_write[kid] = op.value
-                    written.add(kid)
-                    if op.value is not None:
-                        finals[op.key] = op.value
-                elif (
-                    kid not in written
-                    and kid not in read_keys
-                    and op.value is not None
-                ):
-                    # Mirrors Transaction.external_reads(): the first read of
-                    # a key before any own write on it.
-                    read_keys.add(kid)
-                    reads.append((kid, op.value))
-            for kid, value in last_write.items():
-                self._final_pos[(kid, value)] = pos
-            final_writes[txn.txn_id] = finals
-            if reads and txn.committed and not txn.is_initial:
-                raw[pos] = [
-                    (kid, value, kid in written, last_write.get(kid))
-                    for kid, value in reads
-                ]
-            self.txn_keys.append(sorted(keys_here))
-        self._final_writes = final_writes
-        self._resolve_reads(raw)
 
     # ------------------------------------------------------------------
     # Construction: columnar scan
@@ -367,8 +315,8 @@ class HistoryIndex:
         col_key_names = cols.key_names
 
         # Scan order: ``⊥T`` first, then rows grouped by ascending session
-        # id (per-session row order preserved) — exactly the order
-        # ``HistoryIndex.build(columns.to_history())`` would scan in.
+        # id (per-session row order preserved) — the transaction order of
+        # ``columns.to_history()``.
         n = len(col_txn_ids)
         initial_rows: List[int] = []
         session_rows: Dict[int, List[int]] = {}
@@ -383,8 +331,8 @@ class HistoryIndex:
         self._row_order = order
         self._has_initial = bool(initial_rows)
 
-        # Columnar key ids are re-interned in scan order so the index's key
-        # numbering is identical to the object path's.
+        # Columnar key ids are re-interned in scan order, so key numbering
+        # depends on the history alone, not on the segment's append order.
         remap = [-1] * len(col_key_names)
         key_dense = self.key_dense
         key_names = self.key_names
@@ -469,24 +417,6 @@ class HistoryIndex:
             txn_keys_out.append(sorted(keys_here))
         self._resolve_reads(raw)
 
-    def _intern_txn(
-        self, txn_id: int, committed: bool, is_initial: bool, session_id: int,
-        status_code: int,
-    ) -> int:
-        pos = len(self.txn_ids)
-        self.txn_ids.append(txn_id)
-        self.txn_dense[txn_id] = pos
-        self._committed_mask.append(1 if committed else 0)
-        self._status_of.append(status_code)
-        self._session_of.append(session_id)
-        if committed:
-            self.committed_txn_ids.append(txn_id)
-            self.committed_ids.add(txn_id)
-            self._committed_pos.append(pos)
-            if not is_initial:
-                self._committed_non_initial_pos.append(pos)
-        return pos
-
     def _resolve_reads(
         self, raw: Dict[int, List[Tuple[int, Optional[int], bool, Optional[int]]]]
     ) -> None:
@@ -500,7 +430,7 @@ class HistoryIndex:
             ]
 
     # ------------------------------------------------------------------
-    # Object layer (lazy for columnar-built indexes)
+    # Object layer (lazy; seeded by build() from a History's own objects)
     # ------------------------------------------------------------------
     def _txn_at(self, pos: int) -> Transaction:
         """The transaction at dense position ``pos`` (materialised lazily)."""
@@ -508,7 +438,7 @@ class HistoryIndex:
             return self._transactions[pos]
         txn = self._txn_cache.get(pos)
         if txn is None:
-            assert self._columns is not None and self._row_order is not None
+            assert self._columns is not None
             txn = self._columns.transaction_at(self._row_order[pos])
             self._txn_cache[pos] = txn
         return txn
@@ -537,7 +467,8 @@ class HistoryIndex:
 
     @property
     def columns(self) -> Optional["ColumnarHistory"]:
-        """The backing columnar segment, when built via :meth:`from_columns`."""
+        """The backing columnar segment (``None`` only for a
+        :meth:`from_wire` index rehydrated without columns)."""
         return self._columns
 
     @property
@@ -607,7 +538,7 @@ class HistoryIndex:
     def _ensure_final_writes(self) -> Dict[int, Dict[str, int]]:
         if self._final_writes is None:
             cols = self._columns
-            assert cols is not None and self._row_order is not None
+            assert cols is not None
             key_names = cols.key_names
             offsets = cols.op_offsets
             kinds = cols.op_kinds
@@ -728,74 +659,57 @@ class HistoryIndex:
     def session_order_pairs(self) -> List[Tuple[Transaction, Transaction]]:
         """Adjacent committed session-order pairs (cached)."""
         if self._session_pairs is None:
-            if self._columns is None:
-                self._session_pairs = self.history.session_order()
-            else:
-                self._session_pairs = [
-                    (self.transaction(a), self.transaction(b))
-                    for a, b in self.session_order_id_pairs()
-                ]
+            self._session_pairs = [
+                (self.transaction(a), self.transaction(b))
+                for a, b in self.session_order_id_pairs()
+            ]
         return self._session_pairs
 
     def session_order_id_pairs(self) -> List[Tuple[int, int]]:
         """Adjacent committed session-order pairs as transaction ids (cached)."""
         if self._session_id_pairs is None:
-            if self._columns is None:
-                self._session_id_pairs = [
-                    (a.txn_id, b.txn_id) for a, b in self.session_order_pairs
-                ]
-            else:
-                pairs: List[Tuple[int, int]] = []
-                txn_ids = self.txn_ids
-                session_of = self._session_of
-                has_initial = self._has_initial
-                last_in_session: Dict[int, int] = {}
-                # Dense order groups sessions contiguously (ascending id),
-                # so streaming the positions yields the same pair order as
-                # History.session_order's session-by-session walk.
-                for pos in self._committed_non_initial_pos:
-                    sid = session_of[pos]
-                    prev = last_in_session.get(sid)
-                    if prev is None:
-                        if has_initial:
-                            pairs.append((INITIAL_TXN_ID, txn_ids[pos]))
-                    else:
-                        pairs.append((prev, txn_ids[pos]))
-                    last_in_session[sid] = txn_ids[pos]
-                self._session_id_pairs = pairs
+            pairs: List[Tuple[int, int]] = []
+            txn_ids = self.txn_ids
+            session_of = self._session_of
+            has_initial = self._has_initial
+            last_in_session: Dict[int, int] = {}
+            # Dense order groups sessions contiguously (ascending id), so
+            # streaming the positions yields the same pair order as
+            # History.session_order's session-by-session walk.
+            for pos in self._committed_non_initial_pos:
+                sid = session_of[pos]
+                prev = last_in_session.get(sid)
+                if prev is None:
+                    if has_initial:
+                        pairs.append((INITIAL_TXN_ID, txn_ids[pos]))
+                else:
+                    pairs.append((prev, txn_ids[pos]))
+                last_in_session[sid] = txn_ids[pos]
+            self._session_id_pairs = pairs
         return self._session_id_pairs
 
     def real_time_pairs(self, reduced: bool = True) -> List[Tuple[Transaction, Transaction]]:
         """Committed real-time order pairs (cached per ``reduced`` flag)."""
         if reduced not in self._rt_pairs:
-            if self._columns is None:
-                self._rt_pairs[reduced] = self.history.real_time_order(reduced=reduced)
-            else:
-                self._rt_pairs[reduced] = [
-                    (self.transaction(a), self.transaction(b))
-                    for a, b in self.real_time_id_pairs(reduced=reduced)
-                ]
+            self._rt_pairs[reduced] = [
+                (self.transaction(a), self.transaction(b))
+                for a, b in self.real_time_id_pairs(reduced=reduced)
+            ]
         return self._rt_pairs[reduced]
 
     def real_time_id_pairs(self, reduced: bool = True) -> List[Tuple[int, int]]:
         """Committed real-time order pairs as transaction ids (cached)."""
         if reduced not in self._rt_id_pairs:
-            if self._columns is None:
-                self._rt_id_pairs[reduced] = [
-                    (a.txn_id, b.txn_id)
-                    for a, b in self.real_time_pairs(reduced=reduced)
-                ]
-            else:
-                self._rt_id_pairs[reduced] = self._rt_id_pairs_from_columns(reduced)
+            self._rt_id_pairs[reduced] = self._rt_id_pairs_from_columns(reduced)
         return self._rt_id_pairs[reduced]
 
     def _rt_id_pairs_from_columns(self, reduced: bool) -> List[Tuple[int, int]]:
         """Mirror ``History.real_time_order`` over the timestamp columns."""
         cols = self._columns
-        assert cols is not None and self._row_order is not None
+        assert cols is not None
         txn_ids = self.txn_ids
         # (start, finish, txn_id) of committed, timestamped, non-initial
-        # transactions in scan order — the same entry order the object path
+        # transactions in scan order — the entry order History.real_time_order
         # feeds interval_order_reduction, so stable sorts tie-break alike.
         entries: List[Tuple[float, float, int]] = []
         for pos in self._committed_non_initial_pos:
@@ -837,41 +751,31 @@ class HistoryIndex:
     def int_violations(self) -> list:
         """The INT/read-provenance pre-pass verdict (cached).
 
-        On a columnar-built index the pre-pass runs column-natively: a flat
-        scan classifies each committed row, and only rows that actually
-        contain a candidate anomaly are materialised for the (identical)
-        object-level classification — zero allocations on the accept path.
+        The pre-pass runs column-natively: a flat scan classifies each
+        committed row, and only rows that actually contain a candidate
+        anomaly are handed (as ``Transaction`` objects) to the object-level
+        classification of :mod:`repro.core.intcheck` — zero allocations on
+        the accept path.
         """
         if self._int_violations is None:
-            if self._columns is not None:
-                self._int_violations = self._int_violations_from_columns()
-            else:
-                from .intcheck import check_internal_consistency
+            from . import intcheck
 
-                self._int_violations = check_internal_consistency(
-                    self.history, index=self
-                )
+            violations: list = []
+            for pos in self._committed_non_initial_pos:
+                if self._row_has_int_candidate(pos):
+                    violations.extend(
+                        intcheck._check_transaction(self._txn_at(pos), self)
+                    )
+            self._int_violations = violations
         return self._int_violations
-
-    def _int_violations_from_columns(self) -> list:
-        from . import intcheck
-
-        cols = self._columns
-        assert cols is not None and self._row_order is not None
-        violations: list = []
-        for pos in self._committed_non_initial_pos:
-            if self._row_has_int_candidate(pos):
-                violations.extend(
-                    intcheck._check_transaction(self._txn_at(pos), self)
-                )
-        return violations
 
     def _row_has_int_candidate(self, pos: int) -> bool:
         """Whether the row can contribute an INT/provenance violation.
 
         A row returning ``False`` provably yields no violation; a row
-        returning ``True`` is re-checked at the object level so the
-        reported violations are identical to the object path.  The
+        returning ``True`` is re-checked at the object level, so the
+        reported violations are exactly those of
+        :func:`~repro.core.intcheck.check_internal_consistency`.  The
         intra-transactional trigger is the shared
         :func:`~repro.core.intcheck.ops_int_candidate` (kept next to the
         check it mirrors); the provenance trigger below mirrors
@@ -881,7 +785,7 @@ class HistoryIndex:
         from .intcheck import ops_int_candidate
 
         cols = self._columns
-        assert cols is not None and self._row_order is not None
+        assert cols is not None
         row = self._row_order[pos]
         ops = list(cols.row_ops(row))
         if ops_int_candidate(ops):
@@ -910,7 +814,7 @@ class HistoryIndex:
     def mt_problems(self) -> list:
         """The MT-history validation verdict (cached).
 
-        Materialises the object history on a columnar-built index (strict
+        Materialises the object history of a segment-built index (strict
         MT validation is opt-in and not on the accept path).
         """
         if self._mt_problems is None:
@@ -980,8 +884,7 @@ class HistoryIndex:
                 written_col.append(0 if written is None else written)
                 written_has.append(0 if written is None else 1)
 
-        if self._row_order is not None:
-            buffers["row_order"].extend(self._row_order)
+        buffers["row_order"].extend(self._row_order)
         for a, b in self.session_order_id_pairs():
             buffers["so_pairs"].append(a)
             buffers["so_pairs"].append(b)
@@ -994,15 +897,12 @@ class HistoryIndex:
         # unknowable) pre-pass is NOT shipped — violations carry object
         # descriptions, so consumers recompute them from the attached
         # columns instead.
-        if self._int_violations is None and self._history is None and self._columns is None:
-            int_clean = False
-        else:
-            int_clean = not self.int_violations()
+        knowable = self._int_violations is not None or self._columns is not None
+        int_clean = knowable and not self.int_violations()
         return {
             "format": INDEX_WIRE_FORMAT,
             "key_names": list(self.key_names),
             "has_initial": self._has_initial,
-            "has_row_order": self._row_order is not None,
             "int_clean": int_clean,
             "buffers": {name: buf.tobytes() for name, buf in buffers.items()},
         }
@@ -1023,11 +923,6 @@ class HistoryIndex:
         """
         if wire.get("format") != INDEX_WIRE_FORMAT:
             raise ValueError(f"unsupported index wire format: {wire.get('format')!r}")
-        if columns is not None and not wire["has_row_order"]:
-            raise ValueError(
-                "cannot attach columns: the wire index was built from an "
-                "object history and carries no column row order"
-            )
         # Rehydration is a pure allocation burst — millions of small
         # containers, no garbage, no reference cycles — so automatic
         # collection is paused for its duration.  Without this, gen-2
@@ -1055,13 +950,9 @@ class HistoryIndex:
             buf.frombytes(wire["buffers"][name])
             cols[name] = buf
 
-        self = cls.__new__(cls)
+        self = cls(columns)
         type(self).wire_loads += 1
         obs.inc("repro_index_wire_loads_total")
-        self._history = None
-        self._columns = columns
-        self._transactions = None
-        self._init_core()
 
         self.txn_ids = list(cols["txn_ids"])
         self.txn_dense = {txn_id: pos for pos, txn_id in enumerate(self.txn_ids)}
@@ -1121,8 +1012,7 @@ class HistoryIndex:
                 (kid, value, writer_pos, bool(writes_key), written if has_written else None)
             )
 
-        if wire["has_row_order"]:
-            self._row_order = list(cols["row_order"])
+        self._row_order = list(cols["row_order"])
         if wire.get("int_clean"):
             self._int_violations = []
         so = list(cols["so_pairs"])
@@ -1150,7 +1040,6 @@ class HistoryIndex:
                 "fingerprint": fingerprint,
                 "key_names": wire["key_names"],
                 "has_initial": wire["has_initial"],
-                "has_row_order": wire["has_row_order"],
                 "int_clean": wire["int_clean"],
                 "buffers": [
                     [name, code, len(buffers[name])] for name, code in _WIRE_BUFFERS
@@ -1238,7 +1127,6 @@ class HistoryIndex:
                     "format": INDEX_WIRE_FORMAT,
                     "key_names": header["key_names"],
                     "has_initial": header["has_initial"],
-                    "has_row_order": header["has_row_order"],
                     "int_clean": header.get("int_clean", False),
                     "buffers": buffers,
                 },
@@ -1263,8 +1151,7 @@ class HistoryIndex:
         return self._session_of[pos]
 
     def column_row(self, pos: int) -> int:
-        """The backing column row of dense position ``pos`` (columnar only)."""
-        assert self._row_order is not None, "index was not built from columns"
+        """The backing column row of dense position ``pos``."""
         return self._row_order[pos]
 
     def is_committed_pos(self, pos: int) -> bool:
@@ -1290,7 +1177,8 @@ def _interval_reduction_ids(
     The id-level mirror of :func:`repro.core.model.interval_order_reduction`
     — same algorithm, same stable tie-breaking (both sorts key on a single
     timestamp, so equal stamps keep their scan order), producing the same
-    pair sequence the object path produces.
+    pair sequence as ``History.real_time_order`` (pinned by
+    ``tests/test_index.py``).
     """
     if not entries:
         return []

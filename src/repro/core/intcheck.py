@@ -16,13 +16,10 @@ value can be attributed to exactly one writing transaction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .model import History, Operation, Transaction
 from .result import AnomalyKind, Violation
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .index import HistoryIndex
 
 __all__ = [
     "WriteIndex",
@@ -79,7 +76,6 @@ def check_internal_consistency(
     history: History,
     *,
     write_index: Optional[WriteIndex] = None,
-    index: Optional["HistoryIndex"] = None,
 ) -> List[Violation]:
     """Check the INT axiom and read-provenance anomalies for a history.
 
@@ -87,19 +83,14 @@ def check_internal_consistency(
     consistent and every read can be attributed to the committed final write
     of some transaction or to the reader's own preceding write).
 
-    When a shared :class:`~repro.core.index.HistoryIndex` is supplied, its
-    write index is consulted directly (it is API-compatible with
-    :class:`WriteIndex`) and no per-call index is constructed.
+    This is the object-level reference of the pre-pass (and dbcop's);
+    the batch pipeline runs the same per-transaction classification behind
+    a column-native filter in
+    :meth:`repro.core.index.HistoryIndex.int_violations`.
     """
-    if index is not None:
-        lookup: WriteIndex = index  # duck-typed: final_writer / intermediate_writer
-        committed = index.committed_non_initial
-    else:
-        lookup = write_index if write_index is not None else build_write_index(history)
-        committed = history.committed_transactions(include_initial=False)
-
+    lookup = write_index if write_index is not None else build_write_index(history)
     violations: List[Violation] = []
-    for txn in committed:
+    for txn in history.committed_transactions(include_initial=False):
         violations.extend(_check_transaction(txn, lookup))
     return violations
 
@@ -172,7 +163,7 @@ def ops_int_candidate(ops: List[Tuple[int, int, Optional[int]]]) -> bool:
     value (NotMyLastWrite / NotMyOwnWrite / NonRepeatableReads), or an
     external-position read of a value the transaction itself writes
     (FutureRead).  ``False`` provably means zero violations, so callers
-    (:meth:`repro.core.index.HistoryIndex.from_columns`'s INT pre-pass and
+    (:meth:`repro.core.index.HistoryIndex.int_violations` and
     :meth:`repro.core.incremental.IncrementalChecker.ingest_segment`) only
     materialise a ``Transaction`` for candidate rows.
     """

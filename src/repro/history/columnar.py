@@ -26,9 +26,11 @@ crosses process boundaries as raw buffers (:meth:`ColumnarHistory.to_wire` /
 :meth:`ColumnarHistory.from_wire`) — which is how the parallel executor ships
 shard slices without pickling a single ``Transaction``.
 
-The fast consumption path is :meth:`repro.core.index.HistoryIndex.from_columns`,
-which scans these columns directly; :meth:`to_history` exists for the legacy
-object pipeline and for debugging.
+Every batch check consumes these columns through
+:meth:`repro.core.index.HistoryIndex.build`, which scans them directly — a
+:class:`~repro.core.model.History` is column-encoded by
+:meth:`ColumnarHistory.from_history` first; :meth:`to_history` exists for
+object-level consumers and for debugging.
 """
 
 from __future__ import annotations
@@ -482,8 +484,8 @@ class ColumnarHistory:
         """A new segment containing ``rows`` (in the given order).
 
         When ``restrict_initial_keys`` is set, the initial transaction's
-        operations are filtered to those keys — the same restriction the
-        object partitioner applies to each shard's ``⊥T``.
+        operations are filtered to those keys — how the partitioner
+        restricts ``⊥T`` to each shard.
         """
         restrict = (
             None if restrict_initial_keys is None else set(restrict_initial_keys)

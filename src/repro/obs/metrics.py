@@ -127,7 +127,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "counter", "Bytes persisted through SegmentWriter"),
     # History index.
     "repro_index_builds_total": (
-        "counter", "HistoryIndex constructions, by source label"),
+        "counter", "HistoryIndex constructions (column scans)"),
     "repro_index_build_seconds": (
         "histogram", "HistoryIndex construction scan time"),
     "repro_index_wire_loads_total": (

@@ -11,7 +11,7 @@ verdicts equal serial verdicts on every history.  Reach it through
 
 from .executor import check_parallel
 from .merge import ShardOutcome, merge_shard_results
-from .partition import DEFAULT_MAX_SHARDS, Shard, partition_columns, partition_history
+from .partition import DEFAULT_MAX_SHARDS, Shard, partition_columns
 
 __all__ = [
     "DEFAULT_MAX_SHARDS",
@@ -20,5 +20,4 @@ __all__ = [
     "check_parallel",
     "merge_shard_results",
     "partition_columns",
-    "partition_history",
 ]

@@ -77,7 +77,7 @@ from .merge import (
     merge_csr_wires,
     merge_shard_results,
 )
-from .partition import DEFAULT_MAX_SHARDS, Shard, partition_columns, partition_history
+from .partition import DEFAULT_MAX_SHARDS, Shard, partition_columns
 
 __all__ = ["check_parallel", "make_payload", "shutdown_pool"]
 
@@ -193,7 +193,7 @@ def _pool_fault(kind: str) -> None:
 
 
 def check_parallel(
-    history: Optional[History],
+    history: Union[History, ColumnarHistory],
     level: IsolationLevel,
     *,
     workers: int = 1,
@@ -201,7 +201,6 @@ def check_parallel(
     transitive_ww: bool = False,
     index: Optional[HistoryIndex] = None,
     max_shards: Optional[int] = DEFAULT_MAX_SHARDS,
-    columns: Optional[ColumnarHistory] = None,
     source_path: Optional[Union[str, Path]] = None,
     reuse_index: bool = False,
     task_timeout: Optional[float] = None,
@@ -209,8 +208,12 @@ def check_parallel(
     """Verify a history against ``level`` via the sharded pipeline.
 
     Args:
-        history: the MT history to verify — or ``None`` when ``columns``
-            carries the history in columnar form.
+        history: the MT history to verify — a
+            :class:`~repro.core.model.History`, or a
+            :class:`~repro.history.columnar.ColumnarHistory` segment
+            (exactly like ``MTChecker.verify``).  Either way shards are
+            sliced from the columns; no ``Transaction`` crosses a process
+            boundary.
         level: SER, SI, SSER, or LIN (checked as SSER on plain histories).
         workers: number of OS processes to fan shard checks out over;
             ``1`` runs the same shard checks inline (identical result).
@@ -222,15 +225,12 @@ def check_parallel(
             raise :class:`~repro.core.checkers.MTHistoryError` on failure.
         transitive_ww: forward the unoptimized BUILDDEPENDENCY variant to
             every shard check.
-        index: pre-built :class:`~repro.core.index.HistoryIndex` (built
-            here when absent); also drives the partitioner.
+        index: pre-built :class:`~repro.core.index.HistoryIndex` of
+            ``history`` (built here when absent); its ``columns`` drive the
+            partitioner.
         max_shards: cap on the shard fan-out (fixed, never worker-derived).
-        columns: the history as a
-            :class:`~repro.history.columnar.ColumnarHistory` — shards are
-            then sliced straight from the columns and the object history is
-            never materialised.
-        source_path: the uncompressed segment file ``columns`` was loaded
-            from, when there is one.  Shard payloads then carry
+        source_path: the uncompressed segment file a columnar ``history``
+            was loaded from, when there is one.  Shard payloads then carry
             ``(path, rows)`` references instead of sliced column bytes:
             each worker memory-maps the file (one shared physical copy)
             and slices its own rows, so the parent neither materialises
@@ -239,7 +239,7 @@ def check_parallel(
         reuse_index: persist the parent's built index beside
             ``source_path`` (``<path>.idx``, CRC-stamped against the
             segment's content) and rehydrate it on repeated checks instead
-            of rebuilding with ``from_columns``.  Requires ``columns`` and
+            of rebuilding it.  Requires a columnar ``history`` and its
             ``source_path``; ignored when an ``index`` is supplied.
         task_timeout: per-dispatch deadline, seconds: when the pool has
             not returned every outstanding shard within this budget the
@@ -259,8 +259,8 @@ def check_parallel(
         raise ValueError(f"unsupported isolation level for sharded checking: {level}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if history is None and columns is None:
-        raise ValueError("either a history or its columns must be provided")
+    if history is None:
+        raise ValueError("a history (or its columnar segment) must be provided")
     if level is IsolationLevel.LINEARIZABILITY:
         level = IsolationLevel.STRICT_SERIALIZABILITY
     obs.inc("repro_executor_checks_total")
@@ -280,19 +280,14 @@ def check_parallel(
     if index is None:
         index_started = time.perf_counter()
         reused = False
-        if history is not None:
+        if reuse_index and source_path is not None:
+            index = _load_or_build_cached_index(source_path, history)
+            reused = index is not None
+        if index is None:
             with obs.phase("index_build"):
                 index = HistoryIndex.build(history)
-        else:
-            assert columns is not None
             if reuse_index and source_path is not None:
-                index = _load_or_build_cached_index(source_path, columns)
-                reused = index is not None
-            if index is None:
-                with obs.phase("index_build"):
-                    index = HistoryIndex.from_columns(columns)
-                if reuse_index and source_path is not None:
-                    _store_cached_index(source_path, index)
+                _store_cached_index(source_path, index)
         obs.set_gauge(
             "repro_executor_index_reuse_seconds"
             if reused
@@ -306,16 +301,12 @@ def check_parallel(
         raise_if_not_mt(index)
 
     with obs.phase("partition"):
-        if history is not None:
-            shards = partition_history(history, index=index, max_shards=max_shards)
-        else:
-            assert columns is not None
-            shards = partition_columns(
-                columns,
-                index=index,
-                max_shards=max_shards,
-                materialize=source_path is None,
-            )
+        shards = partition_columns(
+            index.columns,
+            index=index,
+            max_shards=max_shards,
+            materialize=source_path is None,
+        )
     effective = workers
     inline_small = effective > 1 and index.num_committed < _MIN_POOL_TXNS
     if inline_small:
@@ -388,13 +379,12 @@ def make_payload(
 ) -> _Payload:
     """The process-boundary task for one shard: columnar buffers only.
 
-    Shards from the columnar partitioner already carry their column slice;
-    shards from the object partitioner are column-encoded here — either
-    way the payload pickles as raw bytes, never as ``Transaction`` objects.
-    With ``source_path`` set (and the shard carrying its source rows), the
-    payload degenerates to a ``("segref", path, rows, keys, token)``
-    reference: the worker memory-maps the segment and slices the rows
-    itself, with ``token`` keying its warm segment/index caches.
+    The payload pickles the shard's column slice as raw bytes, never as
+    ``Transaction`` objects.  With ``source_path`` set (and the shard
+    carrying its source rows), the payload degenerates to a
+    ``("segref", path, rows, keys, token)`` reference: the worker
+    memory-maps the segment and slices the rows itself, with ``token``
+    keying its warm segment/index caches.
 
     ``with_metrics=True`` appends a fifth payload element asking the worker
     to record its shard work (txns checked, cache hits, index builds) into
@@ -413,11 +403,7 @@ def make_payload(
         )
         body: Tuple = (shard.index, ref, level, transitive_ww)
     else:
-        columns = shard.columns
-        if columns is None:
-            assert shard.history is not None
-            columns = ColumnarHistory.from_history(shard.history)
-        body = (shard.index, columns.to_wire(), level, transitive_ww)
+        body = (shard.index, shard.columns.to_wire(), level, transitive_ww)
     return body + (True,) if with_metrics else body
 
 

@@ -20,12 +20,11 @@ appearance; an optional ``max_shards`` cap coalesces shards greedily by
 size) and — crucially — independent of the worker count, so running the
 same history with 1 or 8 workers produces identical shard checks.
 
-Two front ends share the union-find core: :func:`partition_history` slices
-a :class:`~repro.core.model.History` into sub-histories (object pipeline),
-and :func:`partition_columns` slices a
+:func:`partition_columns` slices a
 :class:`~repro.history.columnar.ColumnarHistory` into per-shard column
 segments — the form the executor ships across the process boundary without
-pickling any ``Transaction``.
+pickling any ``Transaction``.  A :class:`~repro.core.model.History` enters
+through ``ColumnarHistory.from_history`` like everywhere else.
 """
 
 from __future__ import annotations
@@ -35,12 +34,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..core.index import HistoryIndex
-from ..core.model import INITIAL_TXN_ID, History, Session, Transaction
+from ..core.model import INITIAL_TXN_ID
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..history.columnar import ColumnarHistory
 
-__all__ = ["Shard", "partition_history", "partition_columns"]
+__all__ = ["Shard", "partition_columns"]
 
 #: Default cap on the number of shards the executor fans out over.  Fixed
 #: (never derived from the worker count) so results are reproducible across
@@ -51,67 +50,21 @@ DEFAULT_MAX_SHARDS = 32
 
 @dataclass
 class Shard:
-    """One independently checkable slice of a history.
-
-    Exactly one of ``history`` / ``columns`` is set, depending on which
-    front end produced the shard; the executor ships either as a columnar
-    wire buffer.
-    """
+    """One independently checkable slice of a history."""
 
     index: int
-    history: Optional[History]
     keys: List[str]
     session_ids: List[int]
     #: Committed transactions in the shard (excluding ``⊥T``).
     num_transactions: int
-    #: Columnar slice of the shard (columnar front end).
+    #: Columnar slice of the shard (``None`` under ``materialize=False``).
     columns: Optional["ColumnarHistory"] = None
-    #: Source rows of the slice within the parent segment (columnar front
-    #: end) — lets the executor ship a (path, rows) reference instead of
-    #: the sliced bytes when the segment lives in an mmap-able file.
+    #: Source rows of the slice within the parent segment — lets the
+    #: executor ship a (path, rows) reference instead of the sliced bytes
+    #: when the segment lives in an mmap-able file.
     #: Stored as a flat ``array('q')`` so million-row segref payloads
     #: pickle as raw bytes rather than lists of boxed ints.
     rows: Optional[Sequence[int]] = None
-
-
-def partition_history(
-    history: History,
-    *,
-    index: Optional[HistoryIndex] = None,
-    max_shards: Optional[int] = DEFAULT_MAX_SHARDS,
-) -> List[Shard]:
-    """Split ``history`` into key-connected, session-closed shards.
-
-    Returns a single shard wrapping the original history when the history is
-    fully connected (or has no keys at all).  The union of the shard
-    sub-histories covers every transaction exactly once, and the initial
-    transaction ``⊥T`` is restricted to each shard's keys.
-    """
-    if index is None:
-        index = HistoryIndex.build(history)
-    if len(index.key_names) == 0 or not history.sessions:
-        return [_whole_history_shard(history, index)]
-
-    session_positions = [
-        [index.txn_dense[txn.txn_id] for txn in session.transactions]
-        for session in history.sessions
-    ]
-    groups = _component_groups(index, session_positions)
-    if groups is None:
-        return [_whole_history_shard(history, index)]
-
-    sized = [
-        (keys, slots, sum(len(session_positions[i]) for i in slots))
-        for keys, slots in groups
-    ]
-    if max_shards is not None and len(sized) > max_shards:
-        sized = _coalesce(sized, max_shards)
-
-    shards: List[Shard] = []
-    for shard_idx, (keys, slots, _load) in enumerate(sized):
-        sessions = [history.sessions[i] for i in slots]
-        shards.append(_make_shard(shard_idx, history, keys, sessions))
-    return shards
 
 
 def partition_columns(
@@ -123,12 +76,13 @@ def partition_columns(
 ) -> List[Shard]:
     """Split a columnar segment into key-connected, session-closed shards.
 
-    The columnar counterpart of :func:`partition_history`: the same
-    union-find runs on the index's dense interning, but each shard comes out
-    as a :class:`~repro.history.columnar.ColumnarHistory` slice (``⊥T``
-    restricted to the shard's keys) — ready to ship over
+    The union-find runs on the index's dense interning, and each shard
+    comes out as a :class:`~repro.history.columnar.ColumnarHistory` slice
+    (``⊥T`` restricted to the shard's keys) — ready to ship over
     :meth:`~repro.history.columnar.ColumnarHistory.to_wire` without any
-    ``Transaction`` materialisation.
+    ``Transaction`` materialisation.  Returns a single shard wrapping the
+    whole segment when the history is fully connected (or has no keys at
+    all); the shards cover every transaction exactly once.
 
     With ``materialize=False`` the per-shard column slices are *not* built:
     each shard carries only its source ``rows`` (and keys), which is all
@@ -156,7 +110,6 @@ def partition_columns(
         return [
             Shard(
                 index=0,
-                history=None,
                 keys=list(index.key_names),
                 session_ids=list(session_ids),
                 num_transactions=index.num_committed,
@@ -191,7 +144,6 @@ def partition_columns(
         shards.append(
             Shard(
                 index=shard_idx,
-                history=None,
                 keys=keys,
                 session_ids=[session_ids[i] for i in slots],
                 num_transactions=committed,
@@ -207,7 +159,7 @@ def partition_columns(
 
 
 # ----------------------------------------------------------------------
-# Shared union-find core
+# Union-find core
 # ----------------------------------------------------------------------
 def _component_groups(
     index: HistoryIndex,
@@ -286,16 +238,6 @@ def _component_groups(
     return list(zip(keys_per_component, sessions_per_component))
 
 
-def _whole_history_shard(history: History, index: HistoryIndex) -> Shard:
-    return Shard(
-        index=0,
-        history=history,
-        keys=list(index.key_names),
-        session_ids=[s.session_id for s in history.sessions],
-        num_transactions=index.num_committed,
-    )
-
-
 def _coalesce(
     sized: List[Tuple[List[str], List[int], int]], max_shards: int
 ) -> List[Tuple[List[str], List[int], int]]:
@@ -323,35 +265,3 @@ def _coalesce(
         slots = [s for _, _, slot_part, _ in bucket for s in slot_part]
         merged.append((keys, slots, sum(load for _, _, _, load in bucket)))
     return merged
-
-
-def _make_shard(
-    shard_idx: int, history: History, keys: List[str], sessions: List[Session]
-) -> Shard:
-    """Build the sub-history of one shard without mutating shared objects."""
-    key_set = set(keys)
-    initial = history.initial_transaction
-    shard_initial: Optional[Transaction] = None
-    if initial is not None:
-        shard_initial = Transaction(
-            txn_id=initial.txn_id,
-            operations=[op for op in initial.operations if op.key in key_set],
-            session_id=initial.session_id,
-            status=initial.status,
-            start_ts=initial.start_ts,
-            finish_ts=initial.finish_ts,
-        )
-    shard_sessions = [
-        Session(session_id=s.session_id, transactions=list(s.transactions))
-        for s in sessions
-    ]
-    num = sum(
-        1 for s in shard_sessions for t in s.transactions if t.committed
-    )
-    return Shard(
-        index=shard_idx,
-        history=History(shard_sessions, initial_transaction=shard_initial),
-        keys=keys,
-        session_ids=[s.session_id for s in shard_sessions],
-        num_transactions=num,
-    )

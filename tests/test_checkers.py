@@ -221,3 +221,6 @@ class TestCatalogAgainstCheckers:
         assert MTChecker(workers=1).verify(history, level).format() == expected
         columns = ColumnarHistory.from_history(history)
         assert MTChecker().verify(columns, level).format() == expected
+        # ... and the paper-named functions take the segment through the
+        # same door (HistoryIndex.build) as the facade does.
+        assert check(columns).format() == expected

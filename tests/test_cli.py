@@ -290,18 +290,6 @@ class TestSegmentAndConvertCommands:
         capsys.readouterr()
 
 
-class TestBenchIO:
-    def test_bench_io_smoke_writes_json(self, tmp_path, capsys):
-        code = main(["bench", "--suite", "io", "--smoke", "--output-dir", str(tmp_path)])
-        assert code == 0
-        payload = json.loads((tmp_path / "BENCH_io.json").read_text())
-        assert payload["suite"] == "io"
-        for row in payload["rows"]:
-            assert row["verdicts_equal"] is True
-            assert row["columnar_payload_bytes"] < row["legacy_payload_bytes"]
-        capsys.readouterr()
-
-
 class TestVersionFlag:
     def test_version_prints_package_version(self, capsys):
         import repro

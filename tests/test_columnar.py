@@ -46,7 +46,7 @@ from repro.history import (
 )
 from repro.parallel import check_parallel
 from repro.parallel.executor import make_payload
-from repro.parallel.partition import partition_columns, partition_history
+from repro.parallel.partition import partition_columns
 from repro.workloads.mt_generator import MTWorkloadGenerator
 from repro.workloads.runner import run_workload
 
@@ -314,24 +314,6 @@ class TestVerdictEquivalence:
 # The columnar index
 # ----------------------------------------------------------------------
 class TestColumnarIndex:
-    def test_from_columns_matches_object_index_structurally(self):
-        history = generated_history(21, "abortedread")
-        cols = ColumnarHistory.from_history(history)
-        canonical = cols.to_history()
-        via_objects = HistoryIndex.build(canonical)
-        via_columns = HistoryIndex.from_columns(cols)
-        assert via_columns.txn_ids == via_objects.txn_ids
-        assert via_columns.key_names == via_objects.key_names
-        assert via_columns.txn_keys == via_objects.txn_keys
-        assert via_columns.committed_txn_ids == via_objects.committed_txn_ids
-        assert via_columns.session_order_id_pairs() == via_objects.session_order_id_pairs()
-        assert via_columns.real_time_id_pairs() == via_objects.real_time_id_pairs()
-        assert list(via_columns.iter_read_edges()) == list(via_objects.iter_read_edges())
-        assert list(via_columns.iter_read_tuples()) == list(via_objects.iter_read_tuples())
-        assert [
-            (v.kind, tuple(v.txn_ids)) for v in via_columns.int_violations()
-        ] == [(v.kind, tuple(v.txn_ids)) for v in via_objects.int_violations()]
-
     def test_from_columns_materialises_no_transactions_on_accept_path(self):
         history = generated_history(22)  # healthy SI history
         cols = ColumnarHistory.from_history(history)
@@ -363,14 +345,6 @@ class TestColumnarIndex:
         assert writer is None or isinstance(writer, Transaction)
         assert index.history.num_transactions() == len(cols.to_history())
 
-    def test_version_chains_match_object_index(self):
-        history = generated_history(24)
-        cols = ColumnarHistory.from_history(history)
-        assert (
-            HistoryIndex.from_columns(cols).version_chains()
-            == HistoryIndex.build(cols.to_history()).version_chains()
-        )
-
 
 # ----------------------------------------------------------------------
 # Parallel dispatch: columns on the wire, never Transactions
@@ -389,50 +363,24 @@ class TestColumnarDispatch:
 
     def test_payloads_contain_no_pickled_transactions(self):
         history = self._disjoint_history()
-        for shards in (
-            partition_history(history),
-            partition_columns(ColumnarHistory.from_history(history)),
-        ):
-            assert len(shards) == 5
-            for shard in shards:
-                blob = pickle.dumps(
-                    make_payload(shard, IsolationLevel.STRICT_SERIALIZABILITY, False)
-                )
-                # A pickled Transaction/Operation would name its module.
-                assert b"repro.core.model" not in blob
-                assert b"Transaction" not in blob
-                assert b"Operation" not in blob
-
-    def test_partition_columns_matches_partition_history(self):
-        history = self._disjoint_history()
-        cols = ColumnarHistory.from_history(history)
-        object_shards = partition_history(history)
-        column_shards = partition_columns(cols)
-        assert [s.keys for s in object_shards] == [s.keys for s in column_shards]
-        assert [s.session_ids for s in object_shards] == [
-            s.session_ids for s in column_shards
-        ]
-        assert [s.num_transactions for s in object_shards] == [
-            s.num_transactions for s in column_shards
-        ]
-        # Each columnar shard holds exactly its sub-history's transactions.
-        for obj, col in zip(object_shards, column_shards):
-            assert col.columns is not None
-            ids = sorted(
-                t.txn_id for t in col.columns.iter_transactions() if not t.is_initial
+        shards = partition_columns(ColumnarHistory.from_history(history))
+        assert len(shards) == 5
+        for shard in shards:
+            assert shard.columns is not None
+            blob = pickle.dumps(
+                make_payload(shard, IsolationLevel.STRICT_SERIALIZABILITY, False)
             )
-            expected = sorted(
-                t.txn_id
-                for t in obj.history.transactions(include_initial=False)
-            )
-            assert ids == expected
+            # A pickled Transaction/Operation would name its module.
+            assert b"repro.core.model" not in blob
+            assert b"Transaction" not in blob
+            assert b"Operation" not in blob
 
     @pytest.mark.parametrize("level", LEVELS, ids=lambda l: l.short_name)
     def test_check_parallel_columns_only(self, level):
         history = self._disjoint_history()
         cols = ColumnarHistory.from_history(history)
         serial = MTChecker().verify(history, level)
-        sharded = check_parallel(None, level, workers=2, columns=cols)
+        sharded = check_parallel(cols, level, workers=2)
         assert sharded.satisfied == serial.satisfied
         assert sharded.num_transactions == serial.num_transactions
 
@@ -511,10 +459,8 @@ class TestMemoryMappedSegments:
         write_history_segment(history, path)
         columns = ColumnarHistory.load(path, mmap=True)
         serial = MTChecker().verify(history, level)
-        via_wire = check_parallel(None, level, workers=2, columns=columns)
-        via_segref = check_parallel(
-            None, level, workers=2, columns=columns, source_path=path
-        )
+        via_wire = check_parallel(columns, level, workers=2)
+        via_segref = check_parallel(columns, level, workers=2, source_path=path)
         assert result_fingerprint(via_segref) == result_fingerprint(via_wire)
         assert via_segref.satisfied == serial.satisfied
 

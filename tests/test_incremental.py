@@ -308,6 +308,19 @@ class TestOnlineDetection:
         with pytest.raises(MTHistoryError):
             checker.ingest(Transaction(1, [write("x", 1)]))  # write without read
 
+    def test_strict_mt_rejects_empty_transaction_on_both_feeders(self):
+        # An op-less Transaction is falsy (``__len__``); neither feeder may
+        # mistake it for "no object yet".
+        from repro.history.columnar import ColumnarHistory
+
+        empty = Transaction(1, [])
+        with pytest.raises(MTHistoryError):
+            IncrementalChecker(SER, initial_keys=["x"], strict_mt=True).ingest(empty)
+        with pytest.raises(MTHistoryError):
+            IncrementalChecker(SER, initial_keys=["x"], strict_mt=True).ingest_segment(
+                ColumnarHistory.from_transactions([empty])
+            )
+
     def test_unsupported_levels_are_rejected(self):
         with pytest.raises(ValueError):
             IncrementalChecker(IsolationLevel.READ_COMMITTED)

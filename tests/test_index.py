@@ -190,3 +190,157 @@ class TestSingleConstruction:
             before = HistoryIndex.builds
             checker.check(history)
             assert HistoryIndex.builds == before + 1
+
+
+LEVELS = [
+    IsolationLevel.SERIALIZABILITY,
+    IsolationLevel.SNAPSHOT_ISOLATION,
+    IsolationLevel.STRICT_SERIALIZABILITY,
+]
+
+
+def every_route(history, level):
+    """``format()`` of one History on every route to a verdict."""
+    from repro.core.incremental import stream_order
+    from repro.history.columnar import ColumnarHistory
+
+    check = {LEVELS[0]: check_ser, LEVELS[1]: check_si, LEVELS[2]: check_sser}[level]
+    per_txn = MTChecker().session(level)
+    for txn in stream_order(history):
+        per_txn.ingest(txn)
+    return {
+        "serial": MTChecker().verify(history, level).format(),
+        "workers=1": MTChecker(workers=1).verify(history, level).format(),
+        "check_fn": check(history).format(),
+        "columns": MTChecker().verify(ColumnarHistory.from_history(history), level).format(),
+        "ingest_history": MTChecker().session(level).ingest_history(history).format(),
+        "ingest": per_txn.result().format(),
+    }
+
+
+class TestTheDoor:
+    """A History reaches every plane through one column-encoding door."""
+
+    def test_object_layer_is_the_callers_own_objects(self):
+        for history in random_histories():
+            index = HistoryIndex.build(history)
+            assert index.history is history
+            assert index.columns is not None
+            by_id = {t.txn_id: t for t in history.transactions()}
+            assert all(t is by_id[t.txn_id] for t in index.transactions)
+            assert all(t is by_id[t.txn_id] for t in index.committed)
+            assert index.stream_order()[0] is history.initial_transaction
+
+    def test_orders_match_the_model(self):
+        # Reference: History.session_order / real_time_order on objects.
+        timestamped = generate_mt_history(
+            isolation="si", num_sessions=4, txns_per_session=20, num_objects=8,
+            seed=11, faults=FaultPlan.for_anomaly("abortedread", rate=0.3, seed=11),
+        ).history
+        for history in [*random_histories(), timestamped]:
+            index = HistoryIndex.build(history)
+            assert index.session_order_id_pairs() == [
+                (a.txn_id, b.txn_id) for a, b in history.session_order()
+            ]
+            for reduced in (True, False):
+                assert index.real_time_id_pairs(reduced=reduced) == [
+                    (a.txn_id, b.txn_id)
+                    for a, b in history.real_time_order(reduced=reduced)
+                ]
+            assert [(a.txn_id, b.txn_id) for a, b in index.session_order_pairs] == (
+                index.session_order_id_pairs()
+            )
+
+    @staticmethod
+    def _lost_update_sessions():
+        t1 = Transaction(1, [read("x", 0), write("x", 1)], session_id=0)
+        t2 = Transaction(2, [read("x", 0), write("x", 2)], session_id=1)
+        t3 = Transaction(3, [read("y", 0), write("y", 3)], session_id=2)
+        return t1, t2, t3
+
+    def test_unsorted_sessions_list_is_the_same_history_on_every_route(self):
+        from repro.core.model import Session
+
+        t1, t2, t3 = self._lost_update_sessions()
+        ascending = History(
+            [Session(0, [t1]), Session(1, [t2]), Session(2, [t3])],
+        )
+        shuffled = History(
+            [Session(2, [t3]), Session(0, [t1]), Session(1, [t2])],
+        )
+        for history in (ascending, shuffled):
+            history.ensure_initial_transaction()
+        for level in LEVELS:
+            # Route by route, list order changes nothing (batch and streaming
+            # counterexamples legitimately differ in shape from each other).
+            assert every_route(shuffled, level) == every_route(ascending, level)
+            routes = every_route(shuffled, level)
+            assert len({routes[r] for r in ("serial", "workers=1", "check_fn", "columns")}) == 1
+            assert routes["ingest_history"] == routes["ingest"]
+
+    @pytest.mark.parametrize("shape", ["duplicate-session-id", "mismatched-session-id"])
+    def test_malformed_sessions_raise_on_every_route(self, shape, tmp_path, capsys):
+        from repro.cli import main
+        from repro.core.model import Session
+        from repro.history import save_history
+        from repro.history.columnar import ColumnarHistory
+
+        if shape == "duplicate-session-id":
+            # Two Session objects, one id: merged by id they gain an SO edge.
+            history = History(
+                [
+                    Session(0, [Transaction(1, [read("x", 1)], session_id=0)]),
+                    Session(0, [Transaction(2, [read("x", 0), write("x", 1)], session_id=0)]),
+                ]
+            )
+            offender = "session id 0"
+        else:
+            history = History(
+                [
+                    Session(0, [Transaction(1, [read("x", 1)], session_id=0)]),
+                    Session(1, [Transaction(2, [read("x", 0), write("x", 1)], session_id=0)]),
+                ]
+            )
+            offender = "session 1"
+        history.ensure_initial_transaction()
+        level = IsolationLevel.SERIALIZABILITY
+        routes = {
+            "serial": lambda: MTChecker().verify(history, level),
+            "workers=1": lambda: MTChecker(workers=1).verify(history, level),
+            "check_fn": lambda: check_ser(history),
+            "columns": lambda: ColumnarHistory.from_history(history),
+            "ingest_history": lambda: MTChecker().session(level).ingest_history(history),
+        }
+        for route, run in routes.items():
+            with pytest.raises(ValueError, match=offender):
+                run()
+        path = tmp_path / "malformed.json"
+        save_history(history, path)
+        for argv in (["check", str(path)], ["check", "--workers", "1", str(path)],
+                     ["check", "--stream", str(path)]):
+            assert main([*argv, "--level", "ser"]) == 2, argv
+            out = capsys.readouterr().out
+            assert out.startswith("error: malformed history") and offender in out
+
+    def test_values_outside_int64_are_rejected_on_every_batch_route(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.history import save_history
+
+        big = 2**63
+        t1 = Transaction(1, [read("x", 0), write("x", big)])
+        history = history_of([t1], initial_keys=("x",))
+        level = IsolationLevel.SERIALIZABILITY
+        for run in (
+            lambda: MTChecker().verify(history, level),
+            lambda: MTChecker(workers=1).verify(history, level),
+            lambda: check_ser(history),
+            lambda: HistoryIndex.build(history),
+        ):
+            with pytest.raises(ValueError, match="does not fit the columnar segment format"):
+                run()
+        path = tmp_path / "big.json"
+        save_history(history, path)
+        assert main(["check", "--level", "ser", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and "does not fit" in out
+        assert "Traceback" not in out

@@ -255,10 +255,11 @@ class TestWorkerMetrics:
     def test_run_shard_ships_snapshot_only_when_asked(self):
         from repro.core.index import HistoryIndex
         from repro.parallel.executor import make_payload, _run_shard
-        from repro.parallel.partition import partition_history
+        from repro.parallel.partition import partition_columns
 
-        history = self._disjoint_history(shards=2)
-        shards = partition_history(history, index=HistoryIndex.build(history))
+        index = HistoryIndex.build(self._disjoint_history(shards=2))
+        shards = partition_columns(index.columns, index=index)
+        assert len(shards) == 2 and all(s.columns is not None for s in shards)
         plain = _run_shard(
             make_payload(shards[0], IsolationLevel.SERIALIZABILITY, False)
         )
@@ -294,6 +295,23 @@ class TestVerifyReport:
         assert "index_build" in phases
         text = report.format()
         assert "VIOLATED" in text and "phases:" in text
+
+    def test_index_builds_is_one_unlabelled_series(self):
+        # One construction path -> one series: no ``source`` label, and
+        # exactly one build per verify for either input kind.
+        from repro.history.columnar import ColumnarHistory
+
+        history = anomaly_history("WriteSkew")
+        for source in (history, ColumnarHistory.from_history(history)):
+            report = MTChecker().verify(
+                source, IsolationLevel.SERIALIZABILITY, report=True
+            )
+            series = [
+                name for name in report.metrics["counters"]
+                if name.startswith("repro_index_builds_total")
+            ]
+            assert series == ["repro_index_builds_total"]
+            assert report.metrics["counters"]["repro_index_builds_total"] == 1
 
     def test_report_false_returns_plain_result(self):
         result = MTChecker().verify(

@@ -20,7 +20,8 @@ from repro.core.index import HistoryIndex
 from repro.core.model import History, Operation, Session, Transaction, read, write
 from repro.core.result import IsolationLevel
 from repro.db import FaultPlan
-from repro.parallel import check_parallel, partition_history
+from repro.history.columnar import ColumnarHistory
+from repro.parallel import check_parallel, partition_columns
 
 LEVELS = [
     IsolationLevel.SERIALIZABILITY,
@@ -32,6 +33,11 @@ LEVELS = [
 # ----------------------------------------------------------------------
 # History construction helpers
 # ----------------------------------------------------------------------
+def partition(history, **kwargs):
+    """Shards of an object history (it enters as columns, like everywhere)."""
+    return partition_columns(ColumnarHistory.from_history(history), **kwargs)
+
+
 def prefixed_sessions(history, prefix, txn_offset, session_offset):
     """Re-key a history into its own namespace so groups stay disjoint."""
     sessions = []
@@ -108,13 +114,21 @@ class TestPartitioner:
         history = make_disjoint_history(
             num_groups=4, sessions_per_group=2, txns_per_session=5, keys_per_group=3
         )
-        shards = partition_history(history)
+        shards = partition(history)
         assert len(shards) == 4
         assert sum(s.num_transactions for s in shards) == history.num_transactions()
         seen_keys = set()
+        seen_txns = []
         for shard in shards:
             assert not seen_keys.intersection(shard.keys)
             seen_keys.update(shard.keys)
+            seen_txns.extend(
+                t.txn_id for t in shard.columns.iter_transactions() if not t.is_initial
+            )
+        # The shard slices cover every transaction exactly once.
+        assert sorted(seen_txns) == sorted(
+            t.txn_id for t in history.transactions(include_initial=False)
+        )
 
     def test_session_spanning_groups_merges_shards(self):
         history = make_disjoint_history(
@@ -129,7 +143,7 @@ class TestPartitioner:
         )
         bridged = History(list(history.sessions) + [bridge])
         bridged.ensure_initial_transaction()
-        shards = partition_history(bridged)
+        shards = partition(bridged)
         assert len(shards) == 2  # g0+g2 merged through the session, g1 alone
         merged = next(s for s in shards if "g0:k0" in s.keys)
         assert "g2:k0" in merged.keys and 99 in merged.session_ids
@@ -141,31 +155,35 @@ class TestPartitioner:
         )
         merged = History(list(history.sessions) + [Session(50, [t_bridge])])
         merged.ensure_initial_transaction()
-        assert len(partition_history(merged)) == 1
+        assert len(partition(merged)) == 1
 
     def test_initial_transaction_restricted_per_shard(self):
         history = make_disjoint_history(
             num_groups=2, sessions_per_group=1, txns_per_session=3, keys_per_group=2
         )
-        for shard in partition_history(history):
-            initial = shard.history.initial_transaction
-            assert initial is not None
+        for shard in partition(history):
+            initial = shard.columns.transaction_at(0)
+            assert initial.is_initial
             assert {op.key for op in initial.operations} == set(shard.keys)
+            assert not any(
+                t.is_initial for t in list(shard.columns.iter_transactions())[1:]
+            )
 
     def test_connected_history_is_one_shard(self):
         generated = generate_mt_history(
             isolation="si", num_sessions=3, txns_per_session=10, num_objects=4, seed=5
         )
-        shards = partition_history(generated.history)
+        columns = ColumnarHistory.from_history(generated.history)
+        shards = partition_columns(columns)
         assert len(shards) == 1
-        assert shards[0].history is generated.history
+        assert shards[0].columns is columns
 
     def test_max_shards_coalesces_deterministically(self):
         history = make_disjoint_history(
             num_groups=10, sessions_per_group=1, txns_per_session=4, keys_per_group=2
         )
-        first = partition_history(history, max_shards=3)
-        second = partition_history(history, max_shards=3)
+        first = partition(history, max_shards=3)
+        second = partition(history, max_shards=3)
         assert len(first) == 3
         assert [s.keys for s in first] == [s.keys for s in second]
         assert sum(s.num_transactions for s in first) == history.num_transactions()
@@ -237,7 +255,7 @@ class TestShardedEquivalence:
         t3 = Transaction(3, [read("b", 2), write("b", 3)], session_id=1)
         t4 = Transaction(4, [read("a", 0), write("a", 4)], session_id=1)
         history = History.from_transactions([[t1, t2], [t3, t4]], initial_keys=["a", "b"])
-        assert len(partition_history(history)) == 1  # sessions bridge a and b
+        assert len(partition(history)) == 1  # sessions bridge a and b
         assert_equivalent(history, levels=[IsolationLevel.SERIALIZABILITY])
 
     def test_sser_cross_shard_real_time_cycle(self):
@@ -256,7 +274,7 @@ class TestShardedEquivalence:
         history = History.from_transactions(
             [[t1], [t2], [t3], [t4]], initial_keys=["a", "b"]
         )
-        assert len(partition_history(history)) == 2
+        assert len(partition(history)) == 2
         ser_serial = MTChecker().verify(history, IsolationLevel.SERIALIZABILITY)
         ser_sharded = MTChecker(workers=2).verify(history, IsolationLevel.SERIALIZABILITY)
         assert ser_serial.satisfied and ser_sharded.satisfied
@@ -275,7 +293,8 @@ class TestShardedEquivalence:
 # ----------------------------------------------------------------------
 class TestExecutor:
     def test_strict_mt_raises_before_fanout(self):
-        bad = Transaction(1, [write("g0:k0", 77)])  # write without RMW read
+        # write without RMW read
+        bad = Transaction(1, [write("g0:k0", 77)], session_id=9)
         history = make_disjoint_history(
             num_groups=2, sessions_per_group=1, txns_per_session=3, keys_per_group=2
         )

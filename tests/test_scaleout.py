@@ -40,7 +40,7 @@ from repro.history.columnar import (
     write_history_segment,
 )
 from repro.history.epochlog import EpochLog, EpochLogWriter
-from repro.parallel import check_parallel, partition_history
+from repro.parallel import check_parallel, partition_columns
 from repro.parallel import executor as executor_module
 from repro.parallel.executor import make_payload, shutdown_pool
 from repro.parallel.merge import finalize_sser_wires, merge_csr_wires
@@ -93,7 +93,8 @@ def rt_cycle_history(extra_groups=0):
 def shard_wires(history):
     """Run the SSER shard stage inline and return (index, CSR wires)."""
     index = HistoryIndex.build(history)
-    shards = partition_history(history, index=index)
+    shards = partition_columns(index.columns, index=index)
+    assert all(shard.columns is not None for shard in shards)
     outcomes = [
         executor_module._run_shard(make_payload(shard, SSER, False))
         for shard in shards
@@ -141,8 +142,8 @@ class TestIndexWire:
         clone = HistoryIndex.from_wire(index.to_wire(), columns=columns)
         # Row order survives, so the rehydrated index can still drive the
         # columnar partitioner (segref payloads slice by row number).
-        serial = check_parallel(None, SSER, columns=columns, index=index)
-        reused = check_parallel(None, SSER, columns=columns, index=clone)
+        serial = check_parallel(columns, SSER, index=index)
+        reused = check_parallel(columns, SSER, index=clone)
         assert serial.format() == reused.format()
 
     def test_round_trip_columnar_preserves_counterexamples(self):
@@ -157,12 +158,16 @@ class TestIndexWire:
         assert not original.satisfied and not rehydrated.satisfied
         assert original.format() == rehydrated.format()
 
-    def test_object_wire_rejects_columns(self):
-        history = composite_history([("ser", 7, None)])
-        wire = HistoryIndex.build(history).to_wire()
-        columns = ColumnarHistory.from_history(history)
-        with pytest.raises(ValueError):
-            HistoryIndex.from_wire(wire, columns=columns)
+    def test_history_built_wire_reattaches_its_columns(self):
+        # A History enters as columns, so its wire carries the row order and
+        # round-trips with the index's own columns like a segment-built one
+        # (the parent's "object wire" could not attach columns at all).
+        index = HistoryIndex.build(rt_cycle_history(1))
+        clone = HistoryIndex.from_wire(index.to_wire(), columns=index.columns)
+        original = check_sser(None, index=index)
+        rehydrated = check_sser(None, index=clone)
+        assert not original.satisfied
+        assert original.format() == rehydrated.format()
 
     def test_cache_round_trip_and_invalidation(self, tmp_path):
         history = composite_history([("si", 8, None)])
@@ -257,7 +262,7 @@ class TestRandomizedEquivalence:
     def test_clean_composites(self, num_groups):
         specs = [("si" if g % 2 else "ser", 100 + g, None) for g in range(num_groups)]
         history = composite_history(specs)
-        assert len(partition_history(history)) == num_groups
+        assert len(partition_columns(ColumnarHistory.from_history(history))) == num_groups
         assert_equivalent(history, workers=2)
 
     @pytest.mark.parametrize("num_groups", [3, 5])
@@ -353,25 +358,21 @@ class TestIndexReuse:
     def test_reuse_index_sidecar_skips_rebuild(self, tmp_path):
         path, columns = self._segment(tmp_path)
         with obs.scoped() as cold_reg:
-            cold = check_parallel(
-                None, SSER, columns=columns, source_path=path, reuse_index=True
-            )
+            cold = check_parallel(columns, SSER, source_path=path, reuse_index=True)
         sidecar = tmp_path / "history.seg.idx"
         assert sidecar.exists()
         assert cold_reg.value("repro_executor_index_build_seconds") is not None
 
         builds = HistoryIndex.builds
         with obs.scoped() as warm_reg:
-            warm = check_parallel(
-                None, SSER, columns=columns, source_path=path, reuse_index=True
-            )
+            warm = check_parallel(columns, SSER, source_path=path, reuse_index=True)
         assert HistoryIndex.builds == builds  # rehydrated, not rebuilt
         assert warm_reg.value("repro_executor_index_reuse_seconds") is not None
         assert warm.format() == cold.format()
 
     def test_sidecar_invalidated_when_segment_changes(self, tmp_path):
         path, columns = self._segment(tmp_path)
-        check_parallel(None, SSER, columns=columns, source_path=path, reuse_index=True)
+        check_parallel(columns, SSER, source_path=path, reuse_index=True)
         token = segment_token(path)
         # Rewrite the segment with different content: same sidecar path,
         # different CRC — the stale cache must be ignored and replaced.
@@ -381,12 +382,63 @@ class TestIndexReuse:
         write_history_segment(history, path)
         assert segment_token(path) != token or file_crc32(path) is not None
         new_columns = ColumnarHistory.load(path, mmap=True)
-        result = check_parallel(
-            None, SSER, columns=new_columns, source_path=path, reuse_index=True
-        )
+        result = check_parallel(new_columns, SSER, source_path=path, reuse_index=True)
         serial = MTChecker().verify(new_columns, SSER)
         assert result.satisfied == serial.satisfied
         assert result.num_transactions == serial.num_transactions
+
+    @staticmethod
+    def _retag_as_v1(cache_path):
+        """Rewrite a sidecar's header the way the v1 writer stamped it."""
+        blob = cache_path.read_bytes()
+        assert INDEX_WIRE_FORMAT.encode() in blob
+        cache_path.write_bytes(
+            blob.replace(
+                b'"format":"' + INDEX_WIRE_FORMAT.encode() + b'"',
+                b'"format":"repro-history-index-v1","has_row_order":true',
+                1,
+            )
+        )
+
+    def test_v1_segment_sidecar_is_ignored_and_rewritten(self, tmp_path):
+        path, columns = self._segment(tmp_path)
+        cold = check_parallel(columns, SSER, source_path=path, reuse_index=True)
+        sidecar = tmp_path / "history.seg.idx"
+        self._retag_as_v1(sidecar)
+        assert b"repro-history-index-v1" in sidecar.read_bytes()
+
+        builds = HistoryIndex.builds
+        with obs.scoped() as reg:
+            again = check_parallel(columns, SSER, source_path=path, reuse_index=True)
+        # Never misread: the stale-format sidecar is a miss, the index is
+        # rebuilt, and the sidecar is replaced by a current one.
+        assert HistoryIndex.builds > builds
+        assert reg.value("repro_executor_index_reuse_seconds") is None
+        assert again.format() == cold.format()
+        assert INDEX_WIRE_FORMAT.encode() in sidecar.read_bytes()
+        assert b"repro-history-index-v1" not in sidecar.read_bytes()
+
+    def test_v1_epochlog_cache_is_ignored_and_rewritten(self, tmp_path, capsys):
+        history = make_disjoint_history(
+            num_groups=2, sessions_per_group=2, txns_per_session=6, timestamps=True
+        )
+        log_dir = tmp_path / "log.epochs"
+        from repro.core.incremental import stream_order
+
+        with EpochLogWriter(log_dir, epoch_transactions=32) as writer:
+            for txn in stream_order(history):
+                writer.append(txn)
+        assert repro_main(["check", str(log_dir), "--level", "sser"]) == 0
+        first = capsys.readouterr().out
+        cache = log_dir / "INDEX.cache"
+        self._retag_as_v1(cache)
+
+        log = EpochLog.open(log_dir)
+        assert log.cached_index(log.to_columns()) is None
+        assert repro_main(["check", str(log_dir), "--level", "sser"]) == 0
+        assert capsys.readouterr().out == first
+        assert b"repro-history-index-v1" not in cache.read_bytes()
+        assert EpochLog.open(log_dir).cached_index(log.to_columns()) is not None
 
     def test_epochlog_cache_round_trip_and_append_invalidation(self, tmp_path):
         history = make_disjoint_history(
