@@ -147,13 +147,12 @@ def test_windowed_ingest_bounds_memory(benchmark):
             for txn in stream:
                 session.ingest(txn)
             elapsed = time.perf_counter() - started
-            checker = session.checker
-            assert session.satisfied and checker.stale_reads == 0
+            assert session.satisfied and session.stale_reads == 0
             rows.append(
                 {
                     "window": window or "unbounded",
-                    "graph_nodes": checker.graph.num_nodes(),
-                    "evicted": checker.evicted_count,
+                    "graph_nodes": session.graph.num_nodes(),
+                    "evicted": session.evicted_count,
                     "ingest_s": round(elapsed, 4),
                 }
             )

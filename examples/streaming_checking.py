@@ -86,15 +86,14 @@ def main() -> None:
         faults=FaultPlan.for_anomaly("lostupdate", rate=0.5, seed=7),
     )
     session, run, first = live_check(faulty, workload, window=60)
-    checker = session.checker
     print(
         f"window=60: verdict {'satisfied' if session.satisfied else 'VIOLATED'}, "
-        f"graph holds {checker.graph.num_nodes()} nodes "
-        f"({checker.evicted_count} garbage-collected, "
-        f"{checker.stale_reads} stale reads)"
+        f"graph holds {session.graph.num_nodes()} nodes "
+        f"({session.evicted_count} garbage-collected, "
+        f"{session.stale_reads} stale reads)"
     )
     assert not session.satisfied
-    assert checker.graph.num_nodes() <= 62
+    assert session.graph.num_nodes() <= 62
 
 
 if __name__ == "__main__":

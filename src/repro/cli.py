@@ -565,9 +565,9 @@ def _finish_stream(session) -> int:
     """Print the final verdict (and window-completeness warning); exit code."""
     result = session.result()
     print(result.format())
-    if session.checker.stale_reads:
+    if session.stale_reads:
         print(
-            f"warning: {session.checker.stale_reads} reads fell outside the "
+            f"warning: {session.stale_reads} reads fell outside the "
             f"window; enlarge --window for a complete verdict"
         )
     return 0 if result.satisfied else 1
@@ -606,14 +606,14 @@ class _WatchTelemetry:
         if not force and now - self._last_update < self.every:
             return
         self._last_update = now
-        session.checker.publish_metrics()
+        session.publish_metrics()
         reg = self.registry
         reg.set_gauge("repro_watch_epoch_lag", lag)
         reg.set_gauge("repro_watch_txns_ingested", ingested)
         reg.inc("repro_watch_heartbeats_total")
         obs.write_textfile(self.metrics_file, reg)
         rate = (ingested - self._beat_txns) / max(now - self._beat_time, 1e-9)
-        verdict = "ok" if session.checker.satisfied else "violated"
+        verdict = "ok" if session.satisfied else "violated"
         print(
             f"[watch] txns={ingested} lag={lag} rate={rate:.0f}/s "
             f"verdict={verdict}",
@@ -850,33 +850,35 @@ def _watch_epochlog_run(args: argparse.Namespace, control, telemetry) -> int:
     session = None
     next_epoch = 0  # epochs fully ingested so far
     ingested = 0  # non-initial transactions ingested so far (labeling)
-    if not args.no_resume:
-        resume = log.latest_checkpoint()
-        if resume is not None:
-            state = resume.state
-            if state.get("level") != level.value or state.get("window") != args.window:
-                print(
-                    f"note: checkpoint at epoch {resume.epochs} was taken "
-                    "with different --level/--window settings; replaying "
-                    "from epoch 0"
-                )
-            else:
-                session = CheckerSession.restore(state)
-                next_epoch = resume.epochs
-                ingested = resume.transactions
-                print(
-                    f"resumed from checkpoint: {resume.epochs} epochs "
-                    f"({resume.transactions} transactions) already verified"
-                )
-    if session is None:
-        session = MTChecker().session(level, window=args.window)
+    skipped = ""  # why the newest checkpoint on disk could not be used
+    for resume in () if args.no_resume else log.checkpoints():
+        try:
+            restored = CheckerSession.restore(resume.state)
+            if restored.level is not level or restored.window != args.window:
+                raise ValueError("taken with different --level/--window settings")
+        except ValueError as exc:
+            # Another build's state format, a damaged state, other settings:
+            # a miss, like a torn file — try the older kept one, then replay.
+            skipped = skipped or f" (checkpoint at epoch {resume.epochs}: {exc})"
+            print(f"note: skipping checkpoint at epoch {resume.epochs}: {exc}")
+            continue
+        session, next_epoch, ingested = restored, resume.epochs, resume.transactions
+        print(
+            f"resumed from checkpoint: {resume.epochs} epochs "
+            f"({resume.transactions} transactions) already verified"
+        )
+        break
     if log.retired_through >= next_epoch:
         print(
             f"error: {args.history}: epochs 0..{log.retired_through} were "
-            "retired by window GC and no usable checkpoint covers them; "
+            f"retired by window GC and no usable checkpoint covers them{skipped}; "
             "the verdict cannot be recovered from this log"
         )
         return 2
+    if session is None:
+        if skipped:
+            print("note: no usable checkpoint; replaying from epoch 0")
+        session = MTChecker().session(level, window=args.window)
 
     started = time.monotonic()
     try:

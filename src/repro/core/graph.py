@@ -166,9 +166,6 @@ class DependencyGraph:
             return any(etype is edge_type for etype, _ in labels)
         return (edge_type, key) in labels
 
-    def edge_labels(self, source: int, target: int) -> Set[Tuple[EdgeType, Optional[str]]]:
-        return set(self._succ.get(source, {}).get(target, set()))
-
     def edges(self, edge_type: Optional[EdgeType] = None) -> Iterator[Edge]:
         """Iterate over all edges, optionally filtered by type."""
         for source, targets in self._succ.items():
@@ -177,10 +174,25 @@ class DependencyGraph:
                     if edge_type is None or etype is edge_type:
                         yield Edge(source, target, etype, key)
 
-    def edges_by_type(self, types: FrozenSet[EdgeType]) -> Iterator[Edge]:
-        for edge in self.edges():
-            if edge.edge_type in types:
-                yield edge
+    def edge_columns(self) -> Tuple[List[int], List[int], List[str], List[Optional[str]]]:
+        """Every edge as parallel ``(source, target, type value, key)`` columns.
+
+        The walk of :meth:`edges`, in adjacency insertion order, without an
+        :class:`Edge` per edge (the checkpoint encoder's view of the graph).
+        """
+        src: List[int] = []
+        dst: List[int] = []
+        typ: List[str] = []
+        key: List[Optional[str]] = []
+        for source, targets in self._succ.items():
+            for target, labels in targets.items():
+                for etype, label_key in labels:
+                    src.append(source)
+                    dst.append(target)
+                    # ``_value_``: ``.value`` is a Python-level descriptor call.
+                    typ.append(etype._value_)
+                    key.append(label_key)
+        return src, dst, typ, key
 
     @property
     def num_edges(self) -> int:
@@ -188,16 +200,6 @@ class DependencyGraph:
 
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    # ------------------------------------------------------------------
-    # Per-object views used by the checkers
-    # ------------------------------------------------------------------
-    def typed_edges_per_key(self, edge_type: EdgeType) -> Dict[Optional[str], List[Tuple[int, int]]]:
-        """Group edges of ``edge_type`` by object."""
-        grouped: Dict[Optional[str], List[Tuple[int, int]]] = defaultdict(list)
-        for edge in self.edges(edge_type):
-            grouped[edge.key].append((edge.source, edge.target))
-        return grouped
 
     # ------------------------------------------------------------------
     # Acyclicity

@@ -18,7 +18,7 @@ the online counterpart:
   WR/WW/RW edges are derived from per-version *slots*, SO from per-session
   tails, RT from an online interval-order reduction — and reports each
   violation at the exact transaction whose ingestion created it.
-* :class:`CheckerSession` is the user-facing facade obtained from
+* :class:`CheckerSession` is the checker as handed out by
   :meth:`repro.core.checker.MTChecker.session`; it also acts as a live
   ``on_transaction`` hook for :class:`repro.workloads.runner.WorkloadRunner`.
 
@@ -99,7 +99,7 @@ __all__ = [
 ]
 
 #: Format tag of :meth:`IncrementalChecker.checkpoint` state dictionaries.
-CHECKPOINT_STATE_FORMAT = "repro-checker-state-v1"
+CHECKPOINT_STATE_FORMAT = "repro-checker-state-v2"
 
 #: Isolation levels the incremental checker supports.
 GRAPH_LEVELS = (
@@ -282,57 +282,57 @@ class _Slot:
 _SEALED = object()
 
 
+#: ``writer`` column entry of a version sealed by the window (never a txn id).
+_SEALED_WRITER = "sealed"
+_EDGE_COLUMNS = ("src", "dst", "typ", "key")
+#: Columns of the ``slots`` table, in :class:`_Slot` attribute order.
+_SLOT_COLUMNS = (
+    "key", "value", "writer", "status", "intermediate",
+    "readers", "overwriters", "rmw_seen", "pending",
+)
+
+
+def _columns(names: Tuple[str, ...], rows: Iterable[Tuple[Any, ...]]) -> Dict[str, List[Any]]:
+    """One state table: ``rows`` transposed into the ``names`` parallel columns."""
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in names]
+    return dict(zip(names, columns))
+
+
+def _flatten(groups: Dict[int, Iterable[int]]) -> Tuple[List[int], List[int]]:
+    """An adjacency ``{owner: members}`` as (owner, member) columns, in dict order
+    (``_columns`` of its pairs, by ``extend``: the largest tables after ``slots``)."""
+    owners: List[int] = []
+    members: List[int] = []
+    for owner, group in groups.items():
+        owners.extend([owner] * len(group))
+        members.extend(group)
+    return owners, members
+
+
+def _column(table: Dict[str, Any], name: str) -> List[Any]:
+    column = table[name]
+    if not isinstance(column, list):
+        raise TypeError(f"column {name!r} must be a list")
+    return column
+
+
+def _rows(table: Dict[str, Any], *names: str) -> Iterator[Tuple[Any, ...]]:
+    """Zip the named parallel columns of one state table back into rows."""
+    return zip(*(_column(table, name) for name in names), strict=True)
+
+
 def _encode_graph(graph: DependencyGraph) -> Dict[str, Any]:
-    """JSON-encode a labeled graph (edges kept in insertion order)."""
-    return {
-        "nodes": sorted(graph.nodes),
-        "edges": [
-            [edge.source, edge.target, edge.edge_type.value, edge.key]
-            for edge in graph.edges()
-        ],
-    }
+    """Column-encode a labeled graph (edges in adjacency insertion order)."""
+    return {"nodes": sorted(graph.nodes), **dict(zip(_EDGE_COLUMNS, graph.edge_columns()))}
 
 
 def _decode_graph(state: Dict[str, Any]) -> DependencyGraph:
-    graph = DependencyGraph(state["nodes"])
+    graph = DependencyGraph(_column(state, "nodes"))
     # O(window) edges per restore: resolve enum members once, not per edge.
     edge_types = {member.value: member for member in EdgeType}
-    for source, target, type_value, key in state["edges"]:
+    for source, target, type_value, key in _rows(state, *_EDGE_COLUMNS):
         graph.add_edge(source, target, edge_types[type_value], key)
     return graph
-
-
-def _encode_slot(slot: object) -> Optional[Dict[str, Any]]:
-    """JSON-encode one version slot; sealed markers become ``None``."""
-    if slot is _SEALED:
-        return None
-    assert isinstance(slot, _Slot)
-    return {
-        "writer_id": slot.writer_id,
-        "writer_status": (
-            None
-            if slot.writer_status is None
-            else STATUS_CODES[slot.writer_status]
-        ),
-        "intermediate_id": slot.intermediate_id,
-        "readers": list(slot.readers),
-        "overwriters": list(slot.overwriters),
-        "rmw_seen": [[tid, value] for tid, value in slot.rmw_seen],
-        "pending": [[tid, bool(writes)] for tid, writes in slot.pending],
-    }
-
-
-def _decode_slot(state: Dict[str, Any]) -> _Slot:
-    slot = _Slot()
-    slot.writer_id = state["writer_id"]
-    status = state["writer_status"]
-    slot.writer_status = None if status is None else STATUS_FROM_CODE[status]
-    slot.intermediate_id = state["intermediate_id"]
-    slot.readers = list(state["readers"])
-    slot.overwriters = list(state["overwriters"])
-    slot.rmw_seen = [(tid, value) for tid, value in state["rmw_seen"]]
-    slot.pending = [(tid, writes) for tid, writes in state["pending"]]
-    return slot
 
 
 class IncrementalChecker:
@@ -734,8 +734,18 @@ class IncrementalChecker:
         Pearce–Kelly order with its exact node indices and adjacency
         insertion order, the per-version slot table (pending reads, RMW
         tracking, sealed markers), session tails, the SI composition state,
-        the SSER interval-reduction lists, the bounded-window arrival queue
+        the SSER interval-reduction list, the bounded-window arrival queue
         and seal FIFO, and every violation found so far.
+
+        Layout (``repro-checker-state-v2``): every table is a dictionary of
+        *parallel columns* — equal-length lists, rows in the table's own
+        insertion order — so a field name is spelled once per table, not once
+        per row.  ``slots`` has the ``_SLOT_COLUMNS`` (a sealed version is the
+        writer ``"sealed"``); ``graph``/``induced`` have ``nodes`` plus one
+        ``src``/``dst``/``typ``/``key`` row per labeled edge; ``topo`` has
+        ``node``/``ord`` and its adjacency as ``src``/``dst``; ``rt`` is the
+        finish-sorted interval list (the start-sorted one is re-derived).
+        The snapshot shares no list with the live checker.
 
         :meth:`restore` rebuilds a checker that is *behaviourally
         indistinguishable* from this one: ingesting any suffix of
@@ -748,6 +758,8 @@ class IncrementalChecker:
         started = time.perf_counter()
         self.publish_metrics()
         topo = self._topo
+        topo_src, topo_dst = _flatten(topo._succ)
+        base_dst, base_src = _flatten(self._base_preds)
         state = {
             "format": CHECKPOINT_STATE_FORMAT,
             "level": self.level.value,
@@ -765,38 +777,27 @@ class IncrementalChecker:
             ),
             "topo": {
                 "counter": topo._counter,
-                "ord": [[node, index] for node, index in topo._ord.items()],
-                "succ": [
-                    [node, list(targets)]
-                    for node, targets in topo._succ.items()
-                    if targets
-                ],
+                "node": list(topo._ord),
+                "ord": list(topo._ord.values()),
+                "src": topo_src,
+                "dst": topo_dst,
             },
-            "slots": [
-                [key, value, _encode_slot(slot)]
-                for (key, value), slot in self._slots.items()
-            ],
-            "last_in_session": [
-                [sid, tid] for sid, tid in self._last_in_session.items()
-            ],
-            "base_preds": [
-                [target, list(preds)]
-                for target, preds in self._base_preds.items()
-                if preds
-            ],
-            "rw_succ": [
-                [source, [[t, k] for t, k in pairs]]
-                for source, pairs in self._rw_succ.items()
-                if pairs
-            ],
-            "rt_by_finish": [list(entry) for entry in self._by_finish],
-            "rt_by_start": [list(entry) for entry in self._by_start],
+            "slots": self._encode_slots(),
+            "last_in_session": _columns(
+                ("session", "txn"), self._last_in_session.items()
+            ),
+            "base_preds": {"src": base_src, "dst": base_dst},
+            "rw_succ": _columns(
+                ("src", "dst", "key"),
+                ((s, t, k) for s, edges in self._rw_succ.items() for t, k in edges),
+            ),
+            "rt": _columns(("finish", "start", "txn"), self._by_finish),
             "arrivals": list(self._arrivals),
-            "overwrote": [
-                [tid, [[k, v] for k, v in pairs]]
-                for tid, pairs in self._overwrote.items()
-            ],
-            "sealed_fifo": [[k, v] for k, v in self._sealed_fifo],
+            "overwrote": _columns(
+                ("txn", "key", "value"),
+                ((txn, k, v) for txn, versions in self._overwrote.items() for k, v in versions),
+            ),
+            "sealed_fifo": _columns(("key", "value"), self._sealed_fifo),
         }
         obs.observe(
             "repro_checker_checkpoint_seconds",
@@ -805,20 +806,63 @@ class IncrementalChecker:
         )
         return state
 
+    def _encode_slots(self) -> Dict[str, List[Any]]:
+        """The version-slot table as parallel columns, in insertion order."""
+        rows = [
+            (key, value, _SEALED_WRITER, None, None, [], [], [], [])
+            if slot is _SEALED
+            else (
+                key,
+                value,
+                slot.writer_id,
+                None if slot.writer_status is None else STATUS_CODES[slot.writer_status],
+                slot.intermediate_id,
+                list(slot.readers),
+                list(slot.overwriters),
+                [list(pair) for pair in slot.rmw_seen],
+                [list(pair) for pair in slot.pending],
+            )
+            for (key, value), slot in self._slots.items()
+        ]
+        return _columns(_SLOT_COLUMNS, rows)
+
     @classmethod
     def restore(cls, state: Dict[str, Any]) -> "IncrementalChecker":
         """Rebuild a checker from a :meth:`checkpoint` snapshot.
 
         The restored checker continues the stream exactly where the
-        snapshot left off; see :meth:`checkpoint` for the equivalence
-        guarantee.  Raises ``ValueError`` on a snapshot whose format tag is
-        missing or unknown.
+        snapshot left off; see :meth:`checkpoint` for the layout and the
+        equivalence guarantee.  Nothing of ``state`` is aliased into it, so
+        one snapshot restores any number of times.
+
+        Raises ``ValueError`` naming the tag found when the format tag is
+        not this build's (there is no reader for older formats — callers
+        replay instead), and ``ValueError("malformed checkpoint state: …")``
+        on structural damage under the right tag: a missing table or column,
+        a value of the wrong type, columns of unequal length.
         """
-        if not isinstance(state, dict) or state.get("format") != CHECKPOINT_STATE_FORMAT:
+        found = state.get("format") if isinstance(state, dict) else None
+        if found != CHECKPOINT_STATE_FORMAT:
             raise ValueError(
-                f"not a {CHECKPOINT_STATE_FORMAT} checkpoint snapshot"
+                f"not a {CHECKPOINT_STATE_FORMAT} checkpoint snapshot "
+                f"(found format {found!r})"
             )
         restore_started = time.perf_counter()
+        try:
+            checker = cls._decode_state(state)
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+            raise ValueError(
+                f"malformed checkpoint state: {type(exc).__name__}: {exc}"
+            ) from None
+        obs.observe(
+            "repro_checker_checkpoint_seconds",
+            time.perf_counter() - restore_started,
+            op="restore",
+        )
+        return checker
+
+    @classmethod
+    def _decode_state(cls, state: Dict[str, Any]) -> "IncrementalChecker":
         checker = cls(
             IsolationLevel(state["level"]),
             window=state["window"],
@@ -829,45 +873,53 @@ class IncrementalChecker:
         checker._elapsed = float(state["elapsed"])
         checker.stale_reads = int(state["stale_reads"])
         checker.evicted_count = int(state["evicted_count"])
-        checker._violations = [Violation.from_dict(v) for v in state["violations"]]
+        checker._violations = [
+            Violation.from_dict(v) for v in _column(state, "violations")
+        ]
         checker.graph = _decode_graph(state["graph"])
         if state["induced"] is not None:
             checker._induced = _decode_graph(state["induced"])
-        topo = PearceKellyOrder()
+        topo = checker._topo
         topo._counter = int(state["topo"]["counter"])
-        for node, index in state["topo"]["ord"]:
+        for node, index in _rows(state["topo"], "node", "ord"):
             topo._ord[node] = index
             topo._succ[node] = {}
             topo._pred[node] = {}
-        for node, targets in state["topo"]["succ"]:
-            for target in targets:
-                topo._succ[node][target] = None
-                topo._pred[target][node] = None
-        checker._topo = topo
-        checker._slots = {
-            (key, value): (_SEALED if encoded is None else _decode_slot(encoded))
-            for key, value, encoded in state["slots"]
-        }
-        checker._last_in_session = {
-            sid: tid for sid, tid in state["last_in_session"]
-        }
-        for target, preds in state["base_preds"]:
-            checker._base_preds[target] = {source: None for source in preds}
-        for source, pairs in state["rw_succ"]:
-            checker._rw_succ[source] = [(t, k) for t, k in pairs]
-        checker._by_finish = [tuple(entry) for entry in state["rt_by_finish"]]
-        checker._by_start = [tuple(entry) for entry in state["rt_by_start"]]
-        checker._rebuild_rt_aggregates()
-        checker._arrivals = deque(state["arrivals"])
-        checker._overwrote = {
-            tid: [(k, v) for k, v in pairs] for tid, pairs in state["overwrote"]
-        }
-        checker._sealed_fifo = deque((k, v) for k, v in state["sealed_fifo"])
-        obs.observe(
-            "repro_checker_checkpoint_seconds",
-            time.perf_counter() - restore_started,
-            op="restore",
+        for source, target in _rows(state["topo"], "src", "dst"):
+            topo._succ[source][target] = None
+            topo._pred[target][source] = None
+        slots = checker._slots
+        for (
+            key, value, writer, status, intermediate,
+            readers, overwriters, rmw_seen, pending,
+        ) in _rows(state["slots"], *_SLOT_COLUMNS):
+            if writer == _SEALED_WRITER:
+                slots[(key, value)] = _SEALED
+                continue
+            slot = slots[(key, value)] = _Slot()
+            slot.writer_id = writer
+            slot.writer_status = None if status is None else STATUS_FROM_CODE[status]
+            slot.intermediate_id = intermediate
+            slot.readers = list(readers)
+            slot.overwriters = list(overwriters)
+            slot.rmw_seen = [(tid, written) for tid, written in rmw_seen]
+            slot.pending = [(tid, writes) for tid, writes in pending]
+        checker._last_in_session = dict(
+            _rows(state["last_in_session"], "session", "txn")
         )
+        for source, target in _rows(state["base_preds"], "src", "dst"):
+            checker._base_preds[target][source] = None
+        for source, target, key in _rows(state["rw_succ"], "src", "dst", "key"):
+            checker._rw_succ[source].append((target, key))
+        checker._by_finish = list(_rows(state["rt"], "finish", "start", "txn"))
+        checker._by_start = sorted(
+            (start, finish, txn) for finish, start, txn in checker._by_finish
+        )
+        checker._rebuild_rt_aggregates()
+        checker._arrivals = deque(_column(state, "arrivals"))
+        for txn, key, value in _rows(state["overwrote"], "txn", "key", "value"):
+            checker._overwrote.setdefault(txn, []).append((key, value))
+        checker._sealed_fifo = deque(_rows(state["sealed_fifo"], "key", "value"))
         return checker
 
     # ------------------------------------------------------------------
@@ -1240,12 +1292,14 @@ class IncrementalChecker:
             self._rebuild_rt_aggregates()
 
 
-class CheckerSession:
-    """Streaming verification session: the facade over the incremental core.
+class CheckerSession(IncrementalChecker):
+    """Streaming verification session: the incremental checker plus sugar.
 
-    Obtained from :meth:`repro.core.checker.MTChecker.session`.  The session
-    is a context manager, and calling it is the same as :meth:`ingest`, so it
-    plugs directly into the workload runner's live-checking hook:
+    Obtained from :meth:`repro.core.checker.MTChecker.session`.  It *is* an
+    :class:`IncrementalChecker` — ``ingest``/``ingest_segment``/``result``/
+    ``checkpoint``/``restore`` are the checker's own — that is also a context
+    manager, and calling it is the same as :meth:`ingest`, so it plugs
+    directly into the workload runner's live-checking hook:
 
         >>> from repro import Database, MTChecker, MTWorkloadGenerator
         >>> from repro import IsolationLevel, run_workload
@@ -1260,64 +1314,6 @@ class CheckerSession:
         True
     """
 
-    def __init__(
-        self,
-        level: IsolationLevel,
-        *,
-        initial_keys: Optional[Iterable[str]] = None,
-        window: Optional[int] = None,
-        strict_mt: bool = False,
-    ) -> None:
-        self._checker = IncrementalChecker(
-            level,
-            initial_keys=initial_keys,
-            window=window,
-            strict_mt=strict_mt,
-        )
-
-    # Delegation -------------------------------------------------------
-    @property
-    def level(self) -> IsolationLevel:
-        return self._checker.level
-
-    @property
-    def checker(self) -> IncrementalChecker:
-        """The underlying :class:`IncrementalChecker` (graph, counters)."""
-        return self._checker
-
-    @property
-    def satisfied(self) -> bool:
-        return self._checker.satisfied
-
-    @property
-    def violations(self) -> List[Violation]:
-        return self._checker.violations
-
-    @property
-    def num_ingested(self) -> int:
-        return self._checker.num_ingested
-
-    def ingest(self, txn: Transaction) -> List[Violation]:
-        """Feed one transaction; return the violations it triggered."""
-        return self._checker.ingest(txn)
-
-    def ingest_round(self, txns: Iterable[Transaction]) -> List[Violation]:
-        """Feed a round of transactions (Cobra-style round-based checking)."""
-        return self._checker.ingest_round(txns)
-
-    def ingest_segment(
-        self,
-        segment: "ColumnarHistory",
-        *,
-        on_row_violations: Optional[
-            Callable[[int, List[Violation]], object]
-        ] = None,
-    ) -> List[Violation]:
-        """Feed one columnar segment epoch (bulk, object-free ingestion)."""
-        return self._checker.ingest_segment(
-            segment, on_row_violations=on_row_violations
-        )
-
     def ingest_history(self, history: History, *, index=None) -> CheckResult:
         """Stream a complete history in canonical order; return the verdict.
 
@@ -1327,25 +1323,9 @@ class CheckerSession:
         replayed instead of re-scanning the raw sessions.
         """
         for txn in stream_order(history, index=index):
-            self._checker.ingest(txn)
+            self.ingest(txn)
         return self.result()
 
-    def result(self) -> CheckResult:
-        """Current verdict; the stream may continue afterwards."""
-        return self._checker.result()
-
-    def checkpoint(self) -> Dict[str, Any]:
-        """Serialise the session state (see :meth:`IncrementalChecker.checkpoint`)."""
-        return self._checker.checkpoint()
-
-    @classmethod
-    def restore(cls, state: Dict[str, Any]) -> "CheckerSession":
-        """Resume a session from a :meth:`checkpoint` snapshot."""
-        session = cls.__new__(cls)
-        session._checker = IncrementalChecker.restore(state)
-        return session
-
-    # Hook / context-manager sugar ------------------------------------
     def __call__(self, txn: Transaction) -> List[Violation]:
         return self.ingest(txn)
 

@@ -83,6 +83,12 @@ _EPOCH_DIGITS = 5
 #: Checkpoints retained per log: the newest plus one fallback, so a crash
 #: mid-checkpoint-write never strands the verifier without a valid one.
 _CHECKPOINTS_KEPT = 2
+#: Deflate level of checkpoint payloads — a constant, not a knob.  Measured
+#: (CHANGES.md, PR 15; window 512/2048 x SER/SI/SSER x 3 seeds) under the rule
+#: "no larger than the same session's row-encoded v1 file, cheapest level that
+#: holds it": 1-2 grow the SI file, 3 holds but costs more than 4 (zlib turns
+#: lazy matching on at 4), 4 is 10-28 % smaller at 1/11-1/18 of level 9's time.
+_CHECKPOINT_COMPRESSLEVEL = 4
 
 
 class EpochLogError(ValueError):
@@ -644,8 +650,10 @@ class EpochLog:
         """Persist a verifier snapshot taken after ``epochs`` whole epochs.
 
         The file is CRC-framed (a half-written checkpoint fails
-        validation and is skipped by :meth:`latest_checkpoint`), written
-        atomically, and the newest two checkpoints are kept.
+        validation and is skipped by :meth:`checkpoints`), written
+        atomically, and the newest two checkpoints are kept.  The payload
+        is the gzipped JSON of ``state`` at a fixed deflate level
+        (``_CHECKPOINT_COMPRESSLEVEL``): there is no format or level option.
         """
         write_started = time.perf_counter()
         payload = gzip.compress(
@@ -653,6 +661,7 @@ class EpochLog:
                 {"epochs": epochs, "transactions": transactions, "state": state},
                 separators=(",", ":"),
             ).encode("utf-8"),
+            compresslevel=_CHECKPOINT_COMPRESSLEVEL,
             mtime=0,
         )
         header = json.dumps(
@@ -677,23 +686,27 @@ class EpochLog:
             "repro_epochlog_checkpoint_write_seconds",
             time.perf_counter() - write_started,
         )
+        obs.set_gauge("repro_epochlog_checkpoint_bytes", len(payload))
         return path
 
     def _checkpoint_paths(self) -> List[Path]:
         return sorted(self.directory.glob("checkpoint-*.ckpt"))
 
-    def latest_checkpoint(self) -> Optional[CheckpointInfo]:
-        """The newest checkpoint that validates, or ``None``.
+    def checkpoints(self) -> Iterator[CheckpointInfo]:
+        """Every kept checkpoint that validates, newest first.
 
-        Torn or corrupt checkpoint files are skipped (never fatal): the
-        fallback copy kept by :meth:`save_checkpoint` takes over, and with
-        no valid checkpoint at all the verifier replays from epoch 0.
+        Torn or corrupt files are skipped (never fatal).  Whether ``state``
+        is *usable* is :meth:`IncrementalChecker.restore`'s call, so a
+        verifier walks this until one restores, else replays from epoch 0.
         """
         for path in reversed(self._checkpoint_paths()):
             decoded = self._decode_checkpoint(path)
             if decoded is not None:
-                return decoded
-        return None
+                yield decoded
+
+    def latest_checkpoint(self) -> Optional[CheckpointInfo]:
+        """The newest checkpoint that validates (first of :meth:`checkpoints`), or ``None``."""
+        return next(self.checkpoints(), None)
 
     @staticmethod
     def _decode_checkpoint(path: Path) -> Optional[CheckpointInfo]:
@@ -717,7 +730,8 @@ class EpochLog:
                 path=path,
                 state=body["state"],
             )
-        except (OSError, ValueError, KeyError, TypeError, EOFError):
+        except (OSError, ValueError, KeyError, TypeError, EOFError, zlib.error):
+            # zlib.error: a CRC-valid frame around an undecodable deflate body.
             return None
 
     # ------------------------------------------------------------------

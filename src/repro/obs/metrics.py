@@ -120,6 +120,8 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "counter", "Epoch segments loaded (mmap or copy) by readers"),
     "repro_epochlog_checkpoint_write_seconds": (
         "histogram", "Verifier checkpoint persist time into the epoch log"),
+    "repro_epochlog_checkpoint_bytes": (
+        "gauge", "Payload size of the last verifier checkpoint written"),
     # Segment writer (single-file columnar sink).
     "repro_segment_rows_written_total": (
         "counter", "Rows persisted through SegmentWriter"),

@@ -496,6 +496,68 @@ class TestEpochLogCommands:
         third = capsys.readouterr().out
         assert code == 0 and "resumed" not in third
 
+    @staticmethod
+    def _reframe_checkpoints(path, edit, *, newest_only=False):
+        """Pass kept checkpoint states through ``edit``; re-save CRC-valid."""
+        from repro.history.epochlog import EpochLog
+
+        log = EpochLog.open(path)
+        for ckpt in list(log.checkpoints())[: 1 if newest_only else None]:
+            state = dict(ckpt.state)
+            edit(state)
+            log.save_checkpoint(state, epochs=ckpt.epochs, transactions=ckpt.transactions)
+
+    def test_watch_treats_old_format_checkpoints_as_a_miss(self, tmp_path, capsys):
+        path = tmp_path / "history.epochs"
+        assert self._generate(path) == 0
+        watch = ["watch", "--once", "--level", "si"]
+        assert main([*watch, "--checkpoint-every", "2", str(path)]) == 0
+        assert len(list(path.glob("checkpoint-*.ckpt"))) == 2
+        assert main([*watch, "--no-resume", str(path)]) == 0
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        assert "SATISFIED" in verdict
+
+        def as_v1(state):
+            state["format"] = "repro-checker-state-v1"
+
+        # The newest kept checkpoint is from an older build: skip it with a
+        # note, resume from the older kept one, same verdict.
+        self._reframe_checkpoints(path, as_v1, newest_only=True)
+        assert main([*watch, str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "note: skipping checkpoint at epoch" in out
+        assert "found format 'repro-checker-state-v1'" in out
+        assert "resumed from checkpoint" in out and "Traceback" not in out
+        assert out.splitlines()[-1] == verdict
+
+        # Both kept checkpoints unusable (old tag; right tag, truncated
+        # state): replay from epoch 0 with a note, same verdict.
+        self._reframe_checkpoints(path, lambda state: state.pop("slots", None))
+        assert main([*watch, str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "malformed checkpoint state" in out
+        assert "note: no usable checkpoint; replaying from epoch 0" in out
+        assert "resumed" not in out and "Traceback" not in out
+        assert out.splitlines()[-1] == verdict
+
+    def test_watch_refuses_old_format_checkpoints_over_a_retired_log(self, tmp_path, capsys):
+        path = tmp_path / "history.epochs"
+        assert self._generate(path) == 0
+        service = ["watch", "--once", "--level", "si", "--window", "24",
+                   "--checkpoint-every", "1"]
+        assert main([*service, "--retire", str(path)]) == 0
+        assert (path / "RETIRED").exists()
+        self._reframe_checkpoints(
+            path, lambda state: state.update(format="repro-checker-state-v1")
+        )
+        capsys.readouterr()
+        for supervise in ([], ["--supervise"]):
+            assert main([*service, *supervise, str(path)]) == 2
+            out = capsys.readouterr().out
+            assert "no usable checkpoint covers them" in out
+            assert "found format 'repro-checker-state-v1'" in out
+            assert "Traceback" not in out and "watch fault" not in out
+
     def test_watch_retires_epochs_behind_window(self, tmp_path, capsys):
         path = tmp_path / "history.epochs"
         assert self._generate(path) == 0

@@ -10,7 +10,10 @@ state an interrupted writer can leave behind (its writes are sequential:
 temp file, rename, manifest temp file, rename).
 """
 
+import gzip
+import json
 import random
+import zlib
 
 import pytest
 
@@ -19,6 +22,8 @@ from repro.core.incremental import CheckerSession, stream_order
 from repro.core.result import IsolationLevel
 from repro.history.columnar import ColumnarHistory
 from repro.history.epochlog import (
+    CHECKPOINT_FILE_FORMAT,
+    CHECKPOINT_MAGIC,
     MANIFEST_NAME,
     RETIRED_NAME,
     EpochLog,
@@ -240,8 +245,6 @@ class TestCrashRecovery:
             ]
 
     def test_sealed_file_without_manifest_entry_is_adopted(self, tmp_path, compress):
-        import json
-
         d, log = self._log_dir(tmp_path, compress)
         # Rewrite the manifest as if the writer died between the segment
         # rename and the manifest rename: the last entry never landed.
@@ -291,8 +294,6 @@ class TestCrashRecovery:
         and (c) let a reopened writer continue the stream to a verdict
         identical to a never-crashed run over the same transactions.
         """
-        import json
-
         for seed in range(12):
             rng = random.Random(seed)
             history = make_history(20 + seed, engine=rng.choice(["si", "rc"]))
@@ -390,6 +391,35 @@ class TestCheckpointResume:
         assert stream_format(log, SER, start_epoch=1, session=resumed) == stream_format(
             log, SER
         )
+
+    def test_corrupt_deflate_body_under_valid_crc_falls_back_to_previous(self, tmp_path):
+        # The frame is intact (magic, header, CRC over the payload) but the
+        # payload is not a deflate stream: gzip surfaces that as zlib.error,
+        # which must be a skip like any other corruption, never a traceback.
+        d = tmp_path / "body.epochs"
+        log = build_log(d, make_history(32), epoch_transactions=10)
+        session = CheckerSession(SER)
+        session.ingest_segment(log.load_epoch(0))
+        good = log.save_checkpoint(session.checkpoint(), epochs=1, transactions=10)
+        # A gzip member header followed by an invalid deflate block type.
+        payload = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff" + b"\xff" * 64
+        header = json.dumps(
+            {
+                "format": CHECKPOINT_FILE_FORMAT,
+                "epochs": 2,
+                "transactions": 20,
+                "crc32": zlib.crc32(payload),
+                "payload_bytes": len(payload),
+            }
+        ).encode("utf-8")
+        (d / "checkpoint-00002.ckpt").write_bytes(
+            CHECKPOINT_MAGIC + header + b"\n" + payload
+        )
+        with pytest.raises(zlib.error):
+            gzip.decompress(payload)
+        ckpt = log.latest_checkpoint()
+        assert ckpt is not None and ckpt.path == good and ckpt.epochs == 1
+        assert [c.epochs for c in log.checkpoints()] == [1]
 
     def test_no_valid_checkpoint_returns_none(self, tmp_path):
         d = tmp_path / "none.epochs"

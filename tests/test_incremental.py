@@ -19,6 +19,7 @@ from repro import Database, MTChecker, run_workload
 from repro.core.anomalies import anomaly_catalog
 from repro.core.checkers import MTHistoryError, check_ser, check_si, check_sser
 from repro.core.incremental import (
+    CHECKPOINT_STATE_FORMAT,
     CheckerSession,
     IncrementalChecker,
     PearceKellyOrder,
@@ -334,11 +335,10 @@ class TestWindowGC:
         history = generated_history(3, sessions=6, txns=80, objects=20)
         session = CheckerSession(SI, window=100)
         result = session.ingest_history(history)
-        checker = session.checker
         assert result.satisfied
-        assert checker.stale_reads == 0
-        assert checker.evicted_count > 0
-        assert checker.graph.num_nodes() <= 102  # window + ⊥T + slack
+        assert session.stale_reads == 0
+        assert session.evicted_count > 0
+        assert session.graph.num_nodes() <= 102  # window + ⊥T + slack
 
     def test_windowed_verdict_matches_batch_on_faulty_stream(self):
         from repro.db.faults import FaultPlan
@@ -574,11 +574,75 @@ class TestCheckpointRestore:
                 assert reports == base_reports, (level, cut, window)
                 assert fmt == base_format, (level, cut, window)
 
+    @pytest.mark.parametrize("window", [None, 8])
+    @pytest.mark.parametrize("level", [SER, SI, SSER])
+    def test_state_is_json_exact_and_shares_nothing_with_a_checker(self, level, window):
+        import json
+
+        stream = list(stream_order(generated_history(23, engine="rc", txns=12)))
+        cut = len(stream) // 2
+        head = CheckerSession(level, window=window)
+        for txn in stream[:cut]:
+            head.ingest(txn)
+        at_cut = head.result().format()
+        state = head.checkpoint()
+        assert state["format"] == CHECKPOINT_STATE_FORMAT == "repro-checker-state-v2"
+        # JSON-exact: lists (never tuples), string keys, nothing lossy.
+        text = json.dumps(state)
+        assert json.loads(text) == state
+        # The live checker moving on must not reach into the snapshot...
+        for txn in stream[cut:]:
+            head.ingest(txn)
+        assert json.dumps(state) == text
+        # ...nor may a checker restored from it, so one snapshot restores
+        # any number of times to the at-cut verdict and the same tail.
+        for _ in range(2):
+            resumed = CheckerSession.restore(state)
+            assert resumed.result().format() == at_cut
+            for txn in stream[cut:]:
+                resumed.ingest(txn)
+            assert json.dumps(state) == text
+            assert resumed.result().format() == head.result().format()
+
     def test_restore_rejects_unknown_snapshot_format(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="found format 'not-a-checker-state'"):
             CheckerSession.restore({"format": "not-a-checker-state"})
+        with pytest.raises(ValueError, match="found format 'repro-checker-state-v1'"):
+            CheckerSession.restore({"format": "repro-checker-state-v1", "slots": []})
         with pytest.raises(ValueError):
             IncrementalChecker.restore({})
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda state: state.pop("slots"),
+            lambda state: state["slots"].pop("readers"),
+            lambda state: state["graph"]["dst"].pop(),
+            lambda state: state["topo"].update(ord="0123"),
+            lambda state: state.update(rt=7),
+            lambda state: state.update(arrivals={"1": 2}),
+            lambda state: state.update(num_committed="many"),
+            lambda state: state.update(level="no-such-level"),
+            lambda state: state["graph"]["typ"].__setitem__(0, "XX"),
+            lambda state: state["slots"]["status"].__setitem__(0, 99),
+        ],
+        ids=[
+            "missing-table", "missing-column", "short-column", "column-not-a-list",
+            "table-not-a-dict", "arrivals-not-a-list", "mistyped-scalar",
+            "unknown-level", "unknown-edge-type", "unknown-status-code",
+        ],
+    )
+    def test_restore_reports_structural_damage_as_malformed_state(self, damage):
+        import copy
+
+        session = CheckerSession(SI, initial_keys=["x"], window=8)
+        session.ingest(Transaction(1, [read("x", 0), write("x", 1)]))
+        session.ingest(Transaction(2, [read("x", 1), write("x", 2)], session_id=1))
+        state = copy.deepcopy(session.checkpoint())
+        CheckerSession.restore(state)  # intact: restores
+        damage(state)
+        with pytest.raises(ValueError, match="malformed checkpoint state"):
+            CheckerSession.restore(state)
 
     def test_restored_session_keeps_streaming(self):
         session = CheckerSession(SER, initial_keys=["x"])

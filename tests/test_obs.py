@@ -355,6 +355,24 @@ class TestCLISurfaces:
         assert parsed["repro_watch_epoch_lag"] == 0
         assert not obs.enabled()
 
+    def test_watch_scrape_reports_last_checkpoint_payload_bytes(self, tmp_path, capsys):
+        # "Why is the verdict late?": the write-time histogram says how long
+        # the checkpoint epoch took, this gauge says how much it had to write.
+        path = tmp_path / "h.epochs"
+        assert self._generate_epochs(path) == 0
+        metrics = tmp_path / "metrics.prom"
+        assert main(
+            ["watch", "--once", "--level", "si", "--checkpoint-every", "2",
+             "--metrics-file", str(metrics), "--metrics-every", "0", str(path)]
+        ) == 0
+        capsys.readouterr()
+        newest = sorted(path.glob("checkpoint-*.ckpt"))[-1]
+        header = json.loads(newest.read_bytes().split(b"\n", 2)[1])
+        parsed = obs.parse_textfile(metrics.read_text())
+        assert parsed["repro_epochlog_checkpoint_bytes"] == header["payload_bytes"] > 0
+        assert parsed["repro_epochlog_checkpoint_write_seconds_count"] >= 1
+        assert obs.METRIC_CATALOG["repro_epochlog_checkpoint_bytes"][0] == "gauge"
+
     def test_watch_jsonl_metrics_file(self, tmp_path, capsys):
         path = tmp_path / "h.jsonl"
         assert main(
