@@ -11,8 +11,9 @@ The package provides:
   plus the runner that records histories;
 * :mod:`repro.baselines` — reimplementations of the baseline checkers
   (Cobra, PolySI, Porcupine, Elle, dbcop) used for comparison;
-* :mod:`repro.bench` — the experiment harness behind the ``benchmarks/``
-  suite reproducing the paper's tables and figures.
+* :mod:`repro.bench` — the harness behind the ``benchmarks/bench_*``
+  scripts reproducing the paper's tables and figures (this repository's own
+  performance benchmark is ``benchmarks/pipeline``, outside the package).
 """
 
 from .core import (

@@ -2,13 +2,11 @@
 
 The threaded :class:`~repro.adapters.collector.Collector` spends one OS
 thread per session and materialises a :class:`~repro.core.model.Transaction`
-per attempt, which BENCH_e2e shows is the end-to-end bottleneck (collection
-runs an order of magnitude slower than checking).  :class:`AsyncCollector`
-keeps the exact recording contract — it shares
-:class:`~repro.adapters.collector.CollectorBase` with the threaded
-collector, so clock stamping, txn-id allocation, unique written values and
-deadline bookkeeping literally cannot drift — but changes the execution
-model on both axes:
+per attempt.  :class:`AsyncCollector` keeps the exact recording contract —
+it shares :class:`~repro.adapters.collector.CollectorBase` with the
+threaded collector, so clock stamping, txn-id allocation, unique written
+values and deadline bookkeeping literally cannot drift — but changes the
+execution model on both axes:
 
 * **Coroutines, not threads.**  N logical sessions run as coroutines over
   a bounded worker budget (``max_inflight``); a native async adapter needs

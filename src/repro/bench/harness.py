@@ -6,6 +6,8 @@ Every benchmark in ``benchmarks/`` builds on the same few building blocks:
   under a given isolation engine and return the recorded history (the
   MT-history counterpart of the paper's PostgreSQL-generated histories);
 * :func:`generate_gt_history` — likewise for Cobra-style GT workloads;
+* :func:`make_disjoint_history` — a synthetic valid history, one shard per
+  key group (sharding tests, docs, examples);
 * :func:`end_to_end` — run generation and verification with a given checker
   and report the time/memory decomposition of Figures 10 and 17;
 * :data:`BENCH_SCALE` — a global scale factor (env var ``REPRO_BENCH_SCALE``)
@@ -18,7 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from ..core.model import History
+from ..core.model import History, Session, Transaction, read, write
 from ..core.result import CheckResult
 from ..db.database import Database
 from ..db.faults import FaultPlan
@@ -32,6 +34,7 @@ __all__ = [
     "scaled",
     "GeneratedHistory",
     "generate_mt_history",
+    "make_disjoint_history",
     "generate_gt_history",
     "EndToEndResult",
     "end_to_end",
@@ -82,6 +85,66 @@ def generate_mt_history(
         stats=result.stats,
         generation_seconds=result.stats.wall_seconds,
     )
+
+
+def make_disjoint_history(
+    *,
+    num_groups: int = 8,
+    sessions_per_group: int = 4,
+    txns_per_session: int = 100,
+    keys_per_group: int = 16,
+    timestamps: bool = False,
+) -> History:
+    """Synthesise a valid serializable history over disjoint key groups.
+
+    Each group owns its own key range and sessions; transactions are
+    read-modify-write mini-transactions over the group's keys, generated as
+    one serial interleaving per group, so the history satisfies SER/SI (and
+    SSER when ``timestamps`` is set).  The key-connectivity partitioner
+    splits it into exactly ``num_groups`` shards, which makes it the
+    canonical near-linear-speedup workload for the sharded executor.
+    """
+    sessions: List[Session] = []
+    txn_id = 1
+    value = 1
+    clock = 0.0
+    for group in range(num_groups):
+        keys = [f"g{group}:k{i}" for i in range(keys_per_group)]
+        latest = {key: 0 for key in keys}
+        group_sessions = [
+            Session(session_id=group * sessions_per_group + s)
+            for s in range(sessions_per_group)
+        ]
+        # One serial round-robin interleaving per group: every transaction
+        # reads the current values of two neighbouring group keys and
+        # installs a fresh value on the first.  The second (read-only) key
+        # chains the group's keys into a single connected component, so the
+        # partitioner yields exactly one shard per group.
+        for turn in range(txns_per_session):
+            for slot, session in enumerate(group_sessions):
+                key = keys[(turn + slot) % keys_per_group]
+                neighbour = keys[(turn + slot + 1) % keys_per_group]
+                operations = [read(key, latest[key])]
+                if neighbour != key:
+                    operations.append(read(neighbour, latest[neighbour]))
+                operations.append(write(key, value))
+                txn = Transaction(
+                    txn_id,
+                    operations,
+                    session_id=session.session_id,
+                )
+                if timestamps:
+                    txn.start_ts = clock
+                    txn.finish_ts = clock + 0.5
+                    clock += 1.0
+                latest[key] = value
+                value += 1
+                txn_id += 1
+                session.transactions.append(txn)
+        sessions.extend(group_sessions)
+    history = History(sessions)
+    history.ensure_initial_transaction()
+    return history
 
 
 def generate_gt_history(

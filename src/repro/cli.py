@@ -368,25 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     anomaly = subparsers.add_parser("anomaly", help="print a canonical anomaly history from the catalog")
     anomaly.add_argument("name", nargs="?", default=None, help="anomaly name (omit to list all)")
 
-    bench = subparsers.add_parser(
-        "bench", help="run the benchmark suites and write machine-readable BENCH_*.json"
-    )
-    bench.add_argument(
-        "--suite",
-        choices=["parallel", "incremental", "e2e", "service", "collect", "all"],
-        default="all",
-        help="which suite to run",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true", help="CI-sized workloads instead of full scale"
-    )
-    bench.add_argument(
-        "--output-dir",
-        default=".",
-        help="directory for BENCH_<suite>.json (default: current directory, "
-        "i.e. the repo root when run from a checkout)",
-    )
-
     return parser
 
 
@@ -481,7 +462,7 @@ def _check_epochlog(args: argparse.Namespace) -> int:
     if args.stream and args.workers is not None:
         print("error: --workers applies to batch checking; drop --stream to use it")
         return 2
-    log = EpochLog.open(args.history)
+    log = EpochLog.open_existing(args.history)
     if log.retired_through >= 0:
         print(
             f"error: {args.history}: epochs 0..{log.retired_through} were "
@@ -1155,11 +1136,15 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     the way back out).
     """
     source, destination = args.input, args.output
+    if os.path.exists(destination) and os.path.samefile(source, destination):
+        # Sources are read lazily while the destination is being written.
+        print(f"error: {source}: cannot convert a history onto itself")
+        return 2
 
     if is_segment_path(source):
         transactions = load_history_segment(source).iter_transactions()
     elif is_epochlog_path(source):
-        transactions = EpochLog.open(source).to_columns().iter_transactions()
+        transactions = EpochLog.open_existing(source).to_columns().iter_transactions()
     elif is_stream_path(source):
         transactions = iter_history_jsonl(source)
     else:
@@ -1220,38 +1205,6 @@ def _cmd_anomaly(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import os
-
-    from .bench.reporting import format_table
-    from .bench.suites import (
-        collect_benchmark,
-        e2e_benchmark,
-        incremental_benchmark,
-        parallel_benchmark,
-        service_benchmark,
-        write_benchmark_json,
-    )
-
-    suites = {
-        "parallel": parallel_benchmark,
-        "incremental": incremental_benchmark,
-        "e2e": e2e_benchmark,
-        "service": service_benchmark,
-        "collect": collect_benchmark,
-    }
-    selected = list(suites) if args.suite == "all" else [args.suite]
-    # Fail on an unwritable destination before minutes of benchmarking, not after.
-    os.makedirs(args.output_dir, exist_ok=True)
-    for name in selected:
-        payload = suites[name](smoke=args.smoke)
-        path = os.path.join(args.output_dir, f"BENCH_{name}.json")
-        write_benchmark_json(payload, path)
-        print(format_table(payload["rows"], f"{name} benchmark"))
-        print(f"wrote {path}")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -1277,8 +1230,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return _cmd_convert(args)
             if args.command == "anomaly":
                 return _cmd_anomaly(args)
-            if args.command == "bench":
-                return _cmd_bench(args)
     except BrokenPipeError:
         return 1  # stdout consumer (e.g. `| head`) went away mid-report
     except (OSError, EOFError) as exc:

@@ -172,8 +172,13 @@ def _atomic_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+#: What the log's own file names start with: only their ``.{name}.tmp`` staging
+#: files are swept — the directory may hold files that are not the log's.
+_OWN_NAMES = (_EPOCH_PREFIX, "checkpoint-", MANIFEST_NAME, RETIRED_NAME, INDEX_CACHE_NAME)
+
+
 def _sweep_stale_tmp(directory: Path) -> int:
-    """Remove orphaned ``.*.tmp`` files left by a crash mid-seal.
+    """Remove orphaned staging files left by a crash mid-seal.
 
     Every atomic write in the log uses a ``.{name}.tmp`` staging file; a
     writer killed between the write and the rename strands it.  Stranded
@@ -186,6 +191,8 @@ def _sweep_stale_tmp(directory: Path) -> int:
     """
     swept = 0
     for tmp in directory.glob(".*.tmp"):
+        if not tmp.name[1:].startswith(_OWN_NAMES):
+            continue
         try:
             tmp.unlink()
             swept += 1
@@ -480,6 +487,17 @@ class EpochLog:
         _sweep_stale_tmp(path)
         retired = _read_retired(path)
         return cls(path, _recover_entries(path, retired), retired)
+
+    @classmethod
+    def open_existing(cls, directory: Union[str, Path]) -> "EpochLog":
+        """:meth:`open` for readers of a finished history (``repro check`` /
+        ``convert``): a directory with neither a manifest nor an epoch segment
+        never was a log, and is refused before it is swept or cached into."""
+        path = Path(directory)
+        if path.is_dir() and not (path / MANIFEST_NAME).exists():
+            if not any(path.glob(f"{_EPOCH_PREFIX}*.seg*")):
+                raise EpochLogError(f"{path}: not an epoch log")
+        return cls.open(path)
 
     def __len__(self) -> int:
         return len(self.epochs)

@@ -59,6 +59,15 @@ __all__ = [
 
 STREAM_FORMAT = "repro-history-stream-v1"
 
+# What a wrongly shaped JSON value raises when indexed or iterated; files come
+# from outside, so decoders turn these into ``ValueError`` (CLI: exit 2).
+_STRUCTURAL = (AttributeError, KeyError, TypeError)
+
+
+def _malformed(what: str, exc: Exception) -> ValueError:
+    detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ValueError(f"malformed history: {what}: {detail}")
+
 
 # ----------------------------------------------------------------------
 # Transactional histories
@@ -82,17 +91,22 @@ def history_to_dict(history: History) -> Dict[str, Any]:
 
 def history_from_dict(payload: Dict[str, Any]) -> History:
     """Reconstruct a history from :func:`history_to_dict` output."""
-    if payload.get("format") != "repro-history-v1":
-        raise ValueError("unrecognised history format")
-    sessions = []
-    for session_payload in payload.get("sessions", []):
-        session = Session(session_id=session_payload["session_id"])
-        for txn_payload in session_payload.get("transactions", []):
-            session.transactions.append(_txn_from_dict(txn_payload))
-        sessions.append(session)
-    initial = payload.get("initial_transaction")
-    initial_txn = _txn_from_dict(initial) if initial is not None else None
-    return History(sessions=sessions, initial_transaction=initial_txn)
+    try:
+        if payload.get("format") != "repro-history-v1":
+            raise ValueError("unrecognised history format")
+        sessions = []
+        for session_payload in payload.get("sessions", []):
+            session = Session(session_id=session_payload["session_id"])
+            if type(session.session_id) is not int:
+                raise TypeError("session_id must be an integer")
+            for txn_payload in session_payload.get("transactions", []):
+                session.transactions.append(_txn_from_dict(txn_payload))
+            sessions.append(session)
+        initial = payload.get("initial_transaction")
+        initial_txn = _txn_from_dict(initial) if initial is not None else None
+        return History(sessions=sessions, initial_transaction=initial_txn)
+    except _STRUCTURAL as exc:
+        raise _malformed("document", exc) from None
 
 
 def save_history(history: History, path: Union[str, Path]) -> None:
@@ -122,18 +136,26 @@ def transaction_to_dict(txn: Transaction) -> Dict[str, Any]:
 
 def transaction_from_dict(payload: Dict[str, Any]) -> Transaction:
     """Reconstruct one transaction from :func:`transaction_to_dict` output."""
-    operations = [
-        Operation(OpType(op["op"]), op["key"], op["value"])
-        for op in payload.get("operations", [])
-    ]
-    return Transaction(
-        txn_id=payload["txn_id"],
-        operations=operations,
-        session_id=payload.get("session_id", 0),
-        status=TransactionStatus(payload.get("status", "committed")),
-        start_ts=payload.get("start_ts"),
-        finish_ts=payload.get("finish_ts"),
-    )
+    try:
+        operations = []
+        for op in payload.get("operations", []):
+            key, value = op["key"], op["value"]
+            if not isinstance(key, (str, int)) or not isinstance(value, (int, type(None))):
+                raise TypeError(f"operation {op!r} needs a scalar key and an integer value")
+            operations.append(Operation(OpType(op["op"]), key, value))
+        txn_id, session_id = payload["txn_id"], payload.get("session_id", 0)
+        if type(txn_id) is not int or type(session_id) is not int:
+            raise TypeError("txn_id and session_id must be integers")
+        return Transaction(
+            txn_id=txn_id,
+            operations=operations,
+            session_id=session_id,
+            status=TransactionStatus(payload.get("status", "committed")),
+            start_ts=payload.get("start_ts"),
+            finish_ts=payload.get("finish_ts"),
+        )
+    except _STRUCTURAL as exc:
+        raise _malformed("transaction record", exc) from None
 
 
 # Backwards-compatible aliases for the original private helpers.
@@ -394,23 +416,26 @@ def lwt_history_to_dict(history: LWTHistory) -> Dict[str, Any]:
 
 def lwt_history_from_dict(payload: Dict[str, Any]) -> LWTHistory:
     """Reconstruct an LWT history from :func:`lwt_history_to_dict` output."""
-    if payload.get("format") != "repro-lwt-history-v1":
-        raise ValueError("unrecognised LWT history format")
-    operations: List[LWTOperation] = []
-    for op in payload.get("operations", []):
-        operations.append(
-            LWTOperation(
-                op_id=op["op_id"],
-                kind=LWTKind(op["kind"]),
-                key=op["key"],
-                expected=op.get("expected"),
-                written=op["written"],
-                start_ts=op.get("start_ts", 0.0),
-                finish_ts=op.get("finish_ts", 0.0),
-                session_id=op.get("session_id", 0),
+    try:
+        if payload.get("format") != "repro-lwt-history-v1":
+            raise ValueError("unrecognised LWT history format")
+        operations: List[LWTOperation] = []
+        for op in payload.get("operations", []):
+            operations.append(
+                LWTOperation(
+                    op_id=op["op_id"],
+                    kind=LWTKind(op["kind"]),
+                    key=op["key"],
+                    expected=op.get("expected"),
+                    written=op["written"],
+                    start_ts=op.get("start_ts", 0.0),
+                    finish_ts=op.get("finish_ts", 0.0),
+                    session_id=op.get("session_id", 0),
+                )
             )
-        )
-    return LWTHistory(operations=operations)
+        return LWTHistory(operations=operations)
+    except _STRUCTURAL as exc:
+        raise _malformed("LWT document", exc) from None
 
 
 def save_lwt_history(history: LWTHistory, path: Union[str, Path]) -> None:

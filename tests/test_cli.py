@@ -21,6 +21,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate"])
 
+    def test_bench_is_not_a_command(self):
+        # Performance is measured by benchmarks/pipeline, outside the package.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+
 
 class TestGenerateAndCheck:
     def test_generate_then_check_valid_history(self, tmp_path, capsys):
@@ -266,6 +272,23 @@ class TestSegmentAndConvertCommands:
         assert main(["check", "--level", "si", str(doc)]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name", ["h.jsonl", "h.seg", "h.epochs"])
+    def test_convert_onto_itself_is_refused(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        assert self._generate(path) == 0
+
+        def snapshot():
+            files = [path] if path.is_file() else sorted(path.iterdir())
+            return [(f.name, f.read_bytes()) for f in files]
+
+        before = snapshot()
+        (tmp_path / "sub").mkdir()
+        alias = tmp_path / "sub" / ".." / name  # same file, another spelling
+        for destination in (path, alias):
+            assert main(["convert", str(path), str(destination)]) == 2
+            assert "onto itself" in capsys.readouterr().out
+        assert snapshot() == before
+
     def test_gzip_jsonl_checks_and_watches(self, tmp_path, capsys):
         path = tmp_path / "history.jsonl.gz"
         assert self._generate(path) == 0
@@ -288,6 +311,47 @@ class TestSegmentAndConvertCommands:
         assert code == 0
         assert main(["check", "--level", "ser", str(path)]) == 0
         capsys.readouterr()
+
+
+def _document(*transactions):
+    session = {"session_id": 0, "transactions": list(transactions)}
+    return {"format": "repro-history-v1", "sessions": [session]}
+
+
+_NO_TXN_ID = {"operations": []}
+_NO_KEY = {"txn_id": 1, "operations": [{"op": "r", "value": 1}]}
+#: shape -> (the .json document, the .jsonl line after a valid header)
+_MALFORMED = {
+    "top-level-array": ([1, 2], [1, 2]),
+    "list-field-is-an-int": (
+        {"format": "repro-history-v1", "sessions": 5},
+        {"txn_id": 1, "operations": 5},
+    ),
+    "transaction-is-an-int": (_document(7), 7),
+    "transaction-without-txn-id": (_document(_NO_TXN_ID), _NO_TXN_ID),
+    "operation-without-key": (_document(_NO_KEY), _NO_KEY),
+    "txn-id-is-a-list": (_document({"txn_id": [1]}), {"txn_id": [1]}),
+}
+
+
+class TestMalformedHistories:
+    """Bad structure is a usage error (exit 2), never a traceback or exit 1."""
+
+    @pytest.mark.parametrize("shape", sorted(_MALFORMED))
+    @pytest.mark.parametrize("route", ["check", "check --stream", "watch --once"])
+    def test_structural_damage_exits_2_on_every_route(
+        self, shape, route, tmp_path, capsys
+    ):
+        document, line = _MALFORMED[shape]
+        if route.startswith("watch"):
+            path = tmp_path / "bad.jsonl"
+            header = json.dumps({"format": "repro-history-stream-v1"})
+            path.write_text(f"{header}\n{json.dumps(line)}\n")
+        else:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(document))
+        assert main([*route.split(), "--level", "ser", str(path)]) == 2
+        assert "error: malformed history: " in capsys.readouterr().out
 
 
 class TestVersionFlag:
@@ -369,19 +433,6 @@ class TestCollectCommand:
         out = tmp_path / "h.json"
         assert main(["collect", "--workers", "4", "--output", str(out)]) == 2
         assert "--workers applies to verification" in capsys.readouterr().out
-
-
-class TestBenchE2E:
-    def test_bench_e2e_smoke_writes_json(self, tmp_path, capsys):
-        code = main(
-            ["bench", "--suite", "e2e", "--smoke", "--output-dir", str(tmp_path)]
-        )
-        assert code == 0
-        payload = json.loads((tmp_path / "BENCH_e2e.json").read_text())
-        assert payload["suite"] == "e2e"
-        configs = {row["config"] for row in payload["rows"]}
-        assert "sqlite-wal" in configs and "sqlite-chaos-lost-write" in configs
-        assert all(row["collect_txn_per_s"] > 0 for row in payload["rows"])
 
 
 class TestAnomalyCommand:
@@ -620,16 +671,20 @@ class TestEpochLogCommands:
         assert main(["check", str(tmp_path / "absent.epochs")]) == 2
         assert "not an epoch log directory" in capsys.readouterr().out
 
+    def test_check_refuses_a_directory_that_is_not_a_log(self, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        (plain / ".editor.tmp").write_text("unsaved")
+        (plain / "notes.txt").write_text("not a history")
+        for extra in ([], ["--stream"]):
+            assert main(["check", "--level", "ser", *extra, str(plain)]) == 2
+            assert "not an epoch log" in capsys.readouterr().out
+        assert sorted(f.name for f in plain.iterdir()) == [".editor.tmp", "notes.txt"]
 
-class TestBenchService:
-    def test_bench_service_smoke_writes_json(self, tmp_path, capsys):
-        code = main(
-            ["bench", "--suite", "service", "--smoke", "--output-dir", str(tmp_path)]
-        )
-        assert code == 0
-        payload = json.loads((tmp_path / "BENCH_service.json").read_text())
-        assert payload["suite"] == "service"
-        for row in payload["rows"]:
-            assert row["verdicts_equal"] is True
-            assert row["resume_s"] < row["full_replay_s"]
-        capsys.readouterr()
+    def test_watch_follows_a_directory_not_populated_yet(self, tmp_path, capsys):
+        empty = tmp_path / "soon.epochs"
+        empty.mkdir()
+        (empty / ".editor.tmp").write_text("not the log's staging file")
+        assert main(["watch", "--once", "--level", "ser", str(empty)]) == 0
+        assert "SATISFIED (0 transactions)" in capsys.readouterr().out
+        assert (empty / ".editor.tmp").exists()

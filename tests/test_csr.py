@@ -177,24 +177,3 @@ class TestKernelMatchesReference:
                 with_rt=with_rt,
                 transitive_ww=transitive_ww,
             )
-
-
-# ----------------------------------------------------------------------
-# Bench suite plumbing
-# ----------------------------------------------------------------------
-class TestParallelBenchmark:
-    def test_parallel_rows_marked_advisory_beyond_cpu_count(self, monkeypatch):
-        import repro.bench.suites as suites
-
-        monkeypatch.setattr(suites.os, "cpu_count", lambda: 1)
-        payload = suites.parallel_benchmark(
-            smoke=True, workers=(1, 2), levels=("ser",), sizes=[80]
-        )
-        speedup_rows = [r for r in payload["rows"] if r["kind"] == "speedup"]
-        by_workers = {row["workers"]: row for row in speedup_rows}
-        assert by_workers[1]["advisory"] is False
-        assert by_workers[2]["advisory"] is True
-        # The executor clamps rather than oversubscribes: the advisory row
-        # records that it effectively ran on one worker.
-        assert by_workers[2]["workers_effective"] == 1
-        assert all(row["cpu_count"] == 1 for row in speedup_rows)

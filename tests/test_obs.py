@@ -230,7 +230,7 @@ class TestTrace:
 
 class TestWorkerMetrics:
     def _disjoint_history(self, shards=4, txns=6):
-        from repro.bench.suites import make_disjoint_history
+        from repro.bench import make_disjoint_history
 
         return make_disjoint_history(
             num_groups=shards, sessions_per_group=2, txns_per_session=txns,
@@ -444,21 +444,3 @@ class TestCLISurfaces:
         )
         assert not obs.tracing()
 
-
-class TestBenchEnvStamp:
-    def test_environment_metadata_fields(self):
-        from repro.bench.env import environment_metadata
-
-        meta = environment_metadata()
-        assert meta["cpu_count"] >= 1
-        assert meta["python_version"]
-        assert meta["platform"]
-
-    def test_written_benchmarks_are_stamped(self, tmp_path):
-        from repro.bench import write_benchmark_json
-
-        path = tmp_path / "BENCH_x.json"
-        write_benchmark_json({"suite": "x"}, str(path))
-        payload = json.loads(path.read_text())
-        assert payload["suite"] == "x"
-        assert payload["env"]["python_version"]

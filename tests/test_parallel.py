@@ -8,8 +8,6 @@ SER/SI/SSER, all simulated engines, injected faults, and composite
 histories with disjoint key groups and cross-shard session orders.
 """
 
-import json
-
 import pytest
 
 from repro.bench import generate_mt_history, make_disjoint_history
@@ -359,21 +357,3 @@ class TestCli:
         code = repro_main(["check", "--stream", "--workers", "2", "whatever.json"])
         assert code == 2
         assert "--workers" in capsys.readouterr().out
-
-    def test_bench_smoke_writes_json(self, tmp_path, capsys):
-        code = repro_main(
-            [
-                "bench", "--suite", "parallel", "--smoke",
-                "--output-dir", str(tmp_path),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        payload = json.loads((tmp_path / "BENCH_parallel.json").read_text())
-        assert payload["suite"] == "parallel" and payload["rows"]
-        speedup_rows = [r for r in payload["rows"] if r["kind"] == "speedup"]
-        assert speedup_rows
-        assert all(row["verdict"] for row in speedup_rows)
-        assert all(row["verdicts_equal"] for row in speedup_rows)
-        assert any(r["kind"] == "index-reuse" for r in payload["rows"])
-        assert "speedup" in out or "parallel" in out

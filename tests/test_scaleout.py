@@ -306,6 +306,7 @@ class TestWorkerGovernance:
         # Attributed to the caller of check_parallel, not to executor internals.
         assert [w.filename for w in caught] == [__file__]
         assert reg.value("repro_executor_workers_requested") == 8
+        assert reg.value("repro_executor_workers_effective") <= 2
         assert result.satisfied == MTChecker().verify(history, SSER).satisfied
 
     def test_no_warning_within_cpu_budget(self, monkeypatch):
