@@ -414,7 +414,7 @@ def _check_segment(args: argparse.Namespace) -> int:
     if args.stream and args.workers is not None:
         print("error: --workers applies to batch checking; drop --stream to use it")
         return 2
-    # Memory-map uncompressed segments: O(1) load, and with --workers the
+    # Memory-map uncompressed segments: copy-free load, and with --workers the
     # shard payloads degenerate to (path, rows) references the workers
     # re-map themselves — one physical copy of the history, fleet-wide.
     mappable = not str(args.history).lower().endswith(".gz")

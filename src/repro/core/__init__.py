@@ -13,7 +13,7 @@ from .incremental import (
     PearceKellyOrder,
     stream_order,
 )
-from .index import HistoryIndex, ReadRecord, VersionEntry
+from .index import HistoryIndex, ReadRecord
 from .intcheck import check_internal_consistency
 from .lwt import LWTHistory, LWTKind, LWTOperation, check_linearizability, check_object_linearizability
 from .mini import is_mini_transaction, is_mt_history, validate_mt_history
@@ -61,7 +61,6 @@ __all__ = [
     "Session",
     "Transaction",
     "TransactionStatus",
-    "VersionEntry",
     "Violation",
     "anomaly_catalog",
     "anomaly_history",

@@ -157,7 +157,7 @@ class CSRGraph:
         ``array('i')`` columns instead of allocating ``Edge``-labeled dict
         entries.  Only the index's *dense* accessors are consumed
         (``committed_txn_ids`` / ``session_order_id_pairs`` /
-        ``real_time_id_pairs`` / ``iter_read_edges``), so on a
+        ``real_time_id_pairs`` / ``read_columns``), so on a
         columnar-built index (:meth:`HistoryIndex.from_columns`) the whole
         build runs without materialising a single ``Transaction``.
         """
@@ -199,12 +199,20 @@ class CSRGraph:
         wr_key = array("i")
         ww_succ: Dict[int, List[int]] = {}
         ww_pairs_per_key: Dict[int, List[Tuple[int, int]]] = {}
-        for reader_id, k, writer_id, writer_committed, writes_key in index.iter_read_edges():
-            if not writer_committed or writer_id == reader_id:
+        # Reads arrive as columns keyed by scan position; ``node_of`` maps a
+        # position straight to its graph node (-1: not committed).
+        node_of = [-1] * len(index.txn_ids)
+        for node, pos in enumerate(map(index.txn_dense.__getitem__, graph.node_ids)):
+            node_of[pos] = node
+        reader_pos, read_kid, _, writer_pos, read_rmw, _ = index.read_columns
+        for rp, k, wp, writes_key in zip(reader_pos, read_kid, writer_pos, read_rmw):
+            if wp < 0 or wp == rp:
                 # Read-provenance anomalies are reported by the INT pre-pass.
                 continue
-            w = dense[writer_id]
-            r = dense[reader_id]
+            w = node_of[wp]
+            if w < 0:
+                continue
+            r = node_of[rp]
             src_append(w)
             dst_append(r)
             et_append(_WR)

@@ -351,6 +351,12 @@ class IncrementalChecker:
     * for SI, the induced graph ``(SO ∪ WR ∪ WW) ; RW?`` is composed
       edge-by-edge and the DIVERGENCE pattern is matched per read.
 
+    A committed transaction whose id is still a live node is refused
+    (``ValueError("malformed history: duplicate transaction id N")``): two
+    transactions under one id would share a node and the cycle between them
+    vanish as a self-edge.  Under ``window`` an id that eviction already
+    removed can no longer be recognised as a repeat.
+
     Example:
         >>> from repro import IsolationLevel, Transaction, read, write
         >>> from repro.core.incremental import IncrementalChecker
@@ -559,6 +565,8 @@ class IncrementalChecker:
             self._register_ops_writes(ops, key_names, txn_id, status)
             return
         committed = status is TransactionStatus.COMMITTED
+        if committed and txn_id in self._topo:
+            raise ValueError(f"malformed history: duplicate transaction id {txn_id}")
         if self.strict_mt:
             if txn is None:
                 txn = segment.transaction_at(row)

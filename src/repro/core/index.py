@@ -20,8 +20,8 @@ history-scanning entry point for the batch pipeline:
 * every committed transaction's external reads are resolved to writer /
   RMW-flag / written-value tuples, which is all ``BUILDDEPENDENCY``, the
   DIVERGENCE scan, and the polygraph encoders need;
-* session order, real-time order, per-key version chains, the INT verdict,
-  and the MT-validation verdict are computed once and cached.
+* session order, real-time order, the INT verdict, and the MT-validation
+  verdict are computed once and cached.
 
 There is **one construction path**: :meth:`build` is the door.  A
 :class:`~repro.history.columnar.ColumnarHistory` segment goes straight to
@@ -32,13 +32,15 @@ from the caller's own ``Transaction`` objects so ``index.history is
 history`` and labelled counterexamples keep object identity.
 
 The index stores its resolved structures *densely* (integer transaction
-positions, interned key ids, flat read tuples).  The object-facing API —
+positions, interned key ids, int-keyed write slots, flat read columns) —
+nothing the scan retains is a per-row container, so building it never
+wakes the generational collector.  The object-facing API —
 ``committed``, ``iter_read_records``, ``history``, ``final_writer``
 returning a ``Transaction`` — materialises lazily and is only paid for by
 consumers that actually need objects (the reference multigraph builder,
 cycle labeling on the reject path, the solver baselines).  The dense kernel
 (:mod:`repro.core.csr`) consumes the integer accessors
-(:meth:`committed_txn_ids <HistoryIndex>`, :meth:`iter_read_edges`,
+(:meth:`committed_txn_ids <HistoryIndex>`, :attr:`read_columns`,
 :meth:`session_order_id_pairs`, :meth:`real_time_id_pairs`) exclusively.
 
 The intended usage is one :meth:`build` per ``MTChecker.verify`` call,
@@ -57,6 +59,7 @@ import sys
 import time
 import zlib
 from array import array
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -87,7 +90,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 __all__ = [
     "ReadRecord",
-    "VersionEntry",
     "HistoryIndex",
     "INDEX_WIRE_FORMAT",
     "INDEX_CACHE_MAGIC",
@@ -95,7 +97,7 @@ __all__ = [
 
 #: Version tag of the dense-index wire format (bumped on layout changes;
 #: mismatching cache files are silently rebuilt, never misread).
-INDEX_WIRE_FORMAT = "repro-history-index-v2"
+INDEX_WIRE_FORMAT = "repro-history-index-v3"
 
 #: File magic of the CRC-framed on-disk index cache.
 INDEX_CACHE_MAGIC = b"REPROIDX1\n"
@@ -108,7 +110,6 @@ _WIRE_BUFFERS: Tuple[Tuple[str, str], ...] = (
     ("txn_ids", "q"),
     ("session_of", "q"),
     ("status_of", "b"),
-    ("committed_mask", "b"),
     ("txn_key_offsets", "q"),
     ("txn_key_ids", "i"),
     ("final_kid", "i"),
@@ -126,6 +127,7 @@ _WIRE_BUFFERS: Tuple[Tuple[str, str], ...] = (
     ("read_writes_key", "b"),
     ("read_written_value", "q"),
     ("read_written_has", "b"),
+    ("int_candidates", "q"),
     ("row_order", "q"),
     ("so_pairs", "q"),
     ("rt_pairs", "q"),
@@ -136,6 +138,8 @@ _WIRE_TYPECODES: Dict[str, str] = dict(_WIRE_BUFFERS)
 #: truth: :data:`repro.core.model.STATUS_CODES`).
 _COMMITTED_CODE = STATUS_CODES[TransactionStatus.COMMITTED]
 _ABORTED_CODE = STATUS_CODES[TransactionStatus.ABORTED]
+#: ``bytes.translate`` table: a status column becomes its committed mask.
+_COMMITTED_TABLE = bytes(code == _COMMITTED_CODE for code in range(256))
 
 
 class ReadRecord(NamedTuple):
@@ -157,15 +161,6 @@ class ReadRecord(NamedTuple):
     writer: Optional[Transaction]
     writes_key: bool
     written_value: Optional[int]
-
-
-class VersionEntry(NamedTuple):
-    """One version of an object: its writer plus the observers of the version."""
-
-    value: Optional[int]
-    writer_id: int
-    reader_ids: Tuple[int, ...]
-    overwriter_ids: Tuple[int, ...]
 
 
 class HistoryIndex:
@@ -248,8 +243,7 @@ class HistoryIndex:
         #: Dense id per object key: ``key_names[dense] == key``.
         self.key_names: List[str] = []
         self.key_dense: Dict[str, int] = {}
-        #: Per dense transaction: sorted dense key ids it touches.
-        self.txn_keys: List[List[int]] = []
+        self._txn_keys: Optional[List[List[int]]] = None
 
         #: Transaction ids of committed transactions (``⊥T`` included),
         #: in scan order — the dense kernel's node universe.
@@ -257,18 +251,29 @@ class HistoryIndex:
         self.committed_ids: Set[int] = set()
 
         # Dense core: positions index the scan order (same order as
-        # ``transactions``); reads resolve to writer positions.
+        # ``transactions``); reads resolve to writer positions.  Nothing
+        # here is a per-row container: write slots are keyed by the int
+        # ``value * _radix + key_id`` (``_radix`` exceeds every key id, so
+        # floor division inverts it for negative values too; the rare
+        # ``None``-valued writes sit in ``*_none`` by key id), and the
+        # resolved reads are six parallel columns.  Ints are invisible to
+        # the generational collector, which is what keeps the scan linear.
         self._committed_pos: List[int] = []
         self._committed_non_initial_pos: List[int] = []
         self._committed_mask = bytearray()
         self._status_of = bytearray()
         self._session_of: List[int] = []
-        self._final_pos: Dict[Tuple[int, Optional[int]], int] = {}
-        self._intermediate_pos: Dict[Tuple[int, Optional[int]], int] = {}
-        #: position -> [(key_id, value, writer_pos | -1, writes_key, written_value)]
-        self._reads_dense: Dict[
-            int, List[Tuple[int, Optional[int], int, bool, Optional[int]]]
-        ] = {}
+        self._radix = 1
+        self._final_pos: Dict[int, int] = {}
+        self._final_none: Dict[int, int] = {}
+        self._intermediate_pos: Dict[int, int] = {}
+        self._intermediate_none: Dict[int, int] = {}
+        #: ``(reader_pos, key_id, value, writer_pos | -1, writes_key,
+        #: written_value)`` columns in ascending reader position — the
+        #: ``read_*`` layout of :data:`_WIRE_BUFFERS`.
+        self._reads_dense: Tuple[List[Any], ...] = ([], [], [], [], [], [])
+        #: Positions the scan flagged for the object-level INT check.
+        self._int_candidates: List[int] = []
         self._has_initial = False
 
         # Columnar backend state (lazy object materialisation).
@@ -287,20 +292,27 @@ class HistoryIndex:
         self._rt_id_pairs: Dict[bool, List[Tuple[int, int]]] = {}
         self._int_violations: Optional[list] = None
         self._mt_problems: Optional[list] = None
-        self._versions: Optional[Dict[str, List[VersionEntry]]] = None
         self._stream: Optional[List[Transaction]] = None
 
     # ------------------------------------------------------------------
     # Construction: columnar scan
     # ------------------------------------------------------------------
     def _scan_columns(self) -> None:
-        """Single pass over the flat columns; no objects are allocated.
+        """The one pass over the flat columns: index *and* INT pre-pass.
 
-        The ``array`` columns are expanded to plain lists up front —
-        ``list(array)`` boxes every element once in C, where indexing the
-        array inside the Python loop would box on every access — and the
-        per-row op walk zips over list slices, which is the fastest pure-
-        Python iteration shape available.
+        Fills the writer maps, emits the resolved-read columns and flags
+        the rows that can hold an INT/provenance violation, without
+        allocating an object that outlives its row.  The ``array`` columns
+        are expanded to plain lists up front — ``list(array)`` boxes every
+        element once in C, where indexing the array inside the Python loop
+        would box on every access — and rows are walked by op index: at the
+        two or three operations a mini-transaction has, slicing and zipping
+        the columns per row costs more than subscripting them.
+
+        A row is a candidate exactly when
+        :func:`repro.core.intcheck._check_transaction` could report
+        something (the rules are listed there); :meth:`int_violations`
+        hands only those rows to that object-level check.
         """
         cols = self._columns
         assert cols is not None
@@ -310,18 +322,18 @@ class HistoryIndex:
         offsets = list(cols.op_offsets)
         kinds = list(cols.op_kinds)
         op_keys = list(cols.op_keys)
-        op_values = list(cols.op_values)
-        op_has = list(cols.op_has_value)
+        values: List[Optional[int]] = list(cols.op_values)
+        if 0 in cols.op_has_value:
+            values = [v if has else None for v, has in zip(values, cols.op_has_value)]
         col_key_names = cols.key_names
 
         # Scan order: ``⊥T`` first, then rows grouped by ascending session
         # id (per-session row order preserved) — the transaction order of
         # ``columns.to_history()``.
-        n = len(col_txn_ids)
         initial_rows: List[int] = []
         session_rows: Dict[int, List[int]] = {}
-        for row in range(n):
-            if col_txn_ids[row] == INITIAL_TXN_ID:
+        for row, txn_id in enumerate(col_txn_ids):
+            if txn_id == INITIAL_TXN_ID:
                 initial_rows.append(row)
             else:
                 session_rows.setdefault(col_sessions[row], []).append(row)
@@ -330,104 +342,128 @@ class HistoryIndex:
             order.extend(session_rows[sid])
         self._row_order = order
         self._has_initial = bool(initial_rows)
+        self._fill_positions(
+            [col_txn_ids[row] for row in order],
+            [col_sessions[row] for row in order],
+            bytearray([col_statuses[row] for row in order]),
+        )
+        if len(self.txn_dense) != len(order):
+            seen: Set[int] = set()
+            twice = next(t for t in self.txn_ids if t in seen or seen.add(t))
+            raise ValueError(f"malformed history: duplicate transaction id {twice}")
 
         # Columnar key ids are re-interned in scan order, so key numbering
         # depends on the history alone, not on the segment's append order.
         remap = [-1] * len(col_key_names)
         key_dense = self.key_dense
         key_names = self.key_names
-        txn_ids = self.txn_ids
-        txn_dense = self.txn_dense
-        txn_keys_out = self.txn_keys
-        committed_txn_ids = self.committed_txn_ids
-        committed_ids = self.committed_ids
-        committed_pos = self._committed_pos
-        committed_non_initial_pos = self._committed_non_initial_pos
-        committed_mask = self._committed_mask
-        status_of = self._status_of
-        session_of = self._session_of
-        intermediate_pos = self._intermediate_pos
+        radix = self._radix = len(col_key_names) + 1
         final_pos = self._final_pos
-        raw: Dict[int, List[Tuple[int, Optional[int], bool, Optional[int]]]] = {}
-        # Per-row scratch containers are reused across rows (cleared, not
-        # reallocated): five fresh containers per row would dominate the
-        # scan at six-figure transaction counts.
-        keys_here: Set[int] = set()
+        final_none = self._final_none
+        intermediate_pos = self._intermediate_pos
+        intermediate_none = self._intermediate_none
+        r_pos, r_kid, r_value, r_writer, r_rmw, r_written = self._reads_dense
+        candidates: Set[int] = set()
+        flag = candidates.add
+        # Per-row scratch is reused across rows (cleared, not reallocated):
+        # ``last`` holds the value of the row's last op per key, reads
+        # included; ``last_write`` that of its last write.
+        last: Dict[int, Optional[int]] = {}
         last_write: Dict[int, Optional[int]] = {}
-        written: Set[int] = set()
-        read_keys: Set[int] = set()
-        pos = -1
-        for row in order:
-            txn_id = col_txn_ids[row]
-            status = col_statuses[row]
-            committed = status == _COMMITTED_CODE
-            is_initial = txn_id == INITIAL_TXN_ID
-            pos += 1
-            txn_ids.append(txn_id)
-            txn_dense[txn_id] = pos
-            committed_mask.append(1 if committed else 0)
-            status_of.append(status)
-            session_of.append(col_sessions[row])
-            if committed:
-                committed_txn_ids.append(txn_id)
-                committed_ids.add(txn_id)
-                committed_pos.append(pos)
-                if not is_initial:
-                    committed_non_initial_pos.append(pos)
-
-            keys_here.clear()
+        tracked = bytearray(self._committed_mask)
+        tracked[: len(initial_rows)] = bytes(len(initial_rows))  # ``⊥T`` reads nothing
+        for pos, row in enumerate(order):
+            track = tracked[pos]
+            overwrote = False
+            last.clear()
             last_write.clear()
-            written.clear()
-            read_keys.clear()
-            reads: Optional[List[Tuple[int, Optional[int]]]] = None
-            lo, hi = offsets[row], offsets[row + 1]
-            for kind, ckid, boxed, has in zip(
-                kinds[lo:hi], op_keys[lo:hi], op_values[lo:hi], op_has[lo:hi]
-            ):
-                kid = remap[ckid]
+            first_read = len(r_kid)
+            for op in range(offsets[row], offsets[row + 1]):
+                value = values[op]
+                kid = remap[op_keys[op]]
                 if kid < 0:
-                    kid = len(key_names)
-                    remap[ckid] = kid
+                    ckid = op_keys[op]
+                    kid = remap[ckid] = len(key_names)
                     key_dense[col_key_names[ckid]] = kid
                     key_names.append(col_key_names[ckid])
-                keys_here.add(kid)
-                value: Optional[int] = boxed if has else None
-                if kind:  # write
+                if kinds[op]:  # write
                     if kid in last_write:
-                        intermediate_pos[(kid, last_write[kid])] = pos
-                    last_write[kid] = value
-                    written.add(kid)
-                elif (
-                    kid not in written
-                    and kid not in read_keys
-                    and value is not None
-                ):
-                    read_keys.add(kid)
-                    if reads is None:
-                        reads = [(kid, value)]
-                    else:
-                        reads.append((kid, value))
+                        overwrote = True
+                        overwritten = last_write[kid]
+                        if overwritten is None:
+                            intermediate_none[kid] = pos
+                        else:
+                            intermediate_pos[overwritten * radix + kid] = pos
+                    last[kid] = last_write[kid] = value
+                elif track:
+                    if kid not in last:  # external position
+                        if value is None:
+                            flag(pos)
+                        else:
+                            r_pos.append(pos)
+                            r_kid.append(kid)
+                            r_value.append(value)
+                    elif last[kid] != value:
+                        flag(pos)  # NotMyLastWrite/NotMyOwnWrite/NonRepeatable
+                        if (
+                            value is not None
+                            and kid not in last_write
+                            and kid not in r_kid[first_read:]
+                        ):
+                            # Every earlier read of the key was valueless:
+                            # this is Transaction.external_reads()'s read.
+                            r_pos.append(pos)
+                            r_kid.append(kid)
+                            r_value.append(value)
+                    last[kid] = value
             for kid, value in last_write.items():
-                final_pos[(kid, value)] = pos
-            if reads is not None and committed and not is_initial:
-                raw[pos] = [
-                    (kid, value, kid in written, last_write.get(kid))
-                    for kid, value in reads
-                ]
-            txn_keys_out.append(sorted(keys_here))
-        self._resolve_reads(raw)
+                if value is None:
+                    final_none[kid] = pos
+                else:
+                    final_pos[value * radix + kid] = pos
+            for slot in range(first_read, len(r_kid)):
+                kid = r_kid[slot]
+                written = last_write.get(kid)
+                r_rmw.append(kid in last_write)
+                r_written.append(written)
+                # FutureRead: the row itself writes the value it read.
+                if written == r_value[slot] or (
+                    overwrote
+                    and intermediate_pos.get(r_value[slot] * radix + kid) == pos
+                ):
+                    flag(pos)
 
-    def _resolve_reads(
-        self, raw: Dict[int, List[Tuple[int, Optional[int], bool, Optional[int]]]]
-    ) -> None:
-        """Second pass: attribute every external read to its writer position."""
-        final_pos = self._final_pos
-        reads_dense = self._reads_dense
-        for pos, entries in raw.items():
-            reads_dense[pos] = [
-                (kid, value, final_pos.get((kid, value), -1), writes_key, written)
-                for kid, value, writes_key, written in entries
+        # Writer attribution stays a second pass — in the session-grouped
+        # scan order a reader may precede its writer — but over reads only.
+        # Provenance candidates: ThinAir/Intermediate (no final writer) and
+        # AbortedRead; a reader that is its own writer was flagged above.
+        final_get = final_pos.get
+        r_writer.extend([final_get(v * radix + k, -1) for k, v in zip(r_kid, r_value)])
+        status_of = self._status_of
+        candidates.update(
+            [
+                reader
+                for reader, writer in zip(r_pos, r_writer)
+                if writer < 0 or status_of[writer] == _ABORTED_CODE
             ]
+        )
+        self._int_candidates = sorted(candidates)
+
+    def _fill_positions(
+        self, txn_ids: List[int], session_of: List[int], status_of: bytearray
+    ) -> None:
+        """Derive every per-position table from the three scan-order columns."""
+        self.txn_ids = txn_ids
+        self.txn_dense = dict(zip(txn_ids, range(len(txn_ids))))
+        self._session_of = session_of
+        self._status_of = status_of
+        self._committed_mask = status_of.translate(_COMMITTED_TABLE)
+        self._committed_pos = [pos for pos, c in enumerate(self._committed_mask) if c]
+        self.committed_txn_ids = [txn_ids[pos] for pos in self._committed_pos]
+        self.committed_ids = set(self.committed_txn_ids)
+        self._committed_non_initial_pos = [
+            pos for pos in self._committed_pos if txn_ids[pos] != INITIAL_TXN_ID
+        ]
 
     # ------------------------------------------------------------------
     # Object layer (lazy; seeded by build() from a History's own objects)
@@ -472,6 +508,25 @@ class HistoryIndex:
         return self._columns
 
     @property
+    def txn_keys(self) -> List[List[int]]:
+        """Per dense transaction: the sorted dense key ids it touches.
+
+        Derived from the columns on first use — only the shard partitioner
+        and the wire ask, so the accept path never builds a list per row.
+        """
+        if self._txn_keys is None:
+            cols = self._columns
+            assert cols is not None
+            remap = [self.key_dense.get(name, -1) for name in cols.key_names]
+            offsets = cols.op_offsets
+            op_keys = cols.op_keys
+            self._txn_keys = [
+                sorted({remap[ckid] for ckid in op_keys[offsets[row]:offsets[row + 1]]})
+                for row in self._row_order
+            ]
+        return self._txn_keys
+
+    @property
     def committed(self) -> List[Transaction]:
         """All committed transactions including ``⊥T`` (scan order)."""
         if self._committed_txns is None:
@@ -492,31 +547,40 @@ class HistoryIndex:
     # ------------------------------------------------------------------
     def final_writer(self, key: str, value: Optional[int]) -> Optional[Transaction]:
         """The transaction whose final write on ``key`` has ``value``."""
-        kid = self.key_dense.get(key)
-        if kid is None:
-            return None
-        pos = self._final_pos.get((kid, value))
-        return None if pos is None else self._txn_at(pos)
+        return self._writer(key, value, self._final_pos, self._final_none)
 
     def intermediate_writer(self, key: str, value: Optional[int]) -> Optional[Transaction]:
         """The transaction that wrote ``value`` to ``key`` as a non-final write."""
+        return self._writer(key, value, self._intermediate_pos, self._intermediate_none)
+
+    def _writer(
+        self, key: str, value: Optional[int], slots: Dict[int, int], nones: Dict[int, int]
+    ) -> Optional[Transaction]:
         kid = self.key_dense.get(key)
         if kid is None:
             return None
-        pos = self._intermediate_pos.get((kid, value))
+        pos = nones.get(kid) if value is None else slots.get(value * self._radix + kid)
         return None if pos is None else self._txn_at(pos)
 
     # ------------------------------------------------------------------
-    # Resolved provenance and version chains
+    # Resolved provenance
     # ------------------------------------------------------------------
+    @property
+    def read_columns(self) -> Tuple[List[Any], ...]:
+        """The resolved reads as six parallel columns ``(reader_pos, key_id,
+        value, writer_pos | -1, writes_key, written_value)`` — ascending
+        reader position, program order within a reader (treat as read-only)."""
+        return self._reads_dense
+
     def external_reads(self, txn_id: int) -> List[ReadRecord]:
         """The resolved external reads of a committed transaction."""
         records = self._reads.get(txn_id)
         if records is None:
             pos = self.txn_dense.get(txn_id)
-            dense = None if pos is None else self._reads_dense.get(pos)
-            if dense is None:
+            if pos is None:
                 return []
+            readers = self._reads_dense[0]
+            lo, hi = bisect_left(readers, pos), bisect_right(readers, pos)
             key_names = self.key_names
             records = [
                 ReadRecord(
@@ -526,7 +590,9 @@ class HistoryIndex:
                     writes_key=writes_key,
                     written_value=written_value,
                 )
-                for kid, value, writer_pos, writes_key, written_value in dense
+                for kid, value, writer_pos, writes_key, written_value in zip(
+                    *(column[lo:hi] for column in self._reads_dense[1:])
+                )
             ]
             self._reads[txn_id] = records
         return records
@@ -559,33 +625,13 @@ class HistoryIndex:
         """All resolved reads in (transaction, program) scan order.
 
         Materialises ``Transaction`` objects on a columnar-built index; the
-        dense kernel uses :meth:`iter_read_edges` instead.
+        dense kernel reads :attr:`read_columns` instead.
         """
         txn_ids = self.txn_ids
         for pos in self._committed_non_initial_pos:
             txn = self._txn_at(pos)
             for record in self.external_reads(txn_ids[pos]):
                 yield txn, record
-
-    def iter_read_edges(self) -> Iterator[Tuple[int, int, int, bool, bool]]:
-        """Resolved reads as flat tuples — the dense kernel's input.
-
-        Yields ``(reader_txn_id, key_id, writer_txn_id, writer_committed,
-        reader_writes_key)`` for every read whose writer exists, in the same
-        order as :meth:`iter_read_records`.  No objects are materialised.
-        """
-        txn_ids = self.txn_ids
-        mask = self._committed_mask
-        reads_dense = self._reads_dense
-        for pos in self._committed_non_initial_pos:
-            entries = reads_dense.get(pos)
-            if not entries:
-                continue
-            reader = txn_ids[pos]
-            for kid, _value, writer_pos, writes_key, _written in entries:
-                if writer_pos < 0:
-                    continue
-                yield reader, kid, txn_ids[writer_pos], bool(mask[writer_pos]), writes_key
 
     def iter_read_tuples(
         self,
@@ -597,60 +643,15 @@ class HistoryIndex:
         """
         txn_ids = self.txn_ids
         key_names = self.key_names
-        reads_dense = self._reads_dense
-        for pos in self._committed_non_initial_pos:
-            entries = reads_dense.get(pos)
-            if not entries:
-                continue
-            reader = txn_ids[pos]
-            for kid, value, writer_pos, writes_key, written_value in entries:
-                yield (
-                    reader,
-                    key_names[kid],
-                    value,
-                    txn_ids[writer_pos] if writer_pos >= 0 else None,
-                    writes_key,
-                    written_value,
-                )
-
-    def version_chains(self) -> Dict[str, List[VersionEntry]]:
-        """Per-key version chains: writer plus readers/overwriters per version.
-
-        Versions appear in the order their committed writers were scanned;
-        only committed writers anchor a version (reads of aborted or unborn
-        values are provenance anomalies, not versions).
-        """
-        if self._versions is None:
-            txn_ids = self.txn_ids
-            key_names = self.key_names
-            mask = self._committed_mask
-            readers: Dict[Tuple[str, Optional[int]], List[int]] = {}
-            overwriters: Dict[Tuple[str, Optional[int]], List[int]] = {}
-            for pos in self._committed_non_initial_pos:
-                for kid, value, writer_pos, writes_key, _written in self._reads_dense.get(
-                    pos, ()
-                ):
-                    if writer_pos < 0 or not mask[writer_pos] or writer_pos == pos:
-                        continue
-                    slot = (key_names[kid], value)
-                    readers.setdefault(slot, []).append(txn_ids[pos])
-                    if writes_key:
-                        overwriters.setdefault(slot, []).append(txn_ids[pos])
-            final_writes = self._ensure_final_writes()
-            chains: Dict[str, List[VersionEntry]] = {}
-            for pos in self._committed_pos:
-                txn_id = txn_ids[pos]
-                for key, value in final_writes.get(txn_id, {}).items():
-                    chains.setdefault(key, []).append(
-                        VersionEntry(
-                            value=value,
-                            writer_id=txn_id,
-                            reader_ids=tuple(readers.get((key, value), ())),
-                            overwriter_ids=tuple(overwriters.get((key, value), ())),
-                        )
-                    )
-            self._versions = chains
-        return self._versions
+        for pos, kid, value, writer_pos, writes_key, written in zip(*self._reads_dense):
+            yield (
+                txn_ids[pos],
+                key_names[kid],
+                value,
+                txn_ids[writer_pos] if writer_pos >= 0 else None,
+                writes_key,
+                written,
+            )
 
     # ------------------------------------------------------------------
     # Orders
@@ -751,65 +752,22 @@ class HistoryIndex:
     def int_violations(self) -> list:
         """The INT/read-provenance pre-pass verdict (cached).
 
-        The pre-pass runs column-natively: a flat scan classifies each
-        committed row, and only rows that actually contain a candidate
-        anomaly are handed (as ``Transaction`` objects) to the object-level
-        classification of :mod:`repro.core.intcheck` — zero allocations on
-        the accept path.
+        The scan already was the pre-pass: only the rows it flagged are
+        handed (as ``Transaction`` objects) to the object-level
+        classification of :mod:`repro.core.intcheck`, so the reported
+        violations are exactly those of
+        :func:`~repro.core.intcheck.check_internal_consistency` and the
+        accept path materialises nothing.
         """
         if self._int_violations is None:
             from . import intcheck
 
-            violations: list = []
-            for pos in self._committed_non_initial_pos:
-                if self._row_has_int_candidate(pos):
-                    violations.extend(
-                        intcheck._check_transaction(self._txn_at(pos), self)
-                    )
-            self._int_violations = violations
+            self._int_violations = [
+                violation
+                for pos in self._int_candidates
+                for violation in intcheck._check_transaction(self._txn_at(pos), self)
+            ]
         return self._int_violations
-
-    def _row_has_int_candidate(self, pos: int) -> bool:
-        """Whether the row can contribute an INT/provenance violation.
-
-        A row returning ``False`` provably yields no violation; a row
-        returning ``True`` is re-checked at the object level, so the
-        reported violations are exactly those of
-        :func:`~repro.core.intcheck.check_internal_consistency`.  The
-        intra-transactional trigger is the shared
-        :func:`~repro.core.intcheck.ops_int_candidate` (kept next to the
-        check it mirrors); the provenance trigger below mirrors
-        :func:`~repro.core.intcheck.provenance_violation` against the
-        dense write index.
-        """
-        from .intcheck import ops_int_candidate
-
-        cols = self._columns
-        assert cols is not None
-        row = self._row_order[pos]
-        ops = list(cols.row_ops(row))
-        if ops_int_candidate(ops):
-            return True
-
-        # Provenance: every external-position read (first op of the row on
-        # its key — FutureReads were caught above) must resolve to a
-        # non-aborted final writer other than the reader itself.
-        col_names = cols.key_names
-        key_dense = self.key_dense
-        final_pos = self._final_pos
-        status_of = self._status_of
-        seen: Set[int] = set()
-        for kind, ckid, value in ops:
-            if ckid in seen:
-                continue
-            seen.add(ckid)
-            if kind:
-                continue
-            kid = key_dense[col_names[ckid]]
-            writer = final_pos.get((kid, value), -1)
-            if writer < 0 or writer == pos or status_of[writer] == _ABORTED_CODE:
-                return True  # ThinAir / Intermediate / AbortedRead
-        return False
 
     def mt_problems(self) -> list:
         """The MT-history validation verdict (cached).
@@ -842,48 +800,41 @@ class HistoryIndex:
         buffers["txn_ids"].extend(self.txn_ids)
         buffers["session_of"].extend(self._session_of)
         buffers["status_of"].frombytes(bytes(self._status_of))
-        buffers["committed_mask"].frombytes(bytes(self._committed_mask))
 
         offsets = buffers["txn_key_offsets"]
         offsets.append(0)
         key_ids = buffers["txn_key_ids"]
-        total = 0
         for kids in self.txn_keys:
             key_ids.extend(kids)
-            total += len(kids)
-            offsets.append(total)
+            offsets.append(len(key_ids))
 
-        for prefix, slots in (
-            ("final", self._final_pos),
-            ("inter", self._intermediate_pos),
+        radix = self._radix
+        for prefix, slots, nones in (
+            ("final", self._final_pos, self._final_none),
+            ("inter", self._intermediate_pos, self._intermediate_none),
         ):
-            kid_col = buffers[f"{prefix}_kid"]
-            val_col = buffers[f"{prefix}_value"]
-            has_col = buffers[f"{prefix}_has_value"]
-            pos_col = buffers[f"{prefix}_pos"]
-            for (kid, value), pos in slots.items():
-                kid_col.append(kid)
-                val_col.append(0 if value is None else value)
-                has_col.append(0 if value is None else 1)
-                pos_col.append(pos)
+            buffers[f"{prefix}_kid"].extend([code % radix for code in slots])
+            buffers[f"{prefix}_value"].extend([code // radix for code in slots])
+            buffers[f"{prefix}_has_value"].frombytes(b"\x01" * len(slots))
+            buffers[f"{prefix}_pos"].extend(slots.values())
+            buffers[f"{prefix}_kid"].extend(nones)
+            buffers[f"{prefix}_value"].extend([0] * len(nones))
+            buffers[f"{prefix}_has_value"].frombytes(bytes(len(nones)))
+            buffers[f"{prefix}_pos"].extend(nones.values())
 
-        reader_col = buffers["read_reader_pos"]
-        rkid_col = buffers["read_kid"]
-        rval_col = buffers["read_value"]
-        writer_col = buffers["read_writer_pos"]
-        rmw_col = buffers["read_writes_key"]
-        written_col = buffers["read_written_value"]
-        written_has = buffers["read_written_has"]
-        for pos in sorted(self._reads_dense):
-            for kid, value, writer_pos, writes_key, written in self._reads_dense[pos]:
-                reader_col.append(pos)
-                rkid_col.append(kid)
-                rval_col.append(value)
-                writer_col.append(writer_pos)
-                rmw_col.append(1 if writes_key else 0)
-                written_col.append(0 if written is None else written)
-                written_has.append(0 if written is None else 1)
+        r_pos, r_kid, r_value, r_writer, r_rmw, r_written = self._reads_dense
+        buffers["read_reader_pos"].extend(r_pos)
+        buffers["read_kid"].extend(r_kid)
+        buffers["read_value"].extend(r_value)
+        buffers["read_writer_pos"].extend(r_writer)
+        buffers["read_writes_key"].extend(r_rmw)
+        buffers["read_written_value"].extend([0 if v is None else v for v in r_written])
+        buffers["read_written_has"].extend([v is not None for v in r_written])
 
+        # The INT pre-pass ships as its candidate rows: a clean index
+        # carries none, a dirty one re-classifies them from the columns
+        # handed to :meth:`from_wire` (violations carry object descriptions).
+        buffers["int_candidates"].extend(self._int_candidates)
         buffers["row_order"].extend(self._row_order)
         for a, b in self.session_order_id_pairs():
             buffers["so_pairs"].append(a)
@@ -891,19 +842,10 @@ class HistoryIndex:
         for a, b in self.real_time_id_pairs(reduced=True):
             buffers["rt_pairs"].append(a)
             buffers["rt_pairs"].append(b)
-
-        # Force (and ship) the INT pre-pass verdict when it is clean: a
-        # rehydrated index then skips the whole scan.  A dirty (or
-        # unknowable) pre-pass is NOT shipped — violations carry object
-        # descriptions, so consumers recompute them from the attached
-        # columns instead.
-        knowable = self._int_violations is not None or self._columns is not None
-        int_clean = knowable and not self.int_violations()
         return {
             "format": INDEX_WIRE_FORMAT,
             "key_names": list(self.key_names),
             "has_initial": self._has_initial,
-            "int_clean": int_clean,
             "buffers": {name: buf.tobytes() for name, buf in buffers.items()},
         }
 
@@ -954,34 +896,25 @@ class HistoryIndex:
         type(self).wire_loads += 1
         obs.inc("repro_index_wire_loads_total")
 
-        self.txn_ids = list(cols["txn_ids"])
-        self.txn_dense = {txn_id: pos for pos, txn_id in enumerate(self.txn_ids)}
+        self._fill_positions(
+            list(cols["txn_ids"]),
+            list(cols["session_of"]),
+            bytearray(cols["status_of"].tobytes()),
+        )
         self.key_names = list(wire["key_names"])
         self.key_dense = {name: kid for kid, name in enumerate(self.key_names)}
-        self._session_of = list(cols["session_of"])
-        self._status_of = bytearray(cols["status_of"].tobytes())
-        self._committed_mask = bytearray(cols["committed_mask"].tobytes())
         self._has_initial = bool(wire["has_initial"])
 
         offsets = cols["txn_key_offsets"]
         key_ids = list(cols["txn_key_ids"])
-        self.txn_keys = [
+        self._txn_keys = [
             key_ids[offsets[i]:offsets[i + 1]] for i in range(len(offsets) - 1)
         ]
 
-        for pos, (txn_id, committed) in enumerate(
-            zip(self.txn_ids, self._committed_mask)
-        ):
-            if committed:
-                self.committed_txn_ids.append(txn_id)
-                self.committed_ids.add(txn_id)
-                self._committed_pos.append(pos)
-                if txn_id != INITIAL_TXN_ID:
-                    self._committed_non_initial_pos.append(pos)
-
-        for prefix, slots in (
-            ("final", self._final_pos),
-            ("inter", self._intermediate_pos),
+        radix = self._radix = len(self.key_names) + 1
+        for prefix, slots, nones in (
+            ("final", self._final_pos, self._final_none),
+            ("inter", self._intermediate_pos, self._intermediate_none),
         ):
             for kid, value, has, pos in zip(
                 cols[f"{prefix}_kid"],
@@ -989,32 +922,24 @@ class HistoryIndex:
                 cols[f"{prefix}_has_value"],
                 cols[f"{prefix}_pos"],
             ):
-                slots[(kid, value if has else None)] = pos
+                if has:
+                    slots[value * radix + kid] = pos
+                else:
+                    nones[kid] = pos
 
-        # ``to_wire`` emits read rows grouped by ascending reader position,
-        # so one bucket lookup per run (not per row) suffices.
-        reads_dense = self._reads_dense
-        current_pos = -1
-        bucket: List[Tuple[int, int, int, bool, Optional[int]]] = []
-        for pos, kid, value, writer_pos, writes_key, written, has_written in zip(
-            cols["read_reader_pos"],
-            cols["read_kid"],
-            cols["read_value"],
-            cols["read_writer_pos"],
-            cols["read_writes_key"],
-            cols["read_written_value"],
-            cols["read_written_has"],
-        ):
-            if pos != current_pos:
-                bucket = reads_dense.setdefault(pos, [])
-                current_pos = pos
-            bucket.append(
-                (kid, value, writer_pos, bool(writes_key), written if has_written else None)
-            )
-
+        self._reads_dense = (
+            list(cols["read_reader_pos"]),
+            list(cols["read_kid"]),
+            list(cols["read_value"]),
+            list(cols["read_writer_pos"]),
+            list(map(bool, cols["read_writes_key"])),
+            [
+                value if has else None
+                for value, has in zip(cols["read_written_value"], cols["read_written_has"])
+            ],
+        )
+        self._int_candidates = list(cols["int_candidates"])
         self._row_order = list(cols["row_order"])
-        if wire.get("int_clean"):
-            self._int_violations = []
         so = list(cols["so_pairs"])
         self._session_id_pairs = list(zip(so[0::2], so[1::2]))
         rt = list(cols["rt_pairs"])
@@ -1040,7 +965,6 @@ class HistoryIndex:
                 "fingerprint": fingerprint,
                 "key_names": wire["key_names"],
                 "has_initial": wire["has_initial"],
-                "int_clean": wire["int_clean"],
                 "buffers": [
                     [name, code, len(buffers[name])] for name, code in _WIRE_BUFFERS
                 ],
@@ -1127,7 +1051,6 @@ class HistoryIndex:
                     "format": INDEX_WIRE_FORMAT,
                     "key_names": header["key_names"],
                     "has_initial": header["has_initial"],
-                    "int_clean": header.get("int_clean", False),
                     "buffers": buffers,
                 },
                 columns=columns,
@@ -1157,10 +1080,6 @@ class HistoryIndex:
     def is_committed_pos(self, pos: int) -> bool:
         """Whether the transaction at dense position ``pos`` committed."""
         return bool(self._committed_mask[pos])
-
-    def keys_of(self, txn_id: int) -> List[str]:
-        """The object keys a transaction touches (via the dense interning)."""
-        return [self.key_names[k] for k in self.txn_keys[self.txn_dense[txn_id]]]
 
     def __repr__(self) -> str:
         return (

@@ -84,9 +84,8 @@ def check_internal_consistency(
     of some transaction or to the reader's own preceding write).
 
     This is the object-level reference of the pre-pass (and dbcop's);
-    the batch pipeline runs the same per-transaction classification behind
-    a column-native filter in
-    :meth:`repro.core.index.HistoryIndex.int_violations`.
+    the batch pipeline runs the same per-transaction classification on the
+    rows its column scan flagged (see :func:`_check_transaction`).
     """
     lookup = write_index if write_index is not None else build_write_index(history)
     violations: List[Violation] = []
@@ -96,6 +95,20 @@ def check_internal_consistency(
 
 
 def _check_transaction(txn: Transaction, index: WriteIndex) -> List[Violation]:
+    """Every INT/provenance violation of one committed transaction.
+
+    :class:`~repro.core.index.HistoryIndex` calls this for *candidate* rows
+    only.  Its column scan flags a row exactly when one of these holds, so
+    an unflagged row provably reports nothing here:
+
+    * a read whose last same-key operation in the row holds another value
+      (NotMyLastWrite / NotMyOwnWrite / NonRepeatableReads);
+    * an external-position read (first operation of the row on its key)
+      whose value the row itself writes, finally or not (FutureRead);
+    * an external-position read with no value, or whose value has no final
+      writer (ThinAirRead / IntermediateRead), or whose final writer
+      aborted (AbortedRead).
+    """
     violations = transaction_int_violations(txn)
     for op in _external_position_reads(txn):
         if _is_future_read(txn, op):
@@ -156,16 +169,16 @@ def transaction_int_violations(txn: Transaction) -> List[Violation]:
 def ops_int_candidate(ops: List[Tuple[int, int, Optional[int]]]) -> bool:
     """Whether ``(kind, key_id, value)`` rows can hold an intra-INT anomaly.
 
-    The columnar fast path's trigger for :func:`transaction_int_violations`
+    The streaming checker's trigger for :func:`transaction_int_violations`
     — kept in this module, next to the check it mirrors, so the two evolve
     together.  It fires exactly when the object check would report
     something: a read whose last same-key predecessor holds a different
     value (NotMyLastWrite / NotMyOwnWrite / NonRepeatableReads), or an
     external-position read of a value the transaction itself writes
-    (FutureRead).  ``False`` provably means zero violations, so callers
-    (:meth:`repro.core.index.HistoryIndex.int_violations` and
-    :meth:`repro.core.incremental.IncrementalChecker.ingest_segment`) only
-    materialise a ``Transaction`` for candidate rows.
+    (FutureRead).  ``False`` provably means zero violations, so
+    :class:`repro.core.incremental.IncrementalChecker` only materialises a
+    ``Transaction`` for candidate rows.  (The batch index applies the same
+    rules inside its column scan; see :func:`_check_transaction`.)
     """
     own_writes: Dict[int, set] = {}
     for kind, kid, value in ops:

@@ -96,6 +96,9 @@ OP_READ, OP_WRITE = 0, 1
 _READ, _WRITE = OP_READ, OP_WRITE
 
 _NAN = float("nan")
+#: The byte values the ``statuses`` / ``op_kinds`` columns may hold.
+_STATUS_BYTES = bytes(STATUS_CODES.values())
+_KIND_BYTES = bytes((OP_READ, OP_WRITE))
 #: Pre-built has-value run for :meth:`ColumnarHistory.append_row` (every
 #: collector-recorded operation carries a value).
 _ONES = b"\x01" * 256
@@ -584,9 +587,10 @@ class ColumnarHistory:
 
         With ``mmap=True`` an uncompressed native-byteorder segment is
         memory-mapped instead of copied: every column becomes a typed
-        ``memoryview`` over one shared read-only mapping, so the load is
-        O(header) regardless of segment size and concurrent readers of the
-        same file share a single physical copy of the pages.  Mapped
+        ``memoryview`` over one shared read-only mapping, so the load copies
+        nothing (its one linear cost is :meth:`validated`'s C-level pass)
+        and concurrent readers of the same file share a single physical
+        copy of the pages.  Mapped
         segments are read-only (``append`` raises ``ValueError``);
         ``slice_rows`` / ``to_wire`` / index construction all work
         unchanged.  Gzip segments and foreign-byteorder files silently fall
@@ -597,14 +601,41 @@ class ColumnarHistory:
             if raw.read(2) == b"\x1f\x8b":  # gzip magic
                 raw.seek(0)
                 with gzip.open(raw, "rb") as fh:
-                    return cls._read(fh, path)
+                    return cls._read(fh, path).validated(path)
             raw.seek(0)
-            if mmap:
-                mapped = cls._read_mapped(raw, path)
-                if mapped is not None:
-                    return mapped
+            cols = cls._read_mapped(raw, path) if mmap else None
+            if cols is None:
                 raw.seek(0)
-            return cls._read(raw, path)
+                cols = cls._read(raw, path)
+            return cols.validated(path)
+
+    def validated(self, source: object) -> "ColumnarHistory":
+        """``self``, or ``ValueError`` when the columns are structurally wrong.
+
+        Run once where bytes become columns: a checksum says the bytes are
+        the ones that were written, not that they describe a history, and
+        every scan downstream indexes by these numbers unchecked.  Whole-
+        column C calls only — no per-operation Python loop.
+        """
+        rows, ops = len(self.txn_ids), len(self.op_kinds)
+        offsets = self.op_offsets
+        row_columns = (self.session_ids, self.statuses, self.start_ts, self.finish_ts)
+        op_columns = (self.op_keys, self.op_values, self.op_has_value)
+        if len(offsets) != rows + 1 or any(len(c) != rows for c in row_columns):
+            problem = "row columns differ in length"
+        elif any(len(c) != ops for c in op_columns):
+            problem = "operation columns differ in length"
+        elif offsets[0] != 0 or offsets[-1] != ops or sorted(offsets) != list(offsets):
+            problem = "op_offsets do not rise from 0 to the operation count"
+        elif ops and not 0 <= min(self.op_keys) <= max(self.op_keys) < len(self.key_names):
+            problem = "operation key id outside key_names"
+        elif bytes(self.statuses).translate(None, _STATUS_BYTES):
+            problem = "unknown transaction status code"
+        elif bytes(self.op_kinds).translate(None, _KIND_BYTES):
+            problem = "unknown operation kind code"
+        else:
+            return self
+        raise ValueError(f"{source}: malformed segment: {problem}")
 
     @classmethod
     def _read(cls, fh: IO[bytes], path: Union[str, Path]) -> "ColumnarHistory":
@@ -638,8 +669,6 @@ class ColumnarHistory:
             if stored_typecode != typecode:
                 column = array(typecode, column)
             setattr(cols, slot, column)
-        if len(cols.op_offsets) != len(cols.txn_ids) + 1:
-            raise ValueError(f"{path}: inconsistent segment offsets")
         return cols
 
     @classmethod
@@ -687,8 +716,6 @@ class ColumnarHistory:
                 raise ValueError(f"{path}: truncated segment column {slot!r}")
             setattr(cols, slot, view[offset : offset + nbytes].cast(typecode))
             offset += nbytes
-        if len(cols.op_offsets) != len(cols.txn_ids) + 1:
-            raise ValueError(f"{path}: inconsistent segment offsets")
         # The column memoryviews keep ``mapping`` (and its kernel-side file
         # reference) alive; the fd opened by the caller may close freely.
         return cols

@@ -184,6 +184,68 @@ class TestSegmentFiles:
         with pytest.raises(ValueError):
             load_history_segment(truncated)
 
+    @pytest.mark.parametrize(
+        "mutation",
+        ["key-id-too-large", "key-id-negative", "offsets-not-sorted", "offsets-past-the-end",
+         "status-unknown", "kind-unknown", "column-too-short"],
+    )
+    def test_structurally_wrong_columns_are_refused_by_every_reader(
+        self, mutation, tmp_path, capsys
+    ):
+        """Intact bytes (every checksum holds) that do not describe a history:
+        exit 2 with a message — never a verdict, never a traceback."""
+        import json
+
+        from repro.cli import main
+        from repro.history import EpochLogWriter
+        from repro.history.columnar import file_crc32
+        from repro.history.epochlog import MANIFEST_NAME
+
+        t1 = Transaction(1, [read("x", 0), write("x", 1)], session_id=0)
+        t2 = Transaction(2, [read("x", 0), write("x", 2)], session_id=1)
+        history = History.from_transactions([[t1], [t2]], initial_keys=["x"])
+        columns = ColumnarHistory.from_history(history)
+        if mutation == "key-id-too-large":
+            columns.op_keys[1] = len(columns.key_names)
+        elif mutation == "key-id-negative":
+            columns.op_keys[1] = -1
+        elif mutation == "offsets-not-sorted":
+            columns.op_offsets[1], columns.op_offsets[2] = columns.op_offsets[2], columns.op_offsets[1]
+        elif mutation == "offsets-past-the-end":
+            columns.op_offsets[-1] += 1
+        elif mutation == "status-unknown":
+            columns.statuses[1] = 7
+        elif mutation == "kind-unknown":
+            columns.op_kinds[1] = 2
+        else:
+            columns.op_values.pop()
+        segment = tmp_path / "hostile.seg"
+        columns.save(segment)
+
+        log = tmp_path / "hostile.epochs"
+        with EpochLogWriter(log, epoch_transactions=8) as writer:
+            for txn in history.transactions():
+                writer.append(txn)
+        manifest = json.loads((log / MANIFEST_NAME).read_text())
+        (entry,) = manifest["epochs"]
+        columns.save(log / entry["name"])
+        entry["crc32"] = file_crc32(log / entry["name"])
+        entry["size_bytes"] = (log / entry["name"]).stat().st_size
+        (log / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+        with pytest.raises(ValueError, match="malformed segment"):
+            load_history_segment(segment)
+        for argv in (
+            ["check", str(segment)],
+            ["check", "--stream", str(segment)],
+            ["check", str(log)],
+            ["watch", "--once", str(log)],
+        ):
+            assert main(argv) == 2, argv
+            out = capsys.readouterr().out
+            assert out.startswith("error: ") and "malformed segment" in out, (argv, out)
+            assert "SATISFIED" not in out and "VIOLATED" not in out, (argv, out)
+
     def test_is_segment_path(self):
         assert is_segment_path("history.seg")
         assert is_segment_path("history.SEG")

@@ -1,5 +1,9 @@
 """Tests for the shared :class:`repro.core.index.HistoryIndex`."""
 
+import gc
+import random
+from collections import Counter
+
 import pytest
 
 from repro.core.anomalies import ANOMALY_NAMES, anomaly_history
@@ -18,6 +22,7 @@ from repro.core.model import (
 from repro.core.result import IsolationLevel
 from repro.bench import generate_mt_history
 from repro.db import FaultPlan
+from repro.history.columnar import ColumnarHistory
 
 
 def history_of(*sessions, initial_keys=("x", "y")):
@@ -49,8 +54,11 @@ class TestInterning:
         assert sorted(index.txn_ids) == [-1, 1, 2]
         assert index.txn_dense[index.txn_ids[0]] == 0
         assert sorted(index.key_names) == ["x", "y"]
-        assert index.keys_of(1) == ["x"]
-        assert index.keys_of(-1) == ["x", "y"]
+        keys_of = lambda txn_id: [
+            index.key_names[k] for k in index.txn_keys[index.txn_dense[txn_id]]
+        ]
+        assert keys_of(1) == ["x"]
+        assert keys_of(-1) == ["x", "y"]
 
     def test_txn_keys_are_dense_and_sorted(self):
         for history in random_histories():
@@ -125,27 +133,83 @@ class TestCachedPasses:
         assert len(index.mt_problems()) == len(validate_mt_history(history))
 
 
-class TestVersionChains:
-    def test_chain_links_writer_readers_overwriters(self):
-        t1 = Transaction(1, [read("x", 0), write("x", 1)])
-        t2 = Transaction(2, [read("x", 1), write("x", 2)], session_id=1)
-        t3 = Transaction(3, [read("x", 1)], session_id=2)
-        index = HistoryIndex.build(history_of([t1], [t2], [t3]))
-        chain = index.version_chains()["x"]
-        by_value = {entry.value: entry for entry in chain}
-        assert by_value[1].writer_id == 1
-        assert set(by_value[1].reader_ids) == {2, 3}
-        assert by_value[1].overwriter_ids == (2,)
-        assert by_value[0].writer_id == -1  # the initial transaction
+def hostile_history(seed):
+    """A small history drawn to break INT: valueless / negative / repeated
+    values, aborted and intermediate writers, with and without ``⊥T``."""
+    rng = random.Random(seed)
+    keys = ["x", "y", "z"][: rng.randint(1, 3)]
+    values = [None, *range(-3, 9)]
+    sessions, txn_id = [], 0
+    for session_id in range(rng.randint(1, 3)):
+        txns = []
+        for _ in range(rng.randint(1, 4)):
+            txn_id += 1
+            ops = [
+                (write if rng.random() < 0.5 else read)(rng.choice(keys), rng.choice(values))
+                for _ in range(rng.randint(1, 5))
+            ]
+            status = (
+                TransactionStatus.ABORTED if rng.random() < 0.2 else TransactionStatus.COMMITTED
+            )
+            txns.append(Transaction(txn_id, ops, session_id=session_id, status=status))
+        sessions.append(txns)
+    return History.from_transactions(
+        sessions, initial_keys=keys if rng.random() < 0.7 else None
+    )
 
-    def test_aborted_writers_anchor_no_version(self):
-        t1 = Transaction(1, [read("x", 0), write("x", 1)], status=TransactionStatus.ABORTED)
-        t2 = Transaction(2, [read("x", 1), write("x", 2)], session_id=1)
-        index = HistoryIndex.build(history_of([t1], [t2]))
-        values = [entry.value for entry in index.version_chains()["x"]]
-        assert 1 not in values  # aborted write is not a version
-        # ... but the write index still attributes it for AbortedRead.
-        assert index.final_writer("x", 1).aborted
+
+def healthy_segment(txns_per_session):
+    return ColumnarHistory.from_history(
+        generate_mt_history(
+            isolation="serializable", num_sessions=16, txns_per_session=txns_per_session,
+            num_objects=400, seed=18,
+        ).history
+    )
+
+
+class TestScanIsTheIntPrePass:
+    """The column scan flags exactly the rows the object check reports on."""
+
+    def test_differential_int_on_hostile_histories(self):
+        def multiset(violations):
+            return Counter(
+                (v.kind, tuple(v.txn_ids), v.key, v.description) for v in violations
+            )
+
+        dirty = 0
+        for seed in range(2000):
+            history = hostile_history(seed)
+            expected = multiset(check_internal_consistency(history))
+            dirty += bool(expected)
+            for index in (
+                HistoryIndex.build(history),
+                HistoryIndex.from_columns(ColumnarHistory.from_history(history)),
+            ):
+                assert multiset(index.int_violations()) == expected, seed
+        assert 500 < dirty < 2000  # both polarities are exercised
+
+    def test_build_wakes_no_collector_and_materialises_nothing(self):
+        columns = healthy_segment(500)
+        assert columns.num_transactions >= 8000
+        gc.collect()
+        before = [generation["collections"] for generation in gc.get_stats()]
+        index = HistoryIndex.from_columns(columns)
+        assert [generation["collections"] for generation in gc.get_stats()] == before
+        assert index.int_violations() == []
+        assert index._txn_cache == {}
+
+    def test_wire_twin_reads_the_same(self):
+        for history in [*random_histories(), *(hostile_history(s) for s in range(200))]:
+            scanned = HistoryIndex.build(history)
+            twin = HistoryIndex.from_wire(scanned.to_wire(), columns=scanned.columns)
+            assert list(twin.iter_read_tuples()) == list(scanned.iter_read_tuples())
+            for txn in history.transactions():
+                assert twin.external_reads(txn.txn_id) == scanned.external_reads(txn.txn_id)
+            assert twin.to_wire()["buffers"] == scanned.to_wire()["buffers"]
+            # A dirty index round-trips too: same candidates, same violations.
+            assert [v.format() for v in twin.int_violations()] == [
+                v.format() for v in scanned.int_violations()
+            ]
 
 
 class TestSingleConstruction:
@@ -321,6 +385,50 @@ class TestTheDoor:
             assert main([*argv, "--level", "ser"]) == 2, argv
             out = capsys.readouterr().out
             assert out.startswith("error: malformed history") and offender in out
+
+    @pytest.mark.parametrize("level", ["ser", "si", "sser"])
+    def test_duplicate_transaction_id_is_refused_on_every_route(self, level, tmp_path, capsys):
+        from repro.cli import _LEVELS, main
+        from repro.history import save_history, write_history_jsonl
+
+        def lost_update(second_id):
+            return History.from_transactions(
+                [
+                    [Transaction(1, [read("x", 0), write("x", 1)], session_id=0)],
+                    [Transaction(second_id, [read("x", 0), write("x", 2)], session_id=1)],
+                ],
+                initial_keys=["x"],
+            )
+
+        def routes(history, stem):
+            paths = [tmp_path / f"{stem}.json", tmp_path / f"{stem}.jsonl", tmp_path / f"{stem}.seg"]
+            save_history(history, paths[0])
+            write_history_jsonl(history, paths[1])
+            ColumnarHistory.from_history(history).save(paths[2])
+            cli = [["check", str(path)] for path in paths]
+            cli += [["check", "--stream", str(path)] for path in paths]
+            cli += [["check", "--workers", "2", str(paths[0])], ["watch", "--once", str(paths[1])]]
+            return [[*argv, "--level", level] for argv in cli]
+
+        # One id for both halves of a lost update: a single node, the cycle
+        # between them a dropped self-edge — it used to read SATISFIED.
+        twice = lost_update(1)
+        for run in (
+            lambda: MTChecker().verify(twice, _LEVELS[level]),
+            lambda: MTChecker(workers=2).verify(twice, _LEVELS[level]),
+            lambda: MTChecker().verify(ColumnarHistory.from_history(twice), _LEVELS[level]),
+            lambda: MTChecker().session(_LEVELS[level]).ingest_history(twice),
+        ):
+            with pytest.raises(ValueError, match="duplicate transaction id 1"):
+                run()
+        for argv in routes(twice, "twice"):
+            assert main(argv) == 2, argv
+            out = capsys.readouterr().out
+            assert "error: malformed history: duplicate transaction id 1" in out, argv
+            assert "SATISFIED" not in out and "Traceback" not in out, argv
+        for argv in routes(lost_update(2), "distinct"):
+            assert main(argv) == 1, argv
+            assert "VIOLATED" in capsys.readouterr().out, argv
 
     def test_values_outside_int64_are_rejected_on_every_batch_route(self, tmp_path, capsys):
         from repro.cli import main

@@ -291,8 +291,8 @@ class TestShardedEquivalence:
 # ----------------------------------------------------------------------
 class TestExecutor:
     def test_strict_mt_raises_before_fanout(self):
-        # write without RMW read
-        bad = Transaction(1, [write("g0:k0", 77)], session_id=9)
+        # write without RMW read (a fresh id: a repeated one is malformed)
+        bad = Transaction(9001, [write("g0:k0", 77)], session_id=9)
         history = make_disjoint_history(
             num_groups=2, sessions_per_group=1, txns_per_session=3, keys_per_group=2
         )

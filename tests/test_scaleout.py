@@ -193,6 +193,28 @@ class TestIndexWire:
         assert HistoryIndex.load_cache(path, fingerprint=fingerprint, columns=columns) is None
         assert HistoryIndex.load_cache(tmp_path / "absent.idx", fingerprint=fingerprint) is None
 
+    def test_dirty_index_round_trips_its_violations(self, tmp_path):
+        # The wire ships the scan's candidate rows, not a "clean" flag:
+        # emitting it classifies nothing, and the rehydrated index reports
+        # the same violations from the columns it is handed.
+        from repro.core.anomalies import anomaly_history
+
+        for name in ("AbortedRead", "IntermediateRead", "FutureRead"):
+            columns = ColumnarHistory.from_history(anomaly_history(name))
+            index = HistoryIndex.from_columns(columns)
+            wire = index.to_wire()
+            assert index._int_violations is None and index._txn_cache == {}
+            index.save_cache(tmp_path / "dirty.idx", fingerprint={"name": name})
+            for clone in (
+                HistoryIndex.from_wire(wire, columns=columns),
+                HistoryIndex.load_cache(
+                    tmp_path / "dirty.idx", fingerprint={"name": name}, columns=columns
+                ),
+            ):
+                assert [v.format() for v in clone.int_violations()] == [
+                    v.format() for v in index.int_violations()
+                ] != []
+
 
 # ----------------------------------------------------------------------
 # Tree-reduction merge
@@ -389,23 +411,46 @@ class TestIndexReuse:
         assert result.num_transactions == serial.num_transactions
 
     @staticmethod
-    def _retag_as_v1(cache_path):
-        """Rewrite a sidecar's header the way the v1 writer stamped it."""
+    def _retag_as_older(cache_path, stamp=b'"repro-history-index-v1","has_row_order":true'):
+        """Rewrite a sidecar's header the way an older writer stamped it."""
         blob = cache_path.read_bytes()
         assert INDEX_WIRE_FORMAT.encode() in blob
         cache_path.write_bytes(
             blob.replace(
-                b'"format":"' + INDEX_WIRE_FORMAT.encode() + b'"',
-                b'"format":"repro-history-index-v1","has_row_order":true',
-                1,
+                b'"format":"' + INDEX_WIRE_FORMAT.encode() + b'"', b'"format":' + stamp, 1
             )
         )
+
+    def test_v2_sidecar_and_cache_are_a_miss_and_rewritten(self, tmp_path, capsys):
+        v2 = b'"repro-history-index-v2","int_clean":true'
+        path, columns = self._segment(tmp_path)
+        cold = check_parallel(columns, SSER, source_path=path, reuse_index=True)
+        sidecar = tmp_path / "history.seg.idx"
+        self._retag_as_older(sidecar, v2)
+        builds, loads = HistoryIndex.builds, HistoryIndex.wire_loads
+        again = check_parallel(columns, SSER, source_path=path, reuse_index=True)
+        assert (HistoryIndex.builds, HistoryIndex.wire_loads) == (builds + 1, loads)
+        assert again.format() == cold.format()
+        assert b"repro-history-index-v2" not in sidecar.read_bytes()
+
+        log_dir = tmp_path / "log.epochs"
+        with EpochLogWriter(log_dir, epoch_transactions=32) as writer:
+            for txn in columns.iter_transactions():
+                writer.append(txn)
+        assert repro_main(["check", str(log_dir), "--level", "sser"]) == 0
+        first = capsys.readouterr().out
+        self._retag_as_older(log_dir / "INDEX.cache", v2)
+        builds, loads = HistoryIndex.builds, HistoryIndex.wire_loads
+        assert repro_main(["check", str(log_dir), "--level", "sser"]) == 0
+        assert capsys.readouterr().out == first
+        assert HistoryIndex.builds > builds and HistoryIndex.wire_loads == loads
+        assert b"repro-history-index-v2" not in (log_dir / "INDEX.cache").read_bytes()
 
     def test_v1_segment_sidecar_is_ignored_and_rewritten(self, tmp_path):
         path, columns = self._segment(tmp_path)
         cold = check_parallel(columns, SSER, source_path=path, reuse_index=True)
         sidecar = tmp_path / "history.seg.idx"
-        self._retag_as_v1(sidecar)
+        self._retag_as_older(sidecar)
         assert b"repro-history-index-v1" in sidecar.read_bytes()
 
         builds = HistoryIndex.builds
@@ -432,7 +477,7 @@ class TestIndexReuse:
         assert repro_main(["check", str(log_dir), "--level", "sser"]) == 0
         first = capsys.readouterr().out
         cache = log_dir / "INDEX.cache"
-        self._retag_as_v1(cache)
+        self._retag_as_older(cache)
 
         log = EpochLog.open(log_dir)
         assert log.cached_index(log.to_columns()) is None
