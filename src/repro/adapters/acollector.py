@@ -14,7 +14,7 @@ execution model on both axes:
   *active* session instead of per session.
 * **Columns, not objects.**  Finished attempts are published as flat row
   tuples into a bounded ``asyncio.Queue`` and drained straight into a
-  :class:`~repro.history.columnar.ColumnBuilder` — no ``Transaction`` or
+  :class:`~repro.history.columnar.ColumnarHistory` — no ``Transaction`` or
   ``Operation`` object exists on the accept path.  A slow consumer (a
   :class:`~repro.history.columnar.SegmentWriter` sealing, an
   ``EpochLogWriter`` fsyncing) fills the queue and the publishing
@@ -44,7 +44,7 @@ from ..core.model import (
     TransactionStatus,
 )
 from ..db.errors import TransactionAborted
-from ..history.columnar import OP_READ, OP_WRITE, ColumnarHistory, ColumnBuilder
+from ..history.columnar import OP_READ, OP_WRITE, ColumnarHistory
 from ..resilience.failpoints import fail_point
 from ..storage.clock import LogicalClock
 from ..workloads.runner import RunStats
@@ -150,7 +150,7 @@ class AsyncCollector(CollectorBase):
         # clock for its plain monotonic base.
         self._clock = LogicalClock()
         self._rows: Optional["asyncio.Queue[Optional[Row]]"] = None
-        self._builder: Optional[ColumnBuilder] = None
+        self._columns: Optional[ColumnarHistory] = None
 
     # ------------------------------------------------------------------
     def collect(self, workload: Workload) -> AsyncCollectionResult:
@@ -165,15 +165,15 @@ class AsyncCollector(CollectorBase):
         if self.setup_keys:
             await adapter.setup(workload.keys, self.initial_value)
 
-        builder = ColumnBuilder()
+        columns = ColumnarHistory()
         # ⊥T must install what the database actually holds initially, or a
         # healthy engine would be flagged with spurious ThinAirReads.
-        builder.seed_initial(workload.keys, self.initial_value)
-        self._builder = builder
+        columns.seed_initial(workload.keys, self.initial_value)
+        self._columns = columns
         self._stalls = 0
         # The queue exists to backpressure a downstream consumer; with no
-        # hook installed the builder *is* the sink and rows go straight to
-        # the columns — publishing costs one append, no queue, no drain.
+        # hook installed the columns *are* the sink and rows go straight to
+        # them — publishing costs one append, no queue, no drain.
         rows: Optional["asyncio.Queue[Optional[Row]]"] = (
             asyncio.Queue(maxsize=self.queue_depth)
             if self.on_transaction is not None
@@ -181,7 +181,7 @@ class AsyncCollector(CollectorBase):
         )
         self._rows = rows
         drain = (
-            asyncio.create_task(self._drain(rows, builder))
+            asyncio.create_task(self._drain(rows, columns))
             if rows is not None
             else None
         )
@@ -246,7 +246,7 @@ class AsyncCollector(CollectorBase):
                 stats.committed / stats.wall_seconds,
             )
         return AsyncCollectionResult(
-            columns=builder.columns,
+            columns=columns,
             stats=stats,
             adapter_name=adapter.capabilities().name,
             unknown=len(self._abandoned),
@@ -424,7 +424,7 @@ class AsyncCollector(CollectorBase):
         finish_ts = self._clock.tick()
         rows = self._rows
         if rows is None:
-            self._builder.append_row(
+            self._columns.append_row(
                 txn_id, session_id, status_code, start_ts, finish_ts,
                 op_kinds, op_keys, op_values,
             )
@@ -449,10 +449,10 @@ class AsyncCollector(CollectorBase):
             await rows.put(row)
 
     # ------------------------------------------------------------------
-    # Drain task: queue -> ColumnBuilder (+ hooks), in finish order
+    # Drain task: queue -> columns (+ hooks), in finish order
     # ------------------------------------------------------------------
     async def _drain(
-        self, rows: "asyncio.Queue[Optional[Row]]", builder: ColumnBuilder
+        self, rows: "asyncio.Queue[Optional[Row]]", columns: ColumnarHistory
     ) -> None:
         hook = self.on_transaction
         # SegmentWriter-style hooks take flat rows and stay object-free;
@@ -463,7 +463,7 @@ class AsyncCollector(CollectorBase):
             row = await rows.get()
             while row is not None:
                 txn_id, session_id, status_code, start_ts, finish_ts, kinds, keys, values = row
-                builder.append_raw(
+                columns.append_raw(
                     txn_id, session_id, status_code, start_ts, finish_ts,
                     zip(kinds, keys, values),
                 )
@@ -550,7 +550,7 @@ class AsyncCollector(CollectorBase):
                 )
                 rows = self._rows
                 if rows is None:
-                    self._builder.append_raw(row[0], row[1], row[2], row[3], row[4],
+                    self._columns.append_raw(row[0], row[1], row[2], row[3], row[4],
                                              zip(row[5], row[6], row[7]))
                 else:
                     await self._publish(rows, row)

@@ -46,44 +46,28 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import obs
 from .core.anomalies import ANOMALY_NAMES, anomaly_catalog
 from .core.checker import MTChecker
-from .core.incremental import CheckerSession, stream_order
-from .core.index import HistoryIndex
+from .core.incremental import CheckerSession
 from .core.model import INITIAL_TXN_ID
 from .core.result import IsolationLevel
 from .db.database import Database
 from .db.faults import FaultPlan
-from .history.columnar import (
-    ColumnarHistory,
-    is_segment_path,
-    load_history_segment,
-    write_history_segment,
+from .history.epochlog import EpochLog
+from .history.files import (
+    StreamFollower,
+    history_format,
+    load_columns,
+    read_segments,
+    write_history,
 )
-from .history.epochlog import (
-    EpochLog,
-    EpochLogError,
-    EpochLogWriter,
-    is_epochlog_path,
-)
-from .history.serialization import (
-    HistoryStreamWriter,
-    is_stream_path,
-    iter_history_jsonl,
-    load_history,
-    open_history_stream,
-    parse_stream_header,
-    save_history,
-    transaction_from_dict,
-    write_history_jsonl,
-)
+from .resilience import Supervisor
 from .workloads.mt_generator import MTWorkloadGenerator
 from .workloads.runner import run_workload
 
@@ -372,11 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    if is_epochlog_path(args.history):
-        return _check_epochlog(args)
-    if is_segment_path(args.history):
-        return _check_segment(args)
-    streaming = args.stream or is_stream_path(args.history)
+    streaming = args.stream or history_format(args.history) == "stream"
     if streaming and args.workers is not None:
         reason = (
             "drop --stream to use it"
@@ -388,8 +368,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 2
     checker = MTChecker(strict_mt=args.strict_mt, workers=args.workers)
     if not streaming:
-        history = load_history(args.history)
-        result = checker.verify(history, _LEVELS[args.level], report=args.verbose)
+        # The container adds what it can: an epoch log its cached batch
+        # index, an uncompressed segment the path workers re-map themselves.
+        columns, index, source_path = load_columns(args.history)
+        result = checker.verify(
+            columns,
+            _LEVELS[args.level],
+            report=args.verbose,
+            index=index,
+            source_path=source_path,
+        )
         print(result.format())
         return 0 if result.satisfied else 1
 
@@ -397,116 +385,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("note: -v telemetry applies to batch checks; streaming verdicts "
               "already report their own timing")
     session = checker.session(_LEVELS[args.level], window=args.window)
-    if is_stream_path(args.history):
-        transactions = iter_history_jsonl(args.history)
-    else:
-        transactions = stream_order(load_history(args.history))
-    index = 0
-    for txn in transactions:
-        _report_violations(session.ingest(txn), txn, index)
-        if not txn.is_initial:
-            index += 1
+    ingested = 0
+    for segment in read_segments(args.history):
+        ingested += _ingest_epoch(session, segment, ingested)
     return _finish_stream(session)
 
 
-def _check_segment(args: argparse.Namespace) -> int:
-    """Verify a columnar segment: batch (workers allowed) or bulk-streamed."""
-    if args.stream and args.workers is not None:
-        print("error: --workers applies to batch checking; drop --stream to use it")
-        return 2
-    # Memory-map uncompressed segments: copy-free load, and with --workers the
-    # shard payloads degenerate to (path, rows) references the workers
-    # re-map themselves — one physical copy of the history, fleet-wide.
-    mappable = not str(args.history).lower().endswith(".gz")
-    columns = ColumnarHistory.load(args.history, mmap=mappable)
-    checker = MTChecker(strict_mt=args.strict_mt, workers=args.workers)
-    if not args.stream:
-        if args.workers is not None and mappable:
-            from .parallel import check_parallel
+def _ingest_epoch(session, segment, base: int) -> int:
+    """Feed one segment into a checker session, printing labelled violations.
 
-            result = _maybe_report(
-                lambda: check_parallel(
-                    columns,
-                    _LEVELS[args.level],
-                    workers=args.workers,
-                    strict_mt=args.strict_mt,
-                    source_path=args.history,
-                ),
-                args.verbose,
-            )
-        else:
-            result = checker.verify(
-                columns, _LEVELS[args.level], report=args.verbose
-            )
-        print(result.format())
-        return 0 if result.satisfied else 1
-    session = checker.session(_LEVELS[args.level], window=args.window)
-    offset = 1 if columns.has_initial else 0
-
-    def report(row: int, violations) -> None:
-        # Same labels as the JSONL stream path: "initial" for ⊥T, else the
-        # zero-based index among non-initial transactions in arrival order.
-        if columns.txn_ids[row] == INITIAL_TXN_ID:
-            label = "initial"
-        else:
-            label = f"txn #{row - offset}"
-        for violation in violations:
-            print(f"[{label}] {violation.format()}", flush=True)
-
-    session.ingest_segment(columns, on_row_violations=report)
-    return _finish_stream(session)
-
-
-def _check_epochlog(args: argparse.Namespace) -> int:
-    """Verify an epoch-log directory: batch over all epochs, or streamed."""
-    if args.stream and args.workers is not None:
-        print("error: --workers applies to batch checking; drop --stream to use it")
-        return 2
-    log = EpochLog.open_existing(args.history)
-    if log.retired_through >= 0:
-        print(
-            f"error: {args.history}: epochs 0..{log.retired_through} were "
-            "retired by window GC, so the full history is no longer on "
-            "disk; use `repro watch` to resume from a checkpoint"
-        )
-        return 2
-    checker = MTChecker(strict_mt=args.strict_mt, workers=args.workers)
-    if not args.stream:
-        columns = log.to_columns()
-        # Re-checking the same epoch directory is the common loop, so the
-        # batch index is cached beside the epochs (CRC-stamped against the
-        # manifest) and rehydrated here instead of rebuilt from columns.
-        index = log.cached_index(columns)
-        if index is None:
-            index = HistoryIndex.from_columns(columns)
-            log.cache_index(index)
-        from .parallel import check_parallel
-
-        result = _maybe_report(
-            lambda: check_parallel(
-                columns,
-                _LEVELS[args.level],
-                workers=args.workers or 1,
-                strict_mt=args.strict_mt,
-                index=index,
-            ),
-            args.verbose,
-        )
-        print(result.format())
-        return 0 if result.satisfied else 1
-    session = checker.session(_LEVELS[args.level], window=args.window)
-    base = 0
-    for _entry, segment in log.iter_segments():
-        _ingest_epoch(session, segment, base)
-        base += segment.num_transactions - (1 if segment.has_initial else 0)
-    return _finish_stream(session)
-
-
-def _ingest_epoch(session, segment, base: int) -> None:
-    """Feed one epoch segment into a checker session with stream labels.
-
-    ``base`` is the number of non-initial transactions already ingested, so
-    labels continue the global ``txn #N`` numbering across epochs.
+    Labels are ``initial`` for ``⊥T``, else ``txn #N`` — the zero-based
+    index among non-initial transactions in arrival order.  ``base`` is how
+    many of those were ingested before this segment, so the numbering
+    continues across segments; returns how many this segment added.
     """
     offset = 1 if segment.has_initial else 0
 
@@ -519,27 +410,7 @@ def _ingest_epoch(session, segment, base: int) -> None:
             print(f"[{label}] {violation.format()}", flush=True)
 
     session.ingest_segment(segment, on_row_violations=report)
-
-
-def _save_history_output(history, path: str, epoch_transactions: int = 1024) -> None:
-    """Write a history as an epoch log, segment, JSONL stream, or JSON document."""
-    if is_segment_path(path):
-        write_history_segment(history, path)
-    elif is_epochlog_path(path):
-        with EpochLogWriter(path, epoch_transactions=epoch_transactions) as writer:
-            for txn in stream_order(history):
-                writer.append(txn)
-    elif is_stream_path(path):
-        write_history_jsonl(history, path)
-    else:
-        save_history(history, path)
-
-
-def _report_violations(violations, txn, index: int) -> None:
-    """Print violations tagged with the (non-initial) transaction index."""
-    label = "initial" if txn.is_initial else f"txn #{index}"
-    for violation in violations:
-        print(f"[{label}] {violation.format()}", flush=True)
+    return segment.num_transactions - offset
 
 
 def _finish_stream(session) -> int:
@@ -554,15 +425,6 @@ def _finish_stream(session) -> int:
     return 0 if result.satisfied else 1
 
 
-def _maybe_report(run_check, verbose: bool):
-    """Run a batch check; with ``verbose`` wrap it in a telemetry report."""
-    if not verbose:
-        return run_check()
-    with obs.scoped() as reg:
-        result = run_check()
-    return obs.VerifyReport(result=result, metrics=reg.snapshot())
-
-
 class _WatchTelemetry:
     """The watch service's metrics surface (``--metrics-file``).
 
@@ -570,8 +432,8 @@ class _WatchTelemetry:
     the watch loop — epoch log, incremental checker, index — records into
     it, then periodically (``--metrics-every``) publishes the checker
     gauges, atomically rewrites the Prometheus textfile, and emits a
-    one-line heartbeat on stderr.  ``close()`` always writes a final
-    snapshot so the last state is scrape-able after exit.
+    one-line heartbeat on stderr.  Every watch attempt forces a last
+    ``update`` on its way out, so the final state is scrape-able after exit.
     """
 
     def __init__(self, metrics_file: str, every: float) -> None:
@@ -604,233 +466,100 @@ class _WatchTelemetry:
         self._beat_txns = ingested
         self._beat_time = now
 
-    def close(self, session, ingested: int, lag: int) -> None:
-        try:
-            self.update(session, ingested, lag, force=True)
-        finally:
-            obs.disable()
 
-    def finish(self) -> None:
-        """Deactivate the registry (the watch run is over).
+def _final_checkpoint(log, session, args, ingested: int) -> bool:
+    """Snapshot the verified tail so the next invocation resumes there.
 
-        Split from :meth:`close` for supervised runs: one telemetry
-        surface spans every restart attempt (counters accumulate across
-        restarts, which is what makes ``repro_resilience_restarts_total``
-        meaningful), so per-attempt code forces a final :meth:`update`
-        and only the outermost dispatcher calls ``finish``.
-        """
-        obs.disable()
-
-
-def _flush_watch_checkpoint(log, session, args, next_epoch: int, ingested: int) -> None:
-    """Flush a final checkpoint before an abnormal watch exit (best-effort).
-
-    Mirrors the normal-exit condition: only when ``--checkpoint-every`` is
-    active, something was ingested, and the tail is not already covered by
-    a cadence checkpoint.  Failures (e.g. the log directory itself is
-    gone) degrade to a warning — the diagnostic that triggered the exit
-    matters more than the snapshot.
+    Only when ``--checkpoint-every`` is active, something was ingested, and
+    the tail is not already covered by a cadence checkpoint (the epoch count
+    need not be a multiple of the cadence).  Returns whether one was written.
     """
-    if (
-        not args.checkpoint_every
-        or next_epoch <= 0
-        or next_epoch % args.checkpoint_every == 0
-    ):
-        return
-    try:
-        log.save_checkpoint(
-            session.checkpoint(), epochs=next_epoch, transactions=ingested
-        )
-        print(f"flushed final checkpoint at epoch {next_epoch}", flush=True)
-    except OSError as exc:
-        print(f"warning: could not flush final checkpoint: {exc}")
+    epochs = log.position
+    if not args.checkpoint_every or epochs <= 0 or epochs % args.checkpoint_every == 0:
+        return False
+    log.save_checkpoint(session.checkpoint(), epochs=epochs, transactions=ingested)
+    return True
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    if is_epochlog_path(args.history):
-        return _watch_epochlog(args)
-    if is_segment_path(args.history):
+    """Follow a growing JSONL stream or epoch log, verifying incrementally.
+
+    An epoch log is the durable service: it resumes from its newest valid
+    checkpoint, snapshots the verifier back into the log every
+    ``--checkpoint-every`` epochs (and once at exit), and — with
+    ``--retire`` — deletes epoch files once every row in them has aged out
+    of the ``--window`` bound.  A verifier killed at any point restarts
+    from the newest checkpoint and reaches the same verdict as an
+    uninterrupted run; ``--supervise`` performs that restart in-process.
+    """
+    kind = history_format(args.history)
+    if kind in ("segment", "document"):
+        what = "columnar segments" if kind == "segment" else "JSON documents"
         print(
-            "error: columnar segments are written atomically and cannot be "
+            f"error: {what} are written atomically and cannot be "
             "followed; use `repro check` (or write the history as an "
             ".epochs/ epoch log to follow it durably)"
         )
         return 2
-    if args.checkpoint_every is not None or args.no_resume or args.retire or args.supervise:
+    if kind == "stream" and (
+        args.checkpoint_every is not None or args.no_resume or args.retire or args.supervise
+    ):
         print(
             "error: --checkpoint-every/--no-resume/--retire/--supervise "
             "apply to epoch log directories; JSONL streams are followed "
             "without checkpoints"
         )
         return 2
-    session = MTChecker().session(_LEVELS[args.level], window=args.window)
-    telemetry = (
-        _WatchTelemetry(args.metrics_file, args.metrics_every)
-        if args.metrics_file
-        else None
-    )
-    started = time.monotonic()
-    index = 0
-    try:
-        with open_history_stream(args.history) as fh:
-            try:
-                header = parse_stream_header(fh.readline())
-            except (ValueError, EOFError) as exc:
-                print(f"error: {args.history}: {exc}")
-                return 2
-            initial = header.get("initial_transaction")
-            if initial is not None:
-                session.ingest(transaction_from_dict(initial))
-            # Lines are buffered until their terminating newline arrives, so a
-            # producer caught mid-append never aborts the watch.
-            pending_line = ""
-            while True:
-                try:
-                    chunk = fh.readline()
-                except EOFError:
-                    # Torn gzip tail: the compressed stream ends mid-member (a
-                    # live writer has not emitted the trailer yet).  gzip cannot
-                    # resume a broken member, so stop at the verified prefix.
-                    print(
-                        "warning: compressed stream is truncated mid-member "
-                        "(producer still writing?); stopping at the last "
-                        "complete transaction"
-                    )
-                    break
-                if chunk:
-                    pending_line += chunk
-                    if not pending_line.endswith("\n"):
-                        continue
-                    line, pending_line = pending_line, ""
-                    if not line.strip():
-                        continue
-                    txn = transaction_from_dict(json.loads(line))
-                    _report_violations(session.ingest(txn), txn, index)
-                    index += 1
-                    if telemetry is not None:
-                        # JSONL streams have no epoch boundaries: lag is
-                        # always 0 (everything readable has been ingested).
-                        telemetry.update(session, index, 0)
-                    continue
-                if args.once:
-                    break
-                if args.max_seconds is not None and time.monotonic() - started >= args.max_seconds:
-                    break
-                if not os.path.exists(args.history):
-                    # The fd keeps the deleted file readable on POSIX, but no
-                    # producer can ever append to it again: stop cleanly at the
-                    # verified prefix instead of polling a ghost forever.
-                    print(
-                        f"error: {args.history}: stream deleted while being "
-                        "followed; stopping at the last complete transaction"
-                    )
-                    return 2
-                time.sleep(args.interval)
-            if pending_line.strip():
-                print(f"warning: ignoring incomplete trailing line ({len(pending_line)} bytes)")
-        return _finish_stream(session)
-    finally:
-        if telemetry is not None:
-            telemetry.close(session, index, 0)
-
-
-class _WatchControl:
-    """Control surface for an unsupervised watch run: never stops early,
-    never degrades.  ``--supervise`` substitutes a
-    :class:`~repro.resilience.Supervisor`, whose ``stop_requested`` flips
-    on SIGTERM/SIGINT."""
-
-    stop_requested = False
-    degraded = False
-
-
-def _watch_epochlog(args: argparse.Namespace) -> int:
-    """Follow a growing epoch log; resume from its newest valid checkpoint.
-
-    The durable-service loop: ingest every sealed epoch, snapshot the
-    verifier back into the log every ``--checkpoint-every`` epochs (and
-    once at exit), and — with ``--retire`` — delete epoch files once every
-    row in them has aged out of the ``--window`` bound.  A verifier killed
-    at any point restarts from the newest checkpoint and reaches the same
-    verdict as an uninterrupted run; ``--supervise`` performs that restart
-    in-process after a fault instead of waiting for the next invocation.
-    """
     if args.retire and (args.window is None or not args.checkpoint_every):
         print(
             "error: --retire deletes replay state, so it requires both "
             "--window (bounded verifier) and --checkpoint-every (resume point)"
         )
         return 2
-    # One telemetry surface for the whole run, spanning supervised
-    # restarts, so resilience counters accumulate instead of resetting.
+    # One telemetry surface for the whole run, spanning supervised restarts
+    # (so resilience counters accumulate instead of resetting); the registry
+    # it activated is switched off again on the way out.
     telemetry = (
         _WatchTelemetry(args.metrics_file, args.metrics_every)
         if args.metrics_file
         else None
     )
+    supervisor = Supervisor(name="watch", max_restarts=args.max_restarts)
     try:
-        if args.supervise:
-            return _watch_epochlog_supervised(args, telemetry)
-        return _watch_epochlog_run(args, _WatchControl(), telemetry)
+        if not args.supervise:
+            return _watch_attempt(args, supervisor, telemetry)
+        # Each fault (I/O error, broken worker pool, torn log state —
+        # anything the attempt raises) is absorbed: a fresh attempt resumes
+        # from the latest durable checkpoint after a backed-off delay, up to
+        # --max-restarts times.  Deterministic config errors exit via return
+        # codes, not exceptions, so they are never retried.  SIGTERM/SIGINT
+        # request a cooperative stop at the next epoch boundary.
+        supervisor.install_signal_handlers()
+        try:
+            return supervisor.run(lambda _: _watch_attempt(args, supervisor, telemetry))
+        except Exception as exc:  # noqa: BLE001 - the restart budget is spent
+            print(
+                f"error: watch gave up after {supervisor.restarts} "
+                f"restart(s): {exc}"
+            )
+            return 2
+        finally:
+            supervisor.restore_signal_handlers()
     finally:
         if telemetry is not None:
-            telemetry.finish()
+            obs.disable()
 
 
-def _watch_epochlog_supervised(args: argparse.Namespace, telemetry) -> int:
-    """Run the epoch-log watch under a restart supervisor.
+def _resume(log: EpochLog, args: argparse.Namespace, level: IsolationLevel):
+    """Open the verifier for ``log`` from its newest usable checkpoint.
 
-    Each fault (I/O error, broken worker pool, torn log state — anything
-    the attempt raises) is absorbed: the attempt is abandoned and a fresh
-    one resumes from the latest durable checkpoint after a backed-off
-    delay, up to ``--max-restarts`` times.  Deterministic config errors
-    (bad flags, unrecoverable logs) exit via return codes, not
-    exceptions, so they are never retried.  SIGTERM/SIGINT request a
-    cooperative stop: the attempt flushes a final checkpoint at the next
-    epoch boundary and exits cleanly.
+    Returns ``(session, transactions already ingested)`` with
+    ``log.position`` set past the epochs the checkpoint covers (a fresh
+    session at epoch 0 when there is nothing to resume from), or ``None``
+    when retired epochs make the verdict unrecoverable — the refusal has
+    been printed.
     """
-    from .resilience import Supervisor
-
-    supervisor = Supervisor(name="watch", max_restarts=args.max_restarts)
-    supervisor.install_signal_handlers()
-    try:
-        while True:
-            try:
-                code = _watch_epochlog_run(args, supervisor, telemetry)
-            except Exception as exc:  # noqa: BLE001 - absorbing faults is the job
-                if not supervisor.fault(exc):
-                    print(
-                        f"error: watch gave up after {supervisor.restarts} "
-                        f"restart(s): {exc}"
-                    )
-                    return 2
-                degraded = " [degraded]" if supervisor.degraded else ""
-                print(
-                    f"watch fault: {exc}; restarting from the latest "
-                    f"checkpoint{degraded} "
-                    f"(restart {supervisor.restarts}/{args.max_restarts})",
-                    flush=True,
-                )
-                continue
-            supervisor.succeed()
-            return code
-    finally:
-        supervisor.restore_signal_handlers()
-
-
-def _watch_epochlog_run(args: argparse.Namespace, control, telemetry) -> int:
-    """One watch attempt over an epoch log (the body ``--supervise`` restarts).
-
-    ``control`` supplies cooperative stop: when ``stop_requested`` flips,
-    the loop exits at the next epoch boundary — never mid-epoch, so any
-    checkpoint it flushes describes a prefix of fully-ingested epochs.
-    """
-    log = EpochLog.open(args.history)
-    level = _LEVELS[args.level]
-
-    session = None
-    next_epoch = 0  # epochs fully ingested so far
-    ingested = 0  # non-initial transactions ingested so far (labeling)
+    session, ingested = None, 0
     skipped = ""  # why the newest checkpoint on disk could not be used
     for resume in () if args.no_resume else log.checkpoints():
         try:
@@ -843,43 +572,98 @@ def _watch_epochlog_run(args: argparse.Namespace, control, telemetry) -> int:
             skipped = skipped or f" (checkpoint at epoch {resume.epochs}: {exc})"
             print(f"note: skipping checkpoint at epoch {resume.epochs}: {exc}")
             continue
-        session, next_epoch, ingested = restored, resume.epochs, resume.transactions
+        session, log.position, ingested = restored, resume.epochs, resume.transactions
         print(
             f"resumed from checkpoint: {resume.epochs} epochs "
             f"({resume.transactions} transactions) already verified"
         )
         break
-    if log.retired_through >= next_epoch:
+    if log.retired_through >= log.position:
         print(
             f"error: {args.history}: epochs 0..{log.retired_through} were "
             f"retired by window GC and no usable checkpoint covers them{skipped}; "
             "the verdict cannot be recovered from this log"
         )
-        return 2
+        return None
     if session is None:
         if skipped:
             print("note: no usable checkpoint; replaying from epoch 0")
         session = MTChecker().session(level, window=args.window)
+    return session, ingested
 
+
+def _watch_attempt(args: argparse.Namespace, control: Supervisor, telemetry) -> int:
+    """One watch attempt — open the source, follow it, print the verdict.
+
+    This is the body ``--supervise`` restarts: a restarted attempt reopens
+    the log and resumes from the latest durable checkpoint.
+    """
+    if control.restarts:
+        degraded = " [degraded]" if control.degraded else ""
+        print(
+            f"watch fault: {control.last_fault}; restarting from the latest "
+            f"checkpoint{degraded} "
+            f"(restart {control.restarts}/{args.max_restarts})",
+            flush=True,
+        )
+    level = _LEVELS[args.level]
+    if history_format(args.history) == "stream":
+        session = MTChecker().session(level, window=args.window)
+        with StreamFollower(args.history) as stream:
+            if not _follow(args, control, telemetry, stream, session, 0):
+                return 2
+            if stream.done:
+                # Torn gzip tail: the compressed stream ends mid-member (a
+                # live writer has not emitted the trailer yet).  gzip cannot
+                # resume a broken member, so stop at the verified prefix.
+                print(
+                    "warning: compressed stream is truncated mid-member "
+                    "(producer still writing?); stopping at the last "
+                    "complete transaction"
+                )
+            if stream.pending_bytes:
+                print(f"warning: ignoring incomplete trailing line ({stream.pending_bytes} bytes)")
+        return _finish_stream(session)
+    log = EpochLog.open(args.history)
+    resumed = _resume(log, args, level)
+    if resumed is None or not _follow(args, control, telemetry, log, *resumed):
+        return 2
+    return _finish_stream(resumed[0])
+
+
+def _follow(args, control: Supervisor, telemetry, source, session, ingested: int) -> bool:
+    """The follow loop: ingest what ``source`` has, wait, look again.
+
+    ``source`` is anything with ``poll()`` (the next segment, or ``None``),
+    ``refresh()`` (look for more; raises ``ValueError`` when the source is
+    gone), ``position`` (segments handed out), ``lag`` and ``done`` — a
+    :class:`StreamFollower` or an :class:`EpochLog`.  ``ingested`` counts
+    the non-initial transactions verified before this call (labeling).
+    Checkpoints and retirement are selected by their flags, which
+    ``_cmd_watch`` accepts for epoch logs only.  When
+    ``control.stop_requested`` flips, the loop exits at the next segment
+    boundary — never mid-epoch, so any checkpoint it flushes describes a
+    prefix of fully-ingested epochs.  Returns ``False`` when the source was
+    lost (the diagnostic has been printed; exit 2).
+    """
     started = time.monotonic()
     try:
         while True:
-            while next_epoch < len(log.epochs) and not control.stop_requested:
-                segment = log.load_epoch(next_epoch)
-                _ingest_epoch(session, segment, ingested)
-                ingested += segment.num_transactions - (1 if segment.has_initial else 0)
-                next_epoch += 1
-                if args.checkpoint_every and next_epoch % args.checkpoint_every == 0:
-                    log.save_checkpoint(
-                        session.checkpoint(), epochs=next_epoch, transactions=ingested
+            while not control.stop_requested:
+                segment = source.poll()
+                if segment is None:
+                    break
+                ingested += _ingest_epoch(session, segment, ingested)
+                epochs = source.position  # segments fully ingested so far
+                if args.checkpoint_every and epochs % args.checkpoint_every == 0:
+                    source.save_checkpoint(
+                        session.checkpoint(), epochs=epochs, transactions=ingested
                     )
                     if args.retire:
-                        _retire_behind_window(log, args.window, next_epoch)
+                        _retire_behind_window(source, args.window, epochs)
                 if telemetry is not None:
-                    telemetry.update(
-                        session, ingested, len(log.epochs) - next_epoch
-                    )
-            if args.once or control.stop_requested:
+                    telemetry.update(session, ingested, source.lag)
+            if args.once or control.stop_requested or source.done:
                 break
             if args.max_seconds is not None and time.monotonic() - started >= args.max_seconds:
                 break
@@ -887,35 +671,25 @@ def _watch_epochlog_run(args: argparse.Namespace, control, telemetry) -> int:
             if control.stop_requested:
                 break
             try:
-                log.refresh()
-            except EpochLogError as exc:
+                source.refresh()
+            except ValueError as exc:
                 print(f"error: {exc}")
                 # The diagnostic is fatal, but the verified prefix is not:
-                # persist it so the next invocation resumes instead of
-                # replaying (satellite fix — previously the tail since the
-                # last cadence checkpoint was silently lost on exit 2).
-                _flush_watch_checkpoint(log, session, args, next_epoch, ingested)
-                return 2
+                # persist it (best-effort — the log directory itself may be
+                # gone) so the next invocation resumes instead of replaying.
+                try:
+                    if _final_checkpoint(source, session, args, ingested):
+                        print(f"flushed final checkpoint at epoch {source.position}", flush=True)
+                except OSError as flush_exc:
+                    print(f"warning: could not flush final checkpoint: {flush_exc}")
+                return False
         if control.stop_requested:
-            print(
-                f"stop requested; exiting at epoch boundary {next_epoch}",
-                flush=True,
-            )
-        if args.checkpoint_every and next_epoch > 0 and next_epoch % args.checkpoint_every != 0:
-            # Final snapshot so the next invocation resumes at the tail even
-            # when the epoch count is not a multiple of the cadence.
-            log.save_checkpoint(
-                session.checkpoint(), epochs=next_epoch, transactions=ingested
-            )
-        return _finish_stream(session)
+            print(f"stop requested; exiting at epoch boundary {source.position}", flush=True)
+        _final_checkpoint(source, session, args, ingested)
+        return True
     finally:
         if telemetry is not None:
-            telemetry.update(
-                session,
-                ingested,
-                max(len(log.epochs) - next_epoch, 0),
-                force=True,
-            )
+            telemetry.update(session, ingested, source.lag, force=True)
 
 
 def _retire_behind_window(log: EpochLog, window: int, ingested_epochs: int) -> None:
@@ -943,15 +717,19 @@ def _retire_behind_window(log: EpochLog, window: int, ingested_epochs: int) -> N
             )
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    generator = MTWorkloadGenerator(
+def _generate_workload(args: argparse.Namespace, generator=MTWorkloadGenerator):
+    """The workload ``generate`` / ``collect`` describe with their shared flags."""
+    return generator(
         num_sessions=args.sessions,
         txns_per_session=args.txns,
         num_objects=args.objects,
         distribution=args.distribution,
         seed=args.seed,
-    )
-    workload = generator.generate()
+    ).generate()
+
+
+def _cmd_generate(args: argparse.Namespace) -> int:
+    workload = _generate_workload(args)
     faults = (
         FaultPlan.for_anomaly(args.fault, rate=args.fault_rate, seed=args.seed)
         if args.fault
@@ -959,7 +737,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     )
     database = Database(args.isolation, keys=workload.keys, faults=faults)
     run = run_workload(database, workload, seed=args.seed + 1)
-    _save_history_output(run.history, args.output, epoch_transactions=args.epoch_txns)
+    write_history(run.history, args.output, epoch_transactions=args.epoch_txns)
     print(
         f"generated {run.stats.committed} committed / {run.stats.aborted} aborted "
         f"transactions (abort rate {run.stats.abort_rate:.1%}) -> {args.output}"
@@ -999,28 +777,26 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         print(f"error: --max-inflight must be positive, got {args.max_inflight}")
         return 2
 
-    if args.workload == "mt":
-        generator = MTWorkloadGenerator(
-            num_sessions=args.sessions,
-            txns_per_session=args.txns,
-            num_objects=args.objects,
-            distribution=args.distribution,
-            seed=args.seed,
-        )
-    else:
-        generator = GTWorkloadGenerator(
-            num_sessions=args.sessions,
-            txns_per_session=args.txns,
-            num_objects=args.objects,
-            distribution=args.distribution,
-            seed=args.seed,
-        )
-    workload = generator.generate()
+    workload = _generate_workload(
+        args, MTWorkloadGenerator if args.workload == "mt" else GTWorkloadGenerator
+    )
     if args.traffic is not None:
         workload.traffic = make_traffic_shape(
             args.traffic, think_time=args.think_time, seed=args.seed
         )
 
+    # One option set for both collectors: each factory ignores what its
+    # adapter does not take (sqlite file options, chaos rate without --chaos).
+    adapter_options = dict(
+        isolation=args.isolation,
+        path=args.db_path,
+        mode=args.mode,
+        wal=args.wal,
+        busy_timeout_ms=args.busy_timeout_ms,
+        chaos=args.chaos,
+        chaos_rate=args.chaos_rate,
+        seed=args.seed,
+    )
     columns = None
     if args.use_async:
         import asyncio
@@ -1030,22 +806,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 
         try:
             adapter = make_async_adapter(
-                args.adapter,
-                isolation=args.isolation,
-                bridge=not args.no_bridge,
-                chaos=args.chaos,
-                **(
-                    {}
-                    if args.adapter == "simulated"
-                    else {
-                        "path": args.db_path,
-                        "mode": args.mode,
-                        "wal": args.wal,
-                        "busy_timeout_ms": args.busy_timeout_ms,
-                    }
-                ),
-                **({"chaos_rate": args.chaos_rate, "seed": args.seed}
-                   if args.chaos is not None else {}),
+                args.adapter, bridge=not args.no_bridge, **adapter_options
             )
         except AdapterError as exc:
             print(f"error: {exc}")
@@ -1066,17 +827,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         columns = result.columns
         chaos_source = getattr(adapter, "sync_adapter", adapter)
     else:
-        adapter = make_adapter(
-            args.adapter,
-            isolation=args.isolation,
-            path=args.db_path,
-            mode=args.mode,
-            wal=args.wal,
-            busy_timeout_ms=args.busy_timeout_ms,
-            chaos=args.chaos,
-            chaos_rate=args.chaos_rate,
-            seed=args.seed,
-        )
+        adapter = make_adapter(args.adapter, **adapter_options)
         with adapter:
             result = Collector(
                 adapter,
@@ -1106,22 +857,17 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         }
         print(f"injected chaos: {fired or 'none fired'}")
 
+    # Async rows were born columnar: saved and checked without ever
+    # materialising Transaction objects (for a segment, not even on the way out).
+    history = columns if columns is not None else result.history
     if args.output is not None:
-        if columns is not None and is_segment_path(args.output):
-            # Async rows were born columnar; seal them without ever
-            # materialising Transaction objects.
-            columns.save(args.output)
-        else:
-            _save_history_output(result.history, args.output)
+        write_history(history, args.output)
         print(f"wrote {args.output}")
 
     if args.check is None:
         return 0
     checker = MTChecker(workers=args.workers)
-    verdict = checker.verify(
-        columns if columns is not None else result.history,
-        _LEVELS[args.check.lower()],
-    )
+    verdict = checker.verify(history, _LEVELS[args.check.lower()])
     print(verdict.format())
     return 0 if verdict.satisfied else 1
 
@@ -1141,47 +887,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         print(f"error: {source}: cannot convert a history onto itself")
         return 2
 
-    if is_segment_path(source):
-        transactions = load_history_segment(source).iter_transactions()
-    elif is_epochlog_path(source):
-        transactions = EpochLog.open_existing(source).to_columns().iter_transactions()
-    elif is_stream_path(source):
-        transactions = iter_history_jsonl(source)
-    else:
-        transactions = iter(stream_order(load_history(source)))
-
-    count = 0
-    if is_epochlog_path(destination) and not is_segment_path(destination):
-        with EpochLogWriter(
-            destination, epoch_transactions=args.epoch_txns
-        ) as writer:
-            for txn in transactions:
-                writer.append(txn)
-                count += 1
-    elif is_segment_path(destination):
-        segment = ColumnarHistory.from_transactions(transactions)
-        segment.save(destination)
-        count = segment.num_transactions
-    elif is_stream_path(destination):
-        iterator = iter(transactions)
-        first = next(iterator, None)
-        initial = None
-        if first is not None and first.is_initial:
-            initial, first = first, None
-            count += 1
-        with HistoryStreamWriter(
-            destination, initial_transaction=initial, flush_every=1024
-        ) as writer:
-            if first is not None:
-                writer.write(first)
-                count += 1
-            for txn in iterator:
-                writer.write(txn)
-                count += 1
-    else:
-        segment = ColumnarHistory.from_transactions(transactions)
-        save_history(segment.to_history(), destination)
-        count = segment.num_transactions
+    count = write_history(
+        (txn for segment in read_segments(source) for txn in segment.iter_transactions()),
+        destination,
+        epoch_transactions=args.epoch_txns,
+    )
     print(f"converted {source} -> {destination} ({count} transactions)")
     return 0
 
@@ -1205,10 +915,20 @@ def _cmd_anomaly(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Subcommand name (argparse rejects any other) -> the function that runs it.
+_COMMANDS = {
+    "check": _cmd_check,
+    "watch": _cmd_watch,
+    "generate": _cmd_generate,
+    "collect": _cmd_collect,
+    "convert": _cmd_convert,
+    "anomaly": _cmd_anomaly,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
+    args = build_parser().parse_args(list(argv) if argv is not None else None)
     workers = getattr(args, "workers", None)
     if workers is not None and workers < 1:
         print("error: --workers must be >= 1")
@@ -1218,34 +938,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         obs.start_trace(trace_path)
     try:
         with obs.trace_span(args.command):
-            if args.command == "check":
-                return _cmd_check(args)
-            if args.command == "watch":
-                return _cmd_watch(args)
-            if args.command == "generate":
-                return _cmd_generate(args)
-            if args.command == "collect":
-                return _cmd_collect(args)
-            if args.command == "convert":
-                return _cmd_convert(args)
-            if args.command == "anomaly":
-                return _cmd_anomaly(args)
+            return _COMMANDS[args.command](args)
     except BrokenPipeError:
         return 1  # stdout consumer (e.g. `| head`) went away mid-report
-    except (OSError, EOFError) as exc:
-        # EOFError: a gzip stream cut off mid-member (EOFError is not an
-        # OSError even though gzip raises it for I/O-shaped corruption).
-        print(f"error: {exc}")
-        return 2
-    except ValueError as exc:
-        # Bad file format, malformed JSON, or invalid option combination.
+    except (OSError, EOFError, ValueError) as exc:
+        # EOFError: a gzip stream cut off mid-member (not an OSError even
+        # though gzip raises it for I/O-shaped corruption).  ValueError: bad
+        # file format, malformed JSON, or invalid option combination.
         print(f"error: {exc}")
         return 2
     finally:
         if trace_path:
             obs.stop_trace()
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

@@ -53,11 +53,8 @@ keeps working.
 from __future__ import annotations
 
 import gc
-import json
-import os
 import sys
 import time
-import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from pathlib import Path
@@ -955,32 +952,23 @@ class HistoryIndex:
         fingerprint matches exactly, so a grown or rewritten history can
         never be served a stale index.
         """
+        from ..history.files import atomic_write, frame  # deferred: avoid cycle
+
         wire = self.to_wire()
         buffers = wire["buffers"]
         payload = b"".join(buffers[name] for name, _code in _WIRE_BUFFERS)
-        header = json.dumps(
-            {
-                "format": INDEX_WIRE_FORMAT,
-                "byteorder": sys.byteorder,
-                "fingerprint": fingerprint,
-                "key_names": wire["key_names"],
-                "has_initial": wire["has_initial"],
-                "buffers": [
-                    [name, code, len(buffers[name])] for name, code in _WIRE_BUFFERS
-                ],
-                "crc32": zlib.crc32(payload),
-                "payload_bytes": len(payload),
-            },
-            separators=(",", ":"),
-            sort_keys=True,
-        ).encode("utf-8")
+        header = {
+            "format": INDEX_WIRE_FORMAT,
+            "byteorder": sys.byteorder,
+            "fingerprint": fingerprint,
+            "key_names": wire["key_names"],
+            "has_initial": wire["has_initial"],
+            "buffers": [
+                [name, code, len(buffers[name])] for name, code in _WIRE_BUFFERS
+            ],
+        }
         path = Path(path)
-        tmp = path.with_name(f".{path.name}.tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(INDEX_CACHE_MAGIC + header + b"\n" + payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        atomic_write(path, frame(INDEX_CACHE_MAGIC, header, payload, sort_keys=True))
         return path
 
     @classmethod
@@ -1013,24 +1001,20 @@ class HistoryIndex:
         fingerprint: Dict[str, Any],
         columns: Optional["ColumnarHistory"] = None,
     ) -> Optional["HistoryIndex"]:
+        from ..history.files import unframe  # deferred: avoid cycle
+
         try:
-            blob = Path(path).read_bytes()
+            framed = unframe(INDEX_CACHE_MAGIC, Path(path).read_bytes())
         except OSError:
             return None
-        if not blob.startswith(INDEX_CACHE_MAGIC):
+        if framed is None:
             return None
-        header_line, _, payload = blob[len(INDEX_CACHE_MAGIC):].partition(b"\n")
-        try:
-            header = json.loads(header_line)
-        except ValueError:
-            return None
+        header, payload = framed
         if (
             header.get("format") != INDEX_WIRE_FORMAT
             or header.get("byteorder") != sys.byteorder
             or header.get("fingerprint") != fingerprint
             or header.get("buffers") is None
-            or len(payload) != header.get("payload_bytes")
-            or zlib.crc32(payload) != header.get("crc32")
         ):
             return None
         expected = [[name, code] for name, code in _WIRE_BUFFERS]

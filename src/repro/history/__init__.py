@@ -13,14 +13,16 @@ Four formats, one data model:
   a manifest, verifier checkpoints, and window-GC retirement — the
   substrate of the resumable verification service.
 
-``repro convert`` moves histories losslessly between all of them.
+``repro convert`` moves histories losslessly between all of them, through
+the one door that knows which is which: :mod:`repro.history.files`
+(:func:`history_format`, :func:`read_segments` / :func:`load_columns`,
+:func:`write_history`, :class:`StreamFollower`).
 """
 
 from .columnar import (
     OP_READ,
     OP_WRITE,
     ColumnarHistory,
-    ColumnBuilder,
     SegmentWriter,
     is_segment_path,
     load_history_segment,
@@ -33,6 +35,13 @@ from .epochlog import (
     EpochLogError,
     EpochLogWriter,
     is_epochlog_path,
+)
+from .files import (
+    StreamFollower,
+    history_format,
+    load_columns,
+    read_segments,
+    write_history,
 )
 from .serialization import (
     HistoryStreamWriter,
@@ -57,7 +66,6 @@ from .serialization import (
 __all__ = [
     "CheckpointInfo",
     "ColumnarHistory",
-    "ColumnBuilder",
     "OP_READ",
     "OP_WRITE",
     "EpochInfo",
@@ -66,6 +74,11 @@ __all__ = [
     "EpochLogWriter",
     "SegmentWriter",
     "HistoryStreamWriter",
+    "StreamFollower",
+    "history_format",
+    "load_columns",
+    "read_segments",
+    "write_history",
     "is_epochlog_path",
     "history_from_dict",
     "history_to_dict",

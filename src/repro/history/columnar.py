@@ -70,10 +70,10 @@ from ..core.model import (
     TransactionStatus,
     history_from_stream,
 )
+from .files import atomic_write
 
 __all__ = [
     "ColumnarHistory",
-    "ColumnBuilder",
     "SegmentWriter",
     "is_segment_path",
     "write_history_segment",
@@ -310,19 +310,8 @@ class ColumnarHistory:
                     values_append(value)
                     has_append(1)
             self.op_offsets.append(len(self.op_kinds))
-        except OverflowError as exc:
-            raise ValueError(
-                f"transaction T{txn_id} does not fit the columnar segment "
-                f"format (ids and values are signed 64-bit, distinct keys "
-                f"signed 32-bit): {exc}"
-            ) from None
-        except AttributeError:
-            if isinstance(self.txn_ids, array):
-                raise
-            raise ValueError(
-                "cannot append to a memory-mapped segment (loaded with "
-                "mmap=True); use slice_rows() to derive a mutable copy"
-            ) from None
+        except (OverflowError, AttributeError) as exc:
+            raise self._append_error(txn_id, exc) from None
 
     def append_row(
         self,
@@ -359,19 +348,24 @@ class ColumnarHistory:
             self.op_has_value.extend(_ONES[: len(kinds)] if len(kinds) <= len(_ONES)
                                      else bytes(1 for _ in kinds))
             self.op_offsets.append(len(self.op_kinds))
-        except OverflowError as exc:
-            raise ValueError(
+        except (OverflowError, AttributeError) as exc:
+            raise self._append_error(txn_id, exc) from None
+
+    def _append_error(self, txn_id: int, exc: Exception) -> Exception:
+        """What a failed append means: a value out of the format's range, or
+        a read-only (memory-mapped) segment; anything else is ``exc`` itself."""
+        if isinstance(exc, OverflowError):
+            return ValueError(
                 f"transaction T{txn_id} does not fit the columnar segment "
                 f"format (ids and values are signed 64-bit, distinct keys "
                 f"signed 32-bit): {exc}"
-            ) from None
-        except AttributeError:
-            if isinstance(self.txn_ids, array):
-                raise
-            raise ValueError(
-                "cannot append to a memory-mapped segment (loaded with "
-                "mmap=True); use slice_rows() to derive a mutable copy"
-            ) from None
+            )
+        if isinstance(self.txn_ids, array):
+            return exc
+        return ValueError(
+            "cannot append to a memory-mapped segment (loaded with "
+            "mmap=True); use slice_rows() to derive a mutable copy"
+        )
 
     def append(self, txn: Transaction) -> None:
         """Append one transaction as a new row (see :meth:`append_raw` for
@@ -389,6 +383,18 @@ class ColumnarHistory:
         )
 
     __call__ = append
+
+    def seed_initial(self, keys: Iterable[str], value: int = 0) -> None:
+        """Append ``⊥T`` (one committed write of ``value`` per key) without
+        materialising the initial transaction; call it on an empty segment."""
+        self.append_raw(
+            INITIAL_TXN_ID,
+            -1,
+            STATUS_CODES[TransactionStatus.COMMITTED],
+            None,
+            None,
+            ((_WRITE, key, value) for key in keys),
+        )
 
     # ------------------------------------------------------------------
     # Row materialisation (debug / legacy interop; not the hot path)
@@ -554,8 +560,17 @@ class ColumnarHistory:
 
         Layout: :data:`SEGMENT_MAGIC`, one JSON header line (format name,
         byte order, counts, key names, column manifest), then each column's
-        raw bytes in manifest order.
+        raw bytes in manifest order.  The file is published atomically
+        (:func:`~repro.history.files.atomic_write`): a save that fails
+        half-way leaves whatever ``path`` held before.
         """
+        atomic_write(path, lambda raw: self.dump(raw, path, compress))
+
+    def dump(
+        self, raw: IO[bytes], path: Union[str, Path], compress: Optional[bool] = None
+    ) -> None:
+        """Stream the segment bytes for ``path`` into the open file ``raw``
+        (a staging file), then fire ``columnar.segment.write`` on it."""
         if compress is None:
             compress = str(path).lower().endswith(".gz")
         columns = [getattr(self, slot) for slot in _COLUMN_SLOTS]
@@ -570,14 +585,17 @@ class ColumnarHistory:
                 for slot, column in zip(_COLUMN_SLOTS, columns)
             ],
         }
-        opener = gzip.open if compress else open
-        with opener(path, "wb") as fh:
-            fh.write(SEGMENT_MAGIC)
-            fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
-            fh.write(b"\n")
-            for column in columns:
-                fh.write(column.tobytes())
-        fail_point("columnar.segment.write", path=path)
+        # A gzip member is named after ``path``, not the file it goes through.
+        fh = gzip.GzipFile(str(path), "wb", fileobj=raw) if compress else raw
+        fh.write(SEGMENT_MAGIC)
+        fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
+        fh.write(b"\n")
+        for column in columns:
+            fh.write(column.tobytes())
+        if compress:
+            fh.close()
+        raw.flush()
+        fail_point("columnar.segment.write", path=raw.name)
 
     @classmethod
     def load(
@@ -638,33 +656,46 @@ class ColumnarHistory:
         raise ValueError(f"{source}: malformed segment: {problem}")
 
     @classmethod
-    def _read(cls, fh: IO[bytes], path: Union[str, Path]) -> "ColumnarHistory":
+    def _read_header(
+        cls, fh: IO[bytes], path: Union[str, Path]
+    ) -> Tuple["ColumnarHistory", bool, List[Tuple[str, str, str, int]]]:
+        """Consume a segment's magic and header line (the one reader of it).
+
+        Returns the column-less shell (key names installed), whether the
+        file is in native byte order, and the manifest in slot order as
+        ``(slot, typecode, stored_typecode, nbytes)``.
+        """
         if fh.read(len(SEGMENT_MAGIC)) != SEGMENT_MAGIC:
             raise ValueError(f"{path}: not a {SEGMENT_FORMAT} segment file")
-        header_line = fh.readline()
         try:
-            header: Dict[str, Any] = json.loads(header_line)
+            header: Dict[str, Any] = json.loads(fh.readline())
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: corrupt segment header: {exc}") from None
         if header.get("format") != SEGMENT_FORMAT:
             raise ValueError(f"{path}: not a {SEGMENT_FORMAT} segment file")
-        swap = header.get("byteorder", sys.byteorder) != sys.byteorder
         cols = cls.__new__(cls)
         cols.key_names = list(header.get("key_names", []))
         cols.key_ids = {name: kid for kid, name in enumerate(cols.key_names)}
-        manifest = header.get("columns", [])
-        by_name = {entry[0]: entry for entry in manifest}
+        by_name = {entry[0]: entry for entry in header.get("columns", [])}
+        manifest = []
         for slot, typecode in zip(_COLUMN_SLOTS, _COLUMN_TYPECODES):
-            entry = by_name.get(slot)
-            if entry is None:
+            if slot not in by_name:
                 raise ValueError(f"{path}: segment missing column {slot!r}")
-            _, stored_typecode, nbytes = entry
+            _, stored_typecode, nbytes = by_name[slot]
+            manifest.append((slot, typecode, stored_typecode, nbytes))
+        native = header.get("byteorder", sys.byteorder) == sys.byteorder
+        return cols, native, manifest
+
+    @classmethod
+    def _read(cls, fh: IO[bytes], path: Union[str, Path]) -> "ColumnarHistory":
+        cols, native, manifest = cls._read_header(fh, path)
+        for slot, typecode, stored_typecode, nbytes in manifest:
             column = array(stored_typecode)
             data = fh.read(nbytes)
             if len(data) != nbytes:
                 raise ValueError(f"{path}: truncated segment column {slot!r}")
             column.frombytes(data)
-            if swap:
+            if not native:
                 column.byteswap()
             if stored_typecode != typecode:
                 column = array(typecode, column)
@@ -683,33 +714,16 @@ class ColumnarHistory:
         (bad magic/header, truncated columns) raises ``ValueError`` exactly
         like the copying loader.
         """
-        if fh.read(len(SEGMENT_MAGIC)) != SEGMENT_MAGIC:
-            raise ValueError(f"{path}: not a {SEGMENT_FORMAT} segment file")
-        header_line = fh.readline()
-        try:
-            header: Dict[str, Any] = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: corrupt segment header: {exc}") from None
-        if header.get("format") != SEGMENT_FORMAT:
-            raise ValueError(f"{path}: not a {SEGMENT_FORMAT} segment file")
-        if header.get("byteorder", sys.byteorder) != sys.byteorder:
+        cols, native, manifest = cls._read_header(fh, path)
+        if not native:
             return None
-        data_start = fh.tell()
-        by_name = {entry[0]: entry for entry in header.get("columns", [])}
+        offset = fh.tell()
         file_size = os.fstat(fh.fileno()).st_size
         mapping = _mmap_module.mmap(
             fh.fileno(), 0, access=_mmap_module.ACCESS_READ
         )
         view = memoryview(mapping)
-        cols = cls.__new__(cls)
-        cols.key_names = list(header.get("key_names", []))
-        cols.key_ids = {name: kid for kid, name in enumerate(cols.key_names)}
-        offset = data_start
-        for slot, typecode in zip(_COLUMN_SLOTS, _COLUMN_TYPECODES):
-            entry = by_name.get(slot)
-            if entry is None:
-                raise ValueError(f"{path}: segment missing column {slot!r}")
-            _, stored_typecode, nbytes = entry
+        for slot, typecode, stored_typecode, nbytes in manifest:
             if stored_typecode != typecode:
                 return None
             if offset + nbytes > file_size:
@@ -752,82 +766,6 @@ def load_history_segment(path: Union[str, Path]) -> ColumnarHistory:
     return ColumnarHistory.load(path)
 
 
-class ColumnBuilder:
-    """Reusable flat-column appender — the data plane's accept path.
-
-    Wraps one growing :class:`ColumnarHistory` and exposes the two entry
-    points every producer needs: :meth:`append_raw` for object-free flat
-    rows (the async collector's hot path) and :meth:`append` for legacy
-    :class:`Transaction` producers.  :class:`SegmentWriter` composes one of
-    these for persistence; the async collector drains its backpressure
-    queue into one directly, so no ``Transaction``/``Operation`` object is
-    ever constructed between the adapter and the columns.
-    """
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns: Optional[ColumnarHistory] = None) -> None:
-        self.columns = columns if columns is not None else ColumnarHistory()
-
-    def seed_initial(self, keys: Iterable[str], value: int = 0) -> None:
-        """Install ``⊥T`` (one committed write of ``value`` per key) as the
-        first row, without materialising the initial transaction."""
-        self.columns.append_raw(
-            INITIAL_TXN_ID,
-            -1,
-            STATUS_CODES[TransactionStatus.COMMITTED],
-            None,
-            None,
-            ((_WRITE, key, value) for key in keys),
-        )
-
-    def append_raw(
-        self,
-        txn_id: int,
-        session_id: int,
-        status_code: int,
-        start_ts: Optional[float],
-        finish_ts: Optional[float],
-        ops: Iterable[Tuple[int, str, Optional[int]]],
-    ) -> None:
-        """Append one flat row (see :meth:`ColumnarHistory.append_raw`)."""
-        self.columns.append_raw(
-            txn_id, session_id, status_code, start_ts, finish_ts, ops
-        )
-
-    def append_row(
-        self,
-        txn_id: int,
-        session_id: int,
-        status_code: int,
-        start_ts: Optional[float],
-        finish_ts: Optional[float],
-        kinds: List[int],
-        keys: List[str],
-        values: List[int],
-    ) -> None:
-        """Append one parallel-lists row (see
-        :meth:`ColumnarHistory.append_row`)."""
-        self.columns.append_row(
-            txn_id, session_id, status_code, start_ts, finish_ts,
-            kinds, keys, values,
-        )
-
-    def append(self, txn: Transaction) -> None:
-        """Append one materialised transaction."""
-        self.columns.append(txn)
-
-    __call__ = append
-
-    @property
-    def num_transactions(self) -> int:
-        return self.columns.num_transactions
-
-    @property
-    def num_operations(self) -> int:
-        return self.columns.num_operations
-
-
 class SegmentWriter:
     """Collect transactions live and persist them as one segment on close.
 
@@ -858,36 +796,23 @@ class SegmentWriter:
         compress: Optional[bool] = None,
     ) -> None:
         self.path = Path(path)
-        self._builder = ColumnBuilder()
-        self.columns = self._builder.columns
+        self.columns = ColumnarHistory()
         self._compress = compress
         self._closed = False
         if initial_transaction is not None:
-            self._builder.append(initial_transaction)
+            self.columns.append(initial_transaction)
         elif initial_keys is not None:
-            self._builder.seed_initial(initial_keys)
+            self.columns.seed_initial(initial_keys)
+        # Flat rows without materialising a transaction: object-free
+        # producers (the async collector's drain task) stream into the
+        # segment with zero object overhead.
+        self.append_raw = self.columns.append_raw
 
     def write(self, txn: Transaction) -> None:
         """Append one transaction to the in-memory segment."""
-        self._builder.append(txn)
+        self.columns.append(txn)
 
     __call__ = write
-
-    def append_raw(
-        self,
-        txn_id: int,
-        session_id: int,
-        status_code: int,
-        start_ts: Optional[float],
-        finish_ts: Optional[float],
-        ops: Iterable[Tuple[int, str, Optional[int]]],
-    ) -> None:
-        """Append one flat row without materialising a transaction — lets
-        object-free producers (the async collector's drain task) stream
-        into a segment with zero object overhead."""
-        self._builder.append_raw(
-            txn_id, session_id, status_code, start_ts, finish_ts, ops
-        )
 
     def close(self) -> None:
         """Persist the segment (idempotent)."""

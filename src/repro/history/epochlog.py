@@ -52,7 +52,8 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional,
 from .. import obs
 from ..core.model import INITIAL_TXN_ID, Transaction, make_initial_transaction
 from ..resilience.failpoints import fail_point
-from .columnar import ColumnarHistory
+from .columnar import ColumnarHistory, file_crc32
+from .files import atomic_write, frame, unframe
 
 if TYPE_CHECKING:
     from ..core.index import HistoryIndex
@@ -162,16 +163,6 @@ class CheckpointInfo:
 # ----------------------------------------------------------------------
 # Shared low-level helpers
 # ----------------------------------------------------------------------
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via temp file + fsync + rename."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 #: What the log's own file names start with: only their ``.{name}.tmp`` staging
 #: files are swept — the directory may hold files that are not the log's.
 _OWN_NAMES = (_EPOCH_PREFIX, "checkpoint-", MANIFEST_NAME, RETIRED_NAME, INDEX_CACHE_NAME)
@@ -204,16 +195,7 @@ def _sweep_stale_tmp(directory: Path) -> int:
 
 
 def _file_crc_and_size(path: Path) -> Tuple[int, int]:
-    crc = 0
-    size = 0
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(1 << 20)
-            if not chunk:
-                break
-            crc = zlib.crc32(chunk, crc)
-            size += len(chunk)
-    return crc, size
+    return file_crc32(path), os.stat(path).st_size
 
 
 def _epoch_file_names(epoch: int) -> Tuple[str, str]:
@@ -269,7 +251,7 @@ def _write_manifest(directory: Path, entries: Iterable[EpochInfo]) -> None:
         "epochs": [entry.to_dict() for entry in entries],
     }
     fail_point("epochlog.manifest.commit", path=directory / MANIFEST_NAME)
-    _atomic_write(
+    atomic_write(
         directory / MANIFEST_NAME,
         json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n",
     )
@@ -404,12 +386,14 @@ class EpochLogWriter:
         raw_name, gz_name = _epoch_file_names(epoch)
         name = gz_name if self.compress else raw_name
         path = self.directory / name
+        # ``atomic_write``'s steps, spelled out: a failpoint sits between
+        # each pair of them, and the CRC is taken before the file is published.
         tmp = self.directory / f".{name}.tmp"
-        self._buffer.save(tmp, compress=self.compress)
-        fail_point("epochlog.seal.tmp_write", path=tmp)
-        fsync_started = time.perf_counter()
-        fail_point("epochlog.seal.fsync", path=tmp)
-        with open(tmp, "rb") as fh:
+        with open(tmp, "wb") as fh:
+            self._buffer.dump(fh, tmp, self.compress)
+            fail_point("epochlog.seal.tmp_write", path=tmp)
+            fsync_started = time.perf_counter()
+            fail_point("epochlog.seal.fsync", path=tmp)
             os.fsync(fh.fileno())
         obs.observe(
             "repro_epochlog_fsync_seconds", time.perf_counter() - fsync_started
@@ -460,16 +444,22 @@ class EpochLog:
 
     :meth:`open` performs crash recovery (longest-valid-prefix, see the
     module docstring); :meth:`refresh` re-reads the manifest so a live
-    follower picks up epochs a concurrent writer seals.  Epoch segments
+    follower picks up epochs a concurrent writer seals, and :meth:`poll`
+    hands them out one at a time.  Epoch segments
     load memory-mapped by default.  The checkpoint methods store and
     recover verifier snapshots inside the same directory — the epoch log
     is the one durable artefact a verification service needs.
     """
 
+    #: A log has no end marker: a writer may always seal another epoch.
+    done = False
+
     def __init__(self, directory: Path, entries: List[EpochInfo], retired: int):
         self.directory = directory
         self.epochs = entries
         self.retired_through = retired
+        #: Epochs handed out by :meth:`poll` (set it to resume mid-log).
+        self.position = 0
 
     @classmethod
     def open(cls, directory: Union[str, Path]) -> "EpochLog":
@@ -534,6 +524,24 @@ class EpochLog:
         self.epochs = entries
         self.retired_through = retired
         return fresh
+
+    @property
+    def lag(self) -> int:
+        """Sealed epochs :meth:`poll` has not handed out yet."""
+        return max(len(self.epochs) - self.position, 0)
+
+    def poll(self) -> Optional[ColumnarHistory]:
+        """The next sealed epoch past :attr:`position`, or ``None``.
+
+        Follows what :meth:`open` / :meth:`refresh` last saw — a follower
+        alternates ``poll()`` until ``None`` with ``refresh()``, the same
+        way it drives a :class:`~repro.history.files.StreamFollower`.
+        """
+        if self.position >= len(self.epochs):
+            return None
+        segment = self.load_epoch(self.position)
+        self.position += 1
+        return segment
 
     def load_epoch(
         self,
@@ -682,19 +690,14 @@ class EpochLog:
             compresslevel=_CHECKPOINT_COMPRESSLEVEL,
             mtime=0,
         )
-        header = json.dumps(
-            {
-                "format": CHECKPOINT_FILE_FORMAT,
-                "epochs": epochs,
-                "transactions": transactions,
-                "crc32": zlib.crc32(payload),
-                "payload_bytes": len(payload),
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
+        header = {
+            "format": CHECKPOINT_FILE_FORMAT,
+            "epochs": epochs,
+            "transactions": transactions,
+        }
         path = self.directory / f"checkpoint-{epochs:0{_EPOCH_DIGITS}d}.ckpt"
         fail_point("epochlog.checkpoint.save", path=path)
-        _atomic_write(path, CHECKPOINT_MAGIC + header + b"\n" + payload)
+        atomic_write(path, frame(CHECKPOINT_MAGIC, header, payload))
         for stale in self._checkpoint_paths()[:-_CHECKPOINTS_KEPT]:
             try:
                 stale.unlink()
@@ -729,18 +732,10 @@ class EpochLog:
     @staticmethod
     def _decode_checkpoint(path: Path) -> Optional[CheckpointInfo]:
         try:
-            blob = path.read_bytes()
-            if not blob.startswith(CHECKPOINT_MAGIC):
+            framed = unframe(CHECKPOINT_MAGIC, path.read_bytes())
+            if framed is None or framed[0].get("format") != CHECKPOINT_FILE_FORMAT:
                 return None
-            rest = blob[len(CHECKPOINT_MAGIC):]
-            header_line, _, payload = rest.partition(b"\n")
-            header = json.loads(header_line)
-            if header.get("format") != CHECKPOINT_FILE_FORMAT:
-                return None
-            if len(payload) != header["payload_bytes"]:
-                return None
-            if zlib.crc32(payload) != header["crc32"]:
-                return None
+            payload = framed[1]
             body = json.loads(gzip.decompress(payload))
             return CheckpointInfo(
                 epochs=int(body["epochs"]),
@@ -769,7 +764,7 @@ class EpochLog:
             raise ValueError(f"epoch {epoch} not sealed (have {len(self.epochs)})")
         if epoch <= self.retired_through:
             return 0
-        _atomic_write(
+        atomic_write(
             self.directory / RETIRED_NAME, f"{epoch}\n".encode("utf-8")
         )
         removed = 0

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import warnings
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, Iterator, List, Optional, Union
 
@@ -37,6 +36,7 @@ from ..core.model import (
     history_from_stream,
     make_initial_transaction,
 )
+from .files import StreamFollower, atomic_write
 
 __all__ = [
     "history_to_dict",
@@ -79,13 +79,13 @@ def history_to_dict(history: History) -> Dict[str, Any]:
         "sessions": [
             {
                 "session_id": session.session_id,
-                "transactions": [_txn_to_dict(txn) for txn in session.transactions],
+                "transactions": [transaction_to_dict(txn) for txn in session.transactions],
             }
             for session in history.sessions
         ],
     }
     if history.initial_transaction is not None:
-        payload["initial_transaction"] = _txn_to_dict(history.initial_transaction)
+        payload["initial_transaction"] = transaction_to_dict(history.initial_transaction)
     return payload
 
 
@@ -100,18 +100,18 @@ def history_from_dict(payload: Dict[str, Any]) -> History:
             if type(session.session_id) is not int:
                 raise TypeError("session_id must be an integer")
             for txn_payload in session_payload.get("transactions", []):
-                session.transactions.append(_txn_from_dict(txn_payload))
+                session.transactions.append(transaction_from_dict(txn_payload))
             sessions.append(session)
         initial = payload.get("initial_transaction")
-        initial_txn = _txn_from_dict(initial) if initial is not None else None
+        initial_txn = transaction_from_dict(initial) if initial is not None else None
         return History(sessions=sessions, initial_transaction=initial_txn)
     except _STRUCTURAL as exc:
         raise _malformed("document", exc) from None
 
 
 def save_history(history: History, path: Union[str, Path]) -> None:
-    """Write a history to ``path`` as JSON."""
-    Path(path).write_text(json.dumps(history_to_dict(history), indent=2))
+    """Write a history to ``path`` as JSON (published atomically)."""
+    atomic_write(path, json.dumps(history_to_dict(history), indent=2).encode())
 
 
 def load_history(path: Union[str, Path]) -> History:
@@ -156,11 +156,6 @@ def transaction_from_dict(payload: Dict[str, Any]) -> Transaction:
         )
     except _STRUCTURAL as exc:
         raise _malformed("transaction record", exc) from None
-
-
-# Backwards-compatible aliases for the original private helpers.
-_txn_to_dict = transaction_to_dict
-_txn_from_dict = transaction_from_dict
 
 
 # ----------------------------------------------------------------------
@@ -309,8 +304,8 @@ def write_history_jsonl(
 def parse_stream_header(line: str) -> Dict[str, Any]:
     """Validate a stream's header line; raises ``ValueError`` when invalid.
 
-    Shared by :func:`iter_history_jsonl` and the CLI's follow mode so the
-    two cannot drift on what counts as a valid stream.
+    Called by the one reader of the format,
+    :class:`~repro.history.files.StreamFollower`.
     """
     if not line.strip():
         raise ValueError("empty history stream (missing header)")
@@ -327,63 +322,15 @@ def iter_history_jsonl(path: Union[str, Path]) -> Iterator[Transaction]:
     """Lazily yield the transactions of a JSONL stream, ``⊥T`` first.
 
     The file is read line by line, so arbitrarily long streams can be
-    verified in bounded memory when combined with the streaming checker's
-    window mode.  Gzip-compressed streams are decompressed transparently,
-    and a *torn* final line — a live producer (or a ``flush_every`` batch)
-    caught mid-append, recognisable by the missing terminating newline — is
-    skipped with a ``UserWarning`` instead of raising
-    ``json.JSONDecodeError``, so the complete prefix stays checkable while
-    the truncation remains visible (a truncated copy of a *finished*
-    history would otherwise be silently shortened); use ``repro watch`` to
-    keep following until the line completes.
+    verified in bounded memory with the streaming checker's window mode.
+    Reading follows :class:`~repro.history.files.StreamFollower`'s rules; a
+    stream that ends torn — a final line without its newline that does not
+    parse, or a gzip member cut short — yields its complete prefix and a
+    ``UserWarning`` (use ``repro watch`` to keep following instead).
     """
-    with open_history_stream(path) as fh:
-        try:
-            header_line = fh.readline()
-        except EOFError:
-            # A gzip member cut off before its end-of-stream marker — the
-            # producer is still writing (or the copy was truncated).
-            raise ValueError(f"{path}: truncated compressed stream (no header)") from None
-        try:
-            header = parse_stream_header(header_line)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        initial = header.get("initial_transaction")
-        if initial is not None:
-            yield transaction_from_dict(initial)
-        while True:
-            try:
-                line = fh.readline()
-            except EOFError:
-                # Torn compressed tail (live gzip writer): the complete
-                # prefix has been yielded; the stream ends here.
-                warnings.warn(
-                    f"{path}: compressed stream truncated mid-member "
-                    f"(producer still writing?); stopping at the last "
-                    f"complete transaction",
-                    stacklevel=2,
-                )
-                return
-            if not line:
-                return
-            if not line.strip():
-                continue
-            if not line.endswith("\n"):
-                # Unterminated final line: the producer is mid-append.  If it
-                # parses it is a complete record that merely lacks a trailing
-                # newline; otherwise it is torn and the stream ends here.
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    warnings.warn(
-                        f"{path}: skipping torn final line "
-                        f"({len(line)} bytes without a newline)",
-                        stacklevel=2,
-                    )
-                    return
-                yield transaction_from_dict(payload)
-                return
-            yield transaction_from_dict(json.loads(line))
+    with StreamFollower(path) as follower:
+        yield from follower.records()
+        follower.warn()
 
 
 def load_history_jsonl(path: Union[str, Path]) -> History:
@@ -439,7 +386,7 @@ def lwt_history_from_dict(payload: Dict[str, Any]) -> LWTHistory:
 
 
 def save_lwt_history(history: LWTHistory, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(lwt_history_to_dict(history), indent=2))
+    atomic_write(path, json.dumps(lwt_history_to_dict(history), indent=2).encode())
 
 
 def load_lwt_history(path: Union[str, Path]) -> LWTHistory:

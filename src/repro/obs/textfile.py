@@ -2,10 +2,10 @@
 
 :func:`write_textfile` renders the registry in the Prometheus text format
 (``# HELP`` / ``# TYPE`` headers, ``name{labels} value`` series, histogram
-``_bucket``/``_sum``/``_count`` expansion) and installs it atomically —
-written to a same-directory temp file, flushed, fsynced, then
-``os.replace``d — so a concurrent scraper (node_exporter's textfile
-collector, or a plain ``cat``) never observes a torn snapshot.
+``_bucket``/``_sum``/``_count`` expansion) and installs it atomically
+(:func:`repro.history.files.atomic_write`: staging file, fsync, rename) —
+so a concurrent scraper (node_exporter's textfile collector, or a plain
+``cat``) never observes a torn snapshot.
 
 Every family in :data:`~repro.obs.metrics.METRIC_CATALOG` is always
 emitted; label-less counter/gauge families that were never recorded appear
@@ -16,8 +16,6 @@ exposes the collector, checker, epoch-log, and executor families.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from typing import Dict, List
 
 from .metrics import METRIC_CATALOG, MetricsRegistry, family_of
@@ -91,22 +89,9 @@ def render(reg: MetricsRegistry) -> str:
 
 def write_textfile(path: str, reg: MetricsRegistry) -> None:
     """Atomically (re)write ``path`` with the registry's exposition."""
-    text = render(reg)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    from ..history.files import atomic_write  # deferred: history builds on obs
+
+    atomic_write(path, render(reg).encode("utf-8"))
 
 
 def parse_textfile(text: str) -> Dict[str, float]:

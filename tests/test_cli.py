@@ -28,254 +28,173 @@ class TestParser:
         assert excinfo.value.code == 2
 
 
-class TestGenerateAndCheck:
-    def test_generate_then_check_valid_history(self, tmp_path, capsys):
-        path = tmp_path / "history.json"
-        code = main(
-            [
-                "generate",
-                "--isolation",
-                "si",
-                "--sessions",
-                "4",
-                "--txns",
-                "20",
-                "--objects",
-                "10",
-                "--output",
-                str(path),
-            ]
+_GENERATE = ["generate", "--isolation", "si", "--sessions", "4", "--txns", "20", "--objects", "8"]
+_LOST_UPDATE = ["--fault", "lostupdate", "--fault-rate", "0.6"]
+#: One file name per container; the two streams default to the streaming route.
+CONTAINERS = ["h.json", "h.jsonl", "h.jsonl.gz", "h.seg", "h.seg.gz", "h.epochs"]
+STREAMS = ["h.jsonl", "h.jsonl.gz"]
+FOLLOWABLE = [*STREAMS, "h.epochs"]
+
+
+def run(capsys, *argv):
+    """``main(argv)`` -> ``(exit code, stdout)``, dropping earlier output."""
+    capsys.readouterr()
+    code = main([str(arg) for arg in argv])
+    return code, capsys.readouterr().out
+
+
+def rows(path):
+    from repro.history import read_segments
+
+    return [
+        (t.txn_id, t.session_id, t.status, t.start_ts, t.finish_ts, str(t))
+        for segment in read_segments(path)
+        for t in segment.iter_transactions()
+    ]
+
+
+@pytest.fixture(scope="module")
+def histories(tmp_path_factory):
+    """A healthy and a lost-update history, each in all six containers."""
+    root = tmp_path_factory.mktemp("containers")
+    for kind, fault in (("healthy", []), ("lostupdate", _LOST_UPDATE)):
+        directory = root / kind
+        directory.mkdir()
+        source = directory / "h.jsonl"
+        assert main([*_GENERATE, *fault, "--output", str(source)]) == 0
+        for name in CONTAINERS:
+            if name != "h.jsonl":
+                assert main(["convert", str(source), str(directory / name), "--epoch-txns", "16"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("level", ["ser", "si"])
+@pytest.mark.parametrize("kind", ["healthy", "lostupdate"])
+class TestContainerMatrix:
+    """One history, six containers, three routes: one answer per route."""
+
+    def test_stdout_and_exit_code_do_not_depend_on_the_container(
+        self, histories, kind, level, capsys
+    ):
+        d = histories / kind
+        batch = {n: run(capsys, "check", "--level", level, d / n) for n in CONTAINERS}
+        stream = {n: run(capsys, "check", "--stream", "--level", level, d / n) for n in CONTAINERS}
+        watch = {n: run(capsys, "watch", "--once", "--level", level, d / n) for n in FOLLOWABLE}
+        # Streamed, the verdict and every [txn #N] label are the same bytes
+        # whatever holds the rows and whichever command streams them...
+        assert len({*stream.values(), *watch.values()}) == 1
+        # ...and so is the batch report; a .jsonl input defaults to streaming.
+        assert len({batch[n] for n in CONTAINERS if n not in STREAMS}) == 1
+        assert all(batch[n] == stream[n] for n in STREAMS)
+        for code, out in (batch["h.seg"], stream["h.seg"]):
+            if kind == "healthy":
+                assert code == 0 and "SATISFIED" in out and "[txn #" not in out
+            else:
+                assert code == 1 and "VIOLATED" in out
+        if kind == "lostupdate":
+            assert "[txn #" in stream["h.seg"][1] and "[txn #" not in batch["h.seg"][1]
+
+    def test_workers_equal_serial_where_accepted_and_are_refused_elsewhere(
+        self, histories, kind, level, capsys
+    ):
+        d = histories / kind
+        for name in CONTAINERS:
+            sharded = run(capsys, "check", "--workers", "2", "--level", level, d / name)
+            if name in STREAMS:
+                assert sharded == (2, (
+                    "error: --workers applies to batch checking; a .jsonl input is "
+                    "checked as a stream; convert it to a history JSON document for "
+                    "sharded batch checking\n"
+                ))
+            else:
+                assert sharded == run(capsys, "check", "--level", level, d / name)
+            assert run(
+                capsys, "check", "--stream", "--workers", "2", "--level", level, d / name
+            ) == (2, "error: --workers applies to batch checking; drop --stream to use it\n")
+
+
+class TestContainerCorners:
+    def test_generate_reports_what_it_ran(self, tmp_path, capsys):
+        code, out = run(capsys, *_GENERATE, "--output", tmp_path / "h.json")
+        assert code == 0 and "committed" in out and "injected defects" not in out
+        code, out = run(
+            capsys, *_GENERATE, *_LOST_UPDATE, "--distribution", "zipf", "--output", tmp_path / "b.json"
         )
-        assert code == 0
-        assert path.exists()
-        assert "committed" in capsys.readouterr().out
+        assert code == 0 and "committed" in out and "injected defects" in out
 
-        code = main(["check", "--level", "si", str(path)])
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "SATISFIED" in output
-
-    def test_generate_buggy_then_check_detects_violation(self, tmp_path, capsys):
-        path = tmp_path / "buggy.json"
-        code = main(
-            [
-                "generate",
-                "--isolation",
-                "si",
-                "--fault",
-                "lostupdate",
-                "--fault-rate",
-                "0.6",
-                "--sessions",
-                "6",
-                "--txns",
-                "40",
-                "--objects",
-                "6",
-                "--distribution",
-                "zipf",
-                "--output",
-                str(path),
-            ]
-        )
-        assert code == 0
-        assert "injected defects" in capsys.readouterr().out
-
-        code = main(["check", "--level", "si", str(path)])
-        output = capsys.readouterr().out
-        assert code == 1
-        assert "VIOLATED" in output
-
-    def test_generated_file_is_valid_json(self, tmp_path):
-        path = tmp_path / "history.json"
-        main(["generate", "--sessions", "2", "--txns", "5", "--objects", "5", "--output", str(path)])
-        payload = json.loads(path.read_text())
-        assert payload["format"] == "repro-history-v1"
-
-
-class TestStreamingCommands:
-    def _generate(self, path, *extra):
-        return main(
-            [
-                "generate",
-                "--isolation",
-                "si",
-                "--sessions",
-                "4",
-                "--txns",
-                "20",
-                "--objects",
-                "8",
-                "--output",
-                str(path),
-                *extra,
-            ]
-        )
-
-    def test_generate_jsonl_then_stream_check(self, tmp_path, capsys):
-        path = tmp_path / "history.jsonl"
-        assert self._generate(path) == 0
-        first_line = path.read_text().splitlines()[0]
+    def test_generate_writes_each_container(self, tmp_path):
+        for name in CONTAINERS:
+            assert main([*_GENERATE, "--epoch-txns", "16", "--output", str(tmp_path / name)]) == 0
+        assert json.loads((tmp_path / "h.json").read_text())["format"] == "repro-history-v1"
+        first_line = (tmp_path / "h.jsonl").read_text().splitlines()[0]
         assert json.loads(first_line)["format"] == "repro-history-stream-v1"
+        assert (tmp_path / "h.seg").read_bytes().startswith(b"REPROSEG1")
+        assert (tmp_path / "h.epochs" / "MANIFEST.json").exists()
+        assert len(sorted((tmp_path / "h.epochs").glob("epoch-*.seg"))) > 1
+        assert len({tuple(rows(tmp_path / name)) for name in CONTAINERS}) == 1
 
-        code = main(["check", "--level", "si", str(path)])  # --stream implied
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "SATISFIED" in output
+    @pytest.mark.parametrize("source", CONTAINERS)
+    def test_convert_there_and_back_is_row_identical(self, source, histories, tmp_path, capsys):
+        original = rows(histories / "healthy" / source)
+        for name in CONTAINERS:
+            there = tmp_path / name.replace("h.", "there.")
+            back = tmp_path / name.replace("h.", "via-").replace(".", "-") / source
+            back.parent.mkdir()
+            for a, b in ((histories / "healthy" / source, there), (there, back)):
+                code, out = run(capsys, "convert", a, b, "--epoch-txns", "16")
+                assert code == 0
+                assert out == f"converted {a} -> {b} ({len(original)} transactions)\n"
+            assert rows(there) == rows(back) == original
+        assert json.loads((tmp_path / "there.json").read_text())["format"] == "repro-history-v1"
 
-    def test_stream_check_reports_offending_transaction(self, tmp_path, capsys):
-        path = tmp_path / "buggy.jsonl"
-        assert (
-            self._generate(path, "--fault", "lostupdate", "--fault-rate", "0.6") == 0
-        )
-        code = main(["check", "--stream", "--level", "si", str(path)])
-        output = capsys.readouterr().out
-        assert code == 1
-        assert "[txn #" in output and "VIOLATED" in output
+    def test_a_directory_named_like_a_segment_is_an_epoch_log_everywhere(
+        self, histories, tmp_path, capsys
+    ):
+        # One classification rule: an existing directory is an epoch log, on
+        # check, as a convert source and as a convert destination alike.
+        odd = tmp_path / "x.seg"
+        odd.mkdir()
+        healthy = histories / "healthy"
+        assert run(capsys, "convert", healthy / "h.jsonl", odd, "--epoch-txns", "16")[0] == 0
+        assert (odd / "MANIFEST.json").exists()
+        for extra in ([], ["--stream"], ["--workers", "2"]):
+            assert run(capsys, "check", "--level", "si", *extra, odd) == run(
+                capsys, "check", "--level", "si", *extra, healthy / "h.epochs"
+            )
+        assert run(capsys, "watch", "--once", odd) == run(capsys, "watch", "--once", healthy / "h.epochs")
+        assert run(capsys, "convert", odd, tmp_path / "back.jsonl")[0] == 0
+        assert rows(tmp_path / "back.jsonl") == rows(healthy / "h.jsonl")
 
-    def test_stream_check_works_on_plain_json_too(self, tmp_path, capsys):
-        path = tmp_path / "history.json"
-        assert self._generate(path) == 0
-        code = main(["check", "--stream", "--level", "si", str(path)])
-        assert code == 0
-        assert "SATISFIED" in capsys.readouterr().out
-
-    def test_watch_once_verifies_existing_stream(self, tmp_path, capsys):
-        path = tmp_path / "history.jsonl"
-        assert self._generate(path) == 0
-        code = main(["watch", "--level", "si", "--once", str(path)])
-        assert code == 0
-        assert "SATISFIED" in capsys.readouterr().out
-
-    def test_watch_once_flags_faulty_stream(self, tmp_path, capsys):
-        path = tmp_path / "buggy.jsonl"
-        assert (
-            self._generate(path, "--fault", "lostupdate", "--fault-rate", "0.6") == 0
-        )
-        code = main(["watch", "--level", "si", "--once", "--window", "60", str(path)])
-        output = capsys.readouterr().out
-        assert code == 1
-        assert "[txn #" in output
-
-    def test_watch_rejects_non_stream_file(self, tmp_path, capsys):
-        path = tmp_path / "history.json"
-        assert self._generate(path) == 0
-        code = main(["watch", "--once", str(path)])
+    @pytest.mark.parametrize(
+        "name, what", [("h.json", "JSON documents"), ("h.seg", "columnar segments"), ("h.seg.gz", "columnar segments")]
+    )
+    def test_watch_refuses_what_is_written_whole(self, name, what, histories, capsys):
+        code, out = run(capsys, "watch", "--once", histories / "healthy" / name)
         assert code == 2
-        assert "not a" in capsys.readouterr().out
+        assert out.startswith(f"error: {what} are written atomically and cannot be followed")
 
-    def test_watch_tolerates_partially_written_last_line(self, tmp_path, capsys):
-        # A producer caught mid-append leaves a line without its newline; the
-        # watch must skip it with a warning instead of dying on a parse error.
-        path = tmp_path / "history.jsonl"
-        assert self._generate(path) == 0
-        truncated = tmp_path / "truncated.jsonl"
-        truncated.write_bytes(path.read_bytes()[:-20])
-        code = main(["watch", "--level", "si", "--once", str(truncated)])
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "incomplete trailing line" in output and "SATISFIED" in output
+    def test_verbose_streaming_note_is_printed_for_every_container(self, histories, capsys):
+        for name in CONTAINERS:
+            code, out = run(capsys, "check", "-v", "--stream", histories / "healthy" / name)
+            assert code == 0
+            assert out.startswith("note: -v telemetry applies to batch checks")
+            assert "phases:" not in out
 
-    def test_check_and_watch_agree_on_transaction_numbering(self, tmp_path, capsys):
-        path = tmp_path / "buggy.jsonl"
-        assert (
-            self._generate(path, "--fault", "lostupdate", "--fault-rate", "0.6") == 0
-        )
-        main(["check", "--stream", "--level", "si", str(path)])
-        check_tags = [l.split("]")[0] for l in capsys.readouterr().out.splitlines() if l.startswith("[txn #")]
-        main(["watch", "--once", "--level", "si", str(path)])
-        watch_tags = [l.split("]")[0] for l in capsys.readouterr().out.splitlines() if l.startswith("[txn #")]
-        assert check_tags and check_tags == watch_tags
-
-
-class TestSegmentAndConvertCommands:
-    def _generate(self, path, *extra):
-        return main(
-            ["generate", "--isolation", "si", "--sessions", "4", "--txns", "20",
-             "--objects", "8", "--output", str(path), *extra]
-        )
-
-    def test_generate_segment_then_check_batch_and_stream(self, tmp_path, capsys):
-        path = tmp_path / "history.seg"
-        assert self._generate(path) == 0
-        assert path.read_bytes().startswith(b"REPROSEG1")
-        assert main(["check", "--level", "si", str(path)]) == 0
-        assert "SATISFIED" in capsys.readouterr().out
-        assert main(["check", "--level", "si", "--stream", str(path)]) == 0
-        assert "SATISFIED" in capsys.readouterr().out
-
-    def test_check_segment_with_workers(self, tmp_path, capsys):
-        path = tmp_path / "history.seg.gz"
-        assert self._generate(path) == 0
-        assert main(["check", "--level", "ser", "--workers", "2", str(path)]) == 0
-        assert "SATISFIED" in capsys.readouterr().out
-
-    def test_faulty_segment_is_detected(self, tmp_path, capsys):
-        path = tmp_path / "buggy.seg"
-        assert self._generate(path, "--fault", "lostupdate", "--fault-rate", "0.6") == 0
-        assert main(["check", "--level", "si", str(path)]) == 1
-        assert "VIOLATED" in capsys.readouterr().out
-
-    def test_segment_stream_tags_match_jsonl_stream_tags(self, tmp_path, capsys):
-        jsonl = tmp_path / "buggy.jsonl"
-        assert self._generate(jsonl, "--fault", "lostupdate", "--fault-rate", "0.6") == 0
-        capsys.readouterr()
-        assert main(["convert", str(jsonl), str(tmp_path / "buggy.seg")]) == 0
-        capsys.readouterr()
-        main(["check", "--stream", "--level", "si", str(jsonl)])
-        jsonl_tags = [
-            l.split("]")[0] for l in capsys.readouterr().out.splitlines()
-            if l.startswith("[txn #")
-        ]
-        main(["check", "--stream", "--level", "si", str(tmp_path / "buggy.seg")])
-        seg_tags = [
-            l.split("]")[0] for l in capsys.readouterr().out.splitlines()
-            if l.startswith("[txn #")
-        ]
-        assert jsonl_tags and jsonl_tags == seg_tags
-
-    def test_segment_stream_rejects_workers_before_loading(self, tmp_path, capsys):
-        missing = tmp_path / "never-created.seg"
-        missing.write_bytes(b"REPROSEG1\n{}")  # never parsed: flags fail first
-        assert main(["check", "--stream", "--workers", "2", str(missing)]) == 2
+    @pytest.mark.parametrize("name", CONTAINERS)
+    def test_stream_with_workers_is_refused_before_loading(self, name, tmp_path, capsys):
+        unreadable = tmp_path / name
+        unreadable.write_bytes(b"REPROSEG1\n{}")  # never parsed: flags fail first
+        assert main(["check", "--stream", "--workers", "2", str(unreadable)]) == 2
         assert "--workers applies to batch" in capsys.readouterr().out
 
-    def test_non_positive_workers_rejected_in_cli_wording(self, tmp_path, capsys):
-        path = tmp_path / "history.json"
-        assert self._generate(path) == 0
-        capsys.readouterr()
-        assert main(["check", "--workers", "0", str(path)]) == 2
-        assert capsys.readouterr().out.strip() == "error: --workers must be >= 1"
-
-    def test_convert_round_trip_preserves_stream(self, tmp_path, capsys):
-        jsonl = tmp_path / "h.jsonl"
-        assert self._generate(jsonl) == 0
-        assert main(["convert", str(jsonl), str(tmp_path / "h.seg")]) == 0
-        assert main(["convert", str(tmp_path / "h.seg"), str(tmp_path / "back.jsonl.gz")]) == 0
-        assert "converted" in capsys.readouterr().out
-
-        from repro.history import iter_history_jsonl
-
-        original = [(t.txn_id, t.status, str(t)) for t in iter_history_jsonl(jsonl)]
-        restored = [
-            (t.txn_id, t.status, str(t))
-            for t in iter_history_jsonl(tmp_path / "back.jsonl.gz")
-        ]
-        assert original == restored
-
-    def test_convert_to_json_document(self, tmp_path, capsys):
-        seg = tmp_path / "h.seg"
-        assert self._generate(seg) == 0
-        doc = tmp_path / "h.json"
-        assert main(["convert", str(seg), str(doc)]) == 0
-        assert json.loads(doc.read_text())["format"] == "repro-history-v1"
-        assert main(["check", "--level", "si", str(doc)]) == 0
-        capsys.readouterr()
+    def test_non_positive_workers_rejected_in_cli_wording(self, histories, capsys):
+        code, out = run(capsys, "check", "--workers", "0", histories / "healthy" / "h.json")
+        assert (code, out.strip()) == (2, "error: --workers must be >= 1")
 
     @pytest.mark.parametrize("name", ["h.jsonl", "h.seg", "h.epochs"])
     def test_convert_onto_itself_is_refused(self, name, tmp_path, capsys):
         path = tmp_path / name
-        assert self._generate(path) == 0
+        assert main([*_GENERATE, "--output", str(path)]) == 0
 
         def snapshot():
             files = [path] if path.is_file() else sorted(path.iterdir())
@@ -289,28 +208,22 @@ class TestSegmentAndConvertCommands:
             assert "onto itself" in capsys.readouterr().out
         assert snapshot() == before
 
-    def test_gzip_jsonl_checks_and_watches(self, tmp_path, capsys):
-        path = tmp_path / "history.jsonl.gz"
-        assert self._generate(path) == 0
-        assert main(["check", "--level", "si", str(path)]) == 0
-        assert main(["watch", "--level", "si", "--once", str(path)]) == 0
-        assert "SATISFIED" in capsys.readouterr().out
-
-    def test_watch_rejects_segments(self, tmp_path, capsys):
-        path = tmp_path / "history.seg"
-        assert self._generate(path) == 0
-        assert main(["watch", "--once", str(path)]) == 2
-        assert "cannot be followed" in capsys.readouterr().out
-
-    def test_collect_writes_segment(self, tmp_path, capsys):
-        path = tmp_path / "collected.seg"
-        code = main(
-            ["collect", "--adapter", "simulated", "--isolation", "si", "--sessions", "2",
-             "--txns", "10", "--objects", "6", "--output", str(path)]
+    def test_watch_once_flags_faulty_stream_within_a_window(self, histories, capsys):
+        code, out = run(
+            capsys, "watch", "--level", "si", "--once", "--window", "60",
+            histories / "lostupdate" / "h.jsonl",
         )
+        assert code == 1
+        assert "[txn #" in out
+
+    def test_watch_tolerates_partially_written_last_line(self, histories, tmp_path, capsys):
+        # A producer caught mid-append leaves a line without its newline; the
+        # watch must skip it with a warning instead of dying on a parse error.
+        truncated = tmp_path / "truncated.jsonl"
+        truncated.write_bytes((histories / "healthy" / "h.jsonl").read_bytes()[:-20])
+        code, output = run(capsys, "watch", "--level", "si", "--once", truncated)
         assert code == 0
-        assert main(["check", "--level", "ser", str(path)]) == 0
-        capsys.readouterr()
+        assert "incomplete trailing line" in output and "SATISFIED" in output
 
 
 def _document(*transactions):
@@ -405,6 +318,16 @@ class TestCollectCommand:
         ) == 0
         assert json.loads(doc.read_text())["format"] == "repro-history-v1"
 
+    def test_collect_writes_segment(self, tmp_path, capsys):
+        path = tmp_path / "collected.seg"
+        code = main(
+            ["collect", "--adapter", "simulated", "--isolation", "si", "--sessions", "2",
+             "--txns", "10", "--objects", "6", "--output", str(path)]
+        )
+        assert code == 0
+        assert main(["check", "--level", "ser", str(path)]) == 0
+        capsys.readouterr()
+
     def test_collect_gt_workload(self, capsys):
         code = main(
             ["collect", "--adapter", "sqlite", "--workload", "gt", "--sessions", "2",
@@ -487,7 +410,13 @@ class TestWatchDisappearingStream:
         path = tmp_path / "vanishing.epochs"
         assert self._generate(path) == 0
         capsys.readouterr()
-        killer = threading.Timer(0.3, lambda: shutil.rmtree(path))
+        def vanish():
+            # One rename, then the slow part: a directory caught half-deleted
+            # is a different (also fatal) diagnosis, "regressed".
+            path.rename(tmp_path / "gone")
+            shutil.rmtree(tmp_path / "gone")
+
+        killer = threading.Timer(0.3, vanish)
         killer.start()
         try:
             code = main(
@@ -507,23 +436,6 @@ class TestEpochLogCommands:
             ["generate", "--isolation", "si", "--sessions", "4", "--txns", "20",
              "--objects", "8", "--epoch-txns", "16", "--output", str(path), *extra]
         )
-
-    def test_generate_then_check_batch_stream_and_workers(self, tmp_path, capsys):
-        path = tmp_path / "history.epochs"
-        assert self._generate(path) == 0
-        assert (path / "MANIFEST.json").exists()
-        assert sorted(path.glob("epoch-*.seg"))
-        for extra in ([], ["--stream"], ["--workers", "2"]):
-            assert main(["check", "--level", "si", *extra, str(path)]) == 0
-            assert "SATISFIED" in capsys.readouterr().out
-
-    def test_faulty_epoch_log_is_detected(self, tmp_path, capsys):
-        path = tmp_path / "buggy.epochs"
-        assert self._generate(path, "--fault", "lostupdate", "--fault-rate", "0.6") == 0
-        assert main(["check", "--level", "si", str(path)]) == 1
-        assert "VIOLATED" in capsys.readouterr().out
-        assert main(["watch", "--once", "--level", "si", str(path)]) == 1
-        assert "[txn #" in capsys.readouterr().out
 
     def test_watch_checkpoints_then_resumes(self, tmp_path, capsys):
         path = tmp_path / "history.epochs"
@@ -648,24 +560,6 @@ class TestEpochLogCommands:
         ) == 0
         assert main(["watch", "--once", "--checkpoint-every", "2", str(path)]) == 2
         assert "epoch log directories" in capsys.readouterr().out
-
-    def test_convert_round_trips_through_epoch_log(self, tmp_path, capsys):
-        jsonl = tmp_path / "h.jsonl"
-        assert main(
-            ["generate", "--isolation", "si", "--sessions", "4", "--txns", "20",
-             "--objects", "8", "--output", str(jsonl)]
-        ) == 0
-        epochs = tmp_path / "h.epochs"
-        assert main(["convert", str(jsonl), str(epochs), "--epoch-txns", "16"]) == 0
-        back = tmp_path / "back.jsonl"
-        assert main(["convert", str(epochs), str(back)]) == 0
-        capsys.readouterr()
-
-        from repro.history import iter_history_jsonl
-
-        original = [(t.txn_id, t.status, str(t)) for t in iter_history_jsonl(jsonl)]
-        restored = [(t.txn_id, t.status, str(t)) for t in iter_history_jsonl(back)]
-        assert original == restored
 
     def test_check_missing_epoch_log_fails_cleanly(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.epochs")]) == 2

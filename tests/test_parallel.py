@@ -11,7 +11,6 @@ histories with disjoint key groups and cross-shard session orders.
 import pytest
 
 from repro.bench import generate_mt_history, make_disjoint_history
-from repro.cli import main as repro_main
 from repro.core.checker import MTChecker
 from repro.core.checkers import MTHistoryError
 from repro.core.index import HistoryIndex
@@ -328,32 +327,3 @@ class TestExecutor:
         )
         result = MTChecker(workers=1).verify(history, IsolationLevel.LINEARIZABILITY)
         assert result.level is IsolationLevel.STRICT_SERIALIZABILITY
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-class TestCli:
-    def test_check_workers_matches_serial(self, tmp_path, capsys):
-        path = tmp_path / "history.json"
-        assert (
-            repro_main(
-                [
-                    "generate", "--isolation", "si", "--sessions", "4",
-                    "--txns", "15", "--objects", "8",
-                    "--output", str(path),
-                ]
-            )
-            == 0
-        )
-        serial_code = repro_main(["check", "--level", "ser", str(path)])
-        parallel_code = repro_main(
-            ["check", "--level", "ser", "--workers", "2", str(path)]
-        )
-        capsys.readouterr()
-        assert serial_code == parallel_code == 0
-
-    def test_check_workers_rejected_for_streams(self, capsys):
-        code = repro_main(["check", "--stream", "--workers", "2", "whatever.json"])
-        assert code == 2
-        assert "--workers" in capsys.readouterr().out

@@ -254,3 +254,121 @@ class TestFlushEveryAndTornLines:
         trimmed = tmp_path / "trimmed.jsonl"
         trimmed.write_bytes(path.read_bytes().rstrip(b"\n"))
         assert [t.txn_id for t in iter_history_jsonl(trimmed)] == [-1, 1, 2]
+
+
+class TestOneDoor:
+    """``repro.history.files``: classification, following, publishing, framing."""
+
+    def test_one_classification_rule(self, tmp_path):
+        from repro.history import history_format
+
+        (tmp_path / "dir.seg").mkdir()
+        kinds = {
+            "h.json": "document", "h.txt": "document", "h.jsonl": "stream",
+            "h.ndjson.gz": "stream", "h.SEG": "segment", "h.seg.gz": "segment",
+            "absent.epochs": "log", "dir.seg": "log",
+        }  # fmt: skip
+        assert {name: history_format(tmp_path / name) for name in kinds} == kinds
+        assert history_format(tmp_path) == "log"  # any existing directory
+
+    def test_follower_delivers_records_as_their_newlines_arrive(self, tmp_path):
+        from repro.history import StreamFollower
+
+        path = tmp_path / "live.jsonl"
+        writer = HistoryStreamWriter(path, initial_keys=["x"])
+        with StreamFollower(path) as follower:
+            assert [t.txn_id for t in follower.poll().iter_transactions()] == [-1]
+            assert follower.poll() is None
+            writer.write(Transaction(1, [read("x", 0), write("x", 1)]))
+            line = json.dumps({"txn_id": 2, "session_id": 1, "operations": []})
+            with open(path, "a") as raw:
+                raw.write(line[:9])  # a producer caught mid-append
+                raw.flush()
+                assert list(follower.poll().txn_ids) == [1]
+                assert follower.poll() is None and follower.pending_bytes == 9
+                raw.write(line[9:])  # complete, merely lacking its newline
+                raw.flush()
+                assert list(follower.poll().txn_ids) == [2]
+                raw.write("\n\n")
+            assert follower.poll() is None and follower.pending_bytes == 0
+            assert (follower.position, follower.lag, follower.done) == (3, 0, False)
+            follower.refresh()
+            path.unlink()
+            with pytest.raises(ValueError, match="deleted while being followed"):
+                follower.refresh()
+        writer.close()
+
+    @pytest.mark.parametrize("name", ["h.seg", "h.seg.gz", "h.json"])
+    def test_a_failed_save_leaves_the_previous_file(self, name, tmp_path, monkeypatch):
+        from repro.history import files, read_segments, write_history
+
+        path = tmp_path / name
+        write_history(sample_history(), path)
+        before = path.read_bytes()
+        bigger = History.from_transactions(
+            [[Transaction(n, [write("x", n)]) for n in range(1, 50)]], initial_keys=["x"]
+        )
+
+        def no_space(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(files.os, "fsync", no_space)  # written, never published
+        with pytest.raises(OSError, match="No space left"):
+            write_history(bigger, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == [name]  # staging file removed
+        (segment,) = read_segments(path)
+        assert segment.num_transactions == 3
+
+    def test_frames_are_the_bytes_earlier_builds_wrote(self, tmp_path):
+        """Segment, index sidecar and checkpoint, assembled here by the recipe
+        every earlier build used, are byte for byte what this build writes —
+        so each loads the other's files."""
+        import gzip
+        import sys
+        import zlib
+
+        from repro.core.index import INDEX_CACHE_MAGIC, INDEX_WIRE_FORMAT, HistoryIndex, _WIRE_BUFFERS
+        from repro.history import ColumnarHistory, EpochLog
+        from repro.history.columnar import _COLUMN_SLOTS, SEGMENT_FORMAT, SEGMENT_MAGIC
+        from repro.history.epochlog import CHECKPOINT_FILE_FORMAT, CHECKPOINT_MAGIC
+
+        def dumps(header, **options):
+            return json.dumps(header, separators=(",", ":"), **options).encode()
+
+        columns = ColumnarHistory.from_history(sample_history())
+        raw = [getattr(columns, slot) for slot in _COLUMN_SLOTS]
+        manifest = [[s, c.typecode, c.itemsize * len(c)] for s, c in zip(_COLUMN_SLOTS, raw)]
+        header = {"format": SEGMENT_FORMAT, "byteorder": sys.byteorder, "transactions": 3,
+                  "operations": columns.num_operations, "key_names": ["x"], "columns": manifest}
+        segment = SEGMENT_MAGIC + dumps(header) + b"\n" + b"".join(c.tobytes() for c in raw)
+        columns.save(tmp_path / "new.seg")
+        assert (tmp_path / "new.seg").read_bytes() == segment
+        (tmp_path / "old.seg").write_bytes(segment)
+        assert ColumnarHistory.load(tmp_path / "old.seg").to_wire() == columns.to_wire()
+
+        index, fingerprint = HistoryIndex.from_columns(columns), {"crcs": [7], "epochs": [0]}
+        wire = index.to_wire()
+        payload = b"".join(wire["buffers"][name] for name, _code in _WIRE_BUFFERS)
+        header = {"format": INDEX_WIRE_FORMAT, "byteorder": sys.byteorder,
+                  "fingerprint": fingerprint, "key_names": wire["key_names"],
+                  "has_initial": wire["has_initial"],
+                  "buffers": [[n, c, len(wire["buffers"][n])] for n, c in _WIRE_BUFFERS],
+                  "crc32": zlib.crc32(payload), "payload_bytes": len(payload)}
+        sidecar = INDEX_CACHE_MAGIC + dumps(header, sort_keys=True) + b"\n" + payload
+        assert index.save_cache(tmp_path / "new.idx", fingerprint=fingerprint).read_bytes() == sidecar
+        (tmp_path / "old.idx").write_bytes(sidecar)
+        loaded = HistoryIndex.load_cache(tmp_path / "old.idx", fingerprint=fingerprint, columns=columns)
+        assert loaded is not None and loaded.to_wire() == wire
+
+        log = EpochLog(tmp_path, [], -1)
+        state = {"format": "any", "slots": [1, 2, 3]}
+        body = {"epochs": 4, "transactions": 9, "state": state}
+        payload = gzip.compress(dumps(body), compresslevel=4, mtime=0)
+        header = {"format": CHECKPOINT_FILE_FORMAT, "epochs": 4, "transactions": 9,
+                  "crc32": zlib.crc32(payload), "payload_bytes": len(payload)}
+        checkpoint = CHECKPOINT_MAGIC + dumps(header) + b"\n" + payload
+        assert log.save_checkpoint(state, epochs=4, transactions=9).read_bytes() == checkpoint
+        (tmp_path / "checkpoint-00005.ckpt").write_bytes(checkpoint)
+        assert [(c.epochs, c.state) for c in log.checkpoints()] == [(4, state), (4, state)]
