@@ -717,19 +717,15 @@ def _retire_behind_window(log: EpochLog, window: int, ingested_epochs: int) -> N
             )
 
 
-def _generate_workload(args: argparse.Namespace, generator=MTWorkloadGenerator):
-    """The workload ``generate`` / ``collect`` describe with their shared flags."""
-    return generator(
+def _cmd_generate(args: argparse.Namespace) -> int:
+    generator = MTWorkloadGenerator(
         num_sessions=args.sessions,
         txns_per_session=args.txns,
         num_objects=args.objects,
         distribution=args.distribution,
         seed=args.seed,
-    ).generate()
-
-
-def _cmd_generate(args: argparse.Namespace) -> int:
-    workload = _generate_workload(args)
+    )
+    workload = generator.generate()
     faults = (
         FaultPlan.for_anomaly(args.fault, rate=args.fault_rate, seed=args.seed)
         if args.fault
@@ -777,26 +773,28 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         print(f"error: --max-inflight must be positive, got {args.max_inflight}")
         return 2
 
-    workload = _generate_workload(
-        args, MTWorkloadGenerator if args.workload == "mt" else GTWorkloadGenerator
-    )
+    if args.workload == "mt":
+        generator = MTWorkloadGenerator(
+            num_sessions=args.sessions,
+            txns_per_session=args.txns,
+            num_objects=args.objects,
+            distribution=args.distribution,
+            seed=args.seed,
+        )
+    else:
+        generator = GTWorkloadGenerator(
+            num_sessions=args.sessions,
+            txns_per_session=args.txns,
+            num_objects=args.objects,
+            distribution=args.distribution,
+            seed=args.seed,
+        )
+    workload = generator.generate()
     if args.traffic is not None:
         workload.traffic = make_traffic_shape(
             args.traffic, think_time=args.think_time, seed=args.seed
         )
 
-    # One option set for both collectors: each factory ignores what its
-    # adapter does not take (sqlite file options, chaos rate without --chaos).
-    adapter_options = dict(
-        isolation=args.isolation,
-        path=args.db_path,
-        mode=args.mode,
-        wal=args.wal,
-        busy_timeout_ms=args.busy_timeout_ms,
-        chaos=args.chaos,
-        chaos_rate=args.chaos_rate,
-        seed=args.seed,
-    )
     columns = None
     if args.use_async:
         import asyncio
@@ -806,7 +804,22 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 
         try:
             adapter = make_async_adapter(
-                args.adapter, bridge=not args.no_bridge, **adapter_options
+                args.adapter,
+                isolation=args.isolation,
+                bridge=not args.no_bridge,
+                chaos=args.chaos,
+                **(
+                    {}
+                    if args.adapter == "simulated"
+                    else {
+                        "path": args.db_path,
+                        "mode": args.mode,
+                        "wal": args.wal,
+                        "busy_timeout_ms": args.busy_timeout_ms,
+                    }
+                ),
+                **({"chaos_rate": args.chaos_rate, "seed": args.seed}
+                   if args.chaos is not None else {}),
             )
         except AdapterError as exc:
             print(f"error: {exc}")
@@ -827,7 +840,17 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         columns = result.columns
         chaos_source = getattr(adapter, "sync_adapter", adapter)
     else:
-        adapter = make_adapter(args.adapter, **adapter_options)
+        adapter = make_adapter(
+            args.adapter,
+            isolation=args.isolation,
+            path=args.db_path,
+            mode=args.mode,
+            wal=args.wal,
+            busy_timeout_ms=args.busy_timeout_ms,
+            chaos=args.chaos,
+            chaos_rate=args.chaos_rate,
+            seed=args.seed,
+        )
         with adapter:
             result = Collector(
                 adapter,
@@ -915,20 +938,10 @@ def _cmd_anomaly(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Subcommand name (argparse rejects any other) -> the function that runs it.
-_COMMANDS = {
-    "check": _cmd_check,
-    "watch": _cmd_watch,
-    "generate": _cmd_generate,
-    "collect": _cmd_collect,
-    "convert": _cmd_convert,
-    "anomaly": _cmd_anomaly,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(list(argv) if argv is not None else None)
+    parser = build_parser()
+    args = parser.parse_args(list(argv) if argv is not None else None)
     workers = getattr(args, "workers", None)
     if workers is not None and workers < 1:
         print("error: --workers must be >= 1")
@@ -938,18 +951,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         obs.start_trace(trace_path)
     try:
         with obs.trace_span(args.command):
-            return _COMMANDS[args.command](args)
+            if args.command == "check":
+                return _cmd_check(args)
+            if args.command == "watch":
+                return _cmd_watch(args)
+            if args.command == "generate":
+                return _cmd_generate(args)
+            if args.command == "collect":
+                return _cmd_collect(args)
+            if args.command == "convert":
+                return _cmd_convert(args)
+            if args.command == "anomaly":
+                return _cmd_anomaly(args)
     except BrokenPipeError:
         return 1  # stdout consumer (e.g. `| head`) went away mid-report
-    except (OSError, EOFError, ValueError) as exc:
-        # EOFError: a gzip stream cut off mid-member (not an OSError even
-        # though gzip raises it for I/O-shaped corruption).  ValueError: bad
-        # file format, malformed JSON, or invalid option combination.
+    except (OSError, EOFError) as exc:
+        # EOFError: a gzip stream cut off mid-member (EOFError is not an
+        # OSError even though gzip raises it for I/O-shaped corruption).
+        print(f"error: {exc}")
+        return 2
+    except ValueError as exc:
+        # Bad file format, malformed JSON, or invalid option combination.
         print(f"error: {exc}")
         return 2
     finally:
         if trace_path:
             obs.stop_trace()
+    parser.error(f"unknown command {args.command!r}")
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

@@ -310,8 +310,19 @@ class ColumnarHistory:
                     values_append(value)
                     has_append(1)
             self.op_offsets.append(len(self.op_kinds))
-        except (OverflowError, AttributeError) as exc:
-            raise self._append_error(txn_id, exc) from None
+        except OverflowError as exc:
+            raise ValueError(
+                f"transaction T{txn_id} does not fit the columnar segment "
+                f"format (ids and values are signed 64-bit, distinct keys "
+                f"signed 32-bit): {exc}"
+            ) from None
+        except AttributeError:
+            if isinstance(self.txn_ids, array):
+                raise
+            raise ValueError(
+                "cannot append to a memory-mapped segment (loaded with "
+                "mmap=True); use slice_rows() to derive a mutable copy"
+            ) from None
 
     def append_row(
         self,
@@ -348,24 +359,19 @@ class ColumnarHistory:
             self.op_has_value.extend(_ONES[: len(kinds)] if len(kinds) <= len(_ONES)
                                      else bytes(1 for _ in kinds))
             self.op_offsets.append(len(self.op_kinds))
-        except (OverflowError, AttributeError) as exc:
-            raise self._append_error(txn_id, exc) from None
-
-    def _append_error(self, txn_id: int, exc: Exception) -> Exception:
-        """What a failed append means: a value out of the format's range, or
-        a read-only (memory-mapped) segment; anything else is ``exc`` itself."""
-        if isinstance(exc, OverflowError):
-            return ValueError(
+        except OverflowError as exc:
+            raise ValueError(
                 f"transaction T{txn_id} does not fit the columnar segment "
                 f"format (ids and values are signed 64-bit, distinct keys "
                 f"signed 32-bit): {exc}"
-            )
-        if isinstance(self.txn_ids, array):
-            return exc
-        return ValueError(
-            "cannot append to a memory-mapped segment (loaded with "
-            "mmap=True); use slice_rows() to derive a mutable copy"
-        )
+            ) from None
+        except AttributeError:
+            if isinstance(self.txn_ids, array):
+                raise
+            raise ValueError(
+                "cannot append to a memory-mapped segment (loaded with "
+                "mmap=True); use slice_rows() to derive a mutable copy"
+            ) from None
 
     def append(self, txn: Transaction) -> None:
         """Append one transaction as a new row (see :meth:`append_raw` for

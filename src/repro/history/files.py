@@ -1,17 +1,9 @@
 """One door for history files: what a path holds, how to read and write it.
 
 Four containers hold the same rows (see :mod:`repro.history`); whatever
-depends on *which* one a path names is decided here, once:
-:func:`history_format` (the classification rule), :func:`read_segments` /
-:func:`load_columns` (any history as columnar segments, streamed or as one
-batch), :func:`write_history` (into any container) and
-:class:`StreamFollower` (the JSONL tail behind ``repro watch`` and
-:func:`~repro.history.serialization.iter_history_jsonl`).
-
-Underneath sit the byte helpers every on-disk artefact shares:
-:func:`atomic_write` (staging file + fsync + rename) and :func:`frame` /
-:func:`unframe` (magic line + JSON header + CRC-32 payload).  The container
-modules import those, so this module reaches them only inside functions.
+depends on *which* one a path names is decided here, once.  Underneath sit
+the byte helpers every on-disk artefact shares; the container modules
+import those, so this module reaches the containers only inside functions.
 """
 
 from __future__ import annotations
@@ -53,12 +45,9 @@ def atomic_write(
 ) -> None:
     """Publish ``data`` at ``path``: staging file, fsync, ``os.replace``.
 
-    A reader sees the previous file or the new one, never a torn one; a
-    failed write (full disk, file-size limit) leaves the previous file
-    alone.  ``data`` is the bytes, or a callable that streams them into the
-    open staging file — ``.{name}.tmp`` beside ``path``, the name the epoch
-    log sweeps after a kill; removed when the write raises.
-    ``EpochLogWriter.seal`` alone spells these steps out (failpoints between).
+    A failed write leaves the previous file alone.  ``data`` is the bytes, or
+    a callable that streams them into the open staging file — ``.{name}.tmp``
+    beside ``path``, the name the epoch log sweeps after a kill.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
@@ -90,9 +79,8 @@ def frame(
 
 
 def unframe(magic: bytes, blob: bytes) -> Optional[Tuple[Dict[str, Any], bytes]]:
-    """``(header, payload)`` of a :func:`frame` blob, or ``None`` for every way
-    the bytes can be wrong: other magic, torn or non-object header, payload
-    shorter or longer than recorded, CRC mismatch — a miss, never an error."""
+    """``(header, payload)`` of a :func:`frame` blob; ``None`` (a miss, never an
+    error) for other magic, a torn header, a wrong payload length or CRC."""
     if not blob.startswith(magic):
         return None
     header_line, _, payload = blob[len(magic):].partition(b"\n")
@@ -113,12 +101,9 @@ def unframe(magic: bytes, blob: bytes) -> Optional[Tuple[Dict[str, Any], bytes]]
 # The door
 # ----------------------------------------------------------------------
 def history_format(path: Union[str, Path]) -> str:
-    """What ``path`` holds: ``"log"``, ``"segment"``, ``"stream"`` or ``"document"``.
-
-    The one classification rule, in this order: an existing directory or a
-    ``.epochs`` name is an epoch log; ``.seg[.gz]`` a segment; ``.jsonl`` /
-    ``.ndjson`` (``[.gz]``) a stream; anything else a JSON document.
-    """
+    """What ``path`` holds, asked in this order: an existing directory or a
+    ``.epochs`` name is a ``"log"``, ``.seg[.gz]`` a ``"segment"``, ``.jsonl`` /
+    ``.ndjson`` (``[.gz]``) a ``"stream"``, anything else a ``"document"``."""
     from .columnar import is_segment_path
     from .epochlog import is_epochlog_path
     from .serialization import is_stream_path
@@ -145,12 +130,9 @@ def _open_log(path: Union[str, Path]):
 
 
 def read_segments(path: Union[str, Path]) -> Iterator["ColumnarHistory"]:
-    """Yield the history at ``path`` as columnar segments in arrival order.
-
-    A document or a ``.seg`` (memory-mapped unless gzipped) is one segment,
-    an epoch log yields its epochs, a stream is read lazily and cut every
-    :data:`STREAM_SEGMENT_ROWS` rows.  ``⊥T``, if any, is row 0 of the first.
-    """
+    """Yield the history at ``path`` as columnar segments in arrival order:
+    a document or a ``.seg`` is one, an epoch log yields its epochs, a stream
+    is read lazily, :data:`STREAM_SEGMENT_ROWS` rows at a time."""
     from .columnar import ColumnarHistory
     from .serialization import load_history
 
@@ -173,10 +155,9 @@ def load_columns(
 ) -> Tuple["ColumnarHistory", Optional["HistoryIndex"], Optional[str]]:
     """The history at ``path`` for a batch check: ``(columns, index, source_path)``.
 
-    ``index`` is an epoch log's batch index — from ``INDEX.cache`` while that
-    matches the manifest, else built and cached for the next check — and
-    ``None`` elsewhere.  ``source_path`` names an uncompressed (hence
-    memory-mapped) segment: sharded checks ship ``(path, rows)`` references.
+    ``index`` is an epoch log's batch index (from ``INDEX.cache``, or built
+    and cached for the next check); ``source_path`` names a memory-mapped
+    segment, which sharded checks ship as ``(path, rows)`` references.
     """
     from ..core.index import HistoryIndex
     from .columnar import ColumnarHistory
@@ -210,10 +191,8 @@ def write_history(
 ) -> int:
     """Write ``source`` in the container ``path`` names; return the rows written.
 
-    ``source`` is a :class:`History` (written in
-    :func:`~repro.core.incremental.stream_order`; a document saves it as
-    is), a :class:`ColumnarHistory`, or transactions in arrival order, ``⊥T``
-    first — which a stream carries in its header.
+    ``source`` is a :class:`History` (written in ``stream_order``), columns,
+    or transactions in arrival order, ``⊥T`` first (a stream's header row).
     """
     from ..core.incremental import stream_order
     from .columnar import ColumnarHistory
@@ -237,21 +216,20 @@ def write_history(
     if isinstance(source, ColumnarHistory):
         source = source.iter_transactions()
     transactions = iter(source)
-    rows = 0
-    if kind == "log":
-        with EpochLogWriter(path, epoch_transactions=epoch_transactions) as log:
-            for rows, txn in enumerate(transactions, 1):
-                log.append(txn)
-        return rows
+    # Pulled before the destination is opened: a missing or corrupt source
+    # fails without creating an empty log or truncating a stream.
     first = next(transactions, None)
-    initial = first if first is not None and first.is_initial else None
+    initial = first if kind == "stream" and first is not None and first.is_initial else None
     if first is not initial:
         transactions = chain((first,), transactions)
-    with HistoryStreamWriter(
-        path, initial_transaction=initial, flush_every=1024
-    ) as stream:
+    with (
+        EpochLogWriter(path, epoch_transactions=epoch_transactions)
+        if kind == "log"
+        else HistoryStreamWriter(path, initial_transaction=initial, flush_every=1024)
+    ) as writer:
+        rows = 0
         for rows, txn in enumerate(transactions, 1):
-            stream.write(txn)
+            writer(txn)  # both writers are ``on_transaction`` hooks
     return rows + (initial is not None)
 
 
@@ -259,17 +237,15 @@ def write_history(
 # Following a JSONL stream
 # ----------------------------------------------------------------------
 class StreamFollower:
-    """Tail a JSONL history stream: each :meth:`poll` is what arrived since.
+    """Tail a JSONL history stream — the one reader of the format.
 
-    The one reader of the format.  The header is checked on construction
-    (``ValueError`` naming the path).  After that a line is a record once
-    its newline has arrived, blank lines are skipped, and an unterminated
-    tail is a record as soon as it parses (a complete last line lacking its
-    newline) and stays pending (:attr:`pending_bytes`) until then.  A gzip
-    stream cut mid-member cannot be resumed: the complete prefix is
-    delivered, then ``done`` turns true and polls return ``None``.
-    ``repro watch`` asks it what it asks an ``EpochLog``: :meth:`poll`,
-    :meth:`refresh`, ``position``, ``lag``, ``done``.
+    The header is checked on construction (``ValueError`` naming the path).
+    A line is a record once its newline has arrived; blank lines are
+    skipped; an unterminated tail stays pending (:attr:`pending_bytes`)
+    until it parses.  A gzip stream cut mid-member cannot be resumed: its
+    complete prefix is delivered, then ``done`` turns true.  ``repro watch``
+    asks it what it asks an ``EpochLog``: :meth:`poll`, :meth:`refresh`,
+    ``position``, ``lag``, ``done``.
     """
 
     #: A stream has no sealed-but-unread backlog: what is readable is read.
@@ -332,11 +308,20 @@ class StreamFollower:
             if not chunk:
                 return
 
-    def poll(self, rows: int = STREAM_SEGMENT_ROWS) -> Optional["ColumnarHistory"]:
-        """Up to ``rows`` newly readable records as one segment, else ``None``."""
+    def poll(self) -> Optional["ColumnarHistory"]:
+        """The newly readable records (at most :data:`STREAM_SEGMENT_ROWS`) as
+        one segment, else ``None``."""
         from .columnar import ColumnarHistory
 
-        segment = ColumnarHistory.from_transactions(islice(self.records(), rows))
+        segment = ColumnarHistory()
+        try:
+            for txn in islice(self.records(), STREAM_SEGMENT_ROWS):
+                segment.append(txn)
+        except json.JSONDecodeError:
+            if not segment.num_transactions:
+                raise
+            # The rows before a malformed line are verified first; the line
+            # is still pending, so the next poll raises.
         if not segment.num_transactions:
             return None
         self.position += 1

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import gzip
 import json
+from itertools import chain
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, Iterator, List, Optional, Union
 
@@ -36,7 +37,7 @@ from ..core.model import (
     history_from_stream,
     make_initial_transaction,
 )
-from .files import StreamFollower, atomic_write
+from .files import StreamFollower, atomic_write, write_history
 
 __all__ = [
     "history_to_dict",
@@ -288,17 +289,10 @@ def write_history_jsonl(
     back to round-robin); it must not include the initial transaction,
     which goes into the header.
     """
-    from ..core.incremental import stream_order  # local import: avoid cycle
-
-    with HistoryStreamWriter(
-        path, initial_transaction=history.initial_transaction
-    ) as writer:
-        if order is None:
-            order = (
-                txn for txn in stream_order(history) if not txn.is_initial
-            )
-        for txn in order:
-            writer.write(txn)
+    if order is not None:
+        initial = history.initial_transaction
+        history = chain(() if initial is None else (initial,), order)
+    write_history(history, path)
 
 
 def parse_stream_header(line: str) -> Dict[str, Any]:

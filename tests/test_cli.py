@@ -208,6 +208,17 @@ class TestContainerCorners:
             assert "onto itself" in capsys.readouterr().out
         assert snapshot() == before
 
+    @pytest.mark.parametrize("source", ["typo.seg", "torn.seg", "bad.json", "bad.jsonl"])
+    @pytest.mark.parametrize("destination", ["out.epochs", "out.jsonl", "out.seg"])
+    def test_convert_from_a_bad_source_leaves_no_destination(
+        self, source, destination, tmp_path, capsys
+    ):
+        if source != "typo.seg":  # that one does not exist at all
+            (tmp_path / source).write_bytes(b"REPROSEG1\n{" if source == "torn.seg" else b"{")
+        code, out = run(capsys, "convert", tmp_path / source, tmp_path / destination)
+        assert code == 2 and out.startswith("error: ")
+        assert not (tmp_path / destination).exists()
+
     def test_watch_once_flags_faulty_stream_within_a_window(self, histories, capsys):
         code, out = run(
             capsys, "watch", "--level", "si", "--once", "--window", "60",

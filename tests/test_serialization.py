@@ -292,6 +292,11 @@ class TestOneDoor:
                 raw.write("\n\n")
             assert follower.poll() is None and follower.pending_bytes == 0
             assert (follower.position, follower.lag, follower.done) == (3, 0, False)
+            with open(path, "a") as raw:
+                raw.write(line.replace("2", "3", 1) + "\n{not json}\n")
+            assert list(follower.poll().txn_ids) == [3]  # good rows first,
+            with pytest.raises(json.JSONDecodeError):  # then the malformed line
+                follower.poll()
             follower.refresh()
             path.unlink()
             with pytest.raises(ValueError, match="deleted while being followed"):
