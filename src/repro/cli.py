@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-v",
         "--verbose",
         action="store_true",
-        help="batch only: print phase timings, graph sizes, and cache "
+        help="batch only: print phase timings, graph sizes, and executor "
         "counters alongside the verdict",
     )
     check.add_argument(
@@ -368,15 +368,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 2
     checker = MTChecker(strict_mt=args.strict_mt, workers=args.workers)
     if not streaming:
-        # The container adds what it can: an epoch log its cached batch
-        # index, an uncompressed segment the path workers re-map themselves.
-        columns, index, source_path = load_columns(args.history)
+        # An uncompressed segment adds the path workers re-map themselves.
+        columns, source_path = load_columns(args.history)
         result = checker.verify(
-            columns,
-            _LEVELS[args.level],
-            report=args.verbose,
-            index=index,
-            source_path=source_path,
+            columns, _LEVELS[args.level], report=args.verbose, source_path=source_path
         )
         print(result.format())
         return 0 if result.satisfied else 1

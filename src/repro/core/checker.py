@@ -77,7 +77,6 @@ class MTChecker:
         level: IsolationLevel,
         *,
         report: bool = False,
-        index: Optional[HistoryIndex] = None,
         source_path: Optional[str] = None,
     ) -> Union[CheckResult, VerifyReport]:
         """Verify ``history`` against ``level`` and return a :class:`CheckResult`.
@@ -93,30 +92,28 @@ class MTChecker:
         BUILDDEPENDENCY, acyclicity, and parallel shard dispatch — runs
         without materialising ``Transaction`` objects.
 
-        ``index`` is a :class:`HistoryIndex` already built for ``history``
-        (an epoch log's cached one): the build is skipped.  ``source_path``
-        is the uncompressed segment file a columnar ``history`` was
-        memory-mapped from; with ``workers`` set, shard payloads then carry
-        ``(path, rows)`` references instead of column bytes (see
-        :func:`repro.parallel.check_parallel`).  Neither changes a verdict.
+        ``source_path`` is the uncompressed segment file a columnar
+        ``history`` was memory-mapped from; with ``workers`` set, shard
+        payloads then carry ``(path, rows)`` references instead of column
+        bytes (see :func:`repro.parallel.check_parallel`).  It never changes
+        a verdict.
 
         With ``report=True`` the check runs under a scoped telemetry
         registry and returns a :class:`~repro.obs.report.VerifyReport` —
         the same :class:`CheckResult` plus phase timings, graph sizes, and
-        cache/executor counters recorded while producing it (rendered by
+        executor counters recorded while producing it (rendered by
         ``repro check -v``).
         """
         if report:
             with obs.scoped() as reg:
-                result = self._verify(history, level, index, source_path)
+                result = self._verify(history, level, source_path)
             return VerifyReport(result=result, metrics=reg.snapshot())
-        return self._verify(history, level, index, source_path)
+        return self._verify(history, level, source_path)
 
     def _verify(
         self,
         history: Union[History, LWTHistory, "ColumnarHistory"],
         level: IsolationLevel,
-        index: Optional[HistoryIndex],
         source_path: Optional[str],
     ) -> CheckResult:
         if isinstance(history, LWTHistory):
@@ -130,9 +127,8 @@ class MTChecker:
                 )
             return check_linearizability(history)
 
-        if index is None:
-            with obs.phase("index_build"):
-                index = HistoryIndex.build(history)
+        with obs.phase("index_build"):
+            index = HistoryIndex.build(history)
         if self.workers is not None:
             from ..parallel import check_parallel  # deferred: parallel builds on core
 

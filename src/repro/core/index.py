@@ -52,12 +52,8 @@ keeps working.
 
 from __future__ import annotations
 
-import gc
-import sys
 import time
-from array import array
 from bisect import bisect_left, bisect_right
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -85,51 +81,7 @@ from .model import (
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..history.columnar import ColumnarHistory
 
-__all__ = [
-    "ReadRecord",
-    "HistoryIndex",
-    "INDEX_WIRE_FORMAT",
-    "INDEX_CACHE_MAGIC",
-]
-
-#: Version tag of the dense-index wire format (bumped on layout changes;
-#: mismatching cache files are silently rebuilt, never misread).
-INDEX_WIRE_FORMAT = "repro-history-index-v3"
-
-#: File magic of the CRC-framed on-disk index cache.
-INDEX_CACHE_MAGIC = b"REPROIDX1\n"
-
-#: The flat buffers of the wire format, in serialization order.  Every
-#: buffer is the raw bytes of an ``array`` with the given typecode; the
-#: dict/list structures of the live index are flattened into parallel
-#: columns (`*_has_value` marks entries whose value is ``None``).
-_WIRE_BUFFERS: Tuple[Tuple[str, str], ...] = (
-    ("txn_ids", "q"),
-    ("session_of", "q"),
-    ("status_of", "b"),
-    ("txn_key_offsets", "q"),
-    ("txn_key_ids", "i"),
-    ("final_kid", "i"),
-    ("final_value", "q"),
-    ("final_has_value", "b"),
-    ("final_pos", "q"),
-    ("inter_kid", "i"),
-    ("inter_value", "q"),
-    ("inter_has_value", "b"),
-    ("inter_pos", "q"),
-    ("read_reader_pos", "q"),
-    ("read_kid", "i"),
-    ("read_value", "q"),
-    ("read_writer_pos", "q"),
-    ("read_writes_key", "b"),
-    ("read_written_value", "q"),
-    ("read_written_has", "b"),
-    ("int_candidates", "q"),
-    ("row_order", "q"),
-    ("so_pairs", "q"),
-    ("rt_pairs", "q"),
-)
-_WIRE_TYPECODES: Dict[str, str] = dict(_WIRE_BUFFERS)
+__all__ = ["ReadRecord", "HistoryIndex"]
 
 #: Columnar ``statuses`` codes this module branches on (single source of
 #: truth: :data:`repro.core.model.STATUS_CODES`).
@@ -180,10 +132,6 @@ class HistoryIndex:
 
     #: Total number of indexes constructed (test instrumentation).
     builds = 0
-    #: Total number of indexes rehydrated from the wire format / cache files
-    #: (kept separate from :attr:`builds` so tests can assert a cache hit
-    #: skipped the construction scan entirely).
-    wire_loads = 0
 
     @classmethod
     def build(cls, source: Union[History, "ColumnarHistory"]) -> "HistoryIndex":
@@ -227,9 +175,9 @@ class HistoryIndex:
         obs.observe("repro_index_build_seconds", time.perf_counter() - started)
         return self
 
-    def __init__(self, columns: Optional["ColumnarHistory"]) -> None:
+    def __init__(self, columns: "ColumnarHistory") -> None:
         """An empty core over ``columns`` — filled by :meth:`from_columns`'s
-        scan or the wire decoder; use :meth:`build`, not this."""
+        scan; use :meth:`build`, not this."""
         self._history: Optional[History] = None
         self._columns = columns
         self._transactions: Optional[List[Transaction]] = None
@@ -266,8 +214,7 @@ class HistoryIndex:
         self._intermediate_pos: Dict[int, int] = {}
         self._intermediate_none: Dict[int, int] = {}
         #: ``(reader_pos, key_id, value, writer_pos | -1, writes_key,
-        #: written_value)`` columns in ascending reader position — the
-        #: ``read_*`` layout of :data:`_WIRE_BUFFERS`.
+        #: written_value)`` columns in ascending reader position.
         self._reads_dense: Tuple[List[Any], ...] = ([], [], [], [], [], [])
         #: Positions the scan flagged for the object-level INT check.
         self._int_candidates: List[int] = []
@@ -312,7 +259,6 @@ class HistoryIndex:
         hands only those rows to that object-level check.
         """
         cols = self._columns
-        assert cols is not None
         col_txn_ids = list(cols.txn_ids)
         col_sessions = list(cols.session_ids)
         col_statuses = cols.statuses
@@ -471,7 +417,6 @@ class HistoryIndex:
             return self._transactions[pos]
         txn = self._txn_cache.get(pos)
         if txn is None:
-            assert self._columns is not None
             txn = self._columns.transaction_at(self._row_order[pos])
             self._txn_cache[pos] = txn
         return txn
@@ -499,9 +444,8 @@ class HistoryIndex:
         return self._history
 
     @property
-    def columns(self) -> Optional["ColumnarHistory"]:
-        """The backing columnar segment (``None`` only for a
-        :meth:`from_wire` index rehydrated without columns)."""
+    def columns(self) -> "ColumnarHistory":
+        """The backing columnar segment."""
         return self._columns
 
     @property
@@ -509,11 +453,10 @@ class HistoryIndex:
         """Per dense transaction: the sorted dense key ids it touches.
 
         Derived from the columns on first use — only the shard partitioner
-        and the wire ask, so the accept path never builds a list per row.
+        asks, so the accept path never builds a list per row.
         """
         if self._txn_keys is None:
             cols = self._columns
-            assert cols is not None
             remap = [self.key_dense.get(name, -1) for name in cols.key_names]
             offsets = cols.op_offsets
             op_keys = cols.op_keys
@@ -601,7 +544,6 @@ class HistoryIndex:
     def _ensure_final_writes(self) -> Dict[int, Dict[str, int]]:
         if self._final_writes is None:
             cols = self._columns
-            assert cols is not None
             key_names = cols.key_names
             offsets = cols.op_offsets
             kinds = cols.op_kinds
@@ -704,7 +646,6 @@ class HistoryIndex:
     def _rt_id_pairs_from_columns(self, reduced: bool) -> List[Tuple[int, int]]:
         """Mirror ``History.real_time_order`` over the timestamp columns."""
         cols = self._columns
-        assert cols is not None
         txn_ids = self.txn_ids
         # (start, finish, txn_id) of committed, timestamped, non-initial
         # transactions in scan order — the entry order History.real_time_order
@@ -777,270 +718,6 @@ class HistoryIndex:
 
             self._mt_problems = validate_mt_history(self.history)
         return self._mt_problems
-
-    # ------------------------------------------------------------------
-    # Wire format and on-disk cache
-    # ------------------------------------------------------------------
-    def to_wire(self) -> Dict[str, Any]:
-        """Flatten the dense core into compact, picklable buffers.
-
-        The result carries everything :meth:`from_columns` would have
-        derived — interning, version-chain write slots, resolved read
-        edges, plus the (forced) SO and reduced-RT pair caches, which are
-        the expensive per-check passes worth shipping/caching.  The object
-        layer is *not* serialized: a rehydrated index materialises objects
-        lazily from the columns handed to :meth:`from_wire`.
-        """
-        buffers: Dict[str, array] = {
-            name: array(code) for name, code in _WIRE_BUFFERS
-        }
-        buffers["txn_ids"].extend(self.txn_ids)
-        buffers["session_of"].extend(self._session_of)
-        buffers["status_of"].frombytes(bytes(self._status_of))
-
-        offsets = buffers["txn_key_offsets"]
-        offsets.append(0)
-        key_ids = buffers["txn_key_ids"]
-        for kids in self.txn_keys:
-            key_ids.extend(kids)
-            offsets.append(len(key_ids))
-
-        radix = self._radix
-        for prefix, slots, nones in (
-            ("final", self._final_pos, self._final_none),
-            ("inter", self._intermediate_pos, self._intermediate_none),
-        ):
-            buffers[f"{prefix}_kid"].extend([code % radix for code in slots])
-            buffers[f"{prefix}_value"].extend([code // radix for code in slots])
-            buffers[f"{prefix}_has_value"].frombytes(b"\x01" * len(slots))
-            buffers[f"{prefix}_pos"].extend(slots.values())
-            buffers[f"{prefix}_kid"].extend(nones)
-            buffers[f"{prefix}_value"].extend([0] * len(nones))
-            buffers[f"{prefix}_has_value"].frombytes(bytes(len(nones)))
-            buffers[f"{prefix}_pos"].extend(nones.values())
-
-        r_pos, r_kid, r_value, r_writer, r_rmw, r_written = self._reads_dense
-        buffers["read_reader_pos"].extend(r_pos)
-        buffers["read_kid"].extend(r_kid)
-        buffers["read_value"].extend(r_value)
-        buffers["read_writer_pos"].extend(r_writer)
-        buffers["read_writes_key"].extend(r_rmw)
-        buffers["read_written_value"].extend([0 if v is None else v for v in r_written])
-        buffers["read_written_has"].extend([v is not None for v in r_written])
-
-        # The INT pre-pass ships as its candidate rows: a clean index
-        # carries none, a dirty one re-classifies them from the columns
-        # handed to :meth:`from_wire` (violations carry object descriptions).
-        buffers["int_candidates"].extend(self._int_candidates)
-        buffers["row_order"].extend(self._row_order)
-        for a, b in self.session_order_id_pairs():
-            buffers["so_pairs"].append(a)
-            buffers["so_pairs"].append(b)
-        for a, b in self.real_time_id_pairs(reduced=True):
-            buffers["rt_pairs"].append(a)
-            buffers["rt_pairs"].append(b)
-        return {
-            "format": INDEX_WIRE_FORMAT,
-            "key_names": list(self.key_names),
-            "has_initial": self._has_initial,
-            "buffers": {name: buf.tobytes() for name, buf in buffers.items()},
-        }
-
-    @classmethod
-    def from_wire(
-        cls,
-        wire: Dict[str, Any],
-        columns: Optional["ColumnarHistory"] = None,
-    ) -> "HistoryIndex":
-        """Rehydrate an index from :meth:`to_wire` buffers — no history scan.
-
-        ``columns`` re-attaches the backing segment so the lazy object
-        layer (counterexample labeling, ``int_violations``, strict MT
-        validation) keeps working; it must be the exact segment the wire
-        was derived from.  Without columns the dense accessors — which is
-        all the CSR kernel and the SSER merger consume — remain available.
-        """
-        if wire.get("format") != INDEX_WIRE_FORMAT:
-            raise ValueError(f"unsupported index wire format: {wire.get('format')!r}")
-        # Rehydration is a pure allocation burst — millions of small
-        # containers, no garbage, no reference cycles — so automatic
-        # collection is paused for its duration.  Without this, gen-2
-        # passes over a large live heap (the attached columns alone hold
-        # millions of objects) dominate the load time at
-        # million-transaction scale.
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
-            return cls._decode_wire(wire, columns)
-        finally:
-            if was_enabled:
-                gc.enable()
-
-    @classmethod
-    def _decode_wire(
-        cls,
-        wire: Dict[str, Any],
-        columns: Optional["ColumnarHistory"],
-    ) -> "HistoryIndex":
-        cols: Dict[str, array] = {}
-        for name, code in _WIRE_BUFFERS:
-            buf = array(code)
-            buf.frombytes(wire["buffers"][name])
-            cols[name] = buf
-
-        self = cls(columns)
-        type(self).wire_loads += 1
-        obs.inc("repro_index_wire_loads_total")
-
-        self._fill_positions(
-            list(cols["txn_ids"]),
-            list(cols["session_of"]),
-            bytearray(cols["status_of"].tobytes()),
-        )
-        self.key_names = list(wire["key_names"])
-        self.key_dense = {name: kid for kid, name in enumerate(self.key_names)}
-        self._has_initial = bool(wire["has_initial"])
-
-        offsets = cols["txn_key_offsets"]
-        key_ids = list(cols["txn_key_ids"])
-        self._txn_keys = [
-            key_ids[offsets[i]:offsets[i + 1]] for i in range(len(offsets) - 1)
-        ]
-
-        radix = self._radix = len(self.key_names) + 1
-        for prefix, slots, nones in (
-            ("final", self._final_pos, self._final_none),
-            ("inter", self._intermediate_pos, self._intermediate_none),
-        ):
-            for kid, value, has, pos in zip(
-                cols[f"{prefix}_kid"],
-                cols[f"{prefix}_value"],
-                cols[f"{prefix}_has_value"],
-                cols[f"{prefix}_pos"],
-            ):
-                if has:
-                    slots[value * radix + kid] = pos
-                else:
-                    nones[kid] = pos
-
-        self._reads_dense = (
-            list(cols["read_reader_pos"]),
-            list(cols["read_kid"]),
-            list(cols["read_value"]),
-            list(cols["read_writer_pos"]),
-            list(map(bool, cols["read_writes_key"])),
-            [
-                value if has else None
-                for value, has in zip(cols["read_written_value"], cols["read_written_has"])
-            ],
-        )
-        self._int_candidates = list(cols["int_candidates"])
-        self._row_order = list(cols["row_order"])
-        so = list(cols["so_pairs"])
-        self._session_id_pairs = list(zip(so[0::2], so[1::2]))
-        rt = list(cols["rt_pairs"])
-        self._rt_id_pairs[True] = list(zip(rt[0::2], rt[1::2]))
-        return self
-
-    def save_cache(self, path: Union[str, Path], *, fingerprint: Dict[str, Any]) -> Path:
-        """Persist the wire form as a CRC-stamped cache file (atomic write).
-
-        ``fingerprint`` identifies the history snapshot the index was built
-        from (e.g. the epoch-log manifest's txn-id range and per-epoch
-        CRCs); :meth:`load_cache` only returns an index when the
-        fingerprint matches exactly, so a grown or rewritten history can
-        never be served a stale index.
-        """
-        from ..history.files import atomic_write, frame  # deferred: avoid cycle
-
-        wire = self.to_wire()
-        buffers = wire["buffers"]
-        payload = b"".join(buffers[name] for name, _code in _WIRE_BUFFERS)
-        header = {
-            "format": INDEX_WIRE_FORMAT,
-            "byteorder": sys.byteorder,
-            "fingerprint": fingerprint,
-            "key_names": wire["key_names"],
-            "has_initial": wire["has_initial"],
-            "buffers": [
-                [name, code, len(buffers[name])] for name, code in _WIRE_BUFFERS
-            ],
-        }
-        path = Path(path)
-        atomic_write(path, frame(INDEX_CACHE_MAGIC, header, payload, sort_keys=True))
-        return path
-
-    @classmethod
-    def load_cache(
-        cls,
-        path: Union[str, Path],
-        *,
-        fingerprint: Dict[str, Any],
-        columns: Optional["ColumnarHistory"] = None,
-    ) -> Optional["HistoryIndex"]:
-        """Load a :meth:`save_cache` file, or ``None`` when it cannot be used.
-
-        Every failure mode — missing file, foreign byte order, truncated
-        payload, CRC mismatch, or a fingerprint that no longer matches the
-        history — invalidates the cache silently: the caller rebuilds from
-        columns and (best-effort) rewrites the cache.
-        """
-        index = cls._load_cache(path, fingerprint=fingerprint, columns=columns)
-        obs.inc(
-            "repro_index_cache_requests_total",
-            outcome="hit" if index is not None else "miss",
-        )
-        return index
-
-    @classmethod
-    def _load_cache(
-        cls,
-        path: Union[str, Path],
-        *,
-        fingerprint: Dict[str, Any],
-        columns: Optional["ColumnarHistory"] = None,
-    ) -> Optional["HistoryIndex"]:
-        from ..history.files import unframe  # deferred: avoid cycle
-
-        try:
-            framed = unframe(INDEX_CACHE_MAGIC, Path(path).read_bytes())
-        except OSError:
-            return None
-        if framed is None:
-            return None
-        header, payload = framed
-        if (
-            header.get("format") != INDEX_WIRE_FORMAT
-            or header.get("byteorder") != sys.byteorder
-            or header.get("fingerprint") != fingerprint
-            or header.get("buffers") is None
-        ):
-            return None
-        expected = [[name, code] for name, code in _WIRE_BUFFERS]
-        recorded = [entry[:2] for entry in header["buffers"]]
-        if recorded != expected:
-            return None
-        view = memoryview(payload)
-        buffers: Dict[str, Any] = {}
-        offset = 0
-        for name, _code, nbytes in header["buffers"]:
-            buffers[name] = view[offset:offset + nbytes]
-            offset += nbytes
-        if offset != len(payload):
-            return None
-        try:
-            return cls.from_wire(
-                {
-                    "format": INDEX_WIRE_FORMAT,
-                    "key_names": header["key_names"],
-                    "has_initial": header["has_initial"],
-                    "buffers": buffers,
-                },
-                columns=columns,
-            )
-        except (ValueError, KeyError):
-            return None
 
     # ------------------------------------------------------------------
     # Misc

@@ -126,13 +126,8 @@ def is_segment_path(path: Union[str, Path]) -> bool:
 
 
 def file_crc32(path: Union[str, Path]) -> int:
-    """CRC-32 of a file's raw bytes (streamed; no decompression).
-
-    Content fingerprint for segment-adjacent caches — e.g. the
-    ``<segment>.idx`` sidecar written by
-    :meth:`~repro.core.index.HistoryIndex.save_cache` — so a cache built
-    from one segment can never be served for another.
-    """
+    """CRC-32 of a file's raw bytes (streamed; no decompression) — what an
+    epoch log's manifest records for each sealed epoch file."""
     crc = 0
     with open(path, "rb") as fh:
         while True:
@@ -146,7 +141,7 @@ def file_crc32(path: Union[str, Path]) -> int:
 def segment_token(path: Union[str, Path]) -> Tuple[int, int]:
     """Cheap identity token for a segment file: ``(size, mtime_ns)``.
 
-    Keys the per-worker warm segment/index caches in
+    Keys the per-worker segment-map cache in
     :mod:`repro.parallel.executor` — stat-only, so it can be computed per
     payload without touching the file contents; any rewrite of the segment
     changes the token and invalidates the cached mappings.
@@ -624,8 +619,16 @@ class ColumnarHistory:
         with open(path, "rb") as raw:
             if raw.read(2) == b"\x1f\x8b":  # gzip magic
                 raw.seek(0)
-                with gzip.open(raw, "rb") as fh:
-                    return cls._read(fh, path).validated(path)
+                try:
+                    with gzip.open(raw, "rb") as fh:
+                        cols = cls._read(fh, path)
+                        # The member's CRC/length trailer and end-of-stream
+                        # marker are only checked on reading to its end.
+                        while fh.read(1 << 16):
+                            pass
+                except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+                    raise ValueError(f"{path}: truncated segment ({exc})") from None
+                return cols.validated(path)
             raw.seek(0)
             cols = cls._read_mapped(raw, path) if mmap else None
             if cols is None:

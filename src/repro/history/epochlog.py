@@ -47,16 +47,13 @@ import time
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .. import obs
 from ..core.model import INITIAL_TXN_ID, Transaction, make_initial_transaction
 from ..resilience.failpoints import fail_point
 from .columnar import ColumnarHistory, file_crc32
 from .files import atomic_write, frame, unframe
-
-if TYPE_CHECKING:
-    from ..core.index import HistoryIndex
 
 __all__ = [
     "EpochInfo",
@@ -68,16 +65,12 @@ __all__ = [
     "MANIFEST_NAME",
     "RETIRED_NAME",
     "EPOCHLOG_FORMAT",
-    "INDEX_CACHE_NAME",
 ]
 
 EPOCHLOG_FORMAT = "repro-epoch-log-v1"
 CHECKPOINT_FILE_FORMAT = "repro-epoch-checkpoint-v1"
 MANIFEST_NAME = "MANIFEST.json"
 RETIRED_NAME = "RETIRED"
-#: Serialized batch HistoryIndex cached beside the epochs (CRC-stamped
-#: against the manifest fingerprint; see :meth:`EpochLog.cached_index`).
-INDEX_CACHE_NAME = "INDEX.cache"
 CHECKPOINT_MAGIC = b"REPROCKPT1\n"
 _EPOCH_PREFIX = "epoch-"
 _EPOCH_DIGITS = 5
@@ -165,7 +158,7 @@ class CheckpointInfo:
 # ----------------------------------------------------------------------
 #: What the log's own file names start with: only their ``.{name}.tmp`` staging
 #: files are swept — the directory may hold files that are not the log's.
-_OWN_NAMES = (_EPOCH_PREFIX, "checkpoint-", MANIFEST_NAME, RETIRED_NAME, INDEX_CACHE_NAME)
+_OWN_NAMES = (_EPOCH_PREFIX, "checkpoint-", MANIFEST_NAME, RETIRED_NAME)
 
 
 def _sweep_stale_tmp(directory: Path) -> int:
@@ -299,9 +292,8 @@ def _recover_entries(directory: Path, retired_through: int) -> List[EpochInfo]:
             break
         try:
             accepted.append(_entry_from_file(directory, nxt, name))
-        except (OSError, ValueError, EOFError, zlib.error):
-            # Torn orphan (gzip truncation surfaces as EOFError/zlib.error):
-            # not sealed, the buffered epoch died with the writer.
+        except (OSError, ValueError):
+            # Torn orphan: not sealed, the buffered epoch died with the writer.
             break
     return accepted
 
@@ -390,7 +382,7 @@ class EpochLogWriter:
         # each pair of them, and the CRC is taken before the file is published.
         tmp = self.directory / f".{name}.tmp"
         with open(tmp, "wb") as fh:
-            self._buffer.dump(fh, tmp, self.compress)
+            self._buffer.dump(fh, path, self.compress)
             fail_point("epochlog.seal.tmp_write", path=tmp)
             fsync_started = time.perf_counter()
             fail_point("epochlog.seal.fsync", path=tmp)
@@ -482,7 +474,7 @@ class EpochLog:
     def open_existing(cls, directory: Union[str, Path]) -> "EpochLog":
         """:meth:`open` for readers of a finished history (``repro check`` /
         ``convert``): a directory with neither a manifest nor an epoch segment
-        never was a log, and is refused before it is swept or cached into."""
+        never was a log, and is refused before it is swept."""
         path = Path(directory)
         if path.is_dir() and not (path / MANIFEST_NAME).exists():
             if not any(path.glob(f"{_EPOCH_PREFIX}*.seg*")):
@@ -613,59 +605,6 @@ class EpochLog:
             out.op_values.extend(segment.op_values)
             out.op_has_value.extend(segment.op_has_value)
         return out
-
-    # ------------------------------------------------------------------
-    # Cached batch index (scale-out: skip from_columns on re-checks)
-    # ------------------------------------------------------------------
-    def index_cache_path(self) -> Path:
-        """Where the serialized batch :class:`HistoryIndex` lives."""
-        return self.directory / INDEX_CACHE_NAME
-
-    def index_fingerprint(self) -> Dict[str, Any]:
-        """What the cached index must have been built from to be served.
-
-        Derived entirely from the manifest: the live epoch set, the
-        transaction totals, the covered txn-id range, and every epoch
-        file's CRC.  Appending (or retiring, or rewriting) an epoch
-        changes the fingerprint, so a stale ``INDEX.cache`` is silently
-        ignored rather than ever returning a verdict for the wrong
-        history.
-        """
-        return {
-            "epochs": [e.epoch for e in self.epochs],
-            "transactions": self.num_transactions,
-            "min_txn_id": min((e.min_txn_id for e in self.epochs), default=0),
-            "max_txn_id": max((e.max_txn_id for e in self.epochs), default=0),
-            "crcs": [e.crc32 for e in self.epochs],
-        }
-
-    def cached_index(self, columns: ColumnarHistory) -> Optional["HistoryIndex"]:
-        """Rehydrate the cached batch index for ``columns``, if still valid.
-
-        ``columns`` must be the :meth:`to_columns` concatenation of the
-        current epoch set (the cache stores row numbers into it).  Returns
-        ``None`` — never raises — on any mismatch or corruption.
-        """
-        from ..core.index import HistoryIndex
-
-        return HistoryIndex.load_cache(
-            self.index_cache_path(),
-            fingerprint=self.index_fingerprint(),
-            columns=columns,
-        )
-
-    def cache_index(self, index: "HistoryIndex") -> Optional[Path]:
-        """Persist ``index`` beside the epochs, stamped with the fingerprint.
-
-        Best-effort: a read-only directory simply means the next check
-        rebuilds the index, so write failures are swallowed.
-        """
-        path = self.index_cache_path()
-        try:
-            index.save_cache(path, fingerprint=self.index_fingerprint())
-        except OSError:
-            return None
-        return path
 
     # ------------------------------------------------------------------
     # Verifier checkpoints

@@ -19,7 +19,6 @@ from typing import IO, TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, O
 from ..core.model import History, Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.index import HistoryIndex
     from .columnar import ColumnarHistory
 
 __all__ = [
@@ -68,13 +67,11 @@ def atomic_write(
         raise
 
 
-def frame(
-    magic: bytes, header: Dict[str, Any], payload: bytes, *, sort_keys: bool = False
-) -> bytes:
+def frame(magic: bytes, header: Dict[str, Any], payload: bytes) -> bytes:
     """``magic`` + one JSON header line + ``payload``; the header gains the
     payload's ``crc32`` and ``payload_bytes``, which :func:`unframe` verifies."""
     stamped = {**header, "crc32": zlib.crc32(payload), "payload_bytes": len(payload)}
-    line = json.dumps(stamped, separators=(",", ":"), sort_keys=sort_keys)
+    line = json.dumps(stamped, separators=(",", ":"))
     return magic + line.encode("utf-8") + b"\n" + payload
 
 
@@ -150,32 +147,22 @@ def read_segments(path: Union[str, Path]) -> Iterator["ColumnarHistory"]:
         yield ColumnarHistory.from_history(load_history(path))
 
 
-def load_columns(
-    path: Union[str, Path],
-) -> Tuple["ColumnarHistory", Optional["HistoryIndex"], Optional[str]]:
-    """The history at ``path`` for a batch check: ``(columns, index, source_path)``.
+def load_columns(path: Union[str, Path]) -> Tuple["ColumnarHistory", Optional[str]]:
+    """The history at ``path`` for a batch check: ``(columns, source_path)``.
 
-    ``index`` is an epoch log's batch index (from ``INDEX.cache``, or built
-    and cached for the next check); ``source_path`` names a memory-mapped
-    segment, which sharded checks ship as ``(path, rows)`` references.
+    ``source_path`` names a memory-mapped segment, which sharded checks ship
+    as ``(path, rows)`` references; it is ``None`` for every other container.
     """
-    from ..core.index import HistoryIndex
     from .columnar import ColumnarHistory
     from .serialization import iter_history_jsonl
 
     kind = history_format(path)
     if kind == "log":
-        log = _open_log(path)
-        columns = log.to_columns()
-        index = log.cached_index(columns)
-        if index is None:
-            index = HistoryIndex.from_columns(columns)
-            log.cache_index(index)
-        return columns, index, None
+        return _open_log(path).to_columns(), None
     if kind == "stream":
-        return ColumnarHistory.from_transactions(iter_history_jsonl(path)), None, None
+        return ColumnarHistory.from_transactions(iter_history_jsonl(path)), None
     (columns,) = read_segments(path)
-    return columns, None, str(path) if kind == "segment" and _mappable(path) else None
+    return columns, str(path) if kind == "segment" and _mappable(path) else None
 
 
 def _mappable(path: Union[str, Path]) -> bool:

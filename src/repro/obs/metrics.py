@@ -132,10 +132,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "counter", "HistoryIndex constructions (column scans)"),
     "repro_index_build_seconds": (
         "histogram", "HistoryIndex construction scan time"),
-    "repro_index_wire_loads_total": (
-        "counter", "HistoryIndex rehydrations from wire/cache form"),
-    "repro_index_cache_requests_total": (
-        "counter", "Index cache lookups, by outcome label (hit/miss)"),
     # Dependency graph / CSR kernel.
     "repro_graph_builds_total": (
         "counter", "Batch BUILDDEPENDENCY runs"),
@@ -157,8 +153,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "counter", "Pickled shard payload bytes across checks"),
     "repro_executor_index_build_seconds": (
         "gauge", "Parent index build time of the last check"),
-    "repro_executor_index_reuse_seconds": (
-        "gauge", "Parent index cache rehydration time of the last check"),
     "repro_executor_merge_seconds": (
         "gauge", "SSER merge wall-clock of the last check"),
     "repro_executor_merge_rounds": (
@@ -169,8 +163,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "counter", "Shard check tasks executed (workers and inline)"),
     "repro_executor_segment_cache_total": (
         "counter", "Worker segment-mmap cache lookups, by outcome label"),
-    "repro_executor_shard_index_cache_total": (
-        "counter", "Worker shard-index cache lookups, by outcome label"),
     # Phase timers (shared histogram; the span name is the phase label).
     "repro_phase_seconds": (
         "histogram", "Wall-clock of named pipeline phases, by phase label"),
@@ -246,8 +238,8 @@ class MetricsRegistry:
     Example:
         >>> reg = MetricsRegistry()
         >>> reg.inc("repro_executor_checks_total")
-        >>> reg.inc("repro_index_cache_requests_total", outcome="hit")
-        >>> reg.value("repro_index_cache_requests_total", outcome="hit")
+        >>> reg.inc("repro_executor_segment_cache_total", outcome="hit")
+        >>> reg.value("repro_executor_segment_cache_total", outcome="hit")
         1.0
         >>> snap = reg.snapshot()
         >>> other = MetricsRegistry()

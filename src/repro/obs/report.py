@@ -4,8 +4,8 @@
 registry and returns a :class:`VerifyReport` — the plain
 :class:`~repro.core.result.CheckResult` bundled with the metrics snapshot
 recorded while producing it.  The CLI renders it with ``-v``; programmatic
-callers read :meth:`phases`, :meth:`graph_size`, and
-:meth:`index_cache_hits` without touching registry internals.
+callers read :meth:`phases` and :meth:`graph_size` without touching
+registry internals.
 """
 
 from __future__ import annotations
@@ -78,12 +78,6 @@ class VerifyReport:
             None if edges is None else int(edges),
         )
 
-    def index_cache_hits(self) -> Tuple[float, float]:
-        """``(hits, misses)`` across index cache lookups."""
-        hits = self._scalar('repro_index_cache_requests_total{outcome="hit"}') or 0.0
-        misses = self._scalar('repro_index_cache_requests_total{outcome="miss"}') or 0.0
-        return hits, misses
-
     def format(self) -> str:
         """The result's rendering plus a telemetry block."""
         lines: List[str] = [self.result.format()]
@@ -99,9 +93,6 @@ class VerifyReport:
             lines.append(
                 f"graph: {nodes if nodes is not None else '?'} nodes, "
                 f"{edges if edges is not None else '?'} edges")
-        hits, misses = self.index_cache_hits()
-        if hits or misses:
-            lines.append(f"index cache: {int(hits)} hits, {int(misses)} misses")
         shard_txns = self._scalar("repro_executor_shard_txns_total")
         if shard_txns:
             shards = self._scalar("repro_executor_shards")

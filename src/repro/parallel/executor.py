@@ -13,25 +13,15 @@
    order — pairwise, as a reduction tree scheduled across the same pool,
    so merge cost is O(log shards) wall-clock.
 
-Three scale-out mechanisms keep the pipeline copy- and rebuild-free:
-
-* **Shared-mmap worker pool.**  The pool is a single persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor` reused across
-  ``check_parallel`` calls (grown on demand, torn down via
-  :func:`shutdown_pool` / atexit).  With ``source_path`` set, shard
-  payloads degenerate to ``("segref", path, rows, keys, token)``
-  references: every worker memory-maps the segment once (OS page cache —
-  one physical copy fleet-wide) and serves shard *and* merge tasks from
-  row slices.
-* **Warm per-worker index caches.**  Workers cache the segment map and
-  each shard's built :class:`~repro.core.index.HistoryIndex` keyed by
-  ``(path, file token, rows)``, so repeated checks of the same source —
-  the epoch-log re-verification loop — skip ``from_columns`` entirely.
-* **Shipped/cached parent index.**  ``reuse_index=True`` persists the
-  parent's dense index beside the source segment
-  (:meth:`HistoryIndex.save_cache`, CRC-stamped) and rehydrates it on the
-  next check instead of rebuilding; epoch-log directories get the same
-  treatment via :meth:`~repro.history.epochlog.EpochLog.cached_index`.
+**Shared-mmap worker pool.**  The pool is a single persistent
+:class:`~concurrent.futures.ProcessPoolExecutor` reused across
+``check_parallel`` calls (grown on demand, torn down via
+:func:`shutdown_pool` / atexit).  With ``source_path`` set, shard payloads
+degenerate to ``("segref", path, rows, keys, token)`` references: every
+worker memory-maps the segment once (OS page cache — one physical copy
+fleet-wide, kept per worker keyed by ``(path, file token)``) and serves the
+many shard tasks of one check from row slices.  Nothing else is cached: a
+shard's index is one linear ``from_columns`` pass over its rows.
 
 Invariant: **sharded verdicts equal serial verdicts on every history** —
 the randomized equivalence suites (``tests/test_parallel.py``,
@@ -70,7 +60,7 @@ from ..core.graph import build_dependency
 from ..core.index import HistoryIndex
 from ..core.model import History
 from ..core.result import CheckResult, IsolationLevel
-from ..history.columnar import ColumnarHistory, WireColumns, file_crc32, segment_token
+from ..history.columnar import ColumnarHistory, WireColumns, segment_token
 from .merge import (
     ShardOutcome,
     finalize_sser_wires,
@@ -85,8 +75,8 @@ __all__ = ["check_parallel", "make_payload", "shutdown_pool"]
 #: and slice their rows locally, so N workers share one physical copy of
 #: the segment (OS page cache) and the parent pickles only row numbers —
 #: shipped as a flat ``array('q')``, which pickles as raw bytes.  The
-#: trailing token — ``(st_size, st_mtime_ns)`` — keys the per-worker warm
-#: caches and invalidates them when the file is rewritten.
+#: trailing token — ``(st_size, st_mtime_ns)`` — keys the per-worker segment
+#: map and invalidates it when the file is rewritten.
 _SegRef = Tuple[str, str, Sequence[int], List[str], Tuple[int, int]]
 
 #: One shard task shipped to a worker process: the shard's columnar wire
@@ -141,10 +131,8 @@ def _pool_worker_init() -> None:
 def _get_pool(workers: int) -> ProcessPoolExecutor:
     """The shared worker pool, created lazily and grown on demand.
 
-    Reusing one pool across ``check_parallel`` calls is what makes the
-    per-worker warm caches effective: the second check of the same source
-    hits processes that already mapped the segment and built the shard
-    indexes.
+    Reusing one pool across ``check_parallel`` calls keeps the spawn cost
+    and each worker's segment maps out of every call after the first.
     """
     global _POOL, _POOL_WORKERS
     if _POOL is not None and _POOL_WORKERS < workers:
@@ -202,7 +190,6 @@ def check_parallel(
     index: Optional[HistoryIndex] = None,
     max_shards: Optional[int] = DEFAULT_MAX_SHARDS,
     source_path: Optional[Union[str, Path]] = None,
-    reuse_index: bool = False,
     task_timeout: Optional[float] = None,
 ) -> CheckResult:
     """Verify a history against ``level`` via the sharded pipeline.
@@ -236,11 +223,6 @@ def check_parallel(
             and slices its own rows, so the parent neither materialises
             nor pickles per-shard columns.  Verdicts are identical with
             and without it.
-        reuse_index: persist the parent's built index beside
-            ``source_path`` (``<path>.idx``, CRC-stamped against the
-            segment's content) and rehydrate it on repeated checks instead
-            of rebuilding it.  Requires a columnar ``history`` and its
-            ``source_path``; ignored when an ``index`` is supplied.
         task_timeout: per-dispatch deadline, seconds: when the pool has
             not returned every outstanding shard within this budget the
             dispatch is considered hung (a stuck or killed worker), the
@@ -251,8 +233,8 @@ def check_parallel(
             recovery path (shard checks are pure).
 
     Scale-out metrics for the call (``repro_executor_workers_effective``,
-    ``_shards``, ``_inline``, ``_payload_bytes``, ``_index_build_seconds`` /
-    ``_index_reuse_seconds``, ``_merge_seconds``) are recorded in the
+    ``_shards``, ``_inline``, ``_payload_bytes``, ``_index_build_seconds``
+    when the index is built here, ``_merge_seconds``) are recorded in the
     :mod:`repro.obs` registry; read them under ``with obs.scoped() as reg``.
     """
     if level not in GRAPH_CHECKED_LEVELS:
@@ -278,24 +260,11 @@ def check_parallel(
 
     started = time.perf_counter()
     if index is None:
-        index_started = time.perf_counter()
-        reused = False
-        if reuse_index and source_path is not None:
-            index = _load_or_build_cached_index(source_path, history)
-            reused = index is not None
-        if index is None:
-            with obs.phase("index_build"):
-                index = HistoryIndex.build(history)
-            if reuse_index and source_path is not None:
-                _store_cached_index(source_path, index)
+        with obs.phase("index_build"):
+            index = HistoryIndex.build(history)
         obs.set_gauge(
-            "repro_executor_index_reuse_seconds"
-            if reused
-            else "repro_executor_index_build_seconds",
-            time.perf_counter() - index_started,
+            "repro_executor_index_build_seconds", time.perf_counter() - started
         )
-    else:
-        obs.set_gauge("repro_executor_index_build_seconds", 0.0)
 
     if strict_mt:
         raise_if_not_mt(index)
@@ -384,7 +353,7 @@ def make_payload(
     carrying its source rows), the payload degenerates to a
     ``("segref", path, rows, keys, token)`` reference: the worker
     memory-maps the segment and slices the rows itself, with ``token``
-    keying its warm segment/index caches.
+    keying its segment map.
 
     ``with_metrics=True`` appends a fifth payload element asking the worker
     to record its shard work (txns checked, cache hits, index builds) into
@@ -408,56 +377,14 @@ def make_payload(
 
 
 # ----------------------------------------------------------------------
-# Parent-side index cache (reuse_index=True)
-# ----------------------------------------------------------------------
-def _index_cache_path(source_path: Union[str, Path]) -> Path:
-    return Path(f"{source_path}.idx")
-
-
-def _segment_fingerprint(source_path: Union[str, Path]) -> Dict[str, object]:
-    return {"crc32": file_crc32(source_path), "size": os.stat(source_path).st_size}
-
-
-def _load_or_build_cached_index(
-    source_path: Union[str, Path], columns: ColumnarHistory
-) -> Optional[HistoryIndex]:
-    try:
-        fingerprint = _segment_fingerprint(source_path)
-    except OSError:
-        return None
-    return HistoryIndex.load_cache(
-        _index_cache_path(source_path), fingerprint=fingerprint, columns=columns
-    )
-
-
-def _store_cached_index(source_path: Union[str, Path], index: HistoryIndex) -> None:
-    try:
-        index.save_cache(
-            _index_cache_path(source_path),
-            fingerprint=_segment_fingerprint(source_path),
-        )
-    except OSError:
-        pass  # read-only directory: caching is best-effort
-
-
-# ----------------------------------------------------------------------
 # Worker-side machinery
 # ----------------------------------------------------------------------
-#: Per-process warm caches (populated inside pool workers; the persistent
-#: pool keeps the processes — and therefore these maps — alive across
-#: check_parallel calls).  ``_SEGMENT_CACHE`` maps one mmap per segment
-#: file; ``_SHARD_INDEX_CACHE`` keeps built shard indexes keyed by the
-#: file identity token plus the exact row/key slice.
+#: Per-process segment maps, one mmap per segment file (populated inside
+#: pool workers, where it serves the many shard tasks of one check; the
+#: persistent pool keeps the processes — and therefore the maps — alive
+#: across check_parallel calls).
 _WORKER_CACHE_LIMIT = 8
 _SEGMENT_CACHE: "OrderedDict[Tuple[str, Tuple[int, int]], ColumnarHistory]" = OrderedDict()
-_SHARD_INDEX_CACHE: "OrderedDict[tuple, Tuple[ColumnarHistory, HistoryIndex]]" = OrderedDict()
-
-
-def _cache_put(cache: OrderedDict, key, value) -> None:
-    cache[key] = value
-    cache.move_to_end(key)
-    while len(cache) > _WORKER_CACHE_LIMIT:
-        cache.popitem(last=False)
 
 
 def _mapped_segment(path: str, token: Tuple[int, int]) -> ColumnarHistory:
@@ -468,35 +395,22 @@ def _mapped_segment(path: str, token: Tuple[int, int]) -> ColumnarHistory:
         outcome="miss" if segment is None else "hit",
     )
     if segment is None:
-        segment = ColumnarHistory.load(path, mmap=True)
-        _cache_put(_SEGMENT_CACHE, key, segment)
+        segment = _SEGMENT_CACHE[key] = ColumnarHistory.load(path, mmap=True)
+        while len(_SEGMENT_CACHE) > _WORKER_CACHE_LIMIT:
+            _SEGMENT_CACHE.popitem(last=False)
     return segment
 
 
-def _shard_columns_and_index(
-    wire: Union[WireColumns, _SegRef],
-) -> Tuple[ColumnarHistory, HistoryIndex]:
-    """Resolve a payload body to (columns, built index), warm-cached."""
+def _shard_index(wire: Union[WireColumns, _SegRef]) -> HistoryIndex:
+    """Resolve a payload body to its shard's columns and index them."""
     if wire and wire[0] == "segref":
         _, path, shard_rows, shard_keys, token = wire
-        cache_key = (path, token, tuple(shard_rows), tuple(shard_keys))
-        cached = _SHARD_INDEX_CACHE.get(cache_key)
-        obs.inc(
-            "repro_executor_shard_index_cache_total",
-            outcome="miss" if cached is None else "hit",
-        )
-        if cached is not None:
-            _SHARD_INDEX_CACHE.move_to_end(cache_key)
-            return cached
-        segment = _mapped_segment(path, token)
-        shard_columns = segment.slice_rows(
+        shard_columns = _mapped_segment(path, token).slice_rows(
             shard_rows, restrict_initial_keys=shard_keys
         )
-        shard_index = HistoryIndex.from_columns(shard_columns)
-        _cache_put(_SHARD_INDEX_CACHE, cache_key, (shard_columns, shard_index))
-        return shard_columns, shard_index
-    shard_columns = ColumnarHistory.from_wire(wire)
-    return shard_columns, HistoryIndex.from_columns(shard_columns)
+    else:
+        shard_columns = ColumnarHistory.from_wire(wire)
+    return HistoryIndex.from_columns(shard_columns)
 
 
 def _run_shard(payload: _Payload) -> ShardOutcome:
@@ -525,7 +439,7 @@ def _run_shard(payload: _Payload) -> ShardOutcome:
 def _run_shard_body(payload: _Payload) -> ShardOutcome:
     fail_point("executor.shard.task")
     shard_index, wire, level, transitive_ww = payload[:4]
-    _shard_columns, shard_idx_obj = _shard_columns_and_index(wire)
+    shard_idx_obj = _shard_index(wire)
     obs.inc("repro_executor_shard_checks_total")
     obs.inc("repro_executor_shard_txns_total", shard_idx_obj.num_committed)
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
 
 import pytest
 
@@ -114,6 +115,39 @@ class TestContainerMatrix:
 
 
 class TestContainerCorners:
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["serial", "workers"])
+    @pytest.mark.parametrize("name", ["h.epochs", "h.seg"])
+    def test_batch_check_only_reads(self, name, workers, histories, tmp_path, capsys):
+        """A log's directory, and a segment's, list the same after `check` as
+        before — read-only or not — and the index cache an earlier build left
+        there (here: garbage under its name) is not opened."""
+        source, held = histories / "lostupdate" / name, tmp_path / "held"
+        if source.is_dir():
+            shutil.copytree(source, held / name)
+            stale = held / name / "INDEX.cache"
+        else:
+            held.mkdir()
+            shutil.copy(source, held / name)
+            stale = held / (name + ".idx")
+        expected = run(capsys, "check", "--level", "sser", *workers, source)
+        stale.write_bytes(b"REPROIDX1\nnot an index")
+        listing = sorted(path.relative_to(held) for path in held.rglob("*"))
+        stale.parent.chmod(0o555)
+        try:
+            assert run(capsys, "check", "--level", "sser", *workers, held / name) == expected
+        finally:
+            stale.parent.chmod(0o755)
+        assert sorted(path.relative_to(held) for path in held.rglob("*")) == listing
+        assert stale.read_bytes() == b"REPROIDX1\nnot an index"
+
+    def test_gzip_segment_cut_in_its_trailer_exits_2(self, histories, tmp_path, capsys):
+        whole = (histories / "healthy" / "h.seg.gz").read_bytes()
+        torn = tmp_path / "cut.seg.gz"
+        for cut in range(1, 13):
+            torn.write_bytes(whole[:-cut])
+            code, out = run(capsys, "check", "--level", "ser", torn)
+            assert code == 2 and out.startswith(f"error: {torn}: truncated segment"), cut
+
     def test_generate_reports_what_it_ran(self, tmp_path, capsys):
         code, out = run(capsys, *_GENERATE, "--output", tmp_path / "h.json")
         assert code == 0 and "committed" in out and "injected defects" not in out

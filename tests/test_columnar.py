@@ -184,6 +184,17 @@ class TestSegmentFiles:
         with pytest.raises(ValueError):
             load_history_segment(truncated)
 
+    @pytest.mark.parametrize("cut", range(1, 13))
+    def test_gzip_segment_cut_in_its_trailer_is_truncated(self, tmp_path, cut):
+        # A gzip member ends in its CRC and length (8 bytes) behind the
+        # end-of-stream marker; they are only checked by reading to the end,
+        # which every column can be read without doing.
+        write_history_segment(generated_history(8), tmp_path / "whole.seg.gz")
+        torn = tmp_path / "torn.seg.gz"
+        torn.write_bytes((tmp_path / "whole.seg.gz").read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=r"torn\.seg\.gz: truncated segment"):
+            load_history_segment(torn)
+
     @pytest.mark.parametrize(
         "mutation",
         ["key-id-too-large", "key-id-negative", "offsets-not-sorted", "offsets-past-the-end",
@@ -525,6 +536,31 @@ class TestMemoryMappedSegments:
         via_segref = check_parallel(columns, level, workers=2, source_path=path)
         assert result_fingerprint(via_segref) == result_fingerprint(via_wire)
         assert via_segref.satisfied == serial.satisfied
+
+    def test_rewritten_segment_is_mapped_again(self, tmp_path):
+        # Shard tasks share one map of the file per process, keyed by the
+        # file's (size, mtime_ns): rewriting the file is a miss, not stale rows.
+        from repro import obs
+        from repro.bench import make_disjoint_history
+
+        path = tmp_path / "history.seg"
+        level = IsolationLevel.STRICT_SERIALIZABILITY
+        for groups in (3, 2):
+            history = make_disjoint_history(
+                num_groups=groups, sessions_per_group=2, txns_per_session=6, timestamps=True
+            )
+            write_history_segment(history, path)
+            columns = ColumnarHistory.load(path, mmap=True)
+            with obs.scoped() as reg:
+                sharded = check_parallel(columns, level, source_path=path)
+            lookups = {
+                outcome: reg.value("repro_executor_segment_cache_total", outcome=outcome)
+                for outcome in ("miss", "hit")
+            }
+            assert lookups == {"miss": 1, "hit": groups - 1}
+            assert result_fingerprint(sharded) == result_fingerprint(
+                MTChecker().verify(history, level)
+            )
 
     def test_segref_payload_carries_rows_not_bytes(self, tmp_path):
         from repro.bench import make_disjoint_history

@@ -340,6 +340,19 @@ class TestCrashRecovery:
             ), (seed, scenario)
 
 
+@pytest.mark.parametrize("cut", range(1, 13))
+def test_orphan_torn_in_its_gzip_trailer_is_not_adopted(tmp_path, cut):
+    d = tmp_path / "crash.epochs"
+    log = build_log(d, make_history(11), epoch_transactions=10, compress=True)
+    manifest = json.loads((d / MANIFEST_NAME).read_text())
+    manifest["epochs"] = manifest["epochs"][:-1]
+    (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+    orphan = d / log.epochs[-1].name
+    orphan.write_bytes(orphan.read_bytes()[:-cut])
+    recovered = EpochLog.open(d)
+    assert [e.crc32 for e in recovered.epochs] == [e.crc32 for e in log.epochs[:-1]]
+
+
 # ----------------------------------------------------------------------
 # Checkpoints: kill the verifier, resume, same verdict
 # ----------------------------------------------------------------------

@@ -198,19 +198,6 @@ class TestScanIsTheIntPrePass:
         assert index.int_violations() == []
         assert index._txn_cache == {}
 
-    def test_wire_twin_reads_the_same(self):
-        for history in [*random_histories(), *(hostile_history(s) for s in range(200))]:
-            scanned = HistoryIndex.build(history)
-            twin = HistoryIndex.from_wire(scanned.to_wire(), columns=scanned.columns)
-            assert list(twin.iter_read_tuples()) == list(scanned.iter_read_tuples())
-            for txn in history.transactions():
-                assert twin.external_reads(txn.txn_id) == scanned.external_reads(txn.txn_id)
-            assert twin.to_wire()["buffers"] == scanned.to_wire()["buffers"]
-            # A dirty index round-trips too: same candidates, same violations.
-            assert [v.format() for v in twin.int_violations()] == [
-                v.format() for v in scanned.int_violations()
-            ]
-
 
 class TestSingleConstruction:
     """The acceptance invariant: one HistoryIndex per MTChecker.verify call."""

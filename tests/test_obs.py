@@ -36,7 +36,7 @@ def _clean_telemetry():
 def _sample_registry(seed: int) -> MetricsRegistry:
     reg = MetricsRegistry()
     reg.inc("repro_executor_checks_total", seed)
-    reg.inc("repro_index_cache_requests_total", seed + 1, outcome="hit")
+    reg.inc("repro_executor_segment_cache_total", seed + 1, outcome="hit")
     reg.set_gauge("repro_executor_shards", seed * 10)
     reg.observe("repro_phase_seconds", 0.01 * seed, phase="index_build")
     reg.observe("repro_phase_seconds", 3.0, phase="index_build")
@@ -47,7 +47,7 @@ class TestRegistry:
     def test_counters_gauges_histograms_roundtrip(self):
         reg = _sample_registry(2)
         assert reg.value("repro_executor_checks_total") == 2
-        assert reg.value("repro_index_cache_requests_total", outcome="hit") == 3
+        assert reg.value("repro_executor_segment_cache_total", outcome="hit") == 3
         assert reg.value("repro_executor_shards") == 20
         total, count = reg.histogram_stats("repro_phase_seconds", phase="index_build")
         assert count == 2 and total == pytest.approx(3.02)
@@ -238,6 +238,8 @@ class TestWorkerMetrics:
         )
 
     def test_merged_registry_equals_sum_of_worker_snapshots(self):
+        from repro.core.index import HistoryIndex
+
         history = self._disjoint_history()
         committed = len(history.committed_transactions(include_initial=False))
         with obs.scoped() as reg:
@@ -251,6 +253,18 @@ class TestWorkerMetrics:
         # the merged counters are exactly the sums over the workers.
         assert reg.value("repro_executor_shard_checks_total") == shards
         assert reg.value("repro_executor_shard_txns_total") == committed
+        # The parent's own numbers for the call: it built the index, once,
+        # and pickled every payload to size it.
+        assert reg.value("repro_executor_index_build_seconds") > 0
+        assert reg.value("repro_executor_payload_bytes") > 0
+        assert reg.value("repro_executor_payload_bytes_total") == reg.value(
+            "repro_executor_payload_bytes"
+        )
+        with obs.scoped() as reg:
+            check_parallel(
+                history, IsolationLevel.SERIALIZABILITY, index=HistoryIndex.build(history)
+            )
+        assert reg.value("repro_executor_index_build_seconds") is None  # not built here
 
     def test_run_shard_ships_snapshot_only_when_asked(self):
         from repro.core.index import HistoryIndex
@@ -312,6 +326,7 @@ class TestVerifyReport:
             ]
             assert series == ["repro_index_builds_total"]
             assert report.metrics["counters"]["repro_index_builds_total"] == 1
+            assert report.metrics["histograms"]["repro_index_build_seconds"]["count"] == 1
 
     def test_report_false_returns_plain_result(self):
         result = MTChecker().verify(

@@ -271,6 +271,19 @@ class TestOneDoor:
         assert {name: history_format(tmp_path / name) for name in kinds} == kinds
         assert history_format(tmp_path) == "log"  # any existing directory
 
+    @pytest.mark.parametrize(
+        "name, mapped", [("h.json", False), ("h.jsonl", False), ("h.seg", True),
+                         ("h.seg.gz", False), ("h.epochs", False)],
+    )  # fmt: skip
+    def test_load_columns_is_the_rows_and_a_mappable_segments_path(self, name, mapped, tmp_path):
+        from repro.history import load_columns, write_history
+
+        path = tmp_path / name
+        write_history(sample_history(), path)
+        columns, source_path = load_columns(path)
+        assert list(columns.txn_ids) == [-1, 1, 2]
+        assert source_path == (str(path) if mapped else None)
+
     def test_follower_delivers_records_as_their_newlines_arrive(self, tmp_path):
         from repro.history import StreamFollower
 
@@ -327,20 +340,19 @@ class TestOneDoor:
         assert segment.num_transactions == 3
 
     def test_frames_are_the_bytes_earlier_builds_wrote(self, tmp_path):
-        """Segment, index sidecar and checkpoint, assembled here by the recipe
-        every earlier build used, are byte for byte what this build writes —
-        so each loads the other's files."""
+        """Segment and checkpoint, assembled here by the recipe every earlier
+        build used, are byte for byte what this build writes — so each loads
+        the other's files."""
         import gzip
         import sys
         import zlib
 
-        from repro.core.index import INDEX_CACHE_MAGIC, INDEX_WIRE_FORMAT, HistoryIndex, _WIRE_BUFFERS
         from repro.history import ColumnarHistory, EpochLog
         from repro.history.columnar import _COLUMN_SLOTS, SEGMENT_FORMAT, SEGMENT_MAGIC
         from repro.history.epochlog import CHECKPOINT_FILE_FORMAT, CHECKPOINT_MAGIC
 
-        def dumps(header, **options):
-            return json.dumps(header, separators=(",", ":"), **options).encode()
+        def dumps(header):
+            return json.dumps(header, separators=(",", ":")).encode()
 
         columns = ColumnarHistory.from_history(sample_history())
         raw = [getattr(columns, slot) for slot in _COLUMN_SLOTS]
@@ -352,20 +364,6 @@ class TestOneDoor:
         assert (tmp_path / "new.seg").read_bytes() == segment
         (tmp_path / "old.seg").write_bytes(segment)
         assert ColumnarHistory.load(tmp_path / "old.seg").to_wire() == columns.to_wire()
-
-        index, fingerprint = HistoryIndex.from_columns(columns), {"crcs": [7], "epochs": [0]}
-        wire = index.to_wire()
-        payload = b"".join(wire["buffers"][name] for name, _code in _WIRE_BUFFERS)
-        header = {"format": INDEX_WIRE_FORMAT, "byteorder": sys.byteorder,
-                  "fingerprint": fingerprint, "key_names": wire["key_names"],
-                  "has_initial": wire["has_initial"],
-                  "buffers": [[n, c, len(wire["buffers"][n])] for n, c in _WIRE_BUFFERS],
-                  "crc32": zlib.crc32(payload), "payload_bytes": len(payload)}
-        sidecar = INDEX_CACHE_MAGIC + dumps(header, sort_keys=True) + b"\n" + payload
-        assert index.save_cache(tmp_path / "new.idx", fingerprint=fingerprint).read_bytes() == sidecar
-        (tmp_path / "old.idx").write_bytes(sidecar)
-        loaded = HistoryIndex.load_cache(tmp_path / "old.idx", fingerprint=fingerprint, columns=columns)
-        assert loaded is not None and loaded.to_wire() == wire
 
         log = EpochLog(tmp_path, [], -1)
         state = {"format": "any", "slots": [1, 2, 3]}
