@@ -83,10 +83,6 @@ class DependencyGraph:
         self.nodes: Set[int] = set(nodes) if nodes is not None else set()
         #: adjacency: source -> {target -> set of (EdgeType, key)}
         self._succ: Dict[int, Dict[int, Set[Tuple[EdgeType, Optional[str]]]]] = defaultdict(dict)
-        #: reverse adjacency: target -> {sources}; maintained so that
-        #: :meth:`remove_node` (the streaming window GC hot path) touches
-        #: only the incident nodes instead of scanning the whole graph.
-        self._pred: Dict[int, Set[int]] = {}
         self._edge_count = 0
 
     # ------------------------------------------------------------------
@@ -109,46 +105,15 @@ class DependencyGraph:
         tag = (edge_type, key)
         if tag in labels:
             return False
-        if not labels:
-            self._pred.setdefault(target, set()).add(source)
         labels.add(tag)
         self._edge_count += 1
         return True
-
-    def remove_node(self, node: int) -> None:
-        """Remove a node and every edge incident to it — in O(degree).
-
-        Used by the streaming checker's bounded-window garbage collection
-        (:class:`repro.core.incremental.IncrementalChecker`); the reverse
-        adjacency map makes the cost proportional to the node's own degree,
-        so window GC never scans the rest of the graph.
-        """
-        if node not in self.nodes:
-            return
-        self.nodes.discard(node)
-        outgoing = self._succ.pop(node, None)
-        if outgoing:
-            self._edge_count -= sum(len(labels) for labels in outgoing.values())
-            for target in outgoing:
-                sources = self._pred.get(target)
-                if sources is not None:
-                    sources.discard(node)
-                    if not sources:
-                        del self._pred[target]
-        for source in self._pred.pop(node, ()):
-            labels = self._succ.get(source, {}).pop(node, None)
-            if labels is not None:
-                self._edge_count -= len(labels)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def successors(self, node: int) -> Iterator[int]:
         return iter(self._succ.get(node, {}))
-
-    def predecessors(self, node: int) -> Iterator[int]:
-        """Sources of the edges into ``node`` (via the reverse adjacency)."""
-        return iter(self._pred.get(node, ()))
 
     def has_edge(
         self,
@@ -173,26 +138,6 @@ class DependencyGraph:
                 for etype, key in labels:
                     if edge_type is None or etype is edge_type:
                         yield Edge(source, target, etype, key)
-
-    def edge_columns(self) -> Tuple[List[int], List[int], List[str], List[Optional[str]]]:
-        """Every edge as parallel ``(source, target, type value, key)`` columns.
-
-        The walk of :meth:`edges`, in adjacency insertion order, without an
-        :class:`Edge` per edge (the checkpoint encoder's view of the graph).
-        """
-        src: List[int] = []
-        dst: List[int] = []
-        typ: List[str] = []
-        key: List[Optional[str]] = []
-        for source, targets in self._succ.items():
-            for target, labels in targets.items():
-                for etype, label_key in labels:
-                    src.append(source)
-                    dst.append(target)
-                    # ``_value_``: ``.value`` is a Python-level descriptor call.
-                    typ.append(etype._value_)
-                    key.append(label_key)
-        return src, dst, typ, key
 
     @property
     def num_edges(self) -> int:

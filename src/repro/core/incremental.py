@@ -13,11 +13,14 @@ the online counterpart:
   nodes whose order actually has to move — instead of the whole graph, so
   acyclicity is re-established per transaction without re-running
   :func:`repro.core.graph.find_cycle`.
-* :class:`IncrementalChecker` ingests transactions one at a time (or in
-  rounds), extends a :class:`~repro.core.graph.DependencyGraph` in place —
-  WR/WW/RW edges are derived from per-version *slots*, SO from per-session
-  tails, RT from an online interval-order reduction — and reports each
-  violation at the exact transaction whose ingestion created it.
+* :class:`IncrementalChecker` ingests transactions one at a time (or a
+  columnar segment at a time) and hands each dependency edge — WR/WW/RW
+  derived from per-version *slots*, SO from per-session tails, RT from an
+  online interval-order reduction — straight to that order, whose adjacency
+  carries the edge labels.  It reports each violation at the exact
+  transaction whose ingestion created it; a labeled
+  :class:`~repro.core.graph.DependencyGraph` exists only where someone asks
+  for one (a counterexample cycle, :attr:`IncrementalChecker.graph`).
 * :class:`CheckerSession` is the checker as handed out by
   :meth:`repro.core.checker.MTChecker.session`; it also acts as a live
   ``on_transaction`` hook for :class:`repro.workloads.runner.WorkloadRunner`.
@@ -57,33 +60,19 @@ import heapq
 import time
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
+from itertools import accumulate, chain
 from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
+    TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
 )
 
 from .. import obs
 from .checkers import MTHistoryError, classify_cycle
 from .graph import DependencyGraph, EdgeType
-from .intcheck import ops_int_candidate, transaction_int_violations
+from .intcheck import transaction_int_violations
 from .mini import mt_violations
 from .model import (
-    INITIAL_TXN_ID,
-    STATUS_CODES,
-    STATUS_FROM_CODE,
-    History,
-    Transaction,
-    TransactionStatus,
-    make_initial_transaction,
+    INITIAL_TXN_ID, STATUS_CODES, STATUS_FROM_CODE,
+    History, Transaction, TransactionStatus, make_initial_transaction,
 )
 from .result import AnomalyKind, CheckResult, IsolationLevel, Violation
 
@@ -99,7 +88,7 @@ __all__ = [
 ]
 
 #: Format tag of :meth:`IncrementalChecker.checkpoint` state dictionaries.
-CHECKPOINT_STATE_FORMAT = "repro-checker-state-v2"
+CHECKPOINT_STATE_FORMAT = "repro-checker-state-v3"
 
 #: Isolation levels the incremental checker supports.
 GRAPH_LEVELS = (
@@ -107,8 +96,6 @@ GRAPH_LEVELS = (
     IsolationLevel.SNAPSHOT_ISOLATION,
     IsolationLevel.STRICT_SERIALIZABILITY,
 )
-
-_BASE_TYPES = (EdgeType.SO, EdgeType.WR, EdgeType.WW)
 
 
 class PearceKellyOrder:
@@ -124,23 +111,26 @@ class PearceKellyOrder:
     ``u -> v``) and the edge is *not* inserted, so the structure stays
     acyclic and checking can continue past the violation.
 
-    Adjacency is kept in insertion-ordered dicts (values unused) rather than
-    sets: traversal order is then a pure function of the edge-insertion
-    sequence, which makes the structure — and the exact counterexample paths
-    it reports — reproducible across :meth:`IncrementalChecker.checkpoint` /
-    :meth:`IncrementalChecker.restore` round-trips.
+    The order is also the labeled multigraph of the edges it accepted:
+    ``_succ[u][v]`` lists the distinct labels ``u -> v`` was inserted under.
+    Adjacency dicts and label lists keep insertion order (no sets), so
+    traversal is a pure function of the edge-insertion sequence, and the
+    structure — with the exact counterexample paths it reports — survives
+    an :meth:`IncrementalChecker.checkpoint` / ``restore`` round-trip.
 
     Example:
         >>> topo = PearceKellyOrder()
-        >>> topo.add_edge(1, 2) is None and topo.add_edge(2, 3) is None
+        >>> topo.add_edge(1, 2) is None and topo.add_edge(2, 3, "WR") is None
         True
         >>> topo.add_edge(3, 1)
         [1, 2, 3]
+        >>> topo.labels(2, 3), topo.labels(3, 1)
+        (['WR'], [])
     """
 
     def __init__(self) -> None:
         self._ord: Dict[int, int] = {}
-        self._succ: Dict[int, Dict[int, None]] = {}
+        self._succ: Dict[int, Dict[int, List[Any]]] = {}
         self._pred: Dict[int, Dict[int, None]] = {}
         self._counter = 0
         #: Nodes visited by affected-region reorderings (plain int — this is
@@ -167,23 +157,42 @@ class PearceKellyOrder:
     def has_edge(self, source: int, target: int) -> bool:
         return target in self._succ.get(source, ())
 
-    def add_edge(self, source: int, target: int) -> Optional[List[int]]:
-        """Insert ``source -> target``; return a cycle instead if one forms.
+    def labels(self, source: int, target: int) -> List[Any]:
+        """The labels ``source -> target`` holds (empty when not an edge)."""
+        return self._succ.get(source, {}).get(target, [])
 
-        Returns ``None`` on success.  On a would-be cycle, returns the node
-        path from ``target`` to ``source`` (the cycle closes with the
-        rejected ``source -> target`` edge) and leaves the order unchanged.
+    def edges(self) -> Iterator[Tuple[int, int, List[Any]]]:
+        """Every edge as ``(source, target, labels)``, in adjacency order."""
+        for source, targets in self._succ.items():
+            for target, labels in targets.items():
+                yield source, target, labels
+
+    def add_edge(self, source: int, target: int, label: Any = None) -> Optional[List[int]]:
+        """Insert ``source -> target`` under ``label``; return a cycle instead
+        if one forms.
+
+        Returns ``None`` on success (a new label on an existing edge is
+        recorded for free, one it already holds changes nothing).  On a
+        would-be cycle, returns the node path from ``target`` to ``source``
+        (the rejected ``source -> target`` closes it), order unchanged.
         """
-        if source == target:
+        targets = self._succ.get(source)
+        if targets is None:
             self.add_node(source)
-            return [source]
-        self.add_node(source)
-        self.add_node(target)
-        if target in self._succ[source]:
+            targets = self._succ[source]
+        labels = targets.get(target)
+        if labels is not None:
+            if label not in labels:
+                labels.append(label)
             return None
-        lower, upper = self._ord[target], self._ord[source]
+        if source == target:
+            return [source]
+        order = self._ord
+        if target not in order:
+            self.add_node(target)
+        lower, upper = order[target], order[source]
         if upper < lower:
-            self._succ[source][target] = None
+            targets[target] = [label]
             self._pred[target][source] = None
             return None
 
@@ -204,7 +213,7 @@ class PearceKellyOrder:
                         current = parent[current]
                     path.reverse()
                     return path
-                if nxt not in parent and self._ord[nxt] < upper:
+                if nxt not in parent and order[nxt] < upper:
                     parent[nxt] = node
                     stack.append(nxt)
 
@@ -216,25 +225,25 @@ class PearceKellyOrder:
             node = stack.pop()
             backward.append(node)
             for prv in self._pred[node]:
-                if prv not in backward_seen and self._ord[prv] > lower:
+                if prv not in backward_seen and order[prv] > lower:
                     backward_seen.add(prv)
                     stack.append(prv)
 
         # Re-map the affected nodes onto their own (sorted) index pool with
         # the backward region ordered entirely before the forward region.
         self.reorder_visits += len(forward) + len(backward)
-        backward.sort(key=self._ord.__getitem__)
-        forward.sort(key=self._ord.__getitem__)
-        pool = sorted(self._ord[node] for node in backward + forward)
+        backward.sort(key=order.__getitem__)
+        forward.sort(key=order.__getitem__)
+        pool = sorted(order[node] for node in backward + forward)
         for node, index in zip(backward + forward, pool):
-            self._ord[node] = index
+            order[node] = index
 
-        self._succ[source][target] = None
+        targets[target] = [label]
         self._pred[target][source] = None
         return None
 
     def remove_node(self, node: int) -> None:
-        """Remove a node and its incident edges (used by window GC)."""
+        """Remove a node and its incident edges, in O(degree) (window GC)."""
         if node not in self._ord:
             return
         for nxt in self._succ.pop(node):
@@ -254,6 +263,7 @@ class _Slot:
     """
 
     __slots__ = (
+        "code",
         "writer_id",
         "writer_status",
         "intermediate_id",
@@ -263,7 +273,9 @@ class _Slot:
         "pending",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, code: int) -> None:
+        #: The version's key in the slot table (see ``_RADIX``).
+        self.code = code
         self.writer_id: Optional[int] = None
         self.writer_status: Optional[TransactionStatus] = None
         self.intermediate_id: Optional[int] = None
@@ -281,6 +293,13 @@ class _Slot:
 #: Marker replacing a slot whose version aged out of the streaming window.
 _SEALED = object()
 
+#: A version ``(key, value)`` is the int ``value * _RADIX + key id`` (key ids
+#: are the checker's own dense interning, below ``_VALUELESS`` like the
+#: columnar ``op_keys``); a version without a value takes value 0 and the
+#: key id ``_VALUELESS + id``.  One small int per version: nothing to
+#: allocate per lookup, nothing for the collector to track.
+_RADIX = 1 << 32
+_VALUELESS = 1 << 31
 
 #: ``writer`` column entry of a version sealed by the window (never a txn id).
 _SEALED_WRITER = "sealed"
@@ -290,6 +309,14 @@ _SLOT_COLUMNS = (
     "key", "value", "writer", "status", "intermediate",
     "readers", "overwriters", "rmw_seen", "pending",
 )
+#: Labels are ``(EdgeType value, key)`` tuples of plain strings: they compare
+#: in C, where an ``Enum`` member hashes through a Python call.
+_EDGE_TYPES = {member.value: member for member in EdgeType}
+_RT, _SO, _WR, _WW, _RW, _COMPOSED = (
+    EdgeType[name].value for name in ("RT", "SO", "WR", "WW", "RW", "COMPOSED")
+)
+# Module constants: an ``Enum`` class attribute costs a descriptor call per read.
+_COMMITTED, _ABORTED = TransactionStatus.COMMITTED, TransactionStatus.ABORTED
 
 
 def _columns(names: Tuple[str, ...], rows: Iterable[Tuple[Any, ...]]) -> Dict[str, List[Any]]:
@@ -298,15 +325,33 @@ def _columns(names: Tuple[str, ...], rows: Iterable[Tuple[Any, ...]]) -> Dict[st
     return dict(zip(names, columns))
 
 
-def _flatten(groups: Dict[int, Iterable[int]]) -> Tuple[List[int], List[int]]:
-    """An adjacency ``{owner: members}`` as (owner, member) columns, in dict order
-    (``_columns`` of its pairs, by ``extend``: the largest tables after ``slots``)."""
-    owners: List[int] = []
-    members: List[int] = []
-    for owner, group in groups.items():
-        owners.extend([owner] * len(group))
-        members.extend(group)
-    return owners, members
+def _edge_columns(edges: Iterable[Tuple[int, int, List[Tuple[str, Any]]]]) -> Dict[str, List[Any]]:
+    """``(source, target, labels)`` edges as ``src``/``dst``/``typ``/``key`` columns, a row per
+    label (by ``append``, no tuple per row: the largest table after ``slots``)."""
+    src: List[int] = []
+    dst: List[int] = []
+    typ: List[str] = []
+    key: List[Any] = []
+    for source, target, labels in edges:
+        for etype, label_key in labels:
+            src.append(source)
+            dst.append(target)
+            typ.append(etype)
+            key.append(label_key)
+    return dict(zip(_EDGE_COLUMNS, (src, dst, typ, key)))
+
+
+def _versions(codes: Iterable[int]) -> Dict[str, List[int]]:
+    """Version codes as ``key`` (id) / ``value`` columns; :func:`_code` inverts a row."""
+    codes = list(codes)
+    return {"key": [c % _RADIX for c in codes], "value": [c // _RADIX for c in codes]}
+
+
+def _code(kid: int, value: int, num_keys: int) -> int:
+    """The version code of one checkpointed ``key``/``value`` row, key id validated."""
+    if not 0 <= kid % _VALUELESS < num_keys or kid >= _RADIX:
+        raise ValueError(f"unknown key id {kid!r}")
+    return int(value) * _RADIX + kid
 
 
 def _column(table: Dict[str, Any], name: str) -> List[Any]:
@@ -321,18 +366,12 @@ def _rows(table: Dict[str, Any], *names: str) -> Iterator[Tuple[Any, ...]]:
     return zip(*(_column(table, name) for name in names), strict=True)
 
 
-def _encode_graph(graph: DependencyGraph) -> Dict[str, Any]:
-    """Column-encode a labeled graph (edges in adjacency insertion order)."""
-    return {"nodes": sorted(graph.nodes), **dict(zip(_EDGE_COLUMNS, graph.edge_columns()))}
-
-
-def _decode_graph(state: Dict[str, Any]) -> DependencyGraph:
-    graph = DependencyGraph(_column(state, "nodes"))
-    # O(window) edges per restore: resolve enum members once, not per edge.
-    edge_types = {member.value: member for member in EdgeType}
-    for source, target, type_value, key in _rows(state, *_EDGE_COLUMNS):
-        graph.add_edge(source, target, edge_types[type_value], key)
-    return graph
+def _labeled_edges(state: Dict[str, Any]) -> Iterator[Tuple[int, int, Tuple[str, Any]]]:
+    """The ``(source, target, label)`` rows of a ``src``/``dst``/``typ``/``key`` table."""
+    for source, target, etype, key in _rows(state, *_EDGE_COLUMNS):
+        if etype not in _EDGE_TYPES:
+            raise ValueError(f"unknown edge type {etype!r}")
+        yield source, target, (etype, key)
 
 
 class IncrementalChecker:
@@ -345,9 +384,9 @@ class IncrementalChecker:
     * read provenance resolves against per-version slots (pending until the
       writer arrives, AbortedRead/IntermediateRead on resolution, ThinAirRead
       for reads that never resolve);
-    * WR/WW/RW (and SO/RT) edges extend the dependency graph in place, and a
-      :class:`PearceKellyOrder` re-establishes acyclicity online, reporting
-      the counterexample cycle at the exact offending transaction;
+    * WR/WW/RW (and SO/RT) edges go, labels and all, into a
+      :class:`PearceKellyOrder` that re-establishes acyclicity online,
+      reporting the counterexample cycle at the exact offending transaction;
     * for SI, the induced graph ``(SO ∪ WR ∪ WW) ; RW?`` is composed
       edge-by-edge and the DIVERGENCE pattern is matched per read.
 
@@ -402,14 +441,19 @@ class IncrementalChecker:
         self.level = level
         self.window = window
         self.strict_mt = strict_mt
+        self._si = level is IsolationLevel.SNAPSHOT_ISOLATION
+        self._sser = level is IsolationLevel.STRICT_SERIALIZABILITY
 
-        #: The dependency graph, extended in place (inspectable at any time).
-        self.graph = DependencyGraph()
-        self._induced: Optional[DependencyGraph] = (
-            DependencyGraph() if level is IsolationLevel.SNAPSHOT_ISOLATION else None
-        )
+        # The check graph and its labels: the dependency graph at SER/SSER,
+        # the induced graph ``(SO ∪ WR ∪ WW) ; RW?`` at SI.  ``_refused`` maps
+        # ``(source, target)`` to the labels of the edges the order would not
+        # take (each closed a cycle), so duplicate detection and cycle
+        # labeling still see them; it stays empty while the stream is valid.
         self._topo = PearceKellyOrder()
-        self._slots: Dict[Tuple[str, Optional[int]], object] = {}
+        self._refused: Dict[Tuple[int, int], List[Tuple[str, Optional[str]]]] = {}
+        self._key_ids: Dict[str, int] = {}
+        self._key_names: List[str] = []
+        self._slots: Dict[int, object] = {}
         self._last_in_session: Dict[int, int] = {}
         self._has_initial = False
         self._violations: List[Violation] = []
@@ -427,9 +471,10 @@ class IncrementalChecker:
         self._prefix_max_start: List[float] = []
         self._by_start: List[Tuple[float, float, int]] = []  # (start, finish, id)
         self._suffix_min_finish: List[float] = []
+        self._rt_span: Dict[int, Tuple[float, float]] = {}  # id -> (start, finish)
 
         # Bounded-window GC state.  ``_overwrote`` maps a transaction to the
-        # version slots it read-modified: those slots must be sealed no later
+        # versions it read-modified: those slots must be sealed no later
         # than the transaction's own eviction, because every new reader of
         # such a slot would add an RW in-edge to the (collected) overwriter.
         # Evicted nodes are recognised by their absence from the topology
@@ -439,8 +484,8 @@ class IncrementalChecker:
         # bounded-memory; a read of a version whose marker has expired
         # reports ThinAirRead instead of incrementing ``stale_reads``.
         self._arrivals: Deque[int] = deque()
-        self._overwrote: Dict[int, List[Tuple[str, Optional[int]]]] = {}
-        self._sealed_fifo: Deque[Tuple[str, Optional[int]]] = deque()
+        self._overwrote: Dict[int, List[int]] = {}
+        self._sealed_fifo: Deque[int] = deque()
         self._sealed_cap = max(4 * window, 1024) if window is not None else 0
         #: Reads that targeted a version already sealed by the window —
         #: nonzero means the stream violated the window's staleness bound.
@@ -450,6 +495,23 @@ class IncrementalChecker:
 
         if initial_keys is not None:
             self.ingest(make_initial_transaction(initial_keys))
+
+    @property
+    def graph(self) -> DependencyGraph:
+        """The dependency graph over the live transactions, built per access
+        (the streaming ``CSRGraph.to_multigraph``): the order's labels plus
+        the refused edges, and at SI the RW edges in place of the
+        compositions they induced."""
+        graph = DependencyGraph(self._topo._ord)
+        for source, target, labels in chain(self._topo.edges(), self._refused_edges()):
+            for etype, key in labels:
+                if etype != _COMPOSED:
+                    graph.add_edge(source, target, _EDGE_TYPES[etype], key)
+        for source, successors in self._rw_succ.items():
+            for target, key in successors:
+                if target in self._topo:
+                    graph.add_edge(source, target, EdgeType.RW, key)
+        return graph
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -466,125 +528,150 @@ class IncrementalChecker:
         """
         started = time.perf_counter()
         before = len(self._violations)
-        key_ids: Dict[str, int] = {}
-        intern = key_ids.setdefault
-        ops = [
-            (1 if op.is_write else 0, intern(op.key, len(key_ids)), op.value)
-            for op in txn.operations
-        ]
-        self._ingest_ops(
-            txn.txn_id, txn.session_id, txn.status, ops, list(key_ids), txn, None, 0
+        ops = txn.operations
+        self._ingest_row(
+            txn.txn_id, txn.session_id, txn.status, range(len(ops)),
+            [op.is_write for op in ops], [self._key_id(op.key) for op in ops],
+            [op.value for op in ops], txn, None, 0,
         )
         self._elapsed += time.perf_counter() - started
         return self._violations[before:]
 
     def ingest_round(self, txns: Iterable[Transaction]) -> List[Violation]:
         """Ingest a batch of transactions; return all violations triggered."""
-        out: List[Violation] = []
-        for txn in txns:
-            out.extend(self.ingest(txn))
-        return out
+        return [violation for txn in txns for violation in self.ingest(txn)]
 
     def ingest_segment(
-        self,
-        segment: "ColumnarHistory",
-        *,
-        on_row_violations: Optional[
-            Callable[[int, List[Violation]], object]
-        ] = None,
+        self, segment: "ColumnarHistory", *,
+        on_row_violations: Optional[Callable[[int, List[Violation]], object]] = None,
     ) -> List[Violation]:
         """Bulk-ingest one columnar segment epoch; return its violations.
 
         ``on_row_violations(row, violations)`` is invoked after any segment
         row whose ingestion triggered violations — the hook the CLI uses to
-        tag stream output with the offending transaction, without giving up
-        the bulk column scan.
+        tag stream output with the offending transaction.
 
         The columnar counterpart of :meth:`ingest_round`, over the same
-        per-transaction routine: edge derivation (write registration, read
-        resolution, SO/RT stitching) runs straight off the segment's flat
-        columns, and only the resulting dependency *deltas* are handed to
-        the Pearce–Kelly structure — per transaction, in the segment's
-        arrival order, so violations surface at the exact offending
-        transaction exactly as with one-at-a-time :meth:`ingest`.
-        ``Transaction`` objects are materialised only for rows that actually
-        contain an intra-transactional INT candidate (or under
-        ``strict_mt``), keeping the accept path allocation-free.
+        per-row routine: the segment's columns (arrays, or memoryviews over
+        an mmap) become plain lists once — ``list(column)`` boxes every
+        element once in C — and its key ids are mapped onto the checker's
+        once; each row is then one scan over its slice of them, in arrival
+        order, so violations surface at the exact offending transaction as
+        with :meth:`ingest`.  A ``Transaction`` is materialised only for a
+        row that holds an INT candidate (or under ``strict_mt``).
 
-        The batch-equivalence invariant extends to segments: ingesting a
-        history via any split into segments yields the same verdict as the
-        batch checker (enforced by ``tests/test_columnar.py``).
+        Ingesting a history via any split into segments yields the batch
+        checker's verdict (enforced by ``tests/test_columnar.py``).
         """
         started = time.perf_counter()
-        before = len(self._violations)
-        for row in range(segment.num_transactions):
-            row_before = len(self._violations)
-            self._ingest_row(segment, row)
-            if on_row_violations is not None and len(self._violations) > row_before:
-                on_row_violations(row, self._violations[row_before:])
+        violations = self._violations
+        before = len(violations)
+        key_ids = [self._key_id(name) for name in segment.key_names]
+        kinds = list(segment.op_kinds)
+        keys = [key_ids[kid] for kid in segment.op_keys]
+        values: List[Optional[int]] = list(segment.op_values)
+        if 0 in segment.op_has_value:
+            values = [v if has else None for v, has in zip(values, segment.op_has_value)]
+        offsets = list(segment.op_offsets)
+        rows = zip(segment.txn_ids, segment.session_ids, segment.statuses)
+        for row, (txn_id, session_id, status) in enumerate(rows):
+            row_before = len(violations)
+            self._ingest_row(
+                txn_id, session_id, STATUS_FROM_CODE[status],
+                range(offsets[row], offsets[row + 1]), kinds, keys, values, None, segment, row,
+            )
+            if on_row_violations is not None and len(violations) > row_before:
+                on_row_violations(row, violations[row_before:])
         self._elapsed += time.perf_counter() - started
         self.publish_metrics()
-        return self._violations[before:]
+        return violations[before:]
 
-    def _ingest_row(self, segment: "ColumnarHistory", row: int) -> None:
-        """Feed one segment row to :meth:`_ingest_ops` (no object built here)."""
-        self._ingest_ops(
-            segment.txn_ids[row],
-            segment.session_ids[row],
-            STATUS_FROM_CODE[segment.statuses[row]],
-            list(segment.row_ops(row)),
-            segment.key_names,
-            None,
-            segment,
-            row,
-        )
+    def _key_id(self, key: str) -> int:
+        """The checker's dense id of ``key`` (interned on first sight)."""
+        kid = self._key_ids.get(key)
+        if kid is None:
+            kid = self._key_ids[key] = len(self._key_names)
+            self._key_names.append(key)
+        return kid
 
-    def _ingest_ops(
-        self,
-        txn_id: int,
-        session_id: int,
-        status: TransactionStatus,
-        ops: List[Tuple[int, int, Optional[int]]],
-        key_names: List[str],
-        txn: Optional[Transaction],
-        segment: Optional["ColumnarHistory"],
-        row: int,
+    def _ingest_row(
+        self, txn_id: int, session_id: int, status: TransactionStatus,
+        ops: range, kinds: List[Any], keys: List[int], values: List[Optional[int]],
+        txn: Optional[Transaction], segment: Optional["ColumnarHistory"], row: int,
     ) -> None:
         """The per-transaction routine behind :meth:`ingest` and segment rows.
 
-        ``ops`` are ``(kind, key_id, value)`` tuples with ``key_names``
-        resolving the ids.  ``txn`` is the transaction as an object when the
-        feeder already holds one; a row feeder passes ``None`` plus its
-        ``segment``/``row``, and the object is materialised only where an
-        object-level check needs it (``strict_mt``, INT candidates), as are
-        the timestamps (SSER).
+        The row's operations sit at positions ``ops`` of ``kinds`` / ``keys``
+        (checker key ids) / ``values``.  ``txn`` is the transaction as an
+        object when the feeder holds one; a row feeder passes ``None`` plus
+        its ``segment``/``row``, and the object (``strict_mt``, INT
+        candidates) and the timestamps (SSER) are fetched only when needed.
+
+        One scan collects everything the row contributes: its final and
+        intermediate writes, the reads to resolve (per key, a valueless read
+        in first position and the first valued read before any own write, as
+        ``Transaction.external_reads``), and whether it is an INT candidate
+        by the rules at :func:`repro.core.intcheck.transaction_int_violations`.
         """
+        committed = status is _COMMITTED
+        reads = committed and txn_id != INITIAL_TXN_ID
         if txn_id == INITIAL_TXN_ID:
             self._has_initial = True
-            self._add_node(txn_id)
-            self._register_ops_writes(ops, key_names, txn_id, status)
-            return
-        committed = status is TransactionStatus.COMMITTED
-        if committed and txn_id in self._topo:
-            raise ValueError(f"malformed history: duplicate transaction id {txn_id}")
-        if self.strict_mt:
-            if txn is None:
-                txn = segment.transaction_at(row)
-            self._strict_check(txn)
-        if committed:
+            self._topo.add_node(txn_id)
+        else:
+            if committed and txn_id in self._topo:
+                raise ValueError(f"malformed history: duplicate transaction id {txn_id}")
+            if self.strict_mt:
+                if txn is None:
+                    txn = segment.transaction_at(row)
+                self._strict_check(txn)
+
+        last: Dict[int, Optional[int]] = {}  # key id -> value of its last op so far
+        finals: Dict[int, Optional[int]] = {}
+        intermediates: List[Tuple[int, Optional[int]]] = []
+        external: List[Tuple[int, Optional[int]]] = []  # reads to resolve, in op order
+        candidate = False
+        for op in ops:
+            kid = keys[op]
+            value = values[op]
+            if kinds[op]:
+                if kid in finals:
+                    intermediates.append((kid, finals[kid]))
+                finals[kid] = last[kid] = value
+                if external and (kid, value) in external:
+                    # FutureRead: the INT pass reports it; resolving it would
+                    # fabricate a second anomaly (or a pending read of itself).
+                    external.remove((kid, value))
+                    candidate = True
+            elif reads:
+                if kid not in last:
+                    external.append((kid, value))
+                elif last[kid] != value:
+                    candidate = True
+                    no_valued_read = all(k != kid or v is None for k, v in external)
+                    if value is not None and kid not in finals and no_valued_read:
+                        external.append((kid, value))  # the key's reads so far were valueless
+                last[kid] = value
+
+        if reads:
             self._num_committed += 1
-            self._add_node(txn_id)
-            if ops_int_candidate(ops):
-                # Rare path: the row provably contains an intra-transactional
-                # anomaly candidate; classify it at the object level.
+            self._topo.add_node(txn_id)
+            if candidate:
                 if txn is None:
                     txn = segment.transaction_at(row)
                 self._violations.extend(transaction_int_violations(txn))
             self._session_edge(session_id, txn_id)
-        self._register_ops_writes(ops, key_names, txn_id, status)
-        if committed:
-            self._resolve_ops_reads(ops, key_names, txn_id)
-            if self.level is IsolationLevel.STRICT_SERIALIZABILITY:
+        for kid, value in intermediates:
+            self._register_intermediate(kid, value, txn_id)
+        for kid, value in finals.items():
+            self._register_final(kid, value, txn_id, status)
+        if reads:
+            for kid, value in external:
+                # A valueless read is provenance-checked only (batch parity).
+                self._resolve_one_read(
+                    txn_id, kid, value, value is not None and kid in finals, finals.get(kid)
+                )
+            if self._sser:
                 if txn is not None:
                     start, finish = txn.start_ts, txn.finish_ts
                 else:
@@ -595,57 +682,6 @@ class IncrementalChecker:
                 self._arrivals.append(txn_id)
                 while len(self._arrivals) > self.window:
                     self._evict(self._arrivals.popleft())
-
-    def _register_ops_writes(
-        self,
-        ops: List[Tuple[int, int, Optional[int]]],
-        key_names: List[str],
-        txn_id: int,
-        status: TransactionStatus,
-    ) -> None:
-        """Mirror ``WriteIndex.add_transaction`` onto the slot table."""
-        finals: Dict[int, Optional[int]] = {}
-        for kind, kid, value in ops:
-            if not kind:
-                continue
-            if kid in finals:
-                self._register_intermediate(key_names[kid], finals[kid], txn_id)
-            finals[kid] = value
-        for kid, value in finals.items():
-            self._register_final(key_names[kid], value, txn_id, status)
-
-    def _resolve_ops_reads(
-        self,
-        ops: List[Tuple[int, int, Optional[int]]],
-        key_names: List[str],
-        txn_id: int,
-    ) -> None:
-        """Resolve the transaction's external reads against the slot table."""
-        own_writes: Set[Tuple[int, Optional[int]]] = set()
-        written: Set[int] = set()
-        last_write: Dict[int, Optional[int]] = {}
-        external: Dict[int, Optional[int]] = {}
-        for kind, kid, value in ops:
-            if kind:
-                own_writes.add((kid, value))
-                written.add(kid)
-                last_write[kid] = value
-            elif kid not in written and kid not in external and value is not None:
-                external[kid] = value
-        for kid, value in external.items():
-            if (kid, value) in own_writes:
-                # FutureRead: already reported by the intra-transactional INT
-                # pass; attributing provenance to the reader itself (or
-                # leaving it pending) would fabricate a second anomaly.
-                continue
-            writes_key = kid in written
-            self._resolve_one_read(
-                txn_id,
-                key_names[kid],
-                value,
-                writes_key,
-                last_write.get(kid) if writes_key else None,
-            )
 
     # ------------------------------------------------------------------
     # Results
@@ -678,9 +714,7 @@ class IncrementalChecker:
         obs.set_gauge("repro_checker_violations", len(self._violations))
         obs.set_gauge("repro_checker_window_evictions", self.evicted_count)
         obs.set_gauge("repro_checker_stale_reads", self.stale_reads)
-        obs.set_gauge(
-            "repro_checker_pk_reorder_visits", self._topo.reorder_visits
-        )
+        obs.set_gauge("repro_checker_pk_reorder_visits", self._topo.reorder_visits)
         obs.set_gauge("repro_checker_graph_nodes", len(self._topo))
 
     def result(self) -> CheckResult:
@@ -692,8 +726,7 @@ class IncrementalChecker:
         can continue afterwards.
         """
         self.publish_metrics()
-        violations = list(self._violations)
-        violations.extend(self._pending_violations())
+        violations = [*self._violations, *self._pending_violations()]
         if violations:
             result = CheckResult.violated(
                 self.level, violations, num_transactions=self._num_committed
@@ -703,19 +736,21 @@ class IncrementalChecker:
         result.elapsed_seconds = self._elapsed
         return result
 
+    def _version(self, code: int) -> Tuple[str, Optional[int]]:
+        """The ``(key, value)`` a slot-table code stands for."""
+        value, kid = divmod(code, _RADIX)
+        if kid >= _VALUELESS:
+            return self._key_names[kid - _VALUELESS], None
+        return self._key_names[kid], value
+
     def _pending_violations(self) -> List[Violation]:
         out: List[Violation] = []
-        for (key, value), slot in self._slots.items():
-            if slot is _SEALED or not slot.pending:  # type: ignore[union-attr]
-                continue
-            assert isinstance(slot, _Slot)
-            if slot.writer_id is not None:
-                continue  # resolved after the reader went pending
+        for slot in self._slots.values():
+            if not isinstance(slot, _Slot) or not slot.pending or slot.writer_id is not None:
+                continue  # sealed; nothing pending; resolved after the reader went pending
+            key, value = self._version(slot.code)
             for reader_id, _ in slot.pending:
-                if (
-                    slot.intermediate_id is not None
-                    and slot.intermediate_id != reader_id
-                ):
+                if slot.intermediate_id is not None and slot.intermediate_id != reader_id:
                     out.append(self._intermediate_violation(reader_id, slot, key))
                 else:
                     out.append(
@@ -738,36 +773,47 @@ class IncrementalChecker:
         """Serialise the complete checker state as a JSON-safe dictionary.
 
         The snapshot captures everything the online algorithms carry: the
-        labeled dependency graph (and, for SI, the induced graph), the
-        Pearce–Kelly order with its exact node indices and adjacency
-        insertion order, the per-version slot table (pending reads, RMW
-        tracking, sealed markers), session tails, the SI composition state,
-        the SSER interval-reduction list, the bounded-window arrival queue
-        and seal FIFO, and every violation found so far.
+        Pearce–Kelly order with its exact node indices, adjacency insertion
+        order and edge labels (the labeled check graph), the edges it
+        refused, the key and per-version slot tables, session tails, the SI
+        composition state, the SSER interval list, the window's arrival
+        queue and seal FIFO, and every violation found so far.
 
-        Layout (``repro-checker-state-v2``): every table is a dictionary of
+        Layout (``repro-checker-state-v3``): every table is a dictionary of
         *parallel columns* — equal-length lists, rows in the table's own
-        insertion order — so a field name is spelled once per table, not once
-        per row.  ``slots`` has the ``_SLOT_COLUMNS`` (a sealed version is the
-        writer ``"sealed"``); ``graph``/``induced`` have ``nodes`` plus one
-        ``src``/``dst``/``typ``/``key`` row per labeled edge; ``topo`` has
-        ``node``/``ord`` and its adjacency as ``src``/``dst``; ``rt`` is the
-        finish-sorted interval list (the start-sorted one is re-derived).
-        The snapshot shares no list with the live checker.
+        insertion order.  ``topo`` has ``node``/``ord`` and one
+        ``src``/``dst``/``typ``/``key`` row per edge label, in adjacency
+        order; ``refused`` has the same four edge columns.  A version is a
+        ``key``/``value`` pair of ints: ``key`` indexes the ``keys`` name
+        table, plus ``2**31`` when the version has no value (``value`` 0).
+        ``slots`` has the ``_SLOT_COLUMNS`` (a sealed version is the writer
+        ``"sealed"``); ``rt`` is the finish-sorted interval list.  The
+        snapshot shares no list with the live checker.
 
         :meth:`restore` rebuilds a checker that is *behaviourally
-        indistinguishable* from this one: ingesting any suffix of
-        transactions into the restored checker yields byte-identical
-        verdicts — same anomaly kinds, same labeled counterexample cycles —
-        as ingesting it into the original (enforced by
-        ``tests/test_incremental.py`` at every boundary of randomized
-        streams).  The dictionary round-trips through ``json`` verbatim.
+        indistinguishable* from this one: any suffix of transactions yields
+        byte-identical verdicts — same anomaly kinds, same labeled cycles —
+        from either (enforced by ``tests/test_incremental.py`` at every
+        boundary of randomized streams).  The dictionary round-trips through
+        ``json`` verbatim.
         """
         started = time.perf_counter()
         self.publish_metrics()
         topo = self._topo
-        topo_src, topo_dst = _flatten(topo._succ)
-        base_dst, base_src = _flatten(self._base_preds)
+        slot_rows = [
+            (_SEALED_WRITER, None, None, [], [], [], [])
+            if slot is _SEALED
+            else (
+                slot.writer_id,
+                None if slot.writer_status is None else STATUS_CODES[slot.writer_status],
+                slot.intermediate_id,
+                list(slot.readers),
+                list(slot.overwriters),
+                [list(pair) for pair in slot.rmw_seen],
+                [list(pair) for pair in slot.pending],
+            )
+            for slot in self._slots.values()
+        ]
         state = {
             "format": CHECKPOINT_STATE_FORMAT,
             "level": self.level.value,
@@ -779,132 +825,98 @@ class IncrementalChecker:
             "stale_reads": self.stale_reads,
             "evicted_count": self.evicted_count,
             "violations": [v.to_dict() for v in self._violations],
-            "graph": _encode_graph(self.graph),
-            "induced": (
-                _encode_graph(self._induced) if self._induced is not None else None
-            ),
+            "keys": list(self._key_names),
             "topo": {
                 "counter": topo._counter,
                 "node": list(topo._ord),
                 "ord": list(topo._ord.values()),
-                "src": topo_src,
-                "dst": topo_dst,
+                **_edge_columns(topo.edges()),
             },
-            "slots": self._encode_slots(),
-            "last_in_session": _columns(
-                ("session", "txn"), self._last_in_session.items()
+            "refused": _edge_columns(self._refused_edges()),
+            "slots": {**_versions(self._slots), **_columns(_SLOT_COLUMNS[2:], slot_rows)},
+            "last_in_session": _columns(("session", "txn"), self._last_in_session.items()),
+            "base_preds": _columns(
+                ("dst", "src"), ((t, s) for t, preds in self._base_preds.items() for s in preds)
             ),
-            "base_preds": {"src": base_src, "dst": base_dst},
             "rw_succ": _columns(
                 ("src", "dst", "key"),
                 ((s, t, k) for s, edges in self._rw_succ.items() for t, k in edges),
             ),
             "rt": _columns(("finish", "start", "txn"), self._by_finish),
             "arrivals": list(self._arrivals),
-            "overwrote": _columns(
-                ("txn", "key", "value"),
-                ((txn, k, v) for txn, versions in self._overwrote.items() for k, v in versions),
-            ),
-            "sealed_fifo": _columns(("key", "value"), self._sealed_fifo),
+            "overwrote": {
+                "txn": [txn for txn, codes in self._overwrote.items() for _ in codes],
+                **_versions(chain.from_iterable(self._overwrote.values())),
+            },
+            "sealed_fifo": _versions(self._sealed_fifo),
         }
-        obs.observe(
-            "repro_checker_checkpoint_seconds",
-            time.perf_counter() - started,
-            op="save",
-        )
+        obs.observe("repro_checker_checkpoint_seconds", time.perf_counter() - started, op="save")
         return state
-
-    def _encode_slots(self) -> Dict[str, List[Any]]:
-        """The version-slot table as parallel columns, in insertion order."""
-        rows = [
-            (key, value, _SEALED_WRITER, None, None, [], [], [], [])
-            if slot is _SEALED
-            else (
-                key,
-                value,
-                slot.writer_id,
-                None if slot.writer_status is None else STATUS_CODES[slot.writer_status],
-                slot.intermediate_id,
-                list(slot.readers),
-                list(slot.overwriters),
-                [list(pair) for pair in slot.rmw_seen],
-                [list(pair) for pair in slot.pending],
-            )
-            for (key, value), slot in self._slots.items()
-        ]
-        return _columns(_SLOT_COLUMNS, rows)
 
     @classmethod
     def restore(cls, state: Dict[str, Any]) -> "IncrementalChecker":
         """Rebuild a checker from a :meth:`checkpoint` snapshot.
 
         The restored checker continues the stream exactly where the
-        snapshot left off; see :meth:`checkpoint` for the layout and the
-        equivalence guarantee.  Nothing of ``state`` is aliased into it, so
-        one snapshot restores any number of times.
+        snapshot left off (see :meth:`checkpoint`).  Nothing of ``state`` is
+        aliased into it, so one snapshot restores any number of times.
 
         Raises ``ValueError`` naming the tag found when the format tag is
         not this build's (there is no reader for older formats — callers
         replay instead), and ``ValueError("malformed checkpoint state: …")``
         on structural damage under the right tag: a missing table or column,
-        a value of the wrong type, columns of unequal length.
+        a mistyped value, columns of unequal length, an unknown edge type or
+        key id.
         """
         found = state.get("format") if isinstance(state, dict) else None
         if found != CHECKPOINT_STATE_FORMAT:
             raise ValueError(
-                f"not a {CHECKPOINT_STATE_FORMAT} checkpoint snapshot "
-                f"(found format {found!r})"
+                f"not a {CHECKPOINT_STATE_FORMAT} checkpoint snapshot (found format {found!r})"
             )
         restore_started = time.perf_counter()
         try:
             checker = cls._decode_state(state)
         except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-            raise ValueError(
-                f"malformed checkpoint state: {type(exc).__name__}: {exc}"
-            ) from None
+            raise ValueError(f"malformed checkpoint state: {type(exc).__name__}: {exc}") from None
         obs.observe(
-            "repro_checker_checkpoint_seconds",
-            time.perf_counter() - restore_started,
-            op="restore",
+            "repro_checker_checkpoint_seconds", time.perf_counter() - restore_started, op="restore"
         )
         return checker
 
     @classmethod
     def _decode_state(cls, state: Dict[str, Any]) -> "IncrementalChecker":
-        checker = cls(
-            IsolationLevel(state["level"]),
-            window=state["window"],
-            strict_mt=bool(state["strict_mt"]),
-        )
+        level = IsolationLevel(state["level"])
+        checker = cls(level, window=state["window"], strict_mt=bool(state["strict_mt"]))
         checker._has_initial = bool(state["has_initial"])
         checker._num_committed = int(state["num_committed"])
         checker._elapsed = float(state["elapsed"])
         checker.stale_reads = int(state["stale_reads"])
         checker.evicted_count = int(state["evicted_count"])
-        checker._violations = [
-            Violation.from_dict(v) for v in _column(state, "violations")
-        ]
-        checker.graph = _decode_graph(state["graph"])
-        if state["induced"] is not None:
-            checker._induced = _decode_graph(state["induced"])
+        checker._violations = [Violation.from_dict(v) for v in _column(state, "violations")]
+        checker._key_names = list(_column(state, "keys"))
+        checker._key_ids = {name: kid for kid, name in enumerate(checker._key_names)}
+        num_keys = len(checker._key_names)
         topo = checker._topo
         topo._counter = int(state["topo"]["counter"])
         for node, index in _rows(state["topo"], "node", "ord"):
             topo._ord[node] = index
             topo._succ[node] = {}
             topo._pred[node] = {}
-        for source, target in _rows(state["topo"], "src", "dst"):
-            topo._succ[source][target] = None
+        for source, target, label in _labeled_edges(state["topo"]):
+            topo._succ[source].setdefault(target, []).append(label)
             topo._pred[target][source] = None
+        for source, target, label in _labeled_edges(state["refused"]):
+            checker._refused.setdefault((source, target), []).append(label)
         slots = checker._slots
         for (
-            key, value, writer, status, intermediate,
+            kid, value, writer, status, intermediate,
             readers, overwriters, rmw_seen, pending,
         ) in _rows(state["slots"], *_SLOT_COLUMNS):
+            code = _code(kid, value, num_keys)
             if writer == _SEALED_WRITER:
-                slots[(key, value)] = _SEALED
+                slots[code] = _SEALED
                 continue
-            slot = slots[(key, value)] = _Slot()
+            slot = slots[code] = _Slot(code)
             slot.writer_id = writer
             slot.writer_status = None if status is None else STATUS_FROM_CODE[status]
             slot.intermediate_id = intermediate
@@ -912,45 +924,33 @@ class IncrementalChecker:
             slot.overwriters = list(overwriters)
             slot.rmw_seen = [(tid, written) for tid, written in rmw_seen]
             slot.pending = [(tid, writes) for tid, writes in pending]
-        checker._last_in_session = dict(
-            _rows(state["last_in_session"], "session", "txn")
-        )
+        checker._last_in_session = dict(_rows(state["last_in_session"], "session", "txn"))
         for source, target in _rows(state["base_preds"], "src", "dst"):
             checker._base_preds[target][source] = None
         for source, target, key in _rows(state["rw_succ"], "src", "dst", "key"):
             checker._rw_succ[source].append((target, key))
         checker._by_finish = list(_rows(state["rt"], "finish", "start", "txn"))
-        checker._by_start = sorted(
-            (start, finish, txn) for finish, start, txn in checker._by_finish
-        )
+        checker._by_start = sorted((s, f, txn) for f, s, txn in checker._by_finish)
+        checker._rt_span = {txn: (start, finish) for start, finish, txn in checker._by_start}
         checker._rebuild_rt_aggregates()
         checker._arrivals = deque(_column(state, "arrivals"))
-        for txn, key, value in _rows(state["overwrote"], "txn", "key", "value"):
-            checker._overwrote.setdefault(txn, []).append((key, value))
-        checker._sealed_fifo = deque(_rows(state["sealed_fifo"], "key", "value"))
+        for txn, kid, value in _rows(state["overwrote"], "txn", "key", "value"):
+            checker._overwrote.setdefault(txn, []).append(_code(kid, value, num_keys))
+        sealed = _rows(state["sealed_fifo"], "key", "value")
+        checker._sealed_fifo = deque(_code(kid, value, num_keys) for kid, value in sealed)
         return checker
 
     # ------------------------------------------------------------------
     # Per-transaction machinery
     # ------------------------------------------------------------------
-    def _add_node(self, txn_id: int) -> None:
-        self.graph.add_node(txn_id)
-        if self._induced is not None:
-            self._induced.add_node(txn_id)
-        self._topo.add_node(txn_id)
-
     def _strict_check(self, txn: Transaction) -> None:
         problems = mt_violations(txn)
         for op in txn.operations:
             if not op.is_write or op.value is None:
                 continue
-            slot = self._slots.get((op.key, op.value))
+            slot = self._slots.get(op.value * _RADIX + self._key_id(op.key))
             if isinstance(slot, _Slot):
-                owner = (
-                    slot.writer_id
-                    if slot.writer_id is not None
-                    else slot.intermediate_id
-                )
+                owner = slot.writer_id if slot.writer_id is not None else slot.intermediate_id
                 if owner is not None and owner != txn.txn_id:
                     raise MTHistoryError(
                         f"not a valid mini-transaction history: T{txn.txn_id} "
@@ -963,21 +963,22 @@ class IncrementalChecker:
                 + "; ".join(str(p) for p in problems[:5])
             )
 
-    def _slot(self, key: str, value: Optional[int]) -> Optional[_Slot]:
-        """The slot for ``(key, value)``; ``None`` if sealed by the window."""
-        slot = self._slots.get((key, value))
-        if slot is _SEALED:
-            return None
+    def _slot(self, kid: int, value: Optional[int]) -> Optional[_Slot]:
+        """The slot of version ``(key id, value)``; ``None`` if sealed by the window."""
+        code = kid + _VALUELESS if value is None else value * _RADIX + kid
+        slot = self._slots.get(code)
         if slot is None:
-            slot = _Slot()
-            self._slots[(key, value)] = slot
+            slot = self._slots[code] = _Slot(code)
+        elif slot is _SEALED:
+            return None
         assert isinstance(slot, _Slot)
         return slot
 
     def _register_final(
-        self, key: str, value: Optional[int], txn_id: int, status: TransactionStatus
+        self, kid: int, value: Optional[int], txn_id: int, status: TransactionStatus
     ) -> None:
-        slot = self._slot(key, value)
+        """Mirror ``WriteIndex.add_transaction`` onto the slot table."""
+        slot = self._slot(kid, value)
         if slot is None:
             return
         slot.writer_id = txn_id
@@ -985,22 +986,20 @@ class IncrementalChecker:
         if slot.pending:
             pending, slot.pending = slot.pending, []
             for reader_id, writes_key in pending:
-                self._attach_read(key, value, slot, reader_id, writes_key)
+                self._attach_read(self._key_names[kid], value, slot, reader_id, writes_key)
 
-    def _register_intermediate(
-        self, key: str, value: Optional[int], txn_id: int
-    ) -> None:
-        slot = self._slot(key, value)
+    def _register_intermediate(self, kid: int, value: Optional[int], txn_id: int) -> None:
+        slot = self._slot(kid, value)
         if slot is None:
             return
         slot.intermediate_id = txn_id
         if slot.pending and slot.writer_id is None:
             pending, slot.pending = slot.pending, []
-            for reader_id, _ in pending:
-                if reader_id != txn_id:
-                    self._violations.append(
-                        self._intermediate_violation(reader_id, slot, key)
-                    )
+            self._violations.extend(
+                self._intermediate_violation(reader_id, slot, self._key_names[kid])
+                for reader_id, _ in pending
+                if reader_id != txn_id
+            )
 
     @staticmethod
     def _intermediate_violation(reader_id: int, slot: _Slot, key: str) -> Violation:
@@ -1015,42 +1014,32 @@ class IncrementalChecker:
         )
 
     def _resolve_one_read(
-        self,
-        txn_id: int,
-        key: str,
-        value: Optional[int],
-        writes_key: bool,
-        written_value: Optional[int],
+        self, txn_id: int, kid: int, value: Optional[int],
+        writes_key: bool, written_value: Optional[int],
     ) -> None:
         """Resolve one external read against the slot table."""
-        slot = self._slot(key, value)
+        slot = self._slot(kid, value)
         if slot is None:
             self.stale_reads += 1
             return
+        key = self._key_names[kid]
 
         # DIVERGENCE (SI only): two RMW readers of the same version that
         # wrote different values — flagged before writer resolution, as
         # in the batch early-exit (Lemma 1).
-        if writes_key and self.level is IsolationLevel.SNAPSHOT_ISOLATION:
+        if writes_key and self._si:
             for other_id, other_written in slot.rmw_seen:
                 if other_id != txn_id and other_written != written_value:
                     self._violations.append(
-                        self._divergence_violation(
-                            key, value, slot, other_id, txn_id
-                        )
+                        self._divergence_violation(key, value, slot, other_id, txn_id)
                     )
                     break
             slot.rmw_seen.append((txn_id, written_value))
 
         if slot.writer_id is not None:
             self._attach_read(key, value, slot, txn_id, writes_key)
-        elif (
-            slot.intermediate_id is not None
-            and slot.intermediate_id != txn_id
-        ):
-            self._violations.append(
-                self._intermediate_violation(txn_id, slot, key)
-            )
+        elif slot.intermediate_id is not None and slot.intermediate_id != txn_id:
+            self._violations.append(self._intermediate_violation(txn_id, slot, key))
         else:
             slot.pending.append((txn_id, writes_key))
 
@@ -1062,27 +1051,21 @@ class IncrementalChecker:
             kind=AnomalyKind.LOST_UPDATE,
             description=(
                 f"DIVERGENCE pattern on object {key}: T{a} and T{b} both read "
-                f"value {value} written by T{writer} and then wrote different "
-                f"values"
+                f"value {value} written by T{writer} and then wrote different values"
             ),
             txn_ids=[writer, a, b],
             key=key,
         )
 
     def _attach_read(
-        self,
-        key: str,
-        value: Optional[int],
-        slot: _Slot,
-        reader_id: int,
-        writes_key: bool,
+        self, key: str, value: Optional[int], slot: _Slot, reader_id: int, writes_key: bool
     ) -> None:
         """Materialise the WR (and WW/RW) edges of one resolved read."""
         writer_id = slot.writer_id
         assert writer_id is not None
         if writer_id == reader_id:
             return
-        if slot.writer_status is TransactionStatus.ABORTED:
+        if slot.writer_status is _ABORTED:
             self._violations.append(
                 Violation(
                     kind=AnomalyKind.ABORTED_READ,
@@ -1095,8 +1078,10 @@ class IncrementalChecker:
                 )
             )
             return
-        if slot.writer_status is not TransactionStatus.COMMITTED:
-            return  # unknown outcome: no edge, no verdict (batch parity)
+        if slot.writer_status is not _COMMITTED or value is None:
+            # Unknown outcome, or a valueless read: no edge, no verdict
+            # (batch parity: the graph is built from valued reads).
+            return
         if self.window is not None and reader_id not in self._topo:
             # A pending reader aged out before its writer arrived: the stream
             # broke the writer-before-reader contract of the window.
@@ -1106,27 +1091,28 @@ class IncrementalChecker:
         # An evicted writer is harmless here: edges *out of* a collected node
         # cannot close a cycle, and ``_dep_edge`` drops them; the RW edges
         # between the (live) readers and overwriters still matter.
-        self._dep_edge(writer_id, reader_id, EdgeType.WR, key)
+        rw = (_RW, key)
+        self._dep_edge(writer_id, reader_id, (_WR, key))
         for overwriter in slot.overwriters:
             if overwriter != reader_id:
-                self._dep_edge(reader_id, overwriter, EdgeType.RW, key)
+                self._dep_edge(reader_id, overwriter, rw)
         slot.readers.append(reader_id)
         if writes_key:
-            self._dep_edge(writer_id, reader_id, EdgeType.WW, key)
+            self._dep_edge(writer_id, reader_id, (_WW, key))
             for other_reader in slot.readers:
                 if other_reader != reader_id:
-                    self._dep_edge(other_reader, reader_id, EdgeType.RW, key)
+                    self._dep_edge(other_reader, reader_id, rw)
             slot.overwriters.append(reader_id)
             if self.window is not None:
-                self._overwrote.setdefault(reader_id, []).append((key, value))
+                self._overwrote.setdefault(reader_id, []).append(slot.code)
 
     def _session_edge(self, session_id: int, txn_id: int) -> None:
         prev = self._last_in_session.get(session_id)
         if prev is None:
             if self._has_initial:
-                self._dep_edge(INITIAL_TXN_ID, txn_id, EdgeType.SO, None)
+                self._dep_edge(INITIAL_TXN_ID, txn_id, (_SO, None))
         else:
-            self._dep_edge(prev, txn_id, EdgeType.SO, None)
+            self._dep_edge(prev, txn_id, (_SO, None))
         self._last_in_session[session_id] = txn_id
 
     # ------------------------------------------------------------------
@@ -1142,13 +1128,12 @@ class IncrementalChecker:
         keep the reduction reachability-complete under any arrival order.
         """
         start, finish = float(start_ts), float(finish_ts)
-
         idx = bisect_left(self._by_finish, (start,))
         if idx:
             max_start = self._prefix_max_start[idx - 1]
             t = idx - 1
             while t >= 0 and self._by_finish[t][0] >= max_start:
-                self._dep_edge(self._by_finish[t][2], txn_id, EdgeType.RT, None)
+                self._dep_edge(self._by_finish[t][2], txn_id, (_RT, None))
                 t -= 1
 
         jdx = bisect_right(self._by_start, (finish, float("inf"), float("inf")))
@@ -1156,103 +1141,126 @@ class IncrementalChecker:
             min_finish = self._suffix_min_finish[jdx]
             t = jdx
             while t < len(self._by_start) and self._by_start[t][0] <= min_finish:
-                self._dep_edge(txn_id, self._by_start[t][2], EdgeType.RT, None)
+                self._dep_edge(txn_id, self._by_start[t][2], (_RT, None))
                 t += 1
 
         self._insert_rt_entry(start, finish, txn_id)
 
     def _insert_rt_entry(self, start: float, finish: float, txn_id: int) -> None:
-        """Insert into both sorted lists and patch the helper aggregates.
-
-        The prefix-max-start array is non-decreasing and the suffix-min-finish
-        array non-increasing (leftwards), so after a positional insert only
-        the run of entries the new value actually dominates needs rewriting —
-        O(1) amortised for in-order streams, where insertions land at the end.
-        """
-        prefix = self._prefix_max_start
+        """Insert into both sorted lists and patch the helper aggregates —
+        O(1) amortised for in-order streams, where insertions land at the end."""
+        self._rt_span[txn_id] = (start, finish)
         pos = bisect_left(self._by_finish, (finish, start, txn_id))
         self._by_finish.insert(pos, (finish, start, txn_id))
-        prefix.insert(pos, start if pos == 0 else max(prefix[pos - 1], start))
-        for i in range(pos + 1, len(prefix)):
-            if prefix[i] >= start:
-                break
-            prefix[i] = start
+        self._prefix_max_start.insert(pos, start)
+        at = bisect_left(self._by_start, (start, finish, txn_id))
+        self._by_start.insert(at, (start, finish, txn_id))
+        self._suffix_min_finish.insert(at, finish)
+        self._patch_rt_aggregates(pos, at)
 
-        suffix = self._suffix_min_finish
-        pos = bisect_left(self._by_start, (start, finish, txn_id))
-        self._by_start.insert(pos, (start, finish, txn_id))
-        tail = suffix[pos] if pos < len(suffix) else float("inf")
-        suffix.insert(pos, min(finish, tail))
-        for i in range(pos - 1, -1, -1):
-            if suffix[i] <= finish:
+    def _drop_rt_entry(self, txn_id: int) -> None:
+        """Window GC's inverse of :meth:`_insert_rt_entry`: both entries are
+        found by bisection, deleted, and the aggregates patched around them."""
+        span = self._rt_span.pop(txn_id, None)
+        if span is None:
+            return  # the transaction carried no timestamps
+        start, finish = span
+        pos = bisect_left(self._by_finish, (finish, start, txn_id))
+        del self._by_finish[pos], self._prefix_max_start[pos]
+        at = bisect_left(self._by_start, (start, finish, txn_id))
+        del self._by_start[at], self._suffix_min_finish[at]
+        self._patch_rt_aggregates(pos, at - 1)
+
+    def _patch_rt_aggregates(self, prefix_from: int, suffix_from: int) -> None:
+        """Recompute the prefix-max-start array rightwards from ``prefix_from``
+        and the suffix-min-finish array leftwards from ``suffix_from``, each
+        only as far as it changes: both are running aggregates, so past the
+        first entry that already agrees every entry does — the run a new or
+        removed value dominated is all that gets rewritten."""
+        by_finish, prefix = self._by_finish, self._prefix_max_start
+        running = prefix[prefix_from - 1] if prefix_from else float("-inf")
+        for i in range(prefix_from, len(prefix)):
+            running = max(running, by_finish[i][1])
+            if prefix[i] == running and i > prefix_from:
                 break
-            suffix[i] = finish
+            prefix[i] = running
+        by_start, suffix = self._by_start, self._suffix_min_finish
+        running = suffix[suffix_from + 1] if suffix_from + 1 < len(suffix) else float("inf")
+        for i in range(suffix_from, -1, -1):
+            running = min(running, by_start[i][1])
+            if suffix[i] == running and i < suffix_from:
+                break
+            suffix[i] = running
 
     def _rebuild_rt_aggregates(self) -> None:
-        """Recompute both helper arrays from scratch (used after removals)."""
-        prefix = self._prefix_max_start
-        del prefix[:]
-        running = float("-inf")
-        for _, entry_start, _ in self._by_finish:
-            running = max(running, entry_start)
-            prefix.append(running)
-        suffix = self._suffix_min_finish
-        del suffix[:]
-        running = float("inf")
-        for _, entry_finish, _ in reversed(self._by_start):
-            running = min(running, entry_finish)
-            suffix.append(running)
-        suffix.reverse()
+        """Recompute both helper arrays from scratch (restore; the reference
+        the incremental patches are tested against)."""
+        self._prefix_max_start[:] = accumulate((start for _, start, _ in self._by_finish), max)
+        suffix = list(accumulate((finish for _, finish, _ in reversed(self._by_start)), min))
+        self._suffix_min_finish[:] = reversed(suffix)
 
     # ------------------------------------------------------------------
-    # Edge routing: dependency graph + check structure
+    # Edge routing: every edge goes to the order, labels and all
     # ------------------------------------------------------------------
-    def _dep_edge(
-        self, source: int, target: int, edge_type: EdgeType, key: Optional[str]
-    ) -> None:
-        if self.window is not None and (
-            source not in self._topo or target not in self._topo
-        ):
+    def _dep_edge(self, source: int, target: int, label: Tuple[str, Optional[str]]) -> None:
+        """Route one dependency edge; an exact duplicate changes nothing."""
+        order = self._topo._ord
+        if self.window is not None and (source not in order or target not in order):
             return  # an endpoint was garbage-collected: the edge cannot matter
-        if not self.graph.add_edge(source, target, edge_type, key):
-            return  # exact duplicate
-
-        if self._induced is None:
-            # SER / SSER: every dependency edge participates in the order.
-            self._check_edge(source, target, self.graph)
-            return
-
+        if not self._si:
+            # SER / SSER: every dependency edge participates in the order
+            # (which ignores a label it already holds).
+            if not self._refused or label not in self._labels(source, target):
+                self._order_edge(source, target, label)
         # SI: maintain the induced graph (SO ∪ WR ∪ WW) ; RW? edge-by-edge.
-        if edge_type in _BASE_TYPES:
-            self._induced.add_edge(source, target, edge_type, key)
-            if source not in self._base_preds[target]:
-                self._base_preds[target][source] = None
-                self._check_edge(source, target, self._induced)
-                for rw_target, rw_key in self._rw_succ.get(target, ()):
-                    self._composed_edge(source, rw_target, rw_key)
-        elif edge_type is EdgeType.RW:
-            self._rw_succ[source].append((target, key))
-            for base_pred in self._base_preds.get(source, ()):
-                self._composed_edge(base_pred, target, key)
+        elif label[0] == _RW:
+            successor = (target, label[1])
+            if successor not in self._rw_succ[source]:
+                self._rw_succ[source].append(successor)
+                for base_pred in self._base_preds.get(source, ()):
+                    self._composed_edge(base_pred, target, label[1])
+        else:
+            labels = self._labels(source, target)
+            if label in labels:
+                return
+            if source in self._base_preds[target]:
+                labels.append(label)  # the pair is in the order (or refused) already
+                return
+            self._base_preds[target][source] = None
+            self._order_edge(source, target, label)
+            for rw_target, rw_key in self._rw_succ.get(target, ()):
+                self._composed_edge(source, rw_target, rw_key)
 
     def _composed_edge(self, source: int, target: int, key: Optional[str]) -> None:
-        if self.window is not None and (
-            source not in self._topo or target not in self._topo
-        ):
-            return
-        assert self._induced is not None
-        self._induced.add_edge(source, target, EdgeType.COMPOSED, key)
-        self._check_edge(source, target, self._induced)
+        if self.window is None or (source in self._topo and target in self._topo):
+            self._order_edge(source, target, (_COMPOSED, key))
 
-    def _check_edge(
-        self, source: int, target: int, labeled_graph: DependencyGraph
-    ) -> None:
-        cycle_nodes = self._topo.add_edge(source, target)
-        if cycle_nodes is not None:
-            edges = labeled_graph.label_cycle(cycle_nodes)
-            self._violations.append(
-                classify_cycle(edges, labeled_graph, level=self.level)
-            )
+    def _labels(self, source: int, target: int) -> List[Tuple[str, Optional[str]]]:
+        """The labels of ``source -> target``: the order's, else the refused table's."""
+        return self._topo.labels(source, target) or self._refused.get((source, target), [])
+
+    def _refused_edges(self) -> Iterator[Tuple[int, int, List[Tuple[str, Optional[str]]]]]:
+        return ((source, target, labels) for (source, target), labels in self._refused.items())
+
+    def _order_edge(self, source: int, target: int, label: Tuple[str, Optional[str]]) -> None:
+        """Offer one check-graph edge to the order; report the cycle it closes."""
+        cycle = self._topo.add_edge(source, target, label)
+        if cycle is None:
+            if self._refused and (source, target) in self._refused:
+                # Refused earlier, acyclic now (the window broke the cycle):
+                # the pair's labels move into the order with it.
+                labels = self._topo.labels(source, target)
+                labels.extend(l for l in self._refused.pop((source, target)) if l not in labels)
+            return
+        labels = self._refused.setdefault((source, target), [])
+        if label not in labels:
+            labels.append(label)
+        # ``label_cycle`` and ``classify_cycle`` look at the cycle's own edges only.
+        graph = DependencyGraph()
+        for tail, head in zip(cycle, cycle[1:] + cycle[:1]):
+            for etype, key in self._labels(tail, head):
+                graph.add_edge(tail, head, _EDGE_TYPES[etype], key)
+        self._violations.append(classify_cycle(graph.label_cycle(cycle), graph, level=self.level))
 
     # ------------------------------------------------------------------
     # Bounded-window garbage collection
@@ -1260,9 +1268,8 @@ class IncrementalChecker:
     def _evict(self, txn_id: int) -> None:
         """Retire a transaction that can no longer participate in a cycle.
 
-        Costs O(degree) of the evicted node: both the topology and the
-        labeled graph index reverse adjacency, so collecting one
-        transaction never scans the rest of the window.
+        Costs O(degree) of the evicted node (the order indexes reverse
+        adjacency), never a scan of the rest of the window.
 
         Safe because, once the window has passed, no new *incoming* edge can
         reach the node on a W-bounded stream: its reads resolved long ago
@@ -1275,29 +1282,21 @@ class IncrementalChecker:
         """
         self.evicted_count += 1
         self._topo.remove_node(txn_id)
-        self.graph.remove_node(txn_id)
-        if self._induced is not None:
-            self._induced.remove_node(txn_id)
+        if self._refused:
+            self._refused = {p: labels for p, labels in self._refused.items() if txn_id not in p}
         self._base_preds.pop(txn_id, None)
         self._rw_succ.pop(txn_id, None)
-        for key, value in self._overwrote.pop(txn_id, ()):
-            slot = self._slots.get((key, value))
-            if isinstance(slot, _Slot):
-                self._slots[(key, value)] = _SEALED
-                self._sealed_fifo.append((key, value))
+        slots = self._slots
+        for code in self._overwrote.pop(txn_id, ()):
+            if isinstance(slots.get(code), _Slot):
+                slots[code] = _SEALED
+                self._sealed_fifo.append(code)
         while len(self._sealed_fifo) > self._sealed_cap:
             expired = self._sealed_fifo.popleft()
-            if self._slots.get(expired) is _SEALED:
-                del self._slots[expired]
-        if self.level is IsolationLevel.STRICT_SERIALIZABILITY:
-            self._drop_rt_entries(txn_id)
-
-    def _drop_rt_entries(self, txn_id: int) -> None:
-        before = len(self._by_finish)
-        self._by_finish = [e for e in self._by_finish if e[2] != txn_id]
-        self._by_start = [e for e in self._by_start if e[2] != txn_id]
-        if len(self._by_finish) != before:
-            self._rebuild_rt_aggregates()
+            if slots.get(expired) is _SEALED:
+                del slots[expired]
+        if self._rt_span:
+            self._drop_rt_entry(txn_id)
 
 
 class CheckerSession(IncrementalChecker):

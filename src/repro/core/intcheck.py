@@ -26,7 +26,6 @@ __all__ = [
     "build_write_index",
     "check_internal_consistency",
     "transaction_int_violations",
-    "ops_int_candidate",
     "provenance_violation",
 ]
 
@@ -98,13 +97,10 @@ def _check_transaction(txn: Transaction, index: WriteIndex) -> List[Violation]:
     """Every INT/provenance violation of one committed transaction.
 
     :class:`~repro.core.index.HistoryIndex` calls this for *candidate* rows
-    only.  Its column scan flags a row exactly when one of these holds, so
-    an unflagged row provably reports nothing here:
+    only.  Its column scan flags a row exactly when one of the two rules
+    listed at :func:`transaction_int_violations` holds, or this one, so an
+    unflagged row provably reports nothing here:
 
-    * a read whose last same-key operation in the row holds another value
-      (NotMyLastWrite / NotMyOwnWrite / NonRepeatableReads);
-    * an external-position read (first operation of the row on its key)
-      whose value the row itself writes, finally or not (FutureRead);
     * an external-position read with no value, or whose value has no final
       writer (ThinAirRead / IntermediateRead), or whose final writer
       aborted (AbortedRead).
@@ -129,6 +125,15 @@ def transaction_int_violations(txn: Transaction) -> List[Violation]:
     IntermediateRead) additionally need a :class:`WriteIndex`; classify
     those with :func:`provenance_violation`, or incrementally via
     :class:`repro.core.incremental.IncrementalChecker`.
+
+    Both row scans (the batch index's and the streaming checker's) call
+    this for *candidate* rows only: a row is flagged exactly when one of
+    these holds, so an unflagged row provably reports nothing here:
+
+    * a read whose last same-key operation in the row holds another value
+      (NotMyLastWrite / NotMyOwnWrite / NonRepeatableReads);
+    * an external-position read (first operation of the row on its key)
+      whose value the row itself writes, finally or not (FutureRead).
 
     Example:
         >>> from repro.core.model import Transaction, read, write
@@ -164,40 +169,6 @@ def transaction_int_violations(txn: Transaction) -> List[Violation]:
             )
         last_op_on_key[op.key] = op
     return violations
-
-
-def ops_int_candidate(ops: List[Tuple[int, int, Optional[int]]]) -> bool:
-    """Whether ``(kind, key_id, value)`` rows can hold an intra-INT anomaly.
-
-    The streaming checker's trigger for :func:`transaction_int_violations`
-    — kept in this module, next to the check it mirrors, so the two evolve
-    together.  It fires exactly when the object check would report
-    something: a read whose last same-key predecessor holds a different
-    value (NotMyLastWrite / NotMyOwnWrite / NonRepeatableReads), or an
-    external-position read of a value the transaction itself writes
-    (FutureRead).  ``False`` provably means zero violations, so
-    :class:`repro.core.incremental.IncrementalChecker` only materialises a
-    ``Transaction`` for candidate rows.  (The batch index applies the same
-    rules inside its column scan; see :func:`_check_transaction`.)
-    """
-    own_writes: Dict[int, set] = {}
-    for kind, kid, value in ops:
-        if kind:
-            own_writes.setdefault(kid, set()).add(value)
-    last: Dict[int, Optional[int]] = {}
-    for kind, kid, value in ops:
-        if kind:
-            last[kid] = value
-            continue
-        if kid in last:
-            if value != last[kid]:
-                return True
-        else:
-            writes = own_writes.get(kid)
-            if writes is not None and value in writes:
-                return True
-        last[kid] = value
-    return False
 
 
 def _external_position_reads(txn: Transaction) -> List[Operation]:

@@ -433,17 +433,6 @@ class ColumnarHistory:
         for row in range(len(self.txn_ids)):
             yield self.transaction_at(row)
 
-    def row_ops(self, row: int) -> Iterator[Tuple[int, int, Optional[int]]]:
-        """Yield ``(kind, key_id, value)`` for one row (``None``-aware values)."""
-        lo, hi = self.op_offsets[row], self.op_offsets[row + 1]
-        for kind, kid, value, has in zip(
-            self.op_kinds[lo:hi],
-            self.op_keys[lo:hi],
-            self.op_values[lo:hi],
-            self.op_has_value[lo:hi],
-        ):
-            yield kind, kid, (value if has else None)
-
     def timestamps_at(self, row: int) -> Tuple[Optional[float], Optional[float]]:
         """``(start_ts, finish_ts)`` of one row, NaN decoded back to ``None``."""
         start = self.start_ts[row]

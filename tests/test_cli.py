@@ -525,16 +525,16 @@ class TestEpochLogCommands:
         verdict = capsys.readouterr().out.splitlines()[-1]
         assert "SATISFIED" in verdict
 
-        def as_v1(state):
-            state["format"] = "repro-checker-state-v1"
+        def as_v2(state):
+            state["format"] = "repro-checker-state-v2"
 
-        # The newest kept checkpoint is from an older build: skip it with a
-        # note, resume from the older kept one, same verdict.
-        self._reframe_checkpoints(path, as_v1, newest_only=True)
+        # The newest kept checkpoint is from the previous build: skip it
+        # with a note, resume from the older kept one, same verdict.
+        self._reframe_checkpoints(path, as_v2, newest_only=True)
         assert main([*watch, str(path)]) == 0
         out = capsys.readouterr().out
         assert "note: skipping checkpoint at epoch" in out
-        assert "found format 'repro-checker-state-v1'" in out
+        assert "found format 'repro-checker-state-v2'" in out
         assert "resumed from checkpoint" in out and "Traceback" not in out
         assert out.splitlines()[-1] == verdict
 

@@ -45,70 +45,6 @@ class TestDependencyGraphBasics:
         assert restricted.nodes == graph.nodes
 
 
-class _InstrumentedSucc(dict):
-    """Forward-adjacency dict that counts whole-map scans and row lookups."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.values_calls = 0
-        self.getitem_calls = 0
-
-    def values(self):
-        self.values_calls += 1
-        return super().values()
-
-    def __getitem__(self, key):
-        self.getitem_calls += 1
-        return super().__getitem__(key)
-
-
-class TestRemoveNode:
-    def build_chain(self, n):
-        graph = DependencyGraph()
-        for i in range(n - 1):
-            graph.add_edge(i, i + 1, EdgeType.SO)
-        return graph
-
-    def test_remove_node_drops_incident_edges(self):
-        graph = self.build_chain(5)
-        graph.add_edge(2, 4, EdgeType.RW, "x")
-        graph.remove_node(2)
-        assert 2 not in graph.nodes
-        assert not graph.has_edge(1, 2) and not graph.has_edge(2, 3)
-        assert not graph.has_edge(2, 4)
-        assert graph.num_edges == 2  # 0->1 and 3->4 survive
-
-    def test_remove_then_readd_is_clean(self):
-        graph = self.build_chain(3)
-        graph.remove_node(1)
-        assert graph.num_edges == 0
-        assert graph.add_edge(0, 1, EdgeType.SO)
-        assert graph.add_edge(1, 2, EdgeType.SO)
-        assert graph.num_edges == 2
-        graph.remove_node(1)
-        assert graph.num_edges == 0 and graph.nodes == {0, 2}
-
-    def test_remove_node_never_scans_whole_graph(self):
-        # Window GC must be O(degree): removing a low-degree node from a
-        # large graph may touch only its own adjacency rows, never iterate
-        # the full successor map, and perform at most O(degree) lookups.
-        graph = self.build_chain(500)
-        instrumented = _InstrumentedSucc(graph._succ)
-        graph._succ = instrumented
-        graph.remove_node(250)
-        assert instrumented.values_calls == 0, "remove_node scanned the successor map"
-        assert instrumented.getitem_calls == 0  # only .pop/.get are needed
-        assert not graph.has_edge(249, 250) and not graph.has_edge(250, 251)
-
-    def test_predecessor_map_tracks_edges(self):
-        graph = DependencyGraph()
-        graph.add_edge(1, 3, EdgeType.WR, "x")
-        graph.add_edge(2, 3, EdgeType.WW, "x")
-        assert set(graph.predecessors(3)) == {1, 2}
-        graph.remove_node(1)
-        assert set(graph.predecessors(3)) == {2}
-
-
 class TestTransitiveClosureHelper:
     def brute(self, pairs):
         succ = {}

@@ -119,18 +119,52 @@ class TestPearceKellyOrder:
         topo = PearceKellyOrder()
         assert topo.add_edge(5, 5) == [5]
 
-    def test_duplicate_edges_are_noops(self):
+    def test_duplicate_edges_are_noops_and_labels_accumulate(self):
         topo = PearceKellyOrder()
         assert topo.add_edge(1, 2) is None
         assert topo.add_edge(1, 2) is None
-        assert topo.has_edge(1, 2)
+        assert topo.has_edge(1, 2) and topo.labels(1, 2) == [None]
+        assert topo.add_edge(1, 2, ("WR", "x")) is None and topo.add_edge(1, 2, ("WR", "x")) is None
+        assert topo.labels(1, 2) == [None, ("WR", "x")]
+        assert list(topo.edges()) == [(1, 2, [None, ("WR", "x")])]
+        assert topo.add_edge(2, 1, ("RW", "x")) == [1, 2]  # refused: no edge, no label
+        assert topo.labels(2, 1) == [] and not topo.has_edge(2, 1)
 
     def test_remove_node_unblocks_former_cycles(self):
         topo = PearceKellyOrder()
-        topo.add_edge(1, 2)
-        topo.add_edge(2, 3)
+        topo.add_edge(1, 2, "a")
+        topo.add_edge(2, 3, "b")
         topo.remove_node(2)
+        assert topo.labels(1, 2) == topo.labels(2, 3) == [] and 2 not in topo
         assert topo.add_edge(3, 1) is None  # 1 -> 2 -> 3 is gone
+
+    def test_remove_node_never_scans_the_whole_adjacency(self):
+        # Window GC is one ``remove_node``: it must stay O(degree), touching
+        # only the rows of the node's own neighbours.
+        class Counting(dict):
+            scans = lookups = 0
+
+            def __iter__(self):
+                Counting.scans += 1
+                return super().__iter__()
+
+            def values(self):
+                return [self[key] for key in self]
+
+            def items(self):
+                return [(key, self[key]) for key in self]
+
+            def __getitem__(self, key):
+                Counting.lookups += 1
+                return super().__getitem__(key)
+
+        topo = PearceKellyOrder()
+        for node in range(499):
+            topo.add_edge(node, node + 1)
+        topo._succ, topo._pred = Counting(topo._succ), Counting(topo._pred)
+        topo.remove_node(250)
+        assert Counting.scans == 0 and Counting.lookups <= 2
+        assert not topo.has_edge(249, 250) and not topo.has_edge(250, 251) and len(topo) == 499
 
     def test_random_insertions_maintain_topological_order(self):
         rng = random.Random(42)
@@ -411,7 +445,7 @@ class TestWindowGC:
         for i in range(1, cap + 201):
             checker.ingest(Transaction(i, [read("x", last), write("x", i)]))
             last = i
-        assert ("x", 5) not in checker._slots  # marker expired, not sealed
+        assert ("x", 5) not in map(checker._version, checker._slots)  # marker expired
         checker.ingest(Transaction(9000, [read("x", 5)], session_id=1))
         assert checker.stale_reads == 0
         result = checker.result()
@@ -426,7 +460,7 @@ class TestWindowGC:
         for i in range(1, 50):
             checker.ingest(Transaction(i, [read("x", last), write("x", i)]))
             last = i
-        assert checker._slots[("x", 5)] is not None  # sealed marker present
+        assert ("x", 5) in map(checker._version, checker._slots)  # sealed marker present
         checker.ingest(Transaction(9000, [read("x", 5)], session_id=1))
         assert checker.stale_reads == 1
         assert checker.result().satisfied
@@ -444,6 +478,146 @@ class TestWindowGC:
         assert checker.graph.num_nodes() <= 6
         assert len(checker._slots) <= checker._sealed_cap + 8
         assert len(checker._sealed_fifo) <= checker._sealed_cap
+
+
+    def test_sser_eviction_patches_the_interval_aggregates(self):
+        # Random overlapping intervals in random arrival order: after every
+        # ingest (each evicts once the window is full) both helper arrays
+        # equal what a rebuild from scratch computes.
+        rng = random.Random(11)
+        checker = IncrementalChecker(SSER, initial_keys=["x"], window=16)
+        for txn_id in range(1, 401):
+            start = rng.uniform(0, 100)
+            txn = Transaction(
+                txn_id, [read("x", 0)], session_id=txn_id,
+                start_ts=start, finish_ts=start + rng.choice([0.0, rng.uniform(0, 30)]),
+            )
+            checker.ingest(txn)
+            patched = (list(checker._prefix_max_start), list(checker._suffix_min_finish))
+            checker._rebuild_rt_aggregates()
+            assert patched == (checker._prefix_max_start, checker._suffix_min_finish), txn_id
+            assert len(checker._by_finish) == len(checker._by_start) == len(checker._rt_span) <= 16
+        assert checker.evicted_count == 400 - 16 and checker.result().satisfied
+
+    def test_windowed_sser_ingest_is_not_quadratic_in_the_window(self):
+        import time
+
+        from repro.history.columnar import ColumnarHistory
+
+        segment = ColumnarHistory.from_history(
+            generated_history(9, engine="ser", sessions=8, txns=250, objects=40)
+        )
+
+        def seconds(window):
+            checker = IncrementalChecker(SSER, window=window)
+            started = time.perf_counter()
+            checker.ingest_segment(segment)
+            assert checker.satisfied
+            return time.perf_counter() - started
+
+        # Interleaved minima; a ratio, never an absolute time.  Rebuilding the
+        # interval lists per eviction read 5-7x here.
+        unwindowed, windowed = (
+            min(seconds(window) for _ in range(5)) for window in (None, 1024)
+        )
+        assert windowed < 2 * unwindowed
+
+
+# ----------------------------------------------------------------------
+# One adjacency: the order carries the labels
+# ----------------------------------------------------------------------
+class TestOrderCarriesTheLabels:
+    @pytest.mark.parametrize("window", [None, 64])
+    @pytest.mark.parametrize("level", [SER, SI, SSER])
+    def test_accept_path_builds_no_graph_edge_or_transaction(self, monkeypatch, level, window):
+        from repro.core.graph import DependencyGraph, Edge
+        from repro.history.columnar import ColumnarHistory
+
+        rows = list(stream_order(generated_history(5, engine="ser", txns=60)))
+        committed = sum(txn.committed and not txn.is_initial for txn in rows)
+        segments = [
+            ColumnarHistory.from_transactions(rows[i : i + 50]) for i in range(0, len(rows), 50)
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("constructed on the accept path")
+
+        for cls, name in (
+            (DependencyGraph, "__init__"), (DependencyGraph, "add_edge"),
+            (Edge, "__init__"), (Transaction, "__init__"),
+        ):
+            monkeypatch.setattr(cls, name, refuse)
+        checker = IncrementalChecker(level, window=window)
+        for segment in segments:
+            assert checker.ingest_segment(segment) == []
+        checker.checkpoint()
+        assert checker.result().satisfied and checker.num_ingested == committed
+        assert checker.evicted_count == (0 if window is None else committed - window)
+
+    @pytest.mark.parametrize("window", [None, 4])
+    def test_refused_pair_offered_again_is_labeled_over_both_labels(self, window):
+        from repro.core.graph import DependencyGraph, EdgeType
+
+        # T1 and T2 both read-modify-write x (resolved at once) and y (pending
+        # until its writer arrives).  T1 -RW(x)-> T2 closes a cycle and is
+        # refused while T2 is ingested; T1 -RW(y)-> T2 is the same pair under
+        # another label, offered when the writer of y=5 shows up -- after the
+        # window (if any) evicted a filler.
+        checker = IncrementalChecker(SER, initial_keys=["x", "y"], window=window)
+        rmw = lambda v: [read("x", 0), read("y", 5), write("x", v), write("y", 10 + v)]
+        stream = [
+            Transaction(10, [read("x", 0)], session_id=9),
+            Transaction(12, [read("x", 0)], session_id=9),
+            Transaction(1, rmw(1), session_id=1),
+            Transaction(2, rmw(2), session_id=2),
+            Transaction(11, [read("y", 0)], session_id=8),
+            Transaction(3, [write("y", 5)], session_id=3),
+        ]
+        reports = [checker.ingest(txn) for txn in stream]
+        assert [len(r) for r in reports] == [0, 0, 0, 1, 0, 1]
+        assert checker.evicted_count == (0 if window is None else 2)
+
+        union = DependencyGraph()
+        for key in ("x", "y"):
+            union.add_edge(1, 2, EdgeType.RW, key)
+            union.add_edge(2, 1, EdgeType.RW, key)
+        expected = [(e.source, e.target, e.label) for e in union.label_cycle([2, 1])]
+        assert expected == [(2, 1, "RW(x)"), (1, 2, "RW(x)")]  # not the offered RW(y)
+        assert reports[5][0].cycle == expected == reports[3][0].cycle
+
+        graph = checker.graph  # refused edges are edges of the dependency graph
+        assert graph.has_edge(1, 2, EdgeType.RW, "x") and graph.has_edge(1, 2, EdgeType.RW, "y")
+        assert not checker._topo.has_edge(1, 2) and checker._topo.has_edge(2, 1)
+        # ... and of the snapshot: the restored checker refuses the duplicate too.
+        resumed = IncrementalChecker.restore(checker.checkpoint())
+        assert resumed.result().format() == checker.result().format()
+        assert set(resumed.graph.edges()) == set(graph.edges())
+
+    def test_valueless_reads_reach_the_batch_verdict_on_every_route(self):
+        from repro.history.columnar import ColumnarHistory
+
+        rows = {
+            "valueless then valued": [read("x", None), read("x", 0)],
+            "valueless read of a key the row writes": [read("x", None), write("x", 3)],
+            "valueless only": [read("x", None)],
+            "valued": [read("x", 0), write("x", 3)],
+        }
+        for name, ops in rows.items():
+            history = History.from_transactions([[Transaction(1, ops)]], initial_keys=["x"])
+            for level in (SER, SI):
+                batch = MTChecker().verify(history, level)
+                one_by_one = IncrementalChecker(level)
+                for txn in stream_order(history):
+                    one_by_one.ingest(txn)
+                bulk = IncrementalChecker(level)
+                bulk.ingest_segment(ColumnarHistory.from_history(history))
+                assert batch.satisfied == (name == "valued"), name
+                for streamed in (one_by_one.result(), bulk.result()):
+                    assert streamed.satisfied == batch.satisfied, (name, level)
+                    assert sorted(v.kind.value for v in streamed.violations) == sorted(
+                        v.kind.value for v in batch.violations
+                    ), (name, level)
+                assert one_by_one.result().format() == bulk.result().format()
 
 
 # ----------------------------------------------------------------------
@@ -586,7 +760,7 @@ class TestCheckpointRestore:
             head.ingest(txn)
         at_cut = head.result().format()
         state = head.checkpoint()
-        assert state["format"] == CHECKPOINT_STATE_FORMAT == "repro-checker-state-v2"
+        assert state["format"] == CHECKPOINT_STATE_FORMAT == "repro-checker-state-v3"
         # JSON-exact: lists (never tuples), string keys, nothing lossy.
         text = json.dumps(state)
         assert json.loads(text) == state
@@ -617,19 +791,33 @@ class TestCheckpointRestore:
         [
             lambda state: state.pop("slots"),
             lambda state: state["slots"].pop("readers"),
-            lambda state: state["graph"]["dst"].pop(),
+            lambda state: state["topo"]["dst"].pop(),
             lambda state: state["topo"].update(ord="0123"),
             lambda state: state.update(rt=7),
             lambda state: state.update(arrivals={"1": 2}),
             lambda state: state.update(num_committed="many"),
             lambda state: state.update(level="no-such-level"),
-            lambda state: state["graph"]["typ"].__setitem__(0, "XX"),
             lambda state: state["slots"]["status"].__setitem__(0, 99),
+            # The v3 columns: labels on ``topo``, the ``refused`` table, key ids.
+            lambda state: state["topo"].pop("typ"),
+            lambda state: state["topo"].pop("key"),
+            lambda state: state["topo"]["key"].append(None),
+            lambda state: state["topo"]["typ"].__setitem__(0, "XX"),
+            lambda state: state.pop("refused"),
+            lambda state: state["refused"].pop("typ"),
+            lambda state: state["refused"]["src"].append(1),
+            lambda state: state["refused"].update(src=[1], dst=[2], typ=["XX"], key=[None]),
+            lambda state: state.update(keys="xy"),
+            lambda state: state["slots"]["key"].__setitem__(0, 7),
+            lambda state: state["sealed_fifo"].update(key=["x"], value=[0]),
         ],
         ids=[
             "missing-table", "missing-column", "short-column", "column-not-a-list",
             "table-not-a-dict", "arrivals-not-a-list", "mistyped-scalar",
-            "unknown-level", "unknown-edge-type", "unknown-status-code",
+            "unknown-level", "unknown-status-code",
+            "topo-missing-typ", "topo-missing-key", "topo-long-key", "topo-unknown-edge-type",
+            "missing-refused", "refused-missing-typ", "refused-long-src",
+            "refused-unknown-edge-type", "keys-not-a-list", "unknown-key-id", "key-id-not-an-int",
         ],
     )
     def test_restore_reports_structural_damage_as_malformed_state(self, damage):
