@@ -62,7 +62,6 @@ from .adapters import (
     SQLiteAdapter,
     collect_history,
     make_adapter,
-    make_async_adapter,
 )
 from .db import Database, DatabaseStats, FaultPlan, TransactionAborted
 from .history import (
@@ -140,7 +139,6 @@ __all__ = [
     "is_mt_history",
     "load_history_segment",
     "make_adapter",
-    "make_async_adapter",
     "partition_columns",
     "read",
     "run_workload",

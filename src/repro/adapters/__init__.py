@@ -13,10 +13,16 @@ hands the resulting history to :class:`~repro.core.checker.MTChecker`.
   plans) behind the same protocol;
 * :mod:`repro.adapters.chaos` — protocol-boundary fault injection for
   true-positive detections against healthy engines;
-* :mod:`repro.adapters.collector` — the multi-threaded session driver.
+* :mod:`repro.adapters.collector` — the session driver for sync adapters
+  (a bounded pool of threads);
+* :mod:`repro.adapters.aio` / :mod:`repro.adapters.acollector` — the
+  coroutine adapter protocol and the session driver for adapters that
+  speak it.
 
 Use :func:`make_adapter` to construct adapters by name (the CLI's
-``repro collect --adapter ...`` resolves through it).
+``repro collect --adapter ...`` resolves through it) and
+:func:`collect_history` to run a workload through the collector the
+adapter calls for.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from .collector import (
     Collector,
     CollectorBase,
     ThreadSafeClock,
-    collect_history,
 )
 from .simulated import SimulatedAdapter, SimulatedSession
 from .sqlite import SQLiteAdapter, SQLiteSession
@@ -46,10 +51,6 @@ from .aio import (
     AsyncDatabaseAdapter,
     AsyncSimulatedAdapter,
     AsyncSimulatedSession,
-    BridgedAsyncAdapter,
-    BridgedAsyncSession,
-    ensure_async_adapter,
-    make_async_adapter,
 )
 from .acollector import AsyncCollectionResult, AsyncCollector
 
@@ -66,8 +67,6 @@ __all__ = [
     "AsyncDatabaseAdapter",
     "AsyncSimulatedAdapter",
     "AsyncSimulatedSession",
-    "BridgedAsyncAdapter",
-    "BridgedAsyncSession",
     "CHAOS_FAULTS",
     "ChaosAdapter",
     "ChaosPlan",
@@ -82,9 +81,7 @@ __all__ = [
     "SimulatedSession",
     "ThreadSafeClock",
     "collect_history",
-    "ensure_async_adapter",
     "make_adapter",
-    "make_async_adapter",
 ]
 
 #: Adapter names resolvable by :func:`make_adapter` (and the CLI).
@@ -128,3 +125,17 @@ def make_adapter(
     if chaos is not None:
         adapter = ChaosAdapter(adapter, ChaosPlan.for_fault(chaos, rate=chaos_rate, seed=seed))
     return adapter
+
+
+def collect_history(adapter, workload, **kwargs):
+    """Run ``workload`` against ``adapter`` through the collector it calls for.
+
+    An :class:`AsyncDatabaseAdapter` is driven by coroutines
+    (:class:`AsyncCollector`), anything else by a thread pool
+    (:class:`Collector`): each is the faster driver on its own side and
+    neither can drive the other's adapters.  ``kwargs`` go to the collector;
+    both results carry ``columns``, ``history``, ``stats``, ``adapter_name``
+    and ``unknown``.
+    """
+    collector = AsyncCollector if isinstance(adapter, AsyncDatabaseAdapter) else Collector
+    return collector(adapter, **kwargs).collect(workload)

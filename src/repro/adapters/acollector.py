@@ -1,17 +1,19 @@
 """The async collection plane: coroutine session multiplexing at scale.
 
 The threaded :class:`~repro.adapters.collector.Collector` spends one OS
-thread per session and materialises a :class:`~repro.core.model.Transaction`
-per attempt.  :class:`AsyncCollector` keeps the exact recording contract —
-it shares :class:`~repro.adapters.collector.CollectorBase` with the
-threaded collector, so clock stamping, txn-id allocation, unique written
-values and deadline bookkeeping literally cannot drift — but changes the
-execution model on both axes:
+thread per in-flight session and materialises a
+:class:`~repro.core.model.Transaction` per attempt.  :class:`AsyncCollector`
+is the collector for adapters that speak the coroutine protocol
+(:class:`~repro.adapters.aio.AsyncDatabaseAdapter`; sync adapters stay with
+the threaded collector, :func:`repro.adapters.collect_history` picks).  It
+keeps the exact recording contract — it shares
+:class:`~repro.adapters.collector.CollectorBase` with the threaded
+collector, so clock stamping, txn-id allocation, unique written values and
+deadline bookkeeping literally cannot drift — but changes the execution
+model on both axes:
 
 * **Coroutines, not threads.**  N logical sessions run as coroutines over
-  a bounded worker budget (``max_inflight``); a native async adapter needs
-  zero extra threads, a bridged sync adapter needs one lane thread per
-  *active* session instead of per session.
+  a bounded worker budget (``max_inflight``) on one event-loop thread.
 * **Columns, not objects.**  Finished attempts are published as flat row
   tuples into a bounded ``asyncio.Queue`` and drained straight into a
   :class:`~repro.history.columnar.ColumnarHistory` — no ``Transaction`` or
@@ -31,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..core.model import (
@@ -49,8 +51,7 @@ from ..resilience.failpoints import fail_point
 from ..storage.clock import LogicalClock
 from ..workloads.runner import RunStats
 from ..workloads.spec import TransactionSpec, Workload
-from .aio import AsyncDatabaseAdapter, ensure_async_adapter
-from .base import DatabaseAdapter
+from .aio import AsyncDatabaseAdapter
 from .collector import CollectorBase
 
 __all__ = ["AsyncCollector", "AsyncCollectionResult"]
@@ -101,50 +102,39 @@ class AsyncCollectionResult:
 
 
 class AsyncCollector(CollectorBase):
-    """Asyncio workload driver over an (async or bridged sync) adapter.
+    """Asyncio workload driver over an :class:`~repro.adapters.aio.AsyncDatabaseAdapter`.
 
-    Accepts either an :class:`~repro.adapters.aio.AsyncDatabaseAdapter` or
-    a plain sync :class:`~repro.adapters.base.DatabaseAdapter` (coerced via
-    :func:`~repro.adapters.aio.ensure_async_adapter`).  Construction
-    arguments shared with the threaded collector mean the same things;
-    the additions:
+    Construction arguments shared with the threaded collector mean the
+    same things (``max_inflight`` sessions run at once, here as
+    coroutines); the addition:
 
     Args:
-        max_inflight: concurrently *active* sessions.  Sessions beyond the
-            budget wait on a semaphore; with a bridged adapter this also
-            caps lane threads, so 10k logical sessions can run over a few
-            hundred workers.
         queue_depth: bound of the finished-row queue between the session
             coroutines and the column drain — the backpressure valve.
-        bridge: allow wrapping a sync adapter in the thread-offload
-            bridge; ``False`` demands native async support and raises
-            :class:`~repro.adapters.base.AdapterError` otherwise.
     """
 
-    # All collector bookkeeping runs on the event-loop thread (bridge lane
-    # threads only execute adapter calls, never collector state), so the
-    # base class's locked id/value helpers are pure overhead here — bind
-    # the lock-free variants instead.  The logic itself stays shared.
+    # All collector bookkeeping runs on the event-loop thread, so the base
+    # class's locked id/value helpers are pure overhead here — bind the
+    # lock-free variants instead.  The logic itself stays shared.
     _allocate_txn_id = CollectorBase._allocate_txn_id_unlocked
     _next_value = CollectorBase._next_value_unlocked
 
     def __init__(
         self,
-        adapter: Union[DatabaseAdapter, AsyncDatabaseAdapter],
+        adapter: AsyncDatabaseAdapter,
         *,
-        max_inflight: int = 256,
         queue_depth: int = 1024,
-        bridge: bool = True,
         **kwargs,
     ) -> None:
-        if max_inflight <= 0:
-            raise ValueError(f"max_inflight must be positive, got {max_inflight}")
+        if not isinstance(adapter, AsyncDatabaseAdapter):
+            raise TypeError(
+                "AsyncCollector drives AsyncDatabaseAdapter; a sync adapter "
+                "goes to Collector (collect_history picks for you)"
+            )
         if queue_depth <= 0:
             raise ValueError(f"queue_depth must be positive, got {queue_depth}")
         super().__init__(adapter, **kwargs)
-        self.max_inflight = max_inflight
         self.queue_depth = queue_depth
-        self.bridge = bridge
         self._stalls = 0
         # Ticks also only ever happen on the loop thread; swap the locked
         # clock for its plain monotonic base.
@@ -161,7 +151,7 @@ class AsyncCollector(CollectorBase):
         """Execute the workload as session coroutines; return the columns."""
         started = time.perf_counter()
         stats = RunStats()
-        adapter = ensure_async_adapter(self.adapter, bridge=self.bridge)
+        adapter = self.adapter
         if self.setup_keys:
             await adapter.setup(workload.keys, self.initial_value)
 
@@ -291,7 +281,7 @@ class AsyncCollector(CollectorBase):
         traffic,
     ) -> None:
         session = await adapter.session(session_id)
-        obs.gauge_add("repro_acollector_sessions_in_flight", 1)
+        obs.gauge_add("repro_collector_sessions_in_flight", 1)
         try:
             for spec_index, spec in enumerate(specs):
                 if traffic is not None:
@@ -320,7 +310,7 @@ class AsyncCollector(CollectorBase):
                     delay = next(delays, None)
                     if delay is None:
                         break
-                    obs.inc("repro_acollector_retries_total")
+                    obs.inc("repro_collector_retries_total")
                     obs.inc("repro_resilience_backoff_seconds_total", delay)
                     stats.retries += 1
                     if delay > 0:
@@ -330,10 +320,8 @@ class AsyncCollector(CollectorBase):
             # UNKNOWN row; ending quietly keeps gather() clean.
             return
         finally:
-            obs.gauge_add("repro_acollector_sessions_in_flight", -1)
-            if session_id in self._abandoned:
-                session.abandon()  # never await a wedged adapter again
-            else:
+            obs.gauge_add("repro_collector_sessions_in_flight", -1)
+            if session_id not in self._abandoned:  # never await a wedged adapter again
                 try:
                     await session.aclose()
                 except Exception:  # noqa: BLE001 - close is best effort
@@ -405,9 +393,9 @@ class AsyncCollector(CollectorBase):
             op_keys = op_keys[:num_ops]
         stats.operations += num_ops
         if obs.enabled():
-            obs.inc("repro_acollector_ops_total", num_ops)
+            obs.inc("repro_collector_ops_total", num_ops)
             obs.inc(
-                "repro_acollector_txns_total",
+                "repro_collector_txns_total",
                 status="committed" if committed else "aborted",
             )
         if committed:
@@ -509,10 +497,9 @@ class AsyncCollector(CollectorBase):
 
         Unlike the threaded watchdog — which can only stop *waiting* on a
         wedged thread — cancelling the session task actually unwinds the
-        coroutine; only a bridged adapter's lane thread can stay wedged,
-        and it is a daemon.  The attempt is recorded as ``UNKNOWN`` (the
-        honest status: the commit may still land) from its published
-        in-flight state.
+        coroutine.  The attempt is recorded as ``UNKNOWN`` (the honest
+        status: the commit may still land) from its published in-flight
+        state.
         """
         poll = max(min(self.txn_deadline / 4.0, 0.05), 0.001)
         while True:
@@ -524,7 +511,7 @@ class AsyncCollector(CollectorBase):
                 if now - record.started_mono >= self.txn_deadline
             ]
             for record in hung:
-                if not self._mark_abandoned(record.session_id):
+                if not self._mark_abandoned(record):
                     continue
                 obs.inc(
                     "repro_resilience_deadline_exceeded_total",

@@ -1,50 +1,40 @@
 """Async database adapters: the coroutine face of the adapter protocol.
 
-The threaded :class:`~repro.adapters.collector.Collector` pays one OS
-thread per session, which caps realistic session counts in the low
-thousands.  The async collection plane multiplexes sessions as coroutines
-instead, and this module supplies its driver side:
+A client library that speaks ``await`` needs no thread per in-flight
+session: :class:`~repro.adapters.acollector.AsyncCollector` multiplexes
+sessions as coroutines on one event loop, and this module supplies the
+protocol it drives:
 
 * :class:`AsyncAdapterSession` / :class:`AsyncDatabaseAdapter` — the
   ``await``-able mirror of :class:`~repro.adapters.base.AdapterSession` /
   :class:`~repro.adapters.base.DatabaseAdapter`.
 * :class:`AsyncSimulatedAdapter` — a *native* async adapter over the
   in-process simulator.  The event loop serializes all sessions' calls by
-  construction (no lock needed); each operation yields to the loop
-  afterwards, so transactions from different coroutines genuinely
+  construction (no lock needed); with ``op_delay > 0`` each operation
+  yields to the loop afterwards, so transactions from different coroutines
   interleave mid-flight — the same "concurrency = interleaving of atomic
   steps" model as the threaded simulated adapter, minus the threads.
-* :class:`BridgedAsyncAdapter` — a thread-offload bridge wrapping *any*
-  sync adapter.  Every session gets its own single-thread **lane**, so
-  thread-affine clients (``sqlite3`` connections) are only ever touched
-  from one thread, and calls from the event loop are queued to the lane
-  and awaited.  Lanes are daemon threads for the same reason the threaded
-  collector's workers are: a wedged adapter call can be abandoned by the
-  deadline watchdog without hanging interpreter exit.
-* :func:`ensure_async_adapter` / :func:`make_async_adapter` — coercion
-  helpers used by :class:`~repro.adapters.acollector.AsyncCollector` and
-  the CLI.
+
+Nothing adapts the sync protocol to this one.  Hopping every adapter call
+onto a per-session thread and back was slower than running the session on
+that thread (up to 1.75× on SQLite, 4–14× on a chaos-wrapped simulator;
+tables in docs/ARCHITECTURE.md), so a sync
+:class:`~repro.adapters.base.DatabaseAdapter` is driven by the threaded
+:class:`~repro.adapters.collector.Collector` and
+:func:`repro.adapters.collect_history` picks by adapter kind.
 """
 
 from __future__ import annotations
 
 import abc
 import asyncio
-import queue
-import threading
 from typing import Iterable, Optional, Union
 
 from ..core.result import IsolationLevel
 from ..db.database import Database
 from ..db.errors import TransactionAborted
 from ..db.faults import FaultPlan, FaultyEngine
-from .base import (
-    AdapterAborted,
-    AdapterCapabilities,
-    AdapterError,
-    AdapterStateError,
-    DatabaseAdapter,
-)
+from .base import AdapterAborted, AdapterCapabilities, AdapterStateError
 from .simulated import _ENGINE_LEVELS
 
 __all__ = [
@@ -52,10 +42,6 @@ __all__ = [
     "AsyncDatabaseAdapter",
     "AsyncSimulatedAdapter",
     "AsyncSimulatedSession",
-    "BridgedAsyncAdapter",
-    "BridgedAsyncSession",
-    "ensure_async_adapter",
-    "make_async_adapter",
 ]
 
 
@@ -92,12 +78,6 @@ class AsyncAdapterSession(abc.ABC):
     async def aclose(self) -> None:
         """Release the session's resources (default: abort leftovers)."""
         await self.abort()
-
-    def abandon(self) -> None:
-        """Drop the session without awaiting anything — the deadline
-        watchdog's exit for sessions whose adapter call is wedged (an
-        ``aclose`` would block behind the stuck call).  Default: no-op.
-        """
 
 
 class AsyncDatabaseAdapter(abc.ABC):
@@ -198,14 +178,14 @@ class AsyncSimulatedSession(AsyncAdapterSession):
         raise AdapterAborted(exc.reason, exc.txn_id) from exc
 
 
-
 class AsyncSimulatedAdapter(AsyncDatabaseAdapter):
     """Native async adapter over the in-process simulator.
 
     Single-threaded by construction: every engine call runs on the event
-    loop thread, so no lock is needed and none is taken — which is exactly
-    why the async collector clears 3x+ the threaded collector's throughput
-    on this adapter (same engine, no lock convoy, no thread scheduling).
+    loop thread, so no lock is needed and none is taken — which is why
+    coroutine collection runs 2.4–10× faster than threaded collection on
+    this engine (no lock convoy, no thread scheduling; table in
+    docs/ARCHITECTURE.md).
 
     Args:
         isolation: engine name or :class:`~repro.core.result.IsolationLevel`
@@ -250,181 +230,3 @@ class AsyncSimulatedAdapter(AsyncDatabaseAdapter):
 
     def committed_value(self, key: str) -> Optional[int]:
         return self.database.committed_value(key)
-
-
-# ----------------------------------------------------------------------
-# Thread-offload bridge for sync adapters
-# ----------------------------------------------------------------------
-class _Lane:
-    """A single daemon worker thread executing submitted calls in order.
-
-    One lane per bridged session keeps thread-affine clients correct
-    (``sqlite3`` raises if a connection crosses threads) and preserves the
-    session's serial call order.  Results travel back to the event loop
-    via ``call_soon_threadsafe``, so ``call`` is awaitable from exactly
-    one loop at a time.
-    """
-
-    __slots__ = ("_calls", "_thread")
-
-    def __init__(self, name: str) -> None:
-        self._calls: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            item = self._calls.get()
-            if item is None:
-                return
-            fn, future, loop = item
-            try:
-                result = fn()
-            except BaseException as exc:  # noqa: BLE001 - forwarded to awaiter
-                loop.call_soon_threadsafe(self._resolve, future, None, exc)
-            else:
-                loop.call_soon_threadsafe(self._resolve, future, result, None)
-
-    @staticmethod
-    def _resolve(future: "asyncio.Future", result, exc) -> None:
-        if future.cancelled():
-            return
-        if exc is not None:
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
-
-    async def call(self, fn):
-        """Run ``fn()`` on the lane thread and await its result."""
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._calls.put((fn, future, loop))
-        return await future
-
-    def close(self) -> None:
-        """Stop the worker after the calls already queued (non-blocking)."""
-        self._calls.put(None)
-
-
-class BridgedAsyncSession(AsyncAdapterSession):
-    """A sync :class:`~repro.adapters.base.AdapterSession` driven over a
-    dedicated lane thread."""
-
-    def __init__(self, lane: _Lane, session) -> None:
-        self._lane = lane
-        self._session = session
-
-    @classmethod
-    async def open(
-        cls, adapter: DatabaseAdapter, session_id: int
-    ) -> "BridgedAsyncSession":
-        lane = _Lane(f"aio-bridge-session-{session_id}")
-        # The session is *created* on its lane too: sqlite3 connections
-        # must be used from the thread that opened them.
-        session = await lane.call(lambda: adapter.session(session_id))
-        return cls(lane, session)
-
-    async def begin(self) -> None:
-        await self._lane.call(self._session.begin)
-
-    async def read(self, key: str) -> Optional[int]:
-        return await self._lane.call(lambda: self._session.read(key))
-
-    async def write(self, key: str, value: int) -> None:
-        await self._lane.call(lambda: self._session.write(key, value))
-
-    async def commit(self) -> None:
-        await self._lane.call(self._session.commit)
-
-    async def abort(self) -> None:
-        await self._lane.call(self._session.abort)
-
-    async def aclose(self) -> None:
-        try:
-            await self._lane.call(self._session.close)
-        finally:
-            self._lane.close()
-
-    def abandon(self) -> None:
-        # The lane thread may be wedged inside an adapter call; it is a
-        # daemon, so dropping the shutdown sentinel is all that is safe.
-        self._lane.close()
-
-
-class BridgedAsyncAdapter(AsyncDatabaseAdapter):
-    """Async facade over any sync adapter via per-session lane threads.
-
-    The bridge trades one thread per *active* session for the ability to
-    run unmodified sync adapters (SQLite, chaos-wrapped, simulated) under
-    the async collector — the coroutine scheduler still owns pipelining,
-    backpressure, and deadlines, so a bounded ``max_inflight`` keeps the
-    thread count at the worker budget rather than the session count.
-    """
-
-    def __init__(self, adapter: DatabaseAdapter) -> None:
-        self.sync_adapter = adapter
-
-    def capabilities(self) -> AdapterCapabilities:
-        return self.sync_adapter.capabilities()
-
-    async def session(self, session_id: int) -> BridgedAsyncSession:
-        return await BridgedAsyncSession.open(self.sync_adapter, session_id)
-
-    async def setup(self, keys: Iterable[str], initial_value: int = 0) -> None:
-        keys = list(keys)
-        await asyncio.get_running_loop().run_in_executor(
-            None, lambda: self.sync_adapter.setup(keys, initial_value)
-        )
-
-    async def teardown(self) -> None:
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.sync_adapter.teardown
-        )
-
-
-def ensure_async_adapter(
-    adapter: Union[DatabaseAdapter, AsyncDatabaseAdapter],
-    *,
-    bridge: bool = True,
-) -> AsyncDatabaseAdapter:
-    """Coerce ``adapter`` to the async protocol.
-
-    Native async adapters pass through; sync adapters are wrapped in the
-    thread-offload :class:`BridgedAsyncAdapter` unless ``bridge`` is
-    ``False``, in which case :class:`~repro.adapters.base.AdapterError`
-    is raised (the caller asked for a no-threads guarantee the adapter
-    cannot meet).
-    """
-    if isinstance(adapter, AsyncDatabaseAdapter):
-        return adapter
-    if not bridge:
-        raise AdapterError(
-            f"adapter {adapter.capabilities().name!r} has no native async "
-            "support and the thread bridge is disabled (--no-bridge); use a "
-            "native async adapter or re-enable the bridge"
-        )
-    return BridgedAsyncAdapter(adapter)
-
-
-def make_async_adapter(
-    name: str,
-    *,
-    isolation: Union[str, IsolationLevel] = "si",
-    faults: Optional[FaultPlan] = None,
-    bridge: bool = True,
-    chaos: Optional[str] = None,
-    **kwargs,
-) -> AsyncDatabaseAdapter:
-    """Async counterpart of :func:`repro.adapters.make_adapter`.
-
-    ``simulated`` without chaos yields the native
-    :class:`AsyncSimulatedAdapter`; everything else (SQLite, chaos-wrapped
-    adapters) is built synchronously and bridged — or rejected with
-    :class:`~repro.adapters.base.AdapterError` when ``bridge`` is off.
-    """
-    if name == "simulated" and chaos is None:
-        return AsyncSimulatedAdapter(isolation, faults=faults)
-    from . import make_adapter  # late import: adapters/__init__ imports us
-
-    sync = make_adapter(name, isolation=isolation, faults=faults, chaos=chaos, **kwargs)
-    return ensure_async_adapter(sync, bridge=bridge)

@@ -2,11 +2,16 @@
 
 The serial :class:`~repro.workloads.runner.WorkloadRunner` *simulates*
 concurrency by interleaving session steps; real engines need real
-concurrency.  :class:`Collector` drives one OS thread per workload session
-through a :class:`~repro.adapters.base.DatabaseAdapter`, records what each
-client observed, and assembles the per-session logs into one
+concurrency.  :class:`Collector` runs the workload's sessions on a bounded
+pool of OS threads (``max_inflight`` of them, one session per thread at a
+time) through a :class:`~repro.adapters.base.DatabaseAdapter`, records what
+each client observed, and assembles the per-session logs into one
 :class:`~repro.core.model.History` — Steps 1–3 of the paper's end-to-end
-workflow (Figure 2), against an arbitrary engine.
+workflow (Figure 2), against an arbitrary engine.  It is the collector for
+every *sync* adapter; a native :class:`~repro.adapters.aio.AsyncDatabaseAdapter`
+goes to :class:`~repro.adapters.acollector.AsyncCollector`, and
+:func:`repro.adapters.collect_history` picks between the two from the
+adapter it is handed.
 
 Guarantees the checker relies on:
 
@@ -37,9 +42,11 @@ Guarantees the checker relies on:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
 from .. import obs
@@ -54,11 +61,13 @@ from ..core.model import (
     write,
 )
 from ..db.errors import TransactionAborted
+from ..history.columnar import ColumnarHistory
 from ..resilience import RetryPolicy
 from ..resilience.failpoints import fail_point
 from ..storage.clock import LogicalClock
 from ..workloads.runner import RunStats
 from ..workloads.spec import TransactionSpec, Workload
+from .aio import AsyncDatabaseAdapter
 from .base import AdapterError, DatabaseAdapter
 
 __all__ = [
@@ -66,7 +75,6 @@ __all__ = [
     "CollectorBase",
     "Collector",
     "CollectionResult",
-    "collect_history",
 ]
 
 
@@ -101,7 +109,8 @@ class CollectorBase:
     behind the deadline watchdogs — so the thread and coroutine front
     ends cannot drift on the invariants.  Subclasses add only their
     scheduling model: OS threads (:class:`Collector`) or coroutines
-    (:class:`~repro.adapters.acollector.AsyncCollector`).
+    (:class:`~repro.adapters.acollector.AsyncCollector`), ``max_inflight``
+    sessions at a time in either.
     """
 
     def __init__(
@@ -115,8 +124,12 @@ class CollectorBase:
         initial_value: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
         txn_deadline: Optional[float] = None,
+        max_inflight: int = 256,
     ) -> None:
+        if max_inflight <= 0:
+            raise ValueError(f"max_inflight must be positive, got {max_inflight}")
         self.adapter = adapter
+        self.max_inflight = max_inflight
         self.max_retries = max_retries
         self.record_aborted = record_aborted
         self.on_transaction = on_transaction
@@ -182,18 +195,19 @@ class CollectorBase:
         lock-step the way immediate retries did."""
         return self.retry_policy.delays(seed=session_id * 1_000_003 + spec_index)
 
-    def _mark_abandoned(self, session_id: int) -> bool:
-        """Claim a session's abandonment exactly once (deadline watchdogs).
+    def _mark_abandoned(self, record) -> bool:
+        """Claim the abandonment of the session ``record`` belongs to.
 
-        Returns ``True`` when this caller wins the claim; the in-flight
-        record is dropped under the record lock so a late-finishing
-        attempt cannot double-record the session's transaction.
+        Returns ``True`` when ``record`` is still the session's in-flight
+        attempt; it is dropped under the record lock, so neither a second
+        watchdog pass nor the attempt finishing late (or having finished a
+        moment before the claim) can record the transaction twice.
         """
         with self._record_lock:
-            if session_id in self._abandoned:
+            if self._in_flight.get(record.session_id) is not record:
                 return False
-            self._abandoned.add(session_id)
-            self._in_flight.pop(session_id, None)
+            del self._in_flight[record.session_id]
+            self._abandoned.add(record.session_id)
             return True
 
     @staticmethod
@@ -218,34 +232,46 @@ class CollectionResult:
     #: recorded as :attr:`TransactionStatus.UNKNOWN`.
     unknown: int = 0
 
+    @functools.cached_property
+    def columns(self) -> ColumnarHistory:
+        """The history as columnar rows — what the checker and the file
+        writers consume, and what an ``AsyncCollectionResult`` holds."""
+        return ColumnarHistory.from_history(self.history)
+
 
 @dataclass
 class _InFlightTxn:
-    """What a session thread has published about its current attempt.
+    """What a worker thread has published about its current attempt.
 
     The deadline monitor in :meth:`Collector.collect` reads these to
     build the ``UNKNOWN`` record for a hung transaction; ``operations``
     is the live list the worker appends to (snapshot-copied under the
-    record lock when abandoning).
+    record lock when abandoning) and ``thread`` is the worker the monitor
+    stops waiting for.
     """
 
     txn_id: int
     session_id: int
     start_ts: float
     started_mono: float
-    operations: List[Operation] = field(default_factory=list)
+    operations: List[Operation]
+    thread: threading.Thread
 
 
 class Collector(CollectorBase):
-    """Multi-threaded workload driver over a database adapter.
+    """Multi-threaded workload driver over a sync database adapter.
 
-    One thread per workload session (a session is a serial stream of
-    transactions by definition, so session count *is* the concurrency
-    level).  Sessions are opened inside their threads, which keeps
-    thread-affine clients (``sqlite3`` connections) happy.
+    ``min(sessions, max_inflight)`` worker threads pull sessions off one
+    shared iterator, so a session is a serial stream of transactions on
+    one thread and at most ``max_inflight`` of them contend for the engine
+    at a time — a thread per session at 3 000 SQLite sessions starves most
+    of them into exhausting their retries.  A session is opened, run and
+    closed on the thread that pulled it, which keeps thread-affine clients
+    (``sqlite3`` connections) happy.
 
     Args:
-        adapter: the database under test.
+        adapter: the database under test (a sync
+            :class:`~repro.adapters.base.DatabaseAdapter`).
         max_retries: retries per aborted transaction (fresh values each).
         record_aborted: include aborted attempts in the history (needed for
             AbortedRead detection; checkers ignore them otherwise).
@@ -262,13 +288,23 @@ class Collector(CollectorBase):
         txn_deadline: seconds one transaction attempt may run before the
             session is declared hung: the attempt is recorded with
             :attr:`TransactionStatus.UNKNOWN` (its outcome genuinely is
-            unknown — the commit may still land) and :meth:`collect`
-            stops waiting on that thread, so a wedged adapter connection
-            can no longer hang the whole run.  ``None`` disables the
-            watchdog.
+            unknown — the commit may still land), :meth:`collect` stops
+            waiting on that thread and starts a replacement worker, so a
+            wedged adapter connection can neither hang the run nor shrink
+            the pool.  ``None`` disables the watchdog.
+        max_inflight: sessions running at once (= worker threads).
     """
 
     adapter: DatabaseAdapter
+
+    def __init__(self, adapter: DatabaseAdapter, **kwargs) -> None:
+        if isinstance(adapter, AsyncDatabaseAdapter):
+            raise TypeError(
+                "Collector drives sync adapters from threads; an "
+                "AsyncDatabaseAdapter goes to AsyncCollector (collect_history "
+                "picks for you)"
+            )
+        super().__init__(adapter, **kwargs)
 
     # ------------------------------------------------------------------
     def collect(self, workload: Workload) -> CollectionResult:
@@ -280,22 +316,32 @@ class Collector(CollectorBase):
 
         session_logs = [Session(session_id=sid) for sid in range(len(workload.sessions))]
         errors: List[BaseException] = []
-        threads = [
-            threading.Thread(
-                target=self._run_session,
-                args=(sid, list(specs), session_logs[sid], stats, errors, workload.traffic),
-                name=f"collector-session-{sid}",
+        pending = iter(enumerate(workload.sessions))
+        worker_ids = itertools.count()
+
+        def next_session():
+            with self._id_lock:
+                return next(pending, None)
+
+        def start_worker() -> threading.Thread:
+            thread = threading.Thread(
+                target=self._worker,
+                args=(next_session, session_logs, stats, errors, workload.traffic),
+                name=f"collector-worker-{next(worker_ids)}",
                 daemon=True,
             )
-            for sid, specs in enumerate(workload.sessions)
-        ]
-        for thread in threads:
             thread.start()
+            return thread
+
+        threads = [
+            start_worker()
+            for _ in range(min(len(workload.sessions), self.max_inflight))
+        ]
         if self.txn_deadline is None:
             for thread in threads:
                 thread.join()
         else:
-            self._join_with_deadline(threads, session_logs)
+            self._join_with_deadline(set(threads), session_logs, start_worker)
         if errors:
             raise errors[0]
 
@@ -315,49 +361,52 @@ class Collector(CollectorBase):
         )
 
     def _join_with_deadline(
-        self, threads: List[threading.Thread], session_logs: List[Session]
+        self,
+        live: Set[threading.Thread],
+        session_logs: List[Session],
+        start_worker: Callable[[], threading.Thread],
     ) -> None:
-        """Wait for the session threads, abandoning any that hang.
+        """Wait for the worker threads, abandoning any session that hangs.
 
         A session whose current attempt has been in flight longer than
         ``txn_deadline`` is *abandoned*: the attempt is recorded as
-        ``UNKNOWN`` from its published in-flight state and the thread is
+        ``UNKNOWN`` from its published in-flight state and its thread is
         dropped from the wait set (it is a daemon — a wedged adapter call
         cannot be interrupted from outside, only outwaited or outlived),
-        so the run completes instead of blocking forever in ``join``.
+        so the run completes instead of blocking forever in ``join``.  A
+        replacement worker takes its place (and exits at once when no
+        session is pending), so the sessions still queued keep their
+        ``max_inflight`` threads.
         """
         poll = max(min(self.txn_deadline / 4.0, 0.05), 0.001)
-        live = dict(enumerate(threads))
         while live:
-            for sid in list(live):
-                if not live[sid].is_alive():
-                    live[sid].join()
-                    del live[sid]
-            if not live:
-                return
+            live = {thread for thread in live if thread.is_alive()}
             now = time.monotonic()
             with self._record_lock:
                 hung = [
                     record
-                    for sid, record in self._in_flight.items()
-                    if sid in live
-                    and now - record.started_mono >= self.txn_deadline
+                    for record in self._in_flight.values()
+                    if now - record.started_mono >= self.txn_deadline
                 ]
             for record in hung:
-                self._abandon_session(record, session_logs[record.session_id])
-                live.pop(record.session_id, None)
-            time.sleep(poll)
+                if self._abandon_session(record, session_logs[record.session_id]):
+                    live.discard(record.thread)
+                    live.add(start_worker())
+            if live:
+                time.sleep(poll)
 
-    def _abandon_session(self, record: _InFlightTxn, log: Session) -> None:
+    def _abandon_session(self, record: _InFlightTxn, log: Session) -> bool:
         """Record a hung attempt as ``UNKNOWN`` and stop tracking its session.
 
         ``UNKNOWN`` is the honest status: the commit may still land after
         we stop waiting.  Checkers reason only about committed
         transactions, so the record is conservative — it can hide a
         violation the hung commit would have exposed, never invent one.
+        Returns ``False`` when the attempt finished before it could be
+        claimed (it recorded itself; nothing was abandoned).
         """
-        if not self._mark_abandoned(record.session_id):
-            return
+        if not self._mark_abandoned(record):
+            return False
         obs.inc("repro_resilience_deadline_exceeded_total", component="collector")
         with self._record_lock:
             txn = Transaction(
@@ -371,10 +420,30 @@ class Collector(CollectorBase):
             log.transactions.append(txn)
             if self.on_transaction is not None:
                 self.on_transaction(txn)
+        return True
 
     # ------------------------------------------------------------------
-    # Per-session worker
+    # Worker threads
     # ------------------------------------------------------------------
+    def _worker(
+        self,
+        next_session: Callable[[], Optional[tuple]],
+        session_logs: List[Session],
+        stats: RunStats,
+        errors: List[BaseException],
+        traffic,
+    ) -> None:
+        while True:
+            item = next_session()
+            if item is None:
+                return
+            session_id, specs = item
+            self._run_session(
+                session_id, specs, session_logs[session_id], stats, errors, traffic
+            )
+            if session_id in self._abandoned:
+                return  # the deadline monitor already started the replacement
+
     def _run_session(
         self,
         session_id: int,
@@ -433,10 +502,11 @@ class Collector(CollectorBase):
         start_ts = self._clock.tick()
         txn_id = self._allocate_txn_id()
         operations: List[Operation] = []
-        record = _InFlightTxn(
-            txn_id, session_id, start_ts, time.monotonic(), operations
-        )
         if self.txn_deadline is not None:
+            record = _InFlightTxn(
+                txn_id, session_id, start_ts, time.monotonic(), operations,
+                threading.current_thread(),
+            )
             with self._record_lock:
                 self._in_flight[session_id] = record
         retryable = True
@@ -524,22 +594,3 @@ class Collector(CollectorBase):
             log.transactions.append(txn)
             if self.on_transaction is not None:
                 self.on_transaction(txn)
-
-
-def collect_history(
-    adapter: DatabaseAdapter,
-    workload: Workload,
-    *,
-    max_retries: int = 3,
-    record_aborted: bool = True,
-    on_transaction: Optional[Callable[[Transaction], object]] = None,
-) -> CollectionResult:
-    """Convenience wrapper around :class:`Collector` (mirrors
-    :func:`repro.workloads.runner.run_workload`)."""
-    collector = Collector(
-        adapter,
-        max_retries=max_retries,
-        record_aborted=record_aborted,
-        on_transaction=on_transaction,
-    )
-    return collector.collect(workload)

@@ -46,6 +46,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -235,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     collect = subparsers.add_parser(
         "collect",
         help="execute a workload against a real database through an adapter "
-        "(one thread per session, or --async coroutines) and record/verify "
-        "the observed history",
+        "(sessions run on worker threads; coroutines for the plain simulator) "
+        "and record/verify the observed history",
     )
     collect.add_argument(
         "--adapter",
@@ -244,29 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="sqlite",
         help="database adapter (sqlite = real engine via stdlib sqlite3)",
     )
-    collect.add_argument("--sessions", type=int, default=4, help="concurrent client sessions (= threads)")
+    collect.add_argument("--sessions", type=int, default=4, help="client sessions in the workload")
     collect.add_argument("--txns", type=int, default=100, help="transactions per session")
     collect.add_argument("--objects", type=int, default=50)
     collect.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="run sessions as coroutines over a bounded worker pool "
-        "(AsyncCollector) instead of one OS thread per session; sync "
-        "adapters are bridged through lane threads",
-    )
-    collect.add_argument(
         "--max-inflight",
         type=int,
-        default=None,
+        default=256,
         metavar="M",
-        help="--async only: concurrently active sessions (default 256)",
-    )
-    collect.add_argument(
-        "--no-bridge",
-        action="store_true",
-        help="--async only: demand native async adapter support instead of "
-        "bridging the sync adapter (exit 2 if unsupported)",
+        help="sessions running at once (worker threads or coroutines)",
     )
     collect.add_argument(
         "--traffic",
@@ -326,7 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --check: verify through the sharded parallel pipeline",
     )
     collect.add_argument(
-        "--output", default=None, help="where to save the history (.json document or .jsonl stream)"
+        "--output",
+        default=None,
+        help="where to save the history (.json, .jsonl[.gz], .seg[.gz], "
+        "or an .epochs/ epoch-log directory)",
     )
     collect.add_argument(
         "--trace",
@@ -740,8 +730,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_collect(args: argparse.Namespace) -> int:
-    from .adapters import make_adapter
-    from .adapters.collector import Collector
+    from .adapters import AsyncSimulatedAdapter, collect_history, make_adapter
     from .workloads.gt_generator import GTWorkloadGenerator
     from .workloads.spec import make_traffic_shape
 
@@ -757,110 +746,63 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     if args.sessions <= 0 or args.txns <= 0:
         print("error: --sessions and --txns must be positive")
         return 2
-    if not args.use_async:
-        if args.max_inflight is not None:
-            print("error: --max-inflight applies to the async collector; pass --async")
-            return 2
-        if args.no_bridge:
-            print("error: --no-bridge applies to the async collector; pass --async")
-            return 2
-    elif args.max_inflight is not None and args.max_inflight <= 0:
+    if args.max_inflight <= 0:
         print(f"error: --max-inflight must be positive, got {args.max_inflight}")
         return 2
 
-    if args.workload == "mt":
-        generator = MTWorkloadGenerator(
-            num_sessions=args.sessions,
-            txns_per_session=args.txns,
-            num_objects=args.objects,
-            distribution=args.distribution,
-            seed=args.seed,
-        )
-    else:
-        generator = GTWorkloadGenerator(
-            num_sessions=args.sessions,
-            txns_per_session=args.txns,
-            num_objects=args.objects,
-            distribution=args.distribution,
-            seed=args.seed,
-        )
-    workload = generator.generate()
+    generator = MTWorkloadGenerator if args.workload == "mt" else GTWorkloadGenerator
+    workload = generator(
+        num_sessions=args.sessions,
+        txns_per_session=args.txns,
+        num_objects=args.objects,
+        distribution=args.distribution,
+        seed=args.seed,
+    ).generate()
     if args.traffic is not None:
         workload.traffic = make_traffic_shape(
             args.traffic, think_time=args.think_time, seed=args.seed
         )
 
-    columns = None
-    if args.use_async:
-        import asyncio
-
-        from .adapters import AsyncCollector, make_async_adapter
-        from .adapters.base import AdapterError
-
-        try:
-            adapter = make_async_adapter(
-                args.adapter,
-                isolation=args.isolation,
-                bridge=not args.no_bridge,
-                chaos=args.chaos,
-                **(
-                    {}
-                    if args.adapter == "simulated"
-                    else {
-                        "path": args.db_path,
-                        "mode": args.mode,
-                        "wal": args.wal,
-                        "busy_timeout_ms": args.busy_timeout_ms,
-                    }
-                ),
-                **({"chaos_rate": args.chaos_rate, "seed": args.seed}
-                   if args.chaos is not None else {}),
+    with contextlib.ExitStack() as teardown:
+        if args.adapter == "simulated" and args.chaos is None:
+            # The one adapter here that speaks the coroutine protocol (it
+            # holds nothing to tear down); collect_history picks by kind.
+            adapter, mode = AsyncSimulatedAdapter(args.isolation), "coroutine"
+        else:
+            adapter = teardown.enter_context(
+                make_adapter(
+                    args.adapter,
+                    isolation=args.isolation,
+                    path=args.db_path,
+                    mode=args.mode,
+                    wal=args.wal,
+                    busy_timeout_ms=args.busy_timeout_ms,
+                    chaos=args.chaos,
+                    chaos_rate=args.chaos_rate,
+                    seed=args.seed,
+                )
             )
-        except AdapterError as exc:
-            print(f"error: {exc}")
-            return 2
-        try:
-            result = AsyncCollector(
-                adapter,
-                max_inflight=args.max_inflight if args.max_inflight is not None else 256,
-                bridge=not args.no_bridge,
-                max_retries=args.max_retries,
-                txn_deadline=args.txn_deadline,
-            ).collect(workload)
-        except AdapterError as exc:
-            print(f"error: {exc}")
-            return 2
-        finally:
-            asyncio.run(adapter.teardown())
-        columns = result.columns
-        chaos_source = getattr(adapter, "sync_adapter", adapter)
-    else:
-        adapter = make_adapter(
-            args.adapter,
-            isolation=args.isolation,
-            path=args.db_path,
-            mode=args.mode,
-            wal=args.wal,
-            busy_timeout_ms=args.busy_timeout_ms,
-            chaos=args.chaos,
-            chaos_rate=args.chaos_rate,
-            seed=args.seed,
+            mode = "threaded"
+        result = collect_history(
+            adapter,
+            workload,
+            max_retries=args.max_retries,
+            txn_deadline=args.txn_deadline,
+            max_inflight=args.max_inflight,
         )
-        with adapter:
-            result = Collector(
-                adapter,
-                max_retries=args.max_retries,
-                txn_deadline=args.txn_deadline,
-            ).collect(workload)
-        chaos_source = adapter
     stats = result.stats
-    mode = "coroutine" if args.use_async else "threaded"
     print(
         f"collected {stats.committed} committed / {stats.aborted} aborted "
         f"transactions from {result.adapter_name} with {args.sessions} "
         f"{mode} sessions in {stats.wall_seconds:.2f}s "
         f"(abort rate {stats.abort_rate:.1%})"
     )
+    planned = workload.num_transactions
+    if stats.committed < planned:
+        print(
+            f"warning: {planned - stats.committed} of {planned} planned "
+            "transactions did not commit (retries exhausted)"
+        )
     if result.unknown:
         print(
             f"warning: {result.unknown} session(s) abandoned after "
@@ -870,14 +812,14 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     if args.chaos is not None:
         fired = {
             name: count
-            for name, count in chaos_source.injections.items()
+            for name, count in adapter.injections.items()
             if count
         }
         print(f"injected chaos: {fired or 'none fired'}")
 
-    # Async rows were born columnar: saved and checked without ever
-    # materialising Transaction objects (for a segment, not even on the way out).
-    history = columns if columns is not None else result.history
+    # Columns are what the writers and the checker consume (coroutine rows
+    # were born columnar and never become Transaction objects).
+    history = result.columns
     if args.output is not None:
         write_history(history, args.output)
         print(f"wrote {args.output}")

@@ -39,7 +39,7 @@ from .model import History, Transaction
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .csr import CSRGraph
 
-__all__ = ["EdgeType", "Edge", "DependencyGraph", "build_dependency", "find_cycle"]
+__all__ = ["EdgeType", "Edge", "DependencyGraph", "build_dependency"]
 
 
 class EdgeType(enum.Enum):
@@ -243,9 +243,9 @@ def _find_cycle_dense(adjacency: Sequence[Sequence[int]]) -> Optional[List[int]]
 
     The integer fast path behind :meth:`DependencyGraph.find_cycle` and
     :meth:`DependencyGraph.is_acyclic`: colours live in a flat ``bytearray``
-    and successor iteration walks plain lists, avoiding the per-node dict
-    lookups of the generic :func:`find_cycle`.  Roots are visited in
-    ascending order, so the reported cycle is deterministic.
+    and successor iteration walks plain lists, with no per-node dict
+    lookup.  Roots are visited in ascending order, so the reported cycle is
+    deterministic.
     """
     n = len(adjacency)
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -276,51 +276,6 @@ def _find_cycle_dense(adjacency: Sequence[Sequence[int]]) -> Optional[List[int]]
                     current = node
                     while current != nxt:
                         current = parent[current]
-                        cycle.append(current)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                colour[node] = BLACK
-                stack.pop()
-    return None
-
-
-def find_cycle(
-    nodes: Iterable[int], adjacency: Dict[int, List[int]]
-) -> Optional[List[int]]:
-    """Iterative DFS cycle detection over an integer adjacency map.
-
-    Returns the list of nodes along one cycle (in order), or ``None`` when
-    the graph is acyclic.
-    """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    colour: Dict[int, int] = {node: WHITE for node in nodes}
-    parent: Dict[int, Optional[int]] = {}
-
-    for root in colour:
-        if colour[root] != WHITE:
-            continue
-        stack: List[Tuple[int, Iterator[int]]] = [(root, iter(adjacency.get(root, ())))]
-        colour[root] = GRAY
-        parent[root] = None
-        while stack:
-            node, neighbours = stack[-1]
-            advanced = False
-            for nxt in neighbours:
-                if nxt not in colour:
-                    colour[nxt] = WHITE
-                if colour[nxt] == WHITE:
-                    colour[nxt] = GRAY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(adjacency.get(nxt, ()))))
-                    advanced = True
-                    break
-                if colour[nxt] == GRAY:
-                    # Found a back edge node -> nxt; reconstruct the cycle.
-                    cycle = [node]
-                    current = node
-                    while current != nxt:
-                        current = parent[current]  # type: ignore[assignment]
                         cycle.append(current)
                     cycle.reverse()
                     return cycle

@@ -11,8 +11,8 @@ the online counterpart:
   topological sort algorithm for directed acyclic graphs*, JEA 2006).
   Inserting an edge costs time proportional to the *affected region* — the
   nodes whose order actually has to move — instead of the whole graph, so
-  acyclicity is re-established per transaction without re-running
-  :func:`repro.core.graph.find_cycle`.
+  acyclicity is re-established per transaction without re-running a
+  whole-graph search (:meth:`repro.core.graph.DependencyGraph.find_cycle`).
 * :class:`IncrementalChecker` ingests transactions one at a time (or a
   columnar segment at a time) and hands each dependency edge — WR/WW/RW
   derived from per-version *slots*, SO from per-session tails, RT from an

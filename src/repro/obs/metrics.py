@@ -23,8 +23,8 @@ Design constraints, in order:
   sum across processes would be meaningless for e.g. a topological-order
   size).
 * **Thread-safe.**  One lock per registry: the concurrent
-  :class:`~repro.adapters.collector.Collector` records from one thread per
-  session.
+  :class:`~repro.adapters.collector.Collector` records from every worker
+  thread.
 
 Series identity follows the Prometheus exposition format: a series is
 ``name`` or ``name{key="value",...}`` with label keys sorted, which is also
@@ -64,9 +64,10 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 #: checker, epoch-log, and executor families; the table in
 #: docs/ARCHITECTURE.md is generated from the same data.
 METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
-    # Collector (one thread per session driving a database adapter).
+    # Collectors (worker threads or coroutines driving a database adapter;
+    # one family per quantity, whichever collector the adapter was sent to).
     "repro_collector_sessions_in_flight": (
-        "gauge", "Collector session threads currently executing transactions"),
+        "gauge", "Sessions currently open on a collector worker thread or coroutine"),
     "repro_collector_txns_total": (
         "counter", "Transaction attempts recorded, by status label"),
     "repro_collector_ops_total": (
@@ -75,15 +76,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "counter", "Aborted transactions that were retried"),
     "repro_collector_retryable_aborts_total": (
         "counter", "Aborts the engine marked as retryable"),
-    # Async collector (coroutine session multiplexer over a bounded budget).
-    "repro_acollector_sessions_in_flight": (
-        "gauge", "Async collector session coroutines currently active"),
-    "repro_acollector_txns_total": (
-        "counter", "Async collector transaction attempts recorded, by status label"),
-    "repro_acollector_ops_total": (
-        "counter", "Operations the async collector executed against the adapter"),
-    "repro_acollector_retries_total": (
-        "counter", "Aborted transactions the async collector retried"),
+    # Coroutine collector only: the row queue in front of a live consumer.
     "repro_acollector_queue_depth": (
         "gauge", "Finished rows waiting in the async collector's backpressure queue"),
     "repro_acollector_backpressure_stalls_total": (

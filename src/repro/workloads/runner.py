@@ -23,8 +23,8 @@ sufficiently many committed transactions.
 For *real* databases (and genuine thread-level concurrency over any
 engine), the adapter layer provides the counterpart of this runner:
 :class:`repro.adapters.collector.Collector` drives the same workloads
-through a :class:`~repro.adapters.base.DatabaseAdapter` with one thread
-per session, preserving the same recording contract (unique values,
+through a :class:`~repro.adapters.base.DatabaseAdapter` on a pool of
+session threads, preserving the same recording contract (unique values,
 begin/commit intervals, retryable-abort handling, ``on_transaction``).
 """
 

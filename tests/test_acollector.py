@@ -1,6 +1,8 @@
-"""Tests for the async collection plane (aio adapters + AsyncCollector).
+"""Tests for the async collection plane (aio adapters + AsyncCollector)
+and for ``collect_history``, the one door that picks a collector.
 
-The contract under test: histories collected by coroutine sessions must be
+The contract under test: ``collect_history`` sends an adapter to the
+collector its kind calls for; histories collected by coroutine sessions are
 *schedule-valid* (well-formed intervals, per-session ordering, globally
 unique written values) and reach verdicts identical to the threaded
 collector's across isolation levels, healthy and chaos-wrapped adapters,
@@ -13,23 +15,23 @@ import asyncio
 import pytest
 
 from repro.adapters import (
+    AsyncCollectionResult,
     AsyncCollector,
     AsyncSimulatedAdapter,
-    BridgedAsyncAdapter,
+    CollectionResult,
     Collector,
     SimulatedAdapter,
     SQLiteAdapter,
-    ensure_async_adapter,
+    collect_history,
     make_adapter,
-    make_async_adapter,
 )
 from repro.adapters.aio import AsyncAdapterSession, AsyncDatabaseAdapter
-from repro.adapters.base import AdapterError
 from repro.core import model as core_model
 from repro.core.checker import MTChecker
 from repro.core.model import Transaction, TransactionStatus
 from repro.core.result import IsolationLevel
 from repro.history.columnar import ColumnarHistory
+from repro.resilience import failpoints
 from repro.workloads.mt_generator import MTWorkloadGenerator
 from repro.workloads.spec import make_traffic_shape
 
@@ -83,6 +85,28 @@ def assert_schedule_valid(columns: ColumnarHistory) -> None:
 # Threaded/async equivalence
 # ----------------------------------------------------------------------
 class TestAsyncThreadedEquivalence:
+    """Both sides of every comparison enter through ``collect_history``;
+    the result type shows which collector the adapter was sent to."""
+
+    def test_the_adapter_kind_picks_the_collector(self, tmp_path):
+        workload = small_workload(sessions=3, txns=4)
+        sync_adapters = [
+            SimulatedAdapter("si"),
+            SQLiteAdapter(str(tmp_path / "door.db")),
+            make_adapter("simulated", chaos="stale-read", chaos_rate=0.1, seed=1),
+        ]
+        for adapter in sync_adapters:
+            with adapter:
+                result = collect_history(adapter, workload)
+            assert type(result) is CollectionResult, adapter
+        result = collect_history(AsyncSimulatedAdapter("si"), workload)
+        assert type(result) is AsyncCollectionResult
+        # Neither collector drives the other kind's adapters.
+        with pytest.raises(TypeError, match="goes to Collector"):
+            AsyncCollector(SimulatedAdapter("si"))
+        with pytest.raises(TypeError, match="goes to AsyncCollector"):
+            Collector(AsyncSimulatedAdapter("si"))
+
     @pytest.mark.parametrize(
         "engine, guaranteed",
         [
@@ -96,14 +120,17 @@ class TestAsyncThreadedEquivalence:
         self, engine, guaranteed, max_inflight
     ):
         workload = small_workload(sessions=8, txns=12, objects=10, seed=17)
-        threaded = Collector(SimulatedAdapter(engine)).collect(workload)
-        asynced = AsyncCollector(
-            AsyncSimulatedAdapter(engine), max_inflight=max_inflight
-        ).collect(workload)
+        threaded = collect_history(
+            SimulatedAdapter(engine), workload, max_inflight=max_inflight
+        )
+        asynced = collect_history(
+            AsyncSimulatedAdapter(engine), workload, max_inflight=max_inflight
+        )
         assert asynced.stats.committed == threaded.stats.committed
+        threaded_columns = threaded.columns
+        assert_schedule_valid(threaded_columns)
         assert_schedule_valid(asynced.columns)
         checker = MTChecker()
-        threaded_columns = ColumnarHistory.from_history(threaded.history)
         for level in guaranteed:
             via_threads = checker.verify(threaded_columns, LEVELS[level])
             via_async = checker.verify(asynced.columns, LEVELS[level])
@@ -111,45 +138,23 @@ class TestAsyncThreadedEquivalence:
             assert via_async.satisfied, (engine, level, via_async.violation)
 
     @pytest.mark.parametrize("max_inflight", [1, 8, 256])
-    def test_chaos_faults_detected_through_both_collectors(self, max_inflight):
+    def test_chaos_faults_detected_through_the_door(self, max_inflight):
+        # Chaos wraps the sync protocol, so the door sends it to the threads.
         workload = small_workload(sessions=6, txns=30, objects=8, seed=5,
                                   distribution="zipf")
-        threaded = Collector(
-            make_adapter("simulated", isolation="si", chaos="lost-write",
-                         chaos_rate=0.9, seed=5)
-        ).collect(workload)
-        async_adapter = make_async_adapter(
-            "simulated", isolation="si", chaos="lost-write",
-            chaos_rate=0.9, seed=5,
-        )
-        asynced = AsyncCollector(async_adapter, max_inflight=max_inflight).collect(
-            workload
-        )
-        assert async_adapter.sync_adapter.injections["lost_write"] > 0
-        checker = MTChecker()
-        via_threads = checker.verify(
-            ColumnarHistory.from_history(threaded.history), LEVELS["SER"]
-        )
-        via_async = checker.verify(asynced.columns, LEVELS["SER"])
-        assert not via_threads.satisfied
-        assert not via_async.satisfied
-        assert via_threads.satisfied == via_async.satisfied
-
-    def test_bridged_sqlite_collection_satisfies_ser(self, tmp_path):
-        workload = small_workload(sessions=6, txns=10, objects=8, seed=9)
-        adapter = SQLiteAdapter(str(tmp_path / "async.db"))
-        result = AsyncCollector(adapter, max_inflight=4).collect(workload)
-        assert_schedule_valid(result.columns)
-        verdict = MTChecker().verify(result.columns, LEVELS["SER"])
-        assert verdict.satisfied, verdict.violation
+        adapter = make_adapter("simulated", isolation="si", chaos="lost-write",
+                               chaos_rate=0.9, seed=5)
+        result = collect_history(adapter, workload, max_inflight=max_inflight)
+        assert adapter.injections["lost_write"] > 0
+        assert not MTChecker().verify(result.columns, LEVELS["SER"]).satisfied
 
     def test_traffic_shapes_apply_to_both_collectors(self):
         workload = small_workload(sessions=6, txns=3, objects=8, seed=2)
         workload.traffic = make_traffic_shape(
             "churn", churn_stagger=0.002, think_time=0.0005, seed=1
         )
-        threaded = Collector(SimulatedAdapter("si")).collect(workload)
-        asynced = AsyncCollector(AsyncSimulatedAdapter("si")).collect(workload)
+        threaded = collect_history(SimulatedAdapter("si"), workload)
+        asynced = collect_history(AsyncSimulatedAdapter("si"), workload)
         assert threaded.stats.committed == asynced.stats.committed == 18
         assert MTChecker().verify(asynced.columns, LEVELS["SI"]).satisfied
 
@@ -276,34 +281,18 @@ class TestDeadlineWatchdog:
 
 
 # ----------------------------------------------------------------------
-# Construction and bridging errors
+# Construction errors
 # ----------------------------------------------------------------------
 class TestAsyncConstruction:
-    def test_sync_adapter_without_bridge_is_rejected(self, tmp_path):
-        adapter = SQLiteAdapter(str(tmp_path / "x.db"))
-        with pytest.raises(AdapterError, match="no native async support"):
-            ensure_async_adapter(adapter, bridge=False)
-        with pytest.raises(AdapterError, match="no native async support"):
-            AsyncCollector(adapter, bridge=False).collect(
-                small_workload(sessions=2, txns=2)
-            )
-
-    def test_native_async_adapter_passes_through(self):
-        adapter = AsyncSimulatedAdapter("si")
-        assert ensure_async_adapter(adapter, bridge=False) is adapter
-
-    def test_bridged_adapter_exposes_sync_adapter(self, tmp_path):
-        sync = SQLiteAdapter(str(tmp_path / "y.db"))
-        bridged = ensure_async_adapter(sync)
-        assert isinstance(bridged, BridgedAsyncAdapter)
-        assert bridged.sync_adapter is sync
-
     @pytest.mark.parametrize(
         "kwargs", [{"max_inflight": 0}, {"max_inflight": -3}, {"queue_depth": 0}]
     )
     def test_nonpositive_bounds_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AsyncCollector(AsyncSimulatedAdapter("si"), **kwargs)
+        if "max_inflight" in kwargs:  # the bound both collectors share
+            with pytest.raises(ValueError, match="max_inflight must be positive"):
+                Collector(SimulatedAdapter("si"), **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -316,15 +305,58 @@ class TestAsyncCLI:
         code = main(argv)
         return code, capsys.readouterr().out
 
-    def test_async_simulated_collect_and_check(self, capsys):
+    def test_simulated_collect_runs_coroutine_sessions(self, capsys):
         code, out = self.run_cli(
-            ["collect", "--adapter", "simulated", "--async", "--sessions", "20",
-             "--txns", "3", "--objects", "16", "--check", "si"],
+            ["collect", "--adapter", "simulated", "--sessions", "20",
+             "--txns", "3", "--objects", "16", "--max-inflight", "4",
+             "--check", "si"],
             capsys,
         )
         assert code == 0
         assert "coroutine sessions" in out
+        assert "did not commit" not in out
         assert "SI: SATISFIED" in out
+
+    def test_sync_adapters_run_threaded_sessions(self, capsys, tmp_path):
+        code, out = self.run_cli(
+            ["collect", "--adapter", "sqlite", "--db-path", str(tmp_path / "t.db"),
+             "--sessions", "6", "--txns", "3", "--max-inflight", "2",
+             "--check", "ser"],
+            capsys,
+        )
+        assert code == 0
+        assert "18 committed" in out and "threaded sessions" in out
+        code, out = self.run_cli(
+            ["collect", "--adapter", "simulated", "--chaos", "stale-read",
+             "--sessions", "2", "--txns", "2", "--output", str(tmp_path / "c.seg")],
+            capsys,
+        )
+        assert code == 0
+        assert "threaded sessions" in out and "injected chaos:" in out
+
+    @pytest.mark.parametrize("flag", ["--async", "--no-bridge"])
+    def test_removed_flags_are_refused_by_argparse(self, flag, capsys):
+        with pytest.raises(SystemExit) as refused:
+            self.run_cli(
+                ["collect", flag, "--adapter", "simulated", "--check", "si"], capsys
+            )
+        assert refused.value.code == 2
+
+    def test_shortfall_is_reported_with_exit_code_unchanged(self, capsys, tmp_path):
+        # Three injected commit failures and no retries: 9 of 12 commit.
+        with failpoints.scoped("sqlite.commit=3*raise"):
+            code, out = self.run_cli(
+                ["collect", "--adapter", "sqlite", "--db-path", str(tmp_path / "s.db"),
+                 "--sessions", "2", "--txns", "6", "--objects", "4",
+                 "--max-retries", "0", "--check", "ser"],
+                capsys,
+            )
+        assert code == 0
+        assert "collected 9 committed / 3 aborted" in out
+        assert (
+            "warning: 3 of 12 planned transactions did not commit "
+            "(retries exhausted)"
+        ) in out
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -333,14 +365,11 @@ class TestAsyncCLI:
              "must be positive"),
             (["collect", "--sessions", "2", "--txns", "-1", "--check", "si"],
              "must be positive"),
-            (["collect", "--max-inflight", "4", "--sessions", "2", "--txns", "2",
-              "--check", "si"],
-             "pass --async"),
-            (["collect", "--no-bridge", "--sessions", "2", "--txns", "2",
-              "--check", "si"],
-             "pass --async"),
-            (["collect", "--async", "--max-inflight", "0", "--sessions", "2",
+            (["collect", "--max-inflight", "0", "--sessions", "2",
               "--txns", "2", "--adapter", "simulated", "--check", "si"],
+             "--max-inflight must be positive"),
+            (["collect", "--max-inflight", "-1", "--sessions", "2",
+              "--txns", "2", "--adapter", "sqlite", "--check", "si"],
              "--max-inflight must be positive"),
         ],
     )
@@ -349,14 +378,3 @@ class TestAsyncCLI:
         assert code == 2
         assert "error:" in out
         assert message in out
-
-    def test_no_bridge_with_sync_only_adapter_exits_2(self, capsys, tmp_path):
-        code, out = self.run_cli(
-            ["collect", "--adapter", "sqlite", "--async", "--no-bridge",
-             "--db-path", str(tmp_path / "z.db"), "--sessions", "2",
-             "--txns", "2", "--check", "ser"],
-            capsys,
-        )
-        assert code == 2
-        assert "error:" in out
-        assert "no native async support" in out

@@ -264,6 +264,52 @@ class TestCollector:
                 Collector(adapter).collect(workload)
 
 
+    def test_sessions_beyond_max_inflight_wait_and_all_commit(self, tmp_path):
+        """A thread per session at scale starves most sessions into
+        exhausting their retries (``collect --sessions 3000`` used to exit 0
+        with a third of its transactions missing); the pool runs eight
+        sessions at a time and every one commits."""
+
+        class CountingAdapter(SQLiteAdapter):
+            opened = peak = 0
+            lock = threading.Lock()
+
+            def session(self, session_id):
+                session = super().session(session_id)
+                close = session.close
+
+                def counted_close():
+                    close()
+                    with self.lock:
+                        self.opened -= 1
+
+                session.close = counted_close
+                with self.lock:
+                    self.opened += 1
+                    self.peak = max(self.peak, self.opened)
+                return session
+
+        peak_workers = 0
+
+        def count_workers(_txn):
+            nonlocal peak_workers
+            alive = sum(
+                thread.name.startswith("collector-worker-")
+                for thread in threading.enumerate()
+            )
+            peak_workers = max(peak_workers, alive)
+
+        workload = small_workload(sessions=600, txns=1, objects=50, seed=4)
+        with CountingAdapter(str(tmp_path / "pool.db"), wal=True) as adapter:
+            result = collect_history(
+                adapter, workload, max_inflight=8, on_transaction=count_workers
+            )
+        assert result.stats.committed == 600
+        assert 1 <= peak_workers <= 8
+        assert 1 <= adapter.peak <= 8
+        assert adapter.opened == 0  # every session was closed by its worker
+
+
 class TestThreadSafeClock:
     def test_strictly_monotonic_across_threads(self):
         clock = ThreadSafeClock()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.graph import DependencyGraph, Edge, EdgeType, build_dependency, find_cycle
+from repro.core.graph import DependencyGraph, Edge, EdgeType, build_dependency
 from repro.core.model import History, Transaction, read, write
 
 
@@ -121,13 +121,10 @@ class TestCycleDetection:
         graph.add_edge(1, 2, EdgeType.SO)
         assert graph.is_acyclic()
 
-    def test_find_cycle_helper_on_plain_adjacency(self):
-        assert find_cycle([1, 2, 3], {1: [2], 2: [3], 3: []}) is None
-        cycle = find_cycle([1, 2, 3], {1: [2], 2: [3], 3: [1]})
-        assert sorted(cycle) == [1, 2, 3]
-
     def test_self_loop_is_a_cycle(self):
-        assert find_cycle([1], {1: [1]}) == [1]
+        graph = DependencyGraph()
+        graph.add_edge(1, 1, EdgeType.WW, "x")
+        assert [(edge.source, edge.target) for edge in graph.find_cycle()] == [(1, 1)]
 
 
 class TestSIInducedGraph:

@@ -295,6 +295,90 @@ class TestWorkerMetrics:
         assert not obs.enabled()
 
 
+class TestCollectorMetrics:
+    """Every ``repro_collector_*`` / ``repro_acollector_*`` family in the
+    catalog is recorded by a collection: one family per quantity, whichever
+    collector the adapter was sent to."""
+
+    def _workload(self):
+        from repro.workloads.mt_generator import MTWorkloadGenerator
+
+        return MTWorkloadGenerator(
+            num_sessions=4, txns_per_session=6, num_objects=6, seed=2
+        ).generate()
+
+    def test_shared_families_are_recorded_by_both_collectors(self, tmp_path):
+        from repro.adapters import AsyncSimulatedAdapter, SQLiteAdapter, collect_history
+        from repro.resilience import failpoints
+
+        workload = self._workload()
+        for kind in ("threaded", "coroutine"):
+            in_flight = []
+            with obs.scoped() as reg:
+                sample = lambda _txn: in_flight.append(  # noqa: E731
+                    reg.value("repro_collector_sessions_in_flight")
+                )
+                if kind == "threaded":
+                    with SQLiteAdapter(str(tmp_path / "m.db")) as adapter:
+                        with failpoints.scoped("sqlite.commit=2*raise"):
+                            result = collect_history(
+                                adapter, workload, on_transaction=sample
+                            )
+                else:  # op_delay: sessions are still open when the hook runs
+                    result = collect_history(
+                        AsyncSimulatedAdapter("si", op_delay=0.0002),
+                        workload,
+                        on_transaction=sample,
+                    )
+            stats = result.stats
+            assert 0 < stats.committed <= 24, kind
+            assert (
+                reg.value("repro_collector_txns_total", status="committed")
+                == stats.committed
+            )
+            assert reg.value("repro_collector_ops_total") == stats.operations
+            assert max(in_flight) >= 1, kind
+            assert reg.value("repro_collector_sessions_in_flight") == 0
+            if kind == "threaded":  # two injected aborts, each retried once
+                assert stats.committed == 24
+                assert reg.value("repro_collector_txns_total", status="aborted") == 2
+                assert reg.value("repro_collector_retries_total") == stats.retries == 2
+                assert reg.value("repro_collector_retryable_aborts_total") == 2
+            assert not [
+                family for family in reg.families()
+                if family.startswith("repro_acollector_")
+                and family not in obs.METRIC_CATALOG
+            ]
+
+    def test_coroutine_only_families(self):
+        from repro.adapters import AsyncCollector, AsyncSimulatedAdapter
+
+        seen = []
+        with obs.scoped() as reg:
+            result = AsyncCollector(
+                AsyncSimulatedAdapter("si"), queue_depth=1, on_transaction=seen.append
+            ).collect(self._workload())
+        assert result.backpressure_stalls > 0
+        assert (
+            reg.value("repro_acollector_backpressure_stalls_total")
+            == result.backpressure_stalls
+        )
+        assert reg.value("repro_acollector_queue_depth") is not None
+        assert reg.value("repro_acollector_txns_per_second") > 0
+        assert sorted(
+            family for family in obs.METRIC_CATALOG if "collector_" in family
+        ) == [
+            "repro_acollector_backpressure_stalls_total",
+            "repro_acollector_queue_depth",
+            "repro_acollector_txns_per_second",
+            "repro_collector_ops_total",
+            "repro_collector_retries_total",
+            "repro_collector_retryable_aborts_total",
+            "repro_collector_sessions_in_flight",
+            "repro_collector_txns_total",
+        ]
+
+
 class TestVerifyReport:
     def test_report_wraps_result_and_phases(self):
         report = MTChecker().verify(

@@ -35,12 +35,12 @@ from repro.adapters.base import (
     AdapterSession,
     DatabaseAdapter,
 )
-from repro.adapters.collector import Collector
+from repro.adapters.collector import Collector, _InFlightTxn
 from repro.adapters.sqlite import SQLiteAdapter
 from repro.cli import main as repro_main
 from repro.core.checker import MTChecker
 from repro.core.incremental import stream_order
-from repro.core.model import TransactionStatus
+from repro.core.model import Session, TransactionStatus
 from repro.core.result import IsolationLevel
 from repro.history.epochlog import EpochLog, EpochLogWriter
 from repro.parallel import check_parallel
@@ -735,6 +735,45 @@ class TestCollectorResilience:
         # The hung session recorded exactly one transaction (the UNKNOWN
         # one): nothing after it, no duplicate of it.
         assert len(txns) == 1
+
+    def test_hung_session_costs_the_pool_no_worker(self):
+        """``max_inflight=1``: the only worker wedges in session 0; the
+        monitor replaces it, so every other session still runs to quota."""
+        release = threading.Event()
+        seen = []
+        try:
+            collector = Collector(
+                _HangingAdapter(release),
+                txn_deadline=0.2,
+                setup_keys=False,
+                max_inflight=1,
+                on_transaction=seen.append,
+            )
+            result = collector.collect(self._workload(sessions=4, txns=3))
+            recorded = len(seen)
+            release.set()  # the hung commit now "lands", late
+            time.sleep(0.2)
+        finally:
+            release.set()
+        assert result.unknown == 1
+        statuses = [
+            [txn.status for txn in session.transactions]
+            for session in result.history.sessions
+        ]
+        assert statuses[0] == [TransactionStatus.UNKNOWN]
+        assert statuses[1:] == [[TransactionStatus.COMMITTED] * 3] * 3
+        assert result.stats.committed == 9
+        assert len(seen) == recorded == 10  # the late finish recorded nothing
+
+    def test_an_attempt_that_already_finished_is_not_abandoned(self):
+        # The monitor snapshots hung attempts, then claims them one by one;
+        # an attempt that recorded itself in between must not also be
+        # recorded UNKNOWN (one txn id twice is a malformed history).
+        collector = Collector(_HangingAdapter(threading.Event()), txn_deadline=0.2)
+        stale = _InFlightTxn(7, 0, 1.0, 0.0, [], threading.current_thread())
+        log = Session(session_id=0)
+        assert collector._abandon_session(stale, log) is False
+        assert log.transactions == [] and not collector._abandoned
 
     def test_injected_sqlite_commit_failures_are_retried(self, tmp_path):
         workload = MTWorkloadGenerator(
