@@ -646,6 +646,11 @@ def _follow(args, control: Supervisor, telemetry, source, session, ingested: int
                     )
                     if args.retire:
                         _retire_behind_window(source, args.window, epochs)
+                if isinstance(source, EpochLog):
+                    # Seal to verdict, on the collector's and this host's wall
+                    # clocks; a stream has no record of when a row was written.
+                    sealed_at = source.epochs[epochs - 1].sealed_at
+                    obs.observe("repro_verdict_latency_seconds", time.time() - sealed_at / 1000)
                 if telemetry is not None:
                     telemetry.update(session, ingested, source.lag)
             if args.once or control.stop_requested or source.done:

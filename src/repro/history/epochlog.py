@@ -8,11 +8,13 @@ promotes the segment to a *directory*:
 * ``epoch-NNNNN.seg`` (optionally ``.seg.gz``) — immutable columnar
   segments of ``epoch_transactions`` rows each, sealed atomically
   (written to a temp file, fsynced, renamed into place);
-* ``MANIFEST.json`` — the commit record: one entry per sealed epoch with
-  its row/operation counts, transaction-id range, CRC-32, and byte size.
-  The manifest is replaced atomically after each seal, so a reader never
-  observes a half-written log: an epoch is *sealed* exactly when its
-  manifest entry lands;
+* ``MANIFEST.log`` — the commit record, append-only: a header line, then
+  one CRC-prefixed line per sealed epoch with its row/operation counts,
+  transaction-id range, CRC-32, byte size and the wall clock of the seal.
+  A seal appends and fsyncs one line, so an epoch is *sealed* exactly when
+  its record lands; a torn last line is not a record.  The file is only
+  ever rewritten (on a new inode) by a writer's open-time recovery, and the
+  writer holds an exclusive ``flock`` on it for as long as it lives;
 * ``checkpoint-NNNNN.ckpt`` — verifier-side snapshots of
   :meth:`repro.core.incremental.IncrementalChecker.checkpoint`, CRC-framed
   and gzip-compressed, so a restarted verifier resumes mid-log instead of
@@ -25,9 +27,10 @@ Recovery is *prefix-based*: :meth:`EpochLog.open` accepts the longest
 prefix of epochs that exists, has the recorded size, and (on load) matches
 its CRC.  A writer killed at any byte offset therefore loses at most the
 epoch it was buffering — never a sealed one.  An epoch file sealed on disk
-whose manifest update did not land (the one-crash window between the two
-renames) is adopted back by reading the file itself; a torn or missing
-manifest is rebuilt the same way.  Checkpoints are independent of this:
+whose manifest record did not land (the one-crash window between the
+rename and the append) is adopted back by reading the file itself; a torn,
+corrupt or missing manifest is rebuilt the same way from where its valid
+prefix ends.  Checkpoints are independent of this:
 a half-written checkpoint simply fails its CRC and the previous one is
 used (the newest two are kept).
 
@@ -40,6 +43,7 @@ of every epoch.
 
 from __future__ import annotations
 
+import fcntl
 import gzip
 import json
 import os
@@ -47,7 +51,7 @@ import time
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .. import obs
 from ..core.model import INITIAL_TXN_ID, Transaction, make_initial_transaction
@@ -67,9 +71,12 @@ __all__ = [
     "EPOCHLOG_FORMAT",
 ]
 
-EPOCHLOG_FORMAT = "repro-epoch-log-v1"
+EPOCHLOG_FORMAT = "repro-epoch-log-v2"
 CHECKPOINT_FILE_FORMAT = "repro-epoch-checkpoint-v1"
-MANIFEST_NAME = "MANIFEST.json"
+MANIFEST_NAME = "MANIFEST.log"
+#: The rewritten JSON manifest of ``repro-epoch-log-v1``: refused by name.
+_V1_MANIFEST_NAME = "MANIFEST.json"
+_MANIFEST_HEADER = b'{"format":"%s"}\n' % EPOCHLOG_FORMAT.encode("ascii")
 RETIRED_NAME = "RETIRED"
 CHECKPOINT_MAGIC = b"REPROCKPT1\n"
 _EPOCH_PREFIX = "epoch-"
@@ -83,6 +90,10 @@ _CHECKPOINTS_KEPT = 2
 #: holds it": 1-2 grow the SI file, 3 holds but costs more than 4 (zlib turns
 #: lazy matching on at 4), 4 is 10-28 % smaller at 1/11-1/18 of level 9's time.
 _CHECKPOINT_COMPRESSLEVEL = 4
+#: How often a writer asks for the manifest lock before it concludes that the
+#: holder is another writer: a reader's sweep holds it shared for the length
+#: of one directory listing.
+_LOCK_ATTEMPTS = 5
 
 
 class EpochLogError(ValueError):
@@ -111,33 +122,11 @@ class EpochInfo:
     max_txn_id: int
     crc32: int
     size_bytes: int
+    #: Wall clock of the seal in ms since the Unix epoch (the file's
+    #: modification time when the entry was adopted from the file).
+    sealed_at: int = 0
     #: Dropped by window GC: the file may no longer exist on disk.
     retired: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "epoch": self.epoch,
-            "name": self.name,
-            "transactions": self.transactions,
-            "operations": self.operations,
-            "min_txn_id": self.min_txn_id,
-            "max_txn_id": self.max_txn_id,
-            "crc32": self.crc32,
-            "size_bytes": self.size_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "EpochInfo":
-        return cls(
-            epoch=int(data["epoch"]),
-            name=str(data["name"]),
-            transactions=int(data["transactions"]),
-            operations=int(data["operations"]),
-            min_txn_id=int(data["min_txn_id"]),
-            max_txn_id=int(data["max_txn_id"]),
-            crc32=int(data["crc32"]),
-            size_bytes=int(data["size_bytes"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -168,10 +157,10 @@ def _sweep_stale_tmp(directory: Path) -> int:
     writer killed between the write and the rename strands it.  Stranded
     temp files are never part of the recoverable prefix (recovery only
     reads published names), so the only question is hygiene: without this
-    sweep they accumulate forever.  Called from crash-recovery entry
-    points only (:meth:`EpochLog.open`, :class:`EpochLogWriter`), never
-    from :meth:`EpochLog.refresh` — a live follower must not race a
-    concurrent writer's in-flight staging file.
+    sweep they accumulate forever.  Only ever called by whoever holds the
+    manifest lock, or found no manifest to lock (:class:`EpochLogWriter`,
+    :func:`_sweep_unless_writer_is_live`) — a live writer's in-flight staging
+    file is not stale.
     """
     swept = 0
     for tmp in directory.glob(".*.tmp"):
@@ -187,8 +176,74 @@ def _sweep_stale_tmp(directory: Path) -> int:
     return swept
 
 
-def _file_crc_and_size(path: Path) -> Tuple[int, int]:
-    return file_crc32(path), os.stat(path).st_size
+def _flock_current(fh: IO[bytes], path: Path, how: int) -> bool:
+    """Take ``flock(how)`` on ``fh`` without waiting; whether it was granted
+    and ``fh`` is still the file at ``path`` (a lock on a manifest that a
+    writer has since replaced excludes nobody)."""
+    try:
+        fcntl.flock(fh, how | fcntl.LOCK_NB)
+        return os.fstat(fh.fileno()).st_ino == os.stat(path).st_ino
+    except OSError:  # BlockingIOError: held the other way; or ``path`` is gone
+        return False
+
+
+def _sweep_unless_writer_is_live(directory: Path) -> None:
+    """A reader's crash hygiene: sweep while holding the manifest shared,
+    which a live writer's exclusive lock refuses.  A killed writer's lock
+    died with it; no manifest means no writer got as far as staging a file."""
+    path = directory / MANIFEST_NAME
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        _sweep_stale_tmp(directory)
+        return
+    with fh:
+        if _flock_current(fh, path, fcntl.LOCK_SH):
+            _sweep_stale_tmp(directory)
+
+
+def _open_owned(path: Path) -> IO[bytes]:
+    """The manifest at ``path``, opened for appending (created when missing,
+    so that there is something to lock before the first one is published)
+    with the writer's exclusive lock held until the file is closed."""
+    fh = open(path, "ab", buffering=0)
+    for _attempt in range(_LOCK_ATTEMPTS):
+        if _flock_current(fh, path, fcntl.LOCK_EX):
+            return fh
+        time.sleep(0.01)
+    fh.close()
+    raise EpochLogError(f"{path.parent}: another writer holds this log")
+
+
+def _refuse_v1(directory: Path) -> None:
+    """Raise for a ``repro-epoch-log-v1`` directory: there is no reader for it."""
+    if (directory / _V1_MANIFEST_NAME).exists() and not (directory / MANIFEST_NAME).exists():
+        raise EpochLogError(
+            f"{directory}: {_V1_MANIFEST_NAME} is the manifest of the older "
+            f"repro-epoch-log-v1 layout, which this version does not read; "
+            f"delete it and the manifest is rebuilt from the epoch files "
+            f"(not possible for a log whose first epochs were retired)"
+        )
+
+
+class _Crc32Writer:
+    """The staging file as :meth:`ColumnarHistory.dump` sees it: counts and
+    checksums the bytes on their way through, so nothing is read back."""
+
+    def __init__(self, fh: IO[bytes]) -> None:
+        self._fh = fh
+        self.name = fh.name
+        self.crc32 = 0
+        self.size = 0
+
+    def write(self, data: bytes) -> int:
+        self.crc32 = zlib.crc32(data, self.crc32)
+        written = self._fh.write(data)
+        self.size += written
+        return written
+
+    def flush(self) -> None:
+        self._fh.flush()
 
 
 def _epoch_file_names(epoch: int) -> Tuple[str, str]:
@@ -204,7 +259,7 @@ def _entry_from_file(directory: Path, epoch: int, name: str) -> EpochInfo:
     """
     path = directory / name
     segment = ColumnarHistory.load(path)  # validates structure
-    crc, size = _file_crc_and_size(path)
+    stat = os.stat(path)
     txn_ids = segment.txn_ids
     return EpochInfo(
         epoch=epoch,
@@ -213,8 +268,9 @@ def _entry_from_file(directory: Path, epoch: int, name: str) -> EpochInfo:
         operations=segment.num_operations,
         min_txn_id=min(txn_ids),
         max_txn_id=max(txn_ids),
-        crc32=crc,
-        size_bytes=size,
+        crc32=file_crc32(path),
+        size_bytes=stat.st_size,
+        sealed_at=stat.st_mtime_ns // 1_000_000,
     )
 
 
@@ -226,60 +282,109 @@ def _read_retired(directory: Path) -> int:
         return -1
 
 
-def _read_manifest_entries(directory: Path) -> Optional[List[EpochInfo]]:
-    """Manifest entries as recorded, or ``None`` when missing/torn."""
+# ----------------------------------------------------------------------
+# Manifest records
+# ----------------------------------------------------------------------
+#: A record is a JSON array of :class:`EpochInfo`'s integer fields in their
+#: declared order (``epoch`` .. ``sealed_at``), then 1 when the segment is
+#: gzipped.  The file name is not stored: it is the epoch number plus that flag.
+_RECORD_FIELDS = 9
+
+
+def _encode_record(entry: EpochInfo) -> bytes:
+    """One manifest line: the CRC-32 of the array as eight hex digits, a space, the array."""
+    e = entry
+    fields = [e.epoch, e.transactions, e.operations, e.min_txn_id, e.max_txn_id,
+              e.crc32, e.size_bytes, e.sealed_at, int(e.name.endswith(".gz"))]
+    body = json.dumps(fields, separators=(",", ":")).encode("ascii")
+    return b"%08x %s\n" % (zlib.crc32(body), body)
+
+
+def _decode_record(line: bytes) -> Optional[EpochInfo]:
+    """The entry on one newline-terminated manifest line, or ``None`` when the
+    line fails its CRC or is not what :func:`_encode_record` writes."""
+    crc, _, body = line.partition(b" ")
     try:
-        raw = (directory / MANIFEST_NAME).read_text(encoding="utf-8")
-        data = json.loads(raw)
-        if not isinstance(data, dict) or data.get("format") != EPOCHLOG_FORMAT:
+        if int(crc, 16) != zlib.crc32(body):
             return None
-        return [EpochInfo.from_dict(entry) for entry in data.get("epochs", [])]
-    except (OSError, ValueError, KeyError, TypeError):
+        fields = json.loads(body)
+        if len(fields) != _RECORD_FIELDS or any(type(field) is not int for field in fields):
+            return None
+    except (ValueError, TypeError):
         return None
+    epoch, *counts, gz = fields
+    return EpochInfo(epoch, _epoch_file_names(epoch)[bool(gz)], *counts)
 
 
-def _write_manifest(directory: Path, entries: Iterable[EpochInfo]) -> None:
-    payload = {
-        "format": EPOCHLOG_FORMAT,
-        "epochs": [entry.to_dict() for entry in entries],
-    }
-    fail_point("epochlog.manifest.commit", path=directory / MANIFEST_NAME)
-    atomic_write(
-        directory / MANIFEST_NAME,
-        json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n",
-    )
+def _parse_records(data: bytes, start: int, epoch: int) -> Tuple[List[EpochInfo], int, bool]:
+    """The valid records of ``data`` from byte ``start``, which must number
+    consecutively from ``epoch``: ``(entries, end, clean)``.  ``end`` is the
+    offset just past the last of them.  What follows is either at most an
+    unterminated line — a record still being written, or torn by a kill —
+    and the manifest is ``clean``, or a whole line that is not the next
+    record, and the valid prefix ends at a corruption."""
+    entries: List[EpochInfo] = []
+    while True:
+        newline = data.find(b"\n", start)
+        if newline < 0:
+            return entries, start, True
+        entry = _decode_record(data[start:newline])
+        if entry is None or entry.epoch != epoch + len(entries):
+            return entries, start, False
+        entries.append(entry)
+        start = newline + 1
 
 
-def _recover_entries(directory: Path, retired_through: int) -> List[EpochInfo]:
+#: Where a follower stands in the manifest: ``(inode, validated bytes)``.
+_Cursor = Tuple[int, int]
+
+
+def _read_manifest(directory: Path) -> Tuple[List[EpochInfo], Optional[_Cursor]]:
+    """The manifest's valid prefix of records and, when all of the file is
+    that prefix (at most a torn line follows), the cursor a follower can
+    read on from.  Missing, empty or foreign: no records, no cursor."""
+    try:
+        with open(directory / MANIFEST_NAME, "rb") as fh:
+            inode = os.fstat(fh.fileno()).st_ino
+            data = fh.read()
+    except OSError:
+        return [], None
+    if not data.startswith(_MANIFEST_HEADER):
+        return [], None
+    entries, end, clean = _parse_records(data, len(_MANIFEST_HEADER), 0)
+    return entries, (inode, end) if clean else None
+
+
+def _recover_entries(
+    directory: Path, retired_through: int
+) -> Tuple[List[EpochInfo], Optional[_Cursor]]:
     """The longest valid epoch prefix of ``directory``.
 
-    Starts from the manifest (rebuilding it from the files on disk when
-    missing or torn), drops any suffix whose files are missing or
-    truncated, and adopts contiguous sealed-but-unrecorded epoch files
-    beyond the manifest.  Epochs at or below ``retired_through`` are
-    accepted without their files (window GC deleted them).
+    Starts from the manifest's valid records (none when it is missing or
+    foreign), drops any suffix whose files are missing or truncated, and
+    adopts contiguous sealed-but-unrecorded epoch files beyond them.
+    Epochs at or below ``retired_through`` are accepted without their files
+    (window GC deleted them).  The cursor comes back only when the
+    manifest records exactly the accepted epochs.
     """
-    recorded = _read_manifest_entries(directory)
+    recorded, cursor = _read_manifest(directory)
     accepted: List[EpochInfo] = []
+    for entry in recorded:
+        if entry.epoch <= retired_through:
+            accepted.append(replace(entry, retired=True))
+            continue
+        try:
+            if os.stat(directory / entry.name).st_size != entry.size_bytes:
+                break  # torn epoch file (partial write surfaced)
+        except OSError:
+            break  # sealed epoch file missing without retirement
+        accepted.append(entry)
+    if len(accepted) < len(recorded):
+        cursor = None
 
-    if recorded is not None:
-        for position, entry in enumerate(recorded):
-            if entry.epoch != position:
-                break  # malformed manifest: non-contiguous numbering
-            if entry.epoch <= retired_through:
-                accepted.append(replace(entry, retired=True))
-                continue
-            path = directory / entry.name
-            try:
-                if os.stat(path).st_size != entry.size_bytes:
-                    break  # torn epoch file (partial write surfaced)
-            except OSError:
-                break  # sealed epoch file missing without retirement
-            accepted.append(entry)
-
-    # Adopt epoch files sealed on disk whose manifest entry never landed
-    # (writer killed between the segment rename and the manifest rename),
-    # or rebuild the whole list when the manifest itself was lost.
+    # Adopt epoch files sealed on disk whose record never landed (writer
+    # killed between the segment rename and the append), or rebuild the
+    # whole list when the manifest itself was lost.
     while True:
         nxt = len(accepted)
         raw_name, gz_name = _epoch_file_names(nxt)
@@ -295,7 +400,8 @@ def _recover_entries(directory: Path, retired_through: int) -> List[EpochInfo]:
         except (OSError, ValueError):
             # Torn orphan: not sealed, the buffered epoch died with the writer.
             break
-    return accepted
+        cursor = None
+    return accepted, cursor
 
 
 # ----------------------------------------------------------------------
@@ -309,12 +415,15 @@ class EpochLogWriter:
     written at close, transactions are buffered in memory and flushed as an
     ``epoch-NNNNN.seg`` file every ``epoch_transactions`` rows (plus a
     final partial epoch at :meth:`close`).  Each seal is atomic — segment
-    temp-file rename, then manifest rename — so a crash at any byte offset
-    loses only the unsealed buffer.
+    temp-file rename, then one record appended to the manifest — so a crash
+    at any byte offset loses only the unsealed buffer.
 
     Opening an existing log directory *appends* to it: recovery first
     accepts the longest valid epoch prefix (adopting sealed files whose
-    manifest entry was lost) and rewrites the manifest to match.
+    manifest record was lost) and publishes a fresh manifest to match.  The
+    writer holds an exclusive ``flock`` on the manifest until it is closed
+    (or dies), so a second writer on the directory is refused and a reader
+    knows not to sweep its staging files.
 
     Usable directly as an ``on_transaction`` hook (it is callable), like
     every other history sink in the package.
@@ -336,12 +445,18 @@ class EpochLogWriter:
         self.compress = compress
         self._closed = False
         self.directory.mkdir(parents=True, exist_ok=True)
-        _sweep_stale_tmp(self.directory)
-
-        self._entries = _recover_entries(
-            self.directory, _read_retired(self.directory)
-        )
-        _write_manifest(self.directory, self._entries)
+        _refuse_v1(self.directory)
+        self._manifest_path = self.directory / MANIFEST_NAME
+        self._manifest = _open_owned(self._manifest_path)
+        try:
+            _sweep_stale_tmp(self.directory)
+            self._entries, _ = _recover_entries(
+                self.directory, _read_retired(self.directory)
+            )
+            self._publish_manifest()
+        except BaseException:
+            self._manifest.close()
+            raise
 
         self._buffer = ColumnarHistory()
         if initial_transaction is None and initial_keys is not None:
@@ -352,6 +467,20 @@ class EpochLogWriter:
     @property
     def epochs_sealed(self) -> int:
         return len(self._entries)
+
+    def _publish_manifest(self) -> None:
+        """Rewrite the manifest to record exactly ``_entries``, and move the
+        lock to it.  The new file is a new inode, which is how a live
+        follower learns that its offset into the old one means nothing."""
+        atomic_write(
+            self._manifest_path,
+            _MANIFEST_HEADER + b"".join(map(_encode_record, self._entries)),
+        )
+        # Held until the new lock is: the log is never without a locked manifest.
+        replaced = self._manifest
+        self._manifest = _open_owned(self._manifest_path)
+        replaced.close()
+        self._manifest_torn = False
 
     def append(self, txn: Transaction) -> None:
         """Buffer one transaction; seal an epoch when the buffer fills."""
@@ -366,23 +495,25 @@ class EpochLogWriter:
     def seal(self) -> Optional[EpochInfo]:
         """Flush the buffered rows as one epoch (no-op on an empty buffer).
 
-        The epoch becomes durable in two ordered renames: segment file
-        first, manifest second.  Readers treat the manifest as the commit
-        record and adopt the file-without-entry state on recovery, so a
-        crash between the renames is indistinguishable from one after.
+        The epoch becomes durable in two ordered steps, each fsynced: the
+        segment file is renamed into place, then its record is appended to
+        the manifest.  Readers treat the record as the commit and adopt the
+        file-without-record state on recovery, so a crash between the two
+        is indistinguishable from one after.  A seal that raises leaves the
+        writer as it was: sealing again writes the same epoch.
         """
         if self._buffer.num_transactions == 0:
             return None
         seal_started = time.perf_counter()
         epoch = len(self._entries)
-        raw_name, gz_name = _epoch_file_names(epoch)
-        name = gz_name if self.compress else raw_name
+        name = _epoch_file_names(epoch)[self.compress]
         path = self.directory / name
         # ``atomic_write``'s steps, spelled out: a failpoint sits between
-        # each pair of them, and the CRC is taken before the file is published.
+        # each pair of them, and the CRC is taken as the bytes are written.
         tmp = self.directory / f".{name}.tmp"
         with open(tmp, "wb") as fh:
-            self._buffer.dump(fh, path, self.compress)
+            staged = _Crc32Writer(fh)
+            self._buffer.dump(staged, path, self.compress)
             fail_point("epochlog.seal.tmp_write", path=tmp)
             fsync_started = time.perf_counter()
             fail_point("epochlog.seal.fsync", path=tmp)
@@ -390,7 +521,6 @@ class EpochLogWriter:
         obs.observe(
             "repro_epochlog_fsync_seconds", time.perf_counter() - fsync_started
         )
-        crc, size = _file_crc_and_size(tmp)
         fail_point("epochlog.seal.rename", path=tmp)
         os.replace(tmp, path)
         txn_ids = self._buffer.txn_ids
@@ -401,11 +531,12 @@ class EpochLogWriter:
             operations=self._buffer.num_operations,
             min_txn_id=min(txn_ids),
             max_txn_id=max(txn_ids),
-            crc32=crc,
-            size_bytes=size,
+            crc32=staged.crc32,
+            size_bytes=staged.size,
+            sealed_at=time.time_ns() // 1_000_000,
         )
+        self._append_record(_encode_record(entry))
         self._entries.append(entry)
-        _write_manifest(self.directory, self._entries)
         self._buffer = ColumnarHistory()
         obs.inc("repro_epochlog_epochs_sealed_total")
         obs.inc("repro_epochlog_txns_sealed_total", entry.transactions)
@@ -415,10 +546,30 @@ class EpochLogWriter:
         )
         return entry
 
+    def _append_record(self, record: bytes) -> None:
+        """Commit a seal: one ``write`` and one ``fsync`` on the kept manifest.
+
+        An append that failed may have left part of a line behind, and
+        nothing written after a bad line is ever read; the next append
+        publishes a fresh manifest first.
+        """
+        if self._manifest_torn:
+            self._publish_manifest()
+        try:
+            fail_point("epochlog.manifest.commit", path=self._manifest_path)
+            if self._manifest.write(record) != len(record):
+                raise OSError(f"{self._manifest_path}: short write")
+            fail_point("epochlog.manifest.fsync", path=self._manifest_path)
+            os.fsync(self._manifest.fileno())
+        except BaseException:
+            self._manifest_torn = True
+            raise
+
     def close(self) -> None:
         """Seal any buffered rows and mark the writer closed (idempotent)."""
         if not self._closed:
             self.seal()
+            self._manifest.close()  # and with it the lock
             self._closed = True
 
     def __enter__(self) -> "EpochLogWriter":
@@ -435,9 +586,9 @@ class EpochLog:
     """Read-side view of an epoch log directory: epochs + checkpoints.
 
     :meth:`open` performs crash recovery (longest-valid-prefix, see the
-    module docstring); :meth:`refresh` re-reads the manifest so a live
-    follower picks up epochs a concurrent writer seals, and :meth:`poll`
-    hands them out one at a time.  Epoch segments
+    module docstring); :meth:`refresh` reads what a concurrent writer has
+    appended to the manifest since, so a live follower picks up the epochs
+    it seals, and :meth:`poll` hands them out one at a time.  Epoch segments
     load memory-mapped by default.  The checkpoint methods store and
     recover verifier snapshots inside the same directory — the epoch log
     is the one durable artefact a verification service needs.
@@ -446,29 +597,36 @@ class EpochLog:
     #: A log has no end marker: a writer may always seal another epoch.
     done = False
 
-    def __init__(self, directory: Path, entries: List[EpochInfo], retired: int):
+    def __init__(self, directory: Path) -> None:
         self.directory = directory
-        self.epochs = entries
-        self.retired_through = retired
+        self.epochs: List[EpochInfo] = []
+        self.retired_through = -1
         #: Epochs handed out by :meth:`poll` (set it to resume mid-log).
         self.position = 0
+        self._manifest_path = directory / MANIFEST_NAME
+        #: Set while the manifest records exactly ``epochs``: the next
+        #: :meth:`refresh` reads on from there instead of recovering.
+        self._cursor: Optional[_Cursor] = None
 
     @classmethod
     def open(cls, directory: Union[str, Path]) -> "EpochLog":
         """Open ``directory``, recovering the longest valid epoch prefix.
 
         Raises :class:`EpochLogError` when the directory does not exist
-        (or is a file); an empty or not-yet-populated directory opens as a
-        zero-epoch log that :meth:`refresh` can follow.
+        (or is a file) or holds a ``repro-epoch-log-v1`` manifest; an empty
+        or not-yet-populated directory opens as a zero-epoch log that
+        :meth:`refresh` can follow.
         """
         path = Path(directory)
         if not path.is_dir():
             raise EpochLogError(f"{path}: not an epoch log directory")
+        _refuse_v1(path)
         # Crash recovery includes hygiene: a writer killed mid-seal strands
         # its ``.*.tmp`` staging file, which no future seal will ever reuse.
-        _sweep_stale_tmp(path)
-        retired = _read_retired(path)
-        return cls(path, _recover_entries(path, retired), retired)
+        _sweep_unless_writer_is_live(path)
+        log = cls(path)
+        log.refresh()
+        return log
 
     @classmethod
     def open_existing(cls, directory: Union[str, Path]) -> "EpochLog":
@@ -476,7 +634,8 @@ class EpochLog:
         ``convert``): a directory with neither a manifest nor an epoch segment
         never was a log, and is refused before it is swept."""
         path = Path(directory)
-        if path.is_dir() and not (path / MANIFEST_NAME).exists():
+        manifests = (MANIFEST_NAME, _V1_MANIFEST_NAME)
+        if path.is_dir() and not any((path / name).exists() for name in manifests):
             if not any(path.glob(f"{_EPOCH_PREFIX}*.seg*")):
                 raise EpochLogError(f"{path}: not an epoch log")
         return cls.open(path)
@@ -492,16 +651,66 @@ class EpochLog:
     def refresh(self) -> List[EpochInfo]:
         """Pick up newly sealed epochs; return the new entries.
 
+        While the manifest is the file last read and has only grown, this
+        parses the bytes past the remembered offset — a constant number of
+        system calls when there are none.  A manifest that was replaced (a
+        writer restarted), is missing, or does not continue with the next
+        record sends it through full recovery instead.
+
         Raises :class:`EpochLogError` when the directory disappeared or
         the log regressed (fewer or different epochs than already seen) —
         both mean the follower's position is no longer meaningful.
         """
+        retired = _read_retired(self.directory)
+        fresh = self._read_appended() if self._cursor else None
+        if fresh is None:
+            fresh = self._recover(retired)
+        else:
+            self.epochs += fresh
+            last = min(retired, len(self.epochs) - 1)
+            for position in range(self.retired_through + 1, last + 1):
+                self.epochs[position] = replace(self.epochs[position], retired=True)
+        self.retired_through = max(retired, self.retired_through)
+        return fresh
+
+    def _read_appended(self) -> Optional[List[EpochInfo]]:
+        """The records appended since the cursor, which moves past them;
+        ``None`` when the manifest is not the cursor's file plus appended
+        records (:meth:`_recover` finds out what it is instead)."""
+        inode, offset = self._cursor
+        try:
+            stat = os.stat(self._manifest_path)
+            if stat.st_ino != inode:
+                return None
+            if stat.st_size == offset:
+                return []
+            if stat.st_size < offset:
+                # Only a writer's recovery shortens the manifest, on a new inode.
+                raise EpochLogError(
+                    f"{self.directory}: epoch log regressed: {MANIFEST_NAME} "
+                    f"shrank from {offset} to {stat.st_size} bytes"
+                )
+            with open(self._manifest_path, "rb") as fh:
+                if os.fstat(fh.fileno()).st_ino != inode:
+                    return None
+                fh.seek(offset)
+                data = fh.read()
+        except OSError:
+            return None
+        entries, end, clean = _parse_records(data, 0, len(self.epochs))
+        if not clean:
+            return None
+        self._cursor = (inode, offset + end)
+        return entries
+
+    def _recover(self, retired: int) -> List[EpochInfo]:
+        """Full recovery: the longest valid prefix on disk replaces
+        :attr:`epochs`, unless it contradicts what was already seen."""
         if not self.directory.is_dir():
             raise EpochLogError(
                 f"{self.directory}: epoch log disappeared while following"
             )
-        retired = _read_retired(self.directory)
-        entries = _recover_entries(self.directory, retired)
+        entries, cursor = _recover_entries(self.directory, retired)
         if len(entries) < len(self.epochs):
             raise EpochLogError(
                 f"{self.directory}: epoch log regressed from "
@@ -513,8 +722,7 @@ class EpochLog:
                     f"{self.directory}: sealed epoch {old.epoch} changed on disk"
                 )
         fresh = entries[len(self.epochs):]
-        self.epochs = entries
-        self.retired_through = retired
+        self.epochs, self._cursor = entries, cursor
         return fresh
 
     @property
@@ -557,7 +765,7 @@ class EpochLog:
         path = self.directory / entry.name
         if verify:
             try:
-                crc, size = _file_crc_and_size(path)
+                crc, size = file_crc32(path), os.stat(path).st_size
             except OSError as exc:
                 raise EpochLogError(
                     f"{self.directory}: epoch {entry.epoch} unreadable: {exc}"

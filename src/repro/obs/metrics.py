@@ -108,7 +108,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
     "repro_epochlog_fsync_seconds": (
         "histogram", "fsync time per sealed epoch segment"),
     "repro_epochlog_seal_seconds": (
-        "histogram", "End-to-end seal time per epoch (write+fsync+manifest)"),
+        "histogram", "End-to-end seal time per epoch (segment write+fsync+rename, record append+fsync)"),
     "repro_epochlog_epochs_loaded_total": (
         "counter", "Epoch segments loaded (mmap or copy) by readers"),
     "repro_epochlog_checkpoint_write_seconds": (
@@ -162,6 +162,8 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
     # Watch service.
     "repro_watch_epoch_lag": (
         "gauge", "Sealed epochs not yet ingested by the follower"),
+    "repro_verdict_latency_seconds": (
+        "histogram", "Wall clock from an epoch's seal to its verdict in repro watch"),
     "repro_watch_txns_ingested": (
         "gauge", "Transactions ingested by the watch follower"),
     "repro_watch_heartbeats_total": ("counter", "Watch heartbeats emitted"),

@@ -79,8 +79,11 @@ FAILPOINT_SITES: Dict[str, str] = {
     "epochlog.seal.rename": (
         "before the segment rename that publishes the epoch file"),
     "epochlog.manifest.commit": (
-        "before the manifest rewrite that commits a sealed epoch "
+        "before the record append that commits a sealed epoch "
         "(kill => sealed-but-unrecorded orphan, adopted on recovery)"),
+    "epochlog.manifest.fsync": (
+        "between the record append and its fsync "
+        "(truncate => torn record, the epoch is adopted from its file)"),
     "epochlog.checkpoint.save": (
         "before a verifier checkpoint is atomically persisted"),
     "columnar.segment.write": (

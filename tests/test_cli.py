@@ -163,7 +163,7 @@ class TestContainerCorners:
         first_line = (tmp_path / "h.jsonl").read_text().splitlines()[0]
         assert json.loads(first_line)["format"] == "repro-history-stream-v1"
         assert (tmp_path / "h.seg").read_bytes().startswith(b"REPROSEG1")
-        assert (tmp_path / "h.epochs" / "MANIFEST.json").exists()
+        assert (tmp_path / "h.epochs" / "MANIFEST.log").exists()
         assert len(sorted((tmp_path / "h.epochs").glob("epoch-*.seg"))) > 1
         assert len({tuple(rows(tmp_path / name)) for name in CONTAINERS}) == 1
 
@@ -190,7 +190,7 @@ class TestContainerCorners:
         odd.mkdir()
         healthy = histories / "healthy"
         assert run(capsys, "convert", healthy / "h.jsonl", odd, "--epoch-txns", "16")[0] == 0
-        assert (odd / "MANIFEST.json").exists()
+        assert (odd / "MANIFEST.log").exists()
         for extra in ([], ["--stream"], ["--workers", "2"]):
             assert run(capsys, "check", "--level", "si", *extra, odd) == run(
                 capsys, "check", "--level", "si", *extra, healthy / "h.epochs"

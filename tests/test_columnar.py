@@ -205,12 +205,12 @@ class TestSegmentFiles:
     ):
         """Intact bytes (every checksum holds) that do not describe a history:
         exit 2 with a message — never a verdict, never a traceback."""
-        import json
+        from dataclasses import replace
 
         from repro.cli import main
-        from repro.history import EpochLogWriter
+        from repro.history import EpochLog, EpochLogWriter
         from repro.history.columnar import file_crc32
-        from repro.history.epochlog import MANIFEST_NAME
+        from repro.history.epochlog import MANIFEST_NAME, _MANIFEST_HEADER, _encode_record
 
         t1 = Transaction(1, [read("x", 0), write("x", 1)], session_id=0)
         t2 = Transaction(2, [read("x", 0), write("x", 2)], session_id=1)
@@ -237,12 +237,12 @@ class TestSegmentFiles:
         with EpochLogWriter(log, epoch_transactions=8) as writer:
             for txn in history.transactions():
                 writer.append(txn)
-        manifest = json.loads((log / MANIFEST_NAME).read_text())
-        (entry,) = manifest["epochs"]
-        columns.save(log / entry["name"])
-        entry["crc32"] = file_crc32(log / entry["name"])
-        entry["size_bytes"] = (log / entry["name"]).stat().st_size
-        (log / MANIFEST_NAME).write_text(json.dumps(manifest))
+        (entry,) = EpochLog.open(log).epochs
+        columns.save(log / entry.name)
+        entry = replace(
+            entry, crc32=file_crc32(log / entry.name), size_bytes=(log / entry.name).stat().st_size
+        )
+        (log / MANIFEST_NAME).write_bytes(_MANIFEST_HEADER + _encode_record(entry))
 
         with pytest.raises(ValueError, match="malformed segment"):
             load_history_segment(segment)

@@ -7,19 +7,24 @@ mid-stream resumes from its newest checkpoint to the exact verdict an
 uninterrupted run produces.  Faults are injected post-hoc by truncating or
 corrupting the on-disk files at randomized offsets, which covers every
 state an interrupted writer can leave behind (its writes are sequential:
-temp file, rename, manifest temp file, rename).
+temp file, rename, one record appended to the manifest).
 """
 
 import gzip
 import json
+import os
 import random
+import shutil
+import time
 import zlib
+from dataclasses import replace
 
 import pytest
 
 from repro import Database, MTChecker, run_workload
 from repro.core.incremental import CheckerSession, stream_order
 from repro.core.result import IsolationLevel
+from repro.history import epochlog
 from repro.history.columnar import ColumnarHistory
 from repro.history.epochlog import (
     CHECKPOINT_FILE_FORMAT,
@@ -78,6 +83,21 @@ def direct_stream_format(transactions, level, *, window=None):
     return session.result().format()
 
 
+def drop_last_record(directory):
+    """Cut the manifest's last record off, as if the writer had died between
+    the segment rename and the record append: the epoch file is an orphan."""
+    manifest = directory / MANIFEST_NAME
+    lines = manifest.read_bytes().splitlines(keepends=True)
+    assert len(lines) > 1, "the manifest holds no record"
+    manifest.write_bytes(b"".join(lines[:-1]))
+
+
+def unstamped(entries):
+    """``entries`` without the seal's wall clock, which an entry adopted from
+    its file takes from the file's modification time."""
+    return [replace(entry, sealed_at=0) for entry in entries]
+
+
 def truncate_at(path, rng):
     """Cut ``path`` at a random byte offset strictly inside the file."""
     data = path.read_bytes()
@@ -113,12 +133,15 @@ class TestEpochLogBasics:
     @pytest.mark.parametrize("compress", [False, True])
     def test_writer_seals_epochs_with_accurate_manifest(self, tmp_path, compress):
         history = make_history(1)
+        started = time.time_ns() // 1_000_000
         log = build_log(
             tmp_path / "log.epochs", history, epoch_transactions=10, compress=compress
         )
         total_rows = sum(1 for _ in stream_order(history))
         assert log.num_transactions == total_rows
         assert len(log) == (total_rows + 9) // 10
+        stamps = [entry.sealed_at for entry in log.epochs]
+        assert started <= stamps[0] and stamps == sorted(stamps) and stamps[-1] <= time.time() * 1000
         for entry in log.epochs:
             segment = log.load_epoch(entry)  # verifies size + CRC
             assert segment.num_transactions == entry.transactions
@@ -171,8 +194,6 @@ class TestEpochLogBasics:
         (d / MANIFEST_NAME).unlink()
         with pytest.raises(EpochLogError, match="regressed"):
             log.refresh()
-        import shutil
-
         shutil.rmtree(d)
         with pytest.raises(EpochLogError, match="disappeared"):
             log.refresh()
@@ -206,10 +227,10 @@ class TestEpochLogBasics:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("compress", [False, True])
 class TestCrashRecovery:
-    def _log_dir(self, tmp_path, compress, seed=11):
+    def _log_dir(self, tmp_path, compress=False):
         d = tmp_path / "crash.epochs"
         log = build_log(
-            d, make_history(seed), epoch_transactions=10, compress=compress
+            d, make_history(11), epoch_transactions=10, compress=compress
         )
         assert len(log) >= 3
         return d, log
@@ -230,9 +251,7 @@ class TestCrashRecovery:
         d, log = self._log_dir(tmp_path, compress)
         (d / MANIFEST_NAME).unlink()
         recovered = EpochLog.open(d)
-        assert [e.to_dict() for e in recovered.epochs] == [
-            e.to_dict() for e in log.epochs
-        ]
+        assert unstamped(recovered.epochs) == unstamped(log.epochs)
 
     def test_torn_manifest_is_rebuilt_from_epoch_files(self, tmp_path, compress):
         rng = random.Random(1)
@@ -246,11 +265,7 @@ class TestCrashRecovery:
 
     def test_sealed_file_without_manifest_entry_is_adopted(self, tmp_path, compress):
         d, log = self._log_dir(tmp_path, compress)
-        # Rewrite the manifest as if the writer died between the segment
-        # rename and the manifest rename: the last entry never landed.
-        manifest = json.loads((d / MANIFEST_NAME).read_text())
-        manifest["epochs"] = manifest["epochs"][:-1]
-        (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+        drop_last_record(d)
         recovered = EpochLog.open(d)
         assert len(recovered) == len(log)
         assert recovered.epochs[-1].crc32 == log.epochs[-1].crc32
@@ -270,7 +285,7 @@ class TestCrashRecovery:
         d, log = self._log_dir(tmp_path, compress)
         orphan = d / ".epoch-99999.seg.tmp"
         orphan.write_bytes(b"stale")
-        EpochLogWriter(d, epoch_transactions=4, compress=compress)
+        EpochLogWriter(d, epoch_transactions=4, compress=compress).close()
         assert not orphan.exists()
 
     def test_corrupt_epoch_fails_its_checksum_cleanly(self, tmp_path, compress):
@@ -316,9 +331,7 @@ class TestCrashRecovery:
             elif scenario == "missing-manifest":
                 (d / MANIFEST_NAME).unlink()
             elif scenario == "orphan" and len(before) > 0:
-                manifest = json.loads((d / MANIFEST_NAME).read_text())
-                manifest["epochs"] = manifest["epochs"][:-1]
-                (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+                drop_last_record(d)
 
             recovered = EpochLog.open(d)  # (a) never crashes
             assert len(recovered) == len(before) - lost  # (b) sealed prefix
@@ -344,13 +357,208 @@ class TestCrashRecovery:
 def test_orphan_torn_in_its_gzip_trailer_is_not_adopted(tmp_path, cut):
     d = tmp_path / "crash.epochs"
     log = build_log(d, make_history(11), epoch_transactions=10, compress=True)
-    manifest = json.loads((d / MANIFEST_NAME).read_text())
-    manifest["epochs"] = manifest["epochs"][:-1]
-    (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+    drop_last_record(d)
     orphan = d / log.epochs[-1].name
     orphan.write_bytes(orphan.read_bytes()[:-cut])
     recovered = EpochLog.open(d)
     assert [e.crc32 for e in recovered.epochs] == [e.crc32 for e in log.epochs[:-1]]
+
+
+# ----------------------------------------------------------------------
+# The manifest: an append-only record log, read from where it was left
+# ----------------------------------------------------------------------
+def count_file_calls(monkeypatch, body):
+    """How many ``os.stat`` / ``os.fstat`` / ``open`` calls ``body()`` makes."""
+    import builtins
+    import io
+
+    calls = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "stat", counting(os.stat))
+        patch.setattr(os, "fstat", counting(os.fstat))
+        opener = counting(builtins.open)
+        patch.setattr(builtins, "open", opener)
+        patch.setattr(io, "open", opener)  # what pathlib calls
+        body()
+    return len(calls)
+
+
+class TestManifestLog:
+    _log_dir = TestCrashRecovery._log_dir
+
+    def test_last_record_cut_at_every_byte_is_adopted_from_its_file(self, tmp_path):
+        d, log = self._log_dir(tmp_path)
+        data = (d / MANIFEST_NAME).read_bytes()
+        last = data.rindex(b"\n", 0, -1) + 1  # where the last record starts
+        for cut in range(last, len(data)):  # ... up to "only the newline is missing"
+            (d / MANIFEST_NAME).write_bytes(data[:cut])
+            recorded, cursor = epochlog._read_manifest(d)
+            assert len(recorded) == len(log) - 1 and cursor[1] == last
+            recovered = EpochLog.open(d)
+            assert unstamped(recovered.epochs) == unstamped(log.epochs)
+
+    def test_flipped_byte_in_a_middle_record_ends_the_prefix_there(self, tmp_path):
+        d, log = self._log_dir(tmp_path)
+        lines = (d / MANIFEST_NAME).read_bytes().splitlines(keepends=True)
+        for position in range(len(lines[2]) - 1):  # every byte of epoch 1's record
+            damaged = bytearray(lines[2])
+            damaged[position] ^= 0x01
+            (d / MANIFEST_NAME).write_bytes(b"".join([*lines[:2], bytes(damaged), *lines[3:]]))
+            recorded, cursor = epochlog._read_manifest(d)
+            assert [e.epoch for e in recorded] == [0] and cursor is None
+            # The rest are still sealed files: adopted, none lost.
+            assert unstamped(EpochLog.open(d).epochs) == unstamped(log.epochs)
+
+    def test_a_follower_survives_a_writer_restart(self, tmp_path):
+        stream = list(stream_order(make_history(3)))
+        d = tmp_path / "restart.epochs"
+        seen = []
+
+        def drain(log):
+            log.refresh()
+            while (segment := log.poll()) is not None:
+                seen.extend(segment.txn_ids)
+
+        with EpochLogWriter(d, epoch_transactions=10) as writer:
+            for txn in stream[:25]:
+                writer.append(txn)
+            log = EpochLog.open(d)
+            drain(log)
+            followed = log._cursor
+            assert followed is not None and len(seen) == 20
+        drain(log)  # the closing seal is one more appended record
+        assert log._cursor == (followed[0], os.stat(d / MANIFEST_NAME).st_size)
+        with EpochLogWriter(d, epoch_transactions=10) as writer:
+            # Recovery published a fresh manifest: a new inode, the same epochs.
+            assert os.stat(d / MANIFEST_NAME).st_ino != followed[0]
+            drain(log)
+            assert len(seen) == 25
+            for txn in stream[25:]:
+                writer.append(txn)
+            drain(log)
+        drain(log)
+        assert log._cursor[0] == os.stat(d / MANIFEST_NAME).st_ino
+        assert seen == [txn.txn_id for txn in stream]  # each once, in order
+
+    def test_manifest_shorter_than_the_followers_offset_is_a_regression(self, tmp_path):
+        d, log = self._log_dir(tmp_path)
+        drop_last_record(d)  # in place: the same inode, fewer bytes
+        with pytest.raises(EpochLogError, match="regressed"):
+            log.refresh()
+
+    def test_idle_refresh_costs_the_same_on_a_long_log(self, tmp_path, monkeypatch):
+        stream = list(stream_order(make_history(7, txns=60)))
+        counts = {}
+        for epochs in (3, 200):
+            d = tmp_path / f"{epochs}.epochs"
+            with EpochLogWriter(d, epoch_transactions=1) as writer:
+                for txn in stream[:epochs]:
+                    writer.append(txn)
+            log = EpochLog.open(d)
+            assert len(log) == epochs
+            counts[epochs] = count_file_calls(monkeypatch, lambda: log.refresh() and None)
+        assert counts[3] == counts[200] <= 3
+
+    def test_a_seal_is_two_fsyncs(self, tmp_path, monkeypatch):
+        stream = list(stream_order(make_history(8)))
+        with EpochLogWriter(tmp_path / "f.epochs", epoch_transactions=10) as writer:
+            for txn in stream[:9]:
+                writer.append(txn)
+            synced = []
+            real_fsync = os.fsync
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+                writer.append(stream[9])
+            assert writer.epochs_sealed == 1
+            # The segment's staging file, then the manifest the writer keeps open.
+            assert len(synced) == 2 and synced[1] == writer._manifest.fileno()
+
+    def test_a_reader_does_not_sweep_a_live_writers_staging_file(self, tmp_path, monkeypatch):
+        stream = list(stream_order(make_history(9)))
+        d = tmp_path / "live.epochs"
+        staged = []
+
+        def open_a_reader_mid_seal(site, path=None):
+            if site == "epochlog.seal.rename":
+                EpochLog.open(d)  # what `repro watch DIR` does when it starts
+                staged.extend(d.glob(".*.tmp"))
+
+        monkeypatch.setattr(epochlog, "fail_point", open_a_reader_mid_seal)
+        with EpochLogWriter(d, epoch_transactions=10) as writer:
+            for txn in stream[:10]:
+                writer.append(txn)  # the tenth seals: FileNotFoundError before the fix
+            assert writer.epochs_sealed == 1 and len(staged) == 1
+        # The writer is gone and so is its lock: now stale files are swept.
+        (d / ".epoch-00009.seg.tmp").write_bytes(b"stale")
+        EpochLog.open(d)
+        assert not list(d.glob(".*.tmp"))
+
+    def test_a_second_writer_is_refused(self, tmp_path):
+        stream = list(stream_order(make_history(10)))
+        d = tmp_path / "owned.epochs"
+        with EpochLogWriter(d, epoch_transactions=10) as writer:
+            for txn in stream[:15]:
+                writer.append(txn)
+            with pytest.raises(EpochLogError, match="another writer holds this log"):
+                EpochLogWriter(d, epoch_transactions=10)
+            for txn in stream[15:30]:
+                writer.append(txn)
+        with EpochLogWriter(d, epoch_transactions=10) as writer:  # closed: released
+            assert writer.epochs_sealed == 3
+        assert [e.transactions for e in EpochLog.open(d).epochs] == [10, 10, 10]
+
+    def test_a_torn_append_is_repaired_before_the_next_record(self, tmp_path):
+        from repro.resilience import failpoints
+
+        stream = list(stream_order(make_history(12)))
+        d = tmp_path / "torn.epochs"
+        with EpochLogWriter(d, epoch_transactions=10) as writer:
+            for txn in stream[:10]:
+                writer.append(txn)
+            log = EpochLog.open(d)
+            with failpoints.scoped("epochlog.manifest.fsync=1*truncate(9)"):
+                with pytest.raises(OSError):
+                    for txn in stream[10:20]:
+                        writer.append(txn)
+            assert writer.epochs_sealed == 1  # the failed seal changed nothing
+            assert writer.seal().epoch == 1  # ... and sealing again writes the same epoch
+            for txn in stream[20:30]:
+                writer.append(txn)
+            assert [e.epoch for e in log.refresh()] == [1, 2]
+            # No bad line was left in the middle: the follower reads on by offset.
+            assert log._cursor is not None and log.refresh() == []
+        assert [list(s.txn_ids) for _e, s in log.iter_segments()] == [
+            [t.txn_id for t in stream[i : i + 10]] for i in (0, 10, 20)
+        ]
+
+    def test_the_old_manifest_format_is_refused_by_name(self, tmp_path, capsys):
+        from repro.cli import main
+
+        d, log = self._log_dir(tmp_path)
+        (d / MANIFEST_NAME).rename(d / "MANIFEST.json")
+        for opener in (EpochLog.open, EpochLog.open_existing, EpochLogWriter):
+            with pytest.raises(EpochLogError, match=r"MANIFEST\.json.*delete it"):
+                opener(d)
+        assert not (d / MANIFEST_NAME).exists()  # refused before anything was written
+        for argv in (
+            ["check", str(d)],
+            ["watch", "--once", str(d)],
+            ["convert", str(d), str(tmp_path / "out.jsonl")],
+        ):
+            assert main(argv) == 2, argv
+            out = capsys.readouterr().out
+            assert out.startswith("error: ") and "MANIFEST.json" in out, (argv, out)
+        # The remedy the message names works: the manifest is rebuilt from the files.
+        (d / "MANIFEST.json").unlink()
+        assert unstamped(EpochLog.open(d).epochs) == unstamped(log.epochs)
 
 
 # ----------------------------------------------------------------------

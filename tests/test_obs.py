@@ -452,6 +452,11 @@ class TestCLISurfaces:
         assert "repro_collector_txns_total" in obs.render(MetricsRegistry())
         # ...and the follower fully drained the log.
         assert parsed["repro_watch_epoch_lag"] == 0
+        # Seal-to-verdict latency: one observation per epoch, from the wall
+        # clock its manifest record carries to the moment it was verified.
+        assert parsed["repro_verdict_latency_seconds_count"] == len(list(path.glob("epoch-*.seg")))
+        assert 0 <= parsed["repro_verdict_latency_seconds_sum"] < 60
+        assert obs.METRIC_CATALOG["repro_verdict_latency_seconds"][0] == "histogram"
         assert not obs.enabled()
 
     def test_watch_scrape_reports_last_checkpoint_payload_bytes(self, tmp_path, capsys):
@@ -488,6 +493,7 @@ class TestCLISurfaces:
         parsed = obs.parse_textfile(metrics.read_text())
         assert parsed["repro_watch_txns_ingested"] > 0
         assert parsed["repro_watch_epoch_lag"] == 0
+        assert "repro_verdict_latency_seconds_count" not in parsed  # a stream records no seal time
         assert not obs.enabled()
 
     def test_watch_flushes_checkpoint_on_regressed_log(self, tmp_path, capsys):
@@ -497,9 +503,15 @@ class TestCLISurfaces:
         segs = sorted(path.glob("epoch-*.seg"))
         assert len(segs) > 1
 
-        # Regress the log while the follower sleeps between polls: the next
-        # refresh() raises, and the fix flushes the verified prefix first.
-        killer = threading.Timer(0.3, lambda: segs[-1].unlink())
+        # Regress the log while the follower sleeps between polls (an idle
+        # refresh() looks at the manifest, not at epoch files it has already
+        # read): the next refresh() raises, and the fix flushes the verified
+        # prefix first.
+        def regress():
+            segs[-1].unlink()
+            (path / "MANIFEST.log").unlink()
+
+        killer = threading.Timer(0.3, regress)
         killer.start()
         try:
             code = main(

@@ -490,6 +490,7 @@ WRITE_PATH_SITES = [
     "epochlog.seal.fsync",
     "epochlog.seal.rename",
     "epochlog.manifest.commit",
+    "epochlog.manifest.fsync",
     "columnar.segment.write",
 ]
 

@@ -365,7 +365,7 @@ class TestOneDoor:
         (tmp_path / "old.seg").write_bytes(segment)
         assert ColumnarHistory.load(tmp_path / "old.seg").to_wire() == columns.to_wire()
 
-        log = EpochLog(tmp_path, [], -1)
+        log = EpochLog.open(tmp_path)
         state = {"format": "any", "slots": [1, 2, 3]}
         body = {"epochs": 4, "transactions": 9, "state": state}
         payload = gzip.compress(dumps(body), compresslevel=4, mtime=0)
