@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from ..core.index import HistoryIndex
+from ..core.intcheck import build_write_index
 from ..core.model import History
 
 __all__ = ["LabeledEdge", "Constraint", "Polygraph", "build_polygraph"]
@@ -65,12 +65,7 @@ class Polygraph:
         )
 
 
-def build_polygraph(
-    history: History,
-    *,
-    infer_rmw_ww: bool = False,
-    index: Optional[HistoryIndex] = None,
-) -> Polygraph:
+def build_polygraph(history: History, *, infer_rmw_ww: bool = False) -> Polygraph:
     """Construct the polygraph of a history with unique written values.
 
     Args:
@@ -81,35 +76,34 @@ def build_polygraph(
             corresponding constraints can be resolved up front.  This is what
             keeps Cobra competitive on MT histories; PolySI-style encodings
             leave the constraints to the solver.
-        index: the shared :class:`~repro.core.index.HistoryIndex`; the
-            Cobra/PolySI baselines build it once per ``check`` call and
-            reuse it for both the INT pre-pass and this encoding.
     """
-    if index is None:
-        index = HistoryIndex.build(history)
-    committed = index.committed
-    graph = Polygraph(nodes=set(index.committed_ids))
+    committed = history.committed_transactions()
+    graph = Polygraph(nodes={txn.txn_id for txn in committed})
 
     # Session order.
-    for source, target in index.session_order_pairs:
-        if source.txn_id in index.committed_ids and target.txn_id in index.committed_ids:
+    for source, target in history.session_order():
+        if source.txn_id in graph.nodes and target.txn_id in graph.nodes:
             graph.known_edges.append((source.txn_id, target.txn_id, "SO"))
 
     # Write-read edges (unique values) and per-key reader/writer tables.
+    writes = build_write_index(history)
     writers_per_key: Dict[str, List[int]] = defaultdict(list)
     readers_of: Dict[Tuple[str, int], List[int]] = defaultdict(list)
     for txn in committed:
-        for key in index.final_writes(txn.txn_id):
+        for key in txn.final_writes():
             writers_per_key[key].append(txn.txn_id)
     known_ww: Set[Tuple[str, int, int]] = set()
-    for txn, record in index.iter_read_records():
-        writer = record.writer
-        if writer is None or not writer.committed or writer.txn_id == txn.txn_id:
+    for txn in committed:
+        if txn.is_initial:
             continue
-        graph.known_edges.append((writer.txn_id, txn.txn_id, "WR"))
-        readers_of[(record.key, writer.txn_id)].append(txn.txn_id)
-        if infer_rmw_ww and record.writes_key:
-            known_ww.add((record.key, writer.txn_id, txn.txn_id))
+        for key, value in txn.external_reads().items():
+            writer = writes.final_writer(key, value)
+            if writer is None or not writer.committed or writer.txn_id == txn.txn_id:
+                continue
+            graph.known_edges.append((writer.txn_id, txn.txn_id, "WR"))
+            readers_of[(key, writer.txn_id)].append(txn.txn_id)
+            if infer_rmw_ww and txn.writes_to(key):
+                known_ww.add((key, writer.txn_id, txn.txn_id))
 
     # Known WW edges from the RMW pattern (and their induced RW edges).
     for key, earlier, later in sorted(known_ww):

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.index import HistoryIndex
+from ..core.intcheck import check_internal_consistency
 from ..core.model import History
 from ..core.result import AnomalyKind, CheckResult, IsolationLevel, Violation
 from .cobra import _to_check_result
@@ -60,18 +60,15 @@ class PolySIChecker:
         """Verify the history against snapshot isolation."""
         level = IsolationLevel.SNAPSHOT_ISOLATION
         started = time.perf_counter()
-        index = HistoryIndex.build(history)
-        num_txns = index.num_committed
+        num_txns = len(history.committed_transactions(include_initial=False))
 
-        int_violations = index.int_violations()
+        int_violations = check_internal_consistency(history)
         if int_violations:
             result = CheckResult.violated(level, int_violations, num_transactions=num_txns)
             result.elapsed_seconds = time.perf_counter() - started
             return result
 
-        polygraph = build_polygraph(
-            history, infer_rmw_ww=self.prune_rmw_chains, index=index
-        )
+        polygraph = build_polygraph(history, infer_rmw_ww=self.prune_rmw_chains)
         construction_seconds = time.perf_counter() - started
 
         solver = PolygraphSolver(polygraph, mode="si")

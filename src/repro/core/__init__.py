@@ -13,7 +13,7 @@ from .incremental import (
     PearceKellyOrder,
     stream_order,
 )
-from .index import HistoryIndex, ReadRecord
+from .index import HistoryIndex
 from .intcheck import check_internal_consistency
 from .lwt import LWTHistory, LWTKind, LWTOperation, check_linearizability, check_object_linearizability
 from .mini import is_mini_transaction, is_mt_history, validate_mt_history
@@ -57,7 +57,6 @@ __all__ = [
     "Operation",
     "OpType",
     "PearceKellyOrder",
-    "ReadRecord",
     "Session",
     "Transaction",
     "TransactionStatus",

@@ -34,7 +34,8 @@ from typing import (
 )
 
 from .index import HistoryIndex
-from .model import History, Transaction
+from .intcheck import build_write_index
+from .model import History
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .csr import CSRGraph
@@ -307,9 +308,10 @@ def build_dependency(
         reduced_rt: use the transitive reduction of the real-time interval
             order instead of the full quadratic relation (reachability, and
             hence every acyclicity verdict, is unchanged).
-        index: the shared :class:`~repro.core.index.HistoryIndex`; built
-            here when not supplied, so the resolved read records and cached
-            SO/RT pairs are computed exactly once per call chain.
+        index: the shared :class:`~repro.core.index.HistoryIndex` the
+            dense kernel reads (built here when ``dense`` and not supplied).
+            The reference branch never builds or reads one: given only an
+            index (``history=None``) it uses ``index.history``.
         dense: emit an array-native :class:`~repro.core.csr.CSRGraph`
             instead of the labeled multigraph.  The dense graph never
             allocates an :class:`Edge` on the accept path and converts to
@@ -317,55 +319,58 @@ def build_dependency(
             (``CSRGraph.to_multigraph()``) when a cycle must be labeled or
             a caller asks for the multigraph.  This is the path the batch
             checkers run; the multigraph branch below is the reference
-            implementation the tests compare it against.
+            implementation the tests compare it against, resolved from the
+            ``History`` with the object model (:mod:`repro.core.model`,
+            :class:`~repro.core.intcheck.WriteIndex`) independently of the
+            index's column scan.
 
     Returns:
         The dependency graph over committed transactions (including ``⊥T``)
         — a :class:`DependencyGraph`, or a :class:`~repro.core.csr.CSRGraph`
         when ``dense=True``.
     """
-    if index is None:
-        index = HistoryIndex.build(history)
     if dense:
         from .csr import CSRGraph  # deferred: csr builds on this module
 
         return CSRGraph.from_index(
-            index,
+            index if index is not None else HistoryIndex.build(history),
             with_rt=with_rt,
             transitive_ww=transitive_ww,
             reduced_rt=reduced_rt,
         )
-    committed = index.committed
+    # The reference: read the History through the object model alone, so a
+    # scan bug cannot reach both sides of a kernel-vs-reference comparison.
+    if history is None:
+        history = index.history
+    committed = history.committed_transactions()
     graph = DependencyGraph(t.txn_id for t in committed)
-    committed_ids = index.committed_ids
 
+    pairs = [(EdgeType.SO, pair) for pair in history.session_order()]
     if with_rt:
-        for source, target in index.real_time_pairs(reduced=reduced_rt):
-            if source.txn_id in committed_ids and target.txn_id in committed_ids:
-                graph.add_edge(source.txn_id, target.txn_id, EdgeType.RT)
-
-    for source, target in index.session_order_pairs:
-        if source.txn_id in committed_ids and target.txn_id in committed_ids:
-            graph.add_edge(source.txn_id, target.txn_id, EdgeType.SO)
+        pairs += [(EdgeType.RT, pair) for pair in history.real_time_order(reduced=reduced_rt)]
+    for edge_type, (source, target) in pairs:
+        if source.txn_id in graph.nodes and target.txn_id in graph.nodes:
+            graph.add_edge(source.txn_id, target.txn_id, edge_type)
 
     # WR edges (entirely determined by unique values), and WW edges inferred
     # from WR thanks to the RMW pattern: if the reader also writes the same
     # object, it directly follows the writer it read from in the version
     # order of that object.
+    writes = build_write_index(history)
     ww_per_key: Dict[str, List[Tuple[int, int]]] = defaultdict(list)
-    wr_per_key: Dict[str, List[Tuple[int, int]]] = defaultdict(list)
-    for txn, record in index.iter_read_records():
-        key = record.key
-        writer = record.writer
-        if writer is None or not writer.committed or writer.txn_id == txn.txn_id:
-            # Read-provenance anomalies are reported by the INT pre-pass;
-            # skip the edge here rather than guessing.
+    for txn in committed:
+        if txn.is_initial:
             continue
-        graph.add_edge(writer.txn_id, txn.txn_id, EdgeType.WR, key)
-        wr_per_key[key].append((writer.txn_id, txn.txn_id))
-        if record.writes_key:
-            graph.add_edge(writer.txn_id, txn.txn_id, EdgeType.WW, key)
-            ww_per_key[key].append((writer.txn_id, txn.txn_id))
+        for key, value in txn.external_reads().items():
+            writer = writes.final_writer(key, value)
+            if writer is None or not writer.committed or writer.txn_id == txn.txn_id:
+                # Read-provenance anomalies are reported by the INT pre-pass;
+                # skip the edge here rather than guessing.
+                continue
+            graph.add_edge(writer.txn_id, txn.txn_id, EdgeType.WR, key)
+            if txn.writes_to(key):
+                graph.add_edge(writer.txn_id, txn.txn_id, EdgeType.WW, key)
+                ww_per_key[key].append((writer.txn_id, txn.txn_id))
 
     if transitive_ww:
         for key, pairs in ww_per_key.items():

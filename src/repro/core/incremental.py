@@ -56,7 +56,6 @@ expired surfaces as ThinAirRead, which is strictly louder.
 
 from __future__ import annotations
 
-import heapq
 import time
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
@@ -72,7 +71,7 @@ from .intcheck import transaction_int_violations
 from .mini import mt_violations
 from .model import (
     INITIAL_TXN_ID, STATUS_CODES, STATUS_FROM_CODE,
-    History, Transaction, TransactionStatus, make_initial_transaction,
+    History, Transaction, TransactionStatus, make_initial_transaction, stream_order,
 )
 from .result import AnomalyKind, CheckResult, IsolationLevel, Violation
 
@@ -1321,15 +1320,9 @@ class CheckerSession(IncrementalChecker):
         True
     """
 
-    def ingest_history(self, history: History, *, index=None) -> CheckResult:
-        """Stream a complete history in canonical order; return the verdict.
-
-        When the caller already built a
-        :class:`~repro.core.index.HistoryIndex` for the history (e.g. after
-        a batch check), pass it as ``index`` — its cached arrival order is
-        replayed instead of re-scanning the raw sessions.
-        """
-        for txn in stream_order(history, index=index):
+    def ingest_history(self, history: History) -> CheckResult:
+        """Stream a complete history in canonical order; return the verdict."""
+        for txn in stream_order(history):
             self.ingest(txn)
         return self.result()
 
@@ -1341,76 +1334,3 @@ class CheckerSession(IncrementalChecker):
 
     def __exit__(self, *exc_info: object) -> None:
         return None
-
-
-def stream_order(history: History, *, index=None) -> Iterator[Transaction]:
-    """Yield a history's transactions in a canonical streaming order.
-
-    The initial transaction (when present) comes first; sessions are then
-    merged by finish timestamp when every transaction carries one (the order
-    a commit-log tail would deliver), falling back to round-robin
-    interleaving.  Per-session order is always preserved, which is the one
-    ordering requirement of :class:`IncrementalChecker`.
-
-    This is the door every route takes from a :class:`History` to a verdict
-    (``ColumnarHistory.from_history``, ``HistoryIndex.build``,
-    ``ingest_history``), and past it a session *is* its id: a history whose
-    ``sessions`` list repeats a session id, or lists a transaction under a
-    session whose id differs from the transaction's own ``session_id``,
-    raises ``ValueError`` instead of meaning different things downstream.
-
-    A pre-built :class:`~repro.core.index.HistoryIndex` for the same history
-    short-circuits the merge with its cached order.
-    """
-    if index is not None:
-        if index.history is not history:
-            raise ValueError("index was built for a different history")
-        yield from index.stream_order()
-        return
-    # One pass: validate the sessions, snapshot their queues, and learn
-    # whether a timestamp merge is possible — all before the first yield, so
-    # a malformed history raises before any consumer has ingested a row.
-    queues: List[List[Transaction]] = []
-    seen_sessions: Set[int] = set()
-    timestamped = True
-    for session in history.sessions:
-        sid = session.session_id
-        if sid in seen_sessions:
-            raise ValueError(
-                f"malformed history: session id {sid} is listed more than once "
-                f"(a session is identified by its id)"
-            )
-        seen_sessions.add(sid)
-        queue = list(session.transactions)
-        for txn in queue:
-            if txn.session_id != sid:
-                raise ValueError(
-                    f"malformed history: session {sid} lists transaction "
-                    f"T{txn.txn_id}, which carries session id {txn.session_id}"
-                )
-            if txn.finish_ts is None:
-                timestamped = False
-        queues.append(queue)
-    if history.initial_transaction is not None:
-        yield history.initial_transaction
-    if timestamped:
-        heap = [
-            (queue[0].finish_ts, sid, 0)
-            for sid, queue in enumerate(queues)
-            if queue
-        ]
-        heapq.heapify(heap)
-        while heap:
-            _, sid, idx = heapq.heappop(heap)
-            yield queues[sid][idx]
-            if idx + 1 < len(queues[sid]):
-                heapq.heappush(heap, (queues[sid][idx + 1].finish_ts, sid, idx + 1))
-    else:
-        pending = [(queue, 0) for queue in queues if queue]
-        while pending:
-            next_round = []
-            for queue, idx in pending:
-                yield queue[idx]
-                if idx + 1 < len(queue):
-                    next_round.append((queue, idx + 1))
-            pending = next_round

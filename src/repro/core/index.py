@@ -1,11 +1,4 @@
-"""The shared :class:`HistoryIndex`: one scan, many consumers.
-
-Historically every layer of the pipeline re-derived the same per-history
-structures from the raw :class:`~repro.core.model.History`: the INT pre-pass
-built a write index, ``CHECKSI`` built another for the DIVERGENCE scan,
-``BUILDDEPENDENCY`` a third, and each solver baseline a fourth — plus as
-many full passes over every transaction's operations.  The checkers are
-linear-time on paper, but the constant factor was "number of consumers".
+"""The shared :class:`HistoryIndex`: one columnar scan, many consumers.
 
 :class:`HistoryIndex` is built **once** per history and is the sole
 history-scanning entry point for the batch pipeline:
@@ -16,32 +9,32 @@ history-scanning entry point for the batch pipeline:
   graph's integer fast path operate on;
 * the write index — ``(key, value) -> final/intermediate writer`` — is
   API-compatible with :class:`~repro.core.intcheck.WriteIndex`, so the
-  read-provenance classification runs against the shared index;
+  read-provenance classification of flagged rows runs against it;
 * every committed transaction's external reads are resolved to writer /
-  RMW-flag / written-value tuples, which is all ``BUILDDEPENDENCY``, the
-  DIVERGENCE scan, and the polygraph encoders need;
-* session order, real-time order, the INT verdict, and the MT-validation
-  verdict are computed once and cached.
+  RMW-flag / written-value columns (:attr:`read_columns`), which is all
+  the CSR kernel and the DIVERGENCE scan need;
+* session order and real-time order (as id pairs), the INT verdict, and
+  the MT-validation verdict are computed once and cached.
 
 There is **one construction path**: :meth:`build` is the door.  A
 :class:`~repro.history.columnar.ColumnarHistory` segment goes straight to
 the flat column scan (:meth:`from_columns`); a
 :class:`~repro.core.model.History` is column-encoded in canonical stream
-order first and then takes the same scan, with the object layer seeded
+order first and then takes the same scan, with ``transactions`` seeded
 from the caller's own ``Transaction`` objects so ``index.history is
 history`` and labelled counterexamples keep object identity.
 
 The index stores its resolved structures *densely* (integer transaction
 positions, interned key ids, int-keyed write slots, flat read columns) —
 nothing the scan retains is a per-row container, so building it never
-wakes the generational collector.  The object-facing API —
-``committed``, ``iter_read_records``, ``history``, ``final_writer``
-returning a ``Transaction`` — materialises lazily and is only paid for by
-consumers that actually need objects (the reference multigraph builder,
-cycle labeling on the reject path, the solver baselines).  The dense kernel
-(:mod:`repro.core.csr`) consumes the integer accessors
-(:meth:`committed_txn_ids <HistoryIndex>`, :attr:`read_columns`,
-:meth:`session_order_id_pairs`, :meth:`real_time_id_pairs`) exclusively.
+wakes the generational collector.  It holds no second copy of the object
+model: :mod:`repro.core.model` and :mod:`repro.core.intcheck` are the one
+object layer (the reference multigraph builder and the solver baselines
+read the :class:`History` through them, independently of this scan), and
+the only objects handed out here are the ``Transaction`` rows themselves
+(``transaction`` / ``transactions`` / ``history``, ``final_writer`` /
+``intermediate_writer``), materialised lazily for the INT classification
+of flagged rows, MT validation and cycle labeling on the reject path.
 
 The intended usage is one :meth:`build` per ``MTChecker.verify`` call,
 threaded down through :func:`~repro.core.checkers.check_ser` / ``check_si``
@@ -53,20 +46,7 @@ keeps working.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from .. import obs
 from .model import (
@@ -76,12 +56,14 @@ from .model import (
     Transaction,
     TransactionStatus,
     history_from_stream,
+    interval_order_reduction,
+    stream_order,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..history.columnar import ColumnarHistory
 
-__all__ = ["ReadRecord", "HistoryIndex"]
+__all__ = ["HistoryIndex"]
 
 #: Columnar ``statuses`` codes this module branches on (single source of
 #: truth: :data:`repro.core.model.STATUS_CODES`).
@@ -89,27 +71,6 @@ _COMMITTED_CODE = STATUS_CODES[TransactionStatus.COMMITTED]
 _ABORTED_CODE = STATUS_CODES[TransactionStatus.ABORTED]
 #: ``bytes.translate`` table: a status column becomes its committed mask.
 _COMMITTED_TABLE = bytes(code == _COMMITTED_CODE for code in range(256))
-
-
-class ReadRecord(NamedTuple):
-    """One resolved external read of a committed transaction.
-
-    Attributes:
-        key: the object read.
-        value: the value observed.
-        writer: the transaction whose *final* write produced ``value`` on
-            ``key``, or ``None`` (thin-air / intermediate / own value).
-        writes_key: whether the reader also writes ``key`` (the RMW pattern
-            that turns the WR edge into a WW edge).
-        written_value: the reader's final write on ``key`` (``None`` unless
-            ``writes_key``); used by the DIVERGENCE scan.
-    """
-
-    key: str
-    value: Optional[int]
-    writer: Optional[Transaction]
-    writes_key: bool
-    written_value: Optional[int]
 
 
 class HistoryIndex:
@@ -140,19 +101,17 @@ class HistoryIndex:
         The one entry point: a :class:`History` is column-encoded in
         canonical stream order (what :meth:`ColumnarHistory.from_history`
         does) and scanned by :meth:`from_columns`; the caller's own
-        ``Transaction`` objects then back the lazy object layer, so
+        ``Transaction`` objects then back ``transactions``, so
         ``index.history is source`` and no transaction is ever materialised
         a second time.  A segment goes straight to the scan.
         """
         if not isinstance(source, History):
             return cls.from_columns(source)
         from ..history.columnar import ColumnarHistory  # deferred: avoid cycle
-        from .incremental import stream_order  # deferred: avoid cycle
 
         stream = list(stream_order(source))
         self = cls.from_columns(ColumnarHistory.from_transactions(stream))
         self._history = source
-        self._stream = stream
         self._transactions = [stream[row] for row in self._row_order]
         return self
 
@@ -164,7 +123,7 @@ class HistoryIndex:
         ``Operation`` object is created.  Rows are scanned ``⊥T`` first,
         then grouped by ascending session id (the order of
         :meth:`ColumnarHistory.to_history`); consumers that ask for objects
-        (``committed``, ``history``, ``iter_read_records``) trigger lazy
+        (``transaction``, ``history``, ``final_writer``) trigger lazy
         materialisation from the columns instead.
         """
         self = cls(columns)
@@ -203,11 +162,11 @@ class HistoryIndex:
         # ``None``-valued writes sit in ``*_none`` by key id), and the
         # resolved reads are six parallel columns.  Ints are invisible to
         # the generational collector, which is what keeps the scan linear.
-        self._committed_pos: List[int] = []
-        self._committed_non_initial_pos: List[int] = []
         self._committed_mask = bytearray()
         self._status_of = bytearray()
         self._session_of: List[int] = []
+        #: Positions of the committed transactions, ``⊥T`` excluded.
+        self._non_initial_pos: List[int] = []
         self._radix = 1
         self._final_pos: Dict[int, int] = {}
         self._final_none: Dict[int, int] = {}
@@ -226,17 +185,10 @@ class HistoryIndex:
         self._txn_cache: Dict[int, Transaction] = {}
 
         # Lazy caches.
-        self._committed_txns: Optional[List[Transaction]] = None
-        self._committed_non_initial_txns: Optional[List[Transaction]] = None
-        self._reads: Dict[int, List[ReadRecord]] = {}
-        self._final_writes: Optional[Dict[int, Dict[str, int]]] = None
-        self._session_pairs: Optional[List[Tuple[Transaction, Transaction]]] = None
         self._session_id_pairs: Optional[List[Tuple[int, int]]] = None
-        self._rt_pairs: Dict[bool, List[Tuple[Transaction, Transaction]]] = {}
         self._rt_id_pairs: Dict[bool, List[Tuple[int, int]]] = {}
         self._int_violations: Optional[list] = None
         self._mt_problems: Optional[list] = None
-        self._stream: Optional[List[Transaction]] = None
 
     # ------------------------------------------------------------------
     # Construction: columnar scan
@@ -401,15 +353,15 @@ class HistoryIndex:
         self._session_of = session_of
         self._status_of = status_of
         self._committed_mask = status_of.translate(_COMMITTED_TABLE)
-        self._committed_pos = [pos for pos, c in enumerate(self._committed_mask) if c]
-        self.committed_txn_ids = [txn_ids[pos] for pos in self._committed_pos]
+        committed_pos = [pos for pos, c in enumerate(self._committed_mask) if c]
+        self.committed_txn_ids = [txn_ids[pos] for pos in committed_pos]
         self.committed_ids = set(self.committed_txn_ids)
-        self._committed_non_initial_pos = [
-            pos for pos in self._committed_pos if txn_ids[pos] != INITIAL_TXN_ID
+        self._non_initial_pos = [
+            pos for pos in committed_pos if txn_ids[pos] != INITIAL_TXN_ID
         ]
 
     # ------------------------------------------------------------------
-    # Object layer (lazy; seeded by build() from a History's own objects)
+    # Transaction rows (lazy; seeded by build() from a History's own objects)
     # ------------------------------------------------------------------
     def _txn_at(self, pos: int) -> Transaction:
         """The transaction at dense position ``pos`` (materialised lazily)."""
@@ -466,22 +418,6 @@ class HistoryIndex:
             ]
         return self._txn_keys
 
-    @property
-    def committed(self) -> List[Transaction]:
-        """All committed transactions including ``⊥T`` (scan order)."""
-        if self._committed_txns is None:
-            self._committed_txns = [self._txn_at(p) for p in self._committed_pos]
-        return self._committed_txns
-
-    @property
-    def committed_non_initial(self) -> List[Transaction]:
-        """Committed transactions excluding ``⊥T`` (scan order)."""
-        if self._committed_non_initial_txns is None:
-            self._committed_non_initial_txns = [
-                self._txn_at(p) for p in self._committed_non_initial_pos
-            ]
-        return self._committed_non_initial_txns
-
     # ------------------------------------------------------------------
     # Write index (API-compatible with intcheck.WriteIndex)
     # ------------------------------------------------------------------
@@ -512,66 +448,6 @@ class HistoryIndex:
         reader position, program order within a reader (treat as read-only)."""
         return self._reads_dense
 
-    def external_reads(self, txn_id: int) -> List[ReadRecord]:
-        """The resolved external reads of a committed transaction."""
-        records = self._reads.get(txn_id)
-        if records is None:
-            pos = self.txn_dense.get(txn_id)
-            if pos is None:
-                return []
-            readers = self._reads_dense[0]
-            lo, hi = bisect_left(readers, pos), bisect_right(readers, pos)
-            key_names = self.key_names
-            records = [
-                ReadRecord(
-                    key=key_names[kid],
-                    value=value,
-                    writer=self._txn_at(writer_pos) if writer_pos >= 0 else None,
-                    writes_key=writes_key,
-                    written_value=written_value,
-                )
-                for kid, value, writer_pos, writes_key, written_value in zip(
-                    *(column[lo:hi] for column in self._reads_dense[1:])
-                )
-            ]
-            self._reads[txn_id] = records
-        return records
-
-    def final_writes(self, txn_id: int) -> Dict[str, int]:
-        """The final ``{key: value}`` writes of a transaction."""
-        return self._ensure_final_writes().get(txn_id, {})
-
-    def _ensure_final_writes(self) -> Dict[int, Dict[str, int]]:
-        if self._final_writes is None:
-            cols = self._columns
-            key_names = cols.key_names
-            offsets = cols.op_offsets
-            kinds = cols.op_kinds
-            op_keys = cols.op_keys
-            op_values = cols.op_values
-            op_has = cols.op_has_value
-            final_writes: Dict[int, Dict[str, int]] = {}
-            for pos, row in enumerate(self._row_order):
-                finals: Dict[str, int] = {}
-                for op in range(offsets[row], offsets[row + 1]):
-                    if kinds[op] and op_has[op]:
-                        finals[key_names[op_keys[op]]] = op_values[op]
-                final_writes[self.txn_ids[pos]] = finals
-            self._final_writes = final_writes
-        return self._final_writes
-
-    def iter_read_records(self) -> Iterator[Tuple[Transaction, ReadRecord]]:
-        """All resolved reads in (transaction, program) scan order.
-
-        Materialises ``Transaction`` objects on a columnar-built index; the
-        dense kernel reads :attr:`read_columns` instead.
-        """
-        txn_ids = self.txn_ids
-        for pos in self._committed_non_initial_pos:
-            txn = self._txn_at(pos)
-            for record in self.external_reads(txn_ids[pos]):
-                yield txn, record
-
     def iter_read_tuples(
         self,
     ) -> Iterator[Tuple[int, str, Optional[int], Optional[int], bool, Optional[int]]]:
@@ -595,16 +471,6 @@ class HistoryIndex:
     # ------------------------------------------------------------------
     # Orders
     # ------------------------------------------------------------------
-    @property
-    def session_order_pairs(self) -> List[Tuple[Transaction, Transaction]]:
-        """Adjacent committed session-order pairs (cached)."""
-        if self._session_pairs is None:
-            self._session_pairs = [
-                (self.transaction(a), self.transaction(b))
-                for a, b in self.session_order_id_pairs()
-            ]
-        return self._session_pairs
-
     def session_order_id_pairs(self) -> List[Tuple[int, int]]:
         """Adjacent committed session-order pairs as transaction ids (cached)."""
         if self._session_id_pairs is None:
@@ -616,7 +482,7 @@ class HistoryIndex:
             # Dense order groups sessions contiguously (ascending id), so
             # streaming the positions yields the same pair order as
             # History.session_order's session-by-session walk.
-            for pos in self._committed_non_initial_pos:
+            for pos in self._non_initial_pos:
                 sid = session_of[pos]
                 prev = last_in_session.get(sid)
                 if prev is None:
@@ -627,15 +493,6 @@ class HistoryIndex:
                 last_in_session[sid] = txn_ids[pos]
             self._session_id_pairs = pairs
         return self._session_id_pairs
-
-    def real_time_pairs(self, reduced: bool = True) -> List[Tuple[Transaction, Transaction]]:
-        """Committed real-time order pairs (cached per ``reduced`` flag)."""
-        if reduced not in self._rt_pairs:
-            self._rt_pairs[reduced] = [
-                (self.transaction(a), self.transaction(b))
-                for a, b in self.real_time_id_pairs(reduced=reduced)
-            ]
-        return self._rt_pairs[reduced]
 
     def real_time_id_pairs(self, reduced: bool = True) -> List[Tuple[int, int]]:
         """Committed real-time order pairs as transaction ids (cached)."""
@@ -651,14 +508,14 @@ class HistoryIndex:
         # transactions in scan order — the entry order History.real_time_order
         # feeds interval_order_reduction, so stable sorts tie-break alike.
         entries: List[Tuple[float, float, int]] = []
-        for pos in self._committed_non_initial_pos:
+        for pos in self._non_initial_pos:
             row = self._row_order[pos]
             start, finish = cols.timestamps_at(row)
             if start is None or finish is None:
                 continue
             entries.append((start, finish, txn_ids[pos]))
         if reduced:
-            pairs = _interval_reduction_ids(entries)
+            pairs = interval_order_reduction(entries)
         else:
             pairs = [
                 (a[2], b[2])
@@ -670,19 +527,6 @@ class HistoryIndex:
             first = min(entries, key=lambda e: e[0])
             pairs.append((INITIAL_TXN_ID, first[2]))
         return pairs
-
-    def stream_order(self) -> List[Transaction]:
-        """The canonical streaming arrival order (cached).
-
-        Same contract as :func:`repro.core.incremental.stream_order`: ``⊥T``
-        first, sessions merged by finish timestamp with a round-robin
-        fallback, per-session order preserved.
-        """
-        if self._stream is None:
-            from .incremental import stream_order  # local import: no cycle at module load
-
-            self._stream = list(stream_order(self.history))
-        return self._stream
 
     # ------------------------------------------------------------------
     # Cached verdict pre-passes
@@ -725,7 +569,7 @@ class HistoryIndex:
     @property
     def num_committed(self) -> int:
         """Committed transactions excluding ``⊥T``."""
-        return len(self._committed_non_initial_pos)
+        return len(self._non_initial_pos)
 
     def transaction(self, txn_id: int) -> Transaction:
         return self._txn_at(self.txn_dense[txn_id])
@@ -747,38 +591,3 @@ class HistoryIndex:
             f"HistoryIndex(transactions={len(self.txn_ids)}, "
             f"keys={len(self.key_names)}, committed={self.num_committed})"
         )
-
-
-def _interval_reduction_ids(
-    entries: Sequence[Tuple[float, float, int]],
-) -> List[Tuple[int, int]]:
-    """Transitive reduction of the interval order over ``(start, finish, id)``.
-
-    The id-level mirror of :func:`repro.core.model.interval_order_reduction`
-    — same algorithm, same stable tie-breaking (both sorts key on a single
-    timestamp, so equal stamps keep their scan order), producing the same
-    pair sequence as ``History.real_time_order`` (pinned by
-    ``tests/test_index.py``).
-    """
-    if not entries:
-        return []
-    by_finish = sorted(entries, key=lambda e: e[1])
-    by_start = sorted(entries, key=lambda e: e[0])
-
-    pairs: List[Tuple[int, int]] = []
-    finish_idx = 0
-    max_start_of_preds = float("-inf")
-    preds: List[Tuple[float, float, int]] = []
-    for b in by_start:
-        while finish_idx < len(by_finish) and by_finish[finish_idx][1] < b[0]:
-            cand = by_finish[finish_idx]
-            preds.append(cand)
-            if cand[0] > max_start_of_preds:
-                max_start_of_preds = cand[0]
-            finish_idx += 1
-        if not preds:
-            continue
-        preds = [a for a in preds if a[1] >= max_start_of_preds]
-        for a in preds:
-            pairs.append((a[2], b[2]))
-    return pairs

@@ -20,9 +20,10 @@ other transactions in the session order.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 __all__ = [
     "OpType",
@@ -36,9 +37,12 @@ __all__ = [
     "STATUS_CODES",
     "STATUS_FROM_CODE",
     "history_from_stream",
+    "stream_order",
     "read",
     "write",
 ]
+
+T = TypeVar("T")
 
 #: Identifier reserved for the initial transaction ``⊥T``.
 INITIAL_TXN_ID = -1
@@ -196,17 +200,12 @@ class Transaction:
     def external_read(self, key: str) -> Optional[int]:
         """Return ``v`` such that ``T ⊢ R(key, v)``, or ``None``.
 
-        This is the value of the *first* read of ``key`` that occurs before
-        any write of ``key`` within the transaction, i.e. the value the
-        transaction observed from the rest of the system.
+        This is the value of the *first valued* read of ``key`` that occurs
+        before any write of ``key`` within the transaction, i.e. the value
+        the transaction observed from the rest of the system — by
+        definition ``external_reads().get(key)``.
         """
-        for op in self.operations:
-            if op.key != key:
-                continue
-            if op.is_write:
-                return None
-            return op.value
-        return None
+        return self.external_reads().get(key)
 
     def external_reads(self) -> Dict[str, int]:
         """All external reads of the transaction as a ``{key: value}`` map."""
@@ -408,7 +407,7 @@ class History:
             and t.finish_ts is not None
         ]
         if reduced:
-            pairs = interval_order_reduction(txns)
+            pairs = interval_order_reduction([(t.start_ts, t.finish_ts, t) for t in txns])
         else:
             pairs = [
                 (a, b)
@@ -457,6 +456,72 @@ def history_from_stream(transactions: Iterable[Transaction]) -> History:
     )
 
 
+def stream_order(history: History) -> Iterator[Transaction]:
+    """Yield a history's transactions in a canonical streaming order.
+
+    The initial transaction (when present) comes first; sessions are then
+    merged by finish timestamp when every transaction carries one (the order
+    a commit-log tail would deliver), falling back to round-robin
+    interleaving.  Per-session order is always preserved, which is the one
+    ordering requirement of :class:`IncrementalChecker`.
+
+    This is the door every route takes from a :class:`History` to a verdict
+    (``ColumnarHistory.from_history``, ``HistoryIndex.build``,
+    ``ingest_history``), and past it a session *is* its id: a history whose
+    ``sessions`` list repeats a session id, or lists a transaction under a
+    session whose id differs from the transaction's own ``session_id``,
+    raises ``ValueError`` instead of meaning different things downstream.
+    :func:`history_from_stream` is the inverse.
+    """
+    # One pass: validate the sessions, snapshot their queues, and learn
+    # whether a timestamp merge is possible — all before the first yield, so
+    # a malformed history raises before any consumer has ingested a row.
+    queues: List[List[Transaction]] = []
+    seen_sessions: Set[int] = set()
+    timestamped = True
+    for session in history.sessions:
+        sid = session.session_id
+        if sid in seen_sessions:
+            raise ValueError(
+                f"malformed history: session id {sid} is listed more than once "
+                f"(a session is identified by its id)"
+            )
+        seen_sessions.add(sid)
+        queue = list(session.transactions)
+        for txn in queue:
+            if txn.session_id != sid:
+                raise ValueError(
+                    f"malformed history: session {sid} lists transaction "
+                    f"T{txn.txn_id}, which carries session id {txn.session_id}"
+                )
+            if txn.finish_ts is None:
+                timestamped = False
+        queues.append(queue)
+    if history.initial_transaction is not None:
+        yield history.initial_transaction
+    if timestamped:
+        heap = [
+            (queue[0].finish_ts, sid, 0)
+            for sid, queue in enumerate(queues)
+            if queue
+        ]
+        heapq.heapify(heap)
+        while heap:
+            _, sid, idx = heapq.heappop(heap)
+            yield queues[sid][idx]
+            if idx + 1 < len(queues[sid]):
+                heapq.heappush(heap, (queues[sid][idx + 1].finish_ts, sid, idx + 1))
+    else:
+        pending = [(queue, 0) for queue in queues if queue]
+        while pending:
+            next_round = []
+            for queue, idx in pending:
+                yield queue[idx]
+                if idx + 1 < len(queue):
+                    next_round.append((queue, idx + 1))
+            pending = next_round
+
+
 def make_initial_transaction(keys: Iterable[str], value: int = INITIAL_VALUE) -> Transaction:
     """Create the initial transaction ``⊥T`` writing ``value`` to each key."""
     txn = Transaction(txn_id=INITIAL_TXN_ID, session_id=-1)
@@ -466,39 +531,38 @@ def make_initial_transaction(keys: Iterable[str], value: int = INITIAL_VALUE) ->
 
 
 def interval_order_reduction(
-    txns: Sequence[Transaction],
-) -> List[Tuple[Transaction, Transaction]]:
-    """Transitive reduction of the real-time (interval) order over ``txns``.
+    entries: Sequence[Tuple[float, float, T]],
+) -> List[Tuple[T, T]]:
+    """Transitive reduction of the real-time (interval) order.
 
-    ``A → B`` is kept iff ``A.finish < B.start`` and there is no ``C`` with
-    ``A.finish < C.start`` and ``C.finish < B.start``.  Equivalently, among
-    the predecessors of ``B`` (all ``A`` with ``A.finish < B.start``), only
-    those whose finish time is at least the maximum *start* time of any
-    predecessor are immediate.
+    ``entries`` are ``(start, finish, payload)`` triples; the result pairs
+    the payloads.  ``A → B`` is kept iff ``A.finish < B.start`` and there
+    is no ``C`` with ``A.finish < C.start`` and ``C.finish < B.start``.
+    Equivalently, among the predecessors of ``B`` (all ``A`` with
+    ``A.finish < B.start``), only those whose finish time is at least the
+    maximum *start* time of any predecessor are immediate.  Both sorts key
+    on a single timestamp, so equal stamps keep their entry order.
     """
-    timed = [t for t in txns if t.start_ts is not None and t.finish_ts is not None]
-    if not timed:
-        return []
-    by_finish = sorted(timed, key=lambda t: t.finish_ts)  # type: ignore[arg-type]
-    by_start = sorted(timed, key=lambda t: t.start_ts)  # type: ignore[arg-type]
+    by_finish = sorted(entries, key=lambda e: e[1])
+    by_start = sorted(entries, key=lambda e: e[0])
 
-    pairs: List[Tuple[Transaction, Transaction]] = []
+    pairs: List[Tuple[T, T]] = []
     finish_idx = 0
     max_start_of_preds = float("-inf")
     # Predecessor pool, kept as a list; we only need those with
     # finish >= max_start_of_preds, so we prune lazily.
-    preds: List[Transaction] = []
+    preds: List[Tuple[float, float, T]] = []
     for b in by_start:
-        while finish_idx < len(by_finish) and by_finish[finish_idx].finish_ts < b.start_ts:  # type: ignore[operator]
+        while finish_idx < len(by_finish) and by_finish[finish_idx][1] < b[0]:
             cand = by_finish[finish_idx]
             preds.append(cand)
-            if cand.start_ts is not None and cand.start_ts > max_start_of_preds:
-                max_start_of_preds = cand.start_ts
+            if cand[0] > max_start_of_preds:
+                max_start_of_preds = cand[0]
             finish_idx += 1
         if not preds:
             continue
         # Prune predecessors that can no longer be immediate for any later b.
-        preds = [a for a in preds if a.finish_ts >= max_start_of_preds]  # type: ignore[operator]
+        preds = [a for a in preds if a[1] >= max_start_of_preds]
         for a in preds:
-            pairs.append((a, b))
+            pairs.append((a[2], b[2]))
     return pairs

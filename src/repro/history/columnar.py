@@ -69,6 +69,7 @@ from ..core.model import (
     Transaction,
     TransactionStatus,
     history_from_stream,
+    stream_order,
 )
 from .files import atomic_write
 
@@ -448,8 +449,6 @@ class ColumnarHistory:
     @classmethod
     def from_history(cls, history: History) -> "ColumnarHistory":
         """Column-encode a history in canonical streaming arrival order."""
-        from ..core.incremental import stream_order  # deferred: avoid cycle
-
         return cls.from_transactions(stream_order(history))
 
     @classmethod

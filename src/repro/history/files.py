@@ -16,7 +16,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
-from ..core.model import History, Transaction
+from ..core.model import History, Transaction, stream_order
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .columnar import ColumnarHistory
@@ -181,7 +181,6 @@ def write_history(
     ``source`` is a :class:`History` (written in ``stream_order``), columns,
     or transactions in arrival order, ``⊥T`` first (a stream's header row).
     """
-    from ..core.incremental import stream_order
     from .columnar import ColumnarHistory
     from .epochlog import EpochLogWriter
     from .serialization import HistoryStreamWriter, save_history

@@ -407,15 +407,10 @@ class TestColumnarIndex:
         cols = ColumnarHistory.from_history(history)
         index = HistoryIndex.from_columns(cols)
         # Object accessors materialise on demand and agree with the columns.
-        assert {t.txn_id for t in index.committed_non_initial} == {
-            t.txn_id
-            for t in cols.to_history().committed_transactions(include_initial=False)
-        }
-        writer = index.final_writer(
-            index.key_names[0],
-            index.final_writes(index.committed_txn_ids[-1]).get(index.key_names[0]),
-        )
-        assert writer is None or isinstance(writer, Transaction)
+        last = index.transaction(index.committed_txn_ids[-1])
+        assert isinstance(last, Transaction) and last.committed
+        for key, value in last.final_writes().items():
+            assert index.final_writer(key, value) is last
         assert index.history.num_transactions() == len(cols.to_history())
 
 

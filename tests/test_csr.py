@@ -30,16 +30,21 @@ def lost_update_history():
     return History.from_transactions([[t1], [t2]], initial_keys=["x"])
 
 
-def assert_kernel_matches_reference(history, *, with_rt, transitive_ww):
-    """The CSR build equals ``build_dependency``'s multigraph, edge for edge."""
-    index = HistoryIndex.build(history)
+def assert_kernel_matches_reference(history, *, with_rt, transitive_ww, index=None):
+    """The CSR build equals ``build_dependency``'s multigraph, edge for edge.
+
+    The two sides share no scan: the kernel reads the index's columns, the
+    reference resolves the ``History`` with the object model.
+    """
     options = dict(with_rt=with_rt, transitive_ww=transitive_ww, index=index)
     reference = build_dependency(history, **options)
     csr = build_dependency(history, dense=True, **options)
 
     assert set(csr.iter_edges()) == set(reference.edges())
     assert (csr.has_cycle() is None) == (reference.find_cycle() is None)
-    # Labeled counterexamples come from the materialised multigraph.
+    # Labeled counterexamples come from the materialised multigraph;
+    # find_cycle sorts nodes and successors, so equal edge sets give the
+    # same cycle list for list whatever order the edges were inserted in.
     assert csr.to_multigraph().find_cycle() == reference.find_cycle()
 
     if not with_rt:  # CHECKSI composes the RT-free graph only
@@ -177,3 +182,36 @@ class TestKernelMatchesReference:
                 with_rt=with_rt,
                 transitive_ww=transitive_ww,
             )
+
+
+class TestReferenceIsIndependentOfTheScan:
+    def test_a_dropped_resolved_read_fails_the_comparison(self, monkeypatch):
+        history = composite_history([("si", 81, None)])
+        assert_kernel_matches_reference(history, with_rt=False, transitive_ww=False)
+        index = HistoryIndex.build(history)
+        options = dict(with_rt=False, transitive_ww=False, index=index)
+
+        # A scan bug: the index loses one resolved read.  When the reference
+        # read the same columns, both sides lost the edge and still agreed.
+        columns = index.read_columns
+        victim = next(slot for slot, writer in enumerate(columns[3]) if writer >= 0)
+        monkeypatch.setattr(
+            index, "_reads_dense", tuple(col[:victim] + col[victim + 1:] for col in columns)
+        )
+        assert len(index.read_columns[0]) == len(columns[0]) - 1
+        with pytest.raises(AssertionError):
+            assert_kernel_matches_reference(history, **options)
+        kernel = set(build_dependency(history, dense=True, index=index).iter_edges())
+        assert kernel < set(build_dependency(history, index=index).edges())
+
+    def test_reference_and_solver_baselines_build_no_index(self):
+        from repro.baselines import CobraChecker, PolySIChecker
+        from repro.baselines.polygraph import build_polygraph
+
+        history = composite_history([("si", 82, _fault("lostupdate", 0.3, 82))])
+        before = HistoryIndex.builds
+        build_dependency(history, with_rt=True)
+        build_polygraph(history)
+        CobraChecker().check(history)
+        PolySIChecker().check(history)
+        assert HistoryIndex.builds == before

@@ -62,6 +62,12 @@ class TestTransaction:
         txn = Transaction(1, [write("x", 4), read("x", 4)])
         assert txn.external_read("x") is None
 
+    def test_external_read_skips_a_valueless_first_read(self):
+        # PR 21's false-SATISFIED shape: both spellings resolve to the valued read.
+        txn = Transaction(1, [read("x", None), read("x", 3), write("x", 4)])
+        assert txn.external_reads() == {"x": 3}
+        assert txn.external_read("x") == 3
+
     def test_external_reads_map(self):
         txn = Transaction(1, [read("x", 3), read("y", 5), write("y", 6), read("y", 6)])
         assert txn.external_reads() == {"x": 3, "y": 5}
@@ -194,6 +200,10 @@ class TestHistory:
         assert "History(" in repr(history)
 
 
+def reduced_id_pairs(txns):
+    return set(interval_order_reduction([(t.start_ts, t.finish_ts, t.txn_id) for t in txns]))
+
+
 class TestIntervalOrderReduction:
     @staticmethod
     def _txn(txn_id, start, finish):
@@ -201,7 +211,7 @@ class TestIntervalOrderReduction:
 
     def test_reduction_on_a_chain(self):
         txns = [self._txn(i, float(i), i + 0.5) for i in range(5)]
-        pairs = {(a.txn_id, b.txn_id) for a, b in interval_order_reduction(txns)}
+        pairs = reduced_id_pairs(txns)
         # Only adjacent pairs survive the reduction.
         assert pairs == {(i, i + 1) for i in range(4)}
 
@@ -219,7 +229,7 @@ class TestIntervalOrderReduction:
             for a, b in itertools.permutations(txns, 2)
             if a.finish_ts < b.start_ts
         }
-        reduced = {(a.txn_id, b.txn_id) for a, b in interval_order_reduction(txns)}
+        reduced = reduced_id_pairs(txns)
         assert reduced <= full
 
         # Transitive closure of the reduction equals the full relation.
@@ -241,8 +251,8 @@ class TestIntervalOrderReduction:
 
     def test_empty_and_untimed_transactions(self):
         assert interval_order_reduction([]) == []
-        untimed = Transaction(1, [])
-        assert interval_order_reduction([untimed]) == []
+        untimed = History.from_transactions([[Transaction(1, [])]])
+        assert untimed.real_time_order() == []
 
 
 class TestSession:

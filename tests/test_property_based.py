@@ -205,7 +205,9 @@ class TestStructuralProperties:
             for b in txns
             if a is not b and a.finish_ts < b.start_ts
         }
-        reduced = {(a.txn_id, b.txn_id) for a, b in interval_order_reduction(txns)}
+        reduced = set(
+            interval_order_reduction([(t.start_ts, t.finish_ts, t.txn_id) for t in txns])
+        )
         assert reduced <= full
         # Closure of the reduction recovers the full relation.
         adjacency = {}
