@@ -51,7 +51,6 @@ from .core import (
     write,
 )
 from .adapters import (
-    AsyncCollectionResult,
     AsyncCollector,
     ChaosAdapter,
     ChaosPlan,
@@ -67,7 +66,6 @@ from .db import Database, DatabaseStats, FaultPlan, TransactionAborted
 from .history import (
     ColumnarHistory,
     HistoryStreamWriter,
-    SegmentWriter,
     load_history_segment,
     write_history_segment,
 )
@@ -85,7 +83,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AnomalyKind",
-    "AsyncCollectionResult",
     "AsyncCollector",
     "CSRGraph",
     "ChaosAdapter",
@@ -117,7 +114,6 @@ __all__ = [
     "OpType",
     "PearceKellyOrder",
     "SQLiteAdapter",
-    "SegmentWriter",
     "Session",
     "Shard",
     "SimulatedAdapter",

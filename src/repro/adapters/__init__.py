@@ -13,8 +13,9 @@ hands the resulting history to :class:`~repro.core.checker.MTChecker`.
   plans) behind the same protocol;
 * :mod:`repro.adapters.chaos` — protocol-boundary fault injection for
   true-positive detections against healthy engines;
-* :mod:`repro.adapters.collector` — the session driver for sync adapters
-  (a bounded pool of threads);
+* :mod:`repro.adapters.collector` — the recorder both collectors share
+  (:class:`CollectorBase`) and the session driver for sync adapters (a
+  bounded pool of threads);
 * :mod:`repro.adapters.aio` / :mod:`repro.adapters.acollector` — the
   coroutine adapter protocol and the session driver for adapters that
   speak it.
@@ -22,7 +23,8 @@ hands the resulting history to :class:`~repro.core.checker.MTChecker`.
 Use :func:`make_adapter` to construct adapters by name (the CLI's
 ``repro collect --adapter ...`` resolves through it) and
 :func:`collect_history` to run a workload through the collector the
-adapter calls for.
+adapter calls for.  The two collectors differ only in how a session waits
+(threads or coroutines); both return one :class:`CollectionResult`.
 """
 
 from __future__ import annotations
@@ -38,12 +40,7 @@ from .base import (
     DatabaseAdapter,
 )
 from .chaos import CHAOS_FAULTS, ChaosAdapter, ChaosPlan, ChaosSession
-from .collector import (
-    CollectionResult,
-    Collector,
-    CollectorBase,
-    ThreadSafeClock,
-)
+from .collector import CollectionResult, Collector, CollectorBase
 from .simulated import SimulatedAdapter, SimulatedSession
 from .sqlite import SQLiteAdapter, SQLiteSession
 from .aio import (
@@ -52,7 +49,7 @@ from .aio import (
     AsyncSimulatedAdapter,
     AsyncSimulatedSession,
 )
-from .acollector import AsyncCollectionResult, AsyncCollector
+from .acollector import AsyncCollector
 
 __all__ = [
     "ADAPTER_NAMES",
@@ -62,7 +59,6 @@ __all__ = [
     "AdapterSession",
     "AdapterStateError",
     "AsyncAdapterSession",
-    "AsyncCollectionResult",
     "AsyncCollector",
     "AsyncDatabaseAdapter",
     "AsyncSimulatedAdapter",
@@ -79,7 +75,6 @@ __all__ = [
     "SQLiteSession",
     "SimulatedAdapter",
     "SimulatedSession",
-    "ThreadSafeClock",
     "collect_history",
     "make_adapter",
 ]
@@ -134,8 +129,7 @@ def collect_history(adapter, workload, **kwargs):
     (:class:`AsyncCollector`), anything else by a thread pool
     (:class:`Collector`): each is the faster driver on its own side and
     neither can drive the other's adapters.  ``kwargs`` go to the collector;
-    both results carry ``columns``, ``history``, ``stats``, ``adapter_name``
-    and ``unknown``.
+    either returns a :class:`CollectionResult`.
     """
     collector = AsyncCollector if isinstance(adapter, AsyncDatabaseAdapter) else Collector
     return collector(adapter, **kwargs).collect(workload)

@@ -46,6 +46,12 @@ class ChaosPlan:
     duplicate_commit_rate: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("lost_write_rate", "stale_read_rate", "duplicate_commit_rate"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 1.0:  # NaN fails too
+                raise ValueError(f"{name} is a probability in [0, 1], got {rate}")
+
     @classmethod
     def for_fault(cls, fault: str, rate: float = 0.2, seed: int = 0) -> "ChaosPlan":
         """A plan enabling one named defect (see :data:`CHAOS_FAULTS`)."""

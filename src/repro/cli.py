@@ -822,8 +822,8 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         }
         print(f"injected chaos: {fired or 'none fired'}")
 
-    # Columns are what the writers and the checker consume (coroutine rows
-    # were born columnar and never become Transaction objects).
+    # Both collectors record columns: what the writers and the checker
+    # consume, with no Transaction object built on the way.
     history = result.columns
     if args.output is not None:
         write_history(history, args.output)

@@ -47,6 +47,14 @@ class FaultPlan:
     dirty_install_rate: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in (
+            "lost_update_rate", "write_skew_rate", "stale_read_rate", "dirty_install_rate"
+        ):
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 1.0:  # NaN fails too
+                raise ValueError(f"{name} is a probability in [0, 1], got {rate}")
+
     @classmethod
     def for_anomaly(cls, anomaly: str, rate: float = 0.2, seed: int = 0) -> "FaultPlan":
         """A plan that injects the defect behind a named anomaly class."""

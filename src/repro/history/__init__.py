@@ -23,7 +23,6 @@ from .columnar import (
     OP_READ,
     OP_WRITE,
     ColumnarHistory,
-    SegmentWriter,
     is_segment_path,
     load_history_segment,
     write_history_segment,
@@ -72,7 +71,6 @@ __all__ = [
     "EpochLog",
     "EpochLogError",
     "EpochLogWriter",
-    "SegmentWriter",
     "HistoryStreamWriter",
     "StreamFollower",
     "history_format",

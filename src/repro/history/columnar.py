@@ -57,7 +57,6 @@ from typing import (
     Union,
 )
 
-from .. import obs
 from ..resilience.failpoints import fail_point
 from ..core.model import (
     INITIAL_TXN_ID,
@@ -75,7 +74,6 @@ from .files import atomic_write
 
 __all__ = [
     "ColumnarHistory",
-    "SegmentWriter",
     "is_segment_path",
     "write_history_segment",
     "load_history_segment",
@@ -157,7 +155,9 @@ class ColumnarHistory:
     Rows are transactions in arrival order; when the history has an initial
     transaction ``⊥T`` it occupies row 0 (``txn_id == -1``).  Per-session
     order is whatever order rows were appended in, which every producer
-    (stream order, the collector's finish-order hook) preserves.
+    (stream order, the collectors' finish order) preserves.  The instance
+    is itself an ``on_transaction`` hook (``__call__`` is :meth:`append`);
+    :meth:`save` it when the run is over.
 
     Example:
         >>> from repro.core.model import Transaction, read, write
@@ -271,8 +271,7 @@ class ColumnarHistory:
         for an operation without one.  ``status_code`` is a
         :data:`repro.core.model.STATUS_CODES` value; timestamps may be
         ``None``.  No :class:`Transaction`/:class:`Operation` objects are
-        touched, which is what lets the async collector feed rows straight
-        from its coroutines.
+        touched.
 
         Raises ``ValueError`` when an id or value falls outside the segment
         format's integer range (signed 64-bit for transaction/session ids
@@ -331,7 +330,7 @@ class ColumnarHistory:
         keys: List[str],
         values: List[int],
     ) -> None:
-        """Append one row from parallel op lists — the hottest accept path.
+        """Append one row from parallel op lists — how the collectors record.
 
         Same contract as :meth:`append_raw` but takes the kinds/keys/values
         as three equal-length lists with every value present (collectors
@@ -761,76 +760,3 @@ def write_history_segment(
 def load_history_segment(path: Union[str, Path]) -> ColumnarHistory:
     """Load a segment file into a :class:`ColumnarHistory`."""
     return ColumnarHistory.load(path)
-
-
-class SegmentWriter:
-    """Collect transactions live and persist them as one segment on close.
-
-    The columnar counterpart of
-    :class:`~repro.history.serialization.HistoryStreamWriter`: usable as a
-    context manager and directly as an ``on_transaction`` hook for the
-    workload runner or the concurrent
-    :class:`~repro.adapters.collector.Collector`.  Unlike the JSONL writer
-    the segment is written atomically at close (columns are not a tailable
-    format — pair with a JSONL stream when live followers are needed).
-
-    Example:
-        >>> import tempfile, os
-        >>> from repro import Transaction, read, write
-        >>> path = os.path.join(tempfile.mkdtemp(), "history.seg")
-        >>> with SegmentWriter(path, initial_keys=["x"]) as writer:
-        ...     writer.write(Transaction(1, [read("x", 0), write("x", 1)]))
-        >>> ColumnarHistory.load(path).num_transactions
-        2
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        initial_transaction: Optional[Transaction] = None,
-        initial_keys: Optional[Iterable[str]] = None,
-        compress: Optional[bool] = None,
-    ) -> None:
-        self.path = Path(path)
-        self.columns = ColumnarHistory()
-        self._compress = compress
-        self._closed = False
-        if initial_transaction is not None:
-            self.columns.append(initial_transaction)
-        elif initial_keys is not None:
-            self.columns.seed_initial(initial_keys)
-        # Flat rows without materialising a transaction: object-free
-        # producers (the async collector's drain task) stream into the
-        # segment with zero object overhead.
-        self.append_raw = self.columns.append_raw
-
-    def write(self, txn: Transaction) -> None:
-        """Append one transaction to the in-memory segment."""
-        self.columns.append(txn)
-
-    __call__ = write
-
-    def close(self) -> None:
-        """Persist the segment (idempotent)."""
-        if not self._closed:
-            self.columns.save(self.path, compress=self._compress)
-            self._closed = True
-            if obs.enabled():
-                obs.inc(
-                    "repro_segment_rows_written_total",
-                    self.columns.num_transactions,
-                )
-                try:
-                    obs.inc(
-                        "repro_segment_bytes_written_total",
-                        os.path.getsize(self.path),
-                    )
-                except OSError:
-                    pass
-
-    def __enter__(self) -> "SegmentWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

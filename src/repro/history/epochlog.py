@@ -410,9 +410,10 @@ def _recover_entries(
 class EpochLogWriter:
     """Append transactions; seal immutable epoch segments as they fill.
 
-    The durable counterpart of
-    :class:`~repro.history.columnar.SegmentWriter`: instead of one segment
-    written at close, transactions are buffered in memory and flushed as an
+    The durable counterpart of a
+    :class:`~repro.history.columnar.ColumnarHistory` used as a hook and
+    saved at the end: instead of one segment written at close,
+    transactions are buffered in memory and flushed as an
     ``epoch-NNNNN.seg`` file every ``epoch_transactions`` rows (plus a
     final partial epoch at :meth:`close`).  Each seal is atomic — segment
     temp-file rename, then one record appended to the manifest — so a crash

@@ -76,13 +76,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "counter", "Aborted transactions that were retried"),
     "repro_collector_retryable_aborts_total": (
         "counter", "Aborts the engine marked as retryable"),
-    # Coroutine collector only: the row queue in front of a live consumer.
-    "repro_acollector_queue_depth": (
-        "gauge", "Finished rows waiting in the async collector's backpressure queue"),
-    "repro_acollector_backpressure_stalls_total": (
-        "counter", "Row publishes that found the backpressure queue full"),
-    "repro_acollector_txns_per_second": (
-        "gauge", "Committed throughput of the most recent async collection"),
     # Incremental checker (streaming verification).
     "repro_checker_txns_ingested": (
         "gauge", "Committed transactions ingested by the streaming checker"),
@@ -115,11 +108,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "histogram", "Verifier checkpoint persist time into the epoch log"),
     "repro_epochlog_checkpoint_bytes": (
         "gauge", "Payload size of the last verifier checkpoint written"),
-    # Segment writer (single-file columnar sink).
-    "repro_segment_rows_written_total": (
-        "counter", "Rows persisted through SegmentWriter"),
-    "repro_segment_bytes_written_total": (
-        "counter", "Bytes persisted through SegmentWriter"),
     # History index.
     "repro_index_builds_total": (
         "counter", "HistoryIndex constructions (column scans)"),

@@ -6,16 +6,17 @@ collector its kind calls for; histories collected by coroutine sessions are
 *schedule-valid* (well-formed intervals, per-session ordering, globally
 unique written values) and reach verdicts identical to the threaded
 collector's across isolation levels, healthy and chaos-wrapped adapters,
-and the full ``max_inflight`` range — while constructing zero
+and the full ``max_inflight`` range — while both collectors, recording
+through the one ``CollectorBase`` row method, construct zero
 ``Transaction``/``Operation`` objects on the accept path.
 """
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.adapters import (
-    AsyncCollectionResult,
     AsyncCollector,
     AsyncSimulatedAdapter,
     CollectionResult,
@@ -86,10 +87,22 @@ def assert_schedule_valid(columns: ColumnarHistory) -> None:
 # ----------------------------------------------------------------------
 class TestAsyncThreadedEquivalence:
     """Both sides of every comparison enter through ``collect_history``;
-    the result type shows which collector the adapter was sent to."""
+    the thread a hook runs on shows which collector the adapter was sent
+    to, and both return the one result type."""
 
     def test_the_adapter_kind_picks_the_collector(self, tmp_path):
         workload = small_workload(sessions=3, txns=4)
+
+        def hook_threads(adapter):
+            names = set()
+            result = collect_history(
+                adapter,
+                workload,
+                on_transaction=lambda _txn: names.add(threading.current_thread().name),
+            )
+            assert type(result) is CollectionResult, adapter
+            return names
+
         sync_adapters = [
             SimulatedAdapter("si"),
             SQLiteAdapter(str(tmp_path / "door.db")),
@@ -97,10 +110,10 @@ class TestAsyncThreadedEquivalence:
         ]
         for adapter in sync_adapters:
             with adapter:
-                result = collect_history(adapter, workload)
-            assert type(result) is CollectionResult, adapter
-        result = collect_history(AsyncSimulatedAdapter("si"), workload)
-        assert type(result) is AsyncCollectionResult
+                names = hook_threads(adapter)
+            assert names and all(n.startswith("collector-worker-") for n in names)
+        names = hook_threads(AsyncSimulatedAdapter("si"))
+        assert names == {threading.current_thread().name}  # the event loop's
         # Neither collector drives the other kind's adapters.
         with pytest.raises(TypeError, match="goes to Collector"):
             AsyncCollector(SimulatedAdapter("si"))
@@ -163,7 +176,12 @@ class TestAsyncThreadedEquivalence:
 # The object-free accept path
 # ----------------------------------------------------------------------
 class TestDirectToColumnIngest:
-    def test_zero_transaction_objects_on_accept_path(self, monkeypatch):
+    """One recorder: both collectors append rows straight to the columns."""
+
+    @pytest.mark.parametrize(
+        "adapter_class", [SimulatedAdapter, AsyncSimulatedAdapter], ids=["threads", "coroutines"]
+    )
+    def test_zero_transaction_objects_on_accept_path(self, monkeypatch, adapter_class):
         constructed = []
         original_txn = Transaction.__init__
         original_op = core_model.Operation.__init__
@@ -179,41 +197,33 @@ class TestDirectToColumnIngest:
         monkeypatch.setattr(Transaction, "__init__", counting_txn)
         monkeypatch.setattr(core_model.Operation, "__init__", counting_op)
         workload = small_workload(sessions=5, txns=8, objects=10, seed=7)
-        result = AsyncCollector(AsyncSimulatedAdapter("si"), max_inflight=4).collect(
-            workload
-        )
+        result = collect_history(adapter_class("si"), workload, max_inflight=4)
         assert constructed == [], (
             f"{len(constructed)} model objects built on the accept path"
         )
-        assert result.columns.num_transactions == result.stats.committed + 1
+        rows = result.stats.committed + result.stats.aborted + 1
+        assert result.columns.num_transactions == rows
         # Materialisation still works after the fact, off the hot path.
-        assert len(result.history.transactions()) == result.stats.committed + 1
+        assert len(result.history.transactions()) == rows
 
-    def test_legacy_hook_sees_finish_ordered_transactions(self):
+    @pytest.mark.parametrize(
+        "adapter_class", [SimulatedAdapter, AsyncSimulatedAdapter], ids=["threads", "coroutines"]
+    )
+    def test_legacy_hook_sees_finish_ordered_transactions(self, adapter_class):
         seen = []
-        workload = small_workload(sessions=6, txns=6, objects=10, seed=13)
-        AsyncCollector(
-            AsyncSimulatedAdapter("si"),
-            max_inflight=4,
-            on_transaction=seen.append,
-        ).collect(workload)
-        assert len(seen) == 36
+        workload = small_workload(sessions=12, txns=6, objects=10, seed=3)
+        result = collect_history(
+            adapter_class("si"), workload, max_inflight=8, on_transaction=seen.append
+        )
         assert all(isinstance(txn, Transaction) for txn in seen)
         finishes = [txn.finish_ts for txn in seen]
         assert finishes == sorted(finishes)
-
-    def test_backpressure_stalls_are_counted_and_lossless(self):
-        seen = []
-        workload = small_workload(sessions=12, txns=6, objects=10, seed=3)
-        result = AsyncCollector(
-            AsyncSimulatedAdapter("si"),
-            max_inflight=8,
-            queue_depth=1,
-            on_transaction=seen.append,
-        ).collect(workload)
-        assert result.backpressure_stalls > 0
-        assert len(seen) == 72  # every row survived the full queue
-        assert result.columns.num_transactions == 73
+        # Lossless: every recorded row reached the hook once, in row order.
+        assert result.columns.num_transactions == len(seen) + 1
+        assert seen == list(result.columns.iter_transactions())[1:]
+        assert sum(txn.committed for txn in seen) == result.stats.committed
+        if adapter_class is AsyncSimulatedAdapter:  # no overlap, no aborts
+            assert len(seen) == result.stats.committed == 72
 
 
 # ----------------------------------------------------------------------
@@ -279,20 +289,41 @@ class TestDeadlineWatchdog:
         # The three healthy sessions finished their full quota.
         assert result.stats.committed == 9
 
+    def test_cancelled_worker_moves_on_to_the_next_session(self):
+        # One worker for four sessions: the watchdog cancels it inside
+        # session 0, and the same worker still runs sessions 1-3.
+        result = collect_history(
+            _HangingAdapter(hang_session_id=0),
+            small_workload(sessions=4, txns=3, objects=8, seed=21),
+            max_inflight=1,
+            txn_deadline=0.05,
+        )
+        assert result.unknown == 1
+        assert result.stats.committed == 9
+        statuses = [txn.status for txn in result.history.sessions[0].transactions]
+        assert statuses == [TransactionStatus.UNKNOWN]
+
 
 # ----------------------------------------------------------------------
 # Construction errors
 # ----------------------------------------------------------------------
 class TestAsyncConstruction:
     @pytest.mark.parametrize(
-        "kwargs", [{"max_inflight": 0}, {"max_inflight": -3}, {"queue_depth": 0}]
+        "kwargs",
+        [
+            {"max_inflight": 0},
+            {"max_inflight": -3},
+            {"txn_deadline": 0},
+            {"txn_deadline": -1},
+            {"txn_deadline": float("nan")},
+        ],
     )
     def test_nonpositive_bounds_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
             AsyncCollector(AsyncSimulatedAdapter("si"), **kwargs)
-        if "max_inflight" in kwargs:  # the bound both collectors share
-            with pytest.raises(ValueError, match="max_inflight must be positive"):
-                Collector(SimulatedAdapter("si"), **kwargs)
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            Collector(SimulatedAdapter("si"), **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -371,6 +402,20 @@ class TestAsyncCLI:
             (["collect", "--max-inflight", "-1", "--sessions", "2",
               "--txns", "2", "--adapter", "sqlite", "--check", "si"],
              "--max-inflight must be positive"),
+            # A deadline of 0 abandoned every session: "SATISFIED (0 transactions)".
+            (["collect", "--adapter", "sqlite", "--txn-deadline", "0",
+              "--sessions", "2", "--txns", "2", "--check", "ser"],
+             "txn_deadline must be positive"),
+            (["collect", "--adapter", "simulated", "--txn-deadline", "-1",
+              "--sessions", "2", "--txns", "2", "--check", "ser"],
+             "txn_deadline must be positive"),
+            # A negative rate never fired: "none fired" and "SATISFIED".
+            (["collect", "--adapter", "simulated", "--chaos", "lost-write",
+              "--chaos-rate", "-1", "--check", "ser"],
+             "lost_write_rate is a probability in [0, 1]"),
+            (["collect", "--adapter", "sqlite", "--chaos", "stale-read",
+              "--chaos-rate", "5", "--check", "ser"],
+             "stale_read_rate is a probability in [0, 1]"),
         ],
     )
     def test_inconsistent_flags_exit_2(self, argv, message, capsys):

@@ -8,6 +8,7 @@ yield the same checker verdicts as the direct ``workloads/runner.py`` path.
 """
 
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -24,7 +25,6 @@ from repro.adapters import (
     collect_history,
     make_adapter,
 )
-from repro.adapters.collector import ThreadSafeClock
 from repro.core.checker import MTChecker
 from repro.core.result import AnomalyKind, IsolationLevel
 from repro.db.database import Database
@@ -309,25 +309,29 @@ class TestCollector:
         assert 1 <= adapter.peak <= 8
         assert adapter.opened == 0  # every session was closed by its worker
 
-
-class TestThreadSafeClock:
-    def test_strictly_monotonic_across_threads(self):
-        clock = ThreadSafeClock()
-        stamps = []
-        lock = threading.Lock()
-
-        def tick_many():
-            for _ in range(500):
-                stamp = clock.tick()
-                with lock:
-                    stamps.append(stamp)
-
-        threads = [threading.Thread(target=tick_many) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(set(stamps)) == len(stamps) == 2000
+    def test_no_update_is_lost_across_threads(self):
+        # Eight worker threads on fewer cores, switching every few
+        # microseconds, share one clock, id and value counter and one
+        # column store: a recorder call that is not serialised loses
+        # updates, and these invariants see it.
+        workload = small_workload(sessions=8, txns=80, objects=20, seed=6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = collect_history(
+                SimulatedAdapter("si", op_delay=0.0001), workload, max_inflight=8
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        stats = result.stats
+        txns = result.history.transactions(include_initial=False)
+        assert len(txns) == stats.committed + stats.aborted
+        assert len({txn.txn_id for txn in txns}) == len(txns)
+        stamps = [stamp for txn in txns for stamp in (txn.start_ts, txn.finish_ts)]
+        assert len(set(stamps)) == len(stamps)
+        writes = [op.value for txn in txns for op in txn.operations if op.is_write]
+        assert len(set(writes)) == len(writes)
+        assert stats.operations == sum(len(txn.operations) for txn in txns)
 
 
 # ----------------------------------------------------------------------
@@ -422,6 +426,14 @@ class TestChaosAdapter:
     def test_unknown_fault_name_rejected(self):
         with pytest.raises(ValueError, match="unknown chaos fault"):
             ChaosPlan.for_fault("bit-flip")
+
+    @pytest.mark.parametrize("rate", [-1.0, 1.5, 5.0, float("nan")])
+    def test_rates_outside_zero_one_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"is a probability in \[0, 1\]"):
+            ChaosPlan.for_fault("lost-write", rate=rate)
+        with pytest.raises(ValueError, match="stale_read_rate"):
+            ChaosPlan(stale_read_rate=rate)
+        assert ChaosPlan(duplicate_commit_rate=1.0).any_enabled
 
 
 class TestMakeAdapter:

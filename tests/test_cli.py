@@ -156,6 +156,16 @@ class TestContainerCorners:
         )
         assert code == 0 and "committed" in out and "injected defects" in out
 
+    @pytest.mark.parametrize("rate", ["5", "-0.5"])
+    def test_generate_refuses_a_fault_rate_outside_zero_one(self, rate, tmp_path, capsys):
+        code, out = run(
+            capsys, *_GENERATE, "--fault", "lostupdate", "--fault-rate", rate,
+            "--output", tmp_path / "h.json",
+        )
+        assert code == 2
+        assert out.startswith("error: lost_update_rate is a probability in [0, 1]")
+        assert not (tmp_path / "h.json").exists()
+
     def test_generate_writes_each_container(self, tmp_path):
         for name in CONTAINERS:
             assert main([*_GENERATE, "--epoch-txns", "16", "--output", str(tmp_path / name)]) == 0

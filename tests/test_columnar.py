@@ -37,7 +37,6 @@ from repro.core.result import IsolationLevel
 from repro.db import Database, FaultPlan
 from repro.history import (
     ColumnarHistory,
-    SegmentWriter,
     is_segment_path,
     iter_history_jsonl,
     load_history_segment,
@@ -264,16 +263,17 @@ class TestSegmentFiles:
         assert not is_segment_path("history.jsonl")
         assert not is_segment_path("history.json")
 
-    def test_segment_writer_is_a_live_hook(self, tmp_path):
+    def test_columnar_history_is_a_live_hook(self, tmp_path):
         workload = MTWorkloadGenerator(
             num_sessions=3, txns_per_session=10, num_objects=6, seed=8
         ).generate()
         path = tmp_path / "live.seg"
-        with SegmentWriter(path, initial_keys=workload.keys) as writer:
-            run = run_workload(
-                Database("si", keys=workload.keys), workload, seed=9,
-                on_transaction=writer,
-            )
+        live = ColumnarHistory()
+        live.seed_initial(workload.keys)
+        run = run_workload(
+            Database("si", keys=workload.keys), workload, seed=9, on_transaction=live
+        )
+        live.save(path)
         cols = load_history_segment(path)
         assert cols.has_initial
         assert cols.num_transactions == run.stats.committed + run.stats.aborted + 1

@@ -26,6 +26,14 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan.for_anomaly("NotAnAnomaly")
 
+    @pytest.mark.parametrize("rate", [-1.0, 1.5, 5.0, float("nan")])
+    def test_rates_outside_zero_one_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"lost_update_rate is a probability in \[0, 1\]"):
+            FaultPlan.for_anomaly("lostupdate", rate=rate)
+        with pytest.raises(ValueError, match="dirty_install_rate"):
+            FaultPlan(dirty_install_rate=rate)
+        assert FaultPlan(write_skew_rate=1.0).any_enabled
+
     def test_database_without_faults_reports_none(self):
         db = Database("si", keys=["x"])
         assert db.injected_anomalies == {}

@@ -1,4 +1,5 @@
-"""Docs lint: documentation code blocks execute and internal links resolve.
+"""Docs lint: documentation code blocks execute, internal links resolve, and
+the ARCHITECTURE metric table is the metric catalog.
 
 Every fenced ``python`` block in README.md and docs/*.md is executed (blocks
 within one file share a namespace, so snippets may build on each other), and
@@ -90,3 +91,19 @@ def test_internal_links_resolve(doc):
         relative = target.split("#", 1)[0]
         resolved = (doc.parent / relative).resolve()
         assert resolved.exists(), f"{doc.name}: broken link -> {target}"
+
+
+def test_architecture_metric_table_is_the_catalog():
+    """The ARCHITECTURE metric table lists exactly ``METRIC_CATALOG``'s
+    families, one row each, in catalog order and with their kinds."""
+    from repro.obs import METRIC_CATALOG
+
+    text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+    lines = text[text.index("| Family | Kind | Meaning |"):].splitlines()[2:]
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        family, kind = (cell.strip() for cell in line.strip("|").split("|")[:2])
+        rows.append((family.strip("`").split("{")[0], kind))
+    assert rows == [(family, kind) for family, (kind, _) in METRIC_CATALOG.items()]

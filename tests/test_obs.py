@@ -296,9 +296,9 @@ class TestWorkerMetrics:
 
 
 class TestCollectorMetrics:
-    """Every ``repro_collector_*`` / ``repro_acollector_*`` family in the
-    catalog is recorded by a collection: one family per quantity, whichever
-    collector the adapter was sent to."""
+    """Every ``repro_collector_*`` family in the catalog is recorded by a
+    collection: one family per quantity, whichever collector the adapter
+    was sent to."""
 
     def _workload(self):
         from repro.workloads.mt_generator import MTWorkloadGenerator
@@ -344,33 +344,13 @@ class TestCollectorMetrics:
                 assert reg.value("repro_collector_txns_total", status="aborted") == 2
                 assert reg.value("repro_collector_retries_total") == stats.retries == 2
                 assert reg.value("repro_collector_retryable_aborts_total") == 2
-            assert not [
-                family for family in reg.families()
-                if family.startswith("repro_acollector_")
-                and family not in obs.METRIC_CATALOG
-            ]
+            recorded = {f for f in reg.families() if "collector_" in f}
+            assert recorded <= set(obs.METRIC_CATALOG), kind
 
-    def test_coroutine_only_families(self):
-        from repro.adapters import AsyncCollector, AsyncSimulatedAdapter
-
-        seen = []
-        with obs.scoped() as reg:
-            result = AsyncCollector(
-                AsyncSimulatedAdapter("si"), queue_depth=1, on_transaction=seen.append
-            ).collect(self._workload())
-        assert result.backpressure_stalls > 0
-        assert (
-            reg.value("repro_acollector_backpressure_stalls_total")
-            == result.backpressure_stalls
-        )
-        assert reg.value("repro_acollector_queue_depth") is not None
-        assert reg.value("repro_acollector_txns_per_second") > 0
+    def test_the_catalog_has_only_the_shared_families(self):
         assert sorted(
             family for family in obs.METRIC_CATALOG if "collector_" in family
         ) == [
-            "repro_acollector_backpressure_stalls_total",
-            "repro_acollector_queue_depth",
-            "repro_acollector_txns_per_second",
             "repro_collector_ops_total",
             "repro_collector_retries_total",
             "repro_collector_retryable_aborts_total",

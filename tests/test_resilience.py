@@ -30,18 +30,21 @@ from test_epochlog import build_log, make_history, stream_format
 from test_parallel import composite_history  # noqa: F401  (re-export for helpers)
 from test_scaleout import rt_cycle_history
 
+from repro.adapters import collect_history
 from repro.adapters.base import (
+    AdapterAborted,
     AdapterCapabilities,
     AdapterSession,
     DatabaseAdapter,
 )
-from repro.adapters.collector import Collector, _InFlightTxn
+from repro.adapters.collector import _COMMITTED, _UNKNOWN, Collector
 from repro.adapters.sqlite import SQLiteAdapter
 from repro.cli import main as repro_main
 from repro.core.checker import MTChecker
 from repro.core.incremental import stream_order
-from repro.core.model import Session, TransactionStatus
+from repro.core.model import TransactionStatus
 from repro.core.result import IsolationLevel
+from repro.history.columnar import OP_READ, ColumnarHistory
 from repro.history.epochlog import EpochLog, EpochLogWriter
 from repro.parallel import check_parallel
 from repro.parallel import executor as executor_module
@@ -630,11 +633,13 @@ class TestExecutorRecovery:
 # Collector: injected commit failures and hung adapters
 # ----------------------------------------------------------------------
 class _HangingSession(AdapterSession):
-    """Commits block on an event — a wedged server connection."""
+    """Commits block on an event — a wedged server connection — or, while
+    ``aborts`` lasts, a healthy session's commit aborts (retryable)."""
 
-    def __init__(self, release, hang):
+    def __init__(self, release, hang, aborts):
         self._release = release
         self._hang = hang
+        self._aborts = aborts
 
     def begin(self):
         pass
@@ -648,6 +653,9 @@ class _HangingSession(AdapterSession):
     def commit(self):
         if self._hang:
             self._release.wait(timeout=30.0)
+        elif self._aborts > 0:
+            self._aborts -= 1
+            raise AdapterAborted("injected abort", retryable=True)
 
     def abort(self):
         pass
@@ -659,8 +667,9 @@ class _HangingSession(AdapterSession):
 class _HangingAdapter(DatabaseAdapter):
     """Session 0 hangs at its first commit; other sessions are healthy."""
 
-    def __init__(self, release):
+    def __init__(self, release, aborts_per_session=0):
         self._release = release
+        self._aborts = aborts_per_session
 
     def capabilities(self):
         return AdapterCapabilities(
@@ -668,7 +677,7 @@ class _HangingAdapter(DatabaseAdapter):
         )
 
     def session(self, session_id):
-        return _HangingSession(self._release, hang=session_id == 0)
+        return _HangingSession(self._release, session_id == 0, self._aborts)
 
     def setup(self, keys, initial_value=0):
         pass
@@ -766,15 +775,40 @@ class TestCollectorResilience:
         assert result.stats.committed == 9
         assert len(seen) == recorded == 10  # the late finish recorded nothing
 
+    def test_recorded_columns_equal_the_object_route(self):
+        """The threaded collector records rows, not objects: with aborts
+        and a hung session its columns are, column for column, what
+        encoding its history (the route before one recorder) gives."""
+        release = threading.Event()
+        try:
+            result = collect_history(
+                _HangingAdapter(release, aborts_per_session=1),
+                self._workload(sessions=4, txns=3),
+                txn_deadline=0.2,
+                setup_keys=False,
+                max_inflight=1,
+            )
+            release.set()  # the hung commit lands late and must add no row
+            time.sleep(0.2)
+        finally:
+            release.set()
+        assert result.unknown == 1
+        assert result.stats.aborted == 3 and result.stats.committed == 9
+        expected = ColumnarHistory.from_history(result.history)
+        assert result.columns.to_wire() == expected.to_wire()
+
     def test_an_attempt_that_already_finished_is_not_abandoned(self):
-        # The monitor snapshots hung attempts, then claims them one by one;
-        # an attempt that recorded itself in between must not also be
+        # The watchdog snapshots hung attempts, then claims them one by
+        # one; an attempt that recorded itself in between must not also be
         # recorded UNKNOWN (one txn id twice is a malformed history).
         collector = Collector(_HangingAdapter(threading.Event()), txn_deadline=0.2)
-        stale = _InFlightTxn(7, 0, 1.0, 0.0, [], threading.current_thread())
-        log = Session(session_id=0)
-        assert collector._abandon_session(stale, log) is False
-        assert log.transactions == [] and not collector._abandoned
+        collector._open_run(["k"])
+        attempt = collector._begin(0, [OP_READ], ["k"], threading.current_thread())
+        attempt.values.append(0)
+        assert collector._record(attempt, _COMMITTED) is True
+        assert collector._record(attempt, _UNKNOWN) is False
+        assert collector._columns.num_transactions == 2  # ⊥T and the commit
+        assert not collector._abandoned and not collector._in_flight
 
     def test_injected_sqlite_commit_failures_are_retried(self, tmp_path):
         workload = MTWorkloadGenerator(
