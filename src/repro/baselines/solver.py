@@ -26,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.csr import first_nontrivial_scc
+from ..core.csr import peel_cycle
 from .polygraph import Constraint, LabeledEdge, Polygraph
 
 __all__ = ["SolveResult", "PolygraphSolver"]
@@ -84,9 +84,9 @@ class PolygraphSolver:
 
         # Install the known edges; a forbidden cycle here is already a
         # violation regardless of any constraint choices.  Accept path: one
-        # Tarjan SCC pass over the expanded known-edge graph (shared with
-        # the dense CSR kernel) replaces a reachability DFS per edge; only
-        # when the pass reports a cycle is the legacy per-edge installation
+        # topological peel over the expanded known-edge graph (the dense CSR
+        # kernel's acyclicity routine) replaces a reachability DFS per edge;
+        # only when the peel finds a cycle is the legacy per-edge installation
         # replayed, to identify the first offending edge for diagnostics.
         known_edges = self.polygraph.known_edges
         if self._known_edges_cyclic(known_edges):
@@ -181,24 +181,17 @@ class PolygraphSolver:
         """Whether the expanded known-edge graph contains a cycle.
 
         Dense interning of the expanded ``(txn, BASE/RW)`` vertices plus
-        one :func:`~repro.core.csr.first_nontrivial_scc` pass — the same
-        accept-path shape as the MTC CSR kernel.
+        one :func:`~repro.core.csr.peel_cycle` — the acyclicity routine of
+        the MTC CSR kernel.
         """
         interning: Dict[_Node, int] = {}
-        adjacency: List[List[int]] = []
-
-        def intern(node: _Node) -> int:
-            dense = interning.get(node)
-            if dense is None:
-                dense = len(adjacency)
-                interning[node] = dense
-                adjacency.append([])
-            return dense
-
+        src: List[int] = []
+        dst: List[int] = []
         for edge in edges:
             for source, target in self._expand(edge):
-                adjacency[intern(source)].append(intern(target))
-        return first_nontrivial_scc(adjacency) is not None
+                src.append(interning.setdefault(source, len(interning)))
+                dst.append(interning.setdefault(target, len(interning)))
+        return peel_cycle(len(interning), src, dst) is not None
 
     def _expand(self, edge: LabeledEdge) -> List[Tuple[_Node, _Node]]:
         source, target, label = edge

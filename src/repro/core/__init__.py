@@ -4,7 +4,7 @@ verification algorithms for SSER, SER, SI, and linearizability."""
 from .anomalies import ANOMALY_NAMES, AnomalySpec, anomaly_catalog, anomaly_history
 from .checker import MTChecker
 from .checkers import MTHistoryError, check_ser, check_si, check_sser
-from .csr import CSRGraph, first_nontrivial_scc
+from .csr import CSRGraph
 from .divergence import DivergenceInstance, find_all_divergences, find_divergence
 from .graph import DependencyGraph, Edge, EdgeType, build_dependency
 from .incremental import (
@@ -72,7 +72,6 @@ __all__ = [
     "check_sser",
     "find_all_divergences",
     "find_divergence",
-    "first_nontrivial_scc",
     "is_mini_transaction",
     "is_mt_history",
     "make_initial_transaction",

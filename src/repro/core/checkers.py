@@ -236,10 +236,12 @@ def check_level(
 def cycle_verdict(csr: CSRGraph, level: IsolationLevel, num_transactions: int) -> CheckResult:
     """Accept iff the level's edge combination of ``csr`` is acyclic.
 
-    The accept path is one Tarjan pass over flat arrays (for SI, over the
-    CSR-level composition ``(SO ∪ WR ∪ WW) ; RW?``).  Only a rejection
-    materialises the labeled multigraph, whose ``find_cycle`` and
-    :func:`classify_cycle` produce the counterexample.
+    The accept path is one topological peel over flat arrays
+    (:func:`~repro.core.csr.peel_cycle`; for SI, over the CSR-level
+    composition ``(SO ∪ WR ∪ WW) ; RW?``), which on a cycle returns the ids
+    of one cycle.  Only a rejection materialises the labeled multigraph,
+    whose sorted ``find_cycle`` and :func:`classify_cycle` produce the
+    counterexample, so it does not depend on the order of the edge rows.
     """
     induced = level is IsolationLevel.SNAPSHOT_ISOLATION
     if (csr.si_induced() if induced else csr).has_cycle() is None:

@@ -1,42 +1,42 @@
 """Array-native CSR dependency-graph kernel: the dense accept path.
 
 The paper's headline claim is that graph-based MT checking is *linear-time*
-for SER/SI — but the accept path (the one every healthy history takes) used
-to pay pure-Python multigraph overhead: :func:`~repro.core.graph.build_dependency`
-materialised an :class:`~repro.core.graph.Edge`-labeled dict-of-dict-of-sets,
-``find_cycle`` re-densified the node set on every call, and
-``si_induced_graph`` copied edges one Python object at a time.  Real checkers
-(Cobra's pruning stage, PolySI's encoder) win by keeping the hot loop on flat
-integer arrays; this module does the same for the MTC core:
+for SER/SI.  The accept path (the one every healthy history takes) therefore
+stays on flat integer arrays, the way real checkers (Cobra's pruning stage,
+PolySI's encoder) keep their hot loops:
 
 * :class:`CSRGraph` stores typed edges as flat ``array('i')`` columns —
   ``src`` / ``dst`` (dense node ids), ``etype`` (small integer edge-type
-  codes), ``key_id`` (dense object ids, ``-1`` for unkeyed edges) — compiled
-  on demand into CSR offsets (``indptr`` / ``indices``).  No ``Edge`` object
-  is allocated on the accept path.
+  codes), ``key_id`` (dense object ids, ``-1`` for unkeyed edges).  No
+  ``Edge`` object is allocated on the accept path.
 * :meth:`CSRGraph.from_index` is the array-native BUILDDEPENDENCY: it reads
-  :class:`~repro.core.index.HistoryIndex`'s resolved read records and dense
-  interning directly and appends integers.
-* :meth:`CSRGraph.has_cycle` replaces per-root DFS with a single iterative
-  Tarjan SCC pass and returns the first nontrivial SCC (or a self-loop).
-  Labeled-cycle extraction runs only on the reject path:
+  :class:`~repro.core.index.HistoryIndex`'s scan positions and resolved read
+  columns and appends whole blocks of edges (RT | SO | WR | WW | RW) with
+  bulk ``extend``\\ s.
+* :meth:`CSRGraph.has_cycle` is one Kahn topological peel
+  (:func:`peel_cycle`): ``None`` on the accept path, the ids of one cycle
+  otherwise.  Labeled-cycle extraction runs only on the reject path:
   :meth:`CSRGraph.to_multigraph` materialises the legacy
-  :class:`~repro.core.graph.DependencyGraph` lazily, so violation output and
-  anomaly classification are byte-identical to the legacy pipeline.
+  :class:`~repro.core.graph.DependencyGraph` lazily, and its sorted
+  ``find_cycle`` makes the printed counterexample independent of the order
+  of the edge rows.
 * :meth:`CSRGraph.si_induced` composes the SI check graph
-  ``(SO ∪ WR ∪ WW) ; RW?`` at the array level — one pass over the base rows
-  joined against an RW adjacency — instead of nested Python dict iteration.
+  ``(SO ∪ WR ∪ WW) ; RW?`` at the array level — the base rows joined against
+  an int-keyed RW map — instead of nested Python dict iteration.
 
 ``build_dependency(history, dense=True)`` is the public entry point; the
-checkers (:mod:`repro.core.checkers`), the sharded executor/merger
-(:mod:`repro.parallel`), and the solver baselines' known-edge installation
-(:mod:`repro.baselines.solver`, via :func:`first_nontrivial_scc`) all run on
-this kernel.
+checkers (:mod:`repro.core.checkers`), the sharded merger
+(:mod:`repro.parallel`) and the solver baselines' known-edge installation
+(:mod:`repro.baselines.solver`) all settle acyclicity with :func:`peel_cycle`.
 """
 
 from __future__ import annotations
 
+import re
+import struct
 from array import array
+from itertools import accumulate, compress
+from operator import eq, ne, not_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import DependencyGraph, Edge, EdgeType, _transitive_closure
@@ -47,7 +47,7 @@ __all__ = [
     "EDGE_TYPE_CODES",
     "EDGE_TYPE_FROM_CODE",
     "WireCSR",
-    "first_nontrivial_scc",
+    "peel_cycle",
 ]
 
 # Small-integer edge-type codes (array-friendly stand-ins for EdgeType).
@@ -61,6 +61,10 @@ EDGE_TYPE_CODES: Dict[EdgeType, int] = {
     EdgeType.RW: _RW,
     EdgeType.COMPOSED: _COMPOSED,
 }
+
+#: ``bytes.translate`` tables: a row's type code becomes its RW / SI-base mask.
+_IS_RW = bytes(code == _RW for code in range(256))
+_IS_BASE = bytes(_SO <= code <= _WW for code in range(256))
 
 EDGE_TYPE_FROM_CODE: Tuple[EdgeType, ...] = (
     EdgeType.RT,
@@ -82,10 +86,10 @@ class CSRGraph:
 
     Nodes are the committed transactions of one history (including ``⊥T``),
     numbered ``0..n-1`` in index scan order; ``node_ids[dense] == txn_id``.
-    Edges live in four parallel ``array('i')`` columns and are compiled into
-    CSR offsets on the first acyclicity query.  Duplicate (src, dst, type,
-    key) rows are permitted — they cannot change any acyclicity verdict, and
-    :meth:`to_multigraph` deduplicates on conversion.
+    Edges live in four parallel ``array('i')`` columns and nothing else is
+    retained.  Duplicate (src, dst, type, key) rows are permitted — they
+    cannot change any acyclicity verdict, and :meth:`to_multigraph`
+    deduplicates on conversion.
 
     Example:
         >>> from repro.core.model import History, Transaction, read, write
@@ -100,19 +104,7 @@ class CSRGraph:
         True
     """
 
-    __slots__ = (
-        "node_ids",
-        "node_dense",
-        "key_names",
-        "src",
-        "dst",
-        "etype",
-        "key_id",
-        "_indptr",
-        "_indices",
-        "_self_loop",
-        "_multigraph",
-    )
+    __slots__ = ("node_ids", "key_names", "src", "dst", "etype", "key_id", "_multigraph")
 
     def __init__(
         self,
@@ -124,17 +116,11 @@ class CSRGraph:
         key_id: Optional[array] = None,
     ) -> None:
         self.node_ids: List[int] = list(node_ids)
-        self.node_dense: Dict[int, int] = {
-            txn_id: i for i, txn_id in enumerate(self.node_ids)
-        }
         self.key_names: List[str] = list(key_names)
         self.src: array = src if src is not None else array("i")
         self.dst: array = dst if dst is not None else array("i")
         self.etype: array = etype if etype is not None else array("i")
         self.key_id: array = key_id if key_id is not None else array("i")
-        self._indptr: Optional[array] = None
-        self._indices: Optional[array] = None
-        self._self_loop: int = -1
         self._multigraph: Optional[DependencyGraph] = None
 
     # ------------------------------------------------------------------
@@ -152,108 +138,78 @@ class CSRGraph:
         """Algorithm 1's BUILDDEPENDENCY straight onto flat arrays.
 
         Mirrors :func:`~repro.core.graph.build_dependency` edge for edge
-        (the randomized equivalence suite asserts the two paths agree on
-        verdicts, anomaly kinds, and labeled cycles) but appends integers to
-        ``array('i')`` columns instead of allocating ``Edge``-labeled dict
-        entries.  Only the index's *dense* accessors are consumed
-        (``committed_txn_ids`` / ``session_order_id_pairs`` /
-        ``real_time_id_pairs`` / ``read_columns``), so on a
-        columnar-built index (:meth:`HistoryIndex.from_columns`) the whole
-        build runs without materialising a single ``Transaction``.
+        (``tests/test_csr.py`` asserts the two build the same edge set and
+        the same labeled cycle) and appends one block per edge type, RT |
+        SO | WR | WW | RW, each a bulk extend of dense node ids.  Node ids
+        come straight from scan positions: the ``i``-th committed
+        non-initial position is node ``base + i`` (``base`` is 1 when ``⊥T``
+        is node 0), so session order is read off adjacent positions and no
+        transaction id is looked up.  Nothing is materialised: on a
+        columnar-built index (:meth:`HistoryIndex.from_columns`) the build
+        allocates no ``Transaction`` and no per-row container.
         """
-        graph = cls(
-            index.committed_txn_ids,
-            index.key_names,
-        )
-        dense = graph.node_dense
-        # Composite radix for (writer, key) lookups: one int dict key beats a
-        # tuple in the hot loop.
-        radix = len(index.key_names) + 1
-        src_append = graph.src.append
-        dst_append = graph.dst.append
-        et_append = graph.etype.append
-        kid_append = graph.key_id.append
+        graph = cls(index.committed_txn_ids, index.key_names)
+        non_initial = index._non_initial_pos
+        base = len(graph.node_ids) - len(non_initial)
+        # node_of[pos]: the node of scan position ``pos``, or -1 (uncommitted);
+        # the trailing -1 is what a missing writer (writer_pos -1) maps to.
+        node_of = [-1] * (len(index.txn_ids) + 1)
+        for node, pos in enumerate(non_initial, base):
+            node_of[pos] = node
+        if base:
+            node_of[0] = 0
 
         if with_rt:
-            for source_id, target_id in index.real_time_id_pairs(reduced=reduced_rt):
-                s = dense.get(source_id)
-                t = dense.get(target_id)
-                if s is not None and t is not None:
-                    src_append(s)
-                    dst_append(t)
-                    et_append(_RT)
-                    kid_append(-1)
+            txn_dense = index.txn_dense
+            pairs = index.real_time_id_pairs(reduced=reduced_rt)
+            ends = [node_of[txn_dense[t]] for pair in pairs for t in pair]
+            rt_src, rt_dst = ends[::2], ends[1::2]
+            if -1 in ends:  # an uncommitted ``⊥T`` is no node
+                keep = [s >= 0 and t >= 0 for s, t in zip(rt_src, rt_dst)]
+                rt_src, rt_dst = list(compress(rt_src, keep)), list(compress(rt_dst, keep))
+            graph._append(_RT, rt_src, rt_dst)
+        session_of = index._session_of
+        graph._append(_SO, *_session_order([session_of[pos] for pos in non_initial], base))
 
-        for source_id, target_id in index.session_order_id_pairs():
-            s = dense.get(source_id)
-            t = dense.get(target_id)
-            if s is not None and t is not None:
-                src_append(s)
-                dst_append(t)
-                et_append(_SO)
-                kid_append(-1)
-
-        # WR edges (unique values), WW inferred from the RMW pattern.
-        wr_src = array("i")
-        wr_dst = array("i")
-        wr_key = array("i")
-        ww_succ: Dict[int, List[int]] = {}
-        ww_pairs_per_key: Dict[int, List[Tuple[int, int]]] = {}
-        # Reads arrive as columns keyed by scan position; ``node_of`` maps a
-        # position straight to its graph node (-1: not committed).
-        node_of = [-1] * len(index.txn_ids)
-        for node, pos in enumerate(map(index.txn_dense.__getitem__, graph.node_ids)):
-            node_of[pos] = node
-        reader_pos, read_kid, _, writer_pos, read_rmw, _ = index.read_columns
-        for rp, k, wp, writes_key in zip(reader_pos, read_kid, writer_pos, read_rmw):
-            if wp < 0 or wp == rp:
-                # Read-provenance anomalies are reported by the INT pre-pass.
-                continue
-            w = node_of[wp]
-            if w < 0:
-                continue
-            r = node_of[rp]
-            src_append(w)
-            dst_append(r)
-            et_append(_WR)
-            kid_append(k)
-            wr_src.append(w)
-            wr_dst.append(r)
-            wr_key.append(k)
-            if writes_key:
-                src_append(w)
-                dst_append(r)
-                et_append(_WW)
-                kid_append(k)
-                ww_succ.setdefault(w * radix + k, []).append(r)
-                if transitive_ww:
-                    ww_pairs_per_key.setdefault(k, []).append((w, r))
-
+        # WR edges (unique values), WW inferred from the RMW pattern.  A read
+        # without a committed writer, or of the reader's own write, is the INT
+        # pre-pass's to report, not an edge.
+        reader_pos, kids, _, writer_pos, rmw, _ = index.read_columns
+        readers = [node_of[pos] for pos in reader_pos]
+        writers = [node_of[pos] for pos in writer_pos]
+        if -1 in writers or any(map(eq, writers, readers)):
+            keep = [w >= 0 and w != r for w, r in zip(writers, readers)]
+            readers, writers, kids, rmw = (
+                list(compress(column, keep)) for column in (readers, writers, kids, rmw)
+            )
+        graph._append(_WR, writers, readers, kids)
+        ww_src, ww_dst, ww_key = (list(compress(c, rmw)) for c in (writers, readers, kids))
         if transitive_ww:
-            for k, pairs in ww_pairs_per_key.items():
+            per_key: Dict[int, List[Tuple[int, int]]] = {}
+            for s, t, k in zip(ww_src, ww_dst, ww_key):
+                per_key.setdefault(k, []).append((s, t))
+            for k, pairs in per_key.items():
                 existing = set(pairs)
                 for s, t in _transitive_closure(pairs):
-                    if (s, t) in existing:
-                        continue
-                    src_append(s)
-                    dst_append(t)
-                    et_append(_WW)
-                    kid_append(k)
-                    ww_succ.setdefault(s * radix + k, []).append(t)
-
-        # RW edges: T' --WR(x)--> T and T' --WW(x)--> S with T != S gives
-        # T --RW(x)--> S.
-        ww_get = ww_succ.get
-        for w, r, k in zip(wr_src, wr_dst, wr_key):
-            successors = ww_get(w * radix + k)
-            if successors:
-                for overwriter in successors:
-                    if overwriter != r:
-                        src_append(r)
-                        dst_append(overwriter)
-                        et_append(_RW)
-                        kid_append(k)
+                    if (s, t) not in existing:
+                        ww_src.append(s)
+                        ww_dst.append(t)
+                        ww_key.append(k)
+        graph._append(_WW, ww_src, ww_dst, ww_key)
+        radix = len(index.key_names) + 1
+        graph._append(
+            _RW, *_read_write(writers, readers, kids, ww_src, ww_dst, ww_key, radix)
+        )
         return graph
+
+    def _append(
+        self, code: int, src: List[int], dst: List[int], keys: Optional[List[int]] = None
+    ) -> None:
+        """Append one block of ``code``-typed rows (unkeyed unless ``keys``)."""
+        self.src += _int_array(src)
+        self.dst += _int_array(dst)
+        self.etype += array("i", [code]) * len(src)
+        self.key_id += _int_array(keys) if keys is not None else array("i", [-1]) * len(src)
 
     # ------------------------------------------------------------------
     # Queries
@@ -269,14 +225,10 @@ class CSRGraph:
 
     @property
     def nbytes(self) -> int:
-        """Retained bytes of the flat edge store (plus compiled CSR)."""
-        total = sum(
+        """Retained bytes of the flat edge store: the four columns."""
+        return sum(
             a.itemsize * len(a) for a in (self.src, self.dst, self.etype, self.key_id)
         )
-        if self._indptr is not None and self._indices is not None:
-            total += self._indptr.itemsize * len(self._indptr)
-            total += self._indices.itemsize * len(self._indices)
-        return total
 
     def iter_edges(self) -> Iterator[Edge]:
         """Yield labeled :class:`Edge` objects (debug/tests; not a hot path)."""
@@ -286,52 +238,18 @@ class CSRGraph:
         for s, t, e, k in zip(self.src, self.dst, self.etype, self.key_id):
             yield Edge(node_ids[s], node_ids[t], types[e], key_names[k] if k >= 0 else None)
 
-    # ------------------------------------------------------------------
-    # Acyclicity: one iterative Tarjan pass
-    # ------------------------------------------------------------------
-    def _compile(self) -> None:
-        """Counting-sort the edge columns into CSR offsets (stable order)."""
-        if self._indptr is not None:
-            return
-        n = len(self.node_ids)
-        m = len(self.src)
-        indptr = [0] * (n + 1)
-        for s in self.src:
-            indptr[s + 1] += 1
-        for i in range(n):
-            indptr[i + 1] += indptr[i]
-        cursor = indptr[:-1]
-        indices = [0] * m
-        self_loop = -1
-        for s, t in zip(self.src, self.dst):
-            c = cursor[s]
-            indices[c] = t
-            cursor[s] = c + 1
-            if s == t and self_loop < 0:
-                self_loop = s
-        self._indptr = array("i", indptr)
-        self._indices = array("i", indices)
-        self._self_loop = self_loop
-
     def has_cycle(self) -> Optional[List[int]]:
-        """The first nontrivial SCC (as transaction ids), or ``None``.
+        """The transaction ids of one cycle, or ``None`` when acyclic.
 
-        A self-loop is reported as a one-element SCC.  The accept path stops
-        here; callers needing a *labeled* counterexample cycle convert with
-        :meth:`to_multigraph` and run the legacy
-        :meth:`~repro.core.graph.DependencyGraph.find_cycle`, which keeps
-        violation output identical to the legacy pipeline.
+        One :func:`peel_cycle` over the edge columns; nothing is cached.
+        Consecutive ids (wrapping around) are joined by an edge, and a
+        self-loop is a one-element cycle.  The accept path stops here;
+        callers needing a *labeled* counterexample convert with
+        :meth:`to_multigraph` and run
+        :meth:`~repro.core.graph.DependencyGraph.find_cycle`.
         """
-        self._compile()
-        if self._self_loop >= 0:
-            return [self.node_ids[self._self_loop]]
-        assert self._indptr is not None and self._indices is not None
-        scc = _first_nontrivial_scc_csr(
-            len(self.node_ids), self._indptr, self._indices
-        )
-        if scc is None:
-            return None
-        return [self.node_ids[v] for v in scc]
+        cycle = peel_cycle(len(self.node_ids), self.src, self.dst)
+        return None if cycle is None else [self.node_ids[v] for v in cycle]
 
     def is_acyclic(self) -> bool:
         return self.has_cycle() is None
@@ -342,37 +260,27 @@ class CSRGraph:
     def si_induced(self) -> "CSRGraph":
         """The SI check graph ``(SO ∪ WR ∪ WW) ; RW?`` as a new CSRGraph.
 
-        One pass over the base rows joined against an RW adjacency map: a
-        base edge ``a → b`` contributes itself plus ``a → c`` (COMPOSED,
-        keyed by the RW edge) for every ``b RW→ c``.  Matches
+        The base rows are copied run by run (one run on :meth:`from_index`'s
+        block layout); every base edge ``a → b`` joined against an int-keyed
+        map from ``b`` to its RW rows adds ``a → c`` (COMPOSED, keyed by the
+        RW edge) for every ``b RW→ c``.  Matches
         :meth:`DependencyGraph.si_induced_graph` edge-set for edge-set.
         """
-        rw_map: Dict[int, List[Tuple[int, int]]] = {}
-        for s, t, e, k in zip(self.src, self.dst, self.etype, self.key_id):
-            if e == _RW:
-                rw_map.setdefault(s, []).append((t, k))
-
-        induced = CSRGraph(self.node_ids, self.key_names)
-        src_append = induced.src.append
-        dst_append = induced.dst.append
-        et_append = induced.etype.append
-        kid_append = induced.key_id.append
-        rw_get = rw_map.get
-        for s, t, e, k in zip(self.src, self.dst, self.etype, self.key_id):
-            if not _SO <= e <= _WW:
-                continue
-            src_append(s)
-            dst_append(t)
-            et_append(e)
-            kid_append(k)
-            successors = rw_get(t)
-            if successors:
-                for c, ck in successors:
-                    src_append(s)
-                    dst_append(c)
-                    et_append(_COMPOSED)
-                    kid_append(ck)
-        return induced
+        src, dst, etype, key_id = self.src, self.dst, self.etype, self.key_id
+        codes = bytes(iter(etype))  # one byte per row, not the raw buffer
+        rw = _runs(codes.translate(_IS_RW))
+        base = _runs(codes.translate(_IS_BASE))
+        rw_out = _levels(_gather(src, rw), [j for start, end in rw for j in range(start, end)])
+        base_src, base_dst = _gather(src, base), _gather(dst, base)
+        rows, rw_rows = _join(base_dst, rw_out)
+        return CSRGraph(
+            self.node_ids,
+            self.key_names,
+            base_src + _int_array([base_src[i] for i in rows]),
+            base_dst + _int_array([dst[j] for j in rw_rows]),
+            _gather(etype, base) + array("i", [_COMPOSED]) * len(rows),
+            _gather(key_id, base) + _int_array([key_id[j] for j in rw_rows]),
+        )
 
     # ------------------------------------------------------------------
     # Lazy legacy conversion (reject path / explicit callers only)
@@ -415,8 +323,8 @@ class CSRGraph:
         edges (``key_id == -1``) stay unkeyed.  Edge rows are appended in
         the wire's order, so composing remaps over a reduction tree yields
         byte-identical edge columns to remapping every leaf directly — the
-        invariant the SSER tree merge relies on.  Invalidates any compiled
-        CSR/multigraph state.
+        invariant the SSER tree merge relies on.  Invalidates a cached
+        multigraph.
         """
         _node_ids, _key_names, src_b, dst_b, etype_b, key_b = wire
         src = array("i")
@@ -436,9 +344,6 @@ class CSRGraph:
             dst_append(node_map[t])
             et_append(e)
             kid_append(key_map[k] if k >= 0 else -1)
-        self._indptr = None
-        self._indices = None
-        self._self_loop = -1
         self._multigraph = None
 
     # ------------------------------------------------------------------
@@ -473,84 +378,168 @@ class CSRGraph:
 
 
 # ----------------------------------------------------------------------
-# Tarjan SCC (iterative, allocation-light)
+# Edge blocks, int-keyed multimaps and joins (no per-key container)
 # ----------------------------------------------------------------------
-def _first_nontrivial_scc_csr(
-    n: int, indptr: Sequence[int], indices: Sequence[int]
-) -> Optional[List[int]]:
-    """First SCC of size > 1 over CSR adjacency, or ``None`` when acyclic.
+def _session_order(sessions: List[int], base: int) -> Tuple[List[int], List[int]]:
+    """SO rows over nodes ``base, base + 1, ...`` whose session ids are ``sessions``.
 
-    Iterative Tarjan with flat arrays for discovery indices and low-links;
-    roots are visited in ascending dense order and successors in CSR
-    (insertion) order, so the reported component is deterministic.
-    Self-loops are the caller's job (pre-scanned during compilation).
+    Node ``v`` follows ``v - 1`` when both sit in one session (the scan
+    groups sessions contiguously); when ``⊥T`` is node 0 (``base`` 1) it
+    precedes each session's first node.
     """
-    ids = [-1] * n
-    low = [0] * n
-    on_stack = bytearray(n)
-    scc_stack: List[int] = []
-    counter = 0
-    for root in range(n):
-        if ids[root] != -1:
-            continue
-        ids[root] = low[root] = counter
-        counter += 1
-        scc_stack.append(root)
-        on_stack[root] = 1
-        work: List[Tuple[int, int]] = [(root, indptr[root])]
-        while work:
-            v, ptr = work[-1]
-            if ptr < indptr[v + 1]:
-                work[-1] = (v, ptr + 1)
-                w = indices[ptr]
-                if ids[w] == -1:
-                    ids[w] = low[w] = counter
-                    counter += 1
-                    scc_stack.append(w)
-                    on_stack[w] = 1
-                    work.append((w, indptr[w]))
-                elif on_stack[w] and ids[w] < low[v]:
-                    low[v] = ids[w]
-            else:
-                work.pop()
-                low_v = low[v]
-                if work:
-                    u = work[-1][0]
-                    if low_v < low[u]:
-                        low[u] = low_v
-                if low_v == ids[v]:
-                    component: List[int] = []
-                    while True:
-                        w = scc_stack.pop()
-                        on_stack[w] = 0
-                        component.append(w)
-                        if w == v:
-                            break
-                    if len(component) > 1:
-                        return component
-    return None
+    same = list(map(eq, sessions, sessions[1:]))
+    nodes = range(base, base + len(sessions))
+    src = list(compress(nodes, same))
+    dst = list(compress(nodes[1:], same))
+    if base and sessions:
+        dst += [base]
+        dst += compress(nodes[1:], map(not_, same))
+        src += [0] * (len(dst) - len(src))
+    return src, dst
 
 
-def first_nontrivial_scc(
-    adjacency: Sequence[Sequence[int]],
-) -> Optional[List[int]]:
-    """First cycle-witnessing SCC over a dense list-of-lists adjacency.
+def _read_write(
+    writers: List[int],
+    readers: List[int],
+    kids: List[int],
+    ww_src: List[int],
+    ww_dst: List[int],
+    ww_key: List[int],
+    radix: int,
+) -> Tuple[List[int], List[int], List[int]]:
+    """RW rows: ``T' --WR(x)--> T`` and ``T' --WW(x)--> S``, ``T != S``, give ``T --RW(x)--> S``.
 
-    Compiles the rows into CSR offsets (stable counting sort, preserving
-    successor order) and runs the same Tarjan core as
-    :meth:`CSRGraph.has_cycle`; a self-loop is reported as a one-element
-    component.  Shared with the solver baselines' known-edge installation,
-    which runs one SCC pass instead of a reachability DFS per edge on the
-    accept path.
+    The WW-successor map is keyed by the int slot ``writer * radix + key``;
+    a version's first overwriter is an int in its first level, and the rare
+    second one (a lost update) sits in the side table (:func:`_levels`).
+    The slots and the map are freed on return, before the block is packed,
+    which keeps them out of the build's peak memory.
     """
-    n = len(adjacency)
-    indptr = [0] * (n + 1)
-    for v, row in enumerate(adjacency):
-        indptr[v + 1] = indptr[v] + len(row)
-        for w in row:
-            if w == v:
-                return [v]
-    indices: List[int] = []
-    for row in adjacency:
-        indices.extend(row)
-    return _first_nontrivial_scc_csr(n, indptr, indices)
+    successors = _levels([s * radix + k for s, k in zip(ww_src, ww_key)], ww_dst)
+    rows, overwriters = _join([w * radix + k for w, k in zip(writers, kids)], successors)
+    src = [readers[i] for i in rows]
+    keys = [kids[i] for i in rows]
+    if not all(map(ne, src, overwriters)):  # the reader's own overwrite is no RW edge
+        keep = list(map(ne, src, overwriters))
+        src, overwriters, keys = (list(compress(c, keep)) for c in (src, overwriters, keys))
+    return src, overwriters, keys
+
+
+def _int_array(values: List[int]) -> array:
+    """``array('i', values)``, packed by ``struct`` (twice as fast from a list)."""
+    column = array("i")
+    column.frombytes(struct.pack(f"{len(values)}i", *values))
+    return column
+
+
+def _runs(mask: bytes) -> List[Tuple[int, int]]:
+    """The ``(start, end)`` row ranges where ``mask`` is set."""
+    return [match.span() for match in re.finditer(b"\x01+", mask)]
+
+
+def _gather(column: array, runs: List[Tuple[int, int]]) -> array:
+    """The rows of ``column`` inside ``runs``, as one ``array('i')``."""
+    out = array("i")
+    for start, end in runs:
+        out += column[start:end]
+    return out
+
+
+def _levels(keys: Sequence[int], values: Sequence[int]) -> List[Dict[int, int]]:
+    """The multimap ``keys[j] -> values[j]`` as int-to-int dicts, one per rank.
+
+    Level ``l`` maps each key to its ``l``-th value, so a key's first value
+    is a plain int in level 0.  When every key has one value (a mini-
+    transaction history's WW successors) level 0 is one ``dict(zip())`` and
+    the whole map; keys with more (a version read-modify-written twice, a
+    reader of two overwritten versions) take the loop that fills the later
+    levels, the side table.  Nothing held is a per-key container, so the map
+    wakes no collector.
+    """
+    first = dict(zip(keys, values))
+    if len(first) == len(keys):
+        return [first]
+    levels: List[Dict[int, int]] = []
+    depth: Dict[int, int] = {}
+    for key, value in zip(keys, values):
+        rank = depth.get(key, 0)
+        depth[key] = rank + 1
+        if rank == len(levels):
+            levels.append({})
+        levels[rank][key] = value
+    return levels
+
+
+def _join(keys: Sequence[int], levels: List[Dict[int, int]]) -> Tuple[List[int], List[int]]:
+    """Every ``(i, value)`` with ``value`` stored under ``keys[i]``, as two lists.
+
+    Values are non-negative.  A row that misses one level misses every later
+    one, so each level probes only the previous level's hits: the join costs
+    one probe per row plus one per match.
+    """
+    rows: Sequence[int] = range(len(keys))
+    matched: List[int] = []
+    values: List[int] = []
+    for level in levels:
+        found = list(map(level.__contains__, keys))
+        rows = list(compress(rows, found))
+        keys = list(compress(keys, found))
+        matched += rows
+        values += map(level.__getitem__, keys)
+    return matched, values
+
+
+# ----------------------------------------------------------------------
+# Acyclicity: Kahn's topological peel
+# ----------------------------------------------------------------------
+def peel_cycle(
+    num_nodes: int, src: Sequence[int], dst: Sequence[int]
+) -> Optional[List[int]]:
+    """Kahn's topological peel: ``None`` when acyclic, else the ids of one cycle.
+
+    The edges ``src[i] → dst[i]`` over nodes ``0..num_nodes-1`` are
+    counting-sorted by source into one ``array('i')`` while in-degrees are
+    counted; then every node whose in-degree reaches zero is peeled and its
+    successors decremented.  Each edge is touched three times and nothing
+    is cached.  A node left unpeeled still has an unpeeled predecessor, so
+    walking predecessors from one must revisit a node; the loop it closes is
+    returned in edge order (every consecutive pair, wrapping around, is an
+    edge, and a self-loop is ``[v]``).
+    """
+    n = num_nodes
+    ends = [0] * n
+    for s in src:
+        ends[s] += 1
+    ends = list(accumulate(ends))
+    starts = ends[:]
+    indeg = [0] * n
+    successors = array("i", bytes(4 * len(src)))
+    for s, t in zip(src, dst):
+        c = starts[s] - 1
+        successors[c] = t
+        starts[s] = c
+        indeg[t] += 1
+    peeled = [v for v in range(n) if not indeg[v]]
+    for v in peeled:
+        for w in successors[starts[v]:ends[v]]:
+            d = indeg[w] - 1
+            indeg[w] = d
+            if not d:
+                peeled.append(w)
+    if len(peeled) == n:
+        return None
+    # Reject path: one unpeeled predecessor per unpeeled node.
+    pred = [-1] * n
+    for s, t in zip(src, dst):
+        if indeg[s] and indeg[t]:
+            pred[t] = s
+    step = [-1] * n
+    walk: List[int] = []
+    v = next(v for v in range(n) if indeg[v])
+    while step[v] < 0:
+        step[v] = len(walk)
+        walk.append(v)
+        v = pred[v]
+    cycle = walk[step[v]:]
+    cycle.reverse()
+    return cycle

@@ -8,9 +8,11 @@ level over the composite fault-plan histories the parallel pipeline is
 validated against (``tests/test_parallel.py``).
 """
 
+import random
+
 import pytest
 
-from repro.core.csr import CSRGraph, first_nontrivial_scc
+from repro.core.csr import CSRGraph, peel_cycle
 from repro.core.graph import DependencyGraph, EdgeType, build_dependency
 from repro.core.index import HistoryIndex
 from repro.core.model import History, Transaction, read, write
@@ -106,10 +108,10 @@ class TestCSRGraph:
     def test_nbytes_is_compact(self):
         history = two_txn_history()
         csr = build_dependency(history, dense=True)
-        # Four int32 columns per edge row (+ CSR offsets once compiled).
+        # Four int32 columns per edge row; the acyclicity check caches nothing.
         assert csr.nbytes == 4 * csr.num_edges * csr.src.itemsize
         csr.has_cycle()
-        assert csr.nbytes > 4 * csr.num_edges * csr.src.itemsize
+        assert csr.nbytes == 4 * csr.num_edges * csr.src.itemsize
 
     def test_with_rt_adds_rt_rows(self):
         t1 = Transaction(1, [read("x", 0), write("x", 1)], start_ts=0.0, finish_ts=1.0)
@@ -122,20 +124,57 @@ class TestCSRGraph:
         assert any(e.edge_type is EdgeType.RT for e in csr.iter_edges())
 
 
-class TestTarjan:
-    def test_acyclic(self):
-        assert first_nontrivial_scc([[1], [2], []]) is None
+def assert_is_cycle(cycle, edges):
+    """Every consecutive pair of ``cycle``, wrapping around, is an edge."""
+    assert cycle
+    assert all((a, b) in edges for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
-    def test_cycle_component(self):
-        scc = first_nontrivial_scc([[1], [2], [0], []])
-        assert scc is not None and sorted(scc) == [0, 1, 2]
+
+class TestPeel:
+    @staticmethod
+    def peel(n, edges):
+        return peel_cycle(n, [s for s, _ in edges], [t for _, t in edges])
+
+    def test_dag_returns_none(self):
+        assert self.peel(4, [(0, 1), (1, 2), (0, 2), (3, 2)]) is None
+        assert self.peel(3, []) is None
+
+    def test_cycle_ids_are_edges(self):
+        edges = {(0, 1), (1, 2), (2, 0), (2, 3), (4, 0)}
+        cycle = self.peel(5, sorted(edges))
+        assert sorted(cycle) == [0, 1, 2]
+        assert_is_cycle(cycle, edges)
+
+    def test_walk_from_a_node_behind_the_cycle(self):
+        # Nodes 0 and 1 are never peeled but lie behind the cycle 3 <-> 4;
+        # the walk starts at node 0 and must not report the tail.
+        edges = {(3, 4), (4, 3), (4, 0), (0, 1), (2, 0)}
+        for order in (sorted(edges), sorted(edges, reverse=True)):
+            cycle = self.peel(5, order)
+            assert sorted(cycle) == [3, 4]
+            assert_is_cycle(cycle, edges)
 
     def test_self_loop(self):
-        assert first_nontrivial_scc([[0]]) == [0]
+        assert self.peel(1, [(0, 0)]) == [0]
+        assert self.peel(3, [(0, 1), (1, 1), (1, 2)]) == [1]
 
-    def test_first_component_is_deterministic(self):
-        adjacency = [[1], [0], [3], [2]]
-        assert first_nontrivial_scc(adjacency) == first_nontrivial_scc(adjacency)
+    def test_graph_cycle_is_transaction_ids(self):
+        csr = build_dependency(lost_update_history(), dense=True)
+        edges = {(e.source, e.target) for e in csr.iter_edges()}
+        assert_is_cycle(csr.has_cycle(), edges)
+
+    def test_random_graphs_agree_with_the_reference_search(self):
+        rng = random.Random(26)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
+            reference = DependencyGraph(range(n))
+            for s, t in edges:
+                reference.add_edge(s, t, EdgeType.SO)
+            cycle = self.peel(n, sorted(edges))
+            assert (cycle is None) == (reference.find_cycle() is None)
+            if cycle is not None:
+                assert_is_cycle(cycle, edges)
 
 
 # ----------------------------------------------------------------------

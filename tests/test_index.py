@@ -9,6 +9,7 @@ import pytest
 from repro.core.anomalies import ANOMALY_NAMES, anomaly_history
 from repro.core.checkers import check_ser, check_si, check_sser
 from repro.core.checker import MTChecker
+from repro.core.csr import CSRGraph
 from repro.core.index import HistoryIndex
 from repro.core.intcheck import build_write_index, check_internal_consistency
 from repro.core.mini import validate_mt_history
@@ -189,6 +190,18 @@ class TestScanIsTheIntPrePass:
         assert [generation["collections"] for generation in gc.get_stats()] == before
         assert index.int_violations() == []
         assert index._txn_cache == {}
+
+    def test_kernel_wakes_no_collector(self):
+        columns = healthy_segment(500)
+        assert columns.num_transactions >= 8000
+        index = HistoryIndex.from_columns(columns)
+        index.real_time_id_pairs()  # the index's own cache: tuples, built once
+        gc.collect()
+        before = [generation["collections"] for generation in gc.get_stats()]
+        for with_rt in (False, True):  # SER and SSER
+            assert CSRGraph.from_index(index, with_rt=with_rt).has_cycle() is None
+        assert CSRGraph.from_index(index).si_induced().has_cycle() is None  # SI
+        assert [generation["collections"] for generation in gc.get_stats()] == before
 
 
 class TestSingleConstruction:
