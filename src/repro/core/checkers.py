@@ -237,28 +237,30 @@ def cycle_verdict(csr: CSRGraph, level: IsolationLevel, num_transactions: int) -
     """Accept iff the level's edge combination of ``csr`` is acyclic.
 
     The accept path is one topological peel over flat arrays
-    (:func:`~repro.core.csr.peel_cycle`; for SI, over the CSR-level
-    composition ``(SO ∪ WR ∪ WW) ; RW?``), which on a cycle returns the ids
-    of one cycle.  Only a rejection materialises the labeled multigraph,
-    whose sorted ``find_cycle`` and :func:`classify_cycle` produce the
-    counterexample, so it does not depend on the order of the edge rows.
+    (:meth:`CSRGraph.has_cycle`; for SI, over the CSR-level composition
+    ``(SO ∪ WR ∪ WW) ; RW?``).  A rejection stays on the same arrays:
+    :meth:`CSRGraph.find_cycle` searches them in transaction-id order and
+    labels the cycle's rows, and :func:`classify_cycle` names it, so the
+    counterexample does not depend on the order of the edge rows and no
+    multigraph is built.
     """
-    induced = level is IsolationLevel.SNAPSHOT_ISOLATION
-    if (csr.si_induced() if induced else csr).has_cycle() is None:
+    graph = csr.si_induced() if level is IsolationLevel.SNAPSHOT_ISOLATION else csr
+    if graph.has_cycle() is None:
         return CheckResult.ok(level, num_transactions)
-    graph = csr.to_multigraph()
-    cycle = (graph.si_induced_graph() if induced else graph).find_cycle()
-    violation = classify_cycle(cycle, graph, level=level)
+    violation = classify_cycle(graph.find_cycle(), level=level)
     return CheckResult.violated(level, [violation], num_transactions=num_transactions)
 
 
 def classify_cycle(
     cycle: Sequence[Edge],
-    graph: DependencyGraph,
+    graph: Optional[DependencyGraph] = None,
     *,
     level: IsolationLevel,
 ) -> Violation:
     """Classify a dependency cycle into a named anomaly where possible.
+
+    Only the cycle's own edges are read; ``graph`` is accepted for
+    positional callers and ignored.
 
     The classification follows the cycle shapes of Figure 5:
 

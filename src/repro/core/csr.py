@@ -1,4 +1,4 @@
-"""Array-native CSR dependency-graph kernel: the dense accept path.
+"""Array-native CSR dependency-graph kernel: verdicts and counterexamples.
 
 The paper's headline claim is that graph-based MT checking is *linear-time*
 for SER/SI.  The accept path (the one every healthy history takes) therefore
@@ -15,11 +15,12 @@ PolySI's encoder) keep their hot loops:
   bulk ``extend``\\ s.
 * :meth:`CSRGraph.has_cycle` is one Kahn topological peel
   (:func:`peel_cycle`): ``None`` on the accept path, the ids of one cycle
-  otherwise.  Labeled-cycle extraction runs only on the reject path:
-  :meth:`CSRGraph.to_multigraph` materialises the legacy
-  :class:`~repro.core.graph.DependencyGraph` lazily, and its sorted
-  ``find_cycle`` makes the printed counterexample independent of the order
-  of the edge rows.
+  otherwise.  On the reject path :meth:`CSRGraph.find_cycle` labels a cycle
+  on the same columns — a DFS in transaction-id order, then one pass over
+  the rows for the cycle's labels — so the printed counterexample does not
+  depend on the order of the edge rows and no multigraph is built.
+  :meth:`CSRGraph.to_multigraph` remains as a conversion for the reference
+  tests and inspection.
 * :meth:`CSRGraph.si_induced` composes the SI check graph
   ``(SO ∪ WR ∪ WW) ; RW?`` at the array level — the base rows joined against
   an int-keyed RW map — instead of nested Python dict iteration.
@@ -39,7 +40,14 @@ from itertools import accumulate, compress
 from operator import eq, ne, not_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .graph import DependencyGraph, Edge, EdgeType, _transitive_closure
+from .graph import (
+    DependencyGraph,
+    Edge,
+    EdgeType,
+    _find_cycle_dense,
+    _transitive_closure,
+    best_label,
+)
 from .index import HistoryIndex
 
 __all__ = [
@@ -104,7 +112,7 @@ class CSRGraph:
         True
     """
 
-    __slots__ = ("node_ids", "key_names", "src", "dst", "etype", "key_id", "_multigraph")
+    __slots__ = ("node_ids", "key_names", "src", "dst", "etype", "key_id")
 
     def __init__(
         self,
@@ -121,7 +129,6 @@ class CSRGraph:
         self.dst: array = dst if dst is not None else array("i")
         self.etype: array = etype if etype is not None else array("i")
         self.key_id: array = key_id if key_id is not None else array("i")
-        self._multigraph: Optional[DependencyGraph] = None
 
     # ------------------------------------------------------------------
     # Construction: the array-native BUILDDEPENDENCY
@@ -243,13 +250,40 @@ class CSRGraph:
 
         One :func:`peel_cycle` over the edge columns; nothing is cached.
         Consecutive ids (wrapping around) are joined by an edge, and a
-        self-loop is a one-element cycle.  The accept path stops here;
-        callers needing a *labeled* counterexample convert with
-        :meth:`to_multigraph` and run
-        :meth:`~repro.core.graph.DependencyGraph.find_cycle`.
+        self-loop is a one-element cycle.  The accept path stops here; the
+        reject path asks :meth:`find_cycle` for the labeled counterexample.
         """
         cycle = peel_cycle(len(self.node_ids), self.src, self.dst)
         return None if cycle is None else [self.node_ids[v] for v in cycle]
+
+    def find_cycle(self) -> Optional[List[Edge]]:
+        """The labeled counterexample: ``to_multigraph().find_cycle()``, on the arrays.
+
+        Nodes are ranked by transaction id once, successors are counting-
+        sorted by source (:func:`_by_source`), and only the nodes the DFS
+        visits have their successors sorted by id and deduplicated; the
+        search is the multigraph's (:func:`~repro.core.graph._find_cycle_dense`),
+        so the cycle does not depend on the order of the edge rows.  Only the
+        cycle's rows are labeled, by :func:`~repro.core.graph.best_label`.
+        """
+        node_ids = self.node_ids
+        txn_id = node_ids.__getitem__
+        flat, starts, ends, _ = _by_source(len(node_ids), self.src, self.dst)
+        cycle = _find_cycle_dense(
+            sorted(range(len(node_ids)), key=txn_id),
+            lambda v: sorted(set(flat[starts[v]:ends[v]]), key=txn_id),
+        )
+        if cycle is None:
+            return None
+        next_of = dict(zip(cycle, cycle[1:] + cycle[:1]))  # in cycle order
+        tags: Dict[int, List[Tuple[EdgeType, Optional[str]]]] = {v: [] for v in cycle}
+        key_names = self.key_names
+        for s, t, e, k in zip(self.src, self.dst, self.etype, self.key_id):
+            if next_of.get(s) == t:
+                tags[s].append((EDGE_TYPE_FROM_CODE[e], key_names[k] if k >= 0 else None))
+        return [
+            Edge(node_ids[v], node_ids[w], *best_label(tags[v])) for v, w in next_of.items()
+        ]
 
     def is_acyclic(self) -> bool:
         return self.has_cycle() is None
@@ -283,31 +317,24 @@ class CSRGraph:
         )
 
     # ------------------------------------------------------------------
-    # Lazy legacy conversion (reject path / explicit callers only)
+    # Legacy conversion (reference tests and inspection only)
     # ------------------------------------------------------------------
     def to_multigraph(self) -> DependencyGraph:
-        """Materialise the legacy labeled multigraph (cached).
+        """The labeled multigraph of these edge rows, built on each call.
 
-        Only runs when a cycle must be labeled or a caller explicitly asks
-        for the multigraph; the edge *set* equals what the legacy
-        ``build_dependency`` builds, so ``find_cycle`` / ``label_cycle`` /
-        anomaly classification behave identically.
+        No checker calls it: verdicts and counterexamples come from
+        :meth:`has_cycle` and :meth:`find_cycle`.  The edge *set* equals
+        what the reference ``build_dependency`` builds, so the reference
+        tests and anyone inspecting the graph can compare the two directly.
         """
-        if self._multigraph is None:
-            graph = DependencyGraph(self.node_ids)
-            node_ids = self.node_ids
-            key_names = self.key_names
-            types = EDGE_TYPE_FROM_CODE
-            add_edge = graph.add_edge
-            for s, t, e, k in zip(self.src, self.dst, self.etype, self.key_id):
-                add_edge(
-                    node_ids[s],
-                    node_ids[t],
-                    types[e],
-                    key_names[k] if k >= 0 else None,
-                )
-            self._multigraph = graph
-        return self._multigraph
+        graph = DependencyGraph(self.node_ids)
+        node_ids = self.node_ids
+        key_names = self.key_names
+        types = EDGE_TYPE_FROM_CODE
+        add_edge = graph.add_edge
+        for s, t, e, k in zip(self.src, self.dst, self.etype, self.key_id):
+            add_edge(node_ids[s], node_ids[t], types[e], key_names[k] if k >= 0 else None)
+        return graph
 
     def append_remapped(
         self,
@@ -323,8 +350,7 @@ class CSRGraph:
         edges (``key_id == -1``) stay unkeyed.  Edge rows are appended in
         the wire's order, so composing remaps over a reduction tree yields
         byte-identical edge columns to remapping every leaf directly — the
-        invariant the SSER tree merge relies on.  Invalidates a cached
-        multigraph.
+        invariant the SSER tree merge relies on.
         """
         _node_ids, _key_names, src_b, dst_b, etype_b, key_b = wire
         src = array("i")
@@ -344,7 +370,6 @@ class CSRGraph:
             dst_append(node_map[t])
             et_append(e)
             kid_append(key_map[k] if k >= 0 else -1)
-        self._multigraph = None
 
     # ------------------------------------------------------------------
     # Process-boundary wire format
@@ -492,33 +517,47 @@ def _join(keys: Sequence[int], levels: List[Dict[int, int]]) -> Tuple[List[int],
 # ----------------------------------------------------------------------
 # Acyclicity: Kahn's topological peel
 # ----------------------------------------------------------------------
-def peel_cycle(
+def _by_source(
     num_nodes: int, src: Sequence[int], dst: Sequence[int]
-) -> Optional[List[int]]:
-    """Kahn's topological peel: ``None`` when acyclic, else the ids of one cycle.
+) -> Tuple[array, List[int], List[int], List[int]]:
+    """Counting sort of the edges ``src[i] → dst[i]`` by source.
 
-    The edges ``src[i] → dst[i]`` over nodes ``0..num_nodes-1`` are
-    counting-sorted by source into one ``array('i')`` while in-degrees are
-    counted; then every node whose in-degree reaches zero is peeled and its
-    successors decremented.  Each edge is touched three times and nothing
-    is cached.  A node left unpeeled still has an unpeeled predecessor, so
-    walking predecessors from one must revisit a node; the loop it closes is
-    returned in edge order (every consecutive pair, wrapping around, is an
-    edge, and a self-loop is ``[v]``).
+    Returns ``(successors, starts, ends, indeg)``: node ``v``'s successors
+    are ``successors[starts[v]:ends[v]]``, one flat ``array('i')`` for all,
+    and ``indeg[v]`` its in-degree, counted in the same pass (the peel needs
+    it and a second pass over the edges would cost more).
     """
-    n = num_nodes
-    ends = [0] * n
+    ends = [0] * num_nodes
     for s in src:
         ends[s] += 1
     ends = list(accumulate(ends))
     starts = ends[:]
-    indeg = [0] * n
+    indeg = [0] * num_nodes
     successors = array("i", bytes(4 * len(src)))
     for s, t in zip(src, dst):
         c = starts[s] - 1
         successors[c] = t
         starts[s] = c
         indeg[t] += 1
+    return successors, starts, ends, indeg
+
+
+def peel_cycle(
+    num_nodes: int, src: Sequence[int], dst: Sequence[int]
+) -> Optional[List[int]]:
+    """Kahn's topological peel: ``None`` when acyclic, else the ids of one cycle.
+
+    The edges ``src[i] → dst[i]`` over nodes ``0..num_nodes-1`` are
+    counting-sorted by source while in-degrees are counted
+    (:func:`_by_source`); then every node whose in-degree reaches zero is
+    peeled and its successors decremented.  Each edge is touched three
+    times and nothing is cached.  A node left unpeeled still has an
+    unpeeled predecessor, so walking predecessors from one must revisit a
+    node; the loop it closes is returned in edge order (every consecutive
+    pair, wrapping around, is an edge, and a self-loop is ``[v]``).
+    """
+    n = num_nodes
+    successors, starts, ends, indeg = _by_source(n, src, dst)
     peeled = [v for v in range(n) if not indeg[v]]
     for v in peeled:
         for w in successors[starts[v]:ends[v]]:

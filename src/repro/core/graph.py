@@ -21,6 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -40,7 +41,7 @@ from .model import History
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .csr import CSRGraph
 
-__all__ = ["EdgeType", "Edge", "DependencyGraph", "build_dependency"]
+__all__ = ["EdgeType", "Edge", "DependencyGraph", "best_label", "build_dependency"]
 
 
 class EdgeType(enum.Enum):
@@ -168,7 +169,7 @@ class DependencyGraph:
             sorted(dense[t] for t in self._succ.get(node, ()) if t in dense)
             for node in order
         ]
-        cycle_dense = _find_cycle_dense(adjacency)
+        cycle_dense = _find_cycle_dense(range(len(order)), adjacency.__getitem__)
         if cycle_dense is None:
             return None
         return self.label_cycle([order[i] for i in cycle_dense])
@@ -177,33 +178,13 @@ class DependencyGraph:
         """Attach edge labels to a cycle given as an ordered node sequence.
 
         ``cycle_nodes[i] -> cycle_nodes[i + 1]`` (wrapping around) must be
-        edges of this graph; the most informative label of each is chosen.
-        Used both by :meth:`find_cycle` and by the streaming checker, whose
-        online topological order reports cycles as node sequences.
+        edges of this graph; each is labeled by :func:`best_label`.
         """
-        edges: List[Edge] = []
-        n = len(cycle_nodes)
-        for i in range(n):
-            source = cycle_nodes[i]
-            target = cycle_nodes[(i + 1) % n]
-            labels = self._succ.get(source, {}).get(target, set())
-            if labels:
-                # Prefer the most informative label (anything but RT/SO);
-                # the key breaks ties so the choice never depends on set
-                # iteration order (a multigraph converted from the CSR kernel
-                # and one built directly must label identically).
-                etype, key = min(
-                    labels,
-                    key=lambda tag: (
-                        tag[0] in (EdgeType.RT, EdgeType.SO),
-                        tag[0].value,
-                        tag[1] or "",
-                    ),
-                )
-                edges.append(Edge(source, target, etype, key))
-            else:  # pragma: no cover - defensive: cycle must use real edges
-                edges.append(Edge(source, target, EdgeType.COMPOSED, None))
-        return edges
+        successors = self._succ
+        return [
+            Edge(source, target, *best_label(successors.get(source, {}).get(target, ())))
+            for source, target in zip(cycle_nodes, [*cycle_nodes[1:], *cycle_nodes[:1]])
+        ]
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -239,48 +220,60 @@ class DependencyGraph:
         return f"DependencyGraph(nodes={len(self.nodes)}, edges={self._edge_count})"
 
 
-def _find_cycle_dense(adjacency: Sequence[Sequence[int]]) -> Optional[List[int]]:
-    """Iterative DFS cycle detection over a dense ``0..n-1`` adjacency list.
+def best_label(tags: Iterable[Tuple[EdgeType, Optional[str]]]) -> Tuple[EdgeType, Optional[str]]:
+    """The most informative of one edge's ``(type, key)`` labels.
 
-    The integer fast path behind :meth:`DependencyGraph.find_cycle` and
-    :meth:`DependencyGraph.is_acyclic`: colours live in a flat ``bytearray``
-    and successor iteration walks plain lists, with no per-node dict
-    lookup.  Roots are visited in ascending order, so the reported cycle is
+    Anything but RT/SO wins; the type name and then the key break ties, so
+    the choice never depends on the order the labels were stored in (the
+    multigraph's sets, the CSR kernel's edge rows and the streaming order's
+    label lists all label a cycle identically).  No label at all (a cycle
+    must use real edges) gives ``COMPOSED``.
+    """
+    return min(
+        tags,
+        key=lambda tag: (tag[0] in (EdgeType.RT, EdgeType.SO), tag[0].value, tag[1] or ""),
+        default=(EdgeType.COMPOSED, None),
+    )
+
+
+def _find_cycle_dense(
+    roots: Sequence[int], successors: Callable[[int], Sequence[int]]
+) -> Optional[List[int]]:
+    """Iterative DFS cycle detection over dense nodes ``0..len(roots)-1``.
+
+    The one search behind :meth:`DependencyGraph.find_cycle` and
+    :meth:`~repro.core.csr.CSRGraph.find_cycle`: colours live in a flat
+    ``bytearray``, roots are tried in the order of ``roots`` (a permutation
+    of the nodes) and ``successors(v)``, asked once per visited node, gives
+    the order ``v``'s successors are tried in.  Both callers sort by
+    transaction id, so the reported cycle (node ids in edge order) is
     deterministic.
     """
-    n = len(adjacency)
     WHITE, GRAY, BLACK = 0, 1, 2
-    colour = bytearray(n)
-    parent = [-1] * n
-    for root in range(n):
+    colour = bytearray(len(roots))
+    parent = [-1] * len(roots)
+    for root in roots:
         if colour[root] != WHITE:
             continue
         colour[root] = GRAY
-        stack: List[Tuple[int, int]] = [(root, 0)]  # (node, next successor index)
+        stack: List[Tuple[int, Iterator[int]]] = [(root, iter(successors(root)))]
         while stack:
-            node, pos = stack[-1]
-            succ = adjacency[node]
-            advanced = False
-            while pos < len(succ):
-                nxt = succ[pos]
-                pos += 1
+            node, pending = stack[-1]
+            for nxt in pending:
                 if colour[nxt] == WHITE:
                     colour[nxt] = GRAY
                     parent[nxt] = node
-                    stack[-1] = (node, pos)
-                    stack.append((nxt, 0))
-                    advanced = True
+                    stack.append((nxt, iter(successors(nxt))))
                     break
                 if colour[nxt] == GRAY:
                     # Back edge node -> nxt closes a cycle; walk parents back.
                     cycle = [node]
-                    current = node
-                    while current != nxt:
-                        current = parent[current]
-                        cycle.append(current)
+                    while node != nxt:
+                        node = parent[node]
+                        cycle.append(node)
                     cycle.reverse()
                     return cycle
-            if not advanced:
+            else:
                 colour[node] = BLACK
                 stack.pop()
     return None
@@ -314,10 +307,10 @@ def build_dependency(
             index (``history=None``) it uses ``index.history``.
         dense: emit an array-native :class:`~repro.core.csr.CSRGraph`
             instead of the labeled multigraph.  The dense graph never
-            allocates an :class:`Edge` on the accept path and converts to
-            the legacy :class:`DependencyGraph` lazily
-            (``CSRGraph.to_multigraph()``) when a cycle must be labeled or
-            a caller asks for the multigraph.  This is the path the batch
+            allocates an :class:`Edge` on the accept path, labels a
+            rejection's cycle itself (``CSRGraph.find_cycle()``) and
+            converts to a :class:`DependencyGraph` only when a caller asks
+            (``CSRGraph.to_multigraph()``).  This is the path the batch
             checkers run; the multigraph branch below is the reference
             implementation the tests compare it against, resolved from the
             ``History`` with the object model (:mod:`repro.core.model`,

@@ -18,9 +18,9 @@ the online counterpart:
   derived from per-version *slots*, SO from per-session tails, RT from an
   online interval-order reduction — straight to that order, whose adjacency
   carries the edge labels.  It reports each violation at the exact
-  transaction whose ingestion created it; a labeled
-  :class:`~repro.core.graph.DependencyGraph` exists only where someone asks
-  for one (a counterexample cycle, :attr:`IncrementalChecker.graph`).
+  transaction whose ingestion created it, labeling the cycle from the
+  order's own label lists; a :class:`~repro.core.graph.DependencyGraph`
+  exists only where someone asks for one (:attr:`IncrementalChecker.graph`).
 * :class:`CheckerSession` is the checker as handed out by
   :meth:`repro.core.checker.MTChecker.session`; it also acts as a live
   ``on_transaction`` hook for :class:`repro.workloads.runner.WorkloadRunner`.
@@ -66,7 +66,7 @@ from typing import (
 
 from .. import obs
 from .checkers import MTHistoryError, classify_cycle
-from .graph import DependencyGraph, EdgeType
+from .graph import DependencyGraph, Edge, EdgeType, best_label
 from .intcheck import transaction_int_violations
 from .mini import mt_violations
 from .model import (
@@ -1254,12 +1254,11 @@ class IncrementalChecker:
         labels = self._refused.setdefault((source, target), [])
         if label not in labels:
             labels.append(label)
-        # ``label_cycle`` and ``classify_cycle`` look at the cycle's own edges only.
-        graph = DependencyGraph()
-        for tail, head in zip(cycle, cycle[1:] + cycle[:1]):
-            for etype, key in self._labels(tail, head):
-                graph.add_edge(tail, head, _EDGE_TYPES[etype], key)
-        self._violations.append(classify_cycle(graph.label_cycle(cycle), graph, level=self.level))
+        edges = [
+            Edge(tail, head, *best_label((_EDGE_TYPES[e], k) for e, k in self._labels(tail, head)))
+            for tail, head in zip(cycle, cycle[1:] + cycle[:1])
+        ]
+        self._violations.append(classify_cycle(edges, level=self.level))
 
     # ------------------------------------------------------------------
     # Bounded-window garbage collection

@@ -147,10 +147,10 @@ def finalize_sser_wires(
     The parent's final (cheap) step of the SSER merge: every wire's edge
     rows are translated onto the global index's node/key interning in
     order, the global (reduced) real-time edges are appended, and one
-    topological peel settles acyclicity.  Only a rejection materialises the
-    labeled multigraph, so the counterexample is identical whether the
-    wires arrive one-per-shard (flat merge) or as a single tree-reduced
-    root.
+    topological peel settles acyclicity.  A rejection labels its cycle on
+    the merged arrays in transaction-id order, so the counterexample is
+    identical whether the wires arrive one-per-shard (flat merge) or as a
+    single tree-reduced root.
     """
     # Only the index's dense accessors are consumed, so a columnar-built
     # index merges without materialising a single Transaction.

@@ -26,10 +26,16 @@ class Version:
 
 
 class VersionedStore:
-    """Versioned storage for a set of objects."""
+    """Versioned storage for a set of objects.
+
+    Each key's versions sit beside a parallel list of their commit
+    timestamps, so a snapshot read or an out-of-order install is one
+    ``bisect`` rather than a scan of the key's versions.
+    """
 
     def __init__(self) -> None:
         self._versions: Dict[str, List[Version]] = {}
+        self._stamps: Dict[str, List[float]] = {}
 
     # ------------------------------------------------------------------
     # Loading / installing
@@ -38,6 +44,7 @@ class VersionedStore:
         """Install the initial version of each object (the ``⊥T`` writes)."""
         for key in keys:
             self._versions.setdefault(key, []).insert(0, Version(value, 0.0, txn_id))
+            self._stamps.setdefault(key, []).insert(0, 0.0)
 
     def install(self, key: str, value: int, commit_ts: float, txn_id: int) -> None:
         """Install a committed version of ``key``.
@@ -46,12 +53,10 @@ class VersionedStore:
         timestamps are strictly increasing, so this is an append in practice.
         """
         versions = self._versions.setdefault(key, [])
-        version = Version(value, commit_ts, txn_id)
-        if not versions or versions[-1].commit_ts <= commit_ts:
-            versions.append(version)
-        else:
-            index = bisect.bisect_right([v.commit_ts for v in versions], commit_ts)
-            versions.insert(index, version)
+        stamps = self._stamps.setdefault(key, [])
+        index = bisect.bisect_right(stamps, commit_ts)
+        versions.insert(index, Version(value, commit_ts, txn_id))
+        stamps.insert(index, commit_ts)
 
     # ------------------------------------------------------------------
     # Reads
@@ -69,7 +74,7 @@ class VersionedStore:
         versions = self._versions.get(key)
         if not versions:
             return None
-        index = bisect.bisect_right([v.commit_ts for v in versions], snapshot_ts)
+        index = bisect.bisect_right(self._stamps[key], snapshot_ts)
         if index == 0:
             return None
         return versions[index - 1]
@@ -83,7 +88,7 @@ class VersionedStore:
         versions = self._versions.get(key)
         if not versions:
             return None
-        index = bisect.bisect_right([v.commit_ts for v in versions], timestamp)
+        index = bisect.bisect_right(self._stamps[key], timestamp)
         if index >= len(versions):
             return None
         return versions[index]

@@ -186,6 +186,50 @@ class TestClassifyCycle:
         assert violation.key == "x"
 
 
+class TestRejectWithoutMultigraph:
+    """A product reject labels its cycle on the CSR arrays: no DependencyGraph."""
+
+    @pytest.mark.parametrize(
+        "name, level, workers, printed",
+        [
+            ("CausalityViolation", IsolationLevel.SERIALIZABILITY, None, (
+                "SER: VIOLATED (3 transactions)\n"
+                "CausalityViolation: dependency cycle of length 3 over objects ['x', 'y'] forbidden by SER\n"
+                "  transactions involved: T1, T2, T3\n"
+                "  cycle: T1 --WR(x)--> T2  T2 --WR(y)--> T3  T3 --RW(x)--> T1"
+            )),
+            ("WriteSkew", IsolationLevel.STRICT_SERIALIZABILITY, None, (
+                "SSER: VIOLATED (2 transactions)\n"
+                "WriteSkew: dependency cycle of length 2 over objects ['x', 'y'] forbidden by SSER\n"
+                "  transactions involved: T1, T2\n"
+                "  cycle: T1 --RW(y)--> T2  T2 --RW(x)--> T1"
+            )),
+            ("LongFork", IsolationLevel.SNAPSHOT_ISOLATION, None, (
+                "SI: VIOLATED (4 transactions)\n"
+                "DependencyCycle: dependency cycle of length 2 over objects ['x', 'y'] forbidden by SI\n"
+                "  transactions involved: T1, T2\n"
+                "  cycle: T1 --COMPOSED(y)--> T2  T2 --COMPOSED(x)--> T1"
+            )),
+            # workers=1 runs the sharded pipeline inline: SSER ends in the merger.
+            ("FracturedRead", IsolationLevel.STRICT_SERIALIZABILITY, 1, (
+                "SSER: VIOLATED (4 transactions)\n"
+                "CausalityViolation: dependency cycle of length 3 over objects ['x', 'y'] forbidden by SSER\n"
+                "  transactions involved: T2, T3, T4\n"
+                "  cycle: T2 --WR(y)--> T3  T3 --WR(x)--> T4  T4 --RW(y)--> T2"
+            )),
+        ],
+        ids=["SER", "SSER", "SI", "SSER-merger"],
+    )
+    def test_reject_prints_its_cycle(self, monkeypatch, name, level, workers, printed):
+        history = anomaly_catalog()[name].build()
+
+        def refuse(self, nodes=None):
+            raise AssertionError("a product reject built a DependencyGraph")
+
+        monkeypatch.setattr(DependencyGraph, "__init__", refuse)
+        assert MTChecker(workers=workers).verify(history, level).format() == printed
+
+
 class TestCatalogAgainstCheckers:
     @pytest.mark.parametrize("name", list(anomaly_catalog()))
     def test_ser_matches_ground_truth(self, name):

@@ -1,5 +1,7 @@
 """Tests for the storage substrate: logical clock, MVCC store, lock manager."""
 
+import random
+
 import pytest
 
 from repro.storage import (
@@ -82,6 +84,29 @@ class TestVersionedStore:
         assert store.last_writer_after("x", 0.0).value == 10
         assert store.last_writer_after("x", 5.0) is None
         assert store.last_writer_after("missing", 0.0) is None
+
+    def test_reads_match_a_scan_of_the_versions(self):
+        rng = random.Random(7)
+        store = VersionedStore()
+        installed = {key: [] for key in "xyz"}
+        for txn_id in range(300):
+            key = rng.choice("xyz")
+            stamp = float(rng.randint(1, 60))  # out of order, with ties
+            store.install(key, txn_id, commit_ts=stamp, txn_id=txn_id)
+            installed[key].append(Version(txn_id, stamp, txn_id))
+            if txn_id == 150:
+                store.load_initial("xy", value=-1)
+                for key in "xy":
+                    installed[key].insert(0, Version(-1, 0.0, -1))
+        for key, versions in installed.items():
+            # Stable sort: equal stamps keep install order (bisect_right).
+            expected = sorted(versions, key=lambda v: v.commit_ts)
+            assert store.versions(key) == expected
+            for probe in [t / 2 for t in range(-1, 124)]:
+                before = [v for v in expected if v.commit_ts <= probe]
+                after = [v for v in expected if v.commit_ts > probe]
+                assert store.read_at(key, probe) == (before[-1] if before else None)
+                assert store.last_writer_after(key, probe) == (after[0] if after else None)
 
     def test_len_counts_objects(self):
         store = VersionedStore()
