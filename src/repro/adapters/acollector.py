@@ -105,9 +105,10 @@ class AsyncCollector(CollectorBase):
         obs.gauge_add("repro_collector_sessions_in_flight", 1)
         try:
             for spec_index, spec in enumerate(specs):
-                idle = self._arrival_delay(traffic, session_id, spec_index)
-                if idle > 0:
-                    await asyncio.sleep(idle)
+                if traffic is not None:
+                    idle = traffic.delay_before(session_id, spec_index)
+                    if idle > 0:
+                        await asyncio.sleep(idle)
                 kinds, keys = self._shape(spec)
                 delays = None  # built on the first retry: most never retry
                 while True:

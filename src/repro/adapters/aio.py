@@ -134,7 +134,9 @@ class AsyncSimulatedSession(AsyncAdapterSession):
             await asyncio.sleep(self._op_delay)
 
     async def read(self, key: str) -> Optional[int]:
-        ctx = self._require_txn("read")
+        ctx = self._ctx
+        if ctx is None:
+            self._no_txn("read")
         try:
             value = self._db.read(ctx, key)
         except TransactionAborted as exc:
@@ -144,7 +146,9 @@ class AsyncSimulatedSession(AsyncAdapterSession):
         return value
 
     async def write(self, key: str, value: int) -> None:
-        ctx = self._require_txn("write")
+        ctx = self._ctx
+        if ctx is None:
+            self._no_txn("write")
         try:
             self._db.write(ctx, key, value)
         except TransactionAborted as exc:
@@ -153,7 +157,9 @@ class AsyncSimulatedSession(AsyncAdapterSession):
             await asyncio.sleep(self._op_delay)
 
     async def commit(self) -> None:
-        ctx = self._require_txn("commit")
+        ctx = self._ctx
+        if ctx is None:
+            self._no_txn("commit")
         try:
             self._db.commit(ctx)
         except TransactionAborted as exc:
@@ -166,10 +172,9 @@ class AsyncSimulatedSession(AsyncAdapterSession):
             self._db.abort(ctx)
 
     # ------------------------------------------------------------------
-    def _require_txn(self, op: str):
-        if self._ctx is None:
-            raise AdapterStateError(f"{op}() outside a transaction")
-        return self._ctx
+    @staticmethod
+    def _no_txn(op: str) -> None:
+        raise AdapterStateError(f"{op}() outside a transaction")
 
     def _aborted(self, exc: TransactionAborted) -> None:
         # The database already rolled the transaction back; re-badge the

@@ -59,7 +59,7 @@ from ..resilience import RetryPolicy
 from ..resilience.failpoints import fail_point
 from ..storage.clock import LogicalClock
 from ..workloads.runner import RunStats
-from ..workloads.spec import TransactionSpec, Workload
+from ..workloads.spec import PlannedOpKind, TransactionSpec, Workload
 from .aio import AsyncDatabaseAdapter
 from .base import AdapterError, DatabaseAdapter
 
@@ -72,6 +72,7 @@ __all__ = [
 _COMMITTED = STATUS_CODES[TransactionStatus.COMMITTED]
 _ABORTED = STATUS_CODES[TransactionStatus.ABORTED]
 _UNKNOWN = STATUS_CODES[TransactionStatus.UNKNOWN]
+_PLANNED_READ = PlannedOpKind.READ
 
 
 @dataclass
@@ -218,7 +219,7 @@ class CollectorBase:
         values change."""
         operations = spec.operations
         return (
-            [OP_READ if op.is_read else OP_WRITE for op in operations],
+            [OP_READ if op.kind is _PLANNED_READ else OP_WRITE for op in operations],
             [op.key for op in operations],
         )
 
@@ -344,15 +345,6 @@ class CollectorBase:
             obs.inc("repro_resilience_backoff_seconds_total", delay)
             self._stats.retries += 1
         return delay
-
-    @staticmethod
-    def _arrival_delay(traffic, session_id: int, txn_index: int) -> float:
-        """Seconds a session idles before its next transaction — the
-        workload's :class:`~repro.workloads.spec.TrafficShape` arrival
-        process (0 when the workload is unshaped)."""
-        if traffic is None:
-            return 0.0
-        return traffic.delay_before(session_id, txn_index)
 
 
 class Collector(CollectorBase):
@@ -492,9 +484,10 @@ class Collector(CollectorBase):
         obs.gauge_add("repro_collector_sessions_in_flight", 1)
         try:
             for spec_index, spec in enumerate(specs):
-                idle = self._arrival_delay(traffic, session_id, spec_index)
-                if idle > 0:
-                    time.sleep(idle)
+                if traffic is not None:
+                    idle = traffic.delay_before(session_id, spec_index)
+                    if idle > 0:
+                        time.sleep(idle)
                 kinds, keys = self._shape(spec)
                 delays = None  # built on the first retry: most never retry
                 while True:

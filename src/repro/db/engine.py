@@ -56,8 +56,10 @@ class IsolationEngine(abc.ABC):
             self.store.install(key, value, commit_ts, ctx.txn_id)
 
     def cleanup(self, ctx: TransactionContext) -> None:
-        """Release engine resources after commit or abort."""
-        self.locks.release_all(ctx.txn_id)
+        """Release engine resources after commit or abort: the locks the
+        transaction took, if it took any (only the lock-based engine does)."""
+        if ctx.keys_locked:
+            self.locks.release_all(ctx.txn_id, ctx.keys_locked)
 
     # ------------------------------------------------------------------
     # Helpers shared by snapshot-based engines

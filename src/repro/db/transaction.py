@@ -15,7 +15,7 @@ class TxnState(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionContext:
     """The database-internal state of one in-flight transaction.
 

@@ -98,9 +98,6 @@ _NAN = float("nan")
 #: The byte values the ``statuses`` / ``op_kinds`` columns may hold.
 _STATUS_BYTES = bytes(STATUS_CODES.values())
 _KIND_BYTES = bytes((OP_READ, OP_WRITE))
-#: Pre-built has-value run for :meth:`ColumnarHistory.append_row` (every
-#: collector-recorded operation carries a value).
-_ONES = b"\x01" * 256
 
 #: Process-boundary wire format: key names plus one raw buffer per column.
 WireColumns = Tuple[
@@ -335,25 +332,26 @@ class ColumnarHistory:
         Same contract as :meth:`append_raw` but takes the kinds/keys/values
         as three equal-length lists with every value present (collectors
         resolve reads to the observed value before recording), which lets
-        the op columns grow by ``extend`` instead of a per-op loop.
+        the op columns grow by one ``fromlist`` each instead of a per-op
+        loop.
         """
         try:
             self.txn_ids.append(txn_id)
             self.session_ids.append(session_id)
             self.statuses.append(status_code)
-            self.start_ts.append(_NAN if start_ts is None else float(start_ts))
-            self.finish_ts.append(_NAN if finish_ts is None else float(finish_ts))
+            self.start_ts.append(_NAN if start_ts is None else start_ts)
+            self.finish_ts.append(_NAN if finish_ts is None else finish_ts)
             key_ids = self.key_ids
             try:
                 ids = [key_ids[key] for key in keys]
             except KeyError:
                 ids = [self.key_id(key) for key in keys]
-            self.op_kinds.extend(kinds)
-            self.op_keys.extend(ids)
-            self.op_values.extend(values)
-            self.op_has_value.extend(_ONES[: len(kinds)] if len(kinds) <= len(_ONES)
-                                     else bytes(1 for _ in kinds))
-            self.op_offsets.append(len(self.op_kinds))
+            op_kinds = self.op_kinds
+            op_kinds.fromlist(kinds)
+            self.op_keys.fromlist(ids)
+            self.op_values.fromlist(values)
+            self.op_has_value.frombytes(b"\x01" * len(kinds))
+            self.op_offsets.append(len(op_kinds))
         except OverflowError as exc:
             raise ValueError(
                 f"transaction T{txn_id} does not fit the columnar segment "

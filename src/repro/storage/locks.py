@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from typing import Dict, Set
+from typing import Dict, Iterable, Set
 
 __all__ = ["LockKind", "LockConflict", "LockManager"]
 
@@ -62,12 +62,23 @@ class LockManager:
     def holds_exclusive(self, key: str, txn_id: int) -> bool:
         return self._exclusive.get(key) == txn_id
 
-    def release_all(self, txn_id: int) -> None:
-        """Release every lock held by ``txn_id`` (called at commit/abort)."""
-        for readers in self._shared.values():
-            readers.discard(txn_id)
-        for key in [k for k, holder in self._exclusive.items() if holder == txn_id]:
-            del self._exclusive[key]
+    def release_all(self, txn_id: int, keys: Iterable[str]) -> None:
+        """Release every lock ``txn_id`` holds; ``keys`` are the keys it
+        locked (called at commit/abort).
+
+        Touches only those keys, and drops a reader set once it is empty,
+        so a release costs the transaction's locks, not every key ever
+        locked.
+        """
+        shared, exclusive = self._shared, self._exclusive
+        for key in keys:
+            readers = shared.get(key)
+            if readers is not None:
+                readers.discard(txn_id)
+                if not readers:
+                    del shared[key]
+            if exclusive.get(key) == txn_id:
+                del exclusive[key]
 
     def locks_held(self, txn_id: int) -> int:
         """Number of locks currently held by ``txn_id`` (for statistics)."""

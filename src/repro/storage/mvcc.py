@@ -10,15 +10,13 @@ transaction's write set and install them atomically at commit.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 __all__ = ["Version", "VersionedStore"]
 
 
-@dataclass(frozen=True)
-class Version:
-    """One committed version of an object."""
+class Version(NamedTuple):
+    """One committed version of an object (a plain tuple underneath)."""
 
     value: int
     commit_ts: float
@@ -49,13 +47,19 @@ class VersionedStore:
     def install(self, key: str, value: int, commit_ts: float, txn_id: int) -> None:
         """Install a committed version of ``key``.
 
-        Versions are kept sorted by commit timestamp; in the simulator commit
-        timestamps are strictly increasing, so this is an append in practice.
+        Versions are kept sorted by commit timestamp.  In the simulator commit
+        timestamps are strictly increasing, so a version not older than the
+        key's last one is appended; only an out-of-order install bisects.
         """
         versions = self._versions.setdefault(key, [])
         stamps = self._stamps.setdefault(key, [])
+        version = Version(value, commit_ts, txn_id)
+        if not stamps or commit_ts >= stamps[-1]:
+            versions.append(version)
+            stamps.append(commit_ts)
+            return
         index = bisect.bisect_right(stamps, commit_ts)
-        versions.insert(index, Version(value, commit_ts, txn_id))
+        versions.insert(index, version)
         stamps.insert(index, commit_ts)
 
     # ------------------------------------------------------------------

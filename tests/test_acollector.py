@@ -12,6 +12,7 @@ through the one ``CollectorBase`` row method, construct zero
 """
 
 import asyncio
+import re
 import threading
 
 import pytest
@@ -27,6 +28,7 @@ from repro.adapters import (
     make_adapter,
 )
 from repro.adapters.aio import AsyncAdapterSession, AsyncDatabaseAdapter
+from repro.adapters.base import AdapterError
 from repro.core import model as core_model
 from repro.core.checker import MTChecker
 from repro.core.model import Transaction, TransactionStatus
@@ -224,6 +226,27 @@ class TestDirectToColumnIngest:
         assert sum(txn.committed for txn in seen) == result.stats.committed
         if adapter_class is AsyncSimulatedAdapter:  # no overlap, no aborts
             assert len(seen) == result.stats.committed == 72
+
+
+class TestUniqueWrittenValueGuard:
+    """Definition 9 is enforced, not assumed: a value issued twice stops
+    the run with an error that names it."""
+
+    @pytest.mark.parametrize(
+        "collector_class, adapter_class",
+        [(Collector, SimulatedAdapter), (AsyncCollector, AsyncSimulatedAdapter)],
+        ids=["threads", "coroutines"],
+    )
+    def test_a_repeated_value_raises_and_names_it(self, collector_class, adapter_class):
+        workload = small_workload(sessions=4, txns=5, objects=8, seed=11)
+        collector = collector_class(adapter_class("si"), max_inflight=2)
+        # Whichever session writes first draws counter 1: make that value a repeat.
+        repeats = {session_id * 10_000_000 + 1 for session_id in range(4)}
+        collector._issued_values.update(repeats)
+        with pytest.raises(AdapterError, match=r"violated: (\d+) issued twice") as excinfo:
+            collector.collect(workload)
+        named = re.search(r"violated: (\d+) issued twice", str(excinfo.value))
+        assert int(named.group(1)) in repeats
 
 
 # ----------------------------------------------------------------------

@@ -123,6 +123,17 @@ class TestColumnarContainer:
         assert restored.operations[0].value is None
         assert restored.start_ts is None and restored.finish_ts is None
 
+    def test_append_row_none_timestamps_and_value_overflow(self):
+        cols = ColumnarHistory()
+        cols.append_row(4, 1, 0, None, None, [0, 1], ["x", "y"], [3, 5])
+        assert cols.timestamps_at(0) == (None, None)
+        assert str(cols.transaction_at(0)) == "T4[R(x,3), W(y,5)]"
+        assert list(cols.op_has_value) == [1, 1]
+        with pytest.raises(ValueError, match="T5 does not fit the columnar segment"):
+            cols.append_row(5, 1, 0, 1.0, 2.0, [1], ["x"], [2**63])
+        with pytest.raises(ValueError, match="T6 does not fit the columnar segment"):
+            ColumnarHistory().append_row(6, 1, 0, None, None, [0], ["x"], [-(2**63) - 1])
+
     def test_wire_round_trip(self):
         cols = ColumnarHistory.from_history(generated_history(2))
         back = ColumnarHistory.from_wire(cols.to_wire())

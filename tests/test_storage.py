@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import Database, MTWorkloadGenerator, run_workload
 from repro.storage import (
     LockConflict,
     LockManager,
@@ -50,7 +51,7 @@ class TestVersionedStore:
     def test_load_initial_and_latest(self):
         store = VersionedStore()
         store.load_initial(["x", "y"], value=0)
-        assert store.latest("x") == Version(0, 0.0, -1)
+        assert store.latest("x") == Version(0, 0.0, -1) == (0, 0.0, -1)
         assert store.exists("y")
         assert not store.exists("z")
         assert store.keys() == ["x", "y"]
@@ -91,7 +92,12 @@ class TestVersionedStore:
         installed = {key: [] for key in "xyz"}
         for txn_id in range(300):
             key = rng.choice("xyz")
-            stamp = float(rng.randint(1, 60))  # out of order, with ties
+            last = max((v.commit_ts for v in installed[key]), default=0.0)
+            if rng.random() < 0.5:
+                # In order: the append path, ties with the last stamp included.
+                stamp = min(last + rng.choice((0.0, 0.5, 1.0)), 60.0)
+            else:
+                stamp = float(rng.randint(1, 60))  # out of order, with ties
             store.install(key, txn_id, commit_ts=stamp, txn_id=txn_id)
             installed[key].append(Version(txn_id, stamp, txn_id))
             if txn_id == 150:
@@ -153,9 +159,52 @@ class TestLockManager:
         locks = LockManager()
         locks.acquire_exclusive("x", 1)
         locks.acquire_shared("y", 1)
-        locks.release_all(1)
+        locks.release_all(1, ["x", "y"])
         assert locks.locks_held(1) == 0
         locks.acquire_exclusive("x", 2)  # no conflict anymore
+
+    def test_release_touches_only_the_transactions_keys(self):
+        class OnlyLookups(dict):
+            """A lock table that records lookups and refuses to be walked."""
+
+            def __init__(self, table):
+                super().__init__(table)
+                self.looked_up = set()
+
+            def get(self, key, default=None):
+                self.looked_up.add(key)
+                return super().get(key, default)
+
+            def __iter__(self):
+                raise AssertionError("release walked the whole lock table")
+
+            values = items = keys = __iter__
+
+        locks = LockManager()
+        for n in range(500):
+            locks.acquire_shared(f"k{n}", 2)
+        locks.acquire_shared("k7", 1)
+        locks.acquire_shared("a", 1)
+        locks.acquire_exclusive("b", 1)
+        locks._shared = OnlyLookups(locks._shared)
+        locks._exclusive = OnlyLookups(locks._exclusive)
+        locks.release_all(1, {"k7", "a", "b"})
+        assert locks._shared.looked_up == {"k7", "a", "b"}
+        assert locks._exclusive.looked_up == {"k7", "a", "b"}
+        # "a" had no other reader: its emptied set is dropped, not kept.
+        assert "a" not in locks._shared and "b" not in locks._exclusive
+        assert dict.__getitem__(locks._shared, "k7") == {2}
+        assert all(dict.values(locks._shared))
+
+    def test_a_finished_s2pl_run_leaves_an_empty_lock_table(self):
+        workload = MTWorkloadGenerator(
+            num_sessions=6, txns_per_session=30, num_objects=40, seed=2
+        ).generate()
+        database = Database("s2pl", keys=workload.keys)
+        stats = run_workload(database, workload, seed=4).stats
+        assert stats.committed and stats.aborted  # locks were taken and lost
+        assert dict(database.locks._shared) == {}
+        assert database.locks._exclusive == {}
 
     def test_reacquiring_own_exclusive_is_idempotent(self):
         locks = LockManager()
