@@ -52,12 +52,12 @@ from .core import (
 )
 from .adapters import (
     AsyncCollector,
+    AsyncSimulatedAdapter,
     ChaosAdapter,
     ChaosPlan,
     CollectionResult,
     Collector,
     DatabaseAdapter,
-    SimulatedAdapter,
     SQLiteAdapter,
     collect_history,
     make_adapter,
@@ -84,6 +84,7 @@ __version__ = "1.0.0"
 __all__ = [
     "AnomalyKind",
     "AsyncCollector",
+    "AsyncSimulatedAdapter",
     "CSRGraph",
     "ChaosAdapter",
     "ChaosPlan",
@@ -116,7 +117,6 @@ __all__ = [
     "SQLiteAdapter",
     "Session",
     "Shard",
-    "SimulatedAdapter",
     "Transaction",
     "TransactionAborted",
     "TransactionStatus",

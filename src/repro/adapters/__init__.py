@@ -9,16 +9,15 @@ hands the resulting history to :class:`~repro.core.checker.MTChecker`.
 * :mod:`repro.adapters.base` — the :class:`DatabaseAdapter` /
   :class:`AdapterSession` protocol and the :class:`AdapterError` taxonomy;
 * :mod:`repro.adapters.sqlite` — a real engine via stdlib ``sqlite3``;
-* :mod:`repro.adapters.simulated` — the simulator's engines (and fault
-  plans) behind the same protocol;
 * :mod:`repro.adapters.chaos` — protocol-boundary fault injection for
-  true-positive detections against healthy engines;
+  true-positive detections against healthy engines, with a face for each
+  protocol;
 * :mod:`repro.adapters.collector` — the recorder both collectors share
   (:class:`CollectorBase`) and the session driver for sync adapters (a
   bounded pool of threads);
 * :mod:`repro.adapters.aio` / :mod:`repro.adapters.acollector` — the
-  coroutine adapter protocol and the session driver for adapters that
-  speak it.
+  coroutine adapter protocol, the simulator's engines (and fault plans)
+  behind it, and the session driver for adapters that speak it.
 
 Use :func:`make_adapter` to construct adapters by name (the CLI's
 ``repro collect --adapter ...`` resolves through it) and
@@ -29,7 +28,7 @@ adapter calls for.  The two collectors differ only in how a session waits
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from .base import (
     AdapterAborted,
@@ -39,9 +38,15 @@ from .base import (
     AdapterStateError,
     DatabaseAdapter,
 )
-from .chaos import CHAOS_FAULTS, ChaosAdapter, ChaosPlan, ChaosSession
+from .chaos import (
+    CHAOS_FAULTS,
+    AsyncChaosAdapter,
+    AsyncChaosSession,
+    ChaosAdapter,
+    ChaosPlan,
+    ChaosSession,
+)
 from .collector import CollectionResult, Collector, CollectorBase
-from .simulated import SimulatedAdapter, SimulatedSession
 from .sqlite import SQLiteAdapter, SQLiteSession
 from .aio import (
     AsyncAdapterSession,
@@ -59,6 +64,8 @@ __all__ = [
     "AdapterSession",
     "AdapterStateError",
     "AsyncAdapterSession",
+    "AsyncChaosAdapter",
+    "AsyncChaosSession",
     "AsyncCollector",
     "AsyncDatabaseAdapter",
     "AsyncSimulatedAdapter",
@@ -73,8 +80,6 @@ __all__ = [
     "DatabaseAdapter",
     "SQLiteAdapter",
     "SQLiteSession",
-    "SimulatedAdapter",
-    "SimulatedSession",
     "collect_history",
     "make_adapter",
 ]
@@ -95,8 +100,14 @@ def make_adapter(
     chaos: Optional[str] = None,
     chaos_rate: float = 0.2,
     seed: int = 0,
-) -> DatabaseAdapter:
-    """Build an adapter by name, optionally wrapped in a :class:`ChaosAdapter`.
+) -> Union[DatabaseAdapter, AsyncDatabaseAdapter]:
+    """Build an adapter by name, optionally wrapped in chaos.
+
+    ``"sqlite"`` is a sync :class:`DatabaseAdapter` (a context manager);
+    ``"simulated"`` is the coroutine :class:`AsyncSimulatedAdapter`.  Chaos
+    wraps either in the face of its kind (:class:`ChaosAdapter` /
+    :class:`AsyncChaosAdapter`), so :func:`collect_history` still sends it
+    to the collector its kind calls for.
 
     Args:
         name: ``"sqlite"`` or ``"simulated"`` (see :data:`ADAPTER_NAMES`).
@@ -109,16 +120,19 @@ def make_adapter(
         chaos_rate: probability per opportunity for the chosen chaos fault.
         seed: RNG seed for the chaos plan.
     """
+    # The plan is validated first: a bad rate must not leave a temp file.
+    plan = None if chaos is None else ChaosPlan.for_fault(chaos, rate=chaos_rate, seed=seed)
     if name == "sqlite":
-        adapter: DatabaseAdapter = SQLiteAdapter(
+        adapter = SQLiteAdapter(
             path, mode=mode, wal=wal, busy_timeout_ms=busy_timeout_ms
         )
     elif name == "simulated":
-        adapter = SimulatedAdapter(isolation, faults=faults)
+        adapter = AsyncSimulatedAdapter(isolation, faults=faults)
     else:
         raise ValueError(f"unknown adapter {name!r}; known: {', '.join(ADAPTER_NAMES)}")
-    if chaos is not None:
-        adapter = ChaosAdapter(adapter, ChaosPlan.for_fault(chaos, rate=chaos_rate, seed=seed))
+    if plan is not None:
+        wrapper = AsyncChaosAdapter if isinstance(adapter, AsyncDatabaseAdapter) else ChaosAdapter
+        adapter = wrapper(adapter, plan)
     return adapter
 
 

@@ -8,20 +8,20 @@ protocol it drives:
 * :class:`AsyncAdapterSession` / :class:`AsyncDatabaseAdapter` — the
   ``await``-able mirror of :class:`~repro.adapters.base.AdapterSession` /
   :class:`~repro.adapters.base.DatabaseAdapter`.
-* :class:`AsyncSimulatedAdapter` — a *native* async adapter over the
-  in-process simulator.  The event loop serializes all sessions' calls by
+* :class:`AsyncSimulatedAdapter` — the one adapter over the in-process
+  simulator.  The event loop serializes all sessions' calls by
   construction (no lock needed); with ``op_delay > 0`` each operation
   yields to the loop afterwards, so transactions from different coroutines
-  interleave mid-flight — the same "concurrency = interleaving of atomic
-  steps" model as the threaded simulated adapter, minus the threads.
+  interleave mid-flight — the serial runner's "concurrency = interleaving
+  of atomic steps" model, driven by the collector.
 
 Nothing adapts the sync protocol to this one.  Hopping every adapter call
 onto a per-session thread and back was slower than running the session on
-that thread (up to 1.75× on SQLite, 4–14× on a chaos-wrapped simulator;
-tables in docs/ARCHITECTURE.md), so a sync
-:class:`~repro.adapters.base.DatabaseAdapter` is driven by the threaded
-:class:`~repro.adapters.collector.Collector` and
-:func:`repro.adapters.collect_history` picks by adapter kind.
+that thread (up to 1.75× on SQLite; table in docs/ARCHITECTURE.md), so a
+sync :class:`~repro.adapters.base.DatabaseAdapter` is driven by the
+threaded :class:`~repro.adapters.collector.Collector` and
+:func:`repro.adapters.collect_history` picks by adapter kind.  Chaos has a
+face on each side (:mod:`repro.adapters.chaos`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from ..db.database import Database
 from ..db.errors import TransactionAborted
 from ..db.faults import FaultPlan, FaultyEngine
 from .base import AdapterAborted, AdapterCapabilities, AdapterStateError
-from .simulated import _ENGINE_LEVELS
 
 __all__ = [
     "AsyncAdapterSession",
@@ -43,6 +42,19 @@ __all__ = [
     "AsyncSimulatedAdapter",
     "AsyncSimulatedSession",
 ]
+
+#: Levels histories from each (correct) engine are expected to satisfy.
+_ENGINE_LEVELS = {
+    "si": ("SI",),
+    "snapshot-isolation": ("SI",),
+    "serializable": ("SER", "SI"),
+    "ser": ("SER", "SI"),
+    "occ": ("SER", "SI"),
+    "s2pl": ("SSER", "SER", "SI"),
+    "sser": ("SSER", "SER", "SI"),
+    "read-committed": (),
+    "rc": (),
+}
 
 
 class AsyncAdapterSession(abc.ABC):
@@ -105,7 +117,7 @@ class AsyncDatabaseAdapter(abc.ABC):
 
 
 # ----------------------------------------------------------------------
-# Native async simulator
+# The simulator
 # ----------------------------------------------------------------------
 class AsyncSimulatedSession(AsyncAdapterSession):
     """One simulator session; calls run inline on the event loop thread."""
@@ -129,8 +141,7 @@ class AsyncSimulatedSession(AsyncAdapterSession):
             # With zero modeled latency nothing ever *waits*, and a
             # cooperative scheduler that has nothing to wait for runs the
             # transaction straight through: no gratuitous task switch, no
-            # context save/restore — precisely the overhead the threaded
-            # collector cannot avoid paying on every preemption.
+            # context save/restore.
             await asyncio.sleep(self._op_delay)
 
     async def read(self, key: str) -> Optional[int]:
@@ -184,13 +195,16 @@ class AsyncSimulatedSession(AsyncAdapterSession):
 
 
 class AsyncSimulatedAdapter(AsyncDatabaseAdapter):
-    """Native async adapter over the in-process simulator.
+    """The adapter over the in-process simulator: every engine (SI,
+    serializable, S2PL, read committed) and every
+    :class:`~repro.db.faults.FaultPlan` behind the coroutine protocol.
 
     Single-threaded by construction: every engine call runs on the event
     loop thread, so no lock is needed and none is taken — which is why
-    coroutine collection runs 2.4–10× faster than threaded collection on
-    this engine (no lock convoy, no thread scheduling; table in
-    docs/ARCHITECTURE.md).
+    coroutine collection ran 2.4–10× faster than the threaded adapter this
+    one replaced (no lock convoy, no thread scheduling; tables in
+    docs/ARCHITECTURE.md).  Wrap it in
+    :class:`~repro.adapters.chaos.AsyncChaosAdapter` for protocol faults.
 
     Args:
         isolation: engine name or :class:`~repro.core.result.IsolationLevel`
@@ -200,8 +214,9 @@ class AsyncSimulatedAdapter(AsyncDatabaseAdapter):
             arguments); useful for tests that inspect engine state.
         op_delay: seconds each operation takes to "return" (an
             ``asyncio.sleep``, so other coroutines run meanwhile) —
-            models per-operation client latency, mirroring the sync
-            adapter's ``op_delay``.  0 disables it.
+            models per-operation client latency and makes transactions of
+            different sessions overlap (conflicts, aborts, fault-injection
+            opportunities).  0 disables it.
     """
 
     def __init__(
@@ -221,7 +236,7 @@ class AsyncSimulatedAdapter(AsyncDatabaseAdapter):
         name = self.database.isolation_name
         faulty = isinstance(self.database.engine, FaultyEngine)
         return AdapterCapabilities(
-            name=f"simulated[{name}{',faulty' if faulty else ''},async]",
+            name=f"simulated[{name}{',faulty' if faulty else ''}]",
             isolation_levels=() if faulty else _ENGINE_LEVELS.get(name, ()),
             concurrent_sessions=True,  # coroutines; calls serialized by the loop
             real_time=True,

@@ -21,10 +21,10 @@ database-agnostic:
   way.
 
 Concrete adapters: :class:`~repro.adapters.sqlite.SQLiteAdapter` (a real
-engine, stdlib only), :class:`~repro.adapters.simulated.SimulatedAdapter`
-(the in-process engines of :mod:`repro.db`), and
-:class:`~repro.adapters.chaos.ChaosAdapter` (protocol-boundary fault
-injection over either).
+engine, stdlib only) and :class:`~repro.adapters.chaos.ChaosAdapter`
+(protocol-boundary fault injection over any sync adapter).  The in-process
+engines of :mod:`repro.db` speak the coroutine mirror of this protocol
+(:class:`~repro.adapters.aio.AsyncSimulatedAdapter`).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class AdapterAborted(AdapterError, TransactionAborted):
 
     Inherits :class:`~repro.db.errors.TransactionAborted` so one ``except``
     clause covers simulator conflict aborts surfacing through
-    :class:`~repro.adapters.simulated.SimulatedAdapter` and real-engine
+    :class:`~repro.adapters.aio.AsyncSimulatedAdapter` and real-engine
     aborts (SQLite busy/locked, serialization failures) alike.
     """
 
@@ -76,9 +76,9 @@ class AdapterCapabilities:
         isolation_levels: short names of the isolation levels histories
             collected from this adapter are expected to satisfy (strongest
             guarantees the engine provides), e.g. ``("SER", "SI")``.
-        concurrent_sessions: whether sessions may run in parallel threads
-            (the simulator is single-threaded behind a lock; real engines
-            genuinely interleave).
+        concurrent_sessions: whether sessions may run at once (the
+            simulator interleaves coroutine sessions on one thread; real
+            engines genuinely run them in parallel).
         real_time: whether collected begin/commit intervals are meaningful
             for SSER checking.
     """

@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     collect = subparsers.add_parser(
         "collect",
         help="execute a workload against a real database through an adapter "
-        "(sessions run on worker threads; coroutines for the plain simulator) "
+        "(sessions run on worker threads; coroutines for the simulator) "
         "and record/verify the observed history",
     )
     collect.add_argument(
@@ -735,7 +735,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_collect(args: argparse.Namespace) -> int:
-    from .adapters import AsyncSimulatedAdapter, collect_history, make_adapter
+    import asyncio
+
+    from .adapters import AsyncDatabaseAdapter, collect_history, make_adapter
     from .workloads.gt_generator import GTWorkloadGenerator
     from .workloads.spec import make_traffic_shape
 
@@ -769,24 +771,23 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         )
 
     with contextlib.ExitStack() as teardown:
-        if args.adapter == "simulated" and args.chaos is None:
-            # The one adapter here that speaks the coroutine protocol (it
-            # holds nothing to tear down); collect_history picks by kind.
-            adapter, mode = AsyncSimulatedAdapter(args.isolation), "coroutine"
+        adapter = make_adapter(
+            args.adapter,
+            isolation=args.isolation,
+            path=args.db_path,
+            mode=args.mode,
+            wal=args.wal,
+            busy_timeout_ms=args.busy_timeout_ms,
+            chaos=args.chaos,
+            chaos_rate=args.chaos_rate,
+            seed=args.seed,
+        )
+        # collect_history picks the collector by the same test.
+        if isinstance(adapter, AsyncDatabaseAdapter):
+            teardown.callback(asyncio.run, adapter.teardown())
+            mode = "coroutine"
         else:
-            adapter = teardown.enter_context(
-                make_adapter(
-                    args.adapter,
-                    isolation=args.isolation,
-                    path=args.db_path,
-                    mode=args.mode,
-                    wal=args.wal,
-                    busy_timeout_ms=args.busy_timeout_ms,
-                    chaos=args.chaos,
-                    chaos_rate=args.chaos_rate,
-                    seed=args.seed,
-                )
-            )
+            teardown.enter_context(adapter)
             mode = "threaded"
         result = collect_history(
             adapter,

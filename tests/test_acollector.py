@@ -2,13 +2,13 @@
 and for ``collect_history``, the one door that picks a collector.
 
 The contract under test: ``collect_history`` sends an adapter to the
-collector its kind calls for; histories collected by coroutine sessions are
-*schedule-valid* (well-formed intervals, per-session ordering, globally
-unique written values) and reach verdicts identical to the threaded
-collector's across isolation levels, healthy and chaos-wrapped adapters,
-and the full ``max_inflight`` range — while both collectors, recording
-through the one ``CollectorBase`` row method, construct zero
-``Transaction``/``Operation`` objects on the accept path.
+collector its kind calls for (chaos-wrapped or not); histories collected by
+either are *schedule-valid* (well-formed intervals, per-session ordering,
+globally unique written values) and accepted on healthy engines across
+isolation levels and the full ``max_inflight`` range — threads over SQLite,
+coroutines over the simulator — while both collectors, recording through the
+one ``CollectorBase`` row method, construct zero ``Transaction``/``Operation``
+objects on the accept path.
 """
 
 import asyncio
@@ -22,7 +22,6 @@ from repro.adapters import (
     AsyncSimulatedAdapter,
     CollectionResult,
     Collector,
-    SimulatedAdapter,
     SQLiteAdapter,
     collect_history,
     make_adapter,
@@ -85,12 +84,12 @@ def assert_schedule_valid(columns: ColumnarHistory) -> None:
 
 
 # ----------------------------------------------------------------------
-# Threaded/async equivalence
+# One door, two collectors
 # ----------------------------------------------------------------------
 class TestAsyncThreadedEquivalence:
-    """Both sides of every comparison enter through ``collect_history``;
-    the thread a hook runs on shows which collector the adapter was sent
-    to, and both return the one result type."""
+    """Every collection enters through ``collect_history``; the thread a
+    hook runs on shows which collector the adapter was sent to, and both
+    return the one result type."""
 
     def test_the_adapter_kind_picks_the_collector(self, tmp_path):
         workload = small_workload(sessions=3, txns=4)
@@ -106,19 +105,24 @@ class TestAsyncThreadedEquivalence:
             return names
 
         sync_adapters = [
-            SimulatedAdapter("si"),
             SQLiteAdapter(str(tmp_path / "door.db")),
-            make_adapter("simulated", chaos="stale-read", chaos_rate=0.1, seed=1),
+            make_adapter("sqlite", chaos="stale-read", chaos_rate=0.1, seed=1),
         ]
         for adapter in sync_adapters:
             with adapter:
                 names = hook_threads(adapter)
             assert names and all(n.startswith("collector-worker-") for n in names)
-        names = hook_threads(AsyncSimulatedAdapter("si"))
-        assert names == {threading.current_thread().name}  # the event loop's
+        async_adapters = [
+            AsyncSimulatedAdapter("si"),
+            make_adapter("simulated", chaos="stale-read", chaos_rate=0.1, seed=1),
+        ]
+        for adapter in async_adapters:
+            names = hook_threads(adapter)
+            assert names == {threading.current_thread().name}  # the event loop's
         # Neither collector drives the other kind's adapters.
-        with pytest.raises(TypeError, match="goes to Collector"):
-            AsyncCollector(SimulatedAdapter("si"))
+        with SQLiteAdapter() as sync_adapter:
+            with pytest.raises(TypeError, match="goes to Collector"):
+                AsyncCollector(sync_adapter)
         with pytest.raises(TypeError, match="goes to AsyncCollector"):
             Collector(AsyncSimulatedAdapter("si"))
 
@@ -128,39 +132,38 @@ class TestAsyncThreadedEquivalence:
             ("si", ["SI"]),
             ("serializable", ["SER", "SI"]),
             ("s2pl", ["SSER", "SER", "SI"]),
+            ("sqlite", ["SSER", "SER", "SI"]),
         ],
     )
     @pytest.mark.parametrize("max_inflight", [1, 8, 256])
-    def test_healthy_engines_reach_identical_verdicts(
-        self, engine, guaranteed, max_inflight
-    ):
+    def test_healthy_engines_are_accepted(self, engine, guaranteed, max_inflight):
         workload = small_workload(sessions=8, txns=12, objects=10, seed=17)
-        threaded = collect_history(
-            SimulatedAdapter(engine), workload, max_inflight=max_inflight
-        )
-        asynced = collect_history(
-            AsyncSimulatedAdapter(engine), workload, max_inflight=max_inflight
-        )
-        assert asynced.stats.committed == threaded.stats.committed
-        threaded_columns = threaded.columns
-        assert_schedule_valid(threaded_columns)
-        assert_schedule_valid(asynced.columns)
+        if engine == "sqlite":  # threads
+            with SQLiteAdapter(wal=True) as adapter:
+                result = collect_history(adapter, workload, max_inflight=max_inflight)
+        else:  # coroutines
+            result = collect_history(
+                AsyncSimulatedAdapter(engine), workload, max_inflight=max_inflight
+            )
+        assert result.stats.committed == 96
+        assert_schedule_valid(result.columns)
         checker = MTChecker()
         for level in guaranteed:
-            via_threads = checker.verify(threaded_columns, LEVELS[level])
-            via_async = checker.verify(asynced.columns, LEVELS[level])
-            assert via_threads.satisfied == via_async.satisfied
-            assert via_async.satisfied, (engine, level, via_async.violation)
+            verdict = checker.verify(result.columns, LEVELS[level])
+            assert verdict.satisfied, (engine, level, verdict.violation)
 
     @pytest.mark.parametrize("max_inflight", [1, 8, 256])
     def test_chaos_faults_detected_through_the_door(self, max_inflight):
-        # Chaos wraps the sync protocol, so the door sends it to the threads.
+        # Chaos over the simulator keeps the coroutine face, so the door
+        # sends it to the event loop.
         workload = small_workload(sessions=6, txns=30, objects=8, seed=5,
                                   distribution="zipf")
         adapter = make_adapter("simulated", isolation="si", chaos="lost-write",
                                chaos_rate=0.9, seed=5)
+        assert isinstance(adapter, AsyncDatabaseAdapter)
         result = collect_history(adapter, workload, max_inflight=max_inflight)
         assert adapter.injections["lost_write"] > 0
+        assert_schedule_valid(result.columns)
         assert not MTChecker().verify(result.columns, LEVELS["SER"]).satisfied
 
     def test_traffic_shapes_apply_to_both_collectors(self):
@@ -168,7 +171,8 @@ class TestAsyncThreadedEquivalence:
         workload.traffic = make_traffic_shape(
             "churn", churn_stagger=0.002, think_time=0.0005, seed=1
         )
-        threaded = collect_history(SimulatedAdapter("si"), workload)
+        with SQLiteAdapter(wal=True) as adapter:
+            threaded = collect_history(adapter, workload)
         asynced = collect_history(AsyncSimulatedAdapter("si"), workload)
         assert threaded.stats.committed == asynced.stats.committed == 18
         assert MTChecker().verify(asynced.columns, LEVELS["SI"]).satisfied
@@ -177,13 +181,21 @@ class TestAsyncThreadedEquivalence:
 # ----------------------------------------------------------------------
 # The object-free accept path
 # ----------------------------------------------------------------------
+@pytest.fixture(params=["threads", "coroutines"])
+def adapter(request, tmp_path):
+    """One adapter of each kind: SQLite for the threads, the simulator for
+    the coroutines."""
+    if request.param == "threads":
+        with SQLiteAdapter(str(tmp_path / "threads.db"), wal=True) as sqlite_adapter:
+            yield sqlite_adapter
+    else:
+        yield AsyncSimulatedAdapter("si")
+
+
 class TestDirectToColumnIngest:
     """One recorder: both collectors append rows straight to the columns."""
 
-    @pytest.mark.parametrize(
-        "adapter_class", [SimulatedAdapter, AsyncSimulatedAdapter], ids=["threads", "coroutines"]
-    )
-    def test_zero_transaction_objects_on_accept_path(self, monkeypatch, adapter_class):
+    def test_zero_transaction_objects_on_accept_path(self, monkeypatch, adapter):
         constructed = []
         original_txn = Transaction.__init__
         original_op = core_model.Operation.__init__
@@ -199,7 +211,7 @@ class TestDirectToColumnIngest:
         monkeypatch.setattr(Transaction, "__init__", counting_txn)
         monkeypatch.setattr(core_model.Operation, "__init__", counting_op)
         workload = small_workload(sessions=5, txns=8, objects=10, seed=7)
-        result = collect_history(adapter_class("si"), workload, max_inflight=4)
+        result = collect_history(adapter, workload, max_inflight=4)
         assert constructed == [], (
             f"{len(constructed)} model objects built on the accept path"
         )
@@ -208,14 +220,11 @@ class TestDirectToColumnIngest:
         # Materialisation still works after the fact, off the hot path.
         assert len(result.history.transactions()) == rows
 
-    @pytest.mark.parametrize(
-        "adapter_class", [SimulatedAdapter, AsyncSimulatedAdapter], ids=["threads", "coroutines"]
-    )
-    def test_legacy_hook_sees_finish_ordered_transactions(self, adapter_class):
+    def test_legacy_hook_sees_finish_ordered_transactions(self, adapter):
         seen = []
         workload = small_workload(sessions=12, txns=6, objects=10, seed=3)
         result = collect_history(
-            adapter_class("si"), workload, max_inflight=8, on_transaction=seen.append
+            adapter, workload, max_inflight=8, on_transaction=seen.append
         )
         assert all(isinstance(txn, Transaction) for txn in seen)
         finishes = [txn.finish_ts for txn in seen]
@@ -224,7 +233,7 @@ class TestDirectToColumnIngest:
         assert result.columns.num_transactions == len(seen) + 1
         assert seen == list(result.columns.iter_transactions())[1:]
         assert sum(txn.committed for txn in seen) == result.stats.committed
-        if adapter_class is AsyncSimulatedAdapter:  # no overlap, no aborts
+        if isinstance(adapter, AsyncSimulatedAdapter):  # no overlap, no aborts
             assert len(seen) == result.stats.committed == 72
 
 
@@ -232,14 +241,10 @@ class TestUniqueWrittenValueGuard:
     """Definition 9 is enforced, not assumed: a value issued twice stops
     the run with an error that names it."""
 
-    @pytest.mark.parametrize(
-        "collector_class, adapter_class",
-        [(Collector, SimulatedAdapter), (AsyncCollector, AsyncSimulatedAdapter)],
-        ids=["threads", "coroutines"],
-    )
-    def test_a_repeated_value_raises_and_names_it(self, collector_class, adapter_class):
+    def test_a_repeated_value_raises_and_names_it(self, adapter):
         workload = small_workload(sessions=4, txns=5, objects=8, seed=11)
-        collector = collector_class(adapter_class("si"), max_inflight=2)
+        collector_class = AsyncCollector if isinstance(adapter, AsyncDatabaseAdapter) else Collector
+        collector = collector_class(adapter, max_inflight=2)
         # Whichever session writes first draws counter 1: make that value a repeat.
         repeats = {session_id * 10_000_000 + 1 for session_id in range(4)}
         collector._issued_values.update(repeats)
@@ -345,8 +350,9 @@ class TestAsyncConstruction:
         (name,) = kwargs
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             AsyncCollector(AsyncSimulatedAdapter("si"), **kwargs)
-        with pytest.raises(ValueError, match=f"{name} must be positive"):
-            Collector(SimulatedAdapter("si"), **kwargs)
+        with SQLiteAdapter() as adapter:
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                Collector(adapter, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -381,12 +387,32 @@ class TestAsyncCLI:
         assert code == 0
         assert "18 committed" in out and "threaded sessions" in out
         code, out = self.run_cli(
-            ["collect", "--adapter", "simulated", "--chaos", "stale-read",
+            ["collect", "--adapter", "sqlite", "--chaos", "stale-read",
              "--sessions", "2", "--txns", "2", "--output", str(tmp_path / "c.seg")],
             capsys,
         )
         assert code == 0
         assert "threaded sessions" in out and "injected chaos:" in out
+
+    def test_simulated_chaos_runs_coroutine_sessions(self, capsys, tmp_path):
+        # Chaos over the simulator is detected on the coroutine route, and
+        # a run that never aborts is byte-identical per seed.
+        outputs = []
+        for run in range(2):
+            path = tmp_path / f"chaos-{run}.seg"
+            code, out = self.run_cli(
+                ["collect", "--adapter", "simulated", "--chaos", "lost-write",
+                 "--chaos-rate", "0.5", "--sessions", "6", "--txns", "20",
+                 "--objects", "8", "--seed", "3", "--output", str(path),
+                 "--check", "ser"],
+                capsys,
+            )
+            assert code == 1, out
+            assert "from chaos[simulated[si]] with 6 coroutine sessions" in out
+            assert "injected chaos: {'lost_write':" in out
+            assert "SER: VIOLATED" in out
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("flag", ["--async", "--no-bridge"])
     def test_removed_flags_are_refused_by_argparse(self, flag, capsys):

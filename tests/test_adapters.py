@@ -2,13 +2,15 @@
 
 Covers the adapter protocol over a real engine (SQLite) and the simulator,
 the SQLite busy/locked -> retryable-abort mapping, the protocol-boundary
-chaos faults (with their expected anomaly classes), and the
-adapter-equivalence suite: collecting through ``SimulatedAdapter`` must
+chaos faults on both faces (with their expected anomaly classes), and the
+adapter-equivalence suite: collecting through ``AsyncSimulatedAdapter`` must
 yield the same checker verdicts as the direct ``workloads/runner.py`` path.
 """
 
+import asyncio
 import sqlite3
 import sys
+import tempfile
 import threading
 
 import pytest
@@ -16,11 +18,11 @@ import pytest
 from repro.adapters import (
     AdapterAborted,
     AdapterStateError,
+    AsyncChaosAdapter,
+    AsyncSimulatedAdapter,
     ChaosAdapter,
     ChaosPlan,
     Collector,
-    SimulatedAdapter,
-    SimulatedSession,
     SQLiteAdapter,
     collect_history,
     make_adapter,
@@ -136,30 +138,51 @@ class TestRetryableSqliteMapping:
 
 class TestSimulatedAdapter:
     def test_wraps_every_engine_under_one_protocol(self):
+        async def write_once(adapter):
+            await adapter.setup(["x"])
+            session = await adapter.session(0)
+            await session.begin()
+            assert await session.read("x") == 0
+            await session.write("x", 5)
+            await session.commit()
+            await session.aclose()
+
         for engine in ("si", "serializable", "s2pl", "read-committed"):
-            adapter = SimulatedAdapter(engine)
-            adapter.setup(["x"])
-            with adapter.session(0) as session:
-                session.begin()
-                assert session.read("x") == 0
-                session.write("x", 5)
-                session.commit()
+            adapter = AsyncSimulatedAdapter(engine)
+            asyncio.run(write_once(adapter))
             assert adapter.committed_value("x") == 5
+            assert adapter.capabilities().name == f"simulated[{adapter.database.isolation_name}]"
 
     def test_conflict_aborts_surface_as_adapter_aborted(self):
-        adapter = SimulatedAdapter("si")
-        adapter.setup(["x"])
-        first, second = adapter.session(0), adapter.session(1)
-        first.begin()
-        second.begin()
-        assert first.read("x") == 0
-        assert second.read("x") == 0
-        first.write("x", 1)
-        first.commit()
-        second.write("x", 2)
+        async def first_committer_wins(adapter):
+            await adapter.setup(["x"])
+            first, second = await adapter.session(0), await adapter.session(1)
+            await first.begin()
+            await second.begin()
+            assert await first.read("x") == 0
+            assert await second.read("x") == 0
+            await first.write("x", 1)
+            await first.commit()
+            await second.write("x", 2)
+            await second.commit()
+
         with pytest.raises(AdapterAborted) as excinfo:
-            second.commit()  # first-committer-wins
+            asyncio.run(first_committer_wins(AsyncSimulatedAdapter("si")))
         assert isinstance(excinfo.value, TransactionAborted)
+
+    def test_operations_outside_transaction_are_state_errors(self):
+        async def misuse(adapter):
+            session = await adapter.session(0)
+            with pytest.raises(AdapterStateError):
+                await session.read("x")
+            with pytest.raises(AdapterStateError):
+                await session.commit()
+            await session.begin()
+            with pytest.raises(AdapterStateError):
+                await session.begin()
+            await session.abort()
+
+        asyncio.run(misuse(AsyncSimulatedAdapter("si")))
 
 
 # ----------------------------------------------------------------------
@@ -236,19 +259,20 @@ class TestCollector:
         assert all(op.value == 7 for op in initial.operations)
 
     def test_non_retryable_aborts_are_recorded_but_not_retried(self):
-        class PermanentlyFailingSession(SimulatedSession):
-            def commit(self):
-                super().abort()
-                raise AdapterAborted("quota exceeded", retryable=False)
-
-        class PermanentlyFailingAdapter(SimulatedAdapter):
+        class PermanentlyFailingAdapter(SQLiteAdapter):
             def session(self, session_id):
-                return PermanentlyFailingSession(
-                    self.database, session_id, self._lock
-                )
+                session = super().session(session_id)
+
+                def refuse():
+                    session.abort()
+                    raise AdapterAborted("quota exceeded", retryable=False)
+
+                session.commit = refuse
+                return session
 
         workload = small_workload(sessions=2, txns=5, objects=4)
-        result = Collector(PermanentlyFailingAdapter("si"), max_retries=3).collect(workload)
+        with PermanentlyFailingAdapter() as adapter:
+            result = Collector(adapter, max_retries=3).collect(workload)
         assert result.stats.committed == 0
         assert result.stats.aborted == 10  # one attempt per transaction
         assert result.stats.retries == 0
@@ -313,14 +337,14 @@ class TestCollector:
         # Eight worker threads on fewer cores, switching every few
         # microseconds, share one clock, id and value counter and one
         # column store: a recorder call that is not serialised loses
-        # updates, and these invariants see it.
-        workload = small_workload(sessions=8, txns=80, objects=20, seed=6)
+        # updates, and these invariants see it.  SQLite releases the GIL
+        # inside every statement, so the sessions genuinely interleave.
+        workload = small_workload(sessions=8, txns=40, objects=20, seed=6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            result = collect_history(
-                SimulatedAdapter("si", op_delay=0.0001), workload, max_inflight=8
-            )
+            with SQLiteAdapter(wal=True) as adapter:
+                result = collect_history(adapter, workload, max_inflight=8)
         finally:
             sys.setswitchinterval(interval)
         stats = result.stats
@@ -335,7 +359,7 @@ class TestCollector:
 
 
 # ----------------------------------------------------------------------
-# Adapter equivalence: SimulatedAdapter collection vs the serial runner
+# Adapter equivalence: simulator collection vs the serial runner
 # ----------------------------------------------------------------------
 class TestAdapterEquivalence:
     @pytest.mark.parametrize(
@@ -347,8 +371,7 @@ class TestAdapterEquivalence:
         runner_history = run_workload(
             Database(engine, keys=workload.keys), workload, seed=12
         ).history
-        adapter = SimulatedAdapter(engine)
-        collected = Collector(adapter).collect(workload).history
+        collected = collect_history(AsyncSimulatedAdapter(engine), workload).history
         checker = MTChecker()
         for level in guaranteed:
             via_runner = checker.verify(runner_history, LEVELS[level])
@@ -369,13 +392,13 @@ class TestAdapterEquivalence:
         runner_history = run_workload(
             Database("si", keys=workload.keys, faults=faults), workload, seed=5
         ).history
-        # op_delay forces threaded transactions to genuinely overlap, so the
+        # op_delay makes coroutine transactions genuinely overlap, so the
         # engine sees the write-write conflicts the fault plan corrupts.
-        adapter = SimulatedAdapter(
+        adapter = AsyncSimulatedAdapter(
             "si", faults=FaultPlan.for_anomaly("lostupdate", rate=0.9, seed=4),
             op_delay=0.0002,
         )
-        collected = Collector(adapter).collect(workload).history
+        collected = collect_history(adapter, workload).history
         assert adapter.database.injected_anomalies.get("lost_update", 0) > 0
         checker = MTChecker()
         assert not checker.verify(runner_history, LEVELS["SI"]).satisfied
@@ -385,16 +408,22 @@ class TestAdapterEquivalence:
 # ----------------------------------------------------------------------
 # Chaos faults and their expected anomaly classes
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("base", ["sqlite", "simulated"])
 class TestChaosAdapter:
-    def collect_with_chaos(self, fault, *, rate=0.3, seed=5, base="sqlite"):
+    """Each defect through both faces: threads over SQLite, coroutines over
+    the simulator."""
+
+    def collect_with_chaos(self, base, fault, *, rate=0.3, seed=5):
         workload = small_workload(sessions=4, txns=60, objects=10, seed=3)
         adapter = make_adapter(base, chaos=fault, chaos_rate=rate, seed=seed, wal=True)
-        with adapter:
-            result = Collector(adapter).collect(workload)
+        assert isinstance(adapter, AsyncChaosAdapter if base == "simulated" else ChaosAdapter)
+        result = collect_history(adapter, workload)
+        if isinstance(adapter, ChaosAdapter):
+            adapter.teardown()
         return adapter, result
 
-    def test_lost_write_produces_a_counterexample_cycle(self):
-        adapter, result = self.collect_with_chaos("lost-write")
+    def test_lost_write_produces_a_counterexample_cycle(self, base):
+        adapter, result = self.collect_with_chaos(base, "lost-write")
         assert adapter.injections["lost_write"] > 0
         verdict = MTChecker().verify(result.history, LEVELS["SER"])
         assert not verdict.satisfied
@@ -402,27 +431,33 @@ class TestChaosAdapter:
         # A healthy engine whose clients lose writes also breaks SI.
         assert not MTChecker().verify(result.history, LEVELS["SI"]).satisfied
 
-    def test_duplicate_commit_is_flagged_as_aborted_read(self):
-        adapter, result = self.collect_with_chaos("duplicate-commit")
+    def test_duplicate_commit_is_flagged_as_aborted_read(self, base):
+        adapter, result = self.collect_with_chaos(base, "duplicate-commit")
         assert adapter.injections["duplicate_commit"] > 0
         verdict = MTChecker().verify(result.history, LEVELS["SER"])
         assert not verdict.satisfied
         assert AnomalyKind.ABORTED_READ in {v.kind for v in verdict.violations}
 
-    def test_stale_read_violates_serializability(self):
-        adapter, result = self.collect_with_chaos("stale-read", rate=0.4)
+    def test_stale_read_violates_serializability(self, base):
+        adapter, result = self.collect_with_chaos(base, "stale-read", rate=0.4)
         assert adapter.injections["stale_read"] > 0
         verdict = MTChecker().verify(result.history, LEVELS["SER"])
         assert not verdict.satisfied
 
-    def test_chaos_free_wrapper_is_transparent(self):
+    def test_chaos_free_wrapper_is_transparent(self, base):
         workload = small_workload(sessions=2, txns=20, objects=6)
-        adapter = ChaosAdapter(SimulatedAdapter("si"), ChaosPlan())
-        result = Collector(adapter).collect(workload)
+        if base == "simulated":
+            adapter = AsyncChaosAdapter(AsyncSimulatedAdapter("si"), ChaosPlan())
+            result = collect_history(adapter, workload)
+        else:
+            with ChaosAdapter(SQLiteAdapter(), ChaosPlan()) as adapter:
+                result = collect_history(adapter, workload)
         assert not adapter.plan.any_enabled
         assert sum(adapter.injections.values()) == 0
         assert MTChecker().verify(result.history, LEVELS["SI"]).satisfied
 
+
+class TestChaosPlan:
     def test_unknown_fault_name_rejected(self):
         with pytest.raises(ValueError, match="unknown chaos fault"):
             ChaosPlan.for_fault("bit-flip")
@@ -441,8 +476,22 @@ class TestMakeAdapter:
         with pytest.raises(ValueError, match="unknown adapter"):
             make_adapter("postgres")
 
+    def test_bad_chaos_rate_leaves_no_database_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(ValueError, match=r"is a probability in \[0, 1\]"):
+            make_adapter("sqlite", chaos="lost-write", chaos_rate=5.0)
+        assert list(tmp_path.iterdir()) == []
+
     def test_builds_each_registered_adapter(self):
         with make_adapter("sqlite") as sqlite_adapter:
             assert isinstance(sqlite_adapter, SQLiteAdapter)
-        assert isinstance(make_adapter("simulated", isolation="s2pl"), SimulatedAdapter)
-        assert isinstance(make_adapter("simulated", chaos="lost-write"), ChaosAdapter)
+        with make_adapter("sqlite", chaos="lost-write") as chaotic:
+            assert isinstance(chaotic, ChaosAdapter)
+            assert isinstance(chaotic.inner, SQLiteAdapter)
+        simulated = make_adapter("simulated", isolation="s2pl")
+        assert isinstance(simulated, AsyncSimulatedAdapter)
+        assert simulated.capabilities().supports("SSER")
+        chaotic = make_adapter("simulated", chaos="lost-write")
+        assert isinstance(chaotic, AsyncChaosAdapter)
+        assert isinstance(chaotic.inner, AsyncSimulatedAdapter)
+        assert chaotic.capabilities().name == "chaos[simulated[si]]"
