@@ -477,6 +477,15 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     from the newest checkpoint and reaches the same verdict as an
     uninterrupted run; ``--supervise`` performs that restart in-process.
     """
+    # Refused before the log is opened, so nothing is printed or written first.
+    for flag, value, least in (
+        ("--window", args.window, 1), ("--checkpoint-every", args.checkpoint_every, 1),
+        ("--interval", args.interval, 0), ("--max-seconds", args.max_seconds, 0),
+        ("--metrics-every", args.metrics_every, 0),
+    ):
+        if value is not None and not value >= least:  # NaN fails too
+            print(f"error: {flag} must be at least {least}, got {value}")
+            return 2
     kind = history_format(args.history)
     if kind in ("segment", "document"):
         what = "columnar segments" if kind == "segment" else "JSON documents"
@@ -558,9 +567,9 @@ def _resume(log: EpochLog, args: argparse.Namespace, level: IsolationLevel):
             print(f"note: skipping checkpoint at epoch {resume.epochs}: {exc}")
             continue
         session, log.position, ingested = restored, resume.epochs, resume.transactions
-        print(
+        print(  # committed transactions, as the verdict counts them
             f"resumed from checkpoint: {resume.epochs} epochs "
-            f"({resume.transactions} transactions) already verified"
+            f"({restored.num_ingested} transactions) already verified"
         )
         break
     if log.retired_through >= log.position:
@@ -914,8 +923,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}")
         return 2
     except ValueError as exc:
-        # Bad file format, malformed JSON, or invalid option combination.
-        print(f"error: {exc}")
+        # Bad file format, malformed JSON, or invalid option combination;
+        # the message names the input when the raiser did not.
+        path = getattr(args, "history", None)
+        named = path is None or str(path) in str(exc)
+        print(f"error: {exc}" if named else f"error: {path}: {exc}")
         return 2
     finally:
         if trace_path:

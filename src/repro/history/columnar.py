@@ -70,7 +70,7 @@ from ..core.model import (
     history_from_stream,
     stream_order,
 )
-from .files import atomic_write
+from ..ondisk import atomic_write
 
 __all__ = [
     "ColumnarHistory",
@@ -81,7 +81,6 @@ __all__ = [
     "OP_WRITE",
     "SEGMENT_FORMAT",
     "SEGMENT_MAGIC",
-    "file_crc32",
     "segment_token",
 ]
 
@@ -119,19 +118,6 @@ def is_segment_path(path: Union[str, Path]) -> bool:
     """Whether ``path`` looks like a columnar segment file (by suffix)."""
     name = Path(path).name.lower()
     return name.endswith(".seg") or name.endswith(".seg.gz")
-
-
-def file_crc32(path: Union[str, Path]) -> int:
-    """CRC-32 of a file's raw bytes (streamed; no decompression) — what an
-    epoch log's manifest records for each sealed epoch file."""
-    crc = 0
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(1 << 20)
-            if not chunk:
-                break
-            crc = zlib.crc32(chunk, crc)
-    return crc & 0xFFFFFFFF
 
 
 def segment_token(path: Union[str, Path]) -> Tuple[int, int]:
@@ -547,7 +533,7 @@ class ColumnarHistory:
         Layout: :data:`SEGMENT_MAGIC`, one JSON header line (format name,
         byte order, counts, key names, column manifest), then each column's
         raw bytes in manifest order.  The file is published atomically
-        (:func:`~repro.history.files.atomic_write`): a save that fails
+        (:func:`~repro.ondisk.atomic_write`): a save that fails
         half-way leaves whatever ``path`` held before.
         """
         atomic_write(path, lambda raw: self.dump(raw, path, compress))

@@ -56,8 +56,8 @@ from typing import IO, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Uni
 from .. import obs
 from ..core.model import INITIAL_TXN_ID, Transaction, make_initial_transaction
 from ..resilience.failpoints import fail_point
-from .columnar import ColumnarHistory, file_crc32
-from .files import atomic_write, frame, unframe
+from ..ondisk import atomic_write, file_crc32, frame, unframe
+from .columnar import ColumnarHistory
 
 __all__ = [
     "EpochInfo",
@@ -135,7 +135,9 @@ class CheckpointInfo:
 
     #: Epochs fully ingested when the snapshot was taken (resume point).
     epochs: int
-    #: Committed transactions ingested at snapshot time (reporting only).
+    #: Rows ingested at snapshot time, ``⊥T`` excluded and aborted or
+    #: ``UNKNOWN`` rows included: ``repro watch`` numbers its ``[txn #N]``
+    #: labels on from it.  The committed count is the restored checker's.
     transactions: int
     path: Path
     #: The :meth:`IncrementalChecker.checkpoint` state dictionary.

@@ -1,9 +1,10 @@
 """One door for history files: what a path holds, how to read and write it.
 
 Four containers hold the same rows (see :mod:`repro.history`); whatever
-depends on *which* one a path names is decided here, once.  Underneath sit
-the byte helpers every on-disk artefact shares; the container modules
-import those, so this module reaches the containers only inside functions.
+depends on *which* one a path names is decided here, once.  The byte
+helpers every on-disk artefact shares live below in :mod:`repro.ondisk`;
+the stream container imports this module, so it reaches the containers only
+inside functions.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ from __future__ import annotations
 import json
 import os
 import warnings
-import zlib
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple, Union
 
 from ..core.model import History, Transaction, stream_order
 
@@ -23,75 +23,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "StreamFollower",
-    "atomic_write",
-    "frame",
     "history_format",
     "load_columns",
     "read_segments",
-    "unframe",
     "write_history",
 ]
 
 #: Rows per segment when a JSONL stream is read as segments.
 STREAM_SEGMENT_ROWS = 1024
-
-
-# ----------------------------------------------------------------------
-# Bytes: atomic publish and the magic + header + CRC frame
-# ----------------------------------------------------------------------
-def atomic_write(
-    path: Union[str, Path], data: Union[bytes, Callable[[IO[bytes]], object]]
-) -> None:
-    """Publish ``data`` at ``path``: staging file, fsync, ``os.replace``.
-
-    A failed write leaves the previous file alone.  ``data`` is the bytes, or
-    a callable that streams them into the open staging file — ``.{name}.tmp``
-    beside ``path``, the name the epoch log sweeps after a kill.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            if callable(data):
-                data(fh)
-            else:
-                fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
-
-
-def frame(magic: bytes, header: Dict[str, Any], payload: bytes) -> bytes:
-    """``magic`` + one JSON header line + ``payload``; the header gains the
-    payload's ``crc32`` and ``payload_bytes``, which :func:`unframe` verifies."""
-    stamped = {**header, "crc32": zlib.crc32(payload), "payload_bytes": len(payload)}
-    line = json.dumps(stamped, separators=(",", ":"))
-    return magic + line.encode("utf-8") + b"\n" + payload
-
-
-def unframe(magic: bytes, blob: bytes) -> Optional[Tuple[Dict[str, Any], bytes]]:
-    """``(header, payload)`` of a :func:`frame` blob; ``None`` (a miss, never an
-    error) for other magic, a torn header, a wrong payload length or CRC."""
-    if not blob.startswith(magic):
-        return None
-    header_line, _, payload = blob[len(magic):].partition(b"\n")
-    try:
-        header = json.loads(header_line)
-    except ValueError:
-        return None
-    if (
-        not isinstance(header, dict)
-        or header.get("payload_bytes") != len(payload)
-        or header.get("crc32") != zlib.crc32(payload)
-    ):
-        return None
-    return header, payload
 
 
 # ----------------------------------------------------------------------

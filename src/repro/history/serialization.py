@@ -37,7 +37,8 @@ from ..core.model import (
     history_from_stream,
     make_initial_transaction,
 )
-from .files import StreamFollower, atomic_write, write_history
+from ..ondisk import atomic_write
+from .files import StreamFollower, write_history
 
 __all__ = [
     "history_to_dict",

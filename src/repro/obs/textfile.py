@@ -3,7 +3,7 @@
 :func:`write_textfile` renders the registry in the Prometheus text format
 (``# HELP`` / ``# TYPE`` headers, ``name{labels} value`` series, histogram
 ``_bucket``/``_sum``/``_count`` expansion) and installs it atomically
-(:func:`repro.history.files.atomic_write`: staging file, fsync, rename) —
+(:func:`repro.ondisk.atomic_write`: staging file, fsync, rename) —
 so a concurrent scraper (node_exporter's textfile collector, or a plain
 ``cat``) never observes a torn snapshot.
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
+from ..ondisk import atomic_write
 from .metrics import METRIC_CATALOG, MetricsRegistry, family_of
 
 __all__ = ["render", "write_textfile", "parse_textfile"]
@@ -89,8 +90,6 @@ def render(reg: MetricsRegistry) -> str:
 
 def write_textfile(path: str, reg: MetricsRegistry) -> None:
     """Atomically (re)write ``path`` with the registry's exposition."""
-    from ..history.files import atomic_write  # deferred: history builds on obs
-
     atomic_write(path, render(reg).encode("utf-8"))
 
 

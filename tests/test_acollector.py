@@ -4,11 +4,11 @@ and for ``collect_history``, the one door that picks a collector.
 The contract under test: ``collect_history`` sends an adapter to the
 collector its kind calls for (chaos-wrapped or not); histories collected by
 either are *schedule-valid* (well-formed intervals, per-session ordering,
-globally unique written values) and accepted on healthy engines across
-isolation levels and the full ``max_inflight`` range — threads over SQLite,
-coroutines over the simulator — while both collectors, recording through the
-one ``CollectorBase`` row method, construct zero ``Transaction``/``Operation``
-objects on the accept path.
+globally unique written values), while both collectors, recording through
+the one ``CollectorBase`` row method, construct zero
+``Transaction``/``Operation`` objects on the accept path.  That healthy
+engines are accepted across isolation levels and the full ``max_inflight``
+range is a route of ``tests/test_routes.py::test_collected_histories``.
 """
 
 import asyncio
@@ -125,32 +125,6 @@ class TestAsyncThreadedEquivalence:
                 AsyncCollector(sync_adapter)
         with pytest.raises(TypeError, match="goes to AsyncCollector"):
             Collector(AsyncSimulatedAdapter("si"))
-
-    @pytest.mark.parametrize(
-        "engine, guaranteed",
-        [
-            ("si", ["SI"]),
-            ("serializable", ["SER", "SI"]),
-            ("s2pl", ["SSER", "SER", "SI"]),
-            ("sqlite", ["SSER", "SER", "SI"]),
-        ],
-    )
-    @pytest.mark.parametrize("max_inflight", [1, 8, 256])
-    def test_healthy_engines_are_accepted(self, engine, guaranteed, max_inflight):
-        workload = small_workload(sessions=8, txns=12, objects=10, seed=17)
-        if engine == "sqlite":  # threads
-            with SQLiteAdapter(wal=True) as adapter:
-                result = collect_history(adapter, workload, max_inflight=max_inflight)
-        else:  # coroutines
-            result = collect_history(
-                AsyncSimulatedAdapter(engine), workload, max_inflight=max_inflight
-            )
-        assert result.stats.committed == 96
-        assert_schedule_valid(result.columns)
-        checker = MTChecker()
-        for level in guaranteed:
-            verdict = checker.verify(result.columns, LEVELS[level])
-            assert verdict.satisfied, (engine, level, verdict.violation)
 
     @pytest.mark.parametrize("max_inflight", [1, 8, 256])
     def test_chaos_faults_detected_through_the_door(self, max_inflight):

@@ -2,9 +2,9 @@
 
 Covers the adapter protocol over a real engine (SQLite) and the simulator,
 the SQLite busy/locked -> retryable-abort mapping, the protocol-boundary
-chaos faults on both faces (with their expected anomaly classes), and the
-adapter-equivalence suite: collecting through ``AsyncSimulatedAdapter`` must
-yield the same checker verdicts as the direct ``workloads/runner.py`` path.
+chaos faults on both faces (with their expected anomaly classes), and a
+faulty engine detected through both ``AsyncSimulatedAdapter`` and the direct
+``workloads/runner.py`` path.
 """
 
 import asyncio
@@ -362,26 +362,8 @@ class TestCollector:
 # Adapter equivalence: simulator collection vs the serial runner
 # ----------------------------------------------------------------------
 class TestAdapterEquivalence:
-    @pytest.mark.parametrize(
-        "engine, guaranteed",
-        [("si", ["SI"]), ("serializable", ["SER", "SI"]), ("s2pl", ["SSER", "SER", "SI"])],
-    )
-    def test_correct_engines_agree_with_runner_verdicts(self, engine, guaranteed):
-        workload = small_workload(sessions=4, txns=30, objects=8, seed=11)
-        runner_history = run_workload(
-            Database(engine, keys=workload.keys), workload, seed=12
-        ).history
-        collected = collect_history(AsyncSimulatedAdapter(engine), workload).history
-        checker = MTChecker()
-        for level in guaranteed:
-            via_runner = checker.verify(runner_history, LEVELS[level])
-            via_adapter = checker.verify(collected, LEVELS[level])
-            assert via_runner.satisfied and via_adapter.satisfied, (
-                engine,
-                level,
-                via_runner.violation,
-                via_adapter.violation,
-            )
+    """Healthy engines through both paths are a route of
+    ``tests/test_routes.py::test_collected_histories``."""
 
     def test_faulty_engine_detected_through_both_paths(self):
         workload = MTWorkloadGenerator(

@@ -34,7 +34,6 @@ _LOST_UPDATE = ["--fault", "lostupdate", "--fault-rate", "0.6"]
 #: One file name per container; the two streams default to the streaming route.
 CONTAINERS = ["h.json", "h.jsonl", "h.jsonl.gz", "h.seg", "h.seg.gz", "h.epochs"]
 STREAMS = ["h.jsonl", "h.jsonl.gz"]
-FOLLOWABLE = [*STREAMS, "h.epochs"]
 
 
 def run(capsys, *argv):
@@ -72,28 +71,10 @@ def histories(tmp_path_factory):
 @pytest.mark.parametrize("level", ["ser", "si"])
 @pytest.mark.parametrize("kind", ["healthy", "lostupdate"])
 class TestContainerMatrix:
-    """One history, six containers, three routes: one answer per route."""
-
-    def test_stdout_and_exit_code_do_not_depend_on_the_container(
-        self, histories, kind, level, capsys
-    ):
-        d = histories / kind
-        batch = {n: run(capsys, "check", "--level", level, d / n) for n in CONTAINERS}
-        stream = {n: run(capsys, "check", "--stream", "--level", level, d / n) for n in CONTAINERS}
-        watch = {n: run(capsys, "watch", "--once", "--level", level, d / n) for n in FOLLOWABLE}
-        # Streamed, the verdict and every [txn #N] label are the same bytes
-        # whatever holds the rows and whichever command streams them...
-        assert len({*stream.values(), *watch.values()}) == 1
-        # ...and so is the batch report; a .jsonl input defaults to streaming.
-        assert len({batch[n] for n in CONTAINERS if n not in STREAMS}) == 1
-        assert all(batch[n] == stream[n] for n in STREAMS)
-        for code, out in (batch["h.seg"], stream["h.seg"]):
-            if kind == "healthy":
-                assert code == 0 and "SATISFIED" in out and "[txn #" not in out
-            else:
-                assert code == 1 and "VIOLATED" in out
-        if kind == "lostupdate":
-            assert "[txn #" in stream["h.seg"][1] and "[txn #" not in batch["h.seg"][1]
+    """``--workers`` across the six containers.  That stdout and exit code
+    of ``check``, ``check --stream`` and ``watch --once`` do not depend on
+    the container is a route of ``tests/test_routes.py``, on every corpus
+    entry."""
 
     def test_workers_equal_serial_where_accepted_and_are_refused_elsewhere(
         self, histories, kind, level, capsys
@@ -319,7 +300,7 @@ class TestMalformedHistories:
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(document))
         assert main([*route.split(), "--level", "ser", str(path)]) == 2
-        assert "error: malformed history: " in capsys.readouterr().out
+        assert f"error: {path}: malformed history: " in capsys.readouterr().out
 
 
 class TestVersionFlag:
@@ -513,6 +494,26 @@ class TestEpochLogCommands:
         code = main(["watch", "--once", "--level", "ser", str(path)])
         third = capsys.readouterr().out
         assert code == 0 and "resumed" not in third
+
+    def test_resume_counts_what_the_verdict_counts(self, tmp_path, capsys):
+        import re
+
+        from repro.history.epochlog import EpochLog
+
+        path = tmp_path / "h.epochs"
+        argv = ["generate", "--sessions", "2", "--txns", "5", "--objects", "2",
+                "--epoch-txns", "4", "--output", str(path)]
+        assert main(argv) == 0
+        assert "10 committed / 2 aborted" in capsys.readouterr().out
+        watch = ["watch", "--once", "--checkpoint-every", "2", str(path)]
+        assert main(watch) == 0 and main(watch) == 0
+        out = capsys.readouterr().out
+        (resumed,) = re.findall(r"resumed from checkpoint: 4 epochs \((\d+) transactions\)", out)
+        verdicts = re.findall(r"SER: SATISFIED \((\d+) transactions\)", out)
+        assert verdicts == ["10", "10"] and resumed == "10"
+        # The checkpoint keeps the row count, aborted rows included: it
+        # numbers the [txn #N] labels of the rows after it.
+        assert EpochLog.open(path).latest_checkpoint().transactions == 12
 
     @staticmethod
     def _reframe_checkpoints(path, edit, *, newest_only=False):

@@ -5,34 +5,23 @@ The central invariants of the columnar data plane:
 * **Lossless interchange** — JSONL ↔ columnar conversion preserves every
   transaction field exactly, in order, including aborted/unknown statuses,
   ``None`` values, and timestamps.
-* **One verdict** — for any history, checking through the columnar path
-  (``HistoryIndex.from_columns`` / ``MTChecker.verify(segment)`` /
-  ``IncrementalChecker.ingest_segment`` / ``workers=N`` columnar dispatch)
-  produces the *same* verdict, anomaly kinds, and labeled cycles as the
-  object pipeline — across SER/SI/SSER, healthy and fault-injected
-  histories.
 * **No object pickling** — parallel dispatch ships raw column buffers;
   no ``Transaction``/``Operation`` ever crosses the process boundary.
+
+That every route (columns, objects, ``workers=N``, segment and per-row
+ingestion, windowed) reaches one verdict is the route driver's job,
+``tests/test_routes.py``.
 """
 
 import gzip
-import math
 import pickle
-import random
 
 import pytest
 
 from repro.core.checker import MTChecker
-from repro.core.checkers import check_ser, check_si, check_sser
-from repro.core.incremental import IncrementalChecker
+from repro.core.checkers import check_ser, check_si
 from repro.core.index import HistoryIndex
-from repro.core.model import (
-    History,
-    Transaction,
-    TransactionStatus,
-    read,
-    write,
-)
+from repro.core.model import Transaction, TransactionStatus, read, write
 from repro.core.result import IsolationLevel
 from repro.db import Database, FaultPlan
 from repro.history import (
@@ -205,68 +194,6 @@ class TestSegmentFiles:
         with pytest.raises(ValueError, match=r"torn\.seg\.gz: truncated segment"):
             load_history_segment(torn)
 
-    @pytest.mark.parametrize(
-        "mutation",
-        ["key-id-too-large", "key-id-negative", "offsets-not-sorted", "offsets-past-the-end",
-         "status-unknown", "kind-unknown", "column-too-short"],
-    )
-    def test_structurally_wrong_columns_are_refused_by_every_reader(
-        self, mutation, tmp_path, capsys
-    ):
-        """Intact bytes (every checksum holds) that do not describe a history:
-        exit 2 with a message — never a verdict, never a traceback."""
-        from dataclasses import replace
-
-        from repro.cli import main
-        from repro.history import EpochLog, EpochLogWriter
-        from repro.history.columnar import file_crc32
-        from repro.history.epochlog import MANIFEST_NAME, _MANIFEST_HEADER, _encode_record
-
-        t1 = Transaction(1, [read("x", 0), write("x", 1)], session_id=0)
-        t2 = Transaction(2, [read("x", 0), write("x", 2)], session_id=1)
-        history = History.from_transactions([[t1], [t2]], initial_keys=["x"])
-        columns = ColumnarHistory.from_history(history)
-        if mutation == "key-id-too-large":
-            columns.op_keys[1] = len(columns.key_names)
-        elif mutation == "key-id-negative":
-            columns.op_keys[1] = -1
-        elif mutation == "offsets-not-sorted":
-            columns.op_offsets[1], columns.op_offsets[2] = columns.op_offsets[2], columns.op_offsets[1]
-        elif mutation == "offsets-past-the-end":
-            columns.op_offsets[-1] += 1
-        elif mutation == "status-unknown":
-            columns.statuses[1] = 7
-        elif mutation == "kind-unknown":
-            columns.op_kinds[1] = 2
-        else:
-            columns.op_values.pop()
-        segment = tmp_path / "hostile.seg"
-        columns.save(segment)
-
-        log = tmp_path / "hostile.epochs"
-        with EpochLogWriter(log, epoch_transactions=8) as writer:
-            for txn in history.transactions():
-                writer.append(txn)
-        (entry,) = EpochLog.open(log).epochs
-        columns.save(log / entry.name)
-        entry = replace(
-            entry, crc32=file_crc32(log / entry.name), size_bytes=(log / entry.name).stat().st_size
-        )
-        (log / MANIFEST_NAME).write_bytes(_MANIFEST_HEADER + _encode_record(entry))
-
-        with pytest.raises(ValueError, match="malformed segment"):
-            load_history_segment(segment)
-        for argv in (
-            ["check", str(segment)],
-            ["check", "--stream", str(segment)],
-            ["check", str(log)],
-            ["watch", "--once", str(log)],
-        ):
-            assert main(argv) == 2, argv
-            out = capsys.readouterr().out
-            assert out.startswith("error: ") and "malformed segment" in out, (argv, out)
-            assert "SATISFIED" not in out and "VIOLATED" not in out, (argv, out)
-
     def test_is_segment_path(self):
         assert is_segment_path("history.seg")
         assert is_segment_path("history.SEG")
@@ -318,80 +245,6 @@ class TestJsonlInterchange:
         assert [txn_fingerprint(t) for t in cols.iter_transactions()] == [
             txn_fingerprint(t) for t in iter_history_jsonl(jsonl)
         ]
-
-
-# ----------------------------------------------------------------------
-# Randomized equivalence: one verdict through every path
-# ----------------------------------------------------------------------
-class TestVerdictEquivalence:
-    @pytest.mark.parametrize("fault", FAULTS)
-    @pytest.mark.parametrize("level", LEVELS, ids=lambda l: l.short_name)
-    def test_batch_incremental_and_parallel_agree(self, level, fault):
-        rng = random.Random(hash((str(level), fault)) & 0xFFFF)
-        for _ in range(3):
-            seed = rng.randrange(10_000)
-            history = generated_history(seed, fault)
-            cols = ColumnarHistory.from_history(history)
-            canonical = cols.to_history()
-
-            reference = MTChecker().verify(canonical, level)
-
-            # Batch through the columnar index: exact equality, labeled
-            # cycles included.
-            columnar = MTChecker().verify(cols, level)
-            assert result_fingerprint(columnar) == result_fingerprint(reference)
-
-            # Parallel columnar dispatch, inline and with 4 workers.
-            for workers in (1, 4):
-                sharded = MTChecker(workers=workers).verify(cols, level)
-                assert sharded.satisfied == reference.satisfied
-                assert sharded.num_transactions == reference.num_transactions
-
-            # Incremental bulk segment ingestion: verdict and anomaly
-            # existence match the batch checker (counterexample shape may
-            # differ, never existence).
-            incremental = IncrementalChecker(level)
-            incremental.ingest_segment(cols)
-            assert incremental.result().satisfied == reference.satisfied
-
-    def test_segment_split_points_do_not_change_the_verdict(self):
-        rng = random.Random(13)
-        for fault in (None, "lostupdate"):
-            history = generated_history(14, fault)
-            cols = ColumnarHistory.from_history(history)
-            reference = MTChecker().verify(cols, IsolationLevel.SNAPSHOT_ISOLATION)
-            n = cols.num_transactions
-            cut_a = rng.randrange(1, n)
-            cut_b = rng.randrange(cut_a, n)
-            checker = IncrementalChecker(IsolationLevel.SNAPSHOT_ISOLATION)
-            checker.ingest_segment(cols.slice_rows(range(0, cut_a)))
-            checker.ingest_segment(cols.slice_rows(range(cut_a, cut_b)))
-            checker.ingest_segment(cols.slice_rows(range(cut_b, n)))
-            assert checker.result().satisfied == reference.satisfied
-
-    def test_segment_ingestion_equals_per_transaction_ingestion(self):
-        for fault in (None, "writeskew"):
-            cols = ColumnarHistory.from_history(generated_history(15, fault))
-            bulk = IncrementalChecker(IsolationLevel.SERIALIZABILITY)
-            bulk.ingest_segment(cols)
-            one_by_one = IncrementalChecker(IsolationLevel.SERIALIZABILITY)
-            for txn in cols.iter_transactions():
-                one_by_one.ingest(txn)
-            assert [v.kind for v in bulk.result().violations] == [
-                v.kind for v in one_by_one.result().violations
-            ]
-            assert bulk.num_ingested == one_by_one.num_ingested
-
-    def test_windowed_segment_ingestion_matches_windowed_object_ingestion(self):
-        cols = ColumnarHistory.from_history(generated_history(16, sessions=6, txns=40))
-        bulk = IncrementalChecker(IsolationLevel.SERIALIZABILITY, window=50)
-        bulk.ingest_segment(cols)
-        one_by_one = IncrementalChecker(IsolationLevel.SERIALIZABILITY, window=50)
-        for txn in cols.iter_transactions():
-            one_by_one.ingest(txn)
-        assert bulk.result().satisfied == one_by_one.result().satisfied
-        assert bulk.evicted_count == one_by_one.evicted_count
-        assert bulk.stale_reads == one_by_one.stale_reads
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The central invariant: **the kernel builds the graph the reference
 multigraph builder builds** — same edge set, same acyclicity answer, same
 SI-induced composition, and (through ``CSRGraph.find_cycle``) the same
-labeled counterexample cycle.  The randomized suite below pins it at the graph
-level over the composite fault-plan histories the parallel pipeline is
-validated against (``tests/test_parallel.py``).
+labeled counterexample cycle.  ``assert_kernel_matches_reference`` makes
+that comparison; the route driver (``tests/test_routes.py``) runs it on
+every corpus entry, with and without RT edges and transitive ``WW``.
 """
 
 import random
@@ -19,6 +19,7 @@ from repro.core.model import History, Transaction, read, write
 from repro.db import FaultPlan
 
 from test_parallel import composite_history
+
 
 def two_txn_history():
     t1 = Transaction(1, [read("x", 0), write("x", 1)])
@@ -178,49 +179,10 @@ class TestPeel:
 
 
 # ----------------------------------------------------------------------
-# Randomized kernel-vs-reference suite
+# The comparison the route driver makes on every corpus entry
 # ----------------------------------------------------------------------
 def _fault(name, rate, seed):
     return FaultPlan.for_anomaly(name, rate=rate, seed=seed)
-
-
-#: Healthy and fault-injected composites (the ``test_parallel`` fault plans).
-HISTORY_SPECS = {
-    **{
-        f"healthy-{isolation}": [(isolation, 71, None), (isolation, 72, None)]
-        for isolation in ("serializable", "si", "s2pl")
-    },
-    **{
-        f"fault-{fault}": [("si", 74, _fault(fault, 0.5, 73)), ("si", 75, None)]
-        for fault in ("lostupdate", "writeskew", "staleread", "abortedread")
-    },
-    "faults-in-two-shards": [
-        ("si", 41, _fault("lostupdate", 0.5, 41)),
-        ("si", 42, _fault("writeskew", 0.5, 42)),
-    ],
-    "read-committed": [("read-committed", 93, None)],
-}
-
-
-@pytest.mark.parametrize("transitive_ww", [False, True], ids=["opt-ww", "transitive-ww"])
-@pytest.mark.parametrize("with_rt", [False, True], ids=["no-rt", "rt"])
-class TestKernelMatchesReference:
-    @pytest.mark.parametrize("name", sorted(HISTORY_SPECS))
-    def test_composite_histories(self, name, with_rt, transitive_ww):
-        assert_kernel_matches_reference(
-            composite_history(HISTORY_SPECS[name]),
-            with_rt=with_rt,
-            transitive_ww=transitive_ww,
-        )
-
-    def test_seeded_random_sweep(self, with_rt, transitive_ww):
-        for seed in range(80, 90):
-            faults = _fault("lostupdate", 0.3, seed) if seed % 3 == 0 else None
-            assert_kernel_matches_reference(
-                composite_history([("si", seed, faults)]),
-                with_rt=with_rt,
-                transitive_ww=transitive_ww,
-            )
 
 
 class TestReferenceIsIndependentOfTheScan:

@@ -1,23 +1,20 @@
 """Tests for the streaming incremental verification subsystem.
 
-The central invariant: after ingesting a complete history (in any order
-preserving per-session order), the incremental verdict equals the batch
-verdict of ``check_ser`` / ``check_si`` / ``check_sser``.  On top of that:
-violations surface at the exact offending transaction, the Pearce–Kelly
-order stays consistent under insertions and removals, and the bounded
-window garbage-collects without changing verdicts on well-behaved streams.
+Violations surface at the exact offending transaction, the Pearce–Kelly
+order stays consistent under insertions and removals, the bounded window
+garbage-collects without changing verdicts on well-behaved streams, and a
+checkpoint restores to the uninterrupted verdict.  That a complete stream
+(in any session-preserving order) reaches the batch verdict is the route
+driver's job, ``tests/test_routes.py``.
 """
 
-import itertools
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import Database, MTChecker, run_workload
-from repro.core.anomalies import anomaly_catalog
-from repro.core.checkers import MTHistoryError, check_ser, check_si, check_sser
+from repro.core.checkers import MTHistoryError, check_ser, check_si
 from repro.core.incremental import (
     CHECKPOINT_STATE_FORMAT,
     CheckerSession,
@@ -29,57 +26,13 @@ from repro.core.model import History, Transaction, TransactionStatus, read, writ
 from repro.core.result import AnomalyKind, IsolationLevel
 from repro.workloads.mt_generator import MTWorkloadGenerator
 
+from test_routes import mt_histories
+
 SER = IsolationLevel.SERIALIZABILITY
 SI = IsolationLevel.SNAPSHOT_ISOLATION
 SSER = IsolationLevel.STRICT_SERIALIZABILITY
 
 SLOW = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-
-KEYS = ("x", "y")
-
-
-@st.composite
-def mt_histories(draw, max_txns=7):
-    """Random MT histories (valid and anomalous), as in test_property_based."""
-    num_txns = draw(st.integers(min_value=1, max_value=max_txns))
-    num_sessions = draw(st.integers(min_value=1, max_value=3))
-    value_counter = itertools.count(1)
-    writes_per_key = {key: [0] for key in KEYS}
-    shapes = []
-    for _ in range(num_txns):
-        shape = draw(
-            st.sampled_from(["read_only_1", "read_only_2", "rmw_1", "rmw_2", "read_then_rmw"])
-        )
-        keys = list(KEYS) if draw(st.booleans()) else list(reversed(KEYS))
-        plan = {
-            "read_only_1": [("r", keys[0])],
-            "read_only_2": [("r", keys[0]), ("r", keys[1])],
-            "rmw_1": [("r", keys[0]), ("w", keys[0])],
-            "rmw_2": [("r", keys[0]), ("r", keys[1]), ("w", keys[0]), ("w", keys[1])],
-            "read_then_rmw": [("r", keys[0]), ("r", keys[1]), ("w", keys[1])],
-        }[shape]
-        concrete = []
-        for kind, key in plan:
-            if kind == "w":
-                value = next(value_counter)
-                writes_per_key[key].append(value)
-                concrete.append(("w", key, value))
-            else:
-                concrete.append(("r", key, None))
-        shapes.append(concrete)
-    transactions = []
-    for index, concrete in enumerate(shapes):
-        ops = []
-        for kind, key, value in concrete:
-            if kind == "w":
-                ops.append(write(key, value))
-            else:
-                ops.append(read(key, draw(st.sampled_from(writes_per_key[key]))))
-        transactions.append(Transaction(txn_id=index + 1, operations=ops))
-    sessions = [[] for _ in range(num_sessions)]
-    for index, txn in enumerate(transactions):
-        sessions[index % num_sessions].append(txn)
-    return History.from_transactions(sessions, initial_keys=list(KEYS))
 
 
 def generated_history(seed, *, engine="si", sessions=4, txns=15, objects=8):
@@ -177,59 +130,6 @@ class TestPearceKellyOrder:
                     edges.add((source, target))
                 for a, b in edges:
                     assert topo.order_of(a) < topo.order_of(b)
-
-
-# ----------------------------------------------------------------------
-# Equivalence with the batch checkers
-# ----------------------------------------------------------------------
-class TestBatchEquivalence:
-    @SLOW
-    @given(history=mt_histories())
-    def test_ser_matches_batch(self, history):
-        incremental = CheckerSession(SER).ingest_history(history)
-        assert incremental.satisfied == check_ser(history).satisfied
-
-    @SLOW
-    @given(history=mt_histories())
-    def test_si_matches_batch(self, history):
-        incremental = CheckerSession(SI).ingest_history(history)
-        assert incremental.satisfied == check_si(history).satisfied
-
-    @pytest.mark.parametrize("engine", ["si", "serializable", "s2pl", "read-committed"])
-    @pytest.mark.parametrize("level,batch", [(SER, check_ser), (SI, check_si), (SSER, check_sser)])
-    def test_engine_histories_match_batch(self, engine, level, batch):
-        for seed in range(5):
-            history = generated_history(seed, engine=engine)
-            incremental = CheckerSession(level).ingest_history(history)
-            assert incremental.satisfied == batch(history).satisfied
-
-    def test_anomaly_catalog_matches_batch(self):
-        for name, spec in anomaly_catalog().items():
-            history = spec.build()
-            for level, batch in ((SER, check_ser), (SI, check_si)):
-                incremental = CheckerSession(level).ingest_history(history)
-                assert incremental.satisfied == batch(history).satisfied, (name, level)
-
-    def test_shuffled_arrival_order_preserves_verdicts(self):
-        for seed in range(8):
-            history = generated_history(seed, engine="read-committed")
-            rng = random.Random(seed * 13 + 5)
-            queues = [list(s.transactions) for s in history.sessions]
-            stream = []
-            while any(queues):
-                queue = rng.choice([q for q in queues if q])
-                stream.append(queue.pop(0))
-            for level, batch in ((SER, check_ser), (SI, check_si), (SSER, check_sser)):
-                session = CheckerSession(level)
-                session.ingest(history.initial_transaction)
-                for txn in stream:
-                    session.ingest(txn)
-                assert session.result().satisfied == batch(history).satisfied
-
-    def test_num_transactions_matches_batch(self):
-        history = generated_history(1)
-        incremental = CheckerSession(SER).ingest_history(history)
-        assert incremental.num_transactions == check_ser(history).num_transactions
 
 
 # ----------------------------------------------------------------------
@@ -373,20 +273,6 @@ class TestWindowGC:
         assert session.stale_reads == 0
         assert session.evicted_count > 0
         assert session.graph.num_nodes() <= 102  # window + ⊥T + slack
-
-    def test_windowed_verdict_matches_batch_on_faulty_stream(self):
-        from repro.db.faults import FaultPlan
-
-        workload = MTWorkloadGenerator(
-            num_sessions=6, txns_per_session=60, num_objects=8, seed=5, distribution="zipf"
-        ).generate()
-        database = Database(
-            "si", keys=workload.keys, faults=FaultPlan.for_anomaly("lostupdate", rate=0.5, seed=5)
-        )
-        history = run_workload(database, workload, seed=6).history
-        session = CheckerSession(SI, window=100)
-        session.ingest_history(history)
-        assert session.satisfied == check_si(history).satisfied is False
 
     def test_current_versions_remain_readable_beyond_the_window(self):
         # A key written once at the start and read much later: the version is
@@ -592,33 +478,6 @@ class TestOrderCarriesTheLabels:
         resumed = IncrementalChecker.restore(checker.checkpoint())
         assert resumed.result().format() == checker.result().format()
         assert set(resumed.graph.edges()) == set(graph.edges())
-
-    def test_valueless_reads_reach_the_batch_verdict_on_every_route(self):
-        from repro.history.columnar import ColumnarHistory
-
-        rows = {
-            "valueless then valued": [read("x", None), read("x", 0)],
-            "valueless read of a key the row writes": [read("x", None), write("x", 3)],
-            "valueless only": [read("x", None)],
-            "valued": [read("x", 0), write("x", 3)],
-        }
-        for name, ops in rows.items():
-            history = History.from_transactions([[Transaction(1, ops)]], initial_keys=["x"])
-            for level in (SER, SI):
-                batch = MTChecker().verify(history, level)
-                one_by_one = IncrementalChecker(level)
-                for txn in stream_order(history):
-                    one_by_one.ingest(txn)
-                bulk = IncrementalChecker(level)
-                bulk.ingest_segment(ColumnarHistory.from_history(history))
-                assert batch.satisfied == (name == "valued"), name
-                for streamed in (one_by_one.result(), bulk.result()):
-                    assert streamed.satisfied == batch.satisfied, (name, level)
-                    assert sorted(v.kind.value for v in streamed.violations) == sorted(
-                        v.kind.value for v in batch.violations
-                    ), (name, level)
-                assert one_by_one.result().format() == bulk.result().format()
-
 
 # ----------------------------------------------------------------------
 # The CheckerSession facade and live checking

@@ -189,6 +189,25 @@ class TestTextfile:
         assert reads > 0
 
 
+def test_obs_imports_no_history():
+    """``repro.history`` builds on ``repro.obs``, never the other way round:
+    the textfile's atomic publish comes from ``repro.ondisk``, below both."""
+    import ast
+    from pathlib import Path
+
+    for module in sorted(Path(obs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [("." * node.level) + (node.module or "")]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert name.lstrip(".").split(".")[0] != "history", (module.name, name)
+                assert not name.startswith("repro.history"), (module.name, name)
+
+
 class TestTrace:
     def test_spans_nest_and_parent_per_thread(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")

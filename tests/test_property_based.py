@@ -2,138 +2,30 @@
 
 The central properties:
 
-* **Cross-checker agreement** — on arbitrary mini-transaction histories
-  (valid or not), the linear-time MTC checkers return exactly the same
-  verdict as the solver-based baselines (Cobra for SER, PolySI for SI) and
-  the search-based dbcop checker.  This exercises both soundness and
-  completeness of Algorithm 1 far beyond the hand-written catalog.
 * **Engine/checker consistency** — histories produced by a correct engine
   satisfy the engine's isolation level for arbitrary workload parameters.
 * **Round-trips and order reductions** preserve verdicts and reachability.
-"""
 
-import itertools
+Cross-checker agreement on random mini-transaction histories (MTC against
+Cobra, PolySI and dbcop) is one property of the route driver,
+``tests/test_routes.py``, which also owns the ``mt_histories`` strategy.
+"""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import CobraChecker, DbcopChecker, PolySIChecker
 from repro.core.checkers import check_ser, check_si
 from repro.core.lwt import check_linearizability
-from repro.core.mini import is_mt_history
-from repro.core.model import (
-    History,
-    Transaction,
-    interval_order_reduction,
-    read,
-    write,
-)
+from repro.core.model import Transaction, interval_order_reduction
 from repro.db import Database
 from repro.history import history_from_dict, history_to_dict
 from repro.storage import VersionedStore
 from repro.workloads import LWTHistoryGenerator, MTWorkloadGenerator, run_workload
 
-KEYS = ("x", "y")
+from test_routes import mt_histories
 
 SLOW = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 FAST = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-
-
-# ----------------------------------------------------------------------
-# Random mini-transaction histories
-# ----------------------------------------------------------------------
-@st.composite
-def mt_histories(draw, max_txns=7):
-    """Random MT histories with unique written values but arbitrary reads.
-
-    Reads observe either the initial value or any value written somewhere in
-    the history, so the strategy produces valid histories, lost updates,
-    write skews, causality violations, stale reads, and the like.
-    """
-    num_txns = draw(st.integers(min_value=1, max_value=max_txns))
-    num_sessions = draw(st.integers(min_value=1, max_value=3))
-
-    # First pass: choose each transaction's shape (which keys it reads/writes).
-    shapes = []
-    value_counter = itertools.count(1)
-    writes_per_key = {key: [0] for key in KEYS}  # values available to read
-    for _ in range(num_txns):
-        shape = draw(
-            st.sampled_from(
-                ["read_only_1", "read_only_2", "rmw_1", "rmw_2", "read_then_rmw"]
-            )
-        )
-        keys = list(KEYS) if draw(st.booleans()) else list(reversed(KEYS))
-        plan = []
-        if shape == "read_only_1":
-            plan = [("r", keys[0])]
-        elif shape == "read_only_2":
-            plan = [("r", keys[0]), ("r", keys[1])]
-        elif shape == "rmw_1":
-            plan = [("r", keys[0]), ("w", keys[0])]
-        elif shape == "rmw_2":
-            plan = [("r", keys[0]), ("r", keys[1]), ("w", keys[0]), ("w", keys[1])]
-        else:
-            plan = [("r", keys[0]), ("r", keys[1]), ("w", keys[1])]
-        concrete = []
-        for kind, key in plan:
-            if kind == "w":
-                value = next(value_counter)
-                writes_per_key[key].append(value)
-                concrete.append(("w", key, value))
-            else:
-                concrete.append(("r", key, None))
-        shapes.append(concrete)
-
-    # Second pass: pick the value every read observes.
-    transactions = []
-    for index, concrete in enumerate(shapes):
-        ops = []
-        for kind, key, value in concrete:
-            if kind == "w":
-                ops.append(write(key, value))
-            else:
-                observed = draw(st.sampled_from(writes_per_key[key]))
-                ops.append(read(key, observed))
-        transactions.append(Transaction(txn_id=index + 1, operations=ops))
-
-    sessions = [[] for _ in range(num_sessions)]
-    for index, txn in enumerate(transactions):
-        sessions[index % num_sessions].append(txn)
-    return History.from_transactions(sessions, initial_keys=list(KEYS))
-
-
-class TestCrossCheckerAgreement:
-    @SLOW
-    @given(history=mt_histories())
-    def test_mtc_ser_agrees_with_cobra(self, history):
-        assert is_mt_history(history)
-        assert check_ser(history).satisfied == CobraChecker().check(history).satisfied
-
-    @SLOW
-    @given(history=mt_histories())
-    def test_mtc_ser_agrees_with_dbcop(self, history):
-        assert check_ser(history).satisfied == DbcopChecker().check(history).satisfied
-
-    @SLOW
-    @given(history=mt_histories(max_txns=6))
-    def test_mtc_si_agrees_with_polysi(self, history):
-        assert check_si(history).satisfied == PolySIChecker().check(history).satisfied
-
-    @SLOW
-    @given(history=mt_histories())
-    def test_ser_violation_implies_checked_by_transitive_variant_too(self, history):
-        assert (
-            check_ser(history, transitive_ww=True).satisfied
-            == check_ser(history, transitive_ww=False).satisfied
-        )
-
-    @SLOW
-    @given(history=mt_histories())
-    def test_si_weaker_than_ser(self, history):
-        # Any SI violation on an MT history must also be a SER violation.
-        if not check_si(history).satisfied:
-            assert not check_ser(history).satisfied
 
 
 class TestEngineCheckerConsistency:
