@@ -565,6 +565,35 @@ class TestManifestLog:
 # Checkpoints: kill the verifier, resume, same verdict
 # ----------------------------------------------------------------------
 class TestCheckpointResume:
+    @pytest.mark.parametrize("engine", ["si", "rc"])
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_restart_at_every_epoch_boundary_matches_uninterrupted(
+        self, tmp_path, engine, level
+    ):
+        d = tmp_path / "svc.epochs"
+        log = build_log(d, make_history(31, engine=engine), epoch_transactions=10)
+        uninterrupted = stream_format(log, level)
+        for boundary in range(len(log)):
+            session = CheckerSession(level)
+            ingested = 0
+            for _entry, segment in log.iter_segments(0):
+                if _entry.epoch == boundary:
+                    break
+                session.ingest_segment(segment)
+                ingested += segment.num_transactions
+            log.save_checkpoint(
+                session.checkpoint(), epochs=boundary, transactions=ingested
+            )
+            del session  # the verifier is killed here
+
+            ckpt = log.latest_checkpoint()
+            assert ckpt is not None and ckpt.epochs == boundary
+            resumed = CheckerSession.restore(ckpt.state)
+            assert (
+                stream_format(log, level, start_epoch=boundary, session=resumed)
+                == uninterrupted
+            )
+
     def test_half_written_checkpoint_falls_back_to_previous(self, tmp_path):
         rng = random.Random(7)
         d = tmp_path / "ckpt.epochs"
