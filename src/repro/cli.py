@@ -716,7 +716,14 @@ def _retire_behind_window(log: EpochLog, window: int, ingested_epochs: int) -> N
             )
 
 
+#: A mini-transaction may read and write two distinct objects.
+_MT_OBJECTS_ERROR = "error: --objects must be at least 2 for a mini-transaction workload, got {}"
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.objects < 2:
+        print(_MT_OBJECTS_ERROR.format(args.objects))
+        return 2
     generator = MTWorkloadGenerator(
         num_sessions=args.sessions,
         txns_per_session=args.txns,
@@ -764,6 +771,12 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         return 2
     if args.max_inflight <= 0:
         print(f"error: --max-inflight must be positive, got {args.max_inflight}")
+        return 2
+    if args.txn_deadline is not None and not args.txn_deadline > 0:  # NaN fails too
+        print(f"error: --txn-deadline must be positive, got {args.txn_deadline}")
+        return 2
+    if args.workload == "mt" and args.objects < 2:
+        print(_MT_OBJECTS_ERROR.format(args.objects))
         return 2
 
     generator = MTWorkloadGenerator if args.workload == "mt" else GTWorkloadGenerator

@@ -13,6 +13,8 @@ PolySI's encoder) keep their hot loops:
   :class:`~repro.core.index.HistoryIndex`'s scan positions and resolved read
   columns and appends whole blocks of edges (RT | SO | WR | WW | RW) with
   bulk ``extend``\\ s.
+* :meth:`CSRGraph.with_real_time_chain` gives SSER's peel the real-time
+  order as O(n) rows over time nodes instead of up to n²/4 RT pairs.
 * :meth:`CSRGraph.has_cycle` is one Kahn topological peel
   (:func:`peel_cycle`): ``None`` on the accept path, the ids of one cycle
   otherwise.  On the reject path :meth:`CSRGraph.find_cycle` labels a cycle
@@ -36,8 +38,9 @@ from __future__ import annotations
 import re
 import struct
 from array import array
-from itertools import accumulate, compress
-from operator import eq, ne, not_
+from bisect import bisect_left
+from itertools import accumulate, chain, compress, repeat
+from operator import eq, gt, ne, not_, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import (
@@ -167,14 +170,7 @@ class CSRGraph:
             node_of[0] = 0
 
         if with_rt:
-            txn_dense = index.txn_dense
-            pairs = index.real_time_id_pairs(reduced=reduced_rt)
-            ends = [node_of[txn_dense[t]] for pair in pairs for t in pair]
-            rt_src, rt_dst = ends[::2], ends[1::2]
-            if -1 in ends:  # an uncommitted ``⊥T`` is no node
-                keep = [s >= 0 and t >= 0 for s, t in zip(rt_src, rt_dst)]
-                rt_src, rt_dst = list(compress(rt_src, keep)), list(compress(rt_dst, keep))
-            graph._append(_RT, rt_src, rt_dst)
+            graph.add_real_time(index, reduced=reduced_rt)
         session_of = index._session_of
         graph._append(_SO, *_session_order([session_of[pos] for pos in non_initial], base))
 
@@ -207,6 +203,60 @@ class CSRGraph:
         graph._append(
             _RW, *_read_write(writers, readers, kids, ww_src, ww_dst, ww_key, radix)
         )
+        return graph
+
+    def add_real_time(self, index: HistoryIndex, *, reduced: bool = True) -> None:
+        """Append ``index.real_time_id_pairs(reduced)`` as RT rows (up to n²/4,
+        even reduced); an uncommitted ``⊥T`` is no node, so its row is dropped."""
+        node = dict(zip(self.node_ids, range(len(self.node_ids))))
+        pairs = index.real_time_id_pairs(reduced=reduced)
+        self._append(
+            _RT,
+            [node[s] for s, _ in pairs if s in node],
+            [node[t] for s, t in pairs if s in node],
+        )
+
+    def with_real_time_chain(self, index: HistoryIndex) -> "CSRGraph":
+        """A copy of this graph plus the real-time order as at most 3n chain rows.
+
+        For the peel only.  With the stamped transactions sorted by finish,
+        ``p(B)`` counts those finishing strictly before ``B`` starts; each
+        distinct ``p > 0`` gets a time node ``V_p`` (no transaction id),
+        with rows ``V_p → B`` for ``p(B) = p``, ``V_p → V_p'`` between
+        consecutive levels and ``A → V_q`` for the first level ``q`` past
+        ``A``'s finish rank.  A path runs from ``A`` to ``B`` iff ``A``
+        finishes before ``B`` starts, so the transitive closure, and the
+        verdict, are :meth:`add_real_time`'s.  That needs no interval to
+        finish before it starts; if one does, the copy takes the explicit
+        block.  ``⊥T`` precedes the first transaction by start, as there.
+        """
+        ordinals, starts, finishes = index.committed_stamps()
+        first = len(self.node_ids)
+        graph = CSRGraph(
+            self.node_ids, self.key_names, self.src[:], self.dst[:], self.etype[:], self.key_id[:]
+        )
+        if any(map(gt, starts, finishes)):
+            graph.add_real_time(index)
+            return graph
+        base = first - index.num_committed
+        nodes = [base + i for i in ordinals]
+        by_finish = sorted(range(len(nodes)), key=finishes.__getitem__)
+        level_of = list(map(bisect_left, repeat([finishes[i] for i in by_finish]), starts))
+        levels = sorted(set(level_of).difference([0]))
+        time_nodes = range(first, first + len(levels))
+        time_node = dict(zip(levels, time_nodes))
+        src = list(map(time_node.__getitem__, compress(level_of, level_of)))
+        dst = list(compress(nodes, level_of))
+        src += time_nodes[:-1]
+        dst += time_nodes[1:]
+        # Finish ranks in [levels[j - 1], levels[j]) reach time node j first.
+        src += map(nodes.__getitem__, by_finish[: max(levels, default=0)])
+        dst += chain.from_iterable(map(repeat, time_nodes, map(sub, levels, [0, *levels])))
+        if base and nodes:
+            src.append(0)
+            dst.append(nodes[starts.index(min(starts))])
+        graph.node_ids += [None] * len(levels)
+        graph._append(_RT, src, dst)
         return graph
 
     def _append(

@@ -46,6 +46,8 @@ keeps working.
 from __future__ import annotations
 
 import time
+from itertools import compress
+from operator import eq
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from .. import obs
@@ -500,20 +502,33 @@ class HistoryIndex:
             self._rt_id_pairs[reduced] = self._rt_id_pairs_from_columns(reduced)
         return self._rt_id_pairs[reduced]
 
+    def committed_stamps(self) -> Tuple[List[int], List[float], List[float]]:
+        """``(ordinals, starts, finishes)`` of the committed non-``⊥T``
+        transactions with both stamps, in scan order; an ordinal is the rank
+        among all committed non-``⊥T`` ones (the CSR kernel's node ``base +
+        ordinal``).  Each timestamp column is read in one pass."""
+        cols = self._columns
+        rows = list(map(self._row_order.__getitem__, self._non_initial_pos))
+        starts = list(map(cols.start_ts.__getitem__, rows))
+        finishes = list(map(cols.finish_ts.__getitem__, rows))
+        ordinals: List[int] = list(range(len(rows)))
+        # A missing stamp is NaN, the one float unequal to itself.
+        if not (all(map(eq, starts, starts)) and all(map(eq, finishes, finishes))):
+            stamped = [s == s and f == f for s, f in zip(starts, finishes)]
+            ordinals, starts, finishes = (
+                list(compress(column, stamped)) for column in (ordinals, starts, finishes)
+            )
+        return ordinals, starts, finishes
+
     def _rt_id_pairs_from_columns(self, reduced: bool) -> List[Tuple[int, int]]:
         """Mirror ``History.real_time_order`` over the timestamp columns."""
-        cols = self._columns
+        ordinals, starts, finishes = self.committed_stamps()
         txn_ids = self.txn_ids
-        # (start, finish, txn_id) of committed, timestamped, non-initial
-        # transactions in scan order — the entry order History.real_time_order
-        # feeds interval_order_reduction, so stable sorts tie-break alike.
-        entries: List[Tuple[float, float, int]] = []
-        for pos in self._non_initial_pos:
-            row = self._row_order[pos]
-            start, finish = cols.timestamps_at(row)
-            if start is None or finish is None:
-                continue
-            entries.append((start, finish, txn_ids[pos]))
+        non_initial = self._non_initial_pos
+        # (start, finish, txn_id) in scan order — the entry order
+        # History.real_time_order feeds interval_order_reduction, so stable
+        # sorts tie-break alike.
+        entries = list(zip(starts, finishes, [txn_ids[non_initial[i]] for i in ordinals]))
         if reduced:
             pairs = interval_order_reduction(entries)
         else:

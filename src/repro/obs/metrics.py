@@ -117,9 +117,9 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
     "repro_graph_builds_total": (
         "counter", "Batch BUILDDEPENDENCY runs"),
     "repro_graph_nodes": (
-        "gauge", "Nodes in the most recently built dependency graph"),
+        "gauge", "Nodes of the graph the last acyclicity peel ran on (SSER: plus time nodes)"),
     "repro_graph_edges": (
-        "gauge", "Edges in the most recently built dependency graph"),
+        "gauge", "Edge rows of the graph the last acyclicity peel ran on (SSER: plus chain rows)"),
     # Parallel executor (per-call gauges live in a per-call scoped registry;
     # shard-level counters are recorded inside the workers and merged back).
     "repro_executor_checks_total": (

@@ -70,7 +70,7 @@ class VerifyReport:
         return out
 
     def graph_size(self) -> Tuple[Optional[int], Optional[int]]:
-        """``(nodes, edges)`` of the last built dependency graph."""
+        """``(nodes, edges)`` of the graph the last acyclicity peel ran on."""
         nodes = self._scalar("repro_graph_nodes")
         edges = self._scalar("repro_graph_edges")
         return (

@@ -45,6 +45,10 @@ def txn(txn_id, *ops, session=0, status=COMMITTED):
     return Transaction(txn_id, list(ops), session_id=session, status=status)
 
 
+def timed(txn_id, start, finish, *ops, session=0):
+    return Transaction(txn_id, list(ops), session_id=session, start_ts=start, finish_ts=finish)
+
+
 def history(*sessions, keys=("x", "y")):
     return History.from_transactions(list(sessions), initial_keys=list(keys))
 
@@ -113,6 +117,13 @@ def entries():
     ), {}
     yield "unknown-hides-lost-update.jsonl", "hand: a lost update whose second writer is UNKNOWN", lost_update(
         second_status=UNKNOWN), {}
+    yield "rt-stale-read.jsonl", "hand: a read of x=0 that starts after x=1 committed", history(
+        [timed(1, 0.0, 1.0, read("x", 0), write("x", 1))], [timed(2, 2.0, 3.0, read("x", 0), session=1)]), {}
+    yield "rt-touching-intervals.jsonl", "hand: that stale read starts the instant x=1 commits", history(
+        [timed(1, 0.0, 1.0, read("x", 0), write("x", 1))], [timed(2, 1.0, 2.0, read("x", 0), session=1)]), {}
+    yield "rt-untimed-row.jsonl", "hand: that stale read, but the writer of x=1 carries no stamps", history(
+        [txn(1, read("x", 0), write("x", 1))], [timed(2, 5.0, 6.0, read("x", 0), session=1)],
+        [timed(3, 0.0, 1.0, read("y", 0), write("y", 3), session=2)]), {}
     for name, ops in (("valueless-first-read", [read("x", None), write("x", 1)]),
                       ("valueless-then-valued", [read("x", None), read("x", 0)]),
                       ("valueless-only", [read("x", None)])):
@@ -133,7 +144,7 @@ def entries():
 def pseudo_entries():
     """The ``EXPECTED`` lines of the entries without a file of their own."""
     yield {"entry": "flag:collect --txn-deadline 0", "source": "every session abandoned", "exit": 2,
-           "error": "txn_deadline must be positive", "argv": [
+           "error": "--txn-deadline must be positive", "argv": [
                "collect", "--adapter", "simulated", "--sessions", "2", "--txns", "2", "--txn-deadline", "0",
                "--check", "ser"]}
     for flag, value in (("--checkpoint-every", "0"), ("--checkpoint-every", "-1"), ("--window", "0"),

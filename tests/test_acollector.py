@@ -428,10 +428,10 @@ class TestAsyncCLI:
             # A deadline of 0 abandoned every session: "SATISFIED (0 transactions)".
             (["collect", "--adapter", "sqlite", "--txn-deadline", "0",
               "--sessions", "2", "--txns", "2", "--check", "ser"],
-             "txn_deadline must be positive"),
+             "--txn-deadline must be positive"),
             (["collect", "--adapter", "simulated", "--txn-deadline", "-1",
               "--sessions", "2", "--txns", "2", "--check", "ser"],
-             "txn_deadline must be positive"),
+             "--txn-deadline must be positive"),
             # A negative rate never fired: "none fired" and "SATISFIED".
             (["collect", "--adapter", "simulated", "--chaos", "lost-write",
               "--chaos-rate", "-1", "--check", "ser"],

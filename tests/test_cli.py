@@ -147,6 +147,12 @@ class TestContainerCorners:
         assert out.startswith("error: lost_update_rate is a probability in [0, 1]")
         assert not (tmp_path / "h.json").exists()
 
+    @pytest.mark.parametrize("objects", ["1", "0"])
+    def test_generate_refuses_fewer_than_two_objects(self, objects, tmp_path, capsys):
+        code, out = run(capsys, *_GENERATE, "--objects", objects, "--output", tmp_path / "h.json")
+        assert code == 2 and out.startswith("error: --objects must be at least 2")
+        assert not (tmp_path / "h.json").exists()
+
     def test_generate_writes_each_container(self, tmp_path):
         for name in CONTAINERS:
             assert main([*_GENERATE, "--epoch-txns", "16", "--output", str(tmp_path / name)]) == 0
@@ -387,6 +393,16 @@ class TestCollectCommand:
     def test_collect_rejects_unknown_level(self, capsys):
         assert main(["collect", "--check", "strongest"]) == 2
         assert "unknown isolation level" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--txn-deadline", "0"], "error: --txn-deadline must be positive"),
+        (["--txn-deadline", "nan"], "error: --txn-deadline must be positive"),
+        (["--objects", "1"], "error: --objects must be at least 2"),
+    ])
+    def test_collect_names_the_flag_out_of_range(self, flags, message, capsys):
+        argv = ["collect", "--adapter", "simulated", "--sessions", "2", "--txns", "2", *flags, "--check", "ser"]
+        code, out = run(capsys, *argv)
+        assert code == 2 and out.startswith(message)
 
     def test_collect_rejects_workers_without_check(self, tmp_path, capsys):
         out = tmp_path / "h.json"

@@ -12,10 +12,12 @@ import random
 
 import pytest
 
+from repro.core.checkers import check_sser, cycle_verdict
 from repro.core.csr import CSRGraph, peel_cycle
 from repro.core.graph import DependencyGraph, EdgeType, build_dependency
 from repro.core.index import HistoryIndex
-from repro.core.model import History, Transaction, read, write
+from repro.core.model import History, Transaction, TransactionStatus, read, write
+from repro.core.result import IsolationLevel
 from repro.db import FaultPlan
 
 from test_parallel import composite_history
@@ -123,6 +125,79 @@ class TestCSRGraph:
         index = HistoryIndex.build(history)
         csr = CSRGraph.from_index(index, with_rt=True)
         assert any(e.edge_type is EdgeType.RT for e in csr.iter_edges())
+
+
+# ----------------------------------------------------------------------
+# SSER's real-time order as a chain of time nodes
+# ----------------------------------------------------------------------
+def timed_history(rng):
+    """A random MT history with integer stamps: ties, touching and missing
+    stamps, aborted rows, now and then an inverted interval, ``⊥T`` or not."""
+    keys, values = ("x", "y"), iter(range(1, 100))
+    written = {key: [0] for key in keys}
+    plans = ["r0", "r0 r1", "r0 w0", "r0 r1 w0 w1", "r0 r1 w1"]
+    transactions = []
+    for txn_id in range(1, rng.randint(2, 12)):
+        order = rng.sample(keys, 2)
+        ops = []
+        for step in rng.choice(plans).split():
+            key = order[int(step[1])]
+            if step[0] == "w":
+                ops.append(write(key, next(values)))
+                written[key].append(ops[-1].value)
+            else:
+                ops.append(read(key, rng.choice(written[key])))
+        start = rng.randint(0, 12)
+        finish = start + rng.choice((0, 1, 2, 3, -1 if rng.random() < 0.05 else 1))
+        if rng.random() < 0.1:
+            start, finish = (None, None) if rng.random() < 0.5 else (start, None)
+        transactions.append(Transaction(
+            txn_id, ops, start_ts=start, finish_ts=finish,
+            status=TransactionStatus.ABORTED if rng.random() < 0.1 else TransactionStatus.COMMITTED,
+        ))
+    sessions = rng.randint(1, 3)
+    return History.from_transactions(
+        [transactions[s::sessions] for s in range(sessions)],
+        initial_keys=list(keys) if rng.random() < 0.8 else None,
+    )
+
+
+class TestRealTimeChain:
+    def test_chain_peel_agrees_with_the_explicit_reduced_peel(self):
+        rng = random.Random(33)
+        rt_only = rejects = 0
+        for _ in range(1500):
+            history = timed_history(rng)
+            index = HistoryIndex.build(history)
+            csr = build_dependency(history, index=index, dense=True)
+            explicit = build_dependency(history, with_rt=True, index=index, dense=True)
+            rejected = explicit.has_cycle() is not None
+            assert (csr.with_real_time_chain(index).has_cycle() is not None) == rejected
+            rejects += rejected
+            rt_only += rejected and csr.has_cycle() is None
+            if not index.int_violations():  # the printed counterexample is the explicit one
+                assert check_sser(history, index=index).format() == cycle_verdict(
+                    explicit, IsolationLevel.STRICT_SERIALIZABILITY, index.num_committed
+                ).format()
+                assert check_sser(history, reduced_rt=False).satisfied == (not rejected)
+        assert rt_only > 50 and rejects > rt_only
+
+    @pytest.mark.parametrize("k", [1, 10, 60])
+    def test_bipartite_history_takes_linear_chain_rows(self, k):
+        # Half the transactions finish before the other half start.
+        txns = [
+            Transaction(i, [read("x", 0)], session_id=i,
+                        start_ts=0.0 if i < k else 2.0, finish_ts=1.0 if i < k else 3.0)
+            for i in range(2 * k)
+        ]
+        history = History.from_transactions([[t] for t in txns], initial_keys=["x"])
+        index = HistoryIndex.build(history)
+        csr = build_dependency(history, index=index, dense=True)
+        chain = csr.with_real_time_chain(index)
+        assert len(index.real_time_id_pairs()) == k * k + 1
+        assert chain.num_nodes == csr.num_nodes + 1  # one time node
+        assert chain.num_edges - csr.num_edges == 2 * k + 1 <= 3 * len(txns)
+        assert chain.has_cycle() is None
 
 
 def assert_is_cycle(cycle, edges):

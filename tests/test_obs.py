@@ -411,6 +411,24 @@ class TestVerifyReport:
             assert report.metrics["counters"]["repro_index_builds_total"] == 1
             assert report.metrics["histograms"]["repro_index_build_seconds"]["count"] == 1
 
+    def test_sser_graph_gauges_count_the_time_nodes(self):
+        from repro.core.graph import build_dependency
+        from repro.core.model import History, Transaction, read
+
+        # Five transactions finish before five others start: 26 explicit RT
+        # pairs, but the peel reads one time node and 2 * 5 + 1 chain rows.
+        txns = [
+            Transaction(i, [read("x", 0)], session_id=i,
+                        start_ts=0.0 if i < 5 else 2.0, finish_ts=1.0 if i < 5 else 3.0)
+            for i in range(10)
+        ]
+        history = History.from_transactions([[t] for t in txns], initial_keys=["x"])
+        csr = build_dependency(history, dense=True)
+        for level, extra in ((IsolationLevel.SERIALIZABILITY, (0, 0)),
+                             (IsolationLevel.STRICT_SERIALIZABILITY, (1, 11))):
+            report = MTChecker().verify(history, level, report=True)
+            assert report.graph_size() == (csr.num_nodes + extra[0], csr.num_edges + extra[1])
+
     def test_report_false_returns_plain_result(self):
         result = MTChecker().verify(
             anomaly_history("LostUpdate"), IsolationLevel.SNAPSHOT_ISOLATION
