@@ -2,8 +2,8 @@
 
 Mirrors how the paper's MTC tool is used in practice: generate a workload
 and a history from a (simulated) database, verify saved histories against an
-isolation level — in one shot or as a stream — and inspect the anomaly
-catalog.
+isolation level (``check`` in one pass, ``watch`` as a growing stream), and
+inspect the anomaly catalog.
 
 Usage examples::
 
@@ -27,11 +27,9 @@ Usage examples::
     python -m repro check --level si history.json
     python -m repro check --level ser buggy.json
 
-    # Stream-verify incrementally (a .jsonl output streams automatically).
+    # Verify a stream incrementally, reporting each violation at the
+    # transaction that introduced it (--once: stop at end of file).
     python -m repro generate --isolation si --output history.jsonl
-    python -m repro check --stream --level si history.jsonl
-
-    # Follow a growing stream, reporting violations as they happen.
     python -m repro watch --level si --once history.jsonl
 
     # Columnar segments: the binary fast path (gzip optional via .gz).
@@ -103,22 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--level", choices=sorted(_LEVELS), default="ser", help="isolation level to check")
     check.add_argument("--strict-mt", action="store_true", help="reject non-MT histories")
     check.add_argument(
-        "--stream",
-        action="store_true",
-        help="verify incrementally, one transaction at a time (implied for .jsonl files)",
-    )
-    check.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        help="streaming only: bound the graph to the last N transactions (window GC)",
-    )
-    check.add_argument(
         "--workers",
         type=int,
         default=None,
         help=(
-            "batch only: shard the history by key connectivity and check the "
+            "shard the history by key connectivity and check the "
             "shards in N parallel processes (N=1 runs the sharded pipeline "
             "inline; verdicts are identical for every N)"
         ),
@@ -127,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-v",
         "--verbose",
         action="store_true",
-        help="batch only: print phase timings, graph sizes, and executor "
-        "counters alongside the verdict",
+        help="print phase timings, graph sizes, and executor counters "
+        "alongside the verdict",
     )
     check.add_argument(
         "--trace",
@@ -346,34 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    streaming = args.stream or history_format(args.history) == "stream"
-    if streaming and args.workers is not None:
-        reason = (
-            "drop --stream to use it"
-            if args.stream
-            else "a .jsonl input is checked as a stream; convert it to a "
-            "history JSON document for sharded batch checking"
-        )
-        print(f"error: --workers applies to batch checking; {reason}")
-        return 2
+    # An uncompressed segment adds the path workers re-map themselves.
+    columns, source_path = load_columns(args.history)
     checker = MTChecker(strict_mt=args.strict_mt, workers=args.workers)
-    if not streaming:
-        # An uncompressed segment adds the path workers re-map themselves.
-        columns, source_path = load_columns(args.history)
-        result = checker.verify(
-            columns, _LEVELS[args.level], report=args.verbose, source_path=source_path
-        )
-        print(result.format())
-        return 0 if result.satisfied else 1
-
-    if args.verbose:
-        print("note: -v telemetry applies to batch checks; streaming verdicts "
-              "already report their own timing")
-    session = checker.session(_LEVELS[args.level], window=args.window)
-    ingested = 0
-    for segment in read_segments(args.history):
-        ingested += _ingest_epoch(session, segment, ingested)
-    return _finish_stream(session)
+    result = checker.verify(
+        columns, _LEVELS[args.level], report=args.verbose, source_path=source_path
+    )
+    print(result.format())
+    return 0 if result.satisfied else 1
 
 
 def _ingest_epoch(session, segment, base: int) -> int:
@@ -477,15 +444,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     from the newest checkpoint and reaches the same verdict as an
     uninterrupted run; ``--supervise`` performs that restart in-process.
     """
-    # Refused before the log is opened, so nothing is printed or written first.
-    for flag, value, least in (
-        ("--window", args.window, 1), ("--checkpoint-every", args.checkpoint_every, 1),
-        ("--interval", args.interval, 0), ("--max-seconds", args.max_seconds, 0),
-        ("--metrics-every", args.metrics_every, 0),
-    ):
-        if value is not None and not value >= least:  # NaN fails too
-            print(f"error: {flag} must be at least {least}, got {value}")
-            return 2
     kind = history_format(args.history)
     if kind in ("segment", "document"):
         what = "columnar segments" if kind == "segment" else "JSON documents"
@@ -716,14 +674,7 @@ def _retire_behind_window(log: EpochLog, window: int, ingested_epochs: int) -> N
             )
 
 
-#: A mini-transaction may read and write two distinct objects.
-_MT_OBJECTS_ERROR = "error: --objects must be at least 2 for a mini-transaction workload, got {}"
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.objects < 2:
-        print(_MT_OBJECTS_ERROR.format(args.objects))
-        return 2
     generator = MTWorkloadGenerator(
         num_sessions=args.sessions,
         txns_per_session=args.txns,
@@ -765,18 +716,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         return 2
     if args.workers is not None and args.check is None:
         print("error: --workers applies to verification; pass --check LEVEL")
-        return 2
-    if args.sessions <= 0 or args.txns <= 0:
-        print("error: --sessions and --txns must be positive")
-        return 2
-    if args.max_inflight <= 0:
-        print(f"error: --max-inflight must be positive, got {args.max_inflight}")
-        return 2
-    if args.txn_deadline is not None and not args.txn_deadline > 0:  # NaN fails too
-        print(f"error: --txn-deadline must be positive, got {args.txn_deadline}")
-        return 2
-    if args.workload == "mt" and args.objects < 2:
-        print(_MT_OBJECTS_ERROR.format(args.objects))
         return 2
 
     generator = MTWorkloadGenerator if args.workload == "mt" else GTWorkloadGenerator
@@ -903,14 +842,48 @@ def _cmd_anomaly(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(least: int):
+    return lambda value: value >= least, f"at least {least}"
+
+
+_POSITIVE = (lambda value: value > 0, "positive")
+_PROBABILITY = (lambda value: 0 <= value <= 1, "in [0, 1]")
+
+#: Every bounded numeric flag of every command: flag -> (test, requirement).
+#: A flag the parsed command lacks, or left unset, is skipped; NaN fails
+#: every test.  A mini-transaction reads and writes two distinct objects.
+_BOUNDS = {
+    "--workers": _at_least(1),
+    "--window": _at_least(1),
+    "--checkpoint-every": _at_least(1),
+    "--interval": _at_least(0),
+    "--max-seconds": _at_least(0),
+    "--metrics-every": _at_least(0),
+    "--max-restarts": _at_least(0),
+    "--sessions": _POSITIVE,
+    "--txns": _POSITIVE,
+    "--objects": _at_least(2),
+    "--fault-rate": _PROBABILITY,
+    "--epoch-txns": _POSITIVE,
+    "--max-inflight": _POSITIVE,
+    "--think-time": _at_least(0),
+    "--max-retries": _at_least(0),
+    "--txn-deadline": _POSITIVE,
+    "--busy-timeout-ms": _at_least(0),
+    "--chaos-rate": _PROBABILITY,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        print("error: --workers must be >= 1")
-        return 2
+    # Refused before the command runs, so nothing is printed or written first.
+    for flag, (accepts, requirement) in _BOUNDS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and not accepts(value):
+            print(f"error: {flag} must be {requirement}, got {value}")
+            return 2
     trace_path = getattr(args, "trace", None)
     if trace_path:
         obs.start_trace(trace_path)

@@ -41,7 +41,8 @@ class MTChecker:
     Args:
         strict_mt: reject inputs that are not valid mini-transaction
             histories (non-MT transactions or duplicate written values)
-            instead of checking them on a best-effort basis.
+            instead of checking them on a best-effort basis (batch only:
+            :meth:`session` refuses it).
         transitive_ww: use the unoptimized BUILDDEPENDENCY variant that
             materialises the transitive closure of the WW edges.
         workers: ``None`` (the default) runs the classic single-pass serial
@@ -204,13 +205,14 @@ class MTChecker:
                 ``window`` newer ones have been ingested (see the module
                 docstring of :mod:`repro.core.incremental` for the staleness
                 contract).
+
+        Raises ``ValueError`` under ``strict_mt``: strict MT validation is
+        the batch pre-check of :meth:`verify` only.
         """
-        return CheckerSession(
-            level,
-            initial_keys=initial_keys,
-            window=window,
-            strict_mt=self.strict_mt,
-        )
+        if self.strict_mt:
+            raise ValueError("strict MT validation is batch-only; open the session "
+                             "from an MTChecker without strict_mt")
+        return CheckerSession(level, initial_keys=initial_keys, window=window)
 
     # ------------------------------------------------------------------
     # Validation

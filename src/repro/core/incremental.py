@@ -65,10 +65,9 @@ from typing import (
 )
 
 from .. import obs
-from .checkers import MTHistoryError, classify_cycle
+from .checkers import classify_cycle
 from .graph import DependencyGraph, Edge, EdgeType, best_label
 from .intcheck import transaction_int_violations
-from .mini import mt_violations
 from .model import (
     INITIAL_TXN_ID, STATUS_CODES, STATUS_FROM_CODE,
     History, Transaction, TransactionStatus, make_initial_transaction, stream_order,
@@ -417,9 +416,6 @@ class IncrementalChecker:
         window: bounded-window mode — keep only the most recent ``window``
             transactions in the graph; see the module docstring for the
             staleness contract.
-        strict_mt: raise :class:`~repro.core.checkers.MTHistoryError` at
-            ingest when a transaction is not a mini-transaction or reuses a
-            written value.
     """
 
     def __init__(
@@ -428,7 +424,6 @@ class IncrementalChecker:
         *,
         initial_keys: Optional[Iterable[str]] = None,
         window: Optional[int] = None,
-        strict_mt: bool = False,
     ) -> None:
         if level not in GRAPH_LEVELS:
             raise ValueError(
@@ -439,7 +434,6 @@ class IncrementalChecker:
             raise ValueError("window must be a positive transaction count")
         self.level = level
         self.window = window
-        self.strict_mt = strict_mt
         self._si = level is IsolationLevel.SNAPSHOT_ISOLATION
         self._sser = level is IsolationLevel.STRICT_SERIALIZABILITY
 
@@ -557,7 +551,7 @@ class IncrementalChecker:
         once; each row is then one scan over its slice of them, in arrival
         order, so violations surface at the exact offending transaction as
         with :meth:`ingest`.  A ``Transaction`` is materialised only for a
-        row that holds an INT candidate (or under ``strict_mt``).
+        row that holds an INT candidate.
 
         Ingesting a history via any split into segments yields the batch
         checker's verdict (enforced by ``tests/test_columnar.py``).
@@ -603,8 +597,8 @@ class IncrementalChecker:
         The row's operations sit at positions ``ops`` of ``kinds`` / ``keys``
         (checker key ids) / ``values``.  ``txn`` is the transaction as an
         object when the feeder holds one; a row feeder passes ``None`` plus
-        its ``segment``/``row``, and the object (``strict_mt``, INT
-        candidates) and the timestamps (SSER) are fetched only when needed.
+        its ``segment``/``row``, and the object (INT candidates) and the
+        timestamps (SSER) are fetched only when needed.
 
         One scan collects everything the row contributes: its final and
         intermediate writes, the reads to resolve (per key, a valueless read
@@ -620,10 +614,6 @@ class IncrementalChecker:
         else:
             if committed and txn_id in self._topo:
                 raise ValueError(f"malformed history: duplicate transaction id {txn_id}")
-            if self.strict_mt:
-                if txn is None:
-                    txn = segment.transaction_at(row)
-                self._strict_check(txn)
 
         last: Dict[int, Optional[int]] = {}  # key id -> value of its last op so far
         finals: Dict[int, Optional[int]] = {}
@@ -817,7 +807,6 @@ class IncrementalChecker:
             "format": CHECKPOINT_STATE_FORMAT,
             "level": self.level.value,
             "window": self.window,
-            "strict_mt": self.strict_mt,
             "has_initial": self._has_initial,
             "num_committed": self._num_committed,
             "elapsed": self._elapsed,
@@ -885,7 +874,8 @@ class IncrementalChecker:
     @classmethod
     def _decode_state(cls, state: Dict[str, Any]) -> "IncrementalChecker":
         level = IsolationLevel(state["level"])
-        checker = cls(level, window=state["window"], strict_mt=bool(state["strict_mt"]))
+        # A v3 state may carry "strict_mt" (no longer written): ignored.
+        checker = cls(level, window=state["window"])
         checker._has_initial = bool(state["has_initial"])
         checker._num_committed = int(state["num_committed"])
         checker._elapsed = float(state["elapsed"])
@@ -942,26 +932,6 @@ class IncrementalChecker:
     # ------------------------------------------------------------------
     # Per-transaction machinery
     # ------------------------------------------------------------------
-    def _strict_check(self, txn: Transaction) -> None:
-        problems = mt_violations(txn)
-        for op in txn.operations:
-            if not op.is_write or op.value is None:
-                continue
-            slot = self._slots.get(op.value * _RADIX + self._key_id(op.key))
-            if isinstance(slot, _Slot):
-                owner = slot.writer_id if slot.writer_id is not None else slot.intermediate_id
-                if owner is not None and owner != txn.txn_id:
-                    raise MTHistoryError(
-                        f"not a valid mini-transaction history: T{txn.txn_id} "
-                        f"re-writes value {op.value} on object {op.key} "
-                        f"(also written by T{owner})"
-                    )
-        if problems:
-            raise MTHistoryError(
-                "not a valid mini-transaction history: "
-                + "; ".join(str(p) for p in problems[:5])
-            )
-
     def _slot(self, kid: int, value: Optional[int]) -> Optional[_Slot]:
         """The slot of version ``(key id, value)``; ``None`` if sealed by the window."""
         code = kid + _VALUELESS if value is None else value * _RADIX + kid

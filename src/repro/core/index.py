@@ -13,8 +13,8 @@ history-scanning entry point for the batch pipeline:
 * every committed transaction's external reads are resolved to writer /
   RMW-flag / written-value columns (:attr:`read_columns`), which is all
   the CSR kernel and the DIVERGENCE scan need;
-* session order and real-time order (as id pairs), the INT verdict, and
-  the MT-validation verdict are computed once and cached.
+* real-time order (as id pairs), the INT verdict, and the MT-validation
+  verdict are computed once and cached.
 
 There is **one construction path**: :meth:`build` is the door.  A
 :class:`~repro.history.columnar.ColumnarHistory` segment goes straight to
@@ -32,7 +32,7 @@ model: :mod:`repro.core.model` and :mod:`repro.core.intcheck` are the one
 object layer (the reference multigraph builder and the solver baselines
 read the :class:`History` through them, independently of this scan), and
 the only objects handed out here are the ``Transaction`` rows themselves
-(``transaction`` / ``transactions`` / ``history``, ``final_writer`` /
+(``transactions`` / ``history``, ``final_writer`` /
 ``intermediate_writer``), materialised lazily for the INT classification
 of flagged rows, MT validation and cycle labeling on the reject path.
 
@@ -187,7 +187,6 @@ class HistoryIndex:
         self._txn_cache: Dict[int, Transaction] = {}
 
         # Lazy caches.
-        self._session_id_pairs: Optional[List[Tuple[int, int]]] = None
         self._rt_id_pairs: Dict[bool, List[Tuple[int, int]]] = {}
         self._int_violations: Optional[list] = None
         self._mt_problems: Optional[list] = None
@@ -473,29 +472,6 @@ class HistoryIndex:
     # ------------------------------------------------------------------
     # Orders
     # ------------------------------------------------------------------
-    def session_order_id_pairs(self) -> List[Tuple[int, int]]:
-        """Adjacent committed session-order pairs as transaction ids (cached)."""
-        if self._session_id_pairs is None:
-            pairs: List[Tuple[int, int]] = []
-            txn_ids = self.txn_ids
-            session_of = self._session_of
-            has_initial = self._has_initial
-            last_in_session: Dict[int, int] = {}
-            # Dense order groups sessions contiguously (ascending id), so
-            # streaming the positions yields the same pair order as
-            # History.session_order's session-by-session walk.
-            for pos in self._non_initial_pos:
-                sid = session_of[pos]
-                prev = last_in_session.get(sid)
-                if prev is None:
-                    if has_initial:
-                        pairs.append((INITIAL_TXN_ID, txn_ids[pos]))
-                else:
-                    pairs.append((prev, txn_ids[pos]))
-                last_in_session[sid] = txn_ids[pos]
-            self._session_id_pairs = pairs
-        return self._session_id_pairs
-
     def real_time_id_pairs(self, reduced: bool = True) -> List[Tuple[int, int]]:
         """Committed real-time order pairs as transaction ids (cached)."""
         if reduced not in self._rt_id_pairs:
@@ -585,9 +561,6 @@ class HistoryIndex:
     def num_committed(self) -> int:
         """Committed transactions excluding ``⊥T``."""
         return len(self._non_initial_pos)
-
-    def transaction(self, txn_id: int) -> Transaction:
-        return self._txn_at(self.txn_dense[txn_id])
 
     def session_of(self, pos: int) -> int:
         """The session id of the transaction at dense position ``pos``."""

@@ -435,10 +435,10 @@ class TestAsyncCLI:
             # A negative rate never fired: "none fired" and "SATISFIED".
             (["collect", "--adapter", "simulated", "--chaos", "lost-write",
               "--chaos-rate", "-1", "--check", "ser"],
-             "lost_write_rate is a probability in [0, 1]"),
+             "--chaos-rate must be in [0, 1]"),
             (["collect", "--adapter", "sqlite", "--chaos", "stale-read",
               "--chaos-rate", "5", "--check", "ser"],
-             "stale_read_rate is a probability in [0, 1]"),
+             "--chaos-rate must be in [0, 1]"),
         ],
     )
     def test_inconsistent_flags_exit_2(self, argv, message, capsys):

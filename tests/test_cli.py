@@ -31,9 +31,8 @@ class TestParser:
 
 _GENERATE = ["generate", "--isolation", "si", "--sessions", "4", "--txns", "20", "--objects", "8"]
 _LOST_UPDATE = ["--fault", "lostupdate", "--fault-rate", "0.6"]
-#: One file name per container; the two streams default to the streaming route.
+#: One file name per container.
 CONTAINERS = ["h.json", "h.jsonl", "h.jsonl.gz", "h.seg", "h.seg.gz", "h.epochs"]
-STREAMS = ["h.jsonl", "h.jsonl.gz"]
 
 
 def run(capsys, *argv):
@@ -72,27 +71,14 @@ def histories(tmp_path_factory):
 @pytest.mark.parametrize("kind", ["healthy", "lostupdate"])
 class TestContainerMatrix:
     """``--workers`` across the six containers.  That stdout and exit code
-    of ``check``, ``check --stream`` and ``watch --once`` do not depend on
-    the container is a route of ``tests/test_routes.py``, on every corpus
-    entry."""
+    of ``check`` and ``watch --once`` do not depend on the container is a
+    route of ``tests/test_routes.py``, on every corpus entry."""
 
-    def test_workers_equal_serial_where_accepted_and_are_refused_elsewhere(
-        self, histories, kind, level, capsys
-    ):
+    def test_workers_equal_serial_on_every_container(self, histories, kind, level, capsys):
         d = histories / kind
         for name in CONTAINERS:
             sharded = run(capsys, "check", "--workers", "2", "--level", level, d / name)
-            if name in STREAMS:
-                assert sharded == (2, (
-                    "error: --workers applies to batch checking; a .jsonl input is "
-                    "checked as a stream; convert it to a history JSON document for "
-                    "sharded batch checking\n"
-                ))
-            else:
-                assert sharded == run(capsys, "check", "--level", level, d / name)
-            assert run(
-                capsys, "check", "--stream", "--workers", "2", "--level", level, d / name
-            ) == (2, "error: --workers applies to batch checking; drop --stream to use it\n")
+            assert sharded == run(capsys, "check", "--level", level, d / name), name
 
 
 class TestContainerCorners:
@@ -144,7 +130,7 @@ class TestContainerCorners:
             "--output", tmp_path / "h.json",
         )
         assert code == 2
-        assert out.startswith("error: lost_update_rate is a probability in [0, 1]")
+        assert out.startswith("error: --fault-rate must be in [0, 1]")
         assert not (tmp_path / "h.json").exists()
 
     @pytest.mark.parametrize("objects", ["1", "0"])
@@ -188,7 +174,7 @@ class TestContainerCorners:
         healthy = histories / "healthy"
         assert run(capsys, "convert", healthy / "h.jsonl", odd, "--epoch-txns", "16")[0] == 0
         assert (odd / "MANIFEST.log").exists()
-        for extra in ([], ["--stream"], ["--workers", "2"]):
+        for extra in ([], ["--workers", "2"]):
             assert run(capsys, "check", "--level", "si", *extra, odd) == run(
                 capsys, "check", "--level", "si", *extra, healthy / "h.epochs"
             )
@@ -204,23 +190,22 @@ class TestContainerCorners:
         assert code == 2
         assert out.startswith(f"error: {what} are written atomically and cannot be followed")
 
-    def test_verbose_streaming_note_is_printed_for_every_container(self, histories, capsys):
+    def test_verbose_telemetry_is_printed_for_every_container(self, histories, capsys):
         for name in CONTAINERS:
-            code, out = run(capsys, "check", "-v", "--stream", histories / "healthy" / name)
-            assert code == 0
-            assert out.startswith("note: -v telemetry applies to batch checks")
-            assert "phases:" not in out
+            code, out = run(capsys, "check", "-v", histories / "healthy" / name)
+            assert code == 0 and "phases:" in out, name
 
-    @pytest.mark.parametrize("name", CONTAINERS)
-    def test_stream_with_workers_is_refused_before_loading(self, name, tmp_path, capsys):
-        unreadable = tmp_path / name
-        unreadable.write_bytes(b"REPROSEG1\n{}")  # never parsed: flags fail first
-        assert main(["check", "--stream", "--workers", "2", str(unreadable)]) == 2
-        assert "--workers applies to batch" in capsys.readouterr().out
+    @pytest.mark.parametrize("flags", [["--stream"], ["--window", "3"]])
+    def test_streaming_flags_are_not_options_of_check(self, flags, histories, capsys):
+        # Streaming verification is `watch`; `check` has one route.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", *flags, str(histories / "healthy" / "h.jsonl")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_non_positive_workers_rejected_in_cli_wording(self, histories, capsys):
         code, out = run(capsys, "check", "--workers", "0", histories / "healthy" / "h.json")
-        assert (code, out.strip()) == (2, "error: --workers must be >= 1")
+        assert (code, out.strip()) == (2, "error: --workers must be at least 1, got 0")
 
     @pytest.mark.parametrize("name", ["h.jsonl", "h.seg", "h.epochs"])
     def test_convert_onto_itself_is_refused(self, name, tmp_path, capsys):
@@ -293,17 +278,18 @@ class TestMalformedHistories:
     """Bad structure is a usage error (exit 2), never a traceback or exit 1."""
 
     @pytest.mark.parametrize("shape", sorted(_MALFORMED))
-    @pytest.mark.parametrize("route", ["check", "check --stream", "watch --once"])
+    @pytest.mark.parametrize("route, name", [
+        ("check", "bad.json"), ("check", "bad.jsonl"), ("watch --once", "bad.jsonl"),
+    ])
     def test_structural_damage_exits_2_on_every_route(
-        self, shape, route, tmp_path, capsys
+        self, shape, route, name, tmp_path, capsys
     ):
         document, line = _MALFORMED[shape]
-        if route.startswith("watch"):
-            path = tmp_path / "bad.jsonl"
+        path = tmp_path / name
+        if name.endswith(".jsonl"):
             header = json.dumps({"format": "repro-history-stream-v1"})
             path.write_text(f"{header}\n{json.dumps(line)}\n")
         else:
-            path = tmp_path / "bad.json"
             path.write_text(json.dumps(document))
         assert main([*route.split(), "--level", "ser", str(path)]) == 2
         assert f"error: {path}: malformed history: " in capsys.readouterr().out
@@ -408,6 +394,34 @@ class TestCollectCommand:
         out = tmp_path / "h.json"
         assert main(["collect", "--workers", "4", "--output", str(out)]) == 2
         assert "--workers applies to verification" in capsys.readouterr().out
+
+
+class TestFlagBounds:
+    """A numeric flag out of range is refused naming the flag (never an
+    internal parameter, never the input file) before anything runs."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--sessions", "0", "--output", "{out}"], "--sessions must be positive, got 0"),
+        (["generate", "--fault", "lostupdate", "--fault-rate", "2", "--output", "{out}"],
+         "--fault-rate must be in [0, 1], got 2.0"),
+        (["generate", "--epoch-txns", "0", "--output", "{out}"], "--epoch-txns must be positive, got 0"),
+        (["convert", "--epoch-txns", "0", "{in}", "{out}"], "--epoch-txns must be positive, got 0"),
+        (["collect", "--max-retries", "-1", "--output", "{out}"], "--max-retries must be at least 0, got -1"),
+        (["collect", "--chaos", "lost-write", "--chaos-rate", "2", "--output", "{out}"],
+         "--chaos-rate must be in [0, 1], got 2.0"),
+        (["watch", "--once", "--max-restarts", "-1", "{in}"], "--max-restarts must be at least 0, got -1"),
+        # Accepted before, each printing a verdict.
+        (["collect", "--traffic", "bursty", "--think-time", "nan", "--output", "{out}"],
+         "--think-time must be at least 0, got nan"),
+        (["collect", "--traffic", "churn", "--think-time", "-5", "--output", "{out}"],
+         "--think-time must be at least 0, got -5.0"),
+        (["collect", "--adapter", "sqlite", "--busy-timeout-ms", "-1", "--output", "{out}"],
+         "--busy-timeout-ms must be at least 0, got -1"),
+    ])
+    def test_refused_bound_names_its_flag(self, argv, message, histories, tmp_path, capsys):
+        paths = {"{in}": histories / "healthy" / "h.jsonl", "{out}": tmp_path / "out.jsonl"}
+        assert run(capsys, *(paths.get(arg, arg) for arg in argv)) == (2, f"error: {message}\n")
+        assert not paths["{out}"].exists()
 
 
 class TestAnomalyCommand:
@@ -642,7 +656,7 @@ class TestEpochLogCommands:
         plain.mkdir()
         (plain / ".editor.tmp").write_text("unsaved")
         (plain / "notes.txt").write_text("not a history")
-        for extra in ([], ["--stream"]):
+        for extra in ([], ["--workers", "2"]):
             assert main(["check", "--level", "ser", *extra, str(plain)]) == 2
             assert "not an epoch log" in capsys.readouterr().out
         assert sorted(f.name for f in plain.iterdir()) == [".editor.tmp", "notes.txt"]

@@ -271,7 +271,8 @@ class TestColumnarIndex:
         cols = ColumnarHistory.from_history(history)
         index = HistoryIndex.from_columns(cols)
         # Object accessors materialise on demand and agree with the columns.
-        last = index.transaction(index.committed_txn_ids[-1])
+        assert index._transactions is None
+        last = index.transactions[index.txn_dense[index.committed_txn_ids[-1]]]
         assert isinstance(last, Transaction) and last.committed
         for key, value in last.final_writes().items():
             assert index.final_writer(key, value) is last

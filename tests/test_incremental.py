@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import Database, MTChecker, run_workload
-from repro.core.checkers import MTHistoryError, check_ser, check_si
+from repro.core.checkers import check_ser, check_si
 from repro.core.incremental import (
     CHECKPOINT_STATE_FORMAT,
     CheckerSession,
@@ -231,30 +231,6 @@ class TestOnlineDetection:
         relaxed.ingest(t1)
         relaxed.ingest(t2)
         assert relaxed.result().satisfied  # SER allows serializing t2 first
-
-    def test_strict_mt_rejects_duplicate_values_at_ingest(self):
-        checker = IncrementalChecker(SER, initial_keys=["x"], strict_mt=True)
-        checker.ingest(Transaction(1, [read("x", 0), write("x", 1)]))
-        with pytest.raises(MTHistoryError):
-            checker.ingest(Transaction(2, [read("x", 0), write("x", 1)], session_id=1))
-
-    def test_strict_mt_rejects_non_mini_transactions(self):
-        checker = IncrementalChecker(SER, initial_keys=["x"], strict_mt=True)
-        with pytest.raises(MTHistoryError):
-            checker.ingest(Transaction(1, [write("x", 1)]))  # write without read
-
-    def test_strict_mt_rejects_empty_transaction_on_both_feeders(self):
-        # An op-less Transaction is falsy (``__len__``); neither feeder may
-        # mistake it for "no object yet".
-        from repro.history.columnar import ColumnarHistory
-
-        empty = Transaction(1, [])
-        with pytest.raises(MTHistoryError):
-            IncrementalChecker(SER, initial_keys=["x"], strict_mt=True).ingest(empty)
-        with pytest.raises(MTHistoryError):
-            IncrementalChecker(SER, initial_keys=["x"], strict_mt=True).ingest_segment(
-                ColumnarHistory.from_transactions([empty])
-            )
 
     def test_unsupported_levels_are_rejected(self):
         with pytest.raises(ValueError):
@@ -483,10 +459,11 @@ class TestOrderCarriesTheLabels:
 # The CheckerSession facade and live checking
 # ----------------------------------------------------------------------
 class TestCheckerSession:
-    def test_mtchecker_session_factory_inherits_strict_mt(self):
-        session = MTChecker(strict_mt=True).session(SER, initial_keys=["x"])
-        with pytest.raises(MTHistoryError):
-            session.ingest(Transaction(1, [write("x", 1)]))
+    def test_mtchecker_session_factory_refuses_strict_mt(self):
+        # Strict MT validation is the batch pre-check; a session does not
+        # silently drop the flag.
+        with pytest.raises(ValueError, match="strict MT validation is batch-only"):
+            MTChecker(strict_mt=True).session(SER, initial_keys=["x"])
 
     def test_session_rejects_lwt_levels(self):
         with pytest.raises(ValueError):
@@ -635,6 +612,18 @@ class TestCheckpointRestore:
             for txn in stream[cut:]:
                 resumed.ingest(txn)
             assert json.dumps(state) == text
+            assert resumed.result().format() == head.result().format()
+
+    def test_states_written_with_strict_mt_still_restore(self):
+        # Earlier v3 states carry a "strict_mt" key; states written now do not.
+        stream = list(stream_order(generated_history(23, engine="rc", txns=12)))
+        head = CheckerSession(SER)
+        for txn in stream:
+            head.ingest(txn)
+        state = head.checkpoint()
+        assert "strict_mt" not in state
+        for strict in (False, True):
+            resumed = CheckerSession.restore({**state, "strict_mt": strict})
             assert resumed.result().format() == head.result().format()
 
     def test_restore_rejects_unknown_snapshot_format(self):

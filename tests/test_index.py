@@ -110,7 +110,6 @@ class TestCachedPasses:
         index = HistoryIndex.build(history)
         assert index.int_violations() is index.int_violations()
         assert index.mt_problems() is index.mt_problems()
-        assert index.session_order_id_pairs() is index.session_order_id_pairs()
 
     def test_mt_problems_match_validate(self):
         history = next(iter(random_histories()))
@@ -228,16 +227,13 @@ class TestTheDoor:
             assert all(t is by_id[t.txn_id] for t in index.transactions)
 
     def test_orders_match_the_model(self):
-        # Reference: History.session_order / real_time_order on objects.
+        # Reference: History.real_time_order on objects.
         timestamped = generate_mt_history(
             isolation="si", num_sessions=4, txns_per_session=20, num_objects=8,
             seed=11, faults=FaultPlan.for_anomaly("abortedread", rate=0.3, seed=11),
         ).history
         for history in [*random_histories(), timestamped]:
             index = HistoryIndex.build(history)
-            assert index.session_order_id_pairs() == [
-                (a.txn_id, b.txn_id) for a, b in history.session_order()
-            ]
             for reduced in (True, False):
                 assert index.real_time_id_pairs(reduced=reduced) == [
                     (a.txn_id, b.txn_id)
@@ -309,8 +305,7 @@ class TestTheDoor:
                 run()
         path = tmp_path / "malformed.json"
         save_history(history, path)
-        for argv in (["check", str(path)], ["check", "--workers", "1", str(path)],
-                     ["check", "--stream", str(path)]):
+        for argv in (["check", str(path)], ["check", "--workers", "1", str(path)]):
             assert main([*argv, "--level", "ser"]) == 2, argv
             out = capsys.readouterr().out
             assert out.startswith(f"error: {path}: malformed history") and offender in out

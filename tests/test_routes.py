@@ -205,8 +205,7 @@ def test_containers(name, containers, capsys):
         batch, stream = (0 if batch.satisfied else 1, batch.format() + "\n"), streamed(columns, level)[1]
         for container in CONTAINERS:
             path = directory / container
-            assert run(capsys, "check", "--level", short, path) == (stream if container in STREAMS else batch)
-            assert run(capsys, "check", "--stream", "--level", short, path) == stream, (short, container)
+            assert run(capsys, "check", "--level", short, path) == batch, (short, container)
             if container in FOLLOWABLE:
                 assert run(capsys, "watch", "--once", "--level", short, path) == stream, (short, container)
 
@@ -238,12 +237,11 @@ def test_refused_on_every_route(name, containers, tmp_path, capsys):
     expected = EXPECTED[name]
     if name.endswith(".seg"):
         log = mutated_log(name, tmp_path)
-        routes = [("check", CORPUS / name), ("check --stream", CORPUS / name), ("check", log), ("watch --once", log)]
+        routes = [("check", CORPUS / name), ("check", log), ("watch --once", log)]
     else:
         directory, columns = containers(name), columns_of(name)
-        routes = [(command, directory / c) for command in ("check", "check --stream") for c in CONTAINERS]
+        routes = [(command, directory / c) for command in ("check", "check --workers 2") for c in CONTAINERS]
         routes += [("watch --once", directory / c) for c in FOLLOWABLE]
-        routes += [("check --workers 2", directory / c) for c in CONTAINERS if c not in STREAMS]
         for short, level in LEVELS.items():
             for route in (lambda: MTChecker().verify(columns, level), lambda: streamed(columns, level),
                           lambda: MTChecker(workers=2).verify(columns, level),
@@ -279,7 +277,7 @@ def test_entries_without_a_file(name, containers, capsys):
     else:
         entry = EpochLog.open(log).epochs[-1]
         (log / MANIFEST_NAME).write_bytes(manifest[:last] + _encode_record(replace(entry, crc32=entry.crc32 ^ 1)))
-    for command in ("check", "check --stream", "watch --once"):
+    for command in ("check", "watch --once"):
         outcome = run(capsys, *command.split(), log)
         if "exit" in expected:
             assert_refused(outcome, expected, log)
