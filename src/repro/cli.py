@@ -333,11 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    # An uncompressed segment adds the path workers re-map themselves.
-    columns, source_path = load_columns(args.history)
     checker = MTChecker(strict_mt=args.strict_mt, workers=args.workers)
     result = checker.verify(
-        columns, _LEVELS[args.level], report=args.verbose, source_path=source_path
+        load_columns(args.history), _LEVELS[args.level], report=args.verbose
     )
     print(result.format())
     return 0 if result.satisfied else 1

@@ -78,7 +78,6 @@ class MTChecker:
         level: IsolationLevel,
         *,
         report: bool = False,
-        source_path: Optional[str] = None,
     ) -> Union[CheckResult, VerifyReport]:
         """Verify ``history`` against ``level`` and return a :class:`CheckResult`.
 
@@ -93,12 +92,6 @@ class MTChecker:
         BUILDDEPENDENCY, acyclicity, and parallel shard dispatch — runs
         without materialising ``Transaction`` objects.
 
-        ``source_path`` is the uncompressed segment file a columnar
-        ``history`` was memory-mapped from; with ``workers`` set, shard
-        payloads then carry ``(path, rows)`` references instead of column
-        bytes (see :func:`repro.parallel.check_parallel`).  It never changes
-        a verdict.
-
         With ``report=True`` the check runs under a scoped telemetry
         registry and returns a :class:`~repro.obs.report.VerifyReport` —
         the same :class:`CheckResult` plus phase timings, graph sizes, and
@@ -107,15 +100,14 @@ class MTChecker:
         """
         if report:
             with obs.scoped() as reg:
-                result = self._verify(history, level, source_path)
+                result = self._verify(history, level)
             return VerifyReport(result=result, metrics=reg.snapshot())
-        return self._verify(history, level, source_path)
+        return self._verify(history, level)
 
     def _verify(
         self,
         history: Union[History, LWTHistory, "ColumnarHistory"],
         level: IsolationLevel,
-        source_path: Optional[str],
     ) -> CheckResult:
         if isinstance(history, LWTHistory):
             if level not in (
@@ -140,7 +132,6 @@ class MTChecker:
                 strict_mt=self.strict_mt,
                 transitive_ww=self.transitive_ww,
                 index=index,
-                source_path=source_path,
             )
 
         return check_level(

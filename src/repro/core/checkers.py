@@ -112,22 +112,18 @@ def check_sser(
     *,
     transitive_ww: bool = False,
     strict_mt: bool = False,
-    reduced_rt: bool = True,
     index: Optional[HistoryIndex] = None,
 ) -> CheckResult:
     """CHECKSSER: verify strict serializability of a mini-transaction history.
 
     Identical to :func:`check_ser` but additionally includes the real-time
     order edges, requiring transaction timestamps on the history.
-    ``reduced_rt`` picks the explicit RT rows that label a rejection's
-    cycle; the verdict does not depend on it.
     """
     return check_level(
         history,
         IsolationLevel.STRICT_SERIALIZABILITY,
         transitive_ww=transitive_ww,
         strict_mt=strict_mt,
-        reduced_rt=reduced_rt,
         index=index,
     )
 
@@ -172,7 +168,6 @@ def check_level(
     *,
     transitive_ww: bool = False,
     strict_mt: bool = False,
-    reduced_rt: bool = True,
     early_divergence_exit: bool = True,
     index: Optional[HistoryIndex] = None,
 ) -> CheckResult:
@@ -229,7 +224,7 @@ def check_level(
             else:
                 # The explicit real-time rows label the cycle, so the
                 # counterexample is the one the full RT block would print.
-                csr.add_real_time(index, reduced=reduced_rt)
+                csr.add_real_time(index)
                 violation = classify_cycle(csr.find_cycle(), level=level)
                 result = CheckResult.violated(level, [violation], num_transactions=num_txns)
         if result.satisfied and divergence is not None:

@@ -143,7 +143,6 @@ class CSRGraph:
         *,
         with_rt: bool = False,
         transitive_ww: bool = False,
-        reduced_rt: bool = True,
     ) -> "CSRGraph":
         """Algorithm 1's BUILDDEPENDENCY straight onto flat arrays.
 
@@ -170,7 +169,7 @@ class CSRGraph:
             node_of[0] = 0
 
         if with_rt:
-            graph.add_real_time(index, reduced=reduced_rt)
+            graph.add_real_time(index)
         session_of = index._session_of
         graph._append(_SO, *_session_order([session_of[pos] for pos in non_initial], base))
 
@@ -205,11 +204,11 @@ class CSRGraph:
         )
         return graph
 
-    def add_real_time(self, index: HistoryIndex, *, reduced: bool = True) -> None:
-        """Append ``index.real_time_id_pairs(reduced)`` as RT rows (up to n²/4,
-        even reduced); an uncommitted ``⊥T`` is no node, so its row is dropped."""
+    def add_real_time(self, index: HistoryIndex) -> None:
+        """Append ``index.real_time_id_pairs()`` as RT rows (up to n²/4, even
+        reduced); an uncommitted ``⊥T`` is no node, so its row is dropped."""
         node = dict(zip(self.node_ids, range(len(self.node_ids))))
-        pairs = index.real_time_id_pairs(reduced=reduced)
+        pairs = index.real_time_id_pairs()
         self._append(
             _RT,
             [node[s] for s, _ in pairs if s in node],

@@ -284,7 +284,6 @@ def build_dependency(
     *,
     with_rt: bool = False,
     transitive_ww: bool = False,
-    reduced_rt: bool = True,
     index: Optional[HistoryIndex] = None,
     dense: bool = False,
 ) -> Union[DependencyGraph, "CSRGraph"]:
@@ -298,9 +297,6 @@ def build_dependency(
             (the proof-friendly variant); the optimized variant of
             Section IV-C omits it, and Theorem 1/2 show the acyclicity
             verdicts coincide.
-        reduced_rt: use the transitive reduction of the real-time interval
-            order instead of the full quadratic relation (reachability, and
-            hence every acyclicity verdict, is unchanged).
         index: the shared :class:`~repro.core.index.HistoryIndex` the
             dense kernel reads (built here when ``dense`` and not supplied).
             The reference branch never builds or reads one: given only an
@@ -329,7 +325,6 @@ def build_dependency(
             index if index is not None else HistoryIndex.build(history),
             with_rt=with_rt,
             transitive_ww=transitive_ww,
-            reduced_rt=reduced_rt,
         )
     # The reference: read the History through the object model alone, so a
     # scan bug cannot reach both sides of a kernel-vs-reference comparison.
@@ -340,7 +335,7 @@ def build_dependency(
 
     pairs = [(EdgeType.SO, pair) for pair in history.session_order()]
     if with_rt:
-        pairs += [(EdgeType.RT, pair) for pair in history.real_time_order(reduced=reduced_rt)]
+        pairs += [(EdgeType.RT, pair) for pair in history.real_time_order()]
     for edge_type, (source, target) in pairs:
         if source.txn_id in graph.nodes and target.txn_id in graph.nodes:
             graph.add_edge(source.txn_id, target.txn_id, edge_type)

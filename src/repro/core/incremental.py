@@ -545,13 +545,13 @@ class IncrementalChecker:
         tag stream output with the offending transaction.
 
         The columnar counterpart of :meth:`ingest_round`, over the same
-        per-row routine: the segment's columns (arrays, or memoryviews over
-        an mmap) become plain lists once — ``list(column)`` boxes every
-        element once in C — and its key ids are mapped onto the checker's
-        once; each row is then one scan over its slice of them, in arrival
-        order, so violations surface at the exact offending transaction as
-        with :meth:`ingest`.  A ``Transaction`` is materialised only for a
-        row that holds an INT candidate.
+        per-row routine: the segment's columns become plain lists once —
+        ``list(column)`` boxes every element once in C — and its key ids
+        are mapped onto the checker's once; each row is then one scan over
+        its slice of them, in arrival order, so violations surface at the
+        exact offending transaction as with :meth:`ingest`.  A
+        ``Transaction`` is materialised only for a row that holds an INT
+        candidate.
 
         Ingesting a history via any split into segments yields the batch
         checker's verdict (enforced by ``tests/test_columnar.py``).

@@ -187,7 +187,7 @@ class HistoryIndex:
         self._txn_cache: Dict[int, Transaction] = {}
 
         # Lazy caches.
-        self._rt_id_pairs: Dict[bool, List[Tuple[int, int]]] = {}
+        self._rt_id_pairs: Optional[List[Tuple[int, int]]] = None
         self._int_violations: Optional[list] = None
         self._mt_problems: Optional[list] = None
 
@@ -472,11 +472,12 @@ class HistoryIndex:
     # ------------------------------------------------------------------
     # Orders
     # ------------------------------------------------------------------
-    def real_time_id_pairs(self, reduced: bool = True) -> List[Tuple[int, int]]:
-        """Committed real-time order pairs as transaction ids (cached)."""
-        if reduced not in self._rt_id_pairs:
-            self._rt_id_pairs[reduced] = self._rt_id_pairs_from_columns(reduced)
-        return self._rt_id_pairs[reduced]
+    def real_time_id_pairs(self) -> List[Tuple[int, int]]:
+        """The transitive reduction of the committed real-time order, as
+        transaction-id pairs (cached)."""
+        if self._rt_id_pairs is None:
+            self._rt_id_pairs = self._rt_id_pairs_from_columns()
+        return self._rt_id_pairs
 
     def committed_stamps(self) -> Tuple[List[int], List[float], List[float]]:
         """``(ordinals, starts, finishes)`` of the committed non-``⊥T``
@@ -496,8 +497,8 @@ class HistoryIndex:
             )
         return ordinals, starts, finishes
 
-    def _rt_id_pairs_from_columns(self, reduced: bool) -> List[Tuple[int, int]]:
-        """Mirror ``History.real_time_order`` over the timestamp columns."""
+    def _rt_id_pairs_from_columns(self) -> List[Tuple[int, int]]:
+        """Mirror ``History.real_time_order()`` over the timestamp columns."""
         ordinals, starts, finishes = self.committed_stamps()
         txn_ids = self.txn_ids
         non_initial = self._non_initial_pos
@@ -505,15 +506,7 @@ class HistoryIndex:
         # History.real_time_order feeds interval_order_reduction, so stable
         # sorts tie-break alike.
         entries = list(zip(starts, finishes, [txn_ids[non_initial[i]] for i in ordinals]))
-        if reduced:
-            pairs = interval_order_reduction(entries)
-        else:
-            pairs = [
-                (a[2], b[2])
-                for a in entries
-                for b in entries
-                if a is not b and a[1] < b[0]
-            ]
+        pairs = interval_order_reduction(entries)
         if self._has_initial and entries:
             first = min(entries, key=lambda e: e[0])
             pairs.append((INITIAL_TXN_ID, first[2]))

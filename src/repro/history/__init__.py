@@ -6,8 +6,8 @@ Four formats, one data model:
 * ``*.jsonl`` / ``*.ndjson`` (optionally ``.gz``) — a line-oriented stream
   (live tailing, interchange, debugging);
 * ``*.seg`` (optionally ``.gz``) — a binary columnar segment
-  (:mod:`repro.history.columnar`), the zero-copy fast path into the
-  checker;
+  (:mod:`repro.history.columnar`), the fast path into the checker: its
+  columns are read as they were written;
 * ``*.epochs/`` — a durable epoch-log directory
   (:mod:`repro.history.epochlog`): crash-safe multi-segment storage with
   a manifest, verifier checkpoints, and window-GC retirement — the

@@ -1,4 +1,4 @@
-"""Columnar history segments: the zero-copy data plane of the pipeline.
+"""Columnar history segments: the data plane of the pipeline.
 
 JSONL (:mod:`repro.history.serialization`) is the *interchange* format —
 human-greppable, append-only, tailable.  It is also the slowest possible way
@@ -46,7 +46,6 @@ from array import array
 from pathlib import Path
 from typing import (
     IO,
-    Any,
     Dict,
     Iterable,
     Iterator,
@@ -81,7 +80,6 @@ __all__ = [
     "OP_WRITE",
     "SEGMENT_FORMAT",
     "SEGMENT_MAGIC",
-    "segment_token",
 ]
 
 SEGMENT_FORMAT = "repro-history-segment-v1"
@@ -118,18 +116,6 @@ def is_segment_path(path: Union[str, Path]) -> bool:
     """Whether ``path`` looks like a columnar segment file (by suffix)."""
     name = Path(path).name.lower()
     return name.endswith(".seg") or name.endswith(".seg.gz")
-
-
-def segment_token(path: Union[str, Path]) -> Tuple[int, int]:
-    """Cheap identity token for a segment file: ``(size, mtime_ns)``.
-
-    Keys the per-worker segment-map cache in
-    :mod:`repro.parallel.executor` — stat-only, so it can be computed per
-    payload without touching the file contents; any rewrite of the segment
-    changes the token and invalidates the cached mappings.
-    """
-    st = os.stat(path)
-    return (st.st_size, st.st_mtime_ns)
 
 
 class ColumnarHistory:
@@ -553,8 +539,8 @@ class ColumnarHistory:
             "operations": self.num_operations,
             "key_names": self.key_names,
             "columns": [
-                [slot, column.typecode, column.itemsize * len(column)]
-                for slot, column in zip(_COLUMN_SLOTS, columns)
+                [slot, typecode, column.itemsize * len(column)]
+                for slot, typecode, column in zip(_COLUMN_SLOTS, _COLUMN_TYPECODES, columns)
             ],
         }
         # A gzip member is named after ``path``, not the file it goes through.
@@ -575,24 +561,26 @@ class ColumnarHistory:
     ) -> "ColumnarHistory":
         """Read a segment written by :meth:`save` (gzip auto-detected).
 
+        Every column is copied into an array of its own, so the loaded
+        segment owns its memory: it appends and saves like a built one, and
+        a file truncated or rewritten after the load cannot reach it.
+
         With ``mmap=True`` an uncompressed native-byteorder segment is
-        memory-mapped instead of copied: every column becomes a typed
-        ``memoryview`` over one shared read-only mapping, so the load copies
-        nothing (its one linear cost is :meth:`validated`'s C-level pass)
-        and concurrent readers of the same file share a single physical
-        copy of the pages.  Mapped
-        segments are read-only (``append`` raises ``ValueError``);
-        ``slice_rows`` / ``to_wire`` / index construction all work
-        unchanged.  Gzip segments and foreign-byteorder files silently fall
-        back to the copying loader.
+        memory-mapped instead: every column is a typed ``memoryview`` over
+        one read-only mapping, paged in when a check first reads it.  A
+        mapped segment saves, slices and indexes like a copied one, but
+        ``append`` raises ``ValueError``, and a file that shrinks while it
+        is mapped kills the process (``SIGBUS``).  Gzip and
+        foreign-byteorder files are always copied.
         """
         fail_point("columnar.segment.load", path=path)
         with open(path, "rb") as raw:
+            size = os.fstat(raw.fileno()).st_size
             if raw.read(2) == b"\x1f\x8b":  # gzip magic
                 raw.seek(0)
                 try:
                     with gzip.open(raw, "rb") as fh:
-                        cols = cls._read(fh, path)
+                        cols = cls._read(fh, path, size * _DEFLATE_MAX_RATIO)
                         # The member's CRC/length trailer and end-of-stream
                         # marker are only checked on reading to its end.
                         while fh.read(1 << 16):
@@ -601,10 +589,10 @@ class ColumnarHistory:
                     raise ValueError(f"{path}: truncated segment ({exc})") from None
                 return cols.validated(path)
             raw.seek(0)
-            cols = cls._read_mapped(raw, path) if mmap else None
+            cols = cls._read_mapped(raw, path, size) if mmap else None
             if cols is None:
                 raw.seek(0)
-                cols = cls._read(raw, path)
+                cols = cls._read(raw, path, size)
             return cols.validated(path)
 
     def validated(self, source: object) -> "ColumnarHistory":
@@ -638,75 +626,100 @@ class ColumnarHistory:
     @classmethod
     def _read_header(
         cls, fh: IO[bytes], path: Union[str, Path]
-    ) -> Tuple["ColumnarHistory", bool, List[Tuple[str, str, str, int]]]:
+    ) -> Tuple["ColumnarHistory", bool, List[Tuple[str, str, int]]]:
         """Consume a segment's magic and header line (the one reader of it).
 
         Returns the column-less shell (key names installed), whether the
         file is in native byte order, and the manifest in slot order as
-        ``(slot, typecode, stored_typecode, nbytes)``.
+        ``(slot, typecode, nbytes)``.  A header :meth:`save` could not have
+        written is refused with ``ValueError`` naming ``path``.
         """
         if fh.read(len(SEGMENT_MAGIC)) != SEGMENT_MAGIC:
             raise ValueError(f"{path}: not a {SEGMENT_FORMAT} segment file")
         try:
-            header: Dict[str, Any] = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
+            header = json.loads(fh.readline())
+        except ValueError as exc:
             raise ValueError(f"{path}: corrupt segment header: {exc}") from None
+        corrupt = f"{path}: corrupt segment header"
+        if not isinstance(header, dict):
+            raise ValueError(f"{corrupt}: not a JSON object")
         if header.get("format") != SEGMENT_FORMAT:
             raise ValueError(f"{path}: not a {SEGMENT_FORMAT} segment file")
-        cols = cls.__new__(cls)
-        cols.key_names = list(header.get("key_names", []))
-        cols.key_ids = {name: kid for kid, name in enumerate(cols.key_names)}
-        by_name = {entry[0]: entry for entry in header.get("columns", [])}
+        key_names = header.get("key_names")
+        if not isinstance(key_names, list) or not set(map(type, key_names)) <= {str}:
+            raise ValueError(f"{corrupt}: key_names is not a list of strings")
+        byteorder = header.get("byteorder")
+        if byteorder not in ("little", "big"):
+            raise ValueError(f"{corrupt}: byteorder {byteorder!r} is not 'little' or 'big'")
+        entries = header.get("columns")
+        if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 3 and isinstance(e[0], str) for e in entries
+        ):
+            raise ValueError(f"{corrupt}: columns is not a list of [slot, typecode, nbytes] rows")
+        by_name = {entry[0]: entry for entry in entries}
         manifest = []
         for slot, typecode in zip(_COLUMN_SLOTS, _COLUMN_TYPECODES):
             if slot not in by_name:
                 raise ValueError(f"{path}: segment missing column {slot!r}")
             _, stored_typecode, nbytes = by_name[slot]
-            manifest.append((slot, typecode, stored_typecode, nbytes))
-        native = header.get("byteorder", sys.byteorder) == sys.byteorder
-        return cols, native, manifest
+            if stored_typecode != typecode:
+                raise ValueError(
+                    f"{corrupt}: column {slot!r} has typecode {stored_typecode!r}, not {typecode!r}"
+                )
+            itemsize = array(typecode).itemsize
+            if type(nbytes) is not int or nbytes < 0 or nbytes % itemsize:
+                raise ValueError(
+                    f"{corrupt}: column {slot!r} nbytes {nbytes!r} is not a "
+                    f"non-negative multiple of {itemsize}"
+                )
+            manifest.append((slot, typecode, nbytes))
+        cols = cls.__new__(cls)
+        cols.key_names = key_names
+        cols.key_ids = {name: kid for kid, name in enumerate(key_names)}
+        return cols, byteorder == sys.byteorder, manifest
 
     @classmethod
-    def _read(cls, fh: IO[bytes], path: Union[str, Path]) -> "ColumnarHistory":
+    def _read(
+        cls, fh: IO[bytes], path: Union[str, Path], limit: int
+    ) -> "ColumnarHistory":
+        """Copy a segment's columns out of ``fh``, which holds at most
+        ``limit`` bytes: a header claiming more is refused before anything
+        of that size is allocated."""
         cols, native, manifest = cls._read_header(fh, path)
-        for slot, typecode, stored_typecode, nbytes in manifest:
-            column = array(stored_typecode)
-            data = fh.read(nbytes)
+        for slot, typecode, nbytes in manifest:
+            limit -= nbytes
+            data = fh.read(nbytes) if limit >= 0 else b""  # claims past the end
             if len(data) != nbytes:
                 raise ValueError(f"{path}: truncated segment column {slot!r}")
+            column = array(typecode)
             column.frombytes(data)
             if not native:
                 column.byteswap()
-            if stored_typecode != typecode:
-                column = array(typecode, column)
             setattr(cols, slot, column)
         return cols
 
     @classmethod
     def _read_mapped(
-        cls, fh: IO[bytes], path: Union[str, Path]
+        cls, fh: IO[bytes], path: Union[str, Path], size: int
     ) -> Optional["ColumnarHistory"]:
-        """Zero-copy loader: typed memoryviews over one shared mapping.
+        """Mapping loader: typed memoryviews over one shared mapping of the
+        ``size``-byte file ``fh``.
 
-        Returns ``None`` when the file cannot be mapped verbatim (foreign
-        byte order or stored typecodes differing from the native layout) —
-        the caller then falls back to :meth:`_read`.  Structural corruption
-        (bad magic/header, truncated columns) raises ``ValueError`` exactly
-        like the copying loader.
+        Returns ``None`` for a foreign-byteorder file — the caller then
+        falls back to :meth:`_read`.  Structural corruption (bad
+        magic/header, truncated columns) raises ``ValueError`` exactly like
+        the copying loader.
         """
         cols, native, manifest = cls._read_header(fh, path)
         if not native:
             return None
         offset = fh.tell()
-        file_size = os.fstat(fh.fileno()).st_size
         mapping = _mmap_module.mmap(
             fh.fileno(), 0, access=_mmap_module.ACCESS_READ
         )
         view = memoryview(mapping)
-        for slot, typecode, stored_typecode, nbytes in manifest:
-            if stored_typecode != typecode:
-                return None
-            if offset + nbytes > file_size:
+        for slot, typecode, nbytes in manifest:
+            if offset + nbytes > size:
                 raise ValueError(f"{path}: truncated segment column {slot!r}")
             setattr(cols, slot, view[offset : offset + nbytes].cast(typecode))
             offset += nbytes
@@ -729,6 +742,9 @@ _COLUMN_SLOTS: Tuple[str, ...] = (
     "op_has_value",
 )
 _COLUMN_TYPECODES: Tuple[str, ...] = ("q", "q", "b", "d", "d", "q", "b", "i", "q", "b")
+#: Deflate's largest expansion: a gzip segment inflates to at most this many
+#: times its size, which bounds what its header may claim.
+_DEFLATE_MAX_RATIO = 1032
 
 
 # ----------------------------------------------------------------------

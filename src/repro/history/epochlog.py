@@ -33,12 +33,6 @@ corrupt or missing manifest is rebuilt the same way from where its valid
 prefix ends.  Checkpoints are independent of this:
 a half-written checkpoint simply fails its CRC and the previous one is
 used (the newest two are kept).
-
-The reader memory-maps epoch files by default
-(:meth:`~repro.history.columnar.ColumnarHistory.load` with ``mmap=True``),
-so following a 100k-transaction log costs O(epochs) header parses, not
-O(bytes) copies, and concurrent verifier processes share one physical copy
-of every epoch.
 """
 
 from __future__ import annotations
@@ -591,10 +585,10 @@ class EpochLog:
     :meth:`open` performs crash recovery (longest-valid-prefix, see the
     module docstring); :meth:`refresh` reads what a concurrent writer has
     appended to the manifest since, so a live follower picks up the epochs
-    it seals, and :meth:`poll` hands them out one at a time.  Epoch segments
-    load memory-mapped by default.  The checkpoint methods store and
-    recover verifier snapshots inside the same directory — the epoch log
-    is the one durable artefact a verification service needs.
+    it seals, and :meth:`poll` hands them out one at a time.  The
+    checkpoint methods store and recover verifier snapshots inside the same
+    directory — the epoch log is the one durable artefact a verification
+    service needs.
     """
 
     #: A log has no end marker: a writer may always seal another epoch.
@@ -746,18 +740,12 @@ class EpochLog:
         self.position += 1
         return segment
 
-    def load_epoch(
-        self,
-        info: Union[int, EpochInfo],
-        *,
-        mmap: bool = True,
-        verify: bool = True,
-    ) -> ColumnarHistory:
-        """Load one epoch segment (memory-mapped unless ``mmap=False``).
+    def load_epoch(self, info: Union[int, EpochInfo]) -> ColumnarHistory:
+        """Load one epoch segment.
 
-        ``verify=True`` checks size and CRC-32 against the manifest entry
-        first, so silent on-disk corruption surfaces as
-        :class:`EpochLogError` instead of a wrong verdict.
+        Size and CRC-32 are checked against the manifest entry first, so
+        silent on-disk corruption surfaces as :class:`EpochLogError`
+        instead of a wrong verdict.
         """
         entry = self.epochs[info] if isinstance(info, int) else info
         if entry.retired:
@@ -766,31 +754,28 @@ class EpochLog:
                 f"GC; resume from a checkpoint past it"
             )
         path = self.directory / entry.name
-        if verify:
-            try:
-                crc, size = file_crc32(path), os.stat(path).st_size
-            except OSError as exc:
-                raise EpochLogError(
-                    f"{self.directory}: epoch {entry.epoch} unreadable: {exc}"
-                ) from None
-            if (crc, size) != (entry.crc32, entry.size_bytes):
-                raise EpochLogError(
-                    f"{self.directory}: epoch {entry.epoch} fails its checksum "
-                    f"(file {entry.name} corrupted on disk)"
-                )
+        try:
+            crc, size = file_crc32(path), os.stat(path).st_size
+        except OSError as exc:
+            raise EpochLogError(
+                f"{self.directory}: epoch {entry.epoch} unreadable: {exc}"
+            ) from None
+        if (crc, size) != (entry.crc32, entry.size_bytes):
+            raise EpochLogError(
+                f"{self.directory}: epoch {entry.epoch} fails its checksum "
+                f"(file {entry.name} corrupted on disk)"
+            )
         obs.inc("repro_epochlog_epochs_loaded_total")
-        return ColumnarHistory.load(path, mmap=mmap)
+        return ColumnarHistory.load(path)
 
     def iter_segments(
-        self, start_epoch: int = 0, *, mmap: bool = True, verify: bool = True
+        self, start_epoch: int = 0
     ) -> Iterator[Tuple[EpochInfo, ColumnarHistory]]:
         """Yield ``(entry, segment)`` for every epoch from ``start_epoch``."""
         for entry in self.epochs[start_epoch:]:
-            yield entry, self.load_epoch(entry, mmap=mmap, verify=verify)
+            yield entry, self.load_epoch(entry)
 
-    def to_columns(
-        self, *, mmap: bool = True, verify: bool = True
-    ) -> ColumnarHistory:
+    def to_columns(self) -> ColumnarHistory:
         """Concatenate every live epoch into one in-memory segment.
 
         The batch-check entry point: key ids are re-interned across
@@ -800,7 +785,7 @@ class EpochLog:
         """
         out = ColumnarHistory()
         for entry in self.epochs:
-            segment = self.load_epoch(entry, mmap=mmap, verify=verify)
+            segment = self.load_epoch(entry)
             base = len(out.op_kinds)
             remap = [out.key_id(name) for name in segment.key_names]
             out.txn_ids.extend(segment.txn_ids)

@@ -14,7 +14,7 @@ import os
 import warnings
 from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 from ..core.model import History, Transaction, stream_order
 
@@ -86,26 +86,25 @@ def read_segments(path: Union[str, Path]) -> Iterator["ColumnarHistory"]:
         yield ColumnarHistory.from_history(load_history(path))
 
 
-def load_columns(path: Union[str, Path]) -> Tuple["ColumnarHistory", Optional[str]]:
-    """The history at ``path`` for a batch check: ``(columns, source_path)``.
-
-    ``source_path`` names a memory-mapped segment, which sharded checks ship
-    as ``(path, rows)`` references; it is ``None`` for every other container.
-    """
+def load_columns(path: Union[str, Path]) -> "ColumnarHistory":
+    """The history at ``path`` as one set of columns, for a batch check (an
+    uncompressed segment's are memory-mapped)."""
     from .columnar import ColumnarHistory
     from .serialization import iter_history_jsonl
 
     kind = history_format(path)
     if kind == "log":
-        return _open_log(path).to_columns(), None
+        return _open_log(path).to_columns()
     if kind == "stream":
-        return ColumnarHistory.from_transactions(iter_history_jsonl(path)), None
+        return ColumnarHistory.from_transactions(iter_history_jsonl(path))
     (columns,) = read_segments(path)
-    return columns, str(path) if kind == "segment" and _mappable(path) else None
+    return columns
 
 
 def _mappable(path: Union[str, Path]) -> bool:
-    """Uncompressed segments are memory-mapped: copy-free load, shared pages."""
+    """Uncompressed segments are memory-mapped for a batch check: a check
+    never pages in the columns it does not read (ARCHITECTURE.md, "Segment
+    loads")."""
     return not str(path).lower().endswith(".gz")
 
 

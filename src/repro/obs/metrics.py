@@ -14,7 +14,7 @@ Design constraints, in order:
 * **Dependency-free.**  Stdlib only; no prometheus_client, no opentelemetry.
 * **Wire-safe.**  :meth:`MetricsRegistry.snapshot` is a JSON-safe dict of
   plain numbers — per-worker registries cross the process boundary next to
-  the existing segref/wire payloads without pickling any object, matching
+  the shard wire payloads without pickling any object, matching
   the columnar plane's discipline.
 * **Mergeable.**  :meth:`MetricsRegistry.merge` folds a snapshot in:
   counters and histogram buckets add (associative and commutative, so any
@@ -103,7 +103,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
     "repro_epochlog_seal_seconds": (
         "histogram", "End-to-end seal time per epoch (segment write+fsync+rename, record append+fsync)"),
     "repro_epochlog_epochs_loaded_total": (
-        "counter", "Epoch segments loaded (mmap or copy) by readers"),
+        "counter", "Epoch segments loaded by readers"),
     "repro_epochlog_checkpoint_write_seconds": (
         "histogram", "Verifier checkpoint persist time into the epoch log"),
     "repro_epochlog_checkpoint_bytes": (
@@ -142,8 +142,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "counter", "Committed transactions checked across shard tasks"),
     "repro_executor_shard_checks_total": (
         "counter", "Shard check tasks executed (workers and inline)"),
-    "repro_executor_segment_cache_total": (
-        "counter", "Worker segment-mmap cache lookups, by outcome label"),
     # Phase timers (shared histogram; the span name is the phase label).
     "repro_phase_seconds": (
         "histogram", "Wall-clock of named pipeline phases, by phase label"),
@@ -221,8 +219,8 @@ class MetricsRegistry:
     Example:
         >>> reg = MetricsRegistry()
         >>> reg.inc("repro_executor_checks_total")
-        >>> reg.inc("repro_executor_segment_cache_total", outcome="hit")
-        >>> reg.value("repro_executor_segment_cache_total", outcome="hit")
+        >>> reg.inc("repro_resilience_pool_faults_total", kind="broken")
+        >>> reg.value("repro_resilience_pool_faults_total", kind="broken")
         1.0
         >>> snap = reg.snapshot()
         >>> other = MetricsRegistry()

@@ -13,15 +13,12 @@
    order — pairwise, as a reduction tree scheduled across the same pool,
    so merge cost is O(log shards) wall-clock.
 
-**Shared-mmap worker pool.**  The pool is a single persistent
+**Persistent worker pool.**  The pool is a single persistent
 :class:`~concurrent.futures.ProcessPoolExecutor` reused across
 ``check_parallel`` calls (grown on demand, torn down via
-:func:`shutdown_pool` / atexit).  With ``source_path`` set, shard payloads
-degenerate to ``("segref", path, rows, keys, token)`` references: every
-worker memory-maps the segment once (OS page cache — one physical copy
-fleet-wide, kept per worker keyed by ``(path, file token)``) and serves the
-many shard tasks of one check from row slices.  Nothing else is cached: a
-shard's index is one linear ``from_columns`` pass over its rows.
+:func:`shutdown_pool` / atexit).  Every shard payload is the shard's column
+slice as raw buffers; nothing is cached in a worker: a shard's index is one
+linear ``from_columns`` pass over its rows.
 
 Invariant: **sharded verdicts equal serial verdicts on every history** —
 the randomized equivalence suites (``tests/test_parallel.py``,
@@ -42,12 +39,9 @@ import os
 import pickle
 import time
 import warnings
-from array import array
-from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .. import obs
 from ..obs import metrics as _obs_metrics
@@ -60,7 +54,7 @@ from ..core.graph import build_dependency
 from ..core.index import HistoryIndex
 from ..core.model import History
 from ..core.result import CheckResult, IsolationLevel
-from ..history.columnar import ColumnarHistory, WireColumns, segment_token
+from ..history.columnar import ColumnarHistory, WireColumns
 from .merge import (
     ShardOutcome,
     finalize_sser_wires,
@@ -71,22 +65,13 @@ from .partition import DEFAULT_MAX_SHARDS, Shard, partition_columns
 
 __all__ = ["check_parallel", "make_payload", "shutdown_pool"]
 
-#: Segment-reference payload body: workers memory-map ``path`` themselves
-#: and slice their rows locally, so N workers share one physical copy of
-#: the segment (OS page cache) and the parent pickles only row numbers —
-#: shipped as a flat ``array('q')``, which pickles as raw bytes.  The
-#: trailing token — ``(st_size, st_mtime_ns)`` — keys the per-worker segment
-#: map and invalidates it when the file is rewritten.
-_SegRef = Tuple[str, str, Sequence[int], List[str], Tuple[int, int]]
-
 #: One shard task shipped to a worker process: the shard's columnar wire
-#: buffers — or a :data:`_SegRef` into an mmap-able segment file — plus the
-#: check configuration ``(level, transitive_ww)``.  Contains no
-#: ``Transaction``s either way.  An optional fifth element
+#: buffers plus the check configuration ``(level, transitive_ww)``.
+#: Contains no ``Transaction``s.  An optional fifth element
 #: (``with_metrics``) asks the worker to record its shard work into a fresh
 #: telemetry registry and ship the snapshot back on the outcome;
 #: four-element payloads remain valid (telemetry off).
-_Payload = Tuple[int, Union[WireColumns, _SegRef], IsolationLevel, bool]
+_Payload = Tuple[int, WireColumns, IsolationLevel, bool]
 
 #: Below this many committed transactions the pool is pure overhead
 #: (process dispatch + pickling dwarf the shard checks), so fan-out runs
@@ -132,7 +117,7 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     """The shared worker pool, created lazily and grown on demand.
 
     Reusing one pool across ``check_parallel`` calls keeps the spawn cost
-    and each worker's segment maps out of every call after the first.
+    out of every call after the first.
     """
     global _POOL, _POOL_WORKERS
     if _POOL is not None and _POOL_WORKERS < workers:
@@ -189,7 +174,6 @@ def check_parallel(
     transitive_ww: bool = False,
     index: Optional[HistoryIndex] = None,
     max_shards: Optional[int] = DEFAULT_MAX_SHARDS,
-    source_path: Optional[Union[str, Path]] = None,
     task_timeout: Optional[float] = None,
 ) -> CheckResult:
     """Verify a history against ``level`` via the sharded pipeline.
@@ -216,13 +200,6 @@ def check_parallel(
             ``history`` (built here when absent); its ``columns`` drive the
             partitioner.
         max_shards: cap on the shard fan-out (fixed, never worker-derived).
-        source_path: the uncompressed segment file a columnar ``history``
-            was loaded from, when there is one.  Shard payloads then carry
-            ``(path, rows)`` references instead of sliced column bytes:
-            each worker memory-maps the file (one shared physical copy)
-            and slices its own rows, so the parent neither materialises
-            nor pickles per-shard columns.  Verdicts are identical with
-            and without it.
         task_timeout: per-dispatch deadline, seconds: when the pool has
             not returned every outstanding shard within this budget the
             dispatch is considered hung (a stuck or killed worker), the
@@ -270,12 +247,7 @@ def check_parallel(
         raise_if_not_mt(index)
 
     with obs.phase("partition"):
-        shards = partition_columns(
-            index.columns,
-            index=index,
-            max_shards=max_shards,
-            materialize=source_path is None,
-        )
+        shards = partition_columns(index.columns, index=index, max_shards=max_shards)
     effective = workers
     inline_small = effective > 1 and index.num_committed < _MIN_POOL_TXNS
     if inline_small:
@@ -291,13 +263,7 @@ def check_parallel(
 
     with_metrics = obs.enabled()
     payloads: List[_Payload] = [
-        make_payload(
-            shard,
-            level,
-            transitive_ww,
-            source_path=source_path,
-            with_metrics=with_metrics,
-        )
+        make_payload(shard, level, transitive_ww, with_metrics=with_metrics)
         for shard in shards
     ]
     if with_metrics:
@@ -343,76 +309,26 @@ def make_payload(
     level: IsolationLevel,
     transitive_ww: bool,
     *,
-    source_path: Optional[Union[str, Path]] = None,
     with_metrics: bool = False,
 ) -> _Payload:
     """The process-boundary task for one shard: columnar buffers only.
 
     The payload pickles the shard's column slice as raw bytes, never as
-    ``Transaction`` objects.  With ``source_path`` set (and the shard
-    carrying its source rows), the payload degenerates to a
-    ``("segref", path, rows, keys, token)`` reference: the worker
-    memory-maps the segment and slices the rows itself, with ``token``
-    keying its segment map.
+    ``Transaction`` objects.
 
     ``with_metrics=True`` appends a fifth payload element asking the worker
-    to record its shard work (txns checked, cache hits, index builds) into
+    to record its shard work (txns checked, index builds) into
     a fresh registry and attach the snapshot to the returned outcome; the
     parent folds the snapshots into its own registry.  Four-element
     payloads stay valid — telemetry stays off in the worker.
     """
-    if source_path is not None and shard.rows is not None:
-        rows = shard.rows if isinstance(shard.rows, array) else array("q", shard.rows)
-        ref: _SegRef = (
-            "segref",
-            str(source_path),
-            rows,
-            list(shard.keys),
-            segment_token(source_path),
-        )
-        body: Tuple = (shard.index, ref, level, transitive_ww)
-    else:
-        body = (shard.index, shard.columns.to_wire(), level, transitive_ww)
+    body = (shard.index, shard.columns.to_wire(), level, transitive_ww)
     return body + (True,) if with_metrics else body
 
 
 # ----------------------------------------------------------------------
 # Worker-side machinery
 # ----------------------------------------------------------------------
-#: Per-process segment maps, one mmap per segment file (populated inside
-#: pool workers, where it serves the many shard tasks of one check; the
-#: persistent pool keeps the processes — and therefore the maps — alive
-#: across check_parallel calls).
-_WORKER_CACHE_LIMIT = 8
-_SEGMENT_CACHE: "OrderedDict[Tuple[str, Tuple[int, int]], ColumnarHistory]" = OrderedDict()
-
-
-def _mapped_segment(path: str, token: Tuple[int, int]) -> ColumnarHistory:
-    key = (path, token)
-    segment = _SEGMENT_CACHE.get(key)
-    obs.inc(
-        "repro_executor_segment_cache_total",
-        outcome="miss" if segment is None else "hit",
-    )
-    if segment is None:
-        segment = _SEGMENT_CACHE[key] = ColumnarHistory.load(path, mmap=True)
-        while len(_SEGMENT_CACHE) > _WORKER_CACHE_LIMIT:
-            _SEGMENT_CACHE.popitem(last=False)
-    return segment
-
-
-def _shard_index(wire: Union[WireColumns, _SegRef]) -> HistoryIndex:
-    """Resolve a payload body to its shard's columns and index them."""
-    if wire and wire[0] == "segref":
-        _, path, shard_rows, shard_keys, token = wire
-        shard_columns = _mapped_segment(path, token).slice_rows(
-            shard_rows, restrict_initial_keys=shard_keys
-        )
-    else:
-        shard_columns = ColumnarHistory.from_wire(wire)
-    return HistoryIndex.from_columns(shard_columns)
-
-
 def _run_shard(payload: _Payload) -> ShardOutcome:
     """Check one shard; module-level so process pools can import it.
 
@@ -439,7 +355,7 @@ def _run_shard(payload: _Payload) -> ShardOutcome:
 def _run_shard_body(payload: _Payload) -> ShardOutcome:
     fail_point("executor.shard.task")
     shard_index, wire, level, transitive_ww = payload[:4]
-    shard_idx_obj = _shard_index(wire)
+    shard_idx_obj = HistoryIndex.from_columns(ColumnarHistory.from_wire(wire))
     obs.inc("repro_executor_shard_checks_total")
     obs.inc("repro_executor_shard_txns_total", shard_idx_obj.num_committed)
 

@@ -139,7 +139,6 @@ def finalize_sser_wires(
     *,
     num_transactions: int,
     level: IsolationLevel = IsolationLevel.STRICT_SERIALIZABILITY,
-    reduced_rt: bool = True,
     elapsed_seconds: float = 0.0,
 ) -> CheckResult:
     """Remap merged shard wires onto the global index, add RT, check cycles.
@@ -166,7 +165,7 @@ def finalize_sser_wires(
     dst_append = merged.dst.append
     et_append = merged.etype.append
     kid_append = merged.key_id.append
-    for source_id, target_id in index.real_time_id_pairs(reduced=reduced_rt):
+    for source_id, target_id in index.real_time_id_pairs():
         s = global_dense.get(source_id)
         t = global_dense.get(target_id)
         if s is not None and t is not None:

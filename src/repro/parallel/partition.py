@@ -29,7 +29,6 @@ through ``ColumnarHistory.from_history`` like everywhere else.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -57,14 +56,8 @@ class Shard:
     session_ids: List[int]
     #: Committed transactions in the shard (excluding ``⊥T``).
     num_transactions: int
-    #: Columnar slice of the shard (``None`` under ``materialize=False``).
-    columns: Optional["ColumnarHistory"] = None
-    #: Source rows of the slice within the parent segment — lets the
-    #: executor ship a (path, rows) reference instead of the sliced bytes
-    #: when the segment lives in an mmap-able file.
-    #: Stored as a flat ``array('q')`` so million-row segref payloads
-    #: pickle as raw bytes rather than lists of boxed ints.
-    rows: Optional[Sequence[int]] = None
+    #: Columnar slice of the shard.
+    columns: "ColumnarHistory"
 
 
 def partition_columns(
@@ -72,7 +65,6 @@ def partition_columns(
     *,
     index: Optional[HistoryIndex] = None,
     max_shards: Optional[int] = DEFAULT_MAX_SHARDS,
-    materialize: bool = True,
 ) -> List[Shard]:
     """Split a columnar segment into key-connected, session-closed shards.
 
@@ -83,11 +75,6 @@ def partition_columns(
     ``Transaction`` materialisation.  Returns a single shard wrapping the
     whole segment when the history is fully connected (or has no keys at
     all); the shards cover every transaction exactly once.
-
-    With ``materialize=False`` the per-shard column slices are *not* built:
-    each shard carries only its source ``rows`` (and keys), which is all
-    the executor needs when workers re-slice from a memory-mapped segment
-    file themselves.
     """
     if index is None:
         index = HistoryIndex.from_columns(columns)
@@ -132,7 +119,7 @@ def partition_columns(
 
     shards: List[Shard] = []
     for shard_idx, (keys, slots, _load) in enumerate(sized):
-        rows = array("q")
+        rows: List[int] = []
         if index.txn_ids and index.txn_ids[0] == INITIAL_TXN_ID:
             rows.append(index.column_row(0))
         committed = 0
@@ -147,12 +134,7 @@ def partition_columns(
                 keys=keys,
                 session_ids=[session_ids[i] for i in slots],
                 num_transactions=committed,
-                columns=(
-                    columns.slice_rows(rows, restrict_initial_keys=keys)
-                    if materialize
-                    else None
-                ),
-                rows=rows,
+                columns=columns.slice_rows(rows, restrict_initial_keys=keys),
             )
         )
     return shards

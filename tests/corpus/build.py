@@ -98,6 +98,38 @@ def mutated(mutation):
     return columns
 
 
+#: Header edits ``save`` could never write: name -> (edit, the refusal's words).
+HEADER_EDITS = {
+    "not-an-object": (lambda header: [1, 2], "not a JSON object"),
+    "key-names-not-a-list": (lambda header: {**header, "key_names": 7}, "key_names is not a list of strings"),
+    "columns-not-a-list": (lambda header: {**header, "columns": 5}, "columns is not a list of"),
+    "typecode-unicode": (lambda header: column_edit(header, 1, "u"), "has typecode 'u', not 'q'"),
+    "typecode-number": (lambda header: column_edit(header, 1, 5), "has typecode 5, not 'q'"),
+    "nbytes-string": (lambda header: column_edit(header, 2, "abc"), "nbytes 'abc' is not a non-negative"),
+    "nbytes-float": (lambda header: column_edit(header, 2, 8.0), "nbytes 8.0 is not a non-negative"),
+    "nbytes-negative": (lambda header: column_edit(header, 2, -8), "nbytes -8 is not a non-negative"),
+    "nbytes-not-a-multiple": (lambda header: column_edit(header, 2, 7), "nbytes 7 is not a non-negative"),
+    "nbytes-past-the-end": (lambda header: column_edit(header, 2, 1 << 40), "truncated segment column 'txn_ids'"),
+    "byteorder-middle": (lambda header: {**header, "byteorder": "middle"}, "byteorder 'middle' is not"),
+}
+
+
+def column_edit(header, field, value):
+    """``header`` with field ``field`` of its first column (``txn_ids``) set to ``value``."""
+    first = list(header["columns"][0])
+    first[field] = value
+    return {**header, "columns": [first, *header["columns"][1:]]}
+
+
+def edited_header(edit, out):
+    """The lost update's segment bytes with its JSON header line rewritten by ``edit``."""
+    scratch = out / ".header-edit.seg"
+    ColumnarHistory.from_history(lost_update()).save(scratch)
+    magic, header, body = scratch.read_bytes().split(b"\n", 2)
+    scratch.unlink()
+    return b"\n".join((magic, json.dumps(edit(json.loads(header)), separators=(",", ":")).encode(), body))
+
+
 def entries():
     """``(file name, source, rows, extra EXPECTED fields)`` per file entry."""
     for name, spec in anomaly_catalog().items():
@@ -139,6 +171,9 @@ def entries():
                      "status-unknown", "kind-unknown", "column-too-short"):
         yield (f"exit2-seg-{mutation}.seg", f"segment mutation: {mutation}", mutated(mutation),
                {"exit": 2, "error": "malformed segment"})
+    for damage, (edit, error) in HEADER_EDITS.items():
+        yield (f"exit2-seg-header-{damage}.seg", f"segment header edit: {damage}", edit,
+               {"exit": 2, "error": error})
 
 
 def pseudo_entries():
@@ -214,9 +249,12 @@ def build(out):
         if isinstance(rows, ColumnarHistory):  # damaged: written as it is, never loaded
             rows.save(out / name)
             lines.append({"entry": name, "source": source, **extra})
+        elif callable(rows):  # a header edit: the bytes are written, never loaded
+            (out / name).write_bytes(edited_header(rows, out))
+            lines.append({"entry": name, "source": source, **extra})
         else:
             write_history(rows, out / name)
-            lines.append(expected(name, source, load_columns(out / name)[0], extra))
+            lines.append(expected(name, source, load_columns(out / name), extra))
     with open(out / "EXPECTED", "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(line) + "\n" for line in sorted(lines, key=lambda line: line["entry"]))
 

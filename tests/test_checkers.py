@@ -127,16 +127,6 @@ class TestCheckSser:
         t2 = txn(2, read("x", 0), write("x", 2))
         assert not check_sser(history_of([t1], [t2])).satisfied
 
-    def test_reduced_and_naive_rt_agree(self):
-        t1 = self._timed(1, 0.0, 1.0, read("x", 0), write("x", 1))
-        t2 = self._timed(2, 0.5, 2.5, read("x", 1), write("x", 2))
-        t3 = self._timed(3, 3.0, 4.0, read("x", 2))
-        history = history_of([t1], [t2], [t3])
-        assert (
-            check_sser(history, reduced_rt=True).satisfied
-            == check_sser(history, reduced_rt=False).satisfied
-            is True
-        )
 
     def test_untimed_history_degenerates_to_ser(self):
         t1 = txn(1, read("x", 0), write("x", 1))

@@ -28,6 +28,7 @@ from repro.history import (
     ColumnarHistory,
     is_segment_path,
     iter_history_jsonl,
+    load_columns,
     load_history_segment,
     write_history_jsonl,
     write_history_segment,
@@ -180,7 +181,7 @@ class TestSegmentFiles:
         truncated = tmp_path / "trunc.seg"
         write_history_segment(generated_history(7), tmp_path / "ok.seg")
         truncated.write_bytes((tmp_path / "ok.seg").read_bytes()[:-64])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"trunc\.seg: truncated segment column"):
             load_history_segment(truncated)
 
     @pytest.mark.parametrize("cut", range(1, 13))
@@ -217,6 +218,13 @@ class TestSegmentFiles:
         assert cols.num_transactions == run.stats.committed + run.stats.aborted + 1
         verdict = MTChecker().verify(cols, IsolationLevel.SNAPSHOT_ISOLATION)
         assert verdict.satisfied
+
+    def test_loaded_segment_saves_byte_identically(self, tmp_path):
+        # ``load_columns`` maps an uncompressed segment; its views save too.
+        path = tmp_path / "history.seg"
+        write_history_segment(generated_history(35), path)
+        load_columns(path).save(tmp_path / "again.seg")
+        assert (tmp_path / "again.seg").read_bytes() == path.read_bytes()
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +331,7 @@ class TestColumnarDispatch:
 
 
 class TestMemoryMappedSegments:
-    """``ColumnarHistory.load(path, mmap=True)``: zero-copy column views."""
+    """``ColumnarHistory.load(path, mmap=True)``: column views over a mapping."""
 
     def test_mmap_load_equals_copying_load(self, tmp_path):
         history = generated_history(31, "lostupdate")
@@ -376,77 +384,3 @@ class TestMemoryMappedSegments:
         sliced = mapped.slice_rows(rows, restrict_initial_keys=mapped.key_names)
         sliced.append(Transaction(99_999, [read("k0", None)]))  # mutable copy
         assert sliced.num_transactions == len(rows) + 1
-
-    @pytest.mark.parametrize("level", LEVELS, ids=lambda l: l.short_name)
-    def test_segref_payloads_match_wire_payloads(self, tmp_path, level):
-        from repro.bench import make_disjoint_history
-
-        history = make_disjoint_history(
-            num_groups=4,
-            sessions_per_group=2,
-            txns_per_session=12,
-            keys_per_group=4,
-            timestamps=True,
-        )
-        path = tmp_path / "history.seg"
-        write_history_segment(history, path)
-        columns = ColumnarHistory.load(path, mmap=True)
-        serial = MTChecker().verify(history, level)
-        via_wire = check_parallel(columns, level, workers=2)
-        via_segref = check_parallel(columns, level, workers=2, source_path=path)
-        assert result_fingerprint(via_segref) == result_fingerprint(via_wire)
-        assert via_segref.satisfied == serial.satisfied
-
-    def test_rewritten_segment_is_mapped_again(self, tmp_path):
-        # Shard tasks share one map of the file per process, keyed by the
-        # file's (size, mtime_ns): rewriting the file is a miss, not stale rows.
-        from repro import obs
-        from repro.bench import make_disjoint_history
-
-        path = tmp_path / "history.seg"
-        level = IsolationLevel.STRICT_SERIALIZABILITY
-        for groups in (3, 2):
-            history = make_disjoint_history(
-                num_groups=groups, sessions_per_group=2, txns_per_session=6, timestamps=True
-            )
-            write_history_segment(history, path)
-            columns = ColumnarHistory.load(path, mmap=True)
-            with obs.scoped() as reg:
-                sharded = check_parallel(columns, level, source_path=path)
-            lookups = {
-                outcome: reg.value("repro_executor_segment_cache_total", outcome=outcome)
-                for outcome in ("miss", "hit")
-            }
-            assert lookups == {"miss": 1, "hit": groups - 1}
-            assert result_fingerprint(sharded) == result_fingerprint(
-                MTChecker().verify(history, level)
-            )
-
-    def test_segref_payload_carries_rows_not_bytes(self, tmp_path):
-        from repro.bench import make_disjoint_history
-
-        history = make_disjoint_history(
-            num_groups=5,
-            sessions_per_group=2,
-            txns_per_session=15,
-            keys_per_group=4,
-            timestamps=True,
-        )
-        path = tmp_path / "history.seg"
-        write_history_segment(history, path)
-        columns = ColumnarHistory.load(path, mmap=True)
-        index = HistoryIndex.from_columns(columns)
-        shards = partition_columns(columns, index=index, materialize=False)
-        assert len(shards) > 1
-        level = IsolationLevel.SERIALIZABILITY
-        for shard in shards:
-            assert shard.columns is None and shard.rows
-            payload = make_payload(shard, level, False, source_path=path)
-            assert payload[1][0] == "segref"
-            blob = pickle.dumps(payload)
-            assert b"repro.core.model" not in blob
-            # The reference is tiny compared to the sliced column bytes.
-            wire = make_payload(
-                partition_columns(columns, index=index)[shard.index], level, False
-            )
-            assert len(blob) < len(pickle.dumps(wire))

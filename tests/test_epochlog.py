@@ -107,7 +107,7 @@ def truncate_at(path, rng):
 
 
 # ----------------------------------------------------------------------
-# Basics: sealing, manifest, refresh, mmap
+# Basics: sealing, manifest, refresh, load
 # ----------------------------------------------------------------------
 class TestEpochLogBasics:
     def test_path_predicate(self, tmp_path):
@@ -214,12 +214,11 @@ class TestEpochLogBasics:
         for level in LEVELS:
             assert stream_format(log, level) == direct_stream_format(stream, level)
 
-    def test_mmap_and_copy_loads_agree(self, tmp_path):
+    def test_loaded_epochs_save_byte_identically(self, tmp_path):
         log = build_log(tmp_path / "m.epochs", make_history(6, engine="rc"))
         for entry in log.epochs:
-            mapped = log.load_epoch(entry, mmap=True)
-            copied = log.load_epoch(entry, mmap=False)
-            assert mapped.to_wire() == copied.to_wire()
+            log.load_epoch(entry).save(tmp_path / "again.seg")
+            assert (tmp_path / "again.seg").read_bytes() == (log.directory / entry.name).read_bytes()
 
 
 # ----------------------------------------------------------------------

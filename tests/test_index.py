@@ -234,11 +234,9 @@ class TestTheDoor:
         ).history
         for history in [*random_histories(), timestamped]:
             index = HistoryIndex.build(history)
-            for reduced in (True, False):
-                assert index.real_time_id_pairs(reduced=reduced) == [
-                    (a.txn_id, b.txn_id)
-                    for a, b in history.real_time_order(reduced=reduced)
-                ]
+            assert index.real_time_id_pairs() == [
+                (a.txn_id, b.txn_id) for a, b in history.real_time_order()
+            ]
 
     @staticmethod
     def _lost_update_sessions():

@@ -36,7 +36,7 @@ def _clean_telemetry():
 def _sample_registry(seed: int) -> MetricsRegistry:
     reg = MetricsRegistry()
     reg.inc("repro_executor_checks_total", seed)
-    reg.inc("repro_executor_segment_cache_total", seed + 1, outcome="hit")
+    reg.inc("repro_resilience_pool_faults_total", seed + 1, kind="broken")
     reg.set_gauge("repro_executor_shards", seed * 10)
     reg.observe("repro_phase_seconds", 0.01 * seed, phase="index_build")
     reg.observe("repro_phase_seconds", 3.0, phase="index_build")
@@ -47,7 +47,7 @@ class TestRegistry:
     def test_counters_gauges_histograms_roundtrip(self):
         reg = _sample_registry(2)
         assert reg.value("repro_executor_checks_total") == 2
-        assert reg.value("repro_executor_segment_cache_total", outcome="hit") == 3
+        assert reg.value("repro_resilience_pool_faults_total", kind="broken") == 3
         assert reg.value("repro_executor_shards") == 20
         total, count = reg.histogram_stats("repro_phase_seconds", phase="index_build")
         assert count == 2 and total == pytest.approx(3.02)

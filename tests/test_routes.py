@@ -49,7 +49,7 @@ EPOCH_ROWS = 8  # most entries span several epochs
 
 
 def columns_of(name):
-    return load_columns(CORPUS / name)[0]
+    return load_columns(CORPUS / name)
 
 
 @pytest.fixture(scope="module")

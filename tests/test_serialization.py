@@ -271,18 +271,15 @@ class TestOneDoor:
         assert {name: history_format(tmp_path / name) for name in kinds} == kinds
         assert history_format(tmp_path) == "log"  # any existing directory
 
-    @pytest.mark.parametrize(
-        "name, mapped", [("h.json", False), ("h.jsonl", False), ("h.seg", True),
-                         ("h.seg.gz", False), ("h.epochs", False)],
-    )  # fmt: skip
-    def test_load_columns_is_the_rows_and_a_mappable_segments_path(self, name, mapped, tmp_path):
-        from repro.history import load_columns, write_history
+    @pytest.mark.parametrize("name", ["h.json", "h.jsonl", "h.seg", "h.seg.gz", "h.epochs"])
+    def test_load_columns_is_the_rows_of_every_container(self, name, tmp_path):
+        from repro.history import ColumnarHistory, load_columns, write_history
 
         path = tmp_path / name
         write_history(sample_history(), path)
-        columns, source_path = load_columns(path)
-        assert list(columns.txn_ids) == [-1, 1, 2]
-        assert source_path == (str(path) if mapped else None)
+        columns = load_columns(path)
+        assert isinstance(columns, ColumnarHistory)
+        assert columns.to_wire() == ColumnarHistory.from_history(sample_history()).to_wire()
 
     def test_follower_delivers_records_as_their_newlines_arrive(self, tmp_path):
         from repro.history import StreamFollower
