@@ -1,65 +1,65 @@
 """Streaming incremental verification: online MTC checking.
 
-The batch checkers (:func:`repro.core.checkers.check_ser` and friends)
-rebuild the full dependency graph on every call, which is the right tool for
-archived histories but cannot keep up with continuous traffic: re-verifying
-after each of ``n`` transactions costs Θ(n²) overall.  This module provides
-the online counterpart:
+The batch checkers rebuild the whole dependency graph per call; re-verifying
+after each of ``n`` transactions would cost Θ(n²).  The online counterpart:
 
-* :class:`PearceKellyOrder` maintains a topological order of the evolving
-  check graph under single-edge insertions (Pearce & Kelly, *A dynamic
-  topological sort algorithm for directed acyclic graphs*, JEA 2006).
-  Inserting an edge costs time proportional to the *affected region* — the
-  nodes whose order actually has to move — instead of the whole graph, so
-  acyclicity is re-established per transaction without re-running a
-  whole-graph search (:meth:`repro.core.graph.DependencyGraph.find_cycle`).
-* :class:`IncrementalChecker` ingests transactions one at a time (or a
-  columnar segment at a time) and hands each dependency edge — WR/WW/RW
-  derived from per-version *slots*, SO from per-session tails, RT from an
-  online interval-order reduction — straight to that order, whose adjacency
-  carries the edge labels.  It reports each violation at the exact
-  transaction whose ingestion created it, labeling the cycle from the
-  order's own label lists; a :class:`~repro.core.graph.DependencyGraph`
-  exists only where someone asks for one (:attr:`IncrementalChecker.graph`).
-* :class:`CheckerSession` is the checker as handed out by
-  :meth:`repro.core.checker.MTChecker.session`; it also acts as a live
-  ``on_transaction`` hook for :class:`repro.workloads.runner.WorkloadRunner`.
+* :class:`PearceKellyOrder` keeps a topological order of the check graph
+  under edge insertions (Pearce & Kelly, JEA 2006), paying only for the
+  *affected region* — the nodes whose order has to move.
+* :class:`IncrementalChecker` ingests transactions (or columnar segments)
+  and hands each edge — WR/WW/RW from per-version *slots*, SO from session
+  tails, RT through a timeline of time nodes — to that order, whose
+  adjacency carries the labels.  It reports each violation at the
+  transaction whose ingestion created it; a
+  :class:`~repro.core.graph.DependencyGraph` exists only on request
+  (:attr:`IncrementalChecker.graph`).
+* :class:`CheckerSession` is the checker :meth:`repro.core.checker.MTChecker.session`
+  hands out, also a live ``on_transaction`` hook for the workload runner.
 
 Equivalence invariant
 ---------------------
-For any ingestion order that preserves per-session order, the verdict after
-ingesting a complete history equals the batch verdict of
-:func:`~repro.core.checkers.check_ser` / :func:`~repro.core.checkers.check_si`
-/ :func:`~repro.core.checkers.check_sser` on that history (the reported
-counterexample may differ in shape, never in existence).  Reads may arrive
-before their writers: such reads are *pending* until the writer shows up, and
-reads that never resolve surface as ThinAirRead from :meth:`result` — exactly
-the verdict the batch INT pre-pass would reach.
+For any ingestion order that preserves per-session order, the verdict over
+a complete history equals the batch ``check_ser`` / ``check_si`` /
+``check_sser`` one (the counterexample may differ in shape, never in
+existence; an inverted interval arriving late is the one exception, below).
+Reads may arrive before their writers: they are *pending* until it shows
+up, and reads that never resolve are ThinAirRead in :meth:`result`, as in
+the batch INT pre-pass.
+
+Real time (SSER)
+----------------
+``A.finish < B.start`` is not added as transaction pairs (the reduction
+alone can hold n²/4).  Each distinct ``(stamp, kind)`` is one *time node*
+of the order, a start before a finish at one stamp.  The finish nodes form
+a *chain*; a start node hangs from the member before it.  A stamped ``A``
+adds ``node(start A) → A → node(finish A)``, so a path runs from ``A`` to
+``B`` through time nodes iff ``A`` finishes before ``B`` starts: two edges
+per transaction, in any arrival order.  A reported cycle contracts each run
+of time nodes into one ``RT`` edge.  An inverted interval (start > finish)
+drops the order across its gap, as the batch reduction does: its start
+node joins the chain and the members from its finish node up to it are
+*muted* (no time out-edges) on arrival, so a cycle through the gap reported
+earlier stays reported — louder, never a wrong SATISFIED.
 
 Bounded-window mode
 -------------------
-With ``window=W`` the checker garbage-collects transactions once ``W`` newer
-transactions have been ingested.  A collected transaction can never rejoin a
-cycle provided the stream is *W-bounded*: writers are delivered before their
-readers, and every read observes a version that is either still the latest
-on its object (current versions may be read at any age) or was overwritten
-at most ``W`` transactions ago.  A version is *sealed* — its per-version
-bookkeeping dropped — when the first transaction that overwrote it is
-collected; reads of sealed versions break the bound and are counted in
-:attr:`IncrementalChecker.stale_reads` (a nonzero count means the window was
-too small for the stream and the verdict is no longer complete) rather than
-silently dropped.  Sealed-version markers themselves are capped (FIFO,
-``max(4·W, 1024)`` entries), so total memory is O(window + live keys)
-regardless of stream length; a read of a version whose marker already
-expired surfaces as ThinAirRead, which is strictly louder.
+With ``window=W`` a transaction is collected once ``W`` newer ones arrived.
+It can never rejoin a cycle if the stream is *W-bounded*: writers come
+before their readers, and a read sees a version still the latest on its
+object or overwritten at most ``W`` transactions ago.  A version is *sealed*
+when its first overwriter is collected; a read of it breaks the bound and
+counts in :attr:`IncrementalChecker.stale_reads` (nonzero: the verdict is
+not complete).  Sealed markers are capped (FIFO, ``max(4·W, 1024)``), so
+memory is O(window + live keys); a read of an expired one is ThinAirRead,
+which is louder.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, insort
 from collections import defaultdict, deque
-from itertools import accumulate, chain
+from itertools import chain, product
 from typing import (
     TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
 )
@@ -78,43 +78,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..history.columnar import ColumnarHistory
 
 __all__ = [
-    "PearceKellyOrder",
-    "IncrementalChecker",
-    "CheckerSession",
-    "stream_order",
-    "CHECKPOINT_STATE_FORMAT",
+    "PearceKellyOrder", "IncrementalChecker", "CheckerSession", "stream_order", "CHECKPOINT_STATE_FORMAT",
 ]
 
 #: Format tag of :meth:`IncrementalChecker.checkpoint` state dictionaries.
-CHECKPOINT_STATE_FORMAT = "repro-checker-state-v3"
+CHECKPOINT_STATE_FORMAT = "repro-checker-state-v4"
 
 #: Isolation levels the incremental checker supports.
 GRAPH_LEVELS = (
-    IsolationLevel.SERIALIZABILITY,
-    IsolationLevel.SNAPSHOT_ISOLATION,
-    IsolationLevel.STRICT_SERIALIZABILITY,
+    IsolationLevel.SERIALIZABILITY, IsolationLevel.SNAPSHOT_ISOLATION, IsolationLevel.STRICT_SERIALIZABILITY,
 )
 
 
 class PearceKellyOrder:
-    """Online topological order maintenance over integer nodes.
+    """Online topological order maintenance (the Pearce–Kelly algorithm).
 
-    Implements the Pearce–Kelly algorithm: a total order ``ord`` over the
-    nodes is kept consistent with the edges.  Inserting an edge
-    ``u -> v`` with ``ord[u] < ord[v]`` is free; otherwise only the
-    *affected region* — the nodes between ``ord[v]`` and ``ord[u]`` that are
+    Inserting ``u -> v`` with ``ord[u] < ord[v]`` is free; otherwise only
+    the *affected region* — the nodes between ``ord[v]`` and ``ord[u]``
     forward-reachable from ``v`` or backward-reachable from ``u`` — is
-    re-sorted.  When the insertion would create a cycle, the cycle is
-    returned (as the node path ``v -> … -> u``; the closing edge is
-    ``u -> v``) and the edge is *not* inserted, so the structure stays
-    acyclic and checking can continue past the violation.
+    re-sorted.  An insertion that would close a cycle returns it (the node
+    path ``v -> … -> u``) and is *not* made, so checking continues past it.
 
     The order is also the labeled multigraph of the edges it accepted:
-    ``_succ[u][v]`` lists the distinct labels ``u -> v`` was inserted under.
-    Adjacency dicts and label lists keep insertion order (no sets), so
-    traversal is a pure function of the edge-insertion sequence, and the
-    structure — with the exact counterexample paths it reports — survives
-    an :meth:`IncrementalChecker.checkpoint` / ``restore`` round-trip.
+    ``_succ[u][v]`` lists the labels of ``u -> v``.  Adjacency keeps
+    insertion order (no sets), so traversal — and each reported path — is a
+    function of the insertion sequence that survives a checkpoint.
 
     Example:
         >>> topo = PearceKellyOrder()
@@ -131,6 +119,7 @@ class PearceKellyOrder:
         self._succ: Dict[int, Dict[int, List[Any]]] = {}
         self._pred: Dict[int, Dict[int, None]] = {}
         self._counter = 0
+        self._fractions: Set[float] = set()  # the indices between two counter values
         #: Nodes visited by affected-region reorderings (plain int — this is
         #: the hot path, so telemetry reads it lazily rather than per edge).
         self.reorder_visits = 0
@@ -141,12 +130,26 @@ class PearceKellyOrder:
     def __len__(self) -> int:
         return len(self._ord)
 
-    def add_node(self, node: int) -> None:
-        if node not in self._ord:
-            self._ord[node] = self._counter
-            self._counter += 1
-            self._succ[node] = {}
-            self._pred[node] = {}
+    def add_node(self, node: Any, low: Any = None, high: Any = None) -> None:
+        """Add ``node`` last in the order, or, when ``high`` is a node, between
+        ``low`` (``None``: any) and ``high`` on a free fraction of an index, so
+        that edges ``low → node → high`` cost no reorder."""
+        if node in self._ord:
+            return
+        index: float = self._counter
+        if high in self._ord:
+            top = self._ord[high]
+            bottom = self._ord[low] if low is not None else top - 1
+            mid = (bottom + top) / 2
+            while mid.is_integer() and bottom < mid:
+                mid = (bottom + mid) / 2
+            if bottom < mid < top and mid not in self._fractions:
+                index = mid
+                self._fractions.add(mid)
+        self._counter += index == self._counter
+        self._ord[node] = index
+        self._succ[node] = {}
+        self._pred[node] = {}
 
     def order_of(self, node: int) -> int:
         """The node's current topological index (smaller sorts earlier)."""
@@ -240,6 +243,11 @@ class PearceKellyOrder:
         self._pred[target][source] = None
         return None
 
+    def remove_edge(self, source: int, target: int) -> None:
+        """Drop ``source -> target`` if it is an edge; the order stays valid."""
+        if self._succ[source].pop(target, None) is not None:
+            del self._pred[target][source]
+
     def remove_node(self, node: int) -> None:
         """Remove a node and its incident edges, in O(degree) (window GC)."""
         if node not in self._ord:
@@ -248,28 +256,15 @@ class PearceKellyOrder:
             self._pred[nxt].pop(node, None)
         for prv in self._pred.pop(node):
             self._succ[prv].pop(node, None)
-        del self._ord[node]
+        self._fractions.discard(self._ord.pop(node))
 
 
 class _Slot:
-    """Bookkeeping for one written version ``(key, value)``.
+    """Bookkeeping for one written version ``(key, value)``: its WR/WW/RW
+    edges are determined by who wrote, read and overwrote it."""
 
-    Replaces the batch :class:`~repro.core.intcheck.WriteIndex` lookup plus
-    the per-key edge grouping of BUILDDEPENDENCY: the WR/WW/RW edges incident
-    to a version are exactly determined by who wrote it, who read it, and who
-    overwrote it.
-    """
-
-    __slots__ = (
-        "code",
-        "writer_id",
-        "writer_status",
-        "intermediate_id",
-        "readers",
-        "overwriters",
-        "rmw_seen",
-        "pending",
-    )
+    __slots__ = ("code", "writer_id", "writer_status", "intermediate_id",
+                 "readers", "overwriters", "rmw_seen", "pending")
 
     def __init__(self, code: int) -> None:
         #: The version's key in the slot table (see ``_RADIX``).
@@ -291,11 +286,9 @@ class _Slot:
 #: Marker replacing a slot whose version aged out of the streaming window.
 _SEALED = object()
 
-#: A version ``(key, value)`` is the int ``value * _RADIX + key id`` (key ids
-#: are the checker's own dense interning, below ``_VALUELESS`` like the
-#: columnar ``op_keys``); a version without a value takes value 0 and the
-#: key id ``_VALUELESS + id``.  One small int per version: nothing to
-#: allocate per lookup, nothing for the collector to track.
+#: A version ``(key, value)`` is the int ``value * _RADIX + key id`` (the
+#: checker's dense key ids); a version without a value takes value 0 and the
+#: key id ``_VALUELESS + id``.  One small int per version, nothing to allocate.
 _RADIX = 1 << 32
 _VALUELESS = 1 << 31
 
@@ -303,16 +296,20 @@ _VALUELESS = 1 << 31
 _SEALED_WRITER = "sealed"
 _EDGE_COLUMNS = ("src", "dst", "typ", "key")
 #: Columns of the ``slots`` table, in :class:`_Slot` attribute order.
-_SLOT_COLUMNS = (
-    "key", "value", "writer", "status", "intermediate",
-    "readers", "overwriters", "rmw_seen", "pending",
-)
+_SLOT_COLUMNS = ("key", "value", "writer", "status", "intermediate", "readers", "overwriters", "rmw_seen",
+                 "pending")
 #: Labels are ``(EdgeType value, key)`` tuples of plain strings: they compare
 #: in C, where an ``Enum`` member hashes through a Python call.
 _EDGE_TYPES = {member.value: member for member in EdgeType}
 _RT, _SO, _WR, _WW, _RW, _COMPOSED = (
     EdgeType[name].value for name in ("RT", "SO", "WR", "WW", "RW", "COMPOSED")
 )
+_REAL_TIME = (_RT, None)
+
+#: A time node is its own key, a ``(stamp, kind)`` tuple (no transaction id
+#: is a tuple); a start sorts before a finish at one stamp.  A checkpoint
+#: writes a gap end (a start node on the chain) as kind 2.
+_START, _FINISH, _GAP_END = 0, 1, 2
 # Module constants: an ``Enum`` class attribute costs a descriptor call per read.
 _COMMITTED, _ABORTED = TransactionStatus.COMMITTED, TransactionStatus.ABORTED
 
@@ -331,6 +328,7 @@ def _edge_columns(edges: Iterable[Tuple[int, int, List[Tuple[str, Any]]]]) -> Di
     typ: List[str] = []
     key: List[Any] = []
     for source, target, labels in edges:
+        source, target = (list(n) if type(n) is tuple else n for n in (source, target))
         for etype, label_key in labels:
             src.append(source)
             dst.append(target)
@@ -343,6 +341,11 @@ def _versions(codes: Iterable[int]) -> Dict[str, List[int]]:
     """Version codes as ``key`` (id) / ``value`` columns; :func:`_code` inverts a row."""
     codes = list(codes)
     return {"key": [c % _RADIX for c in codes], "value": [c // _RADIX for c in codes]}
+
+
+def _node(value: Any) -> Any:
+    """A checkpointed node: a time node comes back from a list to its tuple."""
+    return tuple(value) if type(value) is list else value
 
 
 def _code(kid: int, value: int, num_keys: int) -> int:
@@ -372,27 +375,31 @@ def _labeled_edges(state: Dict[str, Any]) -> Iterator[Tuple[int, int, Tuple[str,
         yield source, target, (etype, key)
 
 
+def _transaction_steps(cycle: List[int]) -> List[Tuple[int, int, bool]]:
+    """A cycle of the order (a node path from a transaction, closed by
+    ``cycle[-1] → cycle[0]``) as ``(tail, head, via_time)`` steps between
+    transactions: each run of time nodes is contracted into one step."""
+    steps, tail, via_time = [], cycle[0], False
+    for node in chain(cycle[1:], cycle[:1]):
+        if type(node) is tuple:
+            via_time = True
+        else:
+            steps.append((tail, node, via_time))
+            tail, via_time = node, False
+    return steps
+
+
 class IncrementalChecker:
-    """Online MTC verification: ingest transactions, keep a live verdict.
-
-    The checker mirrors the batch pipeline — INT pre-pass, BUILDDEPENDENCY,
-    acyclicity — but runs every stage per transaction:
-
-    * intra-transactional INT anomalies are reported at ingest;
-    * read provenance resolves against per-version slots (pending until the
-      writer arrives, AbortedRead/IntermediateRead on resolution, ThinAirRead
-      for reads that never resolve);
-    * WR/WW/RW (and SO/RT) edges go, labels and all, into a
-      :class:`PearceKellyOrder` that re-establishes acyclicity online,
-      reporting the counterexample cycle at the exact offending transaction;
-    * for SI, the induced graph ``(SO ∪ WR ∪ WW) ; RW?`` is composed
-      edge-by-edge and the DIVERGENCE pattern is matched per read.
+    """Online MTC verification: the batch pipeline — INT pre-pass,
+    BUILDDEPENDENCY, acyclicity — run per transaction.  INT anomalies are
+    reported at ingest; reads resolve against per-version slots; every edge
+    goes, labels and all, into a :class:`PearceKellyOrder`; at SI the induced
+    graph ``(SO ∪ WR ∪ WW) ; RW?`` is composed edge by edge.
 
     A committed transaction whose id is still a live node is refused
     (``ValueError("malformed history: duplicate transaction id N")``): two
-    transactions under one id would share a node and the cycle between them
-    vanish as a self-edge.  Under ``window`` an id that eviction already
-    removed can no longer be recognised as a repeat.
+    transactions under one id would share a node.  Under ``window`` an id
+    that eviction already removed is no longer recognised as a repeat.
 
     Example:
         >>> from repro import IsolationLevel, Transaction, read, write
@@ -419,10 +426,7 @@ class IncrementalChecker:
     """
 
     def __init__(
-        self,
-        level: IsolationLevel,
-        *,
-        initial_keys: Optional[Iterable[str]] = None,
+        self, level: IsolationLevel, *, initial_keys: Optional[Iterable[str]] = None,
         window: Optional[int] = None,
     ) -> None:
         if level not in GRAPH_LEVELS:
@@ -437,11 +441,10 @@ class IncrementalChecker:
         self._si = level is IsolationLevel.SNAPSHOT_ISOLATION
         self._sser = level is IsolationLevel.STRICT_SERIALIZABILITY
 
-        # The check graph and its labels: the dependency graph at SER/SSER,
-        # the induced graph ``(SO ∪ WR ∪ WW) ; RW?`` at SI.  ``_refused`` maps
-        # ``(source, target)`` to the labels of the edges the order would not
-        # take (each closed a cycle), so duplicate detection and cycle
-        # labeling still see them; it stays empty while the stream is valid.
+        # The check graph with its labels (the induced graph at SI).
+        # ``_refused`` maps ``(source, target)`` to the labels of the edges
+        # the order would not take (each closed a cycle), so duplicate
+        # detection and cycle labeling still see them.
         self._topo = PearceKellyOrder()
         self._refused: Dict[Tuple[int, int], List[Tuple[str, Optional[str]]]] = {}
         self._key_ids: Dict[str, int] = {}
@@ -453,35 +456,27 @@ class IncrementalChecker:
         self._num_committed = 0
         self._elapsed = 0.0
 
-        # SI induced-graph composition state.  ``_base_preds`` values are
-        # insertion-ordered dicts (values unused) for the same
-        # checkpoint-reproducibility reason as :class:`PearceKellyOrder`.
+        # SI composition state (insertion-ordered dicts, as in the order).
         self._base_preds: Dict[int, Dict[int, None]] = defaultdict(dict)
         self._rw_succ: Dict[int, List[Tuple[int, Optional[str]]]] = defaultdict(list)
 
-        # SSER online interval-order reduction state.
-        self._by_finish: List[Tuple[float, float, int]] = []  # (finish, start, id)
-        self._prefix_max_start: List[float] = []
-        self._by_start: List[Tuple[float, float, int]] = []  # (start, finish, id)
-        self._suffix_min_finish: List[float] = []
-        self._rt_span: Dict[int, Tuple[float, float]] = {}  # id -> (start, finish)
+        # SSER: the time nodes in sorted order, those on the chain, and the
+        # start nodes among these (inverted intervals' gap ends).
+        self._timeline: List[Tuple[float, int]] = []
+        self._chain: List[Tuple[float, int]] = []
+        self._gap_ends: Set[Tuple[float, int]] = set()
 
         # Bounded-window GC state.  ``_overwrote`` maps a transaction to the
-        # versions it read-modified: those slots must be sealed no later
-        # than the transaction's own eviction, because every new reader of
-        # such a slot would add an RW in-edge to the (collected) overwriter.
-        # Evicted nodes are recognised by their absence from the topology
-        # (every edge endpoint was ingested at some point), so no per-node
-        # tombstone set is needed.  Sealed-version markers are kept in a FIFO
-        # capped at ``max(4 * window, 1024)`` entries so window mode is truly
-        # bounded-memory; a read of a version whose marker has expired
-        # reports ThinAirRead instead of incrementing ``stale_reads``.
+        # versions it read-modified: those slots are sealed at its eviction,
+        # as every new reader would add an RW in-edge to the collected
+        # overwriter.  An evicted node is one absent from the order.  Sealed
+        # markers sit in a FIFO capped at ``max(4 * window, 1024)``; a read
+        # of an expired one reports ThinAirRead, not a stale read.
         self._arrivals: Deque[int] = deque()
         self._overwrote: Dict[int, List[int]] = {}
         self._sealed_fifo: Deque[int] = deque()
         self._sealed_cap = max(4 * window, 1024) if window is not None else 0
-        #: Reads that targeted a version already sealed by the window —
-        #: nonzero means the stream violated the window's staleness bound.
+        #: Reads of a version the window already sealed (see the module docstring).
         self.stale_reads = 0
         #: Transactions garbage-collected so far.
         self.evicted_count = 0
@@ -491,15 +486,21 @@ class IncrementalChecker:
 
     @property
     def graph(self) -> DependencyGraph:
-        """The dependency graph over the live transactions, built per access
-        (the streaming ``CSRGraph.to_multigraph``): the order's labels plus
-        the refused edges, and at SI the RW edges in place of the
-        compositions they induced."""
-        graph = DependencyGraph(self._topo._ord)
+        """The dependency graph over the live transactions, built per access:
+        the order's labels plus the refused edges, at SI the RW edges in place
+        of their compositions, at SSER the reduced real-time pairs."""
+        graph = DependencyGraph(node for node in self._topo._ord if type(node) is not tuple)
         for source, target, labels in chain(self._topo.edges(), self._refused_edges()):
+            if type(source) is tuple or type(target) is tuple:
+                continue
             for etype, key in labels:
                 if etype != _COMPOSED:
                     graph.add_edge(source, target, _EDGE_TYPES[etype], key)
+        for node in self._timeline:
+            if node[1] == _FINISH:  # the reduced real-time pairs
+                sources = [v for v in self._topo._pred[node] if type(v) is not tuple]
+                for source, target in product(sources, self._real_time_neighbours(node, True)):
+                    graph.add_edge(source, target, EdgeType.RT)
         for source, successors in self._rw_succ.items():
             for target, key in successors:
                 if target in self._topo:
@@ -510,15 +511,9 @@ class IncrementalChecker:
     # Ingestion
     # ------------------------------------------------------------------
     def ingest(self, txn: Transaction) -> List[Violation]:
-        """Ingest one transaction; return the violations it triggered.
-
-        Committed transactions extend the graph; aborted (and
-        unknown-outcome) transactions only register their writes so later
-        readers of their values can be flagged.  The returned list is empty
-        while the stream remains valid — ThinAirRead is the one anomaly that
-        can only be confirmed at :meth:`result` time, since the writer might
-        still be in flight.
-        """
+        """Ingest one transaction; return the violations it triggered.  Aborted
+        (and unknown-outcome) ones only register their writes; ThinAirRead is
+        confirmed only at :meth:`result`, as the writer may be in flight."""
         started = time.perf_counter()
         before = len(self._violations)
         ops = txn.operations
@@ -540,21 +535,11 @@ class IncrementalChecker:
     ) -> List[Violation]:
         """Bulk-ingest one columnar segment epoch; return its violations.
 
-        ``on_row_violations(row, violations)`` is invoked after any segment
-        row whose ingestion triggered violations — the hook the CLI uses to
-        tag stream output with the offending transaction.
-
-        The columnar counterpart of :meth:`ingest_round`, over the same
-        per-row routine: the segment's columns become plain lists once —
-        ``list(column)`` boxes every element once in C — and its key ids
-        are mapped onto the checker's once; each row is then one scan over
-        its slice of them, in arrival order, so violations surface at the
-        exact offending transaction as with :meth:`ingest`.  A
-        ``Transaction`` is materialised only for a row that holds an INT
-        candidate.
-
-        Ingesting a history via any split into segments yields the batch
-        checker's verdict (enforced by ``tests/test_columnar.py``).
+        ``on_row_violations(row, violations)`` is invoked after any row whose
+        ingestion triggered violations (the CLI tags its output with it).
+        The columnar :meth:`ingest_round`, over the same per-row routine:
+        the columns become plain lists once and the key ids are mapped once;
+        a ``Transaction`` is made only for a row holding an INT candidate.
         """
         started = time.perf_counter()
         violations = self._violations
@@ -595,16 +580,11 @@ class IncrementalChecker:
         """The per-transaction routine behind :meth:`ingest` and segment rows.
 
         The row's operations sit at positions ``ops`` of ``kinds`` / ``keys``
-        (checker key ids) / ``values``.  ``txn`` is the transaction as an
-        object when the feeder holds one; a row feeder passes ``None`` plus
-        its ``segment``/``row``, and the object (INT candidates) and the
-        timestamps (SSER) are fetched only when needed.
-
-        One scan collects everything the row contributes: its final and
-        intermediate writes, the reads to resolve (per key, a valueless read
-        in first position and the first valued read before any own write, as
-        ``Transaction.external_reads``), and whether it is an INT candidate
-        by the rules at :func:`repro.core.intcheck.transaction_int_violations`.
+        (checker key ids) / ``values``; ``txn`` is ``None`` for a segment row,
+        whose object (INT candidates) and stamps (SSER) are fetched on demand.
+        One scan collects the final and intermediate writes, the reads to
+        resolve (as ``Transaction.external_reads``) and whether the row is an
+        INT candidate (see :func:`repro.core.intcheck.transaction_int_violations`).
         """
         committed = status is _COMMITTED
         reads = committed and txn_id != INITIAL_TXN_ID
@@ -644,7 +624,8 @@ class IncrementalChecker:
 
         if reads:
             self._num_committed += 1
-            self._topo.add_node(txn_id)
+            span = self._real_time_start(txn, segment, row) if self._sser else None
+            self._topo.add_node(txn_id, *span or ())
             if candidate:
                 if txn is None:
                     txn = segment.transaction_at(row)
@@ -660,13 +641,8 @@ class IncrementalChecker:
                 self._resolve_one_read(
                     txn_id, kid, value, value is not None and kid in finals, finals.get(kid)
                 )
-            if self._sser:
-                if txn is not None:
-                    start, finish = txn.start_ts, txn.finish_ts
-                else:
-                    start, finish = segment.timestamps_at(row)
-                if start is not None and finish is not None:
-                    self._real_time_edges(txn_id, start, finish)
+            if span is not None:
+                self._real_time(txn_id, *span)
             if self.window is not None:
                 self._arrivals.append(txn_id)
                 while len(self._arrivals) > self.window:
@@ -691,12 +667,8 @@ class IncrementalChecker:
         return self._num_committed
 
     def publish_metrics(self) -> None:
-        """Publish the checker's running counters as telemetry gauges.
-
-        Called at coarse cadence (segment boundaries, ``result()``,
-        checkpoints) rather than per transaction, so the streaming hot path
-        carries no telemetry cost; a no-op while telemetry is disabled.
-        """
+        """Publish the running counters as telemetry gauges (at segment
+        boundaries, ``result()`` and checkpoints, never per transaction)."""
         if not obs.enabled():
             return
         obs.set_gauge("repro_checker_txns_ingested", self._num_committed)
@@ -704,22 +676,19 @@ class IncrementalChecker:
         obs.set_gauge("repro_checker_window_evictions", self.evicted_count)
         obs.set_gauge("repro_checker_stale_reads", self.stale_reads)
         obs.set_gauge("repro_checker_pk_reorder_visits", self._topo.reorder_visits)
-        obs.set_gauge("repro_checker_graph_nodes", len(self._topo))
+        obs.set_gauge("repro_checker_graph_nodes", len(self._topo) - len(self._timeline))
 
     def result(self) -> CheckResult:
-        """The verdict over everything ingested so far.
+        """The verdict over everything ingested so far; the stream goes on.
 
         Unresolved pending reads are reported as ThinAirRead here — a
         complete history has none, making the verdict equal to the batch
-        checker's.  Calling ``result`` does not end the stream; ingestion
-        can continue afterwards.
+        checker's.
         """
         self.publish_metrics()
         violations = [*self._violations, *self._pending_violations()]
         if violations:
-            result = CheckResult.violated(
-                self.level, violations, num_transactions=self._num_committed
-            )
+            result = CheckResult.violated(self.level, violations, num_transactions=self._num_committed)
         else:
             result = CheckResult.ok(self.level, self._num_committed)
         result.elapsed_seconds = self._elapsed
@@ -742,17 +711,11 @@ class IncrementalChecker:
                 if slot.intermediate_id is not None and slot.intermediate_id != reader_id:
                     out.append(self._intermediate_violation(reader_id, slot, key))
                 else:
-                    out.append(
-                        Violation(
-                            kind=AnomalyKind.THIN_AIR_READ,
-                            description=(
-                                f"read R({key},{value}) observes value {value}, "
-                                f"which no transaction wrote"
-                            ),
-                            txn_ids=[reader_id],
-                            key=key,
-                        )
-                    )
+                    out.append(Violation(
+                        kind=AnomalyKind.THIN_AIR_READ, txn_ids=[reader_id], key=key,
+                        description=f"read R({key},{value}) observes value {value}, "
+                                    "which no transaction wrote",
+                    ))
         return out
 
     # ------------------------------------------------------------------
@@ -761,45 +724,26 @@ class IncrementalChecker:
     def checkpoint(self) -> Dict[str, Any]:
         """Serialise the complete checker state as a JSON-safe dictionary.
 
-        The snapshot captures everything the online algorithms carry: the
-        Pearce–Kelly order with its exact node indices, adjacency insertion
-        order and edge labels (the labeled check graph), the edges it
-        refused, the key and per-version slot tables, session tails, the SI
-        composition state, the SSER interval list, the window's arrival
-        queue and seal FIFO, and every violation found so far.
-
-        Layout (``repro-checker-state-v3``): every table is a dictionary of
-        *parallel columns* — equal-length lists, rows in the table's own
-        insertion order.  ``topo`` has ``node``/``ord`` and one
-        ``src``/``dst``/``typ``/``key`` row per edge label, in adjacency
-        order; ``refused`` has the same four edge columns.  A version is a
-        ``key``/``value`` pair of ints: ``key`` indexes the ``keys`` name
-        table, plus ``2**31`` when the version has no value (``value`` 0).
-        ``slots`` has the ``_SLOT_COLUMNS`` (a sealed version is the writer
-        ``"sealed"``); ``rt`` is the finish-sorted interval list.  The
-        snapshot shares no list with the live checker.
-
-        :meth:`restore` rebuilds a checker that is *behaviourally
-        indistinguishable* from this one: any suffix of transactions yields
-        byte-identical verdicts — same anomaly kinds, same labeled cycles —
-        from either (enforced by ``tests/test_incremental.py`` at every
-        boundary of randomized streams).  The dictionary round-trips through
-        ``json`` verbatim.
+        Layout (``repro-checker-state-v4``): every table is a dictionary of
+        *parallel columns*, rows in insertion order.  ``topo`` is the order:
+        ``node``/``ord`` and a ``src``/``dst``/``typ``/``key`` row per edge
+        label (a time node is a ``[stamp, kind]`` list); ``refused`` has the
+        same four columns.  A version is a ``key``/``value`` pair of ints:
+        ``key`` indexes ``keys``, plus ``2**31`` when there is no value.
+        ``slots`` has the ``_SLOT_COLUMNS`` (a sealed version's writer is
+        ``"sealed"``).  ``rt`` is the SSER timeline, a ``stamp``/``kind`` row
+        per time node in order (``kind`` 2: a gap end).  Any suffix of
+        transactions yields byte-identical verdicts from this checker and
+        from :meth:`restore` of the snapshot, which shares no list with it.
         """
         started = time.perf_counter()
         self.publish_metrics()
         topo = self._topo
         slot_rows = [
-            (_SEALED_WRITER, None, None, [], [], [], [])
-            if slot is _SEALED
-            else (
-                slot.writer_id,
-                None if slot.writer_status is None else STATUS_CODES[slot.writer_status],
-                slot.intermediate_id,
-                list(slot.readers),
-                list(slot.overwriters),
-                [list(pair) for pair in slot.rmw_seen],
-                [list(pair) for pair in slot.pending],
+            (_SEALED_WRITER, None, None, [], [], [], []) if slot is _SEALED else (
+                slot.writer_id, None if slot.writer_status is None else STATUS_CODES[slot.writer_status],
+                slot.intermediate_id, list(slot.readers), list(slot.overwriters),
+                [list(pair) for pair in slot.rmw_seen], [list(pair) for pair in slot.pending],
             )
             for slot in self._slots.values()
         ]
@@ -816,7 +760,7 @@ class IncrementalChecker:
             "keys": list(self._key_names),
             "topo": {
                 "counter": topo._counter,
-                "node": list(topo._ord),
+                "node": [list(node) if type(node) is tuple else node for node in topo._ord],
                 "ord": list(topo._ord.values()),
                 **_edge_columns(topo.edges()),
             },
@@ -827,10 +771,12 @@ class IncrementalChecker:
                 ("dst", "src"), ((t, s) for t, preds in self._base_preds.items() for s in preds)
             ),
             "rw_succ": _columns(
-                ("src", "dst", "key"),
-                ((s, t, k) for s, edges in self._rw_succ.items() for t, k in edges),
+                ("src", "dst", "key"), ((s, t, k) for s, edges in self._rw_succ.items() for t, k in edges)
             ),
-            "rt": _columns(("finish", "start", "txn"), self._by_finish),
+            "rt": {
+                "stamp": [stamp for stamp, _ in self._timeline],
+                "kind": [_GAP_END if node in self._gap_ends else node[1] for node in self._timeline],
+            },
             "arrivals": list(self._arrivals),
             "overwrote": {
                 "txn": [txn for txn, codes in self._overwrote.items() for _ in codes],
@@ -843,38 +789,28 @@ class IncrementalChecker:
 
     @classmethod
     def restore(cls, state: Dict[str, Any]) -> "IncrementalChecker":
-        """Rebuild a checker from a :meth:`checkpoint` snapshot.
-
-        The restored checker continues the stream exactly where the
-        snapshot left off (see :meth:`checkpoint`).  Nothing of ``state`` is
-        aliased into it, so one snapshot restores any number of times.
+        """Rebuild a checker from a :meth:`checkpoint` snapshot (aliasing
+        none of it, so one snapshot restores any number of times).
 
         Raises ``ValueError`` naming the tag found when the format tag is
         not this build's (there is no reader for older formats — callers
         replay instead), and ``ValueError("malformed checkpoint state: …")``
-        on structural damage under the right tag: a missing table or column,
-        a mistyped value, columns of unequal length, an unknown edge type or
-        key id.
+        on structural damage under the right tag.
         """
         found = state.get("format") if isinstance(state, dict) else None
         if found != CHECKPOINT_STATE_FORMAT:
-            raise ValueError(
-                f"not a {CHECKPOINT_STATE_FORMAT} checkpoint snapshot (found format {found!r})"
-            )
+            raise ValueError(f"not a {CHECKPOINT_STATE_FORMAT} checkpoint snapshot (found format {found!r})")
         restore_started = time.perf_counter()
         try:
             checker = cls._decode_state(state)
         except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
             raise ValueError(f"malformed checkpoint state: {type(exc).__name__}: {exc}") from None
-        obs.observe(
-            "repro_checker_checkpoint_seconds", time.perf_counter() - restore_started, op="restore"
-        )
+        obs.observe("repro_checker_checkpoint_seconds", time.perf_counter() - restore_started, op="restore")
         return checker
 
     @classmethod
     def _decode_state(cls, state: Dict[str, Any]) -> "IncrementalChecker":
         level = IsolationLevel(state["level"])
-        # A v3 state may carry "strict_mt" (no longer written): ignored.
         checker = cls(level, window=state["window"])
         checker._has_initial = bool(state["has_initial"])
         checker._num_committed = int(state["num_committed"])
@@ -888,19 +824,20 @@ class IncrementalChecker:
         topo = checker._topo
         topo._counter = int(state["topo"]["counter"])
         for node, index in _rows(state["topo"], "node", "ord"):
+            node = _node(node)
             topo._ord[node] = index
             topo._succ[node] = {}
             topo._pred[node] = {}
+        topo._fractions = {index for index in topo._ord.values() if type(index) is float}
         for source, target, label in _labeled_edges(state["topo"]):
-            topo._succ[source].setdefault(target, []).append(label)
-            topo._pred[target][source] = None
+            topo._succ[_node(source)].setdefault(_node(target), []).append(label)
+            topo._pred[_node(target)][_node(source)] = None
         for source, target, label in _labeled_edges(state["refused"]):
             checker._refused.setdefault((source, target), []).append(label)
         slots = checker._slots
-        for (
-            kid, value, writer, status, intermediate,
-            readers, overwriters, rmw_seen, pending,
-        ) in _rows(state["slots"], *_SLOT_COLUMNS):
+        for kid, value, writer, status, intermediate, readers, overwriters, rmw_seen, pending in _rows(
+            state["slots"], *_SLOT_COLUMNS
+        ):
             code = _code(kid, value, num_keys)
             if writer == _SEALED_WRITER:
                 slots[code] = _SEALED
@@ -918,10 +855,16 @@ class IncrementalChecker:
             checker._base_preds[target][source] = None
         for source, target, key in _rows(state["rw_succ"], "src", "dst", "key"):
             checker._rw_succ[source].append((target, key))
-        checker._by_finish = list(_rows(state["rt"], "finish", "start", "txn"))
-        checker._by_start = sorted((s, f, txn) for f, s, txn in checker._by_finish)
-        checker._rt_span = {txn: (start, finish) for start, finish, txn in checker._by_start}
-        checker._rebuild_rt_aggregates()
+        for stamp, kind in _rows(state["rt"], "stamp", "kind"):
+            node = (float(stamp), kind % 2)
+            if kind not in (_START, _FINISH, _GAP_END) or node not in topo:
+                raise ValueError(f"time node {node!r} of kind {kind!r} is not in the order")
+            checker._timeline.append(node)
+            if kind == _GAP_END:
+                checker._gap_ends.add(node)
+        if checker._timeline != sorted(checker._timeline):
+            raise ValueError("the timeline is not sorted")
+        checker._chain = [n for n in checker._timeline if n[1] == _FINISH or n in checker._gap_ends]
         checker._arrivals = deque(_column(state, "arrivals"))
         for txn, kid, value in _rows(state["overwrote"], "txn", "key", "value"):
             checker._overwrote.setdefault(txn, []).append(_code(kid, value, num_keys))
@@ -973,13 +916,9 @@ class IncrementalChecker:
     @staticmethod
     def _intermediate_violation(reader_id: int, slot: _Slot, key: str) -> Violation:
         return Violation(
-            kind=AnomalyKind.INTERMEDIATE_READ,
-            description=(
-                f"read of object {key} observes an intermediate value of "
-                f"T{slot.intermediate_id}, which later overwrote it"
-            ),
-            txn_ids=[reader_id, slot.intermediate_id or -2],
-            key=key,
+            kind=AnomalyKind.INTERMEDIATE_READ, txn_ids=[reader_id, slot.intermediate_id or -2], key=key,
+            description=f"read of object {key} observes an intermediate value of "
+                        f"T{slot.intermediate_id}, which later overwrote it",
         )
 
     def _resolve_one_read(
@@ -993,15 +932,12 @@ class IncrementalChecker:
             return
         key = self._key_names[kid]
 
-        # DIVERGENCE (SI only): two RMW readers of the same version that
-        # wrote different values — flagged before writer resolution, as
-        # in the batch early-exit (Lemma 1).
+        # DIVERGENCE (SI only): two RMW readers of one version that wrote
+        # different values, flagged before writer resolution (Lemma 1).
         if writes_key and self._si:
             for other_id, other_written in slot.rmw_seen:
                 if other_id != txn_id and other_written != written_value:
-                    self._violations.append(
-                        self._divergence_violation(key, value, slot, other_id, txn_id)
-                    )
+                    self._violations.append(self._divergence_violation(key, value, slot, other_id, txn_id))
                     break
             slot.rmw_seen.append((txn_id, written_value))
 
@@ -1017,13 +953,9 @@ class IncrementalChecker:
     ) -> Violation:
         writer = slot.writer_id if slot.writer_id is not None else -2
         return Violation(
-            kind=AnomalyKind.LOST_UPDATE,
-            description=(
-                f"DIVERGENCE pattern on object {key}: T{a} and T{b} both read "
-                f"value {value} written by T{writer} and then wrote different values"
-            ),
-            txn_ids=[writer, a, b],
-            key=key,
+            kind=AnomalyKind.LOST_UPDATE, txn_ids=[writer, a, b], key=key,
+            description=f"DIVERGENCE pattern on object {key}: T{a} and T{b} both read "
+                        f"value {value} written by T{writer} and then wrote different values",
         )
 
     def _attach_read(
@@ -1035,31 +967,20 @@ class IncrementalChecker:
         if writer_id == reader_id:
             return
         if slot.writer_status is _ABORTED:
-            self._violations.append(
-                Violation(
-                    kind=AnomalyKind.ABORTED_READ,
-                    description=(
-                        f"read of object {key} observes a value written by "
-                        f"aborted transaction T{writer_id}"
-                    ),
-                    txn_ids=[reader_id, writer_id],
-                    key=key,
-                )
-            )
+            self._violations.append(Violation(
+                kind=AnomalyKind.ABORTED_READ, txn_ids=[reader_id, writer_id], key=key,
+                description=f"read of object {key} observes a value written by aborted "
+                            f"transaction T{writer_id}",
+            ))
             return
         if slot.writer_status is not _COMMITTED or value is None:
-            # Unknown outcome, or a valueless read: no edge, no verdict
-            # (batch parity: the graph is built from valued reads).
-            return
+            return  # unknown outcome, or a valueless read: no edge (batch parity)
         if self.window is not None and reader_id not in self._topo:
-            # A pending reader aged out before its writer arrived: the stream
-            # broke the writer-before-reader contract of the window.
+            # A pending reader aged out before its writer arrived.
             self.stale_reads += 1
             return
-
-        # An evicted writer is harmless here: edges *out of* a collected node
-        # cannot close a cycle, and ``_dep_edge`` drops them; the RW edges
-        # between the (live) readers and overwriters still matter.
+        # An evicted writer is harmless: ``_dep_edge`` drops edges out of a
+        # collected node; the RW edges between live readers still matter.
         rw = (_RW, key)
         self._dep_edge(writer_id, reader_id, (_WR, key))
         for overwriter in slot.overwriters:
@@ -1085,88 +1006,175 @@ class IncrementalChecker:
         self._last_in_session[session_id] = txn_id
 
     # ------------------------------------------------------------------
-    # Real-time order (SSER): online interval-order reduction
+    # Real-time order (SSER): a timeline of time nodes (module docstring)
     # ------------------------------------------------------------------
-    def _real_time_edges(self, txn_id: int, start_ts: float, finish_ts: float) -> None:
-        """Add the transitively-reduced RT edges incident to one transaction.
+    def _real_time_start(
+        self, txn: Optional[Transaction], segment: Optional["ColumnarHistory"], row: int
+    ) -> Optional[Tuple[Tuple[float, int], Tuple[float, int]]]:
+        """A stamped row's start node and finish key, with the nodes made that
+        the row's own node can take an index between (the finish node only
+        out of finish order).  An inverted interval mutes its gap here."""
+        start, finish = (txn.start_ts, txn.finish_ts) if txn is not None else segment.timestamps_at(row)
+        if start is None or finish is None:
+            return None
+        first, last = (float(finish), _FINISH), (float(start), _START)
+        if start <= finish:
+            if self._timeline and first < self._timeline[-1]:
+                self._time_node(first)  # out of finish order: the row goes below it
+            return self._time_node(last, first), first
+        if not start > finish:
+            return None  # a NaN stamp is no stamp, as in batch
+        self._time_node(first)
+        self._time_node(last)
+        if last not in self._gap_ends:  # the gap's end joins the chain
+            self._gap_ends.add(last)
+            insort(self._chain, last)
+            self._link(bisect_left(self._timeline, last))
+        members = self._chain
+        for node in members[bisect_left(members, first) : bisect_left(members, last)]:  # muted
+            for target in [v for v in self._topo._succ[node] if type(v) is tuple]:
+                self._topo.remove_edge(node, target)
+        return None
 
-        Among the existing predecessors (``finish < start_ts``), only those
-        finishing after every predecessor's start are immediate — the same
-        pruning as :func:`repro.core.model.interval_order_reduction`, applied
-        per arrival; symmetrically for successors.  The two prunings together
-        keep the reduction reachability-complete under any arrival order.
-        """
-        start, finish = float(start_ts), float(finish_ts)
-        idx = bisect_left(self._by_finish, (start,))
-        if idx:
-            max_start = self._prefix_max_start[idx - 1]
-            t = idx - 1
-            while t >= 0 and self._by_finish[t][0] >= max_start:
-                self._dep_edge(self._by_finish[t][2], txn_id, (_RT, None))
-                t -= 1
+    def _real_time(self, txn_id: int, start: Tuple[float, int], node: Tuple[float, int]) -> None:
+        """Hang a stamped transaction on the timeline.  An attachment that would
+        close a cycle gives way to the reduced pairs it stands for, offered one
+        by one, so only those that close one are refused and reported."""
+        topo = self._topo
+        if topo.add_edge(start, txn_id, _REAL_TIME) is not None:
+            for pred in self._real_time_neighbours(start, forward=False):
+                self._order_edge(pred, txn_id, _REAL_TIME)
+        node = self._time_node(node)
+        if topo.add_edge(txn_id, node, _REAL_TIME) is not None:
+            for succ in self._real_time_neighbours(node, forward=True):
+                self._order_edge(txn_id, succ, _REAL_TIME)
 
-        jdx = bisect_right(self._by_start, (finish, float("inf"), float("inf")))
-        if jdx < len(self._by_start):
-            min_finish = self._suffix_min_finish[jdx]
-            t = jdx
-            while t < len(self._by_start) and self._by_start[t][0] <= min_finish:
-                self._dep_edge(txn_id, self._by_start[t][2], (_RT, None))
-                t += 1
+    def _members_around(self, node: Tuple[float, int]) -> Tuple[Any, Any]:
+        """The chain members nearest before and after ``node`` (``None`` at an end)."""
+        members = self._chain
+        c = bisect_left(members, node)
+        before = members[c - 1] if c else None
+        c += c < len(members) and members[c] == node
+        return before, members[c] if c < len(members) else None
 
-        self._insert_rt_entry(start, finish, txn_id)
+    def _up_to(self, at: int, after: Any) -> List[Tuple[float, int]]:
+        """The start nodes after timeline position ``at``, up to member ``after``
+        (included): what the chain member at ``at`` hangs or links to."""
+        timeline = self._timeline
+        return timeline[at + 1 : None if after is None else bisect_left(timeline, after, at + 1) + 1]
 
-    def _insert_rt_entry(self, start: float, finish: float, txn_id: int) -> None:
-        """Insert into both sorted lists and patch the helper aggregates —
-        O(1) amortised for in-order streams, where insertions land at the end."""
-        self._rt_span[txn_id] = (start, finish)
-        pos = bisect_left(self._by_finish, (finish, start, txn_id))
-        self._by_finish.insert(pos, (finish, start, txn_id))
-        self._prefix_max_start.insert(pos, start)
-        at = bisect_left(self._by_start, (start, finish, txn_id))
-        self._by_start.insert(at, (start, finish, txn_id))
-        self._suffix_min_finish.insert(at, finish)
-        self._patch_rt_aggregates(pos, at)
+    def _time_node(self, node: Tuple[float, int], high: Any = None) -> Tuple[float, int]:
+        """Time node ``(stamp, kind)``, made on first sight (a start node below
+        ``high`` in the order): a start node hangs from the chain member before
+        it (unless that one is muted), a finish node is linked into the chain.
+        No such edge closes a cycle or moves a node of the order."""
+        topo = self._topo
+        if node in topo:
+            return node
+        at = bisect_left(self._timeline, node)
+        self._timeline.insert(at, node)
+        if node[1] == _FINISH:
+            insort(self._chain, node)
+            self._link(at)
+            return node
+        before, after = self._members_around(node)
+        hung = before is not None and (after is None or topo.has_edge(before, after))
+        topo.add_node(node, before if hung else None, high)
+        if hung:
+            topo.add_edge(before, node, _REAL_TIME)
+        return node
 
-    def _drop_rt_entry(self, txn_id: int) -> None:
-        """Window GC's inverse of :meth:`_insert_rt_entry`: both entries are
-        found by bisection, deleted, and the aggregates patched around them."""
-        span = self._rt_span.pop(txn_id, None)
-        if span is None:
-            return  # the transaction carried no timestamps
-        start, finish = span
-        pos = bisect_left(self._by_finish, (finish, start, txn_id))
-        del self._by_finish[pos], self._prefix_max_start[pos]
-        at = bisect_left(self._by_start, (start, finish, txn_id))
-        del self._by_start[at], self._suffix_min_finish[at]
-        self._patch_rt_aggregates(pos, at - 1)
+    def _link(self, at: int) -> None:
+        """Link chain member ``at`` in, ``prev → node → next`` for ``prev →
+        next``, and hang the start nodes up to ``next`` from it; inside a
+        muted gap (no ``prev → next``) it stays unlinked."""
+        topo, node = self._topo, self._timeline[at]
+        before, after = self._members_around(node)
+        if before is not None and after is not None and not topo.has_edge(before, after):
+            return topo.add_node(node)  # in a muted gap: unlinked
+        targets = self._up_to(at, after)
+        topo.add_node(node, before, min(targets, key=topo._ord.__getitem__, default=None))
+        if before is not None:
+            topo.add_edge(before, node, _REAL_TIME)
+        for target in targets:
+            if before is not None:
+                topo.remove_edge(before, target)
+            topo.add_edge(node, target, _REAL_TIME)
 
-    def _patch_rt_aggregates(self, prefix_from: int, suffix_from: int) -> None:
-        """Recompute the prefix-max-start array rightwards from ``prefix_from``
-        and the suffix-min-finish array leftwards from ``suffix_from``, each
-        only as far as it changes: both are running aggregates, so past the
-        first entry that already agrees every entry does — the run a new or
-        removed value dominated is all that gets rewritten."""
-        by_finish, prefix = self._by_finish, self._prefix_max_start
-        running = prefix[prefix_from - 1] if prefix_from else float("-inf")
-        for i in range(prefix_from, len(prefix)):
-            running = max(running, by_finish[i][1])
-            if prefix[i] == running and i > prefix_from:
+    def _hung(self, node: Tuple[float, int]) -> bool:
+        """Whether a transaction in the order hangs on time node ``node``."""
+        return any(type(v) is not tuple for v in chain(self._topo._pred[node], self._topo._succ[node]))
+
+    def _retire_time_nodes(self, candidates: Iterable[Tuple[float, int]]) -> None:
+        """Window GC of the timeline, after an eviction.  A candidate nothing
+        hangs on goes; a chain member's links become one and its start nodes
+        hang from the member before it (no path changes), unless it bounds a
+        muted gap.  The head goes while nothing hangs on it, that is while it
+        is older than every live transaction's start."""
+        topo, timeline = self._topo, self._timeline
+        for node in candidates:
+            if node not in topo or self._hung(node):
+                continue
+            at = bisect_left(timeline, node)
+            if node[1] == _FINISH or node in self._gap_ends:
+                before, after = self._members_around(node)
+                linked = before is None or topo.has_edge(before, node)
+                if before is not None and linked != (after is None or topo.has_edge(node, after)):
+                    continue
+                if before is not None and linked:
+                    for target in self._up_to(at, after):
+                        topo.add_edge(before, target, _REAL_TIME)
+            self._drop_time_node(at)
+        while timeline and not self._hung(timeline[0]):
+            self._drop_time_node(0)
+
+    def _drop_time_node(self, at: int) -> None:
+        node = self._timeline.pop(at)
+        if node[1] == _FINISH or node in self._gap_ends:
+            del self._chain[bisect_left(self._chain, node)]
+        self._gap_ends.discard(node)
+        self._topo.remove_node(node)
+
+    def _real_time_neighbours(self, node: Tuple[float, int], forward: bool) -> List[int]:
+        """The transactions next to time node ``node`` in the reduced real-time
+        order (``interval_order_reduction``'s pairs).  Forward from a finish
+        node: each one starting on a walk along the chain, until the walk
+        passes the finish of one of those; backward from a start node, each
+        one finishing, until the walk passes the start of one."""
+        topo, timeline = self._topo, self._timeline
+        succ, pred = topo._succ, topo._pred
+        reached: Dict[int, None] = {}
+        at = bisect_left(timeline, node)
+        for here in timeline[at + 1 :] if forward else reversed(timeline[:at]):
+            member = here[1] == _FINISH or here in self._gap_ends
+            if forward:
+                if member:
+                    if not topo.has_edge(node, here) or any(v in reached for v in pred[here]):
+                        break
+                    node = here
+                elif not topo.has_edge(node, here):
+                    continue
+                if here[1] == _START:
+                    reached.update((v, None) for v in succ[here] if type(v) is not tuple)
+            elif any(v in reached for v in succ[here]):
                 break
-            prefix[i] = running
-        by_start, suffix = self._by_start, self._suffix_min_finish
-        running = suffix[suffix_from + 1] if suffix_from + 1 < len(suffix) else float("inf")
-        for i in range(suffix_from, -1, -1):
-            running = min(running, by_start[i][1])
-            if suffix[i] == running and i < suffix_from:
-                break
-            suffix[i] = running
+            elif member:
+                if not topo.has_edge(here, node):
+                    break
+                node = here
+                if here[1] == _FINISH:
+                    reached.update((v, None) for v in pred[here] if type(v) is not tuple)
+        return list(reached)
 
-    def _rebuild_rt_aggregates(self) -> None:
-        """Recompute both helper arrays from scratch (restore; the reference
-        the incremental patches are tested against)."""
-        self._prefix_max_start[:] = accumulate((start for _, start, _ in self._by_finish), max)
-        suffix = list(accumulate((finish for _, finish, _ in reversed(self._by_start)), min))
-        self._suffix_min_finish[:] = reversed(suffix)
+    def _step_labels(self, tail: int, head: int, via_time: bool) -> List[Tuple[str, Optional[str]]]:
+        """The labels of one cycle step; one through time nodes, or one that is
+        a reduced real-time pair, is labeled as that pair edge would be."""
+        if not via_time and self._timeline:
+            finish = next((v for v in self._topo._succ[tail] if type(v) is tuple), None)
+            via_time = finish is not None and head in self._real_time_neighbours(finish, True)
+        if via_time:
+            return [*self._topo.labels(tail, head), _REAL_TIME]
+        return self._labels(tail, head)
 
     # ------------------------------------------------------------------
     # Edge routing: every edge goes to the order, labels and all
@@ -1176,9 +1184,7 @@ class IncrementalChecker:
         order = self._topo._ord
         if self.window is not None and (source not in order or target not in order):
             return  # an endpoint was garbage-collected: the edge cannot matter
-        if not self._si:
-            # SER / SSER: every dependency edge participates in the order
-            # (which ignores a label it already holds).
+        if not self._si:  # SER / SSER: every dependency edge goes to the order
             if not self._refused or label not in self._labels(source, target):
                 self._order_edge(source, target, label)
         # SI: maintain the induced graph (SO ∪ WR ∪ WW) ; RW? edge-by-edge.
@@ -1216,8 +1222,7 @@ class IncrementalChecker:
         cycle = self._topo.add_edge(source, target, label)
         if cycle is None:
             if self._refused and (source, target) in self._refused:
-                # Refused earlier, acyclic now (the window broke the cycle):
-                # the pair's labels move into the order with it.
+                # Refused earlier, acyclic now (the window broke the cycle).
                 labels = self._topo.labels(source, target)
                 labels.extend(l for l in self._refused.pop((source, target)) if l not in labels)
             return
@@ -1225,8 +1230,8 @@ class IncrementalChecker:
         if label not in labels:
             labels.append(label)
         edges = [
-            Edge(tail, head, *best_label((_EDGE_TYPES[e], k) for e, k in self._labels(tail, head)))
-            for tail, head in zip(cycle, cycle[1:] + cycle[:1])
+            Edge(tail, head, *best_label((_EDGE_TYPES[e], k) for e, k in self._step_labels(tail, head, step)))
+            for tail, head, step in _transaction_steps(cycle)
         ]
         self._violations.append(classify_cycle(edges, level=self.level))
 
@@ -1234,22 +1239,15 @@ class IncrementalChecker:
     # Bounded-window garbage collection
     # ------------------------------------------------------------------
     def _evict(self, txn_id: int) -> None:
-        """Retire a transaction that can no longer participate in a cycle.
-
-        Costs O(degree) of the evicted node (the order indexes reverse
-        adjacency), never a scan of the rest of the window.
-
-        Safe because, once the window has passed, no new *incoming* edge can
-        reach the node on a W-bounded stream: its reads resolved long ago
-        (WR/WW in-edges), every version it overwrote is sealed here and now
-        (RW in-edges come from new readers of those versions), its session
-        successor already arrived (SO), and no transaction finishing before
-        its start is still in flight (RT).  A node that cannot gain in-edges
-        cannot close a cycle, so dropping it — and skipping any later edge
-        that touches it — preserves the verdict.
-        """
+        """Retire a transaction that can no longer join a cycle, in O(degree):
+        on a W-bounded stream no new in-edge reaches it — its reads resolved
+        (WR/WW), the versions it overwrote are sealed here (RW), its session
+        successor arrived (SO), nothing finishing before its start is in
+        flight (RT)."""
         self.evicted_count += 1
-        self._topo.remove_node(txn_id)
+        topo, timeline = self._topo, self._timeline
+        hung_on = timeline and [v for v in chain(topo._pred[txn_id], topo._succ[txn_id]) if type(v) is tuple]
+        topo.remove_node(txn_id)
         if self._refused:
             self._refused = {p: labels for p, labels in self._refused.items() if txn_id not in p}
         self._base_preds.pop(txn_id, None)
@@ -1263,8 +1261,8 @@ class IncrementalChecker:
             expired = self._sealed_fifo.popleft()
             if slots.get(expired) is _SEALED:
                 del slots[expired]
-        if self._rt_span:
-            self._drop_rt_entry(txn_id)
+        if timeline:
+            self._retire_time_nodes(hung_on)
 
 
 class CheckerSession(IncrementalChecker):

@@ -589,6 +589,29 @@ class TestEpochLogCommands:
         assert "resumed" not in out and "Traceback" not in out
         assert out.splitlines()[-1] == verdict
 
+    def test_watch_replays_past_v3_sser_checkpoints(self, tmp_path, capsys):
+        # v3 states kept SSER's real time as a finish-sorted interval list in
+        # ``rt``; v4 keeps the timeline there.  Both kept checkpoints are v3:
+        # each is refused by name, and the log replays to the same verdict.
+        path = tmp_path / "history.epochs"
+        assert self._generate(path) == 0
+        watch = ["watch", "--once", "--level", "sser"]
+        code = main([*watch, "--checkpoint-every", "2", str(path)])
+        capsys.readouterr()
+        assert main([*watch, "--no-resume", str(path)]) == code
+        replayed = capsys.readouterr().out.splitlines()
+
+        def as_v3(state):
+            state.update(format="repro-checker-state-v3", rt={"finish": [], "start": [], "txn": []})
+
+        self._reframe_checkpoints(path, as_v3)
+        assert main([*watch, str(path)]) == code
+        out = capsys.readouterr().out
+        assert out.count("found format 'repro-checker-state-v3'") == 2
+        assert "note: no usable checkpoint; replaying from epoch 0" in out
+        assert "resumed" not in out and "Traceback" not in out
+        assert [line for line in out.splitlines() if not line.startswith("note: ")] == replayed
+
     def test_watch_refuses_old_format_checkpoints_over_a_retired_log(self, tmp_path, capsys):
         path = tmp_path / "history.epochs"
         assert self._generate(path) == 0

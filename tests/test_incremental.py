@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import Database, MTChecker, run_workload
-from repro.core.checkers import check_ser, check_si
+from repro.core.checkers import check_ser, check_si, check_sser
 from repro.core.incremental import (
     CHECKPOINT_STATE_FORMAT,
     CheckerSession,
@@ -342,24 +342,46 @@ class TestWindowGC:
         assert len(checker._sealed_fifo) <= checker._sealed_cap
 
 
-    def test_sser_eviction_patches_the_interval_aggregates(self):
+    @pytest.mark.parametrize("stale_read", [False, True])
+    def test_sser_window_keeps_the_timeline_bounded(self, stale_read):
         # Random overlapping intervals in random arrival order: after every
-        # ingest (each evicts once the window is full) both helper arrays
-        # equal what a rebuild from scratch computes.
+        # ingest (each evicts once the window is full) the live timeline
+        # holds at most two time nodes per live transaction, and the verdict
+        # is the batch one, with or without a stale read only SSER forbids.
         rng = random.Random(11)
-        checker = IncrementalChecker(SSER, initial_keys=["x"], window=16)
+        txns = []
         for txn_id in range(1, 401):
             start = rng.uniform(0, 100)
-            txn = Transaction(
-                txn_id, [read("x", 0)], session_id=txn_id,
-                start_ts=start, finish_ts=start + rng.choice([0.0, rng.uniform(0, 30)]),
-            )
+            finish = start + rng.choice([0.0, rng.uniform(0, 30)])
+            txns.append(Transaction(txn_id, [read("x", 0)], session_id=txn_id,
+                                    start_ts=start, finish_ts=finish))
+        if stale_read:
+            txns[200:200] = [
+                Transaction(500, [read("y", 0), write("y", 1)], session_id=500,
+                            start_ts=50.0, finish_ts=51.0),
+                Transaction(501, [read("y", 0)], session_id=501, start_ts=60.0, finish_ts=61.0),
+            ]
+        checker = IncrementalChecker(SSER, initial_keys=["x", "y"], window=16)
+        for txn in txns:
             checker.ingest(txn)
-            patched = (list(checker._prefix_max_start), list(checker._suffix_min_finish))
-            checker._rebuild_rt_aggregates()
-            assert patched == (checker._prefix_max_start, checker._suffix_min_finish), txn_id
-            assert len(checker._by_finish) == len(checker._by_start) == len(checker._rt_span) <= 16
-        assert checker.evicted_count == 400 - 16 and checker.result().satisfied
+            assert len(checker._timeline) <= 2 * 16 + 2, txn.txn_id
+        assert checker.evicted_count == len(txns) - 16 and checker.stale_reads == 0
+        batch = check_sser(History.from_transactions([[t] for t in txns], initial_keys=["x", "y"]))
+        assert checker.result().satisfied == batch.satisfied == (not stale_read)
+        assert {v.kind for v in checker.violations} == {v.kind for v in batch.violations}
+
+    @pytest.mark.parametrize("window", [None, 256])
+    def test_bipartite_sser_stream_holds_linear_order_edges(self, window):
+        # Half the transactions finish before the other half start: the
+        # real-time order's reduction alone holds 300 * 300 pairs.
+        n = 300
+        session = CheckerSession(SSER, initial_keys=["x"], window=window)
+        for i in range(2 * n):
+            early = i < n
+            session.ingest(Transaction(i, [read("x", 0)], session_id=i,
+                                       start_ts=0.0 if early else 2.0, finish_ts=1.0 if early else 3.0))
+        assert session.result().satisfied
+        assert sum(1 for _ in session._topo.edges()) <= 4 * 2 * n
 
     def test_windowed_sser_ingest_is_not_quadratic_in_the_window(self):
         import time
@@ -378,7 +400,7 @@ class TestWindowGC:
             return time.perf_counter() - started
 
         # Interleaved minima; a ratio, never an absolute time.  Rebuilding the
-        # interval lists per eviction read 5-7x here.
+        # real-time state per eviction read 5-7x here.
         unwindowed, windowed = (
             min(seconds(window) for _ in range(5)) for window in (None, 1024)
         )
@@ -454,6 +476,45 @@ class TestOrderCarriesTheLabels:
         resumed = IncrementalChecker.restore(checker.checkpoint())
         assert resumed.result().format() == checker.result().format()
         assert set(resumed.graph.edges()) == set(graph.edges())
+
+# ----------------------------------------------------------------------
+# Real time: an inverted interval mutes its gap when it arrives
+# ----------------------------------------------------------------------
+def test_inverted_intervals_reach_the_batch_verdict_when_they_arrive_first():
+    # The batch reduction drops every real-time pair across an inverted
+    # interval's gap.  The stream mutes the gap on arrival: it agrees with
+    # batch whenever each inverted row arrives before every row that starts
+    # after its finish, and is otherwise never SATISFIED where batch is not.
+    from test_csr import timed_history
+
+    rng, agreed = random.Random(37), 0
+    for _ in range(1500):
+        history = timed_history(rng)
+        stream, session = list(stream_order(history)), CheckerSession(SSER)
+        for txn in stream:
+            session.ingest(txn)
+        satisfied, batch = session.result().satisfied, check_sser(history).satisfied
+        inverted = [at for at, t in enumerate(stream) if t.committed and t.start_ts is not None
+                    and t.finish_ts is not None and t.start_ts > t.finish_ts]
+        assert satisfied <= batch
+        if all(not (t.committed and t.start_ts is not None and t.start_ts > stream[at].finish_ts)
+               for at in inverted for t in stream[:at]):
+            assert satisfied == batch
+            agreed += bool(inverted)
+    assert agreed > 20
+
+    # T2 starts at 10 and reads y=0, which T1 overwrote by 1; the inverted
+    # T3's gap (6, 7) lies between, so batch drops T1 -> T2.  Arriving last,
+    # T3 comes too late: T2's cycle was reported on arrival.
+    rows = [Transaction(1, [read("y", 0), write("y", 1)], start_ts=0, finish_ts=1),
+            Transaction(2, [read("y", 0)], session_id=1, start_ts=10, finish_ts=11),
+            Transaction(3, [read("y", 1)], session_id=2, start_ts=7, finish_ts=6)]
+    assert check_sser(History.from_transactions([[t] for t in rows], initial_keys=["y"])).satisfied
+    for order, satisfied in ((rows, False), ([rows[2], *rows[:2]], True)):
+        session = CheckerSession(SSER, initial_keys=["y"])
+        session.ingest_round(order)
+        assert session.result().satisfied is satisfied
+
 
 # ----------------------------------------------------------------------
 # The CheckerSession facade and live checking
@@ -573,6 +634,21 @@ class TestCheckpointRestore:
                 assert reports == base_reports, (level, cut)
                 assert fmt == base_format, (level, cut)
 
+    @pytest.mark.parametrize("window", [None, 3])
+    def test_timed_streams_out_of_finish_order_round_trip_everywhere(self, window):
+        # Out of finish order, time nodes and rows take fractional indices
+        # of the order and inverted intervals mute gaps: both survive a
+        # checkpoint at every boundary.
+        from test_csr import timed_history
+
+        rng = random.Random(41)
+        for _ in range(60):
+            stream = list(stream_order(timed_history(rng)))
+            stream[1:] = rng.sample(stream[1:], len(stream) - 1)
+            base_reports, base_format = self._baseline(SSER, stream, window)
+            for cut in range(len(stream) + 1):
+                assert self._cut_and_resume(SSER, stream, cut, window) == (base_reports, base_format)
+
     @pytest.mark.parametrize("window", [None, 8])
     def test_faulty_generated_stream_round_trips_everywhere(self, window):
         history = generated_history(23, engine="rc", txns=12)
@@ -596,7 +672,7 @@ class TestCheckpointRestore:
             head.ingest(txn)
         at_cut = head.result().format()
         state = head.checkpoint()
-        assert state["format"] == CHECKPOINT_STATE_FORMAT == "repro-checker-state-v3"
+        assert state["format"] == CHECKPOINT_STATE_FORMAT == "repro-checker-state-v4"
         # JSON-exact: lists (never tuples), string keys, nothing lossy.
         text = json.dumps(state)
         assert json.loads(text) == state
@@ -614,17 +690,19 @@ class TestCheckpointRestore:
             assert json.dumps(state) == text
             assert resumed.result().format() == head.result().format()
 
-    def test_states_written_with_strict_mt_still_restore(self):
-        # Earlier v3 states carry a "strict_mt" key; states written now do not.
-        stream = list(stream_order(generated_history(23, engine="rc", txns=12)))
-        head = CheckerSession(SER)
-        for txn in stream:
-            head.ingest(txn)
+    def test_v3_states_are_refused_by_name(self):
+        # v3 kept SSER's real time as a finish-sorted interval list in ``rt``
+        # (and some v3 states carry "strict_mt"); v4 keeps the timeline
+        # there.  An old state is refused by its tag, never half-read.
+        t1 = Transaction(1, [read("x", 0), write("x", 1)], start_ts=0.0, finish_ts=1.0)
+        head = CheckerSession(SSER, initial_keys=["x"])
+        head.ingest(t1)
         state = head.checkpoint()
-        assert "strict_mt" not in state
-        for strict in (False, True):
-            resumed = CheckerSession.restore({**state, "strict_mt": strict})
-            assert resumed.result().format() == head.result().format()
+        assert "strict_mt" not in state and state["rt"]["kind"] == [0, 1]
+        v3 = {**state, "format": "repro-checker-state-v3", "strict_mt": False,
+              "rt": {"finish": [1.0], "start": [0.0], "txn": [1]}}
+        with pytest.raises(ValueError, match="found format 'repro-checker-state-v3'"):
+            CheckerSession.restore(v3)
 
     def test_restore_rejects_unknown_snapshot_format(self):
         with pytest.raises(ValueError, match="found format 'not-a-checker-state'"):
