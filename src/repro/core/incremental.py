@@ -57,9 +57,10 @@ which is louder.
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_left, insort
 from collections import defaultdict, deque
-from itertools import chain, product
+from itertools import accumulate, chain, count, pairwise, product
 from typing import (
     TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
 )
@@ -82,7 +83,7 @@ __all__ = [
 ]
 
 #: Format tag of :meth:`IncrementalChecker.checkpoint` state dictionaries.
-CHECKPOINT_STATE_FORMAT = "repro-checker-state-v4"
+CHECKPOINT_STATE_FORMAT = "repro-checker-state-v5"
 
 #: Isolation levels the incremental checker supports.
 GRAPH_LEVELS = (
@@ -292,15 +293,17 @@ _SEALED = object()
 _RADIX = 1 << 32
 _VALUELESS = 1 << 31
 
-#: ``writer`` column entry of a version sealed by the window (never a txn id).
-_SEALED_WRITER = "sealed"
-_EDGE_COLUMNS = ("src", "dst", "typ", "key")
-#: Columns of the ``slots`` table, in :class:`_Slot` attribute order.
-_SLOT_COLUMNS = ("key", "value", "writer", "status", "intermediate", "readers", "overwriters", "rmw_seen",
-                 "pending")
+#: ``status`` of a checkpointed slot row that is not a writer's status code:
+#: no writer yet, or a version sealed by the window (checkpointed as
+#: ``_SEALED_ROW``, a row holding nothing).
+_NO_WRITER, _SEALED_STATUS = -1, -2
+_SEALED_ROW = _Slot(0)
 #: Labels are ``(EdgeType value, key)`` tuples of plain strings: they compare
 #: in C, where an ``Enum`` member hashes through a Python call.
 _EDGE_TYPES = {member.value: member for member in EdgeType}
+#: Edge types in label-code order: a checkpoint writes a label as the int
+#: ``type·(len(keys)+1) + key id+1`` (key 0: the label has none).
+_LABEL_TYPES = tuple(_EDGE_TYPES)
 _RT, _SO, _WR, _WW, _RW, _COMPOSED = (
     EdgeType[name].value for name in ("RT", "SO", "WR", "WW", "RW", "COMPOSED")
 )
@@ -313,52 +316,34 @@ _START, _FINISH, _GAP_END = 0, 1, 2
 # Module constants: an ``Enum`` class attribute costs a descriptor call per read.
 _COMMITTED, _ABORTED = TransactionStatus.COMMITTED, TransactionStatus.ABORTED
 
-
-def _columns(names: Tuple[str, ...], rows: Iterable[Tuple[Any, ...]]) -> Dict[str, List[Any]]:
-    """One state table: ``rows`` transposed into the ``names`` parallel columns."""
-    columns = [list(column) for column in zip(*rows)] or [[] for _ in names]
-    return dict(zip(names, columns))
+#: Typecode of each checkpoint column that is not ``q`` (ids, values, counts).
+_TYPECODES = {"ord": "d", "stamp": "d", "status": "b", "kind": "b", "pending_writes": "b"}
 
 
-def _edge_columns(edges: Iterable[Tuple[int, int, List[Tuple[str, Any]]]]) -> Dict[str, List[Any]]:
-    """``(source, target, labels)`` edges as ``src``/``dst``/``typ``/``key`` columns, a row per
-    label (by ``append``, no tuple per row: the largest table after ``slots``)."""
-    src: List[int] = []
-    dst: List[int] = []
-    typ: List[str] = []
-    key: List[Any] = []
-    for source, target, labels in edges:
-        source, target = (list(n) if type(n) is tuple else n for n in (source, target))
-        for etype, label_key in labels:
-            src.append(source)
-            dst.append(target)
-            typ.append(etype)
-            key.append(label_key)
-    return dict(zip(_EDGE_COLUMNS, (src, dst, typ, key)))
+def _typed(typecode: str, values: List[Any]) -> Any:
+    """A fresh typed column of ``values``; one that overflows ``typecode``
+    stays the list (it is written as JSON), never truncated."""
+    try:
+        return array(typecode, values)
+    except OverflowError:
+        return values
 
 
-def _versions(codes: Iterable[int]) -> Dict[str, List[int]]:
-    """Version codes as ``key`` (id) / ``value`` columns; :func:`_code` inverts a row."""
-    codes = list(codes)
-    return {"key": [c % _RADIX for c in codes], "value": [c // _RADIX for c in codes]}
+def _ragged(lists: List[List[Any]]) -> Tuple[array, List[Any]]:
+    """One list per row as a count column and the flat list of their items."""
+    return array("q", [len(items) for items in lists]), list(chain.from_iterable(lists))
 
 
-def _node(value: Any) -> Any:
-    """A checkpointed node: a time node comes back from a list to its tuple."""
-    return tuple(value) if type(value) is list else value
-
-
-def _code(kid: int, value: int, num_keys: int) -> int:
-    """The version code of one checkpointed ``key``/``value`` row, key id validated."""
-    if not 0 <= kid % _VALUELESS < num_keys or kid >= _RADIX:
-        raise ValueError(f"unknown key id {kid!r}")
-    return int(value) * _RADIX + kid
-
-
-def _column(table: Dict[str, Any], name: str) -> List[Any]:
+def _column(table: Dict[str, Any], name: str) -> Any:
+    """Column ``name`` of one state table: an array of its typecode, or the
+    list of numbers a column that overflowed it was written as."""
     column = table[name]
-    if not isinstance(column, list):
-        raise TypeError(f"column {name!r} must be a list")
+    typecode = _TYPECODES.get(name, "q")
+    if isinstance(column, array) and column.typecode == typecode:
+        return column
+    numbers = (int, float) if typecode == "d" else (int,)
+    if not isinstance(column, list) or not all(type(v) in numbers for v in column):
+        raise TypeError(f"column {name!r} must be a {typecode!r} array")
     return column
 
 
@@ -367,12 +352,38 @@ def _rows(table: Dict[str, Any], *names: str) -> Iterator[Tuple[Any, ...]]:
     return zip(*(_column(table, name) for name in names), strict=True)
 
 
-def _labeled_edges(state: Dict[str, Any]) -> Iterator[Tuple[int, int, Tuple[str, Any]]]:
-    """The ``(source, target, label)`` rows of a ``src``/``dst``/``typ``/``key`` table."""
-    for source, target, etype, key in _rows(state, *_EDGE_COLUMNS):
-        if etype not in _EDGE_TYPES:
-            raise ValueError(f"unknown edge type {etype!r}")
-        yield source, target, (etype, key)
+def _versions(table: Dict[str, Any], name: str, num_keys: int) -> Any:
+    """A column of checkpointed version codes, every key id validated."""
+    codes = _column(table, name)
+    if max(map((_VALUELESS - 1).__and__, codes), default=-1) >= num_keys:  # the low 31 bits: the key id
+        raise ValueError(f"{name} names an unknown key id")
+    return codes
+
+
+def _ragged_rows(counts: Any, flat: List[Any], name: str) -> List[List[Any]]:
+    """Cut ``flat`` into one fresh list per row, ``counts`` long each (validated)."""
+    if min(counts, default=0) < 0 or sum(counts) != len(flat):
+        raise ValueError(f"the {name} counts disagree with its column")
+    flat = list(flat)
+    return [flat[start:end] for start, end in pairwise(accumulate(counts, initial=0))]
+
+
+def _sparse(table: Dict[str, Any], name: str, size: int) -> Any:
+    """A side table's row column: increasing rows of a ``size``-row column."""
+    rows = _column(table, name)
+    if list(rows) != sorted(set(rows)) or rows and not 0 <= rows[0] <= rows[-1] < size:
+        raise ValueError(f"{name} is not a set of rows below {size}")
+    return rows
+
+
+def _labels(codes: Any, key_names: List[str]) -> List[Tuple[str, Optional[str]]]:
+    """The ``(type, key)`` labels of a column of label codes (validated)."""
+    names: List[Optional[str]] = [None, *key_names]
+    span = len(names)
+    if codes and not 0 <= min(codes) <= max(codes) < len(_LABEL_TYPES) * span:
+        raise ValueError("unknown edge label code")
+    table = {code: (_LABEL_TYPES[code // span], names[code % span]) for code in set(codes)}
+    return [table[code] for code in codes]
 
 
 def _transaction_steps(cycle: List[int]) -> List[Tuple[int, int, bool]]:
@@ -722,31 +733,59 @@ class IncrementalChecker:
     # Checkpoint / restore
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict[str, Any]:
-        """Serialise the complete checker state as a JSON-safe dictionary.
+        """Snapshot the complete checker state as typed columns.
 
-        Layout (``repro-checker-state-v4``): every table is a dictionary of
-        *parallel columns*, rows in insertion order.  ``topo`` is the order:
-        ``node``/``ord`` and a ``src``/``dst``/``typ``/``key`` row per edge
-        label (a time node is a ``[stamp, kind]`` list); ``refused`` has the
-        same four columns.  A version is a ``key``/``value`` pair of ints:
-        ``key`` indexes ``keys``, plus ``2**31`` when there is no value.
-        ``slots`` has the ``_SLOT_COLUMNS`` (a sealed version's writer is
-        ``"sealed"``).  ``rt`` is the SSER timeline, a ``stamp``/``kind`` row
-        per time node in order (``kind`` 2: a gap end).  Any suffix of
-        transactions yields byte-identical verdicts from this checker and
-        from :meth:`restore` of the snapshot, which shares no list with it.
+        Layout (``repro-checker-state-v5``): scalars, ``keys`` and
+        ``violations`` are JSON values; every other table is a dictionary of
+        *parallel columns*, rows in insertion order, each a fresh ``array``
+        (``q``: ids, values, counts; ``d``: ``ord`` and ``stamp``; ``b``:
+        codes) or, if it overflows its typecode, a list.  ``topo`` is the
+        order: ``node``/``ord`` and a ``src``/``dst``/``label`` row per edge
+        label, the label being ``type·(len(keys)+1) + key id+1`` (types in
+        ``EdgeType`` order, key 0: none); a time node is the id
+        ``time_base - 1 - i`` for its row ``i`` of ``rt``, the SSER timeline
+        (a ``stamp``/``kind`` row per time node, sorted; ``kind`` 2: a gap
+        end).  ``refused`` has the order's three edge columns.  A version is
+        its code ``value·2**32 + key id`` (``+ 2**31``: no value), the key id
+        indexing ``keys``.  ``slots`` has a ``status`` (a status code,
+        −1: no writer, −2: sealed) and ``writer`` per row, each list as a
+        ``*_count`` column plus a flat one (``readers``, ``overwriters``,
+        ``rmw_seen_txn``/``_value``, ``pending_txn``/``_writes``), and its
+        ``None``s as side tables of rows (``intermediate_row`` +
+        ``intermediate``, ``rmw_seen_valueless``).  :func:`repro.ondisk.pack_columns`
+        writes it.  Any suffix of transactions yields byte-identical
+        verdicts from this checker and from :meth:`restore` of the snapshot,
+        which shares nothing with it.
         """
         started = time.perf_counter()
         self.publish_metrics()
-        topo = self._topo
-        slot_rows = [
-            (_SEALED_WRITER, None, None, [], [], [], []) if slot is _SEALED else (
-                slot.writer_id, None if slot.writer_status is None else STATUS_CODES[slot.writer_status],
-                slot.intermediate_id, list(slot.readers), list(slot.overwriters),
-                [list(pair) for pair in slot.rmw_seen], [list(pair) for pair in slot.pending],
-            )
-            for slot in self._slots.values()
-        ]
+        topo, timeline = self._topo, self._timeline
+        key_code: Dict[Optional[str], int] = {None: 0}
+        key_code.update(zip(self._key_names, count(1)))
+        type_code = {etype: t * len(key_code) for t, etype in enumerate(_LABEL_TYPES)}
+        if timeline:
+            time_base = min((node for node in topo._ord if type(node) is not tuple), default=0)
+            ref = {node: time_base - 1 - i for i, node in enumerate(timeline)}
+        else:
+            time_base, ref = min(topo._ord, default=0), {}
+
+        def edge_table(pairs: List[Tuple[Any, Dict[Any, List[Tuple[str, Optional[str]]]]]]) -> Dict[str, Any]:
+            # ``pairs``: each source with its targets' labels; a row per label.
+            src = [s for s, targets in pairs for labels in targets.values() for _ in labels]
+            dst = [t for _, targets in pairs for t, labels in targets.items() for _ in labels]
+            if ref:
+                src, dst = list(map(ref.get, src, src)), list(map(ref.get, dst, dst))
+            return {"src": _typed("q", src), "dst": _typed("q", dst), "label": array("q", [
+                type_code[e] + key_code[k] for _, targets in pairs for labels in targets.values() for e, k in labels
+            ])}
+
+        rows = [_SEALED_ROW if slot is _SEALED else slot for slot in self._slots.values()]
+        readers_count, readers = _ragged([slot.readers for slot in rows])
+        overwriters_count, overwriters = _ragged([slot.overwriters for slot in rows])
+        rmw_seen_count, rmw_seen = _ragged([slot.rmw_seen for slot in rows])
+        pending_count, pending = _ragged([slot.pending for slot in rows])
+        intermediate = [i for i, slot in enumerate(rows) if slot.intermediate_id is not None]
+        nodes = list(topo._ord)
         state = {
             "format": CHECKPOINT_STATE_FORMAT,
             "level": self.level.value,
@@ -760,29 +799,57 @@ class IncrementalChecker:
             "keys": list(self._key_names),
             "topo": {
                 "counter": topo._counter,
-                "node": [list(node) if type(node) is tuple else node for node in topo._ord],
-                "ord": list(topo._ord.values()),
-                **_edge_columns(topo.edges()),
+                "time_base": time_base,
+                "node": _typed("q", list(map(ref.get, nodes, nodes)) if ref else nodes),
+                "ord": _typed("d", list(topo._ord.values())),
+                **edge_table(list(topo._succ.items())),
             },
-            "refused": _edge_columns(self._refused_edges()),
-            "slots": {**_versions(self._slots), **_columns(_SLOT_COLUMNS[2:], slot_rows)},
-            "last_in_session": _columns(("session", "txn"), self._last_in_session.items()),
-            "base_preds": _columns(
-                ("dst", "src"), ((t, s) for t, preds in self._base_preds.items() for s in preds)
-            ),
-            "rw_succ": _columns(
-                ("src", "dst", "key"), ((s, t, k) for s, edges in self._rw_succ.items() for t, k in edges)
-            ),
+            "refused": edge_table([(s, {t: labels}) for (s, t), labels in self._refused.items()]),
+            "slots": {
+                "version": _typed("q", list(self._slots)),
+                "status": array("b", [
+                    _SEALED_STATUS if slot is _SEALED_ROW else 0 if slot.writer_status is _COMMITTED
+                    else _NO_WRITER if slot.writer_status is None else STATUS_CODES[slot.writer_status]
+                    for slot in rows
+                ]),
+                "writer": _typed("q", [slot.writer_id or 0 for slot in rows]),
+                "intermediate_row": array("q", intermediate),
+                "intermediate": _typed("q", [rows[i].intermediate_id for i in intermediate]),
+                "readers_count": readers_count,
+                "readers": _typed("q", readers),
+                "overwriters_count": overwriters_count,
+                "overwriters": _typed("q", overwriters),
+                "rmw_seen_count": rmw_seen_count,
+                "rmw_seen_txn": _typed("q", [txn for txn, _ in rmw_seen]),
+                "rmw_seen_value": _typed("q", [0 if value is None else value for _, value in rmw_seen]),
+                "rmw_seen_valueless": array("q", [i for i, (_, value) in enumerate(rmw_seen) if value is None]),
+                "pending_count": pending_count,
+                "pending_txn": _typed("q", [txn for txn, _ in pending]),
+                "pending_writes": array("b", [writes for _, writes in pending]),
+            },
+            "last_in_session": {
+                "session": _typed("q", list(self._last_in_session)),
+                "txn": _typed("q", list(self._last_in_session.values())),
+            },
+            "base_preds": {
+                "dst": _typed("q", [t for t, preds in self._base_preds.items() for _ in preds]),
+                "src": _typed("q", list(chain.from_iterable(self._base_preds.values()))),
+            },
+            "rw_succ": {
+                "src": _typed("q", [s for s, edges in self._rw_succ.items() for _ in edges]),
+                "dst": _typed("q", [t for edges in self._rw_succ.values() for t, _ in edges]),
+                "key": array("q", [key_code[k] for edges in self._rw_succ.values() for _, k in edges]),
+            },
             "rt": {
-                "stamp": [stamp for stamp, _ in self._timeline],
-                "kind": [_GAP_END if node in self._gap_ends else node[1] for node in self._timeline],
+                "stamp": array("d", [stamp for stamp, _ in timeline]),
+                "kind": array("b", [_GAP_END if node in self._gap_ends else node[1] for node in timeline]),
             },
-            "arrivals": list(self._arrivals),
+            "arrivals": _typed("q", list(self._arrivals)),
             "overwrote": {
-                "txn": [txn for txn, codes in self._overwrote.items() for _ in codes],
-                **_versions(chain.from_iterable(self._overwrote.values())),
+                "txn": _typed("q", [txn for txn, codes in self._overwrote.items() for _ in codes]),
+                "version": _typed("q", list(chain.from_iterable(self._overwrote.values()))),
             },
-            "sealed_fifo": _versions(self._sealed_fifo),
+            "sealed_fifo": _typed("q", list(self._sealed_fifo)),
         }
         obs.observe("repro_checker_checkpoint_seconds", time.perf_counter() - started, op="save")
         return state
@@ -793,9 +860,10 @@ class IncrementalChecker:
         none of it, so one snapshot restores any number of times).
 
         Raises ``ValueError`` naming the tag found when the format tag is
-        not this build's (there is no reader for older formats — callers
-        replay instead), and ``ValueError("malformed checkpoint state: …")``
-        on structural damage under the right tag.
+        not this build's (there is no reader for older formats such as the
+        JSON-safe ``-v4`` — callers replay instead), and
+        ``ValueError("malformed checkpoint state: …")`` on structural damage
+        under the right tag.
         """
         found = state.get("format") if isinstance(state, dict) else None
         if found != CHECKPOINT_STATE_FORMAT:
@@ -817,59 +885,108 @@ class IncrementalChecker:
         checker._elapsed = float(state["elapsed"])
         checker.stale_reads = int(state["stale_reads"])
         checker.evicted_count = int(state["evicted_count"])
-        checker._violations = [Violation.from_dict(v) for v in _column(state, "violations")]
-        checker._key_names = list(_column(state, "keys"))
-        checker._key_ids = {name: kid for kid, name in enumerate(checker._key_names)}
-        num_keys = len(checker._key_names)
+        violations, key_names = state["violations"], state["keys"]
+        if not isinstance(violations, list) or not isinstance(key_names, list):
+            raise TypeError("violations and keys must be lists")
+        if not all(type(name) is str for name in key_names):
+            raise TypeError("key names must be strings")
+        checker._violations = [Violation.from_dict(v) for v in violations]
+        checker._key_names = list(key_names)
+        checker._key_ids = {name: kid for kid, name in enumerate(key_names)}
+        num_keys = len(key_names)
+
+        timeline = checker._timeline
+        for stamp, kind in _rows(state["rt"], "stamp", "kind"):
+            if kind not in (_START, _FINISH, _GAP_END):
+                raise ValueError(f"time node kind {kind!r}")
+            timeline.append((float(stamp), kind % 2))
+            if kind == _GAP_END:
+                checker._gap_ends.add(timeline[-1])
+        if timeline != sorted(timeline):
+            raise ValueError("the timeline is not sorted")
+        checker._chain = [n for n in timeline if n[1] == _FINISH or n in checker._gap_ends]
+
+        table = state["topo"]
+        time_base = table["time_base"]
+        if type(time_base) is not int:
+            raise TypeError("time_base must be an int")
+        time_node = {time_base - 1 - i: node for i, node in enumerate(timeline)}
+
+        def nodes(table: Dict[str, Any], name: str) -> Any:
+            column = _column(table, name)
+            if min(column, default=time_base) < time_base - len(timeline):
+                raise ValueError(f"{name} names a time node past the timeline")
+            return [time_node.get(node, node) for node in column] if time_node else column
+
+        def edges(table: Dict[str, Any]) -> Iterator[Tuple[Any, Any, Tuple[str, Optional[str]]]]:
+            labels = _labels(_column(table, "label"), key_names)
+            return zip(nodes(table, "src"), nodes(table, "dst"), labels, strict=True)
+
         topo = checker._topo
-        topo._counter = int(state["topo"]["counter"])
-        for node, index in _rows(state["topo"], "node", "ord"):
-            node = _node(node)
-            topo._ord[node] = index
+        topo._counter = int(table["counter"])
+        for node, index in zip(nodes(table, "node"), _column(table, "ord"), strict=True):
+            topo._ord[node] = int(index) if type(index) is float and index.is_integer() else index
             topo._succ[node] = {}
             topo._pred[node] = {}
         topo._fractions = {index for index in topo._ord.values() if type(index) is float}
-        for source, target, label in _labeled_edges(state["topo"]):
-            topo._succ[_node(source)].setdefault(_node(target), []).append(label)
-            topo._pred[_node(target)][_node(source)] = None
-        for source, target, label in _labeled_edges(state["refused"]):
+        for node in timeline:
+            if node not in topo:
+                raise ValueError(f"time node {node!r} is not in the order")
+        succ, pred = topo._succ, topo._pred
+        for source, target, label in edges(table):
+            succ[source].setdefault(target, []).append(label)
+            pred[target][source] = None
+        for source, target, label in edges(state["refused"]):
             checker._refused.setdefault((source, target), []).append(label)
-        slots = checker._slots
-        for kid, value, writer, status, intermediate, readers, overwriters, rmw_seen, pending in _rows(
-            state["slots"], *_SLOT_COLUMNS
+
+        table = state["slots"]
+        statuses = _column(table, "status")
+        if statuses and not _SEALED_STATUS <= min(statuses) <= max(statuses) < len(STATUS_FROM_CODE):
+            raise ValueError("unknown status code")
+        rmw_values: List[Optional[int]] = list(_column(table, "rmw_seen_value"))
+        for row in _sparse(table, "rmw_seen_valueless", len(rmw_values)):
+            rmw_values[row] = None
+        rmw_seen = list(zip(_column(table, "rmw_seen_txn"), rmw_values, strict=True))
+        writes = [(txn, bool(w)) for txn, w in _rows(table, "pending_txn", "pending_writes")]
+        # Indexed by a status, so -1 (no writer) is None; slots skip __init__,
+        # as every field is set here.
+        slots, new_slot, status_of = checker._slots, _Slot.__new__, (*STATUS_FROM_CODE, None)
+        for code, status, writer, readers, overwriters, rmw, pending in zip(
+            _versions(table, "version", num_keys), statuses, _column(table, "writer"),
+            _ragged_rows(_column(table, "readers_count"), _column(table, "readers"), "readers"),
+            _ragged_rows(_column(table, "overwriters_count"), _column(table, "overwriters"), "overwriters"),
+            _ragged_rows(_column(table, "rmw_seen_count"), rmw_seen, "rmw_seen"),
+            _ragged_rows(_column(table, "pending_count"), writes, "pending"),
+            strict=True,
         ):
-            code = _code(kid, value, num_keys)
-            if writer == _SEALED_WRITER:
+            if status == _SEALED_STATUS:
                 slots[code] = _SEALED
                 continue
-            slot = slots[code] = _Slot(code)
-            slot.writer_id = writer
-            slot.writer_status = None if status is None else STATUS_FROM_CODE[status]
-            slot.intermediate_id = intermediate
-            slot.readers = list(readers)
-            slot.overwriters = list(overwriters)
-            slot.rmw_seen = [(tid, written) for tid, written in rmw_seen]
-            slot.pending = [(tid, writes) for tid, writes in pending]
+            slot = slots[code] = new_slot(_Slot)
+            slot.code, slot.writer_id, slot.writer_status = code, writer if status >= 0 else None, status_of[status]
+            slot.intermediate_id = None
+            slot.readers, slot.overwriters, slot.rmw_seen, slot.pending = readers, overwriters, rmw, pending
+        if len(slots) != len(statuses):
+            raise ValueError("a version is in the slot table twice")
+        rows = list(slots.values())
+        for row, txn in zip(_sparse(table, "intermediate_row", len(rows)), _column(table, "intermediate"), strict=True):
+            if rows[row] is _SEALED:
+                raise ValueError("a sealed version has an intermediate writer")
+            rows[row].intermediate_id = txn
+
         checker._last_in_session = dict(_rows(state["last_in_session"], "session", "txn"))
         for source, target in _rows(state["base_preds"], "src", "dst"):
             checker._base_preds[target][source] = None
+        key_of: List[Optional[str]] = [None, *key_names]
         for source, target, key in _rows(state["rw_succ"], "src", "dst", "key"):
-            checker._rw_succ[source].append((target, key))
-        for stamp, kind in _rows(state["rt"], "stamp", "kind"):
-            node = (float(stamp), kind % 2)
-            if kind not in (_START, _FINISH, _GAP_END) or node not in topo:
-                raise ValueError(f"time node {node!r} of kind {kind!r} is not in the order")
-            checker._timeline.append(node)
-            if kind == _GAP_END:
-                checker._gap_ends.add(node)
-        if checker._timeline != sorted(checker._timeline):
-            raise ValueError("the timeline is not sorted")
-        checker._chain = [n for n in checker._timeline if n[1] == _FINISH or n in checker._gap_ends]
+            if not 0 <= key <= num_keys:
+                raise ValueError(f"unknown key code {key!r}")
+            checker._rw_succ[source].append((target, key_of[key]))
         checker._arrivals = deque(_column(state, "arrivals"))
-        for txn, kid, value in _rows(state["overwrote"], "txn", "key", "value"):
-            checker._overwrote.setdefault(txn, []).append(_code(kid, value, num_keys))
-        sealed = _rows(state["sealed_fifo"], "key", "value")
-        checker._sealed_fifo = deque(_code(kid, value, num_keys) for kid, value in sealed)
+        table = state["overwrote"]
+        for txn, code in zip(_column(table, "txn"), _versions(table, "version", num_keys), strict=True):
+            checker._overwrote.setdefault(txn, []).append(code)
+        checker._sealed_fifo = deque(_versions(state, "sealed_fifo", num_keys))
         return checker
 
     # ------------------------------------------------------------------

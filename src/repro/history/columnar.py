@@ -69,7 +69,7 @@ from ..core.model import (
     history_from_stream,
     stream_order,
 )
-from ..ondisk import atomic_write
+from ..ondisk import DEFLATE_MAX_RATIO, atomic_write
 
 __all__ = [
     "ColumnarHistory",
@@ -580,7 +580,7 @@ class ColumnarHistory:
                 raw.seek(0)
                 try:
                     with gzip.open(raw, "rb") as fh:
-                        cols = cls._read(fh, path, size * _DEFLATE_MAX_RATIO)
+                        cols = cls._read(fh, path, size * DEFLATE_MAX_RATIO)
                         # The member's CRC/length trailer and end-of-stream
                         # marker are only checked on reading to its end.
                         while fh.read(1 << 16):
@@ -742,9 +742,6 @@ _COLUMN_SLOTS: Tuple[str, ...] = (
     "op_has_value",
 )
 _COLUMN_TYPECODES: Tuple[str, ...] = ("q", "q", "b", "d", "d", "q", "b", "i", "q", "b")
-#: Deflate's largest expansion: a gzip segment inflates to at most this many
-#: times its size, which bounds what its header may claim.
-_DEFLATE_MAX_RATIO = 1032
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,8 @@ promotes the segment to a *directory*:
   writer holds an exclusive ``flock`` on it for as long as it lives;
 * ``checkpoint-NNNNN.ckpt`` — verifier-side snapshots of
   :meth:`repro.core.incremental.IncrementalChecker.checkpoint`, CRC-framed
-  and gzip-compressed, so a restarted verifier resumes mid-log instead of
-  replaying from epoch 0;
+  typed columns in deflated byte planes, so a restarted verifier resumes
+  mid-log instead of replaying from epoch 0;
 * ``RETIRED`` — the window-GC watermark: epochs up to this number have
   been ingested, checkpointed, and aged out of the verifier's bounded
   window, and their files may be deleted.
@@ -38,7 +38,6 @@ used (the newest two are kept).
 from __future__ import annotations
 
 import fcntl
-import gzip
 import json
 import os
 import time
@@ -50,7 +49,7 @@ from typing import IO, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Uni
 from .. import obs
 from ..core.model import INITIAL_TXN_ID, Transaction, make_initial_transaction
 from ..resilience.failpoints import fail_point
-from ..ondisk import atomic_write, file_crc32, frame, unframe
+from ..ondisk import atomic_write, file_crc32, frame, pack_columns, unframe, unpack_columns
 from .columnar import ColumnarHistory
 
 __all__ = [
@@ -66,7 +65,7 @@ __all__ = [
 ]
 
 EPOCHLOG_FORMAT = "repro-epoch-log-v2"
-CHECKPOINT_FILE_FORMAT = "repro-epoch-checkpoint-v1"
+CHECKPOINT_FILE_FORMAT = "repro-epoch-checkpoint-v2"
 MANIFEST_NAME = "MANIFEST.log"
 #: The rewritten JSON manifest of ``repro-epoch-log-v1``: refused by name.
 _V1_MANIFEST_NAME = "MANIFEST.json"
@@ -78,12 +77,6 @@ _EPOCH_DIGITS = 5
 #: Checkpoints retained per log: the newest plus one fallback, so a crash
 #: mid-checkpoint-write never strands the verifier without a valid one.
 _CHECKPOINTS_KEPT = 2
-#: Deflate level of checkpoint payloads — a constant, not a knob.  Measured
-#: (CHANGES.md, PR 15; window 512/2048 x SER/SI/SSER x 3 seeds) under the rule
-#: "no larger than the same session's row-encoded v1 file, cheapest level that
-#: holds it": 1-2 grow the SI file, 3 holds but costs more than 4 (zlib turns
-#: lazy matching on at 4), 4 is 10-28 % smaller at 1/11-1/18 of level 9's time.
-_CHECKPOINT_COMPRESSLEVEL = 4
 #: How often a writer asks for the manifest lock before it concludes that the
 #: holder is another writer: a reader's sweep holds it shared for the length
 #: of one directory listing.
@@ -813,22 +806,18 @@ class EpochLog:
         The file is CRC-framed (a half-written checkpoint fails
         validation and is skipped by :meth:`checkpoints`), written
         atomically, and the newest two checkpoints are kept.  The payload
-        is the gzipped JSON of ``state`` at a fixed deflate level
-        (``_CHECKPOINT_COMPRESSLEVEL``): there is no format or level option.
+        is ``state`` packed by :func:`repro.ondisk.pack_columns` — its typed
+        columns as deflated byte planes — at the packer's one deflate level
+        (:data:`repro.ondisk.PACK_DEFLATE_LEVEL`): there is no format or
+        level option.
         """
         write_started = time.perf_counter()
-        payload = gzip.compress(
-            json.dumps(
-                {"epochs": epochs, "transactions": transactions, "state": state},
-                separators=(",", ":"),
-            ).encode("utf-8"),
-            compresslevel=_CHECKPOINT_COMPRESSLEVEL,
-            mtime=0,
-        )
+        packed, payload = pack_columns(state)
         header = {
             "format": CHECKPOINT_FILE_FORMAT,
             "epochs": epochs,
             "transactions": transactions,
+            **packed,
         }
         path = self.directory / f"checkpoint-{epochs:0{_EPOCH_DIGITS}d}.ckpt"
         fail_point("epochlog.checkpoint.save", path=path)
@@ -851,9 +840,12 @@ class EpochLog:
     def checkpoints(self) -> Iterator[CheckpointInfo]:
         """Every kept checkpoint that validates, newest first.
 
-        Torn or corrupt files are skipped (never fatal).  Whether ``state``
-        is *usable* is :meth:`IncrementalChecker.restore`'s call, so a
-        verifier walks this until one restores, else replays from epoch 0.
+        Torn or corrupt files are skipped (never fatal).  A CRC-valid file
+        of another file format (the JSON/gzip ``-v1``) is not read: its
+        ``state`` is just ``{"format": <the file format found>}``, which
+        :meth:`IncrementalChecker.restore` refuses by name.  Whether ``state``
+        is *usable* is ``restore``'s call, so a verifier walks this until one
+        restores, else replays from epoch 0.
         """
         for path in reversed(self._checkpoint_paths()):
             decoded = self._decode_checkpoint(path)
@@ -868,18 +860,22 @@ class EpochLog:
     def _decode_checkpoint(path: Path) -> Optional[CheckpointInfo]:
         try:
             framed = unframe(CHECKPOINT_MAGIC, path.read_bytes())
-            if framed is None or framed[0].get("format") != CHECKPOINT_FILE_FORMAT:
+            if framed is None:
                 return None
-            payload = framed[1]
-            body = json.loads(gzip.decompress(payload))
+            header, payload = framed
+            if header.get("format") == CHECKPOINT_FILE_FORMAT:
+                state = unpack_columns(header, payload)
+            else:
+                state = {"format": header.get("format")}
             return CheckpointInfo(
-                epochs=int(body["epochs"]),
-                transactions=int(body["transactions"]),
+                epochs=int(header["epochs"]),
+                transactions=int(header["transactions"]),
                 path=path,
-                state=body["state"],
+                state=state,
             )
-        except (OSError, ValueError, KeyError, TypeError, EOFError, zlib.error):
-            # zlib.error: a CRC-valid frame around an undecodable deflate body.
+        except (OSError, ValueError, KeyError, TypeError, RecursionError, zlib.error):
+            # zlib.error: a CRC-valid frame around an undecodable deflate body;
+            # RecursionError: JSON nested past the parser's depth.
             return None
 
     # ------------------------------------------------------------------

@@ -589,9 +589,29 @@ class TestEpochLogCommands:
         assert "resumed" not in out and "Traceback" not in out
         assert out.splitlines()[-1] == verdict
 
-    def test_watch_replays_past_v3_sser_checkpoints(self, tmp_path, capsys):
+    @staticmethod
+    def _as_v4_files(path):
+        """Rewrite each kept checkpoint as the JSON/gzip file (file format
+        ``-v1``, state ``-v4``) the previous build wrote, CRC-valid."""
+        import gzip
+        import zlib
+
+        from repro.history.epochlog import CHECKPOINT_MAGIC, EpochLog
+
+        for ckpt in EpochLog.open(path).checkpoints():
+            state = {"format": "repro-checker-state-v4", "level": "strict-serializability", "keys": ["x"],
+                     "topo": {"counter": 1, "node": [-1], "ord": [0], "src": [], "dst": [], "typ": [], "key": []}}
+            body = {"epochs": ckpt.epochs, "transactions": ckpt.transactions, "state": state}
+            payload = gzip.compress(json.dumps(body, separators=(",", ":")).encode(), compresslevel=4, mtime=0)
+            header = {"format": "repro-epoch-checkpoint-v1", "epochs": ckpt.epochs,
+                      "transactions": ckpt.transactions, "crc32": zlib.crc32(payload), "payload_bytes": len(payload)}
+            ckpt.path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + payload)
+
+    @pytest.mark.parametrize("old", ["v3-state", "v4-file"])
+    def test_watch_replays_past_v3_sser_checkpoints(self, tmp_path, capsys, old):
         # v3 states kept SSER's real time as a finish-sorted interval list in
-        # ``rt``; v4 keeps the timeline there.  Both kept checkpoints are v3:
+        # ``rt``; v4 states were JSON (``repro-epoch-checkpoint-v1`` files of
+        # gzipped JSON), v5 are typed columns.  Both kept checkpoints are old:
         # each is refused by name, and the log replays to the same verdict.
         path = tmp_path / "history.epochs"
         assert self._generate(path) == 0
@@ -604,10 +624,15 @@ class TestEpochLogCommands:
         def as_v3(state):
             state.update(format="repro-checker-state-v3", rt={"finish": [], "start": [], "txn": []})
 
-        self._reframe_checkpoints(path, as_v3)
+        if old == "v3-state":
+            self._reframe_checkpoints(path, as_v3)
+            found = "repro-checker-state-v3"
+        else:
+            self._as_v4_files(path)
+            found = "repro-epoch-checkpoint-v1"
         assert main([*watch, str(path)]) == code
         out = capsys.readouterr().out
-        assert out.count("found format 'repro-checker-state-v3'") == 2
+        assert out.count(f"found format '{found}'") == 2
         assert "note: no usable checkpoint; replaying from epoch 0" in out
         assert "resumed" not in out and "Traceback" not in out
         assert [line for line in out.splitlines() if not line.startswith("note: ")] == replayed

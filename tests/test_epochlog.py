@@ -10,13 +10,14 @@ state an interrupted writer can leave behind (its writes are sequential:
 temp file, rename, one record appended to the manifest).
 """
 
-import gzip
 import json
 import os
 import random
 import shutil
+import sys
 import time
 import zlib
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -36,6 +37,7 @@ from repro.history.epochlog import (
     EpochLogWriter,
     is_epochlog_path,
 )
+from repro.ondisk import DEFLATE_MAX_RATIO, frame, pack_columns, unframe, unpack_columns
 from repro.workloads.mt_generator import MTWorkloadGenerator
 
 SER = IsolationLevel.SERIALIZABILITY
@@ -614,20 +616,21 @@ class TestCheckpointResume:
 
     def test_corrupt_deflate_body_under_valid_crc_falls_back_to_previous(self, tmp_path):
         # The frame is intact (magic, header, CRC over the payload) but the
-        # payload is not a deflate stream: gzip surfaces that as zlib.error,
+        # payload is not a deflate stream: zlib surfaces that as zlib.error,
         # which must be a skip like any other corruption, never a traceback.
         d = tmp_path / "body.epochs"
         log = build_log(d, make_history(32), epoch_transactions=10)
         session = CheckerSession(SER)
         session.ingest_segment(log.load_epoch(0))
         good = log.save_checkpoint(session.checkpoint(), epochs=1, transactions=10)
-        # A gzip member header followed by an invalid deflate block type.
-        payload = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff" + b"\xff" * 64
+        # A zlib header followed by an invalid deflate block type.
+        payload = b"\x78\x01" + b"\xff" * 64
         header = json.dumps(
             {
                 "format": CHECKPOINT_FILE_FORMAT,
                 "epochs": 2,
                 "transactions": 20,
+                "inflated_bytes": 1000,
                 "crc32": zlib.crc32(payload),
                 "payload_bytes": len(payload),
             }
@@ -636,7 +639,7 @@ class TestCheckpointResume:
             CHECKPOINT_MAGIC + header + b"\n" + payload
         )
         with pytest.raises(zlib.error):
-            gzip.decompress(payload)
+            zlib.decompress(payload)
         ckpt = log.latest_checkpoint()
         assert ckpt is not None and ckpt.path == good and ckpt.epochs == 1
         assert [c.epochs for c in log.checkpoints()] == [1]
@@ -662,6 +665,214 @@ class TestCheckpointResume:
         kept = sorted(p.name for p in d.glob("checkpoint-*.ckpt"))
         assert len(kept) == 2
         assert kept[-1] == f"checkpoint-{len(log):05d}.ckpt"
+
+
+# ----------------------------------------------------------------------
+# Hostile checkpoint bytes: a miss, never a traceback or a large allocation
+# ----------------------------------------------------------------------
+def _unpacked(blob):
+    """``(header, JSON line, planes)`` of a checkpoint file's bytes."""
+    header, payload = unframe(CHECKPOINT_MAGIC, blob)
+    line, _, planes = zlib.decompress(payload).partition(b"\n")
+    return header, json.loads(line), planes
+
+
+def _framed(header, inflated=None, payload=None):
+    """A CRC-valid checkpoint file around ``inflated`` (or a raw ``payload``)."""
+    if payload is None:
+        payload = zlib.compress(inflated, 1)
+        header = {**header, "inflated_bytes": len(inflated)}
+    header = {k: v for k, v in header.items() if k not in ("crc32", "payload_bytes")}
+    return frame(CHECKPOINT_MAGIC, header, payload)
+
+
+def _relined(blob, edit):
+    header, line, planes = _unpacked(blob)
+    edit(line)
+    return _framed(header, json.dumps(line).encode() + b"\n" + planes)
+
+
+def _restated(blob, edit):
+    """The file of the state ``blob`` holds, passed through ``edit``."""
+    header, payload = unframe(CHECKPOINT_MAGIC, blob)
+    state = unpack_columns(header, payload)
+    edit(state)
+    packed, payload = pack_columns(state)
+    return _framed({**header, **packed}, payload=payload)
+
+
+def _truncations(blob):
+    # The body cut at every column boundary (the JSON line, then each item
+    # size's columns in order) under a consistent frame, and the file cut at
+    # each boundary of its own: magic, header line, half the payload.
+    header, line, planes = _unpacked(blob)
+    body = json.dumps(line).encode() + b"\n"
+    cuts, at = [0], 0
+    for _, typecode, count in sorted(line["columns"], key=lambda c: array(c[1]).itemsize):
+        at += array(typecode).itemsize * count
+        cuts.append(at)
+    variants = [_framed(header, body + planes[:cut]) for cut in cuts[:-1]]
+    variants.append(_framed(header, body[:-1]))
+    newline = blob.index(b"\n", len(CHECKPOINT_MAGIC))
+    variants += [blob[:len(CHECKPOINT_MAGIC)], blob[: newline + 1], blob[: (newline + len(blob)) // 2]]
+    return variants
+
+
+def _inflates_to(payload, inflated):
+    try:
+        return zlib.decompress(payload) == inflated
+    except zlib.error:
+        return False
+
+
+def _flips(blob):
+    # Every payload byte flipped, bar the flips deflate cannot see (a code
+    # length of a symbol no code uses): those inflate to the same bytes.
+    header, payload = unframe(CHECKPOINT_MAGIC, blob)
+    flipped = (payload[:i] + bytes([payload[i] ^ 0xFF]) + payload[i + 1 :] for i in range(len(payload)))
+    inflated = zlib.decompress(payload)
+    return [_framed(header, payload=bad) for bad in flipped if not _inflates_to(bad, inflated)]
+
+
+def _declared(size):
+    def damage(blob):
+        header, payload = unframe(CHECKPOINT_MAGIC, blob)
+        bound = DEFLATE_MAX_RATIO * len(payload)
+        header["inflated_bytes"] = {"past-bound": bound + 1, "huge": 1 << 60, "long": header["inflated_bytes"] + 1,
+                                    "short": header["inflated_bytes"] - 1}[size]
+        return [_framed(header, payload=payload)]
+    return damage
+
+
+def _count(column, delta):
+    def edit(line):
+        for entry in line["columns"]:
+            if entry[0] == column:
+                entry[2] += delta
+    return edit
+
+
+def _typecode(code):
+    def edit(line):
+        line["columns"][0][1] = code
+    return edit
+
+
+def _ragged_count(first, second):
+    def edit(state):
+        counts = state["slots"]["readers_count"]
+        counts[0] += first
+        counts[1] += second
+    return edit
+
+
+def _key_past_keys(state):
+    state["slots"]["version"][0] = 5 * (1 << 32) + len(state["keys"])
+
+
+def _nested(blob):
+    header, line, planes = _unpacked(blob)
+    return [_framed(header, b"[" * 100_000 + b"]" * 100_000 + b"\n" + planes)]
+
+
+class TestHostileCheckpointBytes:
+    @pytest.mark.parametrize(
+        "damage, refused_by",
+        [
+            (_truncations, "checkpoints"),
+            (_flips, "checkpoints"),
+            (lambda blob: [_relined(blob, _count("slots.readers", 1))], "checkpoints"),
+            (lambda blob: [_relined(blob, _count("topo.ord", -1))], "checkpoints"),
+            (_declared("past-bound"), "checkpoints"),
+            (_declared("huge"), "checkpoints"),
+            (_declared("long"), "checkpoints"),
+            (_declared("short"), "checkpoints"),
+            (lambda blob: [_restated(blob, _ragged_count(-1, 1))], "restore"),
+            (lambda blob: [_restated(blob, _ragged_count(10**6, 0))], "restore"),
+            (lambda blob: [_relined(blob, _typecode("Q"))], "checkpoints"),
+            (lambda blob: [_relined(blob, _typecode("z"))], "checkpoints"),
+            (lambda blob: [_restated(blob, _key_past_keys)], "restore"),
+            (lambda blob: [_relined(blob, lambda line: line["doc"].update(keys=[[[[]]]] * 2))], "restore"),
+            (_nested, "checkpoints"),
+        ],
+        ids=[
+            "truncated-at-each-column-boundary", "flipped-payload-byte-under-a-recomputed-crc",
+            "schema-length-past-the-payload", "schema-length-short-of-the-payload",
+            "declared-size-past-the-deflate-bound", "declared-size-huge", "declared-size-long",
+            "declared-size-short", "negative-ragged-count", "oversized-ragged-count",
+            "unknown-typecode", "invalid-typecode", "key-id-past-the-keys", "keys-not-strings",
+            "json-nested-past-the-parser",
+        ],
+    )
+    def test_damaged_checkpoint_is_a_miss(self, tmp_path, capsys, damage, refused_by):
+        import tracemalloc
+
+        from repro.cli import main
+
+        d = tmp_path / "hostile.epochs"
+        build_log(d, make_history(35, engine="rc", txns=15), epoch_transactions=10)
+        watch = ["watch", "--once", "--level", "sser", "--window", "24"]
+        assert main([*watch, "--checkpoint-every", "2", str(d)]) in (0, 1)
+        *older, newest = sorted(d.glob("checkpoint-*.ckpt"))
+        for path in older:
+            path.unlink()
+        capsys.readouterr()
+        code = main([*watch, "--no-resume", str(d)])
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        log, blob = EpochLog.open(d), newest.read_bytes()
+        variants = damage(blob)
+        assert variants and blob not in variants
+        for variant in variants:
+            newest.write_bytes(variant)
+            tracemalloc.start()
+            try:
+                found = list(log.checkpoints())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * len(blob) + (1 << 20)  # never the declared size
+            if refused_by == "checkpoints":
+                assert found == []
+            else:
+                with pytest.raises(ValueError, match="malformed checkpoint state: "):
+                    CheckerSession.restore(found[0].state)
+        # The service takes it as a miss: a note when restore refused it,
+        # then the replay from epoch 0 to the same verdict.
+        assert main([*watch, str(d)]) == code
+        out = capsys.readouterr().out
+        assert "Traceback" not in out and "resumed" not in out
+        assert ("note: skipping checkpoint" in out) == (refused_by == "restore")
+        assert out.splitlines()[-1] == verdict
+
+    def test_a_checkpoint_of_the_other_byte_order_reads_back(self, tmp_path):
+        # A writer on a host of the other byte order stamps its order and
+        # writes its native items; the reader swaps them back.
+        d = tmp_path / "endian.epochs"
+        log = build_log(d, make_history(36, engine="rc", txns=15), epoch_transactions=10)
+        session = CheckerSession(SSER, window=24)
+        for _, segment in log.iter_segments():
+            session.ingest_segment(segment)
+        state = session.checkpoint()
+        path = log.save_checkpoint(state, epochs=len(log), transactions=log.num_transactions)
+        header, payload = unframe(CHECKPOINT_MAGIC, path.read_bytes())
+        swapped = unpack_columns(header, payload)
+
+        def swap(table):
+            for value in table.values():
+                if isinstance(value, array):
+                    value.byteswap()
+                elif isinstance(value, dict):
+                    swap(value)
+
+        swap(swapped)
+        assert swapped != state and isinstance(swapped["rt"]["stamp"], array)
+        packed, payload = pack_columns(swapped)
+        foreign = "big" if sys.byteorder == "little" else "little"
+        path.write_bytes(_relined(_framed({**header, **packed}, payload=payload),
+                                  lambda line: line.update(byteorder=foreign)))
+        found = list(log.checkpoints())
+        assert found[0].path == path and found[0].state == state
+        assert CheckerSession.restore(found[0].state).result().format() == session.result().format()
 
 
 # ----------------------------------------------------------------------

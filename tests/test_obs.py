@@ -519,7 +519,21 @@ class TestCLISurfaces:
         parsed = obs.parse_textfile(metrics.read_text())
         assert parsed["repro_epochlog_checkpoint_bytes"] == header["payload_bytes"] > 0
         assert parsed["repro_epochlog_checkpoint_write_seconds_count"] >= 1
+        # The checker's own share: building the state (op=save) here, and
+        # rebuilding a checker from it (op=restore) when the next run resumes.
+        saves = parsed['repro_checker_checkpoint_seconds_count{op="save"}']
+        assert saves == parsed["repro_epochlog_checkpoint_write_seconds_count"]
+        assert parsed.get('repro_checker_checkpoint_seconds_count{op="restore"}', 0) == 0
         assert obs.METRIC_CATALOG["repro_epochlog_checkpoint_bytes"][0] == "gauge"
+        assert main(
+            ["watch", "--once", "--level", "si", "--checkpoint-every", "2",
+             "--metrics-file", str(metrics), "--metrics-every", "0", str(path)]
+        ) == 0
+        assert "resumed from checkpoint" in capsys.readouterr().out
+        parsed = obs.parse_textfile(metrics.read_text())
+        assert parsed['repro_checker_checkpoint_seconds_count{op="restore"}'] == 1
+        assert parsed['repro_checker_checkpoint_seconds_sum{op="restore"}'] > 0
+        assert obs.METRIC_CATALOG["repro_checker_checkpoint_seconds"][0] == "histogram"
 
     def test_watch_jsonl_metrics_file(self, tmp_path, capsys):
         path = tmp_path / "h.jsonl"

@@ -30,7 +30,7 @@ from repro.core.intcheck import check_internal_consistency
 from repro.core.model import INITIAL_TXN_ID, History, Transaction, TransactionStatus, read, write
 from repro.history import ColumnarHistory, EpochLog, load_columns, read_segments, write_history
 from repro.history.epochlog import MANIFEST_NAME, _encode_record
-from repro.ondisk import file_crc32
+from repro.ondisk import file_crc32, pack_columns, unpack_columns
 from repro.workloads.mt_generator import MTWorkloadGenerator
 
 from test_acollector import assert_schedule_valid
@@ -192,7 +192,7 @@ def test_stream_routes(name, containers):
             for boundary in range(1, len(epochs)):
                 head, lines = MTChecker().session(level, window=window), []
                 base = feed(head, epochs[:boundary], lines)
-                resumed = CheckerSession.restore(json.loads(json.dumps(head.checkpoint())))
+                resumed = CheckerSession.restore(unpack_columns(*pack_columns(head.checkpoint())))
                 feed(resumed, epochs[boundary:], lines, base)
                 assert printed(resumed, lines) == out, (short, window, boundary)
 

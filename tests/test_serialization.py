@@ -337,12 +337,13 @@ class TestOneDoor:
         assert segment.num_transactions == 3
 
     def test_frames_are_the_bytes_earlier_builds_wrote(self, tmp_path):
-        """Segment and checkpoint, assembled here by the recipe every earlier
-        build used, are byte for byte what this build writes — so each loads
-        the other's files."""
-        import gzip
+        """The segment, assembled here by the recipe every earlier build used,
+        and the checkpoint, by the ``repro-epoch-checkpoint-v2`` recipe, are
+        byte for byte what this build writes — so each loads the other's
+        files."""
         import sys
         import zlib
+        from array import array
 
         from repro.history import ColumnarHistory, EpochLog
         from repro.history.columnar import _COLUMN_SLOTS, SEGMENT_FORMAT, SEGMENT_MAGIC
@@ -362,12 +363,20 @@ class TestOneDoor:
         (tmp_path / "old.seg").write_bytes(segment)
         assert ColumnarHistory.load(tmp_path / "old.seg").to_wire() == columns.to_wire()
 
+        # A JSON line (the non-array leaves, each column's path, typecode and
+        # length), then the columns grouped by item size, each group as byte
+        # planes; deflated at level 1 and framed with the inflated size.
         log = EpochLog.open(tmp_path)
-        state = {"format": "any", "slots": [1, 2, 3]}
-        body = {"epochs": 4, "transactions": 9, "state": state}
-        payload = gzip.compress(dumps(body), compresslevel=4, mtime=0)
+        ids, stamps, flags = array("q", [1, -1, 300]), array("d", [0.5]), array("b", [2, 0])
+        state = {"format": "any", "keys": ["x"], "slots": {"id": ids, "n": 2}, "rt": {"stamp": stamps},
+                 "flags": flags}
+        line = {"byteorder": sys.byteorder, "doc": {"format": "any", "keys": ["x"], "slots": {"n": 2}, "rt": {}},
+                "columns": [["slots.id", "q", 3], ["rt.stamp", "d", 1], ["flags", "b", 2]]}
+        eights = ids.tobytes() + stamps.tobytes()
+        inflated = dumps(line) + b"\n" + flags.tobytes() + b"".join(eights[j::8] for j in range(8))
+        payload = zlib.compress(inflated, 1)
         header = {"format": CHECKPOINT_FILE_FORMAT, "epochs": 4, "transactions": 9,
-                  "crc32": zlib.crc32(payload), "payload_bytes": len(payload)}
+                  "inflated_bytes": len(inflated), "crc32": zlib.crc32(payload), "payload_bytes": len(payload)}
         checkpoint = CHECKPOINT_MAGIC + dumps(header) + b"\n" + payload
         assert log.save_checkpoint(state, epochs=4, transactions=9).read_bytes() == checkpoint
         (tmp_path / "checkpoint-00005.ckpt").write_bytes(checkpoint)
