@@ -14,132 +14,76 @@ The package provides:
 * :mod:`repro.bench` — the harness behind the ``benchmarks/bench_*``
   scripts reproducing the paper's tables and figures (this repository's own
   performance benchmark is ``benchmarks/pipeline``, outside the package).
+
+Every public name below (and in each subpackage) is imported from its
+defining module on first access (:mod:`repro._lazy`), so ``import repro``
+loads nothing it is not asked for; ``repro.MTChecker is
+repro.core.checker.MTChecker``.
 """
 
-from .core import (
-    AnomalyKind,
-    CheckResult,
-    CheckerSession,
-    CSRGraph,
-    DependencyGraph,
-    EdgeType,
-    History,
-    HistoryIndex,
-    IncrementalChecker,
-    IsolationLevel,
-    LWTHistory,
-    LWTOperation,
-    MTChecker,
-    Operation,
-    OpType,
-    PearceKellyOrder,
-    Session,
-    Transaction,
-    TransactionStatus,
-    Violation,
-    anomaly_catalog,
-    anomaly_history,
-    build_dependency,
-    check_linearizability,
-    check_ser,
-    check_si,
-    check_sser,
-    is_mini_transaction,
-    is_mt_history,
-    read,
-    stream_order,
-    write,
-)
-from .adapters import (
-    AsyncCollector,
-    AsyncSimulatedAdapter,
-    ChaosAdapter,
-    ChaosPlan,
-    CollectionResult,
-    Collector,
-    DatabaseAdapter,
-    SQLiteAdapter,
-    collect_history,
-    make_adapter,
-)
-from .db import Database, DatabaseStats, FaultPlan, TransactionAborted
-from .history import (
-    ColumnarHistory,
-    HistoryStreamWriter,
-    load_history_segment,
-    write_history_segment,
-)
-from .parallel import Shard, check_parallel, partition_columns
-from .workloads import (
-    GTWorkloadGenerator,
-    LWTHistoryGenerator,
-    ListAppendWorkloadGenerator,
-    MTWorkloadGenerator,
-    WorkloadRunner,
-    run_workload,
-)
+from ._lazy import surface
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnomalyKind",
-    "AsyncCollector",
-    "AsyncSimulatedAdapter",
-    "CSRGraph",
-    "ChaosAdapter",
-    "ChaosPlan",
-    "CheckResult",
-    "CheckerSession",
-    "CollectionResult",
-    "Collector",
-    "ColumnarHistory",
-    "Database",
-    "DatabaseAdapter",
-    "DatabaseStats",
-    "DependencyGraph",
-    "EdgeType",
-    "FaultPlan",
-    "GTWorkloadGenerator",
-    "History",
-    "HistoryIndex",
-    "HistoryStreamWriter",
-    "IncrementalChecker",
-    "IsolationLevel",
-    "LWTHistory",
-    "LWTHistoryGenerator",
-    "LWTOperation",
-    "ListAppendWorkloadGenerator",
-    "MTChecker",
-    "MTWorkloadGenerator",
-    "Operation",
-    "OpType",
-    "PearceKellyOrder",
-    "SQLiteAdapter",
-    "Session",
-    "Shard",
-    "Transaction",
-    "TransactionAborted",
-    "TransactionStatus",
-    "Violation",
-    "WorkloadRunner",
-    "anomaly_catalog",
-    "anomaly_history",
-    "build_dependency",
-    "check_linearizability",
-    "check_parallel",
-    "check_ser",
-    "check_si",
-    "check_sser",
-    "collect_history",
-    "is_mini_transaction",
-    "is_mt_history",
-    "load_history_segment",
-    "make_adapter",
-    "partition_columns",
-    "read",
-    "run_workload",
-    "stream_order",
-    "write",
-    "write_history_segment",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "AnomalyKind": ".core.result",
+    "CheckResult": ".core.result",
+    "IsolationLevel": ".core.result",
+    "Violation": ".core.result",
+    "CSRGraph": ".core.csr",
+    "CheckerSession": ".core.incremental",
+    "IncrementalChecker": ".core.incremental",
+    "PearceKellyOrder": ".core.incremental",
+    "DependencyGraph": ".core.graph",
+    "EdgeType": ".core.graph",
+    "build_dependency": ".core.graph",
+    "History": ".core.model",
+    "Operation": ".core.model",
+    "OpType": ".core.model",
+    "Session": ".core.model",
+    "Transaction": ".core.model",
+    "TransactionStatus": ".core.model",
+    "read": ".core.model",
+    "stream_order": ".core.model",
+    "write": ".core.model",
+    "HistoryIndex": ".core.index",
+    "LWTHistory": ".core.lwt",
+    "LWTOperation": ".core.lwt",
+    "check_linearizability": ".core.lwt",
+    "MTChecker": ".core.checker",
+    "anomaly_catalog": ".core.anomalies",
+    "anomaly_history": ".core.anomalies",
+    "check_ser": ".core.checkers",
+    "check_si": ".core.checkers",
+    "check_sser": ".core.checkers",
+    "is_mini_transaction": ".core.mini",
+    "is_mt_history": ".core.mini",
+    "AsyncCollector": ".adapters.acollector",
+    "AsyncSimulatedAdapter": ".adapters.aio",
+    "ChaosAdapter": ".adapters.chaos",
+    "ChaosPlan": ".adapters.chaos",
+    "CollectionResult": ".adapters.collector",
+    "Collector": ".adapters.collector",
+    "DatabaseAdapter": ".adapters.base",
+    "SQLiteAdapter": ".adapters.sqlite",
+    "collect_history": ".adapters",
+    "make_adapter": ".adapters",
+    "Database": ".db.database",
+    "DatabaseStats": ".db.database",
+    "FaultPlan": ".db.faults",
+    "TransactionAborted": ".db.errors",
+    "ColumnarHistory": ".history.columnar",
+    "load_history_segment": ".history.columnar",
+    "write_history_segment": ".history.columnar",
+    "HistoryStreamWriter": ".history.serialization",
+    "Shard": ".parallel.partition",
+    "partition_columns": ".parallel.partition",
+    "check_parallel": ".parallel.executor",
+    "GTWorkloadGenerator": ".workloads.gt_generator",
+    "LWTHistoryGenerator": ".workloads.lwt_generator",
+    "ListAppendWorkloadGenerator": ".workloads.list_append",
+    "MTWorkloadGenerator": ".workloads.mt_generator",
+    "WorkloadRunner": ".workloads.runner",
+    "run_workload": ".workloads.runner",
+    "__version__": ".",
+})

@@ -28,61 +28,41 @@ adapter calls for.  The two collectors differ only in how a session waits
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .base import (
-    AdapterAborted,
-    AdapterCapabilities,
-    AdapterError,
-    AdapterSession,
-    AdapterStateError,
-    DatabaseAdapter,
-)
-from .chaos import (
-    CHAOS_FAULTS,
-    AsyncChaosAdapter,
-    AsyncChaosSession,
-    ChaosAdapter,
-    ChaosPlan,
-    ChaosSession,
-)
-from .collector import CollectionResult, Collector, CollectorBase
-from .sqlite import SQLiteAdapter, SQLiteSession
-from .aio import (
-    AsyncAdapterSession,
-    AsyncDatabaseAdapter,
-    AsyncSimulatedAdapter,
-    AsyncSimulatedSession,
-)
-from .acollector import AsyncCollector
+from .._lazy import surface
 
-__all__ = [
-    "ADAPTER_NAMES",
-    "AdapterAborted",
-    "AdapterCapabilities",
-    "AdapterError",
-    "AdapterSession",
-    "AdapterStateError",
-    "AsyncAdapterSession",
-    "AsyncChaosAdapter",
-    "AsyncChaosSession",
-    "AsyncCollector",
-    "AsyncDatabaseAdapter",
-    "AsyncSimulatedAdapter",
-    "AsyncSimulatedSession",
-    "CHAOS_FAULTS",
-    "ChaosAdapter",
-    "ChaosPlan",
-    "ChaosSession",
-    "CollectionResult",
-    "Collector",
-    "CollectorBase",
-    "DatabaseAdapter",
-    "SQLiteAdapter",
-    "SQLiteSession",
-    "collect_history",
-    "make_adapter",
-]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .aio import AsyncDatabaseAdapter
+    from .base import DatabaseAdapter
+
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "ADAPTER_NAMES": ".",
+    "collect_history": ".",
+    "make_adapter": ".",
+    "AsyncCollector": ".acollector",
+    "AsyncAdapterSession": ".aio",
+    "AsyncDatabaseAdapter": ".aio",
+    "AsyncSimulatedAdapter": ".aio",
+    "AsyncSimulatedSession": ".aio",
+    "AdapterAborted": ".base",
+    "AdapterCapabilities": ".base",
+    "AdapterError": ".base",
+    "AdapterSession": ".base",
+    "AdapterStateError": ".base",
+    "DatabaseAdapter": ".base",
+    "CHAOS_FAULTS": ".chaos",
+    "AsyncChaosAdapter": ".chaos",
+    "AsyncChaosSession": ".chaos",
+    "ChaosAdapter": ".chaos",
+    "ChaosPlan": ".chaos",
+    "ChaosSession": ".chaos",
+    "CollectionResult": ".collector",
+    "Collector": ".collector",
+    "CollectorBase": ".collector",
+    "SQLiteAdapter": ".sqlite",
+    "SQLiteSession": ".sqlite",
+})
 
 #: Adapter names resolvable by :func:`make_adapter` (and the CLI).
 ADAPTER_NAMES = ("sqlite", "simulated")
@@ -120,6 +100,10 @@ def make_adapter(
         chaos_rate: probability per opportunity for the chosen chaos fault.
         seed: RNG seed for the chaos plan.
     """
+    from .aio import AsyncDatabaseAdapter, AsyncSimulatedAdapter
+    from .chaos import AsyncChaosAdapter, ChaosAdapter, ChaosPlan
+    from .sqlite import SQLiteAdapter
+
     # The plan is validated first: a bad rate must not leave a temp file.
     plan = None if chaos is None else ChaosPlan.for_fault(chaos, rate=chaos_rate, seed=seed)
     if name == "sqlite":
@@ -145,5 +129,9 @@ def collect_history(adapter, workload, **kwargs):
     neither can drive the other's adapters.  ``kwargs`` go to the collector;
     either returns a :class:`CollectionResult`.
     """
+    from .acollector import AsyncCollector
+    from .aio import AsyncDatabaseAdapter
+    from .collector import Collector
+
     collector = AsyncCollector if isinstance(adapter, AsyncDatabaseAdapter) else Collector
     return collector(adapter, **kwargs).collect(workload)

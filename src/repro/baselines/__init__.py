@@ -2,25 +2,19 @@
 compares against: Cobra (SER), PolySI (SI), Porcupine (linearizability),
 Elle (list-append / registers), and dbcop (session-frontier SER)."""
 
-from .cobra import CobraChecker, CobraReport
-from .dbcop import DbcopChecker
-from .elle import ElleChecker
-from .polygraph import Constraint, Polygraph, build_polygraph
-from .polysi import PolySIChecker, PolySIReport
-from .porcupine import PorcupineChecker
-from .solver import PolygraphSolver, SolveResult
+from .._lazy import surface
 
-__all__ = [
-    "CobraChecker",
-    "CobraReport",
-    "Constraint",
-    "DbcopChecker",
-    "ElleChecker",
-    "Polygraph",
-    "PolySIChecker",
-    "PolySIReport",
-    "PolygraphSolver",
-    "PorcupineChecker",
-    "SolveResult",
-    "build_polygraph",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "CobraChecker": ".cobra",
+    "CobraReport": ".cobra",
+    "DbcopChecker": ".dbcop",
+    "ElleChecker": ".elle",
+    "Constraint": ".polygraph",
+    "Polygraph": ".polygraph",
+    "build_polygraph": ".polygraph",
+    "PolySIChecker": ".polysi",
+    "PolySIReport": ".polysi",
+    "PorcupineChecker": ".porcupine",
+    "PolygraphSolver": ".solver",
+    "SolveResult": ".solver",
+})

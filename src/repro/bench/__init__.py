@@ -3,32 +3,21 @@ the ``benchmarks/bench_*`` scripts that reproduce the paper's tables and
 figures.  The repository's own performance is measured by
 ``benchmarks/pipeline``, which is not part of the installed package."""
 
-from .harness import (
-    BENCH_SCALE,
-    EndToEndResult,
-    GeneratedHistory,
-    end_to_end,
-    generate_gt_history,
-    generate_mt_history,
-    make_disjoint_history,
-    scaled,
-)
-from .metrics import Measurement, measure, measure_memory
-from .reporting import format_table, print_series, print_table
+from .._lazy import surface
 
-__all__ = [
-    "BENCH_SCALE",
-    "EndToEndResult",
-    "GeneratedHistory",
-    "Measurement",
-    "end_to_end",
-    "format_table",
-    "generate_gt_history",
-    "generate_mt_history",
-    "make_disjoint_history",
-    "measure",
-    "measure_memory",
-    "print_series",
-    "print_table",
-    "scaled",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "BENCH_SCALE": ".harness",
+    "EndToEndResult": ".harness",
+    "GeneratedHistory": ".harness",
+    "end_to_end": ".harness",
+    "generate_gt_history": ".harness",
+    "generate_mt_history": ".harness",
+    "make_disjoint_history": ".harness",
+    "scaled": ".harness",
+    "Measurement": ".metrics",
+    "measure": ".metrics",
+    "measure_memory": ".metrics",
+    "format_table": ".reporting",
+    "print_series": ".reporting",
+    "print_table": ".reporting",
+})

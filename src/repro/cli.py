@@ -48,35 +48,31 @@ import contextlib
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+# A command imports the modules it runs inside its handler: `repro check
+# x.seg` loads neither the simulator nor the collectors, `--version` no checker.
 from . import obs
-from .core.anomalies import ANOMALY_NAMES, anomaly_catalog
-from .core.checker import MTChecker
-from .core.incremental import CheckerSession
-from .core.model import INITIAL_TXN_ID
-from .core.result import IsolationLevel
-from .db.database import Database
-from .db.faults import FaultPlan
-from .history.epochlog import EpochLog
-from .history.files import (
-    StreamFollower,
-    history_format,
-    load_columns,
-    read_segments,
-    write_history,
-)
-from .resilience import Supervisor
-from .workloads.mt_generator import MTWorkloadGenerator
-from .workloads.runner import run_workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .core.result import IsolationLevel
+    from .history.epochlog import EpochLog
+    from .resilience.supervisor import Supervisor
 
 __all__ = ["main", "build_parser"]
 
+#: ``--level`` choice -> :class:`~repro.core.result.IsolationLevel` member.
 _LEVELS = {
-    "si": IsolationLevel.SNAPSHOT_ISOLATION,
-    "ser": IsolationLevel.SERIALIZABILITY,
-    "sser": IsolationLevel.STRICT_SERIALIZABILITY,
+    "si": "SNAPSHOT_ISOLATION",
+    "ser": "SERIALIZABILITY",
+    "sser": "STRICT_SERIALIZABILITY",
 }
+
+
+def _level(name: str) -> IsolationLevel:
+    from .core.result import IsolationLevel
+
+    return IsolationLevel[_LEVELS[name]]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,9 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .core.checker import MTChecker
+    from .history.files import load_columns
+
     checker = MTChecker(strict_mt=args.strict_mt, workers=args.workers)
     result = checker.verify(
-        load_columns(args.history), _LEVELS[args.level], report=args.verbose
+        load_columns(args.history), _level(args.level), report=args.verbose
     )
     print(result.format())
     return 0 if result.satisfied else 1
@@ -349,6 +348,8 @@ def _ingest_epoch(session, segment, base: int) -> int:
     many of those were ingested before this segment, so the numbering
     continues across segments; returns how many this segment added.
     """
+    from .core.model import INITIAL_TXN_ID
+
     offset = 1 if segment.has_initial else 0
 
     def report(row: int, violations) -> None:
@@ -442,6 +443,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     from the newest checkpoint and reaches the same verdict as an
     uninterrupted run; ``--supervise`` performs that restart in-process.
     """
+    from .history.files import history_format
+    from .resilience.supervisor import Supervisor
+
     kind = history_format(args.history)
     if kind in ("segment", "document"):
         what = "columnar segments" if kind == "segment" else "JSON documents"
@@ -509,6 +513,9 @@ def _resume(log: EpochLog, args: argparse.Namespace, level: IsolationLevel):
     when retired epochs make the verdict unrecoverable — the refusal has
     been printed.
     """
+    from .core.checker import MTChecker
+    from .core.incremental import CheckerSession
+
     session, ingested = None, 0
     skipped = ""  # why the newest checkpoint on disk could not be used
     for resume in () if args.no_resume else log.checkpoints():
@@ -548,6 +555,10 @@ def _watch_attempt(args: argparse.Namespace, control: Supervisor, telemetry) -> 
     This is the body ``--supervise`` restarts: a restarted attempt reopens
     the log and resumes from the latest durable checkpoint.
     """
+    from .core.checker import MTChecker
+    from .history.epochlog import EpochLog
+    from .history.files import StreamFollower, history_format
+
     if control.restarts:
         degraded = " [degraded]" if control.degraded else ""
         print(
@@ -556,7 +567,7 @@ def _watch_attempt(args: argparse.Namespace, control: Supervisor, telemetry) -> 
             f"(restart {control.restarts}/{args.max_restarts})",
             flush=True,
         )
-    level = _LEVELS[args.level]
+    level = _level(args.level)
     if history_format(args.history) == "stream":
         session = MTChecker().session(level, window=args.window)
         with StreamFollower(args.history) as stream:
@@ -596,6 +607,8 @@ def _follow(args, control: Supervisor, telemetry, source, session, ingested: int
     prefix of fully-ingested epochs.  Returns ``False`` when the source was
     lost (the diagnostic has been printed; exit 2).
     """
+    from .history.epochlog import EpochLog
+
     started = time.monotonic()
     try:
         while True:
@@ -673,6 +686,12 @@ def _retire_behind_window(log: EpochLog, window: int, ingested_epochs: int) -> N
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .db.database import Database
+    from .db.faults import FaultPlan
+    from .history.files import write_history
+    from .workloads.mt_generator import MTWorkloadGenerator
+    from .workloads.runner import run_workload
+
     generator = MTWorkloadGenerator(
         num_sessions=args.sessions,
         txns_per_session=args.txns,
@@ -703,7 +722,10 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     import asyncio
 
     from .adapters import AsyncDatabaseAdapter, collect_history, make_adapter
+    from .core.checker import MTChecker
+    from .history.files import write_history
     from .workloads.gt_generator import GTWorkloadGenerator
+    from .workloads.mt_generator import MTWorkloadGenerator
     from .workloads.spec import make_traffic_shape
 
     if args.check is None and args.output is None:
@@ -792,7 +814,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     if args.check is None:
         return 0
     checker = MTChecker(workers=args.workers)
-    verdict = checker.verify(history, _LEVELS[args.check.lower()])
+    verdict = checker.verify(history, _level(args.check.lower()))
     print(verdict.format())
     return 0 if verdict.satisfied else 1
 
@@ -806,6 +828,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     document format groups by session (order is recovered canonically on
     the way back out).
     """
+    from .history.files import read_segments, write_history
+
     source, destination = args.input, args.output
     if os.path.exists(destination) and os.path.samefile(source, destination):
         # Sources are read lazily while the destination is being written.
@@ -822,6 +846,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_anomaly(args: argparse.Namespace) -> int:
+    from .core.anomalies import ANOMALY_NAMES, anomaly_catalog
+
     catalog = anomaly_catalog()
     if args.name is None:
         for name, spec in catalog.items():

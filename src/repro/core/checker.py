@@ -11,17 +11,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .. import obs
-from ..obs.report import VerifyReport
 from .checkers import check_level
-from .incremental import CheckerSession
 from .index import HistoryIndex
 from .lwt import LWTHistory, check_linearizability
-from .mini import validate_mt_history
 from .model import History
 from .result import CheckResult, IsolationLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..history.columnar import ColumnarHistory
+    from ..obs.report import VerifyReport
+    from .incremental import CheckerSession
 
 __all__ = ["MTChecker"]
 
@@ -99,6 +98,8 @@ class MTChecker:
         ``repro check -v``).
         """
         if report:
+            from ..obs.report import VerifyReport
+
             with obs.scoped() as reg:
                 result = self._verify(history, level)
             return VerifyReport(result=result, metrics=reg.snapshot())
@@ -203,6 +204,8 @@ class MTChecker:
         if self.strict_mt:
             raise ValueError("strict MT validation is batch-only; open the session "
                              "from an MTChecker without strict_mt")
+        from .incremental import CheckerSession
+
         return CheckerSession(level, initial_keys=initial_keys, window=window)
 
     # ------------------------------------------------------------------
@@ -211,4 +214,6 @@ class MTChecker:
     @staticmethod
     def is_mt_history(history: History) -> bool:
         """Whether ``history`` meets Definition 9 (MT history, unique values)."""
+        from .mini import validate_mt_history
+
         return not validate_mt_history(history)

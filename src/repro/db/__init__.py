@@ -1,29 +1,22 @@
 """The in-memory transactional database simulator: the "black box" that the
 workload generators stress and from which histories are recorded."""
 
-from .database import Database, DatabaseStats, ENGINE_REGISTRY, engine_for_level
-from .errors import DatabaseError, TransactionAborted, TransactionStateError
-from .faults import FaultPlan, FaultyEngine
-from .rc import ReadCommittedEngine
-from .s2pl import StrictTwoPhaseLockingEngine
-from .ser import SerializableEngine
-from .si import SnapshotIsolationEngine
-from .transaction import TransactionContext, TxnState
+from .._lazy import surface
 
-__all__ = [
-    "Database",
-    "DatabaseError",
-    "DatabaseStats",
-    "ENGINE_REGISTRY",
-    "FaultPlan",
-    "FaultyEngine",
-    "ReadCommittedEngine",
-    "SerializableEngine",
-    "SnapshotIsolationEngine",
-    "StrictTwoPhaseLockingEngine",
-    "TransactionAborted",
-    "TransactionContext",
-    "TransactionStateError",
-    "TxnState",
-    "engine_for_level",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "Database": ".database",
+    "DatabaseStats": ".database",
+    "ENGINE_REGISTRY": ".database",
+    "engine_for_level": ".database",
+    "DatabaseError": ".errors",
+    "TransactionAborted": ".errors",
+    "TransactionStateError": ".errors",
+    "FaultPlan": ".faults",
+    "FaultyEngine": ".faults",
+    "ReadCommittedEngine": ".rc",
+    "StrictTwoPhaseLockingEngine": ".s2pl",
+    "SerializableEngine": ".ser",
+    "SnapshotIsolationEngine": ".si",
+    "TransactionContext": ".transaction",
+    "TxnState": ".transaction",
+})

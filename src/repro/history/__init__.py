@@ -19,82 +19,41 @@ the one door that knows which is which: :mod:`repro.history.files`
 :func:`write_history`, :class:`StreamFollower`).
 """
 
-from .columnar import (
-    OP_READ,
-    OP_WRITE,
-    ColumnarHistory,
-    is_segment_path,
-    load_history_segment,
-    write_history_segment,
-)
-from .epochlog import (
-    CheckpointInfo,
-    EpochInfo,
-    EpochLog,
-    EpochLogError,
-    EpochLogWriter,
-    is_epochlog_path,
-)
-from .files import (
-    StreamFollower,
-    history_format,
-    load_columns,
-    read_segments,
-    write_history,
-)
-from .serialization import (
-    HistoryStreamWriter,
-    history_from_dict,
-    history_to_dict,
-    is_stream_path,
-    iter_history_jsonl,
-    load_history,
-    load_history_jsonl,
-    load_lwt_history,
-    lwt_history_from_dict,
-    lwt_history_to_dict,
-    open_history_stream,
-    parse_stream_header,
-    save_history,
-    save_lwt_history,
-    transaction_from_dict,
-    transaction_to_dict,
-    write_history_jsonl,
-)
+from .._lazy import surface
 
-__all__ = [
-    "CheckpointInfo",
-    "ColumnarHistory",
-    "OP_READ",
-    "OP_WRITE",
-    "EpochInfo",
-    "EpochLog",
-    "EpochLogError",
-    "EpochLogWriter",
-    "HistoryStreamWriter",
-    "StreamFollower",
-    "history_format",
-    "load_columns",
-    "read_segments",
-    "write_history",
-    "is_epochlog_path",
-    "history_from_dict",
-    "history_to_dict",
-    "is_segment_path",
-    "is_stream_path",
-    "iter_history_jsonl",
-    "load_history",
-    "load_history_jsonl",
-    "load_history_segment",
-    "load_lwt_history",
-    "lwt_history_from_dict",
-    "lwt_history_to_dict",
-    "open_history_stream",
-    "parse_stream_header",
-    "save_history",
-    "save_lwt_history",
-    "transaction_from_dict",
-    "transaction_to_dict",
-    "write_history_jsonl",
-    "write_history_segment",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "OP_READ": ".columnar",
+    "OP_WRITE": ".columnar",
+    "ColumnarHistory": ".columnar",
+    "is_segment_path": ".columnar",
+    "load_history_segment": ".columnar",
+    "write_history_segment": ".columnar",
+    "CheckpointInfo": ".epochlog",
+    "EpochInfo": ".epochlog",
+    "EpochLog": ".epochlog",
+    "EpochLogError": ".epochlog",
+    "EpochLogWriter": ".epochlog",
+    "StreamFollower": ".files",
+    "history_format": ".files",
+    "is_epochlog_path": ".files",
+    "is_stream_path": ".files",
+    "load_columns": ".files",
+    "read_segments": ".files",
+    "write_history": ".files",
+    "HistoryStreamWriter": ".serialization",
+    "history_from_dict": ".serialization",
+    "history_to_dict": ".serialization",
+    "iter_history_jsonl": ".serialization",
+    "load_history": ".serialization",
+    "load_history_jsonl": ".serialization",
+    "load_lwt_history": ".serialization",
+    "lwt_history_from_dict": ".serialization",
+    "lwt_history_to_dict": ".serialization",
+    "open_history_stream": ".serialization",
+    "parse_stream_header": ".serialization",
+    "save_history": ".serialization",
+    "save_lwt_history": ".serialization",
+    "transaction_from_dict": ".serialization",
+    "transaction_to_dict": ".serialization",
+    "write_history_jsonl": ".serialization",
+})

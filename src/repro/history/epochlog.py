@@ -51,6 +51,7 @@ from ..core.model import INITIAL_TXN_ID, Transaction, make_initial_transaction
 from ..resilience.failpoints import fail_point
 from ..ondisk import atomic_write, file_crc32, frame, pack_columns, unframe, unpack_columns
 from .columnar import ColumnarHistory
+from .files import is_epochlog_path
 
 __all__ = [
     "EpochInfo",
@@ -85,16 +86,6 @@ _LOCK_ATTEMPTS = 5
 
 class EpochLogError(ValueError):
     """An epoch log directory is unusable for the requested operation."""
-
-
-def is_epochlog_path(path: Union[str, Path]) -> bool:
-    """Whether ``path`` denotes an epoch-log directory.
-
-    True for the conventional ``*.epochs`` suffix (even before the
-    directory exists — output paths) and for any existing directory.
-    """
-    p = Path(path)
-    return p.name.lower().endswith(".epochs") or p.is_dir()
 
 
 @dataclass(frozen=True)

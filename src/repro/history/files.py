@@ -24,6 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "StreamFollower",
     "history_format",
+    "is_epochlog_path",
+    "is_stream_path",
     "load_columns",
     "read_segments",
     "write_history",
@@ -41,14 +43,36 @@ def history_format(path: Union[str, Path]) -> str:
     ``.epochs`` name is a ``"log"``, ``.seg[.gz]`` a ``"segment"``, ``.jsonl`` /
     ``.ndjson`` (``[.gz]``) a ``"stream"``, anything else a ``"document"``."""
     from .columnar import is_segment_path
-    from .epochlog import is_epochlog_path
-    from .serialization import is_stream_path
 
     if is_epochlog_path(path):
         return "log"
     if is_segment_path(path):
         return "segment"
     return "stream" if is_stream_path(path) else "document"
+
+
+def is_epochlog_path(path: Union[str, Path]) -> bool:
+    """Whether ``path`` denotes an epoch-log directory.
+
+    True for the conventional ``*.epochs`` suffix (even before the
+    directory exists — output paths) and for any existing directory.
+    """
+    p = Path(path)
+    return p.name.lower().endswith(".epochs") or p.is_dir()
+
+
+def is_stream_path(path: Union[str, Path]) -> bool:
+    """Whether ``path`` looks like a JSONL history stream (by suffix).
+
+    Gzip-compressed streams (``*.jsonl.gz`` / ``*.ndjson.gz``) count: every
+    stream consumer opens files through
+    :func:`~repro.history.serialization.open_history_stream`, which
+    decompresses transparently.
+    """
+    name = Path(path).name.lower()
+    if name.endswith(".gz"):
+        name = name[: -len(".gz")]
+    return name.endswith((".jsonl", ".ndjson"))
 
 
 def _open_log(path: Union[str, Path]):
@@ -70,7 +94,6 @@ def read_segments(path: Union[str, Path]) -> Iterator["ColumnarHistory"]:
     a document or a ``.seg`` is one, an epoch log yields its epochs, a stream
     is read lazily, :data:`STREAM_SEGMENT_ROWS` rows at a time."""
     from .columnar import ColumnarHistory
-    from .serialization import load_history
 
     kind = history_format(path)
     if kind == "log":
@@ -83,19 +106,21 @@ def read_segments(path: Union[str, Path]) -> Iterator["ColumnarHistory"]:
             yield from iter(follower.poll, None)
             follower.warn()
     else:
+        from .serialization import load_history
+
         yield ColumnarHistory.from_history(load_history(path))
 
 
 def load_columns(path: Union[str, Path]) -> "ColumnarHistory":
     """The history at ``path`` as one set of columns, for a batch check (an
     uncompressed segment's are memory-mapped)."""
-    from .columnar import ColumnarHistory
-    from .serialization import iter_history_jsonl
-
     kind = history_format(path)
     if kind == "log":
         return _open_log(path).to_columns()
     if kind == "stream":
+        from .columnar import ColumnarHistory
+        from .serialization import iter_history_jsonl
+
         return ColumnarHistory.from_transactions(iter_history_jsonl(path))
     (columns,) = read_segments(path)
     return columns

@@ -38,7 +38,7 @@ from ..core.model import (
     make_initial_transaction,
 )
 from ..ondisk import atomic_write
-from .files import StreamFollower, write_history
+from .files import StreamFollower, is_stream_path, write_history
 
 __all__ = [
     "history_to_dict",
@@ -163,19 +163,6 @@ def transaction_from_dict(payload: Dict[str, Any]) -> Transaction:
 # ----------------------------------------------------------------------
 # Streaming JSONL histories
 # ----------------------------------------------------------------------
-def is_stream_path(path: Union[str, Path]) -> bool:
-    """Whether ``path`` looks like a JSONL history stream (by suffix).
-
-    Gzip-compressed streams (``*.jsonl.gz`` / ``*.ndjson.gz``) count: every
-    stream consumer opens files through :func:`open_history_stream`, which
-    decompresses transparently.
-    """
-    name = Path(path).name.lower()
-    if name.endswith(".gz"):
-        name = name[: -len(".gz")]
-    return name.endswith((".jsonl", ".ndjson"))
-
-
 def open_history_stream(path: Union[str, Path]) -> IO[str]:
     """Open a JSONL stream for text reading, gunzipping ``*.gz`` files.
 

@@ -25,52 +25,42 @@ Everything is stdlib-only and lives in this package:
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
+from .._lazy import surface
 from . import metrics as _metrics
-from .metrics import (
-    DEFAULT_BUCKETS,
-    METRIC_CATALOG,
-    MetricsRegistry,
-    disable,
-    enable,
-    enabled,
-    merge_snapshots,
-    registry,
-    scoped,
-)
-from .report import VerifyReport
-from .textfile import parse_textfile, render, write_textfile
-from .trace import Span, TraceWriter, iter_trace
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "METRIC_CATALOG",
-    "MetricsRegistry",
-    "Span",
-    "TraceWriter",
-    "VerifyReport",
-    "disable",
-    "enable",
-    "enabled",
-    "gauge_add",
-    "inc",
-    "iter_trace",
-    "merge",
-    "merge_snapshots",
-    "observe",
-    "parse_textfile",
-    "phase",
-    "registry",
-    "render",
-    "scoped",
-    "set_gauge",
-    "start_trace",
-    "stop_trace",
-    "trace_span",
-    "tracing",
-    "write_textfile",
-]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .trace import Span, TraceWriter
+
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "gauge_add": ".",
+    "inc": ".",
+    "merge": ".",
+    "observe": ".",
+    "phase": ".",
+    "set_gauge": ".",
+    "start_trace": ".",
+    "stop_trace": ".",
+    "trace_span": ".",
+    "tracing": ".",
+    "DEFAULT_BUCKETS": ".metrics",
+    "METRIC_CATALOG": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "disable": ".metrics",
+    "enable": ".metrics",
+    "enabled": ".metrics",
+    "merge_snapshots": ".metrics",
+    "registry": ".metrics",
+    "scoped": ".metrics",
+    "VerifyReport": ".report",
+    "parse_textfile": ".textfile",
+    "render": ".textfile",
+    "write_textfile": ".textfile",
+    "Span": ".trace",
+    "TraceWriter": ".trace",
+    "iter_trace": ".trace",
+})
 
 
 # ----------------------------------------------------------------------
@@ -120,6 +110,8 @@ def tracing() -> bool:
 def start_trace(path: str) -> TraceWriter:
     """Open (or replace) the process-wide trace writer."""
     global _TRACER
+    from .trace import TraceWriter
+
     if _TRACER is not None:
         _TRACER.close()
     _TRACER = TraceWriter(path)

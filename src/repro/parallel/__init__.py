@@ -9,15 +9,13 @@ verdicts equal serial verdicts on every history.  Reach it through
 :func:`check_parallel` directly.
 """
 
-from .executor import check_parallel
-from .merge import ShardOutcome, merge_shard_results
-from .partition import DEFAULT_MAX_SHARDS, Shard, partition_columns
+from .._lazy import surface
 
-__all__ = [
-    "DEFAULT_MAX_SHARDS",
-    "Shard",
-    "ShardOutcome",
-    "check_parallel",
-    "merge_shard_results",
-    "partition_columns",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "check_parallel": ".executor",
+    "ShardOutcome": ".merge",
+    "merge_shard_results": ".merge",
+    "DEFAULT_MAX_SHARDS": ".partition",
+    "Shard": ".partition",
+    "partition_columns": ".partition",
+})

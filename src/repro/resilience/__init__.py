@@ -11,21 +11,15 @@ Three cooperating pieces, each usable alone:
   ``repro watch --supervise``.
 """
 
-from .failpoints import (
-    FAILPOINT_SITES,
-    FailpointError,
-    fail_point,
-)
-from .policy import CircuitBreaker, Deadline, DeadlineExceeded, RetryPolicy
-from .supervisor import Supervisor
+from .._lazy import surface
 
-__all__ = [
-    "CircuitBreaker",
-    "Deadline",
-    "DeadlineExceeded",
-    "FAILPOINT_SITES",
-    "FailpointError",
-    "RetryPolicy",
-    "Supervisor",
-    "fail_point",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "FAILPOINT_SITES": ".failpoints",
+    "FailpointError": ".failpoints",
+    "fail_point": ".failpoints",
+    "CircuitBreaker": ".policy",
+    "Deadline": ".policy",
+    "DeadlineExceeded": ".policy",
+    "RetryPolicy": ".policy",
+    "Supervisor": ".supervisor",
+})

@@ -1,16 +1,14 @@
 """Storage primitives for the in-memory transactional database simulator:
 a logical clock, a multi-version key-value store, and a lock manager."""
 
-from .clock import LogicalClock, SkewedClock
-from .locks import LockKind, LockManager, LockConflict
-from .mvcc import Version, VersionedStore
+from .._lazy import surface
 
-__all__ = [
-    "LockConflict",
-    "LockKind",
-    "LockManager",
-    "LogicalClock",
-    "SkewedClock",
-    "Version",
-    "VersionedStore",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "LogicalClock": ".clock",
+    "SkewedClock": ".clock",
+    "LockKind": ".locks",
+    "LockManager": ".locks",
+    "LockConflict": ".locks",
+    "Version": ".mvcc",
+    "VersionedStore": ".mvcc",
+})

@@ -2,67 +2,37 @@
 workloads, Elle-style list-append workloads, synthetic LWT histories, and
 the runner that records histories from the database simulator."""
 
-from .distributions import (
-    DISTRIBUTION_NAMES,
-    ExponentialDistribution,
-    HotKeyZipfDistribution,
-    HotspotDistribution,
-    KeyDistribution,
-    UniformDistribution,
-    ZipfianDistribution,
-    make_distribution,
-)
-from .gt_generator import GTWorkloadGenerator, GTWorkloadMix
-from .list_append import (
-    AppendOp,
-    ElleHistory,
-    ElleTransaction,
-    ListAppendWorkloadGenerator,
-    ReadListOp,
-    run_list_append_workload,
-)
-from .lwt_generator import LWTHistoryGenerator
-from .mt_generator import MTWorkloadGenerator, MTWorkloadMix
-from .runner import RunResult, RunStats, WorkloadRunner, run_workload
-from .spec import (
-    TRAFFIC_SHAPE_NAMES,
-    PlannedOpKind,
-    PlannedOperation,
-    TrafficShape,
-    TransactionSpec,
-    Workload,
-    make_traffic_shape,
-)
+from .._lazy import surface
 
-__all__ = [
-    "AppendOp",
-    "DISTRIBUTION_NAMES",
-    "ElleHistory",
-    "ElleTransaction",
-    "ExponentialDistribution",
-    "GTWorkloadGenerator",
-    "GTWorkloadMix",
-    "HotKeyZipfDistribution",
-    "HotspotDistribution",
-    "KeyDistribution",
-    "LWTHistoryGenerator",
-    "ListAppendWorkloadGenerator",
-    "MTWorkloadGenerator",
-    "MTWorkloadMix",
-    "PlannedOpKind",
-    "PlannedOperation",
-    "ReadListOp",
-    "RunResult",
-    "RunStats",
-    "TRAFFIC_SHAPE_NAMES",
-    "TrafficShape",
-    "TransactionSpec",
-    "UniformDistribution",
-    "Workload",
-    "WorkloadRunner",
-    "ZipfianDistribution",
-    "make_distribution",
-    "make_traffic_shape",
-    "run_list_append_workload",
-    "run_workload",
-]
+__all__, __getattr__, __dir__ = surface(__name__, {
+    "DISTRIBUTION_NAMES": ".distributions",
+    "ExponentialDistribution": ".distributions",
+    "HotKeyZipfDistribution": ".distributions",
+    "HotspotDistribution": ".distributions",
+    "KeyDistribution": ".distributions",
+    "UniformDistribution": ".distributions",
+    "ZipfianDistribution": ".distributions",
+    "make_distribution": ".distributions",
+    "GTWorkloadGenerator": ".gt_generator",
+    "GTWorkloadMix": ".gt_generator",
+    "AppendOp": ".list_append",
+    "ElleHistory": ".list_append",
+    "ElleTransaction": ".list_append",
+    "ListAppendWorkloadGenerator": ".list_append",
+    "ReadListOp": ".list_append",
+    "run_list_append_workload": ".list_append",
+    "LWTHistoryGenerator": ".lwt_generator",
+    "MTWorkloadGenerator": ".mt_generator",
+    "MTWorkloadMix": ".mt_generator",
+    "RunResult": ".runner",
+    "RunStats": ".runner",
+    "WorkloadRunner": ".runner",
+    "run_workload": ".runner",
+    "TRAFFIC_SHAPE_NAMES": ".spec",
+    "PlannedOpKind": ".spec",
+    "PlannedOperation": ".spec",
+    "TrafficShape": ".spec",
+    "TransactionSpec": ".spec",
+    "Workload": ".spec",
+    "make_traffic_shape": ".spec",
+})
