@@ -24,7 +24,11 @@ convert``), serialises to a compact binary file (:meth:`ColumnarHistory.save`
 / :meth:`ColumnarHistory.load`, gzip-optional via a ``.gz`` suffix), and
 crosses process boundaries as raw buffers (:meth:`ColumnarHistory.to_wire` /
 :meth:`ColumnarHistory.from_wire`) — which is how the parallel executor ships
-shard slices without pickling a single ``Transaction``.
+shard slices without pickling a single ``Transaction``.  Segment bytes are
+copied into columns in one place, :meth:`ColumnarHistory.read`: every epoch,
+``.seg.gz`` and copied ``.seg`` is read column by column into arrays the
+segment owns (only a batch check of a ``.seg`` maps the file instead), and a
+byte past the last column is refused by both.
 
 Every batch check consumes these columns through
 :meth:`repro.core.index.HistoryIndex.build`, which scans them directly — a
@@ -559,41 +563,48 @@ class ColumnarHistory:
     def load(
         cls, path: Union[str, Path], *, mmap: bool = False
     ) -> "ColumnarHistory":
-        """Read a segment written by :meth:`save` (gzip auto-detected).
+        """Read the segment file at ``path`` with :meth:`read`.
 
-        Every column is copied into an array of its own, so the loaded
+        With ``mmap=True`` an uncompressed segment is memory-mapped instead:
+        every column is a typed ``memoryview`` over one read-only mapping,
+        paged in when a check first reads it.  A mapped segment saves,
+        slices and indexes like a copied one, but ``append`` raises
+        ``ValueError``, and a file that shrinks while it is mapped kills the
+        process (``SIGBUS``).  Gzip files are always copied, and so are
+        foreign-byteorder ones (from the mapped file).  The map refuses what
+        :meth:`read` refuses, a byte past the last column included.
+        """
+        with open(path, "rb") as fh:
+            if not mmap or fh.read(2) == b"\x1f\x8b":  # gzip magic
+                return cls.read(fh, path)
+            fail_point("columnar.segment.load", path=path)
+            return cls._read_mapped(fh, path).validated(path)
+
+    @classmethod
+    def read(cls, fh: IO[bytes], path: Union[str, Path]) -> "ColumnarHistory":
+        """The copying segment reader: the segment :meth:`save` wrote into
+        the binary file ``fh`` (gzip auto-detected), with ``path`` named in
+        every refusal.  Epoch loads hand it the bytes they checksummed.
+
+        Each column is read straight into an array of its own, so the
         segment owns its memory: it appends and saves like a built one, and
-        a file truncated or rewritten after the load cannot reach it.
-
-        With ``mmap=True`` an uncompressed native-byteorder segment is
-        memory-mapped instead: every column is a typed ``memoryview`` over
-        one read-only mapping, paged in when a check first reads it.  A
-        mapped segment saves, slices and indexes like a copied one, but
-        ``append`` raises ``ValueError``, and a file that shrinks while it
-        is mapped kills the process (``SIGBUS``).  Gzip and
-        foreign-byteorder files are always copied.
+        a file truncated or rewritten after the read cannot reach it.  A
+        byte after the last column — a second segment or gzip member behind
+        the first — is refused with ``ValueError``, like a column cut short.
         """
         fail_point("columnar.segment.load", path=path)
-        with open(path, "rb") as raw:
-            size = os.fstat(raw.fileno()).st_size
-            if raw.read(2) == b"\x1f\x8b":  # gzip magic
-                raw.seek(0)
-                try:
-                    with gzip.open(raw, "rb") as fh:
-                        cols = cls._read(fh, path, size * DEFLATE_MAX_RATIO)
-                        # The member's CRC/length trailer and end-of-stream
-                        # marker are only checked on reading to its end.
-                        while fh.read(1 << 16):
-                            pass
-                except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-                    raise ValueError(f"{path}: truncated segment ({exc})") from None
-                return cols.validated(path)
-            raw.seek(0)
-            cols = cls._read_mapped(raw, path, size) if mmap else None
-            if cols is None:
-                raw.seek(0)
-                cols = cls._read(raw, path, size)
-            return cols.validated(path)
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        gzipped = fh.read(2) == b"\x1f\x8b"
+        fh.seek(0)
+        if not gzipped:
+            return cls._read(fh, path, size).validated(path)
+        try:
+            with gzip.GzipFile(fileobj=fh, mode="rb") as unzipped:
+                cols = cls._read(unzipped, path, size * DEFLATE_MAX_RATIO)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise ValueError(f"{path}: truncated segment ({exc})") from None
+        return cols.validated(path)
 
     def validated(self, source: object) -> "ColumnarHistory":
         """``self``, or ``ValueError`` when the columns are structurally wrong.
@@ -682,37 +693,39 @@ class ColumnarHistory:
     def _read(
         cls, fh: IO[bytes], path: Union[str, Path], limit: int
     ) -> "ColumnarHistory":
-        """Copy a segment's columns out of ``fh``, which holds at most
+        """Read a segment's columns out of ``fh``, which holds at most
         ``limit`` bytes: a header claiming more is refused before anything
-        of that size is allocated."""
+        of that size is allocated.  Reading one byte past the last column
+        is what makes gzip check the member's CRC and length trailer."""
         cols, native, manifest = cls._read_header(fh, path)
         for slot, typecode, nbytes in manifest:
             limit -= nbytes
-            data = fh.read(nbytes) if limit >= 0 else b""  # claims past the end
-            if len(data) != nbytes:
+            if limit < 0:  # claims past the end
                 raise ValueError(f"{path}: truncated segment column {slot!r}")
-            column = array(typecode)
-            column.frombytes(data)
+            column = array(typecode, [0])
+            column *= nbytes // column.itemsize
+            if fh.readinto(column) != nbytes:
+                raise ValueError(f"{path}: truncated segment column {slot!r}")
             if not native:
                 column.byteswap()
             setattr(cols, slot, column)
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes past the last segment column")
         return cols
 
     @classmethod
-    def _read_mapped(
-        cls, fh: IO[bytes], path: Union[str, Path], size: int
-    ) -> Optional["ColumnarHistory"]:
+    def _read_mapped(cls, fh: IO[bytes], path: Union[str, Path]) -> "ColumnarHistory":
         """Mapping loader: typed memoryviews over one shared mapping of the
-        ``size``-byte file ``fh``.
-
-        Returns ``None`` for a foreign-byteorder file — the caller then
-        falls back to :meth:`_read`.  Structural corruption (bad
-        magic/header, truncated columns) raises ``ValueError`` exactly like
-        the copying loader.
-        """
+        open file ``fh`` (a foreign-byteorder file is copied by :meth:`_read`
+        instead).  Structural corruption (bad magic/header, truncated
+        columns, bytes past the last one) raises ``ValueError`` exactly like
+        the copying reader."""
+        size = os.fstat(fh.fileno()).st_size
+        fh.seek(0)
         cols, native, manifest = cls._read_header(fh, path)
         if not native:
-            return None
+            fh.seek(0)
+            return cls._read(fh, path, size)
         offset = fh.tell()
         mapping = _mmap_module.mmap(
             fh.fileno(), 0, access=_mmap_module.ACCESS_READ
@@ -723,6 +736,8 @@ class ColumnarHistory:
                 raise ValueError(f"{path}: truncated segment column {slot!r}")
             setattr(cols, slot, view[offset : offset + nbytes].cast(typecode))
             offset += nbytes
+        if offset != size:
+            raise ValueError(f"{path}: bytes past the last segment column")
         # The column memoryviews keep ``mapping`` (and its kernel-side file
         # reference) alive; the fd opened by the caller may close freely.
         return cols

@@ -38,6 +38,7 @@ used (the newest two are kept).
 from __future__ import annotations
 
 import fcntl
+import io
 import json
 import os
 import time
@@ -49,7 +50,7 @@ from typing import IO, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Uni
 from .. import obs
 from ..core.model import INITIAL_TXN_ID, Transaction, make_initial_transaction
 from ..resilience.failpoints import fail_point
-from ..ondisk import atomic_write, file_crc32, frame, pack_columns, unframe, unpack_columns
+from ..ondisk import atomic_write, frame, pack_columns, unframe, unpack_columns
 from .columnar import ColumnarHistory
 from .files import is_epochlog_path
 
@@ -238,8 +239,9 @@ def _entry_from_file(directory: Path, epoch: int, name: str) -> EpochInfo:
     that as the end of the recoverable prefix.
     """
     path = directory / name
-    segment = ColumnarHistory.load(path)  # validates structure
-    stat = os.stat(path)
+    with open(path, "rb") as fh:
+        data, stat = fh.read(), os.fstat(fh.fileno())
+    segment = ColumnarHistory.read(io.BytesIO(data), path)  # validates structure
     txn_ids = segment.txn_ids
     return EpochInfo(
         epoch=epoch,
@@ -248,8 +250,8 @@ def _entry_from_file(directory: Path, epoch: int, name: str) -> EpochInfo:
         operations=segment.num_operations,
         min_txn_id=min(txn_ids),
         max_txn_id=max(txn_ids),
-        crc32=file_crc32(path),
-        size_bytes=stat.st_size,
+        crc32=zlib.crc32(data),
+        size_bytes=len(data),
         sealed_at=stat.st_mtime_ns // 1_000_000,
     )
 
@@ -727,9 +729,10 @@ class EpochLog:
     def load_epoch(self, info: Union[int, EpochInfo]) -> ColumnarHistory:
         """Load one epoch segment.
 
-        Size and CRC-32 are checked against the manifest entry first, so
-        silent on-disk corruption surfaces as :class:`EpochLogError`
-        instead of a wrong verdict.
+        The file is read once: size and CRC-32 are checked against the
+        manifest entry on those bytes, so silent on-disk corruption surfaces
+        as :class:`EpochLogError` instead of a wrong verdict, and the bytes
+        the manifest vouched for are the bytes parsed.
         """
         entry = self.epochs[info] if isinstance(info, int) else info
         if entry.retired:
@@ -739,18 +742,18 @@ class EpochLog:
             )
         path = self.directory / entry.name
         try:
-            crc, size = file_crc32(path), os.stat(path).st_size
+            data = path.read_bytes()
         except OSError as exc:
             raise EpochLogError(
                 f"{self.directory}: epoch {entry.epoch} unreadable: {exc}"
             ) from None
-        if (crc, size) != (entry.crc32, entry.size_bytes):
+        if (zlib.crc32(data), len(data)) != (entry.crc32, entry.size_bytes):
             raise EpochLogError(
                 f"{self.directory}: epoch {entry.epoch} fails its checksum "
                 f"(file {entry.name} corrupted on disk)"
             )
         obs.inc("repro_epochlog_epochs_loaded_total")
-        return ColumnarHistory.load(path)
+        return ColumnarHistory.read(io.BytesIO(data), path)
 
     def iter_segments(
         self, start_epoch: int = 0

@@ -1,5 +1,5 @@
 """Bytes on disk: atomic publish, the magic + header + CRC frame, typed
-columns packed as deflated byte planes, file CRCs.  Imports nothing from the
+columns packed as deflated byte planes.  Imports nothing from the
 package, so :mod:`repro.obs` and :mod:`repro.history` both build on it
 without importing each other."""
 
@@ -13,7 +13,7 @@ from array import array
 from pathlib import Path
 from typing import IO, Any, Callable, Dict, List, Optional, Tuple, Union
 
-__all__ = ["atomic_write", "file_crc32", "frame", "unframe", "pack_columns", "unpack_columns"]
+__all__ = ["atomic_write", "frame", "unframe", "pack_columns", "unpack_columns"]
 
 #: Typecodes a packed column may have: flags and small codes, ids and values,
 #: stamps and order indices.
@@ -183,15 +183,3 @@ def unpack_columns(header: Dict[str, Any], payload: bytes) -> Dict[str, Any]:
         table[name] = column
     return doc
 
-
-def file_crc32(path: Union[str, Path]) -> int:
-    """CRC-32 of a file's raw bytes (streamed; no decompression) — what an
-    epoch log's manifest records for each sealed epoch file."""
-    crc = 0
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(1 << 20)
-            if not chunk:
-                break
-            crc = zlib.crc32(chunk, crc)
-    return crc & 0xFFFFFFFF

@@ -90,7 +90,7 @@ FAILPOINT_SITES: Dict[str, str] = {
         "after a columnar segment file is fully written "
         "(truncate => torn segment)"),
     "columnar.segment.load": (
-        "on every columnar segment load, mmap and copying paths alike"),
+        "on every columnar segment load, mapped or copied, epochs included"),
     "executor.pool.spawn": (
         "before the persistent worker pool is created"),
     "executor.shard.task": (

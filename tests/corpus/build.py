@@ -10,8 +10,10 @@ epoch log of ``base``; a ``log:`` entry is that log with its manifest
 damaged as ``damage`` says (without ``exit``, it reads as ``base`` does).
 """
 
+import gzip
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from repro import Database, IsolationLevel, MTChecker, run_workload
@@ -121,13 +123,30 @@ def column_edit(header, field, value):
     return {**header, "columns": [first, *header["columns"][1:]]}
 
 
+def lost_update_segment(out):
+    """The bytes of the lost update's segment file."""
+    scratch = out / ".lost-update.seg"
+    ColumnarHistory.from_history(lost_update()).save(scratch)
+    data = scratch.read_bytes()
+    scratch.unlink()
+    return data
+
+
 def edited_header(edit, out):
     """The lost update's segment bytes with its JSON header line rewritten by ``edit``."""
-    scratch = out / ".header-edit.seg"
-    ColumnarHistory.from_history(lost_update()).save(scratch)
-    magic, header, body = scratch.read_bytes().split(b"\n", 2)
-    scratch.unlink()
+    magic, header, body = lost_update_segment(out).split(b"\n", 2)
     return b"\n".join((magic, json.dumps(edit(json.loads(header)), separators=(",", ":")).encode(), body))
+
+
+def trailer_cut(out):
+    """The lost update's segment as one gzip member (stored blocks and no
+    mtime, so the bytes never vary), its last 4 bytes (the length) cut off."""
+    return gzip.compress(lost_update_segment(out), compresslevel=0, mtime=0)[:-4]
+
+
+def concatenated(out):
+    """Two whole segment files, one behind the other (``cat a.seg b.seg``)."""
+    return (out / BASE).read_bytes() + (out / "engine-si-lostupdate.seg").read_bytes()
 
 
 def entries():
@@ -180,8 +199,12 @@ def entries():
         yield (f"exit2-seg-{mutation}.seg", f"segment mutation: {mutation}", mutated(mutation),
                {"exit": 2, "error": "malformed segment"})
     for damage, (edit, error) in HEADER_EDITS.items():
-        yield (f"exit2-seg-header-{damage}.seg", f"segment header edit: {damage}", edit,
+        yield (f"exit2-seg-header-{damage}.seg", f"segment header edit: {damage}", partial(edited_header, edit),
                {"exit": 2, "error": error})
+    yield ("exit2-seg-trailing-bytes.seg", f"bytes: {BASE}, then engine-si-lostupdate.seg", concatenated,
+           {"exit": 2, "error": "bytes past the last segment column"})
+    yield ("exit2-seg-gz-trailer-cut.seg.gz", "bytes: the lost update's .seg.gz, cut 4 bytes into its trailer",
+           trailer_cut, {"exit": 2, "error": "truncated segment"})
 
 
 def pseudo_entries():
@@ -257,8 +280,8 @@ def build(out):
         if isinstance(rows, ColumnarHistory):  # damaged: written as it is, never loaded
             rows.save(out / name)
             lines.append({"entry": name, "source": source, **extra})
-        elif callable(rows):  # a header edit: the bytes are written, never loaded
-            (out / name).write_bytes(edited_header(rows, out))
+        elif callable(rows):  # bytes (built from the entries before): written, never loaded
+            (out / name).write_bytes(rows(out))
             lines.append({"entry": name, "source": source, **extra})
         else:
             write_history(rows, out / name)

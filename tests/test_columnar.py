@@ -195,6 +195,18 @@ class TestSegmentFiles:
         with pytest.raises(ValueError, match=r"torn\.seg\.gz: truncated segment"):
             load_history_segment(torn)
 
+    @pytest.mark.parametrize("name", ["two.seg", "two.seg.gz"])
+    def test_a_second_segment_behind_the_first_is_refused(self, tmp_path, name):
+        # ``cat a.seg b.seg`` (or two gzip members): the first segment's
+        # columns read whole, so only the byte after its last column tells.
+        first, second = tmp_path / f"a-{name}", tmp_path / f"b-{name}"
+        write_history_segment(generated_history(9), first)
+        write_history_segment(generated_history(10, "lostupdate"), second)
+        two = tmp_path / name
+        two.write_bytes(first.read_bytes() + second.read_bytes())
+        with pytest.raises(ValueError, match=rf"{name}: bytes past the last segment column"):
+            load_history_segment(two)
+
     def test_is_segment_path(self):
         assert is_segment_path("history.seg")
         assert is_segment_path("history.SEG")

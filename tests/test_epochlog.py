@@ -271,6 +271,18 @@ class TestCrashRecovery:
         assert len(recovered) == len(log)
         assert recovered.epochs[-1].crc32 == log.epochs[-1].crc32
 
+    def test_an_epoch_file_is_read_once(self, tmp_path, monkeypatch, compress):
+        # Size, CRC-32 and columns all come from one read, so the bytes the
+        # manifest vouched for are the bytes parsed: by ``load_epoch``, and by
+        # recovery when it adopts an epoch whose record never landed.
+        d, log = self._log_dir(tmp_path, compress)
+        last = d / log.epochs[-1].name
+        assert count_opens(monkeypatch, lambda: log.load_epoch(len(log) - 1), last) == 1
+        drop_last_record(d)
+        adopted = []
+        assert count_opens(monkeypatch, lambda: adopted.append(EpochLog.open(d)), last) == 1
+        assert adopted[0].epochs[-1].crc32 == log.epochs[-1].crc32
+
     def test_leftover_temp_file_is_swept_on_open(self, tmp_path, compress):
         d, log = self._log_dir(tmp_path, compress)
         nxt = len(log)
@@ -390,6 +402,25 @@ def count_file_calls(monkeypatch, body):
         patch.setattr(io, "open", opener)  # what pathlib calls
         body()
     return len(calls)
+
+
+def count_opens(monkeypatch, body, path):
+    """How many times ``body()`` opens ``path``."""
+    import builtins
+    import io
+
+    opens, real = [], builtins.open
+
+    def opener(file, *args, **kwargs):
+        if str(file) == str(path):
+            opens.append(file)
+        return real(file, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", opener)
+        patch.setattr(io, "open", opener)  # what pathlib calls
+        body()
+    return len(opens)
 
 
 class TestManifestLog:

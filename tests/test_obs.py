@@ -469,6 +469,35 @@ class TestCheckerGauges:
         assert gauge("repro_checker_graph_nodes") == live == 5 < len(session._topo)
 
 
+class TestEpochLogMetrics:
+    def test_every_epochlog_family_counts_what_it_names(self, tmp_path):
+        from repro.core.model import Transaction, read, write
+        from repro.history import EpochLog, EpochLogWriter
+
+        directory = tmp_path / "m.epochs"
+        directory.mkdir()
+        for stale in (".epoch-00009.seg.tmp", ".MANIFEST.log.tmp", ".notes.tmp"):
+            (directory / stale).write_bytes(b"stale")  # the last is not the log's
+        registry = obs.enable(fresh=True)
+        with EpochLogWriter(directory, epoch_transactions=4) as writer:
+            for i in range(10):  # three epochs: 4 + 4 + 2 rows
+                writer(Transaction(i + 1, [read("x", i), write("x", i + 1)]))
+        log = EpochLog.open(directory)
+        value = registry.value
+        assert value("repro_epochlog_tmp_swept_total") == 2
+        assert value("repro_epochlog_epochs_sealed_total") == len(log) == 3
+        assert value("repro_epochlog_txns_sealed_total") == log.num_transactions == 10
+        assert value("repro_epochlog_bytes_written_total") == sum(
+            (directory / entry.name).stat().st_size for entry in log.epochs)
+        fsync_seconds, fsyncs = registry.histogram_stats("repro_epochlog_fsync_seconds")
+        seal_seconds, seals = registry.histogram_stats("repro_epochlog_seal_seconds")
+        assert fsyncs == seals == 3 and 0 < fsync_seconds <= seal_seconds
+        assert value("repro_epochlog_epochs_loaded_total") is None
+        log.load_epoch(1)
+        log.to_columns()
+        assert value("repro_epochlog_epochs_loaded_total") == 1 + 3  # one per load_epoch
+
+
 class TestCLISurfaces:
     def _generate_epochs(self, path):
         return main(

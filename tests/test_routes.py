@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 import shutil
+import zlib
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +31,7 @@ from repro.core.intcheck import check_internal_consistency
 from repro.core.model import INITIAL_TXN_ID, History, Transaction, TransactionStatus, read, write
 from repro.history import ColumnarHistory, EpochLog, load_columns, read_segments, write_history
 from repro.history.epochlog import MANIFEST_NAME, _encode_record
-from repro.ondisk import file_crc32, pack_columns, unpack_columns
+from repro.ondisk import pack_columns, unpack_columns
 from repro.workloads.mt_generator import MTWorkloadGenerator
 
 from test_acollector import assert_schedule_valid
@@ -220,13 +221,17 @@ def assert_refused(outcome, expected, path):
 
 
 def mutated_log(name, directory):
-    """An epoch log whose one epoch is the damaged segment ``name``, its
-    manifest record rewritten so every checksum holds."""
+    """An epoch log whose one epoch is the damaged segment ``name``
+    (``epoch-00000.seg.gz`` for a ``.seg.gz``), its manifest record
+    rewritten so every checksum holds."""
     log = directory / "h.epochs"
     write_history(columns_of("catalog-LostUpdate.jsonl"), log, epoch_transactions=EPOCH_ROWS)
     (entry,) = EpochLog.open(log).epochs
-    shutil.copyfile(CORPUS / name, log / entry.name)
-    entry = replace(entry, size_bytes=(log / entry.name).stat().st_size, crc32=file_crc32(log / entry.name))
+    (log / entry.name).unlink()
+    data = (CORPUS / name).read_bytes()
+    entry = replace(entry, name=entry.name + (".gz" if name.endswith(".gz") else ""),
+                    size_bytes=len(data), crc32=zlib.crc32(data))
+    (log / entry.name).write_bytes(data)
     manifest = (log / MANIFEST_NAME).read_bytes()
     (log / MANIFEST_NAME).write_bytes(manifest[: manifest.index(b"\n") + 1] + _encode_record(entry))
     return log
@@ -235,7 +240,7 @@ def mutated_log(name, directory):
 @pytest.mark.parametrize("name", REFUSED)
 def test_refused_on_every_route(name, containers, tmp_path, capsys):
     expected = EXPECTED[name]
-    if name.endswith(".seg"):
+    if name.endswith((".seg", ".seg.gz")):
         log = mutated_log(name, tmp_path)
         routes = [("check", CORPUS / name), ("check", log), ("watch --once", log)]
     else:
