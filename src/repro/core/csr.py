@@ -40,7 +40,7 @@ import struct
 from array import array
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, repeat
-from operator import eq, gt, ne, not_, sub
+from operator import eq, ne, not_, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import (
@@ -225,18 +225,15 @@ class CSRGraph:
         consecutive levels and ``A → V_q`` for the first level ``q`` past
         ``A``'s finish rank.  A path runs from ``A`` to ``B`` iff ``A``
         finishes before ``B`` starts, so the transitive closure, and the
-        verdict, are :meth:`add_real_time`'s.  That needs no interval to
-        finish before it starts; if one does, the copy takes the explicit
-        block.  ``⊥T`` precedes the first transaction by start, as there.
+        verdict, are :meth:`add_real_time`'s, as no interval finishes before
+        it starts (the index refused such a history).  ``⊥T`` precedes the
+        first transaction by start, as there.
         """
         ordinals, starts, finishes = index.committed_stamps()
         first = len(self.node_ids)
         graph = CSRGraph(
             self.node_ids, self.key_names, self.src[:], self.dst[:], self.etype[:], self.key_id[:]
         )
-        if any(map(gt, starts, finishes)):
-            graph.add_real_time(index)
-            return graph
         base = first - index.num_committed
         nodes = [base + i for i in ordinals]
         by_finish = sorted(range(len(nodes)), key=finishes.__getitem__)

@@ -21,7 +21,7 @@ Equivalence invariant
 For any ingestion order that preserves per-session order, the verdict over
 a complete history equals the batch ``check_ser`` / ``check_si`` /
 ``check_sser`` one (the counterexample may differ in shape, never in
-existence; an inverted interval arriving late is the one exception, below).
+existence).
 Reads may arrive before their writers: they are *pending* until it shows
 up, and reads that never resolve are ThinAirRead in :meth:`result`, as in
 the batch INT pre-pass.
@@ -35,11 +35,8 @@ a *chain*; a start node hangs from the member before it.  A stamped ``A``
 adds ``node(start A) → A → node(finish A)``, so a path runs from ``A`` to
 ``B`` through time nodes iff ``A`` finishes before ``B`` starts: two edges
 per transaction, in any arrival order.  A reported cycle contracts each run
-of time nodes into one ``RT`` edge.  An inverted interval (start > finish)
-drops the order across its gap, as the batch reduction does: its start
-node joins the chain and the members from its finish node up to it are
-*muted* (no time out-edges) on arrival, so a cycle through the gap reported
-earlier stays reported — louder, never a wrong SATISFIED.
+of time nodes into one ``RT`` edge.  A row that finishes before it starts
+is refused before anything changes (``ValueError``), as batch refuses it.
 
 Bounded-window mode
 -------------------
@@ -70,8 +67,8 @@ from .checkers import classify_cycle
 from .graph import DependencyGraph, Edge, EdgeType, best_label
 from .intcheck import transaction_int_violations
 from .model import (
-    INITIAL_TXN_ID, STATUS_CODES, STATUS_FROM_CODE,
-    History, Transaction, TransactionStatus, make_initial_transaction, stream_order,
+    INITIAL_TXN_ID, STATUS_CODES, STATUS_FROM_CODE, History, Transaction, TransactionStatus,
+    make_initial_transaction, refuse_inverted_intervals, stream_order,
 )
 from .result import AnomalyKind, CheckResult, IsolationLevel, Violation
 
@@ -310,9 +307,8 @@ _RT, _SO, _WR, _WW, _RW, _COMPOSED = (
 _REAL_TIME = (_RT, None)
 
 #: A time node is its own key, a ``(stamp, kind)`` tuple (no transaction id
-#: is a tuple); a start sorts before a finish at one stamp.  A checkpoint
-#: writes a gap end (a start node on the chain) as kind 2.
-_START, _FINISH, _GAP_END = 0, 1, 2
+#: is a tuple); a start sorts before a finish at one stamp.
+_START, _FINISH = 0, 1
 # Module constants: an ``Enum`` class attribute costs a descriptor call per read.
 _COMMITTED, _ABORTED = TransactionStatus.COMMITTED, TransactionStatus.ABORTED
 
@@ -471,11 +467,9 @@ class IncrementalChecker:
         self._base_preds: Dict[int, Dict[int, None]] = defaultdict(dict)
         self._rw_succ: Dict[int, List[Tuple[int, Optional[str]]]] = defaultdict(list)
 
-        # SSER: the time nodes in sorted order, those on the chain, and the
-        # start nodes among these (inverted intervals' gap ends).
+        # SSER: the time nodes in sorted order, and the finish nodes (the chain).
         self._timeline: List[Tuple[float, int]] = []
         self._chain: List[Tuple[float, int]] = []
-        self._gap_ends: Set[Tuple[float, int]] = set()
 
         # Bounded-window GC state.  ``_overwrote`` maps a transaction to the
         # versions it read-modified: those slots are sealed at its eviction,
@@ -524,7 +518,10 @@ class IncrementalChecker:
     def ingest(self, txn: Transaction) -> List[Violation]:
         """Ingest one transaction; return the violations it triggered.  Aborted
         (and unknown-outcome) ones only register their writes; ThinAirRead is
-        confirmed only at :meth:`result`, as the writer may be in flight."""
+        confirmed only at :meth:`result`, as the writer may be in flight.
+        A row that finishes before it starts raises ``ValueError``."""
+        if txn.start_ts is not None and txn.finish_ts is not None:
+            refuse_inverted_intervals((txn.txn_id,), (txn.start_ts,), (txn.finish_ts,))
         started = time.perf_counter()
         before = len(self._violations)
         ops = txn.operations
@@ -551,7 +548,9 @@ class IncrementalChecker:
         The columnar :meth:`ingest_round`, over the same per-row routine:
         the columns become plain lists once and the key ids are mapped once;
         a ``Transaction`` is made only for a row holding an INT candidate.
+        A row that finishes before it starts raises ``ValueError`` first.
         """
+        refuse_inverted_intervals(segment.txn_ids, segment.start_ts, segment.finish_ts)
         started = time.perf_counter()
         violations = self._violations
         before = len(violations)
@@ -744,8 +743,8 @@ class IncrementalChecker:
         label, the label being ``type·(len(keys)+1) + key id+1`` (types in
         ``EdgeType`` order, key 0: none); a time node is the id
         ``time_base - 1 - i`` for its row ``i`` of ``rt``, the SSER timeline
-        (a ``stamp``/``kind`` row per time node, sorted; ``kind`` 2: a gap
-        end).  ``refused`` has the order's three edge columns.  A version is
+        (a ``stamp``/``kind`` row per time node, sorted; ``kind`` 0: a start,
+        1: a finish).  ``refused`` has the order's three edge columns.  A version is
         its code ``value·2**32 + key id`` (``+ 2**31``: no value), the key id
         indexing ``keys``.  ``slots`` has a ``status`` (a status code,
         −1: no writer, −2: sealed) and ``writer`` per row, each list as a
@@ -842,7 +841,7 @@ class IncrementalChecker:
             },
             "rt": {
                 "stamp": array("d", [stamp for stamp, _ in timeline]),
-                "kind": array("b", [_GAP_END if node in self._gap_ends else node[1] for node in timeline]),
+                "kind": array("b", [kind for _, kind in timeline]),
             },
             "arrivals": _typed("q", list(self._arrivals)),
             "overwrote": {
@@ -897,14 +896,12 @@ class IncrementalChecker:
 
         timeline = checker._timeline
         for stamp, kind in _rows(state["rt"], "stamp", "kind"):
-            if kind not in (_START, _FINISH, _GAP_END):
+            if kind not in (_START, _FINISH):
                 raise ValueError(f"time node kind {kind!r}")
-            timeline.append((float(stamp), kind % 2))
-            if kind == _GAP_END:
-                checker._gap_ends.add(timeline[-1])
+            timeline.append((float(stamp), kind))
         if timeline != sorted(timeline):
             raise ValueError("the timeline is not sorted")
-        checker._chain = [n for n in timeline if n[1] == _FINISH or n in checker._gap_ends]
+        checker._chain = [n for n in timeline if n[1] == _FINISH]
 
         table = state["topo"]
         time_base = table["time_base"]
@@ -1130,28 +1127,14 @@ class IncrementalChecker:
     ) -> Optional[Tuple[Tuple[float, int], Tuple[float, int]]]:
         """A stamped row's start node and finish key, with the nodes made that
         the row's own node can take an index between (the finish node only
-        out of finish order).  An inverted interval mutes its gap here."""
+        out of finish order)."""
         start, finish = (txn.start_ts, txn.finish_ts) if txn is not None else segment.timestamps_at(row)
-        if start is None or finish is None:
-            return None
-        first, last = (float(finish), _FINISH), (float(start), _START)
-        if start <= finish:
-            if self._timeline and first < self._timeline[-1]:
-                self._time_node(first)  # out of finish order: the row goes below it
-            return self._time_node(last, first), first
-        if not start > finish:
-            return None  # a NaN stamp is no stamp, as in batch
-        self._time_node(first)
-        self._time_node(last)
-        if last not in self._gap_ends:  # the gap's end joins the chain
-            self._gap_ends.add(last)
-            insort(self._chain, last)
-            self._link(bisect_left(self._timeline, last))
-        members = self._chain
-        for node in members[bisect_left(members, first) : bisect_left(members, last)]:  # muted
-            for target in [v for v in self._topo._succ[node] if type(v) is tuple]:
-                self._topo.remove_edge(node, target)
-        return None
+        if start is None or finish is None or not start <= finish:
+            return None  # a NaN stamp is no stamp, as in batch (an inverted row was refused)
+        first = (float(finish), _FINISH)
+        if self._timeline and first < self._timeline[-1]:
+            self._time_node(first)  # out of finish order: the row goes below it
+        return self._time_node((float(start), _START), first), first
 
     def _real_time(self, txn_id: int, start: Tuple[float, int], node: Tuple[float, int]) -> None:
         """Hang a stamped transaction on the timeline.  An attachment that would
@@ -1183,8 +1166,8 @@ class IncrementalChecker:
     def _time_node(self, node: Tuple[float, int], high: Any = None) -> Tuple[float, int]:
         """Time node ``(stamp, kind)``, made on first sight (a start node below
         ``high`` in the order): a start node hangs from the chain member before
-        it (unless that one is muted), a finish node is linked into the chain.
-        No such edge closes a cycle or moves a node of the order."""
+        it, a finish node is linked into the chain.  No such edge closes a
+        cycle or moves a node of the order."""
         topo = self._topo
         if node in topo:
             return node
@@ -1194,21 +1177,17 @@ class IncrementalChecker:
             insort(self._chain, node)
             self._link(at)
             return node
-        before, after = self._members_around(node)
-        hung = before is not None and (after is None or topo.has_edge(before, after))
-        topo.add_node(node, before if hung else None, high)
-        if hung:
+        before, _ = self._members_around(node)
+        topo.add_node(node, before, high)
+        if before is not None:
             topo.add_edge(before, node, _REAL_TIME)
         return node
 
     def _link(self, at: int) -> None:
         """Link chain member ``at`` in, ``prev → node → next`` for ``prev →
-        next``, and hang the start nodes up to ``next`` from it; inside a
-        muted gap (no ``prev → next``) it stays unlinked."""
+        next``, and hang the start nodes up to ``next`` from it."""
         topo, node = self._topo, self._timeline[at]
         before, after = self._members_around(node)
-        if before is not None and after is not None and not topo.has_edge(before, after):
-            return topo.add_node(node)  # in a muted gap: unlinked
         targets = self._up_to(at, after)
         topo.add_node(node, before, min(targets, key=topo._ord.__getitem__, default=None))
         if before is not None:
@@ -1225,20 +1204,17 @@ class IncrementalChecker:
     def _retire_time_nodes(self, candidates: Iterable[Tuple[float, int]]) -> None:
         """Window GC of the timeline, after an eviction.  A candidate nothing
         hangs on goes; a chain member's links become one and its start nodes
-        hang from the member before it (no path changes), unless it bounds a
-        muted gap.  The head goes while nothing hangs on it, that is while it
-        is older than every live transaction's start."""
+        hang from the member before it (no path changes).  The head goes while
+        nothing hangs on it, that is while it is older than every live
+        transaction's start."""
         topo, timeline = self._topo, self._timeline
         for node in candidates:
             if node not in topo or self._hung(node):
                 continue
             at = bisect_left(timeline, node)
-            if node[1] == _FINISH or node in self._gap_ends:
+            if node[1] == _FINISH:
                 before, after = self._members_around(node)
-                linked = before is None or topo.has_edge(before, node)
-                if before is not None and linked != (after is None or topo.has_edge(node, after)):
-                    continue
-                if before is not None and linked:
+                if before is not None:
                     for target in self._up_to(at, after):
                         topo.add_edge(before, target, _REAL_TIME)
             self._drop_time_node(at)
@@ -1247,9 +1223,8 @@ class IncrementalChecker:
 
     def _drop_time_node(self, at: int) -> None:
         node = self._timeline.pop(at)
-        if node[1] == _FINISH or node in self._gap_ends:
+        if node[1] == _FINISH:
             del self._chain[bisect_left(self._chain, node)]
-        self._gap_ends.discard(node)
         self._topo.remove_node(node)
 
     def _real_time_neighbours(self, node: Tuple[float, int], forward: bool) -> List[int]:
@@ -1258,29 +1233,19 @@ class IncrementalChecker:
         node: each one starting on a walk along the chain, until the walk
         passes the finish of one of those; backward from a start node, each
         one finishing, until the walk passes the start of one."""
-        topo, timeline = self._topo, self._timeline
-        succ, pred = topo._succ, topo._pred
+        timeline, succ, pred = self._timeline, self._topo._succ, self._topo._pred
         reached: Dict[int, None] = {}
         at = bisect_left(timeline, node)
         for here in timeline[at + 1 :] if forward else reversed(timeline[:at]):
-            member = here[1] == _FINISH or here in self._gap_ends
             if forward:
-                if member:
-                    if not topo.has_edge(node, here) or any(v in reached for v in pred[here]):
-                        break
-                    node = here
-                elif not topo.has_edge(node, here):
-                    continue
                 if here[1] == _START:
                     reached.update((v, None) for v in succ[here] if type(v) is not tuple)
+                elif any(v in reached for v in pred[here]):
+                    break
             elif any(v in reached for v in succ[here]):
                 break
-            elif member:
-                if not topo.has_edge(here, node):
-                    break
-                node = here
-                if here[1] == _FINISH:
-                    reached.update((v, None) for v in pred[here] if type(v) is not tuple)
+            elif here[1] == _FINISH:
+                reached.update((v, None) for v in pred[here] if type(v) is not tuple)
         return list(reached)
 
     def _step_labels(self, tail: int, head: int, via_time: bool) -> List[Tuple[str, Optional[str]]]:

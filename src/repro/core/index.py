@@ -59,6 +59,7 @@ from .model import (
     TransactionStatus,
     history_from_stream,
     interval_order_reduction,
+    refuse_inverted_intervals,
     stream_order,
 )
 
@@ -126,7 +127,8 @@ class HistoryIndex:
         then grouped by ascending session id (the order of
         :meth:`ColumnarHistory.to_history`); consumers that ask for objects
         (``transaction``, ``history``, ``final_writer``) trigger lazy
-        materialisation from the columns instead.
+        materialisation from the columns instead.  A duplicate transaction
+        id or an interval that finishes before it starts raises ``ValueError``.
         """
         self = cls(columns)
         type(self).builds += 1
@@ -247,6 +249,7 @@ class HistoryIndex:
             seen: Set[int] = set()
             twice = next(t for t in self.txn_ids if t in seen or seen.add(t))
             raise ValueError(f"malformed history: duplicate transaction id {twice}")
+        refuse_inverted_intervals(col_txn_ids, cols.start_ts, cols.finish_ts)
 
         # Columnar key ids are re-interned in scan order, so key numbering
         # depends on the history alone, not on the segment's append order.

@@ -23,6 +23,7 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from operator import gt
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 __all__ = [
@@ -398,6 +399,7 @@ class History:
                 hence acyclicity of any graph containing these edges) is
                 preserved, because RT is an interval order and the reduction
                 of a partial order preserves its reachability relation.
+                Needs every interval to start no later than it finishes.
         """
         txns = [
             t
@@ -541,7 +543,8 @@ def interval_order_reduction(
     Equivalently, among the predecessors of ``B`` (all ``A`` with
     ``A.finish < B.start``), only those whose finish time is at least the
     maximum *start* time of any predecessor are immediate.  Both sorts key
-    on a single timestamp, so equal stamps keep their entry order.
+    on a single timestamp, so equal stamps keep their entry order.  Every
+    ``start <= finish`` (:func:`refuse_inverted_intervals`), else it drops pairs.
     """
     by_finish = sorted(entries, key=lambda e: e[1])
     by_start = sorted(entries, key=lambda e: e[0])
@@ -566,3 +569,14 @@ def interval_order_reduction(
         for a in preds:
             pairs.append((a[2], b[2]))
     return pairs
+
+
+def refuse_inverted_intervals(
+    txn_ids: Sequence[int], starts: Sequence[float], finishes: Sequence[float]
+) -> None:
+    """Raise ``ValueError`` naming the first of these parallel rows that
+    finishes before it starts (a missing stamp, NaN, compares false)."""
+    if any(map(gt, starts, finishes)):
+        row = list(map(gt, starts, finishes)).index(True)
+        raise ValueError(f"malformed history: transaction {txn_ids[row]} finishes at "
+                         f"{float(finishes[row])} before it starts at {float(starts[row])}")

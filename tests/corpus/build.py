@@ -41,6 +41,7 @@ BASELINES = {"cobra": ("ser", CobraChecker), "dbcop": ("ser", DbcopChecker), "po
 BASE = "engine-si-healthy.seg"
 COMMITTED, ABORTED, UNKNOWN = TransactionStatus.COMMITTED, TransactionStatus.ABORTED, TransactionStatus.UNKNOWN
 DUPLICATE = {"exit": 2, "error": "duplicate transaction id 1"}
+INVERTED = {"exit": 2, "error": "finishes at"}
 
 
 def txn(txn_id, *ops, session=0, status=COMMITTED):
@@ -175,10 +176,13 @@ def entries():
     yield "rt-untimed-row.jsonl", "hand: that stale read, but the writer of x=1 carries no stamps", history(
         [txn(1, read("x", 0), write("x", 1))], [timed(2, 5.0, 6.0, read("x", 0), session=1)],
         [timed(3, 0.0, 1.0, read("y", 0), write("y", 3), session=2)]), {}
-    yield "rt-inverted-interval.jsonl", "hand: inverted rows, a start in one's gap; a stale read past it", history(
+    yield "exit2-rt-inverted-interval.jsonl", "hand: inverted rows, a start in one's gap; a stale read past it", history(
         [timed(1, 0.0, 1.0, read("x", 0), write("x", 1))], [timed(2, 5.0, 2.0, read("y", 0), session=1)],
         [timed(3, 3.0, 4.0, read("x", 0), session=2)], [timed(4, 5.5, 5.8, read("y", 0), write("y", 4), session=3)],
-        [timed(5, 6.0, 7.0, read("y", 0), session=4)], [timed(6, 9.0, 8.5, read("x", 1), session=5)]), {}
+        [timed(5, 6.0, 7.0, read("y", 0), session=4)], [timed(6, 9.0, 8.5, read("x", 1), session=5)]), INVERTED
+    yield "exit2-rt-inverted-stale-read.jsonl", "hand: a stale read across an inverted row's gap, that row last", history(
+        [timed(1, 0.0, 1.0, read("y", 0), write("y", 1))], [timed(2, 10.0, 11.0, read("y", 0), session=1)],
+        [timed(3, 7.0, 6.0, read("y", 1), session=2)], keys=("y",)), INVERTED
     yield "rt-bipartite.jsonl", "hand: 8 rows finish before 8 others start; one of those reads stale", history(
         *([timed(i + 1, 0.0, 1.0, *([read("x", 0), write("x", 1)] if i == 0 else [read("y", 0)]), session=i)]
           for i in range(8)),

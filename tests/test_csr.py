@@ -15,8 +15,9 @@ import pytest
 from repro.core.checkers import check_sser, cycle_verdict
 from repro.core.csr import CSRGraph, peel_cycle
 from repro.core.graph import DependencyGraph, EdgeType, build_dependency
+from repro.core.incremental import CheckerSession
 from repro.core.index import HistoryIndex
-from repro.core.model import History, Transaction, TransactionStatus, read, write
+from repro.core.model import History, Transaction, TransactionStatus, read, stream_order, write
 from repro.core.result import IsolationLevel
 from repro.db import FaultPlan
 
@@ -162,12 +163,29 @@ def timed_history(rng):
     )
 
 
+def first_inverted(history):
+    """The first transaction in stream order that finishes before it starts, or ``None``."""
+    return next((t for t in stream_order(history) if t.start_ts is not None and t.finish_ts is not None
+                 and t.start_ts > t.finish_ts), None)
+
+
 class TestRealTimeChain:
     def test_chain_peel_agrees_with_the_explicit_reduced_peel(self):
+        # A history with an interval that finishes before it starts is
+        # refused by the index and by a session alike, naming that row.
         rng = random.Random(33)
-        rt_only = rejects = 0
+        rt_only = rejects = refused = 0
         for _ in range(1500):
             history = timed_history(rng)
+            inverted = first_inverted(history)
+            if inverted is not None:
+                named = f"malformed history: transaction {inverted.txn_id} finishes at"
+                with pytest.raises(ValueError, match=named):
+                    HistoryIndex.build(history)
+                with pytest.raises(ValueError, match=named):
+                    CheckerSession(IsolationLevel.STRICT_SERIALIZABILITY).ingest_history(history)
+                refused += 1
+                continue
             index = HistoryIndex.build(history)
             csr = build_dependency(history, index=index, dense=True)
             explicit = build_dependency(history, with_rt=True, index=index, dense=True)
@@ -179,7 +197,7 @@ class TestRealTimeChain:
                 assert check_sser(history, index=index).format() == cycle_verdict(
                     explicit, IsolationLevel.STRICT_SERIALIZABILITY, index.num_committed
                 ).format()
-        assert rt_only > 50 and rejects > rt_only
+        assert rt_only > 50 and rejects > rt_only and refused > 20
 
     @pytest.mark.parametrize("k", [1, 10, 60])
     def test_bipartite_history_takes_linear_chain_rows(self, k):

@@ -378,6 +378,23 @@ class TestWindowGC:
         assert checker.result().satisfied == batch.satisfied == (not stale_read)
         assert {v.kind for v in checker.violations} == {v.kind for v in batch.violations}
 
+    def test_a_retired_finish_node_passes_its_links_on(self):
+        # A [4, 5] arrives first and is evicted after Q; its finish node sits
+        # between P's (1) and C's (9) on the chain, and C's start node 7
+        # hangs from it.  Retiring it must link 1 -> 7, or B, starting at 7
+        # after P overwrote the x=0 it reads, closes no real-time cycle.
+        rows = [
+            Transaction(1, [read("y", 0)], session_id=1, start_ts=4.0, finish_ts=5.0),
+            Transaction(2, [read("z", 0)], session_id=2, start_ts=7.0, finish_ts=9.0),
+            Transaction(3, [read("x", 0), write("x", 3)], session_id=3, start_ts=0.0, finish_ts=1.0),
+            Transaction(4, [read("z", 0)], session_id=4),
+            Transaction(5, [read("x", 0)], session_id=5, start_ts=7.0, finish_ts=8.0),
+        ]
+        checker = IncrementalChecker(SSER, initial_keys=["x", "y", "z"], window=3)
+        reports = [checker.ingest(txn) for txn in rows]
+        assert checker.evicted_count == 2 and checker.stale_reads == 0
+        assert [[v.kind for v in r] for r in reports] == [[], [], [], [], [AnomalyKind.REAL_TIME_VIOLATION]]
+
     @pytest.mark.parametrize("window", [None, 256])
     def test_bipartite_sser_stream_holds_linear_order_edges(self, window):
         # Half the transactions finish before the other half start: the
@@ -498,42 +515,73 @@ class TestOrderCarriesTheLabels:
         assert set(resumed.graph.edges()) == set(graph.edges())
 
 # ----------------------------------------------------------------------
-# Real time: an inverted interval mutes its gap when it arrives
+# Real time: an interval that finishes before it starts is refused
 # ----------------------------------------------------------------------
-def test_inverted_intervals_reach_the_batch_verdict_when_they_arrive_first():
-    # The batch reduction drops every real-time pair across an inverted
-    # interval's gap.  The stream mutes the gap on arrival: it agrees with
-    # batch whenever each inverted row arrives before every row that starts
-    # after its finish, and is otherwise never SATISFIED where batch is not.
-    from test_csr import timed_history
+def test_inverted_interval_is_refused_in_either_arrival_order_and_changes_nothing():
+    # T2 starts at 10 and reads y=0, which T1 overwrote by 1 at time 1: a
+    # real-time cycle.  T3 finishes at 6 before it starts at 7, and the
+    # batch reduction would drop T1 -> T2 across that gap (a false
+    # SATISFIED).  Every route refuses the history instead, wherever T3 arrives.
+    from repro.history.columnar import ColumnarHistory
 
-    rng, agreed = random.Random(37), 0
-    for _ in range(1500):
-        history = timed_history(rng)
-        stream, session = list(stream_order(history)), CheckerSession(SSER)
-        for txn in stream:
-            session.ingest(txn)
-        satisfied, batch = session.result().satisfied, check_sser(history).satisfied
-        inverted = [at for at, t in enumerate(stream) if t.committed and t.start_ts is not None
-                    and t.finish_ts is not None and t.start_ts > t.finish_ts]
-        assert satisfied <= batch
-        if all(not (t.committed and t.start_ts is not None and t.start_ts > stream[at].finish_ts)
-               for at in inverted for t in stream[:at]):
-            assert satisfied == batch
-            agreed += bool(inverted)
-    assert agreed > 20
-
-    # T2 starts at 10 and reads y=0, which T1 overwrote by 1; the inverted
-    # T3's gap (6, 7) lies between, so batch drops T1 -> T2.  Arriving last,
-    # T3 comes too late: T2's cycle was reported on arrival.
     rows = [Transaction(1, [read("y", 0), write("y", 1)], start_ts=0, finish_ts=1),
             Transaction(2, [read("y", 0)], session_id=1, start_ts=10, finish_ts=11),
             Transaction(3, [read("y", 1)], session_id=2, start_ts=7, finish_ts=6)]
-    assert check_sser(History.from_transactions([[t] for t in rows], initial_keys=["y"])).satisfied
-    for order, satisfied in ((rows, False), ([rows[2], *rows[:2]], True)):
-        session = CheckerSession(SSER, initial_keys=["y"])
-        session.ingest_round(order)
-        assert session.result().satisfied is satisfied
+    refused = "malformed history: transaction 3 finishes at 6.0 before it starts at 7.0"
+
+    def state(checker):
+        return {name: table for name, table in checker.checkpoint().items() if name != "elapsed"}
+
+    never_saw = CheckerSession(SSER, initial_keys=["y"])
+    clean = [[v.format() for v in never_saw.ingest(t)] for t in rows[:2]]
+    assert clean[0] == [] and [line.split(":")[0] for line in clean[1]] == ["RealTimeViolation"]
+    history = History.from_transactions([[t] for t in rows], initial_keys=["y"])
+    for order in (rows, [rows[2], *rows[:2]]):
+        columns = ColumnarHistory.from_transactions([history.initial_transaction, *order])
+        routes = [lambda: check_sser(history), lambda: CheckerSession(SSER).ingest_segment(columns)]
+        for level in (SER, SI, SSER):
+            routes += [lambda level=level: MTChecker().verify(history, level),
+                       lambda level=level: MTChecker().verify(columns, level)]
+        for route in routes:
+            with pytest.raises(ValueError, match=refused):
+                route()
+
+        # A session that caught the refusal goes on as one that never saw the row.
+        session, reports = CheckerSession(SSER, initial_keys=["y"]), []
+        for txn in order:
+            try:
+                reports.append([v.format() for v in session.ingest(txn)])
+            except ValueError as exc:
+                assert str(exc) == refused and txn is rows[2]
+        segment = CheckerSession(SSER, initial_keys=["y"])
+        with pytest.raises(ValueError, match=refused):
+            segment.ingest_segment(ColumnarHistory.from_transactions(order))
+        assert [v.format() for v in segment.ingest_segment(ColumnarHistory.from_transactions(rows[:2]))] == clean[1]
+        assert reports == clean
+        for caught in (session, segment):
+            assert caught.result().format() == never_saw.result().format()
+            assert state(caught) == state(never_saw)
+
+
+def test_timed_histories_stream_to_the_batch_verdict_in_any_arrival_order():
+    # With inverted rows refused, every other drawn history streams to the
+    # batch verdict, in finish order and shuffled within session order.
+    from repro.history.columnar import ColumnarHistory
+    from test_csr import first_inverted, timed_history
+    from test_routes import session_shuffle
+
+    rng, rejects = random.Random(37), 0
+    for seed in range(1500):
+        history = timed_history(rng)
+        if first_inverted(history) is not None:
+            continue
+        batch = check_sser(history).satisfied
+        for stream in (stream_order(history), session_shuffle(ColumnarHistory.from_history(history), seed)):
+            session = CheckerSession(SSER)
+            session.ingest_round(stream)
+            assert session.result().satisfied == batch
+        rejects += not batch
+    assert rejects > 500
 
 
 # ----------------------------------------------------------------------
@@ -654,13 +702,17 @@ class TestCheckpointRestore:
     @pytest.mark.parametrize("window", [None, 3])
     def test_timed_streams_out_of_finish_order_round_trip_everywhere(self, window):
         # Out of finish order, time nodes and rows take fractional indices
-        # of the order and inverted intervals mute gaps: both survive a
-        # checkpoint at every boundary.
-        from test_csr import timed_history
+        # of the order: they survive a checkpoint at every boundary.  (A
+        # drawn inverted interval is refused: test_csr.py::TestRealTimeChain.)
+        from test_csr import first_inverted, timed_history
 
-        rng = random.Random(41)
-        for _ in range(60):
-            stream = list(stream_order(timed_history(rng)))
+        rng, streams = random.Random(41), 0
+        while streams < 60:
+            history = timed_history(rng)
+            if first_inverted(history) is not None:
+                continue
+            streams += 1
+            stream = list(stream_order(history))
             stream[1:] = rng.sample(stream[1:], len(stream) - 1)
             base_reports, base_format = self._baseline(SSER, stream, window)
             for cut in range(len(stream) + 1):
@@ -800,6 +852,21 @@ class TestCheckpointRestore:
         damage(state)
         with pytest.raises(ValueError, match="malformed checkpoint state"):
             CheckerSession.restore(state)
+
+    @pytest.mark.parametrize("kind", [2, 3, -1])
+    def test_restore_refuses_a_time_node_that_is_neither_start_nor_finish(self, kind):
+        # ``rt.kind`` is 0 (start) or 1 (finish): any other code, 2 included,
+        # is damage, never restored as a node.
+        session = CheckerSession(SSER, initial_keys=["x"])
+        session.ingest(Transaction(1, [read("x", 0), write("x", 1)], start_ts=0, finish_ts=1))
+        session.ingest(Transaction(2, [read("x", 1)], session_id=1, start_ts=2, finish_ts=3))
+        kinds = packed(session.checkpoint())["rt"]["kind"]
+        assert list(kinds) == [0, 1, 0, 1]
+        for row in range(len(kinds)):
+            state = packed(session.checkpoint())
+            state["rt"]["kind"][row] = kind
+            with pytest.raises(ValueError, match=f"malformed checkpoint state: ValueError: time node kind {kind}"):
+                CheckerSession.restore(state)
 
     def test_restored_session_keeps_streaming(self):
         session = CheckerSession(SER, initial_keys=["x"])

@@ -429,6 +429,36 @@ class TestVerifyReport:
             report = MTChecker().verify(history, level, report=True)
             assert report.graph_size() == (csr.num_nodes + extra[0], csr.num_edges + extra[1])
 
+    def test_graph_families_hold_exact_counts(self):
+        # ``check_level`` sets them once per verify: one build, then the
+        # nodes and edge rows of the graph the acyclicity peel ran on.
+        from repro.core.model import History, Transaction, read, write
+
+        def graph(history, level):
+            metrics = MTChecker().verify(history, level, report=True).metrics
+            gauges = metrics["gauges"]
+            return (metrics["counters"]["repro_graph_builds_total"],
+                    gauges["repro_graph_nodes"], gauges["repro_graph_edges"])
+
+        # SER: T2 reads T1's x=1.  Nodes: ⊥T and the 2 committed ones.  Rows:
+        # SO ⊥T→T1, ⊥T→T2; WR ⊥T→T1, T1→T2; WW ⊥T→T1, T1→T2.
+        t1 = Transaction(1, [read("x", 0), write("x", 1)])
+        t2 = Transaction(2, [read("x", 1), write("x", 2)], session_id=1)
+        history = History.from_transactions([[t1], [t2]], initial_keys=["x"])
+        assert graph(history, IsolationLevel.SERIALIZABILITY) == (1, 3, 6)
+        # k transactions finish before k others start, each in its own
+        # session and reading ⊥T's x (test_csr.py's bipartite shape): 2k SO
+        # and 2k WR rows from ⊥T.  SSER adds one time node V and 2k + 1
+        # chain rows: each early one → V, V → each late one, ⊥T → the first
+        # by start.
+        for k in (1, 3, 10):
+            txns = [Transaction(i, [read("x", 0)], session_id=i,
+                                start_ts=0.0 if i < k else 2.0, finish_ts=1.0 if i < k else 3.0)
+                    for i in range(2 * k)]
+            history = History.from_transactions([[t] for t in txns], initial_keys=["x"])
+            assert graph(history, IsolationLevel.SERIALIZABILITY) == (1, 2 * k + 1, 4 * k)
+            assert graph(history, IsolationLevel.STRICT_SERIALIZABILITY) == (1, 2 * k + 2, 4 * k + 2 * k + 1)
+
     def test_report_false_returns_plain_result(self):
         result = MTChecker().verify(
             anomaly_history("LostUpdate"), IsolationLevel.SNAPSHOT_ISOLATION
