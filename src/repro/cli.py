@@ -501,6 +501,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             supervisor.restore_signal_handlers()
     finally:
         if telemetry is not None:
+            # Published once more: the supervisor closes its breaker after
+            # the last attempt's own final update.
+            obs.write_textfile(telemetry.metrics_file, telemetry.registry)
             obs.disable()
 
 
@@ -820,14 +823,11 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    """Lossless conversion between the four history formats.
-
-    JSONL, segments, and epoch logs all record the exact arrival order,
-    per-transaction status, and timestamps, so conversions among them
-    round-trip byte-identically at the transaction level; the ``.json``
-    document format groups by session (order is recovered canonically on
-    the way back out).
-    """
+    """Lossless conversion between the four history formats: the source's
+    segments go to the destination's writer as columns.  JSONL, segments and
+    epoch logs keep the arrival order, so conversions among them round-trip
+    byte for byte; ``.json`` groups by session (order recomputed on the way
+    back out)."""
     from .history.files import read_segments, write_history
 
     source, destination = args.input, args.output
@@ -836,11 +836,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         print(f"error: {source}: cannot convert a history onto itself")
         return 2
 
-    count = write_history(
-        (txn for segment in read_segments(source) for txn in segment.iter_transactions()),
-        destination,
-        epoch_transactions=args.epoch_txns,
-    )
+    count = write_history(read_segments(source), destination, epoch_transactions=args.epoch_txns)
     print(f"converted {source} -> {destination} ({count} transactions)")
     return 0
 

@@ -25,6 +25,8 @@ __all__, __getattr__, __dir__ = surface(__name__, {
     "OP_READ": ".columnar",
     "OP_WRITE": ".columnar",
     "ColumnarHistory": ".columnar",
+    "build_record": ".columnar",
+    "parse_record": ".columnar",
     "is_segment_path": ".columnar",
     "load_history_segment": ".columnar",
     "write_history_segment": ".columnar",
@@ -49,8 +51,6 @@ __all__, __getattr__, __dir__ = surface(__name__, {
     "load_lwt_history": ".serialization",
     "lwt_history_from_dict": ".serialization",
     "lwt_history_to_dict": ".serialization",
-    "open_history_stream": ".serialization",
-    "parse_stream_header": ".serialization",
     "save_history": ".serialization",
     "save_lwt_history": ".serialization",
     "transaction_from_dict": ".serialization",

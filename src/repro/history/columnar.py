@@ -1,16 +1,8 @@
 """Columnar history segments: the data plane of the pipeline.
 
-JSONL (:mod:`repro.history.serialization`) is the *interchange* format —
-human-greppable, append-only, tailable.  It is also the slowest possible way
-to feed the checker: every transaction becomes a parsed dict, then a
-:class:`~repro.core.model.Transaction` with one frozen
-:class:`~repro.core.model.Operation` per op, and every downstream layer
-re-walks those objects attribute by attribute.  At millions of transactions
-the accept path spends more time allocating Python objects than checking.
-
-:class:`ColumnarHistory` stores the same information as flat typed columns —
-the representation the dense kernel (:mod:`repro.core.csr`) and the shared
-index (:class:`~repro.core.index.HistoryIndex`) already work in:
+:class:`ColumnarHistory` stores a history as flat typed columns — the
+representation the dense kernel (:mod:`repro.core.csr`) and the shared index
+(:class:`~repro.core.index.HistoryIndex`) work in:
 
 * per transaction: ``txn_ids`` / ``session_ids`` (``array('q')``),
   ``statuses`` (small codes), ``start_ts`` / ``finish_ts`` (``array('d')``,
@@ -19,22 +11,22 @@ index (:class:`~repro.core.index.HistoryIndex`) already work in:
 * per operation: ``op_kinds`` (read/write), ``op_keys`` (dense key ids into
   ``key_names``), ``op_values`` + ``op_has_value`` (``None``-aware values).
 
-A segment round-trips losslessly with the JSONL stream format (``repro
-convert``), serialises to a compact binary file (:meth:`ColumnarHistory.save`
-/ :meth:`ColumnarHistory.load`, gzip-optional via a ``.gz`` suffix), and
-crosses process boundaries as raw buffers (:meth:`ColumnarHistory.to_wire` /
-:meth:`ColumnarHistory.from_wire`) — which is how the parallel executor ships
-shard slices without pickling a single ``Transaction``.  Segment bytes are
-copied into columns in one place, :meth:`ColumnarHistory.read`: every epoch,
-``.seg.gz`` and copied ``.seg`` is read column by column into arrays the
-segment owns (only a batch check of a ``.seg`` maps the file instead), and a
-byte past the last column is refused by both.
+Rows go in and out without objects: a :data:`Row` (the fields of one
+transaction) is appended by :meth:`ColumnarHistory.append_raw` and read back
+by :meth:`ColumnarHistory.row_at`; :meth:`ColumnarHistory.extend` /
+:meth:`ColumnarHistory.join` copy rows between segments column by column.
+The JSON record of a row has one reader, :func:`parse_record`, and one
+writer, :func:`build_record`, which both JSON containers
+(:mod:`repro.history.serialization`) use.  ``Transaction`` objects are built
+only where the object model is asked for (:func:`row_transaction`:
+:meth:`transaction_at`, :meth:`to_history`).
 
-Every batch check consumes these columns through
-:meth:`repro.core.index.HistoryIndex.build`, which scans them directly — a
-:class:`~repro.core.model.History` is column-encoded by
-:meth:`ColumnarHistory.from_history` first; :meth:`to_history` exists for
-object-level consumers and for debugging.
+A segment serialises to a compact binary file (:meth:`ColumnarHistory.save`
+/ :meth:`ColumnarHistory.load`, gzip-optional via a ``.gz`` suffix) and
+crosses process boundaries as raw buffers (:meth:`ColumnarHistory.to_wire`).
+Segment bytes are copied into columns in one place,
+:meth:`ColumnarHistory.read` (only a batch check of a ``.seg`` maps the file
+instead), and a byte past the last column is refused by both.
 """
 
 from __future__ import annotations
@@ -50,6 +42,7 @@ from array import array
 from pathlib import Path
 from typing import (
     IO,
+    Any,
     Dict,
     Iterable,
     Iterator,
@@ -84,6 +77,11 @@ __all__ = [
     "OP_WRITE",
     "SEGMENT_FORMAT",
     "SEGMENT_MAGIC",
+    "Row",
+    "build_record",
+    "parse_record",
+    "row_transaction",
+    "transaction_row",
 ]
 
 SEGMENT_FORMAT = "repro-history-segment-v1"
@@ -114,6 +112,91 @@ WireColumns = Tuple[
     bytes,  # op_values    array('q')
     bytes,  # op_has_value array('b')
 ]
+
+
+#: One row as :meth:`ColumnarHistory.append_raw` takes it: txn id, session
+#: id, status code, start and finish stamps, ``(kind code, key, value)`` ops.
+Row = Tuple[int, int, int, Optional[float], Optional[float], List[Tuple[int, str, Optional[int]]]]
+
+_OP_TYPES = (OpType.READ, OpType.WRITE)  # indexed by kind code
+
+
+def transaction_row(txn: Transaction) -> Row:
+    """The row of one :class:`Transaction`."""
+    ops = [(_WRITE if op.is_write else _READ, op.key, op.value) for op in txn.operations]
+    return txn.txn_id, txn.session_id, STATUS_CODES[txn.status], txn.start_ts, txn.finish_ts, ops
+
+
+def row_transaction(row: Row) -> Transaction:
+    """The :class:`Transaction` of one row."""
+    txn_id, session_id, status_code, start_ts, finish_ts, ops = row
+    operations = [Operation(_OP_TYPES[kind], key, value) for kind, key, value in ops]
+    return Transaction(txn_id, operations, session_id, STATUS_FROM_CODE[status_code], start_ts, finish_ts)
+
+
+# What a wrongly shaped JSON value raises when indexed or iterated; files come
+# from outside, so decoders turn these into ``ValueError`` (CLI: exit 2).
+_STRUCTURAL = (AttributeError, KeyError, TypeError)
+
+
+def _malformed(what: str, exc: Exception) -> ValueError:
+    detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ValueError(f"malformed history: {what}: {detail}")
+
+
+_OP_NAMES = ("r", "w")  # indexed by kind code
+_OP_CODES = {name: code for code, name in enumerate(_OP_NAMES)}
+_STATUS_NAMES = tuple(status.value for status in STATUS_FROM_CODE)
+_STATUS_CODES = {name: code for code, name in enumerate(_STATUS_NAMES)}
+
+
+def parse_record(payload: Any) -> Row:
+    """Validate one transaction record (the shape both JSON containers
+    hold, parsed); return it as a :data:`Row`.
+
+    The one reader of the record shape: ids are integers, keys strings,
+    values integers or null, stamps numbers or null, ``op`` and ``status``
+    one of their names.  Anything else raises ``ValueError("malformed
+    history: …")``.
+    """
+    try:
+        ops = []
+        for op in payload.get("operations", ()):
+            kind, key, value = _OP_CODES.get(op["op"]), op["key"], op["value"]
+            if kind is None or type(key) is not str or not (value is None or type(value) is int):
+                raise TypeError(
+                    f"operation {op!r} is not an op 'r' or 'w' on a string key "
+                    "with an integer or null value"
+                )
+            ops.append((kind, key, value))
+        txn_id, session_id = payload["txn_id"], payload.get("session_id", 0)
+        if type(txn_id) is not int or type(session_id) is not int:
+            raise TypeError("txn_id and session_id must be integers")
+        status = _STATUS_CODES.get(payload.get("status", "committed"))
+        if status is None:
+            raise TypeError(f"status {payload['status']!r} is not one of {', '.join(_STATUS_NAMES)}")
+        start_ts, finish_ts = payload.get("start_ts"), payload.get("finish_ts")
+        for stamp in (start_ts, finish_ts):
+            if stamp is not None and type(stamp) not in (int, float):
+                raise TypeError(f"timestamp {stamp!r} is not a number or null")
+    except _STRUCTURAL as exc:
+        raise _malformed("transaction record", exc) from None
+    return txn_id, session_id, status, start_ts, finish_ts, ops
+
+
+def build_record(row: Row) -> Dict[str, Any]:
+    """The record of one row — the one writer of the record shape."""
+    txn_id, session_id, status_code, start_ts, finish_ts, ops = row
+    return {
+        "txn_id": txn_id,
+        "session_id": session_id,
+        "status": _STATUS_NAMES[status_code],
+        "start_ts": start_ts,
+        "finish_ts": finish_ts,
+        "operations": [
+            {"op": _OP_NAMES[kind], "key": key, "value": value} for kind, key, value in ops
+        ],
+    }
 
 
 def is_segment_path(path: Union[str, Path]) -> bool:
@@ -278,19 +361,8 @@ class ColumnarHistory:
                     values_append(value)
                     has_append(1)
             self.op_offsets.append(len(self.op_kinds))
-        except OverflowError as exc:
-            raise ValueError(
-                f"transaction T{txn_id} does not fit the columnar segment "
-                f"format (ids and values are signed 64-bit, distinct keys "
-                f"signed 32-bit): {exc}"
-            ) from None
-        except AttributeError:
-            if isinstance(self.txn_ids, array):
-                raise
-            raise ValueError(
-                "cannot append to a memory-mapped segment (loaded with "
-                "mmap=True); use slice_rows() to derive a mutable copy"
-            ) from None
+        except (OverflowError, AttributeError) as exc:
+            raise self._refusal(exc, txn_id) from None
 
     def append_row(
         self,
@@ -328,34 +400,28 @@ class ColumnarHistory:
             self.op_values.fromlist(values)
             self.op_has_value.frombytes(b"\x01" * len(kinds))
             self.op_offsets.append(len(op_kinds))
-        except OverflowError as exc:
-            raise ValueError(
+        except (OverflowError, AttributeError) as exc:
+            raise self._refusal(exc, txn_id) from None
+
+    def _refusal(self, exc: Exception, txn_id: int) -> Exception:
+        """What an append that raised ``exc`` raises instead."""
+        if isinstance(exc, OverflowError):
+            return ValueError(
                 f"transaction T{txn_id} does not fit the columnar segment "
                 f"format (ids and values are signed 64-bit, distinct keys "
                 f"signed 32-bit): {exc}"
-            ) from None
-        except AttributeError:
-            if isinstance(self.txn_ids, array):
-                raise
-            raise ValueError(
-                "cannot append to a memory-mapped segment (loaded with "
-                "mmap=True); use slice_rows() to derive a mutable copy"
-            ) from None
+            )
+        if isinstance(self.txn_ids, array):
+            return exc
+        return ValueError(
+            "cannot append to a memory-mapped segment (loaded with "
+            "mmap=True); use slice_rows() to derive a mutable copy"
+        )
 
     def append(self, txn: Transaction) -> None:
         """Append one transaction as a new row (see :meth:`append_raw` for
         the failure contract; this is the object-accepting wrapper)."""
-        self.append_raw(
-            txn.txn_id,
-            txn.session_id,
-            STATUS_CODES[txn.status],
-            txn.start_ts,
-            txn.finish_ts,
-            (
-                (_WRITE if op.is_write else _READ, op.key, op.value)
-                for op in txn.operations
-            ),
-        )
+        self.append_raw(*transaction_row(txn))
 
     __call__ = append
 
@@ -374,33 +440,22 @@ class ColumnarHistory:
     # ------------------------------------------------------------------
     # Row materialisation (debug / legacy interop; not the hot path)
     # ------------------------------------------------------------------
-    def transaction_at(self, row: int) -> Transaction:
-        """Materialise one row as a :class:`Transaction`."""
+    def row_at(self, row: int) -> Row:
+        """One row as the fields :meth:`append_raw` takes (a NaN stamp and
+        an absent value are ``None``): the inverse of an append."""
         lo, hi = self.op_offsets[row], self.op_offsets[row + 1]
-        key_names = self.key_names
-        operations = [
-            Operation(
-                OpType.WRITE if kind else OpType.READ,
-                key_names[kid],
-                value if has else None,
-            )
+        names = self.key_names
+        ops = [
+            (kind, names[kid], value if has else None)
             for kind, kid, value, has in zip(
-                self.op_kinds[lo:hi],
-                self.op_keys[lo:hi],
-                self.op_values[lo:hi],
-                self.op_has_value[lo:hi],
+                self.op_kinds[lo:hi], self.op_keys[lo:hi], self.op_values[lo:hi], self.op_has_value[lo:hi]
             )
         ]
-        start = self.start_ts[row]
-        finish = self.finish_ts[row]
-        return Transaction(
-            txn_id=self.txn_ids[row],
-            operations=operations,
-            session_id=self.session_ids[row],
-            status=STATUS_FROM_CODE[self.statuses[row]],
-            start_ts=None if math.isnan(start) else start,
-            finish_ts=None if math.isnan(finish) else finish,
-        )
+        return (self.txn_ids[row], self.session_ids[row], self.statuses[row], *self.timestamps_at(row), ops)
+
+    def transaction_at(self, row: int) -> Transaction:
+        """Materialise one row as a :class:`Transaction`."""
+        return row_transaction(self.row_at(row))
 
     def iter_transactions(self) -> Iterator[Transaction]:
         """Yield every row as a :class:`Transaction` (``⊥T`` first if present)."""
@@ -432,15 +487,52 @@ class ColumnarHistory:
             cols.append(txn)
         return cols
 
-    def to_history(self) -> History:
-        """Materialise a :class:`History` (sessions ordered by session id).
+    @classmethod
+    def join(cls, segments: Iterable["ColumnarHistory"]) -> "ColumnarHistory":
+        """The rows of ``segments``, in order, as one segment.
 
-        The inverse of :meth:`from_history` up to session-list ordering —
-        exactly the convention of
-        :func:`repro.history.serialization.load_history_jsonl`, so JSONL and
-        segment loads of the same history are indistinguishable (both
-        delegate to :func:`repro.core.model.history_from_stream`).
+        A lone segment is returned as it is (a mapped one stays mapped);
+        several are copied into a new one with :meth:`extend`, so the result
+        is the segment one writer would have recorded over all their rows.
         """
+        segments = iter(segments)
+        first = next(segments, None)
+        second = next(segments, None)
+        if second is None:
+            return cls() if first is None else first
+        out = cls()
+        out.extend(first)
+        out.extend(second)
+        del first, second
+        for segment in segments:
+            out.extend(segment)
+            del segment  # a copied segment is not held while the next is read
+        return out
+
+    def extend(self, other: "ColumnarHistory", lo: int = 0, hi: Optional[int] = None) -> None:
+        """Append rows ``lo:hi`` of ``other`` (to its end when ``hi`` is None).
+
+        Whole-column copies; keys are interned in the order the copied
+        operations first name them, which is the order per-row appends
+        would have interned them in.
+        """
+        hi = len(other.txn_ids) if hi is None else hi
+        first_op, end_op = other.op_offsets[lo], other.op_offsets[hi]
+        op_keys = other.op_keys[first_op:end_op]
+        names = other.key_names
+        remap = {kid: self.key_id(names[kid]) for kid in dict.fromkeys(op_keys)}
+        base = len(self.op_kinds) - first_op
+        for slot in _ROW_SLOTS:
+            getattr(self, slot).extend(getattr(other, slot)[lo:hi])
+        self.op_offsets.extend([offset + base for offset in other.op_offsets[lo + 1 : hi + 1]])
+        self.op_kinds.extend(other.op_kinds[first_op:end_op])
+        self.op_keys.extend(map(remap.__getitem__, op_keys))
+        self.op_values.extend(other.op_values[first_op:end_op])
+        self.op_has_value.extend(other.op_has_value[first_op:end_op])
+
+    def to_history(self) -> History:
+        """Materialise a :class:`History` (sessions ordered by session id):
+        the inverse of :meth:`from_history` up to session-list ordering."""
         return history_from_stream(self.iter_transactions())
 
     # ------------------------------------------------------------------
@@ -515,10 +607,8 @@ class ColumnarHistory:
     # ------------------------------------------------------------------
     # Binary segment files
     # ------------------------------------------------------------------
-    def save(
-        self, path: Union[str, Path], *, compress: Optional[bool] = None
-    ) -> None:
-        """Write a binary segment file (gzip when ``compress`` or ``*.gz``).
+    def save(self, path: Union[str, Path]) -> None:
+        """Write a binary segment file (gzip when ``path`` ends in ``.gz``).
 
         Layout: :data:`SEGMENT_MAGIC`, one JSON header line (format name,
         byte order, counts, key names, column manifest), then each column's
@@ -526,15 +616,15 @@ class ColumnarHistory:
         (:func:`~repro.ondisk.atomic_write`): a save that fails
         half-way leaves whatever ``path`` held before.
         """
-        atomic_write(path, lambda raw: self.dump(raw, path, compress))
+        atomic_write(path, lambda raw: self.dump(raw, path))
 
-    def dump(
-        self, raw: IO[bytes], path: Union[str, Path], compress: Optional[bool] = None
-    ) -> None:
+    def dump(self, raw: IO[bytes], path: Union[str, Path]) -> None:
         """Stream the segment bytes for ``path`` into the open file ``raw``
         (a staging file), then fire ``columnar.segment.write`` on it."""
-        if compress is None:
-            compress = str(path).lower().endswith(".gz")
+        compress = str(path).lower().endswith(".gz")
+        if not set(map(type, self.key_names)) <= {str}:  # what the reader refuses
+            key = next(key for key in self.key_names if type(key) is not str)
+            raise ValueError(f"{path}: cannot write key {key!r}: segment keys are strings")
         columns = [getattr(self, slot) for slot in _COLUMN_SLOTS]
         header = {
             "format": SEGMENT_FORMAT,
@@ -757,16 +847,16 @@ _COLUMN_SLOTS: Tuple[str, ...] = (
     "op_has_value",
 )
 _COLUMN_TYPECODES: Tuple[str, ...] = ("q", "q", "b", "d", "d", "q", "b", "i", "q", "b")
+#: The per-row columns besides ``op_offsets``.
+_ROW_SLOTS: Tuple[str, ...] = ("txn_ids", "session_ids", "statuses", "start_ts", "finish_ts")
 
 
 # ----------------------------------------------------------------------
 # Module-level conveniences
 # ----------------------------------------------------------------------
-def write_history_segment(
-    history: History, path: Union[str, Path], *, compress: Optional[bool] = None
-) -> None:
+def write_history_segment(history: History, path: Union[str, Path]) -> None:
     """Write a complete history as a binary segment (canonical order)."""
-    ColumnarHistory.from_history(history).save(path, compress=compress)
+    ColumnarHistory.from_history(history).save(path)
 
 
 def load_history_segment(path: Union[str, Path]) -> ColumnarHistory:

@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import IO, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .. import obs
-from ..core.model import INITIAL_TXN_ID, Transaction, make_initial_transaction
+from ..core.model import Transaction
 from ..resilience.failpoints import fail_point
 from ..ondisk import atomic_write, frame, pack_columns, unframe, unpack_columns
 from .columnar import ColumnarHistory
@@ -418,7 +418,6 @@ class EpochLogWriter:
         *,
         epoch_transactions: int = 1024,
         compress: bool = False,
-        initial_transaction: Optional[Transaction] = None,
         initial_keys: Optional[Iterable[str]] = None,
     ) -> None:
         if epoch_transactions < 1:
@@ -442,10 +441,8 @@ class EpochLogWriter:
             raise
 
         self._buffer = ColumnarHistory()
-        if initial_transaction is None and initial_keys is not None:
-            initial_transaction = make_initial_transaction(initial_keys)
-        if initial_transaction is not None and not self._entries:
-            self._buffer.append(initial_transaction)
+        if initial_keys is not None and not self._entries:  # ⊥T, as make_initial_transaction
+            self._buffer.seed_initial(sorted(set(initial_keys)))
 
     @property
     def epochs_sealed(self) -> int:
@@ -475,6 +472,19 @@ class EpochLogWriter:
 
     __call__ = append
 
+    def extend(self, columns: ColumnarHistory, lo: int = 0) -> None:
+        """Buffer rows ``lo:`` of ``columns`` straight from their columns,
+        sealing each epoch as it fills: the epochs :meth:`append` seals."""
+        if self._closed:
+            raise ValueError("epoch log writer is closed")
+        rows = len(columns)
+        while lo < rows:
+            hi = min(rows, lo + self.epoch_transactions - self._buffer.num_transactions)
+            self._buffer.extend(columns, lo, hi)
+            lo = hi
+            if self._buffer.num_transactions >= self.epoch_transactions:
+                self.seal()
+
     def seal(self) -> Optional[EpochInfo]:
         """Flush the buffered rows as one epoch (no-op on an empty buffer).
 
@@ -496,7 +506,7 @@ class EpochLogWriter:
         tmp = self.directory / f".{name}.tmp"
         with open(tmp, "wb") as fh:
             staged = _Crc32Writer(fh)
-            self._buffer.dump(staged, path, self.compress)
+            self._buffer.dump(staged, path)
             fail_point("epochlog.seal.tmp_write", path=tmp)
             fsync_started = time.perf_counter()
             fail_point("epochlog.seal.fsync", path=tmp)
@@ -761,33 +771,6 @@ class EpochLog:
         """Yield ``(entry, segment)`` for every epoch from ``start_epoch``."""
         for entry in self.epochs[start_epoch:]:
             yield entry, self.load_epoch(entry)
-
-    def to_columns(self) -> ColumnarHistory:
-        """Concatenate every live epoch into one in-memory segment.
-
-        The batch-check entry point: key ids are re-interned across
-        epochs, so the result is indistinguishable from a single segment
-        written over the whole history.  Raises :class:`EpochLogError`
-        when retired epochs make the full history unrecoverable.
-        """
-        out = ColumnarHistory()
-        for entry in self.epochs:
-            segment = self.load_epoch(entry)
-            base = len(out.op_kinds)
-            remap = [out.key_id(name) for name in segment.key_names]
-            out.txn_ids.extend(segment.txn_ids)
-            out.session_ids.extend(segment.session_ids)
-            out.statuses.extend(segment.statuses)
-            out.start_ts.extend(segment.start_ts)
-            out.finish_ts.extend(segment.finish_ts)
-            for offset in segment.op_offsets[1:]:
-                out.op_offsets.append(base + offset)
-            for kid in segment.op_keys:
-                out.op_keys.append(remap[kid])
-            out.op_kinds.extend(segment.op_kinds)
-            out.op_values.extend(segment.op_values)
-            out.op_has_value.extend(segment.op_has_value)
-        return out
 
     # ------------------------------------------------------------------
     # Verifier checkpoints

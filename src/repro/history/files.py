@@ -9,14 +9,15 @@ inside functions.
 
 from __future__ import annotations
 
+import gzip
 import json
 import os
 import warnings
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
-from ..core.model import History, Transaction, stream_order
+from ..core.model import History, stream_order
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .columnar import ColumnarHistory
@@ -33,6 +34,7 @@ __all__ = [
 
 #: Rows per segment when a JSONL stream is read as segments.
 STREAM_SEGMENT_ROWS = 1024
+STREAM_FORMAT = "repro-history-stream-v1"
 
 
 # ----------------------------------------------------------------------
@@ -64,10 +66,8 @@ def is_epochlog_path(path: Union[str, Path]) -> bool:
 def is_stream_path(path: Union[str, Path]) -> bool:
     """Whether ``path`` looks like a JSONL history stream (by suffix).
 
-    Gzip-compressed streams (``*.jsonl.gz`` / ``*.ndjson.gz``) count: every
-    stream consumer opens files through
-    :func:`~repro.history.serialization.open_history_stream`, which
-    decompresses transparently.
+    Gzip-compressed streams (``*.jsonl.gz`` / ``*.ndjson.gz``) count: the
+    stream reader, :class:`StreamFollower`, decompresses transparently.
     """
     name = Path(path).name.lower()
     if name.endswith(".gz"):
@@ -100,7 +100,9 @@ def read_segments(path: Union[str, Path]) -> Iterator["ColumnarHistory"]:
         for _entry, segment in _open_log(path).iter_segments():
             yield segment
     elif kind == "segment":
-        yield ColumnarHistory.load(path, mmap=_mappable(path))
+        # Uncompressed segments are mapped: a check never pages in the
+        # columns it does not read (ARCHITECTURE.md, "Segment loads").
+        yield ColumnarHistory.load(path, mmap=not str(path).lower().endswith(".gz"))
     elif kind == "stream":
         with StreamFollower(path) as follower:
             yield from iter(follower.poll, None)
@@ -112,29 +114,16 @@ def read_segments(path: Union[str, Path]) -> Iterator["ColumnarHistory"]:
 
 
 def load_columns(path: Union[str, Path]) -> "ColumnarHistory":
-    """The history at ``path`` as one set of columns, for a batch check (an
-    uncompressed segment's are memory-mapped)."""
-    kind = history_format(path)
-    if kind == "log":
-        return _open_log(path).to_columns()
-    if kind == "stream":
-        from .columnar import ColumnarHistory
-        from .serialization import iter_history_jsonl
+    """The history at ``path`` as one set of columns, for a batch check: its
+    :func:`read_segments` joined (a lone uncompressed segment stays
+    memory-mapped)."""
+    from .columnar import ColumnarHistory
 
-        return ColumnarHistory.from_transactions(iter_history_jsonl(path))
-    (columns,) = read_segments(path)
-    return columns
-
-
-def _mappable(path: Union[str, Path]) -> bool:
-    """Uncompressed segments are memory-mapped for a batch check: a check
-    never pages in the columns it does not read (ARCHITECTURE.md, "Segment
-    loads")."""
-    return not str(path).lower().endswith(".gz")
+    return ColumnarHistory.join(read_segments(path))
 
 
 def write_history(
-    source: Union[History, "ColumnarHistory", Iterable[Transaction]],
+    source: Union[History, "ColumnarHistory", Iterable["ColumnarHistory"]],
     path: Union[str, Path],
     *,
     epoch_transactions: int = 1024,
@@ -142,10 +131,14 @@ def write_history(
     """Write ``source`` in the container ``path`` names; return the rows written.
 
     ``source`` is a :class:`History` (written in ``stream_order``), columns,
-    or transactions in arrival order, ``⊥T`` first (a stream's header row).
+    or the segments of one history in arrival order (:func:`read_segments`).
+    Rows go from columns to the destination; only a ``History`` written as a
+    stream or a document is written from its objects, so its integer stamps
+    stay integers.
     """
     from .columnar import ColumnarHistory
     from .epochlog import EpochLogWriter
+    from .columnar import build_record
     from .serialization import HistoryStreamWriter, save_history
 
     kind = history_format(path)
@@ -153,33 +146,38 @@ def write_history(
         if kind == "document":
             save_history(source, path)
             return len(source.transactions())
-        source = stream_order(source)
+        if kind == "stream":
+            rows = list(stream_order(source))  # refused before the file is opened
+            initial = source.initial_transaction
+            with HistoryStreamWriter(path, initial_transaction=initial, flush_every=1024) as out:
+                for txn in rows[initial is not None :]:
+                    out.write(txn)
+            return len(rows)
+        source = ColumnarHistory.from_history(source)
+    segments = iter((source,) if isinstance(source, ColumnarHistory) else source)
     if kind in ("segment", "document"):
-        if not isinstance(source, ColumnarHistory):
-            source = ColumnarHistory.from_transactions(source)
+        columns = ColumnarHistory.join(segments)
         if kind == "segment":
-            source.save(path)
+            columns.save(path)
         else:
-            save_history(source.to_history(), path)
-        return source.num_transactions
-    if isinstance(source, ColumnarHistory):
-        source = source.iter_transactions()
-    transactions = iter(source)
-    # Pulled before the destination is opened: a missing or corrupt source
+            save_history(columns.to_history(), path)
+        return columns.num_transactions
+    # Read before the destination is opened: a missing or corrupt source
     # fails without creating an empty log or truncating a stream.
-    first = next(transactions, None)
-    initial = first if kind == "stream" and first is not None and first.is_initial else None
-    if first is not initial:
-        transactions = chain((first,), transactions)
-    with (
-        EpochLogWriter(path, epoch_transactions=epoch_transactions)
-        if kind == "log"
-        else HistoryStreamWriter(path, initial_transaction=initial, flush_every=1024)
-    ) as writer:
-        rows = 0
-        for rows, txn in enumerate(transactions, 1):
-            writer(txn)  # both writers are ``on_transaction`` hooks
-    return rows + (initial is not None)
+    first = next(segments, ColumnarHistory())
+    if kind == "log":
+        writer, lo = EpochLogWriter(path, epoch_transactions=epoch_transactions), 0
+    else:  # a stream's ⊥T is its header's
+        lo = int(first.has_initial)
+        header = build_record(first.row_at(0)) if lo else None
+        writer = HistoryStreamWriter(path, initial_transaction=header, flush_every=1024)
+    rows = len(first)
+    with writer:
+        writer.extend(first, lo)
+        for segment in segments:
+            writer.extend(segment)
+            rows += len(segment)
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -201,17 +199,25 @@ class StreamFollower:
     lag = 0
 
     def __init__(self, path: Union[str, Path]) -> None:
-        from .serialization import open_history_stream, parse_stream_header
-
         self.path = path
         #: Segments handed out by :meth:`poll`.
         self.position = 0
         #: Nothing more can ever be read (torn gzip member).
         self.done = False
         self._pending = ""
-        self._fh = open_history_stream(path)
+        with open(path, "rb") as probe:  # gzip by content, not by suffix
+            gzipped = probe.read(2) == b"\x1f\x8b"
+        self._fh = gzip.open(path, "rt", encoding="utf-8") if gzipped else open(path, encoding="utf-8")
         try:
-            header = parse_stream_header(self._fh.readline())
+            line = self._fh.readline()
+            if not line.strip():
+                raise ValueError("empty history stream (missing header)")
+            try:
+                header = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"not a {STREAM_FORMAT} stream: {exc}") from None
+            if not isinstance(header, dict) or header.get("format") != STREAM_FORMAT:
+                raise ValueError(f"not a {STREAM_FORMAT} stream")
         except EOFError:
             # A gzip member cut off before its end-of-stream marker — the
             # producer is still writing (or the copy was truncated).
@@ -227,13 +233,12 @@ class StreamFollower:
         """Length of the unterminated, not-yet-parseable tail (0 when none)."""
         return len(self._pending) if self._pending.strip() else 0
 
-    def records(self) -> Iterator[Transaction]:
-        """Yield the records readable right now, ``⊥T`` first, then stop."""
-        from .serialization import transaction_from_dict
-
+    def _records(self) -> Iterator[object]:
+        """Yield the records readable right now, parsed, ``⊥T`` first, then
+        stop."""
         if self._initial is not None:
             initial, self._initial = self._initial, None
-            yield transaction_from_dict(initial)
+            yield initial
         while not self.done:
             try:
                 chunk = self._fh.readline()
@@ -251,21 +256,21 @@ class StreamFollower:
                         raise
                     return  # torn tail: pending until the producer completes it
                 self._pending = ""
-                yield transaction_from_dict(payload)
+                yield payload
             elif line.endswith("\n"):
                 self._pending = ""
             if not chunk:
                 return
 
     def poll(self) -> Optional["ColumnarHistory"]:
-        """The newly readable records (at most :data:`STREAM_SEGMENT_ROWS`) as
-        one segment, else ``None``."""
-        from .columnar import ColumnarHistory
+        """The newly readable records (at most :data:`STREAM_SEGMENT_ROWS`),
+        parsed into one segment's columns, else ``None``."""
+        from .columnar import ColumnarHistory, parse_record
 
         segment = ColumnarHistory()
         try:
-            for txn in islice(self.records(), STREAM_SEGMENT_ROWS):
-                segment.append(txn)
+            for record in islice(self._records(), STREAM_SEGMENT_ROWS):
+                segment.append_raw(*parse_record(record))
         except json.JSONDecodeError:
             if not segment.num_transactions:
                 raise

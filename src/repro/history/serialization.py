@@ -1,44 +1,49 @@
-"""History serialization: JSON documents and streaming JSONL.
+"""History serialization: JSON documents, streaming JSONL, and their record.
 
 Black-box checking pipelines persist histories between the generation and
-verification stages (Figure 2, Step 3).  This module serialises
-:class:`~repro.core.model.History` and :class:`~repro.core.lwt.LWTHistory`
-objects two ways:
+verification stages (Figure 2, Step 3).  Both JSON containers hold one
+*record* per transaction, read and written by the record codec
+(:func:`~repro.history.columnar.parse_record` /
+:func:`~repro.history.columnar.build_record`);
+:func:`transaction_from_dict` / :func:`transaction_to_dict` are its object
+adapters.
 
-* a single JSON document (``repro-history-v1``) for archived histories —
-  :func:`save_history` / :func:`load_history`;
-* a line-oriented JSONL stream (``repro-history-stream-v1``) for live
-  checking — one transaction per line in arrival order, written by
-  :class:`HistoryStreamWriter` and consumed lazily by
-  :func:`iter_history_jsonl`, so a history never has to fit in memory and a
-  ``repro watch`` process can follow the file while it grows.
-
-The stream format is a header line ``{"format": "repro-history-stream-v1",
-"initial_transaction": {...}?}`` followed by one transaction object per
-line (the same shape as in the document format, including ``session_id``).
+* a JSONL stream (``repro-history-stream-v1``): a header line, with ``⊥T``
+  as ``initial_transaction``, then one record per line in arrival order.
+  :class:`HistoryStreamWriter` writes it from transactions or columns;
+  :class:`~repro.history.files.StreamFollower` decodes it straight into
+  segments, and :func:`iter_history_jsonl` is their object view;
+* a JSON document (``repro-history-v1``), a :class:`History`'s own
+  serialization: records grouped by session, arrival order recomputed by
+  ``stream_order`` — the one container read through objects.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
-from itertools import chain
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, Iterator, List, Optional, Union
 
 from ..core.lwt import LWTHistory, LWTKind, LWTOperation
 from ..core.model import (
     History,
-    Operation,
-    OpType,
     Session,
     Transaction,
-    TransactionStatus,
     history_from_stream,
     make_initial_transaction,
 )
 from ..ondisk import atomic_write
-from .files import StreamFollower, is_stream_path, write_history
+from .columnar import (
+    _STRUCTURAL,
+    ColumnarHistory,
+    _malformed,
+    build_record,
+    parse_record,
+    row_transaction,
+    transaction_row,
+)
+from .files import STREAM_FORMAT, StreamFollower, is_stream_path, write_history
 
 __all__ = [
     "history_to_dict",
@@ -52,24 +57,11 @@ __all__ = [
     "iter_history_jsonl",
     "load_history_jsonl",
     "is_stream_path",
-    "open_history_stream",
     "lwt_history_to_dict",
     "lwt_history_from_dict",
     "save_lwt_history",
     "load_lwt_history",
 ]
-
-STREAM_FORMAT = "repro-history-stream-v1"
-
-# What a wrongly shaped JSON value raises when indexed or iterated; files come
-# from outside, so decoders turn these into ``ValueError`` (CLI: exit 2).
-_STRUCTURAL = (AttributeError, KeyError, TypeError)
-
-
-def _malformed(what: str, exc: Exception) -> ValueError:
-    detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-    return ValueError(f"malformed history: {what}: {detail}")
-
 
 # ----------------------------------------------------------------------
 # Transactional histories
@@ -123,59 +115,17 @@ def load_history(path: Union[str, Path]) -> History:
 
 def transaction_to_dict(txn: Transaction) -> Dict[str, Any]:
     """Convert one transaction to the JSON shape shared by both formats."""
-    return {
-        "txn_id": txn.txn_id,
-        "session_id": txn.session_id,
-        "status": txn.status.value,
-        "start_ts": txn.start_ts,
-        "finish_ts": txn.finish_ts,
-        "operations": [
-            {"op": op.op_type.value, "key": op.key, "value": op.value}
-            for op in txn.operations
-        ],
-    }
+    return build_record(transaction_row(txn))
 
 
 def transaction_from_dict(payload: Dict[str, Any]) -> Transaction:
     """Reconstruct one transaction from :func:`transaction_to_dict` output."""
-    try:
-        operations = []
-        for op in payload.get("operations", []):
-            key, value = op["key"], op["value"]
-            if not isinstance(key, (str, int)) or not isinstance(value, (int, type(None))):
-                raise TypeError(f"operation {op!r} needs a scalar key and an integer value")
-            operations.append(Operation(OpType(op["op"]), key, value))
-        txn_id, session_id = payload["txn_id"], payload.get("session_id", 0)
-        if type(txn_id) is not int or type(session_id) is not int:
-            raise TypeError("txn_id and session_id must be integers")
-        return Transaction(
-            txn_id=txn_id,
-            operations=operations,
-            session_id=session_id,
-            status=TransactionStatus(payload.get("status", "committed")),
-            start_ts=payload.get("start_ts"),
-            finish_ts=payload.get("finish_ts"),
-        )
-    except _STRUCTURAL as exc:
-        raise _malformed("transaction record", exc) from None
+    return row_transaction(parse_record(payload))
 
 
 # ----------------------------------------------------------------------
 # Streaming JSONL histories
 # ----------------------------------------------------------------------
-def open_history_stream(path: Union[str, Path]) -> IO[str]:
-    """Open a JSONL stream for text reading, gunzipping ``*.gz`` files.
-
-    Compression is detected by content (the two gzip magic bytes), not by
-    suffix, so renamed files still open correctly.
-    """
-    with open(path, "rb") as probe:
-        is_gzip = probe.read(2) == b"\x1f\x8b"
-    if is_gzip:
-        return gzip.open(path, "rt", encoding="utf-8")  # type: ignore[return-value]
-    return open(path, "r", encoding="utf-8")
-
-
 class HistoryStreamWriter:
     """Append-only writer for the JSONL history stream format.
 
@@ -193,8 +143,10 @@ class HistoryStreamWriter:
     (the watcher buffers until the newline arrives; one-shot readers skip a
     torn tail).
 
-    A ``*.gz`` path (or ``compress=True``) writes the stream
-    gzip-compressed; every reader in this module decompresses transparently.
+    A ``*.gz`` path writes the stream gzip-compressed; the stream reader
+    decompresses transparently.  ``initial_transaction`` is ``⊥T`` for the
+    header, as a :class:`Transaction` or as its record (``build_record``);
+    :meth:`extend` appends rows straight from columns.
 
     Example:
         >>> import tempfile, os
@@ -210,10 +162,9 @@ class HistoryStreamWriter:
         self,
         path: Union[str, Path],
         *,
-        initial_transaction: Optional[Transaction] = None,
+        initial_transaction: Union[Transaction, Dict[str, Any], None] = None,
         initial_keys: Optional[Iterable[str]] = None,
         flush_every: int = 1,
-        compress: Optional[bool] = None,
     ) -> None:
         """``initial_keys`` synthesises the header's ``⊥T`` from a key list —
         the convenient form when tailing a live run (serial or concurrent)
@@ -222,17 +173,17 @@ class HistoryStreamWriter:
             raise ValueError("flush_every must be a positive transaction count")
         if initial_transaction is None and initial_keys is not None:
             initial_transaction = make_initial_transaction(initial_keys)
-        if compress is None:
-            compress = str(path).lower().endswith(".gz")
-        if compress:
+        if str(path).lower().endswith(".gz"):
             self._fh: IO[str] = gzip.open(path, "wt", encoding="utf-8")  # type: ignore[assignment]
         else:
             self._fh = open(path, "w", encoding="utf-8")
         self._flush_every = flush_every
         self._pending = 0
         header: Dict[str, Any] = {"format": STREAM_FORMAT}
+        if isinstance(initial_transaction, Transaction):
+            initial_transaction = transaction_to_dict(initial_transaction)
         if initial_transaction is not None:
-            header["initial_transaction"] = transaction_to_dict(initial_transaction)
+            header["initial_transaction"] = initial_transaction
         self._emit(header, force_flush=True)
 
     def write(self, txn: Transaction) -> None:
@@ -240,6 +191,11 @@ class HistoryStreamWriter:
         self._emit(transaction_to_dict(txn))
 
     __call__ = write
+
+    def extend(self, columns: ColumnarHistory, lo: int = 0) -> None:
+        """Append rows ``lo:`` of ``columns`` to the stream."""
+        for row in range(lo, len(columns)):
+            self._emit(build_record(columns.row_at(row)))
 
     def _emit(self, payload: Dict[str, Any], *, force_flush: bool = False) -> None:
         self._fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
@@ -264,54 +220,22 @@ class HistoryStreamWriter:
         self.close()
 
 
-def write_history_jsonl(
-    history: History,
-    path: Union[str, Path],
-    *,
-    order: Optional[Iterable[Transaction]] = None,
-) -> None:
-    """Write a complete history as a JSONL stream in canonical order.
-
-    ``order`` overrides the default arrival order
+def write_history_jsonl(history: History, path: Union[str, Path]) -> None:
+    """Write a complete history as a JSONL stream in canonical arrival order
     (:func:`repro.core.stream_order`: merged by finish timestamp, falling
-    back to round-robin); it must not include the initial transaction,
-    which goes into the header.
-    """
-    if order is not None:
-        initial = history.initial_transaction
-        history = chain(() if initial is None else (initial,), order)
+    back to round-robin)."""
     write_history(history, path)
 
 
-def parse_stream_header(line: str) -> Dict[str, Any]:
-    """Validate a stream's header line; raises ``ValueError`` when invalid.
-
-    Called by the one reader of the format,
-    :class:`~repro.history.files.StreamFollower`.
-    """
-    if not line.strip():
-        raise ValueError("empty history stream (missing header)")
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not a {STREAM_FORMAT} stream: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != STREAM_FORMAT:
-        raise ValueError(f"not a {STREAM_FORMAT} stream")
-    return header
-
-
 def iter_history_jsonl(path: Union[str, Path]) -> Iterator[Transaction]:
-    """Lazily yield the transactions of a JSONL stream, ``⊥T`` first.
-
-    The file is read line by line, so arbitrarily long streams can be
-    verified in bounded memory with the streaming checker's window mode.
-    Reading follows :class:`~repro.history.files.StreamFollower`'s rules; a
-    stream that ends torn — a final line without its newline that does not
-    parse, or a gzip member cut short — yields its complete prefix and a
-    ``UserWarning`` (use ``repro watch`` to keep following instead).
-    """
+    """Lazily yield the transactions of a JSONL stream, ``⊥T`` first: an
+    object view of the segments :class:`~repro.history.files.StreamFollower`
+    decodes.  A stream that ends torn (a final line without its newline that
+    does not parse, or a gzip member cut short) yields its complete prefix
+    and a ``UserWarning``."""
     with StreamFollower(path) as follower:
-        yield from follower.records()
+        for segment in iter(follower.poll, None):
+            yield from segment.iter_transactions()
         follower.warn()
 
 

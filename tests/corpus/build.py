@@ -226,6 +226,8 @@ def pseudo_entries():
            "exit": 2, "error": "checksum", "base": BASE, "damage": "foreign-record"}
     yield {"entry": "log:torn-record", "source": "the last manifest record cut mid-line",
            "base": BASE, "damage": "torn-record"}
+    yield {"entry": "log:v1-manifest", "source": "MANIFEST.log renamed MANIFEST.json, the repro-epoch-log-v1 name",
+           "exit": 2, "error": "MANIFEST.json is the manifest of the older", "base": BASE, "damage": "v1-manifest"}
 
 
 def describe(result):

@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.adapters import (
     AsyncCollector,
     AsyncSimulatedAdapter,
@@ -274,12 +275,14 @@ class _HangingAdapter(AsyncDatabaseAdapter):
 class TestDeadlineWatchdog:
     def test_hung_session_recorded_unknown_and_cancelled(self):
         workload = small_workload(sessions=4, txns=3, objects=8, seed=21)
-        result = AsyncCollector(
-            _HangingAdapter(hang_session_id=0),
-            max_inflight=4,
-            txn_deadline=0.05,
-        ).collect(workload)
+        with obs.scoped() as reg:
+            result = AsyncCollector(
+                _HangingAdapter(hang_session_id=0),
+                max_inflight=4,
+                txn_deadline=0.05,
+            ).collect(workload)
         assert result.unknown == 1
+        assert reg.value("repro_resilience_deadline_exceeded_total", component="collector") == 1
         history = result.columns.to_history()
         unknown = [
             txn

@@ -174,6 +174,16 @@ class TestContainerCorners:
         assert run(capsys, "convert", odd, tmp_path / "back.jsonl")[0] == 0
         assert rows(tmp_path / "back.jsonl") == rows(healthy / "h.jsonl")
 
+    def test_a_chain_of_conversions_gives_back_the_source_bytes(self, histories, tmp_path, capsys):
+        # Bytes, not only rows: jsonl -> seg -> epochs -> jsonl.gz -> jsonl.
+        import gzip
+
+        source = histories / "healthy" / "h.jsonl"
+        hops = [source, *(tmp_path / name for name in ("a.seg", "b.epochs", "c.jsonl.gz", "d.jsonl"))]
+        for a, b in zip(hops, hops[1:]):
+            assert run(capsys, "convert", a, b, "--epoch-txns", "16")[0] == 0
+        assert gzip.decompress(hops[3].read_bytes()) == hops[4].read_bytes() == source.read_bytes()
+
     @pytest.mark.parametrize(
         "name, what", [("h.json", "JSON documents"), ("h.seg", "columnar segments"), ("h.seg.gz", "columnar segments")]
     )
@@ -250,8 +260,22 @@ def _document(*transactions):
     return {"format": "repro-history-v1", "sessions": [session]}
 
 
+def _one_op(**fields):
+    return {"txn_id": 1, "operations": [{"op": "r", "key": "x", "value": 0, **fields}]}
+
+
+def _same(record):
+    return _document(record), record
+
+
 _NO_TXN_ID = {"operations": []}
 _NO_KEY = {"txn_id": 1, "operations": [{"op": "r", "value": 1}]}
+#: Two sessions whose rows all carry stamps, so ``stream_order`` merges them by
+#: finish stamp: one of them a string.
+_STRING_FINISH = {"format": "repro-history-v1", "sessions": [
+    {"session_id": 0, "transactions": [{"txn_id": 1, "start_ts": 1, "finish_ts": 2}]},
+    {"session_id": 1, "transactions": [{"txn_id": 2, "session_id": 1, "start_ts": 1, "finish_ts": "9"}]},
+]}
 #: shape -> (the .json document, the .jsonl line after a valid header)
 _MALFORMED = {
     "top-level-array": ([1, 2], [1, 2]),
@@ -260,9 +284,15 @@ _MALFORMED = {
         {"txn_id": 1, "operations": 5},
     ),
     "transaction-is-an-int": (_document(7), 7),
-    "transaction-without-txn-id": (_document(_NO_TXN_ID), _NO_TXN_ID),
-    "operation-without-key": (_document(_NO_KEY), _NO_KEY),
-    "txn-id-is-a-list": (_document({"txn_id": [1]}), {"txn_id": [1]}),
+    "transaction-without-txn-id": _same(_NO_TXN_ID),
+    "operation-without-key": _same(_NO_KEY),
+    "txn-id-is-a-list": _same({"txn_id": [1]}),
+    "key-is-an-int": _same(_one_op(key=5)),
+    "value-is-a-bool": _same(_one_op(op="w", value=True)),
+    "stamps-are-a-bool-and-a-string": _same({"txn_id": 1, "start_ts": True, "finish_ts": "9"}),
+    "finish-ts-is-a-string": (_STRING_FINISH, _STRING_FINISH["sessions"][1]["transactions"][0]),
+    "unknown-status": _same({"txn_id": 1, "status": "bogus"}),
+    "unknown-op": _same(_one_op(op="bogus")),
 }
 
 
@@ -272,6 +302,7 @@ class TestMalformedHistories:
     @pytest.mark.parametrize("shape", sorted(_MALFORMED))
     @pytest.mark.parametrize("route, name", [
         ("check", "bad.json"), ("check", "bad.jsonl"), ("watch --once", "bad.jsonl"),
+        ("convert", "bad.json"), ("convert", "bad.jsonl"),
     ])
     def test_structural_damage_exits_2_on_every_route(
         self, shape, route, name, tmp_path, capsys
@@ -283,8 +314,61 @@ class TestMalformedHistories:
             path.write_text(f"{header}\n{json.dumps(line)}\n")
         else:
             path.write_text(json.dumps(document))
+        if route == "convert":  # refused before the destination is written
+            destination = tmp_path / "out.seg"
+            assert main(["convert", str(path), str(destination)]) == 2
+            assert capsys.readouterr().out.startswith("error: malformed history: ")
+            assert not destination.exists()
+            return
         assert main([*route.split(), "--level", "ser", str(path)]) == 2
         assert f"error: {path}: malformed history: " in capsys.readouterr().out
+
+
+#: The containers that hold rows: all but ``.json``, a ``History``'s own
+#: serialization, which is read and written through the objects.
+ROW_CONTAINERS = ["h.jsonl", "h.jsonl.gz", "h.seg", "h.seg.gz", "h.epochs"]
+
+
+class TestRowsInRowsOut:
+    """With ``Transaction`` and ``Operation`` unable to be built, every row
+    container is still checked, followed, converted and collected into."""
+
+    @pytest.fixture(autouse=True)
+    def no_objects(self, monkeypatch):
+        from repro.core.model import Operation, Transaction
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} was built")
+
+        for cls in (Transaction, Operation):
+            monkeypatch.setattr(cls, "__init__", refuse)
+
+    @pytest.mark.parametrize("level", ["ser", "si", "sser"])
+    def test_check_and_watch(self, level, histories, capsys):
+        for name in ROW_CONTAINERS:
+            assert run(capsys, "check", "--level", level, histories / "healthy" / name)[0] == 0, name
+        for name in ("h.jsonl", "h.epochs"):
+            assert run(capsys, "watch", "--once", "--level", level, histories / "healthy" / name)[0] == 0
+
+    @pytest.mark.parametrize("source", ROW_CONTAINERS)
+    def test_convert_to_every_other_container(self, source, histories, tmp_path, capsys):
+        from repro.history import load_columns
+
+        source = histories / "healthy" / source
+        for name in ROW_CONTAINERS:
+            destination = tmp_path / name
+            if destination.name != source.name:
+                assert run(capsys, "convert", source, destination, "--epoch-txns", "16")[0] == 0
+                assert load_columns(destination).to_wire() == load_columns(source).to_wire()
+
+    @pytest.mark.parametrize("name", ["x.jsonl", "x.epochs"])
+    def test_collect_writes_and_checks(self, name, tmp_path, capsys):
+        code, out = run(
+            capsys, "collect", "--adapter", "simulated", "--sessions", "4", "--txns", "10",
+            "--objects", "6", "--output", tmp_path / name, "--check", "ser",
+        )
+        assert code == 0 and "SATISFIED" in out
+        assert run(capsys, "check", tmp_path / name)[0] == 0
 
 
 class TestVersionFlag:

@@ -21,7 +21,7 @@ import pytest
 from repro.core.checker import MTChecker
 from repro.core.checkers import check_ser, check_si
 from repro.core.index import HistoryIndex
-from repro.core.model import Transaction, TransactionStatus, read, write
+from repro.core.model import History, Transaction, TransactionStatus, read, write
 from repro.core.result import IsolationLevel
 from repro.db import Database, FaultPlan
 from repro.history import (
@@ -139,6 +139,28 @@ class TestColumnarContainer:
         initial = sliced.transaction_at(0)
         assert initial.is_initial
         assert set(initial.keys()) <= set(keys)
+
+    def test_join_of_cut_segments_is_the_whole(self):
+        whole = ColumnarHistory.from_history(generated_history(5, "lostupdate"))
+        cuts = [0, 1, 2, 17, 40, len(whole)]
+        pieces = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            piece = ColumnarHistory()
+            piece.extend(whole, lo, hi)
+            pieces.append(piece)
+        # Each piece interns only the keys its rows name, in their order...
+        assert pieces[1].key_names == list(dict.fromkeys(op.key for op in whole.transaction_at(1).operations))
+        # ...so the join is the segment one writer records over all the rows.
+        assert ColumnarHistory.join(pieces).to_wire() == whole.to_wire()
+        assert ColumnarHistory.join([whole]) is whole
+        assert ColumnarHistory.join([]).num_transactions == 0
+
+    def test_a_segment_holds_string_keys_only(self, tmp_path):
+        history = History.from_transactions([[Transaction(1, [read(5, 0), write("x", 1)])]])
+        path = tmp_path / "h.seg"
+        with pytest.raises(ValueError, match="cannot write key 5: segment keys are strings"):
+            ColumnarHistory.from_history(history).save(path)
+        assert not path.exists()
 
     def test_nbytes_is_a_flat_columns_footprint(self):
         cols = ColumnarHistory.from_history(generated_history(4))

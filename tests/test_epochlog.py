@@ -25,7 +25,7 @@ import pytest
 from repro import Database, MTChecker, run_workload
 from repro.core.incremental import CheckerSession, stream_order
 from repro.core.result import IsolationLevel
-from repro.history import epochlog
+from repro.history import epochlog, load_columns
 from repro.history.columnar import ColumnarHistory
 from repro.history.epochlog import (
     CHECKPOINT_FILE_FORMAT,
@@ -151,12 +151,27 @@ class TestEpochLogBasics:
             assert max(segment.txn_ids) == entry.max_txn_id
             assert entry.name.endswith(".seg.gz" if compress else ".seg")
 
+    def test_columns_seal_the_epochs_per_row_appends_seal(self, tmp_path):
+        history = make_history(6, engine="rc")
+        by_row = build_log(tmp_path / "by-row.epochs", history, epoch_transactions=7)
+        columns = ColumnarHistory.from_history(history)
+        head, tail = ColumnarHistory(), ColumnarHistory()
+        head.extend(columns, 0, 10)
+        tail.extend(columns, 10)
+        with EpochLogWriter(tmp_path / "by-columns.epochs", epoch_transactions=7) as writer:
+            writer.extend(head)  # one epoch sealed, three rows carried over
+            writer.extend(tail)
+        by_columns = EpochLog.open(tmp_path / "by-columns.epochs")
+        assert len(by_columns) == len(by_row) > 2
+        for a, b in zip(by_row.epochs, by_columns.epochs):
+            assert (by_row.directory / a.name).read_bytes() == (by_columns.directory / b.name).read_bytes()
+
     def test_epoch_stream_matches_whole_segment_verdicts(self, tmp_path):
         for engine in ("si", "rc"):
             history = make_history(2, engine=engine)
             stream = list(stream_order(history))
             log = build_log(tmp_path / f"{engine}.epochs", history)
-            columns = log.to_columns()
+            columns = load_columns(log.directory)
             for level in LEVELS:
                 # Epoch-wise streaming is byte-identical to single-segment
                 # streaming, and agrees with the batch checker on the
@@ -571,23 +586,13 @@ class TestManifestLog:
             [t.txn_id for t in stream[i : i + 10]] for i in (0, 10, 20)
         ]
 
-    def test_the_old_manifest_format_is_refused_by_name(self, tmp_path, capsys):
-        from repro.cli import main
-
+    def test_the_old_manifest_refuses_a_writer_and_names_its_remedy(self, tmp_path):
+        # Refused by check, watch and convert: the corpus entry log:v1-manifest.
         d, log = self._log_dir(tmp_path)
         (d / MANIFEST_NAME).rename(d / "MANIFEST.json")
-        for opener in (EpochLog.open, EpochLog.open_existing, EpochLogWriter):
-            with pytest.raises(EpochLogError, match=r"MANIFEST\.json.*delete it"):
-                opener(d)
+        with pytest.raises(EpochLogError, match=r"MANIFEST\.json.*delete it"):
+            EpochLogWriter(d)
         assert not (d / MANIFEST_NAME).exists()  # refused before anything was written
-        for argv in (
-            ["check", str(d)],
-            ["watch", "--once", str(d)],
-            ["convert", str(d), str(tmp_path / "out.jsonl")],
-        ):
-            assert main(argv) == 2, argv
-            out = capsys.readouterr().out
-            assert out.startswith("error: ") and "MANIFEST.json" in out, (argv, out)
         # The remedy the message names works: the manifest is rebuilt from the files.
         (d / "MANIFEST.json").unlink()
         assert unstamped(EpochLog.open(d).epochs) == unstamped(log.epochs)

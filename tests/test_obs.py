@@ -363,6 +363,9 @@ class TestCollectorMetrics:
                 assert reg.value("repro_collector_txns_total", status="aborted") == 2
                 assert reg.value("repro_collector_retries_total") == stats.retries == 2
                 assert reg.value("repro_collector_retryable_aborts_total") == 2
+                # Each retry waited out its backoff (the collector's policy:
+                # 2 to 50 ms), which the shared family sums.
+                assert 2 * 0.002 <= reg.value("repro_resilience_backoff_seconds_total") <= 2 * 0.05
             recorded = {f for f in reg.families() if "collector_" in f}
             assert recorded <= set(obs.METRIC_CATALOG), kind
 
@@ -376,6 +379,30 @@ class TestCollectorMetrics:
             "repro_collector_sessions_in_flight",
             "repro_collector_txns_total",
         ]
+
+
+class TestResilienceMetrics:
+    def test_the_sqlite_busy_retry_counts_its_retries_and_backoff(self, tmp_path, monkeypatch):
+        import sqlite3
+
+        from repro.adapters import SQLiteAdapter
+
+        with SQLiteAdapter(str(tmp_path / "busy.db")) as adapter:
+            adapter.setup(["x"])
+            real, busy = adapter._admin_once, [2]
+
+            def locked_twice(*args, **kwargs):
+                if busy[0]:
+                    busy[0] -= 1
+                    raise sqlite3.OperationalError("database is locked")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(adapter, "_admin_once", locked_twice)
+            with obs.scoped() as reg:
+                assert adapter.committed_value("x") == 0
+        delays = list(adapter.busy_retry.delays())
+        assert reg.value("repro_resilience_retries_total", component="sqlite_admin") == 2
+        assert reg.value("repro_resilience_backoff_seconds_total") == pytest.approx(sum(delays[:2]))
 
 
 class TestVerifyReport:
@@ -502,7 +529,7 @@ class TestCheckerGauges:
 class TestEpochLogMetrics:
     def test_every_epochlog_family_counts_what_it_names(self, tmp_path):
         from repro.core.model import Transaction, read, write
-        from repro.history import EpochLog, EpochLogWriter
+        from repro.history import EpochLog, EpochLogWriter, load_columns
 
         directory = tmp_path / "m.epochs"
         directory.mkdir()
@@ -524,7 +551,7 @@ class TestEpochLogMetrics:
         assert fsyncs == seals == 3 and 0 < fsync_seconds <= seal_seconds
         assert value("repro_epochlog_epochs_loaded_total") is None
         log.load_epoch(1)
-        log.to_columns()
+        load_columns(directory)
         assert value("repro_epochlog_epochs_loaded_total") == 1 + 3  # one per load_epoch
 
 

@@ -30,6 +30,7 @@ from test_epochlog import build_log, make_history, stream_format
 from test_parallel import composite_history  # noqa: F401  (re-export for helpers)
 from test_scaleout import rt_cycle_history
 
+from repro import obs
 from repro.adapters import collect_history
 from repro.adapters.base import (
     AdapterAborted,
@@ -704,12 +705,14 @@ class TestCollectorResilience:
                 _HangingAdapter(release), txn_deadline=0.2, setup_keys=False
             )
             started = time.monotonic()
-            result = collector.collect(self._workload())
+            with obs.scoped() as reg:
+                result = collector.collect(self._workload())
             elapsed = time.monotonic() - started
         finally:
             release.set()  # unblock the abandoned daemon thread
         assert elapsed < 10.0  # the run completed; it did not block forever
         assert result.unknown == 1
+        assert reg.value("repro_resilience_deadline_exceeded_total", component="collector") == 1
         statuses = [
             txn.status
             for session in result.history.sessions
@@ -864,6 +867,28 @@ class TestSupervisedWatch:
             'repro_resilience_failpoints_fired_total'
             '{site="columnar.segment.load"} 2'
         ) in text
+
+    def test_a_third_fault_opens_the_breaker_and_success_closes_it(self, tmp_path, capsys):
+        directory, expected = self._epochlog(tmp_path)
+        metrics = tmp_path / "watch.prom"
+        with failpoints.scoped("columnar.segment.load=3*raise"):
+            code = repro_main(
+                ["watch", str(directory), "--once", "--supervise", "--checkpoint-every", "2",
+                 "--max-restarts", "4", "--metrics-file", str(metrics)]
+            )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert expected.splitlines()[0] in out
+        # Degraded from the third consecutive fault (the breaker's threshold)...
+        restarts = [line for line in out.splitlines() if "restarting from" in line]
+        assert ["[degraded]" in line for line in restarts] == [False, False, True]
+        # ...and the last scrape is the state after the success closed it.
+        scrape = obs.parse_textfile(metrics.read_text())
+        transitions = 'repro_resilience_breaker_transitions_total{breaker="watch",state="%s"}'
+        assert scrape[transitions % "open"] == scrape[transitions % "closed"] == 1
+        assert scrape['repro_resilience_breaker_open{breaker="watch"}'] == 0
+        assert scrape['repro_resilience_degraded{component="watch"}'] == 0
+        assert scrape['repro_resilience_restarts_total{component="watch"}'] == 3
 
     def test_supervised_watch_gives_up_after_budget(self, tmp_path, capsys):
         directory, _expected = self._epochlog(tmp_path)

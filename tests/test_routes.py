@@ -62,9 +62,9 @@ def containers(tmp_path_factory):
         if name not in made:
             made[name] = root / name
             made[name].mkdir()
-            rows = list(columns_of(name).iter_transactions())
+            columns = columns_of(name)
             for container in CONTAINERS:
-                write_history(iter(rows), made[name] / container, epoch_transactions=EPOCH_ROWS)
+                write_history(columns, made[name] / container, epoch_transactions=EPOCH_ROWS)
         return made[name]
 
     return make
@@ -263,7 +263,7 @@ def test_refused_on_every_route(name, containers, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", PSEUDO)
-def test_entries_without_a_file(name, containers, capsys):
+def test_entries_without_a_file(name, containers, tmp_path, capsys):
     expected = EXPECTED[name]
     base = containers(expected["base"]) / "h.epochs" if "base" in expected else None
     if "argv" in expected:
@@ -279,15 +279,21 @@ def test_entries_without_a_file(name, containers, capsys):
     last = manifest.rindex(b"\n", 0, -1) + 1  # where the last record starts
     if expected["damage"] == "torn-record":
         (log / MANIFEST_NAME).write_bytes(manifest[: last + 5])
+    elif expected["damage"] == "v1-manifest":
+        (log / MANIFEST_NAME).rename(log / "MANIFEST.json")
     else:
         entry = EpochLog.open(log).epochs[-1]
         (log / MANIFEST_NAME).write_bytes(manifest[:last] + _encode_record(replace(entry, crc32=entry.crc32 ^ 1)))
+    listing = sorted(log.iterdir())
     for command in ("check", "watch --once"):
         outcome = run(capsys, *command.split(), log)
         if "exit" in expected:
             assert_refused(outcome, expected, log)
         else:  # recovered: the log reads as the intact one
             assert outcome == run(capsys, *command.split(), base)
+    if "exit" in expected:  # a refused log is no convert source either
+        assert_refused(run(capsys, "convert", log, tmp_path / "out.jsonl"), expected, log)
+        assert sorted(log.iterdir()) == listing  # and nothing was written into it
 
 
 # ----------------------------------------------------------------------
