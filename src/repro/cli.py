@@ -930,9 +930,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ValueError as exc:
         # Bad file format, malformed JSON, or invalid option combination;
-        # the message names the input when the raiser did not.
-        path = getattr(args, "history", None)
-        named = path is None or str(path) in str(exc)
+        # the message names the input when the raiser named no path.
+        path = args.input if args.command == "convert" else getattr(args, "history", None)
+        named = path is None or any(str(p) in str(exc) for p in (path, getattr(args, "output", None)) if p)
         print(f"error: {exc}" if named else f"error: {path}: {exc}")
         return 2
     finally:

@@ -24,9 +24,8 @@ only where the object model is asked for (:func:`row_transaction`:
 A segment serialises to a compact binary file (:meth:`ColumnarHistory.save`
 / :meth:`ColumnarHistory.load`, gzip-optional via a ``.gz`` suffix) and
 crosses process boundaries as raw buffers (:meth:`ColumnarHistory.to_wire`).
-Segment bytes are copied into columns in one place,
-:meth:`ColumnarHistory.read` (only a batch check of a ``.seg`` maps the file
-instead), and a byte past the last column is refused by both.
+Segment bytes become columns in one place, :meth:`ColumnarHistory.read`,
+which copies every column and refuses a byte past the last one.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from __future__ import annotations
 import gzip
 import json
 import math
-import mmap as _mmap_module
 import os
 import sys
 import zlib
@@ -144,10 +142,28 @@ def _malformed(what: str, exc: Exception) -> ValueError:
     return ValueError(f"malformed history: {what}: {detail}")
 
 
+def _overflow(exc: OverflowError, txn_id: int) -> ValueError:
+    """What an append that overflowed a column raises instead."""
+    return ValueError(
+        f"transaction T{txn_id} does not fit the columnar segment format (ids "
+        f"and values are signed 64-bit, distinct keys signed 32-bit): {exc}"
+    )
+
+
 _OP_NAMES = ("r", "w")  # indexed by kind code
 _OP_CODES = {name: code for code, name in enumerate(_OP_NAMES)}
 _STATUS_NAMES = tuple(status.value for status in STATUS_FROM_CODE)
 _STATUS_CODES = {name: code for code, name in enumerate(_STATUS_NAMES)}
+
+
+def _bad_op(key: Any, value: Any) -> bool:
+    """Whether no container holds an operation on ``key`` with ``value``."""
+    return type(key) is not str or not (value is None or type(value) is int)
+
+
+def _bad_stamp(stamp: Any) -> bool:
+    """Whether no container holds the timestamp ``stamp``."""
+    return stamp is not None and type(stamp) not in (int, float)
 
 
 def parse_record(payload: Any) -> Row:
@@ -163,7 +179,7 @@ def parse_record(payload: Any) -> Row:
         ops = []
         for op in payload.get("operations", ()):
             kind, key, value = _OP_CODES.get(op["op"]), op["key"], op["value"]
-            if kind is None or type(key) is not str or not (value is None or type(value) is int):
+            if kind is None or _bad_op(key, value):
                 raise TypeError(
                     f"operation {op!r} is not an op 'r' or 'w' on a string key "
                     "with an integer or null value"
@@ -177,7 +193,7 @@ def parse_record(payload: Any) -> Row:
             raise TypeError(f"status {payload['status']!r} is not one of {', '.join(_STATUS_NAMES)}")
         start_ts, finish_ts = payload.get("start_ts"), payload.get("finish_ts")
         for stamp in (start_ts, finish_ts):
-            if stamp is not None and type(stamp) not in (int, float):
+            if _bad_stamp(stamp):
                 raise TypeError(f"timestamp {stamp!r} is not a number or null")
     except _STRUCTURAL as exc:
         raise _malformed("transaction record", exc) from None
@@ -185,8 +201,21 @@ def parse_record(payload: Any) -> Row:
 
 
 def build_record(row: Row) -> Dict[str, Any]:
-    """The record of one row — the one writer of the record shape."""
+    """The record of one row — the one writer of the record shape.
+
+    It refuses what :func:`parse_record` refuses, so no writer publishes a
+    record its reader cannot read: ``ValueError`` naming the transaction.
+    """
     txn_id, session_id, status_code, start_ts, finish_ts, ops = row
+    if type(txn_id) is not int or type(session_id) is not int:
+        problem = f"txn_id {txn_id!r} and session_id {session_id!r} must be integers"
+    elif _bad_stamp(start_ts) or _bad_stamp(finish_ts):
+        problem = f"timestamps {start_ts!r} and {finish_ts!r} must be numbers or null"
+    else:
+        bad = next(((_OP_NAMES[kind], key, value) for kind, key, value in ops if _bad_op(key, value)), None)
+        problem = bad and f"operation {bad!r} is not on a string key with an integer or null value"
+    if problem:
+        raise ValueError(f"cannot write transaction T{txn_id}: {problem}")
     return {
         "txn_id": txn_id,
         "session_id": session_id,
@@ -361,8 +390,8 @@ class ColumnarHistory:
                     values_append(value)
                     has_append(1)
             self.op_offsets.append(len(self.op_kinds))
-        except (OverflowError, AttributeError) as exc:
-            raise self._refusal(exc, txn_id) from None
+        except OverflowError as exc:
+            raise _overflow(exc, txn_id) from None
 
     def append_row(
         self,
@@ -400,23 +429,8 @@ class ColumnarHistory:
             self.op_values.fromlist(values)
             self.op_has_value.frombytes(b"\x01" * len(kinds))
             self.op_offsets.append(len(op_kinds))
-        except (OverflowError, AttributeError) as exc:
-            raise self._refusal(exc, txn_id) from None
-
-    def _refusal(self, exc: Exception, txn_id: int) -> Exception:
-        """What an append that raised ``exc`` raises instead."""
-        if isinstance(exc, OverflowError):
-            return ValueError(
-                f"transaction T{txn_id} does not fit the columnar segment "
-                f"format (ids and values are signed 64-bit, distinct keys "
-                f"signed 32-bit): {exc}"
-            )
-        if isinstance(self.txn_ids, array):
-            return exc
-        return ValueError(
-            "cannot append to a memory-mapped segment (loaded with "
-            "mmap=True); use slice_rows() to derive a mutable copy"
-        )
+        except OverflowError as exc:
+            raise _overflow(exc, txn_id) from None
 
     def append(self, txn: Transaction) -> None:
         """Append one transaction as a new row (see :meth:`append_raw` for
@@ -491,9 +505,9 @@ class ColumnarHistory:
     def join(cls, segments: Iterable["ColumnarHistory"]) -> "ColumnarHistory":
         """The rows of ``segments``, in order, as one segment.
 
-        A lone segment is returned as it is (a mapped one stays mapped);
-        several are copied into a new one with :meth:`extend`, so the result
-        is the segment one writer would have recorded over all their rows.
+        A lone segment is returned as it is; several are copied into a new
+        one with :meth:`extend`, so the result is the segment one writer
+        would have recorded over all their rows.
         """
         segments = iter(segments)
         first = next(segments, None)
@@ -650,31 +664,18 @@ class ColumnarHistory:
         fail_point("columnar.segment.write", path=raw.name)
 
     @classmethod
-    def load(
-        cls, path: Union[str, Path], *, mmap: bool = False
-    ) -> "ColumnarHistory":
-        """Read the segment file at ``path`` with :meth:`read`.
-
-        With ``mmap=True`` an uncompressed segment is memory-mapped instead:
-        every column is a typed ``memoryview`` over one read-only mapping,
-        paged in when a check first reads it.  A mapped segment saves,
-        slices and indexes like a copied one, but ``append`` raises
-        ``ValueError``, and a file that shrinks while it is mapped kills the
-        process (``SIGBUS``).  Gzip files are always copied, and so are
-        foreign-byteorder ones (from the mapped file).  The map refuses what
-        :meth:`read` refuses, a byte past the last column included.
-        """
+    def load(cls, path: Union[str, Path]) -> "ColumnarHistory":
+        """Read the segment file at ``path`` with :meth:`read`."""
         with open(path, "rb") as fh:
-            if not mmap or fh.read(2) == b"\x1f\x8b":  # gzip magic
-                return cls.read(fh, path)
-            fail_point("columnar.segment.load", path=path)
-            return cls._read_mapped(fh, path).validated(path)
+            return cls.read(fh, path)
 
     @classmethod
     def read(cls, fh: IO[bytes], path: Union[str, Path]) -> "ColumnarHistory":
-        """The copying segment reader: the segment :meth:`save` wrote into
-        the binary file ``fh`` (gzip auto-detected), with ``path`` named in
-        every refusal.  Epoch loads hand it the bytes they checksummed.
+        """The segment reader: the segment :meth:`save` wrote into the
+        binary file ``fh`` (gzip auto-detected), with ``path`` named in every
+        refusal.  Every load of segment bytes comes here — a ``.seg`` or
+        ``.seg.gz`` through :meth:`load`, an epoch with the bytes it
+        checksummed.
 
         Each column is read straight into an array of its own, so the
         segment owns its memory: it appends and saves like a built one, and
@@ -801,35 +802,6 @@ class ColumnarHistory:
             setattr(cols, slot, column)
         if fh.read(1):
             raise ValueError(f"{path}: bytes past the last segment column")
-        return cols
-
-    @classmethod
-    def _read_mapped(cls, fh: IO[bytes], path: Union[str, Path]) -> "ColumnarHistory":
-        """Mapping loader: typed memoryviews over one shared mapping of the
-        open file ``fh`` (a foreign-byteorder file is copied by :meth:`_read`
-        instead).  Structural corruption (bad magic/header, truncated
-        columns, bytes past the last one) raises ``ValueError`` exactly like
-        the copying reader."""
-        size = os.fstat(fh.fileno()).st_size
-        fh.seek(0)
-        cols, native, manifest = cls._read_header(fh, path)
-        if not native:
-            fh.seek(0)
-            return cls._read(fh, path, size)
-        offset = fh.tell()
-        mapping = _mmap_module.mmap(
-            fh.fileno(), 0, access=_mmap_module.ACCESS_READ
-        )
-        view = memoryview(mapping)
-        for slot, typecode, nbytes in manifest:
-            if offset + nbytes > size:
-                raise ValueError(f"{path}: truncated segment column {slot!r}")
-            setattr(cols, slot, view[offset : offset + nbytes].cast(typecode))
-            offset += nbytes
-        if offset != size:
-            raise ValueError(f"{path}: bytes past the last segment column")
-        # The column memoryviews keep ``mapping`` (and its kernel-side file
-        # reference) alive; the fd opened by the caller may close freely.
         return cols
 
 

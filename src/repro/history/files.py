@@ -100,9 +100,7 @@ def read_segments(path: Union[str, Path]) -> Iterator["ColumnarHistory"]:
         for _entry, segment in _open_log(path).iter_segments():
             yield segment
     elif kind == "segment":
-        # Uncompressed segments are mapped: a check never pages in the
-        # columns it does not read (ARCHITECTURE.md, "Segment loads").
-        yield ColumnarHistory.load(path, mmap=not str(path).lower().endswith(".gz"))
+        yield ColumnarHistory.load(path)
     elif kind == "stream":
         with StreamFollower(path) as follower:
             yield from iter(follower.poll, None)
@@ -115,8 +113,7 @@ def read_segments(path: Union[str, Path]) -> Iterator["ColumnarHistory"]:
 
 def load_columns(path: Union[str, Path]) -> "ColumnarHistory":
     """The history at ``path`` as one set of columns, for a batch check: its
-    :func:`read_segments` joined (a lone uncompressed segment stays
-    memory-mapped)."""
+    :func:`read_segments` joined."""
     from .columnar import ColumnarHistory
 
     return ColumnarHistory.join(read_segments(path))
@@ -134,11 +131,14 @@ def write_history(
     or the segments of one history in arrival order (:func:`read_segments`).
     Rows go from columns to the destination; only a ``History`` written as a
     stream or a document is written from its objects, so its integer stamps
-    stay integers.
+    stay integers.  A write is all or nothing: a document, segment or stream
+    is staged and published with one rename (:func:`~repro.ondisk.atomic_write`),
+    and a log directory this call created is removed when the source is
+    refused part-way.
     """
-    from .columnar import ColumnarHistory
+    from ..ondisk import atomic_write
+    from .columnar import ColumnarHistory, build_record
     from .epochlog import EpochLogWriter
-    from .columnar import build_record
     from .serialization import HistoryStreamWriter, save_history
 
     kind = history_format(path)
@@ -147,11 +147,15 @@ def write_history(
             save_history(source, path)
             return len(source.transactions())
         if kind == "stream":
-            rows = list(stream_order(source))  # refused before the file is opened
+            rows = list(stream_order(source))
             initial = source.initial_transaction
-            with HistoryStreamWriter(path, initial_transaction=initial, flush_every=1024) as out:
-                for txn in rows[initial is not None :]:
-                    out.write(txn)
+
+            def stage(raw) -> None:
+                with HistoryStreamWriter(path, initial_transaction=initial, flush_every=1024, into=raw) as out:
+                    for txn in rows[initial is not None :]:
+                        out.write(txn)
+
+            atomic_write(path, stage)
             return len(rows)
         source = ColumnarHistory.from_history(source)
     segments = iter((source,) if isinstance(source, ColumnarHistory) else source)
@@ -163,21 +167,35 @@ def write_history(
             save_history(columns.to_history(), path)
         return columns.num_transactions
     # Read before the destination is opened: a missing or corrupt source
-    # fails without creating an empty log or truncating a stream.
+    # fails without creating a log directory or a staging file.
     first = next(segments, ColumnarHistory())
-    if kind == "log":
-        writer, lo = EpochLogWriter(path, epoch_transactions=epoch_transactions), 0
-    else:  # a stream's ⊥T is its header's
-        lo = int(first.has_initial)
+    lo = int(kind == "stream" and first.has_initial)  # a stream's ⊥T is its header's
+    rows = [len(first)]
+
+    def copy(writer) -> None:
+        with writer:
+            writer.extend(first, lo)
+            for segment in segments:
+                writer.extend(segment)
+                rows.append(len(segment))
+
+    if kind == "stream":
         header = build_record(first.row_at(0)) if lo else None
-        writer = HistoryStreamWriter(path, initial_transaction=header, flush_every=1024)
-    rows = len(first)
-    with writer:
-        writer.extend(first, lo)
-        for segment in segments:
-            writer.extend(segment)
-            rows += len(segment)
-    return rows
+        atomic_write(
+            path,
+            lambda raw: copy(HistoryStreamWriter(path, initial_transaction=header, flush_every=1024, into=raw)),
+        )
+        return sum(rows)
+    created = not os.path.exists(path)
+    try:
+        copy(EpochLogWriter(path, epoch_transactions=epoch_transactions))
+    except BaseException:
+        if created:  # epochs sealed before the source was refused
+            import shutil
+
+            shutil.rmtree(path, ignore_errors=True)
+        raise
+    return sum(rows)
 
 
 # ----------------------------------------------------------------------

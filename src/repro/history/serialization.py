@@ -146,7 +146,10 @@ class HistoryStreamWriter:
     A ``*.gz`` path writes the stream gzip-compressed; the stream reader
     decompresses transparently.  ``initial_transaction`` is ``⊥T`` for the
     header, as a :class:`Transaction` or as its record (``build_record``);
-    :meth:`extend` appends rows straight from columns.
+    :meth:`extend` appends rows straight from columns.  ``into`` is an open
+    binary file to write the stream for ``path`` into instead of ``path``
+    itself — the staging file of :func:`~repro.ondisk.atomic_write`, which
+    publishes a whole stream with one rename; :meth:`close` leaves it open.
 
     Example:
         >>> import tempfile, os
@@ -165,6 +168,7 @@ class HistoryStreamWriter:
         initial_transaction: Union[Transaction, Dict[str, Any], None] = None,
         initial_keys: Optional[Iterable[str]] = None,
         flush_every: int = 1,
+        into: Optional[IO[bytes]] = None,
     ) -> None:
         """``initial_keys`` synthesises the header's ``⊥T`` from a key list —
         the convenient form when tailing a live run (serial or concurrent)
@@ -173,10 +177,12 @@ class HistoryStreamWriter:
             raise ValueError("flush_every must be a positive transaction count")
         if initial_transaction is None and initial_keys is not None:
             initial_transaction = make_initial_transaction(initial_keys)
-        if str(path).lower().endswith(".gz"):
-            self._fh: IO[str] = gzip.open(path, "wt", encoding="utf-8")  # type: ignore[assignment]
-        else:
-            self._fh = open(path, "w", encoding="utf-8")
+        compress = str(path).lower().endswith(".gz")
+        if into is None:
+            self._fh: IO[bytes] = gzip.open(path, "wb") if compress else open(path, "wb")
+        else:  # a gzip member is named after ``path``, not the file it goes through
+            self._fh = gzip.GzipFile(str(path), "wb", fileobj=into) if compress else into
+        self._into = into
         self._flush_every = flush_every
         self._pending = 0
         header: Dict[str, Any] = {"format": STREAM_FORMAT}
@@ -198,7 +204,7 @@ class HistoryStreamWriter:
             self._emit(build_record(columns.row_at(row)))
 
     def _emit(self, payload: Dict[str, Any], *, force_flush: bool = False) -> None:
-        self._fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        self._fh.write(json.dumps(payload, separators=(",", ":")).encode() + b"\n")
         self._pending += 1
         if force_flush or self._pending >= self._flush_every:
             self._fh.flush()
@@ -210,8 +216,10 @@ class HistoryStreamWriter:
         self._pending = 0
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
+        if self._fh is self._into:
+            self._fh.flush()  # the staging file is atomic_write's to close
+        else:
+            self._fh.close()  # over a staging file: only the gzip trailer
 
     def __enter__(self) -> "HistoryStreamWriter":
         return self

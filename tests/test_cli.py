@@ -317,7 +317,7 @@ class TestMalformedHistories:
         if route == "convert":  # refused before the destination is written
             destination = tmp_path / "out.seg"
             assert main(["convert", str(path), str(destination)]) == 2
-            assert capsys.readouterr().out.startswith("error: malformed history: ")
+            assert capsys.readouterr().out.startswith(f"error: {path}: malformed history: ")
             assert not destination.exists()
             return
         assert main([*route.split(), "--level", "ser", str(path)]) == 2

@@ -14,7 +14,11 @@ ingestion, windowed) reaches one verdict is the route driver's job,
 """
 
 import gzip
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -254,11 +258,38 @@ class TestSegmentFiles:
         assert verdict.satisfied
 
     def test_loaded_segment_saves_byte_identically(self, tmp_path):
-        # ``load_columns`` maps an uncompressed segment; its views save too.
+        # A loaded segment owns its columns: it saves, then appends, like a built one.
         path = tmp_path / "history.seg"
         write_history_segment(generated_history(35), path)
-        load_columns(path).save(tmp_path / "again.seg")
+        loaded = load_columns(path)
+        loaded.save(tmp_path / "again.seg")
         assert (tmp_path / "again.seg").read_bytes() == path.read_bytes()
+        loaded.append(Transaction(99_999, [read("k0", None)]))
+        assert loaded.transaction_at(-1).txn_id == 99_999
+
+    def test_a_file_truncated_after_the_load_cannot_reach_the_check(self, tmp_path):
+        # In a fresh process: the columns are read before the file is cut to
+        # 0 bytes, so the check that follows still prints its verdict.
+        history = generated_history(36, "lostupdate")
+        path = tmp_path / "history.seg"
+        write_history_segment(history, path)
+        script = (
+            "import os, sys\n"
+            "from repro import IsolationLevel, MTChecker\n"
+            "from repro.history import load_columns\n"
+            "columns = load_columns(sys.argv[1])\n"
+            "os.truncate(sys.argv[1], 0)\n"
+            "print(MTChecker().verify(columns, IsolationLevel.SERIALIZABILITY).format())\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+        verdict = MTChecker().verify(history, IsolationLevel.SERIALIZABILITY).format()
+        assert (done.returncode, done.stdout) == (0, verdict + "\n"), done.stderr
+        assert path.stat().st_size == 0
 
 
 # ----------------------------------------------------------------------
@@ -362,59 +393,3 @@ class TestColumnarDispatch:
     def test_check_parallel_requires_some_input(self):
         with pytest.raises(ValueError):
             check_parallel(None, IsolationLevel.SERIALIZABILITY)
-
-
-class TestMemoryMappedSegments:
-    """``ColumnarHistory.load(path, mmap=True)``: column views over a mapping."""
-
-    def test_mmap_load_equals_copying_load(self, tmp_path):
-        history = generated_history(31, "lostupdate")
-        path = tmp_path / "history.seg"
-        write_history_segment(history, path)
-        mapped = ColumnarHistory.load(path, mmap=True)
-        copied = ColumnarHistory.load(path)
-        assert mapped.to_wire() == copied.to_wire()
-        assert [txn_fingerprint(t) for t in mapped.iter_transactions()] == [
-            txn_fingerprint(t) for t in copied.iter_transactions()
-        ]
-        # The columns really are views into the mapping, not arrays.
-        assert isinstance(mapped.txn_ids, memoryview)
-
-    @pytest.mark.parametrize("level", LEVELS, ids=lambda l: l.short_name)
-    def test_mmap_verdicts_match_object_pipeline(self, tmp_path, level):
-        for fault in (None, "lostupdate"):
-            history = generated_history(32, fault)
-            path = tmp_path / f"{fault}.seg"
-            write_history_segment(history, path)
-            mapped = ColumnarHistory.load(path, mmap=True)
-            assert result_fingerprint(
-                MTChecker().verify(mapped, level)
-            ) == result_fingerprint(MTChecker().verify(history, level))
-
-    def test_gzip_falls_back_to_copying_loader(self, tmp_path):
-        history = generated_history(33)
-        path = tmp_path / "history.seg.gz"
-        write_history_segment(history, path)
-        loaded = ColumnarHistory.load(path, mmap=True)  # silently copies
-        assert not isinstance(loaded.txn_ids, memoryview)
-        assert loaded.num_transactions == history.num_transactions() + 1
-
-    def test_truncated_segment_is_rejected(self, tmp_path):
-        history = generated_history(34)
-        path = tmp_path / "history.seg"
-        write_history_segment(history, path)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(ValueError):
-            ColumnarHistory.load(path, mmap=True)
-
-    def test_mapped_segments_are_immutable_but_sliceable(self, tmp_path):
-        history = generated_history(35)
-        path = tmp_path / "history.seg"
-        write_history_segment(history, path)
-        mapped = ColumnarHistory.load(path, mmap=True)
-        with pytest.raises(ValueError, match="memory-mapped"):
-            mapped.append(Transaction(99_999, [read("k0", None)]))
-        rows = list(range(min(5, mapped.num_transactions)))
-        sliced = mapped.slice_rows(rows, restrict_initial_keys=mapped.key_names)
-        sliced.append(Transaction(99_999, [read("k0", None)]))  # mutable copy
-        assert sliced.num_transactions == len(rows) + 1

@@ -291,8 +291,10 @@ def test_entries_without_a_file(name, containers, tmp_path, capsys):
             assert_refused(outcome, expected, log)
         else:  # recovered: the log reads as the intact one
             assert outcome == run(capsys, *command.split(), base)
-    if "exit" in expected:  # a refused log is no convert source either
-        assert_refused(run(capsys, "convert", log, tmp_path / "out.jsonl"), expected, log)
+    if "exit" in expected:  # a refused log is no convert source either,
+        for destination in (tmp_path / "out.jsonl", tmp_path / "out.epochs"):
+            assert_refused(run(capsys, "convert", log, destination), expected, log)
+            assert not destination.exists()  # whatever epochs read before the refusal
         assert sorted(log.iterdir()) == listing  # and nothing was written into it
 
 

@@ -313,7 +313,16 @@ class TestOneDoor:
                 follower.refresh()
         writer.close()
 
-    @pytest.mark.parametrize("name", ["h.seg", "h.seg.gz", "h.json"])
+    @pytest.mark.parametrize("name", ["h.json", "h.jsonl", "h.jsonl.gz"])
+    def test_a_record_its_reader_refuses_is_not_written(self, name, tmp_path):
+        # ``"key": 5`` would be refused by every reader of the file.
+        history = History.from_transactions([[Transaction(1, [read(5, 0)])]])
+        writer = save_history if name == "h.json" else write_history_jsonl
+        with pytest.raises(ValueError, match=r"cannot write transaction T1: operation \('r', 5, 0\)"):
+            writer(history, tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["h.seg", "h.seg.gz", "h.json", "h.jsonl", "h.jsonl.gz"])
     def test_a_failed_save_leaves_the_previous_file(self, name, tmp_path, monkeypatch):
         from repro.history import files, read_segments, write_history
 
