@@ -322,6 +322,26 @@ class TestOneDoor:
             writer(history, tmp_path / name)
         assert list(tmp_path.iterdir()) == []
 
+    def test_the_record_writer_refuses_each_field_the_reader_refuses(self):
+        # Ids, stamps, keys and values: one bad field per case, refused both ways.
+        from repro.history.columnar import build_record, parse_record, transaction_row
+
+        row = transaction_row(Transaction(1, [read("x", 0)], start_ts=0.0, finish_ts=1.0))
+        assert parse_record(build_record(row)) == row
+        names = ["txn_id", "session_id", "status", "start_ts", "finish_ts"]
+        for column, bad in [(0, "1"), (1, 1.0), (3, "0.0"), (4, True), (5, ("x", "0")), (5, (("x",), 0))]:
+            record = build_record(row)
+            if column == 5:
+                broken = row[:5] + ([(row[5][0][0], *bad)],)
+                record["operations"][0].update(key=bad[0], value=bad[1])
+            else:
+                broken = row[:column] + (bad,) + row[column + 1:]
+                record[names[column]] = bad
+            with pytest.raises(ValueError, match="cannot write transaction"):
+                build_record(broken)
+            with pytest.raises(ValueError, match="malformed history"):
+                parse_record(record)
+
     @pytest.mark.parametrize("name", ["h.seg", "h.seg.gz", "h.json", "h.jsonl", "h.jsonl.gz"])
     def test_a_failed_save_leaves_the_previous_file(self, name, tmp_path, monkeypatch):
         from repro.history import files, read_segments, write_history
