@@ -23,7 +23,6 @@ This reimplementation supports both modes and checks for:
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.graph import DependencyGraph, EdgeType

@@ -36,7 +36,6 @@ checkers (:mod:`repro.core.checkers`), the sharded merger
 from __future__ import annotations
 
 import re
-import struct
 from array import array
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, repeat
@@ -51,7 +50,7 @@ from .graph import (
     _transitive_closure,
     best_label,
 )
-from .index import HistoryIndex
+from .index import HistoryIndex, packed
 
 __all__ = [
     "CSRGraph",
@@ -158,27 +157,26 @@ class CSRGraph:
         allocates no ``Transaction`` and no per-row container.
         """
         graph = cls(index.committed_txn_ids, index.key_names)
-        non_initial = index._non_initial_pos
-        base = len(graph.node_ids) - len(non_initial)
+        base = len(graph.node_ids) - index.num_committed
         # node_of[pos]: the node of scan position ``pos``, or -1 (uncommitted);
         # the trailing -1 is what a missing writer (writer_pos -1) maps to.
         node_of = [-1] * (len(index.txn_ids) + 1)
-        for node, pos in enumerate(non_initial, base):
+        for node, pos in enumerate(compress(range(len(index.txn_ids)), index._committed_mask)):
             node_of[pos] = node
-        if base:
-            node_of[0] = 0
 
         if with_rt:
             graph.add_real_time(index)
-        session_of = index._session_of
-        graph._append(_SO, *_session_order([session_of[pos] for pos in non_initial], base))
+        graph._append(_SO, *_session_order(index._committed(index._session_of), base))
 
         # WR edges (unique values), WW inferred from the RMW pattern.  A read
         # without a committed writer, or of the reader's own write, is the INT
-        # pre-pass's to report, not an edge.
+        # pre-pass's to report, not an edge.  Each temporary is dropped once
+        # its blocks are packed.
         reader_pos, kids, _, writer_pos, rmw, _ = index.read_columns
+        kids = list(kids)  # boxed once, not by every block below
         readers = [node_of[pos] for pos in reader_pos]
         writers = [node_of[pos] for pos in writer_pos]
+        del node_of
         if -1 in writers or any(map(eq, writers, readers)):
             keep = [w >= 0 and w != r for w, r in zip(writers, readers)]
             readers, writers, kids, rmw = (
@@ -199,9 +197,9 @@ class CSRGraph:
                         ww_key.append(k)
         graph._append(_WW, ww_src, ww_dst, ww_key)
         radix = len(index.key_names) + 1
-        graph._append(
-            _RW, *_read_write(writers, readers, kids, ww_src, ww_dst, ww_key, radix)
-        )
+        rw = _read_write(writers, readers, kids, ww_src, ww_dst, ww_key, radix)
+        del writers, readers, ww_src, ww_dst, ww_key
+        graph._append(_RW, *rw)
         return graph
 
     def add_real_time(self, index: HistoryIndex) -> None:
@@ -259,10 +257,10 @@ class CSRGraph:
         self, code: int, src: List[int], dst: List[int], keys: Optional[List[int]] = None
     ) -> None:
         """Append one block of ``code``-typed rows (unkeyed unless ``keys``)."""
-        self.src += _int_array(src)
-        self.dst += _int_array(dst)
+        self.src += packed("i", src)
+        self.dst += packed("i", dst)
         self.etype += array("i", [code]) * len(src)
-        self.key_id += _int_array(keys) if keys is not None else array("i", [-1]) * len(src)
+        self.key_id += packed("i", keys) if keys is not None else array("i", [-1]) * len(src)
 
     # ------------------------------------------------------------------
     # Queries
@@ -356,10 +354,10 @@ class CSRGraph:
         return CSRGraph(
             self.node_ids,
             self.key_names,
-            base_src + _int_array([base_src[i] for i in rows]),
-            base_dst + _int_array([dst[j] for j in rw_rows]),
+            base_src + packed("i", [base_src[i] for i in rows]),
+            base_dst + packed("i", [dst[j] for j in rw_rows]),
             _gather(etype, base) + array("i", [_COMPOSED]) * len(rows),
-            _gather(key_id, base) + _int_array([key_id[j] for j in rw_rows]),
+            _gather(key_id, base) + packed("i", [key_id[j] for j in rw_rows]),
         )
 
     # ------------------------------------------------------------------
@@ -398,15 +396,7 @@ class CSRGraph:
         byte-identical edge columns to remapping every leaf directly — the
         invariant the SSER tree merge relies on.
         """
-        _node_ids, _key_names, src_b, dst_b, etype_b, key_b = wire
-        src = array("i")
-        src.frombytes(src_b)
-        dst = array("i")
-        dst.frombytes(dst_b)
-        etype = array("i")
-        etype.frombytes(etype_b)
-        key_id = array("i")
-        key_id.frombytes(key_b)
+        src, dst, etype, key_id = (array("i", buf) for buf in wire[2:])
         src_append = self.src.append
         dst_append = self.dst.append
         et_append = self.etype.append
@@ -433,13 +423,8 @@ class CSRGraph:
 
     @classmethod
     def from_wire(cls, wire: WireCSR) -> "CSRGraph":
-        node_ids, key_names, src_b, dst_b, etype_b, key_b = wire
-        columns = []
-        for buf in (src_b, dst_b, etype_b, key_b):
-            column = array("i")
-            column.frombytes(buf)
-            columns.append(column)
-        return cls(node_ids, key_names, *columns)
+        node_ids, key_names, *columns = wire
+        return cls(node_ids, key_names, *(array("i", buf) for buf in columns))
 
     def __repr__(self) -> str:
         return (
@@ -494,13 +479,6 @@ def _read_write(
         keep = list(map(ne, src, overwriters))
         src, overwriters, keys = (list(compress(c, keep)) for c in (src, overwriters, keys))
     return src, overwriters, keys
-
-
-def _int_array(values: List[int]) -> array:
-    """``array('i', values)``, packed by ``struct`` (twice as fast from a list)."""
-    column = array("i")
-    column.frombytes(struct.pack(f"{len(values)}i", *values))
-    return column
 
 
 def _runs(mask: bytes) -> List[Tuple[int, int]]:

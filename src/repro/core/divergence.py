@@ -12,6 +12,7 @@ before constructing the full dependency graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from .index import HistoryIndex
@@ -73,37 +74,32 @@ def find_all_divergences(
     """Find (all) DIVERGENCE instances in a history.
 
     The scan replays the shared :class:`~repro.core.index.HistoryIndex` read
-    resolutions (building the index when the caller did not supply one) via
-    the flat :meth:`~repro.core.index.HistoryIndex.iter_read_tuples`
-    accessor, so it stays object-free on columnar-built indexes.
+    resolutions (building the index when the caller did not supply one) from
+    its packed :attr:`~repro.core.index.HistoryIndex.read_columns`, so it
+    stays object-free on columnar-built indexes.
     """
     if index is None:
         index = HistoryIndex.build(history)
 
-    # (key, value read) -> (first reader-writer txn id, value it wrote).
-    slots: Dict[Tuple[str, Optional[int]], Tuple[int, Optional[int]]] = {}
+    # Only a reader that writes the key can diverge: ``writes_key`` masks the
+    # packed columns, and ids and names are looked up for instances only.
+    # (key id, value read) -> (first reader-writer position, the write it made).
+    reads = index.read_columns
+    slots: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
     instances: List[DivergenceInstance] = []
-    for reader_id, key, value, writer_id, writes_key, written_value in index.iter_read_tuples():
-        if not writes_key:
-            continue
-        slot = (key, value)
-        other = slots.get(slot)
-        if other is None:
-            slots[slot] = (reader_id, written_value)
-            continue
-        other_id, other_written = other
-        if other_id == reader_id:
-            continue
-        if other_written == written_value:
-            # Both overwrote with the same value: not DIVERGENCE (only
-            # possible in histories without unique values).
+    txn_ids = index.txn_ids
+    for reader, kid, value, writer, writes, written in zip(*(compress(c, reads[4]) for c in reads)):
+        other = slots.setdefault((kid, value), (reader, writes, written))
+        if other[0] == reader or (other[1] == writes and other[2] == written):
+            # The same reader, or both overwrote with the same value: not
+            # DIVERGENCE (only possible in histories without unique values).
             continue
         instance = DivergenceInstance(
-            key=key,
-            writer=writer_id if writer_id is not None else -2,
+            key=index.key_names[kid],
+            writer=txn_ids[writer] if writer >= 0 else -2,
             value=value,
-            reader_a=other_id,
-            reader_b=reader_id,
+            reader_a=txn_ids[other[0]],
+            reader_b=txn_ids[reader],
         )
         instances.append(instance)
         if first_only:

@@ -4,9 +4,9 @@
 history-scanning entry point for the batch pipeline:
 
 * transaction ids and object keys are interned to dense integers
-  (``txn_ids`` / ``key_names`` and their reverse maps), which is what the
-  shard partitioner (:mod:`repro.parallel.partition`) and the dependency
-  graph's integer fast path operate on;
+  (``txn_ids`` / ``key_names``, and ``key_dense`` back from names), which
+  is what the shard partitioner (:mod:`repro.parallel.partition`) and the
+  dependency graph's integer fast path operate on;
 * the write index — ``(key, value) -> final/intermediate writer`` — is
   API-compatible with :class:`~repro.core.intcheck.WriteIndex`, so the
   read-provenance classification of flagged rows runs against it;
@@ -25,7 +25,7 @@ from the caller's own ``Transaction`` objects so ``index.history is
 history`` and labelled counterexamples keep object identity.
 
 The index stores its resolved structures *densely* (integer transaction
-positions, interned key ids, int-keyed write slots, flat read columns) —
+positions, interned key ids, int-keyed write slots, packed read columns) —
 nothing the scan retains is a per-row container, so building it never
 wakes the generational collector.  It holds no second copy of the object
 model: :mod:`repro.core.model` and :mod:`repro.core.intcheck` are the one
@@ -45,10 +45,12 @@ keeps working.
 
 from __future__ import annotations
 
+import struct
 import time
+from array import array
 from itertools import compress
 from operator import eq
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import obs
 from .model import (
@@ -74,6 +76,13 @@ _COMMITTED_CODE = STATUS_CODES[TransactionStatus.COMMITTED]
 _ABORTED_CODE = STATUS_CODES[TransactionStatus.ABORTED]
 #: ``bytes.translate`` table: a status column becomes its committed mask.
 _COMMITTED_TABLE = bytes(code == _COMMITTED_CODE for code in range(256))
+#: ``writes_key`` codes of a resolved read (see :attr:`HistoryIndex.read_columns`).
+_WRITES_VALUE, _WRITES_NONE = 1, 2
+
+
+def packed(typecode: str, values: Sequence[int]) -> array:
+    """``array(typecode, values)``, packed by ``struct`` (twice as fast from a list)."""
+    return array(typecode, struct.pack(f"{len(values)}{typecode}", *values))
 
 
 class HistoryIndex:
@@ -147,16 +156,10 @@ class HistoryIndex:
 
         #: Dense id per transaction position: ``txn_ids[dense] == txn_id``.
         self.txn_ids: List[int] = []
-        self.txn_dense: Dict[int, int] = {}
         #: Dense id per object key: ``key_names[dense] == key``.
         self.key_names: List[str] = []
         self.key_dense: Dict[str, int] = {}
         self._txn_keys: Optional[List[List[int]]] = None
-
-        #: Transaction ids of committed transactions (``⊥T`` included),
-        #: in scan order — the dense kernel's node universe.
-        self.committed_txn_ids: List[int] = []
-        self.committed_ids: Set[int] = set()
 
         # Dense core: positions index the scan order (same order as
         # ``transactions``); reads resolve to writer positions.  Nothing
@@ -165,27 +168,26 @@ class HistoryIndex:
         # floor division inverts it for negative values too; the rare
         # ``None``-valued writes sit in ``*_none`` by key id), and the
         # resolved reads are six parallel columns.  Ints are invisible to
-        # the generational collector, which is what keeps the scan linear.
+        # the generational collector, which is what keeps the scan linear;
+        # the read columns are packed into ``array`` / ``bytes`` once filled.
         self._committed_mask = bytearray()
-        self._status_of = bytearray()
         self._session_of: List[int] = []
-        #: Positions of the committed transactions, ``⊥T`` excluded.
-        self._non_initial_pos: List[int] = []
         self._radix = 1
         self._final_pos: Dict[int, int] = {}
         self._final_none: Dict[int, int] = {}
         self._intermediate_pos: Dict[int, int] = {}
         self._intermediate_none: Dict[int, int] = {}
         #: ``(reader_pos, key_id, value, writer_pos | -1, writes_key,
-        #: written_value)`` columns in ascending reader position.
-        self._reads_dense: Tuple[List[Any], ...] = ([], [], [], [], [], [])
+        #: written_value)`` columns in ascending reader position (see
+        #: :attr:`read_columns`).
+        self._reads_dense: Tuple[Any, ...] = ((), (), (), (), b"", ())
         #: Positions the scan flagged for the object-level INT check.
         self._int_candidates: List[int] = []
         self._has_initial = False
 
         # Columnar backend state (lazy object materialisation).
         #: dense position -> backing column row.
-        self._row_order: List[int] = []
+        self._row_order = array("i")
         self._txn_cache: Dict[int, Transaction] = {}
 
         # Lazy caches.
@@ -238,17 +240,17 @@ class HistoryIndex:
         order = initial_rows[:]
         for sid in sorted(session_rows):
             order.extend(session_rows[sid])
-        self._row_order = order
+        self._row_order = packed("i", order)
         self._has_initial = bool(initial_rows)
-        self._fill_positions(
-            [col_txn_ids[row] for row in order],
-            [col_sessions[row] for row in order],
-            bytearray([col_statuses[row] for row in order]),
-        )
-        if len(self.txn_dense) != len(order):
+        txn_ids = [col_txn_ids[row] for row in order]
+        if len(set(txn_ids)) != len(txn_ids):
             seen: Set[int] = set()
-            twice = next(t for t in self.txn_ids if t in seen or seen.add(t))
+            twice = next(t for t in txn_ids if t in seen or seen.add(t))
             raise ValueError(f"malformed history: duplicate transaction id {twice}")
+        self.txn_ids = txn_ids
+        self._session_of = [col_sessions[row] for row in order]
+        status_of = bytearray([col_statuses[row] for row in order])
+        self._committed_mask = status_of.translate(_COMMITTED_TABLE)
         refuse_inverted_intervals(col_txn_ids, cols.start_ts, cols.finish_ts)
 
         # Columnar key ids are re-interned in scan order, so key numbering
@@ -261,7 +263,7 @@ class HistoryIndex:
         final_none = self._final_none
         intermediate_pos = self._intermediate_pos
         intermediate_none = self._intermediate_none
-        r_pos, r_kid, r_value, r_writer, r_rmw, r_written = self._reads_dense
+        r_pos, r_kid, r_value, r_rmw, r_written = [], [], [], [], []  # packed below
         candidates: Set[int] = set()
         flag = candidates.add
         # Per-row scratch is reused across rows (cleared, not reallocated):
@@ -323,8 +325,8 @@ class HistoryIndex:
             for slot in range(first_read, len(r_kid)):
                 kid = r_kid[slot]
                 written = last_write.get(kid)
-                r_rmw.append(kid in last_write)
-                r_written.append(written)
+                r_rmw.append(kid in last_write and (_WRITES_NONE if written is None else _WRITES_VALUE))
+                r_written.append(written or 0)
                 # FutureRead: the row itself writes the value it read.
                 if written == r_value[slot] or (
                     overwrote
@@ -337,8 +339,7 @@ class HistoryIndex:
         # Provenance candidates: ThinAir/Intermediate (no final writer) and
         # AbortedRead; a reader that is its own writer was flagged above.
         final_get = final_pos.get
-        r_writer.extend([final_get(v * radix + k, -1) for k, v in zip(r_kid, r_value)])
-        status_of = self._status_of
+        r_writer = [final_get(v * radix + k, -1) for k, v in zip(r_kid, r_value)]
         candidates.update(
             [
                 reader
@@ -347,22 +348,10 @@ class HistoryIndex:
             ]
         )
         self._int_candidates = sorted(candidates)
-
-    def _fill_positions(
-        self, txn_ids: List[int], session_of: List[int], status_of: bytearray
-    ) -> None:
-        """Derive every per-position table from the three scan-order columns."""
-        self.txn_ids = txn_ids
-        self.txn_dense = dict(zip(txn_ids, range(len(txn_ids))))
-        self._session_of = session_of
-        self._status_of = status_of
-        self._committed_mask = status_of.translate(_COMMITTED_TABLE)
-        committed_pos = [pos for pos, c in enumerate(self._committed_mask) if c]
-        self.committed_txn_ids = [txn_ids[pos] for pos in committed_pos]
-        self.committed_ids = set(self.committed_txn_ids)
-        self._non_initial_pos = [
-            pos for pos in committed_pos if txn_ids[pos] != INITIAL_TXN_ID
-        ]
+        self._reads_dense = (
+            packed("i", r_pos), packed("i", r_kid), packed("q", r_value),
+            packed("i", r_writer), bytes(r_rmw), packed("q", r_written),
+        )
 
     # ------------------------------------------------------------------
     # Transaction rows (lazy; seeded by build() from a History's own objects)
@@ -446,30 +435,34 @@ class HistoryIndex:
     # Resolved provenance
     # ------------------------------------------------------------------
     @property
-    def read_columns(self) -> Tuple[List[Any], ...]:
+    def read_columns(self) -> Tuple[Any, ...]:
         """The resolved reads as six parallel columns ``(reader_pos, key_id,
         value, writer_pos | -1, writes_key, written_value)`` — ascending
-        reader position, program order within a reader (treat as read-only)."""
+        reader position, program order within a reader (treat as read-only).
+        ``value`` / ``written_value`` are ``array('q')``, the other ids
+        ``array('i')``; ``writes_key`` is ``bytes``, nonzero where the reader
+        writes the key, whose last write ``written_value`` holds where it is 1
+        (2: a write without a value)."""
         return self._reads_dense
 
     def iter_read_tuples(
         self,
     ) -> Iterator[Tuple[int, str, Optional[int], Optional[int], bool, Optional[int]]]:
-        """Resolved reads as plain tuples (object-free DIVERGENCE input).
+        """Resolved reads as plain tuples of ids and names (object-free).
 
         Yields ``(reader_txn_id, key, value, writer_txn_id_or_None,
         reader_writes_key, written_value)`` in scan order.
         """
         txn_ids = self.txn_ids
         key_names = self.key_names
-        for pos, kid, value, writer_pos, writes_key, written in zip(*self._reads_dense):
+        for pos, kid, value, writer_pos, writes, written in zip(*self._reads_dense):
             yield (
                 txn_ids[pos],
                 key_names[kid],
                 value,
                 txn_ids[writer_pos] if writer_pos >= 0 else None,
-                writes_key,
-                written,
+                writes > 0,
+                written if writes == _WRITES_VALUE else None,
             )
 
     # ------------------------------------------------------------------
@@ -488,7 +481,7 @@ class HistoryIndex:
         among all committed non-``⊥T`` ones (the CSR kernel's node ``base +
         ordinal``).  Each timestamp column is read in one pass."""
         cols = self._columns
-        rows = list(map(self._row_order.__getitem__, self._non_initial_pos))
+        rows = self._committed(self._row_order)
         starts = list(map(cols.start_ts.__getitem__, rows))
         finishes = list(map(cols.finish_ts.__getitem__, rows))
         ordinals: List[int] = list(range(len(rows)))
@@ -503,12 +496,11 @@ class HistoryIndex:
     def _rt_id_pairs_from_columns(self) -> List[Tuple[int, int]]:
         """Mirror ``History.real_time_order()`` over the timestamp columns."""
         ordinals, starts, finishes = self.committed_stamps()
-        txn_ids = self.txn_ids
-        non_initial = self._non_initial_pos
+        txn_ids = self._committed(self.txn_ids)
         # (start, finish, txn_id) in scan order — the entry order
         # History.real_time_order feeds interval_order_reduction, so stable
         # sorts tie-break alike.
-        entries = list(zip(starts, finishes, [txn_ids[non_initial[i]] for i in ordinals]))
+        entries = list(zip(starts, finishes, [txn_ids[i] for i in ordinals]))
         pairs = interval_order_reduction(entries)
         if self._has_initial and entries:
             first = min(entries, key=lambda e: e[0])
@@ -554,9 +546,21 @@ class HistoryIndex:
     # Misc
     # ------------------------------------------------------------------
     @property
+    def committed_txn_ids(self) -> List[int]:
+        """Transaction ids of committed transactions (``⊥T`` included), in
+        scan order — the dense kernel's node universe (a new list per call)."""
+        return list(compress(self.txn_ids, self._committed_mask))
+
+    def _committed(self, column: Sequence[Any]) -> List[Any]:
+        """The entries of a per-position ``column`` at the committed
+        non-``⊥T`` positions (``⊥T`` is position 0 when present), in order."""
+        first = int(self._has_initial)
+        return list(compress(column[first:], self._committed_mask[first:]))
+
+    @property
     def num_committed(self) -> int:
         """Committed transactions excluding ``⊥T``."""
-        return len(self._non_initial_pos)
+        return self._committed_mask.count(1, int(self._has_initial))
 
     def session_of(self, pos: int) -> int:
         """The session id of the transaction at dense position ``pos``."""

@@ -313,10 +313,6 @@ class History:
             initial_transaction = make_initial_transaction(initial_keys)
         return cls(session_objs, initial_transaction=initial_transaction)
 
-    def add_session(self, session: Session) -> None:
-        self.sessions.append(session)
-        self._txn_index = None
-
     def ensure_initial_transaction(self, keys: Optional[Iterable[str]] = None) -> None:
         """Synthesise ``⊥T`` for all keys accessed in the history if absent."""
         if self.initial_transaction is not None:

@@ -17,8 +17,6 @@ under SI — the abort-rate gap the paper measures in Figure 11.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import TransactionAborted
 from .si import SnapshotIsolationEngine
 from .transaction import TransactionContext

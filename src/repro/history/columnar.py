@@ -142,11 +142,11 @@ def _malformed(what: str, exc: Exception) -> ValueError:
     return ValueError(f"malformed history: {what}: {detail}")
 
 
-def _overflow(exc: OverflowError, txn_id: int) -> ValueError:
-    """What an append that overflowed a column raises instead."""
+def _unfit(exc: Exception, txn_id: int) -> ValueError:
+    """What an append that a column refused raises instead."""
     return ValueError(
         f"transaction T{txn_id} does not fit the columnar segment format (ids "
-        f"and values are signed 64-bit, distinct keys signed 32-bit): {exc}"
+        f"and values are signed 64-bit integers, distinct keys signed 32-bit): {exc}"
     )
 
 
@@ -358,11 +358,12 @@ class ColumnarHistory:
         ``None``.  No :class:`Transaction`/:class:`Operation` objects are
         touched.
 
-        Raises ``ValueError`` when an id or value falls outside the segment
-        format's integer range (signed 64-bit for transaction/session ids
-        and values, signed 32-bit for distinct keys); the instance must be
-        considered corrupt afterwards.
+        Raises ``ValueError`` naming the transaction when an id or value is
+        not an integer or falls outside the segment format's range (signed
+        64-bit for transaction/session ids and values, signed 32-bit for
+        distinct keys); the columns are then as they were before the call.
         """
+        interned = len(self.key_names)
         try:
             self.txn_ids.append(txn_id)
             self.session_ids.append(session_id)
@@ -390,8 +391,9 @@ class ColumnarHistory:
                     values_append(value)
                     has_append(1)
             self.op_offsets.append(len(self.op_kinds))
-        except OverflowError as exc:
-            raise _overflow(exc, txn_id) from None
+        except (OverflowError, TypeError, ValueError) as exc:
+            self._drop_partial_row(interned)
+            raise _unfit(exc, txn_id) from None
 
     def append_row(
         self,
@@ -412,6 +414,7 @@ class ColumnarHistory:
         the op columns grow by one ``fromlist`` each instead of a per-op
         loop.
         """
+        interned = len(self.key_names)
         try:
             self.txn_ids.append(txn_id)
             self.session_ids.append(session_id)
@@ -429,8 +432,20 @@ class ColumnarHistory:
             self.op_values.fromlist(values)
             self.op_has_value.frombytes(b"\x01" * len(kinds))
             self.op_offsets.append(len(op_kinds))
-        except OverflowError as exc:
-            raise _overflow(exc, txn_id) from None
+        except (OverflowError, TypeError, ValueError) as exc:
+            self._drop_partial_row(interned)
+            raise _unfit(exc, txn_id) from None
+
+    def _drop_partial_row(self, interned: int) -> None:
+        """Cut the columns to the last whole row and the key names to ``interned``."""
+        rows, ops = len(self.op_offsets) - 1, self.op_offsets[-1]
+        for column in (self.txn_ids, self.session_ids, self.statuses, self.start_ts, self.finish_ts):
+            del column[rows:]
+        for column in (self.op_kinds, self.op_keys, self.op_values, self.op_has_value):
+            del column[ops:]
+        for name in self.key_names[interned:]:
+            del self.key_ids[name]
+        del self.key_names[interned:]
 
     def append(self, txn: Transaction) -> None:
         """Append one transaction as a new row (see :meth:`append_raw` for

@@ -134,14 +134,17 @@ def write_history(
     stay integers.  A write is all or nothing: a document, segment or stream
     is staged and published with one rename (:func:`~repro.ondisk.atomic_write`),
     and a log directory this call created is removed when the source is
-    refused part-way.
+    refused part-way (an empty one is emptied again); any other existing log
+    destination is refused (``EpochLogError``) before the source is read.
     """
     from ..ondisk import atomic_write
     from .columnar import ColumnarHistory, build_record
-    from .epochlog import EpochLogWriter
+    from .epochlog import EpochLogError, EpochLogWriter
     from .serialization import HistoryStreamWriter, save_history
 
     kind = history_format(path)
+    if kind == "log" and os.path.exists(path) and (not os.path.isdir(path) or os.listdir(path)):
+        raise EpochLogError(f"{path}: already exists; a history is written into a new epoch log only")
     if isinstance(source, History):
         if kind == "document":
             save_history(source, path)
@@ -186,14 +189,15 @@ def write_history(
             lambda raw: copy(HistoryStreamWriter(path, initial_transaction=header, flush_every=1024, into=raw)),
         )
         return sum(rows)
-    created = not os.path.exists(path)
+    existed = os.path.exists(path)  # then it is an empty directory
     try:
         copy(EpochLogWriter(path, epoch_transactions=epoch_transactions))
-    except BaseException:
-        if created:  # epochs sealed before the source was refused
-            import shutil
+    except BaseException:  # epochs sealed before the source was refused
+        import shutil
 
-            shutil.rmtree(path, ignore_errors=True)
+        shutil.rmtree(path, ignore_errors=True)
+        if existed:
+            os.mkdir(path)
         raise
     return sum(rows)
 

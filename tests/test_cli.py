@@ -226,6 +226,39 @@ class TestContainerCorners:
             assert "onto itself" in capsys.readouterr().out
         assert snapshot() == before
 
+    def test_convert_onto_an_existing_log_is_refused(self, histories, tmp_path, capsys):
+        # Appending would give the log a second ⊥T, and it would no longer check.
+        from repro.history import EpochLogError, write_history
+
+        log = tmp_path / "ok.epochs"
+        shutil.copytree(histories / "healthy" / "h.epochs", log)
+        before = sorted((f.name, f.read_bytes()) for f in log.iterdir())
+        verdict = run(capsys, "check", log)
+        for source in ("h.jsonl", "h.seg", "h.epochs"):
+            code, out = run(capsys, "convert", histories / "healthy" / source, log)
+            assert code == 2
+            assert out == f"error: {log}: already exists; a history is written into a new epoch log only\n"
+
+        def unread():
+            raise AssertionError("the source was read")
+            yield
+
+        with pytest.raises(EpochLogError, match="already exists"):
+            write_history(unread(), log)
+        assert sorted((f.name, f.read_bytes()) for f in log.iterdir()) == before
+        assert run(capsys, "check", log) == verdict
+
+    def test_an_empty_log_directory_is_left_empty_by_a_refused_source(self, tmp_path, capsys):
+        torn = tmp_path / "torn.epochs"
+        assert main([*_GENERATE, "--epoch-txns", "8", "--output", str(torn)]) == 0
+        damaged = torn / "epoch-00002.seg"
+        damaged.write_bytes(damaged.read_bytes()[:-1] + bytes([damaged.read_bytes()[-1] ^ 1]))
+        empty = tmp_path / "empty.epochs"
+        empty.mkdir()
+        code, out = run(capsys, "convert", torn, empty, "--epoch-txns", "8")
+        assert code == 2 and "epoch 2 fails its checksum" in out
+        assert empty.is_dir() and list(empty.iterdir()) == []
+
     @pytest.mark.parametrize("source", ["typo.seg", "torn.seg", "bad.json", "bad.jsonl"])
     @pytest.mark.parametrize("destination", ["out.epochs", "out.jsonl", "out.seg"])
     def test_convert_from_a_bad_source_leaves_no_destination(

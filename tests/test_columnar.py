@@ -128,6 +128,22 @@ class TestColumnarContainer:
         with pytest.raises(ValueError, match="T6 does not fit the columnar segment"):
             ColumnarHistory().append_row(6, 1, 0, None, None, [0], ["x"], [-(2**63) - 1])
 
+    def test_a_refused_append_leaves_the_columns_as_they_were(self):
+        cols = ColumnarHistory()
+        cols.append(Transaction(1, [read("x", 0), write("x", 1)]))
+        before = (cols.to_wire(), dict(cols.key_ids))
+        for append in (
+            lambda: cols.append(Transaction(2, [read("y", 0), write("z", "a")])),
+            lambda: cols.append_raw(3, 0, 0, "soon", None, [(0, "y", 0)]),
+            lambda: cols.append_row(4, 0, 0, None, None, [0, 1], ["y", "x"], [1, 2.5]),
+            lambda: cols.append_row(5, 0, 0, None, None, [1], ["y"], [2**63]),
+        ):
+            with pytest.raises(ValueError, match=r"transaction T\d does not fit the columnar segment"):
+                append()
+            assert (cols.to_wire(), cols.key_ids) == before
+        cols.append(Transaction(6, [read("y", 1)]))
+        assert cols.key_names == ["x", "y"] and str(cols.transaction_at(1)) == "T6[R(y,1)]"
+
     def test_wire_round_trip(self):
         cols = ColumnarHistory.from_history(generated_history(2))
         back = ColumnarHistory.from_wire(cols.to_wire())
@@ -345,7 +361,7 @@ class TestColumnarIndex:
         index = HistoryIndex.from_columns(cols)
         # Object accessors materialise on demand and agree with the columns.
         assert index._transactions is None
-        last = index.transactions[index.txn_dense[index.committed_txn_ids[-1]]]
+        last = index.transactions[index.txn_ids.index(index.committed_txn_ids[-1])]
         assert isinstance(last, Transaction) and last.committed
         for key, value in last.final_writes().items():
             assert index.final_writer(key, value) is last

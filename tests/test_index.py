@@ -1,6 +1,7 @@
 """Tests for the shared :class:`repro.core.index.HistoryIndex`."""
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -45,10 +46,10 @@ class TestInterning:
         t2 = Transaction(2, [read("y", 0), write("y", 2)], session_id=1)
         index = HistoryIndex.build(history_of([t1], [t2]))
         assert sorted(index.txn_ids) == [-1, 1, 2]
-        assert index.txn_dense[index.txn_ids[0]] == 0
+        assert index.txn_ids.index(index.txn_ids[0]) == 0
         assert sorted(index.key_names) == ["x", "y"]
         keys_of = lambda txn_id: [
-            index.key_names[k] for k in index.txn_keys[index.txn_dense[txn_id]]
+            index.key_names[k] for k in index.txn_keys[index.txn_ids.index(txn_id)]
         ]
         assert keys_of(1) == ["x"]
         assert keys_of(-1) == ["x", "y"]
@@ -152,6 +153,30 @@ class TestScanIsTheIntPrePass:
             assert CSRGraph.from_index(index, with_rt=with_rt).has_cycle() is None
         assert CSRGraph.from_index(index).si_induced().has_cycle() is None  # SI
         assert [generation["collections"] for generation in gc.get_stats()] == before
+
+
+class TestBytesPerRow:
+    """What the scan keeps per row is flat in n and stays packed
+    (ARCHITECTURE "Bytes per row").  ``tracemalloc`` sees what counting
+    trace events cannot: memory held by C-level containers."""
+
+    @staticmethod
+    def kept_per_row(columns):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = HistoryIndex.from_columns(columns)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert index.int_violations() == []
+        return kept / columns.num_transactions
+
+    def test_the_index_keeps_flat_bytes_per_row(self):
+        # 423 and 3 346 rows: 281 and 214 B per row on CPython 3.11.
+        small, large = (self.kept_per_row(healthy_segment(tps)) for tps in (25, 200))
+        assert large <= 1.25 * small, (small, large)
+        assert max(small, large) <= 320, (small, large)
 
 
 class TestSingleConstruction:

@@ -322,6 +322,17 @@ class TestOneDoor:
             writer(history, tmp_path / name)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name", ["h.seg", "h.seg.gz", "h.epochs"])
+    def test_a_value_the_columns_cannot_hold_is_not_written(self, name, tmp_path):
+        from repro.history import write_history
+
+        history = History.from_transactions(
+            [[Transaction(1, [read("x", 0), write("x", "a")])]], initial_keys=["x"]
+        )
+        with pytest.raises(ValueError, match="transaction T1 does not fit the columnar segment"):
+            write_history(history, tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
+
     def test_the_record_writer_refuses_each_field_the_reader_refuses(self):
         # Ids, stamps, keys and values: one bad field per case, refused both ways.
         from repro.history.columnar import build_record, parse_record, transaction_row
