@@ -212,19 +212,24 @@ def check_level(
             csr = build_dependency(
                 history, transitive_ww=transitive_ww, index=index, dense=True
             )
-            peeled = csr.with_real_time_chain(index) if sser else csr
+            if sser:
+                csr.add_real_time_chain(index)
         obs.inc("repro_graph_builds_total")
-        obs.set_gauge("repro_graph_nodes", peeled.num_nodes)
-        obs.set_gauge("repro_graph_edges", peeled.num_edges)
+        obs.set_gauge("repro_graph_nodes", csr.num_nodes)
+        obs.set_gauge("repro_graph_edges", csr.num_edges)
         with obs.phase("acyclicity"):
             if not sser:
                 result = cycle_verdict(csr, level, num_txns)
-            elif peeled.has_cycle() is None:
+            elif csr.has_cycle() is None:
                 result = CheckResult.ok(level, num_txns)
             else:
-                # The explicit real-time rows label the cycle, so the
-                # counterexample is the one the full RT block would print.
-                csr.add_real_time(index)
+                # Drop the chained graph (no edge column is held twice), then label
+                # from the explicit RT block: the counterexample it would print, as
+                # ``find_cycle`` does not depend on row order.
+                del csr
+                csr = build_dependency(
+                    history, with_rt=True, transitive_ww=transitive_ww, index=index, dense=True
+                )
                 violation = classify_cycle(csr.find_cycle(), level=level)
                 result = CheckResult.violated(level, [violation], num_transactions=num_txns)
         if result.satisfied and divergence is not None:

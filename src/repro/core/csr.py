@@ -13,7 +13,7 @@ PolySI's encoder) keep their hot loops:
   :class:`~repro.core.index.HistoryIndex`'s scan positions and resolved read
   columns and appends whole blocks of edges (RT | SO | WR | WW | RW) with
   bulk ``extend``\\ s.
-* :meth:`CSRGraph.with_real_time_chain` gives SSER's peel the real-time
+* :meth:`CSRGraph.add_real_time_chain` gives SSER's peel the real-time
   order as O(n) rows over time nodes instead of up to n²/4 RT pairs.
 * :meth:`CSRGraph.has_cycle` is one Kahn topological peel
   (:func:`peel_cycle`): ``None`` on the accept path, the ids of one cycle
@@ -214,7 +214,15 @@ class CSRGraph:
         )
 
     def with_real_time_chain(self, index: HistoryIndex) -> "CSRGraph":
-        """A copy of this graph plus the real-time order as at most 3n chain rows.
+        """A copy of this graph with :meth:`add_real_time_chain` applied."""
+        graph = CSRGraph(
+            self.node_ids, self.key_names, self.src[:], self.dst[:], self.etype[:], self.key_id[:]
+        )
+        graph.add_real_time_chain(index)
+        return graph
+
+    def add_real_time_chain(self, index: HistoryIndex) -> None:
+        """Append the real-time order as at most 3n chain rows, in place.
 
         For the peel only.  With the stamped transactions sorted by finish,
         ``p(B)`` counts those finishing strictly before ``B`` starts; each
@@ -229,9 +237,6 @@ class CSRGraph:
         """
         ordinals, starts, finishes = index.committed_stamps()
         first = len(self.node_ids)
-        graph = CSRGraph(
-            self.node_ids, self.key_names, self.src[:], self.dst[:], self.etype[:], self.key_id[:]
-        )
         base = first - index.num_committed
         nodes = [base + i for i in ordinals]
         by_finish = sorted(range(len(nodes)), key=finishes.__getitem__)
@@ -249,9 +254,8 @@ class CSRGraph:
         if base and nodes:
             src.append(0)
             dst.append(nodes[starts.index(min(starts))])
-        graph.node_ids += [None] * len(levels)
-        graph._append(_RT, src, dst)
-        return graph
+        self.node_ids += [None] * len(levels)
+        self._append(_RT, src, dst)
 
     def _append(
         self, code: int, src: List[int], dst: List[int], keys: Optional[List[int]] = None

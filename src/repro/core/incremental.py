@@ -1370,9 +1370,14 @@ class CheckerSession(IncrementalChecker):
     """
 
     def ingest_history(self, history: History) -> CheckResult:
-        """Stream a complete history in canonical order; return the verdict."""
-        for txn in stream_order(history):
-            self.ingest(txn)
+        """Stream a complete history in canonical order; return the verdict.
+
+        The history enters as one segment (:meth:`ingest_segment`, the
+        columnar door every batch route takes), so it is refused as there.
+        """
+        from ..history.columnar import ColumnarHistory  # deferred: history builds on core
+
+        self.ingest_segment(ColumnarHistory.from_history(history))
         return self.result()
 
     def __call__(self, txn: Transaction) -> List[Violation]:

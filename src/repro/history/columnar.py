@@ -12,8 +12,9 @@ representation the dense kernel (:mod:`repro.core.csr`) and the shared index
   ``key_names``), ``op_values`` + ``op_has_value`` (``None``-aware values).
 
 Rows go in and out without objects: a :data:`Row` (the fields of one
-transaction) is appended by :meth:`ColumnarHistory.append_raw` and read back
-by :meth:`ColumnarHistory.row_at`; :meth:`ColumnarHistory.extend` /
+transaction, its ops as three parallel lists) is appended by
+:meth:`ColumnarHistory.append_row`, the one row appender, and read back by
+:meth:`ColumnarHistory.row_at`; :meth:`ColumnarHistory.extend` /
 :meth:`ColumnarHistory.join` copy rows between segments column by column.
 The JSON record of a row has one reader, :func:`parse_record`, and one
 writer, :func:`build_record`, which both JSON containers
@@ -112,23 +113,29 @@ WireColumns = Tuple[
 ]
 
 
-#: One row as :meth:`ColumnarHistory.append_raw` takes it: txn id, session
-#: id, status code, start and finish stamps, ``(kind code, key, value)`` ops.
-Row = Tuple[int, int, int, Optional[float], Optional[float], List[Tuple[int, str, Optional[int]]]]
+#: One row as :meth:`ColumnarHistory.append_row` takes it: txn id, session
+#: id, status code, start and finish stamps, then the ops as three lists of
+#: one length: kind codes, keys and values (``None``: an op without a value).
+Row = Tuple[int, int, int, Optional[float], Optional[float], List[int], List[str], List[Optional[int]]]
 
 _OP_TYPES = (OpType.READ, OpType.WRITE)  # indexed by kind code
 
 
 def transaction_row(txn: Transaction) -> Row:
     """The row of one :class:`Transaction`."""
-    ops = [(_WRITE if op.is_write else _READ, op.key, op.value) for op in txn.operations]
-    return txn.txn_id, txn.session_id, STATUS_CODES[txn.status], txn.start_ts, txn.finish_ts, ops
+    kinds, keys, values = [], [], []
+    for op in txn.operations:
+        kinds.append(_WRITE if op.op_type is OpType.WRITE else _READ)
+        keys.append(op.key)
+        values.append(op.value)
+    status = STATUS_CODES[txn.status]
+    return txn.txn_id, txn.session_id, status, txn.start_ts, txn.finish_ts, kinds, keys, values
 
 
 def row_transaction(row: Row) -> Transaction:
     """The :class:`Transaction` of one row."""
-    txn_id, session_id, status_code, start_ts, finish_ts, ops = row
-    operations = [Operation(_OP_TYPES[kind], key, value) for kind, key, value in ops]
+    txn_id, session_id, status_code, start_ts, finish_ts, kinds, keys, values = row
+    operations = list(map(Operation, map(_OP_TYPES.__getitem__, kinds), keys, values))
     return Transaction(txn_id, operations, session_id, STATUS_FROM_CODE[status_code], start_ts, finish_ts)
 
 
@@ -140,6 +147,11 @@ _STRUCTURAL = (AttributeError, KeyError, TypeError)
 def _malformed(what: str, exc: Exception) -> ValueError:
     detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
     return ValueError(f"malformed history: {what}: {detail}")
+
+
+def _uneven(kinds: List[int], keys: List[str], values: List[Optional[int]]) -> str:
+    """What a row whose op lists differ in length is refused with."""
+    return f"has {len(kinds)} op kinds, {len(keys)} keys and {len(values)} values"
 
 
 def _unfit(exc: Exception, txn_id: int) -> ValueError:
@@ -176,7 +188,7 @@ def parse_record(payload: Any) -> Row:
     history: …")``.
     """
     try:
-        ops = []
+        kinds, keys, values = [], [], []
         for op in payload.get("operations", ()):
             kind, key, value = _OP_CODES.get(op["op"]), op["key"], op["value"]
             if kind is None or _bad_op(key, value):
@@ -184,7 +196,9 @@ def parse_record(payload: Any) -> Row:
                     f"operation {op!r} is not an op 'r' or 'w' on a string key "
                     "with an integer or null value"
                 )
-            ops.append((kind, key, value))
+            kinds.append(kind)
+            keys.append(key)
+            values.append(value)
         txn_id, session_id = payload["txn_id"], payload.get("session_id", 0)
         if type(txn_id) is not int or type(session_id) is not int:
             raise TypeError("txn_id and session_id must be integers")
@@ -197,7 +211,7 @@ def parse_record(payload: Any) -> Row:
                 raise TypeError(f"timestamp {stamp!r} is not a number or null")
     except _STRUCTURAL as exc:
         raise _malformed("transaction record", exc) from None
-    return txn_id, session_id, status, start_ts, finish_ts, ops
+    return txn_id, session_id, status, start_ts, finish_ts, kinds, keys, values
 
 
 def build_record(row: Row) -> Dict[str, Any]:
@@ -206,26 +220,30 @@ def build_record(row: Row) -> Dict[str, Any]:
     It refuses what :func:`parse_record` refuses, so no writer publishes a
     record its reader cannot read: ``ValueError`` naming the transaction.
     """
-    txn_id, session_id, status_code, start_ts, finish_ts, ops = row
+    txn_id, session_id, status_code, start_ts, finish_ts, kinds, keys, values = row
     if type(txn_id) is not int or type(session_id) is not int:
         problem = f"txn_id {txn_id!r} and session_id {session_id!r} must be integers"
+    elif not len(kinds) == len(keys) == len(values):
+        problem = f"it {_uneven(kinds, keys, values)}"
     elif _bad_stamp(start_ts) or _bad_stamp(finish_ts):
         problem = f"timestamps {start_ts!r} and {finish_ts!r} must be numbers or null"
+    elif any(map(_bad_op, keys, values)):
+        ops = zip(map(_OP_NAMES.__getitem__, kinds), keys, values)
+        bad = next(op for op in ops if _bad_op(*op[1:]))
+        problem = f"operation {bad!r} is not on a string key with an integer or null value"
     else:
-        bad = next(((_OP_NAMES[kind], key, value) for kind, key, value in ops if _bad_op(key, value)), None)
-        problem = bad and f"operation {bad!r} is not on a string key with an integer or null value"
-    if problem:
-        raise ValueError(f"cannot write transaction T{txn_id}: {problem}")
-    return {
-        "txn_id": txn_id,
-        "session_id": session_id,
-        "status": _STATUS_NAMES[status_code],
-        "start_ts": start_ts,
-        "finish_ts": finish_ts,
-        "operations": [
-            {"op": _OP_NAMES[kind], "key": key, "value": value} for kind, key, value in ops
-        ],
-    }
+        return {
+            "txn_id": txn_id,
+            "session_id": session_id,
+            "status": _STATUS_NAMES[status_code],
+            "start_ts": start_ts,
+            "finish_ts": finish_ts,
+            "operations": [
+                {"op": _OP_NAMES[kind], "key": key, "value": value}
+                for kind, key, value in zip(kinds, keys, values)
+            ],
+        }
+    raise ValueError(f"cannot write transaction T{txn_id}: {problem}")
 
 
 def is_segment_path(path: Union[str, Path]) -> bool:
@@ -302,21 +320,8 @@ class ColumnarHistory:
     @property
     def nbytes(self) -> int:
         """Retained bytes of the flat column store (key names excluded)."""
-        return sum(
-            column.itemsize * len(column)
-            for column in (
-                self.txn_ids,
-                self.session_ids,
-                self.statuses,
-                self.start_ts,
-                self.finish_ts,
-                self.op_offsets,
-                self.op_kinds,
-                self.op_keys,
-                self.op_values,
-                self.op_has_value,
-            )
-        )
+        columns = map(self.__getattribute__, _COLUMN_SLOTS)
+        return sum(column.itemsize * len(column) for column in columns)
 
     def __len__(self) -> int:
         return len(self.txn_ids)
@@ -340,80 +345,28 @@ class ColumnarHistory:
             self.key_names.append(key)
         return kid
 
-    def append_raw(
-        self,
-        txn_id: int,
-        session_id: int,
-        status_code: int,
-        start_ts: Optional[float],
-        finish_ts: Optional[float],
-        ops: Iterable[Tuple[int, str, Optional[int]]],
-    ) -> None:
-        """Append one row from flat fields — the object-free accept path.
-
-        ``ops`` yields ``(kind_code, key, value)`` triples, where the kind
-        code is :data:`OP_READ`/:data:`OP_WRITE` and ``value`` is ``None``
-        for an operation without one.  ``status_code`` is a
-        :data:`repro.core.model.STATUS_CODES` value; timestamps may be
-        ``None``.  No :class:`Transaction`/:class:`Operation` objects are
-        touched.
-
-        Raises ``ValueError`` naming the transaction when an id or value is
-        not an integer or falls outside the segment format's range (signed
-        64-bit for transaction/session ids and values, signed 32-bit for
-        distinct keys); the columns are then as they were before the call.
-        """
-        interned = len(self.key_names)
-        try:
-            self.txn_ids.append(txn_id)
-            self.session_ids.append(session_id)
-            self.statuses.append(status_code)
-            self.start_ts.append(_NAN if start_ts is None else float(start_ts))
-            self.finish_ts.append(_NAN if finish_ts is None else float(finish_ts))
-            key_ids = self.key_ids
-            key_names = self.key_names
-            kinds_append = self.op_kinds.append
-            keys_append = self.op_keys.append
-            values_append = self.op_values.append
-            has_append = self.op_has_value.append
-            for kind, key, value in ops:
-                kid = key_ids.get(key)
-                if kid is None:
-                    kid = len(key_names)
-                    key_ids[key] = kid
-                    key_names.append(key)
-                kinds_append(kind)
-                keys_append(kid)
-                if value is None:
-                    values_append(0)
-                    has_append(0)
-                else:
-                    values_append(value)
-                    has_append(1)
-            self.op_offsets.append(len(self.op_kinds))
-        except (OverflowError, TypeError, ValueError) as exc:
-            self._drop_partial_row(interned)
-            raise _unfit(exc, txn_id) from None
-
     def append_row(
-        self,
-        txn_id: int,
-        session_id: int,
-        status_code: int,
-        start_ts: Optional[float],
-        finish_ts: Optional[float],
-        kinds: List[int],
-        keys: List[str],
-        values: List[int],
+        self, txn_id: int, session_id: int, status_code: int,
+        start_ts: Optional[float], finish_ts: Optional[float],
+        kinds: List[int], keys: List[str], values: List[Optional[int]],
     ) -> None:
-        """Append one row from parallel op lists — how the collectors record.
+        """Append one :data:`Row` — the one way a row enters the columns.
 
-        Same contract as :meth:`append_raw` but takes the kinds/keys/values
-        as three equal-length lists with every value present (collectors
-        resolve reads to the observed value before recording), which lets
-        the op columns grow by one ``fromlist`` each instead of a per-op
-        loop.
+        ``kinds`` (:data:`OP_READ`/:data:`OP_WRITE`), ``keys`` and
+        ``values`` are the ops as three lists of one length; a ``None``
+        value is an op without one.  ``status_code`` is a
+        :data:`repro.core.model.STATUS_CODES` value; timestamps may be
+        ``None``.  The op columns grow by one bulk copy each, and no
+        :class:`Transaction`/:class:`Operation` object is touched.
+
+        Raises ``ValueError`` naming the transaction when the op lists
+        differ in length, or when an id or value is not an integer or falls
+        outside the segment format's range (signed 64-bit for
+        transaction/session ids and values, signed 32-bit for distinct
+        keys); the columns and the key table are then as they were.
         """
+        if not len(kinds) == len(keys) == len(values):
+            raise ValueError(f"transaction T{txn_id} {_uneven(kinds, keys, values)}")
         interned = len(self.key_names)
         try:
             self.txn_ids.append(txn_id)
@@ -421,16 +374,23 @@ class ColumnarHistory:
             self.statuses.append(status_code)
             self.start_ts.append(_NAN if start_ts is None else start_ts)
             self.finish_ts.append(_NAN if finish_ts is None else finish_ts)
-            key_ids = self.key_ids
-            try:
-                ids = [key_ids[key] for key in keys]
-            except KeyError:
-                ids = [self.key_id(key) for key in keys]
+            key_ids, names, ids = self.key_ids, self.key_names, []
+            for key in keys:
+                kid = key_ids.get(key)
+                if kid is None:  # new to the segment: the next id
+                    kid = key_ids[key] = len(names)
+                    names.append(key)
+                ids.append(kid)
+            if None in values:
+                has = bytes(value is not None for value in values)
+                values = [0 if value is None else value for value in values]
+            else:
+                has = b"\x01" * len(values)
             op_kinds = self.op_kinds
             op_kinds.fromlist(kinds)
             self.op_keys.fromlist(ids)
             self.op_values.fromlist(values)
-            self.op_has_value.frombytes(b"\x01" * len(kinds))
+            self.op_has_value.frombytes(has)
             self.op_offsets.append(len(op_kinds))
         except (OverflowError, TypeError, ValueError) as exc:
             self._drop_partial_row(interned)
@@ -439,8 +399,8 @@ class ColumnarHistory:
     def _drop_partial_row(self, interned: int) -> None:
         """Cut the columns to the last whole row and the key names to ``interned``."""
         rows, ops = len(self.op_offsets) - 1, self.op_offsets[-1]
-        for column in (self.txn_ids, self.session_ids, self.statuses, self.start_ts, self.finish_ts):
-            del column[rows:]
+        for slot in _ROW_SLOTS:
+            del getattr(self, slot)[rows:]
         for column in (self.op_kinds, self.op_keys, self.op_values, self.op_has_value):
             del column[ops:]
         for name in self.key_names[interned:]:
@@ -448,39 +408,37 @@ class ColumnarHistory:
         del self.key_names[interned:]
 
     def append(self, txn: Transaction) -> None:
-        """Append one transaction as a new row (see :meth:`append_raw` for
+        """Append one transaction as a new row (see :meth:`append_row` for
         the failure contract; this is the object-accepting wrapper)."""
-        self.append_raw(*transaction_row(txn))
+        self.append_row(*transaction_row(txn))
 
     __call__ = append
 
     def seed_initial(self, keys: Iterable[str], value: int = 0) -> None:
         """Append ``⊥T`` (one committed write of ``value`` per key) without
         materialising the initial transaction; call it on an empty segment."""
-        self.append_raw(
-            INITIAL_TXN_ID,
-            -1,
-            STATUS_CODES[TransactionStatus.COMMITTED],
-            None,
-            None,
-            ((_WRITE, key, value) for key in keys),
-        )
+        keys = list(keys)
+        head = INITIAL_TXN_ID, -1, STATUS_CODES[TransactionStatus.COMMITTED], None, None
+        self.append_row(*head, [_WRITE] * len(keys), keys, [value] * len(keys))
 
     # ------------------------------------------------------------------
     # Row materialisation (debug / legacy interop; not the hot path)
     # ------------------------------------------------------------------
     def row_at(self, row: int) -> Row:
-        """One row as the fields :meth:`append_raw` takes (a NaN stamp and
-        an absent value are ``None``): the inverse of an append."""
+        """One row as :meth:`append_row` takes it (a NaN stamp and an absent
+        value are ``None``): the inverse of an append."""
         lo, hi = self.op_offsets[row], self.op_offsets[row + 1]
         names = self.key_names
-        ops = [
-            (kind, names[kid], value if has else None)
-            for kind, kid, value, has in zip(
-                self.op_kinds[lo:hi], self.op_keys[lo:hi], self.op_values[lo:hi], self.op_has_value[lo:hi]
-            )
-        ]
-        return (self.txn_ids[row], self.session_ids[row], self.statuses[row], *self.timestamps_at(row), ops)
+        values: List[Optional[int]] = self.op_values[lo:hi].tolist()
+        has = self.op_has_value[lo:hi]
+        if 0 in has:
+            values = [value if present else None for value, present in zip(values, has)]
+        start, finish = self.start_ts[row], self.finish_ts[row]
+        return (
+            self.txn_ids[row], self.session_ids[row], self.statuses[row],
+            None if start != start else start, None if finish != finish else finish,  # NaN
+            self.op_kinds[lo:hi].tolist(), [names[kid] for kid in self.op_keys[lo:hi]], values,
+        )
 
     def transaction_at(self, row: int) -> Transaction:
         """Materialise one row as a :class:`Transaction`."""
@@ -608,19 +566,7 @@ class ColumnarHistory:
     # ------------------------------------------------------------------
     def to_wire(self) -> WireColumns:
         """Flatten into compact picklable buffers (same-machine transfer)."""
-        return (
-            self.key_names,
-            self.txn_ids.tobytes(),
-            self.session_ids.tobytes(),
-            self.statuses.tobytes(),
-            self.start_ts.tobytes(),
-            self.finish_ts.tobytes(),
-            self.op_offsets.tobytes(),
-            self.op_kinds.tobytes(),
-            self.op_keys.tobytes(),
-            self.op_values.tobytes(),
-            self.op_has_value.tobytes(),
-        )
+        return (self.key_names, *(getattr(self, slot).tobytes() for slot in _COLUMN_SLOTS))
 
     @classmethod
     def from_wire(cls, wire: WireColumns) -> "ColumnarHistory":

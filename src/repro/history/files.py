@@ -292,7 +292,7 @@ class StreamFollower:
         segment = ColumnarHistory()
         try:
             for record in islice(self._records(), STREAM_SEGMENT_ROWS):
-                segment.append_raw(*parse_record(record))
+                segment.append_row(*parse_record(record))
         except json.JSONDecodeError:
             if not segment.num_transactions:
                 raise

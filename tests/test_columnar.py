@@ -127,18 +127,27 @@ class TestColumnarContainer:
             cols.append_row(5, 1, 0, 1.0, 2.0, [1], ["x"], [2**63])
         with pytest.raises(ValueError, match="T6 does not fit the columnar segment"):
             ColumnarHistory().append_row(6, 1, 0, None, None, [0], ["x"], [-(2**63) - 1])
+        cols.append_row(7, 1, 0, None, None, [0, 1], ["y", "x"], [None, 2])
+        assert str(cols.transaction_at(1)) == "T7[R(y,None), W(x,2)]"
+        assert list(cols.op_has_value) == [1, 1, 0, 1]
+        assert cols.row_at(1) == (7, 1, 0, None, None, [0, 1], ["y", "x"], [None, 2])
 
     def test_a_refused_append_leaves_the_columns_as_they_were(self):
         cols = ColumnarHistory()
         cols.append(Transaction(1, [read("x", 0), write("x", 1)]))
         before = (cols.to_wire(), dict(cols.key_ids))
-        for append in (
-            lambda: cols.append(Transaction(2, [read("y", 0), write("z", "a")])),
-            lambda: cols.append_raw(3, 0, 0, "soon", None, [(0, "y", 0)]),
-            lambda: cols.append_row(4, 0, 0, None, None, [0, 1], ["y", "x"], [1, 2.5]),
-            lambda: cols.append_row(5, 0, 0, None, None, [1], ["y"], [2**63]),
+        unfit = r"transaction T\d does not fit the columnar segment"
+        for append, refusal in (
+            (lambda: cols.append(Transaction(2, [read("y", 0), write("z", "a")])), unfit),
+            (lambda: cols.append_row(3, 0, 0, "soon", None, [0], ["y"], [0]), unfit),
+            (lambda: cols.append_row(4, 0, 0, None, None, [0, 1], ["y", "x"], [1, 2.5]), unfit),
+            (lambda: cols.append_row(5, 0, 0, None, None, [1], ["y"], [2**63]), unfit),
+            (
+                lambda: cols.append_row(4, 0, 0, None, None, [0, 1], ["y"], [1, 2]),
+                "transaction T4 has 2 op kinds, 1 keys and 2 values",
+            ),
         ):
-            with pytest.raises(ValueError, match=r"transaction T\d does not fit the columnar segment"):
+            with pytest.raises(ValueError, match=refusal):
                 append()
             assert (cols.to_wire(), cols.key_ids) == before
         cols.append(Transaction(6, [read("y", 1)]))

@@ -1,0 +1,109 @@
+"""Linear time as a test: the work a route does per row is flat in n.
+
+Wall-clock ratios cannot tell a linear route from a quadratic one on a
+shared machine; the number of Python trace events can.  Each route runs at
+n and 8n rows (the key count grows with the rows, so a per-row scan of the
+key table grows too), and its work per row may grow by at most 1.25x.
+
+Blind spot: work done inside one C call (``sorted``, ``list.index``,
+``x in list``) is one trace event whatever its length;
+``tests/test_index.py::TestBytesPerRow`` covers the index's bytes instead.
+"""
+
+import sys
+
+import pytest
+
+from repro.bench import generate_mt_history
+from repro.core.checker import MTChecker
+from repro.core.model import stream_order
+from repro.core.result import IsolationLevel
+from repro.history import load_columns, write_history
+from repro.history.columnar import ColumnarHistory
+
+SESSIONS = 16
+SMALL = 25  # transactions per session: about 460 rows; 8x that about 3 300
+
+
+def work(fn):
+    """The number of trace events (calls, lines, returns) ``fn()`` makes."""
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += 1
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(count)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+@pytest.fixture(scope="module")
+def histories():
+    """A healthy history at n and 8n rows, four keys per session transaction."""
+    return [
+        generate_mt_history(
+            isolation="serializable", num_sessions=SESSIONS, txns_per_session=tps,
+            num_objects=4 * tps, seed=5,
+        ).history
+        for tps in (SMALL, 8 * SMALL)
+    ]
+
+
+def assert_flat(per_row):
+    small, large = per_row
+    assert large <= 1.25 * small, f"work per row grew {large / small:.2f}x: {small:.1f} -> {large:.1f}"
+
+
+def rows(history):
+    return sum(1 for _ in history.transactions())
+
+
+def test_jsonl_load_is_linear(histories, tmp_path):
+    per_row = []
+    for n, history in enumerate(histories):
+        path = tmp_path / f"h{n}.jsonl"
+        write_history(history, path)
+        per_row.append(work(lambda: load_columns(path)) / rows(history))
+    assert_flat(per_row)
+
+
+def test_column_encoding_is_linear(histories):
+    per_row = []
+    for history in histories:
+        transactions = list(stream_order(history))
+        per_row.append(
+            work(lambda: ColumnarHistory.from_transactions(transactions)) / len(transactions)
+        )
+    assert_flat(per_row)
+
+
+def test_ingest_history_is_linear(histories):
+    level = IsolationLevel.SERIALIZABILITY
+    per_row = []
+    for history in histories:
+        verdict = []
+        per_row.append(
+            work(lambda: verdict.append(MTChecker().session(level).ingest_history(history)))
+            / rows(history)
+        )
+        assert verdict[0].satisfied
+    assert_flat(per_row)
+
+
+def test_batch_sser_accept_is_linear(histories):
+    level = IsolationLevel.STRICT_SERIALIZABILITY
+    per_row = []
+    for history in histories:
+        columns = ColumnarHistory.from_history(history)
+        verdict = []
+        per_row.append(
+            work(lambda: verdict.append(MTChecker().verify(columns, level))) / len(columns)
+        )
+        assert verdict[0].satisfied
+    assert_flat(per_row)

@@ -346,6 +346,7 @@ class TestTheDoor:
             lambda: MTChecker(workers=1).verify(history, level),
             lambda: check_ser(history),
             lambda: HistoryIndex.build(history),
+            lambda: MTChecker().session(level).ingest_history(history),
         ):
             with pytest.raises(ValueError, match="does not fit the columnar segment format"):
                 run()

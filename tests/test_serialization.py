@@ -343,7 +343,7 @@ class TestOneDoor:
         for column, bad in [(0, "1"), (1, 1.0), (3, "0.0"), (4, True), (5, ("x", "0")), (5, (("x",), 0))]:
             record = build_record(row)
             if column == 5:
-                broken = row[:5] + ([(row[5][0][0], *bad)],)
+                broken = row[:6] + ([bad[0]], [bad[1]])
                 record["operations"][0].update(key=bad[0], value=bad[1])
             else:
                 broken = row[:column] + (bad,) + row[column + 1:]
@@ -352,6 +352,8 @@ class TestOneDoor:
                 build_record(broken)
             with pytest.raises(ValueError, match="malformed history"):
                 parse_record(record)
+        with pytest.raises(ValueError, match="cannot write transaction T1: it has 1 op kinds, 0 keys"):
+            build_record(row[:6] + ([], row[7]))
 
     @pytest.mark.parametrize("name", ["h.seg", "h.seg.gz", "h.json", "h.jsonl", "h.jsonl.gz"])
     def test_a_failed_save_leaves_the_previous_file(self, name, tmp_path, monkeypatch):
