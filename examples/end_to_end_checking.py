@@ -13,7 +13,7 @@ Run with:  python examples/end_to_end_checking.py
 """
 
 from repro import Database, MTChecker, MTWorkloadGenerator, run_workload
-from repro.history import save_history
+from repro.history import write_history
 
 
 def check_engine(engine: str, *, sessions: int = 8, txns: int = 100, objects: int = 30) -> None:
@@ -60,8 +60,8 @@ def main() -> None:
     workload = generator.generate()
     database = Database("si", keys=workload.keys)
     run = run_workload(database, workload, seed=3)
-    save_history(run.history, "/tmp/repro_quickstart_history.json")
-    print("saved a reusable history to /tmp/repro_quickstart_history.json")
+    write_history(run.history, "/tmp/repro_quickstart_history.jsonl")
+    print("saved a reusable history to /tmp/repro_quickstart_history.jsonl")
 
 
 if __name__ == "__main__":

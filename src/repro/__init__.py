@@ -75,7 +75,7 @@ __all__, __getattr__, __dir__ = surface(__name__, {
     "ColumnarHistory": ".history.columnar",
     "load_history_segment": ".history.columnar",
     "write_history_segment": ".history.columnar",
-    "HistoryStreamWriter": ".history.serialization",
+    "HistoryStreamWriter": ".history.files",
     "Shard": ".parallel.partition",
     "partition_columns": ".parallel.partition",
     "check_parallel": ".parallel.executor",

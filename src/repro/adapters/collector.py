@@ -36,7 +36,7 @@ whose methods run one at a time:
   finishes, or the deadline watchdog (as ``UNKNOWN``) when it hangs — in
   the same critical section that stamps its finish tick.  Rows, and the
   ``on_transaction`` hook (a
-  :class:`~repro.history.serialization.HistoryStreamWriter`, a
+  :class:`~repro.history.files.HistoryStreamWriter`, a
   :class:`~repro.history.columnar.ColumnarHistory`, a streaming
   :class:`~repro.core.incremental.CheckerSession`), therefore see
   transactions in finish-timestamp order, exactly as with the serial

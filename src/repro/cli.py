@@ -9,7 +9,7 @@ Usage examples::
 
     # Generate an MT workload, run it against the SI engine, save the history.
     python -m repro generate --isolation si --sessions 8 --txns 100 \
-        --objects 50 --distribution zipf --output history.json
+        --objects 50 --distribution zipf --output history.jsonl
 
     # Collect a history from a real database (SQLite, 4 concurrent client
     # threads) and verify it in the same invocation.
@@ -21,15 +21,14 @@ Usage examples::
 
     # Generate a history from a buggy database (lost-update defect).
     python -m repro generate --isolation si --fault lostupdate --fault-rate 0.5 \
-        --output buggy.json
+        --output buggy.jsonl
 
     # Verify a saved history.
-    python -m repro check --level si history.json
-    python -m repro check --level ser buggy.json
+    python -m repro check --level si history.jsonl
+    python -m repro check --level ser buggy.jsonl
 
     # Verify a stream incrementally, reporting each violation at the
     # transaction that introduced it (--once: stop at end of file).
-    python -m repro generate --isolation si --output history.jsonl
     python -m repro watch --level si --once history.jsonl
 
     # Columnar segments: the binary fast path (gzip optional via .gz).
@@ -91,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = subparsers.add_parser("check", help="verify a saved history against an isolation level")
     check.add_argument(
         "history",
-        help="path to a history: .json document, .jsonl[.gz] stream, "
+        help="path to a history: .jsonl[.gz] stream, "
         ".seg[.gz] columnar segment, or .epochs/ epoch-log directory",
     )
     check.add_argument("--level", choices=sorted(_LEVELS), default="ser", help="isolation level to check")
@@ -206,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument(
         "--output",
         required=True,
-        help="where to write the history (.json, .jsonl[.gz], .seg[.gz], "
+        help="where to write the history (.jsonl[.gz], .seg[.gz], "
         "or an .epochs/ epoch-log directory)",
     )
     generate.add_argument(
@@ -298,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     collect.add_argument(
         "--output",
         default=None,
-        help="where to save the history (.json, .jsonl[.gz], .seg[.gz], "
+        help="where to save the history (.jsonl[.gz], .seg[.gz], "
         "or an .epochs/ epoch-log directory)",
     )
     collect.add_argument(
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     convert = subparsers.add_parser(
         "convert",
         help="convert a history between formats "
-        "(.json / .jsonl[.gz] / .seg[.gz] / .epochs), losslessly",
+        "(.jsonl[.gz] / .seg[.gz] / .epochs), losslessly",
     )
     convert.add_argument("input", help="source history file (format inferred from suffix)")
     convert.add_argument("output", help="destination history file (format inferred from suffix)")
@@ -447,10 +446,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     from .resilience.supervisor import Supervisor
 
     kind = history_format(args.history)
-    if kind in ("segment", "document"):
-        what = "columnar segments" if kind == "segment" else "JSON documents"
+    if kind == "segment":
         print(
-            f"error: {what} are written atomically and cannot be "
+            "error: columnar segments are written atomically and cannot be "
             "followed; use `repro check` (or write the history as an "
             ".epochs/ epoch log to follow it durably)"
         )
@@ -823,11 +821,9 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    """Lossless conversion between the four history formats: the source's
-    segments go to the destination's writer as columns.  JSONL, segments and
-    epoch logs keep the arrival order, so conversions among them round-trip
-    byte for byte; ``.json`` groups by session (order recomputed on the way
-    back out)."""
+    """Lossless conversion between the three history containers: the
+    source's segments go to the destination's writer as columns, in arrival
+    order, so conversions round-trip byte for byte."""
     from .history.files import read_segments, write_history
 
     source, destination = args.input, args.output
@@ -903,6 +899,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and not accepts(value):
             print(f"error: {flag} must be {requirement}, got {value}")
+            return 2
+    paths = [path for path in (getattr(args, name, None) for name in ("history", "input", "output")) if path]
+    if paths:
+        from .history.files import history_format
+
+        try:
+            for path in paths:
+                history_format(path)
+        except ValueError as exc:
+            print(f"error: {exc}")
             return 2
     trace_path = getattr(args, "trace", None)
     if trace_path:

@@ -213,14 +213,6 @@ class CSRGraph:
             [node[t] for s, t in pairs if s in node],
         )
 
-    def with_real_time_chain(self, index: HistoryIndex) -> "CSRGraph":
-        """A copy of this graph with :meth:`add_real_time_chain` applied."""
-        graph = CSRGraph(
-            self.node_ids, self.key_names, self.src[:], self.dst[:], self.etype[:], self.key_id[:]
-        )
-        graph.add_real_time_chain(index)
-        return graph
-
     def add_real_time_chain(self, index: HistoryIndex) -> None:
         """Append the real-time order as at most 3n chain rows, in place.
 

@@ -173,12 +173,6 @@ class Transaction:
         """All objects accessed by this transaction."""
         return {op.key for op in self.operations}
 
-    def keys_read(self) -> Set[str]:
-        return {op.key for op in self.operations if op.is_read}
-
-    def keys_written(self) -> Set[str]:
-        return {op.key for op in self.operations if op.is_write}
-
     # ------------------------------------------------------------------
     # Paper notation: T ⊢ W(x, v) and T ⊢ R(x, v)
     # ------------------------------------------------------------------
@@ -280,7 +274,6 @@ class History:
     ) -> None:
         self.sessions: List[Session] = list(sessions) if sessions else []
         self.initial_transaction: Optional[Transaction] = initial_transaction
-        self._txn_index: Optional[Dict[int, Transaction]] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -320,7 +313,6 @@ class History:
         if keys is None:
             keys = self.keys()
         self.initial_transaction = make_initial_transaction(keys)
-        self._txn_index = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -341,11 +333,6 @@ class History:
             for t in self.transactions(include_initial=include_initial)
             if t.committed
         ]
-
-    def transaction_by_id(self, txn_id: int) -> Transaction:
-        if self._txn_index is None:
-            self._txn_index = {t.txn_id: t for t in self.transactions()}
-        return self._txn_index[txn_id]
 
     def keys(self) -> Set[str]:
         """All objects accessed anywhere in the history."""

@@ -1,8 +1,7 @@
-"""History persistence: JSON documents, streaming JSONL, columnar segments.
+"""History persistence: streaming JSONL, columnar segments, epoch logs.
 
-Four formats, one data model:
+Three containers, one data model:
 
-* ``*.json`` — a single JSON document (archival);
 * ``*.jsonl`` / ``*.ndjson`` (optionally ``.gz``) — a line-oriented stream
   (live tailing, interchange, debugging);
 * ``*.seg`` (optionally ``.gz``) — a binary columnar segment
@@ -16,7 +15,8 @@ Four formats, one data model:
 ``repro convert`` moves histories losslessly between all of them, through
 the one door that knows which is which: :mod:`repro.history.files`
 (:func:`history_format`, :func:`read_segments` / :func:`load_columns`,
-:func:`write_history`, :class:`StreamFollower`).
+:func:`write_history`, :class:`StreamFollower`, :class:`HistoryStreamWriter`).
+Any other path is refused there, by name.
 """
 
 from .._lazy import surface
@@ -35,6 +35,7 @@ __all__, __getattr__, __dir__ = surface(__name__, {
     "EpochLog": ".epochlog",
     "EpochLogError": ".epochlog",
     "EpochLogWriter": ".epochlog",
+    "HistoryStreamWriter": ".files",
     "StreamFollower": ".files",
     "history_format": ".files",
     "is_epochlog_path": ".files",
@@ -42,18 +43,4 @@ __all__, __getattr__, __dir__ = surface(__name__, {
     "load_columns": ".files",
     "read_segments": ".files",
     "write_history": ".files",
-    "HistoryStreamWriter": ".serialization",
-    "history_from_dict": ".serialization",
-    "history_to_dict": ".serialization",
-    "iter_history_jsonl": ".serialization",
-    "load_history": ".serialization",
-    "load_history_jsonl": ".serialization",
-    "load_lwt_history": ".serialization",
-    "lwt_history_from_dict": ".serialization",
-    "lwt_history_to_dict": ".serialization",
-    "save_history": ".serialization",
-    "save_lwt_history": ".serialization",
-    "transaction_from_dict": ".serialization",
-    "transaction_to_dict": ".serialization",
-    "write_history_jsonl": ".serialization",
 })

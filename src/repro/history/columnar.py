@@ -17,8 +17,8 @@ transaction, its ops as three parallel lists) is appended by
 :meth:`ColumnarHistory.row_at`; :meth:`ColumnarHistory.extend` /
 :meth:`ColumnarHistory.join` copy rows between segments column by column.
 The JSON record of a row has one reader, :func:`parse_record`, and one
-writer, :func:`build_record`, which both JSON containers
-(:mod:`repro.history.serialization`) use.  ``Transaction`` objects are built
+writer, :func:`build_record`, which the JSONL stream
+(:mod:`repro.history.files`) uses.  ``Transaction`` objects are built
 only where the object model is asked for (:func:`row_transaction`:
 :meth:`transaction_at`, :meth:`to_history`).
 
@@ -139,16 +139,6 @@ def row_transaction(row: Row) -> Transaction:
     return Transaction(txn_id, operations, session_id, STATUS_FROM_CODE[status_code], start_ts, finish_ts)
 
 
-# What a wrongly shaped JSON value raises when indexed or iterated; files come
-# from outside, so decoders turn these into ``ValueError`` (CLI: exit 2).
-_STRUCTURAL = (AttributeError, KeyError, TypeError)
-
-
-def _malformed(what: str, exc: Exception) -> ValueError:
-    detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-    return ValueError(f"malformed history: {what}: {detail}")
-
-
 def _uneven(kinds: List[int], keys: List[str], values: List[Optional[int]]) -> str:
     """What a row whose op lists differ in length is refused with."""
     return f"has {len(kinds)} op kinds, {len(keys)} keys and {len(values)} values"
@@ -179,8 +169,8 @@ def _bad_stamp(stamp: Any) -> bool:
 
 
 def parse_record(payload: Any) -> Row:
-    """Validate one transaction record (the shape both JSON containers
-    hold, parsed); return it as a :data:`Row`.
+    """Validate one transaction record (a JSONL stream line, parsed);
+    return it as a :data:`Row`.
 
     The one reader of the record shape: ids are integers, keys strings,
     values integers or null, stamps numbers or null, ``op`` and ``status``
@@ -209,8 +199,11 @@ def parse_record(payload: Any) -> Row:
         for stamp in (start_ts, finish_ts):
             if _bad_stamp(stamp):
                 raise TypeError(f"timestamp {stamp!r} is not a number or null")
-    except _STRUCTURAL as exc:
-        raise _malformed("transaction record", exc) from None
+    except (AttributeError, KeyError, TypeError) as exc:
+        # What a wrongly shaped JSON value raises when indexed or iterated; a
+        # file comes from outside, so it is a ValueError (CLI: exit 2).
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"malformed history: transaction record: {detail}") from None
     return txn_id, session_id, status, start_ts, finish_ts, kinds, keys, values
 
 

@@ -1,10 +1,11 @@
 """One door for history files: what a path holds, how to read and write it.
 
-Four containers hold the same rows (see :mod:`repro.history`); whatever
-depends on *which* one a path names is decided here, once.  The byte
-helpers every on-disk artefact shares live below in :mod:`repro.ondisk`;
-the stream container imports this module, so it reaches the containers only
-inside functions.
+Three containers hold the same rows (see :mod:`repro.history`); whatever
+depends on *which* one a path names is decided here, once, and the JSONL
+stream's reader (:class:`StreamFollower`) and writer
+(:class:`HistoryStreamWriter`) live here too.  The byte helpers every
+on-disk artefact shares live below in :mod:`repro.ondisk`; the epoch log
+imports this module, so it is reached only inside functions.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ import os
 import warnings
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from typing import IO, Any, Dict, Iterable, Iterator, Optional, Union
 
-from ..core.model import History, stream_order
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .columnar import ColumnarHistory
+from ..core.model import History, Transaction, make_initial_transaction, stream_order
+from ..ondisk import atomic_write
+from .columnar import ColumnarHistory, build_record, is_segment_path, parse_record, transaction_row
 
 __all__ = [
+    "HistoryStreamWriter",
     "StreamFollower",
     "history_format",
     "is_epochlog_path",
@@ -43,14 +44,18 @@ STREAM_FORMAT = "repro-history-stream-v1"
 def history_format(path: Union[str, Path]) -> str:
     """What ``path`` holds, asked in this order: an existing directory or a
     ``.epochs`` name is a ``"log"``, ``.seg[.gz]`` a ``"segment"``, ``.jsonl`` /
-    ``.ndjson`` (``[.gz]``) a ``"stream"``, anything else a ``"document"``."""
-    from .columnar import is_segment_path
-
+    ``.ndjson`` (``[.gz]``) a ``"stream"``; any other path is refused
+    (``ValueError`` naming it and the three containers)."""
     if is_epochlog_path(path):
         return "log"
     if is_segment_path(path):
         return "segment"
-    return "stream" if is_stream_path(path) else "document"
+    if is_stream_path(path):
+        return "stream"
+    raise ValueError(
+        f"{path}: not a history container; a history is a .jsonl[.gz] stream, "
+        "a .seg[.gz] columnar segment or an .epochs/ epoch-log directory"
+    )
 
 
 def is_epochlog_path(path: Union[str, Path]) -> bool:
@@ -89,38 +94,30 @@ def _open_log(path: Union[str, Path]):
     return log
 
 
-def read_segments(path: Union[str, Path]) -> Iterator["ColumnarHistory"]:
+def read_segments(path: Union[str, Path]) -> Iterator[ColumnarHistory]:
     """Yield the history at ``path`` as columnar segments in arrival order:
-    a document or a ``.seg`` is one, an epoch log yields its epochs, a stream
-    is read lazily, :data:`STREAM_SEGMENT_ROWS` rows at a time."""
-    from .columnar import ColumnarHistory
-
+    a ``.seg`` is one, an epoch log yields its epochs, a stream is read
+    lazily, :data:`STREAM_SEGMENT_ROWS` rows at a time."""
     kind = history_format(path)
     if kind == "log":
         for _entry, segment in _open_log(path).iter_segments():
             yield segment
     elif kind == "segment":
         yield ColumnarHistory.load(path)
-    elif kind == "stream":
+    else:
         with StreamFollower(path) as follower:
             yield from iter(follower.poll, None)
             follower.warn()
-    else:
-        from .serialization import load_history
-
-        yield ColumnarHistory.from_history(load_history(path))
 
 
-def load_columns(path: Union[str, Path]) -> "ColumnarHistory":
+def load_columns(path: Union[str, Path]) -> ColumnarHistory:
     """The history at ``path`` as one set of columns, for a batch check: its
     :func:`read_segments` joined."""
-    from .columnar import ColumnarHistory
-
     return ColumnarHistory.join(read_segments(path))
 
 
 def write_history(
-    source: Union[History, "ColumnarHistory", Iterable["ColumnarHistory"]],
+    source: Union[History, ColumnarHistory, Iterable[ColumnarHistory]],
     path: Union[str, Path],
     *,
     epoch_transactions: int = 1024,
@@ -130,25 +127,19 @@ def write_history(
     ``source`` is a :class:`History` (written in ``stream_order``), columns,
     or the segments of one history in arrival order (:func:`read_segments`).
     Rows go from columns to the destination; only a ``History`` written as a
-    stream or a document is written from its objects, so its integer stamps
-    stay integers.  A write is all or nothing: a document, segment or stream
-    is staged and published with one rename (:func:`~repro.ondisk.atomic_write`),
-    and a log directory this call created is removed when the source is
-    refused part-way (an empty one is emptied again); any other existing log
-    destination is refused (``EpochLogError``) before the source is read.
+    stream is written from its objects, so its integer stamps stay integers.
+    A write is all or nothing: a segment or stream is staged and published
+    with one rename (:func:`~repro.ondisk.atomic_write`), and a log directory
+    this call created is removed when the source is refused part-way (an
+    empty one is emptied again); any other existing log destination is
+    refused (``EpochLogError``) before the source is read.
     """
-    from ..ondisk import atomic_write
-    from .columnar import ColumnarHistory, build_record
     from .epochlog import EpochLogError, EpochLogWriter
-    from .serialization import HistoryStreamWriter, save_history
 
     kind = history_format(path)
     if kind == "log" and os.path.exists(path) and (not os.path.isdir(path) or os.listdir(path)):
         raise EpochLogError(f"{path}: already exists; a history is written into a new epoch log only")
     if isinstance(source, History):
-        if kind == "document":
-            save_history(source, path)
-            return len(source.transactions())
         if kind == "stream":
             rows = list(stream_order(source))
             initial = source.initial_transaction
@@ -162,12 +153,9 @@ def write_history(
             return len(rows)
         source = ColumnarHistory.from_history(source)
     segments = iter((source,) if isinstance(source, ColumnarHistory) else source)
-    if kind in ("segment", "document"):
+    if kind == "segment":
         columns = ColumnarHistory.join(segments)
-        if kind == "segment":
-            columns.save(path)
-        else:
-            save_history(columns.to_history(), path)
+        columns.save(path)
         return columns.num_transactions
     # Read before the destination is opened: a missing or corrupt source
     # fails without creating a log directory or a staging file.
@@ -284,11 +272,9 @@ class StreamFollower:
             if not chunk:
                 return
 
-    def poll(self) -> Optional["ColumnarHistory"]:
+    def poll(self) -> Optional[ColumnarHistory]:
         """The newly readable records (at most :data:`STREAM_SEGMENT_ROWS`),
         parsed into one segment's columns, else ``None``."""
-        from .columnar import ColumnarHistory, parse_record
-
         segment = ColumnarHistory()
         try:
             for record in islice(self._records(), STREAM_SEGMENT_ROWS):
@@ -332,6 +318,111 @@ class StreamFollower:
         self._fh.close()
 
     def __enter__(self) -> "StreamFollower":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+# ----------------------------------------------------------------------
+# Writing a JSONL stream
+# ----------------------------------------------------------------------
+class HistoryStreamWriter:
+    """Append-only writer for the JSONL history stream format.
+
+    Emits the header on construction and one line per transaction after
+    that, flushing so a concurrent ``repro watch`` (or any
+    :class:`StreamFollower`) sees transactions as soon as they commit.
+    Usable as a context manager and directly as a
+    :class:`~repro.workloads.runner.WorkloadRunner` ``on_transaction`` hook.
+
+    ``flush_every=N`` batches flushes (every ``N`` transactions instead of
+    every one) for high-throughput producers; the header is always flushed
+    immediately so a follower can validate the stream at any time, and
+    buffered lines are flushed on :meth:`close`.  With ``N > 1`` the OS may
+    observe a *torn* final line mid-run — all stream readers tolerate that
+    (the watcher buffers until the newline arrives; one-shot readers skip a
+    torn tail).
+
+    A ``*.gz`` path writes the stream gzip-compressed; the stream reader
+    decompresses transparently.  ``initial_transaction`` is ``⊥T`` for the
+    header, as a :class:`Transaction` or as its record (``build_record``);
+    :meth:`extend` appends rows straight from columns.  ``into`` is an open
+    binary file to write the stream for ``path`` into instead of ``path``
+    itself — the staging file of :func:`~repro.ondisk.atomic_write`, which
+    publishes a whole stream with one rename; :meth:`close` leaves it open.
+
+    Example:
+        >>> import tempfile, os
+        >>> from repro import Transaction, read, write
+        >>> path = os.path.join(tempfile.mkdtemp(), "stream.jsonl")
+        >>> with HistoryStreamWriter(path) as writer:
+        ...     writer.write(Transaction(1, [read("x", 0), write("x", 1)]))
+        >>> len(load_columns(path))
+        1
+    """
+
+    def __init__(
+        self,
+        path: Union[str, Path],
+        *,
+        initial_transaction: Union[Transaction, Dict[str, Any], None] = None,
+        initial_keys: Optional[Iterable[str]] = None,
+        flush_every: int = 1,
+        into: Optional[IO[bytes]] = None,
+    ) -> None:
+        """``initial_keys`` synthesises the header's ``⊥T`` from a key list —
+        the convenient form when tailing a live run (serial or concurrent)
+        whose workload keys are known before any transaction commits."""
+        if flush_every < 1:
+            raise ValueError("flush_every must be a positive transaction count")
+        if initial_transaction is None and initial_keys is not None:
+            initial_transaction = make_initial_transaction(initial_keys)
+        compress = str(path).lower().endswith(".gz")
+        if into is None:
+            self._fh: IO[bytes] = gzip.open(path, "wb") if compress else open(path, "wb")
+        else:  # a gzip member is named after ``path``, not the file it goes through
+            self._fh = gzip.GzipFile(str(path), "wb", fileobj=into) if compress else into
+        self._into = into
+        self._flush_every = flush_every
+        self._pending = 0
+        header: Dict[str, Any] = {"format": STREAM_FORMAT}
+        if isinstance(initial_transaction, Transaction):
+            initial_transaction = build_record(transaction_row(initial_transaction))
+        if initial_transaction is not None:
+            header["initial_transaction"] = initial_transaction
+        self._emit(header, force_flush=True)
+
+    def write(self, txn: Transaction) -> None:
+        """Append one transaction to the stream."""
+        self._emit(build_record(transaction_row(txn)))
+
+    __call__ = write
+
+    def extend(self, columns: ColumnarHistory, lo: int = 0) -> None:
+        """Append rows ``lo:`` of ``columns`` to the stream."""
+        for row in range(lo, len(columns)):
+            self._emit(build_record(columns.row_at(row)))
+
+    def _emit(self, payload: Dict[str, Any], *, force_flush: bool = False) -> None:
+        self._fh.write(json.dumps(payload, separators=(",", ":")).encode() + b"\n")
+        self._pending += 1
+        if force_flush or self._pending >= self._flush_every:
+            self._fh.flush()
+            self._pending = 0
+
+    def flush(self) -> None:
+        """Flush buffered lines to the OS immediately."""
+        self._fh.flush()
+        self._pending = 0
+
+    def close(self) -> None:
+        if self._fh is self._into:
+            self._fh.flush()  # the staging file is atomic_write's to close
+        else:
+            self._fh.close()  # over a staging file: only the gzip trailer
+
+    def __enter__(self) -> "HistoryStreamWriter":
         return self
 
     def __exit__(self, *exc_info: object) -> None:

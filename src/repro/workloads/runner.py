@@ -96,7 +96,7 @@ class WorkloadRunner:
             :class:`~repro.core.incremental.CheckerSession` to verify the
             workload while it runs instead of after the fact; any other
             callable (e.g. a
-            :class:`~repro.history.serialization.HistoryStreamWriter`)
+            :class:`~repro.history.files.HistoryStreamWriter`)
             works too.
     """
 

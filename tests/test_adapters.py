@@ -32,10 +32,7 @@ from repro.core.result import AnomalyKind, IsolationLevel
 from repro.db.database import Database
 from repro.db.errors import TransactionAborted, retryable_sqlite_abort
 from repro.db.faults import FaultPlan
-from repro.history.serialization import (
-    HistoryStreamWriter,
-    load_history_jsonl,
-)
+from repro.history import HistoryStreamWriter, load_columns
 from repro.workloads.mt_generator import MTWorkloadGenerator
 from repro.workloads.runner import run_workload
 
@@ -215,7 +212,7 @@ class TestCollector:
         with SQLiteAdapter(wal=True) as adapter:
             with HistoryStreamWriter(path, initial_keys=workload.keys) as writer:
                 result = Collector(adapter, on_transaction=writer).collect(workload)
-        loaded = load_history_jsonl(path)
+        loaded = load_columns(path)
         direct = MTChecker().verify(result.history, LEVELS["SER"])
         serial = MTChecker(workers=1).verify(loaded, LEVELS["SER"])
         parallel = MTChecker(workers=4).verify(loaded, LEVELS["SER"])

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import gzip
 import json
 import shutil
 
@@ -14,7 +15,7 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_check_defaults(self):
-        args = build_parser().parse_args(["check", "history.json"])
+        args = build_parser().parse_args(["check", "history.jsonl"])
         assert args.level == "ser"
         assert not args.strict_mt
 
@@ -31,8 +32,8 @@ class TestParser:
 
 _GENERATE = ["generate", "--isolation", "si", "--sessions", "4", "--txns", "20", "--objects", "8"]
 _LOST_UPDATE = ["--fault", "lostupdate", "--fault-rate", "0.6"]
-#: One file name per container.
-CONTAINERS = ["h.json", "h.jsonl", "h.jsonl.gz", "h.seg", "h.seg.gz", "h.epochs"]
+#: One file name per container, each read and written as rows.
+CONTAINERS = ["h.jsonl", "h.jsonl.gz", "h.seg", "h.seg.gz", "h.epochs"]
 
 
 def run(capsys, *argv):
@@ -54,7 +55,7 @@ def rows(path):
 
 @pytest.fixture(scope="module")
 def histories(tmp_path_factory):
-    """A healthy and a lost-update history, each in all six containers."""
+    """A healthy and a lost-update history, each in all five containers."""
     root = tmp_path_factory.mktemp("containers")
     for kind, fault in (("healthy", []), ("lostupdate", _LOST_UPDATE)):
         directory = root / kind
@@ -70,7 +71,7 @@ def histories(tmp_path_factory):
 @pytest.mark.parametrize("level", ["ser", "si"])
 @pytest.mark.parametrize("kind", ["healthy", "lostupdate"])
 class TestContainerMatrix:
-    """``--workers`` across the six containers.  That stdout and exit code
+    """``--workers`` across the five containers.  That stdout and exit code
     of ``check`` and ``watch --once`` do not depend on the container is a
     route of ``tests/test_routes.py``, on every corpus entry."""
 
@@ -108,10 +109,10 @@ class TestContainerCorners:
         assert stale.read_bytes() == b"REPROIDX1\nnot an index"
 
     def test_generate_reports_what_it_ran(self, tmp_path, capsys):
-        code, out = run(capsys, *_GENERATE, "--output", tmp_path / "h.json")
+        code, out = run(capsys, *_GENERATE, "--output", tmp_path / "h.jsonl")
         assert code == 0 and "committed" in out and "injected defects" not in out
         code, out = run(
-            capsys, *_GENERATE, *_LOST_UPDATE, "--distribution", "zipf", "--output", tmp_path / "b.json"
+            capsys, *_GENERATE, *_LOST_UPDATE, "--distribution", "zipf", "--output", tmp_path / "b.jsonl"
         )
         assert code == 0 and "committed" in out and "injected defects" in out
 
@@ -119,22 +120,21 @@ class TestContainerCorners:
     def test_generate_refuses_a_fault_rate_outside_zero_one(self, rate, tmp_path, capsys):
         code, out = run(
             capsys, *_GENERATE, "--fault", "lostupdate", "--fault-rate", rate,
-            "--output", tmp_path / "h.json",
+            "--output", tmp_path / "h.jsonl",
         )
         assert code == 2
         assert out.startswith("error: --fault-rate must be in [0, 1]")
-        assert not (tmp_path / "h.json").exists()
+        assert not (tmp_path / "h.jsonl").exists()
 
     @pytest.mark.parametrize("objects", ["1", "0"])
     def test_generate_refuses_fewer_than_two_objects(self, objects, tmp_path, capsys):
-        code, out = run(capsys, *_GENERATE, "--objects", objects, "--output", tmp_path / "h.json")
+        code, out = run(capsys, *_GENERATE, "--objects", objects, "--output", tmp_path / "h.jsonl")
         assert code == 2 and out.startswith("error: --objects must be at least 2")
-        assert not (tmp_path / "h.json").exists()
+        assert not (tmp_path / "h.jsonl").exists()
 
     def test_generate_writes_each_container(self, tmp_path):
         for name in CONTAINERS:
             assert main([*_GENERATE, "--epoch-txns", "16", "--output", str(tmp_path / name)]) == 0
-        assert json.loads((tmp_path / "h.json").read_text())["format"] == "repro-history-v1"
         first_line = (tmp_path / "h.jsonl").read_text().splitlines()[0]
         assert json.loads(first_line)["format"] == "repro-history-stream-v1"
         assert (tmp_path / "h.seg").read_bytes().startswith(b"REPROSEG1")
@@ -154,7 +154,6 @@ class TestContainerCorners:
                 assert code == 0
                 assert out == f"converted {a} -> {b} ({len(original)} transactions)\n"
             assert rows(there) == rows(back) == original
-        assert json.loads((tmp_path / "there.json").read_text())["format"] == "repro-history-v1"
 
     def test_a_directory_named_like_a_segment_is_an_epoch_log_everywhere(
         self, histories, tmp_path, capsys
@@ -176,21 +175,17 @@ class TestContainerCorners:
 
     def test_a_chain_of_conversions_gives_back_the_source_bytes(self, histories, tmp_path, capsys):
         # Bytes, not only rows: jsonl -> seg -> epochs -> jsonl.gz -> jsonl.
-        import gzip
-
         source = histories / "healthy" / "h.jsonl"
         hops = [source, *(tmp_path / name for name in ("a.seg", "b.epochs", "c.jsonl.gz", "d.jsonl"))]
         for a, b in zip(hops, hops[1:]):
             assert run(capsys, "convert", a, b, "--epoch-txns", "16")[0] == 0
         assert gzip.decompress(hops[3].read_bytes()) == hops[4].read_bytes() == source.read_bytes()
 
-    @pytest.mark.parametrize(
-        "name, what", [("h.json", "JSON documents"), ("h.seg", "columnar segments"), ("h.seg.gz", "columnar segments")]
-    )
-    def test_watch_refuses_what_is_written_whole(self, name, what, histories, capsys):
+    @pytest.mark.parametrize("name", ["h.seg", "h.seg.gz"])
+    def test_watch_refuses_what_is_written_whole(self, name, histories, capsys):
         code, out = run(capsys, "watch", "--once", histories / "healthy" / name)
         assert code == 2
-        assert out.startswith(f"error: {what} are written atomically and cannot be followed")
+        assert out.startswith("error: columnar segments are written atomically and cannot be followed")
 
     def test_verbose_telemetry_is_printed_for_every_container(self, histories, capsys):
         for name in CONTAINERS:
@@ -206,7 +201,7 @@ class TestContainerCorners:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_non_positive_workers_rejected_in_cli_wording(self, histories, capsys):
-        code, out = run(capsys, "check", "--workers", "0", histories / "healthy" / "h.json")
+        code, out = run(capsys, "check", "--workers", "0", histories / "healthy" / "h.jsonl")
         assert (code, out.strip()) == (2, "error: --workers must be at least 1, got 0")
 
     @pytest.mark.parametrize("name", ["h.jsonl", "h.seg", "h.epochs"])
@@ -259,13 +254,14 @@ class TestContainerCorners:
         assert code == 2 and "epoch 2 fails its checksum" in out
         assert empty.is_dir() and list(empty.iterdir()) == []
 
-    @pytest.mark.parametrize("source", ["typo.seg", "torn.seg", "bad.json", "bad.jsonl"])
+    @pytest.mark.parametrize("source", ["typo.seg", "torn.seg", "bad.jsonl", "bad.jsonl.gz"])
     @pytest.mark.parametrize("destination", ["out.epochs", "out.jsonl", "out.seg"])
     def test_convert_from_a_bad_source_leaves_no_destination(
         self, source, destination, tmp_path, capsys
     ):
-        if source != "typo.seg":  # that one does not exist at all
-            (tmp_path / source).write_bytes(b"REPROSEG1\n{" if source == "torn.seg" else b"{")
+        contents = {"torn.seg": b"REPROSEG1\n{", "bad.jsonl": b"{", "bad.jsonl.gz": gzip.compress(b"{")}
+        if source in contents:  # typo.seg does not exist at all
+            (tmp_path / source).write_bytes(contents[source])
         code, out = run(capsys, "convert", tmp_path / source, tmp_path / destination)
         assert code == 2 and out.startswith("error: ")
         assert not (tmp_path / destination).exists()
@@ -288,44 +284,24 @@ class TestContainerCorners:
         assert "incomplete trailing line" in output and "SATISFIED" in output
 
 
-def _document(*transactions):
-    session = {"session_id": 0, "transactions": list(transactions)}
-    return {"format": "repro-history-v1", "sessions": [session]}
-
-
 def _one_op(**fields):
     return {"txn_id": 1, "operations": [{"op": "r", "key": "x", "value": 0, **fields}]}
 
 
-def _same(record):
-    return _document(record), record
-
-
-_NO_TXN_ID = {"operations": []}
-_NO_KEY = {"txn_id": 1, "operations": [{"op": "r", "value": 1}]}
-#: Two sessions whose rows all carry stamps, so ``stream_order`` merges them by
-#: finish stamp: one of them a string.
-_STRING_FINISH = {"format": "repro-history-v1", "sessions": [
-    {"session_id": 0, "transactions": [{"txn_id": 1, "start_ts": 1, "finish_ts": 2}]},
-    {"session_id": 1, "transactions": [{"txn_id": 2, "session_id": 1, "start_ts": 1, "finish_ts": "9"}]},
-]}
-#: shape -> (the .json document, the .jsonl line after a valid header)
+#: shape -> the .jsonl line after a valid header
 _MALFORMED = {
-    "top-level-array": ([1, 2], [1, 2]),
-    "list-field-is-an-int": (
-        {"format": "repro-history-v1", "sessions": 5},
-        {"txn_id": 1, "operations": 5},
-    ),
-    "transaction-is-an-int": (_document(7), 7),
-    "transaction-without-txn-id": _same(_NO_TXN_ID),
-    "operation-without-key": _same(_NO_KEY),
-    "txn-id-is-a-list": _same({"txn_id": [1]}),
-    "key-is-an-int": _same(_one_op(key=5)),
-    "value-is-a-bool": _same(_one_op(op="w", value=True)),
-    "stamps-are-a-bool-and-a-string": _same({"txn_id": 1, "start_ts": True, "finish_ts": "9"}),
-    "finish-ts-is-a-string": (_STRING_FINISH, _STRING_FINISH["sessions"][1]["transactions"][0]),
-    "unknown-status": _same({"txn_id": 1, "status": "bogus"}),
-    "unknown-op": _same(_one_op(op="bogus")),
+    "top-level-array": [1, 2],
+    "list-field-is-an-int": {"txn_id": 1, "operations": 5},
+    "transaction-is-an-int": 7,
+    "transaction-without-txn-id": {"operations": []},
+    "operation-without-key": {"txn_id": 1, "operations": [{"op": "r", "value": 1}]},
+    "txn-id-is-a-list": {"txn_id": [1]},
+    "key-is-an-int": _one_op(key=5),
+    "value-is-a-bool": _one_op(op="w", value=True),
+    "stamps-are-a-bool-and-a-string": {"txn_id": 1, "start_ts": True, "finish_ts": "9"},
+    "finish-ts-is-a-string": {"txn_id": 2, "session_id": 1, "start_ts": 1, "finish_ts": "9"},
+    "unknown-status": {"txn_id": 1, "status": "bogus"},
+    "unknown-op": _one_op(op="bogus"),
 }
 
 
@@ -334,19 +310,16 @@ class TestMalformedHistories:
 
     @pytest.mark.parametrize("shape", sorted(_MALFORMED))
     @pytest.mark.parametrize("route, name", [
-        ("check", "bad.json"), ("check", "bad.jsonl"), ("watch --once", "bad.jsonl"),
-        ("convert", "bad.json"), ("convert", "bad.jsonl"),
+        ("check", "bad.jsonl"), ("watch --once", "bad.jsonl"), ("convert", "bad.jsonl"),
+        ("check", "bad.jsonl.gz"), ("watch --once", "bad.jsonl.gz"), ("convert", "bad.jsonl.gz"),
     ])
     def test_structural_damage_exits_2_on_every_route(
         self, shape, route, name, tmp_path, capsys
     ):
-        document, line = _MALFORMED[shape]
         path = tmp_path / name
-        if name.endswith(".jsonl"):
-            header = json.dumps({"format": "repro-history-stream-v1"})
-            path.write_text(f"{header}\n{json.dumps(line)}\n")
-        else:
-            path.write_text(json.dumps(document))
+        header = json.dumps({"format": "repro-history-stream-v1"})
+        text = f"{header}\n{json.dumps(_MALFORMED[shape])}\n".encode()
+        path.write_bytes(gzip.compress(text) if name.endswith(".gz") else text)
         if route == "convert":  # refused before the destination is written
             destination = tmp_path / "out.seg"
             assert main(["convert", str(path), str(destination)]) == 2
@@ -357,13 +330,34 @@ class TestMalformedHistories:
         assert f"error: {path}: malformed history: " in capsys.readouterr().out
 
 
-#: The containers that hold rows: all but ``.json``, a ``History``'s own
-#: serialization, which is read and written through the objects.
-ROW_CONTAINERS = ["h.jsonl", "h.jsonl.gz", "h.seg", "h.seg.gz", "h.epochs"]
+class TestUnknownContainers:
+    """A path no container claims -- an old ``.json`` document, a ``.csv``
+    -- is refused by name before any command runs: nothing is written and
+    no workload is generated or collected."""
+
+    @pytest.mark.parametrize("argv, refused", [
+        (["generate", "--output", "{tmp}/out.csv"], "out.csv"),
+        (["collect", "--adapter", "simulated", "--check", "ser", "--output", "{tmp}/out.json"], "out.json"),
+        (["convert", "{tmp}/old.json", "{tmp}/new.jsonl"], "old.json"),
+        (["convert", "{source}", "{tmp}/new.txt"], "new.txt"),
+        (["check", "{tmp}/old.json"], "old.json"),
+        (["watch", "--once", "{tmp}/old.json"], "old.json"),
+    ], ids=["generate", "collect", "convert-source", "convert-destination", "check", "watch"])
+    def test_refused_before_the_command_runs(self, argv, refused, histories, tmp_path, capsys, monkeypatch):
+        from repro import cli
+
+        for command in ("check", "watch", "generate", "collect", "convert"):
+            monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: pytest.fail("the command ran"))
+        (tmp_path / "old.json").write_text(json.dumps({"format": "repro-history-v1", "sessions": []}))
+        source = histories / "healthy" / "h.jsonl"
+        argv = [arg.replace("{tmp}", str(tmp_path)).replace("{source}", str(source)) for arg in argv]
+        code, out = run(capsys, *argv)
+        assert code == 2 and out.startswith(f"error: {tmp_path / refused}: not a history container"), out
+        assert [path.name for path in tmp_path.iterdir()] == ["old.json"]
 
 
 class TestRowsInRowsOut:
-    """With ``Transaction`` and ``Operation`` unable to be built, every row
+    """With ``Transaction`` and ``Operation`` unable to be built, every
     container is still checked, followed, converted and collected into."""
 
     @pytest.fixture(autouse=True)
@@ -378,17 +372,17 @@ class TestRowsInRowsOut:
 
     @pytest.mark.parametrize("level", ["ser", "si", "sser"])
     def test_check_and_watch(self, level, histories, capsys):
-        for name in ROW_CONTAINERS:
+        for name in CONTAINERS:
             assert run(capsys, "check", "--level", level, histories / "healthy" / name)[0] == 0, name
         for name in ("h.jsonl", "h.epochs"):
             assert run(capsys, "watch", "--once", "--level", level, histories / "healthy" / name)[0] == 0
 
-    @pytest.mark.parametrize("source", ROW_CONTAINERS)
+    @pytest.mark.parametrize("source", CONTAINERS)
     def test_convert_to_every_other_container(self, source, histories, tmp_path, capsys):
         from repro.history import load_columns
 
         source = histories / "healthy" / source
-        for name in ROW_CONTAINERS:
+        for name in CONTAINERS:
             destination = tmp_path / name
             if destination.name != source.name:
                 assert run(capsys, "convert", source, destination, "--epoch-txns", "16")[0] == 0
@@ -435,7 +429,7 @@ class TestCollectCommand:
         assert "injected chaos" in output
         assert "VIOLATED" in output and "cycle:" in output
 
-    def test_collect_writes_jsonl_and_json(self, tmp_path, capsys):
+    def test_collect_writes_jsonl_from_either_adapter(self, tmp_path, capsys):
         jsonl = tmp_path / "e2e.jsonl"
         code = main(
             ["collect", "--adapter", "simulated", "--isolation", "si", "--sessions", "2",
@@ -448,12 +442,12 @@ class TestCollectCommand:
         assert main(["check", "--level", "ser", str(jsonl)]) == 0
         capsys.readouterr()
 
-        doc = tmp_path / "e2e.json"
+        wal = tmp_path / "e2e-wal.jsonl"
         assert main(
             ["collect", "--adapter", "sqlite", "--wal", "--mode", "deferred",
-             "--sessions", "2", "--txns", "10", "--objects", "6", "--output", str(doc)]
+             "--sessions", "2", "--txns", "10", "--objects", "6", "--output", str(wal)]
         ) == 0
-        assert json.loads(doc.read_text())["format"] == "repro-history-v1"
+        assert main(["check", "--level", "ser", str(wal)]) == 0
 
     def test_collect_writes_segment(self, tmp_path, capsys):
         path = tmp_path / "collected.seg"
@@ -500,7 +494,7 @@ class TestCollectCommand:
         assert code == 2 and out.startswith(message)
 
     def test_collect_rejects_workers_without_check(self, tmp_path, capsys):
-        out = tmp_path / "h.json"
+        out = tmp_path / "h.jsonl"
         assert main(["collect", "--workers", "4", "--output", str(out)]) == 2
         assert "--workers applies to verification" in capsys.readouterr().out
 
@@ -702,7 +696,6 @@ class TestEpochLogCommands:
     def _as_v4_files(path):
         """Rewrite each kept checkpoint as the JSON/gzip file (file format
         ``-v1``, state ``-v4``) the previous build wrote, CRC-valid."""
-        import gzip
         import zlib
 
         from repro.history.epochlog import CHECKPOINT_MAGIC, EpochLog

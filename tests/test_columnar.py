@@ -31,10 +31,9 @@ from repro.db import Database, FaultPlan
 from repro.history import (
     ColumnarHistory,
     is_segment_path,
-    iter_history_jsonl,
     load_columns,
     load_history_segment,
-    write_history_jsonl,
+    write_history,
     write_history_segment,
 )
 from repro.parallel import check_parallel
@@ -326,9 +325,9 @@ class TestJsonlInterchange:
         history = generated_history(11, fault)
         jsonl = tmp_path / "h.jsonl"
         seg = tmp_path / "h.seg"
-        write_history_jsonl(history, jsonl)
+        write_history(history, jsonl)
         write_history_segment(history, seg)
-        via_jsonl = [txn_fingerprint(t) for t in iter_history_jsonl(jsonl)]
+        via_jsonl = [txn_fingerprint(t) for t in load_columns(jsonl).iter_transactions()]
         via_seg = [
             txn_fingerprint(t)
             for t in load_history_segment(seg).iter_transactions()
@@ -338,10 +337,9 @@ class TestJsonlInterchange:
     def test_columnar_from_jsonl_stream_is_lossless(self, tmp_path):
         history = generated_history(12, "staleread")
         jsonl = tmp_path / "h.jsonl.gz"
-        write_history_jsonl(history, jsonl)
-        cols = ColumnarHistory.from_transactions(iter_history_jsonl(jsonl))
-        assert [txn_fingerprint(t) for t in cols.iter_transactions()] == [
-            txn_fingerprint(t) for t in iter_history_jsonl(jsonl)
+        write_history(history, jsonl)
+        assert [txn_fingerprint(t) for t in load_columns(jsonl).iter_transactions()] == [
+            txn_fingerprint(t) for t in ColumnarHistory.from_history(history).iter_transactions()
         ]
 
 

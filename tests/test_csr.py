@@ -190,7 +190,9 @@ class TestRealTimeChain:
             csr = build_dependency(history, index=index, dense=True)
             explicit = build_dependency(history, with_rt=True, index=index, dense=True)
             rejected = explicit.has_cycle() is not None
-            assert (csr.with_real_time_chain(index).has_cycle() is not None) == rejected
+            chained = build_dependency(history, index=index, dense=True)
+            chained.add_real_time_chain(index)
+            assert (chained.has_cycle() is not None) == rejected
             rejects += rejected
             rt_only += rejected and csr.has_cycle() is None
             if not index.int_violations():  # the printed counterexample is the explicit one
@@ -210,7 +212,8 @@ class TestRealTimeChain:
         history = History.from_transactions([[t] for t in txns], initial_keys=["x"])
         index = HistoryIndex.build(history)
         csr = build_dependency(history, index=index, dense=True)
-        chain = csr.with_real_time_chain(index)
+        chain = build_dependency(history, index=index, dense=True)
+        chain.add_real_time_chain(index)
         assert len(index.real_time_id_pairs()) == k * k + 1
         assert chain.num_nodes == csr.num_nodes + 1  # one time node
         assert chain.num_edges - csr.num_edges == 2 * k + 1 <= 3 * len(txns)

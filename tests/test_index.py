@@ -291,10 +291,9 @@ class TestTheDoor:
             assert routes["ingest_history"] == routes["ingest"]
 
     @pytest.mark.parametrize("shape", ["duplicate-session-id", "mismatched-session-id"])
-    def test_malformed_sessions_raise_on_every_route(self, shape, tmp_path, capsys):
-        from repro.cli import main
+    def test_malformed_sessions_raise_on_every_route(self, shape, tmp_path):
         from repro.core.model import Session
-        from repro.history import save_history
+        from repro.history import write_history
         from repro.history.columnar import ColumnarHistory
 
         if shape == "duplicate-session-id":
@@ -326,16 +325,16 @@ class TestTheDoor:
         for route, run in routes.items():
             with pytest.raises(ValueError, match=offender):
                 run()
-        path = tmp_path / "malformed.json"
-        save_history(history, path)
-        for argv in (["check", str(path)], ["check", "--workers", "1", str(path)]):
-            assert main([*argv, "--level", "ser"]) == 2, argv
-            out = capsys.readouterr().out
-            assert out.startswith(f"error: {path}: malformed history") and offender in out
+        # A row carries its session id, so no container can hold either
+        # shape: writing one is refused and publishes nothing.
+        for name in ("malformed.jsonl", "malformed.seg"):
+            with pytest.raises(ValueError, match=f"malformed history: {offender}"):
+                write_history(history, tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
 
     def test_values_outside_int64_are_rejected_on_every_batch_route(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.history import save_history
+        from repro.history import write_history
 
         big = 2**63
         t1 = Transaction(1, [read("x", 0), write("x", big)])
@@ -350,8 +349,8 @@ class TestTheDoor:
         ):
             with pytest.raises(ValueError, match="does not fit the columnar segment format"):
                 run()
-        path = tmp_path / "big.json"
-        save_history(history, path)
+        path = tmp_path / "big.jsonl"
+        write_history(history, path)
         assert main(["check", "--level", "ser", str(path)]) == 2
         out = capsys.readouterr().out
         assert out.startswith("error: ") and "does not fit" in out

@@ -79,8 +79,6 @@ class TestTransaction:
     def test_keys_queries(self):
         txn = Transaction(1, [read("x", 0), write("y", 1)])
         assert txn.keys() == {"x", "y"}
-        assert txn.keys_read() == {"x"}
-        assert txn.keys_written() == {"y"}
 
     def test_writes_to(self):
         txn = Transaction(1, [read("x", 0), write("x", 1)])
@@ -145,11 +143,6 @@ class TestHistory:
         history = History.from_transactions([[t1, t2]], initial_keys=["x"])
         committed = history.committed_transactions(include_initial=False)
         assert [t.txn_id for t in committed] == [2]
-
-    def test_transaction_by_id(self):
-        history = self._simple_history()
-        assert history.transaction_by_id(2).txn_id == 2
-        assert history.transaction_by_id(INITIAL_TXN_ID).is_initial
 
     def test_keys(self):
         history = self._simple_history()

@@ -671,7 +671,7 @@ class TestCLISurfaces:
         assert sorted(path.glob("checkpoint-*.ckpt"))
 
     def test_check_verbose_prints_phase_report(self, tmp_path, capsys):
-        path = tmp_path / "h.json"
+        path = tmp_path / "h.jsonl"
         assert main(
             ["generate", "--isolation", "si", "--sessions", "3", "--txns", "15",
              "--objects", "8", "--output", str(path)]
@@ -681,7 +681,7 @@ class TestCLISurfaces:
         assert "SATISFIED" in out and "phases:" in out and "index_build" in out
 
     def test_check_trace_writes_jsonl(self, tmp_path, capsys):
-        path = tmp_path / "h.json"
+        path = tmp_path / "h.jsonl"
         assert main(
             ["generate", "--isolation", "si", "--sessions", "3", "--txns", "15",
              "--objects", "8", "--output", str(path)]

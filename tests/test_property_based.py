@@ -11,6 +11,9 @@ Cobra, PolySI and dbcop) is one property of the route driver,
 ``tests/test_routes.py``, which also owns the ``mt_histories`` strategy.
 """
 
+import os
+import tempfile
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +21,7 @@ from repro.core.checkers import check_ser, check_si
 from repro.core.lwt import check_linearizability
 from repro.core.model import Transaction, interval_order_reduction
 from repro.db import Database
-from repro.history import history_from_dict, history_to_dict
+from repro.history import load_columns, write_history
 from repro.storage import VersionedStore
 from repro.workloads import LWTHistoryGenerator, MTWorkloadGenerator, run_workload
 
@@ -71,7 +74,10 @@ class TestStructuralProperties:
     @FAST
     @given(history=mt_histories())
     def test_serialization_round_trip_preserves_verdicts(self, history):
-        restored = history_from_dict(history_to_dict(history))
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "h.jsonl")
+            write_history(history, path)
+            restored = load_columns(path).to_history()
         assert check_ser(restored).satisfied == check_ser(history).satisfied
         assert check_si(restored).satisfied == check_si(history).satisfied
 

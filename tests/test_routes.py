@@ -43,7 +43,7 @@ EXPECTED = {line["entry"]: line for line in map(json.loads, LINES)}
 VERDICTS = sorted(name for name, line in EXPECTED.items() if "batch" in line)
 REFUSED = sorted(name for name, line in EXPECTED.items() if "exit" in line and ":" not in name)
 PSEUDO = sorted(name for name in EXPECTED if ":" in name)
-CONTAINERS = ["h.json", "h.jsonl", "h.jsonl.gz", "h.seg", "h.seg.gz", "h.epochs"]
+CONTAINERS = ["h.jsonl", "h.jsonl.gz", "h.seg", "h.seg.gz", "h.epochs"]
 STREAMS = ["h.jsonl", "h.jsonl.gz"]
 FOLLOWABLE = [*STREAMS, "h.epochs"]
 EPOCH_ROWS = 8  # most entries span several epochs
@@ -55,7 +55,7 @@ def columns_of(name):
 
 @pytest.fixture(scope="module")
 def containers(tmp_path_factory):
-    """``containers(name)``: a directory holding entry ``name`` in all six containers."""
+    """``containers(name)``: a directory holding entry ``name`` in all five containers."""
     root, made = tmp_path_factory.mktemp("routes"), {}
 
     def make(name):

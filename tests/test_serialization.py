@@ -1,29 +1,15 @@
-"""Tests for history serialization (JSON round-trips)."""
+"""Tests for history files: the JSONL stream, and the door every container
+goes through (``repro.history.files``)."""
 
 import json
 
 import pytest
 
 from repro.core.checkers import check_ser, check_si
-from repro.core.lwt import LWTHistory, LWTKind, LWTOperation, check_linearizability
 from repro.core.model import History, Transaction, TransactionStatus, read, write
 from repro.db import Database
-from repro.history import (
-    HistoryStreamWriter,
-    history_from_dict,
-    history_to_dict,
-    is_stream_path,
-    iter_history_jsonl,
-    load_history,
-    load_history_jsonl,
-    load_lwt_history,
-    lwt_history_from_dict,
-    lwt_history_to_dict,
-    save_history,
-    save_lwt_history,
-    write_history_jsonl,
-)
-from repro.workloads import LWTHistoryGenerator, MTWorkloadGenerator, run_workload
+from repro.history import HistoryStreamWriter, is_stream_path, load_columns, write_history
+from repro.workloads import MTWorkloadGenerator, run_workload
 
 
 def sample_history():
@@ -34,88 +20,19 @@ def sample_history():
     return History.from_transactions([[t1], [t2]], initial_keys=["x"])
 
 
+def txn_ids(path):
+    """The ids of the rows at ``path``, ``⊥T`` first."""
+    return [t.txn_id for t in load_columns(path).iter_transactions()]
+
+
 class TestHistoryRoundTrip:
-    def test_dict_round_trip_preserves_structure(self):
-        history = sample_history()
-        restored = history_from_dict(history_to_dict(history))
-        assert len(restored.sessions) == len(history.sessions)
-        assert restored.initial_transaction is not None
-        original = history.transactions(include_initial=False)
-        recovered = restored.transactions(include_initial=False)
-        assert [t.txn_id for t in original] == [t.txn_id for t in recovered]
-        assert [t.status for t in original] == [t.status for t in recovered]
-        assert [len(t) for t in original] == [len(t) for t in recovered]
-
-    def test_operations_preserved_exactly(self):
-        restored = history_from_dict(history_to_dict(sample_history()))
-        txn = restored.transaction_by_id(1)
-        assert [str(op) for op in txn.operations] == ["R(x,0)", "W(x,1)"]
-        assert txn.start_ts == 0.0 and txn.finish_ts == 1.0
-
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "history.json"
-        save_history(sample_history(), path)
-        restored = load_history(path)
-        assert len(restored) == 2
-        payload = json.loads(path.read_text())
-        assert payload["format"] == "repro-history-v1"
-
-    def test_checker_verdicts_survive_round_trip(self):
-        generator = MTWorkloadGenerator(num_sessions=3, txns_per_session=20, num_objects=8, seed=4)
-        workload = generator.generate()
-        run = run_workload(Database("si", keys=workload.keys), workload, seed=5)
-        restored = history_from_dict(history_to_dict(run.history))
-        assert check_si(restored).satisfied == check_si(run.history).satisfied
-        assert check_ser(restored).satisfied == check_ser(run.history).satisfied
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            history_from_dict({"format": "something-else"})
-
-    def test_history_without_initial_transaction(self):
-        t1 = Transaction(1, [read("x", 0)])
-        history = History.from_transactions([[t1]])
-        restored = history_from_dict(history_to_dict(history))
+    @pytest.mark.parametrize("name", ["h.jsonl", "h.jsonl.gz", "h.seg", "h.seg.gz", "h.epochs"])
+    def test_history_without_initial_transaction(self, name, tmp_path):
+        history = History.from_transactions([[Transaction(1, [read("x", 0)])]])
+        write_history(history, tmp_path / name)
+        restored = load_columns(tmp_path / name).to_history()
         assert restored.initial_transaction is None
-
-
-class TestLWTHistoryRoundTrip:
-    def sample(self):
-        return LWTHistory(
-            [
-                LWTOperation(1, LWTKind.INSERT, "x", written=0, start_ts=0.0, finish_ts=0.5),
-                LWTOperation(2, LWTKind.READ_WRITE, "x", expected=0, written=1, start_ts=1.0, finish_ts=2.0, session_id=3),
-            ]
-        )
-
-    def test_dict_round_trip(self):
-        history = self.sample()
-        restored = lwt_history_from_dict(lwt_history_to_dict(history))
-        assert len(restored) == 2
-        assert restored.operations[0].kind is LWTKind.INSERT
-        assert restored.operations[1].expected == 0
-        assert restored.operations[1].session_id == 3
-
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "lwt.json"
-        save_lwt_history(self.sample(), path)
-        restored = load_lwt_history(path)
-        assert check_linearizability(restored).satisfied
-
-    def test_generated_history_round_trip_preserves_verdict(self):
-        generator = LWTHistoryGenerator(num_sessions=4, txns_per_session=20, num_objects=2, seed=6)
-        for valid in (True, False):
-            history = generator.generate(valid=valid)
-            restored = lwt_history_from_dict(lwt_history_to_dict(history))
-            assert (
-                check_linearizability(restored).satisfied
-                == check_linearizability(history).satisfied
-                == valid
-            )
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            lwt_history_from_dict({"format": "bogus"})
+        assert [t.txn_id for t in restored.transactions()] == [1]
 
 
 class TestStreamingJsonl:
@@ -125,19 +42,17 @@ class TestStreamingJsonl:
         ).generate()
         history = run_workload(Database("si", keys=workload.keys), workload, seed=4).history
         path = tmp_path / "history.jsonl"
-        write_history_jsonl(history, path)
-        restored = load_history_jsonl(path)
+        write_history(history, path)
+        restored = load_columns(path).to_history()
         assert check_ser(restored).satisfied == check_ser(history).satisfied
         assert check_si(restored).satisfied == check_si(history).satisfied
         assert len(restored) == len(history)
 
-    def test_iteration_is_lazy_and_initial_first(self, tmp_path):
+    def test_initial_first(self, tmp_path):
         path = tmp_path / "history.jsonl"
-        write_history_jsonl(sample_history(), path)
-        stream = iter_history_jsonl(path)
-        first = next(stream)
+        write_history(sample_history(), path)
+        first, *rest = load_columns(path).iter_transactions()
         assert first.is_initial
-        rest = list(stream)
         assert {txn.txn_id for txn in rest} == {1, 2}
         aborted = next(txn for txn in rest if txn.txn_id == 2)
         assert aborted.status is TransactionStatus.ABORTED
@@ -148,13 +63,13 @@ class TestStreamingJsonl:
         with HistoryStreamWriter(path) as writer:
             writer.write(Transaction(1, [read("x", 0), write("x", 1)]))
             # A concurrent reader already sees the flushed prefix.
-            assert len(list(iter_history_jsonl(path))) == 1
+            assert txn_ids(path) == [1]
             writer.write(Transaction(2, [read("x", 1)], session_id=1))
-        assert len(list(iter_history_jsonl(path))) == 2
+        assert txn_ids(path) == [1, 2]
 
     def test_header_is_first_line(self, tmp_path):
         path = tmp_path / "history.jsonl"
-        write_history_jsonl(sample_history(), path)
+        write_history(sample_history(), path)
         header = json.loads(path.read_text().splitlines()[0])
         assert header["format"] == "repro-history-stream-v1"
         assert header["initial_transaction"]["txn_id"] == -1
@@ -163,7 +78,7 @@ class TestStreamingJsonl:
         path = tmp_path / "bogus.jsonl"
         path.write_text('{"format": "bogus"}\n')
         with pytest.raises(ValueError):
-            list(iter_history_jsonl(path))
+            load_columns(path)
 
     def test_is_stream_path(self):
         assert is_stream_path("history.jsonl")
@@ -180,22 +95,23 @@ class TestGzipStreams:
         import gzip
 
         path = tmp_path / "history.jsonl.gz"
-        write_history_jsonl(sample_history(), path)
+        write_history(sample_history(), path)
         assert path.read_bytes()[:2] == b"\x1f\x8b"
         header = json.loads(gzip.open(path, "rt").readline())
         assert header["format"] == "repro-history-stream-v1"
-        restored = load_history_jsonl(path)
+        restored = load_columns(path).to_history()
         assert len(restored) == 2
-        assert restored.transaction_by_id(1).start_ts == 0.0
+        (first,) = (t for t in restored.transactions() if t.txn_id == 1)
+        assert first.start_ts == 0.0
 
     def test_gzip_detected_by_content_not_suffix(self, tmp_path):
         import shutil
 
         source = tmp_path / "history.jsonl.gz"
-        write_history_jsonl(sample_history(), source)
+        write_history(sample_history(), source)
         renamed = tmp_path / "renamed.jsonl"  # lies about its compression
         shutil.copy(source, renamed)
-        assert len(list(iter_history_jsonl(renamed))) == 3  # ⊥T + 2
+        assert txn_ids(renamed) == [-1, 1, 2]
 
 
 class TestFlushEveryAndTornLines:
@@ -204,12 +120,12 @@ class TestFlushEveryAndTornLines:
         writer = HistoryStreamWriter(path, flush_every=100)
         writer.write(Transaction(1, [read("x", 0), write("x", 1)]))
         # Header flushed eagerly; the buffered transaction is not yet visible.
-        assert len(list(iter_history_jsonl(path))) == 0
+        assert txn_ids(path) == []
         writer.flush()
-        assert len(list(iter_history_jsonl(path))) == 1
+        assert txn_ids(path) == [1]
         writer.write(Transaction(2, [read("x", 1)], session_id=1))
         writer.close()  # close flushes the tail
-        assert len(list(iter_history_jsonl(path))) == 2
+        assert txn_ids(path) == [1, 2]
 
     def test_flush_every_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
@@ -217,12 +133,11 @@ class TestFlushEveryAndTornLines:
 
     def test_torn_final_line_is_skipped_with_a_warning(self, tmp_path):
         path = tmp_path / "torn.jsonl"
-        write_history_jsonl(sample_history(), path)
+        write_history(sample_history(), path)
         torn = tmp_path / "cut.jsonl"
         torn.write_bytes(path.read_bytes()[:-15])  # cut inside the last line
         with pytest.warns(UserWarning, match="torn final line"):
-            txns = list(iter_history_jsonl(torn))  # must not raise
-        assert [t.txn_id for t in txns] == [-1, 1]
+            assert txn_ids(torn) == [-1, 1]  # must not raise
 
     def test_live_gzip_stream_reads_cleanly_to_the_flushed_prefix(self, tmp_path):
         # A gzip writer that has flushed but not closed leaves a compressed
@@ -234,26 +149,25 @@ class TestFlushEveryAndTornLines:
         writer.flush()
         try:
             with pytest.warns(UserWarning, match="truncated mid-member"):
-                txns = list(iter_history_jsonl(path))  # must not raise
-            assert [t.txn_id for t in txns] == [-1, 1]
+                assert txn_ids(path) == [-1, 1]  # must not raise
         finally:
             writer.close()
-        assert [t.txn_id for t in iter_history_jsonl(path)] == [-1, 1]
+        assert txn_ids(path) == [-1, 1]
 
     def test_truncated_gzip_header_raises_value_error(self, tmp_path):
         path = tmp_path / "h.jsonl.gz"
-        write_history_jsonl(sample_history(), path)
+        write_history(sample_history(), path)
         cut = tmp_path / "cut.jsonl.gz"
         cut.write_bytes(path.read_bytes()[:12])  # gzip magic, no usable data
         with pytest.raises(ValueError):
-            list(iter_history_jsonl(cut))
+            load_columns(cut)
 
     def test_complete_final_line_without_newline_still_parses(self, tmp_path):
         path = tmp_path / "no-newline.jsonl"
-        write_history_jsonl(sample_history(), path)
+        write_history(sample_history(), path)
         trimmed = tmp_path / "trimmed.jsonl"
         trimmed.write_bytes(path.read_bytes().rstrip(b"\n"))
-        assert [t.txn_id for t in iter_history_jsonl(trimmed)] == [-1, 1, 2]
+        assert txn_ids(trimmed) == [-1, 1, 2]
 
 
 class TestOneDoor:
@@ -264,16 +178,19 @@ class TestOneDoor:
 
         (tmp_path / "dir.seg").mkdir()
         kinds = {
-            "h.json": "document", "h.txt": "document", "h.jsonl": "stream",
-            "h.ndjson.gz": "stream", "h.SEG": "segment", "h.seg.gz": "segment",
-            "absent.epochs": "log", "dir.seg": "log",
+            "h.jsonl": "stream", "h.ndjson.gz": "stream", "h.SEG": "segment",
+            "h.seg.gz": "segment", "absent.epochs": "log", "dir.seg": "log",
         }  # fmt: skip
         assert {name: history_format(tmp_path / name) for name in kinds} == kinds
         assert history_format(tmp_path) == "log"  # any existing directory
+        for name in ("h.json", "h.txt", "h.json.gz", "h"):
+            with pytest.raises(ValueError, match=f"{name}: not a history container; a history is a "
+                               r"\.jsonl\[\.gz\] stream, a \.seg\[\.gz\] columnar segment or an \.epochs/"):
+                history_format(tmp_path / name)
 
-    @pytest.mark.parametrize("name", ["h.json", "h.jsonl", "h.seg", "h.seg.gz", "h.epochs"])
+    @pytest.mark.parametrize("name", ["h.jsonl", "h.jsonl.gz", "h.seg", "h.seg.gz", "h.epochs"])
     def test_load_columns_is_the_rows_of_every_container(self, name, tmp_path):
-        from repro.history import ColumnarHistory, load_columns, write_history
+        from repro.history import ColumnarHistory
 
         path = tmp_path / name
         write_history(sample_history(), path)
@@ -313,19 +230,16 @@ class TestOneDoor:
                 follower.refresh()
         writer.close()
 
-    @pytest.mark.parametrize("name", ["h.json", "h.jsonl", "h.jsonl.gz"])
+    @pytest.mark.parametrize("name", ["h.jsonl", "h.jsonl.gz"])
     def test_a_record_its_reader_refuses_is_not_written(self, name, tmp_path):
         # ``"key": 5`` would be refused by every reader of the file.
         history = History.from_transactions([[Transaction(1, [read(5, 0)])]])
-        writer = save_history if name == "h.json" else write_history_jsonl
         with pytest.raises(ValueError, match=r"cannot write transaction T1: operation \('r', 5, 0\)"):
-            writer(history, tmp_path / name)
+            write_history(history, tmp_path / name)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["h.seg", "h.seg.gz", "h.epochs"])
     def test_a_value_the_columns_cannot_hold_is_not_written(self, name, tmp_path):
-        from repro.history import write_history
-
         history = History.from_transactions(
             [[Transaction(1, [read("x", 0), write("x", "a")])]], initial_keys=["x"]
         )
@@ -355,9 +269,9 @@ class TestOneDoor:
         with pytest.raises(ValueError, match="cannot write transaction T1: it has 1 op kinds, 0 keys"):
             build_record(row[:6] + ([], row[7]))
 
-    @pytest.mark.parametrize("name", ["h.seg", "h.seg.gz", "h.json", "h.jsonl", "h.jsonl.gz"])
+    @pytest.mark.parametrize("name", ["h.seg", "h.seg.gz", "h.jsonl", "h.jsonl.gz"])
     def test_a_failed_save_leaves_the_previous_file(self, name, tmp_path, monkeypatch):
-        from repro.history import files, read_segments, write_history
+        from repro.history import files, read_segments
 
         path = tmp_path / name
         write_history(sample_history(), path)
