@@ -10,8 +10,9 @@ advantage grows with the number of transactions.
 
 from __future__ import annotations
 
+import gc
 import time
-from typing import Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 import pytest
 
@@ -22,16 +23,25 @@ from repro.core.checkers import check_ser
 from _common import run_once
 
 
+def _best_of(check: Callable[[Any], Any], history, runs: int = 3) -> Tuple[Any, float]:
+    """``check(history)``'s result and its best wall time over ``runs`` timed
+    calls, after a ``gc.collect()`` and one untimed warm-up call.  A single
+    cold call moved with whatever ran before it: the 1.5x bound below failed
+    when the figure 14 file was collected first."""
+    gc.collect()
+    result = check(history)
+    best = float("inf")
+    for _ in range(runs):
+        started = time.perf_counter()
+        check(history)
+        best = min(best, time.perf_counter() - started)
+    return result, best
+
+
 def _verify_pair(history) -> Dict[str, float]:
     """Measure MTC-SER and Cobra verification time on the same history."""
-    started = time.perf_counter()
-    mtc = check_ser(history)
-    mtc_seconds = time.perf_counter() - started
-
-    cobra = CobraChecker()
-    started = time.perf_counter()
-    cobra_result = cobra.check(history)
-    cobra_seconds = time.perf_counter() - started
+    mtc, mtc_seconds = _best_of(check_ser, history)
+    cobra_result, cobra_seconds = _best_of(lambda h: CobraChecker().check(h), history)
     assert mtc.satisfied and cobra_result.satisfied, "benchmark histories must be valid"
     return {"mtc_s": mtc_seconds, "cobra_s": cobra_seconds}
 

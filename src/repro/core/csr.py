@@ -40,7 +40,7 @@ from array import array
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, repeat
 from operator import eq, ne, not_, sub
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import (
     DependencyGraph,
@@ -276,14 +276,6 @@ class CSRGraph:
         return sum(
             a.itemsize * len(a) for a in (self.src, self.dst, self.etype, self.key_id)
         )
-
-    def iter_edges(self) -> Iterator[Edge]:
-        """Yield labeled :class:`Edge` objects (debug/tests; not a hot path)."""
-        node_ids = self.node_ids
-        key_names = self.key_names
-        types = EDGE_TYPE_FROM_CODE
-        for s, t, e, k in zip(self.src, self.dst, self.etype, self.key_id):
-            yield Edge(node_ids[s], node_ids[t], types[e], key_names[k] if k >= 0 else None)
 
     def has_cycle(self) -> Optional[List[int]]:
         """The transaction ids of one cycle, or ``None`` when acyclic.

@@ -12,7 +12,9 @@ after each of ``n`` transactions would cost Θ(n²).  The online counterpart:
   adjacency carries the labels.  It reports each violation at the
   transaction whose ingestion created it; a
   :class:`~repro.core.graph.DependencyGraph` exists only on request
-  (:attr:`IncrementalChecker.graph`).
+  (:attr:`IncrementalChecker.graph`).  Its state is its checkpoint: the
+  order's nodes and edge rows and the slots' item rows are columns, linked
+  by previous-row links a restore rebuilds from row order.
 * :class:`CheckerSession` is the checker :meth:`repro.core.checker.MTChecker.session`
   hands out, also a live ``on_transaction`` hook for the workload runner.
 
@@ -56,8 +58,9 @@ from __future__ import annotations
 import time
 from array import array
 from bisect import bisect_left, insort
-from collections import defaultdict, deque
-from itertools import accumulate, chain, count, pairwise, product
+from collections import deque
+from itertools import chain, compress, count, product, repeat
+from operator import and_, is_not
 from typing import (
     TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
 )
@@ -80,12 +83,31 @@ __all__ = [
 ]
 
 #: Format tag of :meth:`IncrementalChecker.checkpoint` state dictionaries.
-CHECKPOINT_STATE_FORMAT = "repro-checker-state-v5"
+CHECKPOINT_STATE_FORMAT = "repro-checker-state-v6"
 
 #: Isolation levels the incremental checker supports.
 GRAPH_LEVELS = (
     IsolationLevel.SERIALIZABILITY, IsolationLevel.SNAPSHOT_ISOLATION, IsolationLevel.STRICT_SERIALIZABILITY,
 )
+
+
+def _linked(owners: Iterable[int], size: int) -> Tuple[array, array]:
+    """Links of rows in row order: ``last[o]`` is owner ``o``'s last row, ``prev[row]`` its previous."""
+    last, prev = array("i", [-1]) * size, array("i")
+    for row, owner in enumerate(owners):
+        prev.append(last[owner])
+        last[owner] = row
+    return last, prev
+
+
+def _walk(row: int, prev: array) -> List[int]:
+    """The rows of the linked list whose last row is ``row``, in insertion order."""
+    rows = []
+    while row >= 0:
+        rows.append(row)
+        row = prev[row]
+    rows.reverse()
+    return rows
 
 
 class PearceKellyOrder:
@@ -97,10 +119,15 @@ class PearceKellyOrder:
     re-sorted.  An insertion that would close a cycle returns it (the node
     path ``v -> … -> u``) and is *not* made, so checking continues past it.
 
-    The order is also the labeled multigraph of the edges it accepted:
-    ``_succ[u][v]`` lists the labels of ``u -> v``.  Adjacency keeps
-    insertion order (no sets), so traversal — and each reported path — is a
-    function of the insertion sequence that survives a checkpoint.
+    The order is also the labeled multigraph of its edges, in columns: a
+    node's dense id (``_id``, inverse ``_node``) indexes ``_ord`` and the last
+    row of its out- and in-list; the edge table holds a ``_src`` / ``_dst`` /
+    ``_label`` row per (hashable, interned) label in insertion order, linked to
+    the previous row of its source's out-list and its target's in-list (id
+    columns are lists of the int objects ``_id`` holds: 8 bytes a row, fast to
+    read).  Walks that shape a result follow insertion order, so each reported
+    path survives a checkpoint.  Removal marks (``_node`` entry ``None``, row
+    ``src`` -1); with about half as many marks as nodes the table is compacted.
 
     Example:
         >>> topo = PearceKellyOrder()
@@ -113,31 +140,35 @@ class PearceKellyOrder:
     """
 
     def __init__(self) -> None:
-        self._ord: Dict[int, int] = {}
-        self._succ: Dict[int, Dict[int, List[Any]]] = {}
-        self._pred: Dict[int, Dict[int, None]] = {}
-        self._counter = 0
+        self._id: Dict[Any, int] = {}
+        self._node: List[Any] = []
+        self._src, self._dst, self._label, self._ord = [], [], [], array("d")
+        self._out_last, self._in_last, self._out_prev, self._in_prev = (array("i") for _ in range(4))
+        self._label_code: Dict[Any, int] = {}
+        self._label_of: List[Any] = []
+        self._removed = self._counter = 0  # marks since the last compaction; the next index
         self._fractions: Set[float] = set()  # the indices between two counter values
         #: Nodes visited by affected-region reorderings (plain int — this is
         #: the hot path, so telemetry reads it lazily rather than per edge).
         self.reorder_visits = 0
 
-    def __contains__(self, node: int) -> bool:
-        return node in self._ord
+    def __contains__(self, node: Any) -> bool:
+        return node in self._id
 
     def __len__(self) -> int:
-        return len(self._ord)
+        return len(self._id)
 
     def add_node(self, node: Any, low: Any = None, high: Any = None) -> None:
         """Add ``node`` last in the order, or, when ``high`` is a node, between
         ``low`` (``None``: any) and ``high`` on a free fraction of an index, so
         that edges ``low → node → high`` cost no reorder."""
-        if node in self._ord:
+        ids = self._id
+        if node in ids:
             return
         index: float = self._counter
-        if high in self._ord:
-            top = self._ord[high]
-            bottom = self._ord[low] if low is not None else top - 1
+        if high in ids:
+            top = self._ord[ids[high]]
+            bottom = self._ord[ids[low]] if low is not None else top - 1
             mid = (bottom + top) / 2
             while mid.is_integer() and bottom < mid:
                 mid = (bottom + mid) / 2
@@ -145,28 +176,34 @@ class PearceKellyOrder:
                 index = mid
                 self._fractions.add(mid)
         self._counter += index == self._counter
-        self._ord[node] = index
-        self._succ[node] = {}
-        self._pred[node] = {}
+        ids[node] = len(self._node)
+        self._node.append(node)
+        self._ord.append(index)
+        self._out_last.append(-1)
+        self._in_last.append(-1)
 
-    def order_of(self, node: int) -> int:
-        """The node's current topological index (smaller sorts earlier)."""
-        return self._ord[node]
+    def has_edge(self, source: Any, target: Any) -> bool:
+        return bool(self.labels(source, target))
 
-    def has_edge(self, source: int, target: int) -> bool:
-        return target in self._succ.get(source, ())
-
-    def labels(self, source: int, target: int) -> List[Any]:
+    def labels(self, source: Any, target: Any) -> List[Any]:
         """The labels ``source -> target`` holds (empty when not an edge)."""
-        return self._succ.get(source, {}).get(target, [])
+        s, t = self._id.get(source), self._id.get(target)
+        if s is None or t is None:
+            return []
+        return [self._label_of[self._label[row]] for row in self._pair(s, t)]
 
-    def edges(self) -> Iterator[Tuple[int, int, List[Any]]]:
-        """Every edge as ``(source, target, labels)``, in adjacency order."""
-        for source, targets in self._succ.items():
-            for target, labels in targets.items():
-                yield source, target, labels
+    def edges(self) -> Iterator[Tuple[Any, Any, List[Any]]]:
+        """Every edge as ``(source, target, labels)``, in insertion order."""
+        nodes, dst, label, label_of = self._node, self._dst, self._label, self._label_of
+        for s, source in enumerate(nodes):
+            targets: Dict[int, List[Any]] = {}
+            for row in _walk(self._out_last[s], self._out_prev) if source is not None else ():
+                if dst[row] >= 0 and nodes[dst[row]] is not None:
+                    targets.setdefault(dst[row], []).append(label_of[label[row]])
+            for t, labels in targets.items():
+                yield source, nodes[t], labels
 
-    def add_edge(self, source: int, target: int, label: Any = None) -> Optional[List[int]]:
+    def add_edge(self, source: Any, target: Any, label: Any = None) -> Optional[List[Any]]:
         """Insert ``source -> target`` under ``label``; return a cycle instead
         if one forms.
 
@@ -175,114 +212,179 @@ class PearceKellyOrder:
         would-be cycle, returns the node path from ``target`` to ``source``
         (the rejected ``source -> target`` closes it), order unchanged.
         """
-        targets = self._succ.get(source)
-        if targets is None:
+        return self._add(source, target, label, True)
+
+    def _add(self, source: Any, target: Any, label: Any, dedupe: bool) -> Optional[List[Any]]:
+        """:meth:`add_edge`; without ``dedupe`` the caller knows that the pair
+        does not hold ``label`` yet, and no walk looks for it."""
+        ids = self._id
+        s = ids.get(source)
+        if s is None:
             self.add_node(source)
-            targets = self._succ[source]
-        labels = targets.get(target)
-        if labels is not None:
-            if label not in labels:
-                labels.append(label)
-            return None
-        if source == target:
-            return [source]
-        order = self._ord
-        if target not in order:
-            self.add_node(target)
-        lower, upper = order[target], order[source]
-        if upper < lower:
-            targets[target] = [label]
-            self._pred[target][source] = None
-            return None
-
-        # Forward pass: nodes reachable from ``target`` within the affected
-        # index range.  Meeting ``source`` means the new edge closes a cycle.
-        parent: Dict[int, Optional[int]] = {target: None}
-        forward: List[int] = []
-        stack = [target]
-        while stack:
-            node = stack.pop()
-            forward.append(node)
-            for nxt in self._succ[node]:
-                if nxt == source:
-                    path = [source]
-                    current: Optional[int] = node
-                    while current is not None:
-                        path.append(current)
-                        current = parent[current]
-                    path.reverse()
-                    return path
-                if nxt not in parent and order[nxt] < upper:
-                    parent[nxt] = node
-                    stack.append(nxt)
-
-        # Backward pass: nodes that reach ``source`` within the range.
-        backward_seen: Set[int] = {source}
-        backward: List[int] = []
-        stack = [source]
-        while stack:
-            node = stack.pop()
-            backward.append(node)
-            for prv in self._pred[node]:
-                if prv not in backward_seen and order[prv] > lower:
-                    backward_seen.add(prv)
-                    stack.append(prv)
-
-        # Re-map the affected nodes onto their own (sorted) index pool with
-        # the backward region ordered entirely before the forward region.
-        self.reorder_visits += len(forward) + len(backward)
-        backward.sort(key=order.__getitem__)
-        forward.sort(key=order.__getitem__)
-        pool = sorted(order[node] for node in backward + forward)
-        for node, index in zip(backward + forward, pool):
-            order[node] = index
-
-        targets[target] = [label]
-        self._pred[target][source] = None
+            s = ids[source]
+        code = self._label_code.get(label)
+        if code is None:
+            code = self._code(label)
+        t = ids.get(target)
+        rows = None
+        if dedupe and t is not None and self._in_last[t] >= 0 and self._out_last[s] >= 0:
+            rows = self._pair(s, t)  # an edge already: ord[s] < ord[t], no reorder
+            if code in map(self._label.__getitem__, rows):
+                return None
+        if not rows:
+            if source == target:
+                return [source]
+            if t is None:
+                self.add_node(target)
+                t = ids[target]
+            if self._ord[s] > self._ord[t]:
+                cycle = self._reorder(s, t)
+                if cycle is not None:
+                    return cycle
+        row = len(self._src)  # the new row, last in the table and in both lists
+        self._src.append(s)
+        self._dst.append(t)
+        self._label.append(code)
+        out_last, in_last = self._out_last, self._in_last
+        self._out_prev.append(out_last[s])
+        out_last[s] = row
+        self._in_prev.append(in_last[t])
+        in_last[t] = row
         return None
 
-    def remove_edge(self, source: int, target: int) -> None:
+    def _reorder(self, s: int, t: int) -> Optional[List[Any]]:
+        """Make room for an edge ``s -> t`` against the order: re-sort the
+        affected region, or return the cycle the edge would close."""
+        order = self._ord
+        lower, upper = order[t], order[s]
+        # The range's nodes ``t`` reaches and those reaching ``s`` (sets; reaching ``s``: a cycle).
+        forward = self._reach(t, self._out_last, self._out_prev, self._dst, lower, upper, s)
+        if forward is None:
+            return self._cycle(s, t, upper)
+        backward = self._reach(s, self._in_last, self._in_prev, self._src, lower, upper, None)
+        # Re-map the affected nodes onto their own sorted indices, backward before forward.
+        self.reorder_visits += len(forward) + len(backward)
+        affected = sorted(backward, key=order.__getitem__) + sorted(forward, key=order.__getitem__)
+        for nid, index in zip(affected, sorted(map(order.__getitem__, affected))):
+            order[nid] = index
+        return None
+
+    def _reach(self, start: int, last: array, prev: array, ends: List[int], lower: float, upper: float,
+               stop: Optional[int]) -> Optional[List[int]]:
+        """The live nodes strictly between ``lower`` and ``upper`` reachable from ``start`` along the
+        lists ``last``/``prev`` (a row's other end in ``ends``), ``start`` first; ``None`` on meeting ``stop``."""
+        order, nodes = self._ord, self._node
+        found, seen, stack = [], {start}, [start]
+        while stack:
+            nid = stack.pop()
+            found.append(nid)
+            row = last[nid]
+            while row >= 0:
+                end = ends[row]
+                if end == stop:
+                    return None
+                if end >= 0 and end not in seen and lower < order[end] < upper and nodes[end] is not None:
+                    seen.add(end)
+                    stack.append(end)
+                row = prev[row]
+        return found
+
+    def _cycle(self, s: int, t: int, upper: float) -> List[Any]:
+        """The path ``t -> … -> s`` that a depth-first walk in insertion order meets first."""
+        order, nodes, dst = self._ord, self._node, self._dst
+        parent, stack = {t: -1}, [t]
+        while True:
+            nid = stack.pop()
+            for nxt in map(dst.__getitem__, _walk(self._out_last[nid], self._out_prev)):
+                if nxt == s:
+                    path = [nodes[s]]
+                    while nid >= 0:
+                        path.append(nodes[nid])
+                        nid = parent[nid]
+                    return path[::-1]
+                if nxt >= 0 and nxt not in parent and order[nxt] < upper and nodes[nxt] is not None:
+                    parent[nxt] = nid
+                    stack.append(nxt)
+
+    def remove_edge(self, source: Any, target: Any) -> None:
         """Drop ``source -> target`` if it is an edge; the order stays valid."""
-        if self._succ[source].pop(target, None) is not None:
-            del self._pred[target][source]
+        s, t = self._id.get(source), self._id.get(target)
+        for row in self._pair(s, t) if s is not None and t is not None else ():
+            self._src[row] = self._dst[row] = -1
+            self._removed += 1
+        if 2 * self._removed > len(self._node) + 1024:
+            self._compact()
 
-    def remove_node(self, node: int) -> None:
-        """Remove a node and its incident edges, in O(degree) (window GC)."""
-        if node not in self._ord:
-            return
-        for nxt in self._succ.pop(node):
-            self._pred[nxt].pop(node, None)
-        for prv in self._pred.pop(node):
-            self._succ[prv].pop(node, None)
-        self._fractions.discard(self._ord.pop(node))
+    def remove_node(self, node: Any) -> None:
+        """Remove a node and its incident edges, in O(1) amortized (window GC)."""
+        nid = self._id.pop(node, None)
+        if nid is not None:
+            self._node[nid] = None
+            self._fractions.discard(self._ord[nid])
+            self._removed += 1
+            if 2 * self._removed > len(self._node) + 1024:
+                self._compact()
 
+    # The column machinery behind the public methods.
+    def _code(self, label: Any) -> int:
+        """The code of ``label`` in the label table (interned on first sight)."""
+        if label not in self._label_code:
+            self._label_code[label] = len(self._label_of)
+            self._label_of.append(label)
+        return self._label_code[label]
 
-class _Slot:
-    """Bookkeeping for one written version ``(key, value)``: its WR/WW/RW
-    edges are determined by who wrote, read and overwrote it."""
+    def _pair(self, s: int, t: int) -> List[int]:
+        """The rows ``s -> t`` in insertion order, walking ``s``'s out- and ``t``'s in-list in step."""
+        src, dst, out_prev, in_prev = self._src, self._dst, self._out_prev, self._in_prev
+        a, b = self._out_last[s], self._in_last[t]
+        forward, backward = [], []  # the rows found from each end
+        while a >= 0 and b >= 0:
+            if dst[a] == t:
+                forward.append(a)
+            if src[b] == s:
+                backward.append(b)
+            a, b = out_prev[a], in_prev[b]
+        rows = forward if a < 0 else backward
+        rows.reverse()
+        return rows
 
-    __slots__ = ("code", "writer_id", "writer_status", "intermediate_id",
-                 "readers", "overwriters", "rmw_seen", "pending")
+    def _neighbours(self, node: Any, forward: bool) -> Dict[Any, None]:
+        """The nodes ``node`` has an edge to (``forward``) or from, in insertion order."""
+        nodes, nid = self._node, self._id[node]
+        ends, last, prev = (self._dst, self._out_last, self._out_prev) if forward else (
+            self._src, self._in_last, self._in_prev)
+        ends = [ends[row] for row in _walk(last[nid], prev)]
+        return {nodes[n]: None for n in ends if n >= 0 and nodes[n] is not None}
 
-    def __init__(self, code: int) -> None:
-        #: The version's key in the slot table (see ``_RADIX``).
-        self.code = code
-        self.writer_id: Optional[int] = None
-        self.writer_status: Optional[TransactionStatus] = None
-        self.intermediate_id: Optional[int] = None
-        #: Committed readers with a WR edge from the writer.
-        self.readers: List[int] = []
-        #: Committed RMW readers with a WW edge from the writer.
-        self.overwriters: List[int] = []
-        #: ``(txn_id, value written)`` of every committed RMW reader,
-        #: tracked independently of writer resolution for DIVERGENCE.
-        self.rmw_seen: List[Tuple[int, Optional[int]]] = []
-        #: ``(txn_id, writes_key)`` readers ingested before any writer.
-        self.pending: List[Tuple[int, bool]] = []
+    def _compact(self) -> None:
+        """Drop the marked nodes and rows and relink."""
+        if self._removed:
+            self._node, ids, self._ord, self._src, self._dst, self._label = self._live()
+            self._id = dict(zip(self._node, ids))
+            self._relink()
 
+    def _live(self) -> Tuple[List[Any], List[int], array, List[int], List[int], List[int]]:
+        """The unmarked nodes (``_node``, new dense ids, ``_ord``) and rows (``_src``, ``_dst``,
+        ``_label``) in insertion order: new columns, or the order's own when nothing is marked."""
+        nodes = self._node
+        if not self._removed:
+            return nodes, list(self._id.values()), self._ord, self._src, self._dst, self._label
+        live = bytes(map(is_not, nodes, repeat(None)))
+        ids = list(range(sum(live)))
+        renumber = [-1] * (len(nodes) + 1)  # a removed row's -1 reads the last: -1
+        for new, old in zip(ids, compress(count(), live)):
+            renumber[old] = new
+        src, dst = list(map(renumber.__getitem__, self._src)), list(map(renumber.__getitem__, self._dst))
+        rows = bytes(map(and_, map((-1).__lt__, src), map((-1).__lt__, dst)))
+        return (list(compress(nodes, live)), ids, array("d", compress(self._ord, live)),
+                list(compress(src, rows)), list(compress(dst, rows)), list(compress(self._label, rows)))
 
-#: Marker replacing a slot whose version aged out of the streaming window.
-_SEALED = object()
+    def _relink(self) -> None:
+        """Link the rows into out- and in-lists (after a compaction or a restore)."""
+        self._out_last, self._out_prev = _linked(self._src, len(self._node))
+        self._in_last, self._in_prev = _linked(self._dst, len(self._node))
+        self._removed = 0
+
 
 #: A version ``(key, value)`` is the int ``value * _RADIX + key id`` (the
 #: checker's dense key ids); a version without a value takes value 0 and the
@@ -290,96 +392,57 @@ _SEALED = object()
 _RADIX = 1 << 32
 _VALUELESS = 1 << 31
 
-#: ``status`` of a checkpointed slot row that is not a writer's status code:
-#: no writer yet, or a version sealed by the window (checkpointed as
-#: ``_SEALED_ROW``, a row holding nothing).
-_NO_WRITER, _SEALED_STATUS = -1, -2
-_SEALED_ROW = _Slot(0)
+#: ``status`` of a version that is not its writer's status code: no writer
+#: yet, or sealed by the window.
+_NO_WRITER, _SEALED = -1, -2
+_COMMITTED_CODE, _ABORTED_CODE = STATUS_CODES[TransactionStatus.COMMITTED], STATUS_CODES[TransactionStatus.ABORTED]
+#: ``kind`` of an item row: a committed reader with a WR edge from the writer
+#: (``_OVERWRITER``: and a WW edge, it writes the key), an RMW reader seen for
+#: DIVERGENCE (``value``: what it wrote; ``_RMW_NONE``: nothing), a read before
+#: any writer (``_PENDING_WRITES``: it writes the key); ``_DROPPED``: taken.
+_READER, _OVERWRITER, _RMW, _RMW_NONE, _PENDING, _PENDING_WRITES = range(6)
+_DROPPED = -1
+
 #: Labels are ``(EdgeType value, key)`` tuples of plain strings: they compare
 #: in C, where an ``Enum`` member hashes through a Python call.
 _EDGE_TYPES = {member.value: member for member in EdgeType}
-#: Edge types in label-code order: a checkpoint writes a label as the int
-#: ``type·(len(keys)+1) + key id+1`` (key 0: the label has none).
+#: Edge types in the order of a checkpoint's label ``type`` codes.
 _LABEL_TYPES = tuple(_EDGE_TYPES)
+_TYPE_CODE = {etype: code for code, etype in enumerate(_LABEL_TYPES)}
 _RT, _SO, _WR, _WW, _RW, _COMPOSED = (
     EdgeType[name].value for name in ("RT", "SO", "WR", "WW", "RW", "COMPOSED")
 )
 _REAL_TIME = (_RT, None)
+#: Edge types the checker may offer twice on one pair (SO, WR, WW and RW come
+#: once per pair and label): only these look at the labels the pair holds.
+_REPEATABLE = (_RT, _COMPOSED)
 
 #: A time node is its own key, a ``(stamp, kind)`` tuple (no transaction id
 #: is a tuple); a start sorts before a finish at one stamp.
 _START, _FINISH = 0, 1
-# Module constants: an ``Enum`` class attribute costs a descriptor call per read.
-_COMMITTED, _ABORTED = TransactionStatus.COMMITTED, TransactionStatus.ABORTED
-
-#: Typecode of each checkpoint column that is not ``q`` (ids, values, counts).
-_TYPECODES = {"ord": "d", "stamp": "d", "status": "b", "kind": "b", "pending_writes": "b"}
 
 
-def _typed(typecode: str, values: List[Any]) -> Any:
-    """A fresh typed column of ``values``; one that overflows ``typecode``
-    stays the list (it is written as JSON), never truncated."""
-    try:
-        return array(typecode, values)
-    except OverflowError:
-        return values
+def _arrays(table: Dict[str, Any], **typecodes: str) -> List[array]:
+    """The named columns of a checkpoint table, validated: arrays of these typecodes, one length."""
+    columns = [table[name] for name in typecodes]
+    for (name, typecode), column in zip(typecodes.items(), columns):
+        if not isinstance(column, array) or column.typecode != typecode:
+            raise TypeError(f"column {name!r} must be a {typecode!r} array")
+    if len(set(map(len, columns))) > 1:
+        raise ValueError(f"columns {', '.join(typecodes)} differ in length")
+    return columns
 
 
-def _ragged(lists: List[List[Any]]) -> Tuple[array, List[Any]]:
-    """One list per row as a count column and the flat list of their items."""
-    return array("q", [len(items) for items in lists]), list(chain.from_iterable(lists))
+def _table(names: str, typecodes: str, *columns: Iterable[Any]) -> Dict[str, array]:
+    """A checkpoint table: a fresh column per name and typecode (missing ones, as of ``zip()``, empty)."""
+    columns += ((),) * (len(typecodes) - len(columns))
+    return {name: array(code, column) for name, code, column in zip(names.split(), typecodes, columns)}
 
 
-def _column(table: Dict[str, Any], name: str) -> Any:
-    """Column ``name`` of one state table: an array of its typecode, or the
-    list of numbers a column that overflowed it was written as."""
-    column = table[name]
-    typecode = _TYPECODES.get(name, "q")
-    if isinstance(column, array) and column.typecode == typecode:
-        return column
-    numbers = (int, float) if typecode == "d" else (int,)
-    if not isinstance(column, list) or not all(type(v) in numbers for v in column):
-        raise TypeError(f"column {name!r} must be a {typecode!r} array")
-    return column
-
-
-def _rows(table: Dict[str, Any], *names: str) -> Iterator[Tuple[Any, ...]]:
-    """Zip the named parallel columns of one state table back into rows."""
-    return zip(*(_column(table, name) for name in names), strict=True)
-
-
-def _versions(table: Dict[str, Any], name: str, num_keys: int) -> Any:
-    """A column of checkpointed version codes, every key id validated."""
-    codes = _column(table, name)
-    if max(map((_VALUELESS - 1).__and__, codes), default=-1) >= num_keys:  # the low 31 bits: the key id
-        raise ValueError(f"{name} names an unknown key id")
-    return codes
-
-
-def _ragged_rows(counts: Any, flat: List[Any], name: str) -> List[List[Any]]:
-    """Cut ``flat`` into one fresh list per row, ``counts`` long each (validated)."""
-    if min(counts, default=0) < 0 or sum(counts) != len(flat):
-        raise ValueError(f"the {name} counts disagree with its column")
-    flat = list(flat)
-    return [flat[start:end] for start, end in pairwise(accumulate(counts, initial=0))]
-
-
-def _sparse(table: Dict[str, Any], name: str, size: int) -> Any:
-    """A side table's row column: increasing rows of a ``size``-row column."""
-    rows = _column(table, name)
-    if list(rows) != sorted(set(rows)) or rows and not 0 <= rows[0] <= rows[-1] < size:
-        raise ValueError(f"{name} is not a set of rows below {size}")
-    return rows
-
-
-def _labels(codes: Any, key_names: List[str]) -> List[Tuple[str, Optional[str]]]:
-    """The ``(type, key)`` labels of a column of label codes (validated)."""
-    names: List[Optional[str]] = [None, *key_names]
-    span = len(names)
-    if codes and not 0 <= min(codes) <= max(codes) < len(_LABEL_TYPES) * span:
-        raise ValueError("unknown edge label code")
-    table = {code: (_LABEL_TYPES[code // span], names[code % span]) for code in set(codes)}
-    return [table[code] for code in codes]
+def _within(column: array, high: int, what: str, low: int = 0) -> None:
+    """Refuse a checkpoint column holding a number outside ``[low, high)``."""
+    if column and not low <= min(column) <= max(column) < high:
+        raise ValueError(f"{what} out of range")
 
 
 def _transaction_steps(cycle: List[int]) -> List[Tuple[int, int, bool]]:
@@ -443,8 +506,7 @@ class IncrementalChecker:
             )
         if window is not None and window < 1:
             raise ValueError("window must be a positive transaction count")
-        self.level = level
-        self.window = window
+        self.level, self.window = level, window
         self._si = level is IsolationLevel.SNAPSHOT_ISOLATION
         self._sser = level is IsolationLevel.STRICT_SERIALIZABILITY
 
@@ -456,27 +518,39 @@ class IncrementalChecker:
         self._refused: Dict[Tuple[int, int], List[Tuple[str, Optional[str]]]] = {}
         self._key_ids: Dict[str, int] = {}
         self._key_names: List[str] = []
-        self._slots: Dict[int, object] = {}
         self._last_in_session: Dict[int, int] = {}
-        self._has_initial = False
         self._violations: List[Violation] = []
-        self._num_committed = 0
-        self._elapsed = 0.0
+        self._has_initial, self._num_committed, self._elapsed = False, 0, 0.0
 
-        # SI composition state (insertion-ordered dicts, as in the order).
-        self._base_preds: Dict[int, Dict[int, None]] = defaultdict(dict)
-        self._rw_succ: Dict[int, List[Tuple[int, Optional[str]]]] = defaultdict(list)
+        # The version slots by dense version id (vid), ``_slots`` mapping a
+        # version's code (``_RADIX``) to its vid in vid order: per vid the
+        # writer, its status code (or ``_NO_WRITER`` / ``_SEALED``) and the last
+        # of its item rows (readers, RMW readers, pending reads; each row links
+        # to its version's previous one).  Sealing unlinks a version's rows,
+        # expiry drops its code; with half as many drops as versions, compact.
+        self._slots: Dict[int, int] = {}
+        self._writer: List[int] = []
+        self._status: List[int] = []
+        self._item_kind: List[int] = []
+        self._item_slot: List[int] = []  # the vid a row belongs to (the ``_slots`` value objects)
+        self._item_txn: List[int] = []
+        self._item_last, self._item_prev, self._item_value = array("i"), array("i"), array("q")
+        self._intermediate: Dict[int, int] = {}  # vid -> its intermediate writer (rare)
+        self._dropped = 0  # versions and item rows dropped since the last compaction
+
+        # SI composition state: per transaction, the sources of its base (SO/WR/WW)
+        # in-edges and its RW successors as ``target, key id`` pairs (arrays).
+        self._base_preds: Dict[int, array] = {}
+        self._rw_succ: Dict[int, array] = {}
 
         # SSER: the time nodes in sorted order, and the finish nodes (the chain).
         self._timeline: List[Tuple[float, int]] = []
         self._chain: List[Tuple[float, int]] = []
 
-        # Bounded-window GC state.  ``_overwrote`` maps a transaction to the
-        # versions it read-modified: those slots are sealed at its eviction,
-        # as every new reader would add an RW in-edge to the collected
-        # overwriter.  An evicted node is one absent from the order.  Sealed
-        # markers sit in a FIFO capped at ``max(4 * window, 1024)``; a read
-        # of an expired one reports ThinAirRead, not a stale read.
+        # Bounded-window GC state.  ``_overwrote``: the versions a transaction
+        # read-modified, sealed at its eviction (every new reader would add an
+        # RW in-edge to the collected overwriter).  Sealed markers sit in a FIFO
+        # capped at ``max(4 * window, 1024)``; reading an expired one is ThinAirRead.
         self._arrivals: Deque[int] = deque()
         self._overwrote: Dict[int, List[int]] = {}
         self._sealed_fifo: Deque[int] = deque()
@@ -491,11 +565,11 @@ class IncrementalChecker:
 
     @property
     def graph(self) -> DependencyGraph:
-        """The dependency graph over the live transactions, built per access:
-        the order's labels plus the refused edges, at SI the RW edges in place
-        of their compositions, at SSER the reduced real-time pairs."""
-        graph = DependencyGraph(node for node in self._topo._ord if type(node) is not tuple)
-        for source, target, labels in chain(self._topo.edges(), self._refused_edges()):
+        """The dependency graph of the live transactions, built per access: the order's labels and
+        the refused edges, at SI the RW edges for their compositions, at SSER the reduced RT pairs."""
+        graph = DependencyGraph(node for node in self._topo._id if type(node) is not tuple)
+        refused = ((source, target, labels) for (source, target), labels in self._refused.items())
+        for source, target, labels in chain(self._topo.edges(), refused):
             if type(source) is tuple or type(target) is tuple:
                 continue
             for etype, key in labels:
@@ -503,18 +577,16 @@ class IncrementalChecker:
                     graph.add_edge(source, target, _EDGE_TYPES[etype], key)
         for node in self._timeline:
             if node[1] == _FINISH:  # the reduced real-time pairs
-                sources = [v for v in self._topo._pred[node] if type(v) is not tuple]
+                sources = [v for v in self._topo._neighbours(node, False) if type(v) is not tuple]
                 for source, target in product(sources, self._real_time_neighbours(node, True)):
                     graph.add_edge(source, target, EdgeType.RT)
         for source, successors in self._rw_succ.items():
-            for target, key in successors:
+            for target, kid in zip(successors[::2], successors[1::2]):
                 if target in self._topo:
-                    graph.add_edge(source, target, EdgeType.RW, key)
+                    graph.add_edge(source, target, EdgeType.RW, self._key_names[kid])
         return graph
 
-    # ------------------------------------------------------------------
-    # Ingestion
-    # ------------------------------------------------------------------
+    # -- Ingestion --
     def ingest(self, txn: Transaction) -> List[Violation]:
         """Ingest one transaction; return the violations it triggered.  Aborted
         (and unknown-outcome) ones only register their writes; ThinAirRead is
@@ -526,7 +598,7 @@ class IncrementalChecker:
         before = len(self._violations)
         ops = txn.operations
         self._ingest_row(
-            txn.txn_id, txn.session_id, txn.status, range(len(ops)),
+            txn.txn_id, txn.session_id, STATUS_CODES[txn.status], range(len(ops)),
             [op.is_write for op in ops], [self._key_id(op.key) for op in ops],
             [op.value for op in ops], txn, None, 0,
         )
@@ -565,7 +637,7 @@ class IncrementalChecker:
         for row, (txn_id, session_id, status) in enumerate(rows):
             row_before = len(violations)
             self._ingest_row(
-                txn_id, session_id, STATUS_FROM_CODE[status],
+                txn_id, session_id, status,
                 range(offsets[row], offsets[row + 1]), kinds, keys, values, None, segment, row,
             )
             if on_row_violations is not None and len(violations) > row_before:
@@ -583,27 +655,24 @@ class IncrementalChecker:
         return kid
 
     def _ingest_row(
-        self, txn_id: int, session_id: int, status: TransactionStatus,
+        self, txn_id: int, session_id: int, status: int,
         ops: range, kinds: List[Any], keys: List[int], values: List[Optional[int]],
         txn: Optional[Transaction], segment: Optional["ColumnarHistory"], row: int,
     ) -> None:
-        """The per-transaction routine behind :meth:`ingest` and segment rows.
-
-        The row's operations sit at positions ``ops`` of ``kinds`` / ``keys``
-        (checker key ids) / ``values``; ``txn`` is ``None`` for a segment row,
-        whose object (INT candidates) and stamps (SSER) are fetched on demand.
-        One scan collects the final and intermediate writes, the reads to
-        resolve (as ``Transaction.external_reads``) and whether the row is an
-        INT candidate (see :func:`repro.core.intcheck.transaction_int_violations`).
-        """
-        committed = status is _COMMITTED
+        """The per-transaction routine behind :meth:`ingest` and segment rows:
+        ``status`` is a status code, the operations sit at positions ``ops`` of
+        ``kinds`` / ``keys`` (checker key ids) / ``values``; ``txn`` is ``None``
+        for a segment row, whose object (INT candidates) and stamps (SSER) are
+        fetched on demand.  One scan collects the final and intermediate writes,
+        the reads to resolve (as ``Transaction.external_reads``) and whether the
+        row is an INT candidate (:func:`repro.core.intcheck.transaction_int_violations`)."""
+        committed = status == _COMMITTED_CODE
         reads = committed and txn_id != INITIAL_TXN_ID
         if txn_id == INITIAL_TXN_ID:
             self._has_initial = True
             self._topo.add_node(txn_id)
-        else:
-            if committed and txn_id in self._topo:
-                raise ValueError(f"malformed history: duplicate transaction id {txn_id}")
+        elif committed and txn_id in self._topo:
+            raise ValueError(f"malformed history: duplicate transaction id {txn_id}")
 
         last: Dict[int, Optional[int]] = {}  # key id -> value of its last op so far
         finals: Dict[int, Optional[int]] = {}
@@ -658,9 +727,7 @@ class IncrementalChecker:
                 while len(self._arrivals) > self.window:
                     self._evict(self._arrivals.popleft())
 
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
+    # -- Results --
     @property
     def violations(self) -> List[Violation]:
         """Violations confirmed so far (excluding pending thin-air reads)."""
@@ -704,390 +771,323 @@ class IncrementalChecker:
         result.elapsed_seconds = self._elapsed
         return result
 
-    def _version(self, code: int) -> Tuple[str, Optional[int]]:
-        """The ``(key, value)`` a slot-table code stands for."""
-        value, kid = divmod(code, _RADIX)
-        if kid >= _VALUELESS:
-            return self._key_names[kid - _VALUELESS], None
-        return self._key_names[kid], value
-
     def _pending_violations(self) -> List[Violation]:
         out: List[Violation] = []
-        for slot in self._slots.values():
-            if not isinstance(slot, _Slot) or not slot.pending or slot.writer_id is not None:
-                continue  # sealed; nothing pending; resolved after the reader went pending
-            key, value = self._version(slot.code)
-            for reader_id, _ in slot.pending:
-                if slot.intermediate_id is not None and slot.intermediate_id != reader_id:
-                    out.append(self._intermediate_violation(reader_id, slot, key))
+        for code, vid in self._slots.items():
+            if self._status[vid] != _NO_WRITER or self._item_last[vid] < 0:
+                continue  # sealed; resolved after the reader went pending; nothing listed
+            value, kid = divmod(code, _RADIX)
+            key, value = self._key_names[kid % _VALUELESS], None if kid >= _VALUELESS else value
+            intermediate = self._intermediate.get(vid)
+            for reader_id in map(self._item_txn.__getitem__, self._items(vid, _PENDING, _PENDING_WRITES)):
+                if intermediate is not None and intermediate != reader_id:
+                    out.append(self._intermediate_violation(reader_id, intermediate, key))
                 else:
-                    out.append(Violation(
-                        kind=AnomalyKind.THIN_AIR_READ, txn_ids=[reader_id], key=key,
-                        description=f"read R({key},{value}) observes value {value}, "
-                                    "which no transaction wrote",
-                    ))
+                    out.append(Violation(kind=AnomalyKind.THIN_AIR_READ, txn_ids=[reader_id], key=key, description=(
+                        f"read R({key},{value}) observes value {value}, which no transaction wrote")))
         return out
 
-    # ------------------------------------------------------------------
-    # Checkpoint / restore
-    # ------------------------------------------------------------------
+    # -- Checkpoint / restore --
     def checkpoint(self) -> Dict[str, Any]:
-        """Snapshot the complete checker state as typed columns.
+        """Snapshot the complete checker state: its own columns.
 
-        Layout (``repro-checker-state-v5``): scalars, ``keys`` and
-        ``violations`` are JSON values; every other table is a dictionary of
-        *parallel columns*, rows in insertion order, each a fresh ``array``
-        (``q``: ids, values, counts; ``d``: ``ord`` and ``stamp``; ``b``:
-        codes) or, if it overflows its typecode, a list.  ``topo`` is the
-        order: ``node``/``ord`` and a ``src``/``dst``/``label`` row per edge
-        label, the label being ``type·(len(keys)+1) + key id+1`` (types in
-        ``EdgeType`` order, key 0: none); a time node is the id
-        ``time_base - 1 - i`` for its row ``i`` of ``rt``, the SSER timeline
-        (a ``stamp``/``kind`` row per time node, sorted; ``kind`` 0: a start,
-        1: a finish).  ``refused`` has the order's three edge columns.  A version is
-        its code ``value·2**32 + key id`` (``+ 2**31``: no value), the key id
-        indexing ``keys``.  ``slots`` has a ``status`` (a status code,
-        −1: no writer, −2: sealed) and ``writer`` per row, each list as a
-        ``*_count`` column plus a flat one (``readers``, ``overwriters``,
-        ``rmw_seen_txn``/``_value``, ``pending_txn``/``_writes``), and its
-        ``None``s as side tables of rows (``intermediate_row`` +
-        ``intermediate``, ``rmw_seen_valueless``).  :func:`repro.ondisk.pack_columns`
-        writes it.  Any suffix of transactions yields byte-identical
-        verdicts from this checker and from :meth:`restore` of the snapshot,
-        which shares nothing with it.
-        """
+        Layout (``repro-checker-state-v6``, docs/ARCHITECTURE.md): scalars, ``keys``
+        and ``violations`` are JSON values; every other table holds parallel
+        ``array`` columns, the live rows of the order (``topo``, ``labels``), of
+        the slot table (``slots``, ``items``) and the small tables in insertion
+        order, from which :meth:`restore` rebuilds every link (a time node is
+        node id ``time_base - 1 - i`` for row ``i`` of ``rt``).  Any suffix of
+        transactions then yields byte-identical verdicts from this checker and
+        from :meth:`restore` of the snapshot, which shares nothing with it."""
         started = time.perf_counter()
         self.publish_metrics()
         topo, timeline = self._topo, self._timeline
-        key_code: Dict[Optional[str], int] = {None: 0}
-        key_code.update(zip(self._key_names, count(1)))
-        type_code = {etype: t * len(key_code) for t, etype in enumerate(_LABEL_TYPES)}
+        nodes, _, order, src, dst, label = topo._live()
+        codes, _, writer, status, intermediate, owner, kinds, txns, values = self._live_slots()
+        vid = dict(zip(codes, count()))
+        time_base = min((node for node in nodes if type(node) is not tuple), default=0)
         if timeline:
-            time_base = min((node for node in topo._ord if type(node) is not tuple), default=0)
             ref = {node: time_base - 1 - i for i, node in enumerate(timeline)}
-        else:
-            time_base, ref = min(topo._ord, default=0), {}
-
-        def edge_table(pairs: List[Tuple[Any, Dict[Any, List[Tuple[str, Optional[str]]]]]]) -> Dict[str, Any]:
-            # ``pairs``: each source with its targets' labels; a row per label.
-            src = [s for s, targets in pairs for labels in targets.values() for _ in labels]
-            dst = [t for _, targets in pairs for t, labels in targets.items() for _ in labels]
-            if ref:
-                src, dst = list(map(ref.get, src, src)), list(map(ref.get, dst, dst))
-            return {"src": _typed("q", src), "dst": _typed("q", dst), "label": array("q", [
-                type_code[e] + key_code[k] for _, targets in pairs for labels in targets.values() for e, k in labels
-            ])}
-
-        rows = [_SEALED_ROW if slot is _SEALED else slot for slot in self._slots.values()]
-        readers_count, readers = _ragged([slot.readers for slot in rows])
-        overwriters_count, overwriters = _ragged([slot.overwriters for slot in rows])
-        rmw_seen_count, rmw_seen = _ragged([slot.rmw_seen for slot in rows])
-        pending_count, pending = _ragged([slot.pending for slot in rows])
-        intermediate = [i for i, slot in enumerate(rows) if slot.intermediate_id is not None]
-        nodes = list(topo._ord)
+            nodes = list(map(ref.get, nodes, nodes))
+        refused = [(s, t, topo._code(label)) for (s, t), labels in self._refused.items() for label in labels]
+        key_code = {None: 0, **dict(zip(self._key_names, count(1)))}
         state = {
-            "format": CHECKPOINT_STATE_FORMAT,
-            "level": self.level.value,
-            "window": self.window,
-            "has_initial": self._has_initial,
-            "num_committed": self._num_committed,
-            "elapsed": self._elapsed,
-            "stale_reads": self.stale_reads,
-            "evicted_count": self.evicted_count,
-            "violations": [v.to_dict() for v in self._violations],
-            "keys": list(self._key_names),
-            "topo": {
-                "counter": topo._counter,
-                "time_base": time_base,
-                "node": _typed("q", list(map(ref.get, nodes, nodes)) if ref else nodes),
-                "ord": _typed("d", list(topo._ord.values())),
-                **edge_table(list(topo._succ.items())),
-            },
-            "refused": edge_table([(s, {t: labels}) for (s, t), labels in self._refused.items()]),
-            "slots": {
-                "version": _typed("q", list(self._slots)),
-                "status": array("b", [
-                    _SEALED_STATUS if slot is _SEALED_ROW else 0 if slot.writer_status is _COMMITTED
-                    else _NO_WRITER if slot.writer_status is None else STATUS_CODES[slot.writer_status]
-                    for slot in rows
-                ]),
-                "writer": _typed("q", [slot.writer_id or 0 for slot in rows]),
-                "intermediate_row": array("q", intermediate),
-                "intermediate": _typed("q", [rows[i].intermediate_id for i in intermediate]),
-                "readers_count": readers_count,
-                "readers": _typed("q", readers),
-                "overwriters_count": overwriters_count,
-                "overwriters": _typed("q", overwriters),
-                "rmw_seen_count": rmw_seen_count,
-                "rmw_seen_txn": _typed("q", [txn for txn, _ in rmw_seen]),
-                "rmw_seen_value": _typed("q", [0 if value is None else value for _, value in rmw_seen]),
-                "rmw_seen_valueless": array("q", [i for i, (_, value) in enumerate(rmw_seen) if value is None]),
-                "pending_count": pending_count,
-                "pending_txn": _typed("q", [txn for txn, _ in pending]),
-                "pending_writes": array("b", [writes for _, writes in pending]),
-            },
-            "last_in_session": {
-                "session": _typed("q", list(self._last_in_session)),
-                "txn": _typed("q", list(self._last_in_session.values())),
-            },
-            "base_preds": {
-                "dst": _typed("q", [t for t, preds in self._base_preds.items() for _ in preds]),
-                "src": _typed("q", list(chain.from_iterable(self._base_preds.values()))),
-            },
-            "rw_succ": {
-                "src": _typed("q", [s for s, edges in self._rw_succ.items() for _ in edges]),
-                "dst": _typed("q", [t for edges in self._rw_succ.values() for t, _ in edges]),
-                "key": array("q", [key_code[k] for edges in self._rw_succ.values() for _, k in edges]),
-            },
-            "rt": {
-                "stamp": array("d", [stamp for stamp, _ in timeline]),
-                "kind": array("b", [kind for _, kind in timeline]),
-            },
-            "arrivals": _typed("q", list(self._arrivals)),
-            "overwrote": {
-                "txn": _typed("q", [txn for txn, codes in self._overwrote.items() for _ in codes]),
-                "version": _typed("q", list(chain.from_iterable(self._overwrote.values()))),
-            },
-            "sealed_fifo": _typed("q", list(self._sealed_fifo)),
+            "format": CHECKPOINT_STATE_FORMAT, "level": self.level.value, "window": self.window,
+            "has_initial": self._has_initial, "num_committed": self._num_committed, "elapsed": self._elapsed,
+            "stale_reads": self.stale_reads, "evicted_count": self.evicted_count,
+            "violations": [v.to_dict() for v in self._violations], "keys": list(self._key_names),
+            "topo": {"counter": topo._counter, "time_base": time_base, **_table(
+                "node ord src dst label", "qdqqq", nodes, order, src, dst, label)},
+            "labels": _table("type key", "bq", [_TYPE_CODE[etype] for etype, _ in topo._label_of],
+                             [key_code[key] for _, key in topo._label_of]),
+            "refused": _table("src dst label", "qqq", *zip(*refused)),
+            "slots": _table("key value status writer", "qqbq", map(_RADIX.__rmod__, codes),
+                            map(_RADIX.__rfloordiv__, codes), status, writer),
+            "items": _table("slot kind txn value", "qbqq", owner, kinds, txns, values),
+            "last_in_session": _table("session txn", "qq", self._last_in_session, self._last_in_session.values()),
+            "base_preds": _table("dst src", "qq", [t for t, preds in self._base_preds.items() for _ in preds],
+                                 chain.from_iterable(self._base_preds.values())),
+            "rw_succ": _table("src dst key", "qqq", *zip(*(
+                (s, *pair) for s, pairs in self._rw_succ.items() for pair in zip(pairs[::2], pairs[1::2])))),
+            "rt": _table("stamp kind", "db", *zip(*timeline)),
+            "arrivals": array("q", self._arrivals),
+            "overwrote": _table("txn slot", "qq", *zip(*(
+                (t, vid[code]) for t, owned in self._overwrote.items() for code in owned if code in vid))),
+            "sealed_fifo": array("q", map(vid.__getitem__, self._sealed_fifo)),
         }
+        state["slots"].update(_table("intermediate_row intermediate", "qq", intermediate, intermediate.values()))
         obs.observe("repro_checker_checkpoint_seconds", time.perf_counter() - started, op="save")
         return state
 
     @classmethod
     def restore(cls, state: Dict[str, Any]) -> "IncrementalChecker":
-        """Rebuild a checker from a :meth:`checkpoint` snapshot (aliasing
-        none of it, so one snapshot restores any number of times).
-
-        Raises ``ValueError`` naming the tag found when the format tag is
-        not this build's (there is no reader for older formats such as the
-        JSON-safe ``-v4`` — callers replay instead), and
-        ``ValueError("malformed checkpoint state: …")`` on structural damage
-        under the right tag.
-        """
+        """Rebuild a checker from a :meth:`checkpoint` snapshot (aliasing none of
+        it, so one snapshot restores any number of times).  Raises ``ValueError``
+        naming the tag found when it is not this build's (there is no reader for
+        an older format such as ``-v5``: callers replay), and ``ValueError(
+        "malformed checkpoint state: …")`` on structural damage under the tag."""
         found = state.get("format") if isinstance(state, dict) else None
         if found != CHECKPOINT_STATE_FORMAT:
             raise ValueError(f"not a {CHECKPOINT_STATE_FORMAT} checkpoint snapshot (found format {found!r})")
         restore_started = time.perf_counter()
         try:
-            checker = cls._decode_state(state)
+            checker = cls._adopt(state)
         except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
             raise ValueError(f"malformed checkpoint state: {type(exc).__name__}: {exc}") from None
         obs.observe("repro_checker_checkpoint_seconds", time.perf_counter() - restore_started, op="restore")
         return checker
 
     @classmethod
-    def _decode_state(cls, state: Dict[str, Any]) -> "IncrementalChecker":
-        level = IsolationLevel(state["level"])
-        checker = cls(level, window=state["window"])
-        checker._has_initial = bool(state["has_initial"])
-        checker._num_committed = int(state["num_committed"])
-        checker._elapsed = float(state["elapsed"])
-        checker.stale_reads = int(state["stale_reads"])
-        checker.evicted_count = int(state["evicted_count"])
-        violations, key_names = state["violations"], state["keys"]
+    def _adopt(cls, state: Dict[str, Any]) -> "IncrementalChecker":
+        """A checker holding copies of the validated columns of ``state``."""
+        checker = cls(IsolationLevel(state["level"]), window=state["window"])
+        checker._has_initial, checker._num_committed = bool(state["has_initial"]), int(state["num_committed"])
+        checker._elapsed, checker.stale_reads = float(state["elapsed"]), int(state["stale_reads"])
+        checker.evicted_count, violations, key_names = int(state["evicted_count"]), state["violations"], state["keys"]
         if not isinstance(violations, list) or not isinstance(key_names, list):
             raise TypeError("violations and keys must be lists")
         if not all(type(name) is str for name in key_names):
             raise TypeError("key names must be strings")
         checker._violations = [Violation.from_dict(v) for v in violations]
-        checker._key_names = list(key_names)
-        checker._key_ids = {name: kid for kid, name in enumerate(key_names)}
-        num_keys = len(key_names)
-
+        checker._key_names, checker._key_ids = list(key_names), {name: kid for kid, name in enumerate(key_names)}
+        key_of: List[Optional[str]] = [None, *key_names]
         timeline = checker._timeline
-        for stamp, kind in _rows(state["rt"], "stamp", "kind"):
+        for stamp, kind in zip(*_arrays(state["rt"], stamp="d", kind="b")):
             if kind not in (_START, _FINISH):
                 raise ValueError(f"time node kind {kind!r}")
-            timeline.append((float(stamp), kind))
+            timeline.append((stamp, kind))
         if timeline != sorted(timeline):
             raise ValueError("the timeline is not sorted")
         checker._chain = [n for n in timeline if n[1] == _FINISH]
-
-        table = state["topo"]
+        table, topo = state["topo"], checker._topo
         time_base = table["time_base"]
         if type(time_base) is not int:
             raise TypeError("time_base must be an int")
-        time_node = {time_base - 1 - i: node for i, node in enumerate(timeline)}
-
-        def nodes(table: Dict[str, Any], name: str) -> Any:
-            column = _column(table, name)
-            if min(column, default=time_base) < time_base - len(timeline):
-                raise ValueError(f"{name} names a time node past the timeline")
-            return [time_node.get(node, node) for node in column] if time_node else column
-
-        def edges(table: Dict[str, Any]) -> Iterator[Tuple[Any, Any, Tuple[str, Optional[str]]]]:
-            labels = _labels(_column(table, "label"), key_names)
-            return zip(nodes(table, "src"), nodes(table, "dst"), labels, strict=True)
-
-        topo = checker._topo
-        topo._counter = int(table["counter"])
-        for node, index in zip(nodes(table, "node"), _column(table, "ord"), strict=True):
-            topo._ord[node] = int(index) if type(index) is float and index.is_integer() else index
-            topo._succ[node] = {}
-            topo._pred[node] = {}
-        topo._fractions = {index for index in topo._ord.values() if type(index) is float}
-        for node in timeline:
-            if node not in topo:
-                raise ValueError(f"time node {node!r} is not in the order")
-        succ, pred = topo._succ, topo._pred
-        for source, target, label in edges(table):
-            succ[source].setdefault(target, []).append(label)
-            pred[target][source] = None
-        for source, target, label in edges(state["refused"]):
-            checker._refused.setdefault((source, target), []).append(label)
-
+        node, order, src, dst, label = _arrays(table, node="q", ord="d") + _arrays(table, src="q", dst="q", label="q")
+        if min(node, default=time_base) < time_base - len(timeline):
+            raise ValueError("node names a time node past the timeline")
+        time_node = {time_base - 1 - i: n for i, n in enumerate(timeline)}
+        topo._node, ids = [time_node.get(n, n) for n in node], list(range(len(node)))
+        topo._id = dict(zip(topo._node, ids))
+        if len(topo._id) != len(node) or not all(n in topo for n in timeline):
+            raise ValueError("the order holds a node twice, or not every time node")
+        topo._counter, topo._ord = int(table["counter"]), order[:]
+        topo._fractions = {index for index in order if not index.is_integer()}
+        types, keys = _arrays(state["labels"], type="b", key="q")
+        _within(types, len(_LABEL_TYPES), "edge label type")
+        _within(keys, len(key_of), "edge label key")
+        topo._label_of, label_ids = [(_LABEL_TYPES[t], key_of[k]) for t, k in zip(types, keys)], list(range(len(types)))
+        topo._label_code = dict(zip(topo._label_of, label_ids))
+        if len(topo._label_code) != len(types):
+            raise ValueError("an edge label is in the label table twice")
+        for column, high, what in ((src, len(node), "edge source"), (dst, len(node), "edge target"),
+                                   (label, len(types), "edge label")):
+            _within(column, high, what)
+        topo._src, topo._dst = list(map(ids.__getitem__, src)), list(map(ids.__getitem__, dst))
+        topo._label = list(map(label_ids.__getitem__, label))
+        topo._relink()
+        src, dst, label = _arrays(state["refused"], src="q", dst="q", label="q")
+        _within(label, len(types), "refused edge label")
+        for source, target, code in zip(src, dst, label):
+            checker._refused.setdefault((source, target), []).append(topo._label_of[code])
         table = state["slots"]
-        statuses = _column(table, "status")
-        if statuses and not _SEALED_STATUS <= min(statuses) <= max(statuses) < len(STATUS_FROM_CODE):
-            raise ValueError("unknown status code")
-        rmw_values: List[Optional[int]] = list(_column(table, "rmw_seen_value"))
-        for row in _sparse(table, "rmw_seen_valueless", len(rmw_values)):
-            rmw_values[row] = None
-        rmw_seen = list(zip(_column(table, "rmw_seen_txn"), rmw_values, strict=True))
-        writes = [(txn, bool(w)) for txn, w in _rows(table, "pending_txn", "pending_writes")]
-        # Indexed by a status, so -1 (no writer) is None; slots skip __init__,
-        # as every field is set here.
-        slots, new_slot, status_of = checker._slots, _Slot.__new__, (*STATUS_FROM_CODE, None)
-        for code, status, writer, readers, overwriters, rmw, pending in zip(
-            _versions(table, "version", num_keys), statuses, _column(table, "writer"),
-            _ragged_rows(_column(table, "readers_count"), _column(table, "readers"), "readers"),
-            _ragged_rows(_column(table, "overwriters_count"), _column(table, "overwriters"), "overwriters"),
-            _ragged_rows(_column(table, "rmw_seen_count"), rmw_seen, "rmw_seen"),
-            _ragged_rows(_column(table, "pending_count"), writes, "pending"),
-            strict=True,
-        ):
-            if status == _SEALED_STATUS:
-                slots[code] = _SEALED
-                continue
-            slot = slots[code] = new_slot(_Slot)
-            slot.code, slot.writer_id, slot.writer_status = code, writer if status >= 0 else None, status_of[status]
-            slot.intermediate_id = None
-            slot.readers, slot.overwriters, slot.rmw_seen, slot.pending = readers, overwriters, rmw, pending
-        if len(slots) != len(statuses):
-            raise ValueError("a version is in the slot table twice")
-        rows = list(slots.values())
-        for row, txn in zip(_sparse(table, "intermediate_row", len(rows)), _column(table, "intermediate"), strict=True):
-            if rows[row] is _SEALED:
-                raise ValueError("a sealed version has an intermediate writer")
-            rows[row].intermediate_id = txn
-
-        checker._last_in_session = dict(_rows(state["last_in_session"], "session", "txn"))
-        for source, target in _rows(state["base_preds"], "src", "dst"):
-            checker._base_preds[target][source] = None
-        key_of: List[Optional[str]] = [None, *key_names]
-        for source, target, key in _rows(state["rw_succ"], "src", "dst", "key"):
-            if not 0 <= key <= num_keys:
-                raise ValueError(f"unknown key code {key!r}")
-            checker._rw_succ[source].append((target, key_of[key]))
-        checker._arrivals = deque(_column(state, "arrivals"))
-        table = state["overwrote"]
-        for txn, code in zip(_column(table, "txn"), _versions(table, "version", num_keys), strict=True):
-            checker._overwrote.setdefault(txn, []).append(code)
-        checker._sealed_fifo = deque(_versions(state, "sealed_fifo", num_keys))
+        keys, values, statuses, writers = _arrays(table, key="q", value="q", status="b", writer="q")
+        _within(keys, _RADIX, "version key")
+        if max(map((_VALUELESS - 1).__and__, keys), default=-1) >= len(key_names):
+            raise ValueError("a version names an unknown key id")
+        _within(statuses, len(STATUS_FROM_CODE), "status code", low=_SEALED)
+        codes, vids = [value * _RADIX + key for key, value in zip(keys, values)], list(range(len(keys)))
+        checker._slots, checker._status, checker._writer = dict(zip(codes, vids)), list(statuses), list(writers)
+        sealed = {vid for vid, status in enumerate(statuses) if status == _SEALED}
+        rows, txns = _arrays(table, intermediate_row="q", intermediate="q")
+        _within(rows, len(keys), "intermediate_row")
+        checker._intermediate = dict(zip(rows, txns))
+        if len(checker._slots) != len(keys) or len(checker._intermediate) != len(rows) or not sealed.isdisjoint(rows):
+            raise ValueError("a version is in the slot table twice, or a sealed one has an intermediate writer")
+        slot, kind, txn, value = _arrays(state["items"], slot="q", kind="b", txn="q", value="q")
+        _within(slot, len(keys), "item slot")
+        _within(kind, _PENDING_WRITES + 1, "item kind")
+        if not sealed.isdisjoint(slot):
+            raise ValueError("a sealed version lists items")
+        checker._item_slot, checker._item_kind = list(map(vids.__getitem__, slot)), list(kind)
+        checker._item_txn, checker._item_value = list(txn), value[:]
+        (checker._item_last, checker._item_prev), checker._dropped = _linked(slot, len(keys)), 0
+        checker._last_in_session = dict(zip(*_arrays(state["last_in_session"], session="q", txn="q")))
+        for source, target in zip(*_arrays(state["base_preds"], src="q", dst="q")):
+            checker._base_preds.setdefault(target, array("q")).append(source)
+        src, dst, kids = _arrays(state["rw_succ"], src="q", dst="q", key="q")
+        _within(kids, len(key_names), "rw_succ key")
+        for source, target, kid in zip(src, dst, kids):
+            checker._rw_succ.setdefault(source, array("q")).extend((target, kid))
+        checker._arrivals = deque(*_arrays(state, arrivals="q"))
+        txns, owned = _arrays(state["overwrote"], txn="q", slot="q")
+        _within(owned, len(keys), "overwrote slot")
+        for txn_id, vid in zip(txns, owned):
+            checker._overwrote.setdefault(txn_id, []).append(codes[vid])
+        (fifo,) = _arrays(state, sealed_fifo="q")
+        if not sealed.issuperset(fifo):
+            raise ValueError("sealed_fifo names an unsealed version")
+        checker._sealed_fifo = deque(map(codes.__getitem__, fifo))
         return checker
 
-    # ------------------------------------------------------------------
-    # Per-transaction machinery
-    # ------------------------------------------------------------------
-    def _slot(self, kid: int, value: Optional[int]) -> Optional[_Slot]:
-        """The slot of version ``(key id, value)``; ``None`` if sealed by the window."""
+    # -- Per-transaction machinery: the version slots --
+    def _slot(self, kid: int, value: Optional[int]) -> Optional[int]:
+        """The vid of version ``(key id, value)``, made on first sight;
+        ``None`` if the window sealed it."""
         code = kid + _VALUELESS if value is None else value * _RADIX + kid
-        slot = self._slots.get(code)
-        if slot is None:
-            slot = self._slots[code] = _Slot(code)
-        elif slot is _SEALED:
+        vid = self._slots.get(code)
+        if vid is None:
+            vid = self._slots[code] = len(self._status)
+            self._writer.append(0)
+            self._status.append(_NO_WRITER)
+            self._item_last.append(-1)
+        elif self._status[vid] == _SEALED:
             return None
-        assert isinstance(slot, _Slot)
-        return slot
+        return vid
 
-    def _register_final(
-        self, kid: int, value: Optional[int], txn_id: int, status: TransactionStatus
-    ) -> None:
+    def _items(self, vid: int, *kinds: int) -> List[int]:
+        """The rows of the version's items of these kinds, in arrival order."""
+        kind = self._item_kind
+        return [row for row in _walk(self._item_last[vid], self._item_prev) if kind[row] in kinds]
+
+    def _add_item(self, vid: int, kind: int, txn_id: int, value: int = 0) -> None:
+        row = len(self._item_kind)
+        self._item_slot.append(vid)
+        self._item_kind.append(kind)
+        self._item_txn.append(txn_id)
+        self._item_value.append(value)
+        self._item_prev.append(self._item_last[vid])
+        self._item_last[vid] = row
+
+    def _take_pending(self, vid: int) -> List[Tuple[int, bool]]:
+        """Drop the version's pending reads; return them as ``(txn, writes_key)``."""
+        rows = self._items(vid, _PENDING, _PENDING_WRITES)
+        pending = [(self._item_txn[row], self._item_kind[row] == _PENDING_WRITES) for row in rows]
+        for row in rows:
+            self._item_kind[row] = _DROPPED
+        self._dropped += len(rows)
+        return pending
+
+    def _compact_slots(self) -> None:
+        """Drop expired versions and unlinked or taken item rows, and relink."""
+        if self._dropped:
+            codes, vids, self._writer, self._status, self._intermediate, *items = self._live_slots()
+            self._slots = dict(zip(codes, vids))
+            self._item_slot, self._item_kind, self._item_txn, self._item_value = items
+            (self._item_last, self._item_prev), self._dropped = _linked(self._item_slot, len(self._status)), 0
+
+    def _live_slots(self) -> Tuple[Any, ...]:
+        """Unexpired versions (codes, vids, writer, status, intermediate) and listed item rows (slot, kind,
+        txn, value), vids renumbered: new columns, or the table's own when nothing is dropped."""
+        if not self._dropped:
+            return (list(self._slots), list(self._slots.values()), self._writer, self._status, self._intermediate,
+                    self._item_slot, self._item_kind, self._item_txn, self._item_value)
+        vids, renumber = list(range(len(self._slots))), [-1] * len(self._status)
+        for new, old in zip(vids, self._slots.values()):
+            renumber[old] = new
+        live = bytes(map((-1).__lt__, renumber))
+        # A sealed version's rows go with it, and so does a taken pending read.
+        rows = bytes(map(and_, map(_SEALED.__ne__, map(self._status.__getitem__, self._item_slot)),
+                         map(_DROPPED.__lt__, self._item_kind)))
+        return (list(self._slots), vids, list(compress(self._writer, live)), list(compress(self._status, live)),
+                {renumber[vid]: txn for vid, txn in self._intermediate.items()},
+                list(map(renumber.__getitem__, compress(self._item_slot, rows))), list(compress(self._item_kind, rows)),
+                list(compress(self._item_txn, rows)), array("q", compress(self._item_value, rows)))
+
+    def _register_final(self, kid: int, value: Optional[int], txn_id: int, status: int) -> None:
         """Mirror ``WriteIndex.add_transaction`` onto the slot table."""
-        slot = self._slot(kid, value)
-        if slot is None:
+        vid = self._slot(kid, value)
+        if vid is None:
             return
-        slot.writer_id = txn_id
-        slot.writer_status = status
-        if slot.pending:
-            pending, slot.pending = slot.pending, []
-            for reader_id, writes_key in pending:
-                self._attach_read(self._key_names[kid], value, slot, reader_id, writes_key)
+        self._writer[vid], self._status[vid] = txn_id, status
+        if self._item_last[vid] >= 0:
+            for reader_id, writes_key in self._take_pending(vid):
+                self._attach_read(kid, value, vid, reader_id, writes_key)
 
     def _register_intermediate(self, kid: int, value: Optional[int], txn_id: int) -> None:
-        slot = self._slot(kid, value)
-        if slot is None:
+        vid = self._slot(kid, value)
+        if vid is None:
             return
-        slot.intermediate_id = txn_id
-        if slot.pending and slot.writer_id is None:
-            pending, slot.pending = slot.pending, []
-            self._violations.extend(
-                self._intermediate_violation(reader_id, slot, self._key_names[kid])
-                for reader_id, _ in pending
-                if reader_id != txn_id
-            )
+        self._intermediate[vid] = txn_id
+        if self._status[vid] == _NO_WRITER and self._item_last[vid] >= 0:
+            self._violations.extend(self._intermediate_violation(reader_id, txn_id, self._key_names[kid])
+                                    for reader_id, _ in self._take_pending(vid) if reader_id != txn_id)
 
     @staticmethod
-    def _intermediate_violation(reader_id: int, slot: _Slot, key: str) -> Violation:
+    def _intermediate_violation(reader_id: int, intermediate_id: int, key: str) -> Violation:
         return Violation(
-            kind=AnomalyKind.INTERMEDIATE_READ, txn_ids=[reader_id, slot.intermediate_id or -2], key=key,
+            kind=AnomalyKind.INTERMEDIATE_READ, txn_ids=[reader_id, intermediate_id or -2], key=key,
             description=f"read of object {key} observes an intermediate value of "
-                        f"T{slot.intermediate_id}, which later overwrote it",
+                        f"T{intermediate_id}, which later overwrote it",
         )
 
     def _resolve_one_read(
-        self, txn_id: int, kid: int, value: Optional[int],
-        writes_key: bool, written_value: Optional[int],
+        self, txn_id: int, kid: int, value: Optional[int], writes_key: bool, written_value: Optional[int],
     ) -> None:
         """Resolve one external read against the slot table."""
-        slot = self._slot(kid, value)
-        if slot is None:
+        vid = self._slot(kid, value)
+        if vid is None:
             self.stale_reads += 1
             return
         key = self._key_names[kid]
-
         # DIVERGENCE (SI only): two RMW readers of one version that wrote
         # different values, flagged before writer resolution (Lemma 1).
         if writes_key and self._si:
-            for other_id, other_written in slot.rmw_seen:
-                if other_id != txn_id and other_written != written_value:
-                    self._violations.append(self._divergence_violation(key, value, slot, other_id, txn_id))
+            txns, kinds, values = self._item_txn, self._item_kind, self._item_value
+            for row in self._items(vid, _RMW, _RMW_NONE):
+                if txns[row] != txn_id and (None if kinds[row] == _RMW_NONE else values[row]) != written_value:
+                    self._violations.append(self._divergence_violation(key, value, vid, txns[row], txn_id))
                     break
-            slot.rmw_seen.append((txn_id, written_value))
-
-        if slot.writer_id is not None:
-            self._attach_read(key, value, slot, txn_id, writes_key)
-        elif slot.intermediate_id is not None and slot.intermediate_id != txn_id:
-            self._violations.append(self._intermediate_violation(txn_id, slot, key))
+            self._add_item(vid, _RMW_NONE if written_value is None else _RMW, txn_id, written_value or 0)
+        if self._status[vid] != _NO_WRITER:
+            self._attach_read(kid, value, vid, txn_id, writes_key)
+        elif self._intermediate.get(vid, txn_id) != txn_id:
+            self._violations.append(self._intermediate_violation(txn_id, self._intermediate[vid], key))
         else:
-            slot.pending.append((txn_id, writes_key))
+            self._add_item(vid, _PENDING_WRITES if writes_key else _PENDING, txn_id)
 
-    def _divergence_violation(
-        self, key: str, value: Optional[int], slot: _Slot, a: int, b: int
-    ) -> Violation:
-        writer = slot.writer_id if slot.writer_id is not None else -2
+    def _divergence_violation(self, key: str, value: Optional[int], vid: int, a: int, b: int) -> Violation:
+        writer = self._writer[vid] if self._status[vid] != _NO_WRITER else -2
         return Violation(
             kind=AnomalyKind.LOST_UPDATE, txn_ids=[writer, a, b], key=key,
             description=f"DIVERGENCE pattern on object {key}: T{a} and T{b} both read "
                         f"value {value} written by T{writer} and then wrote different values",
         )
 
-    def _attach_read(
-        self, key: str, value: Optional[int], slot: _Slot, reader_id: int, writes_key: bool
-    ) -> None:
+    def _attach_read(self, kid: int, value: Optional[int], vid: int, reader_id: int, writes_key: bool) -> None:
         """Materialise the WR (and WW/RW) edges of one resolved read."""
-        writer_id = slot.writer_id
-        assert writer_id is not None
+        writer_id = self._writer[vid]
         if writer_id == reader_id:
             return
-        if slot.writer_status is _ABORTED:
+        status, key = self._status[vid], self._key_names[kid]
+        if status == _ABORTED_CODE:
             self._violations.append(Violation(
                 kind=AnomalyKind.ABORTED_READ, txn_ids=[reader_id, writer_id], key=key,
                 description=f"read of object {key} observes a value written by aborted "
                             f"transaction T{writer_id}",
             ))
             return
-        if slot.writer_status is not _COMMITTED or value is None:
+        if status != _COMMITTED_CODE or value is None:
             return  # unknown outcome, or a valueless read: no edge (batch parity)
         if self.window is not None and reader_id not in self._topo:
             # A pending reader aged out before its writer arrived.
@@ -1095,33 +1095,27 @@ class IncrementalChecker:
             return
         # An evicted writer is harmless: ``_dep_edge`` drops edges out of a
         # collected node; the RW edges between live readers still matter.
-        rw = (_RW, key)
+        rw, txns, listed = (_RW, key), self._item_txn, self._item_last[vid] >= 0
         self._dep_edge(writer_id, reader_id, (_WR, key))
-        for overwriter in slot.overwriters:
-            if overwriter != reader_id:
-                self._dep_edge(reader_id, overwriter, rw)
-        slot.readers.append(reader_id)
+        for row in self._items(vid, _OVERWRITER) if listed else ():
+            if txns[row] != reader_id:
+                self._dep_edge(reader_id, txns[row], rw)
+        self._add_item(vid, _OVERWRITER if writes_key else _READER, reader_id)
         if writes_key:
             self._dep_edge(writer_id, reader_id, (_WW, key))
-            for other_reader in slot.readers:
-                if other_reader != reader_id:
-                    self._dep_edge(other_reader, reader_id, rw)
-            slot.overwriters.append(reader_id)
+            for row in self._items(vid, _READER, _OVERWRITER) if listed else ():
+                if txns[row] != reader_id:
+                    self._dep_edge(txns[row], reader_id, rw)
             if self.window is not None:
-                self._overwrote.setdefault(reader_id, []).append(slot.code)
+                self._overwrote.setdefault(reader_id, []).append(value * _RADIX + kid)
 
     def _session_edge(self, session_id: int, txn_id: int) -> None:
-        prev = self._last_in_session.get(session_id)
-        if prev is None:
-            if self._has_initial:
-                self._dep_edge(INITIAL_TXN_ID, txn_id, (_SO, None))
-        else:
+        prev = self._last_in_session.get(session_id, INITIAL_TXN_ID if self._has_initial else None)
+        if prev is not None:
             self._dep_edge(prev, txn_id, (_SO, None))
         self._last_in_session[session_id] = txn_id
 
-    # ------------------------------------------------------------------
-    # Real-time order (SSER): a timeline of time nodes (module docstring)
-    # ------------------------------------------------------------------
+    # -- Real-time order (SSER): a timeline of time nodes (module docstring) --
     def _real_time_start(
         self, txn: Optional[Transaction], segment: Optional["ColumnarHistory"], row: int
     ) -> Optional[Tuple[Tuple[float, int], Tuple[float, int]]]:
@@ -1189,7 +1183,7 @@ class IncrementalChecker:
         topo, node = self._topo, self._timeline[at]
         before, after = self._members_around(node)
         targets = self._up_to(at, after)
-        topo.add_node(node, before, min(targets, key=topo._ord.__getitem__, default=None))
+        topo.add_node(node, before, min(targets, key=lambda target: topo._ord[topo._id[target]], default=None))
         if before is not None:
             topo.add_edge(before, node, _REAL_TIME)
         for target in targets:
@@ -1199,7 +1193,8 @@ class IncrementalChecker:
 
     def _hung(self, node: Tuple[float, int]) -> bool:
         """Whether a transaction in the order hangs on time node ``node``."""
-        return any(type(v) is not tuple for v in chain(self._topo._pred[node], self._topo._succ[node]))
+        topo = self._topo
+        return any(type(v) is not tuple for v in chain(topo._neighbours(node, False), topo._neighbours(node, True)))
 
     def _retire_time_nodes(self, candidates: Iterable[Tuple[float, int]]) -> None:
         """Window GC of the timeline, after an eviction.  A candidate nothing
@@ -1233,80 +1228,81 @@ class IncrementalChecker:
         node: each one starting on a walk along the chain, until the walk
         passes the finish of one of those; backward from a start node, each
         one finishing, until the walk passes the start of one."""
-        timeline, succ, pred = self._timeline, self._topo._succ, self._topo._pred
+        timeline, neighbours = self._timeline, self._topo._neighbours
         reached: Dict[int, None] = {}
         at = bisect_left(timeline, node)
         for here in timeline[at + 1 :] if forward else reversed(timeline[:at]):
             if forward:
                 if here[1] == _START:
-                    reached.update((v, None) for v in succ[here] if type(v) is not tuple)
-                elif any(v in reached for v in pred[here]):
+                    reached.update((v, None) for v in neighbours(here, True) if type(v) is not tuple)
+                elif any(v in reached for v in neighbours(here, False)):
                     break
-            elif any(v in reached for v in succ[here]):
+            elif any(v in reached for v in neighbours(here, True)):
                 break
             elif here[1] == _FINISH:
-                reached.update((v, None) for v in pred[here] if type(v) is not tuple)
+                reached.update((v, None) for v in neighbours(here, False) if type(v) is not tuple)
         return list(reached)
 
     def _step_labels(self, tail: int, head: int, via_time: bool) -> List[Tuple[str, Optional[str]]]:
         """The labels of one cycle step; one through time nodes, or one that is
         a reduced real-time pair, is labeled as that pair edge would be."""
         if not via_time and self._timeline:
-            finish = next((v for v in self._topo._succ[tail] if type(v) is tuple), None)
+            finish = next((v for v in self._topo._neighbours(tail, True) if type(v) is tuple), None)
             via_time = finish is not None and head in self._real_time_neighbours(finish, True)
         if via_time:
             return [*self._topo.labels(tail, head), _REAL_TIME]
-        return self._labels(tail, head)
+        return self._pair_labels(tail, head)
 
-    # ------------------------------------------------------------------
-    # Edge routing: every edge goes to the order, labels and all
-    # ------------------------------------------------------------------
+    # -- Edge routing: every edge goes to the order, labels and all --
     def _dep_edge(self, source: int, target: int, label: Tuple[str, Optional[str]]) -> None:
         """Route one dependency edge; an exact duplicate changes nothing."""
-        order = self._topo._ord
+        order = self._topo._id
         if self.window is not None and (source not in order or target not in order):
             return  # an endpoint was garbage-collected: the edge cannot matter
         if not self._si:  # SER / SSER: every dependency edge goes to the order
-            if not self._refused or label not in self._labels(source, target):
+            if not self._refused or label not in self._pair_labels(source, target):
                 self._order_edge(source, target, label)
         # SI: maintain the induced graph (SO ∪ WR ∪ WW) ; RW? edge-by-edge.
         elif label[0] == _RW:
-            successor = (target, label[1])
-            if successor not in self._rw_succ[source]:
-                self._rw_succ[source].append(successor)
+            pairs, kid = self._rw_succ.setdefault(source, array("q")), self._key_ids[label[1]]
+            if not any(t == target and k == kid for t, k in zip(pairs[::2], pairs[1::2])):
+                pairs.extend((target, kid))
                 for base_pred in self._base_preds.get(source, ()):
                     self._composed_edge(base_pred, target, label[1])
         else:
-            labels = self._labels(source, target)
+            in_order = self._topo.labels(source, target)
+            labels = in_order or self._refused.get((source, target), [])
+            preds = self._base_preds.setdefault(target, array("q"))
             if label in labels:
                 return
-            if source in self._base_preds[target]:
-                labels.append(label)  # the pair is in the order (or refused) already
+            if source in preds:  # the pair is in the order (or refused) already
+                if in_order:
+                    self._topo.add_edge(source, target, label)
+                else:
+                    labels.append(label)
                 return
-            self._base_preds[target][source] = None
+            preds.append(source)
             self._order_edge(source, target, label)
-            for rw_target, rw_key in self._rw_succ.get(target, ()):
-                self._composed_edge(source, rw_target, rw_key)
+            pairs = self._rw_succ.get(target, ())
+            for rw_target, kid in zip(pairs[::2], pairs[1::2]):
+                self._composed_edge(source, rw_target, self._key_names[kid])
 
     def _composed_edge(self, source: int, target: int, key: Optional[str]) -> None:
         if self.window is None or (source in self._topo and target in self._topo):
             self._order_edge(source, target, (_COMPOSED, key))
 
-    def _labels(self, source: int, target: int) -> List[Tuple[str, Optional[str]]]:
+    def _pair_labels(self, source: int, target: int) -> List[Tuple[str, Optional[str]]]:
         """The labels of ``source -> target``: the order's, else the refused table's."""
         return self._topo.labels(source, target) or self._refused.get((source, target), [])
 
-    def _refused_edges(self) -> Iterator[Tuple[int, int, List[Tuple[str, Optional[str]]]]]:
-        return ((source, target, labels) for (source, target), labels in self._refused.items())
-
     def _order_edge(self, source: int, target: int, label: Tuple[str, Optional[str]]) -> None:
         """Offer one check-graph edge to the order; report the cycle it closes."""
-        cycle = self._topo.add_edge(source, target, label)
+        cycle = self._topo._add(source, target, label, label[0] in _REPEATABLE)
         if cycle is None:
             if self._refused and (source, target) in self._refused:
                 # Refused earlier, acyclic now (the window broke the cycle).
-                labels = self._topo.labels(source, target)
-                labels.extend(l for l in self._refused.pop((source, target)) if l not in labels)
+                for refused in self._refused.pop((source, target)):
+                    self._topo.add_edge(source, target, refused)
             return
         labels = self._refused.setdefault((source, target), [])
         if label not in labels:
@@ -1317,9 +1313,7 @@ class IncrementalChecker:
         ]
         self._violations.append(classify_cycle(edges, level=self.level))
 
-    # ------------------------------------------------------------------
-    # Bounded-window garbage collection
-    # ------------------------------------------------------------------
+    # -- Bounded-window garbage collection --
     def _evict(self, txn_id: int) -> None:
         """Retire a transaction that can no longer join a cycle, in O(degree):
         on a W-bounded stream no new in-edge reaches it — its reads resolved
@@ -1328,21 +1322,25 @@ class IncrementalChecker:
         flight (RT)."""
         self.evicted_count += 1
         topo, timeline = self._topo, self._timeline
-        hung_on = timeline and [v for v in chain(topo._pred[txn_id], topo._succ[txn_id]) if type(v) is tuple]
+        hung_on = timeline and [v for forward in (False, True) for v in topo._neighbours(txn_id, forward)
+                                if type(v) is tuple]
         topo.remove_node(txn_id)
         if self._refused:
             self._refused = {p: labels for p, labels in self._refused.items() if txn_id not in p}
         self._base_preds.pop(txn_id, None)
         self._rw_succ.pop(txn_id, None)
-        slots = self._slots
         for code in self._overwrote.pop(txn_id, ()):
-            if isinstance(slots.get(code), _Slot):
-                slots[code] = _SEALED
+            vid = self._slots.get(code)
+            if vid is not None and self._status[vid] != _SEALED:  # sealed: its rows go unlinked
+                self._status[vid], self._item_last[vid] = _SEALED, -1
+                self._intermediate.pop(vid, None)
                 self._sealed_fifo.append(code)
-        while len(self._sealed_fifo) > self._sealed_cap:
-            expired = self._sealed_fifo.popleft()
-            if slots.get(expired) is _SEALED:
-                del slots[expired]
+                self._dropped += 1
+        while len(self._sealed_fifo) > self._sealed_cap:  # the oldest marker expires
+            del self._slots[self._sealed_fifo.popleft()]
+            self._dropped += 1
+        if 2 * self._dropped > len(self._status) + 1024:
+            self._compact_slots()
         if timeline:
             self._retire_time_nodes(hung_on)
 

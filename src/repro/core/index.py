@@ -50,7 +50,7 @@ import time
 from array import array
 from itertools import compress
 from operator import eq
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import obs
 from .model import (
@@ -444,26 +444,6 @@ class HistoryIndex:
         writes the key, whose last write ``written_value`` holds where it is 1
         (2: a write without a value)."""
         return self._reads_dense
-
-    def iter_read_tuples(
-        self,
-    ) -> Iterator[Tuple[int, str, Optional[int], Optional[int], bool, Optional[int]]]:
-        """Resolved reads as plain tuples of ids and names (object-free).
-
-        Yields ``(reader_txn_id, key, value, writer_txn_id_or_None,
-        reader_writes_key, written_value)`` in scan order.
-        """
-        txn_ids = self.txn_ids
-        key_names = self.key_names
-        for pos, kid, value, writer_pos, writes, written in zip(*self._reads_dense):
-            yield (
-                txn_ids[pos],
-                key_names[kid],
-                value,
-                txn_ids[writer_pos] if writer_pos >= 0 else None,
-                writes > 0,
-                written if writes == _WRITES_VALUE else None,
-            )
 
     # ------------------------------------------------------------------
     # Orders

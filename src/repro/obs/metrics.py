@@ -284,13 +284,6 @@ class MetricsRegistry:
                 return self._counters[series]
             return self._gauges.get(series)
 
-    def histogram_stats(self, name: str, **labels: Any) -> Optional[Tuple[float, int]]:
-        """``(sum, count)`` of a histogram series, or ``None``."""
-        series = series_name(name, labels)
-        with self._lock:
-            hist = self._histograms.get(series)
-            return None if hist is None else (hist.total, hist.count)
-
     def families(self) -> List[str]:
         """Every family with at least one recorded series, sorted."""
         with self._lock:

@@ -49,9 +49,6 @@ class SkewedClock:
         self._base = base
         self._skew: Dict[int, float] = dict(skew_per_session or {})
 
-    def set_skew(self, session_id: int, skew: float) -> None:
-        self._skew[session_id] = float(skew)
-
     def now(self, session_id: int = 0) -> float:
         """The session-local current time (base time plus the session's skew)."""
         return self._base.now() + self._skew.get(session_id, 0.0)

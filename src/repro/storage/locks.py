@@ -59,9 +59,6 @@ class LockManager:
             raise LockConflict(key, LockKind.EXCLUSIVE, next(iter(other_readers)))
         self._exclusive[key] = txn_id
 
-    def holds_exclusive(self, key: str, txn_id: int) -> bool:
-        return self._exclusive.get(key) == txn_id
-
     def release_all(self, txn_id: int, keys: Iterable[str]) -> None:
         """Release every lock ``txn_id`` holds; ``keys`` are the keys it
         locked (called at commit/abort).
@@ -79,9 +76,3 @@ class LockManager:
                     del shared[key]
             if exclusive.get(key) == txn_id:
                 del exclusive[key]
-
-    def locks_held(self, txn_id: int) -> int:
-        """Number of locks currently held by ``txn_id`` (for statistics)."""
-        shared = sum(1 for readers in self._shared.values() if txn_id in readers)
-        exclusive = sum(1 for holder in self._exclusive.values() if holder == txn_id)
-        return shared + exclusive

@@ -87,16 +87,6 @@ class VersionedStore:
         """All committed versions of ``key``, oldest first."""
         return list(self._versions.get(key, ()))
 
-    def last_writer_after(self, key: str, timestamp: float) -> Optional[Version]:
-        """The earliest version of ``key`` committed strictly after ``timestamp``."""
-        versions = self._versions.get(key)
-        if not versions:
-            return None
-        index = bisect.bisect_right(self._stamps[key], timestamp)
-        if index >= len(versions):
-            return None
-        return versions[index]
-
     def keys(self) -> List[str]:
         return sorted(self._versions)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 __all__ = [
     "PlannedOpKind",
@@ -48,14 +48,6 @@ class PlannedOperation:
     @property
     def is_write(self) -> bool:
         return self.kind is PlannedOpKind.WRITE
-
-
-def planned_read(key: str) -> PlannedOperation:
-    return PlannedOperation(PlannedOpKind.READ, key)
-
-
-def planned_write(key: str) -> PlannedOperation:
-    return PlannedOperation(PlannedOpKind.WRITE, key)
 
 
 @dataclass
@@ -181,6 +173,3 @@ class Workload:
     @property
     def num_transactions(self) -> int:
         return sum(len(session) for session in self.sessions)
-
-    def all_specs(self) -> Sequence[TransactionSpec]:
-        return [spec for session in self.sessions for spec in session]

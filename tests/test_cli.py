@@ -3,6 +3,7 @@
 import gzip
 import json
 import shutil
+from array import array
 
 import pytest
 
@@ -709,12 +710,14 @@ class TestEpochLogCommands:
                       "transactions": ckpt.transactions, "crc32": zlib.crc32(payload), "payload_bytes": len(payload)}
             ckpt.path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + payload)
 
-    @pytest.mark.parametrize("old", ["v3-state", "v4-file"])
+    @pytest.mark.parametrize("old", ["v3-state", "v4-file", "v5-state"])
     def test_watch_replays_past_v3_sser_checkpoints(self, tmp_path, capsys, old):
         # v3 states kept SSER's real time as a finish-sorted interval list in
         # ``rt``; v4 states were JSON (``repro-epoch-checkpoint-v1`` files of
-        # gzipped JSON), v5 are typed columns.  Both kept checkpoints are old:
-        # each is refused by name, and the log replays to the same verdict.
+        # gzipped JSON); v5 wrote typed columns of one row per structure
+        # (ragged ``readers_count`` / ``readers`` lists per version), v6 the
+        # checker's own columns.  Both kept checkpoints are old: each is
+        # refused by name, and the log replays to the same verdict.
         path = tmp_path / "history.epochs"
         assert self._generate(path) == 0
         watch = ["watch", "--once", "--level", "sser"]
@@ -726,9 +729,17 @@ class TestEpochLogCommands:
         def as_v3(state):
             state.update(format="repro-checker-state-v3", rt={"finish": [], "start": [], "txn": []})
 
-        if old == "v3-state":
-            self._reframe_checkpoints(path, as_v3)
-            found = "repro-checker-state-v3"
+        def as_v5(state):
+            slots = state["slots"]
+            state.update(format="repro-checker-state-v5", slots={
+                "version": slots.pop("key"), "readers_count": array("q", [0] * len(slots["status"])),
+                "readers": array("q"), **slots,
+            })
+            del state["items"], state["labels"]
+
+        if old in ("v3-state", "v5-state"):
+            self._reframe_checkpoints(path, as_v3 if old == "v3-state" else as_v5)
+            found = f"repro-checker-state-{old[:2]}"
         else:
             self._as_v4_files(path)
             found = "repro-epoch-checkpoint-v1"

@@ -16,6 +16,7 @@ import pytest
 
 from repro.bench import generate_mt_history
 from repro.core.checker import MTChecker
+from repro.core.incremental import CheckerSession
 from repro.core.model import stream_order
 from repro.core.result import IsolationLevel
 from repro.history import load_columns, write_history
@@ -106,4 +107,34 @@ def test_batch_sser_accept_is_linear(histories):
             work(lambda: verdict.append(MTChecker().verify(columns, level))) / len(columns)
         )
         assert verdict[0].satisfied
+    assert_flat(per_row)
+
+
+@pytest.mark.parametrize(
+    "level", [IsolationLevel.SERIALIZABILITY, IsolationLevel.SNAPSHOT_ISOLATION, IsolationLevel.STRICT_SERIALIZABILITY]
+)
+def test_checkpoint_and_restore_are_linear(histories, level):
+    # The checkpoint is the session's columns and restore adopts them: no
+    # per-structure codec whose cost could grow faster than the state.
+    per_row = []
+    for history in histories:
+        session = MTChecker().session(level)
+        verdict = session.ingest_history(history)
+        resumed = []
+        per_row.append(work(lambda: resumed.append(CheckerSession.restore(session.checkpoint()))) / rows(history))
+        assert resumed[0].result().format() == verdict.format()
+    assert_flat(per_row)
+
+
+def test_windowed_ingest_is_linear(histories):
+    # Window GC marks and compacts in order: its cost per row must not grow
+    # with the stream (a compaction per eviction, or a scan of every
+    # version per seal, would).
+    level = IsolationLevel.SERIALIZABILITY
+    per_row = []
+    for history in histories:
+        columns = ColumnarHistory.from_history(history)
+        session = MTChecker().session(level, window=64)
+        per_row.append(work(lambda: session.ingest_segment(columns)) / len(columns))
+        assert session.satisfied and session.evicted_count > 0
     assert_flat(per_row)

@@ -13,8 +13,8 @@ import random
 import pytest
 
 from repro.core.checkers import check_sser, cycle_verdict
-from repro.core.csr import CSRGraph, peel_cycle
-from repro.core.graph import DependencyGraph, EdgeType, build_dependency
+from repro.core.csr import EDGE_TYPE_FROM_CODE, CSRGraph, peel_cycle
+from repro.core.graph import DependencyGraph, Edge, EdgeType, build_dependency
 from repro.core.incremental import CheckerSession
 from repro.core.index import HistoryIndex
 from repro.core.model import History, Transaction, TransactionStatus, read, stream_order, write
@@ -22,6 +22,15 @@ from repro.core.result import IsolationLevel
 from repro.db import FaultPlan
 
 from test_parallel import composite_history
+
+
+def csr_edges(csr):
+    """The graph's edge columns as labeled :class:`Edge` objects."""
+    names = csr.key_names
+    return [
+        Edge(csr.node_ids[s], csr.node_ids[t], EDGE_TYPE_FROM_CODE[e], names[k] if k >= 0 else None)
+        for s, t, e, k in zip(csr.src, csr.dst, csr.etype, csr.key_id)
+    ]
 
 
 def two_txn_history():
@@ -46,7 +55,7 @@ def assert_kernel_matches_reference(history, *, with_rt, transitive_ww, index=No
     reference = build_dependency(history, **options)
     csr = build_dependency(history, dense=True, **options)
 
-    assert set(csr.iter_edges()) == set(reference.edges())
+    assert set(csr_edges(csr)) == set(reference.edges())
     assert (csr.has_cycle() is None) == (reference.find_cycle() is None)
     # Both find_cycles search in transaction-id order and break label ties
     # alike, so equal edge sets give the same cycle list for list whatever
@@ -55,7 +64,7 @@ def assert_kernel_matches_reference(history, *, with_rt, transitive_ww, index=No
 
     if not with_rt:  # CHECKSI composes the RT-free graph only
         induced = reference.si_induced_graph()
-        assert set(csr.si_induced().iter_edges()) == set(induced.edges())
+        assert set(csr_edges(csr.si_induced())) == set(induced.edges())
         assert (csr.si_induced().has_cycle() is None) == (induced.find_cycle() is None)
         assert csr.si_induced().find_cycle() == induced.find_cycle()
 
@@ -70,7 +79,7 @@ class TestCSRGraph:
         csr = build_dependency(history, index=index, dense=True)
         legacy = build_dependency(history, index=index)
         assert isinstance(csr, CSRGraph)
-        assert sorted(map(str, csr.iter_edges())) == sorted(map(str, legacy.edges()))
+        assert sorted(map(str, csr_edges(csr))) == sorted(map(str, legacy.edges()))
 
     def test_to_multigraph_builds_a_fresh_graph(self):
         history = two_txn_history()
@@ -93,7 +102,7 @@ class TestCSRGraph:
         legacy_induced = build_dependency(history).si_induced_graph()
         dense_edges = {
             (e.source, e.target, e.edge_type, e.key)
-            for e in csr.si_induced().iter_edges()
+            for e in csr_edges(csr.si_induced())
         }
         legacy_edges = {
             (e.source, e.target, e.edge_type, e.key) for e in legacy_induced.edges()
@@ -125,7 +134,7 @@ class TestCSRGraph:
         history = History.from_transactions([[t1], [t2]], initial_keys=["x"])
         index = HistoryIndex.build(history)
         csr = CSRGraph.from_index(index, with_rt=True)
-        assert any(e.edge_type is EdgeType.RT for e in csr.iter_edges())
+        assert any(e.edge_type is EdgeType.RT for e in csr_edges(csr))
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +265,7 @@ class TestPeel:
 
     def test_graph_cycle_is_transaction_ids(self):
         csr = build_dependency(lost_update_history(), dense=True)
-        edges = {(e.source, e.target) for e in csr.iter_edges()}
+        edges = {(e.source, e.target) for e in csr_edges(csr)}
         assert_is_cycle(csr.has_cycle(), edges)
 
     def test_random_graphs_agree_with_the_reference_search(self):
@@ -297,7 +306,7 @@ class TestReferenceIsIndependentOfTheScan:
         assert len(index.read_columns[0]) == len(columns[0]) - 1
         with pytest.raises(AssertionError):
             assert_kernel_matches_reference(history, **options)
-        kernel = set(build_dependency(history, dense=True, index=index).iter_edges())
+        kernel = set(csr_edges(build_dependency(history, dense=True, index=index)))
         assert kernel < set(build_dependency(history, index=index).edges())
 
     def test_reference_and_solver_baselines_build_no_index(self):

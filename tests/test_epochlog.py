@@ -794,16 +794,16 @@ def _typecode(code):
     return edit
 
 
-def _ragged_count(first, second):
+def _item_slot(first, second):
     def edit(state):
-        counts = state["slots"]["readers_count"]
-        counts[0] += first
-        counts[1] += second
+        slots = state["items"]["slot"]
+        slots[0] += first
+        slots[1] += second
     return edit
 
 
 def _key_past_keys(state):
-    state["slots"]["version"][0] = 5 * (1 << 32) + len(state["keys"])
+    state["slots"]["key"][0] = len(state["keys"])
 
 
 def _nested(blob):
@@ -817,14 +817,14 @@ class TestHostileCheckpointBytes:
         [
             (_truncations, "checkpoints"),
             (_flips, "checkpoints"),
-            (lambda blob: [_relined(blob, _count("slots.readers", 1))], "checkpoints"),
+            (lambda blob: [_relined(blob, _count("items.txn", 1))], "checkpoints"),
             (lambda blob: [_relined(blob, _count("topo.ord", -1))], "checkpoints"),
             (_declared("past-bound"), "checkpoints"),
             (_declared("huge"), "checkpoints"),
             (_declared("long"), "checkpoints"),
             (_declared("short"), "checkpoints"),
-            (lambda blob: [_restated(blob, _ragged_count(-1, 1))], "restore"),
-            (lambda blob: [_restated(blob, _ragged_count(10**6, 0))], "restore"),
+            (lambda blob: [_restated(blob, _item_slot(-10**6, 1))], "restore"),
+            (lambda blob: [_restated(blob, _item_slot(10**6, 0))], "restore"),
             (lambda blob: [_relined(blob, _typecode("Q"))], "checkpoints"),
             (lambda blob: [_relined(blob, _typecode("z"))], "checkpoints"),
             (lambda blob: [_restated(blob, _key_past_keys)], "restore"),
@@ -835,7 +835,7 @@ class TestHostileCheckpointBytes:
             "truncated-at-each-column-boundary", "flipped-payload-byte-under-a-recomputed-crc",
             "schema-length-past-the-payload", "schema-length-short-of-the-payload",
             "declared-size-past-the-deflate-bound", "declared-size-huge", "declared-size-long",
-            "declared-size-short", "negative-ragged-count", "oversized-ragged-count",
+            "declared-size-short", "negative-item-slot", "item-slot-past-the-table",
             "unknown-typecode", "invalid-typecode", "key-id-past-the-keys", "keys-not-strings",
             "json-nested-past-the-parser",
         ],

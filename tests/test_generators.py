@@ -11,6 +11,11 @@ from repro.workloads import (
 from repro.workloads.spec import PlannedOpKind, PlannedOperation, TransactionSpec
 
 
+def all_specs(workload):
+    """Every planned transaction of ``workload``, session by session."""
+    return [spec for session in workload.sessions for spec in session]
+
+
 class TestTransactionSpec:
     def test_counts_and_keys(self):
         spec = TransactionSpec(
@@ -54,7 +59,7 @@ class TestMTWorkloadGenerator:
         workload = generator.generate()
         assert workload.num_sessions == 5
         assert workload.num_transactions == 250
-        assert all(spec.is_mini() for spec in workload.all_specs())
+        assert all(spec.is_mini() for spec in all_specs(workload))
 
     def test_deterministic_for_a_seed(self):
         a = MTWorkloadGenerator(num_sessions=3, txns_per_session=20, num_objects=10, seed=7).generate()
@@ -70,8 +75,8 @@ class TestMTWorkloadGenerator:
     def test_different_seeds_differ(self):
         a = MTWorkloadGenerator(num_sessions=3, txns_per_session=20, num_objects=10, seed=1).generate()
         b = MTWorkloadGenerator(num_sessions=3, txns_per_session=20, num_objects=10, seed=2).generate()
-        flat_a = [(op.kind, op.key) for spec in a.all_specs() for op in spec.operations]
-        flat_b = [(op.kind, op.key) for spec in b.all_specs() for op in spec.operations]
+        flat_a = [(op.kind, op.key) for spec in all_specs(a) for op in spec.operations]
+        flat_b = [(op.kind, op.key) for spec in all_specs(b) for op in spec.operations]
         assert flat_a != flat_b
 
     def test_keys_cover_object_space(self):
@@ -85,7 +90,7 @@ class TestMTWorkloadGenerator:
     def test_pure_single_rmw_mix(self):
         mix = MTWorkloadMix(single_rmw=1.0, double_rmw=0.0, read_only=0.0, read_then_rmw=0.0)
         generator = MTWorkloadGenerator(num_sessions=2, txns_per_session=30, num_objects=10, mix=mix, seed=3)
-        for spec in generator.generate().all_specs():
+        for spec in all_specs(generator.generate()):
             assert spec.num_reads() == 1 and spec.num_writes() == 1
 
     def test_invalid_sizes_rejected(self):
@@ -111,7 +116,7 @@ class TestGTWorkloadGenerator:
         )
         workload = generator.generate()
         assert workload.num_transactions == 100
-        sizes = [len(spec) for spec in workload.all_specs()]
+        sizes = [len(spec) for spec in all_specs(workload)]
         assert max(sizes) <= 2 * 10  # RMW transactions pair reads with writes
         assert min(sizes) >= 1
 
@@ -120,8 +125,8 @@ class TestGTWorkloadGenerator:
             num_sessions=4, txns_per_session=200, num_objects=50, ops_per_txn=8, seed=9
         )
         workload = generator.generate()
-        read_only = sum(1 for spec in workload.all_specs() if spec.num_writes() == 0)
-        write_only = sum(1 for spec in workload.all_specs() if spec.num_reads() == 0)
+        read_only = sum(1 for spec in all_specs(workload) if spec.num_writes() == 0)
+        write_only = sum(1 for spec in all_specs(workload) if spec.num_reads() == 0)
         total = workload.num_transactions
         assert 0.1 < read_only / total < 0.3
         assert 0.3 < write_only / total < 0.5
@@ -131,7 +136,7 @@ class TestGTWorkloadGenerator:
             num_sessions=2, txns_per_session=100, num_objects=20, ops_per_txn=12, seed=5
         )
         workload = generator.generate()
-        non_mini = sum(1 for spec in workload.all_specs() if not spec.is_mini())
+        non_mini = sum(1 for spec in all_specs(workload) if not spec.is_mini())
         assert non_mini > workload.num_transactions * 0.7
 
     def test_invalid_ops_per_txn(self):
@@ -146,5 +151,5 @@ class TestGTWorkloadGenerator:
         a = GTWorkloadGenerator(num_sessions=2, txns_per_session=10, seed=4).generate()
         b = GTWorkloadGenerator(num_sessions=2, txns_per_session=10, seed=4).generate()
         assert [
-            [(op.kind, op.key) for op in spec.operations] for spec in a.all_specs()
-        ] == [[(op.kind, op.key) for op in spec.operations] for spec in b.all_specs()]
+            [(op.kind, op.key) for op in spec.operations] for spec in all_specs(a)
+        ] == [[(op.kind, op.key) for op in spec.operations] for spec in all_specs(b)]

@@ -85,8 +85,10 @@ class TestWriteIndexParity:
         for history in random_histories():
             index = HistoryIndex.build(history)
             resolved = {}
-            for reader, key, value, _, writes_key, written in index.iter_read_tuples():
-                resolved.setdefault(reader, {})[key] = (value, writes_key, written)
+            for pos, kid, value, _, writes, written in zip(*index.read_columns):
+                resolved.setdefault(index.txn_ids[pos], {})[index.key_names[kid]] = (
+                    value, writes > 0, written if writes == 1 else None
+                )
             for txn in history.committed_transactions(include_initial=False):
                 assert resolved.get(txn.txn_id, {}) == {
                     key: (value, txn.writes_to(key), txn.final_write(key))

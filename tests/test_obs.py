@@ -19,7 +19,7 @@ import pytest
 from repro import MTChecker, IsolationLevel, obs
 from repro.cli import main
 from repro.core.anomalies import anomaly_history
-from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.obs.metrics import MetricsRegistry, merge_snapshots, series_name
 from repro.parallel import check_parallel
 
 
@@ -49,8 +49,8 @@ class TestRegistry:
         assert reg.value("repro_executor_checks_total") == 2
         assert reg.value("repro_resilience_pool_faults_total", kind="broken") == 3
         assert reg.value("repro_executor_shards") == 20
-        total, count = reg.histogram_stats("repro_phase_seconds", phase="index_build")
-        assert count == 2 and total == pytest.approx(3.02)
+        hist = reg.snapshot()["histograms"][series_name("repro_phase_seconds", {"phase": "index_build"})]
+        assert hist["count"] == 2 and hist["sum"] == pytest.approx(3.02)
 
     def test_merge_is_associative(self):
         snaps = [_sample_registry(s).snapshot() for s in (1, 2, 3)]
@@ -546,9 +546,8 @@ class TestEpochLogMetrics:
         assert value("repro_epochlog_txns_sealed_total") == log.num_transactions == 10
         assert value("repro_epochlog_bytes_written_total") == sum(
             (directory / entry.name).stat().st_size for entry in log.epochs)
-        fsync_seconds, fsyncs = registry.histogram_stats("repro_epochlog_fsync_seconds")
-        seal_seconds, seals = registry.histogram_stats("repro_epochlog_seal_seconds")
-        assert fsyncs == seals == 3 and 0 < fsync_seconds <= seal_seconds
+        fsync, seal = (registry.snapshot()["histograms"][f"repro_epochlog_{name}_seconds"] for name in ("fsync", "seal"))
+        assert fsync["count"] == seal["count"] == 3 and 0 < fsync["sum"] <= seal["sum"]
         assert value("repro_epochlog_epochs_loaded_total") is None
         log.load_epoch(1)
         load_columns(directory)

@@ -61,7 +61,7 @@ from repro.resilience import (
 )
 from repro.resilience import failpoints
 from repro.workloads.mt_generator import MTWorkloadGenerator
-from repro.workloads.spec import TransactionSpec, Workload, planned_read, planned_write
+from repro.workloads.spec import PlannedOperation, PlannedOpKind, TransactionSpec, Workload
 
 SER = IsolationLevel.SERIALIZABILITY
 SSER = IsolationLevel.STRICT_SERIALIZABILITY
@@ -691,7 +691,7 @@ class TestCollectorResilience:
     def _workload(self, sessions=2, txns=3):
         specs = [
             [
-                TransactionSpec([planned_read("k"), planned_write("k")])
+                TransactionSpec([PlannedOperation(PlannedOpKind.READ, "k"), PlannedOperation(PlannedOpKind.WRITE, "k")])
                 for _ in range(txns)
             ]
             for _ in range(sessions)

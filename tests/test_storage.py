@@ -33,8 +33,7 @@ class TestLogicalClock:
 
     def test_skewed_clock_offsets_per_session(self):
         base = LogicalClock()
-        skewed = SkewedClock(base, {1: 5.0})
-        skewed.set_skew(2, -1.0)
+        skewed = SkewedClock(base, {1: 5.0, 2: -1.0})
         base.tick()
         assert skewed.now(1) == pytest.approx(6.0)
         assert skewed.now(2) == pytest.approx(0.0)
@@ -78,13 +77,13 @@ class TestVersionedStore:
         store.install("x", 1, commit_ts=1.0, txn_id=1)
         assert [v.value for v in store.versions("x")] == [1, 2]
 
-    def test_last_writer_after(self):
+    def test_read_at_sees_a_version_from_its_commit_stamp_on(self):
         store = VersionedStore()
         store.load_initial(["x"])
         store.install("x", 10, commit_ts=5.0, txn_id=1)
-        assert store.last_writer_after("x", 0.0).value == 10
-        assert store.last_writer_after("x", 5.0) is None
-        assert store.last_writer_after("missing", 0.0) is None
+        assert store.read_at("x", 4.5).value == 0
+        assert store.read_at("x", 5.0).value == store.read_at("x", 9.0).value == 10
+        assert store.read_at("missing", 0.0) is None
 
     def test_reads_match_a_scan_of_the_versions(self):
         rng = random.Random(7)
@@ -110,9 +109,7 @@ class TestVersionedStore:
             assert store.versions(key) == expected
             for probe in [t / 2 for t in range(-1, 124)]:
                 before = [v for v in expected if v.commit_ts <= probe]
-                after = [v for v in expected if v.commit_ts > probe]
                 assert store.read_at(key, probe) == (before[-1] if before else None)
-                assert store.last_writer_after(key, probe) == (after[0] if after else None)
 
     def test_len_counts_objects(self):
         store = VersionedStore()
@@ -125,8 +122,9 @@ class TestLockManager:
         locks = LockManager()
         locks.acquire_shared("x", 1)
         locks.acquire_shared("x", 2)
-        assert locks.locks_held(1) == 1
-        assert locks.locks_held(2) == 1
+        locks.acquire_shared("x", 1)  # a second time: still compatible
+        with pytest.raises(LockConflict):
+            locks.acquire_exclusive("x", 3)
 
     def test_exclusive_conflicts_with_shared(self):
         locks = LockManager()
@@ -146,7 +144,8 @@ class TestLockManager:
         locks = LockManager()
         locks.acquire_shared("x", 1)
         locks.acquire_exclusive("x", 1)
-        assert locks.holds_exclusive("x", 1)
+        with pytest.raises(LockConflict):  # 1 holds x exclusively
+            locks.acquire_shared("x", 2)
 
     def test_upgrade_blocked_by_other_reader(self):
         locks = LockManager()
@@ -160,8 +159,8 @@ class TestLockManager:
         locks.acquire_exclusive("x", 1)
         locks.acquire_shared("y", 1)
         locks.release_all(1, ["x", "y"])
-        assert locks.locks_held(1) == 0
         locks.acquire_exclusive("x", 2)  # no conflict anymore
+        locks.acquire_exclusive("y", 2)
 
     def test_release_touches_only_the_transactions_keys(self):
         class OnlyLookups(dict):
@@ -210,7 +209,8 @@ class TestLockManager:
         locks = LockManager()
         locks.acquire_exclusive("x", 1)
         locks.acquire_exclusive("x", 1)
-        assert locks.holds_exclusive("x", 1)
+        with pytest.raises(LockConflict):  # 1 holds x exclusively
+            locks.acquire_shared("x", 2)
 
     def test_conflict_reports_holder(self):
         locks = LockManager()
