@@ -8,9 +8,9 @@ All three checkers share the same structure:
    history with :func:`repro.core.graph.build_dependency`;
 3. check acyclicity of the appropriate edge combination:
 
-   * ``CHECKSSER`` — ``RT ∪ SO ∪ WR ∪ WW ∪ RW`` acyclic (O(n log n): the
-     peel reads RT as a chain of time nodes, and only a rejection builds
-     the explicit RT pairs, up to n²/4 of them, to label its cycle);
+   * ``CHECKSSER`` — ``RT ∪ SO ∪ WR ∪ WW ∪ RW`` acyclic (O(n log n): RT
+     is a chain of time nodes, which the peel reads and on which a
+     rejection labels its cycle);
    * ``CHECKSER``  — ``SO ∪ WR ∪ WW ∪ RW`` acyclic (Θ(n));
    * ``CHECKSI``   — reject on the DIVERGENCE pattern, else
      ``(SO ∪ WR ∪ WW) ; RW?`` acyclic (Θ(n)).
@@ -207,31 +207,14 @@ def check_level(
     if violations:
         result = CheckResult.violated(level, violations, num_transactions=num_txns)
     else:
-        sser = level is IsolationLevel.STRICT_SERIALIZABILITY
         with obs.phase("build_dependency"):
-            csr = build_dependency(
-                history, transitive_ww=transitive_ww, index=index, dense=True
-            )
-            if sser:
-                csr.add_real_time_chain(index)
+            csr = build_dependency(history, with_rt=level is IsolationLevel.STRICT_SERIALIZABILITY,
+                                   transitive_ww=transitive_ww, index=index, dense=True)
         obs.inc("repro_graph_builds_total")
         obs.set_gauge("repro_graph_nodes", csr.num_nodes)
         obs.set_gauge("repro_graph_edges", csr.num_edges)
         with obs.phase("acyclicity"):
-            if not sser:
-                result = cycle_verdict(csr, level, num_txns)
-            elif csr.has_cycle() is None:
-                result = CheckResult.ok(level, num_txns)
-            else:
-                # Drop the chained graph (no edge column is held twice), then label
-                # from the explicit RT block: the counterexample it would print, as
-                # ``find_cycle`` does not depend on row order.
-                del csr
-                csr = build_dependency(
-                    history, with_rt=True, transitive_ww=transitive_ww, index=index, dense=True
-                )
-                violation = classify_cycle(csr.find_cycle(), level=level)
-                result = CheckResult.violated(level, [violation], num_transactions=num_txns)
+            result = cycle_verdict(csr, level, num_txns)
         if result.satisfied and divergence is not None:
             # The induced graph can be acyclic even though the history
             # violates SI via DIVERGENCE (Example 3); completeness requires

@@ -11,10 +11,11 @@ PolySI's encoder) keep their hot loops:
   ``Edge`` object is allocated on the accept path.
 * :meth:`CSRGraph.from_index` is the array-native BUILDDEPENDENCY: it reads
   :class:`~repro.core.index.HistoryIndex`'s scan positions and resolved read
-  columns and appends whole blocks of edges (RT | SO | WR | WW | RW) with
+  columns and appends whole blocks of edges (SO | WR | WW | RW) with
   bulk ``extend``\\ s.
-* :meth:`CSRGraph.add_real_time_chain` gives SSER's peel the real-time
-  order as O(n) rows over time nodes instead of up to n²/4 RT pairs.
+* :meth:`CSRGraph.add_real_time_chain` gives SSER the real-time order as
+  O(n) rows over time nodes instead of up to n²/4 reduced RT pairs; the
+  peel reads it, and the labeler walks the reduced pairs off it.
 * :meth:`CSRGraph.has_cycle` is one Kahn topological peel
   (:func:`peel_cycle`): ``None`` on the accept path, the ids of one cycle
   otherwise.  On the reject path :meth:`CSRGraph.find_cycle` labels a cycle
@@ -40,7 +41,7 @@ from array import array
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, repeat
 from operator import eq, ne, not_, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graph import (
     DependencyGraph,
@@ -147,8 +148,9 @@ class CSRGraph:
 
         Mirrors :func:`~repro.core.graph.build_dependency` edge for edge
         (``tests/test_csr.py`` asserts the two build the same edge set and
-        the same labeled cycle) and appends one block per edge type, RT |
-        SO | WR | WW | RW, each a bulk extend of dense node ids.  Node ids
+        the same labeled cycle) and appends one block per edge type, SO |
+        WR | WW | RW, each a bulk extend of dense node ids, then (``with_rt``)
+        the real-time chain (:meth:`add_real_time_chain`).  Node ids
         come straight from scan positions: the ``i``-th committed
         non-initial position is node ``base + i`` (``base`` is 1 when ``⊥T``
         is node 0), so session order is read off adjacent positions and no
@@ -164,8 +166,6 @@ class CSRGraph:
         for node, pos in enumerate(compress(range(len(index.txn_ids)), index._committed_mask)):
             node_of[pos] = node
 
-        if with_rt:
-            graph.add_real_time(index)
         graph._append(_SO, *_session_order(index._committed(index._session_of), base))
 
         # WR edges (unique values), WW inferred from the RMW pattern.  A read
@@ -200,32 +200,24 @@ class CSRGraph:
         rw = _read_write(writers, readers, kids, ww_src, ww_dst, ww_key, radix)
         del writers, readers, ww_src, ww_dst, ww_key
         graph._append(_RW, *rw)
+        if with_rt:
+            graph.add_real_time_chain(index)
         return graph
-
-    def add_real_time(self, index: HistoryIndex) -> None:
-        """Append ``index.real_time_id_pairs()`` as RT rows (up to n²/4, even
-        reduced); an uncommitted ``⊥T`` is no node, so its row is dropped."""
-        node = dict(zip(self.node_ids, range(len(self.node_ids))))
-        pairs = index.real_time_id_pairs()
-        self._append(
-            _RT,
-            [node[s] for s, _ in pairs if s in node],
-            [node[t] for s, t in pairs if s in node],
-        )
 
     def add_real_time_chain(self, index: HistoryIndex) -> None:
         """Append the real-time order as at most 3n chain rows, in place.
 
-        For the peel only.  With the stamped transactions sorted by finish,
+        With the stamped transactions sorted by finish,
         ``p(B)`` counts those finishing strictly before ``B`` starts; each
         distinct ``p > 0`` gets a time node ``V_p`` (no transaction id),
         with rows ``V_p → B`` for ``p(B) = p``, ``V_p → V_p'`` between
         consecutive levels and ``A → V_q`` for the first level ``q`` past
         ``A``'s finish rank.  A path runs from ``A`` to ``B`` iff ``A``
         finishes before ``B`` starts, so the transitive closure, and the
-        verdict, are :meth:`add_real_time`'s, as no interval finishes before
-        it starts (the index refused such a history).  ``⊥T`` precedes the
-        first transaction by start, as there.
+        verdict, are those of the reduced RT pairs (``History.real_time_order``),
+        as no interval finishes before it starts (the index refused such a
+        history); ``⊥T`` precedes the first transaction by start, as there.
+        Time nodes follow the transactions, in level order (:func:`_real_time_walk`).
         """
         ordinals, starts, finishes = index.committed_stamps()
         first = len(self.node_ids)
@@ -291,24 +283,25 @@ class CSRGraph:
     def find_cycle(self) -> Optional[List[Edge]]:
         """The labeled counterexample: ``to_multigraph().find_cycle()``, on the arrays.
 
-        Nodes are ranked by transaction id once, successors are counting-
-        sorted by source (:func:`_by_source`), and only the nodes the DFS
-        visits have their successors sorted by id and deduplicated; the
-        search is the multigraph's (:func:`~repro.core.graph._find_cycle_dense`),
-        so the cycle does not depend on the order of the edge rows.  Only the
-        cycle's rows are labeled, by :func:`~repro.core.graph.best_label`.
+        Transactions are ranked by id once, and only the ones the DFS visits
+        have their successors (:meth:`_successors`) sorted by id; the search
+        is the multigraph's (:func:`~repro.core.graph._find_cycle_dense`),
+        so the cycle does not depend on the order of the edge rows.  Only
+        the cycle's rows are labeled, by :func:`~repro.core.graph.best_label`;
+        a step the real-time walk yields carries RT.
         """
         node_ids = self.node_ids
         txn_id = node_ids.__getitem__
-        flat, starts, ends, _ = _by_source(len(node_ids), self.src, self.dst)
+        first, successors, real_time = self._successors()
         cycle = _find_cycle_dense(
-            sorted(range(len(node_ids)), key=txn_id),
-            lambda v: sorted(set(flat[starts[v]:ends[v]]), key=txn_id),
+            sorted(range(first), key=txn_id), lambda v: sorted(successors(v), key=txn_id)
         )
         if cycle is None:
             return None
         next_of = dict(zip(cycle, cycle[1:] + cycle[:1]))  # in cycle order
-        tags: Dict[int, List[Tuple[EdgeType, Optional[str]]]] = {v: [] for v in cycle}
+        tags: Dict[int, List[Tuple[EdgeType, Optional[str]]]] = {
+            v: [(EdgeType.RT, None)] if w in real_time(v) else [] for v, w in next_of.items()
+        }
         key_names = self.key_names
         for s, t, e, k in zip(self.src, self.dst, self.etype, self.key_id):
             if next_of.get(s) == t:
@@ -316,6 +309,20 @@ class CSRGraph:
         return [
             Edge(node_ids[v], node_ids[w], *best_label(tags[v])) for v, w in next_of.items()
         ]
+
+    def _successors(self) -> Tuple[int, Callable[[int], set], Callable[[int], List[int]]]:
+        """``(first, successors, real_time)``: the transactions are nodes
+        ``0..first-1``, ``successors(v)`` the set of ``v``'s transaction
+        successors, its direct rows plus ``real_time(v)``, the reduced RT
+        successors :func:`_real_time_walk` reads off a chain."""
+        first = len(self.node_ids) - self.node_ids.count(None)
+        flat, starts, ends, _ = _by_source(len(self.node_ids), self.src, self.dst)
+        real_time = _real_time_walk(first, flat, starts, ends)
+
+        def successors(v: int) -> set:
+            return {*filter(first.__gt__, flat[starts[v]:ends[v]]), *real_time(v)}
+
+        return first, successors, real_time
 
     def is_acyclic(self) -> bool:
         return self.has_cycle() is None
@@ -356,16 +363,22 @@ class CSRGraph:
 
         No checker calls it: verdicts and counterexamples come from
         :meth:`has_cycle` and :meth:`find_cycle`.  The edge *set* equals
-        what the reference ``build_dependency`` builds, so the reference
-        tests and anyone inspecting the graph can compare the two directly.
+        what the reference ``build_dependency`` builds (a real-time chain
+        becomes its reduced RT pairs), so the reference tests and anyone
+        inspecting the graph can compare the two directly.
         """
-        graph = DependencyGraph(self.node_ids)
         node_ids = self.node_ids
+        first, _, real_time = self._successors()
+        graph = DependencyGraph(node_ids[:first])
         key_names = self.key_names
         types = EDGE_TYPE_FROM_CODE
         add_edge = graph.add_edge
         for s, t, e, k in zip(self.src, self.dst, self.etype, self.key_id):
-            add_edge(node_ids[s], node_ids[t], types[e], key_names[k] if k >= 0 else None)
+            if s < first > t:  # time-node rows are the chain, expanded below
+                add_edge(node_ids[s], node_ids[t], types[e], key_names[k] if k >= 0 else None)
+        for v in range(first):
+            for w in real_time(v):
+                add_edge(node_ids[v], node_ids[w], EdgeType.RT)
         return graph
 
     def append_remapped(
@@ -524,6 +537,39 @@ def _join(keys: Sequence[int], levels: List[Dict[int, int]]) -> Tuple[List[int],
         matched += rows
         values += map(level.__getitem__, keys)
     return matched, values
+
+
+def _real_time_walk(
+    first: int, flat: array, starts: List[int], ends: List[int]
+) -> Callable[[int], List[int]]:
+    """``v -> v``'s reduced real-time successors, read off the chain rows.
+
+    Nodes from ``first`` on are :meth:`CSRGraph.add_real_time_chain`'s time
+    nodes in level order (``flat`` / ``starts`` / ``ends``: :func:`_by_source`).
+    ``A``'s one row to a time node is its ``hop``; ``V_t → B`` hangs ``B``
+    at ``t``.  ``B`` is a reduced successor of ``A`` iff it hangs at some
+    ``t >= hop[A]`` and no ``C`` hung in ``[hop[A], t)`` has ``hop[C] <= t``,
+    so the walk climbs from ``hop[A]`` while ``t`` is below the least hop
+    it has collected: at most one level per successor.
+    """
+    num_nodes = len(starts)
+    if first == num_nodes:
+        return lambda v: []
+    hop = [max(flat[starts[v]:ends[v]], default=-1) for v in range(first)]
+    hop = [h if h >= first else num_nodes for h in hop]
+    hung = [list(filter(first.__gt__, flat[starts[t]:ends[t]])) for t in range(first, num_nodes)]
+    low = [min(map(hop.__getitem__, b), default=num_nodes) for b in hung]
+
+    def walk(v: int) -> List[int]:
+        successors: List[int] = []
+        t, stop = hop[v], num_nodes
+        while t < stop:
+            successors += hung[t - first]
+            stop = min(stop, low[t - first])
+            t += 1
+        return successors
+
+    return walk
 
 
 # ----------------------------------------------------------------------

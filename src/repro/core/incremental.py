@@ -1036,7 +1036,7 @@ class IncrementalChecker:
     @staticmethod
     def _intermediate_violation(reader_id: int, intermediate_id: int, key: str) -> Violation:
         return Violation(
-            kind=AnomalyKind.INTERMEDIATE_READ, txn_ids=[reader_id, intermediate_id or -2], key=key,
+            kind=AnomalyKind.INTERMEDIATE_READ, txn_ids=[reader_id, intermediate_id], key=key,
             description=f"read of object {key} observes an intermediate value of "
                         f"T{intermediate_id}, which later overwrote it",
         )

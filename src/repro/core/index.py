@@ -13,8 +13,10 @@ history-scanning entry point for the batch pipeline:
 * every committed transaction's external reads are resolved to writer /
   RMW-flag / written-value columns (:attr:`read_columns`), which is all
   the CSR kernel and the DIVERGENCE scan need;
-* real-time order (as id pairs), the INT verdict, and the MT-validation
-  verdict are computed once and cached.
+* the committed stamps (:meth:`committed_stamps`) are read off the
+  timestamp columns, which is all the CSR kernel's real-time chain needs;
+* the INT verdict and the MT-validation verdict are computed once and
+  cached.
 
 There is **one construction path**: :meth:`build` is the door.  A
 :class:`~repro.history.columnar.ColumnarHistory` segment goes straight to
@@ -60,7 +62,6 @@ from .model import (
     Transaction,
     TransactionStatus,
     history_from_stream,
-    interval_order_reduction,
     refuse_inverted_intervals,
     stream_order,
 )
@@ -191,7 +192,6 @@ class HistoryIndex:
         self._txn_cache: Dict[int, Transaction] = {}
 
         # Lazy caches.
-        self._rt_id_pairs: Optional[List[Tuple[int, int]]] = None
         self._int_violations: Optional[list] = None
         self._mt_problems: Optional[list] = None
 
@@ -446,15 +446,8 @@ class HistoryIndex:
         return self._reads_dense
 
     # ------------------------------------------------------------------
-    # Orders
+    # Real-time stamps
     # ------------------------------------------------------------------
-    def real_time_id_pairs(self) -> List[Tuple[int, int]]:
-        """The transitive reduction of the committed real-time order, as
-        transaction-id pairs (cached)."""
-        if self._rt_id_pairs is None:
-            self._rt_id_pairs = self._rt_id_pairs_from_columns()
-        return self._rt_id_pairs
-
     def committed_stamps(self) -> Tuple[List[int], List[float], List[float]]:
         """``(ordinals, starts, finishes)`` of the committed non-``⊥T``
         transactions with both stamps, in scan order; an ordinal is the rank
@@ -472,20 +465,6 @@ class HistoryIndex:
                 list(compress(column, stamped)) for column in (ordinals, starts, finishes)
             )
         return ordinals, starts, finishes
-
-    def _rt_id_pairs_from_columns(self) -> List[Tuple[int, int]]:
-        """Mirror ``History.real_time_order()`` over the timestamp columns."""
-        ordinals, starts, finishes = self.committed_stamps()
-        txn_ids = self._committed(self.txn_ids)
-        # (start, finish, txn_id) in scan order — the entry order
-        # History.real_time_order feeds interval_order_reduction, so stable
-        # sorts tie-break alike.
-        entries = list(zip(starts, finishes, [txn_ids[i] for i in ordinals]))
-        pairs = interval_order_reduction(entries)
-        if self._has_initial and entries:
-            first = min(entries, key=lambda e: e[0])
-            pairs.append((INITIAL_TXN_ID, first[2]))
-        return pairs
 
     # ------------------------------------------------------------------
     # Cached verdict pre-passes

@@ -9,8 +9,9 @@ SSER is the exception: the real-time order ``RT`` relates transactions in
 *different* shards, so a cycle can thread through several shards even when
 each shard is internally acyclic (dependency path in shard A, RT hop to
 shard B, dependency path there, RT hop back).  The merger therefore
-reassembles the per-shard dependency edges into one graph, adds the global
-(transitively reduced) real-time edges, and runs a single acyclicity check
+reassembles the per-shard dependency edges into one graph, appends the
+global real-time order as a chain of time nodes (the layout
+``CSRGraph.from_index(with_rt=True)`` builds), and runs a single acyclicity check
 — exactly the graph the serial ``CHECKSSER`` would have built, with the
 expensive per-shard construction already done in parallel.
 
@@ -32,8 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.checkers import cycle_verdict
-from ..core.csr import CSRGraph, EDGE_TYPE_CODES, WireCSR
-from ..core.graph import EdgeType
+from ..core.csr import CSRGraph, WireCSR
 from ..core.index import HistoryIndex
 from ..core.result import CheckResult, IsolationLevel, Violation
 
@@ -43,9 +43,6 @@ __all__ = [
     "merge_csr_wires",
     "finalize_sser_wires",
 ]
-
-_RT_CODE = EDGE_TYPE_CODES[EdgeType.RT]
-
 
 @dataclass
 class ShardOutcome:
@@ -145,7 +142,7 @@ def finalize_sser_wires(
 
     The parent's final (cheap) step of the SSER merge: every wire's edge
     rows are translated onto the global index's node/key interning in
-    order, the global (reduced) real-time edges are appended, and one
+    order, the global real-time chain is appended, and one
     topological peel settles acyclicity.  A rejection labels its cycle on
     the merged arrays in transaction-id order, so the counterexample is
     identical whether the wires arrive one-per-shard (flat merge) or as a
@@ -161,19 +158,7 @@ def finalize_sser_wires(
             wire, *_remap_arrays(wire, global_dense, index.key_dense)
         )
 
-    src_append = merged.src.append
-    dst_append = merged.dst.append
-    et_append = merged.etype.append
-    kid_append = merged.key_id.append
-    for source_id, target_id in index.real_time_id_pairs():
-        s = global_dense.get(source_id)
-        t = global_dense.get(target_id)
-        if s is not None and t is not None:
-            src_append(s)
-            dst_append(t)
-            et_append(_RT_CODE)
-            kid_append(-1)
-
+    merged.add_real_time_chain(index)
     result = cycle_verdict(merged, level, num_transactions)
     result.elapsed_seconds = elapsed_seconds
     return result

@@ -7,18 +7,21 @@ key table grows too), and its work per row may grow by at most 1.25x.
 
 Blind spot: work done inside one C call (``sorted``, ``list.index``,
 ``x in list``) is one trace event whatever its length;
-``tests/test_index.py::TestBytesPerRow`` covers the index's bytes instead.
+``tests/test_index.py::TestBytesPerRow`` covers the index's bytes instead,
+and the SSER reject gate also bounds its traced peak bytes per row.
 """
 
 import sys
+import tracemalloc
 
 import pytest
 
 from repro.bench import generate_mt_history
 from repro.core.checker import MTChecker
 from repro.core.incremental import CheckerSession
-from repro.core.model import stream_order
-from repro.core.result import IsolationLevel
+from repro.core.model import History, Transaction, read, stream_order, write
+from repro.core.result import AnomalyKind, IsolationLevel
+from repro.db import FaultPlan
 from repro.history import load_columns, write_history
 from repro.history.columnar import ColumnarHistory
 
@@ -54,6 +57,34 @@ def histories():
         ).history
         for tps in (SMALL, 8 * SMALL)
     ]
+
+
+def peak_bytes(fn):
+    """The traced peak of the memory ``fn()`` allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def bipartite_lost_update(rows):
+    """Half the rows finish before the other half start, so the reduced
+    real-time order has rows²/4 pairs, and the last two rows read one
+    version and both overwrite it: a lost update, found by the labeler's
+    DFS below the first early row.  A cycle that the DFS reaches only
+    behind every early row would walk all rows²/4 pairs (ARCHITECTURE
+    "SSER's real-time order as a chain")."""
+    half = rows // 2
+    txns = [
+        Transaction(i, [read("x", 0)], session_id=i,
+                    start_ts=0.0 if i <= half else 2.0, finish_ts=1.0 if i <= half else 3.0)
+        for i in range(1, 2 * half + 1)
+    ]
+    for value, txn in enumerate(txns[-2:], 1):
+        txn.operations[:] = [read("y", 0), write("y", value)]
+    return History.from_transactions([[t] for t in txns], initial_keys=["x", "y"])
 
 
 def assert_flat(per_row):
@@ -137,4 +168,47 @@ def test_windowed_ingest_is_linear(histories):
         session = MTChecker().session(level, window=64)
         per_row.append(work(lambda: session.ingest_segment(columns)) / len(columns))
         assert session.satisfied and session.evicted_count > 0
+    assert_flat(per_row)
+
+
+def test_batch_sser_reject_is_linear():
+    # The counterexample is labeled on the chain the peel ran on; no
+    # reduced real-time pair (rows²/4 of them here) is built.
+    level = IsolationLevel.STRICT_SERIALIZABILITY
+    per_row, peak_per_row = [], []
+    for rows in (460, 8 * 460):
+        columns = ColumnarHistory.from_history(bipartite_lost_update(rows))
+        verdict = []
+        per_row.append(work(lambda: verdict.append(MTChecker().verify(columns, level))) / len(columns))
+        assert verdict[0].violation.txn_ids == [rows - 1, rows]
+        peak_per_row.append(peak_bytes(lambda: MTChecker().verify(columns, level)) / len(columns))
+    assert_flat(per_row)
+    assert_flat(peak_per_row)
+
+
+@pytest.fixture(scope="module")
+def lost_updates():
+    """A lost-update history at n and 8n rows, recorded from an SI engine."""
+    return [
+        ColumnarHistory.from_history(generate_mt_history(
+            isolation="si", num_sessions=SESSIONS, txns_per_session=tps, num_objects=4 * tps,
+            seed=5, faults=FaultPlan(lost_update_rate=0.05, seed=5),
+        ).history)
+        for tps in (SMALL, 8 * SMALL)
+    ]
+
+
+@pytest.mark.parametrize(
+    "level, kinds",
+    [
+        (IsolationLevel.SERIALIZABILITY, {AnomalyKind.DEPENDENCY_CYCLE, AnomalyKind.LOST_UPDATE}),
+        (IsolationLevel.SNAPSHOT_ISOLATION, {AnomalyKind.LOST_UPDATE}),
+    ],
+)
+def test_batch_reject_is_linear(lost_updates, level, kinds):
+    per_row = []
+    for columns in lost_updates:
+        verdict = []
+        per_row.append(work(lambda: verdict.append(MTChecker().verify(columns, level))) / len(columns))
+        assert verdict[0].violation.kind in kinds
     assert_flat(per_row)

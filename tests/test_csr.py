@@ -12,15 +12,17 @@ import random
 
 import pytest
 
-from repro.core.checkers import check_sser, cycle_verdict
-from repro.core.csr import EDGE_TYPE_FROM_CODE, CSRGraph, peel_cycle
+from repro.bench import generate_mt_history
+from repro.core.checkers import check_sser, classify_cycle
+from repro.core.csr import EDGE_TYPE_CODES, EDGE_TYPE_FROM_CODE, CSRGraph, peel_cycle
 from repro.core.graph import DependencyGraph, Edge, EdgeType, build_dependency
 from repro.core.incremental import CheckerSession
 from repro.core.index import HistoryIndex
 from repro.core.model import History, Transaction, TransactionStatus, read, stream_order, write
-from repro.core.result import IsolationLevel
+from repro.core.result import CheckResult, IsolationLevel
 from repro.db import FaultPlan
 
+from test_index import random_histories
 from test_parallel import composite_history
 
 
@@ -49,13 +51,15 @@ def assert_kernel_matches_reference(history, *, with_rt, transitive_ww, index=No
     """The CSR build equals ``build_dependency``'s multigraph, edge for edge.
 
     The two sides share no scan: the kernel reads the index's columns, the
-    reference resolves the ``History`` with the object model.
+    reference resolves the ``History`` with the object model.  The kernel's
+    real-time chain is compared as the reduced RT pairs ``to_multigraph``
+    walks off it, pair for pair against ``History.real_time_order()``.
     """
     options = dict(with_rt=with_rt, transitive_ww=transitive_ww, index=index)
     reference = build_dependency(history, **options)
     csr = build_dependency(history, dense=True, **options)
 
-    assert set(csr_edges(csr)) == set(reference.edges())
+    assert set(csr.to_multigraph().edges()) == set(reference.edges())
     assert (csr.has_cycle() is None) == (reference.find_cycle() is None)
     # Both find_cycles search in transaction-id order and break label ties
     # alike, so equal edge sets give the same cycle list for list whatever
@@ -134,7 +138,10 @@ class TestCSRGraph:
         history = History.from_transactions([[t1], [t2]], initial_keys=["x"])
         index = HistoryIndex.build(history)
         csr = CSRGraph.from_index(index, with_rt=True)
-        assert any(e.edge_type is EdgeType.RT for e in csr_edges(csr))
+        # Appended last as a chain: one time node, read back as the reduced pairs.
+        assert csr.node_ids[-1] is None and csr.etype[-1] == EDGE_TYPE_CODES[EdgeType.RT]
+        rt = {(e.source, e.target) for e in csr.to_multigraph().edges(EdgeType.RT)}
+        assert rt == {(-1, 1), (1, 2)}
 
 
 # ----------------------------------------------------------------------
@@ -178,10 +185,20 @@ def first_inverted(history):
                  and t.start_ts > t.finish_ts), None)
 
 
+def reference_verdict(history, level, num_transactions):
+    """The verdict the reference multigraph prints: its own ``find_cycle``,
+    classified; it shares no scan and no real-time code with the kernel."""
+    cycle = build_dependency(history, with_rt=level is IsolationLevel.STRICT_SERIALIZABILITY).find_cycle()
+    if cycle is None:
+        return CheckResult.ok(level, num_transactions)
+    return CheckResult.violated(level, [classify_cycle(cycle, level=level)], num_transactions=num_transactions)
+
+
 class TestRealTimeChain:
-    def test_chain_peel_agrees_with_the_explicit_reduced_peel(self):
+    def test_chain_agrees_with_the_reference_reduced_pairs(self):
         # A history with an interval that finishes before it starts is
         # refused by the index and by a session alike, naming that row.
+        level = IsolationLevel.STRICT_SERIALIZABILITY
         rng = random.Random(33)
         rt_only = rejects = refused = 0
         for _ in range(1500):
@@ -197,18 +214,30 @@ class TestRealTimeChain:
                 continue
             index = HistoryIndex.build(history)
             csr = build_dependency(history, index=index, dense=True)
-            explicit = build_dependency(history, with_rt=True, index=index, dense=True)
-            rejected = explicit.has_cycle() is not None
-            chained = build_dependency(history, index=index, dense=True)
-            chained.add_real_time_chain(index)
+            chained = build_dependency(history, with_rt=True, index=index, dense=True)
+            reference = build_dependency(history, with_rt=True)
+            rejected = reference.find_cycle() is not None
             assert (chained.has_cycle() is not None) == rejected
+            # The walk reads the reduced pairs back off the chain, pair for pair.
+            assert set(chained.to_multigraph().edges()) == set(reference.edges())
             rejects += rejected
             rt_only += rejected and csr.has_cycle() is None
-            if not index.int_violations():  # the printed counterexample is the explicit one
-                assert check_sser(history, index=index).format() == cycle_verdict(
-                    explicit, IsolationLevel.STRICT_SERIALIZABILITY, index.num_committed
+            if not index.int_violations():  # the printed counterexample is the reference's
+                assert check_sser(history, index=index).format() == reference_verdict(
+                    history, level, index.num_committed
                 ).format()
         assert rt_only > 50 and rejects > rt_only and refused > 20
+
+    def test_walk_reads_the_model_reduction_off_the_chain(self):
+        # Reference: History.real_time_order on objects, ⊥T's pair included.
+        timestamped = generate_mt_history(
+            isolation="si", num_sessions=4, txns_per_session=20, num_objects=8,
+            seed=11, faults=FaultPlan.for_anomaly("abortedread", rate=0.3, seed=11),
+        ).history
+        for history in [*random_histories(), timestamped]:
+            graph = CSRGraph.from_index(HistoryIndex.build(history), with_rt=True).to_multigraph()
+            pairs = [(a.txn_id, b.txn_id) for a, b in history.real_time_order()]
+            assert sorted((e.source, e.target) for e in graph.edges(EdgeType.RT)) == sorted(pairs)
 
     @pytest.mark.parametrize("k", [1, 10, 60])
     def test_bipartite_history_takes_linear_chain_rows(self, k):
@@ -221,9 +250,8 @@ class TestRealTimeChain:
         history = History.from_transactions([[t] for t in txns], initial_keys=["x"])
         index = HistoryIndex.build(history)
         csr = build_dependency(history, index=index, dense=True)
-        chain = build_dependency(history, index=index, dense=True)
-        chain.add_real_time_chain(index)
-        assert len(index.real_time_id_pairs()) == k * k + 1
+        chain = build_dependency(history, with_rt=True, index=index, dense=True)
+        assert len(history.real_time_order()) == k * k + 1
         assert chain.num_nodes == csr.num_nodes + 1  # one time node
         assert chain.num_edges - csr.num_edges == 2 * k + 1 <= 3 * len(txns)
         assert chain.has_cycle() is None

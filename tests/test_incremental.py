@@ -160,6 +160,18 @@ class TestOnlineDetection:
         assert sorted(violations[0].txn_ids) == [1, 2]
         assert not checker.satisfied
 
+    def test_intermediate_read_of_writer_zero_names_it_as_batch_does(self):
+        # Transaction id 0 is a writer like any other, streamed and batch.
+        reader = Transaction(5, [read("x", 1)])
+        writer = Transaction(0, [write("x", 1), write("x", 2)], session_id=1)
+        history = History.from_transactions([[reader], [writer]])
+        batch = check_ser(history).violation
+        checker = IncrementalChecker(SER)
+        assert checker.ingest(reader) == []
+        streamed = checker.ingest(writer)
+        assert batch.kind is streamed[0].kind is AnomalyKind.INTERMEDIATE_READ
+        assert streamed[0].txn_ids == batch.txn_ids == [5, 0]
+
     def test_lost_update_divergence_reported_at_second_overwriter_under_si(self):
         checker = IncrementalChecker(SI, initial_keys=["x"])
         assert checker.ingest(Transaction(1, [read("x", 0), write("x", 1)])) == []

@@ -148,7 +148,6 @@ class TestScanIsTheIntPrePass:
         columns = healthy_segment(500)
         assert columns.num_transactions >= 8000
         index = HistoryIndex.from_columns(columns)
-        index.real_time_id_pairs()  # the index's own cache: tuples, built once
         gc.collect()
         before = [generation["collections"] for generation in gc.get_stats()]
         for with_rt in (False, True):  # SER and SSER
@@ -252,18 +251,6 @@ class TestTheDoor:
             assert index.columns is not None
             by_id = {t.txn_id: t for t in history.transactions()}
             assert all(t is by_id[t.txn_id] for t in index.transactions)
-
-    def test_orders_match_the_model(self):
-        # Reference: History.real_time_order on objects.
-        timestamped = generate_mt_history(
-            isolation="si", num_sessions=4, txns_per_session=20, num_objects=8,
-            seed=11, faults=FaultPlan.for_anomaly("abortedread", rate=0.3, seed=11),
-        ).history
-        for history in [*random_histories(), timestamped]:
-            index = HistoryIndex.build(history)
-            assert index.real_time_id_pairs() == [
-                (a.txn_id, b.txn_id) for a, b in history.real_time_order()
-            ]
 
     @staticmethod
     def _lost_update_sessions():
