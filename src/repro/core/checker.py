@@ -42,8 +42,6 @@ class MTChecker:
             histories (non-MT transactions or duplicate written values)
             instead of checking them on a best-effort basis (batch only:
             :meth:`session` refuses it).
-        transitive_ww: use the unoptimized BUILDDEPENDENCY variant that
-            materialises the transitive closure of the WW edges.
         workers: ``None`` (the default) runs the classic single-pass serial
             pipeline.  Any integer ``>= 1`` routes batch verification through
             the sharded pipeline of :mod:`repro.parallel`: the history is
@@ -59,13 +57,11 @@ class MTChecker:
         self,
         *,
         strict_mt: bool = False,
-        transitive_ww: bool = False,
         workers: Optional[int] = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be a positive process count (or None)")
         self.strict_mt = strict_mt
-        self.transitive_ww = transitive_ww
         self.workers = workers
 
     # ------------------------------------------------------------------
@@ -131,17 +127,10 @@ class MTChecker:
                 level,
                 workers=self.workers,
                 strict_mt=self.strict_mt,
-                transitive_ww=self.transitive_ww,
                 index=index,
             )
 
-        return check_level(
-            history,
-            level,
-            transitive_ww=self.transitive_ww,
-            strict_mt=self.strict_mt,
-            index=index,
-        )
+        return check_level(history, level, strict_mt=self.strict_mt, index=index)
 
     # Convenience aliases matching the paper's component names.
     def check_ser(self, history: History) -> CheckResult:

@@ -5,7 +5,7 @@ All three checkers share the same structure:
 1. pre-check the INT axiom and read-provenance anomalies
    (:mod:`repro.core.intcheck`);
 2. build the (nearly unique) dependency graph of the mini-transaction
-   history with :func:`repro.core.graph.build_dependency`;
+   history with :meth:`repro.core.csr.CSRGraph.from_index`;
 3. check acyclicity of the appropriate edge combination:
 
    * ``CHECKSSER`` — ``RT ∪ SO ∪ WR ∪ WW ∪ RW`` acyclic (O(n log n): RT
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from .. import obs
 from .csr import CSRGraph
 from .divergence import find_divergence
-from .graph import DependencyGraph, Edge, EdgeType, build_dependency
+from .graph import DependencyGraph, Edge, EdgeType
 from .index import HistoryIndex
 from .model import History
 from .result import AnomalyKind, CheckResult, IsolationLevel, Violation
@@ -78,7 +78,6 @@ def raise_if_not_mt(index: HistoryIndex) -> None:
 def check_ser(
     history: History,
     *,
-    transitive_ww: bool = False,
     strict_mt: bool = False,
     index: Optional[HistoryIndex] = None,
 ) -> CheckResult:
@@ -88,10 +87,6 @@ def check_ser(
         history: the MT history to verify — a :class:`History` or a
             :class:`~repro.history.columnar.ColumnarHistory` segment (here
             and in :func:`check_si` / :func:`check_sser`).
-        transitive_ww: use the unoptimized BUILDDEPENDENCY that materialises
-            the per-object transitive closure of ``WW`` (for cross-validation
-            and the ablation benchmarks); the default is the optimized
-            variant of Section IV-C.
         strict_mt: raise :class:`MTHistoryError` if the history is not a
             valid MT history instead of checking on a best-effort basis.
         index: optional pre-built :class:`~repro.core.index.HistoryIndex`;
@@ -101,7 +96,6 @@ def check_ser(
     return check_level(
         history,
         IsolationLevel.SERIALIZABILITY,
-        transitive_ww=transitive_ww,
         strict_mt=strict_mt,
         index=index,
     )
@@ -110,7 +104,6 @@ def check_ser(
 def check_sser(
     history: History,
     *,
-    transitive_ww: bool = False,
     strict_mt: bool = False,
     index: Optional[HistoryIndex] = None,
 ) -> CheckResult:
@@ -122,7 +115,6 @@ def check_sser(
     return check_level(
         history,
         IsolationLevel.STRICT_SERIALIZABILITY,
-        transitive_ww=transitive_ww,
         strict_mt=strict_mt,
         index=index,
     )
@@ -131,33 +123,22 @@ def check_sser(
 def check_si(
     history: History,
     *,
-    transitive_ww: bool = False,
     strict_mt: bool = False,
-    early_divergence_exit: bool = True,
     index: Optional[HistoryIndex] = None,
 ) -> CheckResult:
     """CHECKSI: verify snapshot isolation of a mini-transaction history.
 
     The DIVERGENCE pattern (two transactions reading the same version of an
     object and both overwriting it) is checked first; it immediately implies
-    a LOSTUPDATE violation of SI.  Otherwise the induced graph
+    a LOSTUPDATE violation of SI (Lemma 1).  The check is required for
+    completeness, not only a shortcut: a DIVERGENCE history may have an
+    acyclic induced graph (Example 3).  Otherwise the induced graph
     ``(SO ∪ WR ∪ WW) ; RW?`` must be acyclic.
-
-    Args:
-        early_divergence_exit: disable to skip the early pattern check and
-            rely solely on graph construction (ablation;
-            ``benchmarks/bench_ablation_divergence.py``).  Note that without
-            the early exit a DIVERGENCE history may admit an acyclic induced
-            graph, so the early check is required for completeness — the
-            ablation only measures its cost, and the checker re-enables it
-            for the final verdict.
     """
     return check_level(
         history,
         IsolationLevel.SNAPSHOT_ISOLATION,
-        transitive_ww=transitive_ww,
         strict_mt=strict_mt,
-        early_divergence_exit=early_divergence_exit,
         index=index,
     )
 
@@ -166,16 +147,15 @@ def check_level(
     history: Optional[History],
     level: IsolationLevel,
     *,
-    transitive_ww: bool = False,
     strict_mt: bool = False,
-    early_divergence_exit: bool = True,
     index: Optional[HistoryIndex] = None,
 ) -> CheckResult:
     """Algorithm 1 for one level: the routine behind every batch verdict.
 
     Pre-checks, then (SI only) the DIVERGENCE scan, then BUILDDEPENDENCY on
-    the array-native CSR kernel (:mod:`repro.core.csr`) and one acyclicity
-    check (:func:`cycle_verdict`).  :func:`check_ser` / :func:`check_si` /
+    the array-native CSR kernel (:meth:`CSRGraph.from_index`, Section IV-C's
+    variant without the ``WW`` closure) and one acyclicity check
+    (:func:`cycle_verdict`).  :func:`check_ser` / :func:`check_si` /
     :func:`check_sser`, the :class:`~repro.core.checker.MTChecker` facade
     and the sharded executor all end up here.  ``history`` is a
     :class:`History` or a columnar segment — both enter through
@@ -197,31 +177,22 @@ def check_level(
         if strict_mt:
             raise_if_not_mt(index)
         violations: Sequence[Violation] = index.int_violations()
-    divergence = None
     if not violations and level is IsolationLevel.SNAPSHOT_ISOLATION:
         with obs.phase("divergence"):
             divergence = find_divergence(history, index=index)
-        if divergence is not None and early_divergence_exit:
+        if divergence is not None:
             violations = [divergence.to_violation()]
 
     if violations:
         result = CheckResult.violated(level, violations, num_transactions=num_txns)
     else:
         with obs.phase("build_dependency"):
-            csr = build_dependency(history, with_rt=level is IsolationLevel.STRICT_SERIALIZABILITY,
-                                   transitive_ww=transitive_ww, index=index, dense=True)
+            csr = CSRGraph.from_index(index, with_rt=level is IsolationLevel.STRICT_SERIALIZABILITY)
         obs.inc("repro_graph_builds_total")
         obs.set_gauge("repro_graph_nodes", csr.num_nodes)
         obs.set_gauge("repro_graph_edges", csr.num_edges)
         with obs.phase("acyclicity"):
             result = cycle_verdict(csr, level, num_txns)
-        if result.satisfied and divergence is not None:
-            # The induced graph can be acyclic even though the history
-            # violates SI via DIVERGENCE (Example 3); completeness requires
-            # reporting it.
-            result = CheckResult.violated(
-                level, [divergence.to_violation()], num_transactions=num_txns
-            )
     result.elapsed_seconds = time.perf_counter() - started
     return result
 

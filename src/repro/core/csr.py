@@ -28,10 +28,11 @@ PolySI's encoder) keep their hot loops:
   ``(SO ∪ WR ∪ WW) ; RW?`` at the array level — the base rows joined against
   an int-keyed RW map — instead of nested Python dict iteration.
 
-``build_dependency(history, dense=True)`` is the public entry point; the
-checkers (:mod:`repro.core.checkers`), the sharded merger
-(:mod:`repro.parallel`) and the solver baselines' known-edge installation
-(:mod:`repro.baselines.solver`) all settle acyclicity with :func:`peel_cycle`.
+:meth:`CSRGraph.from_index` is the product's entry point: the checkers
+(:mod:`repro.core.checkers`) and the shard workers (:mod:`repro.parallel`)
+call it on their index.  They, the sharded merger and the solver baselines'
+known-edge installation (:mod:`repro.baselines.solver`) all settle
+acyclicity with :func:`peel_cycle`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .graph import (
     Edge,
     EdgeType,
     _find_cycle_dense,
-    _transitive_closure,
     best_label,
 )
 from .index import HistoryIndex, packed
@@ -104,11 +104,11 @@ class CSRGraph:
 
     Example:
         >>> from repro.core.model import History, Transaction, read, write
-        >>> from repro.core.graph import build_dependency
+        >>> from repro.core.index import HistoryIndex
         >>> t1 = Transaction(1, [read("x", 0), write("x", 1)])
         >>> t2 = Transaction(2, [read("x", 1), write("x", 2)], session_id=1)
         >>> history = History.from_transactions([[t1], [t2]], initial_keys=["x"])
-        >>> csr = build_dependency(history, dense=True)
+        >>> csr = CSRGraph.from_index(HistoryIndex.build(history))
         >>> csr.has_cycle() is None
         True
         >>> csr.num_edges >= 4  # SO + WR/WW chains through the two writers
@@ -142,11 +142,12 @@ class CSRGraph:
         index: HistoryIndex,
         *,
         with_rt: bool = False,
-        transitive_ww: bool = False,
     ) -> "CSRGraph":
         """Algorithm 1's BUILDDEPENDENCY straight onto flat arrays.
 
-        Mirrors :func:`~repro.core.graph.build_dependency` edge for edge
+        The optimized variant of Section IV-C: no transitive closure of
+        ``WW``, which changes no verdict (Theorems 1–2).  Mirrors
+        :func:`~repro.core.graph.build_dependency` edge for edge
         (``tests/test_csr.py`` asserts the two build the same edge set and
         the same labeled cycle) and appends one block per edge type, SO |
         WR | WW | RW, each a bulk extend of dense node ids, then (``with_rt``)
@@ -184,17 +185,6 @@ class CSRGraph:
             )
         graph._append(_WR, writers, readers, kids)
         ww_src, ww_dst, ww_key = (list(compress(c, rmw)) for c in (writers, readers, kids))
-        if transitive_ww:
-            per_key: Dict[int, List[Tuple[int, int]]] = {}
-            for s, t, k in zip(ww_src, ww_dst, ww_key):
-                per_key.setdefault(k, []).append((s, t))
-            for k, pairs in per_key.items():
-                existing = set(pairs)
-                for s, t in _transitive_closure(pairs):
-                    if (s, t) not in existing:
-                        ww_src.append(s)
-                        ww_dst.append(t)
-                        ww_key.append(k)
         graph._append(_WW, ww_src, ww_dst, ww_key)
         radix = len(index.key_names) + 1
         rw = _read_write(writers, readers, kids, ww_src, ww_dst, ww_key, radix)
@@ -273,12 +263,15 @@ class CSRGraph:
         """The transaction ids of one cycle, or ``None`` when acyclic.
 
         One :func:`peel_cycle` over the edge columns; nothing is cached.
-        Consecutive ids (wrapping around) are joined by an edge, and a
-        self-loop is a one-element cycle.  The accept path stops here; the
-        reject path asks :meth:`find_cycle` for the labeled counterexample.
+        Consecutive ids (wrapping around) are joined by an edge or, through
+        the real-time chain's time nodes (which carry no id and are left
+        out), by a real-time path; a self-loop is a one-element cycle.  The
+        accept path stops here; the reject path asks :meth:`find_cycle` for
+        the labeled counterexample.
         """
         cycle = peel_cycle(len(self.node_ids), self.src, self.dst)
-        return None if cycle is None else [self.node_ids[v] for v in cycle]
+        txn_ids = None if cycle is None else map(self.node_ids.__getitem__, cycle)
+        return None if txn_ids is None else [txn for txn in txn_ids if txn is not None]
 
     def find_cycle(self) -> Optional[List[Edge]]:
         """The labeled counterexample: ``to_multigraph().find_cycle()``, on the arrays.
@@ -286,15 +279,17 @@ class CSRGraph:
         Transactions are ranked by id once, and only the ones the DFS visits
         have their successors (:meth:`_successors`) sorted by id; the search
         is the multigraph's (:func:`~repro.core.graph._find_cycle_dense`),
-        so the cycle does not depend on the order of the edge rows.  Only
-        the cycle's rows are labeled, by :func:`~repro.core.graph.best_label`;
-        a step the real-time walk yields carries RT.
+        so the cycle does not depend on the order of the edge rows; the walk
+        it climbs the real-time chain with drops what the search finished.
+        Only the cycle's rows are labeled, by :func:`~repro.core.graph.best_label`;
+        a step the unfiltered real-time walk yields carries RT.
         """
         node_ids = self.node_ids
         txn_id = node_ids.__getitem__
-        first, successors, real_time = self._successors()
+        colour = bytearray(len(node_ids))
+        first, successors, real_time = self._successors(colour)
         cycle = _find_cycle_dense(
-            sorted(range(first), key=txn_id), lambda v: sorted(successors(v), key=txn_id)
+            sorted(range(first), key=txn_id), lambda v: sorted(successors(v), key=txn_id), colour
         )
         if cycle is None:
             return None
@@ -310,22 +305,24 @@ class CSRGraph:
             Edge(node_ids[v], node_ids[w], *best_label(tags[v])) for v, w in next_of.items()
         ]
 
-    def _successors(self) -> Tuple[int, Callable[[int], set], Callable[[int], List[int]]]:
+    def _successors(
+        self, colour: Optional[bytearray] = None
+    ) -> Tuple[int, Callable[[int], set], Callable[[int], List[int]]]:
         """``(first, successors, real_time)``: the transactions are nodes
         ``0..first-1``, ``successors(v)`` the set of ``v``'s transaction
         successors, its direct rows plus ``real_time(v)``, the reduced RT
-        successors :func:`_real_time_walk` reads off a chain."""
+        successors :func:`_real_time_walk` reads off a chain.  Given a
+        search's ``colour``, ``successors(v)`` leaves out the RT successors
+        it has finished; ``real_time(v)`` never does."""
         first = len(self.node_ids) - self.node_ids.count(None)
         flat, starts, ends, _ = _by_source(len(self.node_ids), self.src, self.dst)
         real_time = _real_time_walk(first, flat, starts, ends)
+        unfinished = real_time if colour is None else _real_time_walk(first, flat, starts, ends, colour)
 
         def successors(v: int) -> set:
-            return {*filter(first.__gt__, flat[starts[v]:ends[v]]), *real_time(v)}
+            return {*filter(first.__gt__, flat[starts[v]:ends[v]]), *unfinished(v)}
 
         return first, successors, real_time
-
-    def is_acyclic(self) -> bool:
-        return self.has_cycle() is None
 
     # ------------------------------------------------------------------
     # SI composition at the CSR level
@@ -540,7 +537,7 @@ def _join(keys: Sequence[int], levels: List[Dict[int, int]]) -> Tuple[List[int],
 
 
 def _real_time_walk(
-    first: int, flat: array, starts: List[int], ends: List[int]
+    first: int, flat: array, starts: List[int], ends: List[int], colour: Optional[bytearray] = None
 ) -> Callable[[int], List[int]]:
     """``v -> v``'s reduced real-time successors, read off the chain rows.
 
@@ -550,7 +547,10 @@ def _real_time_walk(
     at ``t``.  ``B`` is a reduced successor of ``A`` iff it hangs at some
     ``t >= hop[A]`` and no ``C`` hung in ``[hop[A], t)`` has ``hop[C] <= t``,
     so the walk climbs from ``hop[A]`` while ``t`` is below the least hop
-    it has collected: at most one level per successor.
+    it has collected: at most one level per successor.  Given a search's
+    ``colour`` (:func:`~repro.core.graph._find_cycle_dense`), each level
+    climbed is compacted to its unfinished nodes, so a finished node is read
+    once, not once per walk, and the walk yields the others as before.
     """
     num_nodes = len(starts)
     if first == num_nodes:
@@ -564,6 +564,8 @@ def _real_time_walk(
         successors: List[int] = []
         t, stop = hop[v], num_nodes
         while t < stop:
+            if colour is not None:
+                hung[t - first] = [b for b in hung[t - first] if colour[b] != 2]  # 2: finished
             successors += hung[t - first]
             stop = min(stop, low[t - first])
             t += 1

@@ -8,10 +8,10 @@ and, for strict serializability, the real-time order ``RT``.
 For mini-transaction histories the graph is (nearly) unique: the unique
 value written by each transaction determines ``WR`` entirely, the RMW
 pattern determines ``WW`` from ``WR``, and ``RW`` is derived from the other
-two.  :func:`build_dependency` implements Algorithm 1's BUILDDEPENDENCY,
-optionally computing the per-object transitive closure of ``WW`` (the
-unoptimized variant used in the correctness proof) or skipping it (the
-optimized variant of Section IV-C, the default).
+two.  :func:`build_dependency` is the reference BUILDDEPENDENCY, optionally
+computing the per-object transitive closure of ``WW`` (the unoptimized
+variant used in the correctness proof) or skipping it (the optimized
+variant of Section IV-C, the default and the kernel's, :mod:`repro.core.csr`).
 """
 
 from __future__ import annotations
@@ -237,7 +237,9 @@ def best_label(tags: Iterable[Tuple[EdgeType, Optional[str]]]) -> Tuple[EdgeType
 
 
 def _find_cycle_dense(
-    roots: Sequence[int], successors: Callable[[int], Sequence[int]]
+    roots: Sequence[int],
+    successors: Callable[[int], Sequence[int]],
+    colour: Optional[bytearray] = None,
 ) -> Optional[List[int]]:
     """Iterative DFS cycle detection over dense nodes ``0..len(roots)-1``.
 
@@ -247,10 +249,13 @@ def _find_cycle_dense(
     of the nodes) and ``successors(v)``, asked once per visited node, gives
     the order ``v``'s successors are tried in.  Both callers sort by
     transaction id, so the reported cycle (node ids in edge order) is
-    deterministic.
+    deterministic.  A caller that passes its own zeroed ``colour`` (at
+    least one byte per node) sees which nodes are finished (``2``) while
+    the search runs.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
-    colour = bytearray(len(roots))
+    if colour is None:
+        colour = bytearray(len(roots))
     parent = [-1] * len(roots)
     for root in roots:
         if colour[root] != WHITE:
@@ -296,7 +301,8 @@ def build_dependency(
         transitive_ww: compute the per-object transitive closure of ``WW``
             (the proof-friendly variant); the optimized variant of
             Section IV-C omits it, and Theorem 1/2 show the acyclicity
-            verdicts coincide.
+            verdicts coincide.  Reference only: ``dense=True`` raises
+            :class:`ValueError` on it.
         index: the shared :class:`~repro.core.index.HistoryIndex` the
             dense kernel reads (built here when ``dense`` and not supplied).
             The reference branch never builds or reads one: given only an
@@ -306,12 +312,12 @@ def build_dependency(
             allocates an :class:`Edge` on the accept path, labels a
             rejection's cycle itself (``CSRGraph.find_cycle()``) and
             converts to a :class:`DependencyGraph` only when a caller asks
-            (``CSRGraph.to_multigraph()``).  This is the path the batch
-            checkers run; the multigraph branch below is the reference
-            implementation the tests compare it against, resolved from the
-            ``History`` with the object model (:mod:`repro.core.model`,
-            :class:`~repro.core.intcheck.WriteIndex`) independently of the
-            index's column scan.
+            (``CSRGraph.to_multigraph()``); the checkers call its
+            :meth:`CSRGraph.from_index` directly.  The multigraph branch
+            is the reference implementation the tests compare it against,
+            resolved from the ``History`` with the object model
+            (:mod:`repro.core.model`, :class:`~repro.core.intcheck.WriteIndex`)
+            independently of the index's column scan.
 
     Returns:
         The dependency graph over committed transactions (including ``⊥T``)
@@ -321,11 +327,10 @@ def build_dependency(
     if dense:
         from .csr import CSRGraph  # deferred: csr builds on this module
 
-        return CSRGraph.from_index(
-            index if index is not None else HistoryIndex.build(history),
-            with_rt=with_rt,
-            transitive_ww=transitive_ww,
-        )
+        if transitive_ww:
+            raise ValueError("the dense kernel builds no WW closure (Theorems 1-2)")
+        index = index if index is not None else HistoryIndex.build(history)
+        return CSRGraph.from_index(index, with_rt=with_rt)
     # The reference: read the History through the object model alone, so a
     # scan bug cannot reach both sides of a kernel-vs-reference comparison.
     if history is None:

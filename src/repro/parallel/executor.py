@@ -49,8 +49,7 @@ from ..resilience import CircuitBreaker, Deadline, RetryPolicy
 from ..resilience import failpoints as _failpoints
 from ..resilience.failpoints import fail_point
 from ..core.checkers import GRAPH_CHECKED_LEVELS, check_level, raise_if_not_mt
-from ..core.csr import WireCSR
-from ..core.graph import build_dependency
+from ..core.csr import CSRGraph, WireCSR
 from ..core.index import HistoryIndex
 from ..core.model import History
 from ..core.result import CheckResult, IsolationLevel
@@ -65,13 +64,13 @@ from .partition import DEFAULT_MAX_SHARDS, Shard, partition_columns
 
 __all__ = ["check_parallel", "make_payload", "shutdown_pool"]
 
-#: One shard task shipped to a worker process: the shard's columnar wire
-#: buffers plus the check configuration ``(level, transitive_ww)``.
-#: Contains no ``Transaction``s.  An optional fifth element
-#: (``with_metrics``) asks the worker to record its shard work into a fresh
-#: telemetry registry and ship the snapshot back on the outcome;
-#: four-element payloads remain valid (telemetry off).
-_Payload = Tuple[int, WireColumns, IsolationLevel, bool]
+#: One shard task shipped to a worker process: the shard's index, its
+#: columnar wire buffers and the level to check.  Contains no
+#: ``Transaction``s.  An optional fourth element (``with_metrics``) asks the
+#: worker to record its shard work into a fresh telemetry registry and ship
+#: the snapshot back on the outcome; three-element payloads remain valid
+#: (telemetry off).
+_Payload = Tuple[int, WireColumns, IsolationLevel]
 
 #: Below this many committed transactions the pool is pure overhead
 #: (process dispatch + pickling dwarf the shard checks), so fan-out runs
@@ -171,7 +170,6 @@ def check_parallel(
     *,
     workers: int = 1,
     strict_mt: bool = False,
-    transitive_ww: bool = False,
     index: Optional[HistoryIndex] = None,
     max_shards: Optional[int] = DEFAULT_MAX_SHARDS,
     task_timeout: Optional[float] = None,
@@ -194,8 +192,6 @@ def check_parallel(
             run inline regardless (the pool would be pure overhead).
         strict_mt: validate the history against Definition 9 up front and
             raise :class:`~repro.core.checkers.MTHistoryError` on failure.
-        transitive_ww: forward the unoptimized BUILDDEPENDENCY variant to
-            every shard check.
         index: pre-built :class:`~repro.core.index.HistoryIndex` of
             ``history`` (built here when absent); its ``columns`` drive the
             partitioner.
@@ -259,12 +255,11 @@ def check_parallel(
     if len(shards) == 1:
         # Fully connected history: the serial pipeline on the shared index
         # is already optimal (and strict validation has been done above).
-        return check_level(history, level, transitive_ww=transitive_ww, index=index)
+        return check_level(history, level, index=index)
 
     with_metrics = obs.enabled()
     payloads: List[_Payload] = [
-        make_payload(shard, level, transitive_ww, with_metrics=with_metrics)
-        for shard in shards
+        make_payload(shard, level, with_metrics=with_metrics) for shard in shards
     ]
     if with_metrics:
         payload_bytes = sum(len(pickle.dumps(p)) for p in payloads)
@@ -307,7 +302,6 @@ def check_parallel(
 def make_payload(
     shard: Shard,
     level: IsolationLevel,
-    transitive_ww: bool,
     *,
     with_metrics: bool = False,
 ) -> _Payload:
@@ -316,13 +310,13 @@ def make_payload(
     The payload pickles the shard's column slice as raw bytes, never as
     ``Transaction`` objects.
 
-    ``with_metrics=True`` appends a fifth payload element asking the worker
+    ``with_metrics=True`` appends a fourth payload element asking the worker
     to record its shard work (txns checked, index builds) into
     a fresh registry and attach the snapshot to the returned outcome; the
-    parent folds the snapshots into its own registry.  Four-element
+    parent folds the snapshots into its own registry.  Three-element
     payloads stay valid — telemetry stays off in the worker.
     """
-    body = (shard.index, shard.columns.to_wire(), level, transitive_ww)
+    body = (shard.index, shard.columns.to_wire(), level)
     return body + (True,) if with_metrics else body
 
 
@@ -337,7 +331,7 @@ def _run_shard(payload: _Payload) -> ShardOutcome:
     double-count into the parent's — whose snapshot ships back on
     ``ShardOutcome.metrics`` for the parent to fold in.
     """
-    if len(payload) > 4 and payload[4]:
+    if len(payload) > 3 and payload[3]:
         reg = _obs_metrics.MetricsRegistry()
         parent = _obs_metrics.swap_active(reg)
         try:
@@ -354,7 +348,7 @@ def _run_shard(payload: _Payload) -> ShardOutcome:
 
 def _run_shard_body(payload: _Payload) -> ShardOutcome:
     fail_point("executor.shard.task")
-    shard_index, wire, level, transitive_ww = payload[:4]
+    shard_index, wire, level = payload[:3]
     shard_idx_obj = HistoryIndex.from_columns(ColumnarHistory.from_wire(wire))
     obs.inc("repro_executor_shard_checks_total")
     obs.inc("repro_executor_shard_txns_total", shard_idx_obj.num_committed)
@@ -369,20 +363,14 @@ def _run_shard_body(payload: _Payload) -> ShardOutcome:
             )
         # The shard's RT-free graph, shipped as raw buffers: four bytes per
         # edge column.  RT crosses shards, so the parent adds it at the merge.
-        csr = build_dependency(
-            None,
-            with_rt=False,
-            transitive_ww=transitive_ww,
-            index=shard_idx_obj,
-            dense=True,
-        )
+        csr = CSRGraph.from_index(shard_idx_obj)
         return ShardOutcome(
             shard_index=shard_index,
             num_transactions=shard_idx_obj.num_committed,
             csr=csr.to_wire(),
         )
 
-    result = check_level(None, level, transitive_ww=transitive_ww, index=shard_idx_obj)
+    result = check_level(None, level, index=shard_idx_obj)
     return ShardOutcome(
         shard_index=shard_index,
         num_transactions=result.num_transactions,

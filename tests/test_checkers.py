@@ -5,10 +5,13 @@ import pytest
 from repro.core.anomalies import anomaly_catalog
 from repro.core.checker import MTChecker
 from repro.core.checkers import MTHistoryError, check_ser, check_si, check_sser, classify_cycle
+from repro.core.divergence import find_divergence
 from repro.core.graph import DependencyGraph, Edge, EdgeType
 from repro.core.model import History, Transaction, read, write
 from repro.core.result import AnomalyKind, IsolationLevel
 from repro.history.columnar import ColumnarHistory
+
+from test_csr import assert_closure_keeps_the_verdict
 
 
 def txn(txn_id, *ops, **kwargs):
@@ -51,12 +54,11 @@ class TestCheckSer:
         assert check_ser(history_of([t1], [t2], keys=("x", "y"))).satisfied
 
     def test_transitive_ww_variant_agrees(self):
-        for name, spec in anomaly_catalog().items():
-            history = spec.build()
-            assert (
-                check_ser(history, transitive_ww=True).satisfied
-                == check_ser(history, transitive_ww=False).satisfied
-            ), name
+        # Theorems 1-2: the reference's WW closure changes no verdict of the
+        # kernel's graph, with or without RT.
+        for spec in anomaly_catalog().values():
+            for with_rt in (False, True):
+                assert_closure_keeps_the_verdict(spec.build(), with_rt=with_rt)
 
     def test_strict_mt_rejects_non_mt_history(self):
         gt = txn(1, write("x", 1), write("y", 2), write("z", 3))
@@ -97,12 +99,12 @@ class TestCheckSi:
         history = history_of([t1], [t2], [t3], [t4], keys=("x", "y"))
         assert not check_si(history).satisfied
 
-    def test_early_exit_flag_does_not_change_the_verdict(self):
-        for name, spec in anomaly_catalog().items():
-            history = spec.build()
-            with_exit = check_si(history, early_divergence_exit=True)
-            without_exit = check_si(history, early_divergence_exit=False)
-            assert with_exit.satisfied == without_exit.satisfied, name
+    def test_every_catalog_divergence_violates_si(self):
+        # Lemma 1 on the catalog: a DIVERGENCE rejects whatever the graph says.
+        divergent = [spec.build() for spec in anomaly_catalog().values()]
+        divergent = [history for history in divergent if find_divergence(history)]
+        assert divergent
+        assert not any(check_si(history).satisfied for history in divergent)
 
 
 class TestCheckSser:

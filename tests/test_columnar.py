@@ -396,9 +396,7 @@ class TestColumnarDispatch:
         assert len(shards) == 5
         for shard in shards:
             assert shard.columns is not None
-            blob = pickle.dumps(
-                make_payload(shard, IsolationLevel.STRICT_SERIALIZABILITY, False)
-            )
+            blob = pickle.dumps(make_payload(shard, IsolationLevel.STRICT_SERIALIZABILITY))
             # A pickled Transaction/Operation would name its module.
             assert b"repro.core.model" not in blob
             assert b"Transaction" not in blob

@@ -69,20 +69,23 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
-def bipartite_lost_update(rows):
+def bipartite_lost_update(rows, *, early=False):
     """Half the rows finish before the other half start, so the reduced
     real-time order has rows²/4 pairs, and the last two rows read one
     version and both overwrite it: a lost update, found by the labeler's
-    DFS below the first early row.  A cycle that the DFS reaches only
-    behind every early row would walk all rows²/4 pairs (ARCHITECTURE
-    "SSER's real-time order as a chain")."""
+    DFS below the first early row.  With ``early`` the last two rows of
+    the early half hold it instead, so the DFS reaches it only behind
+    every early row, each with the whole late half as its reduced
+    real-time successors (ARCHITECTURE "SSER's real-time order as a
+    chain")."""
     half = rows // 2
     txns = [
         Transaction(i, [read("x", 0)], session_id=i,
                     start_ts=0.0 if i <= half else 2.0, finish_ts=1.0 if i <= half else 3.0)
         for i in range(1, 2 * half + 1)
     ]
-    for value, txn in enumerate(txns[-2:], 1):
+    writers = txns[half - 2:half] if early else txns[-2:]
+    for value, txn in enumerate(writers, 1):
         txn.operations[:] = [read("y", 0), write("y", value)]
     return History.from_transactions([[t] for t in txns], initial_keys=["x", "y"])
 
@@ -171,19 +174,30 @@ def test_windowed_ingest_is_linear(histories):
     assert_flat(per_row)
 
 
-def test_batch_sser_reject_is_linear():
-    # The counterexample is labeled on the chain the peel ran on; no
-    # reduced real-time pair (rows²/4 of them here) is built.
+def assert_sser_reject_is_linear(early, cycle_of):
     level = IsolationLevel.STRICT_SERIALIZABILITY
     per_row, peak_per_row = [], []
     for rows in (460, 8 * 460):
-        columns = ColumnarHistory.from_history(bipartite_lost_update(rows))
+        columns = ColumnarHistory.from_history(bipartite_lost_update(rows, early=early))
         verdict = []
         per_row.append(work(lambda: verdict.append(MTChecker().verify(columns, level))) / len(columns))
-        assert verdict[0].violation.txn_ids == [rows - 1, rows]
+        assert verdict[0].violation.txn_ids == cycle_of(rows)
         peak_per_row.append(peak_bytes(lambda: MTChecker().verify(columns, level)) / len(columns))
     assert_flat(per_row)
     assert_flat(peak_per_row)
+
+
+def test_batch_sser_reject_is_linear():
+    # The counterexample is labeled on the chain the peel ran on; no
+    # reduced real-time pair (rows²/4 of them here) is built.
+    assert_sser_reject_is_linear(False, lambda rows: [rows - 1, rows])
+
+
+def test_batch_sser_reject_behind_the_early_half_is_linear():
+    # Each early row's late-half successors are finished after the first
+    # early row; the labeler's real-time walk drops them instead of handing
+    # all rows/2 of them to every early row.
+    assert_sser_reject_is_linear(True, lambda rows: [rows // 2 - 1, rows // 2])
 
 
 @pytest.fixture(scope="module")

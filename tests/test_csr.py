@@ -5,10 +5,13 @@ multigraph builder builds** — same edge set, same acyclicity answer, same
 SI-induced composition, and (through ``CSRGraph.find_cycle``) the same
 labeled counterexample cycle.  ``assert_kernel_matches_reference`` makes
 that comparison; the route driver (``tests/test_routes.py``) runs it on
-every corpus entry, with and without RT edges and transitive ``WW``.
+every corpus entry, with and without RT edges.  The kernel builds no
+transitive closure of ``WW`` (Section IV-C); ``assert_closure_keeps_the_verdict``
+checks Theorems 1–2 against the reference builder that does.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +24,13 @@ from repro.core.index import HistoryIndex
 from repro.core.model import History, Transaction, TransactionStatus, read, stream_order, write
 from repro.core.result import CheckResult, IsolationLevel
 from repro.db import FaultPlan
+from repro.history import load_columns
 
 from test_index import random_histories
 from test_parallel import composite_history
+
+
+CORPUS = Path(__file__).resolve().parent / "corpus"
 
 
 def csr_edges(csr):
@@ -47,7 +54,7 @@ def lost_update_history():
     return History.from_transactions([[t1], [t2]], initial_keys=["x"])
 
 
-def assert_kernel_matches_reference(history, *, with_rt, transitive_ww, index=None):
+def assert_kernel_matches_reference(history, *, with_rt, index=None):
     """The CSR build equals ``build_dependency``'s multigraph, edge for edge.
 
     The two sides share no scan: the kernel reads the index's columns, the
@@ -55,9 +62,8 @@ def assert_kernel_matches_reference(history, *, with_rt, transitive_ww, index=No
     real-time chain is compared as the reduced RT pairs ``to_multigraph``
     walks off it, pair for pair against ``History.real_time_order()``.
     """
-    options = dict(with_rt=with_rt, transitive_ww=transitive_ww, index=index)
-    reference = build_dependency(history, **options)
-    csr = build_dependency(history, dense=True, **options)
+    reference = build_dependency(history, with_rt=with_rt, index=index)
+    csr = CSRGraph.from_index(index if index is not None else HistoryIndex.build(history), with_rt=with_rt)
 
     assert set(csr.to_multigraph().edges()) == set(reference.edges())
     assert (csr.has_cycle() is None) == (reference.find_cycle() is None)
@@ -71,6 +77,17 @@ def assert_kernel_matches_reference(history, *, with_rt, transitive_ww, index=No
         assert set(csr_edges(csr.si_induced())) == set(induced.edges())
         assert (csr.si_induced().has_cycle() is None) == (induced.find_cycle() is None)
         assert csr.si_induced().find_cycle() == induced.find_cycle()
+
+
+def assert_closure_keeps_the_verdict(history, *, with_rt):
+    """Theorems 1–2: the reference with the per-object ``WW`` closure and the
+    kernel without it agree on acyclicity (for SI, of the induced graph)."""
+    closed = build_dependency(history, with_rt=with_rt, transitive_ww=True)
+    csr = CSRGraph.from_index(HistoryIndex.build(history), with_rt=with_rt)
+    assert (closed.find_cycle() is None) == (csr.has_cycle() is None)
+    if not with_rt:
+        induced = closed.si_induced_graph()
+        assert (induced.find_cycle() is None) == (csr.si_induced().has_cycle() is None)
 
 
 # ----------------------------------------------------------------------
@@ -99,6 +116,17 @@ class TestCSRGraph:
         assert build_dependency(two_txn_history(), dense=True).has_cycle() is None
         scc = build_dependency(lost_update_history(), dense=True).has_cycle()
         assert scc is not None and sorted(scc) == [1, 2]
+
+    def test_has_cycle_names_transactions_only(self):
+        # The cycle runs through a time node of the real-time chain, which
+        # has no transaction id: consecutive ids are joined by a real-time path.
+        index = HistoryIndex.from_columns(load_columns(CORPUS / "rt-bipartite.jsonl"))
+        assert CSRGraph.from_index(index).has_cycle() is None
+        cycle = CSRGraph.from_index(index, with_rt=True).has_cycle()
+        assert sorted(cycle) == [1, 9]
+        reference = build_dependency(index.history, with_rt=True)
+        for source, target in zip(cycle, cycle[1:] + cycle[:1]):
+            assert reference.has_edge(source, target)
 
     def test_si_induced_matches_legacy_composition(self):
         history = lost_update_history()
@@ -320,9 +348,9 @@ def _fault(name, rate, seed):
 class TestReferenceIsIndependentOfTheScan:
     def test_a_dropped_resolved_read_fails_the_comparison(self, monkeypatch):
         history = composite_history([("si", 81, None)])
-        assert_kernel_matches_reference(history, with_rt=False, transitive_ww=False)
+        assert_kernel_matches_reference(history, with_rt=False)
         index = HistoryIndex.build(history)
-        options = dict(with_rt=False, transitive_ww=False, index=index)
+        options = dict(with_rt=False, index=index)
 
         # A scan bug: the index loses one resolved read.  When the reference
         # read the same columns, both sides lost the edge and still agreed.

@@ -1,8 +1,12 @@
 """Tests for DIVERGENCE pattern detection (Definition 10 / Lemma 1)."""
 
 from repro.core.checkers import check_si
+from repro.core.csr import CSRGraph
 from repro.core.divergence import find_all_divergences, find_divergence
+from repro.core.graph import build_dependency
+from repro.core.index import HistoryIndex
 from repro.core.model import History, Transaction, read, write
+from repro.core.result import AnomalyKind
 
 
 def txn(txn_id, *ops):
@@ -72,9 +76,14 @@ class TestLemma1:
         assert find_divergence(history) is not None
         assert not check_si(history).satisfied
 
-    def test_si_violation_detected_even_without_early_exit(self):
+    def test_divergence_with_an_acyclic_induced_graph_violates_si(self):
+        """Example 3: the SI-induced graph of a DIVERGENCE can be acyclic, so
+        CHECKSI is complete only because the pattern is checked first."""
         t1 = txn(1, read("x", 0), write("x", 1))
         t2 = txn(2, read("x", 0), write("x", 2))
         history = history_of([t1], [t2])
-        result = check_si(history, early_divergence_exit=False)
+        assert build_dependency(history).si_induced_graph().is_acyclic()
+        assert CSRGraph.from_index(HistoryIndex.build(history)).si_induced().has_cycle() is None
+        result = check_si(history)
         assert not result.satisfied
+        assert result.violation.kind is AnomalyKind.LOST_UPDATE

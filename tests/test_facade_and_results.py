@@ -59,10 +59,6 @@ class TestMTCheckerFacade:
             History.from_transactions([[gt]], initial_keys=["x", "y"])
         )
 
-    def test_transitive_ww_option_is_honoured(self):
-        checker = MTChecker(transitive_ww=True)
-        assert not checker.check_ser(anomaly_history("LostUpdate")).satisfied
-
 
 class TestIsolationLevel:
     def test_short_names(self):

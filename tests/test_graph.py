@@ -212,6 +212,9 @@ class TestBuildDependency:
         assert closed.has_edge(1, 3, EdgeType.WW, "x")
         # Theorem 1: both must agree on acyclicity.
         assert plain.is_acyclic() == closed.is_acyclic() is True
+        # The closure is the reference's alone: the dense kernel has none.
+        with pytest.raises(ValueError):
+            build_dependency(history, transitive_ww=True, dense=True)
 
     def test_aborted_transactions_excluded_from_graph(self):
         from repro.core.model import TransactionStatus

@@ -288,3 +288,26 @@ def test_the_layering_scan_sees_function_level_imports():
     assert ("repro.parallel", "MTChecker._verify") in imports(
         "repro.core.checker", module_level=False
     )
+
+
+def names_in(module):
+    """Every identifier ``module``'s code names: imports, names and attributes."""
+    tree = ast.parse(MODULES[module].read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize("module", ["repro.core.checkers", "repro.parallel.executor"])
+def test_the_batch_path_builds_its_graph_with_the_kernel(module):
+    # ``build_dependency`` is the reference builder (its ``dense=`` arm only
+    # forwards to ``CSRGraph.from_index``); the batch path calls the kernel.
+    names = names_in(module)
+    assert "from_index" in names
+    assert "build_dependency" not in names

@@ -293,16 +293,10 @@ class TestWorkerMetrics:
         index = HistoryIndex.build(self._disjoint_history(shards=2))
         shards = partition_columns(index.columns, index=index)
         assert len(shards) == 2 and all(s.columns is not None for s in shards)
-        plain = _run_shard(
-            make_payload(shards[0], IsolationLevel.SERIALIZABILITY, False)
-        )
+        plain = _run_shard(make_payload(shards[0], IsolationLevel.SERIALIZABILITY))
         assert plain.metrics is None
         shipped = [
-            _run_shard(
-                make_payload(
-                    shard, IsolationLevel.SERIALIZABILITY, False, with_metrics=True
-                )
-            )
+            _run_shard(make_payload(shard, IsolationLevel.SERIALIZABILITY, with_metrics=True))
             for shard in shards
         ]
         merged = MetricsRegistry()

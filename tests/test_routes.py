@@ -24,7 +24,6 @@ from corpus.build import LEVELS, agreeing_baselines, describe, reference_satisfi
 from repro import Database, MTChecker, cli, run_workload
 from repro.adapters import AsyncSimulatedAdapter, SQLiteAdapter, collect_history
 from repro.cli import main
-from repro.core.checkers import check_ser
 from repro.core.incremental import CheckerSession
 from repro.core.index import HistoryIndex
 from repro.core.intcheck import check_internal_consistency
@@ -35,7 +34,7 @@ from repro.ondisk import pack_columns, unpack_columns
 from repro.workloads.mt_generator import MTWorkloadGenerator
 
 from test_acollector import assert_schedule_valid
-from test_csr import assert_kernel_matches_reference
+from test_csr import assert_closure_keeps_the_verdict, assert_kernel_matches_reference
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
 LINES = (CORPUS / "EXPECTED").read_text(encoding="utf-8").splitlines()
@@ -163,8 +162,9 @@ def test_batch_and_reference_routes(name):
             assert other.format() == batch.format(), short
         assert reference_satisfied(history, level) == batch.satisfied, short
     assert_scan_is_the_int_pass(history, columns)
-    for with_rt, transitive_ww in itertools.product((False, True), repeat=2):
-        assert_kernel_matches_reference(history, with_rt=with_rt, transitive_ww=transitive_ww)
+    for with_rt in (False, True):
+        assert_kernel_matches_reference(history, with_rt=with_rt)
+        assert_closure_keeps_the_verdict(history, with_rt=with_rt)
     if expected["agree"] is not None:
         assert agreeing_baselines(history, expected["batch"]) == expected["agree"]
 
@@ -392,7 +392,8 @@ def test_random_histories_agree_on_every_route(drawn):
         verdicts[short] = describe(batch)
     assert verdicts["si"] == "SATISFIED" or verdicts["ser"] != "SATISFIED"  # SI is weaker
     if is_mt:
-        assert check_ser(history, transitive_ww=True).satisfied == (verdicts["ser"] == "SATISFIED")
+        for with_rt in (False, True):
+            assert_closure_keeps_the_verdict(history, with_rt=with_rt)
         assert agreeing_baselines(history, verdicts) == ["cobra", "dbcop", "polysi"]
 
 

@@ -82,10 +82,7 @@ def shard_wires(history):
     index = HistoryIndex.build(history)
     shards = partition_columns(index.columns, index=index)
     assert all(shard.columns is not None for shard in shards)
-    outcomes = [
-        executor_module._run_shard(make_payload(shard, SSER, False))
-        for shard in shards
-    ]
+    outcomes = [executor_module._run_shard(make_payload(shard, SSER)) for shard in shards]
     outcomes.sort(key=lambda o: o.shard_index)
     assert all(o.csr is not None for o in outcomes)
     return index, [o.csr for o in outcomes], sum(o.num_transactions for o in outcomes)
