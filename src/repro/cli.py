@@ -46,6 +46,7 @@ import argparse
 import contextlib
 import os
 import sys
+import threading
 import time
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -56,7 +57,6 @@ from . import obs
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core.result import IsolationLevel
     from .history.epochlog import EpochLog
-    from .resilience.supervisor import Supervisor
 
 __all__ = ["main", "build_parser"]
 
@@ -175,20 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="append structured JSONL span traces to PATH",
-    )
-    watch.add_argument(
-        "--supervise",
-        action="store_true",
-        help="epoch logs only: restart the checker after faults (I/O "
-        "errors, broken pools), resuming from the latest durable "
-        "checkpoint, with bounded backed-off restarts",
-    )
-    watch.add_argument(
-        "--max-restarts",
-        type=int,
-        default=5,
-        metavar="N",
-        help="with --supervise: give up after N restarts (default: 5)",
     )
 
     generate = subparsers.add_parser(
@@ -382,8 +368,9 @@ class _WatchTelemetry:
     the watch loop — epoch log, incremental checker, index — records into
     it, then periodically (``--metrics-every``) publishes the checker
     gauges, atomically rewrites the Prometheus textfile, and emits a
-    one-line heartbeat on stderr.  Every watch attempt forces a last
-    ``update`` on its way out, so the final state is scrape-able after exit.
+    one-line heartbeat on stderr.  The follow loop publishes its last state
+    on its way out and :meth:`close` writes it once, so the final state is
+    scrape-able after every exit.
     """
 
     def __init__(self, metrics_file: str, every: float) -> None:
@@ -394,17 +381,22 @@ class _WatchTelemetry:
         self._beat_txns = 0
         self._beat_time = time.monotonic()
 
-    def update(self, session, ingested: int, lag: int, *, force: bool = False) -> None:
-        now = time.monotonic()
-        if not force and now - self._last_update < self.every:
+    def update(self, session, ingested: int, lag: int) -> None:
+        """Publish and write a snapshot once ``--metrics-every`` has passed."""
+        if time.monotonic() - self._last_update < self.every:
             return
+        self.publish(session, ingested, lag)
+        obs.write_textfile(self.metrics_file, self.registry)
+
+    def publish(self, session, ingested: int, lag: int) -> None:
+        """Set the checker and follower gauges; print the heartbeat."""
+        now = time.monotonic()
         self._last_update = now
         session.publish_metrics()
         reg = self.registry
         reg.set_gauge("repro_watch_epoch_lag", lag)
         reg.set_gauge("repro_watch_txns_ingested", ingested)
         reg.inc("repro_watch_heartbeats_total")
-        obs.write_textfile(self.metrics_file, reg)
         rate = (ingested - self._beat_txns) / max(now - self._beat_time, 1e-9)
         verdict = "ok" if session.satisfied else "violated"
         print(
@@ -415,6 +407,44 @@ class _WatchTelemetry:
         )
         self._beat_txns = ingested
         self._beat_time = now
+
+    def close(self) -> None:
+        """The one final write, then switch the registry off again."""
+        obs.write_textfile(self.metrics_file, self.registry)
+        obs.disable()
+
+
+class _StopFlag:
+    """Set by SIGINT / SIGTERM; the follow loop reads it between segments."""
+
+    requested = False
+
+    def __call__(self, *_signal: object) -> None:
+        self.requested = True
+
+
+@contextlib.contextmanager
+def _stop_on_signals(stop: _StopFlag):
+    """Route SIGINT and SIGTERM to ``stop`` inside the block, then restore
+    the previous handlers.  Only the main thread may install handlers; off
+    it (``main()`` called from a worker thread) nothing is routed.  A signal
+    the parent ignores stays ignored: a shell runs a ``&`` job with SIGINT
+    ignored, so the terminal's Ctrl-C reaches only the foreground."""
+    import signal
+
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = {
+        signum: signal.signal(signum, stop)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+        if signal.getsignal(signum) is not signal.SIG_IGN
+    }
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 def _final_checkpoint(log, session, args, ingested: int) -> bool:
@@ -440,10 +470,13 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     ``--retire`` — deletes epoch files once every row in them has aged out
     of the ``--window`` bound.  A verifier killed at any point restarts
     from the newest checkpoint and reaches the same verdict as an
-    uninterrupted run; ``--supervise`` performs that restart in-process.
+    uninterrupted run, so restarting is running ``watch`` again.  SIGINT
+    and SIGTERM stop it at the next segment boundary with a final
+    checkpoint and the verdict over what was verified.
     """
-    from .history.files import history_format
-    from .resilience.supervisor import Supervisor
+    from .core.checker import MTChecker
+    from .history.epochlog import EpochLog
+    from .history.files import StreamFollower, history_format
 
     kind = history_format(args.history)
     if kind == "segment":
@@ -453,13 +486,10 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             ".epochs/ epoch log to follow it durably)"
         )
         return 2
-    if kind == "stream" and (
-        args.checkpoint_every is not None or args.no_resume or args.retire or args.supervise
-    ):
+    if kind == "stream" and (args.checkpoint_every is not None or args.no_resume or args.retire):
         print(
-            "error: --checkpoint-every/--no-resume/--retire/--supervise "
-            "apply to epoch log directories; JSONL streams are followed "
-            "without checkpoints"
+            "error: --checkpoint-every/--no-resume/--retire apply to epoch "
+            "log directories; JSONL streams are followed without checkpoints"
         )
         return 2
     if args.retire and (args.window is None or not args.checkpoint_every):
@@ -468,41 +498,41 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             "--window (bounded verifier) and --checkpoint-every (resume point)"
         )
         return 2
-    # One telemetry surface for the whole run, spanning supervised restarts
-    # (so resilience counters accumulate instead of resetting); the registry
-    # it activated is switched off again on the way out.
     telemetry = (
         _WatchTelemetry(args.metrics_file, args.metrics_every)
         if args.metrics_file
         else None
     )
-    supervisor = Supervisor(name="watch", max_restarts=args.max_restarts)
+    stop = _StopFlag()
+    level = _level(args.level)
     try:
-        if not args.supervise:
-            return _watch_attempt(args, supervisor, telemetry)
-        # Each fault (I/O error, broken worker pool, torn log state —
-        # anything the attempt raises) is absorbed: a fresh attempt resumes
-        # from the latest durable checkpoint after a backed-off delay, up to
-        # --max-restarts times.  Deterministic config errors exit via return
-        # codes, not exceptions, so they are never retried.  SIGTERM/SIGINT
-        # request a cooperative stop at the next epoch boundary.
-        supervisor.install_signal_handlers()
-        try:
-            return supervisor.run(lambda _: _watch_attempt(args, supervisor, telemetry))
-        except Exception as exc:  # noqa: BLE001 - the restart budget is spent
-            print(
-                f"error: watch gave up after {supervisor.restarts} "
-                f"restart(s): {exc}"
-            )
-            return 2
-        finally:
-            supervisor.restore_signal_handlers()
+        with _stop_on_signals(stop):
+            if kind == "stream":
+                session = MTChecker().session(level, window=args.window)
+                with StreamFollower(args.history) as stream:
+                    if not _follow(args, stop, telemetry, stream, session, 0):
+                        return 2
+                    if stream.done:
+                        # Torn gzip tail: the compressed stream ends mid-member
+                        # (a live writer has not emitted the trailer yet).  gzip
+                        # cannot resume a broken member, so stop at the
+                        # verified prefix.
+                        print(
+                            "warning: compressed stream is truncated mid-member "
+                            "(producer still writing?); stopping at the last "
+                            "complete transaction"
+                        )
+                    if stream.pending_bytes:
+                        print(f"warning: ignoring incomplete trailing line ({stream.pending_bytes} bytes)")
+                return _finish_stream(session)
+            log = EpochLog.open(args.history)
+            resumed = _resume(log, args, level)
+            if resumed is None or not _follow(args, stop, telemetry, log, *resumed):
+                return 2
+            return _finish_stream(resumed[0])
     finally:
         if telemetry is not None:
-            # Published once more: the supervisor closes its breaker after
-            # the last attempt's own final update.
-            obs.write_textfile(telemetry.metrics_file, telemetry.registry)
-            obs.disable()
+            telemetry.close()
 
 
 def _resume(log: EpochLog, args: argparse.Namespace, level: IsolationLevel):
@@ -550,50 +580,7 @@ def _resume(log: EpochLog, args: argparse.Namespace, level: IsolationLevel):
     return session, ingested
 
 
-def _watch_attempt(args: argparse.Namespace, control: Supervisor, telemetry) -> int:
-    """One watch attempt — open the source, follow it, print the verdict.
-
-    This is the body ``--supervise`` restarts: a restarted attempt reopens
-    the log and resumes from the latest durable checkpoint.
-    """
-    from .core.checker import MTChecker
-    from .history.epochlog import EpochLog
-    from .history.files import StreamFollower, history_format
-
-    if control.restarts:
-        degraded = " [degraded]" if control.degraded else ""
-        print(
-            f"watch fault: {control.last_fault}; restarting from the latest "
-            f"checkpoint{degraded} "
-            f"(restart {control.restarts}/{args.max_restarts})",
-            flush=True,
-        )
-    level = _level(args.level)
-    if history_format(args.history) == "stream":
-        session = MTChecker().session(level, window=args.window)
-        with StreamFollower(args.history) as stream:
-            if not _follow(args, control, telemetry, stream, session, 0):
-                return 2
-            if stream.done:
-                # Torn gzip tail: the compressed stream ends mid-member (a
-                # live writer has not emitted the trailer yet).  gzip cannot
-                # resume a broken member, so stop at the verified prefix.
-                print(
-                    "warning: compressed stream is truncated mid-member "
-                    "(producer still writing?); stopping at the last "
-                    "complete transaction"
-                )
-            if stream.pending_bytes:
-                print(f"warning: ignoring incomplete trailing line ({stream.pending_bytes} bytes)")
-        return _finish_stream(session)
-    log = EpochLog.open(args.history)
-    resumed = _resume(log, args, level)
-    if resumed is None or not _follow(args, control, telemetry, log, *resumed):
-        return 2
-    return _finish_stream(resumed[0])
-
-
-def _follow(args, control: Supervisor, telemetry, source, session, ingested: int) -> bool:
+def _follow(args, stop: _StopFlag, telemetry, source, session, ingested: int) -> bool:
     """The follow loop: ingest what ``source`` has, wait, look again.
 
     ``source`` is anything with ``poll()`` (the next segment, or ``None``),
@@ -602,18 +589,18 @@ def _follow(args, control: Supervisor, telemetry, source, session, ingested: int
     :class:`StreamFollower` or an :class:`EpochLog`.  ``ingested`` counts
     the non-initial transactions verified before this call (labeling).
     Checkpoints and retirement are selected by their flags, which
-    ``_cmd_watch`` accepts for epoch logs only.  When
-    ``control.stop_requested`` flips, the loop exits at the next segment
-    boundary — never mid-epoch, so any checkpoint it flushes describes a
-    prefix of fully-ingested epochs.  Returns ``False`` when the source was
-    lost (the diagnostic has been printed; exit 2).
+    ``_cmd_watch`` accepts for epoch logs only.  When ``stop.requested``
+    flips, the loop exits at the next segment boundary — never mid-epoch,
+    so any checkpoint it flushes describes a prefix of fully-ingested
+    epochs.  Returns ``False`` when the source was lost (the diagnostic has
+    been printed; exit 2).
     """
     from .history.epochlog import EpochLog
 
     started = time.monotonic()
     try:
         while True:
-            while not control.stop_requested:
+            while not stop.requested:
                 segment = source.poll()
                 if segment is None:
                     break
@@ -632,12 +619,12 @@ def _follow(args, control: Supervisor, telemetry, source, session, ingested: int
                     obs.observe("repro_verdict_latency_seconds", time.time() - sealed_at / 1000)
                 if telemetry is not None:
                     telemetry.update(session, ingested, source.lag)
-            if args.once or control.stop_requested or source.done:
+            if args.once or stop.requested or source.done:
                 break
             if args.max_seconds is not None and time.monotonic() - started >= args.max_seconds:
                 break
             time.sleep(args.interval)
-            if control.stop_requested:
+            if stop.requested:
                 break
             try:
                 source.refresh()
@@ -652,13 +639,13 @@ def _follow(args, control: Supervisor, telemetry, source, session, ingested: int
                 except OSError as flush_exc:
                     print(f"warning: could not flush final checkpoint: {flush_exc}")
                 return False
-        if control.stop_requested:
+        if stop.requested:
             print(f"stop requested; exiting at epoch boundary {source.position}", flush=True)
         _final_checkpoint(source, session, args, ingested)
         return True
     finally:
         if telemetry is not None:
-            telemetry.update(session, ingested, source.lag, force=True)
+            telemetry.publish(session, ingested, source.lag)
 
 
 def _retire_behind_window(log: EpochLog, window: int, ingested_epochs: int) -> None:
@@ -875,7 +862,6 @@ _BOUNDS = {
     "--interval": _at_least(0),
     "--max-seconds": _at_least(0),
     "--metrics-every": _at_least(0),
-    "--max-restarts": _at_least(0),
     "--sessions": _POSITIVE,
     "--txns": _POSITIVE,
     "--objects": _at_least(2),
@@ -929,6 +915,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return _cmd_anomaly(args)
     except BrokenPipeError:
         return 1  # stdout consumer (e.g. `| head`) went away mid-report
+    except KeyboardInterrupt:
+        # Ctrl-C (`watch` turns it into a clean stop instead): a half-written
+        # output was already removed on the way out, by `write_history`.
+        print("error: interrupted")
+        return 130
     except (OSError, EOFError) as exc:
         # EOFError: a gzip stream cut off mid-member (EOFError is not an
         # OSError even though gzip raises it for I/O-shaped corruption).

@@ -153,7 +153,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
     "repro_watch_txns_ingested": (
         "gauge", "Transactions ingested by the watch follower"),
     "repro_watch_heartbeats_total": ("counter", "Watch heartbeats emitted"),
-    # Resilience layer (failpoints, retry policies, breakers, supervisor).
+    # Resilience layer (failpoints, retry policies, breakers).
     "repro_resilience_failpoints_fired_total": (
         "counter", "Failpoint activations, by site label"),
     "repro_resilience_retries_total": (
@@ -168,10 +168,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "gauge", "1 while the named circuit breaker is open"),
     "repro_resilience_pool_faults_total": (
         "counter", "Worker-pool faults absorbed by the executor, by kind label"),
-    "repro_resilience_restarts_total": (
-        "counter", "Supervised service restarts, by component label"),
-    "repro_resilience_degraded": (
-        "gauge", "1 while a component runs degraded, by component label"),
     "repro_epochlog_tmp_swept_total": (
         "counter", "Orphaned temp files removed by epoch-log crash recovery"),
 }

@@ -1,14 +1,15 @@
-"""Resilience layer: failpoints, retry/backoff policies, supervision.
+"""Resilience layer: failpoints and retry/backoff policies.
 
-Three cooperating pieces, each usable alone:
+Two pieces, each usable alone:
 
 * :mod:`repro.resilience.failpoints` — deterministic fault injection at
   registered IO/IPC boundaries (``REPRO_FAILPOINTS``-driven chaos);
 * :mod:`repro.resilience.policy` — :class:`RetryPolicy`,
   :class:`Deadline`, and :class:`CircuitBreaker`, the shared
-  failure-handling arithmetic of the collector, executor, and adapters;
-* :mod:`repro.resilience.supervisor` — the bounded restart loop behind
-  ``repro watch --supervise``.
+  failure-handling arithmetic of the collector, executor, and adapters.
+
+``repro watch`` has no restart loop of its own: a fault exits 2, and the
+next invocation resumes from the newest durable checkpoint.
 """
 
 from .._lazy import surface
@@ -21,5 +22,4 @@ __all__, __getattr__, __dir__ = surface(__name__, {
     "Deadline": ".policy",
     "DeadlineExceeded": ".policy",
     "RetryPolicy": ".policy",
-    "Supervisor": ".supervisor",
 })

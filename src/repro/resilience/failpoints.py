@@ -112,7 +112,7 @@ class FailpointError(OSError):
 
     An ``OSError`` subclass on purpose: injected faults must travel the
     exact recovery paths real IO failures do (epoch-log prefix recovery,
-    the CLI's ``error:`` exit-2 handler, supervised restarts).
+    the CLI's ``error:`` exit-2 handler, checkpoint resume).
     """
 
 

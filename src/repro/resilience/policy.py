@@ -1,9 +1,9 @@
 """Retry, deadline, and circuit-breaker policies.
 
 The one place failure-handling arithmetic lives: the collector's
-aborted-transaction retries, the SQLite busy path, the executor's
-shard-submit recovery, and the supervised watch loop all share these
-three primitives instead of hand-rolling ``while True`` loops.
+aborted-transaction retries, the SQLite busy path and the executor's
+shard-submit recovery share these three primitives instead of
+hand-rolling ``while True`` loops.
 
 * :class:`RetryPolicy` — capped exponential backoff with decorrelated
   jitter (the AWS architecture-blog variant: each sleep is drawn from

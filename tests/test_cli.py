@@ -30,6 +30,61 @@ class TestParser:
             main(["bench"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--supervise"], ["--max-restarts", "3"]])
+    def test_watch_has_no_restart_loop(self, flags, capsys):
+        # Restarting `watch` is running it again: it resumes from its newest
+        # checkpoint (tests/test_resilience.py::TestWatchStopAndRestart).
+        with pytest.raises(SystemExit) as excinfo:
+            main(["watch", *flags, "log.epochs"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestInterrupt:
+    """Ctrl-C outside `watch`: exit 130, one `error: interrupted` line, no
+    traceback and no half-written output."""
+
+    @staticmethod
+    def _run(capsys, *argv):
+        try:  # one that escaped would end the test session, not fail a test
+            return run(capsys, *argv)
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main()")
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{in}"],
+        ["collect", "--adapter", "simulated", "--check", "si"],
+        ["convert", "{in}", "{out}"],
+        ["generate", "--output", "{out}"],
+    ], ids=lambda argv: argv[0])
+    def test_keyboard_interrupt_exits_130(self, argv, histories, tmp_path, monkeypatch, capsys):
+        def interrupted(_args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(f"repro.cli._cmd_{argv[0]}", interrupted)
+        paths = {"{in}": str(histories / "healthy" / "h.seg"), "{out}": str(tmp_path / "out.seg")}
+        assert self._run(capsys, *(paths.get(arg, arg) for arg in argv)) == (130, "error: interrupted\n")
+
+    @pytest.mark.parametrize("destination", ["out.jsonl", "out.seg", "out.epochs"])
+    def test_interrupted_convert_leaves_no_destination(
+        self, destination, histories, tmp_path, monkeypatch, capsys
+    ):
+        from repro.history import files
+
+        read_segments = files.read_segments
+
+        def first_segment_then_ctrl_c(path):
+            segments = read_segments(path)
+            yield next(segments)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(files, "read_segments", first_segment_then_ctrl_c)
+        source = histories / "healthy" / "h.epochs"
+        assert len(list(source.glob("epoch-*.seg"))) > 1  # interrupted part-way
+        code, out = self._run(capsys, "convert", source, tmp_path / destination)
+        assert (code, out) == (130, "error: interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 _GENERATE = ["generate", "--isolation", "si", "--sessions", "4", "--txns", "20", "--objects", "8"]
 _LOST_UPDATE = ["--fault", "lostupdate", "--fault-rate", "0.6"]
@@ -513,7 +568,6 @@ class TestFlagBounds:
         (["collect", "--max-retries", "-1", "--output", "{out}"], "--max-retries must be at least 0, got -1"),
         (["collect", "--chaos", "lost-write", "--chaos-rate", "2", "--output", "{out}"],
          "--chaos-rate must be in [0, 1], got 2.0"),
-        (["watch", "--once", "--max-restarts", "-1", "{in}"], "--max-restarts must be at least 0, got -1"),
         # Accepted before, each printing a verdict.
         (["collect", "--traffic", "bursty", "--think-time", "nan", "--output", "{out}"],
          "--think-time must be at least 0, got nan"),
@@ -761,12 +815,11 @@ class TestEpochLogCommands:
             path, lambda state: state.update(format="repro-checker-state-v1")
         )
         capsys.readouterr()
-        for supervise in ([], ["--supervise"]):
-            assert main([*service, *supervise, str(path)]) == 2
-            out = capsys.readouterr().out
-            assert "no usable checkpoint covers them" in out
-            assert "found format 'repro-checker-state-v1'" in out
-            assert "Traceback" not in out and "watch fault" not in out
+        assert main([*service, str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "no usable checkpoint covers them" in out
+        assert "found format 'repro-checker-state-v1'" in out
+        assert "Traceback" not in out
 
     def test_watch_retires_epochs_behind_window(self, tmp_path, capsys):
         path = tmp_path / "history.epochs"

@@ -138,6 +138,13 @@ class TestTextfile:
         parsed = obs.parse_textfile(text)
         assert parsed["repro_executor_checks_total"] == 0
 
+    def test_every_catalog_family_is_named_by_a_test(self):
+        # The catalog audit: a family that no test names is unchecked or dead.
+        from pathlib import Path
+
+        tests = "".join(path.read_text(encoding="utf-8") for path in Path(__file__).parent.glob("test_*.py"))
+        assert [family for family in obs.METRIC_CATALOG if family not in tests] == []
+
     def test_histogram_expansion(self):
         reg = MetricsRegistry()
         reg.observe("repro_phase_seconds", 0.01, phase="merge")
@@ -540,7 +547,8 @@ class TestEpochLogMetrics:
         assert value("repro_epochlog_txns_sealed_total") == log.num_transactions == 10
         assert value("repro_epochlog_bytes_written_total") == sum(
             (directory / entry.name).stat().st_size for entry in log.epochs)
-        fsync, seal = (registry.snapshot()["histograms"][f"repro_epochlog_{name}_seconds"] for name in ("fsync", "seal"))
+        histograms = registry.snapshot()["histograms"]
+        fsync, seal = histograms["repro_epochlog_fsync_seconds"], histograms["repro_epochlog_seal_seconds"]
         assert fsync["count"] == seal["count"] == 3 and 0 < fsync["sum"] <= seal["sum"]
         assert value("repro_epochlog_epochs_loaded_total") is None
         log.load_epoch(1)
@@ -613,6 +621,30 @@ class TestCLISurfaces:
         assert parsed['repro_checker_checkpoint_seconds_count{op="restore"}'] == 1
         assert parsed['repro_checker_checkpoint_seconds_sum{op="restore"}'] > 0
         assert obs.METRIC_CATALOG["repro_checker_checkpoint_seconds"][0] == "histogram"
+
+    def test_watch_writes_the_metrics_file_once_on_exit(self, tmp_path, capsys, monkeypatch):
+        # One final write on every exit path: after the follow loop, and
+        # when the resume is refused before the loop starts.
+        from repro.obs import textfile
+
+        path = tmp_path / "h.epochs"
+        assert self._generate_epochs(path) == 0
+        metrics = tmp_path / "metrics.prom"
+        writes = []
+        write = textfile.write_textfile
+        monkeypatch.setattr(obs, "write_textfile", lambda *args: writes.append(write(*args)))
+        service = ["watch", "--once", "--level", "si", "--window", "8", "--checkpoint-every", "1",
+                   "--metrics-file", str(metrics), "--metrics-every", "3600"]
+        assert main([*service, "--retire", str(path)]) == 0
+        assert len(writes) == 2  # the first snapshot, then the final one
+        assert obs.parse_textfile(metrics.read_text())["repro_watch_epoch_lag"] == 0
+        metrics.unlink()
+        writes.clear()
+        assert main([*service, "--no-resume", str(path)]) == 2
+        assert "retired by window GC" in capsys.readouterr().out
+        assert len(writes) == 1
+        assert obs.parse_textfile(metrics.read_text())["repro_watch_heartbeats_total"] == 0
+        assert not obs.enabled()
 
     def test_watch_jsonl_metrics_file(self, tmp_path, capsys):
         path = tmp_path / "h.jsonl"

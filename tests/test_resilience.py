@@ -14,15 +14,18 @@ Covers the four pillars:
 * **Durability under injected faults** — the failpoint matrix
   (site x action x raw/gzip) pins the epoch-log contract: recovery
   never loses a *sealed* epoch, and resuming after the fault reaches
-  the uninterrupted verdict.  The supervised watch service restarts
-  through injected faults to the same verdict.
+  the uninterrupted verdict.  SIGINT / SIGTERM stop a following
+  ``repro watch`` with a final checkpoint and the verdict; a fault exits 2
+  and the next run resumes to the same verdict.
 """
 
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +33,7 @@ from test_epochlog import build_log, make_history, stream_format
 from test_parallel import composite_history  # noqa: F401  (re-export for helpers)
 from test_scaleout import rt_cycle_history
 
-from repro import obs
+from repro import cli, obs
 from repro.adapters import collect_history
 from repro.adapters.base import (
     AdapterAborted,
@@ -47,6 +50,7 @@ from repro.core.model import TransactionStatus
 from repro.core.result import IsolationLevel
 from repro.history.columnar import OP_READ, ColumnarHistory
 from repro.history.epochlog import EpochLog, EpochLogWriter
+from repro.history.files import write_history
 from repro.parallel import check_parallel
 from repro.parallel import executor as executor_module
 from repro.parallel.executor import shutdown_pool
@@ -57,13 +61,13 @@ from repro.resilience import (
     FAILPOINT_SITES,
     FailpointError,
     RetryPolicy,
-    Supervisor,
 )
 from repro.resilience import failpoints
 from repro.workloads.mt_generator import MTWorkloadGenerator
 from repro.workloads.spec import PlannedOperation, PlannedOpKind, TransactionSpec, Workload
 
 SER = IsolationLevel.SERIALIZABILITY
+SI = IsolationLevel.SNAPSHOT_ISOLATION
 SSER = IsolationLevel.STRICT_SERIALIZABILITY
 
 
@@ -202,8 +206,6 @@ class TestFailpointActions:
                 )
 
     def test_kill_exits_the_process(self):
-        import subprocess
-
         proc = subprocess.run(
             [
                 sys.executable,
@@ -368,6 +370,24 @@ class TestCircuitBreaker:
             failure_threshold=3, reset_after=30.0, clock=lambda: clock[0]
         )
 
+    def test_transitions_are_counted_and_the_open_gauge_follows(self):
+        clock = [0.0]
+        with obs.scoped() as reg:
+            breaker = CircuitBreaker(
+                failure_threshold=2, reset_after=30.0, clock=lambda: clock[0], name="pool"
+            )
+            breaker.record_failure()
+            breaker.record_failure()
+            assert reg.value("repro_resilience_breaker_open", breaker="pool") == 1
+            clock[0] = 31.0
+            assert breaker.allow()
+            breaker.record_success()
+        assert reg.value("repro_resilience_breaker_open", breaker="pool") == 0
+        assert [
+            reg.value("repro_resilience_breaker_transitions_total", breaker="pool", state=state)
+            for state in ("open", "half_open", "closed")
+        ] == [1, 1, 1]
+
     def test_opens_after_threshold(self):
         clock = [0.0]
         breaker = self._breaker(clock)
@@ -423,67 +443,6 @@ class TestCircuitBreaker:
         breaker.reset()
         assert breaker.state == CircuitBreaker.CLOSED
         assert breaker.allow()
-
-
-class TestSupervisor:
-    def test_restarts_bounded_by_budget(self):
-        sleeps = []
-        supervisor = Supervisor("svc", max_restarts=2, sleep=sleeps.append)
-        assert supervisor.fault(OSError("one"))
-        assert supervisor.fault(OSError("two"))
-        assert not supervisor.fault(OSError("three"))
-        assert supervisor.restarts == 2
-        assert len(sleeps) == 2
-        assert str(supervisor.last_fault) == "three"
-
-    def test_stop_request_wins_over_restart(self):
-        supervisor = Supervisor("svc", max_restarts=5, sleep=lambda _d: None)
-        supervisor.request_stop()
-        assert not supervisor.fault(OSError("fault"))
-
-    def test_degraded_tracks_breaker(self):
-        supervisor = Supervisor("svc", max_restarts=10, sleep=lambda _d: None)
-        assert not supervisor.degraded
-        for _ in range(3):
-            supervisor.fault(OSError("x"))
-        assert supervisor.degraded
-        supervisor.succeed()
-        assert not supervisor.degraded
-
-    def test_run_retries_body_until_success(self):
-        supervisor = Supervisor("svc", max_restarts=3, sleep=lambda _d: None)
-        calls = []
-
-        def body(sup):
-            calls.append(sup.restarts)
-            if len(calls) < 3:
-                raise OSError("flaky")
-            return "verdict"
-
-        assert supervisor.run(body) == "verdict"
-        assert calls == [0, 1, 2]
-
-    def test_run_surfaces_fault_when_budget_spent(self):
-        supervisor = Supervisor("svc", max_restarts=1, sleep=lambda _d: None)
-
-        def body(_sup):
-            raise OSError("hard down")
-
-        with pytest.raises(OSError, match="hard down"):
-            supervisor.run(body)
-        assert supervisor.restarts == 1
-
-    def test_signal_handlers_install_and_restore(self):
-        supervisor = Supervisor("svc")
-        previous = signal.getsignal(signal.SIGTERM)
-        supervisor.install_signal_handlers()
-        try:
-            assert signal.getsignal(signal.SIGTERM) == supervisor.request_stop
-            os.kill(os.getpid(), signal.SIGTERM)
-            assert supervisor.stop_requested
-        finally:
-            supervisor.restore_signal_handlers()
-        assert signal.getsignal(signal.SIGTERM) == previous
 
 
 # ----------------------------------------------------------------------
@@ -829,94 +788,163 @@ class TestCollectorResilience:
 
 
 # ----------------------------------------------------------------------
-# Supervised watch service
+# Stopping and restarting `repro watch`
 # ----------------------------------------------------------------------
-class TestSupervisedWatch:
+class TestWatchStopAndRestart:
+    """SIGINT / SIGTERM stop a following `watch` at a segment boundary with
+    a final checkpoint and the verdict; a fault exits 2, and restarting is
+    running `watch` again, which resumes from the newest checkpoint."""
+
     def _epochlog(self, tmp_path, seed=5):
         history = make_history(seed)
         directory = tmp_path / "watch.epochs"
         build_log(directory, history)
-        return directory, stream_format(EpochLog.open(directory), SER)
+        return directory, stream_format(EpochLog.open(directory), SI)
 
-    def test_supervised_watch_restarts_through_faults(self, tmp_path, capsys):
-        directory, expected = self._epochlog(tmp_path)
-        metrics = tmp_path / "watch.prom"
-        with failpoints.scoped("columnar.segment.load=2*raise"):
-            code = repro_main(
-                [
-                    "watch",
-                    str(directory),
-                    "--once",
-                    "--supervise",
-                    "--checkpoint-every",
-                    "2",
-                    "--max-restarts",
-                    "4",
-                    "--metrics-file",
-                    str(metrics),
-                ]
-            )
-            assert failpoints.fired("columnar.segment.load") == 2
-        assert code == 0
-        out = capsys.readouterr().out
-        assert expected.splitlines()[0] in out
-        assert out.count("restarting from the latest checkpoint") == 2
-        text = metrics.read_text()
-        assert 'repro_resilience_restarts_total{component="watch"} 2' in text
-        assert (
-            'repro_resilience_failpoints_fired_total'
-            '{site="columnar.segment.load"} 2'
-        ) in text
+    def _spawn_watch(self, *argv):
+        def default_signals():  # not an ignored SIGINT inherited from a `&` job
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                signal.signal(signum, signal.SIG_DFL)
 
-    def test_a_third_fault_opens_the_breaker_and_success_closes_it(self, tmp_path, capsys):
-        directory, expected = self._epochlog(tmp_path)
-        metrics = tmp_path / "watch.prom"
-        with failpoints.scoped("columnar.segment.load=3*raise"):
-            code = repro_main(
-                ["watch", str(directory), "--once", "--supervise", "--checkpoint-every", "2",
-                 "--max-restarts", "4", "--metrics-file", str(metrics)]
-            )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert expected.splitlines()[0] in out
-        # Degraded from the third consecutive fault (the breaker's threshold)...
-        restarts = [line for line in out.splitlines() if "restarting from" in line]
-        assert ["[degraded]" in line for line in restarts] == [False, False, True]
-        # ...and the last scrape is the state after the success closed it.
-        scrape = obs.parse_textfile(metrics.read_text())
-        transitions = 'repro_resilience_breaker_transitions_total{breaker="watch",state="%s"}'
-        assert scrape[transitions % "open"] == scrape[transitions % "closed"] == 1
-        assert scrape['repro_resilience_breaker_open{breaker="watch"}'] == 0
-        assert scrape['repro_resilience_degraded{component="watch"}'] == 0
-        assert scrape['repro_resilience_restarts_total{component="watch"}'] == 3
+        src = Path(__file__).resolve().parent.parent / "src"
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", "watch", "--level", "si", "--interval", "0.05", *map(str, argv)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=default_signals,
+        )
 
-    def test_supervised_watch_gives_up_after_budget(self, tmp_path, capsys):
+    def _signal_once(self, proc, signum, ready):
+        """Send ``signum`` once ``ready()`` holds (the follow loop runs);
+        return ``(exit code, stdout, stderr)``."""
+        deadline = time.monotonic() + 60
+        while not ready():
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "watch never reached its follow loop"
+            time.sleep(0.02)
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=60)
+        return proc.returncode, out, err
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+    def test_signal_stops_a_following_epoch_log_watch(self, signum, tmp_path, capsys):
         directory, _expected = self._epochlog(tmp_path)
-        with failpoints.scoped("columnar.segment.load=raise"):
-            code = repro_main(
-                [
-                    "watch",
-                    str(directory),
-                    "--once",
-                    "--supervise",
-                    "--max-restarts",
-                    "1",
-                ]
-            )
-        assert code == 2
-        assert "gave up after 1 restart(s)" in capsys.readouterr().out
+        proc = self._spawn_watch("--checkpoint-every", "2", directory)
+        code, out, err = self._signal_once(
+            proc, signum, lambda: any(directory.glob("checkpoint-*.ckpt"))
+        )
+        assert code == 0, (out, err)
+        assert "Traceback" not in out + err
+        stop, verdict = out.splitlines()[-2:]
+        assert stop.startswith("stop requested; exiting at epoch boundary ")
+        assert verdict.startswith("SI: SATISFIED")  # over the epochs verified so far
+        position = int(stop.rsplit(" ", 1)[1])
+        assert EpochLog.open(directory).latest_checkpoint().epochs == position
+        # The rerun resumes there and reaches the uninterrupted verdict.
+        assert repro_main(["watch", "--level", "si", "--once", "--checkpoint-every", "2", str(directory)]) == 0
+        resumed = capsys.readouterr().out
+        assert resumed.startswith(f"resumed from checkpoint: {position} epochs")
+        assert repro_main(["watch", "--level", "si", "--once", "--no-resume", str(directory)]) == 0
+        assert resumed.splitlines()[-1] == capsys.readouterr().out.splitlines()[-1]
 
-    def test_supervise_rejected_for_jsonl_streams(self, tmp_path, capsys):
+    def test_sigint_stops_a_following_jsonl_watch(self, tmp_path, capsys):
         stream = tmp_path / "history.jsonl"
-        stream.write_text("")
-        code = repro_main(["watch", str(stream), "--once", "--supervise"])
-        assert code == 2
-        assert "epoch log directories" in capsys.readouterr().out
+        write_history(make_history(5), stream)
+        metrics = tmp_path / "watch.prom"
+        proc = self._spawn_watch("--metrics-file", metrics, "--metrics-every", "0", stream)
+        code, out, err = self._signal_once(proc, signal.SIGINT, metrics.exists)
+        assert code == 0, (out, err)
+        assert "Traceback" not in out + err
+        assert repro_main(["watch", "--level", "si", "--once", str(stream)]) == 0
+        assert out.splitlines()[-1] == capsys.readouterr().out.splitlines()[-1]
+        assert out.splitlines()[-2].startswith("stop requested; exiting at epoch boundary ")
 
-    def test_unsupervised_watch_verdict_matches(self, tmp_path, capsys):
-        # Control: the same log without faults, without --supervise.
+    def test_stop_flushes_the_verified_prefix_and_restores_handlers(self, tmp_path, capsys, monkeypatch):
+        # In process: SIGTERM arrives while the first epoch is ingested.  The
+        # handler outside `watch` only records, so a watch that routed no
+        # signal fails here instead of ending the test run.
         directory, expected = self._epochlog(tmp_path)
-        code = repro_main(["watch", str(directory), "--once"])
-        supervised_out = capsys.readouterr().out
-        assert code == 0
-        assert expected.splitlines()[0] in supervised_out
+        outside = []
+
+        def guard(signum, _frame):
+            outside.append(signum)
+
+        ingest = cli._ingest_epoch
+
+        def ingest_then_sigterm(*args):
+            os.kill(os.getpid(), signal.SIGTERM)
+            return ingest(*args)
+
+        monkeypatch.setattr(cli, "_ingest_epoch", ingest_then_sigterm)
+        previous = signal.signal(signal.SIGTERM, guard)
+        try:
+            code = repro_main(["watch", "--level", "si", "--checkpoint-every", "2", str(directory)])
+            assert signal.getsignal(signal.SIGTERM) is guard
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        monkeypatch.undo()
+        out = capsys.readouterr().out
+        assert (code, outside) == (0, [])
+        assert out.splitlines()[0] == "stop requested; exiting at epoch boundary 1"
+        assert EpochLog.open(directory).latest_checkpoint().epochs == 1
+        assert repro_main(["watch", "--level", "si", "--once", "--checkpoint-every", "2", str(directory)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("resumed from checkpoint: 1 epochs")
+        assert out.endswith(expected + "\n")
+
+    def test_an_ignored_sigint_stays_ignored(self, tmp_path, capsys, monkeypatch):
+        # A `&` job in a shell script: the terminal's Ctrl-C is not for it.
+        directory, expected = self._epochlog(tmp_path)
+        ingest = cli._ingest_epoch
+
+        def ingest_then_sigint(*args):
+            os.kill(os.getpid(), signal.SIGINT)
+            return ingest(*args)
+
+        monkeypatch.setattr(cli, "_ingest_epoch", ingest_then_sigint)
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            code = repro_main(["watch", "--level", "si", "--once", str(directory)])
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert (code, capsys.readouterr().out) == (0, expected + "\n")
+
+    def test_watch_off_the_main_thread_routes_no_signals(self, tmp_path, capsys):
+        directory, expected = self._epochlog(tmp_path)
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(repro_main(["watch", "--level", "si", "--once", str(directory)])))
+        worker.start()
+        worker.join(60)
+        assert codes == [0]
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_a_fault_exits_2_and_the_next_run_resumes(self, tmp_path, capsys, monkeypatch):
+        directory, expected = self._epochlog(tmp_path)
+        metrics = tmp_path / "watch.prom"
+        save = EpochLog.save_checkpoint
+
+        def save_then_arm(log, *args, **kwargs):
+            save(log, *args, **kwargs)  # the first cadence checkpoint, then a load fault
+            failpoints.configure("columnar.segment.load=1*raise")
+
+        monkeypatch.setattr(EpochLog, "save_checkpoint", save_then_arm)
+        code = repro_main(
+            ["watch", "--level", "si", "--once", "--checkpoint-every", "2",
+             "--metrics-file", str(metrics), str(directory)]
+        )
+        monkeypatch.undo()
+        assert code == 2
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("error:")] == [
+            "error: injected failure at failpoint 'columnar.segment.load'"
+        ]
+        assert "Traceback" not in out
+        scrape = obs.parse_textfile(metrics.read_text())
+        assert scrape['repro_resilience_failpoints_fired_total{site="columnar.segment.load"}'] == 1
+        assert EpochLog.open(directory).latest_checkpoint().epochs == 2
+        failpoints.deactivate()
+        assert repro_main(["watch", "--level", "si", "--once", "--checkpoint-every", "2", str(directory)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("resumed from checkpoint: 2 epochs")
+        assert out.endswith(expected + "\n")
