@@ -1,9 +1,10 @@
 """Streaming verification: check a workload live, while it executes.
 
 The batch workflow (``examples/end_to_end_checking.py``) records a complete
-history and verifies it afterwards.  This example plugs a
-``CheckerSession`` into the workload runner's ``on_transaction`` hook so
-every transaction is verified the moment it commits:
+history and verifies it afterwards.  This example hands a
+``CheckerSession``'s ``ingest`` (the one-row case of ``ingest_segment``,
+the session's one door) to the workload runner's ``on_transaction`` hook,
+so every transaction is verified the moment it commits:
 
 1. a correct SI engine runs a workload under live SI checking — the stream
    stays clean all the way through;

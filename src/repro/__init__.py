@@ -32,7 +32,6 @@ __all__, __getattr__, __dir__ = surface(__name__, {
     "Violation": ".core.result",
     "CSRGraph": ".core.csr",
     "CheckerSession": ".core.incremental",
-    "IncrementalChecker": ".core.incremental",
     "PearceKellyOrder": ".core.incremental",
     "DependencyGraph": ".core.graph",
     "EdgeType": ".core.graph",

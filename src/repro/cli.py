@@ -414,18 +414,21 @@ class _WatchTelemetry:
         obs.disable()
 
 
-class _StopFlag:
-    """Set by SIGINT / SIGTERM; the follow loop reads it between segments."""
+class _Stop(threading.Event):
+    """Set by SIGINT / SIGTERM; the follow loop reads it between segments and
+    waits on it between polls, so a stop ends the wait at once.  Its lock is
+    reentrant: a handler that runs while this thread holds it inside
+    ``wait`` takes it again (the wait then ends at its timeout at worst)
+    instead of waiting on itself for ever."""
 
-    requested = False
-
-    def __call__(self, *_signal: object) -> None:
-        self.requested = True
+    def __init__(self) -> None:
+        super().__init__()
+        self._cond = threading.Condition(threading.RLock())
 
 
 @contextlib.contextmanager
-def _stop_on_signals(stop: _StopFlag):
-    """Route SIGINT and SIGTERM to ``stop`` inside the block, then restore
+def _stop_on_signals(stop: _Stop):
+    """Route SIGINT and SIGTERM to ``stop.set`` inside the block, then restore
     the previous handlers.  Only the main thread may install handlers; off
     it (``main()`` called from a worker thread) nothing is routed.  A signal
     the parent ignores stays ignored: a shell runs a ``&`` job with SIGINT
@@ -436,7 +439,7 @@ def _stop_on_signals(stop: _StopFlag):
         yield
         return
     previous = {
-        signum: signal.signal(signum, stop)
+        signum: signal.signal(signum, lambda *_signal: stop.set())
         for signum in (signal.SIGINT, signal.SIGTERM)
         if signal.getsignal(signum) is not signal.SIG_IGN
     }
@@ -503,7 +506,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         if args.metrics_file
         else None
     )
-    stop = _StopFlag()
+    stop = _Stop()
     level = _level(args.level)
     try:
         with _stop_on_signals(stop):
@@ -580,7 +583,7 @@ def _resume(log: EpochLog, args: argparse.Namespace, level: IsolationLevel):
     return session, ingested
 
 
-def _follow(args, stop: _StopFlag, telemetry, source, session, ingested: int) -> bool:
+def _follow(args, stop: _Stop, telemetry, source, session, ingested: int) -> bool:
     """The follow loop: ingest what ``source`` has, wait, look again.
 
     ``source`` is anything with ``poll()`` (the next segment, or ``None``),
@@ -589,10 +592,10 @@ def _follow(args, stop: _StopFlag, telemetry, source, session, ingested: int) ->
     :class:`StreamFollower` or an :class:`EpochLog`.  ``ingested`` counts
     the non-initial transactions verified before this call (labeling).
     Checkpoints and retirement are selected by their flags, which
-    ``_cmd_watch`` accepts for epoch logs only.  When ``stop.requested``
-    flips, the loop exits at the next segment boundary — never mid-epoch,
-    so any checkpoint it flushes describes a prefix of fully-ingested
-    epochs.  Returns ``False`` when the source was lost (the diagnostic has
+    ``_cmd_watch`` accepts for epoch logs only.  When ``stop`` is set (also
+    while the loop waits), the loop exits at the next segment boundary —
+    never mid-epoch, so any checkpoint it flushes describes a prefix of
+    fully-ingested epochs.  Returns ``False`` when the source was lost (the diagnostic has
     been printed; exit 2).
     """
     from .history.epochlog import EpochLog
@@ -600,7 +603,7 @@ def _follow(args, stop: _StopFlag, telemetry, source, session, ingested: int) ->
     started = time.monotonic()
     try:
         while True:
-            while not stop.requested:
+            while not stop.is_set():
                 segment = source.poll()
                 if segment is None:
                     break
@@ -619,12 +622,11 @@ def _follow(args, stop: _StopFlag, telemetry, source, session, ingested: int) ->
                     obs.observe("repro_verdict_latency_seconds", time.time() - sealed_at / 1000)
                 if telemetry is not None:
                     telemetry.update(session, ingested, source.lag)
-            if args.once or stop.requested or source.done:
+            if args.once or stop.is_set() or source.done:
                 break
             if args.max_seconds is not None and time.monotonic() - started >= args.max_seconds:
                 break
-            time.sleep(args.interval)
-            if stop.requested:
+            if stop.wait(args.interval):
                 break
             try:
                 source.refresh()
@@ -639,8 +641,10 @@ def _follow(args, stop: _StopFlag, telemetry, source, session, ingested: int) ->
                 except OSError as flush_exc:
                     print(f"warning: could not flush final checkpoint: {flush_exc}")
                 return False
-        if stop.requested:
+        if stop.is_set() and isinstance(source, EpochLog):
             print(f"stop requested; exiting at epoch boundary {source.position}", flush=True)
+        elif stop.is_set():  # a stream has no epochs: name what the verdict covers
+            print(f"stop requested; exiting after {session.num_ingested} transactions", flush=True)
         _final_checkpoint(source, session, args, ingested)
         return True
     finally:

@@ -162,10 +162,10 @@ class MTChecker:
         """Open a streaming verification session (incremental checking).
 
         Instead of re-verifying a growing history from scratch, a session
-        ingests transactions one at a time (or in rounds), extends the
-        dependency graph in place, and reports each violation at the exact
+        ingests transactions one at a time (or as columnar segments), extends
+        the dependency graph in place, and reports each violation at the exact
         transaction that introduced it — see
-        :class:`repro.core.incremental.IncrementalChecker` for the
+        :class:`repro.core.incremental.CheckerSession` for the
         algorithmic details and the batch-equivalence invariant.
 
         Example:

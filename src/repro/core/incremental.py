@@ -6,17 +6,16 @@ after each of ``n`` transactions would cost Θ(n²).  The online counterpart:
 * :class:`PearceKellyOrder` keeps a topological order of the check graph
   under edge insertions (Pearce & Kelly, JEA 2006), paying only for the
   *affected region* — the nodes whose order has to move.
-* :class:`IncrementalChecker` ingests transactions (or columnar segments)
-  and hands each edge — WR/WW/RW from per-version *slots*, SO from session
-  tails, RT through a timeline of time nodes — to that order, whose
-  adjacency carries the labels.  It reports each violation at the
-  transaction whose ingestion created it; a
+* :class:`CheckerSession` ingests columnar segments (one transaction is a
+  one-row segment) and hands each edge — WR/WW/RW from per-version *slots*,
+  SO from session tails, RT through a timeline of time nodes — to that
+  order, whose adjacency carries the labels.  It reports each violation at
+  the transaction whose ingestion created it; a
   :class:`~repro.core.graph.DependencyGraph` exists only on request
-  (:attr:`IncrementalChecker.graph`).  Its state is its checkpoint: the
-  order's nodes and edge rows and the slots' item rows are columns, linked
-  by previous-row links a restore rebuilds from row order.
-* :class:`CheckerSession` is the checker :meth:`repro.core.checker.MTChecker.session`
-  hands out, also a live ``on_transaction`` hook for the workload runner.
+  (:attr:`CheckerSession.graph`).  Its state is its checkpoint: the order's
+  nodes and edge rows and the slots' item rows are columns, linked by
+  previous-row links a restore rebuilds from row order.
+  :meth:`repro.core.checker.MTChecker.session` hands one out.
 
 Equivalence invariant
 ---------------------
@@ -47,7 +46,7 @@ It can never rejoin a cycle if the stream is *W-bounded*: writers come
 before their readers, and a read sees a version still the latest on its
 object or overwritten at most ``W`` transactions ago.  A version is *sealed*
 when its first overwriter is collected; a read of it breaks the bound and
-counts in :attr:`IncrementalChecker.stale_reads` (nonzero: the verdict is
+counts in :attr:`CheckerSession.stale_reads` (nonzero: the verdict is
 not complete).  Sealed markers are capped (FIFO, ``max(4·W, 1024)``), so
 memory is O(window + live keys); a read of an expired one is ThinAirRead,
 which is louder.
@@ -79,10 +78,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..history.columnar import ColumnarHistory
 
 __all__ = [
-    "PearceKellyOrder", "IncrementalChecker", "CheckerSession", "stream_order", "CHECKPOINT_STATE_FORMAT",
+    "PearceKellyOrder", "CheckerSession", "stream_order", "CHECKPOINT_STATE_FORMAT",
 ]
 
-#: Format tag of :meth:`IncrementalChecker.checkpoint` state dictionaries.
+#: Format tag of :meth:`CheckerSession.checkpoint` state dictionaries.
 CHECKPOINT_STATE_FORMAT = "repro-checker-state-v6"
 
 #: Isolation levels the incremental checker supports.
@@ -459,12 +458,16 @@ def _transaction_steps(cycle: List[int]) -> List[Tuple[int, int, bool]]:
     return steps
 
 
-class IncrementalChecker:
-    """Online MTC verification: the batch pipeline — INT pre-pass,
-    BUILDDEPENDENCY, acyclicity — run per transaction.  INT anomalies are
-    reported at ingest; reads resolve against per-version slots; every edge
-    goes, labels and all, into a :class:`PearceKellyOrder`; at SI the induced
-    graph ``(SO ∪ WR ∪ WW) ; RW?`` is composed edge by edge.
+class CheckerSession:
+    """Online MTC verification, the streaming checker
+    :meth:`repro.core.checker.MTChecker.session` hands out: the batch
+    pipeline — INT pre-pass, BUILDDEPENDENCY, acyclicity — run per
+    transaction.  INT anomalies are reported at ingest; reads resolve against
+    per-version slots; every edge goes, labels and all, into a
+    :class:`PearceKellyOrder`; at SI the induced graph ``(SO ∪ WR ∪ WW) ;
+    RW?`` is composed edge by edge.  Rows enter through
+    :meth:`ingest_segment`; :meth:`ingest` is its one-row case, so
+    ``on_transaction=session.ingest`` checks a workload while it runs.
 
     A committed transaction whose id is still a live node is refused
     (``ValueError("malformed history: duplicate transaction id N")``): two
@@ -473,16 +476,16 @@ class IncrementalChecker:
 
     Example:
         >>> from repro import IsolationLevel, Transaction, read, write
-        >>> from repro.core.incremental import IncrementalChecker
-        >>> checker = IncrementalChecker(IsolationLevel.SERIALIZABILITY,
-        ...                              initial_keys=["x"])
-        >>> checker.ingest(Transaction(1, [read("x", 0), write("x", 1)]))
+        >>> from repro.core.incremental import CheckerSession
+        >>> session = CheckerSession(IsolationLevel.SERIALIZABILITY,
+        ...                          initial_keys=["x"])
+        >>> session.ingest(Transaction(1, [read("x", 0), write("x", 1)]))
         []
-        >>> bad = checker.ingest(Transaction(2, [read("x", 0), write("x", 2)],
+        >>> bad = session.ingest(Transaction(2, [read("x", 0), write("x", 2)],
         ...                                  session_id=1))
         >>> [v.kind.value for v in bad]
         ['LostUpdate']
-        >>> checker.result().satisfied
+        >>> session.result().satisfied
         False
 
     Args:
@@ -588,37 +591,25 @@ class IncrementalChecker:
 
     # -- Ingestion --
     def ingest(self, txn: Transaction) -> List[Violation]:
-        """Ingest one transaction; return the violations it triggered.  Aborted
-        (and unknown-outcome) ones only register their writes; ThinAirRead is
-        confirmed only at :meth:`result`, as the writer may be in flight.
-        A row that finishes before it starts raises ``ValueError``."""
-        if txn.start_ts is not None and txn.finish_ts is not None:
-            refuse_inverted_intervals((txn.txn_id,), (txn.start_ts,), (txn.finish_ts,))
-        started = time.perf_counter()
-        before = len(self._violations)
-        ops = txn.operations
-        self._ingest_row(
-            txn.txn_id, txn.session_id, STATUS_CODES[txn.status], range(len(ops)),
-            [op.is_write for op in ops], [self._key_id(op.key) for op in ops],
-            [op.value for op in ops], txn, None, 0,
-        )
-        self._elapsed += time.perf_counter() - started
-        return self._violations[before:]
+        """Ingest one transaction; return the violations it triggered: the
+        one-row case of :meth:`ingest_segment`.  Aborted (and unknown-outcome)
+        ones only register their writes; ThinAirRead is confirmed only at
+        :meth:`result`, as the writer may be in flight.  It is refused as a
+        segment row is (``ValueError``): an interval that finishes before it
+        starts, an id or value outside signed 64 bits."""
+        from ..history.columnar import ColumnarHistory  # deferred: history builds on core
 
-    def ingest_round(self, txns: Iterable[Transaction]) -> List[Violation]:
-        """Ingest a batch of transactions; return all violations triggered."""
-        return [violation for txn in txns for violation in self.ingest(txn)]
+        return self.ingest_segment(ColumnarHistory.from_transactions([txn]))
 
     def ingest_segment(
         self, segment: "ColumnarHistory", *,
         on_row_violations: Optional[Callable[[int, List[Violation]], object]] = None,
     ) -> List[Violation]:
-        """Bulk-ingest one columnar segment epoch; return its violations.
+        """Ingest one columnar segment, row by row; return its violations.
 
         ``on_row_violations(row, violations)`` is invoked after any row whose
         ingestion triggered violations (the CLI tags its output with it).
-        The columnar :meth:`ingest_round`, over the same per-row routine:
-        the columns become plain lists once and the key ids are mapped once;
+        The columns become plain lists once and the key ids are mapped once;
         a ``Transaction`` is made only for a row holding an INT candidate.
         A row that finishes before it starts raises ``ValueError`` first.
         """
@@ -638,13 +629,24 @@ class IncrementalChecker:
             row_before = len(violations)
             self._ingest_row(
                 txn_id, session_id, status,
-                range(offsets[row], offsets[row + 1]), kinds, keys, values, None, segment, row,
+                range(offsets[row], offsets[row + 1]), kinds, keys, values, segment, row,
             )
             if on_row_violations is not None and len(violations) > row_before:
                 on_row_violations(row, violations[row_before:])
         self._elapsed += time.perf_counter() - started
         self.publish_metrics()
         return violations[before:]
+
+    def ingest_history(self, history: History) -> CheckResult:
+        """Stream a complete history in canonical order; return the verdict.
+
+        The history enters as one segment (:meth:`ingest_segment`, the
+        columnar door every batch route takes), so it is refused as there.
+        """
+        from ..history.columnar import ColumnarHistory  # deferred: history builds on core
+
+        self.ingest_segment(ColumnarHistory.from_history(history))
+        return self.result()
 
     def _key_id(self, key: str) -> int:
         """The checker's dense id of ``key`` (interned on first sight)."""
@@ -657,15 +659,16 @@ class IncrementalChecker:
     def _ingest_row(
         self, txn_id: int, session_id: int, status: int,
         ops: range, kinds: List[Any], keys: List[int], values: List[Optional[int]],
-        txn: Optional[Transaction], segment: Optional["ColumnarHistory"], row: int,
+        segment: "ColumnarHistory", row: int,
     ) -> None:
-        """The per-transaction routine behind :meth:`ingest` and segment rows:
-        ``status`` is a status code, the operations sit at positions ``ops`` of
-        ``kinds`` / ``keys`` (checker key ids) / ``values``; ``txn`` is ``None``
-        for a segment row, whose object (INT candidates) and stamps (SSER) are
-        fetched on demand.  One scan collects the final and intermediate writes,
-        the reads to resolve (as ``Transaction.external_reads``) and whether the
-        row is an INT candidate (:func:`repro.core.intcheck.transaction_int_violations`)."""
+        """The per-row routine behind :meth:`ingest_segment`: row ``row`` of
+        ``segment``, whose ``status`` is a status code and whose operations sit
+        at positions ``ops`` of ``kinds`` / ``keys`` (checker key ids) /
+        ``values``; its object (INT candidates) and stamps (SSER) are read
+        from the segment on demand.  One scan collects the final and
+        intermediate writes, the reads to resolve (as
+        ``Transaction.external_reads``) and whether the row is an INT
+        candidate (:func:`repro.core.intcheck.transaction_int_violations`)."""
         committed = status == _COMMITTED_CODE
         reads = committed and txn_id != INITIAL_TXN_ID
         if txn_id == INITIAL_TXN_ID:
@@ -703,12 +706,10 @@ class IncrementalChecker:
 
         if reads:
             self._num_committed += 1
-            span = self._real_time_start(txn, segment, row) if self._sser else None
+            span = self._real_time_start(segment, row) if self._sser else None
             self._topo.add_node(txn_id, *span or ())
             if candidate:
-                if txn is None:
-                    txn = segment.transaction_at(row)
-                self._violations.extend(transaction_int_violations(txn))
+                self._violations.extend(transaction_int_violations(segment.transaction_at(row)))
             self._session_edge(session_id, txn_id)
         for kid, value in intermediates:
             self._register_intermediate(kid, value, txn_id)
@@ -744,8 +745,9 @@ class IncrementalChecker:
         return self._num_committed
 
     def publish_metrics(self) -> None:
-        """Publish the running counters as telemetry gauges (at segment
-        boundaries, ``result()`` and checkpoints, never per transaction)."""
+        """Publish the running counters as telemetry gauges: once per
+        :meth:`ingest` / :meth:`ingest_segment` call (a one-row segment too),
+        :meth:`result` and :meth:`checkpoint`, never per row of a segment."""
         if not obs.enabled():
             return
         obs.set_gauge("repro_checker_txns_ingested", self._num_committed)
@@ -840,7 +842,7 @@ class IncrementalChecker:
         return state
 
     @classmethod
-    def restore(cls, state: Dict[str, Any]) -> "IncrementalChecker":
+    def restore(cls, state: Dict[str, Any]) -> "CheckerSession":
         """Rebuild a checker from a :meth:`checkpoint` snapshot (aliasing none of
         it, so one snapshot restores any number of times).  Raises ``ValueError``
         naming the tag found when it is not this build's (there is no reader for
@@ -858,7 +860,7 @@ class IncrementalChecker:
         return checker
 
     @classmethod
-    def _adopt(cls, state: Dict[str, Any]) -> "IncrementalChecker":
+    def _adopt(cls, state: Dict[str, Any]) -> "CheckerSession":
         """A checker holding copies of the validated columns of ``state``."""
         checker = cls(IsolationLevel(state["level"]), window=state["window"])
         checker._has_initial, checker._num_committed = bool(state["has_initial"]), int(state["num_committed"])
@@ -1117,12 +1119,12 @@ class IncrementalChecker:
 
     # -- Real-time order (SSER): a timeline of time nodes (module docstring) --
     def _real_time_start(
-        self, txn: Optional[Transaction], segment: Optional["ColumnarHistory"], row: int
+        self, segment: "ColumnarHistory", row: int
     ) -> Optional[Tuple[Tuple[float, int], Tuple[float, int]]]:
         """A stamped row's start node and finish key, with the nodes made that
         the row's own node can take an index between (the finish node only
         out of finish order)."""
-        start, finish = (txn.start_ts, txn.finish_ts) if txn is not None else segment.timestamps_at(row)
+        start, finish = segment.timestamps_at(row)
         if start is None or finish is None or not start <= finish:
             return None  # a NaN stamp is no stamp, as in batch (an inverted row was refused)
         first = (float(finish), _FINISH)
@@ -1343,46 +1345,3 @@ class IncrementalChecker:
             self._compact_slots()
         if timeline:
             self._retire_time_nodes(hung_on)
-
-
-class CheckerSession(IncrementalChecker):
-    """Streaming verification session: the incremental checker plus sugar.
-
-    Obtained from :meth:`repro.core.checker.MTChecker.session`.  It *is* an
-    :class:`IncrementalChecker` — ``ingest``/``ingest_segment``/``result``/
-    ``checkpoint``/``restore`` are the checker's own — that is also a context
-    manager, and calling it is the same as :meth:`ingest`, so it plugs
-    directly into the workload runner's live-checking hook:
-
-        >>> from repro import Database, MTChecker, MTWorkloadGenerator
-        >>> from repro import IsolationLevel, run_workload
-        >>> workload = MTWorkloadGenerator(num_sessions=2, txns_per_session=5,
-        ...                                num_objects=4, seed=1).generate()
-        >>> with MTChecker().session(IsolationLevel.SERIALIZABILITY,
-        ...                          initial_keys=workload.keys) as session:
-        ...     _ = run_workload(Database("serializable", keys=workload.keys),
-        ...                      workload, on_transaction=session)
-        ...     verdict = session.result()
-        >>> verdict.satisfied
-        True
-    """
-
-    def ingest_history(self, history: History) -> CheckResult:
-        """Stream a complete history in canonical order; return the verdict.
-
-        The history enters as one segment (:meth:`ingest_segment`, the
-        columnar door every batch route takes), so it is refused as there.
-        """
-        from ..history.columnar import ColumnarHistory  # deferred: history builds on core
-
-        self.ingest_segment(ColumnarHistory.from_history(history))
-        return self.result()
-
-    def __call__(self, txn: Transaction) -> List[Violation]:
-        return self.ingest(txn)
-
-    def __enter__(self) -> "CheckerSession":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None

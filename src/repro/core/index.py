@@ -18,13 +18,12 @@ history-scanning entry point for the batch pipeline:
 * the INT verdict and the MT-validation verdict are computed once and
   cached.
 
-There is **one construction path**: :meth:`build` is the door.  A
-:class:`~repro.history.columnar.ColumnarHistory` segment goes straight to
-the flat column scan (:meth:`from_columns`); a
-:class:`~repro.core.model.History` is column-encoded in canonical stream
-order first and then takes the same scan, with ``transactions`` seeded
-from the caller's own ``Transaction`` objects so ``index.history is
-history`` and labelled counterexamples keep object identity.
+There is **one construction path**: the flat column scan
+(:meth:`from_columns`).  :meth:`build` takes a
+:class:`~repro.history.columnar.ColumnarHistory` segment straight to it and
+column-encodes a :class:`~repro.core.model.History` in canonical stream
+order first (``ColumnarHistory.from_history``); the index keeps none of the
+caller's objects, only the columns.
 
 The index stores its resolved structures *densely* (integer transaction
 positions, interned key ids, int-keyed write slots, packed read columns) —
@@ -33,10 +32,10 @@ wakes the generational collector.  It holds no second copy of the object
 model: :mod:`repro.core.model` and :mod:`repro.core.intcheck` are the one
 object layer (the reference multigraph builder and the solver baselines
 read the :class:`History` through them, independently of this scan), and
-the only objects handed out here are the ``Transaction`` rows themselves
-(``transactions`` / ``history``, ``final_writer`` /
-``intermediate_writer``), materialised lazily for the INT classification
-of flagged rows, MT validation and cycle labeling on the reject path.
+the only objects handed out here are ``Transaction`` rows read from the
+columns on request (``final_writer`` / ``intermediate_writer`` for the INT
+classification of flagged rows, ``history`` for MT validation and the
+reference builder); the accept path reads none.
 
 The intended usage is one :meth:`build` per ``MTChecker.verify`` call,
 threaded down through :func:`~repro.core.checkers.check_ser` / ``check_si``
@@ -61,9 +60,7 @@ from .model import (
     History,
     Transaction,
     TransactionStatus,
-    history_from_stream,
     refuse_inverted_intervals,
-    stream_order,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -109,24 +106,15 @@ class HistoryIndex:
 
     @classmethod
     def build(cls, source: Union[History, "ColumnarHistory"]) -> "HistoryIndex":
-        """Construct the index for a history or a columnar segment.
+        """Construct the index for a history or a columnar segment: a
+        :class:`History` is column-encoded in canonical stream order
+        (:meth:`ColumnarHistory.from_history`), then both take
+        :meth:`from_columns`."""
+        if isinstance(source, History):
+            from ..history.columnar import ColumnarHistory  # deferred: avoid cycle
 
-        The one entry point: a :class:`History` is column-encoded in
-        canonical stream order (what :meth:`ColumnarHistory.from_history`
-        does) and scanned by :meth:`from_columns`; the caller's own
-        ``Transaction`` objects then back ``transactions``, so
-        ``index.history is source`` and no transaction is ever materialised
-        a second time.  A segment goes straight to the scan.
-        """
-        if not isinstance(source, History):
-            return cls.from_columns(source)
-        from ..history.columnar import ColumnarHistory  # deferred: avoid cycle
-
-        stream = list(stream_order(source))
-        self = cls.from_columns(ColumnarHistory.from_transactions(stream))
-        self._history = source
-        self._transactions = [stream[row] for row in self._row_order]
-        return self
+            source = ColumnarHistory.from_history(source)
+        return cls.from_columns(source)
 
     @classmethod
     def from_columns(cls, columns: "ColumnarHistory") -> "HistoryIndex":
@@ -136,9 +124,9 @@ class HistoryIndex:
         ``Operation`` object is created.  Rows are scanned ``⊥T`` first,
         then grouped by ascending session id (the order of
         :meth:`ColumnarHistory.to_history`); consumers that ask for objects
-        (``transaction``, ``history``, ``final_writer``) trigger lazy
-        materialisation from the columns instead.  A duplicate transaction
-        id or an interval that finishes before it starts raises ``ValueError``.
+        (``history``, ``final_writer``) read them from the columns.  A
+        duplicate transaction id or an interval that finishes before it
+        starts raises ``ValueError``.
         """
         self = cls(columns)
         type(self).builds += 1
@@ -151,9 +139,7 @@ class HistoryIndex:
     def __init__(self, columns: "ColumnarHistory") -> None:
         """An empty core over ``columns`` — filled by :meth:`from_columns`'s
         scan; use :meth:`build`, not this."""
-        self._history: Optional[History] = None
         self._columns = columns
-        self._transactions: Optional[List[Transaction]] = None
 
         #: Dense id per transaction position: ``txn_ids[dense] == txn_id``.
         self.txn_ids: List[int] = []
@@ -162,15 +148,15 @@ class HistoryIndex:
         self.key_dense: Dict[str, int] = {}
         self._txn_keys: Optional[List[List[int]]] = None
 
-        # Dense core: positions index the scan order (same order as
-        # ``transactions``); reads resolve to writer positions.  Nothing
-        # here is a per-row container: write slots are keyed by the int
-        # ``value * _radix + key_id`` (``_radix`` exceeds every key id, so
-        # floor division inverts it for negative values too; the rare
-        # ``None``-valued writes sit in ``*_none`` by key id), and the
-        # resolved reads are six parallel columns.  Ints are invisible to
-        # the generational collector, which is what keeps the scan linear;
-        # the read columns are packed into ``array`` / ``bytes`` once filled.
+        # Dense core: positions index the scan order; reads resolve to
+        # writer positions.  Nothing here is a per-row container: write
+        # slots are keyed by the int ``value * _radix + key_id`` (``_radix``
+        # exceeds every key id, so floor division inverts it for negative
+        # values too; the rare ``None``-valued writes sit in ``*_none`` by
+        # key id), and the resolved reads are six parallel columns.  Ints
+        # are invisible to the generational collector, which is what keeps
+        # the scan linear; the read columns are packed into ``array`` /
+        # ``bytes`` once filled.
         self._committed_mask = bytearray()
         self._session_of: List[int] = []
         self._radix = 1
@@ -186,10 +172,8 @@ class HistoryIndex:
         self._int_candidates: List[int] = []
         self._has_initial = False
 
-        # Columnar backend state (lazy object materialisation).
         #: dense position -> backing column row.
         self._row_order = array("i")
-        self._txn_cache: Dict[int, Transaction] = {}
 
         # Lazy caches.
         self._int_violations: Optional[list] = None
@@ -354,39 +338,17 @@ class HistoryIndex:
         )
 
     # ------------------------------------------------------------------
-    # Transaction rows (lazy; seeded by build() from a History's own objects)
+    # Transaction rows (read from the columns on request)
     # ------------------------------------------------------------------
     def _txn_at(self, pos: int) -> Transaction:
-        """The transaction at dense position ``pos`` (materialised lazily)."""
-        if self._transactions is not None:
-            return self._transactions[pos]
-        txn = self._txn_cache.get(pos)
-        if txn is None:
-            txn = self._columns.transaction_at(self._row_order[pos])
-            self._txn_cache[pos] = txn
-        return txn
-
-    @property
-    def transactions(self) -> List[Transaction]:
-        """Every transaction, including ``⊥T`` and aborted ones (scan order)."""
-        if self._transactions is None:
-            self._transactions = [
-                self._txn_at(pos) for pos in range(len(self.txn_ids))
-            ]
-        return self._transactions
+        """The transaction at dense position ``pos``, read from the columns."""
+        return self._columns.transaction_at(self._row_order[pos])
 
     @property
     def history(self) -> History:
-        """The indexed history (materialised from the columns on demand).
-
-        Built with the canonical :func:`~repro.core.model.history_from_stream`
-        grouping over the (cached) materialised transactions, so the result
-        — and the identity of its ``Transaction`` objects — is consistent
-        with every other accessor of this index.
-        """
-        if self._history is None:
-            self._history = history_from_stream(self.transactions)
-        return self._history
+        """The indexed history, materialised from the columns per access
+        (:meth:`ColumnarHistory.to_history`, the scan's session grouping)."""
+        return self._columns.to_history()
 
     @property
     def columns(self) -> "ColumnarHistory":

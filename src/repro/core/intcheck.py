@@ -124,7 +124,7 @@ def transaction_int_violations(txn: Transaction) -> List[Violation]:
     history.  Read-provenance anomalies (ThinAirRead, AbortedRead,
     IntermediateRead) additionally need a :class:`WriteIndex`; classify
     those with :func:`provenance_violation`, or incrementally via
-    :class:`repro.core.incremental.IncrementalChecker`.
+    :class:`repro.core.incremental.CheckerSession`.
 
     Both row scans (the batch index's and the streaming checker's) call
     this for *candidate* rows only: a row is flagged exactly when one of

@@ -448,7 +448,7 @@ def stream_order(history: History) -> Iterator[Transaction]:
     merged by finish timestamp when every transaction carries one (the order
     a commit-log tail would deliver), falling back to round-robin
     interleaving.  Per-session order is always preserved, which is the one
-    ordering requirement of :class:`IncrementalChecker`.
+    ordering requirement of :class:`~repro.core.incremental.CheckerSession`.
 
     This is the door every route takes from a :class:`History` to a verdict
     (``ColumnarHistory.from_history``, ``HistoryIndex.build``,

@@ -251,9 +251,9 @@ class ColumnarHistory:
     Rows are transactions in arrival order; when the history has an initial
     transaction ``⊥T`` it occupies row 0 (``txn_id == -1``).  Per-session
     order is whatever order rows were appended in, which every producer
-    (stream order, the collectors' finish order) preserves.  The instance
-    is itself an ``on_transaction`` hook (``__call__`` is :meth:`append`);
-    :meth:`save` it when the run is over.
+    (stream order, the collectors' finish order) preserves.
+    ``on_transaction=columns.append`` records a live run; :meth:`save` it
+    when the run is over.
 
     Example:
         >>> from repro.core.model import Transaction, read, write
@@ -404,8 +404,6 @@ class ColumnarHistory:
         """Append one transaction as a new row (see :meth:`append_row` for
         the failure contract; this is the object-accepting wrapper)."""
         self.append_row(*transaction_row(txn))
-
-    __call__ = append
 
     def seed_initial(self, keys: Iterable[str], value: int = 0) -> None:
         """Append ``⊥T`` (one committed write of ``value`` per key) without

@@ -16,7 +16,7 @@ promotes the segment to a *directory*:
   ever rewritten (on a new inode) by a writer's open-time recovery, and the
   writer holds an exclusive ``flock`` on it for as long as it lives;
 * ``checkpoint-NNNNN.ckpt`` — verifier-side snapshots of
-  :meth:`repro.core.incremental.IncrementalChecker.checkpoint`, CRC-framed
+  :meth:`repro.core.incremental.CheckerSession.checkpoint`, CRC-framed
   typed columns in deflated byte planes, so a restarted verifier resumes
   mid-log instead of replaying from epoch 0;
 * ``RETIRED`` — the window-GC watermark: epochs up to this number have
@@ -119,7 +119,7 @@ class CheckpointInfo:
     #: labels on from it.  The committed count is the restored checker's.
     transactions: int
     path: Path
-    #: The :meth:`IncrementalChecker.checkpoint` state dictionary.
+    #: The :meth:`~repro.core.incremental.CheckerSession.checkpoint` state dictionary.
     state: Dict[str, Any]
 
 
@@ -406,10 +406,8 @@ class EpochLogWriter:
     manifest record was lost) and publishes a fresh manifest to match.  The
     writer holds an exclusive ``flock`` on the manifest until it is closed
     (or dies), so a second writer on the directory is refused and a reader
-    knows not to sweep its staging files.
-
-    Usable directly as an ``on_transaction`` hook (it is callable), like
-    every other history sink in the package.
+    knows not to sweep its staging files.  ``on_transaction=writer.append``
+    records a live run.
     """
 
     def __init__(
@@ -469,8 +467,6 @@ class EpochLogWriter:
         self._buffer.append(txn)
         if self._buffer.num_transactions >= self.epoch_transactions:
             self.seal()
-
-    __call__ = append
 
     def extend(self, columns: ColumnarHistory, lo: int = 0) -> None:
         """Buffer rows ``lo:`` of ``columns`` straight from their columns,
@@ -820,7 +816,7 @@ class EpochLog:
         Torn or corrupt files are skipped (never fatal).  A CRC-valid file
         of another file format (the JSON/gzip ``-v1``) is not read: its
         ``state`` is just ``{"format": <the file format found>}``, which
-        :meth:`IncrementalChecker.restore` refuses by name.  Whether ``state``
+        :meth:`~repro.core.incremental.CheckerSession.restore` refuses by name.  Whether ``state``
         is *usable* is ``restore``'s call, so a verifier walks this until one
         restores, else replays from epoch 0.
         """

@@ -333,8 +333,8 @@ class HistoryStreamWriter:
     Emits the header on construction and one line per transaction after
     that, flushing so a concurrent ``repro watch`` (or any
     :class:`StreamFollower`) sees transactions as soon as they commit.
-    Usable as a context manager and directly as a
-    :class:`~repro.workloads.runner.WorkloadRunner` ``on_transaction`` hook.
+    Usable as a context manager; ``on_transaction=writer.write`` tails a
+    live run.
 
     ``flush_every=N`` batches flushes (every ``N`` transactions instead of
     every one) for high-throughput producers; the header is always flushed
@@ -396,8 +396,6 @@ class HistoryStreamWriter:
     def write(self, txn: Transaction) -> None:
         """Append one transaction to the stream."""
         self._emit(build_record(transaction_row(txn)))
-
-    __call__ = write
 
     def extend(self, columns: ColumnarHistory, lo: int = 0) -> None:
         """Append rows ``lo:`` of ``columns`` to the stream."""

@@ -211,7 +211,7 @@ class TestCollector:
         path = tmp_path / "e2e.jsonl"
         with SQLiteAdapter(wal=True) as adapter:
             with HistoryStreamWriter(path, initial_keys=workload.keys) as writer:
-                result = Collector(adapter, on_transaction=writer).collect(workload)
+                result = Collector(adapter, on_transaction=writer.write).collect(workload)
         loaded = load_columns(path)
         direct = MTChecker().verify(result.history, LEVELS["SER"])
         serial = MTChecker(workers=1).verify(loaded, LEVELS["SER"])

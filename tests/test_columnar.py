@@ -272,7 +272,7 @@ class TestSegmentFiles:
         live = ColumnarHistory()
         live.seed_initial(workload.keys)
         run = run_workload(
-            Database("si", keys=workload.keys), workload, seed=9, on_transaction=live
+            Database("si", keys=workload.keys), workload, seed=9, on_transaction=live.append
         )
         live.save(path)
         cols = load_history_segment(path)
@@ -347,9 +347,14 @@ class TestJsonlInterchange:
 # The columnar index
 # ----------------------------------------------------------------------
 class TestColumnarIndex:
-    def test_from_columns_materialises_no_transactions_on_accept_path(self):
+    def test_from_columns_materialises_no_transactions_on_accept_path(self, monkeypatch):
         history = generated_history(22)  # healthy SI history
         cols = ColumnarHistory.from_history(history)
+        rows_read = []
+        transaction_at = ColumnarHistory.transaction_at
+        monkeypatch.setattr(
+            ColumnarHistory, "transaction_at", lambda self, row: rows_read.append(row) or transaction_at(self, row)
+        )
         index = HistoryIndex.from_columns(cols)
         for level, check in (
             (IsolationLevel.SERIALIZABILITY, check_ser),
@@ -357,21 +362,20 @@ class TestColumnarIndex:
         ):
             result = check(None, index=index)
             assert result.satisfied, level
-        # The object layer was never touched: no Transaction exists.
-        assert index._transactions is None
-        assert index._txn_cache == {}
-        assert index._history is None
+        # The object layer was never touched: no Transaction was read.
+        assert rows_read == []
 
     def test_lazy_object_layer_round_trips(self):
         history = generated_history(23, "lostupdate")
         cols = ColumnarHistory.from_history(history)
         index = HistoryIndex.from_columns(cols)
-        # Object accessors materialise on demand and agree with the columns.
-        assert index._transactions is None
-        last = index.transactions[index.txn_ids.index(index.committed_txn_ids[-1])]
+        # Object accessors read rows on demand and agree with the columns.
+        pos = index.txn_ids.index(index.committed_txn_ids[-1])
+        last = cols.transaction_at(index.column_row(pos))
         assert isinstance(last, Transaction) and last.committed
         for key, value in last.final_writes().items():
-            assert index.final_writer(key, value) is last
+            writer = index.final_writer(key, value)
+            assert writer.txn_id == last.txn_id and str(writer) == str(last)
         assert index.history.num_transactions() == len(cols.to_history())
 
 

@@ -20,7 +20,6 @@ from repro.core.checkers import check_ser, check_si, check_sser
 from repro.core.incremental import (
     CHECKPOINT_STATE_FORMAT,
     CheckerSession,
-    IncrementalChecker,
     PearceKellyOrder,
     stream_order,
 )
@@ -149,7 +148,7 @@ class TestPearceKellyOrder:
 # ----------------------------------------------------------------------
 class TestOnlineDetection:
     def test_lost_update_cycle_reported_at_second_overwriter_under_ser(self):
-        checker = IncrementalChecker(SER, initial_keys=["x"])
+        checker = CheckerSession(SER, initial_keys=["x"])
         assert checker.ingest(Transaction(1, [read("x", 0), write("x", 1)])) == []
         violations = checker.ingest(
             Transaction(2, [read("x", 0), write("x", 2)], session_id=1)
@@ -166,14 +165,14 @@ class TestOnlineDetection:
         writer = Transaction(0, [write("x", 1), write("x", 2)], session_id=1)
         history = History.from_transactions([[reader], [writer]])
         batch = check_ser(history).violation
-        checker = IncrementalChecker(SER)
+        checker = CheckerSession(SER)
         assert checker.ingest(reader) == []
         streamed = checker.ingest(writer)
         assert batch.kind is streamed[0].kind is AnomalyKind.INTERMEDIATE_READ
         assert streamed[0].txn_ids == batch.txn_ids == [5, 0]
 
     def test_lost_update_divergence_reported_at_second_overwriter_under_si(self):
-        checker = IncrementalChecker(SI, initial_keys=["x"])
+        checker = CheckerSession(SI, initial_keys=["x"])
         assert checker.ingest(Transaction(1, [read("x", 0), write("x", 1)])) == []
         violations = checker.ingest(
             Transaction(2, [read("x", 0), write("x", 2)], session_id=1)
@@ -181,7 +180,7 @@ class TestOnlineDetection:
         assert violations and violations[0].kind is AnomalyKind.LOST_UPDATE
 
     def test_write_skew_reported_at_second_writer_under_ser(self):
-        checker = IncrementalChecker(SER, initial_keys=["x", "y"])
+        checker = CheckerSession(SER, initial_keys=["x", "y"])
         t1 = Transaction(1, [read("x", 0), read("y", 0), write("x", 1)])
         t2 = Transaction(2, [read("x", 0), read("y", 0), write("y", 2)], session_id=1)
         assert checker.ingest(t1) == []
@@ -189,13 +188,13 @@ class TestOnlineDetection:
         assert violations and violations[0].kind is AnomalyKind.WRITE_SKEW
 
     def test_write_skew_is_allowed_under_si(self):
-        checker = IncrementalChecker(SI, initial_keys=["x", "y"])
+        checker = CheckerSession(SI, initial_keys=["x", "y"])
         checker.ingest(Transaction(1, [read("x", 0), read("y", 0), write("x", 1)]))
         checker.ingest(Transaction(2, [read("x", 0), read("y", 0), write("y", 2)], session_id=1))
         assert checker.result().satisfied
 
     def test_checking_continues_past_the_first_violation(self):
-        checker = IncrementalChecker(SER, initial_keys=["x", "y"])
+        checker = CheckerSession(SER, initial_keys=["x", "y"])
         checker.ingest(Transaction(1, [read("x", 0), write("x", 1)]))
         first = checker.ingest(Transaction(2, [read("x", 0), write("x", 2)], session_id=1))
         assert first
@@ -204,7 +203,7 @@ class TestOnlineDetection:
         assert second, "an unrelated later anomaly must still be detected"
 
     def test_pending_read_resolves_when_writer_arrives(self):
-        checker = IncrementalChecker(SER, initial_keys=["x"])
+        checker = CheckerSession(SER, initial_keys=["x"])
         checker.ingest(Transaction(2, [read("x", 7)], session_id=1))
         assert not checker.result().satisfied  # writer unseen: thin-air so far
         checker.ingest(Transaction(1, [read("x", 0), write("x", 7)]))
@@ -221,14 +220,14 @@ class TestOnlineDetection:
         assert batch_kinds == [AnomalyKind.FUTURE_READ]
 
     def test_unresolved_read_is_thin_air_at_result_time(self):
-        checker = IncrementalChecker(SER, initial_keys=["x"])
+        checker = CheckerSession(SER, initial_keys=["x"])
         checker.ingest(Transaction(1, [read("x", 99)]))
         result = checker.result()
         assert not result.satisfied
         assert result.violation.kind is AnomalyKind.THIN_AIR_READ
 
     def test_aborted_writer_flags_pending_reader_on_arrival(self):
-        checker = IncrementalChecker(SER, initial_keys=["x"])
+        checker = CheckerSession(SER, initial_keys=["x"])
         checker.ingest(Transaction(2, [read("x", 7)], session_id=1))
         checker.ingest(
             Transaction(
@@ -246,19 +245,19 @@ class TestOnlineDetection:
         t1 = Transaction(1, [read("x", 0), write("x", 1)], start_ts=0.0, finish_ts=1.0)
         t2 = Transaction(2, [read("x", 0)], session_id=1, start_ts=2.0, finish_ts=3.0)
 
-        checker = IncrementalChecker(SSER, initial_keys=["x"])
+        checker = CheckerSession(SSER, initial_keys=["x"])
         assert checker.ingest(t1) == []
         violations = checker.ingest(t2)
         assert violations and violations[0].kind is AnomalyKind.REAL_TIME_VIOLATION
 
-        relaxed = IncrementalChecker(SER, initial_keys=["x"])
+        relaxed = CheckerSession(SER, initial_keys=["x"])
         relaxed.ingest(t1)
         relaxed.ingest(t2)
         assert relaxed.result().satisfied  # SER allows serializing t2 first
 
     def test_unsupported_levels_are_rejected(self):
         with pytest.raises(ValueError):
-            IncrementalChecker(IsolationLevel.READ_COMMITTED)
+            CheckerSession(IsolationLevel.READ_COMMITTED)
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +276,7 @@ class TestWindowGC:
     def test_current_versions_remain_readable_beyond_the_window(self):
         # A key written once at the start and read much later: the version is
         # still the latest, so the read is legitimate at any age.
-        checker = IncrementalChecker(SER, initial_keys=["hot", "cold"], window=10)
+        checker = CheckerSession(SER, initial_keys=["hot", "cold"], window=10)
         checker.ingest(Transaction(1, [read("cold", 0), write("cold", 1)]))
         last_hot = 0
         for i in range(2, 40):
@@ -289,7 +288,7 @@ class TestWindowGC:
         assert checker.result().satisfied
 
     def test_stale_read_beyond_window_is_counted(self):
-        checker = IncrementalChecker(SER, initial_keys=["x"], window=5)
+        checker = CheckerSession(SER, initial_keys=["x"], window=5)
         value = 0
         for i in range(1, 20):  # overwrite x repeatedly; old versions seal
             checker.ingest(Transaction(i, [read("x", value), write("x", i * 100)]))
@@ -299,19 +298,19 @@ class TestWindowGC:
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
-            IncrementalChecker(SER, window=0)
+            CheckerSession(SER, window=0)
 
     def test_sealed_marker_fifo_cap_value(self):
         # The documented cap is max(4 * window, 1024) markers; no window
         # means no cap bookkeeping at all.
-        assert IncrementalChecker(SER, window=2)._sealed_cap == 1024
-        assert IncrementalChecker(SER, window=300)._sealed_cap == 1200
-        assert IncrementalChecker(SER)._sealed_cap == 0
+        assert CheckerSession(SER, window=2)._sealed_cap == 1024
+        assert CheckerSession(SER, window=300)._sealed_cap == 1200
+        assert CheckerSession(SER)._sealed_cap == 0
 
     def test_sealed_marker_fifo_caps_at_documented_bound(self):
         # Overwrite one key far more times than the marker cap: the FIFO
         # must top out at exactly the cap while the stream stays healthy.
-        checker = IncrementalChecker(SER, initial_keys=["x"], window=2)
+        checker = CheckerSession(SER, initial_keys=["x"], window=2)
         cap = checker._sealed_cap
         last = 0
         for i in range(1, cap + 201):
@@ -325,7 +324,7 @@ class TestWindowGC:
         # A read of a version whose sealed marker already left the FIFO can
         # no longer be recognised as "stale": it must surface as the louder
         # ThinAirRead verdict, with the stale-read counter untouched.
-        checker = IncrementalChecker(SER, initial_keys=["x"], window=2)
+        checker = CheckerSession(SER, initial_keys=["x"], window=2)
         cap = checker._sealed_cap
         last = 0
         for i in range(1, cap + 201):
@@ -341,7 +340,7 @@ class TestWindowGC:
     def test_read_of_sealed_marker_counts_stale_not_thin_air(self):
         # While the marker is still in the FIFO the same read is classified
         # as a window violation (stale read), not as an anomaly.
-        checker = IncrementalChecker(SER, initial_keys=["x"], window=2)
+        checker = CheckerSession(SER, initial_keys=["x"], window=2)
         last = 0
         for i in range(1, 50):
             checker.ingest(Transaction(i, [read("x", last), write("x", i)]))
@@ -355,7 +354,7 @@ class TestWindowGC:
         # A single hot key overwritten thousands of times: slots, graph, and
         # topology must all stay bounded by the window/marker cap, not the
         # stream length.
-        checker = IncrementalChecker(SER, initial_keys=["x"], window=4)
+        checker = CheckerSession(SER, initial_keys=["x"], window=4)
         last = 0
         for i in range(1, 2001):
             checker.ingest(Transaction(i, [read("x", last), write("x", i)]))
@@ -385,7 +384,7 @@ class TestWindowGC:
                             start_ts=50.0, finish_ts=51.0),
                 Transaction(501, [read("y", 0)], session_id=501, start_ts=60.0, finish_ts=61.0),
             ]
-        checker = IncrementalChecker(SSER, initial_keys=["x", "y"], window=16)
+        checker = CheckerSession(SSER, initial_keys=["x", "y"], window=16)
         for txn in txns:
             checker.ingest(txn)
             assert len(checker._timeline) <= 2 * 16 + 2, txn.txn_id
@@ -406,7 +405,7 @@ class TestWindowGC:
             Transaction(4, [read("z", 0)], session_id=4),
             Transaction(5, [read("x", 0)], session_id=5, start_ts=7.0, finish_ts=8.0),
         ]
-        checker = IncrementalChecker(SSER, initial_keys=["x", "y", "z"], window=3)
+        checker = CheckerSession(SSER, initial_keys=["x", "y", "z"], window=3)
         reports = [checker.ingest(txn) for txn in rows]
         assert checker.evicted_count == 2 and checker.stale_reads == 0
         assert [[v.kind for v in r] for r in reports] == [[], [], [], [], [AnomalyKind.REAL_TIME_VIOLATION]]
@@ -439,7 +438,7 @@ class TestWindowGC:
             # shared host read anywhere from 1.0 to 1.9 against the same bound.
             # A line event fires on every loop iteration, comprehensions too,
             # so the count grows with the elements a rebuild touches.
-            checker = IncrementalChecker(SSER, window=window)
+            checker = CheckerSession(SSER, window=window)
             made = [0]
 
             def step(frame, event, arg):
@@ -484,7 +483,7 @@ class TestOrderCarriesTheLabels:
             (Edge, "__init__"), (Transaction, "__init__"),
         ):
             monkeypatch.setattr(cls, name, refuse)
-        checker = IncrementalChecker(level, window=window)
+        checker = CheckerSession(level, window=window)
         for segment in segments:
             assert checker.ingest_segment(segment) == []
         checker.checkpoint()
@@ -500,7 +499,7 @@ class TestOrderCarriesTheLabels:
         # refused while T2 is ingested; T1 -RW(y)-> T2 is the same pair under
         # another label, offered when the writer of y=5 shows up -- after the
         # window (if any) evicted a filler.
-        checker = IncrementalChecker(SER, initial_keys=["x", "y"], window=window)
+        checker = CheckerSession(SER, initial_keys=["x", "y"], window=window)
         rmw = lambda v: [read("x", 0), read("y", 5), write("x", v), write("y", 10 + v)]
         stream = [
             Transaction(10, [read("x", 0)], session_id=9),
@@ -526,7 +525,7 @@ class TestOrderCarriesTheLabels:
         assert graph.has_edge(1, 2, EdgeType.RW, "x") and graph.has_edge(1, 2, EdgeType.RW, "y")
         assert not checker._topo.has_edge(1, 2) and checker._topo.has_edge(2, 1)
         # ... and of the snapshot: the restored checker refuses the duplicate too.
-        resumed = IncrementalChecker.restore(checker.checkpoint())
+        resumed = CheckerSession.restore(checker.checkpoint())
         assert resumed.result().format() == checker.result().format()
         assert set(resumed.graph.edges()) == set(graph.edges())
 
@@ -594,7 +593,7 @@ def test_timed_histories_stream_to_the_batch_verdict_in_any_arrival_order():
         batch = check_sser(history).satisfied
         for stream in (stream_order(history), session_shuffle(ColumnarHistory.from_history(history), seed)):
             session = CheckerSession(SSER)
-            session.ingest_round(stream)
+            session.ingest_segment(ColumnarHistory.from_transactions(stream))
             assert session.result().satisfied == batch
         rejects += not batch
     assert rejects > 500
@@ -618,12 +617,12 @@ class TestCheckerSession:
         workload = MTWorkloadGenerator(
             num_sessions=4, txns_per_session=20, num_objects=10, seed=2
         ).generate()
-        with MTChecker().session(SI, initial_keys=workload.keys) as session:
-            run = run_workload(
-                Database("si", keys=workload.keys), workload, seed=3, on_transaction=session
-            )
-            assert session.num_ingested == run.stats.committed
-            assert session.result().satisfied
+        session = MTChecker().session(SI, initial_keys=workload.keys)
+        run = run_workload(
+            Database("si", keys=workload.keys), workload, seed=3, on_transaction=session.ingest
+        )
+        assert session.num_ingested == run.stats.committed
+        assert session.result().satisfied
 
     def test_live_checking_matches_post_hoc_batch_on_faulty_run(self):
         from repro.db.faults import FaultPlan
@@ -635,16 +634,18 @@ class TestCheckerSession:
             "si", keys=workload.keys, faults=FaultPlan.for_anomaly("lostupdate", rate=0.6, seed=9)
         )
         session = MTChecker().session(SI, initial_keys=workload.keys)
-        run = run_workload(database, workload, seed=10, on_transaction=session)
+        run = run_workload(database, workload, seed=10, on_transaction=session.ingest)
         assert session.result().satisfied == check_si(run.history).satisfied
 
-    def test_ingest_round(self):
+    def test_ingest_segment_of_transactions(self):
+        from repro.history.columnar import ColumnarHistory
+
         session = CheckerSession(SER, initial_keys=["x"])
         round_one = [
             Transaction(1, [read("x", 0), write("x", 1)]),
             Transaction(2, [read("x", 1), write("x", 2)], session_id=1),
         ]
-        assert session.ingest_round(round_one) == []
+        assert session.ingest_segment(ColumnarHistory.from_transactions(round_one)) == []
         assert session.result().satisfied
 
 
@@ -691,6 +692,9 @@ class TestBytesPerRow:
         segment = ColumnarHistory.from_history(
             generated_history(18, engine="si", sessions=16, txns=txns_per_session, objects=400)
         )
+        # A warm-up segment first: the one-time allocations of a process's
+        # first session (caches, interned objects) are not per-row state.
+        CheckerSession(level).ingest_segment(segment)
         session = CheckerSession(level)
         tracemalloc.start()
         try:
@@ -702,10 +706,11 @@ class TestBytesPerRow:
         assert session.num_ingested > 0
         return kept / segment.num_transactions
 
-    # CPython 3.11, about 420 and 3 350 rows: SER 703 / 492, SI 840 / 720,
-    # SSER 988 / 959 B per row, the smaller input paying more for its 400
-    # initial versions (the v5 state kept 1 567 / 2 057 / 3 214 at 35 862
-    # rows, ARCHITECTURE "Cost model"); the ceilings leave about 10 %.
+    # CPython 3.11, about 420 and 3 350 rows after the warm-up: SER 622 / 483,
+    # SI 840 / 720, SSER 954 / 926 B per row, the same in a fresh process as
+    # after other tests, the smaller input paying more for its 400 initial
+    # versions (the v5 state kept 1 567 / 2 057 / 3 214 at 35 862 rows,
+    # ARCHITECTURE "Cost model"); the ceilings leave 9-24 %.
     @pytest.mark.parametrize("level, ceiling", [(SER, 770), (SI, 920), (SSER, 1090)])
     def test_the_session_keeps_flat_bytes_per_row(self, level, ceiling):
         small, large = (self.kept_per_row(level, tps) for tps in (25, 200))
@@ -843,7 +848,7 @@ class TestCheckpointRestore:
         with pytest.raises(ValueError, match="found format 'repro-checker-state-v1'"):
             CheckerSession.restore({"format": "repro-checker-state-v1", "slots": []})
         with pytest.raises(ValueError):
-            IncrementalChecker.restore({})
+            CheckerSession.restore({})
 
     @pytest.mark.parametrize(
         "damage",

@@ -59,7 +59,7 @@ class TestInterning:
             index = HistoryIndex.build(history)
             for dense, key_ids in enumerate(index.txn_keys):
                 assert key_ids == sorted(set(key_ids))
-                txn = index.transactions[dense]
+                txn = index._txn_at(dense)
                 assert {index.key_names[k] for k in key_ids} == txn.keys()
 
 
@@ -134,15 +134,20 @@ class TestScanIsTheIntPrePass:
     the rows the object check reports on is a route of ``tests/test_routes.py``
     (every corpus entry, and random hostile histories)."""
 
-    def test_build_wakes_no_collector_and_materialises_nothing(self):
+    def test_build_wakes_no_collector_and_materialises_nothing(self, monkeypatch):
         columns = healthy_segment(500)
         assert columns.num_transactions >= 8000
+        rows_read = []
+        transaction_at = ColumnarHistory.transaction_at
+        monkeypatch.setattr(
+            ColumnarHistory, "transaction_at", lambda self, row: rows_read.append(row) or transaction_at(self, row)
+        )
         gc.collect()
         before = [generation["collections"] for generation in gc.get_stats()]
         index = HistoryIndex.from_columns(columns)
         assert [generation["collections"] for generation in gc.get_stats()] == before
         assert index.int_violations() == []
-        assert index._txn_cache == {}
+        assert rows_read == []
 
     def test_kernel_wakes_no_collector(self):
         columns = healthy_segment(500)
@@ -243,14 +248,6 @@ def every_route(history, level):
 
 class TestTheDoor:
     """A History reaches every plane through one column-encoding door."""
-
-    def test_object_layer_is_the_callers_own_objects(self):
-        for history in random_histories():
-            index = HistoryIndex.build(history)
-            assert index.history is history
-            assert index.columns is not None
-            by_id = {t.txn_id: t for t in history.transactions()}
-            assert all(t is by_id[t.txn_id] for t in index.transactions)
 
     @staticmethod
     def _lost_update_sessions():

@@ -539,7 +539,7 @@ class TestEpochLogMetrics:
         registry = obs.enable(fresh=True)
         with EpochLogWriter(directory, epoch_transactions=4) as writer:
             for i in range(10):  # three epochs: 4 + 4 + 2 rows
-                writer(Transaction(i + 1, [read("x", i), write("x", i + 1)]))
+                writer.append(Transaction(i + 1, [read("x", i), write("x", i + 1)]))
         log = EpochLog.open(directory)
         value = registry.value
         assert value("repro_epochlog_tmp_swept_total") == 2

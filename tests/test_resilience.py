@@ -801,14 +801,14 @@ class TestWatchStopAndRestart:
         build_log(directory, history)
         return directory, stream_format(EpochLog.open(directory), SI)
 
-    def _spawn_watch(self, *argv):
+    def _spawn_watch(self, *argv, interval="0.05"):
         def default_signals():  # not an ignored SIGINT inherited from a `&` job
             for signum in (signal.SIGINT, signal.SIGTERM):
                 signal.signal(signum, signal.SIG_DFL)
 
         src = Path(__file__).resolve().parent.parent / "src"
         return subprocess.Popen(
-            [sys.executable, "-m", "repro", "watch", "--level", "si", "--interval", "0.05", *map(str, argv)],
+            [sys.executable, "-m", "repro", "watch", "--level", "si", "--interval", interval, *map(str, argv)],
             env={**os.environ, "PYTHONPATH": str(src)},
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             preexec_fn=default_signals,
@@ -856,8 +856,31 @@ class TestWatchStopAndRestart:
         assert code == 0, (out, err)
         assert "Traceback" not in out + err
         assert repro_main(["watch", "--level", "si", "--once", str(stream)]) == 0
-        assert out.splitlines()[-1] == capsys.readouterr().out.splitlines()[-1]
-        assert out.splitlines()[-2].startswith("stop requested; exiting at epoch boundary ")
+        stop, verdict = out.splitlines()[-2:]
+        assert verdict == capsys.readouterr().out.splitlines()[-1]
+        # A stream has no epochs: the stop names the transactions the verdict covers.
+        verified = int(verdict.split("(", 1)[1].split()[0])
+        assert stop == f"stop requested; exiting after {verified} transactions"
+
+    def test_a_stop_ends_the_wait_between_polls(self, tmp_path):
+        # Drained, the loop waits --interval (30 s) before it looks again;
+        # SIGTERM ends that wait at once, with the verdict and exit 0.
+        directory, _expected = self._epochlog(tmp_path)
+        proc = self._spawn_watch("--checkpoint-every", "2", directory, interval="30")
+        deadline = time.monotonic() + 60
+        while not any(directory.glob("checkpoint-*.ckpt")):
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "watch never reached its follow loop"
+            time.sleep(0.02)
+        time.sleep(0.5)  # the log is complete: the loop drains it and waits
+        signalled = time.monotonic()
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=60)
+        assert time.monotonic() - signalled < 5, (out, err)
+        assert proc.returncode == 0, (out, err)
+        stop, verdict = out.splitlines()[-2:]
+        assert stop.startswith("stop requested; exiting at epoch boundary ")
+        assert verdict.startswith("SI: SATISFIED")
 
     def test_stop_flushes_the_verified_prefix_and_restores_handlers(self, tmp_path, capsys, monkeypatch):
         # In process: SIGTERM arrives while the first epoch is ingested.  The

@@ -118,6 +118,13 @@ def printed(session, lines):
     return 0 if result.satisfied else 1, "\n".join(lines) + "\n"
 
 
+def state_of(session):
+    """The session's checkpoint tables, its ``elapsed`` seconds excepted."""
+    state = session.checkpoint()
+    del state["elapsed"]
+    return state
+
+
 def streamed(columns, level, window=None):
     session, lines = MTChecker().session(level, window=window), []
     feed(session, [columns], lines)
@@ -188,6 +195,8 @@ def test_stream_routes(name, containers):
             per_row, lines = MTChecker().session(level, window=window), []
             ingest_rows(per_row, columns.iter_transactions(), lines)
             assert printed(per_row, lines) == out and per_row.evicted_count == session.evicted_count
+            # One routine behind both doors: the per-row route keeps the state the segment route keeps.
+            assert state_of(per_row) == state_of(session), (short, window)
             # Kill the verifier at every epoch boundary: the restored one
             # prints the rest, labels included, as if it had never stopped.
             for boundary in range(1, len(epochs)):
