@@ -17,6 +17,17 @@ after each of ``n`` transactions would cost Θ(n²).  The online counterpart:
   previous-row links a restore rebuilds from row order.
   :meth:`repro.core.checker.MTChecker.session` hands one out.
 
+One loop
+--------
+:meth:`CheckerSession.ingest_segment` is the one loop rows enter by.  It
+binds the segment's, the order's and the slots' columns once per call
+(compaction rewrites them in place, so the bindings outlive an eviction) and
+does each row's work inline: the op scan, its writes, its reads against the
+slots, its edges.  An edge whose ends are live and in order already, under a
+label offered once per pair (not RT or composed) while no pair is refused,
+is one row appended to the edge table, no call; every other edge (a reorder,
+a refused pair, any edge at SI, a window drop) goes through ``_dep_edge``.
+
 Equivalence invariant
 ---------------------
 For any ingestion order that preserves per-session order, the verdict over
@@ -58,7 +69,7 @@ import time
 from array import array
 from bisect import bisect_left, insort
 from collections import deque
-from itertools import chain, compress, count, product, repeat
+from itertools import chain, compress, count, islice, product, repeat
 from operator import and_, is_not
 from typing import (
     TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
@@ -356,10 +367,12 @@ class PearceKellyOrder:
         return {nodes[n]: None for n in ends if n >= 0 and nodes[n] is not None}
 
     def _compact(self) -> None:
-        """Drop the marked nodes and rows and relink."""
+        """Drop the marked nodes and rows and relink, each column rewritten in
+        place (:meth:`CheckerSession.ingest_segment` holds them bound)."""
         if self._removed:
-            self._node, ids, self._ord, self._src, self._dst, self._label = self._live()
-            self._id = dict(zip(self._node, ids))
+            self._node[:], ids, self._ord[:], self._src[:], self._dst[:], self._label[:] = self._live()
+            self._id.clear()
+            self._id.update(zip(self._node, ids))
             self._relink()
 
     def _live(self) -> Tuple[List[Any], List[int], array, List[int], List[int], List[int]]:
@@ -380,8 +393,8 @@ class PearceKellyOrder:
 
     def _relink(self) -> None:
         """Link the rows into out- and in-lists (after a compaction or a restore)."""
-        self._out_last, self._out_prev = _linked(self._src, len(self._node))
-        self._in_last, self._in_prev = _linked(self._dst, len(self._node))
+        self._out_last[:], self._out_prev[:] = _linked(self._src, len(self._node))
+        self._in_last[:], self._in_prev[:] = _linked(self._dst, len(self._node))
         self._removed = 0
 
 
@@ -411,7 +424,9 @@ _TYPE_CODE = {etype: code for code, etype in enumerate(_LABEL_TYPES)}
 _RT, _SO, _WR, _WW, _RW, _COMPOSED = (
     EdgeType[name].value for name in ("RT", "SO", "WR", "WW", "RW", "COMPOSED")
 )
-_REAL_TIME = (_RT, None)
+_REAL_TIME, _SESSION = (_RT, None), (_SO, None)
+#: The step that ends a row in :meth:`CheckerSession.ingest_segment`.
+_END = (None,) * 5
 #: Edge types the checker may offer twice on one pair (SO, WR, WW and RW come
 #: once per pair and label): only these look at the labels the pair holds.
 _REPEATABLE = (_RT, _COMPOSED)
@@ -503,10 +518,8 @@ class CheckerSession:
         window: Optional[int] = None,
     ) -> None:
         if level not in GRAPH_LEVELS:
-            raise ValueError(
-                f"incremental checking supports {', '.join(l.short_name for l in GRAPH_LEVELS)}; "
-                f"got {level}"
-            )
+            supported = ", ".join(l.short_name for l in GRAPH_LEVELS)
+            raise ValueError(f"incremental checking supports {supported}; got {level}")
         if window is not None and window < 1:
             raise ValueError("window must be a positive transaction count")
         self.level, self.window = level, window
@@ -563,6 +576,9 @@ class CheckerSession:
         #: Transactions garbage-collected so far.
         self.evicted_count = 0
 
+        from ..history.columnar import ColumnarHistory  # deferred: history builds on core
+
+        self._encode = ColumnarHistory.from_transactions  # rows for :meth:`ingest`, imported once
         if initial_keys is not None:
             self.ingest(make_initial_transaction(initial_keys))
 
@@ -591,46 +607,185 @@ class CheckerSession:
 
     # -- Ingestion --
     def ingest(self, txn: Transaction) -> List[Violation]:
-        """Ingest one transaction; return the violations it triggered: the
-        one-row case of :meth:`ingest_segment`.  Aborted (and unknown-outcome)
-        ones only register their writes; ThinAirRead is confirmed only at
-        :meth:`result`, as the writer may be in flight.  It is refused as a
-        segment row is (``ValueError``): an interval that finishes before it
-        starts, an id or value outside signed 64 bits."""
-        from ..history.columnar import ColumnarHistory  # deferred: history builds on core
-
-        return self.ingest_segment(ColumnarHistory.from_transactions([txn]))
+        """Ingest one transaction, the one-row case of :meth:`ingest_segment`; return the violations it
+        triggered.  Aborted (and unknown-outcome) ones only register their writes; ThinAirRead is confirmed
+        only at :meth:`result`, as the writer may be in flight.  It is refused as a segment row is
+        (``ValueError``): an interval that finishes before it starts, an id or value outside signed 64 bits."""
+        return self.ingest_segment(self._encode((txn,)))
 
     def ingest_segment(
         self, segment: "ColumnarHistory", *,
         on_row_violations: Optional[Callable[[int, List[Violation]], object]] = None,
     ) -> List[Violation]:
-        """Ingest one columnar segment, row by row; return its violations.
+        """Ingest one columnar segment, row by row (module docstring, "One loop"); return its violations.
 
-        ``on_row_violations(row, violations)`` is invoked after any row whose
-        ingestion triggered violations (the CLI tags its output with it).
-        The columns become plain lists once and the key ids are mapped once;
-        a ``Transaction`` is made only for a row holding an INT candidate.
-        A row that finishes before it starts raises ``ValueError`` first.
-        """
+        ``on_row_violations(row, violations)`` is invoked after any row whose ingestion triggered violations
+        (the CLI tags its output with it).  A row that finishes before it starts raises ``ValueError`` first.
+        A ``Transaction`` is made only for a row holding an INT candidate."""
         refuse_inverted_intervals(segment.txn_ids, segment.start_ts, segment.finish_ts)
         started = time.perf_counter()
-        violations = self._violations
+        violations, names, known = self._violations, self._key_names, self._key_ids
         before = len(violations)
-        key_ids = [self._key_id(name) for name in segment.key_names]
-        kinds = list(segment.op_kinds)
-        keys = [key_ids[kid] for kid in segment.op_keys]
-        values: List[Optional[int]] = list(segment.op_values)
+        key_ids = [known.setdefault(name, len(known)) for name in segment.key_names]
+        names.extend(islice(known, len(names), None))  # the keys new to the checker
+        values: Iterable[Optional[int]] = segment.op_values
         if 0 in segment.op_has_value:
             values = [v if has else None for v, has in zip(values, segment.op_has_value)]
-        offsets = list(segment.op_offsets)
-        rows = zip(segment.txn_ids, segment.session_ids, segment.statuses)
-        for row, (txn_id, session_id, status) in enumerate(rows):
+        ops = list(zip(segment.op_kinds, map(key_ids.__getitem__, segment.op_keys), values))
+        offsets = segment.op_offsets
+        topo, sessions, refused, window = self._topo, self._last_in_session, self._refused, self.window
+        ids, nodes, order, label_code, src, dst, labels = (
+            topo._id, topo._node, topo._ord, topo._label_code, topo._src, topo._dst, topo._label)
+        out_last, out_prev, in_last, in_prev = topo._out_last, topo._out_prev, topo._in_last, topo._in_prev
+        slots, writer, status, intermediate = self._slots, self._writer, self._status, self._intermediate
+        item_slot, item_kind, item_txn, item_value, item_last, item_prev = (
+            self._item_slot, self._item_kind, self._item_txn, self._item_value, self._item_last, self._item_prev)
+        plain, sser, edges = not self._si, self._sser, []  # edges: the step before's, appended first
+        rows = zip(segment.txn_ids, segment.session_ids, segment.statuses, offsets, offsets[1:])
+        for row, (txn_id, session_id, row_status, lo, hi) in enumerate(rows):
             row_before = len(violations)
-            self._ingest_row(
-                txn_id, session_id, status,
-                range(offsets[row], offsets[row + 1]), kinds, keys, values, segment, row,
-            )
+            reads = row_status == _COMMITTED_CODE and txn_id != INITIAL_TXN_ID
+            if txn_id == INITIAL_TXN_ID:
+                self._has_initial = True
+                topo.add_node(txn_id)
+            elif reads and txn_id in ids:
+                raise ValueError(f"malformed history: duplicate transaction id {txn_id}")
+
+            # The op scan: final and intermediate writes, the reads to resolve (``Transaction.external_reads``,
+            # a step each below), whether the row is an INT candidate (``transaction_int_violations``).
+            last: Dict[int, Optional[int]] = {}  # key id -> value of its last op so far
+            finals: Dict[int, Optional[int]] = {}
+            intermediates: List[Tuple[int, Optional[int]]] = []
+            steps: List[Tuple[Any, ...]] = []
+            candidate = False
+            for writes, kid, value in ops[lo:hi]:
+                if writes:
+                    if kid in finals:
+                        intermediates.append((kid, finals[kid]))
+                    finals[kid] = last[kid] = value
+                    if steps and (kid, value, None, txn_id, None) in steps:
+                        # FutureRead: the INT pass reports it; resolving it would
+                        # fabricate a second anomaly (or a pending read of itself).
+                        steps.remove((kid, value, None, txn_id, None))
+                        candidate = True
+                elif reads:
+                    if kid not in last:
+                        steps.append((kid, value, None, txn_id, None))
+                    elif last[kid] != value:
+                        candidate = True
+                        no_valued_read = all(k != kid or v is None for k, v, *_ in steps)
+                        if value is not None and kid not in finals and no_valued_read:
+                            steps.append((kid, value, None, txn_id, None))  # the key's reads so far were valueless
+                    last[kid] = value
+
+            span = None
+            if reads:
+                self._num_committed += 1
+                if sser:
+                    span = self._real_time_start(segment.start_ts[row], segment.finish_ts[row])
+                if span is None:  # last in the order
+                    ids[txn_id] = len(nodes)
+                    nodes.append(txn_id)
+                    order.append(topo._counter)
+                    topo._counter += 1
+                    out_last.append(-1)
+                    in_last.append(-1)
+                else:
+                    topo.add_node(txn_id, *span)
+                if candidate:
+                    violations.extend(transaction_int_violations(segment.transaction_at(row)))
+                prev = sessions.get(session_id, INITIAL_TXN_ID if self._has_initial else None)
+                sessions[session_id] = txn_id
+                if prev is not None:  # closes no cycle: the row has no out-edge yet
+                    edges.append((prev, txn_id, _SESSION))
+            for kid, value in intermediates:
+                self._register_intermediate(kid, value, txn_id)
+            # A step per read, those waiting for one of the row's writes first; a step appends the edges of
+            # the one before first, so every violation lands in the order its cause happened.
+            steps.append(_END)
+            waiting = None
+            for kid, value in finals.items():
+                code = kid + _VALUELESS if value is None else value * _RADIX + kid
+                vid = slots.get(code)
+                if vid is None:
+                    slots[code] = len(status)
+                    writer.append(txn_id)
+                    status.append(row_status)
+                    item_last.append(-1)
+                elif status[vid] != _SEALED:
+                    writer[vid], status[vid] = txn_id, row_status
+                    if item_last[vid] >= 0:
+                        waiting = (waiting or []) + [(kid, value, vid, *read) for read in self._take_pending(vid)]
+            for kid, value, vid, reader, writes_key in steps if waiting is None else waiting + steps:
+                for source, target, label in edges:
+                    if plain and not refused and (s := ids.get(source)) is not None and (
+                            t := ids.get(target)) is not None and order[s] < order[t]:
+                        code = label_code.get(label)
+                        e = len(src)
+                        src.append(s)
+                        dst.append(t)
+                        labels.append(topo._code(label) if code is None else code)
+                        out_prev.append(out_last[s])
+                        in_prev.append(in_last[t])
+                        out_last[s] = in_last[t] = e
+                    else:
+                        self._dep_edge(source, target, label)
+                edges = []
+                if kid is None:
+                    break
+                if vid is None:  # the row's read: its version, made on first sight
+                    writes_key = value is not None and kid in finals
+                    code = kid + _VALUELESS if value is None else value * _RADIX + kid
+                    vid = slots.get(code)
+                    if vid is None:
+                        vid = slots[code] = len(status)
+                        writer.append(0)
+                        status.append(_NO_WRITER)
+                        item_last.append(-1)
+                    elif status[vid] == _SEALED:
+                        self.stale_reads += 1
+                        continue
+                    if writes_key and not plain:
+                        self._diverge(vid, kid, value, txn_id, finals[kid])
+                writer_id, state = writer[vid], status[vid]
+                if state == _NO_WRITER:  # pending until the writer shows up
+                    if intermediate.get(vid, reader) != reader:
+                        violations.append(self._intermediate_violation(reader, intermediate[vid], names[kid]))
+                        continue
+                    kind = _PENDING_WRITES if writes_key else _PENDING
+                elif state != _COMMITTED_CODE or value is None or writer_id == reader or (
+                        window is not None and reader not in ids):
+                    self._unattached(vid, kid, value, reader)
+                    continue
+                else:  # WR (and WW/RW) edges; an evicted writer's are dropped, the RW ones between live readers kept
+                    key = names[kid]
+                    listed = item_last[vid] >= 0
+                    edges.append((writer_id, reader, (_WR, key)))
+                    if listed:
+                        rw = (_RW, key)
+                        edges.extend((reader, item_txn[r], rw) for r in self._items(vid, _OVERWRITER)
+                                     if item_txn[r] != reader)
+                    if writes_key:
+                        edges.append((writer_id, reader, (_WW, key)))
+                        if listed:
+                            edges.extend((item_txn[r], reader, rw) for r in self._items(vid, _READER, _OVERWRITER)
+                                         if item_txn[r] != reader)
+                        if window is not None:
+                            self._overwrote.setdefault(reader, []).append(value * _RADIX + kid)
+                    kind = _OVERWRITER if writes_key else _READER
+                item_prev.append(item_last[vid])
+                item_last[vid] = len(item_kind)
+                item_slot.append(vid)
+                item_kind.append(kind)
+                item_txn.append(reader)
+                item_value.append(0)
+
+            if span is not None:
+                self._real_time(txn_id, *span)
+            if reads and window is not None:
+                self._arrivals.append(txn_id)
+                while len(self._arrivals) > window:
+                    self._evict(self._arrivals.popleft())
             if on_row_violations is not None and len(violations) > row_before:
                 on_row_violations(row, violations[row_before:])
         self._elapsed += time.perf_counter() - started
@@ -638,95 +793,10 @@ class CheckerSession:
         return violations[before:]
 
     def ingest_history(self, history: History) -> CheckResult:
-        """Stream a complete history in canonical order; return the verdict.
-
-        The history enters as one segment (:meth:`ingest_segment`, the
-        columnar door every batch route takes), so it is refused as there.
-        """
-        from ..history.columnar import ColumnarHistory  # deferred: history builds on core
-
-        self.ingest_segment(ColumnarHistory.from_history(history))
+        """Stream a complete history in canonical order, as one segment (refused as
+        :meth:`ingest_segment` refuses one); return the verdict."""
+        self.ingest_segment(self._encode(stream_order(history)))
         return self.result()
-
-    def _key_id(self, key: str) -> int:
-        """The checker's dense id of ``key`` (interned on first sight)."""
-        kid = self._key_ids.get(key)
-        if kid is None:
-            kid = self._key_ids[key] = len(self._key_names)
-            self._key_names.append(key)
-        return kid
-
-    def _ingest_row(
-        self, txn_id: int, session_id: int, status: int,
-        ops: range, kinds: List[Any], keys: List[int], values: List[Optional[int]],
-        segment: "ColumnarHistory", row: int,
-    ) -> None:
-        """The per-row routine behind :meth:`ingest_segment`: row ``row`` of
-        ``segment``, whose ``status`` is a status code and whose operations sit
-        at positions ``ops`` of ``kinds`` / ``keys`` (checker key ids) /
-        ``values``; its object (INT candidates) and stamps (SSER) are read
-        from the segment on demand.  One scan collects the final and
-        intermediate writes, the reads to resolve (as
-        ``Transaction.external_reads``) and whether the row is an INT
-        candidate (:func:`repro.core.intcheck.transaction_int_violations`)."""
-        committed = status == _COMMITTED_CODE
-        reads = committed and txn_id != INITIAL_TXN_ID
-        if txn_id == INITIAL_TXN_ID:
-            self._has_initial = True
-            self._topo.add_node(txn_id)
-        elif committed and txn_id in self._topo:
-            raise ValueError(f"malformed history: duplicate transaction id {txn_id}")
-
-        last: Dict[int, Optional[int]] = {}  # key id -> value of its last op so far
-        finals: Dict[int, Optional[int]] = {}
-        intermediates: List[Tuple[int, Optional[int]]] = []
-        external: List[Tuple[int, Optional[int]]] = []  # reads to resolve, in op order
-        candidate = False
-        for op in ops:
-            kid = keys[op]
-            value = values[op]
-            if kinds[op]:
-                if kid in finals:
-                    intermediates.append((kid, finals[kid]))
-                finals[kid] = last[kid] = value
-                if external and (kid, value) in external:
-                    # FutureRead: the INT pass reports it; resolving it would
-                    # fabricate a second anomaly (or a pending read of itself).
-                    external.remove((kid, value))
-                    candidate = True
-            elif reads:
-                if kid not in last:
-                    external.append((kid, value))
-                elif last[kid] != value:
-                    candidate = True
-                    no_valued_read = all(k != kid or v is None for k, v in external)
-                    if value is not None and kid not in finals and no_valued_read:
-                        external.append((kid, value))  # the key's reads so far were valueless
-                last[kid] = value
-
-        if reads:
-            self._num_committed += 1
-            span = self._real_time_start(segment, row) if self._sser else None
-            self._topo.add_node(txn_id, *span or ())
-            if candidate:
-                self._violations.extend(transaction_int_violations(segment.transaction_at(row)))
-            self._session_edge(session_id, txn_id)
-        for kid, value in intermediates:
-            self._register_intermediate(kid, value, txn_id)
-        for kid, value in finals.items():
-            self._register_final(kid, value, txn_id, status)
-        if reads:
-            for kid, value in external:
-                # A valueless read is provenance-checked only (batch parity).
-                self._resolve_one_read(
-                    txn_id, kid, value, value is not None and kid in finals, finals.get(kid)
-                )
-            if span is not None:
-                self._real_time(txn_id, *span)
-            if self.window is not None:
-                self._arrivals.append(txn_id)
-                while len(self._arrivals) > self.window:
-                    self._evict(self._arrivals.popleft())
 
     # -- Results --
     @property
@@ -953,33 +1023,10 @@ class CheckerSession:
         return checker
 
     # -- Per-transaction machinery: the version slots --
-    def _slot(self, kid: int, value: Optional[int]) -> Optional[int]:
-        """The vid of version ``(key id, value)``, made on first sight;
-        ``None`` if the window sealed it."""
-        code = kid + _VALUELESS if value is None else value * _RADIX + kid
-        vid = self._slots.get(code)
-        if vid is None:
-            vid = self._slots[code] = len(self._status)
-            self._writer.append(0)
-            self._status.append(_NO_WRITER)
-            self._item_last.append(-1)
-        elif self._status[vid] == _SEALED:
-            return None
-        return vid
-
     def _items(self, vid: int, *kinds: int) -> List[int]:
         """The rows of the version's items of these kinds, in arrival order."""
         kind = self._item_kind
         return [row for row in _walk(self._item_last[vid], self._item_prev) if kind[row] in kinds]
-
-    def _add_item(self, vid: int, kind: int, txn_id: int, value: int = 0) -> None:
-        row = len(self._item_kind)
-        self._item_slot.append(vid)
-        self._item_kind.append(kind)
-        self._item_txn.append(txn_id)
-        self._item_value.append(value)
-        self._item_prev.append(self._item_last[vid])
-        self._item_last[vid] = row
 
     def _take_pending(self, vid: int) -> List[Tuple[int, bool]]:
         """Drop the version's pending reads; return them as ``(txn, writes_key)``."""
@@ -991,12 +1038,17 @@ class CheckerSession:
         return pending
 
     def _compact_slots(self) -> None:
-        """Drop expired versions and unlinked or taken item rows, and relink."""
+        """Drop expired versions and unlinked or taken item rows, and relink, each
+        column rewritten in place (:meth:`ingest_segment` holds them bound)."""
         if self._dropped:
-            codes, vids, self._writer, self._status, self._intermediate, *items = self._live_slots()
-            self._slots = dict(zip(codes, vids))
-            self._item_slot, self._item_kind, self._item_txn, self._item_value = items
-            (self._item_last, self._item_prev), self._dropped = _linked(self._item_slot, len(self._status)), 0
+            codes, vids, writer, status, intermediate, *items = self._live_slots()
+            for table, rows in ((self._slots, dict(zip(codes, vids))), (self._intermediate, intermediate)):
+                table.clear()
+                table.update(rows)
+            for column, live in zip((self._writer, self._status, self._item_slot, self._item_kind, self._item_txn,
+                                     self._item_value), (writer, status, *items)):
+                column[:] = live
+            (self._item_last[:], self._item_prev[:]), self._dropped = _linked(self._item_slot, len(self._status)), 0
 
     def _live_slots(self) -> Tuple[Any, ...]:
         """Unexpired versions (codes, vids, writer, status, intermediate) and listed item rows (slot, kind,
@@ -1016,19 +1068,16 @@ class CheckerSession:
                 list(map(renumber.__getitem__, compress(self._item_slot, rows))), list(compress(self._item_kind, rows)),
                 list(compress(self._item_txn, rows)), array("q", compress(self._item_value, rows)))
 
-    def _register_final(self, kid: int, value: Optional[int], txn_id: int, status: int) -> None:
-        """Mirror ``WriteIndex.add_transaction`` onto the slot table."""
-        vid = self._slot(kid, value)
-        if vid is None:
-            return
-        self._writer[vid], self._status[vid] = txn_id, status
-        if self._item_last[vid] >= 0:
-            for reader_id, writes_key in self._take_pending(vid):
-                self._attach_read(kid, value, vid, reader_id, writes_key)
-
     def _register_intermediate(self, kid: int, value: Optional[int], txn_id: int) -> None:
-        vid = self._slot(kid, value)
-        if vid is None:
+        """Record ``txn_id`` as the intermediate writer of version ``(kid, value)``
+        (made on first sight); a pending read of it is an IntermediateRead."""
+        code = kid + _VALUELESS if value is None else value * _RADIX + kid
+        vid = self._slots.setdefault(code, len(self._status))
+        if vid == len(self._status):
+            self._writer.append(0)
+            self._status.append(_NO_WRITER)
+            self._item_last.append(-1)
+        elif self._status[vid] == _SEALED:
             return
         self._intermediate[vid] = txn_id
         if self._status[vid] == _NO_WRITER and self._item_last[vid] >= 0:
@@ -1043,89 +1092,42 @@ class CheckerSession:
                         f"T{intermediate_id}, which later overwrote it",
         )
 
-    def _resolve_one_read(
-        self, txn_id: int, kid: int, value: Optional[int], writes_key: bool, written_value: Optional[int],
-    ) -> None:
-        """Resolve one external read against the slot table."""
-        vid = self._slot(kid, value)
-        if vid is None:
-            self.stale_reads += 1
-            return
-        key = self._key_names[kid]
-        # DIVERGENCE (SI only): two RMW readers of one version that wrote
-        # different values, flagged before writer resolution (Lemma 1).
-        if writes_key and self._si:
-            txns, kinds, values = self._item_txn, self._item_kind, self._item_value
-            for row in self._items(vid, _RMW, _RMW_NONE):
-                if txns[row] != txn_id and (None if kinds[row] == _RMW_NONE else values[row]) != written_value:
-                    self._violations.append(self._divergence_violation(key, value, vid, txns[row], txn_id))
-                    break
-            self._add_item(vid, _RMW_NONE if written_value is None else _RMW, txn_id, written_value or 0)
-        if self._status[vid] != _NO_WRITER:
-            self._attach_read(kid, value, vid, txn_id, writes_key)
-        elif self._intermediate.get(vid, txn_id) != txn_id:
-            self._violations.append(self._intermediate_violation(txn_id, self._intermediate[vid], key))
-        else:
-            self._add_item(vid, _PENDING_WRITES if writes_key else _PENDING, txn_id)
+    def _diverge(self, vid: int, kid: int, value: Optional[int], txn_id: int, written: Optional[int]) -> None:
+        """DIVERGENCE (SI only): two RMW readers of one version that wrote
+        different values, flagged before writer resolution (Lemma 1); the
+        reader joins the version's RMW rows."""
+        txns, kinds, values = self._item_txn, self._item_kind, self._item_value
+        for row in self._items(vid, _RMW, _RMW_NONE):
+            if txns[row] != txn_id and (None if kinds[row] == _RMW_NONE else values[row]) != written:
+                a, key = txns[row], self._key_names[kid]
+                writer = self._writer[vid] if self._status[vid] != _NO_WRITER else -2
+                self._violations.append(Violation(kind=AnomalyKind.LOST_UPDATE, txn_ids=[writer, a, txn_id], key=key,
+                    description=f"DIVERGENCE pattern on object {key}: T{a} and T{txn_id} both read "
+                                f"value {value} written by T{writer} and then wrote different values"))
+                break
+        self._item_prev.append(self._item_last[vid])
+        self._item_last[vid] = len(kinds)
+        self._item_slot.append(vid)
+        kinds.append(_RMW_NONE if written is None else _RMW)
+        txns.append(txn_id)
+        values.append(written or 0)
 
-    def _divergence_violation(self, key: str, value: Optional[int], vid: int, a: int, b: int) -> Violation:
-        writer = self._writer[vid] if self._status[vid] != _NO_WRITER else -2
-        return Violation(
-            kind=AnomalyKind.LOST_UPDATE, txn_ids=[writer, a, b], key=key,
-            description=f"DIVERGENCE pattern on object {key}: T{a} and T{b} both read "
-                        f"value {value} written by T{writer} and then wrote different values",
-        )
-
-    def _attach_read(self, kid: int, value: Optional[int], vid: int, reader_id: int, writes_key: bool) -> None:
-        """Materialise the WR (and WW/RW) edges of one resolved read."""
-        writer_id = self._writer[vid]
-        if writer_id == reader_id:
-            return
-        status, key = self._status[vid], self._key_names[kid]
-        if status == _ABORTED_CODE:
-            self._violations.append(Violation(
-                kind=AnomalyKind.ABORTED_READ, txn_ids=[reader_id, writer_id], key=key,
-                description=f"read of object {key} observes a value written by aborted "
-                            f"transaction T{writer_id}",
-            ))
-            return
-        if status != _COMMITTED_CODE or value is None:
-            return  # unknown outcome, or a valueless read: no edge (batch parity)
-        if self.window is not None and reader_id not in self._topo:
-            # A pending reader aged out before its writer arrived.
-            self.stale_reads += 1
-            return
-        # An evicted writer is harmless: ``_dep_edge`` drops edges out of a
-        # collected node; the RW edges between live readers still matter.
-        rw, txns, listed = (_RW, key), self._item_txn, self._item_last[vid] >= 0
-        self._dep_edge(writer_id, reader_id, (_WR, key))
-        for row in self._items(vid, _OVERWRITER) if listed else ():
-            if txns[row] != reader_id:
-                self._dep_edge(reader_id, txns[row], rw)
-        self._add_item(vid, _OVERWRITER if writes_key else _READER, reader_id)
-        if writes_key:
-            self._dep_edge(writer_id, reader_id, (_WW, key))
-            for row in self._items(vid, _READER, _OVERWRITER) if listed else ():
-                if txns[row] != reader_id:
-                    self._dep_edge(txns[row], reader_id, rw)
-            if self.window is not None:
-                self._overwrote.setdefault(reader_id, []).append(value * _RADIX + kid)
-
-    def _session_edge(self, session_id: int, txn_id: int) -> None:
-        prev = self._last_in_session.get(session_id, INITIAL_TXN_ID if self._has_initial else None)
-        if prev is not None:
-            self._dep_edge(prev, txn_id, (_SO, None))
-        self._last_in_session[session_id] = txn_id
+    def _unattached(self, vid: int, kid: int, value: Optional[int], reader_id: int) -> None:
+        """A read of a written version that gets no edge (batch parity): of its own write, of an aborted
+        writer (AbortedRead), of an unknown outcome, a valueless one, or a pending one the window collected."""
+        writer_id, status, key = self._writer[vid], self._status[vid], self._key_names[kid]
+        if writer_id != reader_id and status == _ABORTED_CODE:
+            self._violations.append(Violation(kind=AnomalyKind.ABORTED_READ, txn_ids=[reader_id, writer_id], key=key,
+                description=f"read of object {key} observes a value written by aborted transaction T{writer_id}"))
+        elif writer_id != reader_id and status == _COMMITTED_CODE and value is not None:
+            self.stale_reads += 1  # the reader aged out before its writer arrived
 
     # -- Real-time order (SSER): a timeline of time nodes (module docstring) --
-    def _real_time_start(
-        self, segment: "ColumnarHistory", row: int
-    ) -> Optional[Tuple[Tuple[float, int], Tuple[float, int]]]:
-        """A stamped row's start node and finish key, with the nodes made that
-        the row's own node can take an index between (the finish node only
-        out of finish order)."""
-        start, finish = segment.timestamps_at(row)
-        if start is None or finish is None or not start <= finish:
+    def _real_time_start(self, start: float, finish: float) -> Optional[Tuple[Tuple[float, int], Tuple[float, int]]]:
+        """A row's start node and finish key from its stamps (NaN: none), with
+        the nodes made that the row's own node can take an index between (the
+        finish node only out of finish order)."""
+        if not start <= finish:
             return None  # a NaN stamp is no stamp, as in batch (an inverted row was refused)
         first = (float(finish), _FINISH)
         if self._timeline and first < self._timeline[-1]:
@@ -1272,15 +1274,13 @@ class CheckerSession:
                 for base_pred in self._base_preds.get(source, ()):
                     self._composed_edge(base_pred, target, label[1])
         else:
-            in_order = self._topo.labels(source, target)
-            labels = in_order or self._refused.get((source, target), [])
             preds = self._base_preds.setdefault(target, array("q"))
-            if label in labels:
-                return
             if source in preds:  # the pair is in the order (or refused) already
-                if in_order:
+                in_order = self._topo.labels(source, target)
+                labels = in_order or self._refused.get((source, target), [])
+                if label not in labels and in_order:
                     self._topo.add_edge(source, target, label)
-                else:
+                elif label not in labels:
                     labels.append(label)
                 return
             preds.append(source)
@@ -1327,8 +1327,8 @@ class CheckerSession:
         hung_on = timeline and [v for forward in (False, True) for v in topo._neighbours(txn_id, forward)
                                 if type(v) is tuple]
         topo.remove_node(txn_id)
-        if self._refused:
-            self._refused = {p: labels for p, labels in self._refused.items() if txn_id not in p}
+        for pair in [pair for pair in self._refused if txn_id in pair] if self._refused else ():
+            del self._refused[pair]
         self._base_preds.pop(txn_id, None)
         self._rw_succ.pop(txn_id, None)
         for code in self._overwrote.pop(txn_id, ()):

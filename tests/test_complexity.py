@@ -131,6 +131,20 @@ def test_ingest_history_is_linear(histories):
     assert_flat(per_row)
 
 
+@pytest.mark.parametrize("window", [None, 64])
+def test_per_row_ingest_is_linear(histories, window):
+    # ``session.ingest(txn)`` is a one-row segment: the segment loop's
+    # per-call setup must not grow with the session's state.
+    level = IsolationLevel.SERIALIZABILITY
+    per_row = []
+    for history in histories:
+        transactions = list(stream_order(history))
+        session = MTChecker().session(level, window=window)
+        per_row.append(work(lambda: [session.ingest(txn) for txn in transactions]) / len(transactions))
+        assert session.satisfied and (window is None or session.evicted_count > 0)
+    assert_flat(per_row)
+
+
 def test_batch_sser_accept_is_linear(histories):
     level = IsolationLevel.STRICT_SERIALIZABILITY
     per_row = []

@@ -296,6 +296,31 @@ class TestWindowGC:
         assert checker.ingest(Transaction(50, [read("x", 100)], session_id=1)) == []
         assert checker.stale_reads == 1
 
+    @pytest.mark.parametrize("level", [SER, SI, SSER])
+    def test_a_compaction_inside_a_segment_keeps_its_bound_columns(self, level, monkeypatch):
+        # ingest_segment binds the order's and the slots' columns once per
+        # segment; the compactions evictions trigger midway rewrite them in
+        # place, so one segment ends in the state row-by-row ingestion ends in.
+        compacted = set()
+
+        def counted(method):
+            def compact(self):
+                compacted.add(method.__name__)
+                method(self)
+            return compact
+
+        monkeypatch.setattr(PearceKellyOrder, "_compact", counted(PearceKellyOrder._compact))
+        monkeypatch.setattr(CheckerSession, "_compact_slots", counted(CheckerSession._compact_slots))
+        history = generated_history(4, sessions=8, txns=160, objects=40)
+        whole, per_row = CheckerSession(level, window=8), CheckerSession(level, window=8)
+        whole.ingest_history(history)
+        assert compacted == {"_compact", "_compact_slots"}
+        for txn in stream_order(history):
+            per_row.ingest(txn)
+        state, row_state = whole.checkpoint(), per_row.checkpoint()
+        del state["elapsed"], row_state["elapsed"]
+        assert state == row_state
+
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
             CheckerSession(SER, window=0)

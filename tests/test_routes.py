@@ -180,11 +180,21 @@ def test_batch_and_reference_routes(name):
 def test_stream_routes(name, containers):
     expected, columns = EXPECTED[name], columns_of(name)
     epochs = list(read_segments(containers(name) / "h.epochs"))
+    cuts = [columns.slice_rows(range(row, min(row + 3, len(columns)))) for row in range(0, len(columns), 3)]
+    shuffle = session_shuffle(columns, seed=32)
     for short, level in LEVELS.items():
-        batch, shuffled = MTChecker().verify(columns, level), MTChecker().session(level)
-        ingest_rows(shuffled, session_shuffle(columns, seed=32), [])
-        assert shuffled.result().satisfied == batch.satisfied, short
+        batch = MTChecker().verify(columns, level)
         for window in (None, expected["window"]["rows"]):
+            # Shuffled arrival puts reorders, refused pairs and evictions inside one segment:
+            # per row or as one segment, the route keeps one state and prints the same lines.
+            shuffled, whole = MTChecker().session(level, window=window), MTChecker().session(level, window=window)
+            lines, whole_lines = [], []
+            ingest_rows(shuffled, shuffle, lines)
+            feed(whole, [ColumnarHistory.from_transactions(shuffle)], whole_lines)
+            assert printed(shuffled, lines) == printed(whole, whole_lines), (short, window)
+            assert state_of(shuffled) == state_of(whole), (short, window)
+            if window is None:
+                assert shuffled.result().satisfied == batch.satisfied, short
             session, out = streamed(columns, level, window)
             if window is None:
                 assert describe(session.result()) == expected["stream"][short], short
@@ -195,8 +205,12 @@ def test_stream_routes(name, containers):
             per_row, lines = MTChecker().session(level, window=window), []
             ingest_rows(per_row, columns.iter_transactions(), lines)
             assert printed(per_row, lines) == out and per_row.evicted_count == session.evicted_count
-            # One routine behind both doors: the per-row route keeps the state the segment route keeps.
+            # One routine behind both doors and every cut: per row, in 3-row segments and as one
+            # segment, the route keeps the same state and prints the same lines.
             assert state_of(per_row) == state_of(session), (short, window)
+            in_cuts, lines = MTChecker().session(level, window=window), []
+            feed(in_cuts, cuts, lines)
+            assert printed(in_cuts, lines) == out and state_of(in_cuts) == state_of(session), (short, window)
             # Kill the verifier at every epoch boundary: the restored one
             # prints the rest, labels included, as if it had never stopped.
             for boundary in range(1, len(epochs)):
