@@ -151,7 +151,6 @@ class CollectorBase:
         on_transaction: Optional[Callable[[Transaction], object]] = None,
         setup_keys: bool = True,
         initial_value: int = 0,
-        retry_policy: Optional[RetryPolicy] = None,
         txn_deadline: Optional[float] = None,
         max_inflight: int = 256,
     ) -> None:
@@ -166,11 +165,8 @@ class CollectorBase:
         self.on_transaction = on_transaction
         self.setup_keys = setup_keys
         self.initial_value = initial_value
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=max_retries + 1,
-            base_delay=0.002,
-            max_delay=0.05,
-            seed=0,
+        self.retry_policy = RetryPolicy(
+            max_attempts=max_retries + 1, base_delay=0.002, max_delay=0.05, seed=0
         )
         self.txn_deadline = txn_deadline
         #: How often a deadline watchdog looks for hung attempts.
@@ -361,7 +357,10 @@ class Collector(CollectorBase):
     Args:
         adapter: the database under test (a sync
             :class:`~repro.adapters.base.DatabaseAdapter`).
-        max_retries: retries per aborted transaction (fresh values each).
+        max_retries: retries per aborted transaction (fresh values each),
+            each after a 2ms → 50ms decorrelated-jitter backoff: enough to
+            break the lock-step re-collision of immediate retries without
+            slowing a healthy run measurably.
         record_aborted: include aborted attempts in the history (needed for
             AbortedRead detection; checkers ignore them otherwise).
         on_transaction: live hook, called with every recorded transaction
@@ -369,11 +368,6 @@ class Collector(CollectorBase):
         setup_keys: pre-install the workload's keys via ``adapter.setup``
             so the history's ``⊥T`` matches the database's initial state.
         initial_value: value installed for each pre-populated key.
-        retry_policy: backoff between retries of one aborted transaction
-            (its attempt cap tops up ``max_retries``).  The default backs
-            off 2ms → 50ms with decorrelated jitter — enough to break the
-            lock-step re-collision of immediate retries without slowing a
-            healthy run measurably.
         txn_deadline: seconds one transaction attempt may run before the
             session is declared hung: the attempt is recorded with
             :attr:`TransactionStatus.UNKNOWN` (its outcome genuinely is

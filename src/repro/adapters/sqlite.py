@@ -139,6 +139,11 @@ class SQLiteAdapter(DatabaseAdapter):
             engine reports busy and the operation becomes a retryable abort.
     """
 
+    #: Admin statements (schema, setup, teardown reads) run outside the
+    #: recorded history, so a busy engine is retried here with backoff
+    #: rather than surfacing to the workload as a spurious failure.
+    busy_retry = RetryPolicy(max_attempts=4, base_delay=0.01, max_delay=0.25, seed=0)
+
     def __init__(
         self,
         path: Optional[str] = None,
@@ -146,7 +151,6 @@ class SQLiteAdapter(DatabaseAdapter):
         mode: str = "immediate",
         wal: bool = False,
         busy_timeout_ms: int = 2_000,
-        busy_retry: Optional[RetryPolicy] = None,
     ) -> None:
         if mode not in _BEGIN_MODES:
             raise ValueError(f"mode must be one of {_BEGIN_MODES}, got {mode!r}")
@@ -160,12 +164,6 @@ class SQLiteAdapter(DatabaseAdapter):
         self.mode = mode
         self.wal = wal
         self.busy_timeout_ms = busy_timeout_ms
-        # Admin statements (schema, setup, teardown reads) run outside the
-        # recorded history, so a busy engine is retried here with backoff
-        # rather than surfacing to the workload as a spurious failure.
-        self.busy_retry = busy_retry or RetryPolicy(
-            max_attempts=4, base_delay=0.01, max_delay=0.25, seed=0
-        )
         self._admin(
             "CREATE TABLE IF NOT EXISTS kv (key TEXT PRIMARY KEY, value INTEGER NOT NULL)"
         )

@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "shard the history by key connectivity and check the "
             "shards in N parallel processes (N=1 runs the sharded pipeline "
-            "inline; verdicts are identical for every N)"
+            "inline; sser checks serially; verdicts are identical for every N)"
         ),
     )
     check.add_argument(

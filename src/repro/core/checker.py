@@ -44,10 +44,11 @@ class MTChecker:
             :meth:`session` refuses it).
         workers: ``None`` (the default) runs the classic single-pass serial
             pipeline.  Any integer ``>= 1`` routes batch verification through
-            the sharded pipeline of :mod:`repro.parallel`: the history is
-            split into key-connected shards, each shard is checked
+            the sharded pipeline of :mod:`repro.parallel`: at SER and SI the
+            history is split into key-connected shards, each shard is checked
             independently (``workers`` OS processes when ``> 1``, inline when
-            ``1``), and the verdicts are merged.  Sharded verdicts equal
+            ``1``), and the verdicts are merged; SSER and LIN check serially
+            (the real-time order crosses shards).  Sharded verdicts equal
             serial verdicts on every history, and ``workers=1`` vs
             ``workers=k`` produce *identical* results — only where the shard
             checks execute changes.

@@ -57,7 +57,6 @@ __all__ = [
     "CSRGraph",
     "EDGE_TYPE_CODES",
     "EDGE_TYPE_FROM_CODE",
-    "WireCSR",
     "peel_cycle",
 ]
 
@@ -85,12 +84,6 @@ EDGE_TYPE_FROM_CODE: Tuple[EdgeType, ...] = (
     EdgeType.RW,
     EdgeType.COMPOSED,
 )
-
-#: Wire format of a CSR graph for the process boundary: global transaction
-#: ids per dense node, key names per dense key id, and the four edge columns
-#: as raw little-endian ``array('i')`` buffers.
-WireCSR = Tuple[List[int], List[str], bytes, bytes, bytes, bytes]
-
 
 class CSRGraph:
     """A typed dependency graph over dense integer nodes, stored as arrays.
@@ -377,52 +370,6 @@ class CSRGraph:
             for w in real_time(v):
                 add_edge(node_ids[v], node_ids[w], EdgeType.RT)
         return graph
-
-    def append_remapped(
-        self,
-        wire: WireCSR,
-        node_map: Sequence[int],
-        key_map: Sequence[int],
-    ) -> None:
-        """Append another graph's edge rows with ids translated into this one.
-
-        ``node_map[local_dense] -> this graph's dense node id`` and
-        ``key_map[local_kid] -> this graph's dense key id`` are the
-        translation arrays for the wire graph's own interning; unkeyed
-        edges (``key_id == -1``) stay unkeyed.  Edge rows are appended in
-        the wire's order, so composing remaps over a reduction tree yields
-        byte-identical edge columns to remapping every leaf directly — the
-        invariant the SSER tree merge relies on.
-        """
-        src, dst, etype, key_id = (array("i", buf) for buf in wire[2:])
-        src_append = self.src.append
-        dst_append = self.dst.append
-        et_append = self.etype.append
-        kid_append = self.key_id.append
-        for s, t, e, k in zip(src, dst, etype, key_id):
-            src_append(node_map[s])
-            dst_append(node_map[t])
-            et_append(e)
-            kid_append(key_map[k] if k >= 0 else -1)
-
-    # ------------------------------------------------------------------
-    # Process-boundary wire format
-    # ------------------------------------------------------------------
-    def to_wire(self) -> WireCSR:
-        """Flatten into compact picklable buffers (see :data:`WireCSR`)."""
-        return (
-            self.node_ids,
-            self.key_names,
-            self.src.tobytes(),
-            self.dst.tobytes(),
-            self.etype.tobytes(),
-            self.key_id.tobytes(),
-        )
-
-    @classmethod
-    def from_wire(cls, wire: WireCSR) -> "CSRGraph":
-        node_ids, key_names, *columns = wire
-        return cls(node_ids, key_names, *(array("i", buf) for buf in columns))
 
     def __repr__(self) -> str:
         return (

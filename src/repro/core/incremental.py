@@ -1274,8 +1274,10 @@ class CheckerSession:
                 for base_pred in self._base_preds.get(source, ()):
                     self._composed_edge(base_pred, target, label[1])
         else:
-            preds = self._base_preds.setdefault(target, array("q"))
-            if source in preds:  # the pair is in the order (or refused) already
+            preds = self._base_preds.get(target)
+            if preds is None:
+                preds = self._base_preds[target] = array("q")
+            elif source in preds:  # the pair is in the order (or refused) already
                 in_order = self._topo.labels(source, target)
                 labels = in_order or self._refused.get((source, target), [])
                 if label not in labels and in_order:

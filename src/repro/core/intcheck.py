@@ -199,7 +199,6 @@ def _check_internal_read(
     """Check a read that follows a prior operation on the same key in ``txn``."""
     if op.value == prev.value:
         return []
-    own_final = txn.final_write(op.key)
     own_values = [w.value for w in txn.operations if w.is_write and w.key == op.key]
     kind: AnomalyKind
     if prev.is_write:
@@ -225,7 +224,6 @@ def _check_internal_read(
             f"reads of object {op.key} returned different values "
             f"({prev.value} then {op.value}) with no intervening own write"
         )
-    del own_final  # classification above only needs own_values
     return [
         Violation(
             kind=kind,

@@ -134,10 +134,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "counter", "Pickled shard payload bytes across checks"),
     "repro_executor_index_build_seconds": (
         "gauge", "Parent index build time of the last check"),
-    "repro_executor_merge_seconds": (
-        "gauge", "SSER merge wall-clock of the last check"),
-    "repro_executor_merge_rounds": (
-        "gauge", "Tree-reduction rounds of the last SSER merge"),
     "repro_executor_shard_txns_total": (
         "counter", "Committed transactions checked across shard tasks"),
     "repro_executor_shard_checks_total": (
@@ -153,7 +149,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
     "repro_watch_txns_ingested": (
         "gauge", "Transactions ingested by the watch follower"),
     "repro_watch_heartbeats_total": ("counter", "Watch heartbeats emitted"),
-    # Resilience layer (failpoints, retry policies, breakers).
+    # Resilience layer (failpoints, retry policies, pool faults).
     "repro_resilience_failpoints_fired_total": (
         "counter", "Failpoint activations, by site label"),
     "repro_resilience_retries_total": (
@@ -162,10 +158,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "counter", "Backoff sleep scheduled by RetryPolicy"),
     "repro_resilience_deadline_exceeded_total": (
         "counter", "Operations abandoned at a deadline, by component label"),
-    "repro_resilience_breaker_transitions_total": (
-        "counter", "Circuit-breaker transitions, by breaker/state labels"),
-    "repro_resilience_breaker_open": (
-        "gauge", "1 while the named circuit breaker is open"),
     "repro_resilience_pool_faults_total": (
         "counter", "Worker-pool faults absorbed by the executor, by kind label"),
     "repro_epochlog_tmp_swept_total": (

@@ -2,10 +2,11 @@
 
 The subsystem splits a history into key-connected shards
 (:mod:`~repro.parallel.partition`), checks every shard independently
-across OS processes (:mod:`~repro.parallel.executor`), and merges the
+across OS processes (:mod:`~repro.parallel.executor`), and conjoins the
 verdicts (:mod:`~repro.parallel.merge`) under the invariant that sharded
-verdicts equal serial verdicts on every history.  Reach it through
-``MTChecker(workers=N)``, ``repro check --workers N``, or
+verdicts equal serial verdicts on every history.  SER and SI fan out; SSER
+and LIN check serially, since the real-time order crosses shards.  Reach it
+through ``MTChecker(workers=N)``, ``repro check --workers N``, or
 :func:`check_parallel` directly.
 """
 

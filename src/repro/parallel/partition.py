@@ -7,7 +7,7 @@ then merging the components bridged by multi-component sessions — therefore
 yields shards with **no dependency edge between them**: each shard can be
 checked independently, and for SER and SI the conjunction of the shard
 verdicts equals the serial verdict (real-time edges are the one global
-relation; :mod:`repro.parallel.merge` handles SSER with a merged check).
+relation, so SSER is never sharded).
 
 Sessions that span otherwise-disjoint key groups are the fallback case:
 their components are merged into a single residual shard rather than split,

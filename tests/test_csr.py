@@ -141,15 +141,6 @@ class TestCSRGraph:
         }
         assert dense_edges == legacy_edges
 
-    def test_wire_round_trip(self):
-        history = two_txn_history()
-        csr = build_dependency(history, dense=True)
-        clone = CSRGraph.from_wire(csr.to_wire())
-        assert clone.node_ids == csr.node_ids
-        assert list(clone.src) == list(csr.src)
-        assert list(clone.key_id) == list(csr.key_id)
-        assert (clone.has_cycle() is None) == (csr.has_cycle() is None)
-
     def test_nbytes_is_compact(self):
         history = two_txn_history()
         csr = build_dependency(history, dense=True)

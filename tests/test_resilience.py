@@ -5,11 +5,10 @@ Covers the four pillars:
 * **Failpoints** — grammar, deterministic probabilistic firing, env
   export/re-arm, the zero-overhead disarmed fast path, and the injected
   actions themselves (raise / truncate-then-raise / kill).
-* **Policies** — RetryPolicy backoff math and ``run()`` semantics,
-  Deadline arithmetic, CircuitBreaker state machine — all on fake
-  clocks, so the suite runs in microseconds.
-* **Fault recovery equivalence** — a SIGKILLed pool worker, a hung
-  dispatch (``task_timeout``), and an injected SQLite commit failure all
+* **Policies** — RetryPolicy backoff math and ``run()`` semantics, on a
+  fake clock, so the suite runs in microseconds.
+* **Fault recovery equivalence** — a SIGKILLed pool worker, a worker
+  killed by a failpoint, and an injected SQLite commit failure all
   recover to verdicts identical to the undisturbed run.
 * **Durability under injected faults** — the failpoint matrix
   (site x action x raw/gzip) pins the epoch-log contract: recovery
@@ -30,8 +29,7 @@ from pathlib import Path
 import pytest
 
 from test_epochlog import build_log, make_history, stream_format
-from test_parallel import composite_history  # noqa: F401  (re-export for helpers)
-from test_scaleout import rt_cycle_history
+from test_scaleout import faulty_composite
 
 from repro import cli, obs
 from repro.adapters import collect_history
@@ -54,21 +52,13 @@ from repro.history.files import write_history
 from repro.parallel import check_parallel
 from repro.parallel import executor as executor_module
 from repro.parallel.executor import shutdown_pool
-from repro.resilience import (
-    CircuitBreaker,
-    Deadline,
-    DeadlineExceeded,
-    FAILPOINT_SITES,
-    FailpointError,
-    RetryPolicy,
-)
+from repro.resilience import FAILPOINT_SITES, FailpointError, RetryPolicy
 from repro.resilience import failpoints
 from repro.workloads.mt_generator import MTWorkloadGenerator
 from repro.workloads.spec import PlannedOperation, PlannedOpKind, TransactionSpec, Workload
 
 SER = IsolationLevel.SERIALIZABILITY
 SI = IsolationLevel.SNAPSHOT_ISOLATION
-SSER = IsolationLevel.STRICT_SERIALIZABILITY
 
 
 @pytest.fixture(autouse=True)
@@ -243,7 +233,7 @@ class TestFailpointActions:
 
 
 # ----------------------------------------------------------------------
-# Policies: RetryPolicy / Deadline / CircuitBreaker
+# Policies: RetryPolicy
 # ----------------------------------------------------------------------
 class TestRetryPolicy:
     def test_delay_count_is_attempts_minus_one(self):
@@ -255,13 +245,6 @@ class TestRetryPolicy:
         policy = RetryPolicy(max_attempts=6, seed=None)
         assert list(policy.delays(seed=42)) == list(policy.delays(seed=42))
         assert list(policy.delays(seed=42)) != list(policy.delays(seed=43))
-
-    def test_no_jitter_is_pure_exponential(self):
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=0.1, max_delay=0.5, multiplier=2.0,
-            jitter="none",
-        )
-        assert list(policy.delays()) == [0.1, 0.2, 0.4, 0.5]
 
     def test_decorrelated_jitter_respects_bounds(self):
         policy = RetryPolicy(
@@ -275,8 +258,6 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=1.0, max_delay=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter="lumpy")
 
     def test_run_retries_then_succeeds(self):
         sleeps = []
@@ -288,14 +269,14 @@ class TestRetryPolicy:
                 raise OSError("transient")
             return "done"
 
-        policy = RetryPolicy(max_attempts=4, jitter="none", base_delay=0.1)
+        policy = RetryPolicy(max_attempts=4, base_delay=0.1, seed=3)
         result = policy.run(flaky, retry_on=OSError, sleep=sleeps.append)
         assert result == "done"
         assert len(attempts) == 3
-        assert sleeps == [0.1, 0.2]
+        assert sleeps == list(policy.delays())[:2]
 
     def test_run_exhausts_budget_and_raises_last_error(self):
-        policy = RetryPolicy(max_attempts=3, jitter="none", base_delay=0.0)
+        policy = RetryPolicy(max_attempts=3, base_delay=0.0, seed=0)
         attempts = []
 
         def always_fails():
@@ -307,7 +288,7 @@ class TestRetryPolicy:
         assert len(attempts) == 3
 
     def test_run_should_retry_veto_propagates_immediately(self):
-        policy = RetryPolicy(max_attempts=5, jitter="none")
+        policy = RetryPolicy(max_attempts=5, seed=0)
         attempts = []
 
         def fails():
@@ -319,130 +300,6 @@ class TestRetryPolicy:
                 fails, should_retry=lambda _exc: False, sleep=lambda _d: None
             )
         assert len(attempts) == 1
-
-    def test_run_stops_at_deadline(self):
-        clock = [0.0]
-        deadline = Deadline(0.15, clock=lambda: clock[0])
-        policy = RetryPolicy(max_attempts=10, jitter="none", base_delay=0.1)
-        attempts = []
-
-        def fails():
-            attempts.append(1)
-            clock[0] += 0.05
-            raise OSError("slow")
-
-        with pytest.raises(OSError):
-            policy.run(fails, deadline=deadline, sleep=lambda _d: None)
-        # 0.1s backoff no longer fits the 0.15s budget after ~2 attempts.
-        assert len(attempts) <= 3
-
-
-class TestDeadline:
-    def test_remaining_and_expiry(self):
-        clock = [0.0]
-        deadline = Deadline(10.0, clock=lambda: clock[0])
-        assert deadline.remaining() == 10.0
-        clock[0] = 4.0
-        assert deadline.remaining() == 6.0
-        assert not deadline.expired
-        clock[0] = 11.0
-        assert deadline.remaining() == 0.0
-        assert deadline.expired
-        with pytest.raises(DeadlineExceeded, match="ingest"):
-            deadline.check("ingest")
-
-    def test_bound_clips_timeouts(self):
-        clock = [0.0]
-        deadline = Deadline(1.0, clock=lambda: clock[0])
-        assert deadline.bound(None) == 1.0
-        assert deadline.bound(0.25) == 0.25
-        clock[0] = 0.9
-        assert deadline.bound(0.25) == pytest.approx(0.1)
-
-    def test_requires_positive_budget(self):
-        with pytest.raises(ValueError):
-            Deadline(0.0)
-
-
-class TestCircuitBreaker:
-    def _breaker(self, clock):
-        return CircuitBreaker(
-            failure_threshold=3, reset_after=30.0, clock=lambda: clock[0]
-        )
-
-    def test_transitions_are_counted_and_the_open_gauge_follows(self):
-        clock = [0.0]
-        with obs.scoped() as reg:
-            breaker = CircuitBreaker(
-                failure_threshold=2, reset_after=30.0, clock=lambda: clock[0], name="pool"
-            )
-            breaker.record_failure()
-            breaker.record_failure()
-            assert reg.value("repro_resilience_breaker_open", breaker="pool") == 1
-            clock[0] = 31.0
-            assert breaker.allow()
-            breaker.record_success()
-        assert reg.value("repro_resilience_breaker_open", breaker="pool") == 0
-        assert [
-            reg.value("repro_resilience_breaker_transitions_total", breaker="pool", state=state)
-            for state in ("open", "half_open", "closed")
-        ] == [1, 1, 1]
-
-    def test_opens_after_threshold(self):
-        clock = [0.0]
-        breaker = self._breaker(clock)
-        for _ in range(2):
-            breaker.record_failure()
-            assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-
-    def test_half_open_probe_after_reset_window(self):
-        clock = [0.0]
-        breaker = self._breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock[0] = 31.0
-        assert breaker.allow()  # the single probe
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert not breaker.allow()  # no second concurrent probe
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allow()
-
-    def test_probe_failure_reopens(self):
-        clock = [0.0]
-        breaker = self._breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock[0] = 31.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        clock[0] = 60.0
-        assert not breaker.allow()  # re-opened at t=31: window restarts
-        clock[0] = 62.0
-        assert breaker.allow()
-
-    def test_success_resets_failure_streak(self):
-        clock = [0.0]
-        breaker = self._breaker(clock)
-        for _ in range(2):
-            breaker.record_failure()
-        breaker.record_success()
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_reset_force_closes(self):
-        clock = [0.0]
-        breaker = self._breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        breaker.reset()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allow()
 
 
 # ----------------------------------------------------------------------
@@ -511,14 +368,15 @@ class TestFailpointMatrix:
 
 
 # ----------------------------------------------------------------------
-# Executor: killed workers and hung dispatches recover to serial verdicts
+# Executor: killed workers recover to the inline verdict
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("level", [SER, SI])
 class TestExecutorRecovery:
-    def test_sigkilled_worker_recovers_to_serial_verdict(self, monkeypatch):
+    def test_sigkilled_worker_recovers_to_serial_verdict(self, monkeypatch, level):
         monkeypatch.setattr(executor_module, "_cpu_count", lambda: 2)
         monkeypatch.setattr(executor_module, "_MIN_POOL_TXNS", 0)
-        history = rt_cycle_history(6)
-        serial = check_parallel(history, SSER, workers=1).format()
+        history = faulty_composite()
+        serial = check_parallel(history, level, workers=1).format()
         shutdown_pool()
         # Worker-only delay rule (exported, parent unarmed): keeps shard
         # tasks in flight long enough to SIGKILL a worker mid-dispatch.
@@ -528,7 +386,9 @@ class TestExecutorRecovery:
         outcome = {}
 
         def run():
-            outcome["result"] = check_parallel(history, SSER, workers=2)
+            with obs.scoped() as reg:
+                outcome["result"] = check_parallel(history, level, workers=2)
+            outcome["effective"] = reg.value("repro_executor_workers_effective")
 
         thread = threading.Thread(target=run)
         thread.start()
@@ -547,44 +407,30 @@ class TestExecutorRecovery:
                     pass  # worker already finished: degenerate but valid
             thread.join(120)
             assert not thread.is_alive()
+            assert victim is not None
+            assert outcome["effective"] == 2
             assert outcome["result"].format() == serial
         finally:
             shutdown_pool()
 
-    def test_worker_killed_by_failpoint_falls_back_inline(self, monkeypatch):
+    def test_worker_killed_by_failpoint_falls_back_inline(self, monkeypatch, level):
         monkeypatch.setattr(executor_module, "_cpu_count", lambda: 2)
         monkeypatch.setattr(executor_module, "_MIN_POOL_TXNS", 0)
-        history = rt_cycle_history(2)
-        serial = check_parallel(history, SSER, workers=1).format()
+        history = faulty_composite()
+        serial = check_parallel(history, level, workers=1).format()
         shutdown_pool()
         # Every worker process dies on its first shard task (fresh fire
         # counter per worker via the pool initializer); the parent stays
         # unarmed, so the inline completion path is clean.
         monkeypatch.setenv(failpoints.ENV_VAR, "executor.shard.task=1*kill")
         try:
-            result = check_parallel(history, SSER, workers=2)
+            with obs.scoped() as reg:
+                result = check_parallel(history, level, workers=2)
+            assert reg.value("repro_executor_workers_effective") == 2
+            # One fault, one teardown: the shards left finish inline.
+            assert reg.value("repro_resilience_pool_faults_total", kind="broken") == 1
+            assert executor_module._POOL is None
             assert result.format() == serial
-        finally:
-            shutdown_pool()
-
-    def test_task_timeout_recovers_inline(self, monkeypatch):
-        monkeypatch.setattr(executor_module, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(executor_module, "_MIN_POOL_TXNS", 0)
-        history = rt_cycle_history(2)
-        serial = check_parallel(history, SSER, workers=1).format()
-        shutdown_pool()
-        monkeypatch.setenv(
-            failpoints.ENV_VAR, "executor.shard.task=delay(1.0)"
-        )
-        try:
-            started = time.monotonic()
-            result = check_parallel(
-                history, SSER, workers=2, task_timeout=0.1
-            )
-            assert result.format() == serial
-            # Bounded: a few 0.1s timeouts plus inline work, never the
-            # unbounded hang the timeout exists to prevent.
-            assert time.monotonic() - started < 30.0
         finally:
             shutdown_pool()
 

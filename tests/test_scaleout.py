@@ -1,12 +1,10 @@
-"""Tests for the scale-out verification kernel (ISSUE 7).
+"""Tests for the scale-out verification kernel.
 
 Covers the scale-out mechanisms end to end:
 
-* **Tree-reduction SSER merge** — pairwise :func:`merge_csr_wires`
-  reductions must produce *byte-identical* results (verdicts, labeled
-  cycles, edge columns) for every reduction-tree shape: flat one-pass
-  merge, serial left fold, and the executor's adjacent-pair tree,
-  including odd shard counts and the single-shard degenerate tree.
+* **Serial SSER** — the real-time order crosses every shard, so
+  ``check_parallel`` checks SSER and LIN on the one index it built and
+  never partitions.
 * **Worker governance** — ``--workers`` clamps to the CPU count with a
   warning, small histories fall back inline, and the persistent pool path
   (exercised by monkeypatching the clamp/threshold) returns identical
@@ -20,7 +18,6 @@ import pytest
 from test_parallel import assert_equivalent, composite_history
 
 from repro import obs
-from repro.bench import make_disjoint_history
 from repro.core.checker import MTChecker
 from repro.core.index import HistoryIndex
 from repro.core.model import History, Transaction, read, write
@@ -29,9 +26,10 @@ from repro.db import FaultPlan
 from repro.history.columnar import ColumnarHistory
 from repro.parallel import check_parallel, partition_columns
 from repro.parallel import executor as executor_module
-from repro.parallel.executor import make_payload, shutdown_pool
-from repro.parallel.merge import finalize_sser_wires, merge_csr_wires
+from repro.parallel.executor import shutdown_pool
 
+SER = IsolationLevel.SERIALIZABILITY
+SI = IsolationLevel.SNAPSHOT_ISOLATION
 SSER = IsolationLevel.STRICT_SERIALIZABILITY
 
 
@@ -77,75 +75,38 @@ def rt_cycle_history(extra_groups=0):
     return History.from_transactions(chains, initial_keys=keys)
 
 
-def shard_wires(history):
-    """Run the SSER shard stage inline and return (index, CSR wires)."""
-    index = HistoryIndex.build(history)
-    shards = partition_columns(index.columns, index=index)
-    assert all(shard.columns is not None for shard in shards)
-    outcomes = [executor_module._run_shard(make_payload(shard, SSER)) for shard in shards]
-    outcomes.sort(key=lambda o: o.shard_index)
-    assert all(o.csr is not None for o in outcomes)
-    return index, [o.csr for o in outcomes], sum(o.num_transactions for o in outcomes)
+def faulty_composite():
+    """Four key-disjoint shards, two of them with anomalies SER and SI reject."""
+    return composite_history(
+        [
+            ("si", 41, FaultPlan.for_anomaly("lostupdate", rate=0.5, seed=41)),
+            ("si", 42, None),
+            ("si", 43, FaultPlan.for_anomaly("writeskew", rate=0.5, seed=43)),
+            ("ser", 44, None),
+        ]
+    )
 
 
 # ----------------------------------------------------------------------
-# Tree-reduction merge
+# SSER checks serially: one index, no partition
 # ----------------------------------------------------------------------
-def _fold_left(wires):
-    merged = wires[0]
-    for wire in wires[1:]:
-        merged = merge_csr_wires(merged, wire)
-    return [merged]
+class TestSerialSSER:
+    @pytest.mark.parametrize("level", [SSER, IsolationLevel.LINEARIZABILITY])
+    def test_sser_builds_one_index_and_never_partitions(self, monkeypatch, level):
+        monkeypatch.setattr(executor_module, "_cpu_count", lambda: 2)
 
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("SSER must not be partitioned")
 
-def _tree(wires):
-    return executor_module._reduce_wires(list(wires), workers=1)
-
-
-class TestTreeReduction:
-    @pytest.mark.parametrize("num_groups", [2, 3, 5, 8, 16])
-    def test_every_tree_shape_is_byte_identical_on_accept(self, num_groups):
-        history = make_disjoint_history(
-            num_groups=num_groups,
-            sessions_per_group=2,
-            txns_per_session=4,
-            keys_per_group=3,
-            timestamps=True,
-        )
-        index, wires, num_txns = shard_wires(history)
-        assert len(wires) == num_groups
-        results = [
-            finalize_sser_wires(shape, index, num_transactions=num_txns)
-            for shape in (wires, _fold_left(wires), _tree(wires))
-        ]
-        assert all(r.satisfied for r in results)
-        assert results[0].format() == results[1].format() == results[2].format()
-
-    @pytest.mark.parametrize("extra_groups", [0, 1, 3, 6, 14])
-    def test_every_tree_shape_reports_the_same_labeled_cycle(self, extra_groups):
-        history = rt_cycle_history(extra_groups)
-        index, wires, num_txns = shard_wires(history)
-        assert len(wires) == 2 + extra_groups
-        results = [
-            finalize_sser_wires(shape, index, num_transactions=num_txns)
-            for shape in (wires, _fold_left(wires), _tree(wires))
-        ]
-        assert all(not r.satisfied for r in results)
-        # Byte-identical counterexamples: same anomaly, same labeled cycle.
-        assert results[0].format() == results[1].format() == results[2].format()
-        cycles = {tuple(r.violations[0].cycle) for r in results}
-        assert len(cycles) == 1
-
-    def test_single_shard_degenerate_tree(self):
-        history = make_disjoint_history(
-            num_groups=1, sessions_per_group=2, txns_per_session=4, timestamps=True
-        )
-        index, wires, num_txns = shard_wires(history)
-        assert len(wires) == 1
-        assert _tree(wires) == wires
-        result = finalize_sser_wires(wires, index, num_transactions=num_txns)
-        serial = MTChecker().verify(history, SSER)
-        assert result.satisfied == serial.satisfied
+        monkeypatch.setattr(executor_module, "partition_columns", refuse)
+        history = rt_cycle_history(6)
+        builds = HistoryIndex.builds
+        with obs.scoped() as reg:
+            result = check_parallel(history, level, workers=2)
+        assert HistoryIndex.builds - builds == 1
+        assert reg.value("repro_executor_inline") == 1
+        assert reg.value("repro_executor_shard_checks_total") is None
+        assert result.format() == MTChecker().verify(history, SSER).format()
 
 
 # ----------------------------------------------------------------------
@@ -196,46 +157,51 @@ class TestWorkerGovernance:
         history = composite_history([("ser", 30, None), ("si", 31, None)])
         with obs.scoped() as reg:
             with pytest.warns(RuntimeWarning, match="clamping to 2") as caught:
-                result = check_parallel(history, SSER, workers=8)
+                result = check_parallel(history, SER, workers=8)
         # Attributed to the caller of check_parallel, not to executor internals.
         assert [w.filename for w in caught] == [__file__]
         assert reg.value("repro_executor_workers_requested") == 8
         assert reg.value("repro_executor_workers_effective") <= 2
-        assert result.satisfied == MTChecker().verify(history, SSER).satisfied
+        assert result.satisfied == MTChecker().verify(history, SER).satisfied
 
     def test_no_warning_within_cpu_budget(self, monkeypatch):
         monkeypatch.setattr(executor_module, "_cpu_count", lambda: 4)
         history = composite_history([("ser", 32, None)])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            check_parallel(history, SSER, workers=2)
+            check_parallel(history, SER, workers=2)
 
     def test_small_history_falls_back_inline(self, monkeypatch):
         monkeypatch.setattr(executor_module, "_cpu_count", lambda: 4)
         history = composite_history([("ser", 33, None), ("ser", 34, None)])
         with obs.scoped() as reg:
-            check_parallel(history, SSER, workers=4)
+            check_parallel(history, SI, workers=4)
         assert reg.value("repro_executor_inline") == 1
         assert reg.value("repro_executor_workers_effective") == 1
         assert reg.value("repro_executor_shards") == 2
-        # Two shard graphs are one pairwise merge.
-        assert reg.value("repro_executor_merge_rounds") == 1
-        assert reg.value("repro_executor_merge_seconds") > 0
+        assert reg.value("repro_executor_shard_checks_total") == 2
 
-    def test_pool_path_matches_inline(self, monkeypatch):
+    @pytest.mark.parametrize("level", [SER, SI])
+    def test_pool_path_matches_inline(self, monkeypatch, level):
         # Force the real pool on a small history: drop the inline threshold
         # and let two workers through the clamp regardless of the machine.
         monkeypatch.setattr(executor_module, "_cpu_count", lambda: 2)
         monkeypatch.setattr(executor_module, "_MIN_POOL_TXNS", 0)
-        history = rt_cycle_history(2)
+        history = faulty_composite()
         try:
             with obs.scoped() as reg:
-                fanned = check_parallel(history, SSER, workers=2)
-            inline = check_parallel(history, SSER, workers=1)
+                fanned = check_parallel(history, level, workers=2)
+            inline = check_parallel(history, level, workers=1)
             assert reg.value("repro_executor_workers_effective") == 2
+            assert reg.value("repro_executor_shards") == 4
+            assert reg.value("repro_resilience_pool_faults_total", kind="spawn") is None
+            assert reg.value("repro_resilience_pool_faults_total", kind="broken") is None
+            assert not fanned.satisfied
             assert fanned.format() == inline.format()
-            # Second call reuses the persistent pool (warm worker caches).
-            again = check_parallel(history, SSER, workers=2)
+            # Second call reuses the persistent pool.
+            pool = executor_module._POOL
+            again = check_parallel(history, level, workers=2)
+            assert executor_module._POOL is pool is not None
             assert again.format() == inline.format()
         finally:
             shutdown_pool()
