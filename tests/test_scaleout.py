@@ -5,6 +5,9 @@ Covers the scale-out mechanisms end to end:
 * **Serial SSER** — the real-time order crosses every shard, so
   ``check_parallel`` checks SSER and LIN on the one index it built and
   never partitions.
+* **Shard counts** — SER and SI fanned over 1..16 key-disjoint shards
+  print exactly what the serial checker prints, accept or reject, wherever
+  the failing shard sits in shard order.
 * **Worker governance** — ``--workers`` clamps to the CPU count with a
   warning, small histories fall back inline, and the persistent pool path
   (exercised by monkeypatching the clamp/threshold) returns identical
@@ -18,6 +21,7 @@ import pytest
 from test_parallel import assert_equivalent, composite_history
 
 from repro import obs
+from repro.bench import make_disjoint_history
 from repro.core.checker import MTChecker
 from repro.core.index import HistoryIndex
 from repro.core.model import History, Transaction, read, write
@@ -107,6 +111,56 @@ class TestSerialSSER:
         assert reg.value("repro_executor_inline") == 1
         assert reg.value("repro_executor_shard_checks_total") is None
         assert result.format() == MTChecker().verify(history, SSER).format()
+
+
+# ----------------------------------------------------------------------
+# SER/SI fan-out: every shard count prints the serial result
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("level", [SER, SI])
+class TestShardCounts:
+    @pytest.mark.parametrize("num_groups", [2, 3, 5, 8, 16])
+    def test_every_shard_count_is_byte_identical_on_accept(self, level, num_groups):
+        history = make_disjoint_history(
+            num_groups=num_groups,
+            sessions_per_group=2,
+            txns_per_session=4,
+            keys_per_group=3,
+        )
+        with obs.scoped() as reg:
+            result = check_parallel(history, level, workers=1)
+        assert reg.value("repro_executor_shards") == num_groups
+        assert reg.value("repro_executor_shard_checks_total") == num_groups
+        assert result.satisfied
+        assert result.format() == MTChecker().verify(history, level).format()
+
+    @pytest.mark.parametrize("extra_groups", [0, 1, 3, 6, 14])
+    def test_every_shard_count_reports_the_serial_counterexample(
+        self, level, extra_groups
+    ):
+        # One lost-update group among clean ones, placed mid-way in shard
+        # order, so the failing shard is neither always first nor last.
+        specs = [("si", 70 + g, None) for g in range(extra_groups)]
+        specs.insert(
+            extra_groups // 2,
+            ("si", 41, FaultPlan.for_anomaly("lostupdate", rate=0.5, seed=41)),
+        )
+        history = composite_history(specs)
+        with obs.scoped() as reg:
+            result = check_parallel(history, level, workers=1)
+        assert reg.value("repro_executor_shards") == 1 + extra_groups
+        serial = MTChecker().verify(history, level)
+        assert not result.satisfied and not serial.satisfied
+        assert result.format() == serial.format()
+
+    def test_connected_history_is_checked_whole(self, level):
+        history = make_disjoint_history(
+            num_groups=1, sessions_per_group=2, txns_per_session=4, keys_per_group=3
+        )
+        with obs.scoped() as reg:
+            result = check_parallel(history, level, workers=2)
+        assert reg.value("repro_executor_shards") == 1
+        assert reg.value("repro_executor_shard_checks_total") is None
+        assert result.format() == MTChecker().verify(history, level).format()
 
 
 # ----------------------------------------------------------------------
@@ -205,3 +259,22 @@ class TestWorkerGovernance:
             assert again.format() == inline.format()
         finally:
             shutdown_pool()
+
+    def test_refused_spawn_finishes_every_shard_inline(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(executor_module, "_MIN_POOL_TXNS", 0)
+
+        def refuse(_workers):
+            raise OSError("spawn refused")
+
+        monkeypatch.setattr(executor_module, "_get_pool", refuse)
+        history = faulty_composite()
+        inline = check_parallel(history, SER, workers=1)
+        with obs.scoped() as reg:
+            result = check_parallel(history, SER, workers=2)
+        assert reg.value("repro_executor_workers_effective") == 2
+        assert reg.value("repro_resilience_pool_faults_total", kind="spawn") == 1
+        assert reg.value("repro_resilience_pool_faults_total", kind="broken") is None
+        assert reg.value("repro_executor_shard_checks_total") == 4
+        assert executor_module._POOL is None
+        assert result.format() == inline.format()
