@@ -16,8 +16,6 @@ __all__, __getattr__, __dir__ = surface(__name__, {
     "scaled": ".harness",
     "Measurement": ".metrics",
     "measure": ".metrics",
-    "measure_memory": ".metrics",
     "format_table": ".reporting",
-    "print_series": ".reporting",
     "print_table": ".reporting",
 })

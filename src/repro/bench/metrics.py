@@ -11,9 +11,9 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass
-from typing import Any, Callable, Tuple
+from typing import Any, Callable
 
-__all__ = ["Measurement", "measure", "measure_memory"]
+__all__ = ["Measurement", "measure"]
 
 
 @dataclass
@@ -25,27 +25,17 @@ class Measurement:
     value: Any = None
 
 
-def measure(fn: Callable[[], Any], *, with_memory: bool = True) -> Measurement:
+def measure(fn: Callable[[], Any]) -> Measurement:
     """Run ``fn`` once, measuring wall-clock time and peak memory.
 
     Peak memory is the Python-allocator high-water mark during the call (via
     ``tracemalloc``); it tracks the relative memory behaviour the paper
     reports, not RSS.
     """
-    if with_memory:
-        tracemalloc.start()
+    tracemalloc.start()
     started = time.perf_counter()
     value = fn()
     elapsed = time.perf_counter() - started
-    peak_mb = 0.0
-    if with_memory:
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        peak_mb = peak / (1024 * 1024)
-    return Measurement(seconds=elapsed, peak_memory_mb=peak_mb, value=value)
-
-
-def measure_memory(fn: Callable[[], Any]) -> Tuple[Any, float]:
-    """Run ``fn`` and return ``(result, peak_memory_mb)``."""
-    result = measure(fn, with_memory=True)
-    return result.value, result.peak_memory_mb
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return Measurement(seconds=elapsed, peak_memory_mb=peak / (1024 * 1024), value=value)

@@ -7,9 +7,9 @@ with the paper (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
-__all__ = ["format_table", "print_table", "print_series"]
+__all__ = ["format_table", "print_table"]
 
 
 def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:
@@ -40,9 +40,3 @@ def print_table(rows: Sequence[Dict[str, object]], title: str = "") -> None:
     """Print an aligned text table (see :func:`format_table`)."""
     print(format_table(rows, title))
     print()
-
-
-def print_series(name: str, xs: Iterable[object], ys: Iterable[float], unit: str = "s") -> None:
-    """Print one figure series as ``name: x=y`` pairs."""
-    pairs = ", ".join(f"{x}={y:.4g}{unit}" for x, y in zip(xs, ys))
-    print(f"{name}: {pairs}")

@@ -96,21 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--level", choices=sorted(_LEVELS), default="ser", help="isolation level to check")
     check.add_argument("--strict-mt", action="store_true", help="reject non-MT histories")
     check.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "shard the history by key connectivity and check the "
-            "shards in N parallel processes (N=1 runs the sharded pipeline "
-            "inline; sser checks serially; verdicts are identical for every N)"
-        ),
-    )
-    check.add_argument(
         "-v",
         "--verbose",
         action="store_true",
-        help="print phase timings, graph sizes, and executor counters "
-        "alongside the verdict",
+        help="print phase timings and graph sizes alongside the verdict",
     )
     check.add_argument(
         "--trace",
@@ -275,12 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the collected history in the same invocation (si, ser, or sser; case-insensitive)",
     )
     collect.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="with --check: verify through the sharded parallel pipeline",
-    )
-    collect.add_argument(
         "--output",
         default=None,
         help="where to save the history (.jsonl[.gz], .seg[.gz], "
@@ -317,7 +300,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .core.checker import MTChecker
     from .history.files import load_columns
 
-    checker = MTChecker(strict_mt=args.strict_mt, workers=args.workers)
+    checker = MTChecker(strict_mt=args.strict_mt)
     result = checker.verify(
         load_columns(args.history), _level(args.level), report=args.verbose
     )
@@ -726,9 +709,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     if args.check is not None and args.check.lower() not in _LEVELS:
         print(f"error: unknown isolation level {args.check!r}; known: {', '.join(sorted(_LEVELS))}")
         return 2
-    if args.workers is not None and args.check is None:
-        print("error: --workers applies to verification; pass --check LEVEL")
-        return 2
 
     generator = MTWorkloadGenerator if args.workload == "mt" else GTWorkloadGenerator
     workload = generator(
@@ -805,8 +785,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 
     if args.check is None:
         return 0
-    checker = MTChecker(workers=args.workers)
-    verdict = checker.verify(history, _level(args.check.lower()))
+    verdict = MTChecker().verify(history, _level(args.check.lower()))
     print(verdict.format())
     return 0 if verdict.satisfied else 1
 
@@ -860,7 +839,6 @@ _PROBABILITY = (lambda value: 0 <= value <= 1, "in [0, 1]")
 #: A flag the parsed command lacks, or left unset, is skipped; NaN fails
 #: every test.  A mini-transaction reads and writes two distinct objects.
 _BOUNDS = {
-    "--workers": _at_least(1),
     "--window": _at_least(1),
     "--checkpoint-every": _at_least(1),
     "--interval": _at_least(0),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from .model import History, Transaction, TransactionStatus, read, write
-from .result import AnomalyKind, IsolationLevel
+from .result import AnomalyKind
 
 __all__ = ["AnomalySpec", "anomaly_catalog", "anomaly_history", "ANOMALY_NAMES"]
 
@@ -42,23 +42,6 @@ class AnomalySpec:
     violates_si: bool
     violates_ser: bool
     intra_transactional: bool = False
-
-    @property
-    def violates_sser(self) -> bool:
-        """SSER is at least as strong as SER."""
-        return self.violates_ser
-
-    def violates(self, level: IsolationLevel) -> bool:
-        if level is IsolationLevel.SNAPSHOT_ISOLATION:
-            return self.violates_si
-        if level is IsolationLevel.SERIALIZABILITY:
-            return self.violates_ser
-        if level in (
-            IsolationLevel.STRICT_SERIALIZABILITY,
-            IsolationLevel.LINEARIZABILITY,
-        ):
-            return self.violates_sser
-        return False
 
 
 def _txn(txn_id: int, *ops, status: TransactionStatus = TransactionStatus.COMMITTED) -> Transaction:

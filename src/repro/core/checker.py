@@ -51,7 +51,8 @@ class MTChecker:
             (the real-time order crosses shards).  Sharded verdicts equal
             serial verdicts on every history, and ``workers=1`` vs
             ``workers=k`` produce *identical* results — only where the shard
-            checks execute changes.
+            checks execute changes.  No command sets it: the pipeline
+            benchmark's ``probe_parallel`` is the one caller that keeps it.
     """
 
     def __init__(

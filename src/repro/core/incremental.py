@@ -1005,12 +1005,20 @@ class CheckerSession:
         checker._item_txn, checker._item_value = list(txn), value[:]
         (checker._item_last, checker._item_prev), checker._dropped = _linked(slot, len(keys)), 0
         checker._last_in_session = dict(zip(*_arrays(state["last_in_session"], session="q", txn="q")))
+        base_preds = checker._base_preds
         for source, target in zip(*_arrays(state["base_preds"], src="q", dst="q")):
-            checker._base_preds.setdefault(target, array("q")).append(source)
+            preds = base_preds.get(target)
+            if preds is None:
+                preds = base_preds[target] = array("q")
+            preds.append(source)
         src, dst, kids = _arrays(state["rw_succ"], src="q", dst="q", key="q")
         _within(kids, len(key_names), "rw_succ key")
+        rw_succ = checker._rw_succ
         for source, target, kid in zip(src, dst, kids):
-            checker._rw_succ.setdefault(source, array("q")).extend((target, kid))
+            pairs = rw_succ.get(source)
+            if pairs is None:
+                pairs = rw_succ[source] = array("q")
+            pairs.extend((target, kid))
         checker._arrivals = deque(*_arrays(state, arrivals="q"))
         txns, owned = _arrays(state["overwrote"], txn="q", slot="q")
         _within(owned, len(keys), "overwrote slot")
@@ -1268,7 +1276,9 @@ class CheckerSession:
                 self._order_edge(source, target, label)
         # SI: maintain the induced graph (SO ∪ WR ∪ WW) ; RW? edge-by-edge.
         elif label[0] == _RW:
-            pairs, kid = self._rw_succ.setdefault(source, array("q")), self._key_ids[label[1]]
+            pairs, kid = self._rw_succ.get(source), self._key_ids[label[1]]
+            if pairs is None:
+                pairs = self._rw_succ[source] = array("q")
             if not any(t == target and k == kid for t, k in zip(pairs[::2], pairs[1::2])):
                 pairs.extend((target, kid))
                 for base_pred in self._base_preds.get(source, ()):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from operator import gt
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
@@ -349,8 +348,9 @@ class History:
     # ------------------------------------------------------------------
     # Orders
     # ------------------------------------------------------------------
-    def session_order(self, committed_only: bool = True) -> List[Tuple[Transaction, Transaction]]:
-        """Adjacent session-order pairs (transitive edges are implied).
+    def session_order(self) -> List[Tuple[Transaction, Transaction]]:
+        """Adjacent session-order pairs of committed transactions (transitive
+        edges are implied).
 
         The initial transaction precedes the first transaction of every
         session.  Following the optimization noted in the paper
@@ -359,46 +359,32 @@ class History:
         """
         pairs: List[Tuple[Transaction, Transaction]] = []
         for session in self.sessions:
-            txns = [
-                t
-                for t in session.transactions
-                if (t.committed or not committed_only)
-            ]
+            txns = [t for t in session.transactions if t.committed]
             if self.initial_transaction is not None and txns:
                 pairs.append((self.initial_transaction, txns[0]))
             for prev, nxt in zip(txns, txns[1:]):
                 pairs.append((prev, nxt))
         return pairs
 
-    def real_time_order(
-        self, committed_only: bool = True, reduced: bool = True
-    ) -> List[Tuple[Transaction, Transaction]]:
-        """Real-time order pairs, ``T1 RT→ T2`` iff ``T1.finish < T2.start``.
+    def real_time_order(self) -> List[Tuple[Transaction, Transaction]]:
+        """Real-time order pairs of committed, timestamped transactions,
+        ``T1 RT→ T2`` iff ``T1.finish < T2.start``.
 
-        Args:
-            committed_only: restrict to committed transactions.
-            reduced: return the transitive reduction of the interval order
-                instead of the full quadratic relation.  Reachability (and
-                hence acyclicity of any graph containing these edges) is
-                preserved, because RT is an interval order and the reduction
-                of a partial order preserves its reachability relation.
-                Needs every interval to start no later than it finishes.
+        Returns the transitive reduction of the interval order, not the full
+        quadratic relation.  Reachability (and hence acyclicity of any graph
+        containing these edges) is preserved, because RT is an interval
+        order and the reduction of a partial order preserves its
+        reachability relation.  Needs every interval to start no later than
+        it finishes.
         """
         txns = [
             t
             for t in self.transactions(include_initial=False)
-            if (t.committed or not committed_only)
+            if t.committed
             and t.start_ts is not None
             and t.finish_ts is not None
         ]
-        if reduced:
-            pairs = interval_order_reduction([(t.start_ts, t.finish_ts, t) for t in txns])
-        else:
-            pairs = [
-                (a, b)
-                for a, b in itertools.permutations(txns, 2)
-                if a.finish_ts < b.start_ts  # type: ignore[operator]
-            ]
+        pairs = interval_order_reduction([(t.start_ts, t.finish_ts, t) for t in txns])
         if self.initial_transaction is not None and txns:
             # ⊥T precedes every timestamped transaction in real time.
             first = min(txns, key=lambda t: t.start_ts)  # type: ignore[arg-type]

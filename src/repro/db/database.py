@@ -17,7 +17,7 @@ that clock, providing the real-time order needed for SSER checking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, Optional, Union
 
 from ..core.result import IsolationLevel
 from ..storage.clock import LogicalClock
@@ -91,8 +91,6 @@ class Database:
         initial_value: value installed for each pre-populated object.
         faults: optional :class:`~repro.db.faults.FaultPlan` turning the
             database into a buggy one.
-        operation_cost: logical-clock ticks consumed by each operation;
-            commit consumes one extra tick.
     """
 
     def __init__(
@@ -102,7 +100,6 @@ class Database:
         keys: Optional[Iterable[str]] = None,
         initial_value: int = 0,
         faults: Optional[FaultPlan] = None,
-        operation_cost: float = 1.0,
     ) -> None:
         if isinstance(isolation, IsolationLevel):
             isolation = engine_for_level(isolation)
@@ -118,7 +115,6 @@ class Database:
         if faults is not None and faults.any_enabled:
             engine = FaultyEngine(engine, faults)
         self.engine = engine
-        self.operation_cost = operation_cost
         self.stats = DatabaseStats()
         self._next_txn_id = 1
         self._active: Dict[int, TransactionContext] = {}
@@ -132,7 +128,7 @@ class Database:
         """Start a new transaction on behalf of ``session_id``."""
         txn_id = self._next_txn_id
         self._next_txn_id += 1
-        start_ts = self.clock.tick(self.operation_cost)
+        start_ts = self.clock.tick()
         ctx = TransactionContext(txn_id=txn_id, session_id=session_id, start_ts=start_ts)
         self.engine.begin(ctx)
         self._active[txn_id] = ctx
@@ -143,7 +139,7 @@ class Database:
         """Read ``key``; returns ``None`` when the object does not exist."""
         if ctx.state is not _ACTIVE:
             self._require_active(ctx)
-        self.clock.tick(self.operation_cost)
+        self.clock.tick()
         self.stats.reads += 1
         try:
             return self.engine.read(ctx, key)
@@ -155,7 +151,7 @@ class Database:
         """Buffer a write of ``value`` to ``key``."""
         if ctx.state is not _ACTIVE:
             self._require_active(ctx)
-        self.clock.tick(self.operation_cost)
+        self.clock.tick()
         self.stats.writes += 1
         try:
             self.engine.write(ctx, key, value)
@@ -176,7 +172,7 @@ class Database:
         except TransactionAborted:
             self._finish_abort(ctx)
             raise
-        commit_ts = self.clock.tick(self.operation_cost)
+        commit_ts = self.clock.tick()
         ctx.commit_ts = commit_ts
         self.engine.apply_commit(ctx, commit_ts)
         self.engine.cleanup(ctx)
@@ -219,7 +215,7 @@ class Database:
             )
 
     def _finish_abort(self, ctx: TransactionContext) -> None:
-        abort_ts = self.clock.tick(self.operation_cost)
+        abort_ts = self.clock.tick()
         if isinstance(self.engine, FaultyEngine):
             self.engine.apply_abort(ctx, abort_ts)
         self.engine.cleanup(ctx)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import math
 import os
 import sys
 import zlib
@@ -439,15 +438,6 @@ class ColumnarHistory:
         """Yield every row as a :class:`Transaction` (``⊥T`` first if present)."""
         for row in range(len(self.txn_ids)):
             yield self.transaction_at(row)
-
-    def timestamps_at(self, row: int) -> Tuple[Optional[float], Optional[float]]:
-        """``(start_ts, finish_ts)`` of one row, NaN decoded back to ``None``."""
-        start = self.start_ts[row]
-        finish = self.finish_ts[row]
-        return (
-            None if math.isnan(start) else start,
-            None if math.isnan(finish) else finish,
-        )
 
     # ------------------------------------------------------------------
     # History conversions

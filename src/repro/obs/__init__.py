@@ -43,14 +43,12 @@ __all__, __getattr__, __dir__ = surface(__name__, {
     "start_trace": ".",
     "stop_trace": ".",
     "trace_span": ".",
-    "tracing": ".",
     "DEFAULT_BUCKETS": ".metrics",
     "METRIC_CATALOG": ".metrics",
     "MetricsRegistry": ".metrics",
     "disable": ".metrics",
     "enable": ".metrics",
     "enabled": ".metrics",
-    "merge_snapshots": ".metrics",
     "registry": ".metrics",
     "scoped": ".metrics",
     "VerifyReport": ".report",
@@ -103,10 +101,6 @@ def merge(snapshot: Optional[Dict[str, Any]]) -> None:
 _TRACER: Optional[TraceWriter] = None
 
 
-def tracing() -> bool:
-    return _TRACER is not None
-
-
 def start_trace(path: str) -> TraceWriter:
     """Open (or replace) the process-wide trace writer."""
     global _TRACER
@@ -146,9 +140,6 @@ class _NullPhase:
     def __exit__(self, *exc: Any) -> None:
         return None
 
-    def annotate(self, **fields: Any) -> None:
-        return None
-
 
 _NULL = _NullPhase()
 
@@ -174,10 +165,6 @@ class _Phase:
             reg.observe("repro_phase_seconds", elapsed, phase=self.name)
         if self.span is not None:
             self.span.__exit__(exc_type, exc, tb)
-
-    def annotate(self, **fields: Any) -> None:
-        if self.span is not None:
-            self.span.annotate(**fields)
 
 
 def phase(name: str, **fields: Any):

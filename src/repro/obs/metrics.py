@@ -334,14 +334,6 @@ class MetricsRegistry:
                 hist.count += data["count"]
 
 
-def merge_snapshots(snapshots: Iterator[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold any number of snapshots into one (fresh) snapshot."""
-    merged = MetricsRegistry()
-    for snap in snapshots:
-        merged.merge(snap)
-    return merged.snapshot()
-
-
 # ----------------------------------------------------------------------
 # Module-level active registry (the no-op fast path when None)
 # ----------------------------------------------------------------------

@@ -46,10 +46,6 @@ class Span:
         self.started = time.monotonic()
         self._closed = False
 
-    def annotate(self, **fields: Any) -> None:
-        """Attach extra key/value fields to this span's record."""
-        self.fields.update(fields)
-
     def __enter__(self) -> "Span":
         return self
 

@@ -6,8 +6,9 @@ across OS processes (:mod:`~repro.parallel.executor`), and conjoins the
 verdicts (:mod:`~repro.parallel.merge`) under the invariant that sharded
 verdicts equal serial verdicts on every history.  SER and SI fan out; SSER
 and LIN check serially, since the real-time order crosses shards.  Reach it
-through ``MTChecker(workers=N)``, ``repro check --workers N``, or
-:func:`check_parallel` directly.
+through ``MTChecker(workers=N)`` or :func:`check_parallel` directly; no
+command reaches it.  It stays as a library seam because the pipeline
+benchmark's ``probe_parallel`` times ``MTChecker(workers=1|2)``.
 """
 
 from .._lazy import surface

@@ -115,7 +115,8 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def shutdown_pool() -> None:
-    """Tear down the persistent pool (tests, interpreter exit)."""
+    """Tear down the persistent pool (tests, interpreter exit, and the
+    pipeline benchmark's ``probe_parallel``, which imports it)."""
     global _POOL, _POOL_WORKERS
     if _POOL is not None:
         _POOL.shutdown(wait=True)

@@ -5,7 +5,6 @@ from .._lazy import surface
 
 __all__, __getattr__, __dir__ = surface(__name__, {
     "LogicalClock": ".clock",
-    "SkewedClock": ".clock",
     "LockKind": ".locks",
     "LockManager": ".locks",
     "LockConflict": ".locks",

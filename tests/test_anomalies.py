@@ -6,7 +6,7 @@ from repro.core.anomalies import ANOMALY_NAMES, anomaly_catalog, anomaly_history
 from repro.core.checkers import check_ser, check_si
 from repro.core.intcheck import check_internal_consistency
 from repro.core.mini import is_mt_history
-from repro.core.result import AnomalyKind, IsolationLevel
+from repro.core.result import AnomalyKind
 
 
 class TestCatalogStructure:
@@ -40,14 +40,6 @@ class TestCatalogStructure:
             history = anomaly_history(name)
             for txn in history.transactions(include_initial=False):
                 assert len(txn) <= 4, (name, txn)
-
-    def test_violates_helper(self):
-        catalog = anomaly_catalog()
-        write_skew = catalog["WriteSkew"]
-        assert write_skew.violates(IsolationLevel.SERIALIZABILITY)
-        assert write_skew.violates(IsolationLevel.STRICT_SERIALIZABILITY)
-        assert not write_skew.violates(IsolationLevel.SNAPSHOT_ISOLATION)
-        assert not write_skew.violates(IsolationLevel.READ_COMMITTED)
 
 
 class TestGroundTruth:

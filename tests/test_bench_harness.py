@@ -9,7 +9,6 @@ from repro.bench import (
     generate_gt_history,
     generate_mt_history,
     measure,
-    measure_memory,
     scaled,
 )
 from repro.core.checkers import check_ser, check_si
@@ -22,16 +21,6 @@ class TestMetrics:
         assert result.value == sum(range(10_000))
         assert result.seconds >= 0
         assert result.peak_memory_mb >= 0
-
-    def test_measure_without_memory(self):
-        result = measure(lambda: 42, with_memory=False)
-        assert result.value == 42
-        assert result.peak_memory_mb == 0.0
-
-    def test_measure_memory_tracks_allocations(self):
-        value, peak_mb = measure_memory(lambda: [0] * 500_000)
-        assert len(value) == 500_000
-        assert peak_mb > 1.0
 
 
 class TestScaled:

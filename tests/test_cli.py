@@ -39,6 +39,16 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_check_and_collect_have_no_workers_flag(self, capsys):
+        # One batch route: the sharded pipeline is a library seam
+        # (MTChecker(workers=N)), not a choice the commands offer.
+        for argv in (["check", "--workers", "2", "h.jsonl"],
+                     ["collect", "--workers", "2", "--check", "ser"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
+            assert "unrecognized arguments: --workers" in capsys.readouterr().err, argv
+
 
 class TestInterrupt:
     """Ctrl-C outside `watch`: exit 130, one `error: interrupted` line, no
@@ -124,24 +134,9 @@ def histories(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("level", ["ser", "si"])
-@pytest.mark.parametrize("kind", ["healthy", "lostupdate"])
-class TestContainerMatrix:
-    """``--workers`` across the five containers.  That stdout and exit code
-    of ``check`` and ``watch --once`` do not depend on the container is a
-    route of ``tests/test_routes.py``, on every corpus entry."""
-
-    def test_workers_equal_serial_on_every_container(self, histories, kind, level, capsys):
-        d = histories / kind
-        for name in CONTAINERS:
-            sharded = run(capsys, "check", "--workers", "2", "--level", level, d / name)
-            assert sharded == run(capsys, "check", "--level", level, d / name), name
-
-
 class TestContainerCorners:
-    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["serial", "workers"])
     @pytest.mark.parametrize("name", ["h.epochs", "h.seg"])
-    def test_batch_check_only_reads(self, name, workers, histories, tmp_path, capsys):
+    def test_batch_check_only_reads(self, name, histories, tmp_path, capsys):
         """A log's directory, and a segment's, list the same after `check` as
         before — read-only or not — and the index cache an earlier build left
         there (here: garbage under its name) is not opened."""
@@ -153,12 +148,12 @@ class TestContainerCorners:
             held.mkdir()
             shutil.copy(source, held / name)
             stale = held / (name + ".idx")
-        expected = run(capsys, "check", "--level", "sser", *workers, source)
+        expected = run(capsys, "check", "--level", "sser", source)
         stale.write_bytes(b"REPROIDX1\nnot an index")
         listing = sorted(path.relative_to(held) for path in held.rglob("*"))
         stale.parent.chmod(0o555)
         try:
-            assert run(capsys, "check", "--level", "sser", *workers, held / name) == expected
+            assert run(capsys, "check", "--level", "sser", held / name) == expected
         finally:
             stale.parent.chmod(0o755)
         assert sorted(path.relative_to(held) for path in held.rglob("*")) == listing
@@ -221,10 +216,9 @@ class TestContainerCorners:
         healthy = histories / "healthy"
         assert run(capsys, "convert", healthy / "h.jsonl", odd, "--epoch-txns", "16")[0] == 0
         assert (odd / "MANIFEST.log").exists()
-        for extra in ([], ["--workers", "2"]):
-            assert run(capsys, "check", "--level", "si", *extra, odd) == run(
-                capsys, "check", "--level", "si", *extra, healthy / "h.epochs"
-            )
+        assert run(capsys, "check", "--level", "si", odd) == run(
+            capsys, "check", "--level", "si", healthy / "h.epochs"
+        )
         assert run(capsys, "watch", "--once", odd) == run(capsys, "watch", "--once", healthy / "h.epochs")
         assert run(capsys, "convert", odd, tmp_path / "back.jsonl")[0] == 0
         assert rows(tmp_path / "back.jsonl") == rows(healthy / "h.jsonl")
@@ -255,10 +249,6 @@ class TestContainerCorners:
             main(["check", *flags, str(histories / "healthy" / "h.jsonl")])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_non_positive_workers_rejected_in_cli_wording(self, histories, capsys):
-        code, out = run(capsys, "check", "--workers", "0", histories / "healthy" / "h.jsonl")
-        assert (code, out.strip()) == (2, "error: --workers must be at least 1, got 0")
 
     @pytest.mark.parametrize("name", ["h.jsonl", "h.seg", "h.epochs"])
     def test_convert_onto_itself_is_refused(self, name, tmp_path, capsys):
@@ -494,7 +484,7 @@ class TestCollectCommand:
         assert code == 0
         header = json.loads(jsonl.read_text().splitlines()[0])
         assert header["format"] == "repro-history-stream-v1"
-        # The saved stream is checkable by the existing pipeline, workers included.
+        # The saved stream is checkable by the existing pipeline.
         assert main(["check", "--level", "ser", str(jsonl)]) == 0
         capsys.readouterr()
 
@@ -523,14 +513,6 @@ class TestCollectCommand:
         assert code == 0
         assert "SATISFIED" in capsys.readouterr().out
 
-    def test_collect_check_with_workers(self, capsys):
-        code = main(
-            ["collect", "--adapter", "sqlite", "--sessions", "4", "--txns", "20",
-             "--objects", "10", "--check", "ser", "--workers", "2"]
-        )
-        assert code == 0
-        assert "SATISFIED" in capsys.readouterr().out
-
     def test_collect_requires_check_or_output(self, capsys):
         assert main(["collect", "--adapter", "sqlite"]) == 2
         assert "nothing to do" in capsys.readouterr().out
@@ -548,12 +530,6 @@ class TestCollectCommand:
         argv = ["collect", "--adapter", "simulated", "--sessions", "2", "--txns", "2", *flags, "--check", "ser"]
         code, out = run(capsys, *argv)
         assert code == 2 and out.startswith(message)
-
-    def test_collect_rejects_workers_without_check(self, tmp_path, capsys):
-        out = tmp_path / "h.jsonl"
-        assert main(["collect", "--workers", "4", "--output", str(out)]) == 2
-        assert "--workers applies to verification" in capsys.readouterr().out
-
 
 class TestFlagBounds:
     """A numeric flag out of range is refused naming the flag (never an
@@ -870,9 +846,8 @@ class TestEpochLogCommands:
         plain.mkdir()
         (plain / ".editor.tmp").write_text("unsaved")
         (plain / "notes.txt").write_text("not a history")
-        for extra in ([], ["--workers", "2"]):
-            assert main(["check", "--level", "ser", *extra, str(plain)]) == 2
-            assert "not an epoch log" in capsys.readouterr().out
+        assert main(["check", "--level", "ser", str(plain)]) == 2
+        assert "not an epoch log" in capsys.readouterr().out
         assert sorted(f.name for f in plain.iterdir()) == [".editor.tmp", "notes.txt"]
 
     def test_watch_follows_a_directory_not_populated_yet(self, tmp_path, capsys):

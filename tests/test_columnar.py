@@ -119,7 +119,7 @@ class TestColumnarContainer:
     def test_append_row_none_timestamps_and_value_overflow(self):
         cols = ColumnarHistory()
         cols.append_row(4, 1, 0, None, None, [0, 1], ["x", "y"], [3, 5])
-        assert cols.timestamps_at(0) == (None, None)
+        assert cols.row_at(0)[3:5] == (None, None)
         assert str(cols.transaction_at(0)) == "T4[R(x,3), W(y,5)]"
         assert list(cols.op_has_value) == [1, 1]
         with pytest.raises(ValueError, match="T5 does not fit the columnar segment"):

@@ -3,7 +3,7 @@
 Every package ``__init__`` is a PEP 562 surface (``repro._lazy.surface``):
 one table, public name -> defining module, from which ``__all__`` is
 derived and through which a name is imported on first access.  The tests
-below pin three things:
+below pin four things:
 
 * a command loads the modules it runs and no others (subprocesses, so the
   test run's own imports cannot hide a regression);
@@ -11,7 +11,9 @@ below pin three things:
   defining module holds;
 * the layering: the module-level import graph of ``src/repro`` is acyclic,
   and the checking layers never reach up into the simulator, the
-  collectors, the workloads, the baselines or the paper harness.
+  collectors, the workloads, the baselines or the paper harness;
+* every function and class in ``src/`` has a caller outside the tests,
+  or a stated reason to stay.
 """
 
 import ast
@@ -290,18 +292,23 @@ def test_the_layering_scan_sees_function_level_imports():
     )
 
 
+def references(tree):
+    """``(name, line)`` of every ``Name``, ``Attribute`` and import alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.rpartition(".")[2], node.lineno
+                if alias.asname:
+                    yield alias.asname, node.lineno
+
+
 def names_in(module):
     """Every identifier ``module``'s code names: imports, names and attributes."""
-    tree = ast.parse(MODULES[module].read_text())
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            found.update(alias.asname or alias.name for alias in node.names)
-        elif isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-    return found
+    return {name for name, _ in references(ast.parse(MODULES[module].read_text()))}
 
 
 @pytest.mark.parametrize("module", ["repro.core.checkers", "repro.parallel.executor"])
@@ -313,3 +320,75 @@ def test_the_batch_path_builds_its_graph_with_the_kernel(module):
     names = names_in(module)
     assert ("from_index" if module == "repro.core.checkers" else "check_level") in names
     assert "build_dependency" not in names
+
+
+# ----------------------------------------------------------------------
+# Dead definitions
+# ----------------------------------------------------------------------
+#: Definitions kept although nothing outside the tests names them, each
+#: with the reason it stays.
+UNCALLED_BUT_KEPT = {
+    "repro.baselines.dbcop::DbcopChecker": (
+        "test oracle: tests/corpus/build.py and tests/test_baselines.py check "
+        "MTC's SER verdicts against DBCop's exhaustive search"),
+    "repro.core.mini::is_mini_transaction": (
+        "the paper's Definition 8 as a predicate on one transaction, on the "
+        "top-level surface beside validate_mt_history (Definition 9)"),
+}
+
+
+def definitions(tree):
+    """``(qualified name, node)`` of every function and class defined at
+    module level or in a class body (nested functions are their enclosing
+    function's business)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append((owner + child.name, child))
+                if isinstance(child, ast.ClassDef):
+                    visit(child, f"{owner}{child.name}.")
+            elif isinstance(child, (ast.If, ast.Try)):
+                visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+def uncalled_definitions():
+    """Every ``module::Qualified.name`` in ``src/`` that no code names
+    outside its own body, in ``src/``, ``benchmarks/`` or ``examples/``, and
+    that ``docs/API.md`` does not name (the surface tables and ``__all__``
+    are strings, so they do not count; neither do the tests)."""
+    trees = {module: ast.parse(path.read_text()) for module, path in MODULES.items()}
+    elsewhere = set(re.findall(r"\w+", (ROOT / "docs" / "API.md").read_text()))
+    for directory in ("benchmarks", "examples"):
+        for path in (ROOT / directory).rglob("*.py"):
+            elsewhere.update(name for name, _ in references(ast.parse(path.read_text())))
+    lines = {}  # name -> module -> lines naming it
+    for module, tree in trees.items():
+        for name, line in references(tree):
+            lines.setdefault(name, {}).setdefault(module, []).append(line)
+    found = set()
+    for module, tree in trees.items():
+        for qualified, node in definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or name in elsewhere:
+                continue
+            named = lines.get(name, {})
+            if any(other != module for other in named) or any(
+                not node.lineno <= line <= node.end_lineno for line in named.get(module, ())
+            ):
+                continue
+            found.add(f"{module}::{qualified}")
+    return found
+
+
+def test_every_src_definition_has_a_caller():
+    # A capability nothing calls is deleted, not kept for a test: a new one
+    # fails here until something calls it or it is kept above with a reason.
+    uncalled = uncalled_definitions()
+    assert sorted(uncalled - set(UNCALLED_BUT_KEPT)) == []
+    assert sorted(set(UNCALLED_BUT_KEPT) - uncalled) == [], "stale entries: called now, or gone"
+    assert all(reason.strip() for reason in UNCALLED_BUT_KEPT.values())

@@ -19,7 +19,7 @@ import pytest
 from repro import MTChecker, IsolationLevel, obs
 from repro.cli import main
 from repro.core.anomalies import anomaly_history
-from repro.obs.metrics import MetricsRegistry, merge_snapshots, series_name
+from repro.obs.metrics import MetricsRegistry, series_name
 from repro.parallel import check_parallel
 
 
@@ -71,7 +71,10 @@ class TestRegistry:
 
         assert ab_c.snapshot() == a_bc.snapshot()
         # ... and equals the flat fold.
-        assert merge_snapshots(iter(snaps)) == ab_c.snapshot()
+        flat = MetricsRegistry()
+        for snap in snaps:
+            flat.merge(snap)
+        assert flat.snapshot() == ab_c.snapshot()
 
     def test_merge_semantics(self):
         reg = MetricsRegistry()
@@ -722,5 +725,5 @@ class TestCLISurfaces:
         assert all(
             r["parent"] == root["id"] for r in records if r["name"] != "check"
         )
-        assert not obs.tracing()
+        assert obs._TRACER is None
 

@@ -268,7 +268,7 @@ def test_refused_on_every_route(name, containers, tmp_path, capsys):
         routes = [("check", CORPUS / name), ("check", log), ("watch --once", log)]
     else:
         directory, columns = containers(name), columns_of(name)
-        routes = [(command, directory / c) for command in ("check", "check --workers 2") for c in CONTAINERS]
+        routes = [("check", directory / c) for c in CONTAINERS]
         routes += [("watch --once", directory / c) for c in FOLLOWABLE]
         for short, level in LEVELS.items():
             for route in (lambda: MTChecker().verify(columns, level), lambda: streamed(columns, level),

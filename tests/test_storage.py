@@ -9,7 +9,6 @@ from repro.storage import (
     LockConflict,
     LockManager,
     LogicalClock,
-    SkewedClock,
     Version,
     VersionedStore,
 )
@@ -19,31 +18,12 @@ class TestLogicalClock:
     def test_monotonic_ticks(self):
         clock = LogicalClock()
         values = [clock.tick() for _ in range(5)]
-        assert values == sorted(values)
+        assert values == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert clock.now() == values[-1]
-
-    def test_custom_step_and_amount(self):
-        clock = LogicalClock(start=10.0, step=2.0)
-        assert clock.tick() == 12.0
-        assert clock.tick(0.5) == 12.5
 
     def test_now_does_not_advance(self):
         clock = LogicalClock()
         assert clock.now() == clock.now()
-
-    def test_skewed_clock_offsets_per_session(self):
-        base = LogicalClock()
-        skewed = SkewedClock(base, {1: 5.0, 2: -1.0})
-        base.tick()
-        assert skewed.now(1) == pytest.approx(6.0)
-        assert skewed.now(2) == pytest.approx(0.0)
-        assert skewed.now(0) == pytest.approx(1.0)
-
-    def test_skewed_clock_tick_advances_base(self):
-        base = LogicalClock()
-        skewed = SkewedClock(base)
-        assert skewed.tick(0) == pytest.approx(1.0)
-        assert base.now() == pytest.approx(1.0)
 
 
 class TestVersionedStore:
