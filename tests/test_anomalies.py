@@ -41,6 +41,15 @@ class TestCatalogStructure:
             for txn in history.transactions(include_initial=False):
                 assert len(txn) <= 4, (name, txn)
 
+    def test_ground_truth_flags_follow_level_strength(self):
+        """SER admits fewer histories than SI, so a history that violates SI
+        violates SER; WriteSkew is the one entry that only SER refuses."""
+        catalog = anomaly_catalog()
+        for name, spec in catalog.items():
+            assert spec.violates_ser or not spec.violates_si, name
+        assert [name for name, spec in catalog.items() if not spec.violates_si] == ["WriteSkew"]
+        assert catalog["WriteSkew"].violates_ser
+
 
 class TestGroundTruth:
     def test_all_anomalies_violate_ser(self):

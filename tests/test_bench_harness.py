@@ -22,6 +22,11 @@ class TestMetrics:
         assert result.seconds >= 0
         assert result.peak_memory_mb >= 0
 
+    def test_measure_memory_tracks_allocations(self):
+        result = measure(lambda: [0] * 500_000)
+        assert len(result.value) == 500_000
+        assert result.peak_memory_mb > 1.0
+
 
 class TestScaled:
     def test_scaled_applies_minimum(self):

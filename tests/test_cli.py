@@ -134,12 +134,33 @@ def histories(tmp_path_factory):
     return root
 
 
+@pytest.mark.parametrize("level", ["ser", "si", "sser"])
+@pytest.mark.parametrize("kind", ["healthy", "lostupdate"])
+class TestContainerMatrix:
+    """The sharded pipeline (the library seam ``MTChecker(workers=2)``) on
+    what each of the five containers loads prints what ``check`` prints.
+    That stdout and exit code of ``check`` and ``watch --once`` do not
+    depend on the container is a route of ``tests/test_routes.py``, on
+    every corpus entry."""
+
+    def test_workers_equal_serial_on_every_container(self, histories, kind, level, capsys):
+        from repro.cli import _level
+        from repro.core.checker import MTChecker
+        from repro.history.files import load_columns
+
+        d = histories / kind
+        for name in CONTAINERS:
+            sharded = MTChecker(workers=2).verify(load_columns(d / name), _level(level))
+            code = 0 if sharded.satisfied else 1
+            assert (code, sharded.format() + "\n") == run(capsys, "check", "--level", level, d / name), name
+
+
 class TestContainerCorners:
-    @pytest.mark.parametrize("name", ["h.epochs", "h.seg"])
+    @pytest.mark.parametrize("name", CONTAINERS)
     def test_batch_check_only_reads(self, name, histories, tmp_path, capsys):
-        """A log's directory, and a segment's, list the same after `check` as
-        before — read-only or not — and the index cache an earlier build left
-        there (here: garbage under its name) is not opened."""
+        """A log's directory, and every file container's, list the same after
+        `check` as before — read-only or not — and the index cache an earlier
+        build left there (here: garbage under its name) is not opened."""
         source, held = histories / "lostupdate" / name, tmp_path / "held"
         if source.is_dir():
             shutil.copytree(source, held / name)

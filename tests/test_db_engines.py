@@ -22,6 +22,19 @@ class TestDatabaseLifecycle:
         assert db.committed_value("x") == 42
         assert db.stats.committed == 1
 
+    def test_each_operation_advances_the_clock_by_one(self):
+        # One clock, one rate: begin, read, write, commit and abort each
+        # take the next whole stamp, so recorded intervals never tie.
+        db = Database("si", keys=["x"])
+        txn = db.begin()
+        assert txn.start_ts == 1.0
+        db.read(txn, "x")
+        db.write(txn, "x", 1)
+        assert db.clock.now() == 3.0
+        assert db.commit(txn) == 4.0
+        db.abort(db.begin())
+        assert db.clock.now() == 6.0
+
     def test_read_own_write(self):
         db = Database("si", keys=["x"])
         txn = db.begin()

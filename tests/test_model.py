@@ -187,6 +187,25 @@ class TestHistory:
         assert (1, 2) in pairs
         assert (1, 3) not in pairs and (3, 2) not in pairs
 
+    def test_real_time_order_skips_aborted_and_untimed(self):
+        t1 = Transaction(1, [read("x", 0)], start_ts=0.0, finish_ts=1.0)
+        t2 = Transaction(2, [read("x", 0)], start_ts=2.0, finish_ts=3.0, status=TransactionStatus.ABORTED)
+        t3 = Transaction(3, [read("x", 0)])
+        t4 = Transaction(4, [read("x", 0)], start_ts=4.0, finish_ts=5.0)
+        history = History.from_transactions([[t1, t2], [t3, t4]])
+        pairs = {(a.txn_id, b.txn_id) for a, b in history.real_time_order()}
+        assert pairs == {(1, 4)}
+
+    def test_real_time_order_puts_initial_before_the_earliest_start(self):
+        # t1 finishes first, but t2 starts first: ⊥T's one RT pair goes to
+        # t2 (session order, not RT, links ⊥T to each session's first).
+        t1 = Transaction(1, [read("x", 0)], start_ts=1.0, finish_ts=2.0)
+        t2 = Transaction(2, [read("x", 0)], start_ts=0.5, finish_ts=6.0)
+        t3 = Transaction(3, [read("x", 0)], start_ts=3.0, finish_ts=4.0)
+        history = History.from_transactions([[t1], [t2], [t3]], initial_keys=["x"])
+        pairs = {(a.txn_id, b.txn_id) for a, b in history.real_time_order()}
+        assert pairs == {(INITIAL_TXN_ID, 2), (1, 3)}
+
     def test_len_and_repr(self):
         history = self._simple_history()
         assert len(history) == 3
