@@ -24,9 +24,18 @@ binds the segment's, the order's and the slots' columns once per call
 (compaction rewrites them in place, so the bindings outlive an eviction) and
 does each row's work inline: the op scan, its writes, its reads against the
 slots, its edges.  An edge whose ends are live and in order already, under a
-label offered once per pair (not RT or composed) while no pair is refused,
-is one row appended to the edge table, no call; every other edge (a reorder,
-a refused pair, any edge at SI, a window drop) goes through ``_dep_edge``.
+label offered once per pair (not RT) while no pair is refused, is one row
+appended to the edge table, no call; every other edge (a reorder, a refused
+pair, a window drop) goes through ``_dep_edge``.
+
+Snapshot isolation
+------------------
+At SI each transaction ``T`` is two nodes: ``T`` and its *out-copy* ``T′``
+right after it, joined by an internal edge.  A base (SO/WR/WW) edge ``a → b``
+joins ``a′ → b``, an RW edge ``a → c`` joins ``a → c′``: every cycle then
+alternates ``x′ → a → y′`` and is one of the induced graph ``(SO ∪ WR ∪ WW) ;
+RW?`` (CHECKSI), so the SER loop checks SI.  A reported cycle contracts back to
+transactions, ``x′ → a → c′`` (base then RW) as one ``COMPOSED(key)`` step.
 
 Equivalence invariant
 ---------------------
@@ -93,7 +102,7 @@ __all__ = [
 ]
 
 #: Format tag of :meth:`CheckerSession.checkpoint` state dictionaries.
-CHECKPOINT_STATE_FORMAT = "repro-checker-state-v6"
+CHECKPOINT_STATE_FORMAT = "repro-checker-state-v7"
 
 #: Isolation levels the incremental checker supports.
 GRAPH_LEVELS = (
@@ -419,17 +428,18 @@ _DROPPED = -1
 #: in C, where an ``Enum`` member hashes through a Python call.
 _EDGE_TYPES = {member.value: member for member in EdgeType}
 #: Edge types in the order of a checkpoint's label ``type`` codes.
-_LABEL_TYPES = tuple(_EDGE_TYPES)
+_LABEL_TYPES = (*_EDGE_TYPES, None)
 _TYPE_CODE = {etype: code for code, etype in enumerate(_LABEL_TYPES)}
 _RT, _SO, _WR, _WW, _RW, _COMPOSED = (
     EdgeType[name].value for name in ("RT", "SO", "WR", "WW", "RW", "COMPOSED")
 )
-_REAL_TIME, _SESSION = (_RT, None), (_SO, None)
+#: Labels of RT edges (the one type offered twice on a pair: only these look at
+#: the pair's labels), SO edges and SI's internal edges (type code: the last).
+_REAL_TIME, _SESSION, _INTERNAL = (_RT, None), (_SO, None), (None, None)
 #: The step that ends a row in :meth:`CheckerSession.ingest_segment`.
 _END = (None,) * 5
-#: Edge types the checker may offer twice on one pair (SO, WR, WW and RW come
-#: once per pair and label): only these look at the labels the pair holds.
-_REPEATABLE = (_RT, _COMPOSED)
+#: SI's out-copy of ``T`` is node ``T + _OUT``, past every signed 64-bit id: ``_OUT_FLOOR`` or more.
+_OUT, _OUT_FLOOR = 1 << 64, 1 << 63
 
 #: A time node is its own key, a ``(stamp, kind)`` tuple (no transaction id
 #: is a tuple); a start sorts before a finish at one stamp.
@@ -459,6 +469,11 @@ def _within(column: array, high: int, what: str, low: int = 0) -> None:
         raise ValueError(f"{what} out of range")
 
 
+def _transaction(node: int) -> int:
+    """The transaction a node of the order stands for: itself, or the one an out-copy copies."""
+    return node - _OUT if node >= _OUT_FLOOR else node
+
+
 def _transaction_steps(cycle: List[int]) -> List[Tuple[int, int, bool]]:
     """A cycle of the order (a node path from a transaction, closed by
     ``cycle[-1] → cycle[0]``) as ``(tail, head, via_time)`` steps between
@@ -479,8 +494,9 @@ class CheckerSession:
     pipeline — INT pre-pass, BUILDDEPENDENCY, acyclicity — run per
     transaction.  INT anomalies are reported at ingest; reads resolve against
     per-version slots; every edge goes, labels and all, into a
-    :class:`PearceKellyOrder`; at SI the induced graph ``(SO ∪ WR ∪ WW) ;
-    RW?`` is composed edge by edge.  Rows enter through
+    :class:`PearceKellyOrder`; at SI each transaction also has an out-copy
+    node, so that the order's cycles are those of the induced graph ``(SO ∪
+    WR ∪ WW) ; RW?`` (module docstring).  Rows enter through
     :meth:`ingest_segment`; :meth:`ingest` is its one-row case, so
     ``on_transaction=session.ingest`` checks a workload while it runs.
 
@@ -526,10 +542,10 @@ class CheckerSession:
         self._si = level is IsolationLevel.SNAPSHOT_ISOLATION
         self._sser = level is IsolationLevel.STRICT_SERIALIZABILITY
 
-        # The check graph with its labels (the induced graph at SI).
-        # ``_refused`` maps ``(source, target)`` to the labels of the edges
-        # the order would not take (each closed a cycle), so duplicate
-        # detection and cycle labeling still see them.
+        # The check graph with its labels (at SI over transactions and their
+        # out-copies).  ``_refused`` maps ``(source, target)`` to the labels of
+        # the edges the order would not take (each closed a cycle), so
+        # duplicate detection and cycle labeling still see them.
         self._topo = PearceKellyOrder()
         self._refused: Dict[Tuple[int, int], List[Tuple[str, Optional[str]]]] = {}
         self._key_ids: Dict[str, int] = {}
@@ -553,11 +569,6 @@ class CheckerSession:
         self._item_last, self._item_prev, self._item_value = array("i"), array("i"), array("q")
         self._intermediate: Dict[int, int] = {}  # vid -> its intermediate writer (rare)
         self._dropped = 0  # versions and item rows dropped since the last compaction
-
-        # SI composition state: per transaction, the sources of its base (SO/WR/WW)
-        # in-edges and its RW successors as ``target, key id`` pairs (arrays).
-        self._base_preds: Dict[int, array] = {}
-        self._rw_succ: Dict[int, array] = {}
 
         # SSER: the time nodes in sorted order, and the finish nodes (the chain).
         self._timeline: List[Tuple[float, int]] = []
@@ -585,24 +596,20 @@ class CheckerSession:
     @property
     def graph(self) -> DependencyGraph:
         """The dependency graph of the live transactions, built per access: the order's labels and
-        the refused edges, at SI the RW edges for their compositions, at SSER the reduced RT pairs."""
-        graph = DependencyGraph(node for node in self._topo._id if type(node) is not tuple)
+        the refused edges (an out-copy standing for its transaction), at SSER the reduced RT pairs."""
+        graph = DependencyGraph(node for node in self._topo._id if type(node) is not tuple and node < _OUT_FLOOR)
         refused = ((source, target, labels) for (source, target), labels in self._refused.items())
         for source, target, labels in chain(self._topo.edges(), refused):
             if type(source) is tuple or type(target) is tuple:
                 continue
             for etype, key in labels:
-                if etype != _COMPOSED:
-                    graph.add_edge(source, target, _EDGE_TYPES[etype], key)
+                if etype is not None:
+                    graph.add_edge(_transaction(source), _transaction(target), _EDGE_TYPES[etype], key)
         for node in self._timeline:
             if node[1] == _FINISH:  # the reduced real-time pairs
                 sources = [v for v in self._topo._neighbours(node, False) if type(v) is not tuple]
                 for source, target in product(sources, self._real_time_neighbours(node, True)):
                     graph.add_edge(source, target, EdgeType.RT)
-        for source, successors in self._rw_succ.items():
-            for target, kid in zip(successors[::2], successors[1::2]):
-                if target in self._topo:
-                    graph.add_edge(source, target, EdgeType.RW, self._key_names[kid])
         return graph
 
     # -- Ingestion --
@@ -640,14 +647,18 @@ class CheckerSession:
         slots, writer, status, intermediate = self._slots, self._writer, self._status, self._intermediate
         item_slot, item_kind, item_txn, item_value, item_last, item_prev = (
             self._item_slot, self._item_kind, self._item_txn, self._item_value, self._item_last, self._item_prev)
-        plain, sser, edges = not self._si, self._sser, []  # edges: the step before's, appended first
+        si, sser, edges = self._si, self._sser, []  # edges: the step before's, appended first
         rows = zip(segment.txn_ids, segment.session_ids, segment.statuses, offsets, offsets[1:])
         for row, (txn_id, session_id, row_status, lo, hi) in enumerate(rows):
             row_before = len(violations)
             reads = row_status == _COMMITTED_CODE and txn_id != INITIAL_TXN_ID
             if txn_id == INITIAL_TXN_ID:
                 self._has_initial = True
-                topo.add_node(txn_id)
+                if txn_id not in ids:
+                    topo.add_node(txn_id)
+                    if si:
+                        topo.add_node(txn_id + _OUT)
+                        edges.append((txn_id, txn_id + _OUT, _INTERNAL))
             elif reads and txn_id in ids:
                 raise ValueError(f"malformed history: duplicate transaction id {txn_id}")
 
@@ -692,12 +703,15 @@ class CheckerSession:
                     in_last.append(-1)
                 else:
                     topo.add_node(txn_id, *span)
+                if si:  # its out-copy right after it
+                    topo.add_node(txn_id + _OUT)
+                    edges.append((txn_id, txn_id + _OUT, _INTERNAL))
                 if candidate:
                     violations.extend(transaction_int_violations(segment.transaction_at(row)))
                 prev = sessions.get(session_id, INITIAL_TXN_ID if self._has_initial else None)
                 sessions[session_id] = txn_id
                 if prev is not None:  # closes no cycle: the row has no out-edge yet
-                    edges.append((prev, txn_id, _SESSION))
+                    edges.append((prev + _OUT if si else prev, txn_id, _SESSION))
             for kid, value in intermediates:
                 self._register_intermediate(kid, value, txn_id)
             # A step per read, those waiting for one of the row's writes first; a step appends the edges of
@@ -718,7 +732,7 @@ class CheckerSession:
                         waiting = (waiting or []) + [(kid, value, vid, *read) for read in self._take_pending(vid)]
             for kid, value, vid, reader, writes_key in steps if waiting is None else waiting + steps:
                 for source, target, label in edges:
-                    if plain and not refused and (s := ids.get(source)) is not None and (
+                    if not refused and (s := ids.get(source)) is not None and (
                             t := ids.get(target)) is not None and order[s] < order[t]:
                         code = label_code.get(label)
                         e = len(src)
@@ -745,7 +759,7 @@ class CheckerSession:
                     elif status[vid] == _SEALED:
                         self.stale_reads += 1
                         continue
-                    if writes_key and not plain:
+                    if writes_key and si:
                         self._diverge(vid, kid, value, txn_id, finals[kid])
                 writer_id, state = writer[vid], status[vid]
                 if state == _NO_WRITER:  # pending until the writer shows up
@@ -758,18 +772,20 @@ class CheckerSession:
                     self._unattached(vid, kid, value, reader)
                     continue
                 else:  # WR (and WW/RW) edges; an evicted writer's are dropped, the RW ones between live readers kept
-                    key = names[kid]
+                    # At SI a base edge leaves the writer's out-copy and an RW edge enters the overwriter's.
+                    key, source = names[kid], writer_id + _OUT if si else writer_id
                     listed = item_last[vid] >= 0
-                    edges.append((writer_id, reader, (_WR, key)))
+                    edges.append((source, reader, (_WR, key)))
                     if listed:
                         rw = (_RW, key)
-                        edges.extend((reader, item_txn[r], rw) for r in self._items(vid, _OVERWRITER)
-                                     if item_txn[r] != reader)
+                        edges.extend((reader, item_txn[r] + _OUT if si else item_txn[r], rw)
+                                     for r in self._items(vid, _OVERWRITER) if item_txn[r] != reader)
                     if writes_key:
-                        edges.append((writer_id, reader, (_WW, key)))
+                        edges.append((source, reader, (_WW, key)))
                         if listed:
-                            edges.extend((item_txn[r], reader, rw) for r in self._items(vid, _READER, _OVERWRITER)
-                                         if item_txn[r] != reader)
+                            target = reader + _OUT if si else reader
+                            edges.extend((item_txn[r], target, rw)
+                                         for r in self._items(vid, _READER, _OVERWRITER) if item_txn[r] != reader)
                         if window is not None:
                             self._overwrote.setdefault(reader, []).append(value * _RADIX + kid)
                     kind = _OVERWRITER if writes_key else _READER
@@ -825,7 +841,8 @@ class CheckerSession:
         obs.set_gauge("repro_checker_window_evictions", self.evicted_count)
         obs.set_gauge("repro_checker_stale_reads", self.stale_reads)
         obs.set_gauge("repro_checker_pk_reorder_visits", self._topo.reorder_visits)
-        obs.set_gauge("repro_checker_graph_nodes", len(self._topo) - len(self._timeline))
+        nodes = len(self._topo) - len(self._timeline)
+        obs.set_gauge("repro_checker_graph_nodes", nodes // 2 if self._si else nodes)  # not the out-copies
 
     def result(self) -> CheckResult:
         """The verdict over everything ingested so far; the stream goes on.
@@ -863,12 +880,13 @@ class CheckerSession:
     def checkpoint(self) -> Dict[str, Any]:
         """Snapshot the complete checker state: its own columns.
 
-        Layout (``repro-checker-state-v6``, docs/ARCHITECTURE.md): scalars, ``keys``
+        Layout (``repro-checker-state-v7``, docs/ARCHITECTURE.md): scalars, ``keys``
         and ``violations`` are JSON values; every other table holds parallel
         ``array`` columns, the live rows of the order (``topo``, ``labels``), of
         the slot table (``slots``, ``items``) and the small tables in insertion
         order, from which :meth:`restore` rebuilds every link (a time node is
-        node id ``time_base - 1 - i`` for row ``i`` of ``rt``).  Any suffix of
+        node id ``time_base - 1 - i`` for row ``i`` of ``rt``, the out-copy of
+        ``twins[j]`` the id below them by ``j``).  Any suffix of
         transactions then yields byte-identical verdicts from this checker and
         from :meth:`restore` of the snapshot, which shares nothing with it."""
         started = time.perf_counter()
@@ -877,11 +895,13 @@ class CheckerSession:
         nodes, _, order, src, dst, label = topo._live()
         codes, _, writer, status, intermediate, owner, kinds, txns, values = self._live_slots()
         vid = dict(zip(codes, count()))
-        time_base = min((node for node in nodes if type(node) is not tuple), default=0)
-        if timeline:
-            ref = {node: time_base - 1 - i for i, node in enumerate(timeline)}
-            nodes = list(map(ref.get, nodes, nodes))
-        refused = [(s, t, topo._code(label)) for (s, t), labels in self._refused.items() for label in labels]
+        transactions = [node for node in nodes if type(node) is not tuple and node < _OUT_FLOOR]
+        time_base = min(transactions, default=0)
+        twins = transactions if self._si else []
+        ref = {node: time_base - 1 - i for i, node in enumerate(chain(timeline, (t + _OUT for t in twins)))}
+        nodes = list(map(ref.get, nodes, nodes))
+        refused = [(ref.get(s, s), ref.get(t, t), topo._code(label))
+                   for (s, t), labels in self._refused.items() for label in labels]
         key_code = {None: 0, **dict(zip(self._key_names, count(1)))}
         state = {
             "format": CHECKPOINT_STATE_FORMAT, "level": self.level.value, "window": self.window,
@@ -897,11 +917,8 @@ class CheckerSession:
                             map(_RADIX.__rfloordiv__, codes), status, writer),
             "items": _table("slot kind txn value", "qbqq", owner, kinds, txns, values),
             "last_in_session": _table("session txn", "qq", self._last_in_session, self._last_in_session.values()),
-            "base_preds": _table("dst src", "qq", [t for t, preds in self._base_preds.items() for _ in preds],
-                                 chain.from_iterable(self._base_preds.values())),
-            "rw_succ": _table("src dst key", "qqq", *zip(*(
-                (s, *pair) for s, pairs in self._rw_succ.items() for pair in zip(pairs[::2], pairs[1::2])))),
             "rt": _table("stamp kind", "db", *zip(*timeline)),
+            "twins": array("q", twins),
             "arrivals": array("q", self._arrivals),
             "overwrote": _table("txn slot", "qq", *zip(*(
                 (t, vid[code]) for t, owned in self._overwrote.items() for code in owned if code in vid))),
@@ -956,13 +973,18 @@ class CheckerSession:
         if type(time_base) is not int:
             raise TypeError("time_base must be an int")
         node, order, src, dst, label = _arrays(table, node="q", ord="d") + _arrays(table, src="q", dst="q", label="q")
-        if min(node, default=time_base) < time_base - len(timeline):
-            raise ValueError("node names a time node past the timeline")
-        time_node = {time_base - 1 - i: n for i, n in enumerate(timeline)}
-        topo._node, ids = [time_node.get(n, n) for n in node], list(range(len(node)))
+        (twins,) = _arrays(state, twins="q")
+        named = [*timeline, *(t + _OUT for t in twins)]
+        if min(node, default=time_base) < time_base - len(named):
+            raise ValueError("node names a time node or an out-copy past their tables")
+        special = {time_base - 1 - i: n for i, n in enumerate(named)}
+        topo._node, ids = [special.get(n, n) for n in node], list(range(len(node)))
         topo._id = dict(zip(topo._node, ids))
-        if len(topo._id) != len(node) or not all(n in topo for n in timeline):
-            raise ValueError("the order holds a node twice, or not every time node")
+        if len(topo._id) != len(node) or not all(n in topo for n in named):
+            raise ValueError("the order holds a node twice, or not every time node and out-copy")
+        transactions = [n for n in topo._node if type(n) is not tuple and n < _OUT_FLOOR]
+        if list(twins) != (transactions if checker._si else []):
+            raise ValueError("twins is not the order's transactions (at SI) or empty")
         topo._counter, topo._ord = int(table["counter"]), order[:]
         topo._fractions = {index for index in order if not index.is_integer()}
         types, keys = _arrays(state["labels"], type="b", key="q")
@@ -981,7 +1003,8 @@ class CheckerSession:
         src, dst, label = _arrays(state["refused"], src="q", dst="q", label="q")
         _within(label, len(types), "refused edge label")
         for source, target, code in zip(src, dst, label):
-            checker._refused.setdefault((source, target), []).append(topo._label_of[code])
+            pair = special.get(source, source), special.get(target, target)
+            checker._refused.setdefault(pair, []).append(topo._label_of[code])
         table = state["slots"]
         keys, values, statuses, writers = _arrays(table, key="q", value="q", status="b", writer="q")
         _within(keys, _RADIX, "version key")
@@ -1005,20 +1028,6 @@ class CheckerSession:
         checker._item_txn, checker._item_value = list(txn), value[:]
         (checker._item_last, checker._item_prev), checker._dropped = _linked(slot, len(keys)), 0
         checker._last_in_session = dict(zip(*_arrays(state["last_in_session"], session="q", txn="q")))
-        base_preds = checker._base_preds
-        for source, target in zip(*_arrays(state["base_preds"], src="q", dst="q")):
-            preds = base_preds.get(target)
-            if preds is None:
-                preds = base_preds[target] = array("q")
-            preds.append(source)
-        src, dst, kids = _arrays(state["rw_succ"], src="q", dst="q", key="q")
-        _within(kids, len(key_names), "rw_succ key")
-        rw_succ = checker._rw_succ
-        for source, target, kid in zip(src, dst, kids):
-            pairs = rw_succ.get(source)
-            if pairs is None:
-                pairs = rw_succ[source] = array("q")
-            pairs.extend((target, kid))
         checker._arrivals = deque(*_arrays(state, arrivals="q"))
         txns, owned = _arrays(state["overwrote"], txn="q", slot="q")
         _within(owned, len(keys), "overwrote slot")
@@ -1267,43 +1276,12 @@ class CheckerSession:
 
     # -- Edge routing: every edge goes to the order, labels and all --
     def _dep_edge(self, source: int, target: int, label: Tuple[str, Optional[str]]) -> None:
-        """Route one dependency edge; an exact duplicate changes nothing."""
+        """Route one dependency edge the inline append did not take; an exact duplicate changes nothing."""
         order = self._topo._id
         if self.window is not None and (source not in order or target not in order):
             return  # an endpoint was garbage-collected: the edge cannot matter
-        if not self._si:  # SER / SSER: every dependency edge goes to the order
-            if not self._refused or label not in self._pair_labels(source, target):
-                self._order_edge(source, target, label)
-        # SI: maintain the induced graph (SO ∪ WR ∪ WW) ; RW? edge-by-edge.
-        elif label[0] == _RW:
-            pairs, kid = self._rw_succ.get(source), self._key_ids[label[1]]
-            if pairs is None:
-                pairs = self._rw_succ[source] = array("q")
-            if not any(t == target and k == kid for t, k in zip(pairs[::2], pairs[1::2])):
-                pairs.extend((target, kid))
-                for base_pred in self._base_preds.get(source, ()):
-                    self._composed_edge(base_pred, target, label[1])
-        else:
-            preds = self._base_preds.get(target)
-            if preds is None:
-                preds = self._base_preds[target] = array("q")
-            elif source in preds:  # the pair is in the order (or refused) already
-                in_order = self._topo.labels(source, target)
-                labels = in_order or self._refused.get((source, target), [])
-                if label not in labels and in_order:
-                    self._topo.add_edge(source, target, label)
-                elif label not in labels:
-                    labels.append(label)
-                return
-            preds.append(source)
+        if not self._refused or label not in self._pair_labels(source, target):
             self._order_edge(source, target, label)
-            pairs = self._rw_succ.get(target, ())
-            for rw_target, kid in zip(pairs[::2], pairs[1::2]):
-                self._composed_edge(source, rw_target, self._key_names[kid])
-
-    def _composed_edge(self, source: int, target: int, key: Optional[str]) -> None:
-        if self.window is None or (source in self._topo and target in self._topo):
-            self._order_edge(source, target, (_COMPOSED, key))
 
     def _pair_labels(self, source: int, target: int) -> List[Tuple[str, Optional[str]]]:
         """The labels of ``source -> target``: the order's, else the refused table's."""
@@ -1311,7 +1289,7 @@ class CheckerSession:
 
     def _order_edge(self, source: int, target: int, label: Tuple[str, Optional[str]]) -> None:
         """Offer one check-graph edge to the order; report the cycle it closes."""
-        cycle = self._topo._add(source, target, label, label[0] in _REPEATABLE)
+        cycle = self._topo._add(source, target, label, label[0] == _RT)
         if cycle is None:
             if self._refused and (source, target) in self._refused:
                 # Refused earlier, acyclic now (the window broke the cycle).
@@ -1321,11 +1299,27 @@ class CheckerSession:
         labels = self._refused.setdefault((source, target), [])
         if label not in labels:
             labels.append(label)
-        edges = [
-            Edge(tail, head, *best_label((_EDGE_TYPES[e], k) for e, k in self._step_labels(tail, head, step)))
-            for tail, head, step in _transaction_steps(cycle)
-        ]
+        if self._si:
+            steps = self._composed_steps(cycle)
+        else:
+            steps = [(tail, head, self._step_labels(tail, head, via_time))
+                     for tail, head, via_time in _transaction_steps(cycle)]
+        edges = [Edge(tail, head, *best_label((_EDGE_TYPES[e], k) for e, k in labels)) for tail, head, labels in steps]
         self._violations.append(classify_cycle(edges, level=self.level))
+
+    def _composed_steps(self, cycle: List[int]) -> List[Tuple[int, int, List[Tuple[str, Optional[str]]]]]:
+        """An SI cycle of the order as labeled steps between transactions from its first out-copy (the
+        closing edge's step last): ``x′ → a → a′`` is the base step ``x → a``, ``x′ → a → c′`` the step
+        ``x → c`` labeled ``COMPOSED`` by the keys of ``a``'s RW edge."""
+        at = 0 if cycle[0] >= _OUT_FLOOR else 1
+        nodes = cycle[at:] + cycle[: at + 1]
+        steps = []
+        for out, txn, head in zip(nodes[::2], nodes[1::2], nodes[2::2]):
+            if head - _OUT == txn:  # the internal edge
+                steps.append((out - _OUT, txn, self._pair_labels(out, txn)))
+            else:
+                steps.append((out - _OUT, head - _OUT, [(_COMPOSED, key) for _, key in self._pair_labels(txn, head)]))
+        return steps
 
     # -- Bounded-window garbage collection --
     def _evict(self, txn_id: int) -> None:
@@ -1338,11 +1332,11 @@ class CheckerSession:
         topo, timeline = self._topo, self._timeline
         hung_on = timeline and [v for forward in (False, True) for v in topo._neighbours(txn_id, forward)
                                 if type(v) is tuple]
-        topo.remove_node(txn_id)
-        for pair in [pair for pair in self._refused if txn_id in pair] if self._refused else ():
+        gone = {txn_id, txn_id + _OUT}  # at SI its out-copy goes with it
+        for node in gone:
+            topo.remove_node(node)
+        for pair in [pair for pair in self._refused if not gone.isdisjoint(pair)] if self._refused else ():
             del self._refused[pair]
-        self._base_preds.pop(txn_id, None)
-        self._rw_succ.pop(txn_id, None)
         for code in self._overwrote.pop(txn_id, ()):
             vid = self._slots.get(code)
             if vid is not None and self._status[vid] != _SEALED:  # sealed: its rows go unlinked

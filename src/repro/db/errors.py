@@ -61,7 +61,7 @@ SQLITE_RETRYABLE_MARKERS = (
 )
 
 
-def retryable_sqlite_abort(exc: BaseException, txn_id: int = -1) -> Optional[TransactionAborted]:
+def retryable_sqlite_abort(exc: BaseException) -> Optional[TransactionAborted]:
     """Map a SQLite busy/locked error onto the retryable-abort path.
 
     Returns a :class:`TransactionAborted` carrying the original message when
@@ -75,7 +75,7 @@ def retryable_sqlite_abort(exc: BaseException, txn_id: int = -1) -> Optional[Tra
         return None
     message = str(exc).lower()
     if any(marker in message for marker in SQLITE_RETRYABLE_MARKERS):
-        abort = TransactionAborted(txn_id, f"sqlite: {exc}")
+        abort = TransactionAborted(-1, f"sqlite: {exc}")  # the driver error names no transaction
         abort.__cause__ = exc
         return abort
     return None

@@ -289,10 +289,10 @@ def active_spec() -> Optional[str]:
 
 
 @contextmanager
-def scoped(spec: str, *, seed: int = 0, export: bool = False) -> Iterator[None]:
+def scoped(spec: str, *, seed: int = 0) -> Iterator[None]:
     """Arm ``spec`` for the duration of a ``with`` block (tests)."""
     previous, previously_exported = _PLAN, _EXPORTED
-    configure(spec, seed=seed, export=export)
+    configure(spec, seed=seed)
     try:
         yield
     finally:

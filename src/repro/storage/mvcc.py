@@ -38,10 +38,10 @@ class VersionedStore:
     # ------------------------------------------------------------------
     # Loading / installing
     # ------------------------------------------------------------------
-    def load_initial(self, keys: Iterable[str], value: int = 0, txn_id: int = -1) -> None:
-        """Install the initial version of each object (the ``⊥T`` writes)."""
+    def load_initial(self, keys: Iterable[str], value: int = 0) -> None:
+        """Install the initial version of each object (the writes of ``⊥T``, id -1)."""
         for key in keys:
-            self._versions.setdefault(key, []).insert(0, Version(value, 0.0, txn_id))
+            self._versions.setdefault(key, []).insert(0, Version(value, 0.0, -1))
             self._stamps.setdefault(key, []).insert(0, 0.0)
 
     def install(self, key: str, value: int, commit_ts: float, txn_id: int) -> None:

@@ -151,7 +151,6 @@ def run_list_append_workload(
     database: Database,
     generator: ListAppendWorkloadGenerator,
     *,
-    max_retries: int = 3,
     seed: int = 0,
 ) -> Tuple[ElleHistory, Dict[str, float]]:
     """Execute a list-append workload against the simulator.
@@ -213,7 +212,7 @@ def run_list_append_workload(
         if state.current is None:
             state.current = state.specs[state.next_spec]
             state.next_spec += 1
-            state.retries_left = max_retries
+            state.retries_left = 3  # retries of an aborted transaction, each with fresh append values
             begin_attempt(state)
             return
         try:

@@ -129,8 +129,6 @@ def make_traffic_shape(
     name: str,
     *,
     think_time: float = 0.0,
-    burst_len: int = 8,
-    burst_gap: float = 0.05,
     churn_stagger: float = 0.25,
     seed: int = 0,
 ) -> TrafficShape:
@@ -142,8 +140,8 @@ def make_traffic_shape(
         return TrafficShape(
             "bursty",
             think_time=think_time,
-            burst_len=burst_len,
-            burst_gap=burst_gap,
+            burst_len=8,
+            burst_gap=0.05,
             seed=seed,
         )
     if normalized == "churn":

@@ -761,17 +761,19 @@ class TestEpochLogCommands:
                       "transactions": ckpt.transactions, "crc32": zlib.crc32(payload), "payload_bytes": len(payload)}
             ckpt.path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + payload)
 
-    @pytest.mark.parametrize("old", ["v3-state", "v4-file", "v5-state"])
+    @pytest.mark.parametrize("old", ["v3-state", "v4-file", "v5-state", "v6-state"])
     def test_watch_replays_past_v3_sser_checkpoints(self, tmp_path, capsys, old):
         # v3 states kept SSER's real time as a finish-sorted interval list in
         # ``rt``; v4 states were JSON (``repro-epoch-checkpoint-v1`` files of
         # gzipped JSON); v5 wrote typed columns of one row per structure
         # (ragged ``readers_count`` / ``readers`` lists per version), v6 the
-        # checker's own columns.  Both kept checkpoints are old: each is
-        # refused by name, and the log replays to the same verdict.
+        # checker's own columns with SI's composed edges and ``base_preds`` /
+        # ``rw_succ`` tables, v7 SI's out-copies (``twins``) instead.  Both
+        # kept checkpoints are old: each is refused by name, and the log
+        # replays to the same verdict.
         path = tmp_path / "history.epochs"
         assert self._generate(path) == 0
-        watch = ["watch", "--once", "--level", "sser"]
+        watch = ["watch", "--once", "--level", "si" if old == "v6-state" else "sser"]
         code = main([*watch, "--checkpoint-every", "2", str(path)])
         capsys.readouterr()
         assert main([*watch, "--no-resume", str(path)]) == code
@@ -788,8 +790,13 @@ class TestEpochLogCommands:
             })
             del state["items"], state["labels"]
 
-        if old in ("v3-state", "v5-state"):
-            self._reframe_checkpoints(path, as_v3 if old == "v3-state" else as_v5)
+        def as_v6(state):
+            state.update(format="repro-checker-state-v6", base_preds={"dst": array("q"), "src": array("q")},
+                         rw_succ={"src": array("q"), "dst": array("q"), "key": array("q")})
+            del state["twins"]
+
+        if old != "v4-file":
+            self._reframe_checkpoints(path, {"v3-state": as_v3, "v5-state": as_v5, "v6-state": as_v6}[old])
             found = f"repro-checker-state-{old[:2]}"
         else:
             self._as_v4_files(path)

@@ -240,3 +240,28 @@ def test_batch_reject_is_linear(lost_updates, level, kinds):
         per_row.append(work(lambda: verdict.append(MTChecker().verify(columns, level))) / len(columns))
         assert verdict[0].violation.kind in kinds
     assert_flat(per_row)
+
+
+@pytest.fixture(scope="module")
+def si_histories():
+    """A healthy history recorded from an SI engine, at n and 8n rows."""
+    return [
+        ColumnarHistory.from_history(generate_mt_history(
+            isolation="si", num_sessions=SESSIONS, txns_per_session=tps, num_objects=4 * tps, seed=5,
+        ).history)
+        for tps in (SMALL, 8 * SMALL)
+    ]
+
+
+def test_si_ingest_work_is_close_to_ser(si_histories):
+    # At SI the streaming checker runs the SER loop over one more node per
+    # transaction (its out-copy) and one more edge (the internal one), so
+    # its work stays a constant factor of SER's on the same rows.
+    for columns in si_histories:
+        work_at = {}
+        for level in (IsolationLevel.SERIALIZABILITY, IsolationLevel.SNAPSHOT_ISOLATION):
+            session = CheckerSession(level)
+            work_at[level] = work(lambda: session.ingest_segment(columns))
+            assert session.satisfied
+        ratio = work_at[IsolationLevel.SNAPSHOT_ISOLATION] / work_at[IsolationLevel.SERIALIZABILITY]
+        assert ratio <= 1.75, f"SI ingest does {ratio:.2f}x the work of SER on {len(columns)} rows"

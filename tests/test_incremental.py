@@ -23,7 +23,7 @@ from repro.core.incremental import (
     PearceKellyOrder,
     stream_order,
 )
-from repro.core.model import History, Transaction, TransactionStatus, read, write
+from repro.core.model import INITIAL_TXN_ID, History, Transaction, TransactionStatus, read, write
 from repro.core.result import AnomalyKind, IsolationLevel
 from repro.workloads.mt_generator import MTWorkloadGenerator
 
@@ -822,7 +822,7 @@ class TestCheckpointRestore:
             head.ingest(txn)
         at_cut = head.result().format()
         state = head.checkpoint()
-        assert state["format"] == CHECKPOINT_STATE_FORMAT == "repro-checker-state-v6"
+        assert state["format"] == CHECKPOINT_STATE_FORMAT == "repro-checker-state-v7"
         # Typed columns, and exact through the bytes: nothing lossy.
         assert isinstance(state["topo"]["src"], array) and isinstance(state["slots"]["key"], array)
         text = repr(state)
@@ -867,6 +867,20 @@ class TestCheckpointRestore:
         with pytest.raises(ValueError, match="found format 'repro-checker-state-v4'"):
             CheckerSession.restore(v4)
 
+    def test_v6_states_are_refused_by_name(self):
+        # v6 kept SI's induced graph as composed edges in the order plus its
+        # ``base_preds`` / ``rw_succ`` tables; v7 keeps an out-copy per
+        # transaction (``twins``).  A v6 dict is refused by its tag.
+        head = CheckerSession(SI, initial_keys=["x"])
+        head.ingest(Transaction(1, [read("x", 0), write("x", 1)]))
+        state = head.checkpoint()
+        assert list(state["twins"]) == [INITIAL_TXN_ID, 1]
+        v6 = {**state, "format": "repro-checker-state-v6", "base_preds": {"dst": array("q"), "src": array("q")},
+              "rw_succ": {"src": array("q"), "dst": array("q"), "key": array("q")}}
+        del v6["twins"]
+        with pytest.raises(ValueError, match="found format 'repro-checker-state-v6'"):
+            CheckerSession.restore(v6)
+
     def test_restore_rejects_unknown_snapshot_format(self):
         with pytest.raises(ValueError, match="found format 'not-a-checker-state'"):
             CheckerSession.restore({"format": "not-a-checker-state"})
@@ -909,7 +923,9 @@ class TestCheckpointRestore:
             lambda state: state["slots"].update(intermediate_row=array("q", [-1]), intermediate=array("q", [1])),
             lambda state: state["topo"]["node"].__setitem__(0, state["topo"]["time_base"] - 1),
             lambda state: state["topo"].update(time_base="low"),
-            lambda state: state["rw_succ"].update(src=array("q", [1]), dst=array("q", [2]), key=array("q", [2])),
+            # v7: SI's out-copies, one per transaction of the order.
+            lambda state: state["twins"].__setitem__(0, 7),
+            lambda state: state["twins"].pop(),
             # v6: the order's and the slot table's own columns.
             lambda state: state["items"]["kind"].__setitem__(0, 9),
             lambda state: state["labels"]["type"].__setitem__(0, 99),
@@ -928,7 +944,7 @@ class TestCheckpointRestore:
             "key-id-not-an-int", "column-of-another-typecode", "negative-status-code",
             "negative-item-slot", "item-slot-past-the-table", "side-row-past-the-table",
             "negative-side-row", "time-node-past-the-timeline", "time-base-not-an-int",
-            "unknown-rw-key", "unknown-item-kind", "unknown-label-type", "edge-source-past-the-nodes",
+            "twin-of-another-transaction", "missing-twin", "unknown-item-kind", "unknown-label-type", "edge-source-past-the-nodes",
             "sealed-fifo-names-a-live-version", "overwrote-past-the-table", "sealed-version-with-items",
         ],
     )

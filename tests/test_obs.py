@@ -504,15 +504,14 @@ class TestVerifyReport:
 
 
 class TestCheckerGauges:
-    def test_windowed_sser_session_publishes_its_counters(self):
+    @pytest.mark.parametrize("level", [IsolationLevel.STRICT_SERIALIZABILITY, IsolationLevel.SNAPSHOT_ISOLATION])
+    def test_windowed_session_publishes_its_counters(self, level):
         from repro.core.model import Transaction, read, write
 
         # A stale read only SSER forbids, then a chain of read-modify-writes
         # of y that the window of 4 evicts, then a read of a sealed version.
         registry = obs.enable(fresh=True)
-        session = MTChecker().session(
-            IsolationLevel.STRICT_SERIALIZABILITY, initial_keys=["x", "y"], window=4
-        )
+        session = MTChecker().session(level, initial_keys=["x", "y"], window=4)
         session.ingest(Transaction(1, [read("x", 0), write("x", 1)], start_ts=0.0, finish_ts=1.0))
         session.ingest(Transaction(2, [read("x", 0)], session_id=1, start_ts=2.0, finish_ts=3.0))
         for i in range(3, 12):
@@ -521,11 +520,13 @@ class TestCheckerGauges:
         session.ingest(Transaction(12, [read("y", 4)], session_id=3, start_ts=30.0, finish_ts=31.0))
         result = session.result()
         gauge = registry.value
-        assert gauge("repro_checker_violations") == len(result.violations) == 1
+        sser = level is IsolationLevel.STRICT_SERIALIZABILITY
+        assert gauge("repro_checker_violations") == len(result.violations) == (1 if sser else 0)
         assert gauge("repro_checker_window_evictions") == session.evicted_count == 8
         assert gauge("repro_checker_stale_reads") == session.stale_reads == 1
         assert gauge("repro_checker_pk_reorder_visits") == session._topo.reorder_visits > 0
-        # Transactions only: the timeline's time nodes are not graph nodes.
+        # Transactions only: the timeline's time nodes (SSER) and the
+        # out-copies (SI) are not graph nodes.
         live = session.graph.num_nodes()
         assert gauge("repro_checker_graph_nodes") == live == 5 < len(session._topo)
 
