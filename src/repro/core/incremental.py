@@ -648,6 +648,7 @@ class CheckerSession:
         item_slot, item_kind, item_txn, item_value, item_last, item_prev = (
             self._item_slot, self._item_kind, self._item_txn, self._item_value, self._item_last, self._item_prev)
         si, sser, edges = self._si, self._sser, []  # edges: the step before's, appended first
+        out = _OUT if si else 0  # a node plus ``out``: its out-copy at SI, itself otherwise
         rows = zip(segment.txn_ids, segment.session_ids, segment.statuses, offsets, offsets[1:])
         for row, (txn_id, session_id, row_status, lo, hi) in enumerate(rows):
             row_before = len(violations)
@@ -711,7 +712,7 @@ class CheckerSession:
                 prev = sessions.get(session_id, INITIAL_TXN_ID if self._has_initial else None)
                 sessions[session_id] = txn_id
                 if prev is not None:  # closes no cycle: the row has no out-edge yet
-                    edges.append((prev + _OUT if si else prev, txn_id, _SESSION))
+                    edges.append((prev + out, txn_id, _SESSION))
             for kid, value in intermediates:
                 self._register_intermediate(kid, value, txn_id)
             # A step per read, those waiting for one of the row's writes first; a step appends the edges of
@@ -773,17 +774,17 @@ class CheckerSession:
                     continue
                 else:  # WR (and WW/RW) edges; an evicted writer's are dropped, the RW ones between live readers kept
                     # At SI a base edge leaves the writer's out-copy and an RW edge enters the overwriter's.
-                    key, source = names[kid], writer_id + _OUT if si else writer_id
+                    key, source = names[kid], writer_id + out
                     listed = item_last[vid] >= 0
                     edges.append((source, reader, (_WR, key)))
                     if listed:
                         rw = (_RW, key)
-                        edges.extend((reader, item_txn[r] + _OUT if si else item_txn[r], rw)
+                        edges.extend((reader, item_txn[r] + out, rw)
                                      for r in self._items(vid, _OVERWRITER) if item_txn[r] != reader)
                     if writes_key:
                         edges.append((source, reader, (_WW, key)))
                         if listed:
-                            target = reader + _OUT if si else reader
+                            target = reader + out
                             edges.extend((item_txn[r], target, rw)
                                          for r in self._items(vid, _READER, _OVERWRITER) if item_txn[r] != reader)
                         if window is not None:
@@ -885,8 +886,8 @@ class CheckerSession:
         ``array`` columns, the live rows of the order (``topo``, ``labels``), of
         the slot table (``slots``, ``items``) and the small tables in insertion
         order, from which :meth:`restore` rebuilds every link (a time node is
-        node id ``time_base - 1 - i`` for row ``i`` of ``rt``, the out-copy of
-        ``twins[j]`` the id below them by ``j``).  Any suffix of
+        node id ``time_base - 1 - i`` for row ``i`` of ``rt``; at SI the out-copy
+        of the ``j``-th transaction of ``node`` the id below them by ``j``).  Any suffix of
         transactions then yields byte-identical verdicts from this checker and
         from :meth:`restore` of the snapshot, which shares nothing with it."""
         started = time.perf_counter()
@@ -895,13 +896,15 @@ class CheckerSession:
         nodes, _, order, src, dst, label = topo._live()
         codes, _, writer, status, intermediate, owner, kinds, txns, values = self._live_slots()
         vid = dict(zip(codes, count()))
-        transactions = [node for node in nodes if type(node) is not tuple and node < _OUT_FLOOR]
-        time_base = min(transactions, default=0)
-        twins = transactions if self._si else []
-        ref = {node: time_base - 1 - i for i, node in enumerate(chain(timeline, (t + _OUT for t in twins)))}
-        nodes = list(map(ref.get, nodes, nodes))
-        refused = [(ref.get(s, s), ref.get(t, t), topo._code(label))
-                   for (s, t), labels in self._refused.items() for label in labels]
+        time_base = min((node for node in nodes if type(node) is not tuple), default=0)  # out-copies: above
+        named = timeline
+        if self._si:
+            named = [*timeline, *(node + _OUT for node in nodes if type(node) is not tuple and node < _OUT_FLOOR)]
+        refused = [(s, t, topo._code(label)) for (s, t), labels in self._refused.items() for label in labels]
+        if named:
+            ref = {node: time_base - 1 - i for i, node in enumerate(named)}
+            nodes = list(map(ref.get, nodes, nodes))
+            refused = [(ref.get(s, s), ref.get(t, t), code) for s, t, code in refused]
         key_code = {None: 0, **dict(zip(self._key_names, count(1)))}
         state = {
             "format": CHECKPOINT_STATE_FORMAT, "level": self.level.value, "window": self.window,
@@ -918,7 +921,6 @@ class CheckerSession:
             "items": _table("slot kind txn value", "qbqq", owner, kinds, txns, values),
             "last_in_session": _table("session txn", "qq", self._last_in_session, self._last_in_session.values()),
             "rt": _table("stamp kind", "db", *zip(*timeline)),
-            "twins": array("q", twins),
             "arrivals": array("q", self._arrivals),
             "overwrote": _table("txn slot", "qq", *zip(*(
                 (t, vid[code]) for t, owned in self._overwrote.items() for code in owned if code in vid))),
@@ -973,8 +975,9 @@ class CheckerSession:
         if type(time_base) is not int:
             raise TypeError("time_base must be an int")
         node, order, src, dst, label = _arrays(table, node="q", ord="d") + _arrays(table, src="q", dst="q", label="q")
-        (twins,) = _arrays(state, twins="q")
-        named = [*timeline, *(t + _OUT for t in twins)]
+        named = timeline
+        if checker._si:
+            named = [*timeline, *(n + _OUT for n in node if n >= time_base)]
         if min(node, default=time_base) < time_base - len(named):
             raise ValueError("node names a time node or an out-copy past their tables")
         special = {time_base - 1 - i: n for i, n in enumerate(named)}
@@ -982,9 +985,6 @@ class CheckerSession:
         topo._id = dict(zip(topo._node, ids))
         if len(topo._id) != len(node) or not all(n in topo for n in named):
             raise ValueError("the order holds a node twice, or not every time node and out-copy")
-        transactions = [n for n in topo._node if type(n) is not tuple and n < _OUT_FLOOR]
-        if list(twins) != (transactions if checker._si else []):
-            raise ValueError("twins is not the order's transactions (at SI) or empty")
         topo._counter, topo._ord = int(table["counter"]), order[:]
         topo._fractions = {index for index in order if not index.is_integer()}
         types, keys = _arrays(state["labels"], type="b", key="q")
@@ -1332,10 +1332,11 @@ class CheckerSession:
         topo, timeline = self._topo, self._timeline
         hung_on = timeline and [v for forward in (False, True) for v in topo._neighbours(txn_id, forward)
                                 if type(v) is tuple]
-        gone = {txn_id, txn_id + _OUT}  # at SI its out-copy goes with it
-        for node in gone:
-            topo.remove_node(node)
-        for pair in [pair for pair in self._refused if not gone.isdisjoint(pair)] if self._refused else ():
+        topo.remove_node(txn_id)
+        out = txn_id + _OUT if self._si else txn_id
+        if out != txn_id:  # at SI its out-copy goes with it
+            topo.remove_node(out)
+        for pair in [pair for pair in self._refused if txn_id in pair or out in pair] if self._refused else ():
             del self._refused[pair]
         for code in self._overwrote.pop(txn_id, ()):
             vid = self._slots.get(code)

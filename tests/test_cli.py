@@ -768,7 +768,7 @@ class TestEpochLogCommands:
         # gzipped JSON); v5 wrote typed columns of one row per structure
         # (ragged ``readers_count`` / ``readers`` lists per version), v6 the
         # checker's own columns with SI's composed edges and ``base_preds`` /
-        # ``rw_succ`` tables, v7 SI's out-copies (``twins``) instead.  Both
+        # ``rw_succ`` tables, v7 SI's out-copies instead.  Both
         # kept checkpoints are old: each is refused by name, and the log
         # replays to the same verdict.
         path = tmp_path / "history.epochs"
@@ -793,7 +793,6 @@ class TestEpochLogCommands:
         def as_v6(state):
             state.update(format="repro-checker-state-v6", base_preds={"dst": array("q"), "src": array("q")},
                          rw_succ={"src": array("q"), "dst": array("q"), "key": array("q")})
-            del state["twins"]
 
         if old != "v4-file":
             self._reframe_checkpoints(path, {"v3-state": as_v3, "v5-state": as_v5, "v6-state": as_v6}[old])

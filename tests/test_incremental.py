@@ -193,6 +193,52 @@ class TestOnlineDetection:
         checker.ingest(Transaction(2, [read("x", 0), read("y", 0), write("y", 2)], session_id=1))
         assert checker.result().satisfied
 
+    @pytest.mark.parametrize("window", [None, 8])
+    @pytest.mark.parametrize(
+        "arrival, cycle",
+        [
+            # T3's RW(z) edge closes the cycle: the composed step is refused, and prints last as batch's does.
+            ((1, 2, 3), [(1, 2, "WR(x)"), (2, 1, "COMPOSED(z)")]),
+            # T2 arrives last: its read of x from T1 closes the cycle, a base edge into a transaction.
+            ((1, 3, 2), [(2, 1, "COMPOSED(z)"), (1, 2, "WR(x)")]),
+        ],
+        ids=["rw-edge-refused", "base-edge-refused"],
+    )
+    def test_si_cycle_is_reported_over_transactions_refused_step_last(self, arrival, cycle, window):
+        # T1 -WR(x)-> T2 -WR(y)-> T3 -RW(z)-> T1: the induced graph holds T1 -> T2 (plain) and
+        # T2 -> T1 (composed through T3).  Out-copies and T3 never show; the plain step keeps its label.
+        txns = {
+            1: Transaction(1, [read("x", 0), write("x", 1), read("z", 0), write("z", 1)], session_id=0),
+            2: Transaction(2, [read("x", 1), read("y", 0), write("y", 2)], session_id=1),
+            3: Transaction(3, [read("y", 2), read("z", 0)], session_id=2),
+        }
+        checker = CheckerSession(SI, initial_keys=["x", "y", "z"], window=window)
+        reports = [checker.ingest(txns[txn_id]) for txn_id in arrival]
+        assert [len(report) for report in reports] == [0, 0, 1]
+        assert reports[2][0].kind is AnomalyKind.DEPENDENCY_CYCLE
+        assert reports[2][0].cycle == cycle
+        history = History.from_transactions([[txns[txn_id]] for txn_id in arrival], initial_keys=["x", "y", "z"])
+        batch = check_si(history).violation.cycle
+        assert batch == [(1, 2, "WR(x)"), (2, 1, "COMPOSED(z)")]  # the same steps, from T1
+
+    def test_si_cycles_of_composed_steps_only_match_batch(self):
+        # Long fork: two composed steps.  Read skew: T1 -WR(x)-> T2 -RW(z)-> T1 is one composed self-step.
+        long_fork = [
+            Transaction(1, [read("x", 0), write("x", 1)], session_id=0),
+            Transaction(2, [read("y", 0), write("y", 2)], session_id=1),
+            Transaction(3, [read("x", 1), read("y", 0)], session_id=2),
+            Transaction(4, [read("y", 2), read("x", 0)], session_id=3),
+        ]
+        read_skew = [
+            Transaction(1, [read("x", 0), write("x", 1), read("z", 0), write("z", 1)], session_id=0),
+            Transaction(2, [read("x", 1), read("z", 0)], session_id=1),
+        ]
+        for txns, cycle in ((long_fork, [(1, 2, "COMPOSED(y)"), (2, 1, "COMPOSED(x)")]),
+                            (read_skew, [(1, 1, "COMPOSED(z)")])):
+            history = History.from_transactions([[txn] for txn in txns], initial_keys=["x", "y", "z"])
+            streamed = CheckerSession(SI).ingest_history(history).violations
+            assert [v.cycle for v in streamed] == [cycle] == [v.cycle for v in check_si(history).violations]
+
     def test_checking_continues_past_the_first_violation(self):
         checker = CheckerSession(SER, initial_keys=["x", "y"])
         checker.ingest(Transaction(1, [read("x", 0), write("x", 1)]))
@@ -870,14 +916,15 @@ class TestCheckpointRestore:
     def test_v6_states_are_refused_by_name(self):
         # v6 kept SI's induced graph as composed edges in the order plus its
         # ``base_preds`` / ``rw_succ`` tables; v7 keeps an out-copy per
-        # transaction (``twins``).  A v6 dict is refused by its tag.
+        # transaction, named below ``time_base`` in node order.  A v6 dict is
+        # refused by its tag.
         head = CheckerSession(SI, initial_keys=["x"])
         head.ingest(Transaction(1, [read("x", 0), write("x", 1)]))
         state = head.checkpoint()
-        assert list(state["twins"]) == [INITIAL_TXN_ID, 1]
+        assert state["topo"]["time_base"] == INITIAL_TXN_ID
+        assert list(state["topo"]["node"]) == [INITIAL_TXN_ID, INITIAL_TXN_ID - 1, 1, INITIAL_TXN_ID - 2]
         v6 = {**state, "format": "repro-checker-state-v6", "base_preds": {"dst": array("q"), "src": array("q")},
               "rw_succ": {"src": array("q"), "dst": array("q"), "key": array("q")}}
-        del v6["twins"]
         with pytest.raises(ValueError, match="found format 'repro-checker-state-v6'"):
             CheckerSession.restore(v6)
 
@@ -924,8 +971,8 @@ class TestCheckpointRestore:
             lambda state: state["topo"]["node"].__setitem__(0, state["topo"]["time_base"] - 1),
             lambda state: state["topo"].update(time_base="low"),
             # v7: SI's out-copies, one per transaction of the order.
-            lambda state: state["twins"].__setitem__(0, 7),
-            lambda state: state["twins"].pop(),
+            lambda state: state["topo"]["node"].__setitem__(
+                list(state["topo"]["node"]).index(state["topo"]["time_base"] - 1), 99),
             # v6: the order's and the slot table's own columns.
             lambda state: state["items"]["kind"].__setitem__(0, 9),
             lambda state: state["labels"]["type"].__setitem__(0, 99),
@@ -944,7 +991,7 @@ class TestCheckpointRestore:
             "key-id-not-an-int", "column-of-another-typecode", "negative-status-code",
             "negative-item-slot", "item-slot-past-the-table", "side-row-past-the-table",
             "negative-side-row", "time-node-past-the-timeline", "time-base-not-an-int",
-            "twin-of-another-transaction", "missing-twin", "unknown-item-kind", "unknown-label-type", "edge-source-past-the-nodes",
+            "out-copy-missing", "unknown-item-kind", "unknown-label-type", "edge-source-past-the-nodes",
             "sealed-fifo-names-a-live-version", "overwrote-past-the-table", "sealed-version-with-items",
         ],
     )
