@@ -24,7 +24,7 @@ binds the segment's, the order's and the slots' columns once per call
 (compaction rewrites them in place, so the bindings outlive an eviction) and
 does each row's work inline: the op scan, its writes, its reads against the
 slots, its edges.  An edge whose ends are live and in order already, under a
-label offered once per pair (not RT) while no pair is refused, is one row
+label offered once per pair (not RT) on a pair that is not refused, is one row
 appended to the edge table, no call; every other edge (a reorder, a refused
 pair, a window drop) goes through ``_dep_edge``.
 
@@ -733,7 +733,7 @@ class CheckerSession:
                         waiting = (waiting or []) + [(kid, value, vid, *read) for read in self._take_pending(vid)]
             for kid, value, vid, reader, writes_key in steps if waiting is None else waiting + steps:
                 for source, target, label in edges:
-                    if not refused and (s := ids.get(source)) is not None and (
+                    if (not refused or (source, target) not in refused) and (s := ids.get(source)) is not None and (
                             t := ids.get(target)) is not None and order[s] < order[t]:
                         code = label_code.get(label)
                         e = len(src)

@@ -49,7 +49,7 @@ from __future__ import annotations
 import struct
 import time
 from array import array
-from itertools import compress
+from itertools import compress, islice
 from operator import eq
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -76,6 +76,11 @@ _ABORTED_CODE = STATUS_CODES[TransactionStatus.ABORTED]
 _COMMITTED_TABLE = bytes(code == _COMMITTED_CODE for code in range(256))
 #: ``writes_key`` codes of a resolved read (see :attr:`HistoryIndex.read_columns`).
 _WRITES_VALUE, _WRITES_NONE = 1, 2
+#: The mini-transaction shapes the scan takes in straight-line arms, by the
+#: ``op_kinds`` bytes of a row (0 read, 1 write; keys ``a != b``):
+#: ``R a W a``, ``R a R b W a W b``, ``R a R b W b`` and ``R a R b``.
+_RW, _RRWW, _RRW, _RR = range(4)
+_ARMS = {b"\x00\x01": _RW, b"\x00\x00\x01\x01": _RRWW, b"\x00\x00\x01": _RRW, b"\x00\x00": _RR}
 
 
 def packed(typecode: str, values: Sequence[int]) -> array:
@@ -190,9 +195,14 @@ class HistoryIndex:
         allocating an object that outlives its row.  The ``array`` columns
         are expanded to plain lists up front — ``list(array)`` boxes every
         element once in C, where indexing the array inside the Python loop
-        would box on every access — and rows are walked by op index: at the
-        two or three operations a mini-transaction has, slicing and zipping
-        the columns per row costs more than subscripting them.
+        would box on every access — except the op kinds, which stay one
+        ``bytes`` copy whose slice is a row's shape.
+
+        A row in one of the mini-transaction shapes of :data:`_ARMS` (its
+        kinds, its key pattern, and a value on every op) takes a
+        straight-line arm that records what the per-op loop would, with no
+        per-row dict.  The guard is per row: ``⊥T``, a repeated key, a
+        valueless op or any other shape takes the per-op loop.
 
         A row is a candidate exactly when
         :func:`repro.core.intcheck._check_transaction` could report
@@ -202,13 +212,18 @@ class HistoryIndex:
         cols = self._columns
         col_txn_ids = list(cols.txn_ids)
         col_sessions = list(cols.session_ids)
-        col_statuses = cols.statuses
+        col_statuses = cols.statuses.tobytes()
         offsets = list(cols.op_offsets)
-        kinds = list(cols.op_kinds)
+        kinds = cols.op_kinds.tobytes()
         op_keys = list(cols.op_keys)
         values: List[Optional[int]] = list(cols.op_values)
-        if 0 in cols.op_has_value:
-            values = [v if has else None for v, has in zip(values, cols.op_has_value)]
+        # ``shapes`` is ``kinds`` with every valueless op marked 2 or 3, so
+        # that no arm's shape matches a row that has one.
+        shapes = kinds
+        has_value = cols.op_has_value.tobytes()
+        if 0 in has_value:
+            values = [v if has else None for v, has in zip(values, has_value)]
+            shapes = bytes(kind | (not has) << 1 for kind, has in zip(kinds, has_value))
         col_key_names = cols.key_names
 
         # Scan order: ``⊥T`` first, then rows grouped by ascending session
@@ -247,30 +262,98 @@ class HistoryIndex:
         final_none = self._final_none
         intermediate_pos = self._intermediate_pos
         intermediate_none = self._intermediate_none
-        r_pos, r_kid, r_value, r_rmw, r_written = [], [], [], [], []  # packed below
+        # The resolved reads, flat: ``(reader_pos, key_id, value,
+        # writes_key, written_value)`` per read, split into columns below.
+        reads: List[int] = []
         candidates: Set[int] = set()
         flag = candidates.add
-        # Per-row scratch is reused across rows (cleared, not reallocated):
-        # ``last`` holds the value of the row's last op per key, reads
-        # included; ``last_write`` that of its last write.
+        arm_of = _ARMS.get
+
+        def intern(ckid: int) -> int:
+            kid = remap[ckid] = len(key_names)
+            key_dense[col_key_names[ckid]] = kid
+            key_names.append(col_key_names[ckid])
+            return kid
+
+        # Per-row scratch of the per-op loop is reused across rows
+        # (cleared, not reallocated): ``last`` holds the value of the row's
+        # last op per key, reads included; ``last_write`` that of its last
+        # write.
         last: Dict[int, Optional[int]] = {}
         last_write: Dict[int, Optional[int]] = {}
         tracked = bytearray(self._committed_mask)
         tracked[: len(initial_rows)] = bytes(len(initial_rows))  # ``⊥T`` reads nothing
         for pos, row in enumerate(order):
+            lo = offsets[row]
+            hi = offsets[row + 1]
+            # A mini-transaction's row: its arm writes what the per-op loop
+            # below would (``a`` / ``b`` are column key ids, ``ka`` / ``kb``
+            # their dense ids).
+            arm = arm_of(shapes[lo:hi])
+            if arm == _RW:
+                a = op_keys[lo]
+                if a == op_keys[lo + 1]:
+                    ka = remap[a]
+                    if ka < 0:
+                        ka = intern(a)
+                    read_a = values[lo]
+                    write_a = values[lo + 1]
+                    final_pos[write_a * radix + ka] = pos
+                    if tracked[pos]:
+                        reads += (pos, ka, read_a, _WRITES_VALUE, write_a)
+                        if write_a == read_a:
+                            flag(pos)  # FutureRead
+                    continue
+            elif arm is not None:
+                a = op_keys[lo]
+                b = op_keys[lo + 1]
+                if a != b and (
+                    arm == _RR
+                    or (arm == _RRW and b == op_keys[lo + 2])
+                    or (arm == _RRWW and a == op_keys[lo + 2] and b == op_keys[lo + 3])
+                ):
+                    ka = remap[a]
+                    if ka < 0:
+                        ka = intern(a)
+                    kb = remap[b]
+                    if kb < 0:
+                        kb = intern(b)
+                    read_a = values[lo]
+                    read_b = values[lo + 1]
+                    if arm == _RRWW:
+                        write_a = values[lo + 2]
+                        write_b = values[lo + 3]
+                        final_pos[write_a * radix + ka] = pos
+                        final_pos[write_b * radix + kb] = pos
+                        if tracked[pos]:
+                            reads += (
+                                pos, ka, read_a, _WRITES_VALUE, write_a,
+                                pos, kb, read_b, _WRITES_VALUE, write_b,
+                            )
+                            if write_a == read_a or write_b == read_b:
+                                flag(pos)  # FutureRead
+                    elif arm == _RRW:
+                        write_b = values[lo + 2]
+                        final_pos[write_b * radix + kb] = pos
+                        if tracked[pos]:
+                            reads += (pos, ka, read_a, 0, 0, pos, kb, read_b, _WRITES_VALUE, write_b)
+                            if write_b == read_b:
+                                flag(pos)  # FutureRead
+                    elif tracked[pos]:
+                        reads += (pos, ka, read_a, 0, 0, pos, kb, read_b, 0, 0)
+                    continue
+
+            # Every other row: the per-op loop.
             track = tracked[pos]
             overwrote = False
             last.clear()
             last_write.clear()
-            first_read = len(r_kid)
-            for op in range(offsets[row], offsets[row + 1]):
+            first_read = len(reads)
+            for op in range(lo, hi):
                 value = values[op]
                 kid = remap[op_keys[op]]
                 if kid < 0:
-                    ckid = op_keys[op]
-                    kid = remap[ckid] = len(key_names)
-                    key_dense[col_key_names[ckid]] = kid
-                    key_names.append(col_key_names[ckid])
+                    kid = intern(op_keys[op])
                 if kinds[op]:  # write
                     if kid in last_write:
                         overwrote = True
@@ -285,56 +368,62 @@ class HistoryIndex:
                         if value is None:
                             flag(pos)
                         else:
-                            r_pos.append(pos)
-                            r_kid.append(kid)
-                            r_value.append(value)
+                            reads += (pos, kid, value, 0, 0)
                     elif last[kid] != value:
                         flag(pos)  # NotMyLastWrite/NotMyOwnWrite/NonRepeatable
                         if (
                             value is not None
                             and kid not in last_write
-                            and kid not in r_kid[first_read:]
+                            and kid not in reads[first_read + 1 :: 5]
                         ):
                             # Every earlier read of the key was valueless:
                             # this is Transaction.external_reads()'s read.
-                            r_pos.append(pos)
-                            r_kid.append(kid)
-                            r_value.append(value)
+                            reads += (pos, kid, value, 0, 0)
                     last[kid] = value
             for kid, value in last_write.items():
                 if value is None:
                     final_none[kid] = pos
                 else:
                     final_pos[value * radix + kid] = pos
-            for slot in range(first_read, len(r_kid)):
-                kid = r_kid[slot]
-                written = last_write.get(kid)
-                r_rmw.append(kid in last_write and (_WRITES_NONE if written is None else _WRITES_VALUE))
-                r_written.append(written or 0)
-                # FutureRead: the row itself writes the value it read.
-                if written == r_value[slot] or (
-                    overwrote
-                    and intermediate_pos.get(r_value[slot] * radix + kid) == pos
-                ):
-                    flag(pos)
+            for slot in range(first_read, len(reads), 5):
+                kid = reads[slot + 1]
+                if kid in last_write:
+                    written = last_write[kid]
+                    if written is None:
+                        reads[slot + 3] = _WRITES_NONE
+                    else:
+                        reads[slot + 3] = _WRITES_VALUE
+                        reads[slot + 4] = written
+                    # FutureRead: the row itself writes the value it read.
+                    if written == reads[slot + 2] or (
+                        overwrote
+                        and intermediate_pos.get(reads[slot + 2] * radix + kid) == pos
+                    ):
+                        flag(pos)
 
         # Writer attribution stays a second pass — in the session-grouped
         # scan order a reader may precede its writer — but over reads only.
         # Provenance candidates: ThinAir/Intermediate (no final writer) and
         # AbortedRead; a reader that is its own writer was flagged above.
+        # At most two of ``reads``' columns are copied out at once, so the
+        # peak holds no more than it did when the scan kept five lists.
         final_get = final_pos.get
-        r_writer = [final_get(v * radix + k, -1) for k, v in zip(r_kid, r_value)]
+        r_writer = [
+            final_get(v * radix + k, -1) for k, v in zip(reads[1::5], islice(reads, 2, None, 5))
+        ]
         candidates.update(
             [
-                reader
-                for reader, writer in zip(r_pos, r_writer)
+                reads[5 * slot]
+                for slot, writer in enumerate(r_writer)
                 if writer < 0 or status_of[writer] == _ABORTED_CODE
             ]
         )
         self._int_candidates = sorted(candidates)
+        writers = packed("i", r_writer)
+        del r_writer
         self._reads_dense = (
-            packed("i", r_pos), packed("i", r_kid), packed("q", r_value),
-            packed("i", r_writer), bytes(r_rmw), packed("q", r_written),
+            packed("i", reads[0::5]), packed("i", reads[1::5]), packed("q", reads[2::5]),
+            writers, bytes(reads[3::5]), packed("q", reads[4::5]),
         )
 
     # ------------------------------------------------------------------

@@ -8,7 +8,8 @@ key table grows too), and its work per row may grow by at most 1.25x.
 Blind spot: work done inside one C call (``sorted``, ``list.index``,
 ``x in list``) is one trace event whatever its length;
 ``tests/test_index.py::TestBytesPerRow`` covers the index's bytes instead,
-and the SSER reject gate also bounds its traced peak bytes per row.
+the SSER reject gate also bounds its traced peak bytes per row, and the
+SER / SI accept gate those of the index scan.
 """
 
 import sys
@@ -19,6 +20,7 @@ import pytest
 from repro.bench import generate_mt_history
 from repro.core.checker import MTChecker
 from repro.core.incremental import CheckerSession
+from repro.core.index import HistoryIndex
 from repro.core.model import History, Transaction, read, stream_order, write
 from repro.core.result import AnomalyKind, IsolationLevel
 from repro.db import FaultPlan
@@ -156,6 +158,27 @@ def test_batch_sser_accept_is_linear(histories):
         )
         assert verdict[0].satisfied
     assert_flat(per_row)
+
+
+def test_batch_ser_and_si_accept_are_linear(histories):
+    # Most of these rows take a straight-line arm of the index scan, whose
+    # per-op work is C-level ``bytes`` slicing that emits no trace event:
+    # the scan's traced peak bytes per row are bounded too, by 1.4x.  Ids,
+    # positions and values below 257 are CPython's cached small ints, so
+    # many cost no bytes at n rows and few do at 8n: the per-op scan this
+    # one replaced peaked at 498 and 631 bytes per row here (1.27x).
+    columns = [ColumnarHistory.from_history(history) for history in histories]
+    for level in (IsolationLevel.SERIALIZABILITY, IsolationLevel.SNAPSHOT_ISOLATION):
+        per_row = []
+        for segment in columns:
+            verdict = []
+            per_row.append(
+                work(lambda: verdict.append(MTChecker().verify(segment, level))) / len(segment)
+            )
+            assert verdict[0].satisfied
+        assert_flat(per_row)
+    small, large = (peak_bytes(lambda: HistoryIndex.from_columns(segment)) / len(segment) for segment in columns)
+    assert large <= 1.4 * small, f"peak bytes per row grew {large / small:.2f}x: {small:.0f} -> {large:.0f}"
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ seed, through both simulator drivers (``AsyncCollector`` over the coroutine
 simulator, and ``run_workload``), on the four engines, healthy and under two
 fault plans.  The pinned values were computed before the engine and recorder
 fast paths were written, so a speed-up that changes one recorded byte —
-a value, a timestamp, a row's order, a key id — fails here.
+a value, a timestamp, a row's order, a key id — fails here.  What the
+checker prints on each of those histories at SER, SI and SSER is pinned the
+same way, so a checker speed-up that changes one printed byte fails too.
 
 Chaos over the simulator runs on the same coroutine route and is pinned the
 same way, for the two defects that never abort an attempt.  A retried
@@ -20,11 +22,16 @@ import hashlib
 
 import pytest
 
-from repro import Database, FaultPlan, MTWorkloadGenerator, run_workload
+from repro import Database, FaultPlan, IsolationLevel, MTChecker, MTWorkloadGenerator, run_workload
 from repro.adapters import AsyncCollector, AsyncSimulatedAdapter, make_adapter
 from repro.history.columnar import ColumnarHistory
 
 ENGINES = ("si", "ser", "s2pl", "rc")
+VERDICT_LEVELS = (
+    IsolationLevel.SERIALIZABILITY,
+    IsolationLevel.SNAPSHOT_ISOLATION,
+    IsolationLevel.STRICT_SERIALIZABILITY,
+)
 PLANS = {
     "healthy": None,
     "lost_update": FaultPlan(lost_update_rate=0.5, seed=11),
@@ -99,6 +106,38 @@ GOLDEN = {
 }
 
 
+#: A sha256 of the three verdicts ``MTChecker().verify(columns, level).format()``
+#: at SER, SI and SSER (joined by newlines) of each history above, computed
+#: before the index scan took mini-transaction rows in straight-line arms: a
+#: checker speed-up that changes one printed byte fails here.
+VERDICT_GOLDEN = {
+    ("async", "si", "healthy"): "c6c42a0efa2a5ca0c3fd428061cf1747688ff83a095f9e08af04e1b2ce1074fa",
+    ("async", "si", "lost_update"): "c6c42a0efa2a5ca0c3fd428061cf1747688ff83a095f9e08af04e1b2ce1074fa",
+    ("async", "si", "stale_dirty"): "2c6eab85dcca145177c2b61e70c23351506fb2bc2f38c6a4cd8f5128f342b7da",
+    ("async", "ser", "healthy"): "c6c42a0efa2a5ca0c3fd428061cf1747688ff83a095f9e08af04e1b2ce1074fa",
+    ("async", "ser", "lost_update"): "c6c42a0efa2a5ca0c3fd428061cf1747688ff83a095f9e08af04e1b2ce1074fa",
+    ("async", "ser", "stale_dirty"): "2c6eab85dcca145177c2b61e70c23351506fb2bc2f38c6a4cd8f5128f342b7da",
+    ("async", "s2pl", "healthy"): "c6c42a0efa2a5ca0c3fd428061cf1747688ff83a095f9e08af04e1b2ce1074fa",
+    ("async", "s2pl", "lost_update"): "c6c42a0efa2a5ca0c3fd428061cf1747688ff83a095f9e08af04e1b2ce1074fa",
+    ("async", "s2pl", "stale_dirty"): "2c6eab85dcca145177c2b61e70c23351506fb2bc2f38c6a4cd8f5128f342b7da",
+    ("async", "rc", "healthy"): "c6c42a0efa2a5ca0c3fd428061cf1747688ff83a095f9e08af04e1b2ce1074fa",
+    ("async", "rc", "lost_update"): "c6c42a0efa2a5ca0c3fd428061cf1747688ff83a095f9e08af04e1b2ce1074fa",
+    ("async", "rc", "stale_dirty"): "2c6eab85dcca145177c2b61e70c23351506fb2bc2f38c6a4cd8f5128f342b7da",
+    ("runner", "si", "healthy"): "335ec64cf73e7fcf9fcac19633f9c4f23075ad2737812edf0f2bc8792b466f1e",
+    ("runner", "si", "lost_update"): "6ea2500bd202fd428aa0819204fc1c518408e5812ec1ad34c47dcc81f31f0f82",
+    ("runner", "si", "stale_dirty"): "cfd9443e2ef3aa1afc16ee9d7afc8945b8bccce738380d5e3bc2c0798b155b8e",
+    ("runner", "ser", "healthy"): "67b3cbbb49569726413cd4658a9be3027f14cd2ff7039454884b69c218234f5c",
+    ("runner", "ser", "lost_update"): "85d619fc8e0a5d31723de23f295adf530e6c7c4cb330de35dd2e566eb61ea908",
+    ("runner", "ser", "stale_dirty"): "571e1b073e4f6c386b36ecb8f6f2efde45e1012359f4ed0cb32e9b0cb7530820",
+    ("runner", "s2pl", "healthy"): "6391a10b823f02b8ee95891fa4fd4ba437395eb64e9feda5c64d79874124e116",
+    ("runner", "s2pl", "lost_update"): "6391a10b823f02b8ee95891fa4fd4ba437395eb64e9feda5c64d79874124e116",
+    ("runner", "s2pl", "stale_dirty"): "987df9540db0e88e26ef38d80eeb7135187510784f3cbbc93725df926abb3db5",
+    ("runner", "rc", "healthy"): "ea1d0e87925742cf3b3fe512ba7015cb5507d23b2bf0f4917dc1047a47c3f14c",
+    ("runner", "rc", "lost_update"): "ea1d0e87925742cf3b3fe512ba7015cb5507d23b2bf0f4917dc1047a47c3f14c",
+    ("runner", "rc", "stale_dirty"): "5165c0844f29e89cb88a3efdf643af9f61f07954057b6901fb02714fb6a2c531",
+}
+
+
 CHAOS_GOLDEN = {
     "lost-write": "d3805c5706e23ffa816426191ec2fcbd1b650ab86ea53eba7bc5f40b21d64257",
     "stale-read": "979eb853ee425526cff3bb2ae1962b03265d7f81391f634a91e08bf88c86854a",
@@ -110,6 +149,15 @@ CHAOS_GOLDEN = {
 @pytest.mark.parametrize("route", ("async", "runner"))
 def test_recorded_columns_match_the_golden_digest(route, engine, plan):
     assert columns_digest(record(route, engine, plan)) == GOLDEN[route, engine, plan]
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("route", ("async", "runner"))
+def test_verdicts_on_the_recorded_columns_match_the_golden_digest(route, engine, plan):
+    columns = record(route, engine, plan)
+    printed = "\n".join(MTChecker().verify(columns, level).format() for level in VERDICT_LEVELS)
+    assert hashlib.sha256(printed.encode("utf-8")).hexdigest() == VERDICT_GOLDEN[route, engine, plan]
 
 
 @pytest.mark.parametrize("fault", sorted(CHAOS_GOLDEN))

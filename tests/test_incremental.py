@@ -600,6 +600,54 @@ class TestOrderCarriesTheLabels:
         assert resumed.result().format() == checker.result().format()
         assert set(resumed.graph.edges()) == set(graph.edges())
 
+    def test_only_the_refused_pair_leaves_the_inline_append(self, monkeypatch):
+        # T1 and T2 both read x=0 and write it back (a lost update): T2's RW
+        # edge to T1 reorders the two, T1's RW edge to T2 then closes a cycle
+        # and the pair (1, 2) is refused.  The healthy chain after it (each
+        # row reads the y its predecessor wrote) offers only edges already in
+        # order, so none of them is routed.
+        routed = []
+        dep_edge = CheckerSession._dep_edge
+
+        def spy(self, source, target, label):
+            routed.append((source, target))
+            dep_edge(self, source, target, label)
+
+        monkeypatch.setattr(CheckerSession, "_dep_edge", spy)
+        checker = CheckerSession(SER, initial_keys=["x", "y"])
+        stream = [
+            Transaction(1, [read("x", 0), write("x", 1)], session_id=1),
+            Transaction(2, [read("x", 0), write("x", 2)], session_id=2),
+        ] + [
+            Transaction(t, [read("y", t - 1 if t > 3 else 0), write("y", t)], session_id=3)
+            for t in range(3, 40)
+        ]
+        reports = [checker.ingest(txn) for txn in stream]
+        assert [len(r) for r in reports] == [0, 1] + [0] * 37
+        assert set(checker._refused) == {(1, 2)} and set(routed) == {(2, 1), (1, 2)}
+
+    def test_a_refusal_the_window_lifted_takes_its_labels_back_once(self):
+        # T3 -RW(k)-> T2 closes T2 -RW(y)-> T1 -WR(z)-> T3 and is refused.
+        # The window then evicts T1, so when the writer of m=5 arrives and
+        # offers T3 -RW(m)-> T2, the pair is acyclic: the order takes the new
+        # label and the refused one, each once, and the pair is no longer
+        # refused.
+        checker = CheckerSession(SER, initial_keys=["y", "k", "z", "m", "f"], window=4)
+        stream = [
+            Transaction(1, [read("y", 0), write("y", 1), write("z", 1)], session_id=1),
+            Transaction(4, [read("f", 0)], session_id=4),
+            Transaction(5, [read("f", 0)], session_id=5),
+            Transaction(2, [read("y", 0), read("k", 0), read("m", 5), write("k", 1), write("m", 6)], session_id=2),
+            Transaction(3, [read("z", 1), read("k", 0), read("m", 5)], session_id=3),
+            Transaction(9, [write("m", 5)], session_id=9),
+        ]
+        assert [len(checker.ingest(txn)) for txn in stream] == [0, 0, 0, 0, 1, 0]
+        assert checker._refused == {} and 1 not in checker._topo
+        assert checker._topo.labels(3, 2) == [("RW", "m"), ("RW", "k")]
+        resumed = CheckerSession.restore(packed(checker.checkpoint()))
+        assert resumed._topo.labels(3, 2) == [("RW", "m"), ("RW", "k")]
+        assert resumed.result().format() == checker.result().format()
+
 # ----------------------------------------------------------------------
 # Real time: an interval that finishes before it starts is refused
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.core.index import HistoryIndex
 from repro.core.intcheck import build_write_index, check_internal_consistency
 from repro.core.mini import validate_mt_history
 from repro.core.model import History, Transaction, read, write
-from repro.core.result import IsolationLevel
+from repro.core.result import AnomalyKind, IsolationLevel
 from repro.bench import generate_mt_history
 from repro.db import FaultPlan
 from repro.history.columnar import ColumnarHistory
@@ -63,26 +64,34 @@ class TestInterning:
                 assert {index.key_names[k] for k in key_ids} == txn.keys()
 
 
+def valued_histories():
+    """The generated histories, then valued hostile ones: rows in the shapes
+    the scan's straight-line arms take, their near misses, aborted rows of
+    both kinds and a value written last by two rows."""
+    from test_routes import valued_hostile_history  # test_routes imports this module
+
+    yield from random_histories()
+    for seed in range(300):
+        yield valued_hostile_history(seed)
+
+
 class TestWriteIndexParity:
     def test_final_and_intermediate_writers_match_write_index(self):
-        for history in random_histories():
+        txn_id = lambda txn: None if txn is None else txn.txn_id
+        for history in valued_histories():
             index = HistoryIndex.build(history)
             legacy = build_write_index(history)
             for txn in history.transactions(include_initial=True):
                 for op in txn.operations:
                     if not op.is_write:
                         continue
-                    ours = index.final_writer(op.key, op.value)
-                    theirs = legacy.final_writer(op.key, op.value)
-                    assert (ours is None) == (theirs is None)
-                    if ours is not None:
-                        assert ours.txn_id == theirs.txn_id
-                    inter_ours = index.intermediate_writer(op.key, op.value)
-                    inter_theirs = legacy.intermediate_writer(op.key, op.value)
-                    assert (inter_ours is None) == (inter_theirs is None)
+                    assert txn_id(index.final_writer(op.key, op.value)) == txn_id(
+                        legacy.final_writer(op.key, op.value))
+                    assert txn_id(index.intermediate_writer(op.key, op.value)) == txn_id(
+                        legacy.intermediate_writer(op.key, op.value))
 
     def test_external_reads_match_model(self):
-        for history in random_histories():
+        for history in valued_histories():
             index = HistoryIndex.build(history)
             resolved = {}
             for pos, kid, value, _, writes, written in zip(*index.read_columns):
@@ -94,6 +103,16 @@ class TestWriteIndexParity:
                     key: (value, txn.writes_to(key), txn.final_write(key))
                     for key, value in txn.external_reads().items()
                 }
+
+    def test_int_violations_match_the_object_pass(self):
+        multiset = lambda violations: Counter(
+            (v.kind, tuple(v.txn_ids), v.key, v.description) for v in violations)
+        kinds = Counter()
+        for history in valued_histories():
+            expected = multiset(check_internal_consistency(history))
+            assert multiset(HistoryIndex.build(history).int_violations()) == expected
+            kinds.update(kind for kind, *_ in expected.elements())
+        assert {AnomalyKind.FUTURE_READ, AnomalyKind.ABORTED_READ} <= set(kinds)
 
 
 class TestCachedPasses:

@@ -396,9 +396,49 @@ def hostile_history(seed):
     return History.from_transactions(sessions, initial_keys=keys if rng.random() < 0.7 else None)
 
 
+#: Row plans of :func:`valued_hostile_history` over two keys ``a != b``: the
+#: four mini-transaction shapes the index scan takes in straight-line arms,
+#: then rows one step away from one of them.
+VALUED_PLANS = [
+    "ra wa", "ra rb wa wb", "ra rb wb", "ra rb",
+    "ra ra", "ra rb wb wa", "rb wa", "ra rb wa", "ra wa wa", "ra rb wa wb wa", "wa",
+]
+
+
+def valued_hostile_history(seed):
+    """:func:`hostile_history` with a value on every op, in mini-transaction
+    shapes and their near misses: a row that writes back the value it read
+    (FutureRead, values are drawn from six), a key read twice, writes in
+    the other order, a write to the key not read, aborted rows of every
+    shape, and one value that two committed rows write last (the later
+    one in scan order is its final writer)."""
+    rng = random.Random(seed)
+    keys = ["x", "y", "z"][: rng.randint(2, 3)]
+    sessions, txn_id = [], itertools.count(1)
+
+    def row(plan, session_id, status):
+        a, b = rng.sample(keys, 2)
+        ops = [(write if step[0] == "w" else read)(a if step[1] == "a" else b, rng.randrange(-1, 5))
+               for step in plan.split()]
+        return Transaction(next(txn_id), ops, session_id=session_id, status=status)
+
+    for session_id in range(rng.randint(1, 3)):
+        sessions.append([
+            row(rng.choice(VALUED_PLANS), session_id,
+                TransactionStatus.ABORTED if rng.random() < 0.2 else TransactionStatus.COMMITTED)
+            for _ in range(rng.randint(1, 5))
+        ])
+    twice, session = rng.choice(keys), rng.choice(sessions)
+    for _ in range(2):
+        session.append(Transaction(next(txn_id), [read(twice, rng.randrange(-1, 5)), write(twice, 7)],
+                                   session_id=session[0].session_id))
+    return History.from_transactions(sessions, initial_keys=keys if rng.random() < 0.7 else None)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(drawn=st.one_of(mt_histories().map(lambda history: (history, True)),
-                       st.integers(0, 2**32).map(lambda seed: (hostile_history(seed), False))))
+                       st.integers(0, 2**32).map(lambda seed: (hostile_history(seed), False)),
+                       st.integers(0, 2**32).map(lambda seed: (valued_hostile_history(seed), False))))
 def test_random_histories_agree_on_every_route(drawn):
     history, is_mt = drawn
     columns = ColumnarHistory.from_history(history)
